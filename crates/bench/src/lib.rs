@@ -16,6 +16,17 @@
 //! | `it_comparison` | E9 | the gap in the information-theoretic setting (§7) |
 //! | `ablation_packing` | A1 | packing factor `k` as the design dial |
 //! | `ablation_nizk` | A2 | NIZK share of posted traffic |
+//! | `hotpath` | P1 | threshold-Paillier fast paths (`BENCH_hotpath.json`) |
+//!
+//! Performance of the protocol paths is measured by the repository
+//! benchmark (`BENCHMARK.json`, package `src/bin/benchmark/`): the
+//! `hotpath` columns it superseded — `board_configs`, `worker_configs`,
+//! `interp_configs`, `recon_speedup` — and the `hot_alloc_ratio` column
+//! of [`scale`] are now its metrics `yoso.tcp.posts_per_s`,
+//! `fleet-tcp/exec_s`, `field.ntt_forward_us`, `pss.reconstruct_us` and
+//! `pss.hot_allocs_per_gate`. [`scale`] keeps the two comparisons whose
+//! both sides still exist: streaming vs materialized and distributed vs
+//! replicated transforms (`BENCH_scale.json`).
 
 #![forbid(unsafe_code)]
 

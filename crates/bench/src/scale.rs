@@ -1,26 +1,23 @@
-//! Paper-scale allocation profile: the `yoso bench-scale` harness.
+//! Paper-scale profile: the `yoso bench-scale` harness.
 //!
 //! Runs the mock-scheme end-to-end protocol at Table-1 committee sizes
 //! (`n ∈ {512, 1024, 2048}`, `ε = 0.25`) twice per size — once in
-//! streaming mode (bounded board retention + pooled share-buffer
-//! arenas, [`ExecutionConfig::with_streaming`]) and once materialized
-//! (the legacy full-history, fresh-buffers-per-call profile) — and
-//! records for each run:
+//! streaming mode (incremental transcript consumption + bounded board
+//! retention, [`ExecutionConfig::with_streaming`]) and once
+//! materialized (full posting history) — and records for each run:
 //!
 //! - wall-clock per protocol stage,
-//! - hot-path buffer allocations ([`yoso_field::allocstats`]) total and
-//!   per multiplication gate,
-//! - process-wide allocation counts when the host binary registered the
-//!   counting allocator (`--features bench-alloc`, see `yoso-cli`),
 //! - peak RSS (`VmHWM`) and current RSS (`VmRSS`) from
 //!   `/proc/self/status`,
 //! - the FNV-1a 64 transcript hash.
 //!
-//! The report lands in `BENCH_scale.json` at the repo root. Acceptance
-//! gates (skipped under `--smoke`, which shrinks the sizes for CI):
-//! the streaming and materialized transcripts must hash identically at
-//! every size, and at the largest size the materialized run must
-//! perform at least 2× the streaming run's hot-path allocations.
+//! Hot-path allocations per gate are no longer a column here: both
+//! modes pool their scratch buffers, and the repository benchmark
+//! reports the count as `pss.hot_allocs_per_gate`.
+//!
+//! The report lands in `BENCH_scale.json` at the repo root. The
+//! streaming and materialized transcripts must hash identically at
+//! every size (`--smoke` shrinks the sizes for CI).
 //!
 //! Within each size the **streaming run goes first**: `VmHWM` is a
 //! monotone per-process high-water mark, so the lower-footprint mode
@@ -31,15 +28,14 @@ use std::time::Instant;
 
 use yoso_core::messages::Post;
 use yoso_core::{Engine, ExecutionConfig, ProtocolParams};
-use yoso_field::{allocstats, F61};
+use yoso_field::F61;
 use yoso_runtime::{Adversary, BulletinBoard, PhaseAccumulator};
 
 use crate::{random_inputs, rng, workload};
 
 /// Committee sizes for the full profile (Table 1's range).
 pub const FULL_SIZES: [usize; 3] = [512, 1024, 2048];
-/// Committee sizes for `--smoke` (CI-fast, asserts transcript identity
-/// but not the allocation ratio).
+/// Committee sizes for `--smoke` (CI-fast).
 pub const SMOKE_SIZES: [usize; 2] = [32, 64];
 /// Corruption gap used throughout the experiments.
 pub const EPSILON: f64 = 0.25;
@@ -53,14 +49,6 @@ pub struct ModeRun {
     pub wall_secs: f64,
     /// Per-stage wall-clock seconds, in execution order.
     pub stage_wall_secs: Vec<(&'static str, f64)>,
-    /// Hot-path buffer allocations recorded by
-    /// [`yoso_field::allocstats`] during the run.
-    pub hot_allocs: u64,
-    /// Process-wide allocation count delta (`None` without the
-    /// `bench-alloc` feature in the host binary).
-    pub global_allocs: Option<u64>,
-    /// Process-wide allocated-bytes delta (same gating).
-    pub global_alloc_bytes: Option<u64>,
     /// FNV-1a 64 hash of the full transcript.
     pub transcript_hash: u64,
     /// `VmHWM` sampled right after the run (monotone per process).
@@ -86,15 +74,8 @@ pub struct SizeReport {
     pub seed: u64,
     /// The streaming-mode run (always executed first).
     pub streaming: ModeRun,
-    /// The materialized (legacy) run.
+    /// The materialized (full-history) run.
     pub materialized: ModeRun,
-}
-
-impl SizeReport {
-    /// Materialized-over-streaming hot-path allocation ratio.
-    pub fn hot_alloc_ratio(&self) -> f64 {
-        self.materialized.hot_allocs as f64 / self.streaming.hot_allocs.max(1) as f64
-    }
 }
 
 fn read_status_kb(key: &str) -> Option<u64> {
@@ -123,17 +104,6 @@ pub fn current_rss_kb() -> Option<u64> {
     read_status_kb("VmRSS")
 }
 
-#[cfg(feature = "bench-alloc")]
-fn global_alloc_sample() -> Option<(u64, u64)> {
-    let s = stats_alloc::INSTRUMENTED_SYSTEM.stats();
-    Some((s.allocations, s.bytes_allocated))
-}
-
-#[cfg(not(feature = "bench-alloc"))]
-fn global_alloc_sample() -> Option<(u64, u64)> {
-    None
-}
-
 fn run_mode(
     params: ProtocolParams,
     circuit: &yoso_circuit::Circuit<F61>,
@@ -141,35 +111,19 @@ fn run_mode(
     seed: u64,
     streaming: bool,
 ) -> (ModeRun, Vec<Vec<F61>>) {
-    let cfg = if streaming {
-        ExecutionConfig {
-            produce_proofs: false,
-            ..ExecutionConfig::default()
-        }
-        .with_streaming()
-    } else {
-        // The legacy profile the streaming path is compared against:
-        // full posting history, fresh buffers per call. Proofs are off
-        // in both modes so the comparison isolates the share hot path.
-        ExecutionConfig {
-            produce_proofs: false,
-            audit_board: true,
-            ..ExecutionConfig::default()
-        }
-    };
+    // Proofs are off in both modes so the comparison isolates how the
+    // transcript is consumed and retained.
+    let base = ExecutionConfig { produce_proofs: false, ..ExecutionConfig::default() };
+    let cfg = if streaming { base.with_streaming() } else { base };
     let engine = Engine::new(params, cfg);
     let board: BulletinBoard<Post> = BulletinBoard::new();
     let mut r = rng(seed);
 
-    allocstats::reset();
-    let global_before = global_alloc_sample();
     let start = Instant::now();
     let run = engine
         .run_with_board(&mut r, circuit, inputs, &Adversary::none(), &board)
         .expect("scale bench run succeeds");
     let wall_secs = start.elapsed().as_secs_f64();
-    let hot_allocs = allocstats::hot_allocs();
-    let global_after = global_alloc_sample();
 
     let transcript_hash = match run.transcript_hash {
         Some(h) => h,
@@ -183,19 +137,11 @@ fn run_mode(
         }
     };
 
-    let (global_allocs, global_alloc_bytes) = match (global_before, global_after) {
-        (Some((a0, b0)), Some((a1, b1))) => (Some(a1 - a0), Some(b1 - b0)),
-        _ => (None, None),
-    };
-
     (
         ModeRun {
             mode: if streaming { "streaming" } else { "materialized" },
             wall_secs,
             stage_wall_secs: run.stage_wall_secs.clone(),
-            hot_allocs,
-            global_allocs,
-            global_alloc_bytes,
             transcript_hash,
             peak_rss_kb: peak_rss_kb(),
             rss_kb: current_rss_kb(),
@@ -425,7 +371,7 @@ fn push_transform_json(json: &mut String, run: &TransformRun, last: bool) {
     writeln!(json, "      }}{}", if last { "" } else { "," }).unwrap();
 }
 
-fn push_mode_json(json: &mut String, run: &ModeRun, mul_gates: usize, last: bool) {
+fn push_mode_json(json: &mut String, run: &ModeRun, last: bool) {
     use std::fmt::Write as _;
     let opt = |v: Option<u64>| v.map_or_else(|| "null".into(), |x| x.to_string());
     writeln!(json, "        {{").unwrap();
@@ -437,20 +383,6 @@ fn push_mode_json(json: &mut String, run: &ModeRun, mul_gates: usize, last: bool
         writeln!(json, "            \"{name}\": {secs:.6}{comma}").unwrap();
     }
     writeln!(json, "          }},").unwrap();
-    writeln!(json, "          \"hot_allocs\": {},", run.hot_allocs).unwrap();
-    writeln!(
-        json,
-        "          \"hot_allocs_per_gate\": {:.4},",
-        run.hot_allocs as f64 / mul_gates.max(1) as f64
-    )
-    .unwrap();
-    writeln!(json, "          \"global_allocs\": {},", opt(run.global_allocs)).unwrap();
-    writeln!(
-        json,
-        "          \"global_alloc_bytes\": {},",
-        opt(run.global_alloc_bytes)
-    )
-    .unwrap();
     writeln!(
         json,
         "          \"transcript_hash\": \"{:#018x}\",",
@@ -464,7 +396,7 @@ fn push_mode_json(json: &mut String, run: &ModeRun, mul_gates: usize, last: bool
 }
 
 /// Runs the full profile, writes `BENCH_scale.json`, prints a summary
-/// and (full mode only) enforces the acceptance gates. Returns the
+/// and enforces the acceptance gates. Returns the
 /// per-size reports for callers that want to post-process.
 pub fn run_scale(smoke: bool) -> Vec<SizeReport> {
     use std::fmt::Write as _;
@@ -475,27 +407,20 @@ pub fn run_scale(smoke: bool) -> Vec<SizeReport> {
         sizes,
         if smoke { " (smoke)" } else { "" }
     );
-    if global_alloc_sample().is_none() {
-        println!(
-            "bench-scale: counting allocator not linked (build with --features bench-alloc); \
-             global_allocs will be null"
-        );
-    }
 
     let reports: Vec<SizeReport> = sizes
         .iter()
         .map(|&n| {
             let rep = profile_size(n);
             println!(
-                "  n={:5}  k={:4}  t={:4}  gates={:5}  hot allocs {:>9} (materialized) vs {:>7} \
-                 (streaming), ratio {:.1}x, hash {:#018x}",
+                "  n={:5}  k={:4}  t={:4}  gates={:5}  wall {:>8.2}s (materialized) vs {:>8.2}s \
+                 (streaming), hash {:#018x}",
                 rep.n,
                 rep.k,
                 rep.t,
                 rep.mul_gates,
-                rep.materialized.hot_allocs,
-                rep.streaming.hot_allocs,
-                rep.hot_alloc_ratio(),
+                rep.materialized.wall_secs,
+                rep.streaming.wall_secs,
                 rep.streaming.transcript_hash,
             );
             rep
@@ -526,7 +451,6 @@ pub fn run_scale(smoke: bool) -> Vec<SizeReport> {
         writeln!(json, "      \"t\": {},", rep.t).unwrap();
         writeln!(json, "      \"mul_gates\": {},", rep.mul_gates).unwrap();
         writeln!(json, "      \"seed\": {},", rep.seed).unwrap();
-        writeln!(json, "      \"hot_alloc_ratio\": {:.4},", rep.hot_alloc_ratio()).unwrap();
         writeln!(
             json,
             "      \"transcript_identical\": {},",
@@ -534,8 +458,8 @@ pub fn run_scale(smoke: bool) -> Vec<SizeReport> {
         )
         .unwrap();
         writeln!(json, "      \"modes\": [").unwrap();
-        push_mode_json(&mut json, &rep.streaming, rep.mul_gates, false);
-        push_mode_json(&mut json, &rep.materialized, rep.mul_gates, true);
+        push_mode_json(&mut json, &rep.streaming, false);
+        push_mode_json(&mut json, &rep.materialized, true);
         writeln!(json, "      ]").unwrap();
         writeln!(json, "    }}{}", if i + 1 == reports.len() { "" } else { "," }).unwrap();
     }
@@ -568,12 +492,6 @@ pub fn run_scale(smoke: bool) -> Vec<SizeReport> {
         reports
             .iter()
             .all(|r| r.streaming.transcript_hash == r.materialized.transcript_hash)
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "    \"hot_alloc_ratio_at_max_n\": {:.4},",
-        reports.last().map_or(0.0, SizeReport::hot_alloc_ratio)
     )
     .unwrap();
     writeln!(json, "    \"peak_rss_reported\": {rss_reported},").unwrap();
@@ -667,23 +585,6 @@ pub fn run_scale(smoke: bool) -> Vec<SizeReport> {
         );
     }
 
-    if smoke {
-        println!("smoke mode: allocation-ratio and RSS acceptance assertions skipped");
-        return reports;
-    }
-
-    let last = reports.last().expect("at least one size");
-    assert!(
-        last.hot_alloc_ratio() >= 2.0,
-        "streaming path must allocate >= 2x fewer hot-path buffers at n = {} (ratio {:.2})",
-        last.n,
-        last.hot_alloc_ratio()
-    );
-    println!(
-        "hot-path allocation ratio at n = {}: {:.1}x >= 2x — ok",
-        last.n,
-        last.hot_alloc_ratio()
-    );
     if cfg!(target_os = "linux") {
         assert!(rss_reported, "peak RSS must be reported on Linux");
         println!("peak RSS reported for every run — ok");
@@ -744,12 +645,5 @@ mod tests {
             rep.materialized.transcript_hash
         );
         assert_eq!(rep.streaming.rounds, rep.materialized.rounds);
-        assert!(rep.streaming.hot_allocs > 0);
-        assert!(
-            rep.materialized.hot_allocs > rep.streaming.hot_allocs,
-            "fresh-buffer mode must allocate more ({} vs {})",
-            rep.materialized.hot_allocs,
-            rep.streaming.hot_allocs
-        );
     }
 }

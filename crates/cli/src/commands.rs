@@ -119,24 +119,19 @@ fn prepare_run(opts: &Opts) -> Result<PreparedRun, String> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let mut config = if opts.contains_key("no-proofs") {
-        ExecutionConfig::sweep()
-    } else {
-        ExecutionConfig::default()
+    let mut config = ExecutionConfig::default().with_threads(threads);
+    if opts.contains_key("no-proofs") {
+        config.produce_proofs = false;
+        // A shared board keeps its log — it is what the fleet
+        // synchronizes on and what `board-stats` audits; a private
+        // in-process board needs only the meter.
+        config.audit_board = opts.contains_key("board") || opts.contains_key("spawn-workers");
     }
-    .with_threads(threads);
     if opts.contains_key("dist-transform") {
         config = config.with_dist_transform();
     }
     if let Some(board) = opts.get("board") {
         config = config.with_board(BoardBackend::Tcp(parse_board_addr(board)?));
-    }
-    let board_window: usize = get(opts, "board-window", 0)?;
-    if board_window > 0 {
-        if !opts.contains_key("board") && !opts.contains_key("spawn-workers") {
-            return Err("--board-window only applies to a TCP board (--board / --spawn-workers)".into());
-        }
-        config = config.with_board_window(board_window);
     }
     Ok(PreparedRun { params, circuit, inputs, adversary, rng, config })
 }
@@ -174,9 +169,9 @@ fn execute_and_report(prepared: PreparedRun) -> Result<(), String> {
         elapsed
     );
     // Where the wall-clock went, stage by stage: over a TCP board the
-    // gap between this and a local run is board round trips, which is
-    // what the pipelining window shrinks. (CI diffs strip this line
-    // along with the wall line above — timings are not deterministic.)
+    // gap between this and a local run is board round trips. (CI
+    // diffs strip this line along with the wall line above — timings
+    // are not deterministic.)
     let stages: Vec<String> = result
         .stage_wall_secs
         .iter()
@@ -246,9 +241,8 @@ pub fn worker(opts: &Opts) -> Result<(), String> {
 
 /// Options forwarded verbatim from `run --spawn-workers` to the
 /// children, so every worker prepares the identical run.
-const FORWARDED_OPTS: [&str; 11] = [
+const FORWARDED_OPTS: [&str; 10] = [
     "circuit", "size", "clients", "n", "eps", "attack", "t-mal", "crashes", "seed", "threads",
-    "board-window",
 ];
 
 /// `yoso run --spawn-workers N`: in-tree board server + N local worker
@@ -422,13 +416,11 @@ pub fn board_stats(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// `yoso bench-scale` — the Table-1-scale allocation/RSS profile
-/// (tentpole of the paper-scale hot-path work, DESIGN §12). Runs the
-/// end-to-end protocol streaming-vs-materialized at each committee
-/// size and writes `BENCH_scale.json`; `--smoke` shrinks the sizes for
-/// CI and skips the allocation-ratio acceptance gate. Build the CLI
-/// with `--features bench-alloc` to include process-wide allocation
-/// counts (otherwise only the hot-path counters are reported).
+/// `yoso bench-scale` — the Table-1-scale wall-clock/RSS profile
+/// (DESIGN §12). Runs the end-to-end protocol streaming-vs-materialized
+/// at each committee size plus the distributed-vs-replicated transform
+/// breakdown and writes `BENCH_scale.json`; `--smoke` shrinks the
+/// sizes for CI.
 pub fn bench_scale(opts: &Opts) -> Result<(), String> {
     let smoke = opts.contains_key("smoke");
     yoso_bench::scale::run_scale(smoke);

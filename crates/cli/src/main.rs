@@ -18,14 +18,6 @@ use std::process::ExitCode;
 
 mod commands;
 
-// With `--features bench-alloc` every allocation in this process is
-// counted, so `yoso bench-scale` can report process-wide allocations
-// per gate alongside the hot-path counters. Ordinary builds keep the
-// system allocator unwrapped.
-#[cfg(feature = "bench-alloc")]
-#[global_allocator]
-static GLOBAL: &stats_alloc::StatsAlloc<std::alloc::System> = &stats_alloc::INSTRUMENTED_SYSTEM;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
@@ -90,11 +82,9 @@ USAGE:
   yoso board-stats [OPTIONS] audit a remote board-server's posting log
   yoso plan [OPTIONS]        committee-size planning (paper §6)
   yoso table1                regenerate the paper's Table 1
-  yoso bench-scale [--smoke] allocation/RSS profile at Table-1 sizes
+  yoso bench-scale [--smoke] wall-clock/RSS profile at Table-1 sizes
                              (writes BENCH_scale.json; --smoke shrinks
-                             the sizes and skips the ratio gates; build
-                             with --features bench-alloc for process-
-                             wide allocation counts)
+                             the sizes)
   yoso paillier [OPTIONS]    threshold-Paillier smoke run
   yoso experiments           quick versions of the headline experiments
   yoso help                  this message
@@ -130,10 +120,6 @@ RUN OPTIONS:
                     transcripts stay byte-identical at any worker count
   --board ADDR      post to a shared board-server (tcp://HOST:PORT)
                     instead of the in-process board
-  --board-window N  post frames kept in flight per flush on a TCP
-                    board: 1 = strict lockstep (one round trip per
-                    frame), larger = pipelined with one coalesced ack
-                    per window; never affects the transcript  [transport default, 32]
   --spawn-workers N run role-sharded: in-tree board server + N local
                     worker processes (this process leads as worker 0)
 

@@ -5,7 +5,6 @@ use rand::Rng;
 
 use yoso_circuit::Circuit;
 use yoso_field::PrimeField;
-use yoso_pss_sharing::ScratchPool;
 use yoso_runtime::{Adversary, BulletinBoard, LeakLog, PhaseAccumulator, PhaseStats};
 
 use crate::messages::Post;
@@ -30,44 +29,19 @@ pub enum BoardBackend {
 }
 
 impl BoardBackend {
-    /// Builds a board for this backend, honoring `audit`. TCP boards
-    /// use the transport's default pipelining window; use
-    /// [`BoardBackend::make_board_with`] to pick one explicitly.
+    /// Builds a board for this backend, honoring `audit`.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Transport`] if the TCP backend cannot connect.
     pub fn make_board(&self, audit: bool) -> Result<BulletinBoard<Post>, ProtocolError> {
-        self.make_board_with(audit, 0)
-    }
-
-    /// [`BoardBackend::make_board`] with an explicit post-pipelining
-    /// window for the TCP backend: `0` keeps the transport default,
-    /// `1` forces strict lockstep (one round trip per post frame),
-    /// larger values stream that many frames per coalesced ack. The
-    /// in-process backend ignores the window (it has no wire).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Transport`] if the TCP backend cannot connect.
-    pub fn make_board_with(
-        &self,
-        audit: bool,
-        window: usize,
-    ) -> Result<BulletinBoard<Post>, ProtocolError> {
         match self {
             BoardBackend::InProcess => Ok(if audit {
                 BulletinBoard::new()
             } else {
                 BulletinBoard::metered_only()
             }),
-            BoardBackend::Tcp(addr) => {
-                let mut opts = yoso_runtime::TcpOptions::default();
-                if window > 0 {
-                    opts.pipeline_window = window;
-                }
-                Ok(BulletinBoard::connect_tcp_with(*addr, opts)?.with_audit(audit))
-            }
+            BoardBackend::Tcp(addr) => Ok(BulletinBoard::connect_tcp(*addr)?.with_audit(audit)),
         }
     }
 }
@@ -98,12 +72,6 @@ pub struct ExecutionConfig {
     /// Which board transport the run posts to. The protocol logic is
     /// transport-agnostic: any backend yields the same transcript.
     pub board: BoardBackend,
-    /// Post-pipelining window for the TCP board: `0` (the default)
-    /// keeps the transport default, `1` forces strict lockstep, larger
-    /// values stream that many post frames per coalesced ack. Never
-    /// affects the transcript — only how many round trips a flush
-    /// costs. Ignored by the in-process backend.
-    pub board_window: usize,
     /// The contiguous role range this process owns. The default
     /// ([`RolePartition::solo`]) owns every role — single-process
     /// execution. A worker in a role-sharded run owns `[lo, hi)`:
@@ -128,11 +96,10 @@ pub struct ExecutionConfig {
     /// Stream the transcript instead of materializing it (default
     /// off). When set, per-phase statistics and a 64-bit transcript
     /// hash are folded incrementally from sealed board rounds at stage
-    /// boundaries ([`yoso_runtime::PhaseAccumulator`]), consumed
+    /// boundaries ([`yoso_runtime::PhaseAccumulator`]) and consumed
     /// rounds are dropped under a retention watermark (solo runs
-    /// only — a shared board is never truncated under other workers),
-    /// and the packed-sharing scratch buffers are pooled and reused
-    /// across share/reconstruct calls. Requires `audit_board`: a
+    /// only — a shared board is never truncated under other workers).
+    /// Requires `audit_board`: a
     /// metering-only board stores nothing to stream. Never affects
     /// the transcript — outputs and postings are byte-identical with
     /// the flag on or off.
@@ -147,7 +114,6 @@ impl Default for ExecutionConfig {
             dealerless_setup: false,
             num_threads: 1,
             board: BoardBackend::InProcess,
-            board_window: 0,
             partition: RolePartition::solo(),
             dist_transform: false,
             streaming: false,
@@ -184,16 +150,9 @@ impl ExecutionConfig {
         self
     }
 
-    /// Sets the TCP board's post-pipelining window (`0` = transport
-    /// default, `1` = strict lockstep).
-    pub fn with_board_window(mut self, window: usize) -> Self {
-        self.board_window = window;
-        self
-    }
-
     /// Enables streaming transcript consumption: incremental phase
-    /// stats and transcript hashing, bounded board retention (solo
-    /// runs), and pooled share-buffer arenas. Implies `audit_board`.
+    /// stats and transcript hashing, and bounded board retention (solo
+    /// runs). Implies `audit_board`.
     pub fn with_streaming(mut self) -> Self {
         self.streaming = true;
         self.audit_board = true;
@@ -334,10 +293,7 @@ impl Engine {
         inputs: &[Vec<F>],
         adversary: &Adversary,
     ) -> Result<RunResult<F>, ProtocolError> {
-        let board: BulletinBoard<Post> = self
-            .config
-            .board
-            .make_board_with(self.config.audit_board, self.config.board_window)?;
+        let board: BulletinBoard<Post> = self.config.board.make_board(self.config.audit_board)?;
         self.run_with_board(rng, circuit, inputs, adversary, &board)
     }
 
@@ -391,14 +347,11 @@ impl Engine {
         let sb = ShardedBoard::new(board, partition)?;
         let bc = circuit.batched(self.params.k);
         let leak = LeakLog::new();
-        // Streaming: a scratch-buffer pool for the pss hot path (a
-        // fresh buffer per call when off — the legacy allocation
-        // profile), plus an accumulator folding sealed rounds into
-        // phase stats and the transcript hash at stage boundaries.
-        // Solo runs additionally drop consumed rounds behind the
-        // retention watermark; a shared board is left intact (other
-        // workers drain at their own pace).
-        let pool = ScratchPool::new(self.config.streaming);
+        // Streaming: an accumulator folding sealed rounds into phase
+        // stats and the transcript hash at stage boundaries. Solo runs
+        // additionally drop consumed rounds behind the retention
+        // watermark; a shared board is left intact (other workers
+        // drain at their own pace).
         let mut acc = if self.config.streaming { Some(PhaseAccumulator::new()) } else { None };
         let drain = |acc: &mut PhaseAccumulator| -> Result<(), ProtocolError> {
             acc.drain_sealed(board)?;
@@ -449,7 +402,7 @@ impl Engine {
         }
         setup.tsk.set_leak_log(leak.clone());
         let offline =
-            run_offline_in(rng, &self.params, &sb, adversary, &self.config, &bc, &setup, &pool)?;
+            run_offline_in(rng, &self.params, &sb, adversary, &self.config, &bc, &setup)?;
         note_stage("offline", &mut stage_start);
         if let Some(a) = acc.as_mut() {
             drain(a)?;
@@ -465,7 +418,6 @@ impl Engine {
             offline,
             inputs,
             &leak,
-            &pool,
         )?;
         note_stage("online", &mut stage_start);
         sb.finish()?;
@@ -649,9 +601,9 @@ mod tests {
     #[test]
     fn streaming_run_matches_materialized_transcript() {
         // The streaming driver (incremental phase folding, retention
-        // watermark, pooled scratch) must be invisible in the
-        // transcript: byte-identical postings, identical phase stats,
-        // identical outputs.
+        // watermark) must be invisible in the transcript:
+        // byte-identical postings, identical phase stats, identical
+        // outputs.
         let circuit = generators::inner_product::<F61>(6).unwrap();
         let x: Vec<F61> = (1..=6u64).map(f).collect();
         let y: Vec<F61> = (7..=12u64).map(f).collect();

@@ -35,7 +35,7 @@ use rand::{Rng, SeedableRng};
 
 use yoso_circuit::{BatchedCircuit, Gate, MulBatch};
 use yoso_field::{allocstats, PrimeField};
-use yoso_pss_sharing::{PackedSharing, ScratchPool};
+use yoso_pss_sharing::PackedSharing;
 use yoso_runtime::{Adversary, Behavior, BulletinBoard, Committee};
 use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey};
 use yoso_the::nizk::{self, enc_proof, verify_enc_proof, EncProof};
@@ -78,27 +78,19 @@ pub struct OfflineArtifacts<F: PrimeField> {
 /// phase calls it once per maskable wire (Step 2) and `3t` times per
 /// batch (Step 4 helpers), each call collecting up to `n` ciphertexts
 /// — fresh per-call vectors are an allocation cliff at Table-1
-/// committee sizes. In arena mode (`reuse`) the buffers persist
-/// across calls; otherwise every call re-grows them from empty (the
-/// legacy profile the allocation bench compares against).
+/// committee sizes, so the buffers persist across calls.
 struct ContribBufs<F: PrimeField> {
     valid: Vec<Ciphertext<F>>,
     ones: Vec<F>,
-    reuse: bool,
 }
 
 impl<F: PrimeField> ContribBufs<F> {
-    fn new(reuse: bool) -> Self {
-        ContribBufs { valid: Vec::new(), ones: Vec::new(), reuse }
+    fn new() -> Self {
+        ContribBufs { valid: Vec::new(), ones: Vec::new() }
     }
 
-    /// Prepares the buffers for one call, dropping capacity first in
-    /// the fresh-buffer (non-arena) mode.
+    /// Prepares the buffers for one call.
     fn reset(&mut self, capacity: usize) {
-        if !self.reuse {
-            self.valid = Vec::new();
-            self.ones = Vec::new();
-        }
         self.valid.clear();
         if self.valid.capacity() < capacity {
             allocstats::bump();
@@ -233,7 +225,7 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
 ) -> Result<EncryptedTriple<F>, ProtocolError> {
     // a-side contributions from C1. Triples are produced in parallel
     // (one child RNG each), so the buffers stay per-call here.
-    let mut bufs = ContribBufs::new(false);
+    let mut bufs = ContribBufs::new();
     let c_a = summed_contribution_into(
         rng,
         posts,
@@ -462,8 +454,7 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
     setup: &SetupArtifacts<F>,
 ) -> Result<OfflineArtifacts<F>, ProtocolError> {
     let sb = ShardedBoard::new(board, cfg.partition)?;
-    let pool = ScratchPool::new(cfg.streaming);
-    run_offline_in(rng, params, &sb, adversary, cfg, bc, setup, &pool)
+    run_offline_in(rng, params, &sb, adversary, cfg, bc, setup)
 }
 
 /// [`run_offline`] posting through an existing sharded board (the
@@ -478,13 +469,12 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
     cfg: &ExecutionConfig,
     bc: &BatchedCircuit<F>,
     setup: &SetupArtifacts<F>,
-    pool: &ScratchPool<F>,
 ) -> Result<OfflineArtifacts<F>, ProtocolError> {
     let n = params.n;
     let t = params.t;
     // One contribution arena for the whole phase: Step 2 runs once per
     // maskable wire, Step 4 `3t` times per batch — all sequential.
-    let mut contrib = ContribBufs::new(pool.reuse());
+    let mut contrib = ContribBufs::new();
     let mut tsk = setup.tsk.clone();
     let tpk = tsk.pk.clone();
     let circuit = &bc.circuit;

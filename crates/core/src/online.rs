@@ -73,8 +73,7 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
     leak: &LeakLog,
 ) -> Result<OnlineResult<F>, ProtocolError> {
     let sb = crate::workitem::ShardedBoard::new(board, cfg.partition)?;
-    let pool = ScratchPool::new(cfg.streaming);
-    run_online_in(rng, params, &sb, adversary, cfg, bc, setup, offline, inputs, leak, &pool)
+    run_online_in(rng, params, &sb, adversary, cfg, bc, setup, offline, inputs, leak)
 }
 
 /// [`run_online`] posting through an existing sharded board (the
@@ -91,7 +90,6 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
     offline: OfflineArtifacts<F>,
     inputs: &[Vec<F>],
     leak: &LeakLog,
-    pool: &ScratchPool<F>,
 ) -> Result<OnlineResult<F>, ProtocolError> {
     let n = params.n;
     let circuit = &bc.circuit;
@@ -220,9 +218,10 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
     // One sharing scheme per batch width, shared across layers: the
     // evaluation-domain caches inside `PackedSharing` make repeated
     // `share_public`/`reconstruct` calls O(n) dot products. The share
-    // buffers below are the per-batch hot path — in arena mode they
-    // keep their capacity across every batch and layer.
+    // buffers below are the per-batch hot path — they keep their
+    // capacity across every batch and layer.
     let mut schemes: BTreeMap<usize, PackedSharing<F>> = BTreeMap::new();
+    let pool = ScratchPool::new();
     let mut mu_alpha_vals: Vec<F> = Vec::new();
     let mut mu_beta_vals: Vec<F> = Vec::new();
     let mut mu_gamma: Vec<F> = Vec::new();
@@ -258,13 +257,6 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     ))
                 })
                 .collect::<Result<_, _>>()?;
-            if !pool.reuse() {
-                // Fresh-buffer mode: re-grow per batch, the legacy
-                // allocation profile the scale bench compares against.
-                mu_alpha_vals = Vec::new();
-                mu_beta_vals = Vec::new();
-                mu_gamma = Vec::new();
-            }
             scheme.share_public_into(&mu_alpha, &mut mu_alpha_vals)?;
             scheme.share_public_into(&mu_beta, &mut mu_beta_vals)?;
 

@@ -115,7 +115,6 @@ impl PostBuffer {
 /// runs inline: thread spawn + synchronization overhead exceeds the
 /// work itself at small batches (measured as `reenc_speedup` 0.80 at
 /// n = 32 before the threshold existed).
-#[cfg(feature = "parallel")]
 pub(crate) const MIN_ITEMS_PER_THREAD: usize = 32;
 
 /// Maps `f` over `items`, preserving order, using up to `num_threads`
@@ -123,31 +122,25 @@ pub(crate) const MIN_ITEMS_PER_THREAD: usize = 32;
 ///
 /// `f` receives `(index, &item)` and must be pure per item (any
 /// randomness comes from a per-item seed inside `item`). Runs inline
-/// on the caller's thread when `num_threads <= 1`, when the batch is
+/// on the caller's thread when `num_threads <= 1` or when the batch is
 /// too small to amortize thread fan-out (fewer than
 /// [`MIN_ITEMS_PER_THREAD`] items per worker after clamping to the
-/// host's available parallelism), or with the `parallel` feature
-/// disabled. The results are identical either way — the threshold is
-/// a pure wall-clock guard.
+/// host's available parallelism). The results are identical either
+/// way — the threshold is a pure wall-clock guard.
 pub fn par_map<T, U, F>(num_threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-        let workers = num_threads.min(hw).min(items.len() / MIN_ITEMS_PER_THREAD);
-        if workers > 1 {
-            return par_map_threaded(workers, items, &f);
-        }
+    let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
+    let workers = num_threads.min(hw).min(items.len() / MIN_ITEMS_PER_THREAD);
+    if workers > 1 {
+        return par_map_threaded(workers, items, &f);
     }
-    let _ = num_threads;
     items.iter().enumerate().map(|(i, item)| f(i, item)).collect()
 }
 
-#[cfg(feature = "parallel")]
 fn par_map_threaded<T, U, F>(workers: usize, items: &[T], f: &F) -> Vec<U>
 where
     T: Sync,
@@ -216,8 +209,7 @@ mod tests {
     /// The hw/threshold clamp in [`par_map`] can make the threaded path
     /// unreachable on small hosts (1 hardware thread ⇒ always inline),
     /// so the thread pool itself is exercised directly here.
-    #[cfg(feature = "parallel")]
-    #[test]
+        #[test]
     fn threaded_path_preserves_order_and_values() {
         let items: Vec<u64> = (0..200).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();

@@ -245,31 +245,20 @@ fn transport_parity_tcp_transcript_byte_identical() {
     let params = ProtocolParams::new(10, 2, 3).unwrap();
     let (local, out_local, mu_local, phases_local) = run_transcript_phases(params, 1, &adv);
     assert!(!local.is_empty());
-    // Both posting modes must match: strict lockstep (window 1, one
-    // round trip per frame) and pipelined (windowed frames with
-    // coalesced acks) — pipelining is a latency optimization, never a
-    // transcript change.
-    for window in [1usize, 8] {
-        for threads in [1usize, 2, 8] {
-            let opts = yoso_runtime::TcpOptions {
-                pipeline_window: window,
-                ..yoso_runtime::TcpOptions::default()
-            };
-            let (mut handle, board) =
-                yoso_runtime::tcp::loopback_with::<Post>(opts).expect("loopback server");
-            assert_eq!(board.backend_name(), "loopback-tcp");
-            let (remote, out_remote, mu_remote, phases_remote) =
-                run_transcript_phases_on(params, threads, &adv, &board);
-            handle.shutdown();
-            assert_eq!(
-                local, remote,
-                "TCP transcript must be byte-identical to in-process at \
-                 num_threads={threads}, pipeline_window={window}"
-            );
-            assert_eq!(out_local, out_remote);
-            assert_eq!(mu_local, mu_remote);
-            assert_eq!(phases_local, phases_remote);
-        }
+    for threads in [1usize, 2, 8] {
+        let (mut handle, board) =
+            yoso_runtime::tcp::loopback::<Post>().expect("loopback server");
+        assert_eq!(board.backend_name(), "loopback-tcp");
+        let (remote, out_remote, mu_remote, phases_remote) =
+            run_transcript_phases_on(params, threads, &adv, &board);
+        handle.shutdown();
+        assert_eq!(
+            local, remote,
+            "TCP transcript must be byte-identical to in-process at num_threads={threads}"
+        );
+        assert_eq!(out_local, out_remote);
+        assert_eq!(mu_local, mu_remote);
+        assert_eq!(phases_local, phases_remote);
     }
 }
 
@@ -286,28 +275,20 @@ fn transport_parity_engine_over_tcp_backend() {
         .run(&mut rng, &circuit, &[x.clone(), y.clone()], &Adversary::none())
         .unwrap();
 
-    // board_window 1 = lockstep, 8 = pipelined: the engine-level knob
-    // must be invisible in every observable result.
-    for window in [1usize, 8] {
-        let server = yoso_runtime::BoardServer::bind(std::net::SocketAddr::from((
-            [127, 0, 0, 1],
-            0,
-        )))
+    let server =
+        yoso_runtime::BoardServer::bind(std::net::SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+    let mut handle = server.spawn().unwrap();
+    let cfg = ExecutionConfig::default()
+        .with_board(yoso_core::BoardBackend::Tcp(handle.addr()))
+        .with_threads(2);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let remote = Engine::new(params, cfg)
+        .run(&mut rng, &circuit, &[x, y], &Adversary::none())
         .unwrap();
-        let mut handle = server.spawn().unwrap();
-        let cfg = ExecutionConfig::default()
-            .with_board(yoso_core::BoardBackend::Tcp(handle.addr()))
-            .with_board_window(window)
-            .with_threads(2);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let remote = Engine::new(params, cfg)
-            .run(&mut rng, &circuit, &[x.clone(), y.clone()], &Adversary::none())
-            .unwrap();
-        handle.shutdown();
+    handle.shutdown();
 
-        assert_eq!(local.outputs, remote.outputs, "board_window={window}");
-        assert_eq!(local.mu, remote.mu);
-        assert_eq!(local.rounds, remote.rounds);
-        assert_eq!(local.phases, remote.phases);
-    }
+    assert_eq!(local.outputs, remote.outputs);
+    assert_eq!(local.mu, remote.mu);
+    assert_eq!(local.rounds, remote.rounds);
+    assert_eq!(local.phases, remote.phases);
 }

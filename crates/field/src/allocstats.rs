@@ -1,18 +1,17 @@
 //! Hot-path allocation counters for the share pipeline.
 //!
-//! The scale work (DESIGN §12) replaces per-call `Vec` churn on the
+//! The scale work (DESIGN §12) replaced per-call `Vec` churn on the
 //! dealing/reconstruction hot path with reusable scratch buffers. This
-//! module is the shared ledger that makes the replacement *measurable*:
+//! module is the shared ledger that keeps the replacement *measurable*:
 //! every scratch buffer in `yoso-field` and `yoso-pss-sharing` reports
 //! here when it actually has to grow its backing allocation, so a run
-//! in arena mode records only first-touch growths while the legacy
-//! fresh-buffers-per-call mode records one event per call. The counters
-//! are process-global relaxed atomics — they never influence control
-//! flow or the transcript, and reading them costs one atomic load.
+//! records only first-touch growths. The counters are process-global
+//! relaxed atomics — they never influence control flow or the
+//! transcript, and reading them costs one atomic load.
 //!
-//! `yoso bench-scale` samples [`hot_allocs`] around each phase and
-//! writes the deltas to `BENCH_scale.json`; the acceptance gate there
-//! compares arena vs. fresh-buffer counts at Table-1 committee sizes.
+//! The repository benchmark samples [`hot_allocs`] around each solo
+//! workload and reports the delta as `pss.hot_allocs_per_gate`;
+//! `crates/core/tests/alloc_profile.rs` pins it at ≤ 3 per gate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -50,7 +50,7 @@ use serde::{Deserialize, Serialize};
 
 use yoso_field::allocstats::ensure_filled;
 use yoso_field::ntt::{self, NttDomain, NttScratch};
-use yoso_field::{EvalDomain, FieldError, Poly, PrimeField};
+use yoso_field::{EvalDomain, FieldError, PrimeField};
 
 /// Errors produced by sharing operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -432,7 +432,7 @@ pub const NTT_DEAL_CROSSOVER: usize = 64;
 ///
 /// Every buffer grows to its high-water mark on first use and is then
 /// reused verbatim — `yoso_field::allocstats` counts only the growths,
-/// which is what `yoso bench-scale` reports as hot-path allocations. A
+/// which the repository benchmark reports as `pss.hot_allocs_per_gate`. A
 /// scratch may be moved freely between schemes, degrees and
 /// operations; buffers are resized per call.
 #[derive(Debug, Default)]
@@ -463,48 +463,33 @@ impl<F: PrimeField> PssScratch<F> {
 
 /// A pool of [`PssScratch`] buffers shared across worker threads.
 ///
-/// With `reuse = true` (arena mode) scratches are checked out, used
-/// and returned, so steady-state calls allocate nothing; with
-/// `reuse = false` (legacy mode) every call gets a fresh scratch whose
-/// growths are counted by `yoso_field::allocstats` — the two modes are
-/// the measured comparison in `BENCH_scale.json`. Results are
-/// bit-identical either way: scratch contents never influence outputs,
-/// only where the working memory lives.
-#[derive(Debug)]
+/// Scratches are checked out, used and returned, so steady-state calls
+/// allocate nothing. Scratch contents never influence outputs, only
+/// where the working memory lives.
+#[derive(Debug, Default)]
 pub struct ScratchPool<F: PrimeField> {
     pool: Mutex<Vec<PssScratch<F>>>,
-    reuse: bool,
 }
 
 impl<F: PrimeField> ScratchPool<F> {
-    /// Creates a pool; `reuse` selects arena mode (see type docs).
-    pub fn new(reuse: bool) -> Self {
-        ScratchPool { pool: Mutex::new(Vec::new()), reuse }
+    /// Creates an empty pool; scratches are made on first demand.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Whether the pool recycles scratches (arena mode).
-    pub fn reuse(&self) -> bool {
-        self.reuse
-    }
-
-    /// Runs `f` with a scratch: pooled in arena mode, fresh otherwise.
+    /// Runs `f` with a pooled scratch.
     pub fn with<R>(&self, f: impl FnOnce(&mut PssScratch<F>) -> R) -> R {
-        let mut scratch = if self.reuse {
-            self.pool
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .pop()
-                .unwrap_or_default()
-        } else {
-            PssScratch::default()
-        };
+        let mut scratch = self
+            .pool
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .pop()
+            .unwrap_or_default();
         let out = f(&mut scratch);
-        if self.reuse {
-            self.pool
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .push(scratch);
-        }
+        self.pool
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .push(scratch);
         out
     }
 }
@@ -515,7 +500,7 @@ fn dot<F: PrimeField>(row: &[F], ys: &[F]) -> F {
 
 /// Evaluates the polynomial with coefficient vector `coeffs` (constant
 /// term first, trailing zeros allowed) at `x` by Horner's rule — the
-/// same association as [`Poly::eval`], so results are bit-identical
+/// same association as [`yoso_field::Poly::eval`], so results are bit-identical
 /// (high-order zero coefficients contribute exactly zero).
 fn horner<F: PrimeField>(coeffs: &[F], x: F) -> F {
     let mut acc = F::ZERO;
@@ -743,6 +728,22 @@ impl<F: PrimeField> PackedSharing<F> {
         out: &mut Vec<F>,
         scratch: &mut PssScratch<F>,
     ) -> Result<(), PssError> {
+        self.stage_dealing_values(rng, secrets, degree, scratch)?;
+        self.deal_values(degree, out, scratch)
+    }
+
+    /// Validates a deal and stages its `degree + 1` dealing-node values
+    /// in `scratch.ys`: the `k` secrets, then `degree + 1 − k` fresh
+    /// random tail values. Full and slice deals both start here, so
+    /// the RNG-draw order that slice-union bit-identity depends on is
+    /// defined in exactly one place.
+    fn stage_dealing_values<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        secrets: &[F],
+        degree: usize,
+        scratch: &mut PssScratch<F>,
+    ) -> Result<(), PssError> {
         if secrets.len() != self.k {
             return Err(PssError::SecretCountMismatch { got: secrets.len(), expected: self.k });
         }
@@ -752,33 +753,7 @@ impl<F: PrimeField> PackedSharing<F> {
         for slot in &mut scratch.ys[self.k..] {
             *slot = F::random(rng);
         }
-        self.deal_values(degree, out, scratch)
-    }
-
-    /// Deals one sharing per row of `secrets_batch` — a whole layer of
-    /// gates in one call. Randomness is drawn row by row in the same
-    /// order as repeated [`Self::share`] calls, so a batched deal is
-    /// reproducible against a sequential one under the same RNG.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::share`], checked per row.
-    pub fn share_batch<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        secrets_batch: &[Vec<F>],
-        degree: usize,
-    ) -> Result<Vec<PackedShares<F>>, PssError> {
-        self.check_degree(degree)?;
-        let mut scratch = PssScratch::default();
-        secrets_batch
-            .iter()
-            .map(|secrets| {
-                let mut values = Vec::new();
-                self.share_into(rng, secrets, degree, &mut values, &mut scratch)?;
-                Ok(PackedShares { degree, values })
-            })
-            .collect()
+        Ok(())
     }
 
     /// Computes every party's share of the polynomial pinned by the
@@ -893,18 +868,10 @@ impl<F: PrimeField> PackedSharing<F> {
         out: &mut Vec<F>,
         scratch: &mut PssScratch<F>,
     ) -> Result<(), PssError> {
-        if secrets.len() != self.k {
-            return Err(PssError::SecretCountMismatch { got: secrets.len(), expected: self.k });
-        }
-        self.check_degree(degree)?;
         if lo > hi || hi > self.n {
             return Err(PssError::Field(FieldError::LengthMismatch { xs: self.n, ys: hi }));
         }
-        ensure_filled(&mut scratch.ys, degree + 1, F::ZERO);
-        scratch.ys[..self.k].copy_from_slice(secrets);
-        for slot in &mut scratch.ys[self.k..] {
-            *slot = F::random(rng);
-        }
+        self.stage_dealing_values(rng, secrets, degree, scratch)?;
         self.deal_values_slice(degree, lo, hi, out, scratch)
     }
 
@@ -1099,7 +1066,7 @@ impl<F: PrimeField> PackedSharing<F> {
                 // target). The coefficient vector is used untrimmed —
                 // high-order zero coefficients contribute exactly zero,
                 // so the result is bit-identical to the basis-row dot
-                // products above and to a trimmed [`Poly`].
+                // products above and to a trimmed [`yoso_field::Poly`].
                 domain.inverse_into(ys, coeffs, ntt)?;
                 for s in &shares[degree + 1..] {
                     if horner(coeffs, self.party_points[s.party]) != s.value {
@@ -1113,48 +1080,6 @@ impl<F: PrimeField> PackedSharing<F> {
             }
         }
         Ok(())
-    }
-
-    /// Reconstructs a whole layer of sharings in one call. All rows
-    /// must use the same degree; rows opened by the same party subset
-    /// share one cached reconstruction domain.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::reconstruct`], checked per row.
-    pub fn reconstruct_batch(
-        &self,
-        batch: &[Vec<Share<F>>],
-        degree: usize,
-    ) -> Result<Vec<Vec<F>>, PssError> {
-        let mut scratch = PssScratch::default();
-        batch
-            .iter()
-            .map(|shares| {
-                let mut out = Vec::new();
-                self.reconstruct_into(shares, degree, &mut out, &mut scratch)?;
-                Ok(out)
-            })
-            .collect()
-    }
-
-    /// Reconstructs the full polynomial (used by tests and the runtime
-    /// to inspect share structure).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::reconstruct`].
-    pub fn reconstruct_poly(&self, shares: &[Share<F>], degree: usize) -> Result<Poly<F>, PssError> {
-        self.check_degree(degree)?;
-        if shares.len() < degree + 1 {
-            return Err(PssError::NotEnoughShares { got: shares.len(), need: degree + 1 });
-        }
-        let parties: Vec<usize> = shares[..degree + 1].iter().map(|s| s.party).collect();
-        let ys: Vec<F> = shares[..degree + 1].iter().map(|s| s.value).collect();
-        match self.recon_domain(&parties)? {
-            ReconDomain::Lagrange(domain) => Ok(domain.interpolate(&ys)?),
-            ReconDomain::Ntt(domain) => Ok(domain.interpolate(&ys)?),
-        }
     }
 
     /// The recombination vector taking shares of parties `parties`
@@ -1502,7 +1427,7 @@ mod tests {
         for layout in [PointLayout::Sequential, PointLayout::Subgroup] {
             let scheme = PackedSharing::<F61>::with_layout(14, 4, layout).unwrap();
             let secrets = [f(7), f(8), f(9), f(10)];
-            let pool = ScratchPool::new(true);
+            let pool = ScratchPool::new();
             for degree in 3..14 {
                 let mut r1 = rand::rngs::StdRng::seed_from_u64(degree as u64);
                 let mut r2 = rand::rngs::StdRng::seed_from_u64(degree as u64);
@@ -1552,7 +1477,7 @@ mod tests {
         assert_eq!(survivors.len(), t + 2 * (k - 1) + 1);
         let surviving = shares.select(&survivors);
         let materialized = scheme.reconstruct(&surviving, rec_degree).unwrap();
-        let pool = ScratchPool::new(true);
+        let pool = ScratchPool::new();
         let mut streamed = Vec::new();
         pool.with(|scratch| {
             scheme.reconstruct_into(&surviving, rec_degree, &mut streamed, scratch)

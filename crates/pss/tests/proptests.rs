@@ -110,27 +110,6 @@ proptest! {
     }
 
     #[test]
-    fn share_batch_matches_sequential((n, k, d) in params(), seed in any::<u64>(), rows in 1usize..5) {
-        let scheme = PackedSharing::<F61>::new(n, k).unwrap();
-        let mut srng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xa5a5);
-        let batch: Vec<Vec<F61>> =
-            (0..rows).map(|_| (0..k).map(|_| F61::random(&mut srng)).collect()).collect();
-        // Same RNG stream, batched vs one-at-a-time: identical shares.
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
-        let batched = scheme.share_batch(&mut rng_a, &batch, d).unwrap();
-        for (row, got) in batch.iter().zip(&batched) {
-            let expect = scheme.share(&mut rng_b, row, d).unwrap();
-            prop_assert_eq!(got, &expect);
-        }
-        // And the batched reconstruct inverts the batched deal.
-        let subset: Vec<usize> = (0..=d).collect();
-        let opened: Vec<Vec<_>> = batched.iter().map(|s| s.select(&subset)).collect();
-        let secrets = scheme.reconstruct_batch(&opened, d).unwrap();
-        prop_assert_eq!(secrets, batch);
-    }
-
-    #[test]
     fn subgroup_layout_is_bit_identical_to_lagrange((n, k, d) in params(), seed in any::<u64>()) {
         // Two independently built schemes over the same subgroup
         // points: one keeps the transform plan, the other is forced

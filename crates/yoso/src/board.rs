@@ -123,9 +123,8 @@ impl<M: WireMessage + Clone + Send + Sync + 'static> BulletinBoard<M> {
     }
 
     /// Like [`BulletinBoard::connect_tcp`] with explicit
-    /// [`crate::tcp::TcpOptions`] — the hook for tuning the pipelining
-    /// window (`pipeline_window: 1` restores strict lockstep posting)
-    /// or frame-chunking thresholds.
+    /// [`crate::tcp::TcpOptions`] — the hook for tuning the retry
+    /// budget, I/O timeouts or frame-chunking thresholds.
     ///
     /// # Errors
     ///

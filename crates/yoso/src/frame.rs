@@ -39,14 +39,12 @@ use crate::transport::BoardError;
 /// Frames larger than this are rejected (corrupt length prefix guard).
 pub(crate) const MAX_FRAME: usize = 64 << 20;
 
-/// Wire opcodes. Requests `0x01..=0x07` are the v1 lockstep set (one
-/// response frame per request); `0x08..=0x0A` are the v2 pipelining
-/// extension — `POST_PIPE` frames are **not** individually
-/// acknowledged, a later `POST_SYNC` collects one coalesced
-/// [`op::RESP_OK_N`] for the whole run.
+/// Wire opcodes. Every request gets exactly one response frame except
+/// `POST_PIPE`: those frames are **not** individually acknowledged, a
+/// later `POST_SYNC` collects one coalesced [`op::RESP_OK_N`] for the
+/// whole run. `0x01` (the retired per-frame-acknowledged post) is
+/// unassigned.
 pub(crate) mod op {
-    /// Append a batch of postings; acked immediately with [`RESP_OK`].
-    pub const POST_BATCH: u8 = 0x01;
     /// Tick the round clock; replies [`RESP_VALUE`] (new round).
     pub const ADVANCE_ROUND: u8 = 0x02;
     /// Read the current round; replies [`RESP_VALUE`].

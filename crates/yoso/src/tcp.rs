@@ -9,14 +9,13 @@
 //!
 //! | op   | name          | body                                        |
 //! |------|---------------|---------------------------------------------|
-//! | 0x01 | `PostBatch`   | `u32` count, then per record: committee str, index `u64`, phase str, elements `u64`, bytes `u64`, payload bytes |
 //! | 0x02 | `AdvanceRound`| —                                           |
 //! | 0x03 | `GetRound`    | —                                           |
 //! | 0x04 | `GetLen`      | —                                           |
 //! | 0x05 | `ReadRound`   | round `u64`                                 |
 //! | 0x06 | `ReadFrom`    | cursor `u64`                                |
 //! | 0x07 | `Shutdown`    | —                                           |
-//! | 0x08 | `PostPipe`    | same body as `PostBatch`; **no** per-frame ack |
+//! | 0x08 | `PostPipe`    | `u32` count, then per record: committee str, index `u64`, phase str, elements `u64`, bytes `u64`, payload bytes; **no** per-frame ack |
 //! | 0x09 | `PostSync`    | — (collects one coalesced ack for the run)  |
 //! | 0x0A | `GetStats`    | —                                           |
 //!
@@ -25,24 +24,23 @@
 //! `u64`, phase str, elements `u64`, bytes `u64`, payload bytes),
 //! `0x83` coalesced ack (`u64` frames acknowledged), `0x84` stats
 //! (`u32` field count, then `u64` fields), `0xEE` error (str).
-//! Strings and byte strings are `u32`-length prefixed.
+//! Strings and byte strings are `u32`-length prefixed. Opcode `0x01`
+//! (the retired per-frame-acknowledged `PostBatch`) is unassigned and
+//! answered with `RESP_ERR` like any other unknown opcode.
 //!
-//! # Pipelined posting (v2)
+//! # Posting
 //!
-//! `PostBatch` is strict lockstep — one `RESP_OK` per frame, so every
-//! frame pays a full round trip. The v2 extension removes that wait:
-//! a client streams a **window** of `PostPipe` frames back-to-back
-//! (coalesced into large socket writes) and then sends one `PostSync`,
-//! which the server answers with `RESP_OK_N` carrying the count of
-//! pipelined frames appended since the previous sync. The client
+//! There is one posting path and one ack discipline: a client streams
+//! a **window** of up to `PIPELINE_WINDOW` (32) `PostPipe` frames
+//! back-to-back (coalesced into large socket writes) and then sends
+//! one `PostSync`, which the server answers with `RESP_OK_N` carrying
+//! the count of frames appended since the previous sync. The client
 //! checks that count against what it sent, so a flush returns only
-//! after every one of its frames is sequenced — pipelining changes
-//! latency, never the ordering or durability contract. If a pipelined
-//! frame fails, the server replies `RESP_ERR` naming the offending
-//! frame's index within the unacknowledged run and **closes the
-//! connection**, so no later buffered frame can append after a hole
-//! (silent transcript divergence is impossible). Legacy lockstep
-//! clients (and `pipeline_window: 1`) interoperate unchanged.
+//! after every one of its frames is sequenced. If a frame fails, the
+//! server replies `RESP_ERR` naming the offending frame's index within
+//! the unacknowledged run and **closes the connection**, so no later
+//! buffered frame can append after a hole (silent transcript
+//! divergence is impossible).
 //!
 //! # Sequencing = determinism
 //!
@@ -56,7 +54,7 @@
 //! coordinator, which already serializes the parallel workers' buffers
 //! in item order) therefore produces a byte-identical posting log over
 //! TCP and in-process; the transport-parity suite in `yoso-core`
-//! asserts exactly that, in both lockstep and pipelined modes. Message
+//! asserts exactly that. Message
 //! payloads cross the wire via the deterministic [`WireMessage`]
 //! codec, never a `Debug` or serde format.
 //!
@@ -96,6 +94,11 @@ use crate::transport::{
     put_bytes, put_str, put_u32, put_u64, BoardError, BoardTransport, PostRecord,
     ShardedRoundLog, WireCursor, WireMessage,
 };
+
+/// Post frames kept in flight between `PostSync` barriers: a flush
+/// streams this many `PostPipe` frames before blocking on one
+/// coalesced ack.
+const PIPELINE_WINDOW: u64 = 32;
 
 /// Outbound coalescing threshold for pipelined post frames: staged
 /// frames are flushed to the socket once this many bytes accumulate
@@ -250,7 +253,7 @@ impl ServerStats {
 pub struct ServerWireStats {
     /// Request frames received, all opcodes.
     pub frames: u64,
-    /// Post frames received (`PostBatch` + `PostPipe`).
+    /// `PostPipe` frames received.
     pub post_frames: u64,
     /// Posting records appended.
     pub postings: u64,
@@ -303,20 +306,6 @@ impl ServerShared {
             return Action::ReplyClose;
         }
         match opcode {
-            op::POST_BATCH => match self.append_post_frame(conn, body) {
-                Ok(()) => {
-                    conn.resp.clear();
-                    conn.resp.push(op::RESP_OK);
-                    Action::Reply
-                }
-                // Decode errors leave the log untouched and the frame
-                // stream intact: lockstep clients get the error as the
-                // frame's (only) response and may keep the connection.
-                Err(e) => {
-                    write_err(&mut conn.resp, &e.to_string());
-                    Action::Reply
-                }
-            },
             op::POST_PIPE => match self.append_post_frame(conn, body) {
                 Ok(()) => {
                     conn.pending += 1;
@@ -407,12 +396,12 @@ impl ServerShared {
         Action::Reply
     }
 
-    /// Validates and appends one post frame (`PostBatch` or
-    /// `PostPipe`). The whole frame is decoded into the connection's
-    /// scratch **before** the log is touched — a malformed record
-    /// rejects the frame without appending a prefix of it — then the
-    /// frame body is copied once into a shared arena and all records
-    /// are appended atomically, their payloads borrowing from it.
+    /// Validates and appends one `PostPipe` frame. The whole frame is
+    /// decoded into the connection's scratch **before** the log is
+    /// touched — a malformed record rejects the frame without
+    /// appending a prefix of it — then the frame body is copied once
+    /// into a shared arena and all records are appended atomically,
+    /// their payloads borrowing from it.
     fn append_post_frame(&self, conn: &mut Conn, body: &[u8]) -> Result<(), BoardError> {
         let mut cur = WireCursor::new(body);
         let _opcode = cur.u8()?;
@@ -679,8 +668,8 @@ impl Drop for ServerHandle {
 // Client
 // ---------------------------------------------------------------------------
 
-/// Client-side knobs: connect retry budget, I/O timeouts, frame
-/// chunking and the pipelining window.
+/// Client-side knobs: connect retry budget, I/O timeouts and frame
+/// chunking.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpOptions {
     /// Connection attempts before giving up (the server may still be
@@ -700,13 +689,6 @@ pub struct TcpOptions {
     /// on the single connection — see [`TcpTransport::post_stream`] for
     /// the atomicity contract. Clamped to the 64MiB frame cap.
     pub max_post_frame_bytes: usize,
-    /// Post frames kept in flight between `PostSync` barriers. `1` (or
-    /// `0`) selects strict lockstep posting — one `PostBatch` frame,
-    /// one `RESP_OK`, one round trip each; larger windows stream that
-    /// many `PostPipe` frames before blocking on one coalesced ack.
-    /// Either way a flush returns only after the server has sequenced
-    /// every frame of it.
-    pub pipeline_window: usize,
 }
 
 impl Default for TcpOptions {
@@ -717,7 +699,6 @@ impl Default for TcpOptions {
             io_timeout: Duration::from_secs(10),
             read_retries: 3,
             max_post_frame_bytes: MAX_FRAME / 2,
-            pipeline_window: 32,
         }
     }
 }
@@ -725,10 +706,10 @@ impl Default for TcpOptions {
 /// Client-side wire counters (per transport).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
-    /// Post frames sent (`PostBatch` + `PostPipe`), i.e. how many
-    /// chunks flushes were split into.
+    /// `PostPipe` frames sent, i.e. how many chunks flushes were
+    /// split into.
     pub post_frames: u64,
-    /// `PostSync` round trips awaited (pipelined mode only).
+    /// `PostSync` round trips awaited.
     pub sync_round_trips: u64,
 }
 
@@ -1012,26 +993,6 @@ fn oversized_record_err(encoded: usize) -> BoardError {
     ))
 }
 
-/// Sends one lockstep `PostBatch` frame holding `count` records:
-/// patches the count prefix, waits for the per-frame `RESP_OK`, and
-/// resets `body` to an empty header for the next chunk.
-fn send_lockstep_frame(
-    addr: SocketAddr,
-    opts: &TcpOptions,
-    slot: &mut Option<TcpStream>,
-    resp: &mut Vec<u8>,
-    body: &mut Vec<u8>,
-    count: u32,
-) -> Result<(), BoardError> {
-    body[1..5].copy_from_slice(&count.to_le_bytes());
-    request(addr, opts, slot, resp, body, false)?;
-    if resp.first() != Some(&op::RESP_OK) {
-        return Err(BoardError::Protocol("expected ok response to post".into()));
-    }
-    body.truncate(5);
-    Ok(())
-}
-
 /// Stages one pipelined `PostPipe` frame into the outbound coalescing
 /// buffer (flushing it to the socket past the coalescing threshold)
 /// without waiting for any response.
@@ -1097,46 +1058,8 @@ fn surface_pipeline_error(stream: &mut TcpStream, resp: &mut Vec<u8>, orig: Boar
 }
 
 impl<M: WireMessage + Clone + Send + Sync> TcpTransport<M> {
-    /// The strict lockstep flush: one `PostBatch` frame, one `RESP_OK`,
-    /// one round trip per chunk.
-    fn post_stream_lockstep(
-        &self,
-        c: &mut ClientConn,
-        records: &mut dyn Iterator<Item = PostRecord<M>>,
-    ) -> Result<u64, BoardError> {
-        let chunk_cap = self.opts.max_post_frame_bytes.min(MAX_FRAME);
-        c.body.clear();
-        c.body.extend_from_slice(&[op::POST_BATCH, 0, 0, 0, 0]);
-        let mut count: u32 = 0;
-        let mut total: u64 = 0;
-        for r in records {
-            encode_record(&mut c.record, &mut c.payload, &r)?;
-            if 5 + c.record.len() > MAX_FRAME {
-                return Err(oversized_record_err(c.record.len()));
-            }
-            if count > 0 && c.body.len() + c.record.len() > chunk_cap {
-                send_lockstep_frame(
-                    self.addr, &self.opts, &mut c.stream, &mut c.resp, &mut c.body, count,
-                )?;
-                self.sent_post_frames.fetch_add(1, Ordering::Relaxed);
-                total += u64::from(count);
-                count = 0;
-            }
-            c.body.extend_from_slice(&c.record);
-            count += 1;
-        }
-        if count > 0 || total == 0 {
-            send_lockstep_frame(
-                self.addr, &self.opts, &mut c.stream, &mut c.resp, &mut c.body, count,
-            )?;
-            self.sent_post_frames.fetch_add(1, Ordering::Relaxed);
-            total += u64::from(count);
-        }
-        Ok(total)
-    }
-
-    /// The pipelined flush: stream `PostPipe` frames, syncing every
-    /// `pipeline_window` frames and once at the end, so the call
+    /// The flush: stream `PostPipe` frames, syncing every
+    /// [`PIPELINE_WINDOW`] frames and once at the end, so the call
     /// returns only after the server sequenced everything — and any
     /// failure surfaces in **this** flush, never a later call.
     fn post_stream_pipelined(
@@ -1169,7 +1092,6 @@ impl<M: WireMessage + Clone + Send + Sync> TcpTransport<M> {
         records: &mut dyn Iterator<Item = PostRecord<M>>,
     ) -> Result<u64, BoardError> {
         let chunk_cap = self.opts.max_post_frame_bytes.min(MAX_FRAME);
-        let window = self.opts.pipeline_window as u64;
         c.body.clear();
         c.body.extend_from_slice(&[op::POST_PIPE, 0, 0, 0, 0]);
         c.wire.clear();
@@ -1187,7 +1109,7 @@ impl<M: WireMessage + Clone + Send + Sync> TcpTransport<M> {
                 inflight += 1;
                 total += u64::from(count);
                 count = 0;
-                if inflight >= window {
+                if inflight >= PIPELINE_WINDOW {
                     pipeline_sync(stream, &mut c.wire, &mut c.resp, inflight)?;
                     self.sent_syncs.fetch_add(1, Ordering::Relaxed);
                     inflight = 0;
@@ -1203,7 +1125,7 @@ impl<M: WireMessage + Clone + Send + Sync> TcpTransport<M> {
             total += u64::from(count);
         }
         // The terminal barrier: the flush's contract is "returned ⇒
-        // sequenced", in lockstep and pipelined mode alike.
+        // sequenced".
         pipeline_sync(stream, &mut c.wire, &mut c.resp, inflight)?;
         self.sent_syncs.fetch_add(1, Ordering::Relaxed);
         Ok(total)
@@ -1231,11 +1153,7 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
         // "no blind retry" contract as a single lost post.
         let mut guard = self.conn.lock();
         let c = &mut *guard;
-        if self.opts.pipeline_window > 1 {
-            self.post_stream_pipelined(c, records)
-        } else {
-            self.post_stream_lockstep(c, records)
-        }
+        self.post_stream_pipelined(c, records)
     }
 
     fn advance_round(&self) -> Result<u64, BoardError> {
@@ -1291,22 +1209,9 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
 /// Returns [`BoardError::Io`] if binding or connecting fails.
 pub fn loopback<M: WireMessage + Clone + Send + Sync + 'static>(
 ) -> Result<(ServerHandle, crate::BulletinBoard<M>), BoardError> {
-    loopback_with(TcpOptions::default())
-}
-
-/// [`loopback`] with explicit client [`TcpOptions`] — the hook for
-/// exercising lockstep (`pipeline_window: 1`) vs pipelined posting
-/// against the same server implementation.
-///
-/// # Errors
-///
-/// Returns [`BoardError::Io`] if binding or connecting fails.
-pub fn loopback_with<M: WireMessage + Clone + Send + Sync + 'static>(
-    opts: TcpOptions,
-) -> Result<(ServerHandle, crate::BulletinBoard<M>), BoardError> {
     let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0)))?;
     let handle = server.spawn()?;
-    let board = crate::BulletinBoard::connect_tcp_with(handle.addr(), opts)?;
+    let board = crate::BulletinBoard::connect_tcp(handle.addr())?;
     Ok((handle, board))
 }
 
@@ -1529,11 +1434,7 @@ mod tests {
         let k = 5usize;
         let exact_cap = 5 + k * u64_record_len(1);
         for (cap, want_frames) in [(exact_cap, 3u64), (exact_cap - 1, 4u64)] {
-            let opts = TcpOptions {
-                max_post_frame_bytes: cap,
-                pipeline_window: 1,
-                ..TcpOptions::default()
-            };
+            let opts = TcpOptions { max_post_frame_bytes: cap, ..TcpOptions::default() };
             let t = TcpTransport::<u64>::connect(handle.addr(), opts).unwrap();
             let n = t.post_stream(&mut u64_records(3 * k as u64, &phase)).unwrap();
             assert_eq!(n, 3 * k as u64);
@@ -1543,69 +1444,31 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_chunking_matches_lockstep_frame_count() {
+    fn flush_one_frame_past_the_window_costs_two_sync_round_trips() {
         let (mut handle, _board) = loopback::<u64>().unwrap();
         let phase: Arc<str> = Arc::from("x");
         let k = 4usize;
-        let cap = 5 + k * u64_record_len(1);
         let opts = TcpOptions {
-            max_post_frame_bytes: cap,
-            pipeline_window: 3,
+            max_post_frame_bytes: 5 + k * u64_record_len(1),
             ..TcpOptions::default()
         };
         let t = TcpTransport::<u64>::connect(handle.addr(), opts).unwrap();
-        let n = t.post_stream(&mut u64_records(8 * k as u64, &phase)).unwrap();
-        assert_eq!(n, 8 * k as u64);
+        let frames = PIPELINE_WINDOW + 1;
+        let n = t.post_stream(&mut u64_records(frames * k as u64, &phase)).unwrap();
+        assert_eq!(n, frames * k as u64);
         let stats = t.wire_stats();
-        assert_eq!(stats.post_frames, 8);
-        // 8 frames / window 3 = 2 mid-flush syncs + the terminal one.
-        assert_eq!(stats.sync_round_trips, 3);
-        assert_eq!(t.len().unwrap(), 8 * k);
+        assert_eq!(stats.post_frames, frames);
+        // One sync when the window fills, then the terminal one.
+        assert_eq!(stats.sync_round_trips, 2);
+        assert_eq!(t.len().unwrap() as u64, frames * k as u64);
         let server = t.server_stats().unwrap();
-        assert_eq!(server.post_frames, 8);
-        assert_eq!(server.acked_frames, 8);
-        assert_eq!(server.max_window, 3);
+        assert_eq!(server.post_frames, frames);
+        assert_eq!(server.acked_frames, frames);
+        assert_eq!(server.max_window, PIPELINE_WINDOW);
         handle.shutdown();
     }
 
-    #[test]
-    fn pipelined_and_lockstep_transcripts_are_identical() {
-        let run = |opts: TcpOptions| {
-            let (mut handle, board) = loopback_with::<u64>(opts).unwrap();
-            let phase: Arc<str> = Arc::from("p");
-            for round in 0..3u64 {
-                board
-                    .post_record_stream(u64_records(40, &phase).map(|mut r| {
-                        r.message += 1000 * round;
-                        r
-                    }))
-                    .unwrap();
-                board.advance_round().unwrap();
-            }
-            let log: Vec<(u64, String, u64)> = board
-                .postings()
-                .unwrap()
-                .into_iter()
-                .map(|p| (p.round, p.from.to_string(), p.message))
-                .collect();
-            handle.shutdown();
-            log
-        };
-        let lockstep = run(TcpOptions {
-            pipeline_window: 1,
-            max_post_frame_bytes: 256,
-            ..TcpOptions::default()
-        });
-        let pipelined = run(TcpOptions {
-            pipeline_window: 8,
-            max_post_frame_bytes: 256,
-            ..TcpOptions::default()
-        });
-        assert_eq!(lockstep, pipelined);
-        assert_eq!(lockstep.len(), 120);
-    }
-
-    /// Builds one raw `PostPipe`/`PostBatch` frame body holding `count`
+    /// Builds one raw post frame body under `opcode` holding `count`
     /// valid `u64` records (or a truncated, malformed one).
     fn raw_post_body(opcode: u8, count: u32, malformed: bool) -> Vec<u8> {
         let mut body = vec![opcode];
@@ -1686,7 +1549,7 @@ mod tests {
         // opcode 1 + count 4 + header (4+1 + 8 + 4+1 + 8 + 8) + payload prefix 4.
         let overhead = 1 + 4 + (4 + 1 + 8 + 4 + 1 + 8 + 8) + 4;
         let payload_len = MAX_FRAME - overhead;
-        let mut body = vec![op::POST_BATCH];
+        let mut body = vec![op::POST_PIPE];
         put_u32(&mut body, 1);
         put_str(&mut body, "c").unwrap();
         put_u64(&mut body, 0);
@@ -1697,8 +1560,11 @@ mod tests {
         assert_eq!(body.len(), MAX_FRAME);
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         send_raw_frame(&mut s, &body);
+        send_raw_frame(&mut s, &[op::POST_SYNC]);
         let resp = read_raw_frame(&mut s);
-        assert_eq!(resp.first(), Some(&op::RESP_OK));
+        let mut ack = WireCursor::new(&resp);
+        assert_eq!(ack.u8().unwrap(), op::RESP_OK_N);
+        assert_eq!(ack.u64().unwrap(), 1);
         // One byte over: only the length prefix needs to lie.
         let mut s2 = TcpStream::connect(handle.addr()).unwrap();
         s2.write_all(&u32::try_from(MAX_FRAME + 1).unwrap().to_le_bytes()).unwrap();
@@ -1709,6 +1575,26 @@ mod tests {
         assert!(cur.str().unwrap().contains("exceeds cap"));
         let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
         assert_eq!(t.len().unwrap(), 1);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn retired_post_batch_opcode_is_unknown_and_the_server_keeps_serving() {
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        send_raw_frame(&mut s, &raw_post_body(0x01, 2, false));
+        let resp = read_raw_frame(&mut s);
+        assert_eq!(resp.first(), Some(&op::RESP_ERR));
+        let mut cur = WireCursor::new(&resp[1..]);
+        assert_eq!(cur.str().unwrap(), "unknown opcode 0x1");
+        drop(s);
+        // Nothing was appended, and the next connection posts normally.
+        let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
+        assert_eq!(t.len().unwrap(), 0);
+        let phase: Arc<str> = Arc::from("x");
+        assert_eq!(t.post_stream(&mut u64_records(3, &phase)).unwrap(), 3);
+        assert_eq!(t.len().unwrap(), 3);
         handle.shutdown();
     }
 
