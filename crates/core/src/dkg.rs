@@ -223,7 +223,7 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
         .collect();
 
     let pk = PublicKey { n, t, g, h, vks };
-    Ok(TskChain::from_parts(pk, shares))
+    TskChain::from_parts(pk, shares)
 }
 
 /// Derives the public base `g ≠ 0` from the DKG domain separator.

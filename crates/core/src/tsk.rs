@@ -21,10 +21,13 @@
 //! contributions, which under `t < n/2` always suffice — this is where
 //! guaranteed output delivery comes from.
 
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::Arc;
+
 use rand::{Rng, RngCore, SeedableRng};
 
-use yoso_field::{lagrange, PrimeField};
-use yoso_pss_sharing::shamir;
+use yoso_field::PrimeField;
+use yoso_pss_sharing::shamir::{PowerTable, ZeroWeights};
 use yoso_runtime::{ActiveAttack, Behavior, BulletinBoard, Committee, LeakLog};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, MockTe, PkeKeyPair, PkePublicKey, PublicKey};
 use yoso_the::nizk::{
@@ -66,6 +69,10 @@ pub struct ReencryptedValue<F: PrimeField> {
     pub posts: Vec<ProviderPost<F>>,
     /// Threshold: `t + 1` valid posts are needed to open.
     pub t: usize,
+    /// Recombination weights of the canonical subset, shared by every
+    /// value of the batch opened by the same providers (`None` when
+    /// fewer than `t + 1` posts are valid).
+    weights: Option<Arc<ZeroWeights<F>>>,
 }
 
 impl<F: PrimeField> ReencryptedValue<F> {
@@ -103,16 +110,15 @@ impl<F: PrimeField> ReencryptedValue<F> {
     /// Propagates [`Self::canonical_subset`] errors.
     pub fn opening_coefficients(&self) -> Result<(F, F), ProtocolError> {
         let subset = self.canonical_subset()?;
-        let points: Vec<F> = subset.iter().map(|p| F::from_u64(p.provider as u64 + 1)).collect();
-        let w = lagrange::basis_at(&points, F::ZERO)
-            .map_err(|e| ProtocolError::Pss(yoso_pss_sharing::PssError::Field(e)))?;
+        let w = self
+            .weights
+            .as_deref()
+            .filter(|w| w.parties().iter().copied().eq(subset.iter().map(|p| p.provider)))
+            .ok_or(ProtocolError::Invariant("opening weights do not match the canonical subset"))?;
         // Combined encrypted partial: Σ w_j (u_j, v_j) encrypts s·u_ct.
-        let mut a_u = F::ZERO;
-        let mut a_v = F::ZERO;
-        for (p, &wj) in subset.iter().zip(&w) {
-            a_u += wj * p.ct.u;
-            a_v += wj * p.ct.v;
-        }
+        let us: Vec<F> = subset.iter().map(|p| p.ct.u).collect();
+        let vs: Vec<F> = subset.iter().map(|p| p.ct.v).collect();
+        let (a_u, a_v) = (w.combine(&us), w.combine(&vs));
         // s·u_ct = a_v − sk·a_u; value = source_v − s·u_ct
         //        = (source_v − a_v) + sk·a_u  =  a − sk·b
         Ok((self.source_v - a_v, -a_u))
@@ -141,6 +147,10 @@ pub struct PostedReshare<F: PrimeField> {
     /// Whether the re-share NIZK verified.
     pub valid: bool,
 }
+
+/// Recombination weights by canonical provider subset. A batch has one
+/// entry unless some member's posts verify on only some of its items.
+type WeightCache<F> = BTreeMap<Vec<usize>, Arc<ZeroWeights<F>>>;
 
 /// The threshold key's custody state: the public key (with the current
 /// committee's verification keys) plus each current member's share.
@@ -179,9 +189,22 @@ impl<F: PrimeField> TskChain<F> {
 
     /// Builds a chain from an externally generated key (e.g. the
     /// dealer-free DKG of [`crate::dkg`]).
-    pub fn from_parts(pk: PublicKey<F>, shares: Vec<Option<KeyShare<F>>>) -> Self {
-        assert_eq!(pk.n, shares.len(), "one share slot per member");
-        TskChain { pk, shares, epoch: 0, leak: LeakLog::new() }
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError::BadParameters`] unless `shares` has one
+    /// slot per committee member.
+    pub fn from_parts(
+        pk: PublicKey<F>,
+        shares: Vec<Option<KeyShare<F>>>,
+    ) -> Result<Self, ProtocolError> {
+        if shares.len() != pk.n {
+            return Err(ProtocolError::BadParameters(format!(
+                "a committee of {} needs exactly that many share slots",
+                pk.n
+            )));
+        }
+        Ok(TskChain { pk, shares, epoch: 0, leak: LeakLog::new() })
     }
 
     /// Attaches an adversarial-view recorder: corrupted (malicious or
@@ -211,6 +234,22 @@ impl<F: PrimeField> TskChain<F> {
     /// Test/diagnostic access to a member's share.
     pub fn share_of(&self, i: usize) -> Option<&KeyShare<F>> {
         self.shares.get(i).and_then(|s| s.as_ref())
+    }
+
+    /// The recombination weights of a batch item's canonical subset,
+    /// computed on the subset's first appearance in the batch.
+    fn shared_weights<'c>(
+        &self,
+        cache: &'c mut WeightCache<F>,
+        parties: Vec<usize>,
+    ) -> Result<&'c Arc<ZeroWeights<F>>, ProtocolError> {
+        Ok(match cache.entry(parties) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let w = Arc::new(MockTe::zero_weights(&self.pk, e.key())?);
+                e.insert(w)
+            }
+        })
     }
 
     /// Public `Decrypt` of a batch of ciphertexts by `committee`
@@ -297,23 +336,35 @@ impl<F: PrimeField> TskChain<F> {
             }
         }
 
+        self.combine_partials(cts, &partials)
+    }
+
+    /// Recombines each ciphertext's first `t + 1` verified partials
+    /// (`(party, value, verified)`, in posting order).
+    fn combine_partials(
+        &self,
+        cts: &[Ciphertext<F>],
+        partials: &[Vec<(usize, F, bool)>],
+    ) -> Result<Vec<F>, ProtocolError> {
+        let need = self.pk.t + 1;
+        let mut weights = WeightCache::new();
         cts.iter()
             .zip(partials)
             .map(|(ct, posts)| {
-                let valid: Vec<yoso_the::mock::PartialDec<F>> = posts
+                let (parties, values): (Vec<usize>, Vec<F>) = posts
                     .iter()
                     .filter(|(_, _, ok)| *ok)
-                    .take(self.pk.t + 1)
-                    .map(|&(party, value, _)| yoso_the::mock::PartialDec { party, value })
-                    .collect();
-                if valid.len() < self.pk.t + 1 {
+                    .take(need)
+                    .map(|&(party, value, _)| (party, value))
+                    .unzip();
+                if parties.len() < need {
                     return Err(ProtocolError::NotEnoughContributions {
                         step: "threshold decrypt",
-                        got: valid.len(),
-                        need: self.pk.t + 1,
+                        got: parties.len(),
+                        need,
                     });
                 }
-                Ok(MockTe::combine(&self.pk, ct, &valid)?)
+                Ok(ct.v - self.shared_weights(&mut weights, parties)?.combine(&values))
             })
             .collect()
     }
@@ -372,6 +423,7 @@ impl<F: PrimeField> TskChain<F> {
                 source_v: ct.v,
                 posts: Vec::new(),
                 t: self.pk.t,
+                weights: None,
             };
             for i in 0..committee.n() {
                 let Some(share) = &self.shares[i] else { continue };
@@ -425,12 +477,31 @@ impl<F: PrimeField> TskChain<F> {
             }
             (val, posts)
         });
+        let mut weights = WeightCache::new();
         let mut out = Vec::with_capacity(items.len());
-        for (val, posts) in worker_out {
+        for (mut val, posts) in worker_out {
             sb.flush_buffer(posts)?;
+            self.attach_opening_weights(&mut weights, &mut val)?;
             out.push(val);
         }
         Ok(out)
+    }
+
+    /// Gives `val` the weights of its canonical subset. A starved value
+    /// keeps `None`: the shortage is reported when (and only if)
+    /// somebody opens it.
+    fn attach_opening_weights(
+        &self,
+        cache: &mut WeightCache<F>,
+        val: &mut ReencryptedValue<F>,
+    ) -> Result<(), ProtocolError> {
+        let need = val.t + 1;
+        let parties: Vec<usize> =
+            val.posts.iter().filter(|p| p.valid).take(need).map(|p| p.provider).collect();
+        if parties.len() == need {
+            val.weights = Some(Arc::clone(self.shared_weights(cache, parties)?));
+        }
+        Ok(())
     }
 
     /// Hands the key over to `next` (whose members' role key pairs are
@@ -441,7 +512,6 @@ impl<F: PrimeField> TskChain<F> {
     ///
     /// Returns [`ProtocolError::NotEnoughContributions`] if fewer than
     /// `t + 1` re-share messages verify.
-    #[allow(clippy::needless_range_loop)]
     pub fn handover<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -458,7 +528,6 @@ impl<F: PrimeField> TskChain<F> {
     /// [`Self::handover`] posting through an existing sharded board,
     /// with per-member child RNGs (same sharding contract as
     /// [`Self::decrypt_in`]).
-    #[allow(clippy::needless_range_loop)]
     pub(crate) fn handover_in<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -471,8 +540,13 @@ impl<F: PrimeField> TskChain<F> {
         self.record_leaks(outgoing);
         let n = self.pk.n;
         let t = self.pk.t;
-        assert_eq!(next_keys.len(), n, "next committee must have n role keys");
+        if next_keys.len() != n {
+            return Err(ProtocolError::BadParameters(format!(
+                "handover from a committee of {n} needs exactly that many next role keys"
+            )));
+        }
         let recipient_pks: Vec<PkePublicKey<F>> = next_keys.iter().map(|kp| kp.public).collect();
+        let table = PowerTable::new(n, t);
 
         let mut msgs: Vec<PostedReshare<F>> = Vec::new();
         for i in 0..outgoing.n() {
@@ -486,23 +560,12 @@ impl<F: PrimeField> TskChain<F> {
             let prove = cfg.produce_proofs && owned;
             let posted = match behavior {
                 Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                    // Sample the sub-sharing polynomial explicitly so we
-                    // can both encrypt subshares and prove.
-                    let mut coeffs = Vec::with_capacity(t + 1);
-                    coeffs.push(share.value);
-                    for _ in 0..t {
-                        coeffs.push(F::random(&mut mrng));
-                    }
-                    let commitments: Vec<F> = coeffs.iter().map(|&a| a * self.pk.g).collect();
+                    let (msg, coeffs) = MockTe::reshare_with(&mut mrng, &self.pk, share, &table);
+                    let commitments = msg.commitments;
                     let mut enc_subshares = Vec::with_capacity(n);
                     let mut rands = Vec::with_capacity(n);
-                    for m in 0..n {
-                        let x = F::from_u64(m as u64 + 1);
-                        let mut acc = F::ZERO;
-                        for &a in coeffs.iter().rev() {
-                            acc = acc * x + a;
-                        }
-                        let (ct, r) = LinearPke::encrypt(&mut mrng, &recipient_pks[m], acc);
+                    for (&sub, rpk) in msg.subshares.iter().zip(&recipient_pks) {
+                        let (ct, r) = LinearPke::encrypt(&mut mrng, rpk, sub);
                         enc_subshares.push(ct);
                         rands.push(r);
                     }
@@ -568,38 +631,27 @@ impl<F: PrimeField> TskChain<F> {
             });
         }
         let provider_indices: Vec<usize> = providers.iter().map(|m| m.from).collect();
+        let weights = MockTe::zero_weights(&self.pk, &provider_indices)?;
 
         // Each next-committee member decrypts its subshares and
         // recombines.
         let mut new_shares = Vec::with_capacity(n);
+        let mut subs = Vec::with_capacity(t + 1);
         for (j, kp) in next_keys.iter().enumerate() {
-            let subs: Vec<F> = providers
-                .iter()
-                .map(|m| LinearPke::decrypt(&kp.secret, &m.enc_subshares[j]))
-                .collect();
-            let value = shamir::recombine_subshares(&provider_indices, &subs, t)?;
-            new_shares.push(Some(KeyShare { party: j, value }));
+            subs.clear();
+            subs.extend(
+                providers.iter().map(|m| LinearPke::decrypt(&kp.secret, &m.enc_subshares[j])),
+            );
+            new_shares.push(Some(KeyShare { party: j, value: weights.combine(&subs) }));
         }
 
         // Public derivation of the next verification keys from the
         // Feldman commitments.
-        let provider_points: Vec<F> =
-            provider_indices.iter().map(|&p| F::from_u64(p as u64 + 1)).collect();
-        let lag = lagrange::basis_at(&provider_points, F::ZERO)
-            .map_err(|e| ProtocolError::Pss(yoso_pss_sharing::PssError::Field(e)))?;
-        let mut vks = Vec::with_capacity(n);
-        for j in 0..n {
-            let x = F::from_u64(j as u64 + 1);
-            let mut vk = F::ZERO;
-            for (m, &li) in providers.iter().zip(&lag) {
-                let mut acc = F::ZERO;
-                for &c in m.commitments.iter().rev() {
-                    acc = acc * x + c;
-                }
-                vk += li * acc;
-            }
-            vks.push(vk);
-        }
+        let vks = MockTe::next_verification_keys(
+            &weights,
+            providers.iter().map(|m| m.commitments.as_slice()),
+            &table,
+        );
         self.pk.vks = vks;
         self.shares = new_shares;
         self.epoch += 1;
@@ -778,6 +830,225 @@ mod tests {
         chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys).unwrap();
         let committee = Committee::honest("final", 7);
         assert_eq!(chain.decrypt(&mut r, &board, &committee, &cfg(), "x", &[ct]).unwrap(), vec![m]);
+    }
+
+    // -----------------------------------------------------------------
+    // The shared-weights recombination against the per-item formulas it
+    // replaced (one `lagrange::interpolate` per value, Horner per
+    // evaluation). Exact arithmetic: agreement is equality.
+    // -----------------------------------------------------------------
+
+    /// The value at zero of the polynomial through `(party + 1, y)`.
+    fn interpolated_at_zero(parties: &[usize], ys: &[F61]) -> F61 {
+        let xs: Vec<F61> = parties.iter().map(|&p| F61::from_u64(p as u64 + 1)).collect();
+        yoso_field::lagrange::interpolate(&xs, ys).unwrap().eval(F61::ZERO)
+    }
+
+    fn horner(coeffs: &[F61], x: F61) -> F61 {
+        coeffs.iter().rev().fold(F61::ZERO, |acc, &c| acc * x + c)
+    }
+
+    /// A random `(n, t)` with `t < n/2` and a committee of at most `t`
+    /// members that post garbage or nothing.
+    fn random_committee(r: &mut rand::rngs::StdRng) -> (usize, usize, Committee) {
+        let n = r.gen_range(3..14);
+        let t = r.gen_range(0..n.div_ceil(2));
+        let mut behaviors = vec![Behavior::Honest; n as usize];
+        for _ in 0..r.gen_range(0..t + 1) {
+            let attack =
+                if r.gen() { ActiveAttack::WrongValue } else { ActiveAttack::Silent };
+            behaviors[r.gen_range(0..n) as usize] = Behavior::Malicious(attack);
+        }
+        (n as usize, t as usize, Committee::with_behaviors("c", behaviors))
+    }
+
+    #[test]
+    fn batch_with_differing_canonical_subsets_decrypts() {
+        let mut r = rng();
+        let (n, t) = (7, 2);
+        let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+        let ms: Vec<F61> = (0..6).map(|_| F61::random(&mut r)).collect();
+        let cts: Vec<_> = ms.iter().map(|&m| MockTe::encrypt(&mut r, &chain.pk, m).0).collect();
+        // Member 1 fails verification on even items, member 0 on item 3:
+        // the canonical subsets are {0,2,3}, {0,1,2} and {1,2,3}.
+        let partials: Vec<Vec<(usize, F61, bool)>> = cts
+            .iter()
+            .enumerate()
+            .map(|(c, ct)| {
+                (0..n)
+                    .map(|i| {
+                        let ok = !((i == 1 && c % 2 == 0) || (i == 0 && c == 3));
+                        let good = MockTe::partial_decrypt(chain.share_of(i).unwrap(), ct).value;
+                        (i, if ok { good } else { F61::random(&mut r) }, ok)
+                    })
+                    .collect()
+            })
+            .collect();
+        let got = chain.combine_partials(&cts, &partials).unwrap();
+        assert_eq!(got, ms);
+        for ((ct, posts), &value) in cts.iter().zip(&partials).zip(&got) {
+            let (parties, ys): (Vec<usize>, Vec<F61>) =
+                posts.iter().filter(|p| p.2).take(t + 1).map(|&(i, y, _)| (i, y)).unzip();
+            assert_eq!(value, ct.v - interpolated_at_zero(&parties, &ys));
+        }
+        // A starved item fails the batch with the typed shortage.
+        let mut starved = partials;
+        for post in &mut starved[4][..n - t] {
+            post.2 = false;
+        }
+        assert!(matches!(
+            chain.combine_partials(&cts, &starved),
+            Err(ProtocolError::NotEnoughContributions {
+                step: "threshold decrypt",
+                got: 2,
+                need: 3
+            })
+        ));
+    }
+
+    #[test]
+    fn openings_agree_with_per_item_interpolation() {
+        for seed in 0..24 {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n, t, committee) = random_committee(&mut r);
+            let board = BulletinBoard::new();
+            let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+            let items: Vec<_> = (0..3)
+                .map(|_| {
+                    let target = LinearPke::<F61>::keygen(&mut r);
+                    let m = F61::random(&mut r);
+                    (target, m, MockTe::encrypt(&mut r, &chain.pk, m).0)
+                })
+                .collect();
+            let pairs: Vec<_> = items.iter().map(|(kp, _, ct)| (kp.public, *ct)).collect();
+            let vals = chain.reencrypt(&mut r, &board, &committee, &cfg(), "x", &pairs).unwrap();
+            for (val, (kp, m, _)) in vals.iter().zip(&items) {
+                let subset = val.canonical_subset().unwrap();
+                let parties: Vec<usize> = subset.iter().map(|p| p.provider).collect();
+                let us: Vec<F61> = subset.iter().map(|p| p.ct.u).collect();
+                let vs: Vec<F61> = subset.iter().map(|p| p.ct.v).collect();
+                let expect = (
+                    val.source_v - interpolated_at_zero(&parties, &vs),
+                    -interpolated_at_zero(&parties, &us),
+                );
+                assert_eq!(val.opening_coefficients().unwrap(), expect, "seed {seed}");
+                assert_eq!(val.open(kp.secret.scalar).unwrap(), *m, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn values_of_one_batch_with_differing_subsets_open() {
+        let mut r = rng();
+        let board = BulletinBoard::new();
+        let chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
+        let committee = Committee::honest("r", 7);
+        let target = LinearPke::<F61>::keygen(&mut r);
+        let ms = [F61::from(11u64), F61::from(22u64), F61::from(33u64)];
+        let pairs: Vec<_> =
+            ms.iter().map(|&m| (target.public, MockTe::encrypt(&mut r, &chain.pk, m).0)).collect();
+        let mut vals = chain.reencrypt(&mut r, &board, &committee, &cfg(), "x", &pairs).unwrap();
+        let shared = vals[0].weights.clone().unwrap();
+        assert!(vals.iter().all(|v| Arc::ptr_eq(v.weights.as_ref().unwrap(), &shared)));
+
+        // Provider 0's post on the middle value turns out invalid: the
+        // stale weights are refused, fresh ones open all three.
+        vals[1].posts[0].valid = false;
+        assert!(matches!(vals[1].open(target.secret.scalar), Err(ProtocolError::Invariant(_))));
+        let mut cache = WeightCache::new();
+        for val in &mut vals {
+            chain.attach_opening_weights(&mut cache, val).unwrap();
+        }
+        assert_eq!(cache.len(), 2);
+        for (val, m) in vals.iter().zip(ms) {
+            assert_eq!(val.open(target.secret.scalar).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn starved_reencryption_fails_at_open_not_at_reencrypt() {
+        let mut r = rng();
+        let board = BulletinBoard::new();
+        let (n, t) = (5, 2);
+        let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+        let mut behaviors = vec![Behavior::Malicious(ActiveAttack::WrongValue); n];
+        behaviors[0] = Behavior::Honest;
+        behaviors[1] = Behavior::Honest;
+        let committee = Committee::with_behaviors("starved", behaviors);
+        let target = LinearPke::<F61>::keygen(&mut r);
+        let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, F61::ONE);
+        let vals = chain
+            .reencrypt(&mut r, &board, &committee, &cfg(), "x", &[(target.public, ct)])
+            .unwrap();
+        assert!(matches!(
+            vals[0].opening_coefficients(),
+            Err(ProtocolError::NotEnoughContributions {
+                step: "re-encrypt opening",
+                got: 2,
+                need: 3
+            })
+        ));
+    }
+
+    #[test]
+    fn handover_agrees_with_horner_and_per_item_interpolation() {
+        for seed in 0..24 {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n, t, outgoing) = random_committee(&mut r);
+            let board = BulletinBoard::new();
+            let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+            let next_keys: Vec<PkeKeyPair<F61>> =
+                (0..n).map(|_| LinearPke::keygen(&mut r)).collect();
+
+            // Replay the dealers' draws: one child seed per posting
+            // member, `t` coefficients from the child.
+            let mut replay = r.clone();
+            let mut polys: Vec<(usize, Vec<F61>)> = Vec::new();
+            for i in 0..n {
+                if !outgoing.behavior(i).participates_at(crate::engine::phase_index("x")) {
+                    continue;
+                }
+                let mut mrng = rand::rngs::StdRng::seed_from_u64(replay.next_u64());
+                if *outgoing.behavior(i) == Behavior::Honest && polys.len() <= t {
+                    let mut coeffs = vec![chain.share_of(i).unwrap().value];
+                    coeffs.extend((0..t).map(|_| F61::random(&mut mrng)));
+                    polys.push((i, coeffs));
+                }
+            }
+            let providers: Vec<usize> = polys.iter().map(|(i, _)| *i).collect();
+            let g = chain.pk.g;
+
+            chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys).unwrap();
+            for j in 0..n {
+                let x = F61::from_u64(j as u64 + 1);
+                let subs: Vec<F61> = polys.iter().map(|(_, c)| horner(c, x)).collect();
+                let share = interpolated_at_zero(&providers, &subs);
+                assert_eq!(chain.share_of(j).unwrap().value, share, "seed {seed}, share {j}");
+                let committed: Vec<F61> = subs.iter().map(|&s| s * g).collect();
+                assert_eq!(
+                    chain.pk.vks[j],
+                    interpolated_at_zero(&providers, &committed),
+                    "seed {seed}, vk {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_committee_sizes_are_typed_errors() {
+        let mut r = rng();
+        let board = BulletinBoard::new();
+        let mut chain = TskChain::<F61>::keygen(&mut r, 5, 1).unwrap();
+        let next_keys: Vec<PkeKeyPair<F61>> = (0..4).map(|_| LinearPke::keygen(&mut r)).collect();
+        let outgoing = Committee::honest("h0", 5);
+        assert!(matches!(
+            chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys),
+            Err(ProtocolError::BadParameters(_))
+        ));
+        assert_eq!(board.len().unwrap(), 0, "refused before anything is posted");
+        let (pk, shares) = MockTe::<F61>::keygen(&mut r, 5, 1).unwrap();
+        let slots = shares.into_iter().take(4).map(Some).collect();
+        assert!(matches!(TskChain::from_parts(pk, slots), Err(ProtocolError::BadParameters(_))));
     }
 
     #[test]

@@ -126,6 +126,16 @@ pub trait PrimeField:
             -Self::from_u64(v.unsigned_abs())
         }
     }
+
+    /// Inner product `Σ a[i]·b[i]` of two equally long slices.
+    ///
+    /// Field arithmetic is exact, so an override may reorder or delay
+    /// reductions ([`F61`] does) and still return the same element as
+    /// this fold.
+    fn dot(a: &[Self], b: &[Self]) -> Self {
+        debug_assert_eq!(a.len(), b.len(), "dot of unequal lengths");
+        a.iter().zip(b).fold(Self::ZERO, |acc, (&x, &y)| acc + x * y)
+    }
 }
 
 /// The Mersenne prime `p = 2^61 − 1`.
@@ -197,7 +207,31 @@ impl PrimeField for F61 {
     fn as_u64(&self) -> u64 {
         self.0
     }
+
+    /// Lazy reduction: raw 61×61-bit products are summed in a `u128`
+    /// and reduced once per `DOT_CHUNK` terms. The multiply-adds of a
+    /// chunk do not depend on each other, unlike the reduce-per-term
+    /// fold.
+    #[inline]
+    fn dot(a: &[F61], b: &[F61]) -> F61 {
+        debug_assert_eq!(a.len(), b.len(), "dot of unequal lengths");
+        let mut acc = 0u64;
+        for (ca, cb) in a.chunks(DOT_CHUNK).zip(b.chunks(DOT_CHUNK)) {
+            // acc < 2^61 plus at most 32 products < 2^122 each: < 2^128.
+            let mut wide = u128::from(acc);
+            for (x, y) in ca.iter().zip(cb) {
+                wide += u128::from(x.0) * u128::from(y.0);
+            }
+            acc = F61::reduce128(wide);
+        }
+        F61(acc)
+    }
 }
+
+/// Terms [`F61::dot`] accumulates between reductions: canonical
+/// residues are `< 2^61`, so a product is `< 2^122` and 32 of them (plus
+/// the carried-in residue) stay below `2^128`.
+const DOT_CHUNK: usize = 32;
 
 impl From<u64> for F61 {
     fn from(v: u64) -> Self {

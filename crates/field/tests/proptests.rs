@@ -98,6 +98,45 @@ proptest! {
     }
 }
 
+/// The reduce-per-term fold every `PrimeField::dot` must equal.
+fn naive_dot<F: PrimeField>(a: &[F], b: &[F]) -> F {
+    a.iter().zip(b).fold(F::ZERO, |acc, (&x, &y)| acc + x * y)
+}
+
+// `F61::dot` delays reduction over chunks of 32 raw products; the
+// lengths around one and two chunks and the largest residues are where
+// a wrong bound would overflow the accumulator.
+proptest! {
+    #[test]
+    fn f61_dot_equals_the_naive_fold(
+        pairs in prop::collection::vec((felt(), felt()), 0..=200),
+    ) {
+        let (a, b): (Vec<F61>, Vec<F61>) = pairs.into_iter().unzip();
+        prop_assert_eq!(F61::dot(&a, &b), naive_dot(&a, &b));
+    }
+
+    #[test]
+    fn small_field_dot_uses_the_default_fold(
+        pairs in prop::collection::vec((any::<u64>(), any::<u64>()), 0..=200),
+    ) {
+        type F97 = yoso_field::Fp<97>;
+        let (a, b): (Vec<F97>, Vec<F97>) =
+            pairs.into_iter().map(|(x, y)| (F97::from_u64(x), F97::from_u64(y))).unzip();
+        prop_assert_eq!(F97::dot(&a, &b), naive_dot(&a, &b));
+    }
+}
+
+#[test]
+fn f61_dot_of_maximal_residues_at_chunk_edges() {
+    let top = -F61::ONE; // p − 1: every raw product is (p − 1)²
+    for len in 0..=200 {
+        // includes 31/32/33 and 64/65, one and two full chunks
+        let v = vec![top; len];
+        assert_eq!(F61::dot(&v, &v), naive_dot(&v, &v), "len {len}");
+        assert_eq!(F61::dot(&v, &v), F61::from_u64(len as u64), "(−1)² · {len}");
+    }
+}
+
 /// Pairwise-distinct evaluation points (1 ≤ n < 24).
 fn distinct_points() -> impl Strategy<Value = Vec<F61>> {
     prop::collection::vec(felt(), 1..24).prop_map(|mut xs| {

@@ -135,10 +135,15 @@ fn check_shares<F: PrimeField>(shares: &[Share<F>], t: usize) -> Result<(), PssE
     if shares.len() < t + 1 {
         return Err(PssError::NotEnoughShares { got: shares.len(), need: t + 1 });
     }
+    check_distinct(shares.iter().map(|s| s.party))
+}
+
+/// Rejects a repeated party index, naming it.
+fn check_distinct(parties: impl Iterator<Item = usize>) -> Result<(), PssError> {
     let mut seen = std::collections::HashSet::new();
-    for s in shares {
-        if !seen.insert(s.party) {
-            return Err(PssError::DuplicateParty(s.party));
+    for p in parties {
+        if !seen.insert(p) {
+            return Err(PssError::DuplicateParty(p));
         }
     }
     Ok(())
@@ -162,13 +167,101 @@ fn reconstruct_on<F: PrimeField>(
     let ys: Vec<F> = shares[..t + 1].iter().map(|s| s.value).collect();
     for s in &shares[t + 1..] {
         let row = domain.basis_at(F::from_u64(s.party as u64 + 1));
-        let expect: F = row.iter().zip(&ys).map(|(&b, &y)| b * y).sum();
-        if expect != s.value {
+        if F::dot(&row, &ys) != s.value {
             return Err(PssError::Inconsistent);
         }
     }
-    let row = domain.basis_at(F::ZERO);
-    Ok(row.iter().zip(&ys).map(|(&b, &y)| b * y).sum())
+    Ok(F::dot(&domain.basis_at(F::ZERO), &ys))
+}
+
+/// The Lagrange-at-zero recombination weights of one provider set:
+/// `f(0) = Σ weights[j] · f(parties[j] + 1)` for every `f` of degree
+/// below `parties.len()`.
+///
+/// Building it costs one `O(t²)` [`lagrange::basis_at`]; every value
+/// recombined from the same providers afterwards is one `O(t)`
+/// [`PrimeField::dot`]. The threshold-key chain builds one per distinct
+/// provider set and shares it across a whole batch.
+#[derive(Debug, Clone)]
+pub struct ZeroWeights<F: PrimeField> {
+    parties: Vec<usize>,
+    weights: Vec<F>,
+}
+
+impl<F: PrimeField> ZeroWeights<F> {
+    /// Computes the weights for `parties` (0-based; party `i` holds
+    /// the evaluation at `i + 1`).
+    ///
+    /// # Errors
+    ///
+    /// - [`PssError::DuplicateParty`] on a repeated index.
+    /// - [`PssError::Field`] if two indices map to the same field
+    ///   point.
+    pub fn new(parties: &[usize]) -> Result<Self, PssError> {
+        check_distinct(parties.iter().copied())?;
+        let xs: Vec<F> = parties.iter().map(|&p| F::from_u64(p as u64 + 1)).collect();
+        let weights = lagrange::basis_at(&xs, F::ZERO)?;
+        Ok(ZeroWeights { parties: parties.to_vec(), weights })
+    }
+
+    /// The providers, in weight order.
+    pub fn parties(&self) -> &[usize] {
+        &self.parties
+    }
+
+    /// The weights, one per provider.
+    pub fn weights(&self) -> &[F] {
+        &self.weights
+    }
+
+    /// Recombines at zero: `values[j]` is the evaluation held by
+    /// `parties()[j]`.
+    pub fn combine(&self, values: &[F]) -> F {
+        F::dot(&self.weights, values)
+    }
+}
+
+/// The powers `(i + 1)^c`, `c ≤ degree`, of every party's evaluation
+/// point: a polynomial of that degree is evaluated at all `n` points by
+/// one [`PrimeField::dot`] per party instead of a serially dependent
+/// Horner chain.
+///
+/// Building it costs `n · degree` multiplications, as much as one
+/// dealing, so a committee of dealers shares one table.
+#[derive(Debug, Clone)]
+pub struct PowerTable<F: PrimeField> {
+    width: usize,
+    powers: Vec<F>,
+}
+
+impl<F: PrimeField> PowerTable<F> {
+    /// Tabulates the powers `0..=degree` for parties `0..n`.
+    pub fn new(n: usize, degree: usize) -> Self {
+        let width = degree + 1;
+        let mut powers = vec![F::ONE; n * width];
+        for (i, row) in powers.chunks_exact_mut(width).enumerate() {
+            if let Some(x) = row.get_mut(1) {
+                *x = F::from_u64(i as u64 + 1);
+            }
+            // x^c = x^⌊c/2⌋ · x^⌈c/2⌉: both factors lie far behind c,
+            // so consecutive entries do not wait on each other.
+            for c in 2..width {
+                row[c] = row[c / 2] * row[c - c / 2];
+            }
+        }
+        PowerTable { width, powers }
+    }
+
+    /// The polynomial degree tabulated.
+    pub fn degree(&self) -> usize {
+        self.width - 1
+    }
+
+    /// Evaluates `Σ coeffs[c] · X^c` at every party's point, in party
+    /// order. `coeffs` must hold exactly `degree + 1` coefficients.
+    pub fn eval_all<'a>(&'a self, coeffs: &'a [F]) -> impl Iterator<Item = F> + 'a {
+        self.powers.chunks_exact(self.width).map(move |row| F::dot(coeffs, row))
+    }
 }
 
 /// Re-shares a share: party `i` deals a degree-`t` sub-sharing of its
@@ -208,15 +301,8 @@ pub fn recombine_subshares<F: PrimeField>(
     if providers.len() != subshares.len() || providers.len() < t + 1 {
         return Err(PssError::NotEnoughShares { got: providers.len().min(subshares.len()), need: t + 1 });
     }
-    let mut seen = std::collections::HashSet::new();
-    for &p in providers {
-        if !seen.insert(p) {
-            return Err(PssError::DuplicateParty(p));
-        }
-    }
-    let xs: Vec<F> = providers[..t + 1].iter().map(|&p| F::from_u64(p as u64 + 1)).collect();
-    let basis = lagrange::basis_at(&xs, F::ZERO)?;
-    Ok(basis.iter().zip(&subshares[..t + 1]).map(|(&b, &s)| b * s).sum())
+    check_distinct(providers.iter().copied())?;
+    Ok(ZeroWeights::new(&providers[..t + 1])?.combine(&subshares[..t + 1]))
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use yoso_field::{lagrange, PrimeField};
-use yoso_pss_sharing::{shamir, Share};
+use yoso_pss_sharing::shamir::{self, PowerTable, ZeroWeights};
+use yoso_pss_sharing::{PssError, Share};
 
 use crate::TeError;
 
@@ -215,6 +216,27 @@ impl<F: PrimeField> MockTe<F> {
         pd.party < pk.n && pd.value * pk.g == pk.vks[pd.party] * ct.u
     }
 
+    /// The Lagrange-at-zero weights of the first `t + 1` of `parties`
+    /// — the canonical subset every recombination in the scheme uses.
+    /// One weight vector serves every value those providers recombine.
+    ///
+    /// # Errors
+    ///
+    /// - [`TeError::NotEnoughPartials`] with fewer than `t + 1`.
+    /// - [`TeError::BadParty`] on out-of-range or duplicate indices.
+    pub fn zero_weights(pk: &PublicKey<F>, parties: &[usize]) -> Result<ZeroWeights<F>, TeError> {
+        let Some(head) = parties.get(..pk.t + 1) else {
+            return Err(TeError::NotEnoughPartials { got: parties.len(), need: pk.t + 1 });
+        };
+        if let Some(&p) = head.iter().find(|&&p| p >= pk.n) {
+            return Err(TeError::BadParty(p));
+        }
+        ZeroWeights::new(head).map_err(|e| match e {
+            PssError::DuplicateParty(p) => TeError::BadParty(p),
+            _ => TeError::InconsistentPartials,
+        })
+    }
+
     /// `TDec`: combines at least `t + 1` partial decryptions.
     ///
     /// Surplus partials are used for consistency checking.
@@ -240,18 +262,23 @@ impl<F: PrimeField> MockTe<F> {
             }
             seen[p.party] = true;
         }
-        // d_i = s_i·u lie on the degree-t polynomial u·f(X); interpolate
-        // at 0 to get u·f(0) = s·u.
-        let head = &partials[..pk.t + 1];
-        let xs: Vec<F> = head.iter().map(|p| F::from_u64(p.party as u64 + 1)).collect();
+        let (head, surplus) = partials.split_at(pk.t + 1);
+        let parties: Vec<usize> = head.iter().map(|p| p.party).collect();
         let ys: Vec<F> = head.iter().map(|p| p.value).collect();
-        let poly = lagrange::interpolate(&xs, &ys).map_err(|_| TeError::InconsistentPartials)?;
-        for p in &partials[pk.t + 1..] {
-            if poly.eval(F::from_u64(p.party as u64 + 1)) != p.value {
-                return Err(TeError::InconsistentPartials);
+        if !surplus.is_empty() {
+            // Only the consistency check needs the whole polynomial.
+            let xs: Vec<F> = parties.iter().map(|&p| F::from_u64(p as u64 + 1)).collect();
+            let poly =
+                lagrange::interpolate(&xs, &ys).map_err(|_| TeError::InconsistentPartials)?;
+            for p in surplus {
+                if poly.eval(F::from_u64(p.party as u64 + 1)) != p.value {
+                    return Err(TeError::InconsistentPartials);
+                }
             }
         }
-        let su = poly.eval(F::ZERO);
+        // d_i = s_i·u lie on the degree-t polynomial u·f(X); its value
+        // at 0 is u·f(0) = s·u.
+        let su = Self::zero_weights(pk, &parties)?.combine(&ys);
         Ok(ct.v - su)
     }
 
@@ -293,24 +320,30 @@ impl<F: PrimeField> MockTe<F> {
         pk: &PublicKey<F>,
         share: &KeyShare<F>,
     ) -> ReshareMsg<F> {
+        Self::reshare_with(rng, pk, share, &PowerTable::new(pk.n, pk.t)).0
+    }
+
+    /// [`Self::reshare`] through a caller-built
+    /// `PowerTable::new(pk.n, pk.t)` (one table serves a whole
+    /// committee of dealers). Also returns the sub-sharing polynomial's
+    /// coefficients, the witness of [`crate::nizk::reshare_proof`].
+    ///
+    /// Draws exactly `t` field elements from `rng`; evaluation draws
+    /// nothing.
+    pub fn reshare_with<R: Rng + ?Sized>(
+        rng: &mut R,
+        pk: &PublicKey<F>,
+        share: &KeyShare<F>,
+        table: &PowerTable<F>,
+    ) -> (ReshareMsg<F>, Vec<F>) {
         let mut coeffs = Vec::with_capacity(pk.t + 1);
         coeffs.push(share.value);
         for _ in 0..pk.t {
             coeffs.push(F::random(rng));
         }
         let commitments = coeffs.iter().map(|&a| a * pk.g).collect();
-        let subshares = (1..=pk.n as u64)
-            .map(|x| {
-                let xf = F::from_u64(x);
-                // Horner.
-                let mut acc = F::ZERO;
-                for &a in coeffs.iter().rev() {
-                    acc = acc * xf + a;
-                }
-                acc
-            })
-            .collect();
-        ReshareMsg { from: share.party, commitments, subshares }
+        let subshares = table.eval_all(&coeffs).collect();
+        (ReshareMsg { from: share.party, commitments, subshares }, coeffs)
     }
 
     /// Verifies the Feldman consistency of a re-share message: every
@@ -324,18 +357,11 @@ impl<F: PrimeField> MockTe<F> {
         {
             return false;
         }
-        for (m, &sub) in msg.subshares.iter().enumerate() {
-            let x = F::from_u64(m as u64 + 1);
-            // Committed evaluation: Σ_j x^j C_j should equal sub · g.
-            let mut acc = F::ZERO;
-            for &c in msg.commitments.iter().rev() {
-                acc = acc * x + c;
-            }
-            if acc != sub * pk.g {
-                return false;
-            }
-        }
-        true
+        // Committed evaluation: Σ_j x^j C_j should equal sub · g.
+        PowerTable::new(pk.n, pk.t)
+            .eval_all(&msg.commitments)
+            .zip(&msg.subshares)
+            .all(|(committed, &sub)| committed == sub * pk.g)
     }
 
     /// `TKRec`: recipient `j` combines the subshares addressed to it
@@ -346,26 +372,15 @@ impl<F: PrimeField> MockTe<F> {
     ///
     /// - [`TeError::NotEnoughPartials`] with fewer than `t + 1`
     ///   providers.
-    /// - [`TeError::BadParty`] on duplicate providers.
+    /// - [`TeError::BadParty`] on duplicate or out-of-range providers.
     pub fn recombine_key(
         pk: &PublicKey<F>,
         recipient: usize,
         msgs: &[&ReshareMsg<F>],
     ) -> Result<KeyShare<F>, TeError> {
-        if msgs.len() < pk.t + 1 {
-            return Err(TeError::NotEnoughPartials { got: msgs.len(), need: pk.t + 1 });
-        }
-        let providers: Vec<usize> = msgs[..pk.t + 1].iter().map(|m| m.from).collect();
-        let subs: Vec<F> = msgs[..pk.t + 1].iter().map(|m| m.subshares[recipient]).collect();
-        let mut seen = std::collections::HashSet::new();
-        for &p in &providers {
-            if !seen.insert(p) {
-                return Err(TeError::BadParty(p));
-            }
-        }
-        let value = shamir::recombine_subshares(&providers, &subs, pk.t)
-            .map_err(|_| TeError::InconsistentPartials)?;
-        Ok(KeyShare { party: recipient, value })
+        let weights = Self::reshare_weights(pk, msgs)?;
+        let subs: Vec<F> = msgs.iter().take(pk.t + 1).map(|m| m.subshares[recipient]).collect();
+        Ok(KeyShare { party: recipient, value: weights.combine(&subs) })
     }
 
     /// Derives the next committee's verification keys and public key
@@ -376,29 +391,43 @@ impl<F: PrimeField> MockTe<F> {
     ///
     /// Same conditions as [`Self::recombine_key`].
     pub fn next_public_key(pk: &PublicKey<F>, msgs: &[&ReshareMsg<F>]) -> Result<PublicKey<F>, TeError> {
-        if msgs.len() < pk.t + 1 {
-            return Err(TeError::NotEnoughPartials { got: msgs.len(), need: pk.t + 1 });
-        }
-        let head = &msgs[..pk.t + 1];
-        let provider_points: Vec<F> =
-            head.iter().map(|m| F::from_u64(m.from as u64 + 1)).collect();
-        let lag = lagrange::basis_at(&provider_points, F::ZERO)
-            .map_err(|_| TeError::InconsistentPartials)?;
-        // New vk_j = Σ_i lag_i · (committed evaluation of g_i at j+1).
-        let mut vks = Vec::with_capacity(pk.n);
-        for j in 0..pk.n {
-            let x = F::from_u64(j as u64 + 1);
-            let mut vk = F::ZERO;
-            for (msg, &li) in head.iter().zip(&lag) {
-                let mut acc = F::ZERO;
-                for &c in msg.commitments.iter().rev() {
-                    acc = acc * x + c;
-                }
-                vk += li * acc;
-            }
-            vks.push(vk);
-        }
+        let weights = Self::reshare_weights(pk, msgs)?;
+        let vks = Self::next_verification_keys(
+            &weights,
+            msgs.iter().map(|m| m.commitments.as_slice()),
+            &PowerTable::new(pk.n, pk.t),
+        );
         Ok(PublicKey { n: pk.n, t: pk.t, g: pk.g, h: pk.h, vks })
+    }
+
+    /// The recombination weights of the first `t + 1` senders.
+    fn reshare_weights(
+        pk: &PublicKey<F>,
+        msgs: &[&ReshareMsg<F>],
+    ) -> Result<ZeroWeights<F>, TeError> {
+        let providers: Vec<usize> = msgs.iter().map(|m| m.from).collect();
+        Self::zero_weights(pk, &providers)
+    }
+
+    /// The next verification keys `vk_j = Σ_i w_i · C_i(j + 1)` from
+    /// the providers' Feldman commitment vectors (`commitments` in
+    /// weight order, `table` a `PowerTable::new(pk.n, pk.t)`).
+    ///
+    /// The sum is taken over the polynomials first — one collapsed
+    /// `Σ_i w_i · C_i(X)` — and that is evaluated once per recipient:
+    /// `(t + 1)² + n·(t + 1)` multiplications instead of `n·(t + 1)²`.
+    pub fn next_verification_keys<'a>(
+        weights: &ZeroWeights<F>,
+        commitments: impl Iterator<Item = &'a [F]>,
+        table: &PowerTable<F>,
+    ) -> Vec<F> {
+        let mut collapsed = vec![F::ZERO; table.degree() + 1];
+        for (&w, poly) in weights.weights().iter().zip(commitments) {
+            for (acc, &c) in collapsed.iter_mut().zip(poly) {
+                *acc += w * c;
+            }
+        }
+        table.eval_all(&collapsed).collect()
     }
 
     /// `SimTPDec`: given a ciphertext, a target plaintext `m`, and at

@@ -58,10 +58,7 @@ impl<F: PrimeField> Statement<F> {
 
     /// Applies the map to a vector.
     fn apply(&self, w: &[F]) -> Vec<F> {
-        self.matrix
-            .iter()
-            .map(|row| row.iter().zip(w).map(|(&m, &v)| m * v).sum())
-            .collect()
+        self.matrix.iter().map(|row| F::dot(row, w)).collect()
     }
 
     /// Returns `true` if `w` satisfies the statement (prover-side

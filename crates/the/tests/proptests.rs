@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use yoso_field::{F61, PrimeField};
-use yoso_the::mock::{LinearPke, MockTe, ReshareMsg};
-use yoso_the::nizk;
+use yoso_field::{lagrange, F61, PrimeField};
+use yoso_the::mock::{LinearPke, MockTe, PartialDec, ReshareMsg};
+use yoso_the::{nizk, TeError};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
     rand::rngs::StdRng::seed_from_u64(seed)
@@ -136,5 +136,125 @@ proptest! {
         // A different key's proof does not transfer.
         let other = LinearPke::<F61>::keygen(&mut r);
         prop_assert!(!nizk::verify_share_proof(&other.public, slope, offset, published, &proof));
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shared-weights recombination against the per-item formulas it
+// replaced: a full `lagrange::interpolate` per value and a Horner chain
+// per evaluation. Field arithmetic is exact, so agreement is equality.
+// ---------------------------------------------------------------------
+
+/// The value at zero of the polynomial through `(party + 1, y)`.
+fn interpolated_at_zero(parties: &[usize], ys: &[F61]) -> F61 {
+    let xs: Vec<F61> = parties.iter().map(|&p| F61::from_u64(p as u64 + 1)).collect();
+    lagrange::interpolate(&xs, ys).unwrap().eval(F61::ZERO)
+}
+
+fn horner(coeffs: &[F61], x: F61) -> F61 {
+    coeffs.iter().rev().fold(F61::ZERO, |acc, &c| acc * x + c)
+}
+
+/// A random `(n, t)` with `t < n` and a random order of the members.
+fn committee_shape() -> impl Strategy<Value = (usize, usize, Vec<usize>)> {
+    (2usize..14).prop_flat_map(|n| (Just(n), 0..n, any::<u64>())).prop_map(|(n, t, order_seed)| {
+        use rand::seq::SliceRandom;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut rng(order_seed));
+        (n, t, order)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn combine_agrees_with_per_item_interpolation(
+        seed in any::<u64>(),
+        (n, t, order) in committee_shape(),
+        surplus in 0usize..4,
+        m in felt(),
+    ) {
+        let mut r = rng(seed);
+        let (pk, shares) = MockTe::<F61>::keygen(&mut r, n, t).unwrap();
+        let (ct, _) = MockTe::encrypt(&mut r, &pk, m);
+        let take = (t + 1 + surplus).min(n);
+        let partials: Vec<PartialDec<F61>> =
+            order[..take].iter().map(|&i| MockTe::partial_decrypt(&shares[i], &ct)).collect();
+        let ys: Vec<F61> = partials[..t + 1].iter().map(|p| p.value).collect();
+        let expect = ct.v - interpolated_at_zero(&order[..t + 1], &ys);
+        prop_assert_eq!(MockTe::combine(&pk, &ct, &partials), Ok(expect));
+        prop_assert_eq!(expect, m);
+
+        // One wrong surplus partial is still caught by the consistency check.
+        if take > t + 1 {
+            let mut bad = partials.clone();
+            bad[take - 1].value += F61::ONE;
+            prop_assert_eq!(MockTe::combine(&pk, &ct, &bad), Err(TeError::InconsistentPartials));
+        }
+        // Duplicate and out-of-range parties, in the head or the surplus.
+        let mut dup = partials.clone();
+        dup.push(partials[0]);
+        prop_assert_eq!(MockTe::combine(&pk, &ct, &dup), Err(TeError::BadParty(partials[0].party)));
+        let mut far = partials.clone();
+        far[0].party = n;
+        prop_assert_eq!(MockTe::combine(&pk, &ct, &far), Err(TeError::BadParty(n)));
+        prop_assert_eq!(
+            MockTe::combine(&pk, &ct, &partials[..t]),
+            Err(TeError::NotEnoughPartials { got: t, need: t + 1 })
+        );
+    }
+
+    #[test]
+    fn reshare_and_recombination_agree_with_horner_and_per_item_interpolation(
+        seed in any::<u64>(),
+        (n, t, order) in committee_shape(),
+    ) {
+        let mut r = rng(seed);
+        let (pk, shares) = MockTe::<F61>::keygen(&mut r, n, t).unwrap();
+
+        // Dealing: the same `t` draws, evaluated by Horner.
+        let msgs: Vec<ReshareMsg<F61>> = shares
+            .iter()
+            .map(|s| {
+                let mut reference = r.clone();
+                let msg = MockTe::reshare(&mut r, &pk, s);
+                let mut coeffs = vec![s.value];
+                coeffs.extend((0..t).map(|_| F61::random(&mut reference)));
+                for (j, &sub) in msg.subshares.iter().enumerate() {
+                    assert_eq!(sub, horner(&coeffs, F61::from_u64(j as u64 + 1)));
+                }
+                let committed: Vec<F61> = coeffs.iter().map(|&c| c * pk.g).collect();
+                assert_eq!(msg.commitments, committed);
+                assert!(MockTe::reshare_is_valid(&pk, &msg));
+                msg
+            })
+            .collect();
+
+        // Recombination and next-vk derivation from an arbitrary subset.
+        let providers: Vec<&ReshareMsg<F61>> = order[..t + 1].iter().map(|&i| &msgs[i]).collect();
+        let next = MockTe::next_public_key(&pk, &providers).unwrap();
+        for j in 0..n {
+            let x = F61::from_u64(j as u64 + 1);
+            let subs: Vec<F61> = providers.iter().map(|m| m.subshares[j]).collect();
+            let share = MockTe::recombine_key(&pk, j, &providers).unwrap();
+            prop_assert_eq!(share.value, interpolated_at_zero(&order[..t + 1], &subs));
+            let committed: Vec<F61> = providers.iter().map(|m| horner(&m.commitments, x)).collect();
+            prop_assert_eq!(next.vks[j], interpolated_at_zero(&order[..t + 1], &committed));
+        }
+
+        // A tampered subshare fails the Feldman check wherever it sits.
+        let mut bad = msgs[0].clone();
+        bad.subshares[n - 1] += F61::ONE;
+        prop_assert!(!MockTe::reshare_is_valid(&pk, &bad));
+        // Duplicate providers are still refused.
+        let mut twice = providers.clone();
+        twice[t] = twice[0];
+        if t > 0 {
+            prop_assert_eq!(
+                MockTe::recombine_key(&pk, 0, &twice),
+                Err(TeError::BadParty(twice[0].from))
+            );
+        }
     }
 }

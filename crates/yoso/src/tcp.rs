@@ -26,7 +26,10 @@
 //! (`u32` field count, then `u64` fields), `0xEE` error (str).
 //! Strings and byte strings are `u32`-length prefixed. Opcode `0x01`
 //! (the retired per-frame-acknowledged `PostBatch`) is unassigned and
-//! answered with `RESP_ERR` like any other unknown opcode.
+//! answered with `RESP_ERR` like any other unknown opcode. A
+//! `ReadRound`/`ReadFrom` whose postings would not fit one frame is
+//! answered with `RESP_ERR` naming the response size and the cap; the
+//! connection stays open.
 //!
 //! # Posting
 //!
@@ -271,7 +274,7 @@ pub struct ServerWireStats {
 }
 
 /// State shared between the accept loop and connection handlers.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ServerShared {
     log: ShardedRoundLog<RawPosting>,
     shutdown: AtomicBool,
@@ -280,9 +283,23 @@ struct ServerShared {
     conns: Mutex<Vec<(u64, TcpStream)>>,
     next_conn: AtomicU64,
     stats: ServerStats,
+    /// Largest read response served: [`MAX_FRAME`], lower only in
+    /// tests.
+    response_cap: usize,
 }
 
 impl ServerShared {
+    fn new(response_cap: usize) -> Self {
+        ServerShared {
+            log: ShardedRoundLog::default(),
+            shutdown: AtomicBool::new(false),
+            conns: Mutex::default(),
+            next_conn: AtomicU64::new(0),
+            stats: ServerStats::default(),
+            response_cap,
+        }
+    }
+
     /// Handles one decoded request body. The response (if any) is left
     /// in `conn.resp`; the returned [`Action`] tells the connection
     /// loop whether to send it and whether to keep the connection.
@@ -337,25 +354,17 @@ impl ServerShared {
             op::ADVANCE_ROUND => self.value_reply(conn, self.log.advance()),
             op::GET_ROUND => self.value_reply(conn, self.log.round()),
             op::GET_LEN => self.value_reply(conn, self.log.len() as u64),
-            op::READ_ROUND => {
+            op::READ_ROUND | op::READ_FROM => {
                 self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                match self.encode_round(conn, body) {
-                    Ok(()) => Action::Reply,
-                    Err(e) => {
-                        write_err(&mut conn.resp, &e.to_string());
-                        Action::Reply
-                    }
+                let encoded = if opcode == op::READ_ROUND {
+                    self.encode_round(conn, body)
+                } else {
+                    self.encode_from(conn, body)
+                };
+                if let Err(e) = encoded.and_then(|()| self.check_response_size(conn)) {
+                    write_err(&mut conn.resp, &e.to_string());
                 }
-            }
-            op::READ_FROM => {
-                self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                match self.encode_from(conn, body) {
-                    Ok(()) => Action::Reply,
-                    Err(e) => {
-                        write_err(&mut conn.resp, &e.to_string());
-                        Action::Reply
-                    }
-                }
+                Action::Reply
             }
             op::GET_STATS => {
                 let s = &self.stats;
@@ -454,6 +463,22 @@ impl ServerShared {
         self.stats.postings.fetch_add(count as u64, Ordering::Relaxed);
         self.stats.payload_bytes.fetch_add(payload_bytes, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Refuses a read response no frame can carry. The client gets the
+    /// size and the cap in a `RESP_ERR` on a connection that stays
+    /// usable, where sending the frame would fail and drop it.
+    fn check_response_size(&self, conn: &mut Conn) -> Result<(), BoardError> {
+        let len = conn.resp.len();
+        if len <= self.response_cap {
+            return Ok(());
+        }
+        conn.resp = Vec::new(); // do not keep the oversized buffer for the connection's life
+        Err(BoardError::Protocol(format!(
+            "read response of {len} bytes exceeds the {}-byte frame cap; \
+             read by round or from a later cursor",
+            self.response_cap
+        )))
     }
 
     fn encode_round(&self, conn: &mut Conn, body: &[u8]) -> Result<(), BoardError> {
@@ -567,7 +592,14 @@ impl BoardServer {
     pub fn bind(addr: SocketAddr) -> Result<Self, BoardError> {
         let listener = TcpListener::bind(addr).map_err(|e| io_err("bind", &e))?;
         listener.set_nonblocking(true).map_err(|e| io_err("set_nonblocking", &e))?;
-        Ok(BoardServer { listener, shared: Arc::new(ServerShared::default()) })
+        Ok(BoardServer { listener, shared: Arc::new(ServerShared::new(MAX_FRAME)) })
+    }
+
+    /// Lowers the read-response cap so a test can exceed it with a
+    /// small log.
+    #[cfg(test)]
+    fn with_response_cap(self, response_cap: usize) -> Self {
+        BoardServer { listener: self.listener, shared: Arc::new(ServerShared::new(response_cap)) }
     }
 
     /// The bound address (with the OS-assigned port when bound to `:0`).
@@ -1365,6 +1397,31 @@ mod tests {
         assert_eq!(resp.first(), Some(&op::RESP_ERR));
         let mut cur = WireCursor::new(&resp[1..]);
         assert!(cur.str().unwrap().contains("exceeds cap"));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn oversized_read_response_gets_named_error_and_the_connection_survives() {
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0)))
+            .unwrap()
+            .with_response_cap(256);
+        let mut handle = server.spawn().unwrap();
+        let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
+        let phase: Arc<str> = Arc::from("x");
+        assert_eq!(t.post_stream(&mut u64_records(2, &phase)).unwrap(), 2);
+        assert_eq!(t.read_from(0).unwrap().len(), 2, "two postings fit under the cap");
+        t.advance_round().unwrap();
+        assert_eq!(t.post_stream(&mut u64_records(40, &phase)).unwrap(), 40);
+        for err in [t.read_from(0).unwrap_err(), t.read_round(1).unwrap_err()] {
+            let BoardError::Protocol(msg) = err else { panic!("untyped failure: {err:?}") };
+            assert!(msg.contains("read response of"), "{msg}");
+            assert!(msg.contains("exceeds the 256-byte frame cap"), "{msg}");
+        }
+        // Same connection, same server: narrower reads and posts go on.
+        assert_eq!(t.read_round(0).unwrap().len(), 2);
+        assert_eq!(t.read_from(40).unwrap().len(), 2);
+        assert_eq!(t.post_stream(&mut u64_records(1, &phase)).unwrap(), 1);
+        assert_eq!(t.len().unwrap(), 43);
         handle.shutdown();
     }
 
