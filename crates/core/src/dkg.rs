@@ -26,60 +26,22 @@ use rand::Rng;
 use yoso_field::PrimeField;
 use yoso_runtime::{Behavior, BulletinBoard, Committee};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, PkeKeyPair, PkePublicKey, PublicKey};
-use yoso_the::nizk::{self, linear::Statement};
+use yoso_the::nizk;
 
 use crate::messages::{self, Post};
 use crate::tsk::TskChain;
 use crate::{ExecutionConfig, ProtocolError};
 
-const DOMAIN_DKG: &[u8] = b"yoso-pss/nizk/dkg-deal/v1";
+/// The deal proof is the tsk re-share relation
+/// ([`nizk::feldman_deal_statement`]) with the base `g` fixed by the DKG
+/// domain instead of an existing threshold key.
+const DOMAIN_DKG: &[u8] = b"yoso-pss/nizk/dkg-deal/v2";
 
 /// One member's posted deal.
 struct Deal<F: PrimeField> {
     commitments: Vec<F>,
     enc_subshares: Vec<Ciphertext<F>>,
     valid: bool,
-}
-
-/// The statement a dealer proves: knowledge of polynomial coefficients
-/// `(a_0 … a_t)` and encryption randomness `(r_1 … r_n)` with
-/// `C_l = a_l·g` and `ct_j = Enc(pk_j, f(j+1); r_j)` — the same linear
-/// shape as the tsk re-share proof, with the base `g` fixed by the DKG
-/// domain instead of an existing threshold key.
-fn deal_statement<F: PrimeField>(
-    g: F,
-    commitments: &[F],
-    recipient_pks: &[PkePublicKey<F>],
-    enc_subshares: &[Ciphertext<F>],
-) -> Statement<F> {
-    let t1 = commitments.len();
-    let n = recipient_pks.len();
-    let wlen = t1 + n;
-    let mut matrix = Vec::with_capacity(t1 + 2 * n);
-    let mut targets = Vec::with_capacity(t1 + 2 * n);
-    for (l, &c) in commitments.iter().enumerate() {
-        let mut row = vec![F::ZERO; wlen];
-        row[l] = g;
-        matrix.push(row);
-        targets.push(c);
-    }
-    for (j, (rpk, ct)) in recipient_pks.iter().zip(enc_subshares).enumerate() {
-        let x = F::from_u64(j as u64 + 1);
-        let mut row_u = vec![F::ZERO; wlen];
-        row_u[t1 + j] = rpk.g;
-        matrix.push(row_u);
-        targets.push(ct.u);
-        let mut row_v = vec![F::ZERO; wlen];
-        let mut xp = F::ONE;
-        for cell in row_v.iter_mut().take(t1) {
-            *cell = xp;
-            xp *= x;
-        }
-        row_v[t1 + j] = rpk.h;
-        matrix.push(row_v);
-        targets.push(ct.v);
-    }
-    Statement::new(matrix, targets)
 }
 
 /// Runs the DKG among `committee` (whose members hold `role_keys`),
@@ -119,7 +81,11 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
     use rand::SeedableRng;
 
     let n = committee.n();
-    assert_eq!(role_keys.len(), n, "one role key per member");
+    if role_keys.len() != n {
+        return Err(ProtocolError::BadParameters(format!(
+            "a DKG among a committee of {n} needs exactly that many role keys"
+        )));
+    }
     // The base g is a public constant derived from the DKG domain.
     let g = derive_base::<F>();
     let recipient_pks: Vec<PkePublicKey<F>> = role_keys.iter().map(|kp| kp.public).collect();
@@ -151,7 +117,7 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
                     rands.push(r);
                 }
                 let valid = if prove {
-                    let st = deal_statement(g, &commitments, &recipient_pks, &enc);
+                    let st = nizk::feldman_deal_statement(g, &commitments, &recipient_pks, &enc);
                     let mut witness = coeffs.clone();
                     witness.extend_from_slice(&rands);
                     let proof = nizk::prove_linear(&mut mrng, DOMAIN_DKG, &st, &witness);
@@ -170,9 +136,9 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
                     })
                     .collect();
                 let valid = if prove {
-                    let st = deal_statement(g, &commitments, &recipient_pks, &enc);
+                    let st = nizk::feldman_deal_statement(g, &commitments, &recipient_pks, &enc);
                     let proof = nizk::LinearProof::<F> {
-                        commitment: (0..st.targets.len()).map(|_| F::random(&mut mrng)).collect(),
+                        commitment: (0..st.targets().len()).map(|_| F::random(&mut mrng)).collect(),
                         response: (0..st.witness_len()).map(|_| F::random(&mut mrng)).collect(),
                     };
                     nizk::verify_linear(DOMAIN_DKG, &st, &proof)
@@ -332,5 +298,20 @@ mod tests {
         let cfg = ExecutionConfig::default();
         let err = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap_err();
         assert!(matches!(err, ProtocolError::NotEnoughContributions { .. }));
+    }
+
+    #[test]
+    fn wrong_role_key_count_is_a_typed_error() {
+        let mut r = rng();
+        let (n, t) = (5usize, 2usize);
+        let board = BulletinBoard::new();
+        let committee = Committee::honest("dkg", n);
+        let cfg = ExecutionConfig::default();
+        for count in [n - 1, n + 1] {
+            let keys = role_keys(&mut r, count);
+            let err = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap_err();
+            assert!(matches!(err, ProtocolError::BadParameters(_)), "{err}");
+        }
+        assert_eq!(board.meter().phase("setup/dkg").messages, 0);
     }
 }

@@ -38,6 +38,7 @@ use yoso_field::{allocstats, PrimeField};
 use yoso_pss_sharing::PackedSharing;
 use yoso_runtime::{Adversary, Behavior, BulletinBoard, Committee};
 use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey};
+use yoso_the::nizk::linear::{Statement, StatementError};
 use yoso_the::nizk::{self, enc_proof, verify_enc_proof, EncProof};
 
 use crate::messages::{self, ContributionStep, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
@@ -257,8 +258,8 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
                 let (cb, r) = MockTe::encrypt(&mut mrng, tpk, b_i);
                 let cc = Ciphertext { u: b_i * c_a.u, v: b_i * c_a.v };
                 let ok = if prove {
-                    let proof = beaver_b_proof(&mut mrng, tpk, &c_a, &cb, &cc, b_i, r);
-                    verify_beaver_b_proof(tpk, &c_a, &cb, &cc, &proof)
+                    beaver_b_proof(&mut mrng, tpk, &c_a, &cb, &cc, b_i, r)
+                        .is_ok_and(|proof| verify_beaver_b_proof(tpk, &c_a, &cb, &cc, &proof))
                 } else {
                     true
                 };
@@ -354,6 +355,8 @@ pub(crate) fn beaver_triples_in<F: PrimeField, R: Rng + ?Sized>(
     Ok(triples)
 }
 
+const DOMAIN_BEAVER_B: &[u8] = b"yoso-pss/nizk/beaver-b/v2";
+
 /// The b-side Beaver relation: witness `(b, r)` with
 /// `c_b = TEnc(b; r)` and `c_c = b · c_a`.
 fn beaver_b_statement<F: PrimeField>(
@@ -361,18 +364,20 @@ fn beaver_b_statement<F: PrimeField>(
     c_a: &Ciphertext<F>,
     c_b: &Ciphertext<F>,
     c_c: &Ciphertext<F>,
-) -> nizk::linear::Statement<F> {
-    nizk::linear::Statement::new(
+) -> Result<Statement<F>, StatementError> {
+    Statement::new(
+        2,
         vec![
-            vec![F::ZERO, tpk.g],
-            vec![F::ONE, tpk.h],
-            vec![c_a.u, F::ZERO],
-            vec![c_a.v, F::ZERO],
+            vec![(1, tpk.g)],
+            vec![(0, F::ONE), (1, tpk.h)],
+            vec![(0, c_a.u)],
+            vec![(0, c_a.v)],
         ],
         vec![c_b.u, c_b.v, c_c.u, c_c.v],
     )
 }
 
+/// The statement's shape is fixed, so the error arm is never taken.
 fn beaver_b_proof<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     tpk: &yoso_the::mock::PublicKey<F>,
@@ -381,9 +386,9 @@ fn beaver_b_proof<F: PrimeField, R: Rng + ?Sized>(
     c_c: &Ciphertext<F>,
     b: F,
     r: F,
-) -> nizk::LinearProof<F> {
-    let st = beaver_b_statement(tpk, c_a, c_b, c_c);
-    nizk::prove_linear(rng, b"yoso-pss/nizk/beaver-b/v1", &st, &[b, r])
+) -> Result<nizk::LinearProof<F>, StatementError> {
+    let st = beaver_b_statement(tpk, c_a, c_b, c_c)?;
+    Ok(nizk::prove_linear(rng, DOMAIN_BEAVER_B, &st, &[b, r]))
 }
 
 fn verify_beaver_b_proof<F: PrimeField>(
@@ -393,7 +398,8 @@ fn verify_beaver_b_proof<F: PrimeField>(
     c_c: &Ciphertext<F>,
     proof: &nizk::LinearProof<F>,
 ) -> bool {
-    nizk::verify_linear(b"yoso-pss/nizk/beaver-b/v1", &beaver_b_statement(tpk, c_a, c_b, c_c), proof)
+    beaver_b_statement(tpk, c_a, c_b, c_c)
+        .is_ok_and(|st| nizk::verify_linear(DOMAIN_BEAVER_B, &st, proof))
 }
 
 /// Step 4 packing: given the `k_b` per-wire mask ciphertexts of a

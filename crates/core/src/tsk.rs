@@ -30,6 +30,7 @@ use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::{PowerTable, ZeroWeights};
 use yoso_runtime::{ActiveAttack, Behavior, BulletinBoard, Committee, LeakLog};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, MockTe, PkeKeyPair, PkePublicKey, PublicKey};
+use yoso_the::nizk::linear::{Statement, StatementError};
 use yoso_the::nizk::{
     self, pdec_proof, reshare_proof, verify_pdec_proof, verify_reshare_proof, PdecProof,
     ReshareProof,
@@ -439,10 +440,10 @@ impl<F: PrimeField> TskChain<F> {
                         let d = share.value * ct.u;
                         let (enc, r) = LinearPke::encrypt(&mut mrng, target, d);
                         let ok = if prove {
-                            let proof = encrypted_partial_proof(
-                                &mut mrng, &self.pk, i, ct, target, &enc, d, r,
-                            );
-                            verify_encrypted_partial(&self.pk, i, ct, target, &enc, &proof)
+                            encrypted_partial_proof(&mut mrng, &self.pk, i, ct, target, &enc, d, r)
+                                .is_ok_and(|proof| {
+                                    verify_encrypted_partial(&self.pk, i, ct, target, &enc, &proof)
+                                })
                         } else {
                             true
                         };
@@ -659,12 +660,19 @@ impl<F: PrimeField> TskChain<F> {
     }
 }
 
+const DOMAIN_ENC_PDEC: &[u8] = b"yoso-pss/nizk/enc-pdec/v2";
+
 /// Builds and proves the `Re-encrypt` posting relation: the published
 /// ciphertext encrypts the *correct* partial decryption of `ct`
 /// (bound to the Feldman verification key `vk_i`).
 ///
 /// Witness `(d, r)`; rows: `d·g = vk_i·u_ct`, `enc.u = r·g_T`,
 /// `enc.v = d + r·h_T`.
+///
+/// # Errors
+///
+/// None in practice: the statement's shape is fixed, so its
+/// construction cannot fail.
 #[allow(clippy::too_many_arguments)]
 pub fn encrypted_partial_proof<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
@@ -675,9 +683,9 @@ pub fn encrypted_partial_proof<F: PrimeField, R: Rng + ?Sized>(
     enc: &Ciphertext<F>,
     d: F,
     r: F,
-) -> nizk::LinearProof<F> {
-    let st = encrypted_partial_statement(tpk, provider, ct, target, enc);
-    nizk::prove_linear(rng, b"yoso-pss/nizk/enc-pdec/v1", &st, &[d, r])
+) -> Result<nizk::LinearProof<F>, StatementError> {
+    let st = encrypted_partial_statement(tpk, provider, ct, target, enc)?;
+    Ok(nizk::prove_linear(rng, DOMAIN_ENC_PDEC, &st, &[d, r]))
 }
 
 /// Verifies a `Re-encrypt` posting proof.
@@ -689,11 +697,9 @@ pub fn verify_encrypted_partial<F: PrimeField>(
     enc: &Ciphertext<F>,
     proof: &nizk::LinearProof<F>,
 ) -> bool {
-    if provider >= tpk.vks.len() {
-        return false;
-    }
-    let st = encrypted_partial_statement(tpk, provider, ct, target, enc);
-    nizk::verify_linear(b"yoso-pss/nizk/enc-pdec/v1", &st, proof)
+    provider < tpk.vks.len()
+        && encrypted_partial_statement(tpk, provider, ct, target, enc)
+            .is_ok_and(|st| nizk::verify_linear(DOMAIN_ENC_PDEC, &st, proof))
 }
 
 fn encrypted_partial_statement<F: PrimeField>(
@@ -702,13 +708,10 @@ fn encrypted_partial_statement<F: PrimeField>(
     ct: &Ciphertext<F>,
     target: &PkePublicKey<F>,
     enc: &Ciphertext<F>,
-) -> yoso_the::nizk::linear::Statement<F> {
-    yoso_the::nizk::linear::Statement::new(
-        vec![
-            vec![tpk.g, F::ZERO],
-            vec![F::ZERO, target.g],
-            vec![F::ONE, target.h],
-        ],
+) -> Result<Statement<F>, StatementError> {
+    Statement::new(
+        2,
+        vec![vec![(0, tpk.g)], vec![(1, target.g)], vec![(0, F::ONE), (1, target.h)]],
         vec![tpk.vks[provider] * ct.u, enc.u, enc.v],
     )
 }

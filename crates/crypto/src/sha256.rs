@@ -93,16 +93,18 @@ impl Sha256 {
     /// Finalizes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        self.total_len -= 1; // padding doesn't count
-        while self.buffer_len != 56 {
-            self.update(&[0]);
-            self.total_len -= 1;
+        // Padding: 0x80, zeros, 8-byte big-endian bit length — written
+        // in one step. `update` keeps `buffer_len < 64`, so the 0x80
+        // byte always fits; the length needs a second block when fewer
+        // than 8 bytes remain after it.
+        let mut block = [0u8; 64];
+        block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        block[self.buffer_len] = 0x80;
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        let block_start = self.buffer_len;
-        self.buffer[block_start..block_start + 8].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
 
         let mut out = [0u8; 32];

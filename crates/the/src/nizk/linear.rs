@@ -1,8 +1,8 @@
 //! A Fiat–Shamir sigma protocol proving knowledge of a preimage under
 //! a public linear map over a prime field.
 //!
-//! **Relation.** For a public matrix `M ∈ F^{r×w}` and target vector
-//! `x ∈ F^r`, the prover knows `w ∈ F^w` with `M·w = x`.
+//! **Relation.** For a public (sparse) matrix `M ∈ F^{r×w}` and target
+//! vector `x ∈ F^r`, the prover knows `w ∈ F^w` with `M·w = x`.
 //!
 //! **Protocol.** Commit `a = M·ρ` for random `ρ`; challenge
 //! `e = H(M, x, a)`; response `z = ρ + e·w`. Verify `M·z = a + e·x`.
@@ -18,66 +18,197 @@
 //! linear over the field, so this single protocol is the NIZK engine of
 //! the whole protocol stack.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use rand::Rng;
 use yoso_crypto::Transcript;
 use yoso_field::PrimeField;
 
-/// A public statement: the linear map (dense rows) and the target
-/// vector. Row `i` asserts `Σ_j matrix[i][j] · w_j = targets[i]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+/// Why a [`Statement`] could not be built.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StatementError {
+    /// The row count and the target count differ.
+    RowTargetMismatch {
+        /// Rows given.
+        rows: usize,
+        /// Targets given.
+        targets: usize,
+    },
+    /// A row names a column outside the witness.
+    ColumnOutOfRange {
+        /// The offending row.
+        row: usize,
+        /// The column it names.
+        col: usize,
+        /// The witness length.
+        witness_len: usize,
+    },
+    /// A row's columns are not strictly increasing (unsorted or
+    /// duplicated).
+    ColumnsNotIncreasing {
+        /// The offending row.
+        row: usize,
+    },
+    /// A dimension does not fit in one field element, so the
+    /// Fiat–Shamir encoding could not represent it injectively.
+    DimensionTooLarge,
+}
+
+impl fmt::Display for StatementError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StatementError::RowTargetMismatch { rows, targets } => {
+                write!(f, "{rows} rows but {targets} targets")
+            }
+            StatementError::ColumnOutOfRange { row, col, witness_len } => {
+                write!(f, "row {row} names column {col} of a {witness_len}-element witness")
+            }
+            StatementError::ColumnsNotIncreasing { row } => {
+                write!(f, "row {row} has unsorted or duplicate columns")
+            }
+            StatementError::DimensionTooLarge => {
+                write!(f, "a dimension does not fit in one field element")
+            }
+        }
+    }
+}
+
+impl std::error::Error for StatementError {}
+
+/// A public statement: the linear map and the target vector. Row `i`
+/// asserts `Σ_(col, coeff) ∈ rows[i] coeff · w_col = targets[i]`.
+///
+/// The rows are held in one canonical sparse form — `(col, coeff)`
+/// pairs with `col < witness_len`, columns strictly increasing, no
+/// stored zero — so equal linear maps are equal values and hash to the
+/// same Fiat–Shamir input.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Statement<F: PrimeField> {
-    /// Dense rows of the linear map, each of length `witness_len`.
-    pub matrix: Vec<Vec<F>>,
-    /// The target vector, one entry per row.
-    pub targets: Vec<F>,
+    witness_len: usize,
+    rows: Vec<Vec<(usize, F)>>,
+    targets: Vec<F>,
 }
 
 impl<F: PrimeField> Statement<F> {
-    /// Creates a statement, validating shape.
+    /// Creates a statement over `witness_len` variables from sparse
+    /// rows. Explicit zero coefficients are dropped.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if rows have inconsistent lengths or the target count
-    /// does not match the row count.
-    pub fn new(matrix: Vec<Vec<F>>, targets: Vec<F>) -> Self {
-        assert_eq!(matrix.len(), targets.len(), "row/target count mismatch");
-        if let Some(first) = matrix.first() {
-            let w = first.len();
-            assert!(matrix.iter().all(|r| r.len() == w), "ragged matrix");
+    /// Rejects a row/target count mismatch, a column `≥ witness_len`,
+    /// columns that are not strictly increasing, and dimensions that do
+    /// not fit in a field element.
+    pub fn new(
+        witness_len: usize,
+        rows: Vec<Vec<(usize, F)>>,
+        targets: Vec<F>,
+    ) -> Result<Self, StatementError> {
+        Self::check_shape(witness_len, &rows, targets.len())?;
+        Ok(Self::canonical(witness_len, rows, targets))
+    }
+
+    /// [`Statement::new`] for the builders of this module tree, whose
+    /// rows have a valid shape by construction.
+    pub(super) fn canonical(
+        witness_len: usize,
+        mut rows: Vec<Vec<(usize, F)>>,
+        targets: Vec<F>,
+    ) -> Self {
+        debug_assert_eq!(Self::check_shape(witness_len, &rows, targets.len()), Ok(()));
+        for row in &mut rows {
+            row.retain(|(_, coeff)| !coeff.is_zero());
         }
-        Statement { matrix, targets }
+        Statement { witness_len, rows, targets }
+    }
+
+    fn check_shape(
+        witness_len: usize,
+        rows: &[Vec<(usize, F)>],
+        targets: usize,
+    ) -> Result<(), StatementError> {
+        if rows.len() != targets {
+            return Err(StatementError::RowTargetMismatch { rows: rows.len(), targets });
+        }
+        let fits = |v: usize| (v as u64) < F::MODULUS;
+        if !fits(witness_len) || !fits(rows.len()) {
+            return Err(StatementError::DimensionTooLarge);
+        }
+        for (row, entries) in rows.iter().enumerate() {
+            if !entries.windows(2).all(|pair| matches!(pair, [(a, _), (b, _)] if a < b)) {
+                return Err(StatementError::ColumnsNotIncreasing { row });
+            }
+            if let Some(&(col, _)) = entries.last().filter(|(col, _)| *col >= witness_len) {
+                return Err(StatementError::ColumnOutOfRange { row, col, witness_len });
+            }
+        }
+        Ok(())
     }
 
     /// Number of witness variables.
     pub fn witness_len(&self) -> usize {
-        self.matrix.first().map_or(0, |r| r.len())
+        self.witness_len
     }
 
-    /// Applies the map to a vector.
+    /// The sparse rows of the linear map.
+    pub fn rows(&self) -> &[Vec<(usize, F)>] {
+        &self.rows
+    }
+
+    /// The target vector, one entry per row.
+    pub fn targets(&self) -> &[F] {
+        &self.targets
+    }
+
+    /// Applies the map to a vector of `witness_len` elements, in
+    /// `O(nnz)`.
     fn apply(&self, w: &[F]) -> Vec<F> {
-        self.matrix.iter().map(|row| F::dot(row, w)).collect()
+        debug_assert_eq!(w.len(), self.witness_len);
+        self.rows
+            .iter()
+            .map(|row| row.iter().map(|&(col, coeff)| coeff * w[col]).sum())
+            .collect()
     }
 
     /// Returns `true` if `w` satisfies the statement (prover-side
     /// sanity check).
     pub fn is_satisfied_by(&self, w: &[F]) -> bool {
-        w.len() == self.witness_len() && self.apply(w) == self.targets
+        w.len() == self.witness_len && self.apply(w) == self.targets
     }
 
-    fn absorb_into(&self, t: &mut Transcript) {
-        t.absorb_u64(b"rows", self.matrix.len() as u64);
-        t.absorb_u64(b"cols", self.witness_len() as u64);
-        for row in &self.matrix {
-            for &c in row {
-                t.absorb_field(b"m", c);
+    /// Derives the challenge: the domain, then **one** bulk absorb of
+    ///
+    /// ```text
+    /// rows, witness_len,
+    /// for each row: len, (col, coeff) × len,
+    /// targets × rows, commitment × rows
+    /// ```
+    ///
+    /// as field elements. Every run is length-prefixed (by `rows` or by
+    /// the row's `len`) and the dimensions fit a field element
+    /// ([`Statement::new`] checks), so the encoding is an injective
+    /// function of the canonical statement and the commitment.
+    fn challenge(&self, domain: &[u8], commitment: &[F]) -> F {
+        debug_assert_eq!(commitment.len(), self.targets.len());
+        let int = |v: usize| F::from_u64(v as u64);
+        let nnz: usize = self.rows.iter().map(Vec::len).sum();
+        let mut enc = Vec::with_capacity(2 + 3 * self.rows.len() + 2 * nnz);
+        enc.push(int(self.rows.len()));
+        enc.push(int(self.witness_len));
+        for row in &self.rows {
+            enc.push(int(row.len()));
+            for &(col, coeff) in row {
+                enc.push(int(col));
+                enc.push(coeff);
             }
         }
-        for &x in &self.targets {
-            t.absorb_field(b"x", x);
-        }
+        enc.extend_from_slice(&self.targets);
+        enc.extend_from_slice(commitment);
+
+        let mut t = Transcript::new(domain);
+        t.absorb_fields(b"statement,commitment", &enc);
+        t.challenge_field(b"e")
     }
 }
 
@@ -114,14 +245,7 @@ pub fn prove<F: PrimeField, R: Rng + ?Sized>(
     debug_assert!(statement.is_satisfied_by(witness), "witness does not satisfy statement");
     let rho: Vec<F> = (0..statement.witness_len()).map(|_| F::random(rng)).collect();
     let commitment = statement.apply(&rho);
-
-    let mut t = Transcript::new(domain);
-    statement.absorb_into(&mut t);
-    for &a in &commitment {
-        t.absorb_field(b"a", a);
-    }
-    let e: F = t.challenge_field(b"e");
-
+    let e = statement.challenge(domain, &commitment);
     let response = rho.iter().zip(witness).map(|(&r, &w)| r + e * w).collect();
     Proof { commitment, response }
 }
@@ -133,13 +257,7 @@ pub fn verify<F: PrimeField>(domain: &[u8], statement: &Statement<F>, proof: &Pr
     {
         return false;
     }
-    let mut t = Transcript::new(domain);
-    statement.absorb_into(&mut t);
-    for &a in &proof.commitment {
-        t.absorb_field(b"a", a);
-    }
-    let e: F = t.challenge_field(b"e");
-
+    let e = statement.challenge(domain, &proof.commitment);
     let lhs = statement.apply(&proof.response);
     lhs.iter()
         .zip(proof.commitment.iter().zip(&statement.targets))
@@ -163,9 +281,9 @@ mod tests {
     fn example() -> (Statement<F61>, Vec<F61>) {
         // w = (3, 4); M = [[1, 2], [5, 6], [0, 1]]; x = M·w.
         let w = vec![f(3), f(4)];
-        let matrix = vec![vec![f(1), f(2)], vec![f(5), f(6)], vec![f(0), f(1)]];
+        let rows = vec![vec![(0, f(1)), (1, f(2))], vec![(0, f(5)), (1, f(6))], vec![(1, f(1))]];
         let targets = vec![f(11), f(39), f(4)];
-        (Statement::new(matrix, targets), w)
+        (Statement::new(2, rows, targets).unwrap(), w)
     }
 
     #[test]
@@ -219,7 +337,7 @@ mod tests {
     #[test]
     fn empty_witness_statement() {
         // Degenerate: no witness variables, rows must target zero.
-        let st = Statement::<F61>::new(vec![], vec![]);
+        let st = Statement::<F61>::new(0, vec![], vec![]).unwrap();
         let mut r = rng();
         let proof = prove(&mut r, b"test", &st, &[]);
         assert!(verify(b"test", &st, &proof));
@@ -250,14 +368,43 @@ mod tests {
         let mut r = rng();
         let z: Vec<F61> = (0..2).map(|_| yoso_field::PrimeField::random(&mut r)).collect();
         let e = f(99);
-        let mz = [
-            st.matrix[0][0] * z[0] + st.matrix[0][1] * z[1],
-            st.matrix[1][0] * z[0] + st.matrix[1][1] * z[1],
-            st.matrix[2][0] * z[0] + st.matrix[2][1] * z[1],
-        ];
+        let mz = st.apply(&z);
         let a: Vec<F61> = mz.iter().zip(&st.targets).map(|(&m, &x)| m - e * x).collect();
         for i in 0..3 {
             assert_eq!(mz[i], a[i] + e * st.targets[i]);
         }
+    }
+
+    #[test]
+    fn malformed_rows_are_typed_errors() {
+        let one = F61::ONE;
+        let new = |w, rows, targets| Statement::<F61>::new(w, rows, targets);
+        assert_eq!(
+            new(2, vec![vec![(0, one)]], vec![]),
+            Err(StatementError::RowTargetMismatch { rows: 1, targets: 0 })
+        );
+        assert_eq!(
+            new(2, vec![vec![(0, one), (2, one)]], vec![one]),
+            Err(StatementError::ColumnOutOfRange { row: 0, col: 2, witness_len: 2 })
+        );
+        assert_eq!(
+            new(0, vec![vec![(0, one)]], vec![one]),
+            Err(StatementError::ColumnOutOfRange { row: 0, col: 0, witness_len: 0 })
+        );
+        for bad in [vec![(1, one), (0, one)], vec![(1, one), (1, one)]] {
+            assert_eq!(
+                new(2, vec![vec![], bad], vec![one, one]),
+                Err(StatementError::ColumnsNotIncreasing { row: 1 })
+            );
+        }
+        // A field too small to hold a dimension cannot hash it
+        // injectively.
+        type F5 = yoso_field::Fp<5>;
+        assert_eq!(Statement::<F5>::new(5, vec![], vec![]), Err(StatementError::DimensionTooLarge));
+        assert_eq!(
+            Statement::<F5>::new(1, vec![vec![]; 5], vec![F5::ZERO; 5]),
+            Err(StatementError::DimensionTooLarge)
+        );
+        assert!(Statement::<F5>::new(4, vec![vec![]; 4], vec![F5::ZERO; 4]).is_ok());
     }
 }

@@ -1,7 +1,9 @@
 //! Concrete NIZKs for the mock threshold scheme, built on the generic
 //! linear sigma protocol ([`super::linear`]).
 //!
-//! Domain separators keep the proof types mutually unforgeable.
+//! Domain separators keep the proof types mutually unforgeable. They are
+//! at `/v2`: the Fiat–Shamir input format changed (see
+//! [`super::linear`]), and a proof hashed the `/v1` way must not verify.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -11,10 +13,10 @@ use yoso_field::PrimeField;
 use super::linear::{self, Statement};
 use crate::mock::{Ciphertext, PkePublicKey, PublicKey};
 
-const DOMAIN_ENC: &[u8] = b"yoso-pss/nizk/enc/v1";
-const DOMAIN_PDEC: &[u8] = b"yoso-pss/nizk/pdec/v1";
-const DOMAIN_RESHARE: &[u8] = b"yoso-pss/nizk/reshare/v1";
-const DOMAIN_SHARE: &[u8] = b"yoso-pss/nizk/share/v1";
+const DOMAIN_ENC: &[u8] = b"yoso-pss/nizk/enc/v2";
+const DOMAIN_PDEC: &[u8] = b"yoso-pss/nizk/pdec/v2";
+const DOMAIN_RESHARE: &[u8] = b"yoso-pss/nizk/reshare/v2";
+const DOMAIN_SHARE: &[u8] = b"yoso-pss/nizk/share/v2";
 
 /// Proof of correct encryption: knowledge of `(m, r)` with
 /// `ct = (r·g, m + r·h)`.
@@ -32,11 +34,8 @@ impl<F: PrimeField> EncProof<F> {
 }
 
 fn enc_statement<F: PrimeField>(g: F, h: F, ct: &Ciphertext<F>) -> Statement<F> {
-    // Witness (m, r): u = 0·m + g·r; v = 1·m + h·r.
-    Statement::new(
-        vec![vec![F::ZERO, g], vec![F::ONE, h]],
-        vec![ct.u, ct.v],
-    )
+    // Witness (m, r): u = g·r; v = 1·m + h·r.
+    Statement::canonical(2, vec![vec![(1, g)], vec![(0, F::ONE), (1, h)]], vec![ct.u, ct.v])
 }
 
 /// Proves correct encryption under the threshold public key.
@@ -76,7 +75,7 @@ impl<F: PrimeField> PdecProof<F> {
 }
 
 fn pdec_statement<F: PrimeField>(g: F, vk: F, u: F, d: F) -> Statement<F> {
-    Statement::new(vec![vec![g], vec![u]], vec![vk, d])
+    Statement::canonical(1, vec![vec![(0, g)], vec![(0, u)]], vec![vk, d])
 }
 
 /// Proves correct partial decryption by party `party`.
@@ -126,45 +125,49 @@ impl<F: PrimeField> ReshareProof<F> {
     }
 }
 
-#[allow(clippy::needless_range_loop)]
-fn reshare_statement<F: PrimeField>(
-    pk: &PublicKey<F>,
+/// The statement of a Feldman deal with encrypted evaluations:
+/// knowledge of polynomial coefficients `(a_0 … a_t)` and encryption
+/// randomness `(r_1 … r_n)` with `C_j = a_j·g` and
+/// `ct_m = Enc(pk_m, f(m + 1); r_m)`. Both the tsk re-share proof
+/// (`g` = the threshold key's base) and the DKG deal proof are this
+/// relation.
+///
+/// `t + 3` non-zeros per recipient and one per commitment, instead of
+/// a dense `(t + 1 + 2n) × (t + 1 + n)` matrix.
+pub fn feldman_deal_statement<F: PrimeField>(
+    g: F,
     commitments: &[F],
     recipient_pks: &[PkePublicKey<F>],
     encrypted_subshares: &[Ciphertext<F>],
 ) -> Statement<F> {
     let t1 = commitments.len(); // t + 1 coefficients
     let n = recipient_pks.len();
-    let wlen = t1 + n; // (a_0 … a_t, r_1 … r_n)
-    let mut matrix = Vec::with_capacity(t1 + 2 * n);
+    let mut rows = Vec::with_capacity(t1 + 2 * n);
     let mut targets = Vec::with_capacity(t1 + 2 * n);
     // Commitments: C_j = a_j · g.
     for (j, &c) in commitments.iter().enumerate() {
-        let mut row = vec![F::ZERO; wlen];
-        row[j] = pk.g;
-        matrix.push(row);
+        rows.push(vec![(j, g)]);
         targets.push(c);
     }
     // Subshare ciphertexts to recipient m (point x = m + 1):
     //   u_m = r_m · g_m;   v_m = Σ_j x^j a_j + r_m · h_m.
     for (m, (rpk, ct)) in recipient_pks.iter().zip(encrypted_subshares).enumerate() {
-        let x = F::from_u64(m as u64 + 1);
-        let mut row_u = vec![F::ZERO; wlen];
-        row_u[t1 + m] = rpk.g;
-        matrix.push(row_u);
+        rows.push(vec![(t1 + m, rpk.g)]);
         targets.push(ct.u);
 
-        let mut row_v = vec![F::ZERO; wlen];
+        let x = F::from_u64(m as u64 + 1);
+        let mut row_v = Vec::with_capacity(t1 + 1);
         let mut xp = F::ONE;
         for j in 0..t1 {
-            row_v[j] = xp;
+            row_v.push((j, xp));
             xp *= x;
         }
-        row_v[t1 + m] = rpk.h;
-        matrix.push(row_v);
+        row_v.push((t1 + m, rpk.h));
+        rows.push(row_v);
         targets.push(ct.v);
     }
-    Statement::new(matrix, targets)
+    // Witness (a_0 … a_t, r_1 … r_n).
+    Statement::canonical(t1 + n, rows, targets)
 }
 
 /// Proves a re-share message correct with respect to encrypted
@@ -181,7 +184,7 @@ pub fn reshare_proof<F: PrimeField, R: Rng + ?Sized>(
     coeffs: &[F],
     enc_randomness: &[F],
 ) -> ReshareProof<F> {
-    let st = reshare_statement(pk, msg_commitments, recipient_pks, encrypted_subshares);
+    let st = feldman_deal_statement(pk.g, msg_commitments, recipient_pks, encrypted_subshares);
     let mut witness = coeffs.to_vec();
     witness.extend_from_slice(enc_randomness);
     ReshareProof { inner: linear::prove(rng, DOMAIN_RESHARE, &st, &witness) }
@@ -203,7 +206,7 @@ pub fn verify_reshare_proof<F: PrimeField>(
     {
         return false;
     }
-    let st = reshare_statement(pk, msg_commitments, recipient_pks, encrypted_subshares);
+    let st = feldman_deal_statement(pk.g, msg_commitments, recipient_pks, encrypted_subshares);
     linear::verify(DOMAIN_RESHARE, &st, &proof.inner)
 }
 
@@ -232,8 +235,9 @@ fn share_statement<F: PrimeField>(
     published: F,
 ) -> Statement<F> {
     // Witness (k): h = k·g; published − offset = −slope·k.
-    Statement::new(
-        vec![vec![kff_pk.g], vec![-slope]],
+    Statement::canonical(
+        1,
+        vec![vec![(0, kff_pk.g)], vec![(0, -slope)]],
         vec![kff_pk.h, published - offset],
     )
 }
@@ -408,5 +412,46 @@ mod tests {
         // (witness length 1 vs 2), so this must fail.
         let fake = EncProof { inner: proof.inner.clone() };
         assert!(!verify_enc_proof(&pk, &ct, &fake));
+    }
+
+    #[test]
+    fn v1_domain_proofs_do_not_verify() {
+        // The same sigma protocol run under the retired `/v1`
+        // separators: correct statement, correct witness, wrong domain.
+        let mut r = rng();
+        let (pk, shares) = Te::keygen(&mut r, 5, 2).unwrap();
+        let (ct, enc_r) = Te::encrypt(&mut r, &pk, f(7));
+        let st = enc_statement(pk.g, pk.h, &ct);
+        let inner = linear::prove(&mut r, b"yoso-pss/nizk/enc/v1", &st, &[f(7), enc_r]);
+        assert!(linear::verify(b"yoso-pss/nizk/enc/v1", &st, &inner));
+        assert!(!verify_enc_proof(&pk, &ct, &EncProof { inner }));
+
+        let d = Te::partial_decrypt(&shares[1], &ct).value;
+        let st = pdec_statement(pk.g, pk.vks[1], ct.u, d);
+        let inner = linear::prove(&mut r, b"yoso-pss/nizk/pdec/v1", &st, &[shares[1].value]);
+        assert!(!verify_pdec_proof(&pk, &ct, 1, d, &PdecProof { inner }));
+
+        let kp = LinearPke::<F61>::keygen(&mut r);
+        let published = f(1000) - kp.secret.scalar * f(17);
+        let st = share_statement(&kp.public, f(17), f(1000), published);
+        let inner = linear::prove(&mut r, b"yoso-pss/nizk/share/v1", &st, &[kp.secret.scalar]);
+        assert!(!verify_share_proof(&kp.public, f(17), f(1000), published, &ShareProof { inner }));
+
+        let coeffs = [shares[0].value, f(5), f(6)];
+        let commitments: Vec<F61> = coeffs.iter().map(|&a| a * pk.g).collect();
+        let rpks: Vec<_> = (0..5).map(|_| LinearPke::<F61>::keygen(&mut r).public).collect();
+        let (cts, rands): (Vec<_>, Vec<_>) = rpks
+            .iter()
+            .zip(1u64..)
+            .map(|(rpk, x)| {
+                LinearPke::encrypt(&mut r, rpk, coeffs[0] + coeffs[1] * f(x) + coeffs[2] * f(x * x))
+            })
+            .unzip();
+        let st = feldman_deal_statement(pk.g, &commitments, &rpks, &cts);
+        let witness = [&coeffs[..], &rands[..]].concat();
+        let inner = linear::prove(&mut r, b"yoso-pss/nizk/reshare/v1", &st, &witness);
+        assert!(!verify_reshare_proof(&pk, 0, &commitments, &rpks, &cts, &ReshareProof { inner }));
+        let inner = linear::prove(&mut r, DOMAIN_RESHARE, &st, &witness);
+        assert!(verify_reshare_proof(&pk, 0, &commitments, &rpks, &cts, &ReshareProof { inner }));
     }
 }

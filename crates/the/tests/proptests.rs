@@ -4,8 +4,11 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
+use yoso_crypto::Transcript;
 use yoso_field::{lagrange, F61, PrimeField};
 use yoso_the::mock::{LinearPke, MockTe, PartialDec, ReshareMsg};
+use yoso_the::nizk::linear::Statement;
+use yoso_the::nizk::LinearProof;
 use yoso_the::{nizk, TeError};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -257,4 +260,268 @@ proptest! {
             );
         }
     }
+}
+
+// --- Fiat–Shamir binding of the sparse linear statement ------------------
+
+type Dense = Vec<Vec<F61>>;
+
+fn to_dense(st: &Statement<F61>) -> Dense {
+    let mut m = vec![vec![F61::ZERO; st.witness_len()]; st.rows().len()];
+    for (dense, sparse) in m.iter_mut().zip(st.rows()) {
+        for &(col, coeff) in sparse {
+            dense[col] = coeff;
+        }
+    }
+    m
+}
+
+fn to_sparse(m: &Dense) -> Vec<Vec<(usize, F61)>> {
+    m.iter()
+        .map(|row| row.iter().copied().enumerate().filter(|(_, c)| !c.is_zero()).collect())
+        .collect()
+}
+
+fn mat_vec(m: &Dense, w: &[F61]) -> Vec<F61> {
+    m.iter().map(|row| row.iter().zip(w).map(|(&a, &b)| a * b).sum()).collect()
+}
+
+fn from_dense(witness_len: usize, m: &Dense, targets: &[F61]) -> Statement<F61> {
+    Statement::new(witness_len, to_sparse(m), targets.to_vec()).unwrap()
+}
+
+fn has_two_nonzero(xs: &[F61]) -> bool {
+    xs.iter().filter(|x| !x.is_zero()).count() >= 2
+}
+
+/// Tampers with `st` in every way the challenge must bind — each
+/// non-zero changed, moved along its row and moved along its column,
+/// then `witness_len`, the row count, each target, each commitment
+/// entry and the domain — and returns the tamperings `proof` still
+/// verifies under. Where the verifier's equations alone
+/// would still hold (an unused extra column, an extra `0 = 0` row, a
+/// dropped row), the proof is reshaped to fit, so only the hash can
+/// reject it.
+///
+/// `st` needs two non-zero targets: a response satisfies a row with
+/// target zero under *every* challenge, so a statement left with none
+/// accepts whatever the hash says.
+fn accepted_tamperings(
+    domain: &[u8],
+    st: &Statement<F61>,
+    proof: &LinearProof<F61>,
+) -> Vec<String> {
+    let w = st.witness_len();
+    let m = to_dense(st);
+    let targets = st.targets();
+    assert!(has_two_nonzero(targets));
+    let mut accepted = Vec::new();
+    let mut case = |what: String, st: Statement<F61>, proof: LinearProof<F61>| {
+        if nizk::verify_linear(domain, &st, &proof) {
+            accepted.push(what);
+        }
+    };
+
+    for (i, row) in m.iter().enumerate() {
+        for (j, _) in row.iter().enumerate().filter(|(_, c)| !c.is_zero()) {
+            let mut changed = m.clone();
+            changed[i][j] += F61::ONE;
+            case(format!("({i},{j}) changed"), from_dense(w, &changed, targets), proof.clone());
+            for j2 in (0..w).filter(|&j2| m[i][j2].is_zero()) {
+                let mut moved = m.clone();
+                moved[i].swap(j, j2);
+                case(format!("({i},{j}) moved to column {j2}"), from_dense(w, &moved, targets), proof.clone());
+            }
+            for i2 in (0..m.len()).filter(|&i2| m[i2][j].is_zero()) {
+                let mut moved = m.clone();
+                moved[i2][j] = moved[i][j];
+                moved[i][j] = F61::ZERO;
+                case(format!("({i},{j}) moved to row {i2}"), from_dense(w, &moved, targets), proof.clone());
+            }
+        }
+    }
+
+    let wider = Statement::new(w + 1, st.rows().to_vec(), targets.to_vec()).unwrap();
+    case("witness_len + 1".into(), wider.clone(), proof.clone());
+    let mut padded = proof.clone();
+    padded.response.push(F61::ZERO);
+    case("witness_len + 1, response padded".into(), wider, padded);
+
+    let mut rows = st.rows().to_vec();
+    let mut longer_targets = targets.to_vec();
+    let mut longer = proof.clone();
+    rows.push(Vec::new());
+    longer_targets.push(F61::ZERO);
+    longer.commitment.push(F61::ZERO);
+    case("an empty row appended".into(), Statement::new(w, rows, longer_targets).unwrap(), longer);
+    if let Some((_, kept)) = targets.split_last() {
+        let mut shorter = proof.clone();
+        shorter.commitment.pop();
+        let rows = st.rows()[..kept.len()].to_vec();
+        case("last row dropped".into(), Statement::new(w, rows, kept.to_vec()).unwrap(), shorter);
+    }
+
+    for i in 0..targets.len() {
+        let mut off = targets.to_vec();
+        off[i] += F61::ONE;
+        case(format!("target {i} changed"), Statement::new(w, st.rows().to_vec(), off).unwrap(), proof.clone());
+        let mut forged = proof.clone();
+        forged.commitment[i] += F61::ONE;
+        case(format!("commitment {i} changed"), st.clone(), forged);
+    }
+
+    let other = [domain, b"!"].concat();
+    if nizk::verify_linear(&other, st, proof) {
+        accepted.push("domain changed".into());
+    }
+    accepted
+}
+
+/// Draws only zeros, so `prove` masks with `ρ = 0`.
+struct ZeroRng;
+
+impl rand::RngCore for ZeroRng {
+    fn next_u32(&mut self) -> u32 {
+        0
+    }
+    fn next_u64(&mut self) -> u64 {
+        0
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        dest.fill(0);
+    }
+}
+
+/// A random small linear map (about half its entries zero) with a
+/// witness.
+fn small_system() -> impl Strategy<Value = (Dense, Vec<F61>)> {
+    (1usize..6, 1usize..6).prop_flat_map(|(rows, cols)| {
+        let entry = prop_oneof![Just(F61::ZERO), felt()];
+        (
+            prop::collection::vec(prop::collection::vec(entry, cols..cols + 1), rows..rows + 1),
+            prop::collection::vec(felt(), cols..cols + 1),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn challenge_binds_every_part_of_a_random_statement(
+        seed in any::<u64>(),
+        (m, witness) in small_system(),
+    ) {
+        let targets = mat_vec(&m, &witness);
+        prop_assume!(has_two_nonzero(&targets));
+        let st = from_dense(witness.len(), &m, &targets);
+        let proof = nizk::prove_linear(&mut rng(seed), b"binding", &st, &witness);
+        prop_assert!(nizk::verify_linear(b"binding", &st, &proof));
+        prop_assert_eq!(accepted_tamperings(b"binding", &st, &proof), Vec::<String>::new());
+    }
+
+    /// With all-zero masks and a witness that is zero outside column 0,
+    /// `a = 0` and `z = e·w`, so `M′·z = a + e·x` holds for *every* `M′`
+    /// that differs from `M` outside column 0: the verifier's equations
+    /// cannot tell such statements apart and only the challenge can.
+    #[test]
+    fn challenge_alone_rejects_tampering_the_equations_cannot_see(
+        (m, witness) in small_system(),
+    ) {
+        let mut witness = witness;
+        witness[1..].fill(F61::ZERO);
+        let targets = mat_vec(&m, &witness);
+        prop_assume!(has_two_nonzero(&targets));
+        let st = from_dense(witness.len(), &m, &targets);
+        let proof = nizk::prove_linear(&mut ZeroRng, b"binding", &st, &witness);
+        prop_assert!(proof.commitment.iter().all(|a| a.is_zero()));
+        prop_assert!(nizk::verify_linear(b"binding", &st, &proof));
+        prop_assert_eq!(accepted_tamperings(b"binding", &st, &proof), Vec::<String>::new());
+    }
+
+    #[test]
+    fn sparse_apply_equals_the_dense_mat_vec(seed in any::<u64>(), (m, witness) in small_system()) {
+        let targets = mat_vec(&m, &witness);
+        let st = from_dense(witness.len(), &m, &targets);
+        prop_assert!(st.is_satisfied_by(&witness));
+        let mut off = witness.clone();
+        off[0] += F61::ONE;
+        prop_assert_eq!(st.is_satisfied_by(&off), mat_vec(&m, &off) == targets);
+        // The commitment is the map applied to the masks, which `prove`
+        // draws first.
+        let mut r = rng(seed);
+        let mut replay = r.clone();
+        let proof = nizk::prove_linear(&mut r, b"apply", &st, &witness);
+        let masks: Vec<F61> = witness.iter().map(|_| F61::random(&mut replay)).collect();
+        prop_assert_eq!(proof.commitment, mat_vec(&m, &masks));
+    }
+
+    #[test]
+    fn explicit_zeros_give_the_same_statement_and_proof(
+        seed in any::<u64>(),
+        (m, witness) in small_system(),
+    ) {
+        let targets = mat_vec(&m, &witness);
+        let with_zeros: Vec<Vec<(usize, F61)>> =
+            m.iter().map(|row| row.iter().copied().enumerate().collect()).collect();
+        let dense = Statement::new(witness.len(), with_zeros, targets.clone()).unwrap();
+        let sparse = from_dense(witness.len(), &m, &targets);
+        prop_assert_eq!(&dense, &sparse);
+        prop_assert_eq!(
+            nizk::prove_linear(&mut rng(seed), b"canonical", &dense, &witness),
+            nizk::prove_linear(&mut rng(seed), b"canonical", &sparse, &witness)
+        );
+    }
+
+    #[test]
+    fn bulk_absorb_binds_split_and_label(a in felt(), b in felt()) {
+        let challenge = |absorb: &dyn Fn(&mut Transcript)| {
+            let mut t = Transcript::new(b"bulk");
+            absorb(&mut t);
+            t.challenge_bytes(b"c")
+        };
+        let bulk = challenge(&|t| t.absorb_fields(b"x", &[a, b]));
+        prop_assert_eq!(bulk, challenge(&|t| t.absorb_fields(b"x", &[a, b])));
+        prop_assert_ne!(bulk, challenge(&|t| {
+            t.absorb_fields(b"x", &[a]);
+            t.absorb_fields(b"x", &[b]);
+        }));
+        prop_assert_ne!(bulk, challenge(&|t| {
+            t.absorb_field(b"x", a);
+            t.absorb_field(b"x", b);
+        }));
+        prop_assert_ne!(bulk, challenge(&|t| t.absorb_fields(b"y", &[a, b])));
+        prop_assert_ne!(bulk, challenge(&|t| t.absorb_fields(b"x", &[a, b, F61::ZERO])));
+    }
+}
+
+#[test]
+fn challenge_binds_every_part_of_a_real_reshare_statement() {
+    let (n, t) = (16usize, 7usize);
+    let mut r = rng(16);
+    let (pk, shares) = MockTe::<F61>::keygen(&mut r, n, t).unwrap();
+    let recipient_pks: Vec<_> = (0..n).map(|_| LinearPke::<F61>::keygen(&mut r).public).collect();
+    let mut coeffs = vec![shares[3].value];
+    coeffs.extend((0..t).map(|_| F61::random(&mut r)));
+    let commitments: Vec<F61> = coeffs.iter().map(|&a| a * pk.g).collect();
+    let (cts, rands): (Vec<_>, Vec<_>) = recipient_pks
+        .iter()
+        .enumerate()
+        .map(|(m, rpk)| LinearPke::encrypt(&mut r, rpk, horner(&coeffs, F61::from_u64(m as u64 + 1))))
+        .unzip();
+
+    let st = nizk::feldman_deal_statement(pk.g, &commitments, &recipient_pks, &cts);
+    assert_eq!((st.rows().len(), st.witness_len()), (t + 1 + 2 * n, t + 1 + n));
+    let nnz: usize = st.rows().iter().map(Vec::len).sum();
+    assert_eq!(nnz, (t + 1) + n + n * (t + 2));
+    let witness = [coeffs.clone(), rands.clone()].concat();
+    assert!(st.is_satisfied_by(&witness));
+
+    let proof = nizk::prove_linear(&mut r, b"reshare-binding", &st, &witness);
+    assert!(nizk::verify_linear(b"reshare-binding", &st, &proof));
+    assert_eq!(accepted_tamperings(b"reshare-binding", &st, &proof), Vec::<String>::new());
+
+    // It is the statement `reshare_proof` proves.
+    let proof = nizk::reshare_proof(&mut r, &pk, &commitments, &recipient_pks, &cts, &coeffs, &rands);
+    assert!(nizk::verify_reshare_proof(&pk, 3, &commitments, &recipient_pks, &cts, &proof));
 }
