@@ -422,11 +422,11 @@ impl Engine {
         note_stage("online", &mut stage_start);
         sb.finish()?;
         // A sharded worker's own meter saw only the posts it appended;
-        // rebuild the per-phase statistics from the shared transcript
-        // so every worker reports the full run. A streaming run has
-        // folded every sealed round already — absorb the final open
-        // round and report from the accumulator (identical stats,
-        // no materialization).
+        // rebuild the per-phase statistics from the shared transcript,
+        // one round per read, so every worker reports the full run. A
+        // streaming run has folded every sealed round already — absorb
+        // the final open round and report from the accumulator
+        // (identical stats, no materialization).
         let transcript_hash = match acc.as_mut() {
             Some(a) => {
                 a.finish(board)?;
@@ -437,7 +437,7 @@ impl Engine {
         let phases = match &acc {
             Some(a) => a.phases(),
             None if partition.is_solo() => board.meter().phases(),
-            None => yoso_runtime::phases_from_postings(&board.postings()?),
+            None => board.transcript_phases()?,
         };
         Ok(RunResult {
             outputs: online.outputs,

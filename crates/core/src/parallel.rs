@@ -73,17 +73,18 @@ impl PostBuffer {
 
     /// Converts the buffer into a lazy stream of transport records in
     /// recording order, tagged with the recorder's ownership flags.
-    /// Consecutive posts sharing a phase label share one `Arc<str>`
-    /// allocation.
+    /// Phase labels are the ones interned by `board`'s meter (looked up
+    /// once per run of equal labels), so no record allocates a label.
     pub(crate) fn into_record_iter(
         self,
-    ) -> impl Iterator<Item = (bool, PostRecord<Post>)> {
+        board: &BulletinBoard<Post>,
+    ) -> impl Iterator<Item = (bool, PostRecord<Post>)> + '_ {
         let mut last: Option<(&'static str, Arc<str>)> = None;
         self.posts.into_iter().map(move |p| {
             let phase = match &last {
                 Some((label, shared)) if *label == p.phase => Arc::clone(shared),
                 _ => {
-                    let shared: Arc<str> = Arc::from(p.phase);
+                    let shared = board.meter().intern(p.phase);
                     last = Some((p.phase, Arc::clone(&shared)));
                     shared
                 }
@@ -107,7 +108,7 @@ impl PostBuffer {
     /// stream straight into the transport's frame encoder without an
     /// intermediate `Vec<PostRecord>`.
     pub(crate) fn flush(self, board: &BulletinBoard<Post>) -> Result<(), BoardError> {
-        board.post_record_stream(self.into_record_iter().map(|(_, r)| r)).map(|_| ())
+        board.post_record_stream(self.into_record_iter(board).map(|(_, r)| r)).map(|_| ())
     }
 }
 

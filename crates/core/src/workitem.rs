@@ -283,7 +283,7 @@ impl<'a> ShardedBoard<'a> {
                 pos,
                 PostRecord {
                     from,
-                    phase: std::sync::Arc::from(phase),
+                    phase: self.board.meter().intern(phase),
                     message,
                     elements,
                     bytes: messages::to_bytes(elements),
@@ -306,7 +306,7 @@ impl<'a> ShardedBoard<'a> {
             return Ok(());
         }
         let mut st = self.lock();
-        for (owned, record) in buffer.into_record_iter() {
+        for (owned, record) in buffer.into_record_iter(self.board) {
             let pos = st.pos;
             st.pos += 1;
             if owned {

@@ -11,7 +11,10 @@ use yoso_core::{
     Engine, ExecutionConfig, ProtocolError, ProtocolParams, RolePartition, RunResult,
 };
 use yoso_field::F61;
-use yoso_runtime::{ActiveAttack, Adversary, BulletinBoard};
+use yoso_runtime::{
+    ActiveAttack, Adversary, BoardError, BoardTransport, BulletinBoard, InProcessTransport,
+    PostRecord, Posting, RoleId,
+};
 
 fn f(v: u64) -> F61 {
     F61::from(v)
@@ -58,9 +61,20 @@ fn sharded_run(
     workers: usize,
     adversary: &Adversary,
 ) -> (String, Vec<RunResult<F61>>) {
-    let (circuit, inputs) = workload(params);
     let board: BulletinBoard<Post> = BulletinBoard::new();
-    let runs: Vec<RunResult<F61>> = std::thread::scope(|s| {
+    let runs = sharded_run_on(&board, params, workers, adversary);
+    (render(&board), runs)
+}
+
+/// [`sharded_run`] on a caller-supplied (fresh) board.
+fn sharded_run_on(
+    board: &BulletinBoard<Post>,
+    params: ProtocolParams,
+    workers: usize,
+    adversary: &Adversary,
+) -> Vec<RunResult<F61>> {
+    let (circuit, inputs) = workload(params);
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let board = board.clone();
@@ -77,8 +91,101 @@ fn sharded_run(
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    (render(&board), runs)
+    })
+}
+
+/// The in-process transport with its reads counted: whole-log reads
+/// (`read_from(0)`, `for_each`) apart from round-scoped ones.
+#[derive(Default)]
+struct CountingTransport {
+    inner: InProcessTransport<Post>,
+    whole_log_reads: std::sync::atomic::AtomicUsize,
+    round_reads: std::sync::atomic::AtomicUsize,
+}
+
+impl CountingTransport {
+    fn bump(counter: &std::sync::atomic::AtomicUsize) {
+        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+impl BoardTransport<Post> for CountingTransport {
+    fn post_batch(&self, records: Vec<PostRecord<Post>>) -> Result<(), BoardError> {
+        self.inner.post_batch(records)
+    }
+    fn post_stream(
+        &self,
+        records: &mut dyn Iterator<Item = PostRecord<Post>>,
+    ) -> Result<u64, BoardError> {
+        self.inner.post_stream(records)
+    }
+    fn post_slice(
+        &self,
+        from: &RoleId,
+        phase: &std::sync::Arc<str>,
+        messages: &[Post],
+        elements: u64,
+        bytes: u64,
+    ) -> Result<(), BoardError> {
+        self.inner.post_slice(from, phase, messages, elements, bytes)
+    }
+    fn advance_round(&self) -> Result<u64, BoardError> {
+        self.inner.advance_round()
+    }
+    fn round(&self) -> Result<u64, BoardError> {
+        self.inner.round()
+    }
+    fn len(&self) -> Result<usize, BoardError> {
+        self.inner.len()
+    }
+    fn read_round(&self, round: u64) -> Result<Vec<Posting<Post>>, BoardError> {
+        Self::bump(&self.round_reads);
+        self.inner.read_round(round)
+    }
+    fn read_from(&self, cursor: usize) -> Result<Vec<Posting<Post>>, BoardError> {
+        if cursor == 0 {
+            Self::bump(&self.whole_log_reads);
+        }
+        self.inner.read_from(cursor)
+    }
+    fn for_each(&self, f: &mut dyn FnMut(&Posting<Post>)) -> Result<(), BoardError> {
+        Self::bump(&self.whole_log_reads);
+        self.inner.for_each(f)
+    }
+    fn for_each_in_round(
+        &self,
+        round: u64,
+        f: &mut dyn FnMut(&Posting<Post>),
+    ) -> Result<(), BoardError> {
+        Self::bump(&self.round_reads);
+        self.inner.for_each_in_round(round, f)
+    }
+    fn backend_name(&self) -> &'static str {
+        "counting"
+    }
+}
+
+#[test]
+fn workers_rebuild_phase_stats_round_by_round() {
+    // A worker's meter saw only its own posts, so its `phases` come
+    // from the shared transcript — read one round at a time, never as
+    // one whole-log snapshot (over TCP that snapshot is a single frame
+    // that outgrows the frame cap at large n).
+    let params = ProtocolParams::new(10, 2, 3).unwrap();
+    let adv = Adversary::none();
+    let (_, solo) = solo_run(params, &adv);
+    let transport = std::sync::Arc::new(CountingTransport::default());
+    let board = BulletinBoard::with_transport(
+        std::sync::Arc::clone(&transport) as std::sync::Arc<dyn BoardTransport<Post>>
+    );
+    let runs = sharded_run_on(&board, params, 2, &adv);
+    for run in &runs {
+        assert_eq!(solo.phases, run.phases);
+    }
+    let load = |c: &std::sync::atomic::AtomicUsize| c.load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(load(&transport.whole_log_reads), 0);
+    // Each worker reads rounds 0..=rounds once.
+    assert_eq!(load(&transport.round_reads) as u64, 2 * (solo.rounds + 1));
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!
 //! The board itself is a thin façade over a pluggable
 //! [`BoardTransport`]: the default [`InProcessTransport`] keeps
-//! postings in this process with round-indexed storage; the
+//! postings in this process in a run-length, round-indexed log; the
 //! [`crate::tcp`] backend talks to a `board-server` process so
 //! committee drivers and auditors can run as separate OS processes.
 //! Metering stays local to the posting process either way.
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use crate::metrics::CommMeter;
 use crate::role::RoleId;
 use crate::transport::{
-    BoardError, BoardTransport, InProcessTransport, PostRecord, WireMessage,
+    same_label, BoardError, BoardTransport, InProcessTransport, PostRecord, WireMessage,
 };
 
 /// One posting on the board.
@@ -75,13 +75,13 @@ impl<M> Clone for BulletinBoard<M> {
     }
 }
 
-impl<M: Clone + Send + Sync + 'static> Default for BulletinBoard<M> {
+impl<M: Clone + PartialEq + Send + Sync + 'static> Default for BulletinBoard<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: Clone + Send + Sync + 'static> BulletinBoard<M> {
+impl<M: Clone + PartialEq + Send + Sync + 'static> BulletinBoard<M> {
     /// Creates an empty in-process board with a fresh meter.
     pub fn new() -> Self {
         Self::with_transport(Arc::new(InProcessTransport::new()))
@@ -95,7 +95,9 @@ impl<M: Clone + Send + Sync + 'static> BulletinBoard<M> {
         b.audit = false;
         b
     }
+}
 
+impl<M: Clone + Send + Sync + 'static> BulletinBoard<M> {
     /// Creates a board over an explicit transport backend.
     pub fn with_transport(transport: Arc<dyn BoardTransport<M>>) -> Self {
         BulletinBoard { transport, meter: CommMeter::new(), audit: true }
@@ -182,25 +184,20 @@ impl<M> BulletinBoard<M> {
         elements: u64,
         bytes: u64,
     ) -> Result<(), BoardError> {
-        self.meter.record(phase, elements, bytes);
+        let phase = self.meter.record_many(phase, elements, bytes, 1);
         if !self.audit {
             return Ok(());
         }
-        self.transport.post_batch(vec![PostRecord {
-            from,
-            phase: Arc::from(phase),
-            message,
-            elements,
-            bytes,
-        }])
+        let record = PostRecord { from, phase, message, elements, bytes };
+        self.transport.post_stream(&mut std::iter::once(record)).map(|_| ())
     }
 
     /// Posts a batch of same-sized messages from one role under one
     /// phase, taking the transport's write lock (or sending one TCP
-    /// frame) **once** for the whole batch. The phase label is
-    /// allocated once and shared by every posting, and in-process
-    /// appends are a monomorphic slice loop — no per-message
-    /// allocation or dispatch.
+    /// frame) **once** for the whole batch. The phase label is the
+    /// meter's interned one, shared by every posting of the phase, and
+    /// in-process appends are a monomorphic slice loop — no
+    /// per-message allocation or dispatch.
     ///
     /// # Errors
     ///
@@ -217,7 +214,7 @@ impl<M> BulletinBoard<M> {
         M: Clone,
     {
         let count = messages.len() as u64;
-        self.meter.record_many(
+        let shared = self.meter.record_many(
             phase,
             elements_each * count,
             bytes_each * count,
@@ -226,7 +223,6 @@ impl<M> BulletinBoard<M> {
         if !self.audit || messages.is_empty() {
             return Ok(());
         }
-        let shared: Arc<str> = Arc::from(phase);
         self.transport.post_slice(&from, &shared, messages, elements_each, bytes_each)
     }
 
@@ -336,6 +332,27 @@ impl<M> BulletinBoard<M> {
         mut f: F,
     ) -> Result<(), BoardError> {
         self.transport.for_each_in_round(round, &mut f)
+    }
+
+    /// Per-phase communication stats rebuilt from the transcript, in
+    /// label order — what [`phases_from_postings`] returns for
+    /// [`Self::postings`], folded one round at a time so the log is
+    /// never materialized whole (in process nothing is cloned; a remote
+    /// backend ships one round per read instead of one frame holding
+    /// the entire history). The caller must know the transcript is
+    /// complete: rounds `0..=round()` are read once each.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures (remote backends only).
+    pub fn transcript_phases(
+        &self,
+    ) -> Result<Vec<(String, crate::metrics::PhaseStats)>, BoardError> {
+        let mut by_phase = PhaseTable::new();
+        for round in 0..=self.round()? {
+            self.for_each_in_round(round, |p| tally(&mut by_phase, p))?;
+        }
+        Ok(by_phase.into_iter().collect())
     }
 
     /// Drops all postings of sealed rounds before `round` — the
@@ -453,9 +470,7 @@ impl<M, I: Iterator<Item = PostRecord<M>>> Iterator for MeteredRecords<'_, M, I>
         match self.inner.next() {
             Some(r) => {
                 match &mut self.run {
-                    Some((phase, elements, bytes, count))
-                        if phase.as_ref() == r.phase.as_ref() =>
-                    {
+                    Some((phase, elements, bytes, count)) if same_label(phase, &r.phase) => {
                         *elements += r.elements;
                         *bytes += r.bytes;
                         *count += 1;
@@ -535,15 +550,26 @@ fn wait_until<T>(
 pub fn phases_from_postings<M>(
     postings: &[Posting<M>],
 ) -> Vec<(String, crate::metrics::PhaseStats)> {
-    let mut by_phase =
-        std::collections::BTreeMap::<String, crate::metrics::PhaseStats>::new();
+    let mut by_phase = PhaseTable::new();
     for p in postings {
-        let s = by_phase.entry(p.phase.to_string()).or_default();
-        s.elements += p.elements;
-        s.bytes += p.bytes;
-        s.messages += 1;
+        tally(&mut by_phase, p);
     }
     by_phase.into_iter().collect()
+}
+
+type PhaseTable = std::collections::BTreeMap<String, crate::metrics::PhaseStats>;
+
+/// Adds one posting to its phase's stats, allocating the key only the
+/// first time a label is seen.
+fn tally<M>(by_phase: &mut PhaseTable, p: &Posting<M>) {
+    let one =
+        crate::metrics::PhaseStats { elements: p.elements, bytes: p.bytes, messages: 1 };
+    match by_phase.get_mut(&*p.phase) {
+        Some(s) => s.merge(&one),
+        None => {
+            by_phase.insert(p.phase.to_string(), one);
+        }
+    }
 }
 
 /// The seed of the 64-bit FNV-1a hash over transcript lines.
@@ -562,7 +588,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// accumulator never re-reads a round it has absorbed.
 #[derive(Debug, Clone)]
 pub struct PhaseAccumulator {
-    by_phase: std::collections::BTreeMap<String, crate::metrics::PhaseStats>,
+    by_phase: PhaseTable,
     next_round: u64,
     postings: u64,
     hash: u64,
@@ -579,7 +605,7 @@ impl PhaseAccumulator {
     /// An empty accumulator positioned before round 0.
     pub fn new() -> Self {
         PhaseAccumulator {
-            by_phase: std::collections::BTreeMap::new(),
+            by_phase: PhaseTable::new(),
             next_round: 0,
             postings: 0,
             hash: FNV_OFFSET,
@@ -590,10 +616,7 @@ impl PhaseAccumulator {
     /// Folds one posting into the stats and the transcript hash.
     fn absorb<M: std::fmt::Debug>(&mut self, p: &Posting<M>) {
         use std::fmt::Write as _;
-        let s = self.by_phase.entry(p.phase.to_string()).or_default();
-        s.elements += p.elements;
-        s.bytes += p.bytes;
-        s.messages += 1;
+        tally(&mut self.by_phase, p);
         self.line.clear();
         let _ = writeln!(self.line, "{}|{}|{}|{:?}", p.round, p.from, p.phase, p.message);
         for &b in self.line.as_bytes() {

@@ -10,6 +10,11 @@
 //! phases: counters are per-phase atomics behind a shared read lock,
 //! so parallel workers replaying posts never serialize on the meter.
 //! The write lock is taken only the first time a phase label appears.
+//!
+//! The map's keys double as the board's **phase-label interner**: each
+//! label is allocated once, as an `Arc<str>`, and every recording call
+//! hands that allocation back, so the postings of a phase all alias one
+//! label and the audit log can tell "same phase" by pointer.
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -69,7 +74,7 @@ impl PhaseCounters {
 /// serialize each other.
 #[derive(Debug, Clone, Default)]
 pub struct CommMeter {
-    inner: Arc<RwLock<BTreeMap<String, Arc<PhaseCounters>>>>,
+    inner: Arc<RwLock<BTreeMap<Arc<str>, PhaseCounters>>>,
 }
 
 impl CommMeter {
@@ -78,24 +83,37 @@ impl CommMeter {
         Self::default()
     }
 
-    fn counters(&self, phase: &str) -> Arc<PhaseCounters> {
-        if let Some(c) = self.inner.read().get(phase) {
-            return Arc::clone(c);
-        }
-        let mut g = self.inner.write();
-        Arc::clone(g.entry(phase.to_string()).or_default())
-    }
-
     /// Records a posting of `elements` ring elements / `bytes` bytes
     /// under `phase`.
     pub fn record(&self, phase: &str, elements: u64, bytes: u64) {
-        self.counters(phase).add(elements, bytes, 1);
+        self.record_many(phase, elements, bytes, 1);
     }
 
     /// Records a whole batch under `phase` in one update: `messages`
-    /// postings totalling `elements` elements / `bytes` bytes.
-    pub fn record_many(&self, phase: &str, elements: u64, bytes: u64, messages: u64) {
-        self.counters(phase).add(elements, bytes, messages);
+    /// postings totalling `elements` elements / `bytes` bytes. Returns
+    /// the meter's shared allocation of the label — the one to put on
+    /// the postings this call accounts for.
+    pub fn record_many(&self, phase: &str, elements: u64, bytes: u64, messages: u64) -> Arc<str> {
+        if let Some((label, c)) = self.inner.read().get_key_value(phase) {
+            c.add(elements, bytes, messages);
+            return Arc::clone(label);
+        }
+        let mut g = self.inner.write();
+        // If another recorder registered the label between the two
+        // locks the entry is occupied and `key()` is its allocation.
+        let entry = g.entry(Arc::from(phase));
+        let label = Arc::clone(entry.key());
+        entry.or_default().add(elements, bytes, messages);
+        label
+    }
+
+    /// The shared allocation of `phase`'s label, registering the phase
+    /// with zero traffic if this meter has not seen it — for posts that
+    /// are labelled now and metered when they are appended (a sharded
+    /// worker's pending runs, the parallel engine's replay buffers, any
+    /// caller building [`crate::PostRecord`]s by hand).
+    pub fn intern(&self, phase: &str) -> Arc<str> {
+        self.record_many(phase, 0, 0, 0)
     }
 
     /// The stats for one phase (zero if never recorded).
@@ -125,7 +143,7 @@ impl CommMeter {
 
     /// All phases in label order.
     pub fn phases(&self) -> Vec<(String, PhaseStats)> {
-        self.inner.read().iter().map(|(k, v)| (k.clone(), v.snapshot())).collect()
+        self.inner.read().iter().map(|(k, v)| (k.to_string(), v.snapshot())).collect()
     }
 
     /// Clears all recorded stats.
@@ -195,6 +213,21 @@ mod tests {
         }
         b.record_many("x", 21, 168, 7);
         assert_eq!(a.phase("x"), b.phase("x"));
+    }
+
+    #[test]
+    fn labels_are_interned_once_per_phase() {
+        let m = CommMeter::new();
+        let a = m.record_many("offline/1-beaver", 3, 24, 1);
+        let b = m.intern("offline/1-beaver");
+        let c = m.record_many(&String::from("offline/1-beaver"), 1, 8, 1);
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &c));
+        assert!(!Arc::ptr_eq(&a, &m.intern("online/3-mult")));
+        // Interning meters nothing.
+        assert_eq!(m.phase("offline/1-beaver").messages, 2);
+        assert_eq!(m.phase("online/3-mult"), PhaseStats::default());
+        // Clones of the meter share the table.
+        assert!(Arc::ptr_eq(&a, &m.clone().intern("offline/1-beaver")));
     }
 
     #[test]

@@ -11,7 +11,9 @@ use crate::adversary::Behavior;
 ///
 /// The committee label is reference-counted so cloning a `RoleId` —
 /// which batched board posting does once per record — is a refcount
-/// bump, not a string allocation.
+/// bump, not a string allocation. Every role a [`Committee`] hands out
+/// shares the committee's own label allocation, which is what lets the
+/// board's run-length log recognise same-committee postings by pointer.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct RoleId {
     /// The committee this role belongs to (e.g. `"off-1"`, `"on-3"`).
@@ -93,8 +95,9 @@ impl SpeakOnce {
 /// A committee of `n` roles with the adversary's per-role behaviors.
 #[derive(Debug, Clone)]
 pub struct Committee {
-    /// The committee label (also the committee part of member roles).
-    pub name: String,
+    /// The committee label (also the committee part of member roles,
+    /// which alias this allocation).
+    pub name: Arc<str>,
     /// Per-member behavior, as assigned by the adversary.
     pub behaviors: Vec<Behavior>,
 }
@@ -102,12 +105,12 @@ pub struct Committee {
 impl Committee {
     /// Creates a fully honest committee.
     pub fn honest(name: impl Into<String>, n: usize) -> Self {
-        Committee { name: name.into(), behaviors: vec![Behavior::Honest; n] }
+        Committee::with_behaviors(name, vec![Behavior::Honest; n])
     }
 
     /// Creates a committee with explicit behaviors.
     pub fn with_behaviors(name: impl Into<String>, behaviors: Vec<Behavior>) -> Self {
-        Committee { name: name.into(), behaviors }
+        Committee { name: Arc::from(name.into()), behaviors }
     }
 
     /// Committee size.
@@ -122,7 +125,7 @@ impl Committee {
     /// Panics if `i` is out of range.
     pub fn role(&self, i: usize) -> RoleId {
         assert!(i < self.n(), "member index out of range");
-        RoleId::new(self.name.clone(), i)
+        RoleId { committee: Arc::clone(&self.name), index: i }
     }
 
     /// The behavior of member `i`.
@@ -198,6 +201,16 @@ mod tests {
         assert_eq!(c.crashed_by(1), Vec::<usize>::new());
         assert_eq!(c.crashed_by(2), vec![2]);
         assert_eq!(c.role(1), RoleId::new("on-1", 1));
+    }
+
+    #[test]
+    fn member_roles_share_the_committee_label_allocation() {
+        let c = Committee::honest("off-1", 4);
+        let (a, b) = (c.role(0), c.role(3));
+        assert!(Arc::ptr_eq(&a.committee, &c.name));
+        assert!(Arc::ptr_eq(&a.committee, &b.committee));
+        // A clone of the committee keeps sharing it too.
+        assert!(Arc::ptr_eq(&c.clone().role(1).committee, &c.name));
     }
 
     #[test]

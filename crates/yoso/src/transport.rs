@@ -8,10 +8,12 @@
 //! metering and audit semantics while the transport decides *where*
 //! postings live —
 //!
-//! - [`InProcessTransport`]: the in-memory backend, with **round-indexed
-//!   storage** (a `round_starts` index mapping each round to its slice
-//!   of the posting log) so round-scoped reads are `O(round size)` and
-//!   iteration never clones history;
+//! - [`InProcessTransport`]: the in-memory backend, a **run-length**
+//!   posting log (what consecutive postings share is stored once per
+//!   run, a posting itself costs one member index) with a
+//!   `round_starts` index mapping each round to its range of sequence
+//!   numbers, so round-scoped reads are `O(round size)` and iteration
+//!   never clones history;
 //! - [`crate::tcp::TcpTransport`]: a length-prefix-framed TCP client
 //!   talking to a `board-server` process, so committee drivers and
 //!   auditors can run as separate OS processes.
@@ -211,83 +213,231 @@ pub trait BoardTransport<M>: Send + Sync {
     fn backend_name(&self) -> &'static str;
 }
 
-/// Round-indexed in-memory posting storage shared by the in-process
-/// transport and (in raw-payload form) the TCP server: an append-only
-/// log plus `round_starts`, where `round_starts[r]` is the log index
-/// of round `r`'s first posting. Round `r` occupies
-/// `round_starts[r] .. round_starts[r+1]` (or the log end for the
-/// current round), so round-scoped reads touch exactly that slice.
-#[derive(Debug)]
-pub(crate) struct RoundLog<P> {
-    pub(crate) postings: Vec<P>,
-    pub(crate) round_starts: Vec<usize>,
-    pub(crate) round: u64,
-    /// Retention watermark: number of postings dropped from the front
-    /// of the log. Sequence numbers, `round_starts` and cursors stay
-    /// *absolute* — `postings[0]` is absolute index `base` — so
-    /// readers above the watermark are unaffected by drops below it.
-    pub(crate) base: usize,
+/// Whether two labels are the same string. Labels handed out by one
+/// [`crate::Committee`] or one [`crate::CommMeter`] alias one
+/// allocation, so the pointer test settles the hot path; labels that
+/// were allocated separately still compare by value.
+pub(crate) fn same_label(a: &Arc<str>, b: &Arc<str>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
 }
 
-impl<P> Default for RoundLog<P> {
-    fn default() -> Self {
-        RoundLog { postings: Vec::new(), round_starts: vec![0], round: 0, base: 0 }
+/// What the consecutive postings of one run share: everything a
+/// [`Posting`] carries except the member index.
+#[derive(Debug)]
+struct Run<M> {
+    /// Absolute sequence number of the run's first posting. The run
+    /// ends where the next one starts (or at the log end).
+    start: usize,
+    round: u64,
+    committee: Arc<str>,
+    phase: Arc<str>,
+    message: M,
+    elements: u64,
+    bytes: u64,
+}
+
+impl<M: Clone> Run<M> {
+    /// The run's posting by member `index`.
+    fn posting(&self, index: usize) -> Posting<M> {
+        Posting {
+            round: self.round,
+            from: RoleId { committee: Arc::clone(&self.committee), index },
+            phase: Arc::clone(&self.phase),
+            message: self.message.clone(),
+            elements: self.elements,
+            bytes: self.bytes,
+        }
     }
 }
 
-impl<P> RoundLog<P> {
+/// Run-length in-memory posting storage of the in-process transport.
+///
+/// A committee step posts `n` messages that differ only in who sent
+/// them, so the log stores the shared part once per [`Run`] and one
+/// member index per posting in the flat `members` column. A posting
+/// extends the last run when its round, committee, phase, message and
+/// metered size all equal the run's; anything else starts a new run.
+/// Runs never span a round tick, so `round_starts` — `round_starts[r]`
+/// is the sequence number of round `r`'s first posting, round `r`
+/// occupying `round_starts[r] .. round_starts[r+1]` (or the log end for
+/// the open round) — always cuts between runs.
+#[derive(Debug)]
+struct RunLog<M> {
+    runs: Vec<Run<M>>,
+    /// Member index of every retained posting; `members[0]` is the
+    /// posting with absolute sequence number `base`.
+    members: Vec<usize>,
+    round_starts: Vec<usize>,
+    round: u64,
+    /// Retention watermark: number of postings dropped from the front
+    /// of the log. Sequence numbers, run starts, `round_starts` and
+    /// cursors stay *absolute*, so readers above the watermark are
+    /// unaffected by drops below it.
+    base: usize,
+}
+
+impl<M> Default for RunLog<M> {
+    fn default() -> Self {
+        RunLog { runs: Vec::new(), members: Vec::new(), round_starts: vec![0], round: 0, base: 0 }
+    }
+}
+
+impl<M> RunLog<M> {
     /// Total postings ever appended (dropped ones included) — the
     /// sequence number the next posting will get.
-    pub(crate) fn abs_len(&self) -> usize {
-        self.base + self.postings.len()
+    fn abs_len(&self) -> usize {
+        self.base + self.members.len()
     }
 
-    /// The `[lo, hi)` **absolute** log range holding round `round`'s
+    /// The `[lo, hi)` **absolute** range holding round `round`'s
     /// postings.
-    pub(crate) fn round_range(&self, round: u64) -> std::ops::Range<usize> {
-        let r = round as usize;
-        let lo = self.round_starts.get(r).copied().unwrap_or(self.abs_len());
-        let hi = self.round_starts.get(r + 1).copied().unwrap_or(self.abs_len());
-        lo..hi
+    fn round_range(&self, round: u64) -> std::ops::Range<usize> {
+        let start_of = |r: usize| self.round_starts.get(r).copied().unwrap_or(self.abs_len());
+        let r = usize::try_from(round).unwrap_or(usize::MAX);
+        start_of(r)..start_of(r.saturating_add(1))
     }
 
-    /// The retained slice for an absolute range, or `Err` if any part
-    /// of it has been dropped under the retention watermark (reading
+    /// Whether a posting with these shared fields continues the last
+    /// run. Cheapest tests first; the message compare runs only once
+    /// everything else already matches.
+    fn extends(
+        &self,
+        committee: &Arc<str>,
+        phase: &Arc<str>,
+        message: &M,
+        elements: u64,
+        bytes: u64,
+    ) -> bool
+    where
+        M: PartialEq,
+    {
+        self.runs.last().is_some_and(|run| {
+            run.round == self.round
+                && run.elements == elements
+                && run.bytes == bytes
+                && same_label(&run.committee, committee)
+                && same_label(&run.phase, phase)
+                && run.message == *message
+        })
+    }
+
+    /// Opens a run at the log end, in the current round.
+    fn start_run(
+        &mut self,
+        committee: Arc<str>,
+        phase: Arc<str>,
+        message: M,
+        elements: u64,
+        bytes: u64,
+    ) {
+        let (start, round) = (self.abs_len(), self.round);
+        self.runs.push(Run { start, round, committee, phase, message, elements, bytes });
+    }
+
+    /// Appends one record in the current round.
+    fn push(&mut self, r: PostRecord<M>)
+    where
+        M: PartialEq,
+    {
+        if !self.extends(&r.from.committee, &r.phase, &r.message, r.elements, r.bytes) {
+            self.start_run(r.from.committee, r.phase, r.message, r.elements, r.bytes);
+        }
+        self.members.push(r.from.index);
+    }
+
+    /// Calls `f(run, members)` for every run overlapping the absolute
+    /// range, in log order, with the member indices of the overlap —
+    /// the range may start or end mid-run. Fails if any part of the
+    /// range has been dropped under the retention watermark (reading
     /// history that no longer exists would silently corrupt
     /// transcripts, so it is a hard protocol error).
-    pub(crate) fn slice_abs(&self, range: std::ops::Range<usize>) -> Result<&[P], BoardError> {
+    fn walk(
+        &self,
+        range: std::ops::Range<usize>,
+        mut f: impl FnMut(&Run<M>, &[usize]),
+    ) -> Result<(), BoardError> {
         if range.start < self.base && range.start < range.end {
             return Err(BoardError::Protocol(format!(
                 "read below retention watermark: postings [{}, {}) requested, first retained is {}",
                 range.start, range.end, self.base
             )));
         }
-        let lo = range.start.max(self.base) - self.base;
-        let hi = range.end.max(self.base) - self.base;
-        Ok(&self.postings[lo..hi])
+        let (lo, hi) = (range.start.max(self.base), range.end.min(self.abs_len()));
+        if lo >= hi {
+            return Ok(());
+        }
+        // The run holding `lo` is the last one starting at or before it.
+        let first = self.runs.partition_point(|run| run.start <= lo).saturating_sub(1);
+        let mut runs = self.runs.iter().skip(first).peekable();
+        while let Some(run) = runs.next() {
+            if run.start >= hi {
+                break;
+            }
+            let run_end = runs.peek().map_or(self.abs_len(), |next| next.start);
+            let (a, b) = (run.start.max(lo), run_end.min(hi));
+            if let Some(members) = self.members.get(a - self.base..b - self.base) {
+                f(run, members);
+            }
+        }
+        Ok(())
     }
 
-    /// Ticks the round clock, sealing the current round's range.
-    pub(crate) fn advance(&mut self) -> u64 {
+    /// Clones of the postings in the absolute range, in order.
+    fn read(&self, range: std::ops::Range<usize>) -> Result<Vec<Posting<M>>, BoardError>
+    where
+        M: Clone,
+    {
+        let mut out = Vec::with_capacity(range.end.saturating_sub(range.start));
+        self.walk(range, |run, members| {
+            out.extend(members.iter().map(|&index| run.posting(index)));
+        })?;
+        Ok(out)
+    }
+
+    /// Applies `f` to every posting in the absolute range without
+    /// cloning per posting: one scratch [`Posting`] per run, whose
+    /// member index is rewritten in place.
+    fn visit(
+        &self,
+        range: std::ops::Range<usize>,
+        f: &mut dyn FnMut(&Posting<M>),
+    ) -> Result<(), BoardError>
+    where
+        M: Clone,
+    {
+        self.walk(range, |run, members| {
+            let mut scratch = run.posting(0);
+            for &index in members {
+                scratch.from.index = index;
+                f(&scratch);
+            }
+        })
+    }
+
+    /// Ticks the round clock, sealing the current round's range (and
+    /// with it the last run: `extends` never matches an older round).
+    fn advance(&mut self) -> u64 {
         self.round += 1;
         self.round_starts.push(self.abs_len());
         self.round
     }
 
     /// Drops every posting of sealed rounds before `round` (clamped to
-    /// the current round — the open round is never dropped). The round
-    /// clock, `round_starts` and sequence numbers are untouched.
-    pub(crate) fn retain_rounds_from(&mut self, round: u64) {
-        let cut_round = round.min(self.round) as usize;
-        let cut = self.round_starts.get(cut_round).copied().unwrap_or(self.abs_len());
+    /// the current round — the open round is never dropped). The cut is
+    /// a round boundary, so it removes whole runs. The round clock,
+    /// `round_starts` and sequence numbers are untouched.
+    fn retain_rounds_from(&mut self, round: u64) {
+        let cut = self.round_range(round.min(self.round)).start;
         if cut > self.base {
-            self.postings.drain(..cut - self.base);
+            self.members.drain(..cut - self.base);
+            let dropped = self.runs.partition_point(|run| run.start < cut);
+            self.runs.drain(..dropped);
             self.base = cut;
         }
     }
 }
 
-/// The sharded form of [`RoundLog`]: a small **round-clock lock**
+/// The lock-sharded round-indexed log: a small **round-clock lock**
 /// (current round, the per-round cumulative start index, and the list
 /// of round shards) plus one append lock **per round**, so writers in
 /// different rounds — and readers of sealed history — never contend on
@@ -296,7 +446,8 @@ impl<P> RoundLog<P> {
 ///
 /// # Ordering contract
 ///
-/// Identical to [`RoundLog`] behind a different locking scheme: each
+/// The same observable semantics as the in-process [`RunLog`] (total
+/// order, round ranges, absolute sequence numbers): each
 /// `append_with` call lands atomically in the current round's shard
 /// (appends within a round are serialized by that round's lock, in
 /// lock-acquisition order — which for the board server is frame
@@ -464,21 +615,34 @@ impl<P> ShardedRoundLog<P> {
 }
 
 /// The in-process backend: postings live in this process behind one
-/// `RwLock`, with the [`RoundLog`] index making round reads
-/// `O(round size)` and the `for_each*` overrides clone-free.
-#[derive(Debug, Default)]
+/// `RwLock`, in a run-length log (`RunLog`) whose round index makes
+/// round reads `O(round size)` and whose `for_each*` overrides build
+/// one scratch posting per run instead of cloning each one.
+#[derive(Debug)]
 pub struct InProcessTransport<M> {
-    log: RwLock<RoundLog<Posting<M>>>,
+    log: RwLock<RunLog<M>>,
+}
+
+impl<M> Default for InProcessTransport<M> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<M> InProcessTransport<M> {
     /// Creates an empty in-process board store.
     pub fn new() -> Self {
-        InProcessTransport { log: RwLock::new(RoundLog::default()) }
+        InProcessTransport { log: RwLock::new(RunLog::default()) }
+    }
+
+    /// Number of runs the retained postings occupy.
+    #[cfg(test)]
+    pub(crate) fn run_count(&self) -> usize {
+        self.log.read().runs.len()
     }
 }
 
-impl<M: Clone + Send + Sync> BoardTransport<M> for InProcessTransport<M> {
+impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTransport<M> {
     fn post_batch(&self, records: Vec<PostRecord<M>>) -> Result<(), BoardError> {
         self.post_stream(&mut records.into_iter()).map(|_| ())
     }
@@ -488,18 +652,12 @@ impl<M: Clone + Send + Sync> BoardTransport<M> for InProcessTransport<M> {
         records: &mut dyn Iterator<Item = PostRecord<M>>,
     ) -> Result<u64, BoardError> {
         let mut g = self.log.write();
-        let round = g.round;
-        let before = g.postings.len();
-        g.postings.reserve(records.size_hint().0);
-        g.postings.extend(records.map(|r| Posting {
-            round,
-            from: r.from,
-            phase: r.phase,
-            message: r.message,
-            elements: r.elements,
-            bytes: r.bytes,
-        }));
-        Ok((g.postings.len() - before) as u64)
+        let before = g.members.len();
+        g.members.reserve(records.size_hint().0);
+        for r in records {
+            g.push(r);
+        }
+        Ok((g.members.len() - before) as u64)
     }
 
     fn post_slice(
@@ -511,16 +669,19 @@ impl<M: Clone + Send + Sync> BoardTransport<M> for InProcessTransport<M> {
         bytes: u64,
     ) -> Result<(), BoardError> {
         let mut g = self.log.write();
-        let round = g.round;
-        g.postings.reserve(messages.len());
-        g.postings.extend(messages.iter().map(|message| Posting {
-            round,
-            from: from.clone(),
-            phase: Arc::clone(phase),
-            message: message.clone(),
-            elements,
-            bytes,
-        }));
+        g.members.reserve(messages.len());
+        for message in messages {
+            if !g.extends(&from.committee, phase, message, elements, bytes) {
+                g.start_run(
+                    Arc::clone(&from.committee),
+                    Arc::clone(phase),
+                    message.clone(),
+                    elements,
+                    bytes,
+                );
+            }
+            g.members.push(from.index);
+        }
         Ok(())
     }
 
@@ -538,21 +699,17 @@ impl<M: Clone + Send + Sync> BoardTransport<M> for InProcessTransport<M> {
 
     fn read_round(&self, round: u64) -> Result<Vec<Posting<M>>, BoardError> {
         let g = self.log.read();
-        Ok(g.slice_abs(g.round_range(round))?.to_vec())
+        g.read(g.round_range(round))
     }
 
     fn read_from(&self, cursor: usize) -> Result<Vec<Posting<M>>, BoardError> {
         let g = self.log.read();
-        let lo = cursor.min(g.abs_len());
-        Ok(g.slice_abs(lo..g.abs_len())?.to_vec())
+        g.read(cursor.min(g.abs_len())..g.abs_len())
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&Posting<M>)) -> Result<(), BoardError> {
         let g = self.log.read();
-        for p in g.slice_abs(g.base..g.abs_len())? {
-            f(p);
-        }
-        Ok(())
+        g.visit(g.base..g.abs_len(), f)
     }
 
     fn for_each_in_round(
@@ -561,10 +718,7 @@ impl<M: Clone + Send + Sync> BoardTransport<M> for InProcessTransport<M> {
         f: &mut dyn FnMut(&Posting<M>),
     ) -> Result<(), BoardError> {
         let g = self.log.read();
-        for p in g.slice_abs(g.round_range(round))? {
-            f(p);
-        }
-        Ok(())
+        g.visit(g.round_range(round), f)
     }
 
     fn retain_rounds_from(&self, round: u64) -> Result<(), BoardError> {
@@ -820,6 +974,100 @@ mod tests {
         t.retain_rounds_from(99).unwrap();
         assert_eq!(t.read_round(3).unwrap().len(), 1);
         assert_eq!(t.len().unwrap(), 7);
+    }
+
+    #[test]
+    fn a_committee_step_occupies_one_run() {
+        // n members posting the same message under one phase, through
+        // each entry point: one run, n member indices.
+        let committee = crate::Committee::honest("off-1", 64);
+        let phase: Arc<str> = Arc::from("offline/1-beaver");
+        let step = |t: &InProcessTransport<u64>| {
+            t.post_stream(&mut (0..committee.n()).map(|i| PostRecord {
+                from: committee.role(i),
+                phase: Arc::clone(&phase),
+                message: 7,
+                elements: 2,
+                bytes: 16,
+            }))
+            .unwrap();
+        };
+        let t = InProcessTransport::<u64>::new();
+        step(&t);
+        assert_eq!((t.len().unwrap(), t.run_count()), (64, 1));
+        // A second, identical step in the same round continues it.
+        step(&t);
+        t.post_slice(&committee.role(3), &phase, &[7, 7, 7], 2, 16).unwrap();
+        assert_eq!((t.len().unwrap(), t.run_count()), (131, 1));
+        let members: Vec<usize> = t.read_from(126).unwrap().iter().map(|p| p.from.index).collect();
+        assert_eq!(members, vec![62, 63, 3, 3, 3]);
+    }
+
+    #[test]
+    fn equal_labels_in_distinct_allocations_still_merge() {
+        let t = InProcessTransport::<u64>::new();
+        // `rec` allocates a fresh committee and phase label per record.
+        let records: Vec<PostRecord<u64>> =
+            (0..5).map(|i| PostRecord { message: 1, ..rec(i, "a") }).collect();
+        assert!(!Arc::ptr_eq(&records[0].phase, &records[1].phase));
+        assert!(!Arc::ptr_eq(&records[0].from.committee, &records[1].from.committee));
+        t.post_batch(records).unwrap();
+        assert_eq!((t.len().unwrap(), t.run_count()), (5, 1));
+    }
+
+    #[test]
+    fn any_differing_field_starts_a_new_run() {
+        let base = || PostRecord { message: 1, ..rec(0, "a") };
+        let variants: [(&str, PostRecord<u64>); 5] = [
+            ("committee", PostRecord { from: RoleId::new("d", 0), ..base() }),
+            ("phase", PostRecord { phase: Arc::from("b"), ..base() }),
+            ("message", PostRecord { message: 2, ..base() }),
+            ("elements", PostRecord { elements: 2, ..base() }),
+            ("bytes", PostRecord { bytes: 9, ..base() }),
+        ];
+        for (field, other) in variants {
+            let t = InProcessTransport::<u64>::new();
+            t.post_batch(vec![base(), base(), other.clone(), base()]).unwrap();
+            assert_eq!(t.run_count(), 3, "{field}");
+            let back = t.read_from(0).unwrap();
+            assert_eq!(back.len(), 4);
+            let p = &back[2];
+            assert_eq!(
+                (&p.from, &*p.phase, p.message, p.elements, p.bytes),
+                (&other.from, &*other.phase, other.message, other.elements, other.bytes),
+                "{field}"
+            );
+        }
+        // A round tick seals the run even when nothing else changes.
+        let t = InProcessTransport::<u64>::new();
+        t.post_batch(vec![base(), base()]).unwrap();
+        t.advance_round().unwrap();
+        t.post_batch(vec![base()]).unwrap();
+        assert_eq!(t.run_count(), 2);
+        assert_eq!(t.read_round(1).unwrap()[0].round, 1);
+        // Only the member index differing does not.
+        t.post_batch(vec![PostRecord { message: 1, ..rec(9, "a") }]).unwrap();
+        assert_eq!(t.run_count(), 2);
+    }
+
+    #[test]
+    fn retention_drops_whole_runs_and_keeps_absolute_positions() {
+        let t = InProcessTransport::<u64>::new();
+        for round in 0..3u64 {
+            t.post_batch((0..4).map(|i| PostRecord { message: round, ..rec(i, "a") }).collect())
+                .unwrap();
+            t.advance_round().unwrap();
+        }
+        assert_eq!(t.run_count(), 3);
+        t.retain_rounds_from(2).unwrap();
+        assert_eq!((t.len().unwrap(), t.run_count()), (12, 1));
+        // A cursor mid-run above the watermark still resolves.
+        let tail = t.read_from(10).unwrap();
+        assert_eq!(
+            tail.iter().map(|p| (p.message, p.from.index)).collect::<Vec<_>>(),
+            [(2, 2), (2, 3)]
+        );
+        assert!(matches!(t.read_from(7), Err(BoardError::Protocol(_))));
     }
 
     #[test]
