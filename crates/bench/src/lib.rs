@@ -24,9 +24,9 @@
 //! `interp_configs`, `recon_speedup` — and the `hot_alloc_ratio` column
 //! of [`scale`] are now its metrics `yoso.tcp.posts_per_s`,
 //! `fleet-tcp/exec_s`, `field.ntt_forward_us`, `pss.reconstruct_us` and
-//! `pss.hot_allocs_per_gate`. [`scale`] keeps the two comparisons whose
-//! both sides still exist: streaming vs materialized and distributed vs
-//! replicated transforms (`BENCH_scale.json`).
+//! `pss.hot_allocs_per_gate`. [`scale`] keeps the one profile the
+//! benchmark's 20-second workloads cannot hold: a run per Table-1
+//! committee size up to n = 2048, with peak RSS (`BENCH_scale.json`).
 
 #![forbid(unsafe_code)]
 

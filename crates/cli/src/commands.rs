@@ -127,9 +127,6 @@ fn prepare_run(opts: &Opts) -> Result<PreparedRun, String> {
         // in-process board needs only the meter.
         config.audit_board = opts.contains_key("board") || opts.contains_key("spawn-workers");
     }
-    if opts.contains_key("dist-transform") {
-        config = config.with_dist_transform();
-    }
     if let Some(board) = opts.get("board") {
         config = config.with_board(BoardBackend::Tcp(parse_board_addr(board)?));
     }
@@ -281,9 +278,6 @@ fn spawn_workers(opts: &Opts, workers: usize) -> Result<(), String> {
         if opts.contains_key("no-proofs") {
             cmd.arg("--no-proofs");
         }
-        if opts.contains_key("dist-transform") {
-            cmd.arg("--dist-transform");
-        }
         // Children report through their exit status; only the leader
         // prints the run summary.
         cmd.stdout(std::process::Stdio::null());
@@ -383,8 +377,8 @@ pub fn board_stats(opts: &Opts) -> Result<(), String> {
         use std::io::Write as _;
         // Streamed round by round through a buffered writer — the dump
         // is never materialized in memory. The line format is load-
-        // bearing: the engine's streaming transcript hash
-        // (`yoso_runtime::PhaseAccumulator`) folds exactly these bytes.
+        // bearing: the transcript hash (`yoso_runtime::PhaseAccumulator`)
+        // folds exactly these bytes.
         let file = std::fs::File::create(path).map_err(|e| format!("--dump {path}: {e}"))?;
         let mut out = std::io::BufWriter::new(file);
         let mut lines = 0u64;
@@ -417,10 +411,9 @@ pub fn board_stats(opts: &Opts) -> Result<(), String> {
 }
 
 /// `yoso bench-scale` — the Table-1-scale wall-clock/RSS profile
-/// (DESIGN §12). Runs the end-to-end protocol streaming-vs-materialized
-/// at each committee size plus the distributed-vs-replicated transform
-/// breakdown and writes `BENCH_scale.json`; `--smoke` shrinks the
-/// sizes for CI.
+/// (DESIGN §12). Runs the end-to-end protocol once at each committee
+/// size and writes `BENCH_scale.json`; `--smoke` shrinks the sizes for
+/// CI.
 pub fn bench_scale(opts: &Opts) -> Result<(), String> {
     let smoke = opts.contains_key("smoke");
     yoso_bench::scale::run_scale(smoke);

@@ -24,7 +24,7 @@ fn main() -> ExitCode {
         print_help();
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(rest) {
+    let opts = match parse_opts(command, rest) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -55,14 +55,44 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses `--key value` pairs (and bare `--flag` as `"true"`).
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The options that define a protocol run: `run` takes them, and so
+/// does every `worker` of the fleet executing it.
+const RUN_OPTS: [&str; 12] = [
+    "circuit", "size", "clients", "n", "eps", "attack", "t-mal", "crashes", "seed", "threads",
+    "no-proofs", "board",
+];
+
+/// Whether `command` accepts `--key` (`None`: no such command). A typo
+/// or a retired flag must stop the run, not silently change what it
+/// does.
+fn accepts(command: &str, key: &str) -> Option<bool> {
+    let own: &[&str] = match command {
+        "run" => &["spawn-workers"],
+        "worker" => &["roles"],
+        "board-stats" => &["board", "dump", "shutdown"],
+        "plan" => &["pool", "f", "c"],
+        "bench-scale" => &["smoke"],
+        "paillier" => &["bits", "parties", "threshold", "seed"],
+        "table1" | "experiments" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    };
+    let runs_protocol = matches!(command, "run" | "worker");
+    Some(own.contains(&key) || (runs_protocol && RUN_OPTS.contains(&key)))
+}
+
+/// Parses `--key value` pairs (and bare `--flag` as `"true"`),
+/// rejecting the first option `command` does not accept. An unknown
+/// command accepts anything here; `main` reports it by name.
+fn parse_opts(command: &str, args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut opts = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         let key = arg
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --option, got {arg:?}"))?;
+        if accepts(command, key) == Some(false) {
+            return Err(format!("unknown option --{key} for `yoso {command}`; try `yoso help`"));
+        }
         let value = match it.peek() {
             Some(v) if !v.starts_with("--") => it.next().unwrap().clone(),
             _ => "true".to_string(),
@@ -82,7 +112,8 @@ USAGE:
   yoso board-stats [OPTIONS] audit a remote board-server's posting log
   yoso plan [OPTIONS]        committee-size planning (paper §6)
   yoso table1                regenerate the paper's Table 1
-  yoso bench-scale [--smoke] wall-clock/RSS profile at Table-1 sizes
+  yoso bench-scale [--smoke] one run per Table-1 committee size: stage
+                             wall-clock, peak RSS, transcript hash
                              (writes BENCH_scale.json; --smoke shrinks
                              the sizes)
   yoso paillier [OPTIONS]    threshold-Paillier smoke run
@@ -113,17 +144,13 @@ RUN OPTIONS:
   --threads N       worker threads for triple/gate fan-out
                     (any value yields a byte-identical transcript)       [1]
   --no-proofs       skip NIZK computation (metering unchanged)
-  --dist-transform  distribute the offline Step-4 packing transforms
-                    across the worker fleet (DESIGN §13): each worker
-                    evaluates only its owned share rows and the batch
-                    results are exchanged as TransformSlice postings;
-                    transcripts stay byte-identical at any worker count
   --board ADDR      post to a shared board-server (tcp://HOST:PORT)
                     instead of the in-process board
   --spawn-workers N run role-sharded: in-tree board server + N local
                     worker processes (this process leads as worker 0)
 
-WORKER OPTIONS (plus all RUN options, identical across the fleet):
+WORKER OPTIONS (plus all RUN options but --spawn-workers, identical
+across the fleet):
   --roles A..B      the half-open committee-member range this worker
                     owns (proof work + posting); required
   --board ADDR      the shared board-server (tcp://HOST:PORT); required

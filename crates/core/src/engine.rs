@@ -5,7 +5,7 @@ use rand::Rng;
 
 use yoso_circuit::Circuit;
 use yoso_field::PrimeField;
-use yoso_runtime::{Adversary, BulletinBoard, LeakLog, PhaseAccumulator, PhaseStats};
+use yoso_runtime::{Adversary, BulletinBoard, LeakLog, PhaseStats};
 
 use crate::messages::Post;
 use crate::offline::run_offline_in;
@@ -81,29 +81,6 @@ pub struct ExecutionConfig {
     /// members' posts to the shared board. The interleaved transcript
     /// across workers is byte-identical to a solo run.
     pub partition: RolePartition,
-    /// Distribute the offline Step-4 packing transforms across the
-    /// worker fleet (default off). Each worker evaluates only the
-    /// dealing rows of the members its `partition` owns and publishes
-    /// them as [`crate::messages::Post::TransformSlice`] records; the
-    /// batch is recombined from the board after a mid-round exchange
-    /// (see [`crate::disttransform`]). The computed ciphertexts are
-    /// bit-identical to the replicated path; the transcript gains `n`
-    /// member-ordered transform records per batch, identical at every
-    /// worker count. Requires `audit_board` when combined with a
-    /// non-solo partition (workers read the slices back off the
-    /// board).
-    pub dist_transform: bool,
-    /// Stream the transcript instead of materializing it (default
-    /// off). When set, per-phase statistics and a 64-bit transcript
-    /// hash are folded incrementally from sealed board rounds at stage
-    /// boundaries ([`yoso_runtime::PhaseAccumulator`]) and consumed
-    /// rounds are dropped under a retention watermark (solo runs
-    /// only — a shared board is never truncated under other workers).
-    /// Requires `audit_board`: a
-    /// metering-only board stores nothing to stream. Never affects
-    /// the transcript — outputs and postings are byte-identical with
-    /// the flag on or off.
-    pub streaming: bool,
 }
 
 impl Default for ExecutionConfig {
@@ -115,8 +92,6 @@ impl Default for ExecutionConfig {
             num_threads: 1,
             board: BoardBackend::InProcess,
             partition: RolePartition::solo(),
-            dist_transform: false,
-            streaming: false,
         }
     }
 }
@@ -147,23 +122,6 @@ impl ExecutionConfig {
     /// Selects the board transport backend.
     pub fn with_board(mut self, board: BoardBackend) -> Self {
         self.board = board;
-        self
-    }
-
-    /// Enables streaming transcript consumption: incremental phase
-    /// stats and transcript hashing, and bounded board retention (solo
-    /// runs). Implies `audit_board`.
-    pub fn with_streaming(mut self) -> Self {
-        self.streaming = true;
-        self.audit_board = true;
-        self
-    }
-
-    /// Enables the distributed Step-4 packing transforms: per-worker
-    /// transform work shrinks to the owned member rows, at the cost of
-    /// `n` transform-slice board records per batch.
-    pub fn with_dist_transform(mut self) -> Self {
-        self.dist_transform = true;
         self
     }
 
@@ -232,11 +190,6 @@ pub struct RunResult<F: PrimeField> {
     /// never feeds the transcript; workers use it to report where a
     /// run's time went (compute vs board round trips).
     pub stage_wall_secs: Vec<(&'static str, f64)>,
-    /// FNV-1a 64 hash of every transcript line, in posting order
-    /// (`Some` only for streaming runs). Two runs with equal hashes
-    /// produced byte-identical transcripts; the bench harness uses it
-    /// to pin the streaming path to the materialized one.
-    pub transcript_hash: Option<u64>,
 }
 
 impl<F: PrimeField> RunResult<F> {
@@ -310,7 +263,6 @@ impl Engine {
     /// combined with `audit_board = false` (worker synchronization
     /// reads transcript positions, which a metering-only board does
     /// not keep) or does not fit inside `[0, n)`.
-    #[allow(clippy::too_many_lines)]
     pub fn run_with_board<F: PrimeField, R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -320,13 +272,6 @@ impl Engine {
         board: &BulletinBoard<Post>,
     ) -> Result<RunResult<F>, ProtocolError> {
         let partition = self.config.partition;
-        if self.config.streaming && !self.config.audit_board {
-            return Err(ProtocolError::BadParameters(
-                "streaming execution needs audit_board: a metering-only board stores no \
-                 postings to stream"
-                    .into(),
-            ));
-        }
         if !partition.is_solo() {
             if !self.config.audit_board {
                 return Err(ProtocolError::BadParameters(
@@ -347,19 +292,6 @@ impl Engine {
         let sb = ShardedBoard::new(board, partition)?;
         let bc = circuit.batched(self.params.k);
         let leak = LeakLog::new();
-        // Streaming: an accumulator folding sealed rounds into phase
-        // stats and the transcript hash at stage boundaries. Solo runs
-        // additionally drop consumed rounds behind the retention
-        // watermark; a shared board is left intact (other workers
-        // drain at their own pace).
-        let mut acc = if self.config.streaming { Some(PhaseAccumulator::new()) } else { None };
-        let drain = |acc: &mut PhaseAccumulator| -> Result<(), ProtocolError> {
-            acc.drain_sealed(board)?;
-            if partition.is_solo() {
-                board.retain_rounds_from(acc.next_round())?;
-            }
-            Ok(())
-        };
         // Stage timing is diagnostics only (worker wall-clock reports);
         // nothing derived from these clocks reaches the board.
         let mut stage_wall_secs: Vec<(&'static str, f64)> = Vec::new();
@@ -376,9 +308,6 @@ impl Engine {
             circuit.clients(),
         )?;
         note_stage("setup", &mut stage_start);
-        if let Some(a) = acc.as_mut() {
-            drain(a)?;
-        }
         if self.config.dealerless_setup {
             // Replace the dealer's key with a DKG among the first
             // committee, then re-encrypt the KFF secrets under it.
@@ -396,17 +325,11 @@ impl Engine {
             )?;
             setup = rekey_setup_in(rng, &self.params, &sb, setup, chain)?;
             note_stage("dkg", &mut stage_start);
-            if let Some(a) = acc.as_mut() {
-                drain(a)?;
-            }
         }
         setup.tsk.set_leak_log(leak.clone());
         let offline =
             run_offline_in(rng, &self.params, &sb, adversary, &self.config, &bc, &setup)?;
         note_stage("offline", &mut stage_start);
-        if let Some(a) = acc.as_mut() {
-            drain(a)?;
-        }
         let online = run_online_in(
             rng,
             &self.params,
@@ -423,21 +346,11 @@ impl Engine {
         sb.finish()?;
         // A sharded worker's own meter saw only the posts it appended;
         // rebuild the per-phase statistics from the shared transcript,
-        // one round per read, so every worker reports the full run. A
-        // streaming run has folded every sealed round already — absorb
-        // the final open round and report from the accumulator
-        // (identical stats, no materialization).
-        let transcript_hash = match acc.as_mut() {
-            Some(a) => {
-                a.finish(board)?;
-                Some(a.transcript_hash())
-            }
-            None => None,
-        };
-        let phases = match &acc {
-            Some(a) => a.phases(),
-            None if partition.is_solo() => board.meter().phases(),
-            None => board.transcript_phases()?,
+        // one round per read, so every worker reports the full run.
+        let phases = if partition.is_solo() {
+            board.meter().phases()
+        } else {
+            board.transcript_phases()?
         };
         Ok(RunResult {
             outputs: online.outputs,
@@ -448,7 +361,6 @@ impl Engine {
             rounds: board.round()?,
             leaks: leak,
             stage_wall_secs,
-            transcript_hash,
         })
     }
 }
@@ -596,51 +508,5 @@ mod tests {
         assert_eq!(full.outputs, sweep.outputs);
         assert_eq!(full.elements("online"), sweep.elements("online"));
         assert_eq!(full.elements("offline"), sweep.elements("offline"));
-    }
-
-    #[test]
-    fn streaming_run_matches_materialized_transcript() {
-        // The streaming driver (incremental phase folding, retention
-        // watermark) must be invisible in the transcript:
-        // byte-identical postings, identical phase stats, identical
-        // outputs.
-        let circuit = generators::inner_product::<F61>(6).unwrap();
-        let x: Vec<F61> = (1..=6u64).map(f).collect();
-        let y: Vec<F61> = (7..=12u64).map(f).collect();
-        let params = ProtocolParams::new(12, 1, 3).unwrap();
-
-        let mut r1 = rng(21);
-        let full_board: BulletinBoard<Post> = BulletinBoard::new();
-        let full = Engine::new(params, ExecutionConfig::default())
-            .run_with_board(&mut r1, &circuit, &[x.clone(), y.clone()], &Adversary::none(), &full_board)
-            .unwrap();
-        // Hash the materialized transcript post-hoc with the same
-        // accumulator the streaming engine folds incrementally.
-        let mut reference = PhaseAccumulator::new();
-        reference.finish(&full_board).unwrap();
-
-        let mut r2 = rng(21);
-        let streaming = Engine::new(params, ExecutionConfig::default().with_streaming())
-            .run(&mut r2, &circuit, &[x, y], &Adversary::none())
-            .unwrap();
-
-        assert_eq!(full.outputs, streaming.outputs);
-        assert_eq!(full.mu, streaming.mu);
-        assert_eq!(full.rounds, streaming.rounds);
-        assert_eq!(full.phases, streaming.phases);
-        assert_eq!(full.transcript_hash, None);
-        assert_eq!(streaming.transcript_hash, Some(reference.transcript_hash()));
-    }
-
-    #[test]
-    fn streaming_requires_audit_board() {
-        let circuit = generators::inner_product::<F61>(2).unwrap();
-        let params = ProtocolParams::new(8, 1, 2).unwrap();
-        let mut cfg = ExecutionConfig::sweep();
-        cfg.streaming = true; // bypass with_streaming's audit implication
-        let err = Engine::new(params, cfg)
-            .run(&mut rng(3), &circuit, &[vec![f(1), f(2)], vec![f(3), f(4)]], &Adversary::none())
-            .unwrap_err();
-        assert!(matches!(err, ProtocolError::BadParameters(_)));
     }
 }

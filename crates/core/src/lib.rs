@@ -62,7 +62,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod disttransform;
 pub mod dkg;
 mod engine;
 pub mod failstop;

@@ -316,57 +316,6 @@ impl<'a> ShardedBoard<'a> {
         Ok(())
     }
 
-    /// The canonical global position the *next* accounted post will
-    /// take — the cursor a distributed-transform batch records before
-    /// its posting run so it can read exactly that run back
-    /// ([`yoso_runtime::BulletinBoard::postings_from`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures reading the board length (solo
-    /// mode only; sharded accounting is local).
-    pub fn position(&self) -> Result<u64, ProtocolError> {
-        if self.partition.is_solo() {
-            return Ok(self.board.len()? as u64);
-        }
-        Ok(self.lock().pos)
-    }
-
-    /// The mid-round exchange point of the distributed transform
-    /// (DESIGN §13): flushes this worker's pending owned posts and
-    /// waits until every accounted position below the current cursor
-    /// has landed on the board — **without** ticking the round clock,
-    /// so a phase can interleave several exchanges inside one round.
-    /// Solo mode is a no-op (posts pass through immediately).
-    ///
-    /// Every sharded worker must call this at exactly the same points,
-    /// with identical position accounting, or the later desync checks
-    /// fire.
-    ///
-    /// The wait is `>=`, not `==`: because no round tick separates
-    /// exchanges, a faster peer may legitimately have appended its
-    /// *next* exchange's owned run already (its run starts exactly at
-    /// this cursor when it owns the lowest rows). Readers therefore
-    /// consume exactly their accounted position window
-    /// ([`Self::position`] before the run) and ignore anything past
-    /// it. Out-of-range appends are still caught: every owned
-    /// position's drain checks the board length exactly before
-    /// appending.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures, wait timeouts, and desync
-    /// detection from the drain.
-    pub fn exchange(&self) -> Result<(), ProtocolError> {
-        if self.partition.is_solo() {
-            return Ok(());
-        }
-        self.drain_pending()?;
-        let total = self.lock().pos;
-        self.board.wait_len_at_least(total as usize, WAIT_TIMEOUT)?;
-        Ok(())
-    }
-
     /// Appends every pending owned run to the board, in position
     /// order, waiting for peer workers' lower positions to land first.
     fn drain_pending(&self) -> Result<(), ProtocolError> {
@@ -564,62 +513,6 @@ mod tests {
             assert_eq!(p.from, RoleId::new("committee", i));
         }
         assert_eq!(board.round().unwrap(), 1);
-    }
-
-    #[test]
-    fn exchange_lands_both_shards_posts_without_round_tick() {
-        // Mid-round exchange: both workers post a 4-member run, call
-        // exchange(), and must then each observe all 4 postings with
-        // the round clock untouched — the distributed-transform
-        // read-back pattern.
-        let board: BulletinBoard<Post> = BulletinBoard::new();
-        let a = ShardedBoard::new(&board, RolePartition::range(0, 2)).unwrap();
-        let b = ShardedBoard::new(&board, RolePartition::range(2, 4)).unwrap();
-        assert_eq!(a.position().unwrap(), 0);
-        let run = |sb: &ShardedBoard<'_>| {
-            let start = sb.position().unwrap();
-            for i in 0..4usize {
-                sb.post(
-                    sb.owns(i),
-                    RoleId::new("committee", i),
-                    Post::TransformSlice { row: i as u32, values: vec![i as u64] },
-                    "x",
-                    1,
-                )
-                .unwrap();
-            }
-            sb.exchange().unwrap();
-            (start, sb.board().postings_from(start as usize).unwrap())
-        };
-        let (got_a, got_b) = std::thread::scope(|s| {
-            let hb = s.spawn(|| run(&b));
-            let ha = s.spawn(|| run(&a));
-            (ha.join().unwrap(), hb.join().unwrap())
-        });
-        for (start, postings) in [got_a, got_b] {
-            assert_eq!(start, 0);
-            assert_eq!(postings.len(), 4);
-            for (i, p) in postings.iter().enumerate() {
-                assert_eq!(p.from, RoleId::new("committee", i));
-                assert_eq!(
-                    p.message,
-                    Post::TransformSlice { row: i as u32, values: vec![i as u64] }
-                );
-            }
-        }
-        assert_eq!(board.round().unwrap(), 0, "exchange must not tick the round");
-        assert_eq!(a.position().unwrap(), 4);
-        assert_eq!(b.position().unwrap(), 4);
-    }
-
-    #[test]
-    fn solo_exchange_is_a_no_op() {
-        let board: BulletinBoard<Post> = BulletinBoard::new();
-        let sb = ShardedBoard::solo(&board);
-        sb.post(true, RoleId::new("c", 0), Post::MulShare, "x", 1).unwrap();
-        assert_eq!(sb.position().unwrap(), 1);
-        sb.exchange().unwrap();
-        assert_eq!(board.round().unwrap(), 0);
     }
 
     #[test]

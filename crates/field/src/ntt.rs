@@ -340,8 +340,7 @@ impl<F: PrimeField> NttDomain<F> {
     /// with indices `lo..hi` only, writing `hi − lo` values to `out`
     /// (`out[j] = f(points[lo + j])`).
     ///
-    /// This is the slice half of the distributed transform (DESIGN
-    /// §13): a worker that owns rows `lo..hi` of a dealing pays
+    /// A caller that needs only rows `lo..hi` of a dealing pays
     /// `(hi − lo) · deg` Horner multiplications instead of the full
     /// `N log N` transform. Exactness (module docs) makes the result
     /// *bit-identical* to the matching entries of

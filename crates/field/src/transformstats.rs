@@ -1,17 +1,14 @@
-//! Hot transform-work counters for the distributed-transform split.
+//! Hot transform-work counters.
 //!
-//! The distributed offline path (DESIGN §13) divides the per-batch
-//! dealing/degree-reduction transforms across the worker fleet: each
-//! worker evaluates only the share rows it owns instead of running the
-//! full-domain transform. This module is the ledger that makes the
-//! division *measurable*: full mixed-radix transforms report their
-//! butterfly multiplications here, and the slice paths (range Horner
-//! evaluation, basis-row dot products) report their per-row
-//! multiplications, so `yoso bench-scale` can compare total transform
-//! work between a solo run (full transforms everywhere) and a fleet
-//! run (each worker paying only its slice). The counters are
-//! process-global relaxed atomics — like [`crate::allocstats`] they
-//! never influence control flow or the transcript.
+//! The ledger of field multiplications spent on share transforms: full
+//! mixed-radix transforms report their butterfly multiplications here,
+//! and the row-wise paths (range Horner evaluation, basis-row dot
+//! products, ciphertext-row evaluations) report their per-row
+//! multiplications, so the repository benchmark can report both as
+//! exact counts (`field.butterfly_muls`, `field.slice_muls`). The
+//! counters are process-global relaxed atomics — like
+//! [`crate::allocstats`] they never influence control flow or the
+//! transcript.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

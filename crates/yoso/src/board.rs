@@ -287,19 +287,6 @@ impl<M> BulletinBoard<M> {
         self.transport.read_from(0)
     }
 
-    /// Snapshot of the postings at sequence positions `>= cursor` —
-    /// the distributed-transform read-back primitive: a worker records
-    /// the board position before a batch's posting run, waits for the
-    /// run to land, and reads exactly the new records without
-    /// re-cloning history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (remote backends only).
-    pub fn postings_from(&self, cursor: usize) -> Result<Vec<Posting<M>>, BoardError> {
-        self.transport.read_from(cursor)
-    }
-
     /// Snapshot of the postings made in `round` — `O(round size)`, via
     /// the transport's per-round index.
     ///
@@ -335,12 +322,15 @@ impl<M> BulletinBoard<M> {
     }
 
     /// Per-phase communication stats rebuilt from the transcript, in
-    /// label order — what [`phases_from_postings`] returns for
-    /// [`Self::postings`], folded one round at a time so the log is
-    /// never materialized whole (in process nothing is cloned; a remote
-    /// backend ships one round per read instead of one frame holding
-    /// the entire history). The caller must know the transcript is
-    /// complete: rounds `0..=round()` are read once each.
+    /// label order — the cross-worker metering aggregation path. Every
+    /// posting carries its metered `elements`/`bytes`, so a worker
+    /// whose local [`CommMeter`] saw only its own share of the posts
+    /// reconstructs exactly what a single-process
+    /// [`CommMeter::phases`] would report. Folded one round at a time
+    /// so the log is never materialized whole (in process nothing is
+    /// cloned; a remote backend ships one round per read instead of one
+    /// frame holding the entire history). The caller must know the
+    /// transcript is complete: rounds `0..=round()` are read once each.
     ///
     /// # Errors
     ///
@@ -353,21 +343,6 @@ impl<M> BulletinBoard<M> {
             self.for_each_in_round(round, |p| tally(&mut by_phase, p))?;
         }
         Ok(by_phase.into_iter().collect())
-    }
-
-    /// Drops all postings of sealed rounds before `round` — the
-    /// streaming driver's **retention watermark**. Sequence numbers and
-    /// the round clock are unaffected ([`Self::len`] keeps counting
-    /// dropped postings, so cursor-synchronised readers are
-    /// undisturbed), but reads that dip below the watermark fail with
-    /// [`BoardError::Protocol`]. Backends without local storage ignore
-    /// the request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (remote backends only).
-    pub fn retain_rounds_from(&self, round: u64) -> Result<(), BoardError> {
-        self.transport.retain_rounds_from(round)
     }
 
     /// Opens a cursor-based subscription: each [`BoardCursor::poll`]
@@ -541,22 +516,6 @@ fn wait_until<T>(
     }
 }
 
-/// Rebuilds per-phase communication stats from a posting log, in label
-/// order — the cross-worker metering aggregation path. Every posting
-/// carries its metered `elements`/`bytes`, so a reader holding the
-/// full log (an auditor, or a worker whose local [`CommMeter`] saw
-/// only its own share of the posts) reconstructs exactly what a
-/// single-process [`CommMeter::phases`] would report.
-pub fn phases_from_postings<M>(
-    postings: &[Posting<M>],
-) -> Vec<(String, crate::metrics::PhaseStats)> {
-    let mut by_phase = PhaseTable::new();
-    for p in postings {
-        tally(&mut by_phase, p);
-    }
-    by_phase.into_iter().collect()
-}
-
 type PhaseTable = std::collections::BTreeMap<String, crate::metrics::PhaseStats>;
 
 /// Adds one posting to its phase's stats, allocating the key only the
@@ -577,19 +536,18 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The 64-bit FNV-1a multiplier.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// An incremental, clone-free replacement for
-/// [`phases_from_postings`]: consumes board rounds as they seal,
-/// folding each posting into per-phase communication stats and a
-/// 64-bit FNV-1a hash of the canonical transcript line
-/// (`round|from|phase|message`, the `board-stats --dump` format), so
-/// a streaming driver never materializes the posting history. After a
-/// [`drain_sealed`](Self::drain_sealed) the caller may hand the
-/// consumed prefix to [`BulletinBoard::retain_rounds_from`] — the
-/// accumulator never re-reads a round it has absorbed.
+/// The transcript-hash folder: one pass over a finished board, round
+/// by round and clone-free, folding every posting into a 64-bit FNV-1a
+/// hash of its canonical transcript line (`round|from|phase|message`,
+/// the `board-stats --dump` format) and into per-phase communication
+/// stats. Two boards with equal hashes hold byte-identical transcripts;
+/// the tests, the scale profile and the benchmark's fleet-vs-solo gate
+/// compare runs this way, outside any timed region. The engine itself
+/// never hashes — it reports stats from the meter or from
+/// [`BulletinBoard::transcript_phases`].
 #[derive(Debug, Clone)]
 pub struct PhaseAccumulator {
     by_phase: PhaseTable,
-    next_round: u64,
     postings: u64,
     hash: u64,
     line: String,
@@ -602,11 +560,10 @@ impl Default for PhaseAccumulator {
 }
 
 impl PhaseAccumulator {
-    /// An empty accumulator positioned before round 0.
+    /// An empty accumulator.
     pub fn new() -> Self {
         PhaseAccumulator {
             by_phase: PhaseTable::new(),
-            next_round: 0,
             postings: 0,
             hash: FNV_OFFSET,
             line: String::new(),
@@ -625,29 +582,8 @@ impl PhaseAccumulator {
         self.postings += 1;
     }
 
-    /// Consumes every sealed round not yet absorbed (clone-free) and
-    /// returns the board's current (still open) round. The caller must
-    /// guarantee those rounds are complete — in the engine this holds
-    /// at stage boundaries, after the round-advance barrier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (remote backends only).
-    pub fn drain_sealed<M: Clone + Send + Sync + std::fmt::Debug + 'static>(
-        &mut self,
-        board: &BulletinBoard<M>,
-    ) -> Result<u64, BoardError> {
-        let open = board.round()?;
-        while self.next_round < open {
-            let round = self.next_round;
-            board.for_each_in_round(round, |p| self.absorb(p))?;
-            self.next_round += 1;
-        }
-        Ok(open)
-    }
-
-    /// Consumes the sealed rounds *and* the currently open round — the
-    /// end-of-run drain, after the final post.
+    /// Absorbs the whole transcript of `board`: every sealed round and
+    /// the currently open one, after the final post.
     ///
     /// # Errors
     ///
@@ -656,16 +592,10 @@ impl PhaseAccumulator {
         &mut self,
         board: &BulletinBoard<M>,
     ) -> Result<(), BoardError> {
-        let open = self.drain_sealed(board)?;
-        board.for_each_in_round(open, |p| self.absorb(p))?;
-        self.next_round = open + 1;
+        for round in 0..=board.round()? {
+            board.for_each_in_round(round, |p| self.absorb(p))?;
+        }
         Ok(())
-    }
-
-    /// The first round not yet absorbed — the retention watermark to
-    /// pass to [`BulletinBoard::retain_rounds_from`].
-    pub fn next_round(&self) -> u64 {
-        self.next_round
     }
 
     /// Number of postings absorbed so far.
@@ -679,7 +609,7 @@ impl PhaseAccumulator {
     }
 
     /// Per-phase stats in label order — the same shape
-    /// [`phases_from_postings`] returns from a materialized log.
+    /// [`BulletinBoard::transcript_phases`] returns.
     pub fn phases(&self) -> Vec<(String, crate::metrics::PhaseStats)> {
         self.by_phase.iter().map(|(k, v)| (k.clone(), *v)).collect()
     }
@@ -840,7 +770,6 @@ mod tests {
     #[test]
     fn phase_accumulator_matches_materialized_log_and_survives_retention() {
         let board: BulletinBoard<u64> = BulletinBoard::new();
-        let mut acc = PhaseAccumulator::new();
         for round in 0..3u64 {
             for i in 0..4usize {
                 board
@@ -848,30 +777,14 @@ mod tests {
                     .unwrap();
             }
             board.advance_round().unwrap();
-            // Drain the sealed rounds and drop them behind the
-            // watermark: the accumulator never re-reads them.
-            acc.drain_sealed(&board).unwrap();
-            board.retain_rounds_from(acc.next_round()).unwrap();
         }
         board.post(RoleId::new("c", 9), 99, "online/y", 1, 8).unwrap();
+        let mut acc = PhaseAccumulator::new();
         acc.finish(&board).unwrap();
 
-        // Reference: the same postings on a fully materialized board.
-        let full: BulletinBoard<u64> = BulletinBoard::new();
-        let mut full_acc = PhaseAccumulator::new();
-        for round in 0..3u64 {
-            for i in 0..4usize {
-                full.post(RoleId::new("c", i), round * 10 + i as u64, "offline/x", 2, 16)
-                    .unwrap();
-            }
-            full.advance_round().unwrap();
-        }
-        full.post(RoleId::new("c", 9), 99, "online/y", 1, 8).unwrap();
-        full_acc.finish(&full).unwrap();
-
-        assert_eq!(acc.phases(), phases_from_postings(&full.postings().unwrap()));
+        assert_eq!(acc.phases(), board.transcript_phases().unwrap());
+        assert_eq!(acc.phases(), board.meter().phases());
         assert_eq!(acc.postings(), 13);
-        assert_eq!(acc.transcript_hash(), full_acc.transcript_hash());
 
         // The hash covers payloads: one changed message diverges.
         let other: BulletinBoard<u64> = BulletinBoard::new();
@@ -935,8 +848,7 @@ mod tests {
         board.post(RoleId::new("c", 0), 1, "b/phase", 3, 24).unwrap();
         board.post(RoleId::new("c", 1), 2, "a/phase", 2, 16).unwrap();
         board.post(RoleId::new("c", 2), 3, "a/phase", 5, 40).unwrap();
-        let rebuilt = phases_from_postings(&board.postings().unwrap());
-        assert_eq!(rebuilt, board.meter().phases());
+        assert_eq!(board.transcript_phases().unwrap(), board.meter().phases());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod transport;
 pub mod views;
 
 pub use adversary::{ActiveAttack, Adversary, Behavior};
-pub use board::{phases_from_postings, BoardCursor, BulletinBoard, PhaseAccumulator, Posting};
+pub use board::{BoardCursor, BulletinBoard, PhaseAccumulator, Posting};
 pub use metrics::{CommMeter, PhaseStats};
 pub use role::{Committee, RoleId, SpeakOnce, SpokeError};
 pub use tcp::{BoardServer, ServerHandle, ServerWireStats, TcpOptions, TcpTransport, WireStats};

@@ -193,18 +193,14 @@ pub trait BoardTransport<M>: Send + Sync {
         Ok(())
     }
 
-    /// Drops all postings of sealed rounds before `round` — the
-    /// **retention watermark** of the streaming driver, which consumes
-    /// each round incrementally and then releases it. Sequence numbers
-    /// and the round clock are unaffected (`len()` keeps counting
-    /// dropped postings, so cursor-synchronised readers are
-    /// undisturbed), but reads that dip below the watermark fail with
-    /// [`BoardError::Protocol`]. Backends without local storage ignore
-    /// the request.
+    /// Retired: no backend drops postings any more and nothing in the
+    /// workspace calls this. The defaulted no-op stays only because the
+    /// frozen benchmark package's tracing transport forwards it; it
+    /// goes when that forwarder does.
     ///
     /// # Errors
     ///
-    /// Propagates transport failures (remote backends only).
+    /// Never fails.
     fn retain_rounds_from(&self, _round: u64) -> Result<(), BoardError> {
         Ok(())
     }
@@ -225,8 +221,8 @@ pub(crate) fn same_label(a: &Arc<str>, b: &Arc<str>) -> bool {
 /// [`Posting`] carries except the member index.
 #[derive(Debug)]
 struct Run<M> {
-    /// Absolute sequence number of the run's first posting. The run
-    /// ends where the next one starts (or at the log end).
+    /// Sequence number of the run's first posting. The run ends where
+    /// the next one starts (or at the log end).
     start: usize,
     round: u64,
     committee: Arc<str>,
@@ -264,35 +260,29 @@ impl<M: Clone> Run<M> {
 #[derive(Debug)]
 struct RunLog<M> {
     runs: Vec<Run<M>>,
-    /// Member index of every retained posting; `members[0]` is the
-    /// posting with absolute sequence number `base`.
+    /// Member index of every posting, by sequence number.
     members: Vec<usize>,
     round_starts: Vec<usize>,
     round: u64,
-    /// Retention watermark: number of postings dropped from the front
-    /// of the log. Sequence numbers, run starts, `round_starts` and
-    /// cursors stay *absolute*, so readers above the watermark are
-    /// unaffected by drops below it.
-    base: usize,
 }
 
 impl<M> Default for RunLog<M> {
     fn default() -> Self {
-        RunLog { runs: Vec::new(), members: Vec::new(), round_starts: vec![0], round: 0, base: 0 }
+        RunLog { runs: Vec::new(), members: Vec::new(), round_starts: vec![0], round: 0 }
     }
 }
 
 impl<M> RunLog<M> {
-    /// Total postings ever appended (dropped ones included) — the
-    /// sequence number the next posting will get.
-    fn abs_len(&self) -> usize {
-        self.base + self.members.len()
+    /// Total postings appended — the sequence number the next posting
+    /// will get.
+    fn len(&self) -> usize {
+        self.members.len()
     }
 
-    /// The `[lo, hi)` **absolute** range holding round `round`'s
+    /// The `[lo, hi)` sequence-number range holding round `round`'s
     /// postings.
     fn round_range(&self, round: u64) -> std::ops::Range<usize> {
-        let start_of = |r: usize| self.round_starts.get(r).copied().unwrap_or(self.abs_len());
+        let start_of = |r: usize| self.round_starts.get(r).copied().unwrap_or(self.len());
         let r = usize::try_from(round).unwrap_or(usize::MAX);
         start_of(r)..start_of(r.saturating_add(1))
     }
@@ -330,7 +320,7 @@ impl<M> RunLog<M> {
         elements: u64,
         bytes: u64,
     ) {
-        let (start, round) = (self.abs_len(), self.round);
+        let (start, round) = (self.len(), self.round);
         self.runs.push(Run { start, round, committee, phase, message, elements, bytes });
     }
 
@@ -345,26 +335,13 @@ impl<M> RunLog<M> {
         self.members.push(r.from.index);
     }
 
-    /// Calls `f(run, members)` for every run overlapping the absolute
-    /// range, in log order, with the member indices of the overlap —
-    /// the range may start or end mid-run. Fails if any part of the
-    /// range has been dropped under the retention watermark (reading
-    /// history that no longer exists would silently corrupt
-    /// transcripts, so it is a hard protocol error).
-    fn walk(
-        &self,
-        range: std::ops::Range<usize>,
-        mut f: impl FnMut(&Run<M>, &[usize]),
-    ) -> Result<(), BoardError> {
-        if range.start < self.base && range.start < range.end {
-            return Err(BoardError::Protocol(format!(
-                "read below retention watermark: postings [{}, {}) requested, first retained is {}",
-                range.start, range.end, self.base
-            )));
-        }
-        let (lo, hi) = (range.start.max(self.base), range.end.min(self.abs_len()));
+    /// Calls `f(run, members)` for every run overlapping the range, in
+    /// log order, with the member indices of the overlap — the range
+    /// may start or end mid-run.
+    fn walk(&self, range: std::ops::Range<usize>, mut f: impl FnMut(&Run<M>, &[usize])) {
+        let (lo, hi) = (range.start, range.end.min(self.len()));
         if lo >= hi {
-            return Ok(());
+            return;
         }
         // The run holding `lo` is the last one starting at or before it.
         let first = self.runs.partition_point(|run| run.start <= lo).saturating_sub(1);
@@ -373,35 +350,30 @@ impl<M> RunLog<M> {
             if run.start >= hi {
                 break;
             }
-            let run_end = runs.peek().map_or(self.abs_len(), |next| next.start);
+            let run_end = runs.peek().map_or(self.len(), |next| next.start);
             let (a, b) = (run.start.max(lo), run_end.min(hi));
-            if let Some(members) = self.members.get(a - self.base..b - self.base) {
+            if let Some(members) = self.members.get(a..b) {
                 f(run, members);
             }
         }
-        Ok(())
     }
 
-    /// Clones of the postings in the absolute range, in order.
-    fn read(&self, range: std::ops::Range<usize>) -> Result<Vec<Posting<M>>, BoardError>
+    /// Clones of the postings in the range, in order.
+    fn read(&self, range: std::ops::Range<usize>) -> Vec<Posting<M>>
     where
         M: Clone,
     {
         let mut out = Vec::with_capacity(range.end.saturating_sub(range.start));
         self.walk(range, |run, members| {
             out.extend(members.iter().map(|&index| run.posting(index)));
-        })?;
-        Ok(out)
+        });
+        out
     }
 
-    /// Applies `f` to every posting in the absolute range without
-    /// cloning per posting: one scratch [`Posting`] per run, whose
-    /// member index is rewritten in place.
-    fn visit(
-        &self,
-        range: std::ops::Range<usize>,
-        f: &mut dyn FnMut(&Posting<M>),
-    ) -> Result<(), BoardError>
+    /// Applies `f` to every posting in the range without cloning per
+    /// posting: one scratch [`Posting`] per run, whose member index is
+    /// rewritten in place.
+    fn visit(&self, range: std::ops::Range<usize>, f: &mut dyn FnMut(&Posting<M>))
     where
         M: Clone,
     {
@@ -411,29 +383,15 @@ impl<M> RunLog<M> {
                 scratch.from.index = index;
                 f(&scratch);
             }
-        })
+        });
     }
 
     /// Ticks the round clock, sealing the current round's range (and
     /// with it the last run: `extends` never matches an older round).
     fn advance(&mut self) -> u64 {
         self.round += 1;
-        self.round_starts.push(self.abs_len());
+        self.round_starts.push(self.len());
         self.round
-    }
-
-    /// Drops every posting of sealed rounds before `round` (clamped to
-    /// the current round — the open round is never dropped). The cut is
-    /// a round boundary, so it removes whole runs. The round clock,
-    /// `round_starts` and sequence numbers are untouched.
-    fn retain_rounds_from(&mut self, round: u64) {
-        let cut = self.round_range(round.min(self.round)).start;
-        if cut > self.base {
-            self.members.drain(..cut - self.base);
-            let dropped = self.runs.partition_point(|run| run.start < cut);
-            self.runs.drain(..dropped);
-            self.base = cut;
-        }
     }
 }
 
@@ -447,7 +405,7 @@ impl<M> RunLog<M> {
 /// # Ordering contract
 ///
 /// The same observable semantics as the in-process [`RunLog`] (total
-/// order, round ranges, absolute sequence numbers): each
+/// order, round ranges, sequence numbers): each
 /// `append_with` call lands atomically in the current round's shard
 /// (appends within a round are serialized by that round's lock, in
 /// lock-acquisition order — which for the board server is frame
@@ -635,7 +593,7 @@ impl<M> InProcessTransport<M> {
         InProcessTransport { log: RwLock::new(RunLog::default()) }
     }
 
-    /// Number of runs the retained postings occupy.
+    /// Number of runs the postings occupy.
     #[cfg(test)]
     pub(crate) fn run_count(&self) -> usize {
         self.log.read().runs.len()
@@ -694,22 +652,23 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
     }
 
     fn len(&self) -> Result<usize, BoardError> {
-        Ok(self.log.read().abs_len())
+        Ok(self.log.read().len())
     }
 
     fn read_round(&self, round: u64) -> Result<Vec<Posting<M>>, BoardError> {
         let g = self.log.read();
-        g.read(g.round_range(round))
+        Ok(g.read(g.round_range(round)))
     }
 
     fn read_from(&self, cursor: usize) -> Result<Vec<Posting<M>>, BoardError> {
         let g = self.log.read();
-        g.read(cursor.min(g.abs_len())..g.abs_len())
+        Ok(g.read(cursor.min(g.len())..g.len()))
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&Posting<M>)) -> Result<(), BoardError> {
         let g = self.log.read();
-        g.visit(g.base..g.abs_len(), f)
+        g.visit(0..g.len(), f);
+        Ok(())
     }
 
     fn for_each_in_round(
@@ -718,11 +677,7 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         f: &mut dyn FnMut(&Posting<M>),
     ) -> Result<(), BoardError> {
         let g = self.log.read();
-        g.visit(g.round_range(round), f)
-    }
-
-    fn retain_rounds_from(&self, round: u64) -> Result<(), BoardError> {
-        self.log.write().retain_rounds_from(round);
+        g.visit(g.round_range(round), f);
         Ok(())
     }
 
@@ -943,40 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn retention_watermark_drops_sealed_rounds() {
-        let t = InProcessTransport::<u64>::new();
-        for round in 0..3usize {
-            t.post_batch(vec![rec(round * 10, "a"), rec(round * 10 + 1, "a")]).unwrap();
-            t.advance_round().unwrap();
-        }
-        assert_eq!(t.len().unwrap(), 6);
-        t.retain_rounds_from(2).unwrap();
-        // Sequence numbers keep counting dropped postings, so
-        // len-synchronised readers are undisturbed.
-        assert_eq!(t.len().unwrap(), 6);
-        let r2 = t.read_round(2).unwrap();
-        assert_eq!(r2.len(), 2);
-        assert_eq!(r2[0].message, 20);
-        // Reads below the watermark are a hard protocol error, never a
-        // silently truncated transcript.
-        assert!(matches!(t.read_round(0), Err(BoardError::Protocol(_))));
-        assert!(matches!(t.read_from(0), Err(BoardError::Protocol(_))));
-        // A cursor at the watermark reads cleanly.
-        assert_eq!(t.read_from(4).unwrap().len(), 2);
-        assert!(t.read_from(6).unwrap().is_empty());
-        // Retention is monotone: asking for an older watermark is a
-        // no-op, and re-asking for the same one is idempotent.
-        t.retain_rounds_from(1).unwrap();
-        t.retain_rounds_from(2).unwrap();
-        assert_eq!(t.read_round(2).unwrap().len(), 2);
-        // The open round is never dropped.
-        t.post_batch(vec![rec(30, "b")]).unwrap();
-        t.retain_rounds_from(99).unwrap();
-        assert_eq!(t.read_round(3).unwrap().len(), 1);
-        assert_eq!(t.len().unwrap(), 7);
-    }
-
-    #[test]
     fn a_committee_step_occupies_one_run() {
         // n members posting the same message under one phase, through
         // each entry point: one run, n member indices.
@@ -1048,26 +969,6 @@ mod tests {
         // Only the member index differing does not.
         t.post_batch(vec![PostRecord { message: 1, ..rec(9, "a") }]).unwrap();
         assert_eq!(t.run_count(), 2);
-    }
-
-    #[test]
-    fn retention_drops_whole_runs_and_keeps_absolute_positions() {
-        let t = InProcessTransport::<u64>::new();
-        for round in 0..3u64 {
-            t.post_batch((0..4).map(|i| PostRecord { message: round, ..rec(i, "a") }).collect())
-                .unwrap();
-            t.advance_round().unwrap();
-        }
-        assert_eq!(t.run_count(), 3);
-        t.retain_rounds_from(2).unwrap();
-        assert_eq!((t.len().unwrap(), t.run_count()), (12, 1));
-        // A cursor mid-run above the watermark still resolves.
-        let tail = t.read_from(10).unwrap();
-        assert_eq!(
-            tail.iter().map(|p| (p.message, p.from.index)).collect::<Vec<_>>(),
-            [(2, 2), (2, 3)]
-        );
-        assert!(matches!(t.read_from(7), Err(BoardError::Protocol(_))));
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Model-based test of the in-process board's run-length log: random
-//! interleavings of every posting entry point, round ticks and
-//! retention cuts, checked after each step against a naive log that
-//! keeps one `Posting` per post. Every reader must return exactly what
-//! the naive log holds — from any cursor (mid-run, at the watermark)
-//! — or the watermark error below it.
+//! interleavings of every posting entry point and round ticks, checked
+//! after each step against a naive log that keeps one `Posting` per
+//! post. Every reader must return exactly what the naive log holds,
+//! from any cursor (mid-run included).
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use yoso_runtime::{BoardError, BulletinBoard, Committee, PostRecord, Posting, RoleId};
+use yoso_runtime::{
+    BoardError, BoardTransport, BulletinBoard, Committee, InProcessTransport, PostRecord, Posting,
+    RoleId,
+};
 
 const COMMITTEES: [&str; 2] = ["off-1", "on-2"];
 const PHASES: [&str; 3] = ["offline/1-beaver", "offline/2-wire-rand", "online/3-mult"];
@@ -33,7 +35,6 @@ enum Op {
     PostBatch(Shape, usize, Vec<u64>),
     PostRecords(Vec<(Shape, usize)>),
     AdvanceRound,
-    RetainRoundsFrom(u64),
 }
 
 fn shape() -> impl Strategy<Value = Shape> {
@@ -59,16 +60,13 @@ fn op() -> impl Strategy<Value = Op> {
         prop::collection::vec((shape(), 0..MEMBERS), 0..6).prop_map(Op::PostRecords),
         Just(Op::AdvanceRound),
         Just(Op::AdvanceRound),
-        (0..8u64).prop_map(Op::RetainRoundsFrom),
     ]
 }
 
-/// One `Posting` per post, nothing ever dropped: retention only moves
-/// `base`, below which reads fail.
+/// One `Posting` per post.
 struct Model {
     log: Vec<Posting<u64>>,
     round_starts: Vec<usize>,
-    base: usize,
 }
 
 impl Model {
@@ -87,22 +85,9 @@ impl Model {
         });
     }
 
-    fn round_range(&self, round: u64) -> std::ops::Range<usize> {
+    fn postings_in(&self, round: u64) -> &[Posting<u64>] {
         let at = |r: u64| self.round_starts.get(r as usize).copied().unwrap_or(self.log.len());
-        at(round)..at(round + 1)
-    }
-
-    /// `None` is the watermark error.
-    fn read(&self, range: std::ops::Range<usize>) -> Option<&[Posting<u64>]> {
-        if range.start < self.base && range.start < range.end {
-            return None;
-        }
-        Some(&self.log[range.start.max(self.base)..range.end.max(self.base)])
-    }
-
-    fn retain_rounds_from(&mut self, round: u64) {
-        let cut = self.round_range(round.min(self.round())).start;
-        self.base = self.base.max(cut);
+        &self.log[at(round)..at(round + 1)]
     }
 }
 
@@ -124,20 +109,22 @@ fn keys(ps: &[Posting<u64>]) -> Vec<Key> {
     ps.iter().map(key).collect()
 }
 
-/// A transport read against the model's: equal postings, or the
-/// watermark error on both sides.
+/// A transport read against the model's.
 fn same_read(
     got: Result<Vec<Posting<u64>>, BoardError>,
-    want: Option<&[Posting<u64>]>,
+    want: &[Posting<u64>],
 ) -> Result<(), String> {
-    match (got, want) {
-        (Ok(got), Some(want)) if keys(&got) == keys(want) => Ok(()),
-        (Err(BoardError::Protocol(_)), None) => Ok(()),
-        (got, want) => Err(format!("got {got:?}, want {:?}", want.map(keys))),
+    match got {
+        Ok(got) if keys(&got) == keys(want) => Ok(()),
+        got => Err(format!("got {got:?}, want {:?}", keys(want))),
     }
 }
 
-fn check(board: &BulletinBoard<u64>, model: &Model) -> Result<(), String> {
+fn check(
+    board: &BulletinBoard<u64>,
+    log: &InProcessTransport<u64>,
+    model: &Model,
+) -> Result<(), String> {
     let len = model.log.len();
     if board.len().map_err(|e| e.to_string())? != len {
         return Err(format!("len {:?} != {len}", board.len()));
@@ -146,16 +133,16 @@ fn check(board: &BulletinBoard<u64>, model: &Model) -> Result<(), String> {
         return Err("round clock diverged".into());
     }
     for cursor in 0..=len + 1 {
-        same_read(board.postings_from(cursor), model.read(cursor.min(len)..len))
+        same_read(log.read_from(cursor), &model.log[cursor.min(len)..])
             .map_err(|e| format!("read_from({cursor}): {e}"))?;
     }
     let mut seen = Vec::new();
     board.for_each(|p| seen.push(key(p))).map_err(|e| e.to_string())?;
-    if seen != keys(&model.log[model.base..]) {
+    if seen != keys(&model.log) {
         return Err(format!("for_each saw {seen:?}"));
     }
     for round in 0..=model.round() + 1 {
-        let want = model.read(model.round_range(round));
+        let want = model.postings_in(round);
         same_read(board.postings_in_round(round), want)
             .map_err(|e| format!("read_round({round}): {e}"))?;
         let mut seen = Vec::new();
@@ -180,8 +167,9 @@ proptest! {
                 RoleId::new(COMMITTEES[s.committee], i)
             }
         };
-        let board: BulletinBoard<u64> = BulletinBoard::new();
-        let mut model = Model { log: Vec::new(), round_starts: vec![0], base: 0 };
+        let log = Arc::new(InProcessTransport::<u64>::new());
+        let board: BulletinBoard<u64> = BulletinBoard::with_transport(log.clone());
+        let mut model = Model { log: Vec::new(), round_starts: vec![0] };
         for (step, op) in ops.iter().enumerate() {
             match op {
                 Op::Post(s, i) => {
@@ -219,12 +207,8 @@ proptest! {
                     board.advance_round().unwrap();
                     model.round_starts.push(model.log.len());
                 }
-                Op::RetainRoundsFrom(round) => {
-                    board.retain_rounds_from(*round).unwrap();
-                    model.retain_rounds_from(*round);
-                }
             }
-            if let Err(e) = check(&board, &model) {
+            if let Err(e) = check(&board, &log, &model) {
                 prop_assert!(false, "after step {step} ({op:?}): {e}");
             }
         }
