@@ -92,6 +92,7 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
 
     let phase = "setup/dkg";
     let mut deals: Vec<Deal<F>> = Vec::new();
+    let mut posts = crate::parallel::PostBuffer::new();
     for i in 0..n {
         let behavior = committee.behavior(i);
         if !behavior.participates_at(crate::engine::phase_index(phase)) {
@@ -149,9 +150,10 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
             }
         };
         let elements = messages::reshare_elements(n as u64, t as u64);
-        sb.post(owned, committee.role(i), Post::TskReshare, phase, elements)?;
+        posts.record(owned, &committee.name, i, Post::TskReshare, phase, elements);
         deals.push(deal);
     }
+    sb.flush_buffer(posts)?;
 
     let qualified: Vec<&Deal<F>> = deals.iter().filter(|d| d.valid).collect();
     if qualified.len() < t + 1 {

@@ -164,7 +164,8 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
         };
         posts.record(
             owned,
-            committee.role(i),
+            &committee.name,
+            i,
             Post::Contribution { step, ciphertexts: 1 },
             phase,
             CT_ELEMENTS + ENC_PROOF_ELEMENTS,
@@ -285,7 +286,8 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
         let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
         posts.record(
             owned,
-            c2.role(i),
+            &c2.name,
+            i,
             Post::Contribution { step: ContributionStep::Beaver, ciphertexts: 2 },
             phase,
             elements,

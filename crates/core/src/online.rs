@@ -264,10 +264,11 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
             // child RNGs seeded sequentially (one per member, drawn
             // whether or not the member participates, so the seed
             // stream is behavior- and thread-count-independent), then
-            // replay posts and leak records in member order.
+            // record posts and leak records in member order.
             struct MemberOut<F: PrimeField> {
+                /// Whether the member posted its share (valid or not).
+                posted: bool,
                 share: Option<Share<F>>,
-                posts: crate::parallel::PostBuffer,
                 leaks: Vec<(RoleId, String, usize)>,
             }
             let seeds: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
@@ -276,17 +277,12 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                 &seeds,
                 |i, &seed| -> Result<MemberOut<F>, ProtocolError> {
                     let mut mrng = rand::rngs::StdRng::seed_from_u64(seed);
-                    let mut out = MemberOut {
-                        share: None,
-                        posts: crate::parallel::PostBuffer::new(),
-                        leaks: Vec::new(),
-                    };
+                    let mut out = MemberOut { posted: false, share: None, leaks: Vec::new() };
                     let behavior = committee.behavior(i);
                     if !behavior.participates_at(crate::engine::phase_index(phase_mul)) {
                         return Ok(out);
                     }
-                    let owned = cfg.partition.owns(i);
-                    let prove = cfg.produce_proofs && owned;
+                    let prove = cfg.produce_proofs && cfg.partition.owns(i);
                     let kff_pk = setup.kff_pairs[layer_idx][i].public;
                     let ma = mu_alpha_vals[i];
                     let mb = mu_beta_vals[i];
@@ -343,23 +339,28 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                             (value, ok)
                         }
                     };
-                    out.posts.record(
-                        owned,
-                        committee.role(i),
-                        Post::MulShare,
-                        phase_mul,
-                        1 + MULSHARE_PROOF_ELEMENTS,
-                    );
+                    out.posted = true;
                     if valid {
                         out.share = Some(Share { party: i, value });
                     }
                     Ok(out)
                 },
             );
+            // One buffer, one flush for the whole batch.
+            let mut posts = crate::parallel::PostBuffer::new();
             let mut posted: Vec<Share<F>> = Vec::new();
-            for result in member_results {
+            for (i, result) in member_results.into_iter().enumerate() {
                 let out = result?;
-                sb.flush_buffer(out.posts)?;
+                if out.posted {
+                    posts.record(
+                        cfg.partition.owns(i),
+                        &committee.name,
+                        i,
+                        Post::MulShare,
+                        phase_mul,
+                        1 + MULSHARE_PROOF_ELEMENTS,
+                    );
+                }
                 for (role, object, piece) in out.leaks {
                     leak.record(role, object, piece);
                 }
@@ -367,6 +368,7 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     posted.push(share);
                 }
             }
+            sb.flush_buffer(posts)?;
 
             if posted.len() < rec_degree + 1 {
                 return Err(ProtocolError::NotEnoughContributions {

@@ -16,99 +16,98 @@
 
 use std::sync::Arc;
 
-use yoso_runtime::{BoardError, BulletinBoard, PostRecord, RoleId};
+use yoso_runtime::PostRun;
 
 use crate::messages::{self, Post};
 
-/// A single board post produced away from the board (e.g. on a worker
-/// thread), replayed later in deterministic item order.
-///
-/// Holds only public accounting data — the posting role, the post
-/// kind, the phase label, and the element count. Message *payloads*
-/// never enter the buffer (the board model tracks sizes, not bytes),
-/// so the derived `Debug` cannot leak secrets.
+/// What the consecutive posts of one buffered run share. Holds only
+/// public accounting data — the committee, the post kind, the phase
+/// label and the element count. Message *payloads* never enter the
+/// buffer (the board model tracks sizes, not bytes), so the derived
+/// `Debug` cannot leak secrets.
 #[derive(Debug, Clone)]
-struct BufferedPost {
+struct BufferedRun {
     /// Whether the recording worker's [`crate::workitem::RolePartition`]
-    /// owns the member this post belongs to. Solo runs own everything;
+    /// owns the members this run belongs to. Solo runs own everything;
     /// a role-sharded worker buffers *every* post for position
     /// accounting but appends only the owned ones to the board.
     owned: bool,
-    role: RoleId,
+    committee: Arc<str>,
     post: Post,
     phase: &'static str,
     elements: u64,
+    /// Where the run's member indices start in [`PostBuffer::members`];
+    /// they end where the next run's start.
+    start: usize,
 }
 
-/// An append-only buffer of board posts owned by one parallel worker.
+/// An append-only, run-length buffer of board posts produced away from
+/// the board (e.g. on a worker thread), replayed later in deterministic
+/// item order.
 ///
 /// Workers must not touch the shared [`BulletinBoard`] directly — the
 /// transcript order would then depend on thread scheduling. Instead
 /// each worker records into its own `PostBuffer` and the coordinator
-/// replays the buffers in item-index order ([`Self::flush`]), keeping
-/// transcripts byte-identical at any thread count.
+/// replays the buffers in item-index order
+/// ([`crate::workitem::ShardedBoard::flush_buffer`]), keeping
+/// transcripts byte-identical at any thread count. A committee step's
+/// members differ only in who they are, so a post costs the buffer one
+/// member index; what the step shares is stored once per run.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PostBuffer {
-    posts: Vec<BufferedPost>,
+    runs: Vec<BufferedRun>,
+    /// Member index of every recorded post, in recording order.
+    members: Vec<usize>,
 }
 
 impl PostBuffer {
     pub(crate) fn new() -> Self {
-        PostBuffer { posts: Vec::new() }
+        PostBuffer::default()
     }
 
-    /// Records one post for later replay. `owned` says whether the
-    /// current worker's role partition owns the posting member (always
-    /// true in solo runs).
+    /// Records one post by `member` of `committee` for later replay.
+    /// `owned` says whether the current worker's role partition owns
+    /// the posting member (always true in solo runs). The post joins
+    /// the open run unless anything but the member differs from it.
     pub(crate) fn record(
         &mut self,
         owned: bool,
-        role: RoleId,
+        committee: &Arc<str>,
+        member: usize,
         post: Post,
         phase: &'static str,
         elements: u64,
     ) {
-        self.posts.push(BufferedPost { owned, role, post, phase, elements });
+        let continues = self.runs.last().is_some_and(|run| {
+            run.owned == owned
+                && run.elements == elements
+                && run.post == post
+                && run.phase == phase
+                && (Arc::ptr_eq(&run.committee, committee) || run.committee == *committee)
+        });
+        if !continues {
+            let committee = Arc::clone(committee);
+            let start = self.members.len();
+            self.runs.push(BufferedRun { owned, committee, post, phase, elements, start });
+        }
+        self.members.push(member);
     }
 
-    /// Converts the buffer into a lazy stream of transport records in
-    /// recording order, tagged with the recorder's ownership flags.
-    /// Phase labels are the ones interned by `board`'s meter (looked up
-    /// once per run of equal labels), so no record allocates a label.
-    pub(crate) fn into_record_iter(
-        self,
-        board: &BulletinBoard<Post>,
-    ) -> impl Iterator<Item = (bool, PostRecord<Post>)> + '_ {
-        let mut last: Option<(&'static str, Arc<str>)> = None;
-        self.posts.into_iter().map(move |p| {
-            let phase = match &last {
-                Some((label, shared)) if *label == p.phase => Arc::clone(shared),
-                _ => {
-                    let shared = board.meter().intern(p.phase);
-                    last = Some((p.phase, Arc::clone(&shared)));
-                    shared
-                }
+    /// The buffered runs in recording order, each with the recorder's
+    /// ownership flag.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (bool, PostRun<'_, Post>)> + '_ {
+        self.runs.iter().enumerate().map(|(k, run)| {
+            let end = self.runs.get(k + 1).map_or(self.members.len(), |next| next.start);
+            let posted = PostRun {
+                committee: &run.committee,
+                phase: run.phase,
+                message: &run.post,
+                elements: run.elements,
+                bytes: messages::to_bytes(run.elements),
+                members: &self.members[run.start..end],
             };
-            (
-                p.owned,
-                PostRecord {
-                    from: p.role,
-                    phase,
-                    message: p.post,
-                    elements: p.elements,
-                    bytes: messages::to_bytes(p.elements),
-                },
-            )
+            (run.owned, posted)
         })
-    }
-
-    /// Replays the buffered posts onto the board, in recording order,
-    /// as **one** transport flush: the write lock (or TCP connection)
-    /// is taken once per buffer instead of once per post, and records
-    /// stream straight into the transport's frame encoder without an
-    /// intermediate `Vec<PostRecord>`.
-    pub(crate) fn flush(self, board: &BulletinBoard<Post>) -> Result<(), BoardError> {
-        board.post_record_stream(self.into_record_iter(board).map(|(_, r)| r)).map(|_| ())
     }
 }
 
@@ -210,7 +209,7 @@ mod tests {
     /// The hw/threshold clamp in [`par_map`] can make the threaded path
     /// unreachable on small hosts (1 hardware thread ⇒ always inline),
     /// so the thread pool itself is exercised directly here.
-        #[test]
+    #[test]
     fn threaded_path_preserves_order_and_values() {
         let items: Vec<u64> = (0..200).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();

@@ -290,6 +290,7 @@ impl<F: PrimeField> TskChain<F> {
     ) -> Result<Vec<F>, ProtocolError> {
         self.record_leaks(committee);
         let mut partials: Vec<Vec<(usize, F, bool)>> = vec![Vec::new(); cts.len()];
+        let mut posts = crate::parallel::PostBuffer::new();
         for i in 0..committee.n() {
             let Some(share) = &self.shares[i] else { continue };
             let behavior = committee.behavior(i);
@@ -326,16 +327,18 @@ impl<F: PrimeField> TskChain<F> {
                         (wrong, ok)
                     }
                 };
-                sb.post(
+                posts.record(
                     owned,
-                    committee.role(i),
+                    &committee.name,
+                    i,
                     Post::PartialDec,
                     phase,
                     PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS,
-                )?;
+                );
                 partials[c_idx].push((i, value, valid));
             }
         }
+        sb.flush_buffer(posts)?;
 
         self.combine_partials(cts, &partials)
     }
@@ -469,7 +472,8 @@ impl<F: PrimeField> TskChain<F> {
                 };
                 posts.record(
                     owned,
-                    committee.role(i),
+                    &committee.name,
+                    i,
                     Post::EncryptedPartial,
                     phase,
                     CT_ELEMENTS + ENC_PDEC_PROOF_ELEMENTS,
@@ -550,6 +554,7 @@ impl<F: PrimeField> TskChain<F> {
         let table = PowerTable::new(n, t);
 
         let mut msgs: Vec<PostedReshare<F>> = Vec::new();
+        let mut posts = crate::parallel::PostBuffer::new();
         for i in 0..outgoing.n() {
             let Some(share) = &self.shares[i] else { continue };
             let behavior = outgoing.behavior(i);
@@ -618,9 +623,10 @@ impl<F: PrimeField> TskChain<F> {
                 }
             };
             let elements = messages::reshare_elements(n as u64, t as u64);
-            sb.post(owned, outgoing.role(i), Post::TskReshare, phase, elements)?;
+            posts.record(owned, &outgoing.name, i, Post::TskReshare, phase, elements);
             msgs.push(posted);
         }
+        sb.flush_buffer(posts)?;
 
         let providers: Vec<&PostedReshare<F>> =
             msgs.iter().filter(|m| m.valid).take(t + 1).collect();

@@ -35,9 +35,9 @@
 //! `wait_round_at_least` — the YOSO handoff itself is the barrier, no
 //! side channel exists.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use yoso_runtime::{BulletinBoard, PostRecord, RoleId};
+use yoso_runtime::{BulletinBoard, CommMeter, PostRun, RoleId};
 
 use crate::messages::{self, Post};
 use crate::parallel::PostBuffer;
@@ -145,18 +145,65 @@ impl RolePartition {
     }
 }
 
+/// A run of owned posts not yet appended.
+#[derive(Debug)]
+struct PendingRun {
+    /// Canonical global position of the run's first post; the rest
+    /// follow consecutively.
+    start: u64,
+    committee: Arc<str>,
+    phase: Arc<str>,
+    message: Post,
+    elements: u64,
+    members: Vec<usize>,
+}
+
+impl PendingRun {
+    fn as_run(&self) -> PostRun<'_, Post> {
+        PostRun {
+            committee: &self.committee,
+            phase: &self.phase,
+            message: &self.message,
+            elements: self.elements,
+            bytes: messages::to_bytes(self.elements),
+            members: &self.members,
+        }
+    }
+}
+
 /// Mutable position/round accounting of one worker's board view.
 #[derive(Debug, Default)]
 struct ShardState {
-    /// Owned posts not yet appended, each with its canonical global
-    /// position. Always sorted: positions are assigned in call order.
-    pending: Vec<(u64, PostRecord<Post>)>,
+    /// Owned runs not yet appended. Always sorted: positions are
+    /// assigned in call order.
+    pending: Vec<PendingRun>,
     /// Canonical number of posts accounted so far across *all*
     /// workers (every worker replicates the full post sequence, so
     /// local accounting equals the global count).
     pos: u64,
     /// The round this worker believes the board is in.
     round: u64,
+}
+
+impl ShardState {
+    /// Accounts one run at the current position: whoever owns it, the
+    /// position moves past all of its posts in one step; a run this
+    /// worker owns is queued for the next barrier, labelled with the
+    /// meter's shared phase allocation.
+    fn account(&mut self, owned: bool, run: &PostRun<'_, Post>, meter: &CommMeter) {
+        let start = self.pos;
+        self.pos += run.members.len() as u64;
+        if owned {
+            self.pending.push(PendingRun {
+                start,
+                committee: Arc::clone(run.committee),
+                phase: meter.intern(run.phase),
+                message: *run.message,
+                elements: run.elements,
+                members: run.members.to_vec(),
+            });
+        }
+    }
 }
 
 /// A bulletin-board façade for one role-sharded worker.
@@ -275,43 +322,37 @@ impl<'a> ShardedBoard<'a> {
             self.board.post(from, message, phase, elements, messages::to_bytes(elements))?;
             return Ok(());
         }
-        let mut st = self.lock();
-        let pos = st.pos;
-        st.pos += 1;
-        if owned {
-            st.pending.push((
-                pos,
-                PostRecord {
-                    from,
-                    phase: self.board.meter().intern(phase),
-                    message,
-                    elements,
-                    bytes: messages::to_bytes(elements),
-                },
-            ));
-        }
+        let run = PostRun {
+            committee: &from.committee,
+            phase,
+            message: &message,
+            elements,
+            bytes: messages::to_bytes(elements),
+            members: &[from.index],
+        };
+        self.lock().account(owned, &run, self.board.meter());
         Ok(())
     }
 
     /// Accounts a whole [`PostBuffer`] (the parallel engine's replay
-    /// path) according to each record's ownership flag, preserving
-    /// recording order.
+    /// path), run by run, according to each run's ownership flag and
+    /// preserving recording order. Solo mode replays the buffer onto
+    /// the board as **one** transport call: the write lock (or TCP
+    /// connection) is taken once per buffer, and each run costs one
+    /// meter update and one bulk copy of its member indices.
     ///
     /// # Errors
     ///
     /// Propagates transport failures (solo mode flushes immediately).
     pub(crate) fn flush_buffer(&self, buffer: PostBuffer) -> Result<(), ProtocolError> {
         if self.partition.is_solo() {
-            buffer.flush(self.board)?;
+            let runs: Vec<PostRun<'_, Post>> = buffer.runs().map(|(_, run)| run).collect();
+            self.board.post_run(&runs)?;
             return Ok(());
         }
         let mut st = self.lock();
-        for (owned, record) in buffer.into_record_iter(self.board) {
-            let pos = st.pos;
-            st.pos += 1;
-            if owned {
-                st.pending.push((pos, record));
-            }
+        for (owned, run) in buffer.runs() {
+            st.account(owned, &run, self.board.meter());
         }
         Ok(())
     }
@@ -320,14 +361,17 @@ impl<'a> ShardedBoard<'a> {
     /// order, waiting for peer workers' lower positions to land first.
     fn drain_pending(&self) -> Result<(), ProtocolError> {
         let pending = std::mem::take(&mut self.lock().pending);
-        let mut i = 0;
-        while i < pending.len() {
-            // Maximal contiguous run of positions starting at i.
-            let start = pending[i].0;
-            let mut j = i + 1;
-            while j < pending.len() && pending[j].0 == start + (j - i) as u64 {
-                j += 1;
+        let mut rest = pending.as_slice();
+        while let Some(first) = rest.first() {
+            // Maximal block of runs at consecutive positions: one
+            // position gate, one transport call.
+            let start = first.start;
+            let (mut next, mut count) = (start, 0);
+            while let Some(run) = rest.get(count).filter(|run| run.start == next) {
+                next += run.members.len() as u64;
+                count += 1;
             }
+            let (block, later) = rest.split_at(count);
             let len = self.board.wait_len_at_least(start as usize, WAIT_TIMEOUT)?;
             if len as u64 != start {
                 return Err(ProtocolError::Transport(format!(
@@ -336,11 +380,9 @@ impl<'a> ShardedBoard<'a> {
                      posted out of its range)"
                 )));
             }
-            // Stream the run straight into the transport's frame
-            // encoder — no intermediate Vec of cloned records.
-            self.board
-                .post_record_stream(pending[i..j].iter().map(|(_, r)| r.clone()))?;
-            i = j;
+            let runs: Vec<PostRun<'_, Post>> = block.iter().map(PendingRun::as_run).collect();
+            self.board.post_run(&runs)?;
+            rest = later;
         }
         Ok(())
     }
@@ -513,6 +555,48 @@ mod tests {
             assert_eq!(p.from, RoleId::new("committee", i));
         }
         assert_eq!(board.round().unwrap(), 1);
+    }
+
+    #[test]
+    fn a_buffered_step_is_accounted_and_drained_run_by_run() {
+        // Two steps of a 10-member committee through three workers'
+        // buffers. The middle worker sees each step as non-owned /
+        // owned / non-owned: positions move by whole runs, and what is
+        // left pending is one run per step at its canonical position.
+        let board: BulletinBoard<Post> = BulletinBoard::new();
+        let committee = yoso_runtime::Committee::honest("c", 10);
+        let workers: Vec<ShardedBoard<'_>> = [(0, 3), (3, 7), (7, 10)]
+            .iter()
+            .map(|&(lo, hi)| ShardedBoard::new(&board, RolePartition::range(lo, hi)).unwrap())
+            .collect();
+        for sb in &workers {
+            for _step in 0..2 {
+                let mut posts = PostBuffer::new();
+                for i in 0..10 {
+                    posts.record(sb.owns(i), &committee.name, i, Post::MulShare, "x", 1);
+                }
+                sb.flush_buffer(posts).unwrap();
+            }
+            let st = sb.lock();
+            assert_eq!(st.pos, 20);
+            let lo = sb.partition().lo();
+            let pending: Vec<(u64, &[usize])> =
+                st.pending.iter().map(|run| (run.start, run.members.as_slice())).collect();
+            let owned: Vec<usize> = (lo..sb.partition().hi()).collect();
+            assert_eq!(pending, vec![(lo as u64, &owned[..]), (10 + lo as u64, &owned[..])]);
+        }
+        std::thread::scope(|s| {
+            // Spawned last-range first: each waits for the positions below.
+            let handles: Vec<_> =
+                workers.iter().rev().map(|sb| s.spawn(|| sb.advance_round())).collect();
+            for h in handles {
+                h.join().unwrap().unwrap();
+            }
+        });
+        let members: Vec<usize> =
+            board.postings().unwrap().iter().map(|p| p.from.index).collect();
+        assert_eq!(members, (0..10).chain(0..10).collect::<Vec<_>>());
+        assert_eq!(board.meter().phase("x").messages, 20);
     }
 
     #[test]

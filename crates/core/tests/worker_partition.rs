@@ -13,7 +13,7 @@ use yoso_core::{
 use yoso_field::F61;
 use yoso_runtime::{
     ActiveAttack, Adversary, BoardError, BoardTransport, BulletinBoard, InProcessTransport,
-    PostRecord, Posting, RoleId,
+    PostRecord, PostRun, Posting, RoleId,
 };
 
 fn f(v: u64) -> F61 {
@@ -62,27 +62,29 @@ fn sharded_run(
     adversary: &Adversary,
 ) -> (String, Vec<RunResult<F61>>) {
     let board: BulletinBoard<Post> = BulletinBoard::new();
-    let runs = sharded_run_on(&board, params, workers, adversary);
+    let partitions: Vec<RolePartition> =
+        (0..workers).map(|w| params.worker_role_range(w, workers)).collect();
+    let runs = sharded_run_on(&board, params, &partitions, adversary);
     (render(&board), runs)
 }
 
-/// [`sharded_run`] on a caller-supplied (fresh) board.
+/// One worker thread per partition, on a caller-supplied (fresh) board.
 fn sharded_run_on(
     board: &BulletinBoard<Post>,
     params: ProtocolParams,
-    workers: usize,
+    partitions: &[RolePartition],
     adversary: &Adversary,
 ) -> Vec<RunResult<F61>> {
     let (circuit, inputs) = workload(params);
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = partitions
+            .iter()
+            .map(|&partition| {
                 let board = board.clone();
                 let circuit = &circuit;
                 let inputs = &inputs;
                 s.spawn(move || {
-                    let cfg = ExecutionConfig::default()
-                        .with_partition(params.worker_role_range(w, workers));
+                    let cfg = ExecutionConfig::default().with_partition(partition);
                     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
                     Engine::new(params, cfg)
                         .run_with_board(&mut rng, circuit, inputs, adversary, &board)
@@ -94,30 +96,57 @@ fn sharded_run_on(
     })
 }
 
-/// The in-process transport with its reads counted: whole-log reads
-/// (`read_from(0)`, `for_each`) apart from round-scoped ones.
+/// The in-process transport with its calls counted: whole-log reads
+/// (`read_from(0)`, `for_each`) apart from round-scoped ones, and
+/// record-level posting calls apart from run-level ones.
 #[derive(Default)]
 struct CountingTransport {
     inner: InProcessTransport<Post>,
     whole_log_reads: std::sync::atomic::AtomicUsize,
     round_reads: std::sync::atomic::AtomicUsize,
+    /// `post_batch` / `post_stream` / `post_slice` calls.
+    record_calls: std::sync::atomic::AtomicUsize,
+    run_calls: std::sync::atomic::AtomicUsize,
+    /// Postings that arrived through `post_run`.
+    run_posts: std::sync::atomic::AtomicUsize,
 }
 
 impl CountingTransport {
     fn bump(counter: &std::sync::atomic::AtomicUsize) {
         counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
+
+    /// A board over a fresh counting transport, and the transport.
+    fn board() -> (BulletinBoard<Post>, std::sync::Arc<CountingTransport>) {
+        let transport = std::sync::Arc::new(CountingTransport::default());
+        let board = BulletinBoard::with_transport(
+            std::sync::Arc::clone(&transport) as std::sync::Arc<dyn BoardTransport<Post>>
+        );
+        (board, transport)
+    }
+}
+
+fn load(counter: &std::sync::atomic::AtomicUsize) -> usize {
+    counter.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 impl BoardTransport<Post> for CountingTransport {
     fn post_batch(&self, records: Vec<PostRecord<Post>>) -> Result<(), BoardError> {
+        Self::bump(&self.record_calls);
         self.inner.post_batch(records)
     }
     fn post_stream(
         &self,
         records: &mut dyn Iterator<Item = PostRecord<Post>>,
     ) -> Result<u64, BoardError> {
+        Self::bump(&self.record_calls);
         self.inner.post_stream(records)
+    }
+    fn post_run(&self, runs: &[PostRun<'_, Post>]) -> Result<(), BoardError> {
+        Self::bump(&self.run_calls);
+        let posts = runs.iter().map(|run| run.members.len()).sum();
+        self.run_posts.fetch_add(posts, std::sync::atomic::Ordering::Relaxed);
+        self.inner.post_run(runs)
     }
     fn post_slice(
         &self,
@@ -127,6 +156,7 @@ impl BoardTransport<Post> for CountingTransport {
         elements: u64,
         bytes: u64,
     ) -> Result<(), BoardError> {
+        Self::bump(&self.record_calls);
         self.inner.post_slice(from, phase, messages, elements, bytes)
     }
     fn advance_round(&self) -> Result<u64, BoardError> {
@@ -174,18 +204,70 @@ fn workers_rebuild_phase_stats_round_by_round() {
     let params = ProtocolParams::new(10, 2, 3).unwrap();
     let adv = Adversary::none();
     let (_, solo) = solo_run(params, &adv);
-    let transport = std::sync::Arc::new(CountingTransport::default());
-    let board = BulletinBoard::with_transport(
-        std::sync::Arc::clone(&transport) as std::sync::Arc<dyn BoardTransport<Post>>
-    );
-    let runs = sharded_run_on(&board, params, 2, &adv);
+    let (board, transport) = CountingTransport::board();
+    let partitions = [params.worker_role_range(0, 2), params.worker_role_range(1, 2)];
+    let runs = sharded_run_on(&board, params, &partitions, &adv);
     for run in &runs {
         assert_eq!(solo.phases, run.phases);
     }
-    let load = |c: &std::sync::atomic::AtomicUsize| c.load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(load(&transport.whole_log_reads), 0);
     // Each worker reads rounds 0..=rounds once.
     assert_eq!(load(&transport.round_reads) as u64, 2 * (solo.rounds + 1));
+}
+
+#[test]
+fn member_posts_reach_the_transport_as_whole_committee_steps() {
+    // A solo execution speaks to the transport in runs: the only
+    // record-level calls left are the dealer's and the clients' single
+    // posts, and no run call carries less than one committee step.
+    let params = ProtocolParams::new(10, 2, 3).unwrap();
+    let (circuit, inputs) = workload(params);
+    let (board, transport) = CountingTransport::board();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
+    Engine::new(params, ExecutionConfig::default())
+        .run_with_board(&mut rng, &circuit, &inputs, &Adversary::none(), &board)
+        .unwrap();
+    let (reference, _) = solo_run(params, &Adversary::none());
+    assert_eq!(render(&board), reference);
+
+    let postings = board.postings().unwrap();
+    let single = |p: &&Posting<Post>| matches!(&*p.from.committee, "setup" | "client");
+    let singles = postings.iter().filter(single).count();
+    assert!(singles > 0);
+    assert_eq!(load(&transport.record_calls), singles);
+    assert_eq!(load(&transport.run_posts), postings.len() - singles);
+    let run_calls = load(&transport.run_calls);
+    assert!(run_calls > 0);
+    assert!(
+        load(&transport.run_posts) >= params.n * run_calls,
+        "{run_calls} run calls for {} member posts",
+        load(&transport.run_posts)
+    );
+}
+
+#[test]
+fn a_range_inside_the_committee_splits_each_step_in_three() {
+    // Worker 1 owns members 3..7 of 10: every committee step reaches
+    // its buffer as a non-owned, an owned and a non-owned run. Worker 3
+    // owns nothing at all. The board must not be able to tell.
+    let params = ProtocolParams::new(10, 2, 3).unwrap();
+    let adv = Adversary::none();
+    let (solo_log, solo) = solo_run(params, &adv);
+    let partitions = [
+        RolePartition::range(0, 3),
+        RolePartition::range(3, 7),
+        RolePartition::range(7, 10),
+        RolePartition::range(10, 10),
+    ];
+    let (board, transport) = CountingTransport::board();
+    let runs = sharded_run_on(&board, params, &partitions, &adv);
+    assert_eq!(render(&board), solo_log);
+    for run in &runs {
+        assert_eq!((&solo.outputs, &solo.phases), (&run.outputs, &run.phases));
+    }
+    // Pending posts are drained as runs: nothing went record by record.
+    assert_eq!(load(&transport.record_calls), 0);
+    assert_eq!(load(&transport.run_posts), board.len().unwrap());
 }
 
 #[test]

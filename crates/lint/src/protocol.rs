@@ -4,12 +4,13 @@
 //! across worker counts; this pass checks each intraprocedurally:
 //!
 //! 1. **Owner-only posting** (`unguarded-post`): the ownership flag of a
-//!    `ShardedBoard::post`/`PostBuffer::record` call must be derived from
+//!    `ShardedBoard::post`/`PostBuffer::record` call — or of a run-level
+//!    `post_run` on either — must be derived from
 //!    `RolePartition::owns(..)`/`is_leader()`/`is_solo()` — directly in
 //!    the argument, through a local binding whose initializer contains the
 //!    test, or through a parameter (the caller's site is checked at the
-//!    caller). Raw `BulletinBoard::post` calls in `core` bypass the
-//!    sharded position accounting entirely and are flagged unless
+//!    caller). Raw `BulletinBoard::post`/`post_run` calls in `core` bypass
+//!    the sharded position accounting entirely and are flagged unless
 //!    explicitly allowed.
 //! 2. **Round-barrier ordering** (`round-discipline`): raw-board
 //!    `advance_round()` only on leader/solo-guarded paths (the round tick
@@ -162,8 +163,7 @@ fn check_posts(tokens: &[Token], f: &FnItem, emit: &mut dyn FnMut(RuleId, usize,
             i += 1;
             continue;
         }
-        let is_post =
-            matches!(t.text.as_str(), "post" | "post_batch" | "post_records" | "record");
+        let is_post = matches!(t.text.as_str(), "post" | "post_batch" | "post_run" | "record");
         if !is_post {
             i += 1;
             continue;
@@ -172,10 +172,10 @@ fn check_posts(tokens: &[Token], f: &FnItem, emit: &mut dyn FnMut(RuleId, usize,
         let close = match_delim(tokens, i + 1);
         match recv {
             Receiver::Sharded => {
-                // `record`'s and `post`'s first argument is the ownership
-                // flag; `post_batch`/`post_records` are flush paths whose
-                // records carried their flags at `record` time.
-                if matches!(t.text.as_str(), "post" | "record") {
+                // The first argument of `record`, `post` and the run-level
+                // `post_run` is the ownership flag; `post_batch` is a flush
+                // path with no flag of its own.
+                if matches!(t.text.as_str(), "post" | "post_run" | "record") {
                     let args = split_args(tokens, (i + 2, close));
                     let guarded = match args.first() {
                         Some(&first) => {
@@ -204,13 +204,15 @@ fn check_posts(tokens: &[Token], f: &FnItem, emit: &mut dyn FnMut(RuleId, usize,
                 }
             }
             Receiver::Raw => {
-                if t.text == "post" {
+                if matches!(t.text.as_str(), "post" | "post_run") {
                     emit(
                         RuleId::UnguardedPost,
                         t.line,
-                        "raw `BulletinBoard::post` in core bypasses ShardedBoard \
-                         ownership accounting; post through the sharded wrapper"
-                            .to_string(),
+                        format!(
+                            "raw `BulletinBoard::{}` in core bypasses ShardedBoard \
+                             ownership accounting; post through the sharded wrapper",
+                            t.text
+                        ),
                     );
                 }
             }
@@ -430,6 +432,23 @@ mod tests {
     fn self_board_post_is_wrapper_internal() {
         let f = run("fn flush(&mut self) { self.board.post(r, m, p, 1); }");
         assert!(f.is_empty(), "{f:?}");
+        let f = run("fn flush(&self, runs: &[R]) { self.board.post_run(runs); }");
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn post_run_follows_the_rules_of_post() {
+        // Raw: bypasses the position accounting, whatever it is given.
+        let f = run("fn f(board: &BulletinBoard<Post>, runs: &[R]) { board.post_run(runs); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].0, RuleId::UnguardedPost);
+        assert!(f[0].2.contains("raw `BulletinBoard::post_run`"), "{f:?}");
+        // Sharded: the first argument is the ownership flag.
+        let f = run("fn f(sb: &ShardedBoard) { sb.post_run(sb.is_leader(), c, m, p, 1, members); }");
+        assert!(f.is_empty(), "{f:?}");
+        let f = run("fn f(sb: &ShardedBoard) { sb.post_run(true, c, m, p, 1, members); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].2.contains("`.post_run(..)` ownership flag"), "{f:?}");
     }
 
     #[test]

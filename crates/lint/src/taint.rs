@@ -19,7 +19,7 @@
 //!    only via bindings the token-level `secret-format` rule cannot see
 //!    (non-secret-named ones), so the two rules never double-report;
 //! 2. board posting payloads: `.post(..)`/`.post_batch(..)`/
-//!    `.post_records(..)`/`.record(..)` arguments and `Post*`-named
+//!    `.post_run(..)`/`.record(..)` arguments and `Post*`-named
 //!    struct-literal fields;
 //! 3. serialization: [`SERIALIZE_SINKS`] callees with a tainted receiver
 //!    or argument;
@@ -36,7 +36,7 @@ use crate::lexer::{TokKind, Token};
 use crate::parse::{match_delim, split_args, FnItem, Span};
 
 /// Posting-payload method sinks.
-const POST_SINKS: [&str; 4] = ["post", "post_batch", "post_records", "record"];
+const POST_SINKS: [&str; 4] = ["post", "post_batch", "post_run", "record"];
 
 /// Run the taint pass over every parsed function.
 pub fn taint_pass(

@@ -164,6 +164,7 @@ fn taint_clone_fixture_fails_where_token_rules_are_blind() {
 fn protocol_fixtures_fail_with_their_rules() {
     for (fixture, rule) in [
         ("protocol_unguarded_post", "[unguarded-post]"),
+        ("protocol_raw_post_run", "[unguarded-post]"),
         ("protocol_nonleader_advance", "[round-discipline]"),
         ("protocol_rng_reuse", "[seed-hygiene]"),
     ] {
@@ -171,6 +172,12 @@ fn protocol_fixtures_fail_with_their_rules() {
         assert_eq!(out.status.code(), Some(1), "{fixture}: {}", stdout(&out));
         assert!(stdout(&out).contains(rule), "{fixture}: {}", stdout(&out));
     }
+}
+
+#[test]
+fn guarded_run_posting_fixture_passes() {
+    let out = run_on_fixture("protocol_post_run_clean", &[]);
+    assert!(out.status.success(), "{}", stdout(&out));
 }
 
 #[test]

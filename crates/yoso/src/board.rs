@@ -18,7 +18,7 @@ use std::sync::Arc;
 use crate::metrics::CommMeter;
 use crate::role::RoleId;
 use crate::transport::{
-    same_label, BoardError, BoardTransport, InProcessTransport, PostRecord, WireMessage,
+    BoardError, BoardTransport, InProcessTransport, PostRecord, PostRun, WireMessage,
 };
 
 /// One posting on the board.
@@ -213,6 +213,11 @@ impl<M> BulletinBoard<M> {
     where
         M: Clone,
     {
+        // An empty batch meters nothing: registering its phase would
+        // list a phase no posting carries.
+        if messages.is_empty() {
+            return Ok(());
+        }
         let count = messages.len() as u64;
         let shared = self.meter.record_many(
             phase,
@@ -220,44 +225,39 @@ impl<M> BulletinBoard<M> {
             bytes_each * count,
             count,
         );
-        if !self.audit || messages.is_empty() {
+        if !self.audit {
             return Ok(());
         }
         self.transport.post_slice(&from, &shared, messages, elements_each, bytes_each)
     }
 
-    /// Posts a heterogeneous batch (mixed roles, phases and sizes) in
-    /// one transport call — the replay path of the parallel engine's
-    /// post buffers. Metering is aggregated per run of equal phase
-    /// labels, so a single-phase buffer costs one meter update.
+    /// Posts whole committee steps: for each run, every member index
+    /// posts the run's message under its phase at its per-posting size.
+    /// All runs of one call land in **one** transport call (one lock
+    /// acquisition, or one TCP flush), and each run costs one meter
+    /// update however many members it has — the replay path of the
+    /// parallel engine's post buffers. A run with no members meters
+    /// and posts nothing.
     ///
     /// # Errors
     ///
     /// Propagates transport failures (remote backends only).
-    pub fn post_records(&self, records: Vec<PostRecord<M>>) -> Result<(), BoardError> {
-        self.post_record_stream(records.into_iter()).map(|_| ())
-    }
-
-    /// Streaming variant of [`BulletinBoard::post_records`]: the
-    /// transport drains the iterator straight into its log (or wire
-    /// frames) while metering is aggregated per run of equal phase
-    /// labels on the fly — no intermediate `Vec` of records is ever
-    /// built. This is the parallel engine's buffer-flush hot path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (remote backends only).
-    pub fn post_record_stream(
-        &self,
-        records: impl Iterator<Item = PostRecord<M>>,
-    ) -> Result<u64, BoardError> {
-        let mut metered =
-            MeteredRecords { inner: records, meter: &self.meter, run: None };
-        if !self.audit {
-            let n = (&mut metered).count() as u64;
-            return Ok(n);
+    pub fn post_run(&self, runs: &[PostRun<'_, M>]) -> Result<(), BoardError>
+    where
+        M: Clone,
+    {
+        let mut posts = 0;
+        for run in runs {
+            let count = run.members.len() as u64;
+            if count > 0 {
+                self.meter.record_many(run.phase, run.elements * count, run.bytes * count, count);
+                posts += count;
+            }
         }
-        self.transport.post_stream(&mut metered)
+        if !self.audit || posts == 0 {
+            return Ok(());
+        }
+        self.transport.post_run(runs)
     }
 
     /// Number of postings so far.
@@ -415,64 +415,6 @@ impl<M> BulletinBoard<M> {
             )),
             WaitError::Board(b) => b,
         })
-    }
-}
-
-/// Iterator adapter behind [`BulletinBoard::post_record_stream`]:
-/// forwards records unchanged while folding consecutive equal-phase
-/// records into one [`CommMeter::record_many`] call per run. The
-/// trailing run is flushed when the inner iterator ends (and on drop,
-/// so a transport that stops draining early still meters what it
-/// consumed).
-struct MeteredRecords<'a, M, I: Iterator<Item = PostRecord<M>>> {
-    inner: I,
-    meter: &'a CommMeter,
-    run: Option<(Arc<str>, u64, u64, u64)>,
-}
-
-impl<M, I: Iterator<Item = PostRecord<M>>> MeteredRecords<'_, M, I> {
-    fn flush_run(&mut self) {
-        if let Some((phase, elements, bytes, count)) = self.run.take() {
-            self.meter.record_many(&phase, elements, bytes, count);
-        }
-    }
-}
-
-impl<M, I: Iterator<Item = PostRecord<M>>> Iterator for MeteredRecords<'_, M, I> {
-    type Item = PostRecord<M>;
-
-    fn next(&mut self) -> Option<PostRecord<M>> {
-        match self.inner.next() {
-            Some(r) => {
-                match &mut self.run {
-                    Some((phase, elements, bytes, count)) if same_label(phase, &r.phase) => {
-                        *elements += r.elements;
-                        *bytes += r.bytes;
-                        *count += 1;
-                    }
-                    _ => {
-                        self.flush_run();
-                        self.run =
-                            Some((Arc::clone(&r.phase), r.elements, r.bytes, 1));
-                    }
-                }
-                Some(r)
-            }
-            None => {
-                self.flush_run();
-                None
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl<M, I: Iterator<Item = PostRecord<M>>> Drop for MeteredRecords<'_, M, I> {
-    fn drop(&mut self) {
-        self.flush_run();
     }
 }
 
@@ -710,61 +652,170 @@ mod tests {
         }
     }
 
-    #[test]
-    fn post_records_mixed_phases_meter_correctly() {
-        let board: BulletinBoard<u64> = BulletinBoard::new();
-        let recs = vec![
-            PostRecord {
-                from: RoleId::new("c", 0),
-                phase: Arc::from("a"),
-                message: 1,
-                elements: 2,
-                bytes: 16,
-            },
-            PostRecord {
-                from: RoleId::new("c", 1),
-                phase: Arc::from("a"),
-                message: 2,
-                elements: 3,
-                bytes: 24,
-            },
-            PostRecord {
-                from: RoleId::new("c", 2),
-                phase: Arc::from("b"),
-                message: 3,
-                elements: 1,
-                bytes: 8,
-            },
-        ];
-        board.post_records(recs).unwrap();
-        assert_eq!(board.meter().phase("a").elements, 5);
-        assert_eq!(board.meter().phase("a").messages, 2);
-        assert_eq!(board.meter().phase("b").bytes, 8);
-        assert_eq!(board.len().unwrap(), 3);
+    /// The fields of a posting the transcript and the meter depend on.
+    fn line(p: &Posting<u64>) -> (u64, String, String, u64, u64, u64) {
+        (p.round, p.from.to_string(), p.phase.to_string(), p.message, p.elements, p.bytes)
     }
 
     #[test]
-    fn post_record_stream_matches_vec_flush() {
-        let rec = |i: usize, phase: &str| PostRecord {
-            from: RoleId::new("c", i),
-            phase: Arc::from(phase),
-            message: i as u64,
-            elements: 2,
-            bytes: 16,
-        };
+    fn post_run_matches_per_post_metering_and_log() {
         let a: BulletinBoard<u64> = BulletinBoard::new();
         let b: BulletinBoard<u64> = BulletinBoard::new();
-        let records = vec![rec(0, "a"), rec(1, "a"), rec(2, "b"), rec(3, "a")];
-        a.post_records(records.clone()).unwrap();
-        let n = b.post_record_stream(records.into_iter()).unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(a.meter().phases(), b.meter().phases());
-        assert_eq!(a.meter().phase("a").messages, 3);
-        let (pa, pb) = (a.postings().unwrap(), b.postings().unwrap());
-        assert_eq!(pa.len(), pb.len());
-        for (x, y) in pa.iter().zip(pb.iter()) {
-            assert_eq!((x.round, &x.from, &*x.phase, x.message), (y.round, &y.from, &*y.phase, y.message));
+        let committee = crate::Committee::honest("off-1", 4);
+        // Member 2 speaks twice; the second run has another size.
+        let steps: [(&str, u64, u64, &[usize]); 2] =
+            [("offline/x", 7, 2, &[0, 1, 2, 2, 3]), ("offline/y", 7, 3, &[3, 0])];
+        for (phase, message, elements, members) in steps {
+            for &i in members {
+                a.post(committee.role(i), message, phase, elements, 8 * elements).unwrap();
+            }
         }
+        let runs: Vec<PostRun<'_, u64>> = steps
+            .iter()
+            .map(|(phase, message, elements, members)| PostRun {
+                committee: &committee.name,
+                phase,
+                message,
+                elements: *elements,
+                bytes: 8 * elements,
+                members,
+            })
+            .collect();
+        b.post_run(&runs).unwrap();
+        assert_eq!(a.meter().phases(), b.meter().phases());
+        assert_eq!(b.meter().phase("offline/x").messages, 5);
+        let (pa, pb) = (a.postings().unwrap(), b.postings().unwrap());
+        assert_eq!(pa.iter().map(line).collect::<Vec<_>>(), pb.iter().map(line).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_batches_and_runs_register_no_phase() {
+        let board: BulletinBoard<u64> = BulletinBoard::new();
+        let committee: Arc<str> = Arc::from("c");
+        let run = |phase, members| PostRun {
+            committee: &committee,
+            phase,
+            message: &1,
+            elements: 1,
+            bytes: 8,
+            members,
+        };
+        board.post_batch(RoleId::new("c", 0), "ghost/batch", &[], 1, 8).unwrap();
+        board.post_run(&[run("ghost/run", &[])]).unwrap();
+        board.post_run(&[]).unwrap();
+        assert!(board.meter().phases().is_empty());
+        assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
+        // An empty run beside a real one changes nothing about the real one.
+        board.post_run(&[run("ghost/run", &[]), run("real", &[0, 1])]).unwrap();
+        assert_eq!(board.len().unwrap(), 2);
+        assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
+        assert_eq!(board.meter().phases().len(), 1);
+    }
+
+    /// A transport that implements the record-level posting methods and
+    /// nothing newer, like a wrapper written before `post_run` existed:
+    /// runs reach it through the trait's default adapter.
+    #[derive(Default)]
+    struct RecordLevelOnly(InProcessTransport<u64>);
+
+    impl BoardTransport<u64> for RecordLevelOnly {
+        fn post_batch(&self, records: Vec<PostRecord<u64>>) -> Result<(), BoardError> {
+            self.0.post_batch(records)
+        }
+        fn post_stream(
+            &self,
+            records: &mut dyn Iterator<Item = PostRecord<u64>>,
+        ) -> Result<u64, BoardError> {
+            self.0.post_stream(records)
+        }
+        fn post_slice(
+            &self,
+            from: &RoleId,
+            phase: &Arc<str>,
+            messages: &[u64],
+            elements: u64,
+            bytes: u64,
+        ) -> Result<(), BoardError> {
+            self.0.post_slice(from, phase, messages, elements, bytes)
+        }
+        fn retain_rounds_from(&self, round: u64) -> Result<(), BoardError> {
+            self.0.retain_rounds_from(round)
+        }
+        fn advance_round(&self) -> Result<u64, BoardError> {
+            self.0.advance_round()
+        }
+        fn round(&self) -> Result<u64, BoardError> {
+            self.0.round()
+        }
+        fn len(&self) -> Result<usize, BoardError> {
+            self.0.len()
+        }
+        fn read_round(&self, round: u64) -> Result<Vec<Posting<u64>>, BoardError> {
+            self.0.read_round(round)
+        }
+        fn read_from(&self, cursor: usize) -> Result<Vec<Posting<u64>>, BoardError> {
+            self.0.read_from(cursor)
+        }
+        fn backend_name(&self) -> &'static str {
+            "record-level-only"
+        }
+    }
+
+    #[test]
+    fn adapted_runs_equal_native_runs() {
+        // One scripted mix of every posting entry point and round
+        // ticks, through the native `post_run` and through the default
+        // adapter: same postings, same run structure, same meter.
+        fn drive(board: &BulletinBoard<u64>) {
+            let committees = [crate::Committee::honest("a", 6), crate::Committee::honest("b", 6)];
+            let phases = ["offline/1", "offline/2", "online/3"];
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut draw = |below: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % below
+            };
+            for _ in 0..200 {
+                let c = &committees[draw(2) as usize];
+                let phase = phases[draw(3) as usize];
+                let (message, elements) = (draw(2), 1 + draw(2));
+                match draw(5) {
+                    0 => board.post(c.role(draw(6) as usize), message, phase, elements, 8 * elements).unwrap(),
+                    1 => board
+                        .post_batch(c.role(draw(6) as usize), phase, &[message, message, 1 - message], elements, 8 * elements)
+                        .unwrap(),
+                    2 => {
+                        board.advance_round().unwrap();
+                    }
+                    _ => {
+                        // Two runs per call: arbitrary members (repeats
+                        // and the empty list included), then a step.
+                        let members: Vec<usize> = (0..draw(5)).map(|_| draw(6) as usize).collect();
+                        let step: Vec<usize> = (0..6).collect();
+                        let run = |members| PostRun {
+                            committee: &c.name,
+                            phase,
+                            message: &message,
+                            elements,
+                            bytes: 8 * elements,
+                            members,
+                        };
+                        board.post_run(&[run(&members), run(&step)]).unwrap();
+                    }
+                }
+            }
+        }
+        let native = Arc::new(InProcessTransport::<u64>::new());
+        let adapted = Arc::new(RecordLevelOnly::default());
+        let a = BulletinBoard::with_transport(Arc::clone(&native) as Arc<dyn BoardTransport<u64>>);
+        let b = BulletinBoard::with_transport(Arc::clone(&adapted) as Arc<dyn BoardTransport<u64>>);
+        drive(&a);
+        drive(&b);
+        let (pa, pb) = (native.read_from(0).unwrap(), adapted.read_from(0).unwrap());
+        assert!(pa.len() > 400);
+        assert_eq!(pa.iter().map(line).collect::<Vec<_>>(), pb.iter().map(line).collect::<Vec<_>>());
+        assert_eq!(native.run_count(), adapted.0.run_count());
+        assert_eq!(a.meter().phases(), b.meter().phases());
+        assert_eq!(a.meter().phases(), a.transcript_phases().unwrap());
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub(crate) const MAX_FRAME: usize = 64 << 20;
 /// Wire opcodes. Every request gets exactly one response frame except
 /// `POST_PIPE`: those frames are **not** individually acknowledged, a
 /// later `POST_SYNC` collects one coalesced [`op::RESP_OK_N`] for the
-/// whole run. `0x01` (the retired per-frame-acknowledged post) is
+/// whole window. `0x01` (the retired per-frame-acknowledged post) and
+/// `0x08` (the retired one-record-per-posting `POST_PIPE` body) are
 /// unassigned.
 pub(crate) mod op {
     /// Tick the round clock; replies [`RESP_VALUE`] (new round).
@@ -57,9 +58,10 @@ pub(crate) mod op {
     pub const READ_FROM: u8 = 0x06;
     /// Ask the server to stop; replies [`RESP_OK`].
     pub const SHUTDOWN: u8 = 0x07;
-    /// Append a batch of postings **without** an individual ack; the
-    /// connection's next [`POST_SYNC`] acknowledges the whole run.
-    pub const POST_PIPE: u8 = 0x08;
+    /// Append a frame of posting runs **without** an individual ack;
+    /// the connection's next [`POST_SYNC`] acknowledges the whole
+    /// window.
+    pub const POST_PIPE: u8 = 0x0B;
     /// Barrier for pipelined posting: replies [`RESP_OK_N`] carrying
     /// the number of `POST_PIPE` frames appended since the last sync.
     pub const POST_SYNC: u8 = 0x09;

@@ -46,5 +46,7 @@ pub use board::{BoardCursor, BulletinBoard, PhaseAccumulator, Posting};
 pub use metrics::{CommMeter, PhaseStats};
 pub use role::{Committee, RoleId, SpeakOnce, SpokeError};
 pub use tcp::{BoardServer, ServerHandle, ServerWireStats, TcpOptions, TcpTransport, WireStats};
-pub use transport::{BoardError, BoardTransport, InProcessTransport, PostRecord, WireMessage};
+pub use transport::{
+    BoardError, BoardTransport, InProcessTransport, PostRecord, PostRun, WireMessage,
+};
 pub use views::{LeakEntry, LeakLog};

@@ -15,25 +15,32 @@
 //! | 0x05 | `ReadRound`   | round `u64`                                 |
 //! | 0x06 | `ReadFrom`    | cursor `u64`                                |
 //! | 0x07 | `Shutdown`    | —                                           |
-//! | 0x08 | `PostPipe`    | `u32` count, then per record: committee str, index `u64`, phase str, elements `u64`, bytes `u64`, payload bytes; **no** per-frame ack |
-//! | 0x09 | `PostSync`    | — (collects one coalesced ack for the run)  |
+//! | 0x09 | `PostSync`    | — (collects one coalesced ack for the window) |
 //! | 0x0A | `GetStats`    | —                                           |
+//! | 0x0B | `PostPipe`    | `u32` run count, then per run: committee str, phase str, elements `u64`, bytes `u64`, payload bytes, `u32` member count, that many `u32` member indices; **no** per-frame ack |
 //!
 //! Responses: `0x80` ok, `0x81` value (`u64`), `0x82` postings
 //! (`u32` count, then per posting: round `u64`, committee str, index
 //! `u64`, phase str, elements `u64`, bytes `u64`, payload bytes),
 //! `0x83` coalesced ack (`u64` frames acknowledged), `0x84` stats
 //! (`u32` field count, then `u64` fields), `0xEE` error (str).
-//! Strings and byte strings are `u32`-length prefixed. Opcode `0x01`
-//! (the retired per-frame-acknowledged `PostBatch`) is unassigned and
-//! answered with `RESP_ERR` like any other unknown opcode. A
+//! Strings and byte strings are `u32`-length prefixed. Opcodes `0x01`
+//! (the retired per-frame-acknowledged `PostBatch`) and `0x08` (the
+//! retired `PostPipe` body, one full record per posting) are unassigned
+//! and answered with `RESP_ERR` like any other unknown opcode. A
 //! `ReadRound`/`ReadFrom` whose postings would not fit one frame is
 //! answered with `RESP_ERR` naming the response size and the cap; the
 //! connection stays open.
 //!
 //! # Posting
 //!
-//! There is one posting path and one ack discipline: a client streams
+//! There is one posting path, one encoder and one ack discipline. The
+//! unit on the wire is the **run** — a committee step: what its
+//! postings share (committee, phase, metered size, message payload) is
+//! sent once, followed by one `u32` per posting member — and both
+//! client entry points feed the same encoder: `post_run` hands it runs,
+//! `post_stream` folds consecutive records whose shared part encodes to
+//! the same bytes into runs. A client streams
 //! a **window** of up to `PIPELINE_WINDOW` (32) `PostPipe` frames
 //! back-to-back (coalesced into large socket writes) and then sends
 //! one `PostSync`, which the server answers with `RESP_OK_N` carrying
@@ -64,15 +71,18 @@
 //! A logical batch whose encoding exceeds [`TcpOptions::max_post_frame_bytes`]
 //! is split client-side into several consecutive post frames sent
 //! back-to-back on the one connection (the lock is held across all
-//! chunks), so arbitrarily large buffer flushes stay under the
-//! server's frame cap without reordering; each frame is still appended
-//! atomically, but whole-batch atomicity is relaxed to per-frame for
-//! oversized batches.
+//! chunks) — between runs, or inside a run at a member boundary, the
+//! next frame repeating the run's shared part — so arbitrarily large
+//! buffer flushes stay under the server's frame cap without
+//! reordering; each frame is still appended atomically, but
+//! whole-batch atomicity is relaxed to per-frame for oversized batches.
 //!
-//! The server stores payloads as opaque byte slices borrowed from a
-//! per-frame arena (one copy of the frame body, shared by all of its
-//! records), so one `board-server` binary serves any protocol with no
-//! per-record payload allocation. Clients retry connects (the server
+//! The server validates a whole frame before it appends any of it,
+//! then expands each run into one stored posting per member. Payloads
+//! are stored as opaque byte slices borrowed from a per-frame arena
+//! (one copy of the frame body, shared by all of its postings), so one
+//! `board-server` binary serves any protocol with no per-posting
+//! payload allocation. Clients retry connects (the server
 //! may still be starting) and idempotent reads; posts and round
 //! advances are never retried blindly, so a hard failure surfaces as
 //! [`BoardError::Io`] instead of a duplicated posting.
@@ -94,7 +104,7 @@ use crate::frame::{
 };
 use crate::role::RoleId;
 use crate::transport::{
-    put_bytes, put_str, put_u32, put_u64, BoardError, BoardTransport, PostRecord,
+    put_bytes, put_str, put_u32, put_u64, BoardError, BoardTransport, PostRecord, PostRun,
     ShardedRoundLog, WireCursor, WireMessage,
 };
 
@@ -191,22 +201,23 @@ impl Interner {
     }
 }
 
-/// Decoded-but-not-yet-appended record of a post frame: label `Arc`s
-/// plus the payload's offsets into the frame body. Kept in a reusable
-/// per-connection scratch so validation allocates nothing per frame.
+/// Decoded-but-not-yet-appended run of a post frame: label `Arc`s plus
+/// where the payload and the member indices sit in the frame body. Kept
+/// in a reusable per-connection scratch so validation allocates nothing
+/// per frame.
 #[derive(Debug)]
-struct RecHeader {
+struct RunHeader {
     committee: Arc<str>,
-    index: u64,
     phase: Arc<str>,
     elements: u64,
     bytes: u64,
-    off: u32,
-    len: u32,
+    payload: std::ops::Range<usize>,
+    /// The run's `u32` member indices, as a byte range of the body.
+    members: std::ops::Range<usize>,
 }
 
 /// Per-connection server state: the reusable response buffer, the
-/// pipelined-frame ack counter, label interners and the record
+/// pipelined-frame ack counter, label interners and the run
 /// scratch. Nothing here is shared — each connection handler owns one.
 #[derive(Debug, Default)]
 struct Conn {
@@ -215,7 +226,7 @@ struct Conn {
     pending: u64,
     committees: Interner,
     phases: Interner,
-    recs: Vec<RecHeader>,
+    runs: Vec<RunHeader>,
 }
 
 /// What the connection loop should do with the dispatch result.
@@ -258,9 +269,10 @@ pub struct ServerWireStats {
     pub frames: u64,
     /// `PostPipe` frames received.
     pub post_frames: u64,
-    /// Posting records appended.
+    /// Postings appended.
     pub postings: u64,
-    /// Payload bytes appended (message encodings only, not headers).
+    /// Payload bytes received: one message encoding per run, without
+    /// headers or member indices.
     pub payload_bytes: u64,
     /// `PostSync` round trips answered (coalesced acks sent).
     pub sync_acks: u64,
@@ -407,60 +419,73 @@ impl ServerShared {
 
     /// Validates and appends one `PostPipe` frame. The whole frame is
     /// decoded into the connection's scratch **before** the log is
-    /// touched — a malformed record rejects the frame without
-    /// appending a prefix of it — then the frame body is copied once
-    /// into a shared arena and all records are appended atomically,
-    /// their payloads borrowing from it.
+    /// touched — a malformed run rejects the frame without appending a
+    /// prefix of it, and a member count is checked against the bytes
+    /// actually present before anything is sized by it — then the frame
+    /// body is copied once into a shared arena and every run is
+    /// expanded into one posting per member, appended atomically, their
+    /// payloads borrowing from the arena.
     fn append_post_frame(&self, conn: &mut Conn, body: &[u8]) -> Result<(), BoardError> {
         let mut cur = WireCursor::new(body);
         let _opcode = cur.u8()?;
-        let count = cur.u32()? as usize;
-        let recs = &mut conn.recs;
-        recs.clear();
-        recs.reserve(count);
-        let mut payload_bytes = 0u64;
-        for _ in 0..count {
+        let run_count = cur.u32()?;
+        let runs = &mut conn.runs;
+        runs.clear();
+        let (mut postings, mut payload_bytes) = (0usize, 0u64);
+        for _ in 0..run_count {
             let committee = conn.committees.intern(cur.str()?);
-            let index = cur.u64()?;
             let phase = conn.phases.intern(cur.str()?);
             let elements = cur.u64()?;
             let bytes = cur.u64()?;
-            let payload = cur.bytes()?;
-            payload_bytes += payload.len() as u64;
-            let off = (cur.position() - payload.len()) as u32;
-            recs.push(RecHeader {
-                committee,
-                index,
-                phase,
-                elements,
-                bytes,
-                off,
-                len: payload.len() as u32,
-            });
+            // Where the `len` bytes just read sit in the body.
+            let just_read = |cur: &WireCursor<'_>, len: usize| cur.position() - len..cur.position();
+            let payload_len = cur.bytes()?.len();
+            let payload = just_read(&cur, payload_len);
+            // Checked against the bytes present, so a lying count
+            // fails here before it sizes anything.
+            let member_count = cur.u32()? as usize;
+            let members_len = cur.take(member_count.saturating_mul(4))?.len();
+            let members = just_read(&cur, members_len);
+            postings += member_count;
+            payload_bytes += payload_len as u64;
+            runs.push(RunHeader { committee, phase, elements, bytes, payload, members });
         }
-        if !recs.is_empty() {
+        if cur.remaining() > 0 {
+            return Err(BoardError::Protocol(format!(
+                "{} trailing bytes after the frame's {run_count} runs",
+                cur.remaining()
+            )));
+        }
+        if postings > 0 {
             let arena: Arc<[u8]> = Arc::from(body);
             self.log.append_with(|round, out| {
-                out.reserve(recs.len());
-                for r in recs.drain(..) {
-                    out.push(RawPosting {
-                        round,
-                        committee: r.committee,
-                        index: r.index,
-                        phase: r.phase,
-                        elements: r.elements,
-                        bytes: r.bytes,
-                        payload: PayloadSlice {
-                            arena: Arc::clone(&arena),
-                            off: r.off,
-                            len: r.len,
-                        },
-                    });
+                out.reserve(postings);
+                for r in runs.drain(..) {
+                    // A frame is at most `MAX_FRAME` < 4GiB long, so
+                    // offsets into it fit `u32`.
+                    let payload = PayloadSlice {
+                        arena: Arc::clone(&arena),
+                        off: r.payload.start as u32,
+                        len: r.payload.len() as u32,
+                    };
+                    for index in arena[r.members].chunks_exact(4) {
+                        out.push(RawPosting {
+                            round,
+                            committee: Arc::clone(&r.committee),
+                            index: u64::from(u32::from_le_bytes([
+                                index[0], index[1], index[2], index[3],
+                            ])),
+                            phase: Arc::clone(&r.phase),
+                            elements: r.elements,
+                            bytes: r.bytes,
+                            payload: payload.clone(),
+                        });
+                    }
                 }
             });
         }
         self.stats.post_frames.fetch_add(1, Ordering::Relaxed);
-        self.stats.postings.fetch_add(count as u64, Ordering::Relaxed);
+        self.stats.postings.fetch_add(postings as u64, Ordering::Relaxed);
         self.stats.payload_bytes.fetch_add(payload_bytes, Ordering::Relaxed);
         Ok(())
     }
@@ -755,8 +780,8 @@ struct ClientConn {
     wire: Vec<u8>,
     /// The post frame body under construction.
     body: Vec<u8>,
-    /// One record's encoding (header + payload).
-    record: Vec<u8>,
+    /// The encoding of what one run's postings share.
+    shared: Vec<u8>,
     /// One message's payload encoding.
     payload: Vec<u8>,
     /// The last response frame body.
@@ -1001,46 +1026,149 @@ fn intern_cached(last: &mut Option<Arc<str>>, s: &str) -> Arc<str> {
     }
 }
 
-/// Encodes one record (header + payload) into `record`, using
-/// `payload` as the message-encoding scratch.
-fn encode_record<M: WireMessage>(
-    record: &mut Vec<u8>,
+/// Encodes what the postings of one run share — committee, phase,
+/// metered size, message payload — into `shared`, using `payload` as
+/// the message-encoding scratch. Two postings belong to one run exactly
+/// when these bytes are equal.
+fn encode_shared<M: WireMessage>(
+    shared: &mut Vec<u8>,
     payload: &mut Vec<u8>,
-    r: &PostRecord<M>,
+    committee: &str,
+    phase: &str,
+    elements: u64,
+    bytes: u64,
+    message: &M,
 ) -> Result<(), BoardError> {
-    record.clear();
-    put_str(record, &r.from.committee)?;
-    put_u64(record, r.from.index as u64);
-    put_str(record, &r.phase)?;
-    put_u64(record, r.elements);
-    put_u64(record, r.bytes);
+    shared.clear();
+    put_str(shared, committee)?;
+    put_str(shared, phase)?;
+    put_u64(shared, elements);
+    put_u64(shared, bytes);
     payload.clear();
-    r.message.encode(payload)?;
-    put_bytes(record, payload)
+    message.encode(payload)?;
+    put_bytes(shared, payload)
 }
 
-fn oversized_record_err(encoded: usize) -> BoardError {
-    BoardError::Protocol(format!(
-        "single posting of {encoded} encoded bytes exceeds the {MAX_FRAME}-byte frame cap"
-    ))
+/// Bytes of a `PostPipe` body before its first run: opcode and run
+/// count.
+const FRAME_PREFIX: usize = 5;
+
+/// The posting encoder of one flush: packs members into runs, runs
+/// into `PostPipe` frames and frames into acknowledged windows, without
+/// waiting for any response between syncs.
+struct RunFrames<'a> {
+    stream: &'a mut TcpStream,
+    /// Outbound coalescing buffer: staged frames not yet written.
+    wire: &'a mut Vec<u8>,
+    /// The frame under construction.
+    body: &'a mut Vec<u8>,
+    resp: &'a mut Vec<u8>,
+    chunk_cap: usize,
+    /// The run still taking members: where its shared part starts in
+    /// `body`, and where its member count (patched on close) follows.
+    open: Option<(usize, usize)>,
+    /// Runs in the frame under construction. A run is opened only for
+    /// a member about to be written, so a counted run is never empty.
+    runs: u32,
+    /// Frames staged since the last sync.
+    inflight: u64,
+    sent_post_frames: &'a AtomicU64,
+    sent_syncs: &'a AtomicU64,
 }
 
-/// Stages one pipelined `PostPipe` frame into the outbound coalescing
-/// buffer (flushing it to the socket past the coalescing threshold)
-/// without waiting for any response.
-fn stage_pipelined_frame(
-    stream: &mut TcpStream,
-    wire: &mut Vec<u8>,
-    body: &mut Vec<u8>,
-    count: u32,
-) -> Result<(), BoardError> {
-    body[1..5].copy_from_slice(&count.to_le_bytes());
-    append_frame(wire, body)?;
-    body.truncate(5);
-    if wire.len() >= WIRE_COALESCE_BYTES {
-        flush_wire(stream, wire)?;
+impl RunFrames<'_> {
+    /// Appends postings by `members`, in order, all sharing `shared`
+    /// (see [`encode_shared`]): they extend the open run when its
+    /// shared part is byte-equal, else they open the next run. A frame
+    /// that reaches the chunk cap is staged and the run goes on in the
+    /// next one, so a long run splits at a member boundary.
+    fn push(&mut self, shared: &[u8], members: &[usize]) -> Result<(), BoardError> {
+        let mut rest = members;
+        while !rest.is_empty() {
+            let mut continues =
+                self.open.is_some_and(|(at, count_at)| self.body[at..count_at] == *shared);
+            // What the next member takes: its index, preceded by a
+            // shared part and a count unless the open run goes on.
+            let need = if continues { 4 } else { shared.len() + 8 };
+            if self.runs > 0 && self.body.len() + need > self.chunk_cap {
+                self.stage_frame()?;
+                if self.inflight >= PIPELINE_WINDOW {
+                    self.sync()?;
+                }
+                continues = false;
+            }
+            if !continues {
+                if FRAME_PREFIX + shared.len() + 8 > MAX_FRAME {
+                    return Err(BoardError::Protocol(format!(
+                        "single posting of {} encoded bytes exceeds the {MAX_FRAME}-byte frame cap",
+                        shared.len()
+                    )));
+                }
+                self.close_run();
+                let at = self.body.len();
+                self.body.extend_from_slice(shared);
+                self.open = Some((at, self.body.len()));
+                put_u32(self.body, 0);
+                self.runs += 1;
+            }
+            // As many members as the frame has room for — at least
+            // one, so a cap below one run's size still makes progress.
+            let room = (self.chunk_cap.saturating_sub(self.body.len()) / 4).max(1);
+            let (now, later) = rest.split_at(room.min(rest.len()));
+            for &index in now {
+                let index = u32::try_from(index).map_err(|_| {
+                    BoardError::Protocol(format!(
+                        "member index {index} exceeds the u32 wire index"
+                    ))
+                })?;
+                put_u32(self.body, index);
+            }
+            rest = later;
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// Writes the open run's member count, now that it is final.
+    fn close_run(&mut self) {
+        if let Some((_, count_at)) = self.open.take() {
+            let count = ((self.body.len() - count_at - 4) / 4) as u32;
+            self.body[count_at..count_at + 4].copy_from_slice(&count.to_le_bytes());
+        }
+    }
+
+    /// Stages the frame under construction into the outbound
+    /// coalescing buffer (flushing it to the socket past the
+    /// coalescing threshold) and starts an empty one.
+    fn stage_frame(&mut self) -> Result<(), BoardError> {
+        self.close_run();
+        self.body[1..FRAME_PREFIX].copy_from_slice(&self.runs.to_le_bytes());
+        append_frame(self.wire, self.body)?;
+        self.body.truncate(FRAME_PREFIX);
+        self.runs = 0;
+        self.inflight += 1;
+        self.sent_post_frames.fetch_add(1, Ordering::Relaxed);
+        if self.wire.len() >= WIRE_COALESCE_BYTES {
+            flush_wire(self.stream, self.wire)?;
+        }
+        Ok(())
+    }
+
+    /// One `PostSync` round trip acknowledging every frame in flight.
+    fn sync(&mut self) -> Result<(), BoardError> {
+        pipeline_sync(self.stream, self.wire, self.resp, self.inflight)?;
+        self.sent_syncs.fetch_add(1, Ordering::Relaxed);
+        self.inflight = 0;
+        Ok(())
+    }
+
+    /// Stages what is left and awaits the terminal barrier: the
+    /// flush's contract is "returned ⇒ sequenced".
+    fn finish(mut self) -> Result<(), BoardError> {
+        if self.runs > 0 {
+            self.stage_frame()?;
+        }
+        self.sync()
+    }
 }
 
 /// Emits a `PostSync` barrier and blocks until the server's coalesced
@@ -1090,24 +1218,52 @@ fn surface_pipeline_error(stream: &mut TcpStream, resp: &mut Vec<u8>, orig: Boar
 }
 
 impl<M: WireMessage + Clone + Send + Sync> TcpTransport<M> {
-    /// The flush: stream `PostPipe` frames, syncing every
-    /// [`PIPELINE_WINDOW`] frames and once at the end, so the call
-    /// returns only after the server sequenced everything — and any
-    /// failure surfaces in **this** flush, never a later call.
-    fn post_stream_pipelined(
+    /// One flush: `feed` pushes postings into the encoder (it gets the
+    /// two encoding scratch buffers too), which streams `PostPipe`
+    /// frames, syncing every [`PIPELINE_WINDOW`] frames and once at the
+    /// end, so the call returns only after the server sequenced
+    /// everything — and any failure surfaces in **this** flush, never a
+    /// later call.
+    ///
+    /// A flush whose encoding would exceed `max_post_frame_bytes` is
+    /// split across several frames (the server's 64MB frame cap would
+    /// otherwise reject a large parallel buffer flush). The connection
+    /// lock is held across all of them, so they land contiguously in
+    /// the server's arrival order; each frame is appended atomically,
+    /// and a failure between frames can leave a prefix of the flush
+    /// posted — the same "no blind retry" contract as a single lost
+    /// post.
+    fn flush_posts<R>(
         &self,
-        c: &mut ClientConn,
-        records: &mut dyn Iterator<Item = PostRecord<M>>,
-    ) -> Result<u64, BoardError> {
+        feed: impl FnOnce(&mut RunFrames<'_>, &mut Vec<u8>, &mut Vec<u8>) -> Result<R, BoardError>,
+    ) -> Result<R, BoardError> {
+        let mut guard = self.conn.lock();
+        let c = &mut *guard;
         let mut stream = match c.stream.take() {
             Some(s) => s,
             None => connect_with_retry(self.addr, &self.opts)?,
         };
-        let result = self.pipelined_flush(&mut stream, c, records);
+        c.body.clear();
+        c.body.extend_from_slice(&[op::POST_PIPE, 0, 0, 0, 0]);
+        c.wire.clear();
+        let mut frames = RunFrames {
+            stream: &mut stream,
+            wire: &mut c.wire,
+            body: &mut c.body,
+            resp: &mut c.resp,
+            chunk_cap: self.opts.max_post_frame_bytes.min(MAX_FRAME),
+            open: None,
+            runs: 0,
+            inflight: 0,
+            sent_post_frames: &self.sent_post_frames,
+            sent_syncs: &self.sent_syncs,
+        };
+        let result = feed(&mut frames, &mut c.shared, &mut c.payload)
+            .and_then(|out| frames.finish().map(|()| out));
         match result {
-            Ok(total) => {
+            Ok(out) => {
                 c.stream = Some(stream);
-                Ok(total)
+                Ok(out)
             }
             // The connection is not reusable after a failed flush (the
             // server closes it on pipelined errors; on client-side
@@ -1115,52 +1271,6 @@ impl<M: WireMessage + Clone + Send + Sync> TcpTransport<M> {
             // operation reconnects.
             Err(e) => Err(surface_pipeline_error(&mut stream, &mut c.resp, e)),
         }
-    }
-
-    fn pipelined_flush(
-        &self,
-        stream: &mut TcpStream,
-        c: &mut ClientConn,
-        records: &mut dyn Iterator<Item = PostRecord<M>>,
-    ) -> Result<u64, BoardError> {
-        let chunk_cap = self.opts.max_post_frame_bytes.min(MAX_FRAME);
-        c.body.clear();
-        c.body.extend_from_slice(&[op::POST_PIPE, 0, 0, 0, 0]);
-        c.wire.clear();
-        let mut count: u32 = 0;
-        let mut total: u64 = 0;
-        let mut inflight: u64 = 0;
-        for r in records {
-            encode_record(&mut c.record, &mut c.payload, &r)?;
-            if 5 + c.record.len() > MAX_FRAME {
-                return Err(oversized_record_err(c.record.len()));
-            }
-            if count > 0 && c.body.len() + c.record.len() > chunk_cap {
-                stage_pipelined_frame(stream, &mut c.wire, &mut c.body, count)?;
-                self.sent_post_frames.fetch_add(1, Ordering::Relaxed);
-                inflight += 1;
-                total += u64::from(count);
-                count = 0;
-                if inflight >= PIPELINE_WINDOW {
-                    pipeline_sync(stream, &mut c.wire, &mut c.resp, inflight)?;
-                    self.sent_syncs.fetch_add(1, Ordering::Relaxed);
-                    inflight = 0;
-                }
-            }
-            c.body.extend_from_slice(&c.record);
-            count += 1;
-        }
-        if count > 0 {
-            stage_pipelined_frame(stream, &mut c.wire, &mut c.body, count)?;
-            self.sent_post_frames.fetch_add(1, Ordering::Relaxed);
-            inflight += 1;
-            total += u64::from(count);
-        }
-        // The terminal barrier: the flush's contract is "returned ⇒
-        // sequenced".
-        pipeline_sync(stream, &mut c.wire, &mut c.resp, inflight)?;
-        self.sent_syncs.fetch_add(1, Ordering::Relaxed);
-        Ok(total)
     }
 }
 
@@ -1173,19 +1283,37 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
         &self,
         records: &mut dyn Iterator<Item = PostRecord<M>>,
     ) -> Result<u64, BoardError> {
-        // Stream-encode straight into the frame body; the record count
-        // prefix (bytes 1..5) is patched when each frame is sent. A
-        // batch whose encoding would exceed `max_post_frame_bytes` is
-        // split across several frames (the server's 64MB frame cap
-        // would otherwise reject a large parallel buffer flush). The
-        // connection lock is held across all chunks, so the sub-batches
-        // land contiguously in the server's arrival order; each frame
-        // is appended atomically, and a failure between frames can
-        // leave a prefix of the batch posted — the same
-        // "no blind retry" contract as a single lost post.
-        let mut guard = self.conn.lock();
-        let c = &mut *guard;
-        self.post_stream_pipelined(c, records)
+        // Consecutive records whose shared part encodes to the same
+        // bytes fold into one run, so records and runs share the one
+        // encoder and the one frame format.
+        self.flush_posts(|frames, shared, payload| {
+            let mut total = 0;
+            for r in records {
+                let (from, phase) = (&r.from, &r.phase);
+                encode_shared(shared, payload, &from.committee, phase, r.elements, r.bytes, &r.message)?;
+                frames.push(shared, &[from.index])?;
+                total += 1;
+            }
+            Ok(total)
+        })
+    }
+
+    fn post_run(&self, runs: &[PostRun<'_, M>]) -> Result<(), BoardError> {
+        self.flush_posts(|frames, shared, payload| {
+            for run in runs {
+                encode_shared(
+                    shared,
+                    payload,
+                    run.committee,
+                    run.phase,
+                    run.elements,
+                    run.bytes,
+                    run.message,
+                )?;
+                frames.push(shared, run.members)?;
+            }
+            Ok(())
+        })
     }
 
     fn advance_round(&self) -> Result<u64, BoardError> {
@@ -1463,13 +1591,21 @@ mod tests {
         handle.shutdown();
     }
 
-    /// The encoded wire size of one `u64`-message record from
-    /// committee `"c"`: committee str (4+1) + index (8) + phase str
-    /// (4+1) + elements (8) + bytes (8) + payload (4+8).
-    fn u64_record_len(phase_len: usize) -> usize {
-        4 + 1 + 8 + 4 + phase_len + 8 + 8 + 4 + 8
+    /// The encoded size of what a run of `u64` messages from committee
+    /// `"c"` shares: committee str (4+1) + phase str (4+len) + elements
+    /// (8) + bytes (8) + payload (4+8).
+    fn u64_shared_len(phase_len: usize) -> usize {
+        4 + 1 + 4 + phase_len + 8 + 8 + 4 + 8
     }
 
+    /// A whole run of `members` such postings on the wire: the shared
+    /// part, the member count, one `u32` per member.
+    fn u64_run_len(phase_len: usize, members: usize) -> usize {
+        u64_shared_len(phase_len) + 4 + 4 * members
+    }
+
+    /// Records that differ in message and member, so each is a run of
+    /// its own on the wire.
     fn u64_records(n: u64, phase: &Arc<str>) -> impl Iterator<Item = PostRecord<u64>> + '_ {
         (0..n).map(move |m| PostRecord {
             from: RoleId::new("c", m as usize),
@@ -1481,21 +1617,92 @@ mod tests {
     }
 
     #[test]
+    fn a_committee_step_costs_one_header_and_four_bytes_a_member() {
+        // What the encoder puts on the wire for 64 members posting one
+        // message: the frame prefix, the shared part and the count once,
+        // then 4 bytes each — as a run, and as 64 records folded into it.
+        let (mut handle, _board) = loopback::<u64>().unwrap();
+        let committee = crate::Committee::honest("c", 64);
+        let members: Vec<usize> = (0..64).collect();
+        let run = PostRun {
+            committee: &committee.name,
+            phase: "offline/1-beaver",
+            message: &7,
+            elements: 2,
+            bytes: 16,
+            members: &members,
+        };
+        let header = FRAME_PREFIX + u64_shared_len(16) + 4;
+        // One byte less than the step needs and it takes a second frame.
+        for (cap, want_frames) in [(header + 4 * 64, 1u64), (header + 4 * 64 - 1, 2u64)] {
+            let opts = TcpOptions { max_post_frame_bytes: cap, ..TcpOptions::default() };
+            let t = TcpTransport::<u64>::connect(handle.addr(), opts).unwrap();
+            t.post_run(std::slice::from_ref(&run)).unwrap();
+            assert_eq!(t.wire_stats().post_frames, want_frames, "run, cap {cap}");
+            let phase: Arc<str> = Arc::from(run.phase);
+            let n = t
+                .post_stream(&mut members.iter().map(|&i| PostRecord {
+                    from: committee.role(i),
+                    phase: Arc::clone(&phase),
+                    message: 7,
+                    elements: 2,
+                    bytes: 16,
+                }))
+                .unwrap();
+            assert_eq!(n, 64);
+            assert_eq!(t.wire_stats().post_frames, 2 * want_frames, "records, cap {cap}");
+        }
+        let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
+        let back = t.read_from(0).unwrap();
+        assert_eq!(back.len(), 4 * 64);
+        for (seq, p) in back.iter().enumerate() {
+            assert_eq!((p.from.index, p.message, p.elements, p.bytes), (seq % 64, 7, 2, 16));
+            assert_eq!((&*p.from.committee, &*p.phase), ("c", "offline/1-beaver"));
+        }
+        // The message crossed the wire once per run sent: 6 frames.
+        assert_eq!(t.server_stats().unwrap().payload_bytes, 6 * 8);
+        handle.shutdown();
+    }
+
+    #[test]
     fn chunking_splits_exactly_at_the_frame_cap_boundary() {
         // Boundary-value coverage for the chunking loop: with the cap
-        // set to hold exactly K records, N = 3K records must produce
-        // exactly 3 frames (no off-by-one slack), and one byte less
-        // must tip it to 4.
+        // set to hold exactly K single-posting runs, N = 3K of them
+        // must produce exactly 3 frames (no off-by-one slack), and one
+        // byte less must tip it to 4. The same holds inside one long
+        // run, which splits between members.
         let (mut handle, _board) = loopback::<u64>().unwrap();
         let phase: Arc<str> = Arc::from("x");
         let k = 5usize;
-        let exact_cap = 5 + k * u64_record_len(1);
-        for (cap, want_frames) in [(exact_cap, 3u64), (exact_cap - 1, 4u64)] {
-            let opts = TcpOptions { max_post_frame_bytes: cap, ..TcpOptions::default() };
-            let t = TcpTransport::<u64>::connect(handle.addr(), opts).unwrap();
+        let committee: Arc<str> = Arc::from("c");
+        let members: Vec<usize> = (0..3 * k).collect();
+        let long_run = PostRun {
+            committee: &committee,
+            phase: "x",
+            message: &9,
+            elements: 1,
+            bytes: 8,
+            members: &members,
+        };
+        let records_cap = FRAME_PREFIX + k * u64_run_len(1, 1);
+        let members_cap = FRAME_PREFIX + u64_run_len(1, k);
+        for (slack, want_frames) in [(0, 3u64), (1, 4u64)] {
+            let connect = |cap| {
+                let opts = TcpOptions { max_post_frame_bytes: cap, ..TcpOptions::default() };
+                TcpTransport::<u64>::connect(handle.addr(), opts).unwrap()
+            };
+            let t = connect(records_cap - slack);
             let n = t.post_stream(&mut u64_records(3 * k as u64, &phase)).unwrap();
             assert_eq!(n, 3 * k as u64);
-            assert_eq!(t.wire_stats().post_frames, want_frames, "cap {cap}");
+            assert_eq!(t.wire_stats().post_frames, want_frames, "records, slack {slack}");
+            let t = connect(members_cap - slack);
+            let before = t.len().unwrap();
+            t.post_run(std::slice::from_ref(&long_run)).unwrap();
+            assert_eq!(t.wire_stats().post_frames, want_frames, "members, slack {slack}");
+            // The pieces land in order, with nothing lost at the seams.
+            let back: Vec<usize> =
+                t.read_from(before).unwrap().iter().map(|p| p.from.index).collect();
+            assert_eq!(back, members, "members, slack {slack}");
         }
         handle.shutdown();
     }
@@ -1506,7 +1713,7 @@ mod tests {
         let phase: Arc<str> = Arc::from("x");
         let k = 4usize;
         let opts = TcpOptions {
-            max_post_frame_bytes: 5 + k * u64_record_len(1),
+            max_post_frame_bytes: FRAME_PREFIX + k * u64_run_len(1, 1),
             ..TcpOptions::default()
         };
         let t = TcpTransport::<u64>::connect(handle.addr(), opts).unwrap();
@@ -1525,21 +1732,79 @@ mod tests {
         handle.shutdown();
     }
 
-    /// Builds one raw post frame body under `opcode` holding `count`
-    /// valid `u64` records (or a truncated, malformed one).
+    #[test]
+    fn runs_read_back_identically_in_process_and_over_tcp() {
+        // The same sequence of run flushes, single posts, batches and
+        // round ticks on both backends — the TCP one with a frame cap
+        // small enough that the long runs split mid-run.
+        fn drive(board: &crate::BulletinBoard<u64>) {
+            let committees = [crate::Committee::honest("a", 40), crate::Committee::honest("b", 40)];
+            let step: Vec<usize> = (0..40).collect();
+            let twice: Vec<usize> = (0..40).flat_map(|i| [i, i]).collect();
+            for round in 0..3u64 {
+                for (c, committee) in committees.iter().enumerate() {
+                    let run = |phase, message, members| PostRun {
+                        committee: &committee.name,
+                        phase,
+                        message,
+                        elements: 2,
+                        bytes: 16,
+                        members,
+                    };
+                    board
+                        .post_run(&[
+                            run("offline/1", &round, &step),
+                            run("offline/1", &round, &[]),
+                            run("offline/1", &(round + 1), &twice[..7 + c]),
+                            run("offline/2", &(round + 1), &twice),
+                        ])
+                        .unwrap();
+                    board.post(committee.role(c), 99, "offline/2", 1, 8).unwrap();
+                    board.post_batch(committee.role(3), "offline/2", &[5, 5, 6], 1, 8).unwrap();
+                }
+                board.advance_round().unwrap();
+            }
+        }
+        let local: crate::BulletinBoard<u64> = crate::BulletinBoard::new();
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let opts = TcpOptions { max_post_frame_bytes: 128, ..TcpOptions::default() };
+        let remote = crate::BulletinBoard::<u64>::connect_tcp_with(handle.addr(), opts).unwrap();
+        drive(&local);
+        drive(&remote);
+        let line = |p: &Posting<u64>| {
+            (p.round, p.from.to_string(), p.phase.to_string(), p.message, p.elements, p.bytes)
+        };
+        let (pl, pr) = (local.postings().unwrap(), remote.postings().unwrap());
+        assert_eq!(pl.len(), 3 * 2 * (40 + 7 + 80 + 1 + 3) + 3);
+        assert_eq!(pl.iter().map(line).collect::<Vec<_>>(), pr.iter().map(line).collect::<Vec<_>>());
+        for round in 0..=3 {
+            assert_eq!(
+                local.postings_in_round(round).unwrap().len(),
+                remote.postings_in_round(round).unwrap().len()
+            );
+        }
+        assert_eq!(local.meter().phases(), remote.meter().phases());
+        assert_eq!(remote.transcript_phases().unwrap(), remote.meter().phases());
+        handle.shutdown();
+    }
+
+    /// One raw post frame body under `opcode`: `count` valid runs of one
+    /// `u64` posting each (or with the tail ripped off the last one).
     fn raw_post_body(opcode: u8, count: u32, malformed: bool) -> Vec<u8> {
         let mut body = vec![opcode];
         put_u32(&mut body, count);
         for m in 0..count {
             put_str(&mut body, "c").unwrap();
-            put_u64(&mut body, u64::from(m));
             put_str(&mut body, "x").unwrap();
             put_u64(&mut body, 1);
             put_u64(&mut body, 8);
             put_bytes(&mut body, &u64::from(m).to_le_bytes()).unwrap();
+            put_u32(&mut body, 1);
+            put_u32(&mut body, m);
         }
         if malformed {
-            body.truncate(body.len() - 3); // rip the tail off the last record
+            body.truncate(body.len() - 3);
         }
         body
     }
@@ -1548,6 +1813,13 @@ mod tests {
         s.write_all(&u32::try_from(body.len()).unwrap().to_le_bytes()).unwrap();
         s.write_all(body).unwrap();
         s.flush().unwrap();
+    }
+
+    /// The message of the `RESP_ERR` frame the server sends next.
+    fn read_err(s: &mut TcpStream) -> String {
+        let resp = read_raw_frame(s);
+        assert_eq!(resp.first(), Some(&op::RESP_ERR), "wanted RESP_ERR, got {resp:?}");
+        WireCursor::new(&resp[1..]).str().unwrap().to_string()
     }
 
     #[test]
@@ -1563,10 +1835,7 @@ mod tests {
         send_raw_frame(&mut s, &raw_post_body(op::POST_PIPE, 2, true)); // frame 2: malformed
         send_raw_frame(&mut s, &raw_post_body(op::POST_PIPE, 2, false)); // buffered behind the error
         send_raw_frame(&mut s, &[op::POST_SYNC]);
-        let resp = read_raw_frame(&mut s);
-        assert_eq!(resp.first(), Some(&op::RESP_ERR));
-        let mut cur = WireCursor::new(&resp[1..]);
-        let msg = cur.str().unwrap().to_string();
+        let msg = read_err(&mut s);
         assert!(msg.contains("pipelined frame 2"), "error must name the frame: {msg}");
         // The connection is closed: the next read sees EOF, not a
         // response to the sync.
@@ -1580,14 +1849,93 @@ mod tests {
     }
 
     #[test]
+    fn hostile_run_frames_draw_a_typed_error_and_append_nothing() {
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let watcher = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
+        // A well-formed frame: two runs, of 3 and 2 members.
+        let mut good = vec![op::POST_PIPE];
+        put_u32(&mut good, 2);
+        let mut member_counts_at = Vec::new();
+        for (message, members) in [(7u64, &[0u32, 1, 2][..]), (8, &[5, 5])] {
+            put_str(&mut good, "c").unwrap();
+            put_str(&mut good, "x").unwrap();
+            put_u64(&mut good, 1);
+            put_u64(&mut good, 8);
+            put_bytes(&mut good, &message.to_le_bytes()).unwrap();
+            member_counts_at.push(good.len());
+            put_u32(&mut good, members.len() as u32);
+            for &m in members {
+                put_u32(&mut good, m);
+            }
+        }
+        let with_count = |run: usize, count: u32| {
+            let mut body = good.clone();
+            let at = member_counts_at[run];
+            body[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            body
+        };
+        let mut hostile: Vec<(String, Vec<u8>)> = vec![
+            // The count disagrees with the bytes that follow, either way.
+            ("last run claims a member more".into(), with_count(1, 3)),
+            ("last run claims a member less".into(), with_count(1, 1)),
+            ("first run claims a member less".into(), with_count(0, 2)),
+            // count × 4 far beyond the frame: must fail on the length
+            // check, before anything is sized by the count.
+            ("count × 4 exceeds the frame".into(), with_count(0, u32::MAX)),
+            ("count × 4 exceeds the frame by one member".into(), with_count(1, 0x4000_0000)),
+            ("more runs claimed than sent".into(), {
+                let mut body = good.clone();
+                body[1..5].copy_from_slice(&3u32.to_le_bytes());
+                body
+            }),
+            ("fewer runs claimed than sent".into(), {
+                let mut body = good.clone();
+                body[1..5].copy_from_slice(&1u32.to_le_bytes());
+                body
+            }),
+        ];
+        for cut in 1..good.len() {
+            hostile.push((format!("truncated to {cut} of {} bytes", good.len()), good[..cut].to_vec()));
+        }
+        for (what, body) in &hostile {
+            let mut s = TcpStream::connect(handle.addr()).unwrap();
+            send_raw_frame(&mut s, body);
+            let msg = read_err(&mut s);
+            assert!(msg.contains("pipelined frame 0 rejected"), "{what}: {msg}");
+            // A rejected post frame closes its connection …
+            let mut probe = [0u8; 1];
+            assert_eq!(s.read(&mut probe).unwrap(), 0, "{what}");
+            // … appends nothing, and leaves the server serving others.
+            assert_eq!(watcher.len().unwrap(), 0, "{what}");
+        }
+        // The retired per-record opcode is unknown, whatever follows it.
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        let mut retired = good.clone();
+        retired[0] = 0x08;
+        send_raw_frame(&mut s, &retired);
+        assert_eq!(read_err(&mut s), "unknown opcode 0x8");
+        assert_eq!(watcher.len().unwrap(), 0);
+        // The untouched frame is accepted, by the same server.
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        send_raw_frame(&mut s, &good);
+        send_raw_frame(&mut s, &[op::POST_SYNC]);
+        assert_eq!(read_raw_frame(&mut s).first(), Some(&op::RESP_OK_N));
+        let back = watcher.read_from(0).unwrap();
+        let got: Vec<(usize, u64)> = back.iter().map(|p| (p.from.index, p.message)).collect();
+        assert_eq!(got, vec![(0, 7), (1, 7), (2, 7), (5, 8), (5, 8)]);
+        handle.shutdown();
+    }
+
+    #[test]
     fn pipelined_flush_to_dying_server_fails_that_flush() {
         // Killing the server mid-stream must fail the in-progress
         // flush (at its sync barrier), not silently succeed.
         let (mut handle, board) = loopback::<u64>().unwrap();
         board.post(RoleId::new("c", 0), 1, "x", 1, 8).unwrap();
         handle.shutdown();
-        let phase: Arc<str> = Arc::from("x");
-        let err = board.post_record_stream(u64_records(10, &phase)).unwrap_err();
+        let messages: Vec<u64> = (0..10).collect();
+        let err = board.post_batch(RoleId::new("c", 0), "x", &messages, 1, 8).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("closed") || msg.contains("error") || msg.contains("pipe"),
@@ -1599,21 +1947,23 @@ mod tests {
     fn frame_at_exactly_the_server_cap_is_accepted_and_one_over_rejected() {
         // The 64MiB cap is inclusive: a frame of exactly MAX_FRAME
         // bytes must be appended, one byte more must draw the named
-        // RESP_ERR. Build the exact-size frame around one huge record.
+        // RESP_ERR. Build the exact-size frame around one huge payload.
         let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
         let mut handle = server.spawn().unwrap();
-        // Fixed per-record overhead for committee "c", phase "x":
-        // opcode 1 + count 4 + header (4+1 + 8 + 4+1 + 8 + 8) + payload prefix 4.
-        let overhead = 1 + 4 + (4 + 1 + 8 + 4 + 1 + 8 + 8) + 4;
+        // Fixed overhead for committee "c", phase "x": opcode 1 + run
+        // count 4 + shared part (4+1 + 4+1 + 8 + 8 + payload prefix 4)
+        // + member count 4 + one member 4.
+        let overhead = 1 + 4 + (4 + 1 + 4 + 1 + 8 + 8 + 4) + 4 + 4;
         let payload_len = MAX_FRAME - overhead;
         let mut body = vec![op::POST_PIPE];
         put_u32(&mut body, 1);
         put_str(&mut body, "c").unwrap();
-        put_u64(&mut body, 0);
         put_str(&mut body, "x").unwrap();
         put_u64(&mut body, 1);
         put_u64(&mut body, payload_len as u64);
         put_bytes(&mut body, &vec![0xA5u8; payload_len]).unwrap();
+        put_u32(&mut body, 1);
+        put_u32(&mut body, 0);
         assert_eq!(body.len(), MAX_FRAME);
         let mut s = TcpStream::connect(handle.addr()).unwrap();
         send_raw_frame(&mut s, &body);
@@ -1626,10 +1976,7 @@ mod tests {
         let mut s2 = TcpStream::connect(handle.addr()).unwrap();
         s2.write_all(&u32::try_from(MAX_FRAME + 1).unwrap().to_le_bytes()).unwrap();
         s2.flush().unwrap();
-        let resp2 = read_raw_frame(&mut s2);
-        assert_eq!(resp2.first(), Some(&op::RESP_ERR));
-        let mut cur = WireCursor::new(&resp2[1..]);
-        assert!(cur.str().unwrap().contains("exceeds cap"));
+        assert!(read_err(&mut s2).contains("exceeds cap"));
         let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
         assert_eq!(t.len().unwrap(), 1);
         handle.shutdown();

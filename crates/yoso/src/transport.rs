@@ -79,6 +79,28 @@ pub struct PostRecord<M> {
     pub bytes: u64,
 }
 
+/// A committee step as submitted by a client: `members` of one
+/// committee each posting `message` under `phase` at one metered size.
+/// This is the protocol's own unit of communication (a committee speaks
+/// once per round), so every layer takes it whole — a posting costs the
+/// layers one member index, and everything else once per run. Indices
+/// may repeat (a member posting the same message several times).
+#[derive(Debug)]
+pub struct PostRun<'a, M> {
+    /// The committee label shared by the posting roles.
+    pub committee: &'a Arc<str>,
+    /// The protocol phase the posts are metered under.
+    pub phase: &'a str,
+    /// The message payload every member posts.
+    pub message: &'a M,
+    /// Metered size of each posting, in ring elements.
+    pub elements: u64,
+    /// Metered size of each posting, in bytes.
+    pub bytes: u64,
+    /// The posting members' indices, in posting order.
+    pub members: &'a [usize],
+}
+
 /// The transport behind a [`crate::BulletinBoard`]: append-only posting
 /// storage with a round clock and round-scoped reads.
 ///
@@ -140,6 +162,35 @@ pub trait BoardTransport<M>: Send + Sync {
             message: message.clone(),
             elements,
             bytes,
+        }))
+        .map(|_| ())
+    }
+
+    /// Run-level posting, the protocol's hot path: appends one posting
+    /// per member index of every run, in order, under the same
+    /// atomicity contract as [`BoardTransport::post_stream`] (the whole
+    /// call lands under one lock acquisition / in one flush). A run
+    /// with no members appends nothing. The default expands the runs
+    /// into a record stream, so a backend (or wrapper) that implements
+    /// only the record-level methods still sees every posting; backends
+    /// override it to do the per-run work once per run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures (remote backends only).
+    fn post_run(&self, runs: &[PostRun<'_, M>]) -> Result<(), BoardError>
+    where
+        M: Clone,
+    {
+        self.post_stream(&mut runs.iter().flat_map(|run| {
+            let phase: Arc<str> = Arc::from(run.phase);
+            run.members.iter().map(move |&index| PostRecord {
+                from: RoleId { committee: Arc::clone(run.committee), index },
+                phase: Arc::clone(&phase),
+                message: run.message.clone(),
+                elements: run.elements,
+                bytes: run.bytes,
+            })
         }))
         .map(|_| ())
     }
@@ -213,8 +264,8 @@ pub trait BoardTransport<M>: Send + Sync {
 /// [`crate::Committee`] or one [`crate::CommMeter`] alias one
 /// allocation, so the pointer test settles the hot path; labels that
 /// were allocated separately still compare by value.
-pub(crate) fn same_label(a: &Arc<str>, b: &Arc<str>) -> bool {
-    Arc::ptr_eq(a, b) || a == b
+fn same_label(a: &str, b: &str) -> bool {
+    std::ptr::eq(a, b) || a == b
 }
 
 /// What the consecutive postings of one run share: everything a
@@ -292,8 +343,8 @@ impl<M> RunLog<M> {
     /// everything else already matches.
     fn extends(
         &self,
-        committee: &Arc<str>,
-        phase: &Arc<str>,
+        committee: &str,
+        phase: &str,
         message: &M,
         elements: u64,
         bytes: u64,
@@ -333,6 +384,33 @@ impl<M> RunLog<M> {
             self.start_run(r.from.committee, r.phase, r.message, r.elements, r.bytes);
         }
         self.members.push(r.from.index);
+    }
+
+    /// Appends a whole submitted run in the current round: one
+    /// comparison against the last run, one bulk copy of the indices.
+    /// A run opened here shares the previous run's phase label when the
+    /// phase has not changed, so a phase still costs one allocation.
+    fn push_run(&mut self, run: &PostRun<'_, M>)
+    where
+        M: Clone + PartialEq,
+    {
+        if run.members.is_empty() {
+            return;
+        }
+        if !self.extends(run.committee, run.phase, run.message, run.elements, run.bytes) {
+            let phase = match self.runs.last() {
+                Some(last) if *last.phase == *run.phase => Arc::clone(&last.phase),
+                _ => Arc::from(run.phase),
+            };
+            self.start_run(
+                Arc::clone(run.committee),
+                phase,
+                run.message.clone(),
+                run.elements,
+                run.bytes,
+            );
+        }
+        self.members.extend_from_slice(run.members);
     }
 
     /// Calls `f(run, members)` for every run overlapping the range, in
@@ -643,6 +721,14 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         Ok(())
     }
 
+    fn post_run(&self, runs: &[PostRun<'_, M>]) -> Result<(), BoardError> {
+        let mut g = self.log.write();
+        for run in runs {
+            g.push_run(run);
+        }
+        Ok(())
+    }
+
     fn advance_round(&self) -> Result<u64, BoardError> {
         Ok(self.log.write().advance())
     }
@@ -736,7 +822,8 @@ impl<'a> WireCursor<'a> {
         self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BoardError> {
+    /// Reads the next `n` raw bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], BoardError> {
         if self.remaining() < n {
             return Err(BoardError::Protocol(format!(
                 "truncated frame: wanted {n} bytes, {} left",

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use yoso_runtime::{
-    BoardError, BoardTransport, BulletinBoard, Committee, InProcessTransport, PostRecord, Posting,
+    BoardError, BoardTransport, BulletinBoard, Committee, InProcessTransport, PostRun, Posting,
     RoleId,
 };
 
@@ -33,7 +33,8 @@ struct Shape {
 enum Op {
     Post(Shape, usize),
     PostBatch(Shape, usize, Vec<u64>),
-    PostRecords(Vec<(Shape, usize)>),
+    /// One `post_run` call: each run a shape and its member list.
+    PostRun(Vec<(Shape, Vec<usize>)>),
     AdvanceRound,
 }
 
@@ -55,9 +56,11 @@ fn op() -> impl Strategy<Value = Op> {
         (shape(), 0..MEMBERS, prop::collection::vec(0..2u64, 0..6))
             .prop_map(|(s, i, m)| Op::PostBatch(s, i, m)),
         // One shape, consecutive members: the committee-step pattern.
-        (shape(), 0..MEMBERS)
-            .prop_map(|(s, n)| Op::PostRecords((0..n).map(|i| (s.clone(), i)).collect())),
-        prop::collection::vec((shape(), 0..MEMBERS), 0..6).prop_map(Op::PostRecords),
+        (shape(), 0..=MEMBERS).prop_map(|(s, n)| Op::PostRun(vec![(s, (0..n).collect())])),
+        // Several runs a call, arbitrary members: repeats, any order,
+        // the empty list.
+        prop::collection::vec((shape(), prop::collection::vec(0..MEMBERS, 0..7)), 0..4)
+            .prop_map(Op::PostRun),
         Just(Op::AdvanceRound),
         Just(Op::AdvanceRound),
     ]
@@ -182,26 +185,30 @@ proptest! {
                         model.push(role(s, *i), PHASES[s.phase], *m, s.elements);
                     }
                 }
-                Op::PostRecords(records) => {
-                    let records: Vec<PostRecord<u64>> = records
+                Op::PostRun(runs) => {
+                    // The committee's own label or a fresh allocation
+                    // of it, by the shape's coin.
+                    let labels: Vec<Arc<str>> =
+                        runs.iter().map(|(s, _)| role(s, 0).committee).collect();
+                    let runs: Vec<PostRun<'_, u64>> = runs
                         .iter()
-                        .map(|(s, i)| PostRecord {
-                            from: role(s, *i),
-                            // Interned or freshly allocated, by the same coin.
-                            phase: if s.shared_label {
-                                board.meter().intern(PHASES[s.phase])
-                            } else {
-                                Arc::from(PHASES[s.phase])
-                            },
-                            message: s.message,
+                        .zip(&labels)
+                        .map(|((s, members), committee)| PostRun {
+                            committee,
+                            phase: PHASES[s.phase],
+                            message: &s.message,
                             elements: s.elements,
                             bytes: 8 * s.elements,
+                            members,
                         })
                         .collect();
-                    for r in &records {
-                        model.push(r.from.clone(), &r.phase, r.message, r.elements);
+                    for run in &runs {
+                        for &i in run.members {
+                            let from = RoleId { committee: Arc::clone(run.committee), index: i };
+                            model.push(from, run.phase, *run.message, run.elements);
+                        }
                     }
-                    board.post_records(records).unwrap();
+                    board.post_run(&runs).unwrap();
                 }
                 Op::AdvanceRound => {
                     board.advance_round().unwrap();
@@ -212,7 +219,9 @@ proptest! {
                 prop_assert!(false, "after step {step} ({op:?}): {e}");
             }
         }
-        // The meter saw every post exactly once, whatever the log did.
+        // The meter saw every post exactly once, whatever the log did,
+        // and lists no phase the transcript does not.
         prop_assert_eq!(board.meter().total().messages, model.log.len() as u64);
+        prop_assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
     }
 }
