@@ -26,7 +26,7 @@ use yoso_circuit::{Circuit, Gate};
 use yoso_field::PrimeField;
 use yoso_runtime::{Adversary, BulletinBoard, PhaseStats, RoleId};
 use yoso_the::mock::{Ciphertext, LinearPke, MockTe, PkeKeyPair, PkePublicKey};
-use yoso_the::nizk::{enc_proof, verify_enc_proof};
+use yoso_the::nizk::EncMap;
 
 use crate::messages::{self, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
 use crate::offline::{beaver_triples, EncryptedTriple};
@@ -132,6 +132,7 @@ impl BaselineEngine {
 
         // ---- Online: clients post encrypted inputs.
         let phase_in = "online/input";
+        let enc_map = cfg.produce_proofs.then(|| EncMap::new(&tpk));
         let mut cts: Vec<Option<Ciphertext<F>>> = vec![None; circuit.wire_count()];
         let mut next_input = vec![0usize; circuit.clients()];
         for (w, gate) in circuit.gates().iter().enumerate() {
@@ -139,9 +140,9 @@ impl BaselineEngine {
                 let v = inputs[client][next_input[client]];
                 next_input[client] += 1;
                 let (ct, r) = MockTe::encrypt(rng, &tpk, v);
-                if cfg.produce_proofs {
-                    let proof = enc_proof(rng, &tpk, &ct, v, r);
-                    debug_assert!(verify_enc_proof(&tpk, &ct, &proof));
+                if let Some(map) = &enc_map {
+                    let proof = map.prove(rng, &ct, v, r);
+                    debug_assert!(map.verify(&ct, &proof));
                 }
                 board.post(
                     RoleId::new("client", client),

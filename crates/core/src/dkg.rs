@@ -23,19 +23,21 @@
 
 use rand::Rng;
 
+use yoso_crypto::Domain;
 use yoso_field::PrimeField;
+use yoso_pss_sharing::shamir::PowerTable;
 use yoso_runtime::{Behavior, BulletinBoard, Committee};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, PkeKeyPair, PkePublicKey, PublicKey};
-use yoso_the::nizk;
+use yoso_the::nizk::{self, DealMap};
 
 use crate::messages::{self, Post};
 use crate::tsk::TskChain;
 use crate::{ExecutionConfig, ProtocolError};
 
-/// The deal proof is the tsk re-share relation
-/// ([`nizk::feldman_deal_statement`]) with the base `g` fixed by the DKG
-/// domain instead of an existing threshold key.
-const DOMAIN_DKG: &[u8] = b"yoso-pss/nizk/dkg-deal/v2";
+/// The deal proof is the tsk re-share relation ([`DealMap`]) with the
+/// base `g` fixed by the DKG domain instead of an existing threshold
+/// key.
+static DOMAIN_DKG: Domain = Domain::new(b"yoso-pss/nizk/dkg-deal/v3");
 
 /// One member's posted deal.
 struct Deal<F: PrimeField> {
@@ -89,6 +91,11 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
     // The base g is a public constant derived from the DKG domain.
     let g = derive_base::<F>();
     let recipient_pks: Vec<PkePublicKey<F>> = role_keys.iter().map(|kp| kp.public).collect();
+    // The handover's kernels: one power table evaluates every dealer's
+    // polynomial (and, below, the summed commitments) at all n points,
+    // and one deal map serves the committee's n proofs.
+    let table = PowerTable::new(n, t);
+    let deal_map = cfg.produce_proofs.then(|| DealMap::new(g, &recipient_pks, &table));
 
     let phase = "setup/dkg";
     let mut deals: Vec<Deal<F>> = Vec::new();
@@ -100,32 +107,29 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
         }
         let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
         let owned = cfg.partition.owns(i);
-        let prove = cfg.produce_proofs && owned;
+        let prover = deal_map.as_ref().filter(|_| owned);
         let deal = match behavior {
             Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
                 let coeffs: Vec<F> = (0..=t).map(|_| F::random(&mut mrng)).collect();
                 let commitments: Vec<F> = coeffs.iter().map(|&a| a * g).collect();
-                let mut enc = Vec::with_capacity(n);
-                let mut rands = Vec::with_capacity(n);
-                for j in 0..n {
-                    let x = F::from_u64(j as u64 + 1);
-                    let mut acc = F::ZERO;
-                    for &a in coeffs.iter().rev() {
-                        acc = acc * x + a;
-                    }
-                    let (ct, r) = LinearPke::encrypt(&mut mrng, &recipient_pks[j], acc);
-                    enc.push(ct);
-                    rands.push(r);
-                }
-                let valid = if prove {
-                    let st = nizk::feldman_deal_statement(g, &commitments, &recipient_pks, &enc);
-                    let mut witness = coeffs.clone();
-                    witness.extend_from_slice(&rands);
-                    let proof = nizk::prove_linear(&mut mrng, DOMAIN_DKG, &st, &witness);
-                    nizk::verify_linear(DOMAIN_DKG, &st, &proof)
-                } else {
-                    true
-                };
+                let (enc, rands): (Vec<_>, Vec<_>) = table
+                    .eval_all(&coeffs)
+                    .zip(&recipient_pks)
+                    .map(|(sub, rpk)| LinearPke::encrypt(&mut mrng, rpk, sub))
+                    .unzip();
+                let valid = prover.is_none_or(|map| {
+                    map.targets(&commitments, &enc).is_some_and(|targets| {
+                        let witness = [&coeffs[..], &rands[..]].concat();
+                        let proof = nizk::prove_linear(
+                            &mut mrng,
+                            &DOMAIN_DKG,
+                            map.map(),
+                            &targets,
+                            &witness,
+                        );
+                        nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &proof)
+                    })
+                });
                 Deal { commitments, enc_subshares: enc, valid }
             }
             Behavior::Malicious(_) => {
@@ -136,16 +140,13 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
                         LinearPke::encrypt(&mut mrng, &recipient_pks[j], junk).0
                     })
                     .collect();
-                let valid = if prove {
-                    let st = nizk::feldman_deal_statement(g, &commitments, &recipient_pks, &enc);
-                    let proof = nizk::LinearProof::<F> {
-                        commitment: (0..st.targets().len()).map(|_| F::random(&mut mrng)).collect(),
-                        response: (0..st.witness_len()).map(|_| F::random(&mut mrng)).collect(),
-                    };
-                    nizk::verify_linear(DOMAIN_DKG, &st, &proof)
-                } else {
-                    false
-                };
+                let valid = prover.is_some_and(|map| {
+                    map.targets(&commitments, &enc).is_some_and(|targets| {
+                        let (rows, witness_len) = (map.map().row_count(), map.map().witness_len());
+                        let proof = nizk::LinearProof::garbage(&mut mrng, rows, witness_len);
+                        nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &proof)
+                    })
+                });
                 Deal { commitments, enc_subshares: enc, valid }
             }
         };
@@ -164,22 +165,17 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
         });
     }
 
-    // tpk: h = Σ C_{i,0}; vk_j = Σ_i Σ_l (j+1)^l C_{i,l};
+    // tpk: h = Σ C_{i,0}; vk_j = Σ_i Σ_l (j+1)^l C_{i,l} — summed over
+    // the dealers first, Σ_i C_i(X), then evaluated once per recipient;
     // share_j = Σ_i f_i(j+1).
-    let h: F = qualified.iter().map(|d| d.commitments[0]).sum();
-    let mut vks = Vec::with_capacity(n);
-    for j in 0..n {
-        let x = F::from_u64(j as u64 + 1);
-        let mut vk = F::ZERO;
-        for d in &qualified {
-            let mut acc = F::ZERO;
-            for &c in d.commitments.iter().rev() {
-                acc = acc * x + c;
-            }
-            vk += acc;
+    let mut summed = vec![F::ZERO; t + 1];
+    for d in &qualified {
+        for (acc, &c) in summed.iter_mut().zip(&d.commitments) {
+            *acc += c;
         }
-        vks.push(vk);
     }
+    let h = summed[0];
+    let vks: Vec<F> = table.eval_all(&summed).collect();
     let shares: Vec<Option<KeyShare<F>>> = (0..n)
         .map(|j| {
             let value: F = qualified
@@ -257,6 +253,97 @@ mod tests {
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
         let dec = Committee::honest("d", n);
         assert_eq!(chain.decrypt(&mut r, &board, &dec, &cfg, "x", &[ct]).unwrap(), vec![m]);
+    }
+
+    /// The key, the shares and the postings, against the
+    /// straightforward evaluation this module used to run: Horner per
+    /// (dealer, recipient) for the subshares, Horner per (recipient,
+    /// dealer) over the commitments for the verification keys.
+    #[test]
+    fn dkg_agrees_with_per_recipient_horner_evaluation() {
+        use rand::RngCore;
+        fn horner(coeffs: &[F61], x: F61) -> F61 {
+            coeffs.iter().rev().fold(F61::ZERO, |acc, &c| acc * x + c)
+        }
+        let (n, t) = (9usize, 3usize);
+        for (seed, produce_proofs) in [(7u64, true), (8, true), (9, false)] {
+            let mut r = rand::rngs::StdRng::seed_from_u64(seed);
+            let adv = Adversary::active(t, ActiveAttack::WrongValue);
+            let committee = adv.sample_committee(&mut r, "dkg", n);
+            let keys = role_keys(&mut r, n);
+            let cfg = ExecutionConfig { produce_proofs, ..ExecutionConfig::default() };
+
+            // Replay the honest dealers' draws: one child seed a
+            // member, `t + 1` coefficients from the child.
+            let mut replay = r.clone();
+            let polys: Vec<Vec<F61>> = (0..n)
+                .filter_map(|i| {
+                    let mut mrng = rand::rngs::StdRng::seed_from_u64(replay.next_u64());
+                    (*committee.behavior(i) == Behavior::Honest)
+                        .then(|| (0..=t).map(|_| F61::random(&mut mrng)).collect())
+                })
+                .collect();
+            assert_eq!(polys.len(), n - t);
+
+            let board = BulletinBoard::new();
+            let chain = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap();
+            let g = chain.pk.g;
+            assert_eq!(chain.pk.h, polys.iter().map(|p| p[0] * g).sum::<F61>());
+            for j in 0..n {
+                let x = F61::from_u64(j as u64 + 1);
+                let share: F61 = polys.iter().map(|p| horner(p, x)).sum();
+                assert_eq!(chain.share_of(j).unwrap().value, share, "seed {seed}, share {j}");
+                let vk: F61 = polys
+                    .iter()
+                    .map(|p| horner(&p.iter().map(|&a| a * g).collect::<Vec<_>>(), x))
+                    .sum();
+                assert_eq!(chain.pk.vks[j], vk, "seed {seed}, vk {j}");
+            }
+            // One deal a member, malicious ones included, each metered
+            // as a re-share message.
+            let stats = board.meter().phase("setup/dkg");
+            assert_eq!(stats.messages, n as u64);
+            assert_eq!(stats.elements, n as u64 * messages::reshare_elements(n as u64, t as u64));
+            assert_eq!(board.len().unwrap(), n);
+        }
+    }
+
+    #[test]
+    fn a_deal_proof_binds_its_domain_and_garbage_is_rejected() {
+        let mut r = rng();
+        let (n, t) = (5usize, 2usize);
+        let keys = role_keys(&mut r, n);
+        let recipient_pks: Vec<_> = keys.iter().map(|kp| kp.public).collect();
+        let g = derive_base::<F61>();
+        let table = PowerTable::new(n, t);
+        let map = DealMap::new(g, &recipient_pks, &table);
+        let coeffs: Vec<F61> = (0..=t).map(|_| F61::random(&mut r)).collect();
+        let commitments: Vec<F61> = coeffs.iter().map(|&a| a * g).collect();
+        let (enc, rands): (Vec<_>, Vec<_>) = table
+            .eval_all(&coeffs)
+            .zip(&recipient_pks)
+            .map(|(sub, rpk)| LinearPke::encrypt(&mut r, rpk, sub))
+            .unzip();
+        let targets = map.targets(&commitments, &enc).unwrap();
+        let witness = [&coeffs[..], &rands[..]].concat();
+        let proof = nizk::prove_linear(&mut r, &DOMAIN_DKG, map.map(), &targets, &witness);
+        assert!(nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &proof));
+
+        // The retired separators, and the handover's: the same relation
+        // under another name is another proof.
+        for label in ["dkg-deal/v1", "dkg-deal/v2", "reshare/v3"] {
+            let other = Domain::new(format!("yoso-pss/nizk/{label}").as_bytes());
+            let old = nizk::prove_linear(&mut r, &other, map.map(), &targets, &witness);
+            assert!(nizk::verify_linear(&other, map.map(), &targets, &old));
+            assert!(!nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &old), "{label}");
+        }
+
+        // What a malicious dealer posts: verified, and rejected.
+        let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
+        let (rows, witness_len) = (map.map().row_count(), map.map().witness_len());
+        let garbage = nizk::LinearProof::<F61>::garbage(&mut r, rows, witness_len);
+        assert_ne!(garbage.commitment[0], garbage.commitment[1]);
+        assert!(!nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &garbage));
     }
 
     #[test]

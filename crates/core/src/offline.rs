@@ -34,12 +34,12 @@ use std::collections::BTreeMap;
 use rand::{Rng, SeedableRng};
 
 use yoso_circuit::{BatchedCircuit, Gate, MulBatch};
+use yoso_crypto::Domain;
 use yoso_field::{allocstats, PrimeField};
 use yoso_pss_sharing::PackedSharing;
 use yoso_runtime::{Adversary, Behavior, BulletinBoard, Committee};
-use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey};
-use yoso_the::nizk::linear::{Statement, StatementError};
-use yoso_the::nizk::{self, enc_proof, verify_enc_proof, EncProof};
+use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey, PublicKey};
+use yoso_the::nizk::{self, EncMap, EncProof, LinearMap};
 
 use crate::messages::{self, ContributionStep, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
 use crate::parallel::PostBuffer;
@@ -100,6 +100,21 @@ impl<F: PrimeField> ContribBufs<F> {
     }
 }
 
+/// The threshold key as the contribution steps use it: the key and —
+/// when proofs are produced at all — the one `enc` map over its
+/// `(g, h)`, which no handover changes, shared by every member's proof
+/// of every contribution under the key.
+pub(crate) struct ContributionKey<'a, F: PrimeField> {
+    tpk: &'a PublicKey<F>,
+    enc: Option<EncMap<F>>,
+}
+
+impl<'a, F: PrimeField> ContributionKey<'a, F> {
+    pub(crate) fn new(tpk: &'a PublicKey<F>, cfg: &ExecutionConfig) -> Self {
+        ContributionKey { tpk, enc: cfg.produce_proofs.then(|| EncMap::new(tpk)) }
+    }
+}
+
 /// Collects one encrypted-randomness contribution per participating
 /// member and returns the homomorphic sum of the *valid* ones.
 /// Posts are appended to `posts` rather than sent, so the caller can
@@ -124,11 +139,12 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
     posts: &mut PostBuffer,
     committee: &Committee,
     cfg: &ExecutionConfig,
-    tpk: &yoso_the::mock::PublicKey<F>,
+    key: &ContributionKey<'_, F>,
     phase: &'static str,
     step: ContributionStep,
     bufs: &mut ContribBufs<F>,
 ) -> Result<Ciphertext<F>, ProtocolError> {
+    let tpk = key.tpk;
     bufs.reset(committee.n());
     for i in 0..committee.n() {
         let behavior = committee.behavior(i);
@@ -137,28 +153,22 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
         }
         let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
         let owned = cfg.partition.owns(i);
-        let prove = cfg.produce_proofs && owned;
+        let prover = key.enc.as_ref().filter(|_| owned);
         let (ct, valid) = match behavior {
             Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
                 let m = F::random(&mut mrng);
                 let (ct, r) = MockTe::encrypt(&mut mrng, tpk, m);
-                let ok = if prove {
-                    let proof = enc_proof(&mut mrng, tpk, &ct, m, r);
-                    verify_enc_proof(tpk, &ct, &proof)
-                } else {
-                    true
-                };
+                let ok = prover.is_none_or(|map| {
+                    let proof = map.prove(&mut mrng, &ct, m, r);
+                    map.verify(&ct, &proof)
+                });
                 (ct, ok)
             }
             Behavior::Malicious(_) => {
                 let junk = F::random(&mut mrng);
                 let (ct, _) = MockTe::encrypt(&mut mrng, tpk, junk);
-                let ok = if prove {
-                    let proof = EncProof::<F>::garbage(&mut mrng);
-                    verify_enc_proof(tpk, &ct, &proof)
-                } else {
-                    false
-                };
+                let ok =
+                    prover.is_some_and(|map| map.verify(&ct, &EncProof::garbage(&mut mrng)));
                 (ct, ok)
             }
         };
@@ -192,14 +202,14 @@ fn summed_contribution<F: PrimeField, R: Rng + ?Sized>(
     sb: &ShardedBoard<'_>,
     committee: &Committee,
     cfg: &ExecutionConfig,
-    tpk: &yoso_the::mock::PublicKey<F>,
+    key: &ContributionKey<'_, F>,
     phase: &'static str,
     step: ContributionStep,
     bufs: &mut ContribBufs<F>,
 ) -> Result<Ciphertext<F>, ProtocolError> {
     let mut posts = PostBuffer::new();
     let result =
-        summed_contribution_into(rng, &mut posts, committee, cfg, tpk, phase, step, bufs);
+        summed_contribution_into(rng, &mut posts, committee, cfg, key, phase, step, bufs);
     sb.flush_buffer(posts)?;
     result
 }
@@ -222,9 +232,10 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
     c1: &Committee,
     c2: &Committee,
     cfg: &ExecutionConfig,
-    tpk: &yoso_the::mock::PublicKey<F>,
+    key: &ContributionKey<'_, F>,
     phase: &'static str,
 ) -> Result<EncryptedTriple<F>, ProtocolError> {
+    let tpk = key.tpk;
     // a-side contributions from C1. Triples are produced in parallel
     // (one child RNG each), so the buffers stay per-call here.
     let mut bufs = ContribBufs::new();
@@ -233,11 +244,13 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
         posts,
         c1,
         cfg,
-        tpk,
+        key,
         phase,
         ContributionStep::Beaver,
         &mut bufs,
     )?;
+    // One b-side map per triple, shared by C2's postings.
+    let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a)).transpose()?;
 
     // b-side: each C2 member posts (c_b_i, c_c_i = b_i·c^a) with a
     // proof of the joint relation. Per-member child RNGs keep the
@@ -252,18 +265,16 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
         }
         let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
         let owned = cfg.partition.owns(i);
-        let prove = cfg.produce_proofs && owned;
+        let prover = b_map.as_ref().filter(|_| owned);
         let (cb, cc, valid) = match behavior {
             Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
                 let b_i = F::random(&mut mrng);
                 let (cb, r) = MockTe::encrypt(&mut mrng, tpk, b_i);
                 let cc = Ciphertext { u: b_i * c_a.u, v: b_i * c_a.v };
-                let ok = if prove {
-                    beaver_b_proof(&mut mrng, tpk, &c_a, &cb, &cc, b_i, r)
-                        .is_ok_and(|proof| verify_beaver_b_proof(tpk, &c_a, &cb, &cc, &proof))
-                } else {
-                    true
-                };
+                let ok = prover.is_none_or(|map| {
+                    let proof = map.prove(&mut mrng, &cb, &cc, b_i, r);
+                    map.verify(&cb, &cc, &proof)
+                });
                 (cb, cc, ok)
             }
             Behavior::Malicious(_) => {
@@ -271,15 +282,9 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
                 let (cb, _) = MockTe::encrypt(&mut mrng, tpk, junk);
                 let fake = F::random(&mut mrng);
                 let cc = Ciphertext { u: fake * c_a.u, v: fake * c_a.v + F::ONE };
-                let ok = if prove {
-                    let proof = nizk::LinearProof::<F> {
-                        commitment: vec![F::random(&mut mrng); 4],
-                        response: vec![F::random(&mut mrng); 2],
-                    };
-                    verify_beaver_b_proof(tpk, &c_a, &cb, &cc, &proof)
-                } else {
-                    false
-                };
+                let ok = prover.is_some_and(|map| {
+                    map.verify(&cb, &cc, &nizk::LinearProof::garbage(&mut mrng, 4, 2))
+                });
                 (cb, cc, ok)
             }
         };
@@ -323,11 +328,11 @@ pub fn beaver_triples<F: PrimeField, R: Rng + ?Sized>(
     c1: &Committee,
     c2: &Committee,
     cfg: &ExecutionConfig,
-    tpk: &yoso_the::mock::PublicKey<F>,
+    tpk: &PublicKey<F>,
     count: usize,
 ) -> Result<Vec<EncryptedTriple<F>>, ProtocolError> {
     let sb = ShardedBoard::new(board, cfg.partition)?;
-    beaver_triples_in(rng, &sb, c1, c2, cfg, tpk, count)
+    beaver_triples_in(rng, &sb, c1, c2, cfg, &ContributionKey::new(tpk, cfg), count)
 }
 
 /// [`beaver_triples`] posting through an existing sharded board, so an
@@ -338,7 +343,7 @@ pub(crate) fn beaver_triples_in<F: PrimeField, R: Rng + ?Sized>(
     c1: &Committee,
     c2: &Committee,
     cfg: &ExecutionConfig,
-    tpk: &yoso_the::mock::PublicKey<F>,
+    key: &ContributionKey<'_, F>,
     count: usize,
 ) -> Result<Vec<EncryptedTriple<F>>, ProtocolError> {
     let phase = "offline/1-beaver";
@@ -346,7 +351,7 @@ pub(crate) fn beaver_triples_in<F: PrimeField, R: Rng + ?Sized>(
     let results = crate::parallel::par_map(cfg.num_threads, &seeds, |_, &seed| {
         let mut trng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut posts = PostBuffer::new();
-        let triple = one_triple(&mut trng, &mut posts, c1, c2, cfg, tpk, phase);
+        let triple = one_triple(&mut trng, &mut posts, c1, c2, cfg, key, phase);
         (triple, posts)
     });
     let mut triples = Vec::with_capacity(count);
@@ -357,51 +362,43 @@ pub(crate) fn beaver_triples_in<F: PrimeField, R: Rng + ?Sized>(
     Ok(triples)
 }
 
-const DOMAIN_BEAVER_B: &[u8] = b"yoso-pss/nizk/beaver-b/v2";
+static DOMAIN_BEAVER_B: Domain = Domain::new(b"yoso-pss/nizk/beaver-b/v3");
 
-/// The b-side Beaver relation: witness `(b, r)` with
-/// `c_b = TEnc(b; r)` and `c_c = b · c_a`.
-fn beaver_b_statement<F: PrimeField>(
-    tpk: &yoso_the::mock::PublicKey<F>,
-    c_a: &Ciphertext<F>,
-    c_b: &Ciphertext<F>,
-    c_c: &Ciphertext<F>,
-) -> Result<Statement<F>, StatementError> {
-    Statement::new(
-        2,
-        vec![
-            vec![(1, tpk.g)],
-            vec![(0, F::ONE), (1, tpk.h)],
-            vec![(0, c_a.u)],
-            vec![(0, c_a.v)],
-        ],
-        vec![c_b.u, c_b.v, c_c.u, c_c.v],
-    )
-}
+/// The b-side Beaver relation of one triple: witness `(b, r)` with
+/// `c_b = TEnc(b; r)` and `c_c = b · c_a`. The map holds the key and
+/// `c_a`, so one serves every b-side member of the triple.
+struct BeaverBMap<F: PrimeField>(LinearMap<F>);
 
-/// The statement's shape is fixed, so the error arm is never taken.
-fn beaver_b_proof<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    tpk: &yoso_the::mock::PublicKey<F>,
-    c_a: &Ciphertext<F>,
-    c_b: &Ciphertext<F>,
-    c_c: &Ciphertext<F>,
-    b: F,
-    r: F,
-) -> Result<nizk::LinearProof<F>, StatementError> {
-    let st = beaver_b_statement(tpk, c_a, c_b, c_c)?;
-    Ok(nizk::prove_linear(rng, DOMAIN_BEAVER_B, &st, &[b, r]))
-}
+impl<F: PrimeField> BeaverBMap<F> {
+    /// The map's shape is fixed, so the error arm is never taken.
+    fn new(tpk: &PublicKey<F>, c_a: &Ciphertext<F>) -> Result<Self, ProtocolError> {
+        let rows: [&[(usize, F)]; 4] =
+            [&[(1, tpk.g)], &[(0, F::ONE), (1, tpk.h)], &[(0, c_a.u)], &[(0, c_a.v)]];
+        LinearMap::new(2, rows)
+            .map(BeaverBMap)
+            .map_err(|_| ProtocolError::Invariant("the fixed-shape beaver-b map was refused"))
+    }
 
-fn verify_beaver_b_proof<F: PrimeField>(
-    tpk: &yoso_the::mock::PublicKey<F>,
-    c_a: &Ciphertext<F>,
-    c_b: &Ciphertext<F>,
-    c_c: &Ciphertext<F>,
-    proof: &nizk::LinearProof<F>,
-) -> bool {
-    beaver_b_statement(tpk, c_a, c_b, c_c)
-        .is_ok_and(|st| nizk::verify_linear(DOMAIN_BEAVER_B, &st, proof))
+    fn prove<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        c_b: &Ciphertext<F>,
+        c_c: &Ciphertext<F>,
+        b: F,
+        r: F,
+    ) -> nizk::LinearProof<F> {
+        let targets = [c_b.u, c_b.v, c_c.u, c_c.v];
+        nizk::prove_linear(rng, &DOMAIN_BEAVER_B, &self.0, &targets, &[b, r])
+    }
+
+    fn verify(
+        &self,
+        c_b: &Ciphertext<F>,
+        c_c: &Ciphertext<F>,
+        proof: &nizk::LinearProof<F>,
+    ) -> bool {
+        nizk::verify_linear(&DOMAIN_BEAVER_B, &self.0, &[c_b.u, c_b.v, c_c.u, c_c.v], proof)
+    }
 }
 
 /// Step 4 packing: given the `k_b` per-wire mask ciphertexts of a
@@ -484,6 +481,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
     let mut contrib = ContribBufs::new();
     let mut tsk = setup.tsk.clone();
     let tpk = tsk.pk.clone();
+    let key = ContributionKey::new(&tpk, cfg);
     let circuit = &bc.circuit;
 
     // ---- Step 1: Beaver triples, one per multiplication gate.
@@ -494,7 +492,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
         .iter()
         .flat_map(|layer| layer.iter().map(|w| w.0))
         .collect();
-    let triples = beaver_triples_in(rng, sb, &c1, &c2, cfg, &tpk, mul_wires.len())?;
+    let triples = beaver_triples_in(rng, sb, &c1, &c2, cfg, &key, mul_wires.len())?;
     sb.advance_round()?;
     // triple_of[wire] = index into `triples`.
     let mut triple_of = vec![usize::MAX; circuit.wire_count()];
@@ -514,7 +512,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
                 sb,
                 &c3,
                 cfg,
-                &tpk,
+                &key,
                 phase2,
                 ContributionStep::WireRandom,
                 &mut contrib,
@@ -639,7 +637,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
                         sb,
                         &c3,
                         cfg,
-                        &tpk,
+                        &key,
                         phase4,
                         ContributionStep::PackHelper,
                         &mut contrib,
@@ -772,6 +770,51 @@ mod tests {
                 .decrypt(&mut r, &board, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c])
                 .unwrap();
             assert_eq!(opened[0] * opened[1], opened[2], "a·b must equal c despite attackers");
+        }
+    }
+
+    #[test]
+    fn a_beaver_b_proof_binds_its_triple_and_domain() {
+        let mut r = rng();
+        let chain = TskChain::<F61>::keygen(&mut r, 6, 2).unwrap();
+        let tpk = &chain.pk;
+        let (c_a, _) = MockTe::encrypt(&mut r, tpk, F61::from(3u64));
+        let b = F61::from(5u64);
+        let (c_b, b_r) = MockTe::encrypt(&mut r, tpk, b);
+        let c_c = Ciphertext { u: b * c_a.u, v: b * c_a.v };
+        let map = BeaverBMap::new(tpk, &c_a).unwrap();
+        let proof = map.prove(&mut r, &c_b, &c_c, b, b_r);
+        assert!(map.verify(&c_b, &c_c, &proof));
+        // Another product, another a-side.
+        let off = Ciphertext { u: c_c.u, v: c_c.v + F61::ONE };
+        assert!(!map.verify(&c_b, &off, &proof));
+        let (other_a, _) = MockTe::encrypt(&mut r, tpk, F61::from(3u64));
+        assert!(!BeaverBMap::new(tpk, &other_a).unwrap().verify(&c_b, &c_c, &proof));
+
+        // The retired separators: right map, right targets, right
+        // witness, rejected.
+        let targets = [c_b.u, c_b.v, c_c.u, c_c.v];
+        for v in ["v1", "v2"] {
+            let retired = Domain::new(format!("yoso-pss/nizk/beaver-b/{v}").as_bytes());
+            let old = nizk::prove_linear(&mut r, &retired, &map.0, &targets, &[b, b_r]);
+            assert!(nizk::verify_linear(&retired, &map.0, &targets, &old));
+            assert!(!map.verify(&c_b, &c_c, &old), "beaver-b/{v}");
+        }
+
+        // What a malicious b-side member posts: verified, and rejected.
+        let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
+        let garbage = nizk::LinearProof::<F61>::garbage(&mut r, 4, 2);
+        assert_ne!(garbage.commitment[0], garbage.commitment[1]);
+        assert!(!map.verify(&c_b, &c_c, &garbage));
+
+        // Exact and host-independent: two SHA-256 blocks a challenge.
+        #[cfg(debug_assertions)]
+        {
+            let (_, blocks) = yoso_crypto::sha256::compressions_of(|| {
+                let proof = map.prove(&mut r, &c_b, &c_c, b, b_r);
+                assert!(map.verify(&c_b, &c_c, &proof));
+            });
+            assert_eq!(blocks, 2 + 2);
         }
     }
 

@@ -35,7 +35,7 @@ use yoso_field::PrimeField;
 use yoso_pss_sharing::{PackedSharing, ScratchPool, Share};
 use yoso_runtime::{ActiveAttack, Adversary, Behavior, BulletinBoard, LeakLog, RoleId};
 use yoso_the::mock::{LinearPke, PkeKeyPair, PkePublicKey};
-use yoso_the::nizk::{share_proof, verify_share_proof, ShareProof};
+use yoso_the::nizk::{ShareMap, ShareProof};
 
 use crate::messages::{Post, MULSHARE_PROOF_ELEMENTS};
 use crate::offline::OfflineArtifacts;
@@ -282,7 +282,6 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     if !behavior.participates_at(crate::engine::phase_index(phase_mul)) {
                         return Ok(out);
                     }
-                    let prove = cfg.produce_proofs && cfg.partition.owns(i);
                     let kff_pk = setup.kff_pairs[layer_idx][i].public;
                     let ma = mu_alpha_vals[i];
                     let mb = mu_beta_vals[i];
@@ -293,6 +292,10 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     let (a_ga, b_ga) = shares.gamma[i].opening_coefficients()?;
                     let offset = ma * mb + ma * a_be + mb * a_al + a_ga;
                     let slope = ma * b_be + mb * b_al + b_ga;
+                    // Key and slope are this member's alone: one map
+                    // per posting, for its prover and its verifier.
+                    let map = (cfg.produce_proofs && cfg.partition.owns(i))
+                        .then(|| ShareMap::new(&kff_pk, slope));
 
                     if matches!(behavior, Behavior::Malicious(_) | Behavior::Leaky) {
                         // The corrupted role's KFF opens all three of
@@ -312,13 +315,10 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                             let kff_sk = kff_prime[layer_idx * n + i]
                                 .open(role_keys[layer_idx][i].secret.scalar)?;
                             let value = offset - kff_sk * slope;
-                            let ok = if prove {
-                                let proof =
-                                    share_proof(&mut mrng, &kff_pk, slope, offset, value, kff_sk);
-                                verify_share_proof(&kff_pk, slope, offset, value, &proof)
-                            } else {
-                                true
-                            };
+                            let ok = map.is_none_or(|map| {
+                                let proof = map.prove(&mut mrng, offset, value, kff_sk);
+                                map.verify(offset, value, &proof)
+                            });
                             (value, ok)
                         }
                         Behavior::Malicious(attack) => {
@@ -330,12 +330,9 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                                 ActiveAttack::AdditiveOffset => honest + F::ONE,
                                 _ => F::random(&mut mrng),
                             };
-                            let ok = if prove {
-                                let proof = ShareProof::<F>::garbage(&mut mrng);
-                                verify_share_proof(&kff_pk, slope, offset, value, &proof)
-                            } else {
-                                false
-                            };
+                            let ok = map.is_some_and(|map| {
+                                map.verify(offset, value, &ShareProof::garbage(&mut mrng))
+                            });
                             (value, ok)
                         }
                     };

@@ -26,15 +26,12 @@ use std::sync::Arc;
 
 use rand::{Rng, RngCore, SeedableRng};
 
+use yoso_crypto::Domain;
 use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::{PowerTable, ZeroWeights};
 use yoso_runtime::{ActiveAttack, Behavior, BulletinBoard, Committee, LeakLog};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, MockTe, PkeKeyPair, PkePublicKey, PublicKey};
-use yoso_the::nizk::linear::{Statement, StatementError};
-use yoso_the::nizk::{
-    self, pdec_proof, reshare_proof, verify_pdec_proof, verify_reshare_proof, PdecProof,
-    ReshareProof,
-};
+use yoso_the::nizk::{self, DealMap, LinearMap, PdecMap, PdecProof, ReshareProof};
 
 use crate::messages::{
     self, Post, CT_ELEMENTS, ENC_PDEC_PROOF_ELEMENTS, PDEC_ELEMENTS, PDEC_PROOF_ELEMENTS,
@@ -289,6 +286,10 @@ impl<F: PrimeField> TskChain<F> {
         cts: &[Ciphertext<F>],
     ) -> Result<Vec<F>, ProtocolError> {
         self.record_leaks(committee);
+        // One map per ciphertext, shared by the committee's partials.
+        let maps: Option<Vec<PdecMap<F>>> = cfg
+            .produce_proofs
+            .then(|| cts.iter().map(|ct| PdecMap::new(&self.pk, ct)).collect());
         let mut partials: Vec<Vec<(usize, F, bool)>> = vec![Vec::new(); cts.len()];
         let mut posts = crate::parallel::PostBuffer::new();
         for i in 0..committee.n() {
@@ -299,18 +300,17 @@ impl<F: PrimeField> TskChain<F> {
             }
             let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
             let owned = cfg.partition.owns(i);
-            let prove = cfg.produce_proofs && owned;
+            let prover = maps.as_deref().filter(|_| owned);
+            let vk = self.pk.vks[i];
             for (c_idx, ct) in cts.iter().enumerate() {
+                let map = prover.map(|maps| &maps[c_idx]);
                 let (value, valid) = match behavior {
                     Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
                         let pd = MockTe::partial_decrypt(share, ct);
-                        let ok = if prove {
-                            let proof =
-                                pdec_proof(&mut mrng, &self.pk, ct, i, share.value, pd.value);
-                            verify_pdec_proof(&self.pk, ct, i, pd.value, &proof)
-                        } else {
-                            true
-                        };
+                        let ok = map.is_none_or(|map| {
+                            let proof = map.prove(&mut mrng, vk, share.value, pd.value);
+                            map.verify(vk, pd.value, &proof)
+                        });
                         (pd.value, ok)
                     }
                     Behavior::Malicious(attack) => {
@@ -318,12 +318,9 @@ impl<F: PrimeField> TskChain<F> {
                             ActiveAttack::BadProof => MockTe::partial_decrypt(share, ct).value,
                             _ => F::random(&mut mrng),
                         };
-                        let ok = if prove {
-                            let proof = PdecProof::garbage(&mut mrng);
-                            verify_pdec_proof(&self.pk, ct, i, wrong, &proof)
-                        } else {
-                            false
-                        };
+                        let ok = map.is_some_and(|map| {
+                            map.verify(vk, wrong, &PdecProof::garbage(&mut mrng))
+                        });
                         (wrong, ok)
                     }
                 };
@@ -422,6 +419,11 @@ impl<F: PrimeField> TskChain<F> {
             let mut irng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut posts = crate::parallel::PostBuffer::new();
             let (target, ct) = &items[item_idx];
+            // One map per item, shared by the committee's postings.
+            let map = cfg
+                .produce_proofs
+                .then(|| EncryptedPartialMap::new(&self.pk, target))
+                .transpose()?;
             let mut val = ReencryptedValue {
                 target: *target,
                 source_v: ct.v,
@@ -437,19 +439,16 @@ impl<F: PrimeField> TskChain<F> {
                 }
                 let mut mrng = rand::rngs::StdRng::seed_from_u64(irng.next_u64());
                 let owned = cfg.partition.owns(i);
-                let prove = cfg.produce_proofs && owned;
+                let prover = map.as_ref().filter(|_| owned);
+                let vk = self.pk.vks[i];
                 let (enc, valid) = match behavior {
                     Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
                         let d = share.value * ct.u;
                         let (enc, r) = LinearPke::encrypt(&mut mrng, target, d);
-                        let ok = if prove {
-                            encrypted_partial_proof(&mut mrng, &self.pk, i, ct, target, &enc, d, r)
-                                .is_ok_and(|proof| {
-                                    verify_encrypted_partial(&self.pk, i, ct, target, &enc, &proof)
-                                })
-                        } else {
-                            true
-                        };
+                        let ok = prover.is_none_or(|map| {
+                            let proof = map.prove(&mut mrng, vk, ct, &enc, d, r);
+                            map.verify(vk, ct, &enc, &proof)
+                        });
                         (enc, ok)
                     }
                     Behavior::Malicious(attack) => {
@@ -458,15 +457,9 @@ impl<F: PrimeField> TskChain<F> {
                             _ => F::random(&mut mrng),
                         };
                         let (enc, _) = LinearPke::encrypt(&mut mrng, target, d);
-                        let ok = if prove {
-                            let proof = nizk::LinearProof::<F> {
-                                commitment: vec![F::random(&mut mrng); 3],
-                                response: vec![F::random(&mut mrng); 2],
-                            };
-                            verify_encrypted_partial(&self.pk, i, ct, target, &enc, &proof)
-                        } else {
-                            false
-                        };
+                        let ok = prover.is_some_and(|map| {
+                            map.verify(vk, ct, &enc, &nizk::LinearProof::garbage(&mut mrng, 3, 2))
+                        });
                         (enc, ok)
                     }
                 };
@@ -480,11 +473,12 @@ impl<F: PrimeField> TskChain<F> {
                 );
                 val.posts.push(ProviderPost { provider: i, ct: enc, valid });
             }
-            (val, posts)
+            Ok::<_, ProtocolError>((val, posts))
         });
         let mut weights = WeightCache::new();
         let mut out = Vec::with_capacity(items.len());
-        for (mut val, posts) in worker_out {
+        for item in worker_out {
+            let (mut val, posts) = item?;
             sb.flush_buffer(posts)?;
             self.attach_opening_weights(&mut weights, &mut val)?;
             out.push(val);
@@ -552,6 +546,8 @@ impl<F: PrimeField> TskChain<F> {
         }
         let recipient_pks: Vec<PkePublicKey<F>> = next_keys.iter().map(|kp| kp.public).collect();
         let table = PowerTable::new(n, t);
+        // One map per handover, shared by its dealers.
+        let deal = cfg.produce_proofs.then(|| DealMap::new(self.pk.g, &recipient_pks, &table));
 
         let mut msgs: Vec<PostedReshare<F>> = Vec::new();
         let mut posts = crate::parallel::PostBuffer::new();
@@ -563,7 +559,7 @@ impl<F: PrimeField> TskChain<F> {
             }
             let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
             let owned = cfg.partition.owns(i);
-            let prove = cfg.produce_proofs && owned;
+            let prover = deal.as_ref().filter(|_| owned);
             let posted = match behavior {
                 Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
                     let (msg, coeffs) = MockTe::reshare_with(&mut mrng, &self.pk, share, &table);
@@ -575,27 +571,12 @@ impl<F: PrimeField> TskChain<F> {
                         enc_subshares.push(ct);
                         rands.push(r);
                     }
-                    let valid = if prove {
-                        let proof = reshare_proof(
-                            &mut mrng,
-                            &self.pk,
-                            &commitments,
-                            &recipient_pks,
-                            &enc_subshares,
-                            &coeffs,
-                            &rands,
-                        );
-                        verify_reshare_proof(
-                            &self.pk,
-                            i,
-                            &commitments,
-                            &recipient_pks,
-                            &enc_subshares,
-                            &proof,
-                        )
-                    } else {
-                        true
-                    };
+                    let valid = prover.is_none_or(|deal| {
+                        deal.targets(&commitments, &enc_subshares).is_some_and(|targets| {
+                            let proof = deal.prove_reshare(&mut mrng, &targets, &coeffs, &rands);
+                            deal.verify_reshare(&self.pk, i, &targets, &proof)
+                        })
+                    });
                     PostedReshare { from: i, commitments, enc_subshares, valid }
                 }
                 Behavior::Malicious(_) => {
@@ -606,19 +587,12 @@ impl<F: PrimeField> TskChain<F> {
                             LinearPke::encrypt(&mut mrng, &recipient_pks[m], junk).0
                         })
                         .collect();
-                    let valid = if prove {
-                        let proof = ReshareProof::<F>::garbage(&mut mrng, n, t);
-                        verify_reshare_proof(
-                            &self.pk,
-                            i,
-                            &commitments,
-                            &recipient_pks,
-                            &enc_subshares,
-                            &proof,
-                        )
-                    } else {
-                        false
-                    };
+                    let valid = prover.is_some_and(|deal| {
+                        deal.targets(&commitments, &enc_subshares).is_some_and(|targets| {
+                            let proof = ReshareProof::garbage(&mut mrng, n, t);
+                            deal.verify_reshare(&self.pk, i, &targets, &proof)
+                        })
+                    });
                     PostedReshare { from: i, commitments, enc_subshares, valid }
                 }
             };
@@ -666,60 +640,61 @@ impl<F: PrimeField> TskChain<F> {
     }
 }
 
-const DOMAIN_ENC_PDEC: &[u8] = b"yoso-pss/nizk/enc-pdec/v2";
+static DOMAIN_ENC_PDEC: Domain = Domain::new(b"yoso-pss/nizk/enc-pdec/v3");
 
-/// Builds and proves the `Re-encrypt` posting relation: the published
-/// ciphertext encrypts the *correct* partial decryption of `ct`
-/// (bound to the Feldman verification key `vk_i`).
+/// The `Re-encrypt` posting relation of one item: the published
+/// ciphertext encrypts the *correct* partial decryption of the source
+/// ciphertext (bound to the provider's Feldman verification key).
 ///
 /// Witness `(d, r)`; rows: `d·g = vk_i·u_ct`, `enc.u = r·g_T`,
-/// `enc.v = d + r·h_T`.
-///
-/// # Errors
-///
-/// None in practice: the statement's shape is fixed, so its
-/// construction cannot fail.
-#[allow(clippy::too_many_arguments)]
-pub fn encrypted_partial_proof<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    tpk: &PublicKey<F>,
-    provider: usize,
-    ct: &Ciphertext<F>,
-    target: &PkePublicKey<F>,
-    enc: &Ciphertext<F>,
-    d: F,
-    r: F,
-) -> Result<nizk::LinearProof<F>, StatementError> {
-    let st = encrypted_partial_statement(tpk, provider, ct, target, enc)?;
-    Ok(nizk::prove_linear(rng, DOMAIN_ENC_PDEC, &st, &[d, r]))
-}
+/// `enc.v = d + r·h_T`. The map holds only the threshold key's base and
+/// the target key, so one serves all `n` providers of an item; provider
+/// and ciphertexts enter through the targets.
+#[derive(Debug, Clone)]
+pub struct EncryptedPartialMap<F: PrimeField>(LinearMap<F>);
 
-/// Verifies a `Re-encrypt` posting proof.
-pub fn verify_encrypted_partial<F: PrimeField>(
-    tpk: &PublicKey<F>,
-    provider: usize,
-    ct: &Ciphertext<F>,
-    target: &PkePublicKey<F>,
-    enc: &Ciphertext<F>,
-    proof: &nizk::LinearProof<F>,
-) -> bool {
-    provider < tpk.vks.len()
-        && encrypted_partial_statement(tpk, provider, ct, target, enc)
-            .is_ok_and(|st| nizk::verify_linear(DOMAIN_ENC_PDEC, &st, proof))
-}
+impl<F: PrimeField> EncryptedPartialMap<F> {
+    /// The map for re-encryptions from `tpk` to `target`.
+    ///
+    /// # Errors
+    ///
+    /// None in practice: the map's shape is fixed, so its construction
+    /// cannot fail.
+    pub fn new(tpk: &PublicKey<F>, target: &PkePublicKey<F>) -> Result<Self, ProtocolError> {
+        LinearMap::new(2, [&[(0, tpk.g)][..], &[(1, target.g)], &[(0, F::ONE), (1, target.h)]])
+            .map(EncryptedPartialMap)
+            .map_err(|_| ProtocolError::Invariant("the fixed-shape enc-pdec map was refused"))
+    }
 
-fn encrypted_partial_statement<F: PrimeField>(
-    tpk: &PublicKey<F>,
-    provider: usize,
-    ct: &Ciphertext<F>,
-    target: &PkePublicKey<F>,
-    enc: &Ciphertext<F>,
-) -> Result<Statement<F>, StatementError> {
-    Statement::new(
-        2,
-        vec![vec![(0, tpk.g)], vec![(1, target.g)], vec![(0, F::ONE), (1, target.h)]],
-        vec![tpk.vks[provider] * ct.u, enc.u, enc.v],
-    )
+    fn targets(vk: F, ct: &Ciphertext<F>, enc: &Ciphertext<F>) -> [F; 3] {
+        [vk * ct.u, enc.u, enc.v]
+    }
+
+    /// Proves that `enc` encrypts, with randomness `r`, the partial
+    /// decryption `d` of `ct` under the key share behind `vk`.
+    pub fn prove<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        vk: F,
+        ct: &Ciphertext<F>,
+        enc: &Ciphertext<F>,
+        d: F,
+        r: F,
+    ) -> nizk::LinearProof<F> {
+        nizk::prove_linear(rng, &DOMAIN_ENC_PDEC, &self.0, &Self::targets(vk, ct, enc), &[d, r])
+    }
+
+    /// Verifies a `Re-encrypt` posting proof against the provider's
+    /// verification key.
+    pub fn verify(
+        &self,
+        vk: F,
+        ct: &Ciphertext<F>,
+        enc: &Ciphertext<F>,
+        proof: &nizk::LinearProof<F>,
+    ) -> bool {
+        nizk::verify_linear(&DOMAIN_ENC_PDEC, &self.0, &Self::targets(vk, ct, enc), proof)
+    }
 }
 
 #[cfg(test)]
@@ -803,6 +778,76 @@ mod tests {
             .reencrypt(&mut r, &board, &committee, &cfg(), "x", &[(target.public, ct)])
             .unwrap();
         assert_eq!(vals[0].open(target.secret.scalar).unwrap(), m);
+    }
+
+    /// One honest `Re-encrypt` posting by member 1 of a committee of 5.
+    #[allow(clippy::type_complexity)]
+    fn posting(
+        r: &mut rand::rngs::StdRng,
+    ) -> (TskChain<F61>, PkePublicKey<F61>, Ciphertext<F61>, Ciphertext<F61>, F61, F61) {
+        let chain = TskChain::<F61>::keygen(r, 5, 2).unwrap();
+        let target = LinearPke::<F61>::keygen(r).public;
+        let (ct, _) = MockTe::encrypt(r, &chain.pk, F61::from(9u64));
+        let d = chain.share_of(1).unwrap().value * ct.u;
+        let (enc, enc_r) = LinearPke::encrypt(r, &target, d);
+        (chain, target, ct, enc, d, enc_r)
+    }
+
+    #[test]
+    fn an_enc_pdec_proof_binds_provider_ciphertexts_and_domain() {
+        let mut r = rng();
+        let (chain, target, ct, enc, d, enc_r) = posting(&mut r);
+        let map = EncryptedPartialMap::new(&chain.pk, &target).unwrap();
+        let vk = chain.pk.vks[1];
+        let proof = map.prove(&mut r, vk, &ct, &enc, d, enc_r);
+        assert!(map.verify(vk, &ct, &enc, &proof));
+        // One map serves the whole committee: the provider is a target.
+        assert!(!map.verify(chain.pk.vks[2], &ct, &enc, &proof));
+        let (other, _) = MockTe::encrypt(&mut r, &chain.pk, F61::from(9u64));
+        assert!(!map.verify(vk, &other, &enc, &proof));
+        assert!(!map.verify(vk, &ct, &other, &proof));
+        let elsewhere = LinearPke::<F61>::keygen(&mut r).public;
+        let other_map = EncryptedPartialMap::new(&chain.pk, &elsewhere).unwrap();
+        assert!(!other_map.verify(vk, &ct, &enc, &proof));
+
+        // The retired separators: right map, right targets, right
+        // witness, rejected.
+        let targets = EncryptedPartialMap::targets(vk, &ct, &enc);
+        for v in ["v1", "v2"] {
+            let retired = Domain::new(format!("yoso-pss/nizk/enc-pdec/{v}").as_bytes());
+            let old = nizk::prove_linear(&mut r, &retired, &map.0, &targets, &[d, enc_r]);
+            assert!(nizk::verify_linear(&retired, &map.0, &targets, &old));
+            assert!(!map.verify(vk, &ct, &enc, &old), "enc-pdec/{v}");
+        }
+
+        // What a malicious provider posts: verified, and rejected.
+        let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
+        let garbage = nizk::LinearProof::<F61>::garbage(&mut r, 3, 2);
+        assert_ne!(garbage.commitment[0], garbage.commitment[1]);
+        assert!(!map.verify(vk, &ct, &enc, &garbage));
+    }
+
+    /// Exact and host-independent: two SHA-256 blocks to derive a
+    /// `Re-encrypt` posting's challenge, and a committee's `n` postings
+    /// of an item digest their map once.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn an_item_digests_its_enc_pdec_map_once_and_each_challenge_costs_two_blocks() {
+        use yoso_crypto::sha256::compressions_of;
+        let mut r = rng();
+        let (chain, target, ct, ..) = posting(&mut r);
+        let (map, digesting) =
+            compressions_of(|| EncryptedPartialMap::new(&chain.pk, &target).unwrap());
+        assert_eq!(digesting, 2);
+        let (_, committee) = compressions_of(|| {
+            for i in 0..5 {
+                let d = chain.share_of(i).unwrap().value * ct.u;
+                let (enc, enc_r) = LinearPke::encrypt(&mut r, &target, d);
+                let proof = map.prove(&mut r, chain.pk.vks[i], &ct, &enc, d, enc_r);
+                assert!(map.verify(chain.pk.vks[i], &ct, &enc, &proof));
+            }
+        });
+        assert_eq!(committee, 5 * (2 + 2));
     }
 
     #[test]

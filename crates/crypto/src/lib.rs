@@ -6,8 +6,11 @@
 //!   (FIPS 180-4), validated against the official test vectors.
 //! - [`Transcript`]: a Fiat–Shamir transcript that absorbs labelled
 //!   messages and squeezes unpredictable challenges (bytes, field
-//!   elements, or big integers below a bound). This is the random
-//!   oracle backing every NIZK in the workspace.
+//!   elements, or big integers below a bound) — the random oracle of
+//!   the Paillier proofs and of the DKG's base derivation.
+//! - [`Domain`]: a domain separator hashed once (at compile time for a
+//!   `static`), for proofs that derive their challenge with a single
+//!   hash — the linear sigma protocol behind every mock-world NIZK.
 //! - [`HashPrg`]: a deterministic expandable pseudorandom generator
 //!   (SHA-256 in counter mode) implementing [`rand::RngCore`], used to
 //!   derive per-role randomness reproducibly from seeds.
@@ -22,11 +25,13 @@
 #![warn(missing_docs)]
 
 pub mod commit;
+mod domain;
 pub mod pke;
 mod prg;
 pub mod sha256;
 mod transcript;
 
+pub use domain::Domain;
 pub use prg::HashPrg;
 pub use sha256::Sha256;
 pub use transcript::Transcript;

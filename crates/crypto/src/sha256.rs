@@ -51,8 +51,19 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Creates a fresh hasher.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
+    }
+
+    /// Absorbs one whole block into a hasher that stands at a block
+    /// boundary — everything [`crate::Domain::new`] needs, and usable
+    /// in constant evaluation, which [`Sha256::update`] is not (nor is
+    /// the debug-build `compressions_of` tally, so these blocks are not
+    /// in it).
+    pub(crate) const fn absorb_block(&mut self, block: &[u8; 64]) {
+        debug_assert!(self.buffer_len == 0);
+        self.state = compress(self.state, block);
+        self.total_len = self.total_len.wrapping_add(64);
     }
 
     /// One-shot digest of `data`.
@@ -72,8 +83,7 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                self.state = counted_compress(self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
@@ -81,7 +91,7 @@ impl Sha256 {
             let (block, rest) = data.split_at(64);
             let mut b = [0u8; 64];
             b.copy_from_slice(block);
-            self.compress(&b);
+            self.state = counted_compress(self.state, &b);
             data = rest;
         }
         if !data.is_empty() {
@@ -101,11 +111,11 @@ impl Sha256 {
         block[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
         block[self.buffer_len] = 0x80;
         if self.buffer_len >= 56 {
-            self.compress(&block);
+            self.state = counted_compress(self.state, &block);
             block = [0u8; 64];
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.state = counted_compress(self.state, &block);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -113,52 +123,87 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The compression function: `state` after one more 64-byte block.
+/// `while` loops, so that it also runs in constant evaluation.
+const fn compress(state: [u32; 8], block: &[u8; 64]) -> [u32; 8] {
+    let mut w = [0u32; 64];
+    let mut i = 0;
+    while i < 16 {
+        w[i] = u32::from_be_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]]);
+        i += 1;
     }
+    while i < 64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+        i += 1;
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+    let mut i = 0;
+    while i < 64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+        i += 1;
+    }
+
+    [
+        state[0].wrapping_add(a),
+        state[1].wrapping_add(b),
+        state[2].wrapping_add(c),
+        state[3].wrapping_add(d),
+        state[4].wrapping_add(e),
+        state[5].wrapping_add(f),
+        state[6].wrapping_add(g),
+        state[7].wrapping_add(h),
+    ]
+}
+
+/// [`compress`] as [`Sha256::update`] and [`Sha256::finalize`] run it:
+/// tallied in debug builds, the bare function in release builds.
+#[inline]
+fn counted_compress(state: [u32; 8], block: &[u8; 64]) -> [u32; 8] {
+    #[cfg(debug_assertions)]
+    COMPRESSIONS.with(|c| c.set(c.get() + 1));
+    compress(state, block)
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `work` and returns its result with the number of blocks this
+/// thread compressed through [`Sha256::update`] and
+/// [`Sha256::finalize`] meanwhile — the hashing cost of a piece of code
+/// as an exact, host-independent count. Debug builds only: release
+/// builds carry neither the counter nor this function.
+#[cfg(debug_assertions)]
+pub fn compressions_of<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = COMPRESSIONS.with(std::cell::Cell::get);
+    let out = work();
+    (out, COMPRESSIONS.with(std::cell::Cell::get) - before)
 }
 
 #[cfg(test)]

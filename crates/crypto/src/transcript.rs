@@ -65,31 +65,6 @@ impl Transcript {
         self.absorb(label, &v.to_bytes());
     }
 
-    /// Absorbs a run of field elements in bulk: one hash over the state,
-    /// the label, the element count and every element's canonical
-    /// encoding, instead of one chained hash per element.
-    ///
-    /// The count prefix and the separate `absorb-fields` tag make this
-    /// distinct from any sequence of [`Transcript::absorb_field`] calls
-    /// and from a bulk absorb of a different split of the same elements.
-    pub fn absorb_fields<F: PrimeField>(&mut self, label: &[u8], values: &[F]) {
-        let mut h = Sha256::new();
-        h.update(&self.state);
-        h.update(b"absorb-fields");
-        h.update(&(label.len() as u64).to_le_bytes());
-        h.update(label);
-        h.update(&(values.len() as u64).to_le_bytes());
-        // Eight elements fill one SHA-256 block.
-        let mut block = [0u8; 64];
-        for chunk in values.chunks(8) {
-            for (dst, v) in block.chunks_exact_mut(8).zip(chunk) {
-                dst.copy_from_slice(&v.to_bytes());
-            }
-            h.update(&block[..8 * chunk.len()]);
-        }
-        self.state = h.finalize();
-    }
-
     /// Absorbs a big integer.
     pub fn absorb_nat(&mut self, label: &[u8], v: &Nat) {
         self.absorb(label, &v.to_bytes_be());

@@ -43,6 +43,9 @@ pub enum RuleId {
     /// The phase RNG is drawn directly inside an ownership-conditional
     /// item loop instead of through a per-item child seed.
     SeedHygiene,
+    /// A Fiat–Shamir domain-separator literal that appears at two sites
+    /// of the workspace, or that carries no `/vN` version suffix.
+    FsDomain,
     /// Malformed `lint:allow` marker: unknown rule or missing
     /// justification.
     BadAllow,
@@ -63,7 +66,7 @@ pub enum Level {
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 13] = [
+    pub const ALL: [RuleId; 14] = [
         RuleId::Panic,
         RuleId::Index,
         RuleId::SecretDebug,
@@ -75,6 +78,7 @@ impl RuleId {
         RuleId::UnguardedPost,
         RuleId::RoundDiscipline,
         RuleId::SeedHygiene,
+        RuleId::FsDomain,
         RuleId::BadAllow,
         RuleId::UnusedAllow,
     ];
@@ -93,6 +97,7 @@ impl RuleId {
             RuleId::UnguardedPost => "unguarded-post",
             RuleId::RoundDiscipline => "round-discipline",
             RuleId::SeedHygiene => "seed-hygiene",
+            RuleId::FsDomain => "fs-domain",
             RuleId::BadAllow => "bad-allow",
             RuleId::UnusedAllow => "unused-allow",
         }
@@ -145,6 +150,9 @@ impl RuleId {
             }
             RuleId::SeedHygiene => {
                 "phase RNG drawn inside an ownership-conditional item loop"
+            }
+            RuleId::FsDomain => {
+                "Fiat-Shamir domain separator used twice workspace-wide, or without a /vN suffix"
             }
             RuleId::BadAllow => "lint:allow marker with unknown rule or empty justification",
             RuleId::UnusedAllow => "lint:allow marker that suppressed nothing",

@@ -35,6 +35,13 @@
 //!    -only round ticks, barrier-before-read ordering, and per-item
 //!    child-seed hygiene in `core`'s sharded-board call sites.
 //!
+//! **One cross-file pass** ([`domains`]):
+//!
+//! 7. **domain-separator hygiene** (`fs-domain`) — every literal passed
+//!    to `Domain::new` or bound to a `DOMAIN_*` item in non-test code is
+//!    collected workspace-wide; one that appears at two sites, or that
+//!    has no `/vN` suffix, is a finding.
+//!
 //! Findings carry stable fingerprints; a checked-in `lint-baseline.json`
 //! at the lint root marks accepted pre-existing findings so only *new*
 //! findings fail CI ([`baseline`]). Reports render as text, plain JSON,
@@ -51,6 +58,7 @@
 pub mod allow;
 pub mod baseline;
 pub mod config;
+pub mod domains;
 pub mod emit;
 pub mod findings;
 pub mod lexer;
@@ -73,10 +81,15 @@ use std::path::Path;
 /// caller's choice (see [`baseline::Baseline::apply`]).
 pub fn lint_root(root: &Path, cfg: &LintConfig) -> io::Result<Report> {
     let mut report = Report::default();
+    let mut separators = Vec::new();
     for (abs, meta) in walk::collect(root)? {
         let source = fs::read_to_string(&abs)?;
         report.findings.extend(rules::lint_source(&meta, &source, cfg));
+        separators.extend(domains::collect(&meta.rel_path, &source));
         report.files_checked += 1;
+    }
+    if cfg.level(RuleId::FsDomain) != Level::Allow {
+        report.findings.extend(domains::check(&separators));
     }
     report
         .findings

@@ -95,7 +95,7 @@ pub fn lint_source(meta: &FileMeta, source: &str, cfg: &LintConfig) -> Vec<Findi
 /// Mark every token that belongs to a `#[test]` / `#[cfg(test)]` item
 /// (including the whole `mod tests { ... }` body) so panic/format rules
 /// skip test code.
-fn test_mask(tokens: &[Token]) -> Vec<bool> {
+pub(crate) fn test_mask(tokens: &[Token]) -> Vec<bool> {
     let mut mask = vec![false; tokens.len()];
     let mut i = 0usize;
     while i < tokens.len() {

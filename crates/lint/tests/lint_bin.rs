@@ -181,6 +181,32 @@ fn guarded_run_posting_fixture_passes() {
 }
 
 #[test]
+fn fs_domain_fixtures_pass_and_fail() {
+    // Unique, versioned separators in two crates: clean.
+    let out = run_on_fixture("fs_domain_clean", &[]);
+    assert!(out.status.success(), "{}", stdout(&out));
+    // One separator shared by two proof types in two crates, and one
+    // with no version: both reported, the duplicate at its second site.
+    let out = run_on_fixture("fs_domain_duplicate", &[]);
+    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+    let text = stdout(&out);
+    assert!(
+        text.contains("crates/the/src/lib.rs:7: [fs-domain]")
+            && text.contains("\"fixture/nizk/enc/v3\" is already used in crates/core/src/lib.rs"),
+        "{text}"
+    );
+    assert!(
+        text.contains("crates/the/src/lib.rs:8: [fs-domain]")
+            && text.contains("\"fixture/nizk/share\" has no `/vN` suffix"),
+        "{text}"
+    );
+    assert_eq!(text.matches("[fs-domain]").count(), 2, "{text}");
+    // The rule can be switched off like any other.
+    let out = run_on_fixture("fs_domain_duplicate", &["--allow", "fs-domain"]);
+    assert!(out.status.success(), "{}", stdout(&out));
+}
+
+#[test]
 fn baseline_is_auto_detected_and_accepts_old_findings() {
     // The fixture's lint-baseline.json covers its one finding: exit 0.
     let out = run_on_fixture("baseline_accepted", &[]);
@@ -269,6 +295,7 @@ fn list_rules_names_all_families() {
         "unguarded-post",
         "round-discipline",
         "seed-hygiene",
+        "fs-domain",
         "bad-allow",
         "unused-allow",
     ] {

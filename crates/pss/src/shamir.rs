@@ -257,10 +257,16 @@ impl<F: PrimeField> PowerTable<F> {
         self.width - 1
     }
 
+    /// Every party's powers `(i + 1)^0 … (i + 1)^degree`, in party
+    /// order.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, F> {
+        self.powers.chunks_exact(self.width)
+    }
+
     /// Evaluates `Σ coeffs[c] · X^c` at every party's point, in party
     /// order. `coeffs` must hold exactly `degree + 1` coefficients.
     pub fn eval_all<'a>(&'a self, coeffs: &'a [F]) -> impl Iterator<Item = F> + 'a {
-        self.powers.chunks_exact(self.width).map(move |row| F::dot(coeffs, row))
+        self.rows().map(move |row| F::dot(coeffs, row))
     }
 }
 

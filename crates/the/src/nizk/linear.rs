@@ -5,12 +5,22 @@
 //! vector `x ∈ F^r`, the prover knows `w ∈ F^w` with `M·w = x`.
 //!
 //! **Protocol.** Commit `a = M·ρ` for random `ρ`; challenge
-//! `e = H(M, x, a)`; response `z = ρ + e·w`. Verify `M·z = a + e·x`.
+//! `e = H(D ‖ H′(M) ‖ x ‖ a)`; response `z = ρ + e·w`. Verify
+//! `M·z = a + e·x`.
 //!
 //! This is special-sound (two accepting transcripts with distinct
 //! challenges yield the witness `w = (z − z′)/(e − e′)`) and perfectly
 //! honest-verifier zero-knowledge (simulate by sampling `z` and setting
 //! `a = M·z − e·x`), hence a NIZKAoK in the random-oracle model.
+//!
+//! **The map is the unit of hashing.** A [`LinearMap`] is built — shape
+//! checked, put in canonical sparse form, digested — once, where the
+//! public data it is made of becomes known, and every proof over it
+//! (all `n` members of a committee step, prover and verifier alike)
+//! borrows it. A challenge is then one SHA-256 call from the domain's
+//! pre-hashed state ([`yoso_crypto::Domain`]) over the map's 32-byte
+//! digest and the proof's own targets and commitment: two compressions
+//! for a proof of up to four rows, whatever the size of `M`.
 //!
 //! Every relation the mock-world YOSO protocol proves on the bulletin
 //! board — correct encryption, correct partial decryption, correct
@@ -18,24 +28,18 @@
 //! linear over the field, so this single protocol is the NIZK engine of
 //! the whole protocol stack.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use rand::Rng;
-use yoso_crypto::Transcript;
+use yoso_crypto::Domain;
 use yoso_field::PrimeField;
 
-/// Why a [`Statement`] could not be built.
+/// Why a [`LinearMap`] could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StatementError {
-    /// The row count and the target count differ.
-    RowTargetMismatch {
-        /// Rows given.
-        rows: usize,
-        /// Targets given.
-        targets: usize,
-    },
+pub enum MapError {
     /// A row names a column outside the witness.
     ColumnOutOfRange {
         /// The offending row.
@@ -51,99 +55,108 @@ pub enum StatementError {
         /// The offending row.
         row: usize,
     },
-    /// A dimension does not fit in one field element, so the
-    /// Fiat–Shamir encoding could not represent it injectively.
-    DimensionTooLarge,
 }
 
-impl fmt::Display for StatementError {
+impl fmt::Display for MapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StatementError::RowTargetMismatch { rows, targets } => {
-                write!(f, "{rows} rows but {targets} targets")
-            }
-            StatementError::ColumnOutOfRange { row, col, witness_len } => {
+            MapError::ColumnOutOfRange { row, col, witness_len } => {
                 write!(f, "row {row} names column {col} of a {witness_len}-element witness")
             }
-            StatementError::ColumnsNotIncreasing { row } => {
+            MapError::ColumnsNotIncreasing { row } => {
                 write!(f, "row {row} has unsorted or duplicate columns")
-            }
-            StatementError::DimensionTooLarge => {
-                write!(f, "a dimension does not fit in one field element")
             }
         }
     }
 }
 
-impl std::error::Error for StatementError {}
+impl std::error::Error for MapError {}
 
-/// A public statement: the linear map and the target vector. Row `i`
-/// asserts `Σ_(col, coeff) ∈ rows[i] coeff · w_col = targets[i]`.
+/// The separator of `H′`, the hash that digests a map: a map's encoding
+/// is never mistaken for a challenge's input or the reverse.
+static MAP_DIGEST: Domain = Domain::new(b"yoso-pss/nizk/linear-map/v3");
+
+/// A public linear map `M`: row `i` sends a witness `w` to
+/// `Σ_(col, coeff) ∈ row i coeff · w_col`.
 ///
-/// The rows are held in one canonical sparse form — `(col, coeff)`
+/// The rows are held flat in one canonical sparse form — `(col, coeff)`
 /// pairs with `col < witness_len`, columns strictly increasing, no
-/// stored zero — so equal linear maps are equal values and hash to the
-/// same Fiat–Shamir input.
+/// stored zero — so equal maps are equal values with equal digests.
+/// The digest commits to the shape and every entry; it is computed in
+/// [`LinearMap::new`] and nowhere else.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Statement<F: PrimeField> {
+pub struct LinearMap<F: PrimeField> {
     witness_len: usize,
-    rows: Vec<Vec<(usize, F)>>,
-    targets: Vec<F>,
+    /// Row `i` is `entries[row_ends[i − 1]..row_ends[i]]` (from 0 for
+    /// the first).
+    row_ends: Vec<usize>,
+    entries: Vec<(usize, F)>,
+    digest: [u8; 32],
 }
 
-impl<F: PrimeField> Statement<F> {
-    /// Creates a statement over `witness_len` variables from sparse
-    /// rows. Explicit zero coefficients are dropped.
+impl<F: PrimeField> LinearMap<F> {
+    /// Creates a map over `witness_len` variables from sparse rows, each
+    /// a sequence of `(col, coeff)`. Explicit zero coefficients are
+    /// dropped.
     ///
     /// # Errors
     ///
-    /// Rejects a row/target count mismatch, a column `≥ witness_len`,
-    /// columns that are not strictly increasing, and dimensions that do
-    /// not fit in a field element.
-    pub fn new(
-        witness_len: usize,
-        rows: Vec<Vec<(usize, F)>>,
-        targets: Vec<F>,
-    ) -> Result<Self, StatementError> {
-        Self::check_shape(witness_len, &rows, targets.len())?;
-        Ok(Self::canonical(witness_len, rows, targets))
+    /// Rejects a column `≥ witness_len` and columns that are not
+    /// strictly increasing.
+    pub fn new<R>(witness_len: usize, rows: R) -> Result<Self, MapError>
+    where
+        R: IntoIterator,
+        R::Item: IntoIterator,
+        <R::Item as IntoIterator>::Item: Borrow<(usize, F)>,
+    {
+        let mut row_ends = Vec::new();
+        let mut entries = Vec::new();
+        for (row, given) in rows.into_iter().enumerate() {
+            let mut next_col = 0;
+            for entry in given {
+                let &(col, coeff) = entry.borrow();
+                if col < next_col {
+                    return Err(MapError::ColumnsNotIncreasing { row });
+                }
+                if col >= witness_len {
+                    return Err(MapError::ColumnOutOfRange { row, col, witness_len });
+                }
+                next_col = col + 1;
+                if !coeff.is_zero() {
+                    entries.push((col, coeff));
+                }
+            }
+            row_ends.push(entries.len());
+        }
+        let mut map = LinearMap { witness_len, row_ends, entries, digest: [0; 32] };
+        map.digest = map.encoding_digest();
+        Ok(map)
     }
 
-    /// [`Statement::new`] for the builders of this module tree, whose
-    /// rows have a valid shape by construction.
-    pub(super) fn canonical(
-        witness_len: usize,
-        mut rows: Vec<Vec<(usize, F)>>,
-        targets: Vec<F>,
-    ) -> Self {
-        debug_assert_eq!(Self::check_shape(witness_len, &rows, targets.len()), Ok(()));
-        for row in &mut rows {
-            row.retain(|(_, coeff)| !coeff.is_zero());
-        }
-        Statement { witness_len, rows, targets }
-    }
-
-    fn check_shape(
-        witness_len: usize,
-        rows: &[Vec<(usize, F)>],
-        targets: usize,
-    ) -> Result<(), StatementError> {
-        if rows.len() != targets {
-            return Err(StatementError::RowTargetMismatch { rows: rows.len(), targets });
-        }
-        let fits = |v: usize| (v as u64) < F::MODULUS;
-        if !fits(witness_len) || !fits(rows.len()) {
-            return Err(StatementError::DimensionTooLarge);
-        }
-        for (row, entries) in rows.iter().enumerate() {
-            if !entries.windows(2).all(|pair| matches!(pair, [(a, _), (b, _)] if a < b)) {
-                return Err(StatementError::ColumnsNotIncreasing { row });
-            }
-            if let Some(&(col, _)) = entries.last().filter(|(col, _)| *col >= witness_len) {
-                return Err(StatementError::ColumnOutOfRange { row, col, witness_len });
+    /// `H′(M)`: one hash, under its own separator, of
+    ///
+    /// ```text
+    /// rows, witness_len,
+    /// for each row: len, (col, coeff) × len
+    /// ```
+    ///
+    /// eight little-endian bytes each. Both runs are length-prefixed (by
+    /// `rows`, by the row's `len`), so the encoding is an injective
+    /// function of the canonical map.
+    fn encoding_digest(&self) -> [u8; 32] {
+        let mut h = MAP_DIGEST.hasher();
+        let mut word = |w: [u8; 8]| h.update(&w);
+        let int = |v: usize| (v as u64).to_le_bytes();
+        word(int(self.row_ends.len()));
+        word(int(self.witness_len));
+        for row in self.rows() {
+            word(int(row.len()));
+            for &(col, coeff) in row {
+                word(int(col));
+                word(coeff.to_bytes());
             }
         }
-        Ok(())
+        h.finalize()
     }
 
     /// Number of witness variables.
@@ -151,64 +164,60 @@ impl<F: PrimeField> Statement<F> {
         self.witness_len
     }
 
-    /// The sparse rows of the linear map.
-    pub fn rows(&self) -> &[Vec<(usize, F)>] {
-        &self.rows
+    /// Number of rows — of targets, and of commitment entries.
+    pub fn row_count(&self) -> usize {
+        self.row_ends.len()
     }
 
-    /// The target vector, one entry per row.
-    pub fn targets(&self) -> &[F] {
-        &self.targets
+    /// The sparse rows, in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[(usize, F)]> + '_ {
+        let mut start = 0;
+        self.row_ends.iter().map(move |&end| {
+            let row = &self.entries[start..end];
+            start = end;
+            row
+        })
+    }
+
+    /// The digest `H′(M)` every challenge over this map absorbs.
+    pub fn digest(&self) -> [u8; 32] {
+        self.digest
     }
 
     /// Applies the map to a vector of `witness_len` elements, in
     /// `O(nnz)`.
     fn apply(&self, w: &[F]) -> Vec<F> {
         debug_assert_eq!(w.len(), self.witness_len);
-        self.rows
-            .iter()
-            .map(|row| row.iter().map(|&(col, coeff)| coeff * w[col]).sum())
-            .collect()
+        self.rows().map(|row| row.iter().map(|&(col, coeff)| coeff * w[col]).sum()).collect()
     }
 
-    /// Returns `true` if `w` satisfies the statement (prover-side
-    /// sanity check).
-    pub fn is_satisfied_by(&self, w: &[F]) -> bool {
-        w.len() == self.witness_len && self.apply(w) == self.targets
+    /// Returns `true` if the map sends `witness` to `targets`
+    /// (prover-side sanity check).
+    pub fn is_satisfied_by(&self, targets: &[F], witness: &[F]) -> bool {
+        witness.len() == self.witness_len && self.apply(witness) == targets
     }
 
-    /// Derives the challenge: the domain, then **one** bulk absorb of
+    /// Derives the challenge with one hash from the domain's pre-hashed
+    /// state:
     ///
     /// ```text
-    /// rows, witness_len,
-    /// for each row: len, (col, coeff) × len,
-    /// targets × rows, commitment × rows
+    /// e = le64(SHA-256(domain block(s) ‖ H′(M) ‖ u64(rows) ‖ targets ‖ commitment)[..8])
     /// ```
     ///
-    /// as field elements. Every run is length-prefixed (by `rows` or by
-    /// the row's `len`) and the dimensions fit a field element
-    /// ([`Statement::new`] checks), so the encoding is an injective
-    /// function of the canonical statement and the commitment.
-    fn challenge(&self, domain: &[u8], commitment: &[F]) -> F {
-        debug_assert_eq!(commitment.len(), self.targets.len());
-        let int = |v: usize| F::from_u64(v as u64);
-        let nnz: usize = self.rows.iter().map(Vec::len).sum();
-        let mut enc = Vec::with_capacity(2 + 3 * self.rows.len() + 2 * nnz);
-        enc.push(int(self.rows.len()));
-        enc.push(int(self.witness_len));
-        for row in &self.rows {
-            enc.push(int(row.len()));
-            for &(col, coeff) in row {
-                enc.push(int(col));
-                enc.push(coeff);
-            }
+    /// The digest has a fixed width and the two runs the stated one, so
+    /// the input parses back to exactly one (domain, digest, targets,
+    /// commitment).
+    fn challenge(&self, domain: &Domain, targets: &[F], commitment: &[F]) -> F {
+        debug_assert_eq!(targets.len(), self.row_count());
+        debug_assert_eq!(commitment.len(), self.row_count());
+        let mut h = domain.hasher();
+        h.update(&self.digest);
+        h.update(&(self.row_count() as u64).to_le_bytes());
+        for v in targets.iter().chain(commitment) {
+            h.update(&v.to_bytes());
         }
-        enc.extend_from_slice(&self.targets);
-        enc.extend_from_slice(commitment);
-
-        let mut t = Transcript::new(domain);
-        t.absorb_fields(b"statement,commitment", &enc);
-        t.challenge_field(b"e")
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = h.finalize();
+        F::from_u64(u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]))
     }
 }
 
@@ -227,10 +236,19 @@ impl<F: PrimeField> Proof<F> {
     pub fn size_bytes(&self) -> usize {
         8 * (self.commitment.len() + self.response.len())
     }
+
+    /// What a malicious role posts in place of a proof: the right shape
+    /// for a map of `rows` rows over `witness_len` variables, every
+    /// entry drawn independently.
+    pub fn garbage<R: Rng + ?Sized>(rng: &mut R, rows: usize, witness_len: usize) -> Self {
+        let mut draw = |count| (0..count).map(|_| F::random(rng)).collect();
+        Proof { commitment: draw(rows), response: draw(witness_len) }
+    }
 }
 
-/// Proves knowledge of `witness` for `statement` under the given
-/// domain separator.
+/// Proves knowledge of a `witness` that `map` sends to `targets`, under
+/// the given domain. The `witness_len` masks are the first thing drawn
+/// from `rng`.
 ///
 /// # Panics
 ///
@@ -238,30 +256,36 @@ impl<F: PrimeField> Proof<F> {
 /// statement — proving a false statement is always a caller bug.
 pub fn prove<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
-    domain: &[u8],
-    statement: &Statement<F>,
+    domain: &Domain,
+    map: &LinearMap<F>,
+    targets: &[F],
     witness: &[F],
 ) -> Proof<F> {
-    debug_assert!(statement.is_satisfied_by(witness), "witness does not satisfy statement");
-    let rho: Vec<F> = (0..statement.witness_len()).map(|_| F::random(rng)).collect();
-    let commitment = statement.apply(&rho);
-    let e = statement.challenge(domain, &commitment);
+    debug_assert!(map.is_satisfied_by(targets, witness), "witness does not satisfy statement");
+    let rho: Vec<F> = (0..map.witness_len()).map(|_| F::random(rng)).collect();
+    let commitment = map.apply(&rho);
+    let e = map.challenge(domain, targets, &commitment);
     let response = rho.iter().zip(witness).map(|(&r, &w)| r + e * w).collect();
     Proof { commitment, response }
 }
 
-/// Verifies a proof.
-pub fn verify<F: PrimeField>(domain: &[u8], statement: &Statement<F>, proof: &Proof<F>) -> bool {
-    if proof.commitment.len() != statement.targets.len()
-        || proof.response.len() != statement.witness_len()
+/// Verifies a proof that the prover knows a preimage of `targets` under
+/// `map`.
+pub fn verify<F: PrimeField>(
+    domain: &Domain,
+    map: &LinearMap<F>,
+    targets: &[F],
+    proof: &Proof<F>,
+) -> bool {
+    if targets.len() != map.row_count()
+        || proof.commitment.len() != map.row_count()
+        || proof.response.len() != map.witness_len()
     {
         return false;
     }
-    let e = statement.challenge(domain, &proof.commitment);
-    let lhs = statement.apply(&proof.response);
-    lhs.iter()
-        .zip(proof.commitment.iter().zip(&statement.targets))
-        .all(|(&l, (&a, &x))| l == a + e * x)
+    let e = map.challenge(domain, targets, &proof.commitment);
+    let lhs = map.apply(&proof.response);
+    lhs.iter().zip(proof.commitment.iter().zip(targets)).all(|(&l, (&a, &x))| l == a + e * x)
 }
 
 #[cfg(test)]
@@ -269,6 +293,8 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use yoso_field::F61;
+
+    static TEST: Domain = Domain::new(b"test");
 
     fn f(v: u64) -> F61 {
         F61::from(v)
@@ -278,69 +304,76 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(1234)
     }
 
-    fn example() -> (Statement<F61>, Vec<F61>) {
+    fn example() -> (LinearMap<F61>, Vec<F61>, Vec<F61>) {
         // w = (3, 4); M = [[1, 2], [5, 6], [0, 1]]; x = M·w.
         let w = vec![f(3), f(4)];
         let rows = vec![vec![(0, f(1)), (1, f(2))], vec![(0, f(5)), (1, f(6))], vec![(1, f(1))]];
         let targets = vec![f(11), f(39), f(4)];
-        (Statement::new(2, rows, targets).unwrap(), w)
+        (LinearMap::new(2, rows).unwrap(), targets, w)
     }
 
     #[test]
     fn prove_verify_roundtrip() {
         let mut r = rng();
-        let (st, w) = example();
-        assert!(st.is_satisfied_by(&w));
-        let proof = prove(&mut r, b"test", &st, &w);
-        assert!(verify(b"test", &st, &proof));
+        let (map, x, w) = example();
+        assert!(map.is_satisfied_by(&x, &w));
+        let proof = prove(&mut r, &TEST, &map, &x, &w);
+        assert!(verify(&TEST, &map, &x, &proof));
     }
 
     #[test]
     fn wrong_domain_rejected() {
         let mut r = rng();
-        let (st, w) = example();
-        let proof = prove(&mut r, b"test", &st, &w);
-        assert!(!verify(b"other", &st, &proof));
+        let (map, x, w) = example();
+        let proof = prove(&mut r, &TEST, &map, &x, &w);
+        assert!(!verify(&Domain::new(b"other"), &map, &x, &proof));
     }
 
     #[test]
     fn tampered_statement_rejected() {
         let mut r = rng();
-        let (st, w) = example();
-        let proof = prove(&mut r, b"test", &st, &w);
-        let mut st2 = st.clone();
-        st2.targets[0] += F61::ONE;
-        assert!(!verify(b"test", &st2, &proof));
+        let (map, x, w) = example();
+        let proof = prove(&mut r, &TEST, &map, &x, &w);
+        let mut x2 = x.clone();
+        x2[0] += F61::ONE;
+        assert!(!verify(&TEST, &map, &x2, &proof));
+        let rows = vec![vec![(0, f(1)), (1, f(3))], vec![(0, f(5)), (1, f(6))], vec![(1, f(1))]];
+        assert!(!verify(&TEST, &LinearMap::new(2, rows).unwrap(), &x, &proof));
     }
 
     #[test]
     fn tampered_proof_rejected() {
         let mut r = rng();
-        let (st, w) = example();
-        let mut proof = prove(&mut r, b"test", &st, &w);
+        let (map, x, w) = example();
+        let mut proof = prove(&mut r, &TEST, &map, &x, &w);
         proof.response[0] += F61::ONE;
-        assert!(!verify(b"test", &st, &proof));
-        let mut proof2 = prove(&mut r, b"test", &st, &w);
+        assert!(!verify(&TEST, &map, &x, &proof));
+        let mut proof2 = prove(&mut r, &TEST, &map, &x, &w);
         proof2.commitment[1] += F61::ONE;
-        assert!(!verify(b"test", &st, &proof2));
+        assert!(!verify(&TEST, &map, &x, &proof2));
     }
 
     #[test]
     fn shape_mismatch_rejected() {
         let mut r = rng();
-        let (st, w) = example();
-        let mut proof = prove(&mut r, b"test", &st, &w);
-        proof.response.pop();
-        assert!(!verify(b"test", &st, &proof));
+        let (map, x, w) = example();
+        let proof = prove(&mut r, &TEST, &map, &x, &w);
+        let mut short = proof.clone();
+        short.response.pop();
+        assert!(!verify(&TEST, &map, &x, &short));
+        // Targets are per proof now: a count that is not the map's row
+        // count is a rejection, not an index out of range.
+        assert!(!verify(&TEST, &map, &x[..2], &proof));
+        assert!(!verify(&TEST, &map, &[&x[..], &[F61::ZERO]].concat(), &proof));
     }
 
     #[test]
     fn empty_witness_statement() {
         // Degenerate: no witness variables, rows must target zero.
-        let st = Statement::<F61>::new(0, vec![], vec![]).unwrap();
+        let map = LinearMap::<F61>::new(0, Vec::<Vec<(usize, F61)>>::new()).unwrap();
         let mut r = rng();
-        let proof = prove(&mut r, b"test", &st, &[]);
-        assert!(verify(b"test", &st, &proof));
+        let proof = prove(&mut r, &TEST, &map, &[], &[]);
+        assert!(verify(&TEST, &map, &[], &proof));
     }
 
     #[test]
@@ -348,7 +381,7 @@ mod tests {
         // With two accepting transcripts for distinct challenges we can
         // extract the witness: simulate by re-running the interactive
         // protocol manually.
-        let (_st, w) = example();
+        let (_, _, w) = example();
         let mut r = rng();
         let rho: Vec<F61> = (0..2).map(|_| yoso_field::PrimeField::random(&mut r)).collect();
         let e1 = f(17);
@@ -364,47 +397,102 @@ mod tests {
     fn hvzk_simulation_matches_distribution_shape() {
         // Simulator: sample z and e, set a = M·z − e·x. The verifier
         // equation holds by construction.
-        let (st, _) = example();
+        let (map, x, _) = example();
         let mut r = rng();
         let z: Vec<F61> = (0..2).map(|_| yoso_field::PrimeField::random(&mut r)).collect();
         let e = f(99);
-        let mz = st.apply(&z);
-        let a: Vec<F61> = mz.iter().zip(&st.targets).map(|(&m, &x)| m - e * x).collect();
+        let mz = map.apply(&z);
+        let a: Vec<F61> = mz.iter().zip(&x).map(|(&m, &x)| m - e * x).collect();
         for i in 0..3 {
-            assert_eq!(mz[i], a[i] + e * st.targets[i]);
+            assert_eq!(mz[i], a[i] + e * x[i]);
         }
     }
 
     #[test]
     fn malformed_rows_are_typed_errors() {
         let one = F61::ONE;
-        let new = |w, rows, targets| Statement::<F61>::new(w, rows, targets);
+        let new = |w, rows: Vec<Vec<(usize, F61)>>| LinearMap::<F61>::new(w, rows);
         assert_eq!(
-            new(2, vec![vec![(0, one)]], vec![]),
-            Err(StatementError::RowTargetMismatch { rows: 1, targets: 0 })
+            new(2, vec![vec![(0, one), (2, one)]]),
+            Err(MapError::ColumnOutOfRange { row: 0, col: 2, witness_len: 2 })
         );
         assert_eq!(
-            new(2, vec![vec![(0, one), (2, one)]], vec![one]),
-            Err(StatementError::ColumnOutOfRange { row: 0, col: 2, witness_len: 2 })
+            new(0, vec![vec![(0, one)]]),
+            Err(MapError::ColumnOutOfRange { row: 0, col: 0, witness_len: 0 })
         );
+        // A stored zero is checked like any other entry before it is
+        // dropped.
         assert_eq!(
-            new(0, vec![vec![(0, one)]], vec![one]),
-            Err(StatementError::ColumnOutOfRange { row: 0, col: 0, witness_len: 0 })
+            new(2, vec![vec![(5, F61::ZERO)]]),
+            Err(MapError::ColumnOutOfRange { row: 0, col: 5, witness_len: 2 })
         );
         for bad in [vec![(1, one), (0, one)], vec![(1, one), (1, one)]] {
-            assert_eq!(
-                new(2, vec![vec![], bad], vec![one, one]),
-                Err(StatementError::ColumnsNotIncreasing { row: 1 })
-            );
+            assert_eq!(new(2, vec![vec![], bad]), Err(MapError::ColumnsNotIncreasing { row: 1 }));
         }
-        // A field too small to hold a dimension cannot hash it
-        // injectively.
+        // Dimensions are hashed as integers, not as field elements: a
+        // field smaller than the map is no obstacle.
         type F5 = yoso_field::Fp<5>;
-        assert_eq!(Statement::<F5>::new(5, vec![], vec![]), Err(StatementError::DimensionTooLarge));
-        assert_eq!(
-            Statement::<F5>::new(1, vec![vec![]; 5], vec![F5::ZERO; 5]),
-            Err(StatementError::DimensionTooLarge)
-        );
-        assert!(Statement::<F5>::new(4, vec![vec![]; 4], vec![F5::ZERO; 4]).is_ok());
+        let tall = LinearMap::<F5>::new(7, vec![vec![(6, F5::ONE)]; 9]).unwrap();
+        assert_eq!((tall.row_count(), tall.witness_len()), (9, 7));
+    }
+
+    #[test]
+    fn rows_come_back_flat_and_canonical() {
+        let rows = vec![vec![(0, f(1)), (2, F61::ZERO), (3, f(2))], vec![], vec![(1, f(5))]];
+        let map = LinearMap::new(4, &rows).unwrap();
+        let got: Vec<&[(usize, F61)]> = map.rows().collect();
+        assert_eq!(got, [&[(0, f(1)), (3, f(2))][..], &[], &[(1, f(5))]]);
+        assert_eq!(map.row_count(), 3);
+        // Borrowed rows, owned rows and slices of slices are one map.
+        let slices = [&[(0, f(1)), (3, f(2))][..], &[], &[(1, f(5))]];
+        assert_eq!(LinearMap::new(4, slices).unwrap(), map);
+        assert_eq!(LinearMap::new(4, rows).unwrap().digest(), map.digest());
+    }
+
+    #[test]
+    fn garbage_entries_are_drawn_independently() {
+        let proof = Proof::<F61>::garbage(&mut rng(), 3, 2);
+        assert_eq!((proof.commitment.len(), proof.response.len()), (3, 2));
+        assert_ne!(proof.commitment[0], proof.commitment[1]);
+        assert_ne!(proof.commitment[1], proof.commitment[2]);
+        assert_ne!(proof.response[0], proof.response[1]);
+        // Commitment first, then response, one draw an entry.
+        let mut replay = rng();
+        let drawn: Vec<F61> = (0..5).map(|_| F61::random(&mut replay)).collect();
+        assert_eq!([&proof.commitment[..], &proof.response[..]].concat(), drawn);
+        let (map, x, _) = example();
+        assert!(!verify(&TEST, &map, &x, &proof));
+    }
+
+    /// Exact and host-independent: past the domain's pre-hashed state a
+    /// challenge costs ⌈(49 + 16·rows) / 64⌉ blocks — digest, row count,
+    /// targets, commitment, padding — whatever the map holds, and a map
+    /// is digested when it is built and never again.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_challenge_costs_its_tail_and_a_shared_map_is_digested_once() {
+        use yoso_crypto::sha256::compressions_of;
+        let mut r = rng();
+        for (rows, witness_len) in [(2usize, 2usize), (3, 2), (4, 2), (5, 40), (6, 1), (40, 3)] {
+            let w: Vec<F61> = (0..witness_len).map(|_| F61::random(&mut r)).collect();
+            let dense: Vec<Vec<(usize, F61)>> = (0..rows)
+                .map(|_| (0..witness_len).map(|col| (col, F61::random(&mut r))).collect())
+                .collect();
+            let (map, digesting) = compressions_of(|| LinearMap::new(witness_len, &dense).unwrap());
+            // 16 bytes of shape, 8 + 16·witness_len a row, 9 of padding.
+            assert_eq!(digesting, (16 + rows * (8 + 16 * witness_len) + 9).div_ceil(64) as u64);
+            let x = map.apply(&w);
+
+            let per_challenge = (49 + 16 * rows).div_ceil(64) as u64;
+            assert_eq!(per_challenge == 2, rows <= 4);
+            let members = 7;
+            let (_, proving) = compressions_of(|| {
+                for _ in 0..members {
+                    let proof = prove(&mut r, &TEST, &map, &x, &w);
+                    assert!(verify(&TEST, &map, &x, &proof));
+                }
+            });
+            assert_eq!(proving, 2 * members * per_challenge, "{rows} rows");
+        }
     }
 }

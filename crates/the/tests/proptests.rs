@@ -4,11 +4,11 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use yoso_crypto::Transcript;
+use yoso_crypto::Domain;
 use yoso_field::{lagrange, F61, PrimeField};
+use yoso_pss_sharing::shamir::PowerTable;
 use yoso_the::mock::{LinearPke, MockTe, PartialDec, ReshareMsg};
-use yoso_the::nizk::linear::Statement;
-use yoso_the::nizk::LinearProof;
+use yoso_the::nizk::{DealMap, LinearMap, LinearProof};
 use yoso_the::{nizk, TeError};
 
 fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -262,13 +262,13 @@ proptest! {
     }
 }
 
-// --- Fiat–Shamir binding of the sparse linear statement ------------------
+// --- Fiat–Shamir binding of the (map, targets) pair ------------------------
 
 type Dense = Vec<Vec<F61>>;
 
-fn to_dense(st: &Statement<F61>) -> Dense {
-    let mut m = vec![vec![F61::ZERO; st.witness_len()]; st.rows().len()];
-    for (dense, sparse) in m.iter_mut().zip(st.rows()) {
+fn to_dense(map: &LinearMap<F61>) -> Dense {
+    let mut m = vec![vec![F61::ZERO; map.witness_len()]; map.row_count()];
+    for (dense, sparse) in m.iter_mut().zip(map.rows()) {
         for &(col, coeff) in sparse {
             dense[col] = coeff;
         }
@@ -286,38 +286,44 @@ fn mat_vec(m: &Dense, w: &[F61]) -> Vec<F61> {
     m.iter().map(|row| row.iter().zip(w).map(|(&a, &b)| a * b).sum()).collect()
 }
 
-fn from_dense(witness_len: usize, m: &Dense, targets: &[F61]) -> Statement<F61> {
-    Statement::new(witness_len, to_sparse(m), targets.to_vec()).unwrap()
+fn from_dense(witness_len: usize, m: &Dense) -> LinearMap<F61> {
+    LinearMap::new(witness_len, to_sparse(m)).unwrap()
 }
 
 fn has_two_nonzero(xs: &[F61]) -> bool {
     xs.iter().filter(|x| !x.is_zero()).count() >= 2
 }
 
-/// Tampers with `st` in every way the challenge must bind — each
-/// non-zero changed, moved along its row and moved along its column,
-/// then `witness_len`, the row count, each target, each commitment
-/// entry and the domain — and returns the tamperings `proof` still
-/// verifies under. Where the verifier's equations alone
-/// would still hold (an unused extra column, an extra `0 = 0` row, a
-/// dropped row), the proof is reshaped to fit, so only the hash can
-/// reject it.
+/// Tampers with the statement `(map, targets)` in every way the
+/// challenge must bind — each non-zero changed, moved along its row and
+/// moved along its column, then `witness_len`, the row count, each
+/// target, each commitment entry and the domain, and content moved
+/// *between* the map (which enters the challenge through its digest)
+/// and the targets (which enter it directly) — and returns the
+/// tamperings `proof` still verifies under. Where the verifier's
+/// equations alone would still hold (an unused extra column, an extra
+/// `0 = 0` row, a dropped row, two rows exchanged with everything that
+/// belongs to them, a coefficient change the target makes up for), the
+/// proof is reshaped to fit, so only the hash can reject it.
 ///
-/// `st` needs two non-zero targets: a response satisfies a row with
-/// target zero under *every* challenge, so a statement left with none
-/// accepts whatever the hash says.
+/// The statement needs two non-zero targets: a response satisfies a row
+/// with target zero under *every* challenge, so a statement left with
+/// none accepts whatever the hash says.
 fn accepted_tamperings(
     domain: &[u8],
-    st: &Statement<F61>,
+    map: &LinearMap<F61>,
+    targets: &[F61],
+    witness: &[F61],
     proof: &LinearProof<F61>,
 ) -> Vec<String> {
-    let w = st.witness_len();
-    let m = to_dense(st);
-    let targets = st.targets();
+    let w = map.witness_len();
+    let m = to_dense(map);
+    let rows: Vec<Vec<(usize, F61)>> = map.rows().map(<[_]>::to_vec).collect();
     assert!(has_two_nonzero(targets));
+    let here = Domain::new(domain);
     let mut accepted = Vec::new();
-    let mut case = |what: String, st: Statement<F61>, proof: LinearProof<F61>| {
-        if nizk::verify_linear(domain, &st, &proof) {
+    let mut case = |what: String, map: &LinearMap<F61>, targets: &[F61], proof: &LinearProof<F61>| {
+        if nizk::verify_linear(&here, map, targets, proof) {
             accepted.push(what);
         }
     };
@@ -326,52 +332,80 @@ fn accepted_tamperings(
         for (j, _) in row.iter().enumerate().filter(|(_, c)| !c.is_zero()) {
             let mut changed = m.clone();
             changed[i][j] += F61::ONE;
-            case(format!("({i},{j}) changed"), from_dense(w, &changed, targets), proof.clone());
+            case(format!("({i},{j}) changed"), &from_dense(w, &changed), targets, proof);
             for j2 in (0..w).filter(|&j2| m[i][j2].is_zero()) {
                 let mut moved = m.clone();
                 moved[i].swap(j, j2);
-                case(format!("({i},{j}) moved to column {j2}"), from_dense(w, &moved, targets), proof.clone());
+                case(format!("({i},{j}) moved to column {j2}"), &from_dense(w, &moved), targets, proof);
             }
             for i2 in (0..m.len()).filter(|&i2| m[i2][j].is_zero()) {
                 let mut moved = m.clone();
                 moved[i2][j] = moved[i][j];
                 moved[i][j] = F61::ZERO;
-                case(format!("({i},{j}) moved to row {i2}"), from_dense(w, &moved, targets), proof.clone());
+                case(format!("({i},{j}) moved to row {i2}"), &from_dense(w, &moved), targets, proof);
+            }
+
+            // Between map and targets. A change of the coefficient that
+            // the target makes up for is a true statement with the same
+            // witness — and with zero masks it passes the equations.
+            let mut made_up = targets.to_vec();
+            made_up[i] += witness[j];
+            case(format!("({i},{j}) changed, target {i} compensating"), &from_dense(w, &changed), &made_up, proof);
+            // The coefficient and its row's target trade places.
+            if m[i][j] != targets[i] {
+                let mut traded = m.clone();
+                let mut traded_targets = targets.to_vec();
+                std::mem::swap(&mut traded[i][j], &mut traded_targets[i]);
+                case(format!("({i},{j}) swapped with target {i}"), &from_dense(w, &traded), &traded_targets, proof);
             }
         }
     }
+    // Two distinct rows exchanged along with their targets and their
+    // commitment entries: the same relation, every equation intact,
+    // another map.
+    for i in 0..m.len() {
+        for k in (i + 1..m.len()).filter(|&k| m[k] != m[i]) {
+            let (mut rows, mut targets, mut proof) = (m.clone(), targets.to_vec(), proof.clone());
+            rows.swap(i, k);
+            targets.swap(i, k);
+            proof.commitment.swap(i, k);
+            case(format!("rows {i} and {k} exchanged"), &from_dense(w, &rows), &targets, &proof);
+        }
+    }
 
-    let wider = Statement::new(w + 1, st.rows().to_vec(), targets.to_vec()).unwrap();
-    case("witness_len + 1".into(), wider.clone(), proof.clone());
+    let wider = LinearMap::new(w + 1, &rows).unwrap();
+    case("witness_len + 1".into(), &wider, targets, proof);
     let mut padded = proof.clone();
     padded.response.push(F61::ZERO);
-    case("witness_len + 1, response padded".into(), wider, padded);
+    case("witness_len + 1, response padded".into(), &wider, targets, &padded);
 
-    let mut rows = st.rows().to_vec();
+    let mut taller = rows.clone();
     let mut longer_targets = targets.to_vec();
     let mut longer = proof.clone();
-    rows.push(Vec::new());
+    taller.push(Vec::new());
     longer_targets.push(F61::ZERO);
     longer.commitment.push(F61::ZERO);
-    case("an empty row appended".into(), Statement::new(w, rows, longer_targets).unwrap(), longer);
+    case("an empty row appended".into(), &LinearMap::new(w, taller).unwrap(), &longer_targets, &longer);
     if let Some((_, kept)) = targets.split_last() {
         let mut shorter = proof.clone();
         shorter.commitment.pop();
-        let rows = st.rows()[..kept.len()].to_vec();
-        case("last row dropped".into(), Statement::new(w, rows, kept.to_vec()).unwrap(), shorter);
+        let dropped = LinearMap::new(w, &rows[..kept.len()]).unwrap();
+        case("last row dropped".into(), &dropped, kept, &shorter);
+        // The same map, one target short: a count mismatch.
+        case("last target dropped".into(), map, kept, proof);
     }
 
     for i in 0..targets.len() {
         let mut off = targets.to_vec();
         off[i] += F61::ONE;
-        case(format!("target {i} changed"), Statement::new(w, st.rows().to_vec(), off).unwrap(), proof.clone());
+        case(format!("target {i} changed"), map, &off, proof);
         let mut forged = proof.clone();
         forged.commitment[i] += F61::ONE;
-        case(format!("commitment {i} changed"), st.clone(), forged);
+        case(format!("commitment {i} changed"), map, targets, &forged);
     }
 
-    let other = [domain, b"!"].concat();
-    if nizk::verify_linear(&other, st, proof) {
+    let other = Domain::new(&[domain, b"!"].concat());
+    if nizk::verify_linear(&other, map, targets, proof) {
         accepted.push("domain changed".into());
     }
     accepted
@@ -414,16 +448,22 @@ proptest! {
     ) {
         let targets = mat_vec(&m, &witness);
         prop_assume!(has_two_nonzero(&targets));
-        let st = from_dense(witness.len(), &m, &targets);
-        let proof = nizk::prove_linear(&mut rng(seed), b"binding", &st, &witness);
-        prop_assert!(nizk::verify_linear(b"binding", &st, &proof));
-        prop_assert_eq!(accepted_tamperings(b"binding", &st, &proof), Vec::<String>::new());
+        let map = from_dense(witness.len(), &m);
+        let binding = Domain::new(b"binding");
+        let proof = nizk::prove_linear(&mut rng(seed), &binding, &map, &targets, &witness);
+        prop_assert!(nizk::verify_linear(&binding, &map, &targets, &proof));
+        prop_assert_eq!(
+            accepted_tamperings(b"binding", &map, &targets, &witness, &proof),
+            Vec::<String>::new()
+        );
     }
 
     /// With all-zero masks and a witness that is zero outside column 0,
     /// `a = 0` and `z = e·w`, so `M′·z = a + e·x` holds for *every* `M′`
-    /// that differs from `M` outside column 0: the verifier's equations
-    /// cannot tell such statements apart and only the challenge can.
+    /// that differs from `M` outside column 0 — and `M′·z = a + e·x′`
+    /// for every `(M′, x′)` the witness also satisfies: the verifier's
+    /// equations cannot tell such statements apart and only the
+    /// challenge can.
     #[test]
     fn challenge_alone_rejects_tampering_the_equations_cannot_see(
         (m, witness) in small_system(),
@@ -432,26 +472,30 @@ proptest! {
         witness[1..].fill(F61::ZERO);
         let targets = mat_vec(&m, &witness);
         prop_assume!(has_two_nonzero(&targets));
-        let st = from_dense(witness.len(), &m, &targets);
-        let proof = nizk::prove_linear(&mut ZeroRng, b"binding", &st, &witness);
+        let map = from_dense(witness.len(), &m);
+        let binding = Domain::new(b"binding");
+        let proof = nizk::prove_linear(&mut ZeroRng, &binding, &map, &targets, &witness);
         prop_assert!(proof.commitment.iter().all(|a| a.is_zero()));
-        prop_assert!(nizk::verify_linear(b"binding", &st, &proof));
-        prop_assert_eq!(accepted_tamperings(b"binding", &st, &proof), Vec::<String>::new());
+        prop_assert!(nizk::verify_linear(&binding, &map, &targets, &proof));
+        prop_assert_eq!(
+            accepted_tamperings(b"binding", &map, &targets, &witness, &proof),
+            Vec::<String>::new()
+        );
     }
 
     #[test]
     fn sparse_apply_equals_the_dense_mat_vec(seed in any::<u64>(), (m, witness) in small_system()) {
         let targets = mat_vec(&m, &witness);
-        let st = from_dense(witness.len(), &m, &targets);
-        prop_assert!(st.is_satisfied_by(&witness));
+        let map = from_dense(witness.len(), &m);
+        prop_assert!(map.is_satisfied_by(&targets, &witness));
         let mut off = witness.clone();
         off[0] += F61::ONE;
-        prop_assert_eq!(st.is_satisfied_by(&off), mat_vec(&m, &off) == targets);
+        prop_assert_eq!(map.is_satisfied_by(&targets, &off), mat_vec(&m, &off) == targets);
         // The commitment is the map applied to the masks, which `prove`
         // draws first.
         let mut r = rng(seed);
         let mut replay = r.clone();
-        let proof = nizk::prove_linear(&mut r, b"apply", &st, &witness);
+        let proof = nizk::prove_linear(&mut r, &Domain::new(b"apply"), &map, &targets, &witness);
         let masks: Vec<F61> = witness.iter().map(|_| F61::random(&mut replay)).collect();
         prop_assert_eq!(proof.commitment, mat_vec(&m, &masks));
     }
@@ -464,34 +508,68 @@ proptest! {
         let targets = mat_vec(&m, &witness);
         let with_zeros: Vec<Vec<(usize, F61)>> =
             m.iter().map(|row| row.iter().copied().enumerate().collect()).collect();
-        let dense = Statement::new(witness.len(), with_zeros, targets.clone()).unwrap();
-        let sparse = from_dense(witness.len(), &m, &targets);
+        let dense = LinearMap::new(witness.len(), with_zeros).unwrap();
+        let sparse = from_dense(witness.len(), &m);
         prop_assert_eq!(&dense, &sparse);
+        let canonical = Domain::new(b"canonical");
         prop_assert_eq!(
-            nizk::prove_linear(&mut rng(seed), b"canonical", &dense, &witness),
-            nizk::prove_linear(&mut rng(seed), b"canonical", &sparse, &witness)
+            nizk::prove_linear(&mut rng(seed), &canonical, &dense, &targets, &witness),
+            nizk::prove_linear(&mut rng(seed), &canonical, &sparse, &targets, &witness)
         );
     }
 
+    /// Sharing is invisible: each of a committee's proofs over one
+    /// shared map is, byte for byte, the proof over a map built afresh
+    /// for it, and either map verifies either proof.
     #[test]
-    fn bulk_absorb_binds_split_and_label(a in felt(), b in felt()) {
-        let challenge = |absorb: &dyn Fn(&mut Transcript)| {
-            let mut t = Transcript::new(b"bulk");
-            absorb(&mut t);
-            t.challenge_bytes(b"c")
-        };
-        let bulk = challenge(&|t| t.absorb_fields(b"x", &[a, b]));
-        prop_assert_eq!(bulk, challenge(&|t| t.absorb_fields(b"x", &[a, b])));
-        prop_assert_ne!(bulk, challenge(&|t| {
-            t.absorb_fields(b"x", &[a]);
-            t.absorb_fields(b"x", &[b]);
-        }));
-        prop_assert_ne!(bulk, challenge(&|t| {
-            t.absorb_field(b"x", a);
-            t.absorb_field(b"x", b);
-        }));
-        prop_assert_ne!(bulk, challenge(&|t| t.absorb_fields(b"y", &[a, b])));
-        prop_assert_ne!(bulk, challenge(&|t| t.absorb_fields(b"x", &[a, b, F61::ZERO])));
+    fn a_proof_over_a_shared_map_is_the_proof_over_a_fresh_one(
+        seed in any::<u64>(),
+        (m, witness) in small_system(),
+    ) {
+        let targets = mat_vec(&m, &witness);
+        let shared = from_dense(witness.len(), &m);
+        let domain = Domain::new(b"sharing");
+        for member in 0..4 {
+            let fresh = from_dense(witness.len(), &m);
+            prop_assert_eq!(fresh.digest(), shared.digest());
+            let over_shared =
+                nizk::prove_linear(&mut rng(seed ^ member), &domain, &shared, &targets, &witness);
+            let over_fresh =
+                nizk::prove_linear(&mut rng(seed ^ member), &domain, &fresh, &targets, &witness);
+            prop_assert_eq!(&over_shared, &over_fresh);
+            prop_assert!(nizk::verify_linear(&domain, &shared, &targets, &over_fresh));
+            prop_assert!(nizk::verify_linear(&domain, &fresh, &targets, &over_shared));
+        }
+    }
+
+    #[test]
+    fn maps_that_differ_have_different_digests(
+        (m, _) in small_system(),
+        delta in 1u64..F61::MODULUS,
+    ) {
+        let w = m[0].len();
+        let map = from_dense(w, &m);
+        // witness_len alone.
+        prop_assert_ne!(LinearMap::new(w + 1, to_sparse(&m)).unwrap().digest(), map.digest());
+        // An empty row more.
+        let mut taller = to_sparse(&m);
+        taller.push(Vec::new());
+        prop_assert_ne!(LinearMap::new(w, taller).unwrap().digest(), map.digest());
+        for (i, row) in m.iter().enumerate() {
+            for j in 0..w {
+                // One coefficient (a stored one changed or dropped, or an
+                // absent one added).
+                let mut changed = m.clone();
+                changed[i][j] += F61::from_u64(delta);
+                prop_assert_ne!(from_dense(w, &changed).digest(), map.digest());
+                // One column: the entry moves along its row.
+                for j2 in (0..w).filter(|&j2| row[j2] != row[j]) {
+                    let mut moved = m.clone();
+                    moved[i].swap(j, j2);
+                    prop_assert_ne!(from_dense(w, &moved).digest(), map.digest());
+                }
+            }
+        }
     }
 }
 
@@ -510,18 +588,28 @@ fn challenge_binds_every_part_of_a_real_reshare_statement() {
         .map(|(m, rpk)| LinearPke::encrypt(&mut r, rpk, horner(&coeffs, F61::from_u64(m as u64 + 1))))
         .unzip();
 
-    let st = nizk::feldman_deal_statement(pk.g, &commitments, &recipient_pks, &cts);
-    assert_eq!((st.rows().len(), st.witness_len()), (t + 1 + 2 * n, t + 1 + n));
-    let nnz: usize = st.rows().iter().map(Vec::len).sum();
+    let deal = DealMap::new(pk.g, &recipient_pks, &PowerTable::new(n, t));
+    let map = deal.map();
+    assert_eq!((map.row_count(), map.witness_len()), (t + 1 + 2 * n, t + 1 + n));
+    let nnz: usize = map.rows().map(<[_]>::len).sum();
     assert_eq!(nnz, (t + 1) + n + n * (t + 2));
+    let targets = deal.targets(&commitments, &cts).unwrap();
     let witness = [coeffs.clone(), rands.clone()].concat();
-    assert!(st.is_satisfied_by(&witness));
+    assert!(map.is_satisfied_by(&targets, &witness));
 
-    let proof = nizk::prove_linear(&mut r, b"reshare-binding", &st, &witness);
-    assert!(nizk::verify_linear(b"reshare-binding", &st, &proof));
-    assert_eq!(accepted_tamperings(b"reshare-binding", &st, &proof), Vec::<String>::new());
+    let domain = Domain::new(b"reshare-binding");
+    let proof = nizk::prove_linear(&mut r, &domain, map, &targets, &witness);
+    assert!(nizk::verify_linear(&domain, map, &targets, &proof));
+    assert_eq!(
+        accepted_tamperings(b"reshare-binding", map, &targets, &witness, &proof),
+        Vec::<String>::new()
+    );
 
-    // It is the statement `reshare_proof` proves.
+    // It is the statement `reshare_proof` proves, and one map serves
+    // the per-proof functions and the map-level ones alike.
     let proof = nizk::reshare_proof(&mut r, &pk, &commitments, &recipient_pks, &cts, &coeffs, &rands);
+    assert!(nizk::verify_reshare_proof(&pk, 3, &commitments, &recipient_pks, &cts, &proof));
+    assert!(deal.verify_reshare(&pk, 3, &targets, &proof));
+    let proof = deal.prove_reshare(&mut r, &targets, &coeffs, &rands);
     assert!(nizk::verify_reshare_proof(&pk, 3, &commitments, &recipient_pks, &cts, &proof));
 }
