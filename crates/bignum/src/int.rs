@@ -9,12 +9,11 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
 
 use crate::Nat;
 
 /// Sign of an [`Int`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sign {
     /// Strictly negative.
     Negative,
@@ -36,7 +35,7 @@ pub enum Sign {
 /// assert_eq!(&a + &b, Int::from(-4i64));
 /// assert_eq!((&a + &b).mod_floor(&Nat::from(7u64)), Nat::from(3u64));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Int {
     sign: Sign,
     magnitude: Nat,

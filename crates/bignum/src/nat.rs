@@ -6,7 +6,6 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Rem, Shl, Shr, Sub, SubAssign};
 use std::str::FromStr;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of bits per limb.
 const LIMB_BITS: usize = 64;
@@ -32,7 +31,7 @@ const KARATSUBA_THRESHOLD: usize = 24;
 /// assert_eq!(a, Nat::from(1u64) << 128);
 /// # Ok::<(), yoso_bignum::ParseNatError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Nat {
     /// Little-endian limbs; no trailing zero limbs.
     limbs: Vec<u64>,

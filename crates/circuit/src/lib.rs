@@ -43,18 +43,16 @@
 
 pub mod generators;
 
-use serde::{Deserialize, Serialize};
 
 use yoso_field::PrimeField;
 
 /// Identifier of a wire (the gate that defines it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WireId(pub usize);
 
 /// A gate. Every gate except `Output` defines the wire whose id equals
 /// the gate's position in the gate list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate<F: PrimeField> {
     /// An input wire supplied by `client`.
     Input {
@@ -116,8 +114,7 @@ impl std::fmt::Display for CircuitError {
 impl std::error::Error for CircuitError {}
 
 /// A validated arithmetic circuit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Circuit<F: PrimeField> {
     gates: Vec<Gate<F>>,
     /// Number of clients (max client index + 1 over inputs and outputs).
@@ -357,7 +354,7 @@ impl<F: PrimeField> Circuit<F> {
 }
 
 /// A batch of up to `k` input wires belonging to one client.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputBatch {
     /// The supplying client.
     pub client: usize,
@@ -366,7 +363,7 @@ pub struct InputBatch {
 }
 
 /// A batch of up to `k` multiplication gates at one layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MulBatch {
     /// 0-based multiplicative layer.
     pub layer: usize,
@@ -399,8 +396,7 @@ impl MulBatch {
 }
 
 /// A circuit together with its packing-factor-`k` batching.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchedCircuit<F: PrimeField> {
     /// The underlying circuit.
     pub circuit: Circuit<F>,

@@ -140,7 +140,7 @@ proptest! {
 
     #[test]
     fn serialization_preserves_structure(ops in prop::collection::vec(op_strategy(), 0..30)) {
-        // Round-trip through the raw gate list (the serde surface).
+        // Round-trip through the raw gate list.
         let c = build(&ops);
         let rebuilt = Circuit::from_gates(c.gates().to_vec()).unwrap();
         prop_assert_eq!(c, rebuilt);

@@ -26,25 +26,19 @@ use rand::Rng;
 use yoso_crypto::Domain;
 use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::PowerTable;
-use yoso_runtime::{Behavior, BulletinBoard, Committee};
-use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, PkeKeyPair, PkePublicKey, PublicKey};
+use yoso_runtime::{BulletinBoard, Committee};
+use yoso_the::mock::{KeyShare, LinearPke, PkeKeyPair, PkePublicKey, PublicKey};
 use yoso_the::nizk::{self, DealMap};
 
 use crate::messages::{self, Post};
-use crate::tsk::TskChain;
+use crate::step::Step;
+use crate::tsk::{deal, Dealt, PostedReshare, TskChain};
 use crate::{ExecutionConfig, ProtocolError};
 
 /// The deal proof is the tsk re-share relation ([`DealMap`]) with the
 /// base `g` fixed by the DKG domain instead of an existing threshold
 /// key.
 static DOMAIN_DKG: Domain = Domain::new(b"yoso-pss/nizk/dkg-deal/v3");
-
-/// One member's posted deal.
-struct Deal<F: PrimeField> {
-    commitments: Vec<F>,
-    enc_subshares: Vec<Ciphertext<F>>,
-    valid: bool,
-}
 
 /// Runs the DKG among `committee` (whose members hold `role_keys`),
 /// producing a threshold key custody chain equivalent to `TKGen`'s —
@@ -54,7 +48,6 @@ struct Deal<F: PrimeField> {
 ///
 /// Returns [`ProtocolError::NotEnoughContributions`] if fewer than
 /// `t + 1` deals verify (impossible under the corruption model).
-#[allow(clippy::needless_range_loop)]
 pub fn run_dkg<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     board: &BulletinBoard<Post>,
@@ -67,11 +60,10 @@ pub fn run_dkg<F: PrimeField, R: Rng + ?Sized>(
     run_dkg_in(rng, &sb, committee, role_keys, t, cfg)
 }
 
-/// [`run_dkg`] posting through an existing sharded board, with
-/// per-member child RNGs (same sharding contract as the tsk
-/// operations: values are drawn identically on every worker, proofs
-/// run only for owned members).
-#[allow(clippy::needless_range_loop)]
+/// [`run_dkg`] posting through an existing sharded board: one
+/// [`Step`] over the committee, each member dealing a random constant
+/// term ([`deal`] — the handover's dealing, with no held share and no
+/// prior key to bind to).
 pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     sb: &crate::workitem::ShardedBoard<'_>,
@@ -80,8 +72,6 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
     t: usize,
     cfg: &ExecutionConfig,
 ) -> Result<TskChain<F>, ProtocolError> {
-    use rand::SeedableRng;
-
     let n = committee.n();
     if role_keys.len() != n {
         return Err(ProtocolError::BadParameters(format!(
@@ -97,66 +87,26 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
     let table = PowerTable::new(n, t);
     let deal_map = cfg.produce_proofs.then(|| DealMap::new(g, &recipient_pks, &table));
 
-    let phase = "setup/dkg";
-    let mut deals: Vec<Deal<F>> = Vec::new();
+    let mut deals: Vec<PostedReshare<F>> = Vec::new();
     let mut posts = crate::parallel::PostBuffer::new();
-    for i in 0..n {
-        let behavior = committee.behavior(i);
-        if !behavior.participates_at(crate::engine::phase_index(phase)) {
-            continue;
-        }
-        let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
-        let owned = cfg.partition.owns(i);
-        let prover = deal_map.as_ref().filter(|_| owned);
-        let deal = match behavior {
-            Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                let coeffs: Vec<F> = (0..=t).map(|_| F::random(&mut mrng)).collect();
-                let commitments: Vec<F> = coeffs.iter().map(|&a| a * g).collect();
-                let (enc, rands): (Vec<_>, Vec<_>) = table
-                    .eval_all(&coeffs)
-                    .zip(&recipient_pks)
-                    .map(|(sub, rpk)| LinearPke::encrypt(&mut mrng, rpk, sub))
-                    .unzip();
-                let valid = prover.is_none_or(|map| {
-                    map.targets(&commitments, &enc).is_some_and(|targets| {
-                        let witness = [&coeffs[..], &rands[..]].concat();
-                        let proof = nizk::prove_linear(
-                            &mut mrng,
-                            &DOMAIN_DKG,
-                            map.map(),
-                            &targets,
-                            &witness,
-                        );
-                        nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &proof)
-                    })
-                });
-                Deal { commitments, enc_subshares: enc, valid }
-            }
-            Behavior::Malicious(_) => {
-                let commitments: Vec<F> = (0..=t).map(|_| F::random(&mut mrng)).collect();
-                let enc: Vec<Ciphertext<F>> = (0..n)
-                    .map(|j| {
-                        let junk = F::random(&mut mrng);
-                        LinearPke::encrypt(&mut mrng, &recipient_pks[j], junk).0
-                    })
-                    .collect();
-                let valid = prover.is_some_and(|map| {
-                    map.targets(&commitments, &enc).is_some_and(|targets| {
-                        let (rows, witness_len) = (map.map().row_count(), map.map().witness_len());
-                        let proof = nizk::LinearProof::garbage(&mut mrng, rows, witness_len);
-                        nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &proof)
-                    })
-                });
-                Deal { commitments, enc_subshares: enc, valid }
-            }
+    let elements = messages::reshare_elements(n as u64, t as u64);
+    let step = Step::new(committee, cfg, "setup/dkg", Post::TskReshare, elements);
+    step.run(rng, &mut posts, deal_map.as_ref(), step.everyone(), |turn, ()| {
+        let relation = |map: &DealMap<F>, rng: &mut _, targets: &[F], witness: Dealt<'_, F>| {
+            let map = map.map();
+            let proof = match witness {
+                Some((coeffs, rands)) => {
+                    nizk::prove_linear(rng, &DOMAIN_DKG, map, targets, &[coeffs, rands].concat())
+                }
+                None => nizk::LinearProof::garbage(rng, map.row_count(), map.witness_len()),
+            };
+            nizk::verify_linear(&DOMAIN_DKG, map, targets, &proof)
         };
-        let elements = messages::reshare_elements(n as u64, t as u64);
-        posts.record(owned, &committee.name, i, Post::TskReshare, phase, elements);
-        deals.push(deal);
-    }
+        deals.push(deal(turn, g, F::random, &table, &recipient_pks, relation));
+    });
     sb.flush_buffer(posts)?;
 
-    let qualified: Vec<&Deal<F>> = deals.iter().filter(|d| d.valid).collect();
+    let qualified: Vec<&PostedReshare<F>> = deals.iter().filter(|d| d.valid).collect();
     if qualified.len() < t + 1 {
         return Err(ProtocolError::NotEnoughContributions {
             step: "dkg qualified set",
@@ -206,7 +156,7 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use yoso_field::F61;
-    use yoso_runtime::{ActiveAttack, Adversary};
+    use yoso_runtime::{ActiveAttack, Adversary, Behavior};
     use yoso_the::mock::MockTe;
 
     fn rng() -> rand::rngs::StdRng {

@@ -136,13 +136,16 @@ impl ExecutionConfig {
 }
 
 /// Maps a phase label to the coarse phase index used by fail-stop
-/// crash scheduling (`Behavior::FailStop { crash_phase }`).
+/// crash scheduling (`Behavior::FailStop { crash_phase }`). The online
+/// handover is the second half of the key-distribution committee's one
+/// message, so it shares that step's index: a member alive for
+/// `online/1-keydist` deals its share too.
 pub(crate) fn phase_index(phase: &str) -> u64 {
     if phase.starts_with("setup") {
         0
     } else if phase.starts_with("offline") {
         1
-    } else if phase.starts_with("online/1") {
+    } else if phase.starts_with("online/1") || phase == "online/handover" {
         2
     } else if phase.starts_with("online/2") {
         3

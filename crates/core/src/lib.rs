@@ -72,6 +72,7 @@ pub mod online;
 pub mod parallel;
 mod params;
 pub mod setup;
+mod step;
 pub mod tsk;
 pub mod workitem;
 

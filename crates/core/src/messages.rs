@@ -10,7 +10,6 @@
 //! PKE ciphertext is 2 elements; a sigma-protocol proof is
 //! `rows + witness` elements.
 
-use serde::{Deserialize, Serialize};
 use yoso_runtime::transport::{BoardError, WireCursor, WireMessage};
 
 /// What a posting contains (audit record on the board).
@@ -18,7 +17,7 @@ use yoso_runtime::transport::{BoardError, WireCursor, WireMessage};
 /// Every variant is a pure size descriptor: the simulation keeps the
 /// actual protocol data in process, so a `Post` is a few bytes and
 /// `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Post {
     /// A `TEnc` contribution with its encryption proof
     /// (offline Steps 1, 2, 4).
@@ -110,7 +109,7 @@ impl WireMessage for Post {
 }
 
 /// Which offline step a contribution belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ContributionStep {
     /// Beaver-triple `a`-side or `b`-side contribution (Step 1).
     Beaver,

@@ -37,13 +37,14 @@ use yoso_circuit::{BatchedCircuit, Gate, MulBatch};
 use yoso_crypto::Domain;
 use yoso_field::{allocstats, PrimeField};
 use yoso_pss_sharing::PackedSharing;
-use yoso_runtime::{Adversary, Behavior, BulletinBoard, Committee};
+use yoso_runtime::{Adversary, BulletinBoard, Committee};
 use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey, PublicKey};
 use yoso_the::nizk::{self, EncMap, EncProof, LinearMap};
 
 use crate::messages::{self, ContributionStep, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
 use crate::parallel::PostBuffer;
 use crate::setup::SetupArtifacts;
+use crate::step::Step;
 use crate::tsk::{ReencryptedValue, TskChain};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
@@ -116,23 +117,14 @@ impl<'a, F: PrimeField> ContributionKey<'a, F> {
 }
 
 /// Collects one encrypted-randomness contribution per participating
-/// member and returns the homomorphic sum of the *valid* ones.
-/// Posts are appended to `posts` rather than sent, so the caller can
-/// run many of these concurrently and replay the posts in order.
+/// member ([`Step`]) and returns the homomorphic sum of the *valid*
+/// ones. Posts are appended to `posts` rather than sent, so the caller
+/// can run many of these concurrently and replay the posts in order.
 ///
-/// Malicious members with `WrongValue`/`AdditiveOffset` submit garbage
-/// proofs (filtered); `BadProof` submits a correct ciphertext with a
-/// garbage proof (also filtered — which is safe: sums of any subset of
-/// valid contributions that includes at least one honest one are
-/// uniform).
-///
-/// Every member's work runs from its own child RNG (seed drawn
-/// sequentially from `rng`), so a role-sharded worker that skips the
-/// proof work of members it does not own (`cfg.partition`) still draws
-/// identical values for every member — the per-member value draws
-/// precede the proof draws inside the child stream. Non-owned members'
-/// validity is behavior-predicted (honest ⇒ valid, malicious ⇒
-/// invalid), exactly the [`ExecutionConfig::sweep`] semantics.
+/// A malicious member's plaintext is as random as an honest one's; what
+/// it cannot produce is the proof, so its contribution is filtered —
+/// which is safe: sums of any subset of valid contributions that
+/// includes at least one honest one are uniform.
 #[allow(clippy::too_many_arguments)]
 fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
@@ -141,49 +133,27 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
     cfg: &ExecutionConfig,
     key: &ContributionKey<'_, F>,
     phase: &'static str,
-    step: ContributionStep,
+    kind: ContributionStep,
     bufs: &mut ContribBufs<F>,
 ) -> Result<Ciphertext<F>, ProtocolError> {
     let tpk = key.tpk;
     bufs.reset(committee.n());
-    for i in 0..committee.n() {
-        let behavior = committee.behavior(i);
-        if !behavior.participates_at(crate::engine::phase_index(phase)) {
-            continue;
-        }
-        let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
-        let owned = cfg.partition.owns(i);
-        let prover = key.enc.as_ref().filter(|_| owned);
-        let (ct, valid) = match behavior {
-            Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                let m = F::random(&mut mrng);
-                let (ct, r) = MockTe::encrypt(&mut mrng, tpk, m);
-                let ok = prover.is_none_or(|map| {
-                    let proof = map.prove(&mut mrng, &ct, m, r);
-                    map.verify(&ct, &proof)
-                });
-                (ct, ok)
-            }
-            Behavior::Malicious(_) => {
-                let junk = F::random(&mut mrng);
-                let (ct, _) = MockTe::encrypt(&mut mrng, tpk, junk);
-                let ok =
-                    prover.is_some_and(|map| map.verify(&ct, &EncProof::garbage(&mut mrng)));
-                (ct, ok)
-            }
+    let post = Post::Contribution { step: kind, ciphertexts: 1 };
+    let step = Step::new(committee, cfg, phase, post, CT_ELEMENTS + ENC_PROOF_ELEMENTS);
+    step.run(rng, posts, key.enc.as_ref(), step.everyone(), |mut turn, ()| {
+        let m = F::random(&mut turn.rng);
+        let (ct, r) = MockTe::encrypt(&mut turn.rng, tpk, m);
+        let valid = match turn.attack() {
+            None => turn.honest(|map, rng| {
+                let proof = map.prove(rng, &ct, m, r);
+                map.verify(&ct, &proof)
+            }),
+            Some(_) => turn.forged(|map, rng| map.verify(&ct, &EncProof::garbage(rng))),
         };
-        posts.record(
-            owned,
-            &committee.name,
-            i,
-            Post::Contribution { step, ciphertexts: 1 },
-            phase,
-            CT_ELEMENTS + ENC_PROOF_ELEMENTS,
-        );
         if valid {
             bufs.valid.push(ct);
         }
-    }
+    });
     if bufs.valid.is_empty() {
         return Err(ProtocolError::NotEnoughContributions {
             step: "summed contribution",
@@ -204,12 +174,12 @@ fn summed_contribution<F: PrimeField, R: Rng + ?Sized>(
     cfg: &ExecutionConfig,
     key: &ContributionKey<'_, F>,
     phase: &'static str,
-    step: ContributionStep,
+    kind: ContributionStep,
     bufs: &mut ContribBufs<F>,
 ) -> Result<Ciphertext<F>, ProtocolError> {
     let mut posts = PostBuffer::new();
     let result =
-        summed_contribution_into(rng, &mut posts, committee, cfg, key, phase, step, bufs);
+        summed_contribution_into(rng, &mut posts, committee, cfg, key, phase, kind, bufs);
     sb.flush_buffer(posts)?;
     result
 }
@@ -253,55 +223,40 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
     let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a)).transpose()?;
 
     // b-side: each C2 member posts (c_b_i, c_c_i = b_i·c^a) with a
-    // proof of the joint relation. Per-member child RNGs keep the
-    // value draws identical when a sharded worker skips proof work
-    // for members it does not own.
+    // proof of the joint relation.
     let mut b_parts: Vec<Ciphertext<F>> = Vec::new();
     let mut c_parts: Vec<Ciphertext<F>> = Vec::new();
-    for i in 0..c2.n() {
-        let behavior = c2.behavior(i);
-        if !behavior.participates_at(crate::engine::phase_index(phase)) {
-            continue;
-        }
-        let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
-        let owned = cfg.partition.owns(i);
-        let prover = b_map.as_ref().filter(|_| owned);
-        let (cb, cc, valid) = match behavior {
-            Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                let b_i = F::random(&mut mrng);
-                let (cb, r) = MockTe::encrypt(&mut mrng, tpk, b_i);
+    let post = Post::Contribution { step: ContributionStep::Beaver, ciphertexts: 2 };
+    let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
+    let step = Step::new(c2, cfg, phase, post, elements);
+    step.run(rng, posts, b_map.as_ref(), step.everyone(), |mut turn, ()| {
+        let (cb, cc, valid) = match turn.attack() {
+            None => {
+                let b_i = F::random(&mut turn.rng);
+                let (cb, r) = MockTe::encrypt(&mut turn.rng, tpk, b_i);
                 let cc = Ciphertext { u: b_i * c_a.u, v: b_i * c_a.v };
-                let ok = prover.is_none_or(|map| {
-                    let proof = map.prove(&mut mrng, &cb, &cc, b_i, r);
+                let ok = turn.honest(|map, rng| {
+                    let proof = map.prove(rng, &cb, &cc, b_i, r);
                     map.verify(&cb, &cc, &proof)
                 });
                 (cb, cc, ok)
             }
-            Behavior::Malicious(_) => {
-                let junk = F::random(&mut mrng);
-                let (cb, _) = MockTe::encrypt(&mut mrng, tpk, junk);
-                let fake = F::random(&mut mrng);
+            Some(_) => {
+                let junk = F::random(&mut turn.rng);
+                let (cb, _) = MockTe::encrypt(&mut turn.rng, tpk, junk);
+                let fake = F::random(&mut turn.rng);
                 let cc = Ciphertext { u: fake * c_a.u, v: fake * c_a.v + F::ONE };
-                let ok = prover.is_some_and(|map| {
-                    map.verify(&cb, &cc, &nizk::LinearProof::garbage(&mut mrng, 4, 2))
+                let ok = turn.forged(|map, rng| {
+                    map.verify(&cb, &cc, &nizk::LinearProof::garbage(rng, 4, 2))
                 });
                 (cb, cc, ok)
             }
         };
-        let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
-        posts.record(
-            owned,
-            &c2.name,
-            i,
-            Post::Contribution { step: ContributionStep::Beaver, ciphertexts: 2 },
-            phase,
-            elements,
-        );
         if valid {
             b_parts.push(cb);
             c_parts.push(cc);
         }
-    }
+    });
     if b_parts.is_empty() {
         return Err(ProtocolError::NotEnoughContributions {
             step: "beaver b-side",

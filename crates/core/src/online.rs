@@ -28,7 +28,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use yoso_circuit::{BatchedCircuit, Gate};
 use yoso_field::PrimeField;
@@ -40,6 +40,7 @@ use yoso_the::nizk::{ShareMap, ShareProof};
 use crate::messages::{Post, MULSHARE_PROOF_ELEMENTS};
 use crate::offline::OfflineArtifacts;
 use crate::setup::SetupArtifacts;
+use crate::step::Step;
 use crate::tsk::ReencryptedValue;
 use crate::{ExecutionConfig, ProtocolError};
 
@@ -261,25 +262,25 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
             scheme.share_public_into(&mu_beta, &mut mu_beta_vals)?;
 
             // Per-member share computation is independent: fan out on
-            // child RNGs seeded sequentially (one per member, drawn
-            // whether or not the member participates, so the seed
-            // stream is behavior- and thread-count-independent), then
-            // record posts and leak records in member order.
+            // child RNGs seeded sequentially. This step draws a seed
+            // for *every* member, speaking or not, so it keeps its own
+            // fan-out over the pre-drawn seeds and takes the rest of
+            // the member's turn from [`Step`]; posts and leak records
+            // follow in member order.
             struct MemberOut<F: PrimeField> {
-                /// Whether the member posted its share (valid or not).
-                posted: bool,
+                /// The member's share, if it posted one that verifies.
                 share: Option<Share<F>>,
                 leaks: Vec<(RoleId, String, usize)>,
             }
+            let step =
+                Step::new(&committee, cfg, phase_mul, Post::MulShare, 1 + MULSHARE_PROOF_ELEMENTS);
             let seeds: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
             let member_results = crate::parallel::par_map(
                 cfg.num_threads,
                 &seeds,
                 |i, &seed| -> Result<MemberOut<F>, ProtocolError> {
-                    let mut mrng = rand::rngs::StdRng::seed_from_u64(seed);
-                    let mut out = MemberOut { posted: false, share: None, leaks: Vec::new() };
-                    let behavior = committee.behavior(i);
-                    if !behavior.participates_at(crate::engine::phase_index(phase_mul)) {
+                    let mut out = MemberOut { share: None, leaks: Vec::new() };
+                    if !step.speaks(i) {
                         return Ok(out);
                     }
                     let kff_pk = setup.kff_pairs[layer_idx][i].public;
@@ -293,11 +294,12 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     let offset = ma * mb + ma * a_be + mb * a_al + a_ga;
                     let slope = ma * b_be + mb * b_al + b_ga;
                     // Key and slope are this member's alone: one map
-                    // per posting, for its prover and its verifier.
+                    // per posting, built only where it will be used.
                     let map = (cfg.produce_proofs && cfg.partition.owns(i))
                         .then(|| ShareMap::new(&kff_pk, slope));
+                    let mut turn = step.turn(i, seed, map.as_ref());
 
-                    if matches!(behavior, Behavior::Malicious(_) | Behavior::Leaky) {
+                    if matches!(turn.behavior, Behavior::Malicious(_) | Behavior::Leaky) {
                         // The corrupted role's KFF opens all three of
                         // its packed shares — record the exposure.
                         for which in ["alpha", "beta", "gamma"] {
@@ -308,35 +310,31 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                             ));
                         }
                     }
-                    let (value, valid) = match behavior {
-                        Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                            // Recover the KFF secret via the role key,
-                            // then compute the share honestly.
-                            let kff_sk = kff_prime[layer_idx * n + i]
-                                .open(role_keys[layer_idx][i].secret.scalar)?;
-                            let value = offset - kff_sk * slope;
-                            let ok = map.is_none_or(|map| {
-                                let proof = map.prove(&mut mrng, offset, value, kff_sk);
-                                map.verify(offset, value, &proof)
+                    // Recover the KFF secret via the role key; the
+                    // honest share follows from it.
+                    let kff_sk =
+                        kff_prime[layer_idx * n + i].open(role_keys[layer_idx][i].secret.scalar)?;
+                    let honest = offset - kff_sk * slope;
+                    let (value, valid) = match turn.attack() {
+                        None => {
+                            let ok = turn.honest(|map, rng| {
+                                let proof = map.prove(rng, offset, honest, kff_sk);
+                                map.verify(offset, honest, &proof)
                             });
-                            (value, ok)
+                            (honest, ok)
                         }
-                        Behavior::Malicious(attack) => {
-                            let kff_sk = kff_prime[layer_idx * n + i]
-                                .open(role_keys[layer_idx][i].secret.scalar)?;
-                            let honest = offset - kff_sk * slope;
+                        Some(attack) => {
                             let value = match attack {
                                 ActiveAttack::BadProof => honest,
                                 ActiveAttack::AdditiveOffset => honest + F::ONE,
-                                _ => F::random(&mut mrng),
+                                _ => F::random(&mut turn.rng),
                             };
-                            let ok = map.is_some_and(|map| {
-                                map.verify(offset, value, &ShareProof::garbage(&mut mrng))
+                            let ok = turn.forged(|map, rng| {
+                                map.verify(offset, value, &ShareProof::garbage(rng))
                             });
                             (value, ok)
                         }
                     };
-                    out.posted = true;
                     if valid {
                         out.share = Some(Share { party: i, value });
                     }
@@ -348,15 +346,8 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
             let mut posted: Vec<Share<F>> = Vec::new();
             for (i, result) in member_results.into_iter().enumerate() {
                 let out = result?;
-                if out.posted {
-                    posts.record(
-                        cfg.partition.owns(i),
-                        &committee.name,
-                        i,
-                        Post::MulShare,
-                        phase_mul,
-                        1 + MULSHARE_PROOF_ELEMENTS,
-                    );
+                if step.speaks(i) {
+                    step.record(&mut posts, i);
                 }
                 for (role, object, piece) in out.leaks {
                     leak.record(role, object, piece);

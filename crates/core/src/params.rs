@@ -1,6 +1,5 @@
 //! Protocol parameters and their consistency constraints.
 
-use serde::{Deserialize, Serialize};
 
 use yoso_pss_sharing::PointLayout;
 
@@ -20,7 +19,7 @@ use crate::ProtocolError;
 /// non-crashed members alone. Equivalently, with `t < n(1/2 − ε)` the
 /// packing factor can reach `k − 1 ≤ n·ε` (no fail-stops) or
 /// `k − 1 ≤ n·ε/2` while tolerating `n·ε` crashes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolParams {
     /// Committee size.
     pub n: usize,
@@ -35,7 +34,6 @@ pub struct ProtocolParams {
     /// [`PointLayout::Subgroup`] unlocks `O(n log n)` transform dealing
     /// and reconstruction with bit-identical outputs; the default
     /// [`PointLayout::Sequential`] is the paper's presentation.
-    #[serde(default)]
     pub layout: PointLayout,
 }
 

@@ -24,7 +24,8 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-use rand::{Rng, RngCore, SeedableRng};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use yoso_crypto::Domain;
 use yoso_field::PrimeField;
@@ -36,6 +37,8 @@ use yoso_the::nizk::{self, DealMap, LinearMap, PdecMap, PdecProof, ReshareProof}
 use crate::messages::{
     self, Post, CT_ELEMENTS, ENC_PDEC_PROOF_ELEMENTS, PDEC_ELEMENTS, PDEC_PROOF_ELEMENTS,
 };
+use crate::parallel::PostBuffer;
+use crate::step::{Step, Turn};
 use crate::{ExecutionConfig, ProtocolError};
 
 /// One provider's encrypted partial decryption for a re-encrypted
@@ -234,6 +237,16 @@ impl<F: PrimeField> TskChain<F> {
         self.shares.get(i).and_then(|s| s.as_ref())
     }
 
+    /// The members of `committee` that hold a share, with it: the
+    /// candidates of every step the key's custodians take.
+    fn holders<'s>(
+        &'s self,
+        committee: &Committee,
+    ) -> impl Iterator<Item = (usize, &'s KeyShare<F>)> + 's {
+        let shares = self.shares.iter().take(committee.n()).enumerate();
+        shares.filter_map(|(i, share)| Some((i, share.as_ref()?)))
+    }
+
     /// The recombination weights of a batch item's canonical subset,
     /// computed on the subset's first appearance in the batch.
     fn shared_weights<'c>(
@@ -271,11 +284,8 @@ impl<F: PrimeField> TskChain<F> {
         self.decrypt_in(rng, &sb, committee, cfg, phase, cts)
     }
 
-    /// [`Self::decrypt`] posting through an existing sharded board.
-    ///
-    /// Each member runs from its own child RNG so a role-sharded
-    /// worker that skips proof work for non-owned members still draws
-    /// identical values everywhere.
+    /// [`Self::decrypt`] posting through an existing sharded board:
+    /// one [`Step`] over the share holders, one posting per ciphertext.
     pub(crate) fn decrypt_in<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -291,50 +301,36 @@ impl<F: PrimeField> TskChain<F> {
             .produce_proofs
             .then(|| cts.iter().map(|ct| PdecMap::new(&self.pk, ct)).collect());
         let mut partials: Vec<Vec<(usize, F, bool)>> = vec![Vec::new(); cts.len()];
-        let mut posts = crate::parallel::PostBuffer::new();
-        for i in 0..committee.n() {
-            let Some(share) = &self.shares[i] else { continue };
-            let behavior = committee.behavior(i);
-            if !behavior.participates_at(crate::engine::phase_index(phase)) {
-                continue;
-            }
-            let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
-            let owned = cfg.partition.owns(i);
-            let prover = maps.as_deref().filter(|_| owned);
-            let vk = self.pk.vks[i];
+        let mut posts = PostBuffer::new();
+        let elements = PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS;
+        let step =
+            Step::new(committee, cfg, phase, Post::PartialDec, elements).with_postings(cts.len());
+        step.run(rng, &mut posts, maps.as_ref(), self.holders(committee), |mut turn, share| {
+            let vk = self.pk.vks[turn.index];
             for (c_idx, ct) in cts.iter().enumerate() {
-                let map = prover.map(|maps| &maps[c_idx]);
-                let (value, valid) = match behavior {
-                    Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                        let pd = MockTe::partial_decrypt(share, ct);
-                        let ok = map.is_none_or(|map| {
-                            let proof = map.prove(&mut mrng, vk, share.value, pd.value);
-                            map.verify(vk, pd.value, &proof)
+                let (value, valid) = match turn.attack() {
+                    None => {
+                        let pd = MockTe::partial_decrypt(share, ct).value;
+                        let ok = turn.honest(|maps, rng| {
+                            let proof = maps[c_idx].prove(rng, vk, share.value, pd);
+                            maps[c_idx].verify(vk, pd, &proof)
                         });
-                        (pd.value, ok)
+                        (pd, ok)
                     }
-                    Behavior::Malicious(attack) => {
+                    Some(attack) => {
                         let wrong = match attack {
                             ActiveAttack::BadProof => MockTe::partial_decrypt(share, ct).value,
-                            _ => F::random(&mut mrng),
+                            _ => F::random(&mut turn.rng),
                         };
-                        let ok = map.is_some_and(|map| {
-                            map.verify(vk, wrong, &PdecProof::garbage(&mut mrng))
+                        let ok = turn.forged(|maps, rng| {
+                            maps[c_idx].verify(vk, wrong, &PdecProof::garbage(rng))
                         });
                         (wrong, ok)
                     }
                 };
-                posts.record(
-                    owned,
-                    &committee.name,
-                    i,
-                    Post::PartialDec,
-                    phase,
-                    PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS,
-                );
-                partials[c_idx].push((i, value, valid));
+                partials[c_idx].push((turn.index, value, valid));
             }
-        }
+        });
         sb.flush_buffer(posts)?;
 
         self.combine_partials(cts, &partials)
@@ -398,12 +394,9 @@ impl<F: PrimeField> TskChain<F> {
         self.reencrypt_in(rng, &sb, committee, cfg, phase, items)
     }
 
-    /// [`Self::reencrypt`] posting through an existing sharded board.
-    ///
-    /// Inside each item, every member additionally runs from its own
-    /// child RNG (seeded from the item RNG), so a role-sharded worker
-    /// skipping non-owned members' proof work draws identical
-    /// ciphertexts for all of them.
+    /// [`Self::reencrypt`] posting through an existing sharded board:
+    /// per item, one [`Step`] over the share holders from the item's
+    /// own RNG.
     pub(crate) fn reencrypt_in<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -414,10 +407,12 @@ impl<F: PrimeField> TskChain<F> {
         items: &[(PkePublicKey<F>, Ciphertext<F>)],
     ) -> Result<Vec<ReencryptedValue<F>>, ProtocolError> {
         self.record_leaks(committee);
+        let elements = CT_ELEMENTS + ENC_PDEC_PROOF_ELEMENTS;
+        let step = Step::new(committee, cfg, phase, Post::EncryptedPartial, elements);
         let seeds: Vec<u64> = items.iter().map(|_| rng.next_u64()).collect();
         let worker_out = crate::parallel::par_map(cfg.num_threads, &seeds, |item_idx, &seed| {
             let mut irng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut posts = crate::parallel::PostBuffer::new();
+            let mut posts = PostBuffer::new();
             let (target, ct) = &items[item_idx];
             // One map per item, shared by the committee's postings.
             let map = cfg
@@ -431,48 +426,26 @@ impl<F: PrimeField> TskChain<F> {
                 t: self.pk.t,
                 weights: None,
             };
-            for i in 0..committee.n() {
-                let Some(share) = &self.shares[i] else { continue };
-                let behavior = committee.behavior(i);
-                if !behavior.participates_at(crate::engine::phase_index(phase)) {
-                    continue;
-                }
-                let mut mrng = rand::rngs::StdRng::seed_from_u64(irng.next_u64());
-                let owned = cfg.partition.owns(i);
-                let prover = map.as_ref().filter(|_| owned);
-                let vk = self.pk.vks[i];
-                let (enc, valid) = match behavior {
-                    Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                        let d = share.value * ct.u;
-                        let (enc, r) = LinearPke::encrypt(&mut mrng, target, d);
-                        let ok = prover.is_none_or(|map| {
-                            let proof = map.prove(&mut mrng, vk, ct, &enc, d, r);
-                            map.verify(vk, ct, &enc, &proof)
-                        });
-                        (enc, ok)
-                    }
-                    Behavior::Malicious(attack) => {
-                        let d = match attack {
-                            ActiveAttack::BadProof => share.value * ct.u,
-                            _ => F::random(&mut mrng),
-                        };
-                        let (enc, _) = LinearPke::encrypt(&mut mrng, target, d);
-                        let ok = prover.is_some_and(|map| {
-                            map.verify(vk, ct, &enc, &nizk::LinearProof::garbage(&mut mrng, 3, 2))
-                        });
-                        (enc, ok)
-                    }
+            let holders = self.holders(committee);
+            step.run(&mut irng, &mut posts, map.as_ref(), holders, |mut turn, share| {
+                let vk = self.pk.vks[turn.index];
+                let attack = turn.attack();
+                let d = match attack {
+                    None | Some(ActiveAttack::BadProof) => share.value * ct.u,
+                    Some(_) => F::random(&mut turn.rng),
                 };
-                posts.record(
-                    owned,
-                    &committee.name,
-                    i,
-                    Post::EncryptedPartial,
-                    phase,
-                    CT_ELEMENTS + ENC_PDEC_PROOF_ELEMENTS,
-                );
-                val.posts.push(ProviderPost { provider: i, ct: enc, valid });
-            }
+                let (enc, r) = LinearPke::encrypt(&mut turn.rng, target, d);
+                let valid = match attack {
+                    None => turn.honest(|map, rng| {
+                        let proof = map.prove(rng, vk, ct, &enc, d, r);
+                        map.verify(vk, ct, &enc, &proof)
+                    }),
+                    Some(_) => turn.forged(|map, rng| {
+                        map.verify(vk, ct, &enc, &nizk::LinearProof::garbage(rng, 3, 2))
+                    }),
+                };
+                val.posts.push(ProviderPost { provider: turn.index, ct: enc, valid });
+            });
             Ok::<_, ProtocolError>((val, posts))
         });
         let mut weights = WeightCache::new();
@@ -524,9 +497,9 @@ impl<F: PrimeField> TskChain<F> {
         self.handover_in(rng, &sb, outgoing, cfg, phase, next_keys)
     }
 
-    /// [`Self::handover`] posting through an existing sharded board,
-    /// with per-member child RNGs (same sharding contract as
-    /// [`Self::decrypt_in`]).
+    /// [`Self::handover`] posting through an existing sharded board:
+    /// one [`Step`] over the share holders, each dealing its share
+    /// ([`deal`]).
     pub(crate) fn handover_in<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -547,59 +520,25 @@ impl<F: PrimeField> TskChain<F> {
         let recipient_pks: Vec<PkePublicKey<F>> = next_keys.iter().map(|kp| kp.public).collect();
         let table = PowerTable::new(n, t);
         // One map per handover, shared by its dealers.
-        let deal = cfg.produce_proofs.then(|| DealMap::new(self.pk.g, &recipient_pks, &table));
+        let map = cfg.produce_proofs.then(|| DealMap::new(self.pk.g, &recipient_pks, &table));
 
         let mut msgs: Vec<PostedReshare<F>> = Vec::new();
-        let mut posts = crate::parallel::PostBuffer::new();
-        for i in 0..outgoing.n() {
-            let Some(share) = &self.shares[i] else { continue };
-            let behavior = outgoing.behavior(i);
-            if !behavior.participates_at(crate::engine::phase_index(phase)) {
-                continue;
-            }
-            let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
-            let owned = cfg.partition.owns(i);
-            let prover = deal.as_ref().filter(|_| owned);
-            let posted = match behavior {
-                Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => {
-                    let (msg, coeffs) = MockTe::reshare_with(&mut mrng, &self.pk, share, &table);
-                    let commitments = msg.commitments;
-                    let mut enc_subshares = Vec::with_capacity(n);
-                    let mut rands = Vec::with_capacity(n);
-                    for (&sub, rpk) in msg.subshares.iter().zip(&recipient_pks) {
-                        let (ct, r) = LinearPke::encrypt(&mut mrng, rpk, sub);
-                        enc_subshares.push(ct);
-                        rands.push(r);
-                    }
-                    let valid = prover.is_none_or(|deal| {
-                        deal.targets(&commitments, &enc_subshares).is_some_and(|targets| {
-                            let proof = deal.prove_reshare(&mut mrng, &targets, &coeffs, &rands);
-                            deal.verify_reshare(&self.pk, i, &targets, &proof)
-                        })
-                    });
-                    PostedReshare { from: i, commitments, enc_subshares, valid }
-                }
-                Behavior::Malicious(_) => {
-                    let commitments: Vec<F> = (0..=t).map(|_| F::random(&mut mrng)).collect();
-                    let enc_subshares: Vec<Ciphertext<F>> = (0..n)
-                        .map(|m| {
-                            let junk = F::random(&mut mrng);
-                            LinearPke::encrypt(&mut mrng, &recipient_pks[m], junk).0
-                        })
-                        .collect();
-                    let valid = prover.is_some_and(|deal| {
-                        deal.targets(&commitments, &enc_subshares).is_some_and(|targets| {
-                            let proof = ReshareProof::garbage(&mut mrng, n, t);
-                            deal.verify_reshare(&self.pk, i, &targets, &proof)
-                        })
-                    });
-                    PostedReshare { from: i, commitments, enc_subshares, valid }
-                }
+        let mut posts = PostBuffer::new();
+        let elements = messages::reshare_elements(n as u64, t as u64);
+        let step = Step::new(outgoing, cfg, phase, Post::TskReshare, elements);
+        step.run(rng, &mut posts, map.as_ref(), self.holders(outgoing), |turn, share| {
+            let from = turn.index;
+            // The re-share relation binds C_0 to the dealer's
+            // verification key.
+            let relation = |map: &DealMap<F>, rng: &mut _, targets: &[F], witness: Dealt<'_, F>| {
+                let proof = match witness {
+                    Some((coeffs, rands)) => map.prove_reshare(rng, targets, coeffs, rands),
+                    None => ReshareProof::garbage(rng, n, t),
+                };
+                map.verify_reshare(&self.pk, from, targets, &proof)
             };
-            let elements = messages::reshare_elements(n as u64, t as u64);
-            posts.record(owned, &outgoing.name, i, Post::TskReshare, phase, elements);
-            msgs.push(posted);
-        }
+            msgs.push(deal(turn, self.pk.g, |_| share.value, &table, &recipient_pks, relation));
+        });
         sb.flush_buffer(posts)?;
 
         let providers: Vec<&PostedReshare<F>> =
@@ -638,6 +577,58 @@ impl<F: PrimeField> TskChain<F> {
         self.epoch += 1;
         Ok(())
     }
+}
+
+/// An honest dealer's witness, `(coefficients, encryption randomness)`;
+/// a malicious dealer has none.
+pub(crate) type Dealt<'a, F> = Option<(&'a [F], &'a [F])>;
+
+/// One dealer's turn, for the handover and the DKG alike. An honest
+/// dealer posts the Feldman commitments under `g` of the polynomial
+/// (`constant`, then `table.degree()` coefficients from its RNG) and the
+/// polynomial's value for each recipient encrypted to that recipient; a
+/// malicious one posts random commitments and encryptions of junk.
+/// `verified(map, rng, targets, witness)` is the caller's relation: it
+/// makes the proof the dealer posts — from the witness, or garbage when
+/// there is none — and verifies it.
+pub(crate) fn deal<F: PrimeField>(
+    mut turn: Turn<'_, DealMap<F>>,
+    g: F,
+    constant: impl FnOnce(&mut StdRng) -> F,
+    table: &PowerTable<F>,
+    recipient_pks: &[PkePublicKey<F>],
+    verified: impl FnOnce(&DealMap<F>, &mut StdRng, &[F], Dealt<'_, F>) -> bool,
+) -> PostedReshare<F> {
+    let malicious = turn.attack().is_some();
+    let rng = &mut turn.rng;
+    let (commitments, enc_subshares, witness): (Vec<F>, Vec<Ciphertext<F>>, _) = if malicious {
+        let commitments = (0..=table.degree()).map(|_| F::random(rng)).collect();
+        let junk = recipient_pks.iter().map(|rpk| {
+            let junk = F::random(rng);
+            LinearPke::encrypt(rng, rpk, junk).0
+        });
+        (commitments, junk.collect(), None)
+    } else {
+        let mut coeffs = Vec::with_capacity(table.degree() + 1);
+        coeffs.push(constant(rng));
+        coeffs.extend((0..table.degree()).map(|_| F::random(rng)));
+        let commitments = coeffs.iter().map(|&a| a * g).collect();
+        let mut enc_subshares = Vec::with_capacity(recipient_pks.len());
+        let mut rands = Vec::with_capacity(recipient_pks.len());
+        for (sub, rpk) in table.eval_all(&coeffs).zip(recipient_pks) {
+            let (ct, r) = LinearPke::encrypt(rng, rpk, sub);
+            enc_subshares.push(ct);
+            rands.push(r);
+        }
+        (commitments, enc_subshares, Some((coeffs, rands)))
+    };
+    let check = |map: &DealMap<F>, rng: &mut StdRng| {
+        let witness = witness.as_ref().map(|(coeffs, rands)| (&coeffs[..], &rands[..]));
+        map.targets(&commitments, &enc_subshares)
+            .is_some_and(|targets| verified(map, rng, &targets, witness))
+    };
+    let valid = if malicious { turn.forged(check) } else { turn.honest(check) };
+    PostedReshare { from: turn.index, commitments, enc_subshares, valid }
 }
 
 static DOMAIN_ENC_PDEC: Domain = Domain::new(b"yoso-pss/nizk/enc-pdec/v3");
@@ -700,7 +691,7 @@ impl<F: PrimeField> EncryptedPartialMap<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::RngCore;
     use yoso_field::F61;
     use yoso_runtime::Adversary;
 

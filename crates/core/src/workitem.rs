@@ -281,11 +281,6 @@ impl<'a> ShardedBoard<'a> {
         self.partition
     }
 
-    /// Whether this worker owns committee-member index `role`.
-    pub fn owns(&self, role: usize) -> bool {
-        self.partition.owns(role)
-    }
-
     /// Whether this worker drives leader-only posts and round ticks.
     pub fn is_leader(&self) -> bool {
         self.partition.is_leader()
@@ -529,7 +524,7 @@ mod tests {
         let post_all = |sb: &ShardedBoard<'_>| {
             for i in 0..4usize {
                 sb.post(
-                    sb.owns(i),
+                    sb.partition().owns(i),
                     RoleId::new("committee", i),
                     Post::MulShare,
                     "x",
@@ -573,7 +568,8 @@ mod tests {
             for _step in 0..2 {
                 let mut posts = PostBuffer::new();
                 for i in 0..10 {
-                    posts.record(sb.owns(i), &committee.name, i, Post::MulShare, "x", 1);
+                    let owned = sb.partition().owns(i);
+                    posts.record(owned, &committee.name, i, Post::MulShare, "x", 1);
                 }
                 sb.flush_buffer(posts).unwrap();
             }

@@ -7,7 +7,8 @@ use yoso_circuit::generators;
 use yoso_core::offline::run_offline;
 use yoso_core::online::run_online;
 use yoso_core::setup::run_setup;
-use yoso_core::{ExecutionConfig, ProtocolParams};
+use yoso_core::messages::Post;
+use yoso_core::{crash_phases, Engine, ExecutionConfig, ProtocolParams};
 use yoso_field::{F61, PrimeField};
 use yoso_runtime::{ActiveAttack, Adversary, BulletinBoard, Committee, LeakLog};
 use yoso_the::mock::{LinearPke, MockTe};
@@ -164,4 +165,35 @@ fn output_partials_are_simulatable() {
         s_u += wj * (e.v - client.secret.scalar * e.u);
     }
     assert_eq!(ct.v - s_u, target_lambda);
+}
+
+#[test]
+fn failstops_crashing_after_keydist_still_deal_in_the_online_handover() {
+    // The key-distribution committee posts its re-encryptions and its
+    // re-share as one message: ⌊nε⌋ members that crash before the
+    // multiplications (or the output) have sent both.
+    let circuit = generators::inner_product::<F61>(4).unwrap();
+    let inputs: Vec<Vec<F61>> =
+        vec![(1..=4u64).map(F61::from).collect(), (5..=8u64).map(F61::from).collect()];
+    let expect = circuit.evaluate(&inputs).unwrap();
+    let params = ProtocolParams::from_gap_failstop(16, 0.2).unwrap();
+    assert_eq!(params.failstops, 3);
+    for crash_phase in [crash_phases::ONLINE_MULT, crash_phases::ONLINE_OUTPUT] {
+        let adv = Adversary::none().with_failstops(params.failstops, crash_phase);
+        let board: BulletinBoard<Post> = BulletinBoard::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let run = Engine::new(params, ExecutionConfig::default())
+            .run_with_board(&mut rng, &circuit, &inputs, &adv, &board)
+            .unwrap();
+        assert_eq!(run.outputs, expect);
+        let postings = board.postings().unwrap();
+        let dealers = |phase: &str| {
+            let deals =
+                postings.iter().filter(|p| &*p.phase == phase && p.message == Post::TskReshare);
+            deals.count()
+        };
+        assert_eq!(dealers("online/handover"), params.n, "crash phase {crash_phase}");
+        let offline_handovers = 1 + 2; // one per mul layer, then Steps 5 and 6
+        assert_eq!(dealers("offline/handover"), offline_handovers * params.n);
+    }
 }

@@ -10,7 +10,7 @@ use yoso_core::messages::Post;
 use yoso_core::{
     Engine, ExecutionConfig, ProtocolError, ProtocolParams, RolePartition, RunResult,
 };
-use yoso_field::F61;
+use yoso_field::{PrimeField, F61};
 use yoso_runtime::{
     ActiveAttack, Adversary, BoardError, BoardTransport, BulletinBoard, InProcessTransport,
     PostRecord, PostRun, Posting, RoleId,
@@ -44,10 +44,18 @@ fn render(board: &BulletinBoard<Post>) -> String {
 
 /// The single-process reference run.
 fn solo_run(params: ProtocolParams, adversary: &Adversary) -> (String, RunResult<F61>) {
+    solo_run_with(params, adversary, ExecutionConfig::default())
+}
+
+fn solo_run_with(
+    params: ProtocolParams,
+    adversary: &Adversary,
+    cfg: ExecutionConfig,
+) -> (String, RunResult<F61>) {
     let (circuit, inputs) = workload(params);
     let board: BulletinBoard<Post> = BulletinBoard::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let run = Engine::new(params, ExecutionConfig::default())
+    let run = Engine::new(params, cfg)
         .run_with_board(&mut rng, &circuit, &inputs, adversary, &board)
         .unwrap();
     (render(&board), run)
@@ -75,6 +83,16 @@ fn sharded_run_on(
     partitions: &[RolePartition],
     adversary: &Adversary,
 ) -> Vec<RunResult<F61>> {
+    sharded_run_on_with(board, params, partitions, adversary, ExecutionConfig::default())
+}
+
+fn sharded_run_on_with(
+    board: &BulletinBoard<Post>,
+    params: ProtocolParams,
+    partitions: &[RolePartition],
+    adversary: &Adversary,
+    cfg: ExecutionConfig,
+) -> Vec<RunResult<F61>> {
     let (circuit, inputs) = workload(params);
     std::thread::scope(|s| {
         let handles: Vec<_> = partitions
@@ -84,7 +102,7 @@ fn sharded_run_on(
                 let circuit = &circuit;
                 let inputs = &inputs;
                 s.spawn(move || {
-                    let cfg = ExecutionConfig::default().with_partition(partition);
+                    let cfg = cfg.with_partition(partition);
                     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
                     Engine::new(params, cfg)
                         .run_with_board(&mut rng, circuit, inputs, adversary, &board)
@@ -335,18 +353,129 @@ fn zero_role_worker_participates_without_posting() {
     assert_eq!(solo.mu, runs[0].mu);
 }
 
+/// One row per kind of member turn the committee steps take: honest,
+/// each active attack, fail-stops crashing before the offline phase and
+/// before the online multiplications, the full `t` + `⌊nε⌋` budget, and
+/// the dealer-free setup. `mu_sha256` is the SHA-256 of the run's
+/// `RunResult::mu` (each element's 8 canonical bytes, wire order), taken
+/// at the commit before the member loops moved into `core::step`:
+/// transcript hashes bind sizes and order only, `mu` depends on every
+/// mask drawn, so a reordered or skipped draw anywhere offline moves it.
+struct Case {
+    name: &'static str,
+    adversary: Adversary,
+    cfg: ExecutionConfig,
+    mu_sha256: &'static str,
+}
+
+/// n = 24, ε = 0.25 in the §5.4 shape: t = 5, k = 4, 6 fail-stops. At
+/// this size `offline/6-reenc-shares` has 72 items a batch, enough for
+/// `par_map` to leave the caller's thread at 2 and 8 threads.
+fn case_params() -> ProtocolParams {
+    ProtocolParams::from_gap_failstop(24, 0.25).unwrap()
+}
+
+fn cases() -> Vec<Case> {
+    use yoso_core::crash_phases::{OFFLINE, ONLINE_MULT};
+    let p = case_params();
+    let proved = ExecutionConfig::default();
+    let case = |name, adversary, cfg, mu_sha256| Case { name, adversary, cfg, mu_sha256 };
+    // Rows whose members act alike throughout the offline phase share
+    // a hash: a posting that is filtered contributes to no mask.
+    const ALL_VALID: &str = "e2cfd5a860a8474689b2265d762bac82adf8530b905c59564a5c84cfd9e76d39";
+    const T_FILTERED: &str = "a17dcd1fdd588f88425fb904ab902051d31682375fd4e99a4bce36206f1af7a0";
+    let active = |attack| Adversary::active(p.t, attack);
+    vec![
+        case("none", Adversary::none(), proved, ALL_VALID),
+        case("wrong-value", active(ActiveAttack::WrongValue), proved, T_FILTERED),
+        case("bad-proof", active(ActiveAttack::BadProof), proved, T_FILTERED),
+        case(
+            "silent",
+            active(ActiveAttack::Silent),
+            proved,
+            "8f5dbb94b6543e02cefa6635c4f4fef5b472789091da3e10f4078e475e05b5f0",
+        ),
+        case("additive", active(ActiveAttack::AdditiveOffset), proved, T_FILTERED),
+        case(
+            "failstop-offline",
+            Adversary::none().with_failstops(p.failstops, OFFLINE),
+            proved,
+            "198cd45b90c0af42506d416bcbec0bec43abe9240be9aa9d7c7e6612079be69b",
+        ),
+        case(
+            "failstop-mult",
+            Adversary::none().with_failstops(p.failstops, ONLINE_MULT),
+            proved,
+            ALL_VALID,
+        ),
+        case(
+            "full-budget",
+            active(ActiveAttack::WrongValue).with_failstops(p.failstops, ONLINE_MULT),
+            proved,
+            T_FILTERED,
+        ),
+        case(
+            "dealerless",
+            active(ActiveAttack::WrongValue),
+            proved.dealerless(),
+            "f1b25398d8e2c7f47a17954c6177c3f5f85adba919e025852c5bdd95c14392b7",
+        ),
+    ]
+}
+
+fn mu_sha256(run: &RunResult<F61>) -> String {
+    let mut hasher = yoso_crypto::sha256::Sha256::new();
+    for m in &run.mu {
+        hasher.update(&m.to_bytes());
+    }
+    hasher.finalize().iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The three-way split of the committee the value pins and the parity
+/// table run at.
+fn three_way(params: ProtocolParams) -> Vec<RolePartition> {
+    (0..3).map(|w| params.worker_role_range(w, 3)).collect()
+}
+
+#[test]
+fn mu_is_pinned_for_every_adversary_solo_sharded_and_threaded() {
+    let params = case_params();
+    let mut moved = Vec::new();
+    for case in cases() {
+        let mut check = |layout: String, run: &RunResult<F61>| {
+            let got = mu_sha256(run);
+            if got != case.mu_sha256 {
+                moved.push(format!("{} ({layout}): {got}", case.name));
+            }
+        };
+        for threads in [1usize, 2, 8] {
+            let (_, run) = solo_run_with(params, &case.adversary, case.cfg.with_threads(threads));
+            check(format!("solo, {threads} threads"), &run);
+        }
+        let board: BulletinBoard<Post> = BulletinBoard::new();
+        let cfg = case.cfg.with_threads(2);
+        for run in sharded_run_on_with(&board, params, &three_way(params), &case.adversary, cfg) {
+            check("3 workers, 2 threads".into(), &run);
+        }
+    }
+    assert!(moved.is_empty(), "mu moved:\n{}", moved.join("\n"));
+}
+
 #[test]
 fn sharded_parity_under_active_attack() {
-    // Corrupt members post garbage instead of skipping: the behavior
-    // tags (not the proofs, which only owners produce) decide validity
-    // identically on every worker.
-    let params = ProtocolParams::new(10, 2, 3).unwrap();
-    let adv = Adversary::active(2, ActiveAttack::WrongValue);
-    let (solo_log, solo) = solo_run(params, &adv);
-    let (log, runs) = sharded_run(params, 4, &adv);
-    assert_eq!(solo_log, log);
-    for run in &runs {
-        assert_eq!(solo.outputs, run.outputs);
+    // Corrupt members post garbage instead of skipping and crashed ones
+    // post nothing: the behavior tags (not the proofs, which only
+    // owners produce) decide validity identically on every worker.
+    let params = case_params();
+    for case in cases() {
+        let (solo_log, solo) = solo_run_with(params, &case.adversary, case.cfg);
+        let board: BulletinBoard<Post> = BulletinBoard::new();
+        let runs =
+            sharded_run_on_with(&board, params, &three_way(params), &case.adversary, case.cfg);
+        assert_eq!(solo_log, render(&board), "{}", case.name);
+        for run in &runs {
+            assert_eq!((&solo.outputs, &solo.mu), (&run.outputs, &run.mu), "{}", case.name);
+        }
     }
 }
 

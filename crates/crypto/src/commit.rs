@@ -5,18 +5,17 @@
 //! contributions before the challenge round in the interactive tests).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::sha256::Sha256;
 
 /// A binding, hiding commitment `H(domain ‖ randomness ‖ message)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Commitment {
     digest: [u8; 32],
 }
 
 /// The opening of a commitment: the randomness and the message.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Opening {
     /// The blinding randomness.
     pub randomness: [u8; 32],

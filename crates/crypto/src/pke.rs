@@ -14,7 +14,6 @@
 //! group size, which is configurable in the meter.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use yoso_field::{F61, PrimeField};
 
@@ -29,16 +28,14 @@ use crate::CryptoError;
 const GENERATOR: u64 = 3;
 
 /// A PKE public key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PublicKey {
     /// `g^x` for secret exponent `x`.
     point: u64,
 }
 
 /// A PKE secret key.
-// lint:redact: Debug is implemented manually below and prints nothing of
-// the exponent; Serialize is required so parties can persist role keys.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SecretKey {
     exponent: u64,
 }
@@ -52,7 +49,7 @@ impl std::fmt::Debug for SecretKey {
 
 /// A hybrid ciphertext: ephemeral group element plus masked payload
 /// with an integrity tag.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     ephemeral: u64,
     masked: Vec<u8>,
@@ -68,8 +65,8 @@ impl Ciphertext {
 
 /// A PKE key pair.
 // lint:redact: the derived Debug delegates to SecretKey's redacted impl,
-// so no exponent is printed; Serialize is required for key persistence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+// so no exponent is printed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyPair {
     /// The public portion.
     pub public: PublicKey,

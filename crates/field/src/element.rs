@@ -5,7 +5,6 @@ use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::FieldError;
 
@@ -37,8 +36,6 @@ pub trait PrimeField:
     + MulAssign
     + Sum
     + Product
-    + Serialize
-    + for<'de> Deserialize<'de>
     + 'static
 {
     /// The field modulus, as `u64` (all fields in this workspace fit).
@@ -156,8 +153,7 @@ pub const P61: u64 = (1u64 << 61) - 1;
 /// assert_eq!(b * b.inv()?, F61::ONE);
 /// # Ok::<(), yoso_field::FieldError>(())
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct F61(u64);
 
 impl F61 {

@@ -336,41 +336,6 @@ impl<F: PrimeField> NttDomain<F> {
         Ok(())
     }
 
-    /// Evaluates a polynomial of degree `< size` at the domain points
-    /// with indices `lo..hi` only, writing `hi − lo` values to `out`
-    /// (`out[j] = f(points[lo + j])`).
-    ///
-    /// A caller that needs only rows `lo..hi` of a dealing pays
-    /// `(hi − lo) · deg` Horner multiplications instead of the full
-    /// `N log N` transform. Exactness (module docs) makes the result
-    /// *bit-identical* to the matching entries of
-    /// [`NttDomain::evaluate`]: both are canonical values of the same
-    /// unique polynomial at the same points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FieldError::LengthMismatch`] if more than `size`
-    /// coefficients are supplied or the range exceeds the domain.
-    pub fn evaluate_range_into(
-        &self,
-        coeffs: &[F],
-        lo: usize,
-        hi: usize,
-        out: &mut Vec<F>,
-    ) -> Result<(), FieldError> {
-        if coeffs.len() > self.size || lo > hi || hi > self.size {
-            return Err(FieldError::LengthMismatch { xs: self.size, ys: coeffs.len().max(hi) });
-        }
-        crate::transformstats::bump_slice_muls((hi - lo) as u64 * coeffs.len() as u64);
-        ensure_filled(out, hi - lo, F::ZERO);
-        for (o, &x) in out.iter_mut().zip(&self.points[lo..hi]) {
-            // Horner's rule: exact arithmetic on canonical elements, so
-            // the value equals the full transform's output bit for bit.
-            *o = coeffs.iter().rev().fold(F::ZERO, |acc, &c| acc * x + c);
-        }
-        Ok(())
-    }
-
     /// Inverse transform: recovers the full coefficient vector (length
     /// `size`, untrimmed) of the unique polynomial of degree `< size`
     /// with `f(points[i]) = evals[i]`.
@@ -792,35 +757,6 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "radices {radices:?}");
         }
-    }
-
-    #[test]
-    fn evaluate_range_is_bit_identical_to_full_transform() {
-        let mut r = rng(16);
-        for size in [2usize, 6, 18, 33, 45] {
-            let d = NttDomain::<F61>::coset(size, F61::from(9u64)).unwrap();
-            let p = Poly::<F61>::random(&mut r, size / 2);
-            let full = d.evaluate(p.coeffs()).unwrap();
-            // Every split of the index space, including empty slices,
-            // reproduces the matching window of the full transform.
-            for lo in 0..=size {
-                for hi in lo..=size {
-                    let mut out = Vec::new();
-                    d.evaluate_range_into(p.coeffs(), lo, hi, &mut out).unwrap();
-                    assert_eq!(out, &full[lo..hi], "size {size} range {lo}..{hi}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn evaluate_range_rejects_bad_ranges() {
-        let d = NttDomain::<F61>::new(6).unwrap();
-        let coeffs = [F61::ONE; 3];
-        let mut out = Vec::new();
-        assert!(d.evaluate_range_into(&coeffs, 0, 7, &mut out).is_err());
-        assert!(d.evaluate_range_into(&coeffs, 4, 2, &mut out).is_err());
-        assert!(d.evaluate_range_into(&[F61::ONE; 7], 0, 6, &mut out).is_err());
     }
 
     #[test]

@@ -4,7 +4,6 @@ use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::PrimeField;
 
@@ -22,8 +21,7 @@ use crate::PrimeField;
 /// assert_eq!(f.eval(F61::from(2u64)), F61::from(17u64));
 /// assert_eq!(f.degree(), Some(2));
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Poly<F: PrimeField> {
     coeffs: Vec<F>,
 }

@@ -4,7 +4,6 @@ use std::fmt;
 use std::iter::{Product, Sum};
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
 
 use crate::PrimeField;
 
@@ -24,8 +23,7 @@ use crate::PrimeField;
 /// let b = F97::from_u64(60);
 /// assert_eq!((a + b).as_u64(), 13);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Fp<const P: u64>(u64);
 
 impl<const P: u64> Fp<P> {

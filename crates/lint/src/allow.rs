@@ -14,7 +14,7 @@
 //! The justification is mandatory and must be non-empty — an allow without
 //! a reason is itself a violation (`bad-allow`). `lint:redact` is shorthand
 //! accepted on redacted `Debug`/`Display` impls and secret type
-//! definitions; it covers `secret-debug` and `secret-serialize`.
+//! definitions; it covers `secret-debug`.
 //! `lint:taint(source)` declares the governed binding a secret source even
 //! though its type/name match no registry pattern; `lint:sanitize` declares
 //! the governed `fn` a sanitizer (its output is public material), extending
@@ -272,10 +272,7 @@ fn parse_marker(text: &str) -> Option<Result<(Vec<RuleId>, String), String>> {
                 "expected `: <justification>` after lint:redact".to_string()
             ));
         };
-        return Some(Ok((
-            vec![RuleId::SecretDebug, RuleId::SecretSerialize],
-            justification.to_string(),
-        )));
+        return Some(Ok((vec![RuleId::SecretDebug], justification.to_string())));
     }
     None
 }
@@ -293,7 +290,7 @@ mod tests {
         assert!(t.parse_findings.is_empty());
         assert!(t.suppressed(1, RuleId::Panic));
         assert!(!t.suppressed(2, RuleId::Panic));
-        assert!(!t.suppressed(1, RuleId::Index));
+        assert!(!t.suppressed(1, RuleId::Determinism));
         assert!(t.unused("f.rs").is_empty());
     }
 
@@ -327,7 +324,6 @@ mod tests {
         let lx = lex("// lint:redact: prints party index only\nimpl Debug for K {}\n");
         let mut t = AllowTable::build("f.rs", &lx);
         assert!(t.suppressed(2, RuleId::SecretDebug));
-        assert!(t.suppressed(2, RuleId::SecretSerialize));
         assert!(!t.suppressed(2, RuleId::Panic));
     }
 
@@ -342,10 +338,10 @@ mod tests {
 
     #[test]
     fn multi_rule_marker() {
-        let lx = lex("let v = m[k].unwrap(); // lint:allow(panic, index): proven in step 2\n");
+        let lx = lex("let v = m[k].unwrap(); // lint:allow(panic, determinism): proven in step 2\n");
         let mut t = AllowTable::build("f.rs", &lx);
         assert!(t.parse_findings.is_empty());
         assert!(t.suppressed(1, RuleId::Panic));
-        assert!(t.suppressed(1, RuleId::Index));
+        assert!(t.suppressed(1, RuleId::Determinism));
     }
 }

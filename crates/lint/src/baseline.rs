@@ -17,7 +17,7 @@
 //! for human review of the baseline file. Baseline entries that match no
 //! current finding are *stale* and reported so the file can be pruned.
 //!
-//! The workspace builds offline without `serde`, so this module carries a
+//! The workspace builds offline with no JSON crate, so this module carries a
 //! ~100-line recursive-descent JSON reader sufficient for the format
 //! above (and strict enough to reject malformed files loudly instead of
 //! silently baselining nothing).
@@ -364,7 +364,7 @@ mod tests {
         report
             .findings
             .push(Finding::new("a.rs", 3, RuleId::Panic, "uses \"quotes\" and \\ slashes"));
-        report.findings.push(Finding::new("a.rs", 4, RuleId::Index, "warn level, excluded"));
+        report.findings.push(Finding::new("a.rs", 4, RuleId::UnusedAllow, "warn level, excluded"));
         report.assign_ids();
         let text = render(&report, &cfg);
         let bl = Baseline::parse(&text).expect("round trip");

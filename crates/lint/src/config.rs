@@ -9,16 +9,9 @@ pub enum RuleId {
     /// `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
     /// in non-test code of a protocol crate.
     Panic,
-    /// Slice/array indexing (`expr[...]`) in non-test code of a protocol
-    /// crate. Defaults to warn: bounds are usually locally provable, but
-    /// the sites should stay visible.
-    Index,
     /// A secret-registry type derives or implements `Debug`/`Display`
     /// without a redaction marker.
     SecretDebug,
-    /// A secret-registry type derives `Serialize` without a justification
-    /// marker (secrets on the wire must be a deliberate act).
-    SecretSerialize,
     /// A formatting/log macro interpolates a secret-named binding, or
     /// `dbg!` appears in protocol code.
     SecretFormat,
@@ -66,11 +59,9 @@ pub enum Level {
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 14] = [
+    pub const ALL: [RuleId; 12] = [
         RuleId::Panic,
-        RuleId::Index,
         RuleId::SecretDebug,
-        RuleId::SecretSerialize,
         RuleId::SecretFormat,
         RuleId::Determinism,
         RuleId::UnsafePolicy,
@@ -87,9 +78,7 @@ impl RuleId {
     pub fn name(self) -> &'static str {
         match self {
             RuleId::Panic => "panic",
-            RuleId::Index => "index",
             RuleId::SecretDebug => "secret-debug",
-            RuleId::SecretSerialize => "secret-serialize",
             RuleId::SecretFormat => "secret-format",
             RuleId::Determinism => "determinism",
             RuleId::UnsafePolicy => "unsafe-policy",
@@ -111,7 +100,7 @@ impl RuleId {
     /// Severity the rule runs at unless overridden on the command line.
     pub fn default_level(self) -> Level {
         match self {
-            RuleId::Index | RuleId::UnusedAllow => Level::Warn,
+            RuleId::UnusedAllow => Level::Warn,
             _ => Level::Deny,
         }
     }
@@ -122,12 +111,8 @@ impl RuleId {
             RuleId::Panic => {
                 "unwrap/expect/panic!/unreachable!/todo! in non-test protocol code"
             }
-            RuleId::Index => "slice indexing in non-test protocol code",
             RuleId::SecretDebug => {
                 "Debug/Display on a secret-registry type without a redaction marker"
-            }
-            RuleId::SecretSerialize => {
-                "Serialize on a secret-registry type without a justification marker"
             }
             RuleId::SecretFormat => {
                 "format/log macro interpolating a secret-named binding, or dbg!"
@@ -191,10 +176,11 @@ pub const PROTOCOL_CRATES: [&str; 5] = ["core", "the", "pss", "crypto", "sortiti
 
 /// Modules whose control flow feeds the bulletin-board transcript; any
 /// nondeterminism here breaks the byte-identical-transcript guarantee.
-pub const TRANSCRIPT_MODULES: [&str; 8] = [
+pub const TRANSCRIPT_MODULES: [&str; 9] = [
     "crates/core/src/online.rs",
     "crates/core/src/offline.rs",
     "crates/core/src/parallel.rs",
+    "crates/core/src/step.rs",
     "crates/field/src/ntt.rs",
     // The board transports carry every posting of the transcript:
     // iteration order or time-dependence here would desynchronize
@@ -311,9 +297,9 @@ mod tests {
     fn default_levels() {
         let cfg = LintConfig::default();
         assert_eq!(cfg.level(RuleId::Panic), Level::Deny);
-        assert_eq!(cfg.level(RuleId::Index), Level::Warn);
+        assert_eq!(cfg.level(RuleId::UnusedAllow), Level::Warn);
         let mut cfg = cfg;
-        cfg.set_level(RuleId::Index, Level::Deny);
-        assert_eq!(cfg.level(RuleId::Index), Level::Deny);
+        cfg.set_level(RuleId::UnusedAllow, Level::Deny);
+        assert_eq!(cfg.level(RuleId::UnusedAllow), Level::Deny);
     }
 }

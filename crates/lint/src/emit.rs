@@ -125,7 +125,7 @@ mod tests {
             RuleId::TaintFlow,
             "secret \"escaped\" here",
         ));
-        r.findings.push(Finding::new("crates/core/src/b.rs", 1, RuleId::Index, "idx"));
+        r.findings.push(Finding::new("crates/core/src/b.rs", 1, RuleId::UnusedAllow, "idx"));
         r.assign_ids();
         r.findings[1].baselined = true;
         (r, LintConfig::default())

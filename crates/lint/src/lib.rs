@@ -7,13 +7,13 @@
 //!
 //! **Token-stream rules** (PR 2):
 //!
-//! 1. **panic-freedom** (`panic`, `index`) — no `unwrap`/`expect`/
-//!    `panic!`-family macros and no unchecked slice indexing in non-test
-//!    code of the protocol crates; a YOSO committee member that aborts
-//!    mid-epoch kills the run for everyone.
-//! 2. **secret hygiene** (`secret-debug`, `secret-serialize`,
-//!    `secret-format`) — secret-registry types must not leak through
-//!    `Debug`/`Display`/`Serialize` or format-macro interpolation.
+//! 1. **panic-freedom** (`panic`) — no `unwrap`/`expect`/
+//!    `panic!`-family macros in non-test code of the protocol crates; a
+//!    YOSO committee member that aborts mid-epoch kills the run for
+//!    everyone.
+//! 2. **secret hygiene** (`secret-debug`, `secret-format`) —
+//!    secret-registry types must not leak through `Debug`/`Display` or
+//!    format-macro interpolation.
 //! 3. **transcript determinism** (`determinism`) — no `HashMap`/`HashSet`,
 //!    `std::time`, `thread_rng` or thread-identity dependence in
 //!    transcript-affecting modules; the engine promises byte-identical

@@ -42,8 +42,8 @@ OPTIONS:
     --help, -h               show this help
 
 ANALYSES:
-    token rules      panic, index, secret-debug, secret-serialize,
-                     secret-format, determinism, unsafe-policy
+    token rules      panic, secret-debug, secret-format, determinism,
+                     unsafe-policy
     taint dataflow   taint-flow: per-function secret taint from
                      secret-typed/-named bindings (and lint:taint(source)
                      markers) to format/posting/serialize/raw-byte sinks,
@@ -53,7 +53,7 @@ ANALYSES:
 
 MARKERS (inside any comment; justification mandatory):
     lint:allow(<rule>[, <rule>]): <why>   suppress findings on the line
-    lint:redact: <why>                    redacted Debug/Serialize impl
+    lint:redact: <why>                    redacted Debug/Display impl
     lint:taint(source): <why>             declare a binding a secret source
     lint:sanitize: <why>                  declare a fn a sanitizer
 

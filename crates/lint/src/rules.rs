@@ -15,7 +15,7 @@ pub struct FileMeta {
     pub rel_path: String,
     /// Crate directory name (`core`, `the`, ...) if under `crates/`.
     pub crate_name: Option<String>,
-    /// Crate is in the protocol set (panic/index rules apply).
+    /// Crate is in the protocol set (the panic rule applies).
     pub is_protocol: bool,
     /// File is a transcript-affecting module (determinism rule applies).
     pub is_transcript: bool,
@@ -46,9 +46,6 @@ pub fn lint_source(meta: &FileMeta, source: &str, cfg: &LintConfig) -> Vec<Findi
 
     if meta.is_protocol {
         panic_rule(&lexed.tokens, &test_mask, &mut |r, l, m| {
-            push(&mut out, &mut allows, r, l, m)
-        });
-        index_rule(&lexed.tokens, &test_mask, &mut |r, l, m| {
             push(&mut out, &mut allows, r, l, m)
         });
     }
@@ -229,42 +226,6 @@ fn panic_rule(
     }
 }
 
-fn index_rule(
-    tokens: &[Token],
-    mask: &[bool],
-    emit: &mut dyn FnMut(RuleId, usize, String),
-) {
-    for (i, t) in tokens.iter().enumerate() {
-        if mask[i] || !t.is_punct('[') || i == 0 {
-            continue;
-        }
-        let prev = &tokens[i - 1];
-        let is_index_base = match prev.kind {
-            TokKind::Ident => !is_keyword(&prev.text),
-            TokKind::Punct => prev.is_punct(')') || prev.is_punct(']') || prev.is_punct('?'),
-            _ => false,
-        };
-        if is_index_base {
-            emit(
-                RuleId::Index,
-                t.line,
-                "slice indexing can panic; prefer `.get()` or a pattern-proof access"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// Keywords that may directly precede `[` without forming an index
-/// expression (`return [..]`, `in [..]`, `else [..]` etc.).
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "return" | "in" | "else" | "match" | "if" | "while" | "box" | "mut" | "ref" | "move"
-            | "break" | "const" | "static" | "as" | "dyn" | "impl" | "where" | "for" | "let"
-    )
-}
-
 fn determinism_rule(
     tokens: &[Token],
     mask: &[bool],
@@ -341,7 +302,7 @@ fn secret_type_rule(
 }
 
 /// Walk backwards from a `struct`/`enum` keyword over visibility and
-/// attribute groups; report `Debug`/`Serialize` derives on secret types.
+/// attribute groups; report `Debug` derives on secret types.
 fn check_derives(
     tokens: &[Token],
     kw_idx: usize,
@@ -389,29 +350,15 @@ fn check_derives(
         }
         // Inspect the group: `derive(...)`?
         if tokens.get(open + 1).map(|t| t.is_ident("derive")).unwrap_or(false) {
-            for t in &tokens[open + 2..close] {
-                if t.kind != TokKind::Ident {
-                    continue;
-                }
-                match t.text.as_str() {
-                    "Debug" => emit(
-                        RuleId::SecretDebug,
-                        t.line,
-                        format!(
-                            "secret type `{type_name}` derives Debug; write a redacted \
-                             impl (mark it `lint:redact`)"
-                        ),
+            for t in tokens[open + 2..close].iter().filter(|t| t.is_ident("Debug")) {
+                emit(
+                    RuleId::SecretDebug,
+                    t.line,
+                    format!(
+                        "secret type `{type_name}` derives Debug; write a redacted \
+                         impl (mark it `lint:redact`)"
                     ),
-                    "Serialize" => emit(
-                        RuleId::SecretSerialize,
-                        t.line,
-                        format!(
-                            "secret type `{type_name}` derives Serialize; justify with a \
-                             `lint:allow(secret-serialize)` or `lint:redact` marker"
-                        ),
-                    ),
-                    _ => {}
-                }
+                );
             }
         }
         j = open - 1;
@@ -691,15 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn indexing_is_warn_level_finding() {
-        let f = lint(&protocol_meta(), "fn f(v: &[u8]) -> u8 { v[0] }");
-        assert!(f.iter().any(|f| f.rule == RuleId::Index));
-        // Array type syntax and attribute brackets are not index expressions.
-        let f = lint(&protocol_meta(), "#[derive(Clone)]\nstruct A { x: [u8; 4] }");
-        assert!(f.iter().all(|f| f.rule != RuleId::Index), "{f:?}");
-    }
-
-    #[test]
     fn determinism_rule_only_in_transcript_modules() {
         let src = "use std::collections::HashMap;\nfn f() { let t = std::time::Instant::now(); }";
         let f = lint(&protocol_meta(), src);
@@ -719,9 +657,9 @@ mod tests {
 
     #[test]
     fn secret_derive_with_redact_marker_ok() {
-        let src = "// lint:redact: value field is skipped by the manual impl\n#[derive(Clone, Serialize)]\npub struct SecretKeyShare { v: u64 }";
+        let src = "// lint:redact: delegates to the redacted inner impl\n#[derive(Clone, Debug)]\npub struct SecretKeyShare { v: u64 }";
         let f = lint(&protocol_meta(), src);
-        assert!(f.iter().all(|f| f.rule != RuleId::SecretSerialize), "{f:?}");
+        assert!(f.iter().all(|f| f.rule != RuleId::SecretDebug), "{f:?}");
     }
 
     #[test]

@@ -46,7 +46,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, RwLock};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use yoso_field::allocstats::ensure_filled;
 use yoso_field::ntt::{self, NttDomain, NttScratch};
@@ -136,7 +135,7 @@ impl From<FieldError> for PssError {
 /// provide identical secrecy and reconstruction guarantees (any set of
 /// pairwise-distinct points does); they differ only in which fast
 /// paths apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PointLayout {
     /// Secrets at `0, −1, …, −(k−1)`; party `i` at `i + 1`. The
     /// paper's presentation and the default. Interpolation over these
@@ -154,8 +153,7 @@ pub enum PointLayout {
 }
 
 /// One party's share of a packed sharing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Share<F: PrimeField> {
     /// 0-based party index (party `i` evaluates at point `i + 1`).
     pub party: usize,
@@ -165,11 +163,7 @@ pub struct Share<F: PrimeField> {
 
 /// A complete degree-`d` packed sharing: the dealer-side view holding
 /// all `n` share values.
-// lint:redact: Debug is implemented manually below and prints no share
-// values (the full vector reconstructs the packed secrets); Serialize is
-// required because dealt sharings cross the wire.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Clone, PartialEq, Eq)]
 pub struct PackedShares<F: PrimeField> {
     degree: usize,
     values: Vec<F>,

@@ -41,7 +41,6 @@
 
 pub mod montecarlo;
 
-use serde::{Deserialize, Serialize};
 
 /// The analysis security parameters (paper defaults: `k₁ = 64`,
 /// `k₂ = k₃ = 128`).
@@ -49,7 +48,7 @@ use serde::{Deserialize, Serialize};
 /// - The adversary may grind the sortition at most `2^{k₁}` times.
 /// - `φ < t` holds except with probability `2^{−k₂}`.
 /// - `t ≤ c·(1/2 − ε)` holds except with probability `2^{−k₃}`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SecurityParams {
     /// Grinding budget exponent.
     pub k1: u32,
@@ -66,7 +65,7 @@ impl Default for SecurityParams {
 }
 
 /// The outcome of the gap analysis for one `(C, f)` point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GapAnalysis {
     /// The sortition parameter (expected committee size).
     pub c_param: f64,
@@ -167,7 +166,7 @@ pub const TABLE1_C: [f64; 5] = [1000.0, 5000.0, 10000.0, 20000.0, 40000.0];
 pub const TABLE1_F: [f64; 5] = [0.05, 0.10, 0.15, 0.20, 0.25];
 
 /// One row of Table 1 (`None` = the paper's `⊥`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// Sortition parameter.
     pub c_param: f64,

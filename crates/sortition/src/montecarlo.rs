@@ -8,12 +8,11 @@
 //! (conservative) Chernoff analysis is implemented correctly.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{GapAnalysis, SecurityParams};
 
 /// Outcome of a Monte-Carlo validation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct McReport {
     /// Number of sampled committees.
     pub trials: u64,

@@ -29,7 +29,6 @@
 //! cryptographic instantiation is [`crate::paillier`].
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use yoso_field::{lagrange, PrimeField};
 use yoso_pss_sharing::shamir::{self, PowerTable, ZeroWeights};
@@ -38,8 +37,7 @@ use yoso_pss_sharing::{PssError, Share};
 use crate::TeError;
 
 /// Public key of the mock threshold scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey<F: PrimeField> {
     /// Committee size.
     pub n: usize,
@@ -54,11 +52,7 @@ pub struct PublicKey<F: PrimeField> {
 }
 
 /// A party's share of the threshold secret key.
-// lint:redact: Debug is implemented manually below and prints the party
-// index only; Serialize is required because shares cross the wire
-// (transport encryption is the protocol layer's responsibility).
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct KeyShare<F: PrimeField> {
     /// 0-based party index.
     pub party: usize,
@@ -77,8 +71,7 @@ impl<F: PrimeField> std::fmt::Debug for KeyShare<F> {
 }
 
 /// A ciphertext `(u, v) = (r·g, m + r·h)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ciphertext<F: PrimeField> {
     /// The ephemeral component `r·g`.
     pub u: F,
@@ -92,8 +85,7 @@ impl<F: PrimeField> Ciphertext<F> {
 }
 
 /// A partial decryption `d_i = s_i · u`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartialDec<F: PrimeField> {
     /// 0-based party index.
     pub party: usize,
@@ -107,11 +99,7 @@ pub struct PartialDec<F: PrimeField> {
 /// In the YOSO protocol the subshares are additionally encrypted to the
 /// recipients; encryption happens at the protocol layer so that this
 /// module stays a clean algebra layer.
-// lint:redact: Debug is implemented manually below and prints no
-// subshares; Serialize is required because re-share messages cross the
-// wire (recipient-side encryption happens at the protocol layer).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ReshareMsg<F: PrimeField> {
     /// 0-based index of the re-sharing (previous-committee) party.
     pub from: usize,
@@ -528,8 +516,7 @@ pub struct LinearPke<F: PrimeField> {
 }
 
 /// Public key of [`LinearPke`]: base `g` and `h = sk·g`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PkePublicKey<F: PrimeField> {
     /// The base `g ≠ 0`.
     pub g: F,
@@ -538,10 +525,7 @@ pub struct PkePublicKey<F: PrimeField> {
 }
 
 /// Secret key of [`LinearPke`].
-// lint:redact: Debug is implemented manually below and prints nothing of
-// the scalar; Serialize is required so clients can persist their keys.
-#[derive(Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct PkeSecretKey<F: PrimeField> {
     /// The secret scalar.
     pub scalar: F,
@@ -556,10 +540,8 @@ impl<F: PrimeField> std::fmt::Debug for PkeSecretKey<F> {
 
 /// A [`LinearPke`] key pair.
 // lint:redact: the derived Debug delegates to PkeSecretKey's redacted
-// impl, so no secret scalar is printed; Serialize is required so clients
-// can persist their keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+// impl, so no secret scalar is printed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PkeKeyPair<F: PrimeField> {
     /// The public portion.
     pub public: PkePublicKey<F>,

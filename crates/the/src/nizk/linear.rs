@@ -31,7 +31,6 @@
 use std::borrow::Borrow;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 
 use rand::Rng;
 use yoso_crypto::Domain;
@@ -222,8 +221,7 @@ impl<F: PrimeField> LinearMap<F> {
 }
 
 /// A non-interactive proof of knowledge of a preimage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Proof<F: PrimeField> {
     /// The commitment `a = M·ρ`.
     pub commitment: Vec<F>,

@@ -14,7 +14,6 @@
 //! not verify.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use yoso_crypto::Domain;
 use yoso_field::PrimeField;
@@ -38,8 +37,7 @@ fn laid_out<F: PrimeField>(map: Result<LinearMap<F>, linear::MapError>) -> Linea
 
 /// Proof of correct encryption: knowledge of `(m, r)` with
 /// `ct = (r·g, m + r·h)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncProof<F: PrimeField> {
     inner: linear::Proof<F>,
 }
@@ -108,8 +106,7 @@ pub fn verify_enc_proof<F: PrimeField>(
 
 /// Proof of correct partial decryption: knowledge of `s_i` with
 /// `vk_i = s_i·g` and `d_i = s_i·u`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdecProof<F: PrimeField> {
     inner: linear::Proof<F>,
 }
@@ -181,8 +178,7 @@ pub fn verify_pdec_proof<F: PrimeField>(
 ///
 /// The verifier additionally checks `C_0 = vk_from` (the constant term
 /// really is the sender's key share) outside the sigma protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReshareProof<F: PrimeField> {
     inner: linear::Proof<F>,
 }
@@ -340,8 +336,7 @@ pub fn verify_reshare_proof<F: PrimeField>(
 /// `published = offset − k · slope` (where `offset`/`slope` are public
 /// functions of the on-board ciphertexts and the public μ values; see
 /// `yoso-core::online` for the construction).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(bound = "")]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShareProof<F: PrimeField> {
     inner: linear::Proof<F>,
 }

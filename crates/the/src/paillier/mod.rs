@@ -39,14 +39,13 @@ pub use fixed_base::{EncryptionContext, FixedBaseTable};
 pub use multi_exp::{multi_exp, multi_exp_nat};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use yoso_bignum::{prime, Int, MontgomeryCtx, Nat, Sign};
 
 use crate::TeError;
 
 /// Public key and threshold parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicKey {
     /// The modulus `N = p·q`.
     pub n_mod: Nat,
@@ -69,10 +68,7 @@ pub struct PublicKey {
 /// `value` is `f(party+1)` for the current integer sharing polynomial
 /// `f` with `f(0) = scale·d`. Freshly generated keys have `scale = 1`;
 /// each re-sharing multiplies `scale` by `Δ²`.
-// lint:redact: Debug is implemented manually below and prints no limb
-// data; Serialize is required because shares cross the wire (transport
-// encryption is the protocol layer's responsibility).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct KeyShare {
     /// 0-based party index.
     pub party: usize,
@@ -95,14 +91,14 @@ impl std::fmt::Debug for KeyShare {
 }
 
 /// A Paillier ciphertext (an element of `Z_{N²}^*`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ciphertext {
     /// The ciphertext value.
     pub value: Nat,
 }
 
 /// A partial decryption `d_i = c^{2Δ·s_i} mod N²`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialDec {
     /// 0-based party index.
     pub party: usize,
@@ -116,10 +112,7 @@ pub struct PartialDec {
 /// In a real deployment the subshares travel encrypted to their
 /// recipients; this algebra layer exposes them in the clear and the
 /// protocol layer handles confidentiality.
-// lint:redact: Debug is implemented manually below and prints no
-// subshare limbs; Serialize is required because re-share messages cross
-// the wire (recipient-side encryption is the protocol layer's job).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ReshareMsg {
     /// 0-based index of the re-sharing party.
     pub from: usize,

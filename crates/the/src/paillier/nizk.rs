@@ -12,7 +12,6 @@
 //!   verification key `v_i`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use yoso_bignum::{Int, MontgomeryCtx, Nat, Sign};
 use yoso_crypto::Transcript;
@@ -29,7 +28,7 @@ const MASK_BITS: usize = 80;
 
 /// Proof of knowledge of plaintext and randomness for a Paillier
 /// ciphertext.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncProof {
     /// Commitment `A = (1+N)^x · u^N mod N²`.
     pub a: Nat,
@@ -93,7 +92,7 @@ pub fn verify_enc(pk: &PublicKey, ct: &Ciphertext, proof: &EncProof) -> bool {
 /// Discrete-log-equality proof that a partial decryption used the
 /// committed key share: `d_i² = (c⁴)^σ` and `v_i = v^σ` for
 /// `σ = Δ·s_i`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdecProof {
     /// Commitment `A = (c⁴)^ρ`.
     pub a: Nat,

@@ -7,12 +7,11 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::role::Committee;
 
 /// What an actively corrupted role does when its turn comes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ActiveAttack {
     /// Publish a uniformly random wrong value in place of the correct
     /// one (with a proof that cannot verify).
@@ -27,7 +26,7 @@ pub enum ActiveAttack {
 }
 
 /// The behavior of a single role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Behavior {
     /// Follows the protocol; state is private.
     Honest,
@@ -61,7 +60,7 @@ impl Behavior {
 }
 
 /// An adversary configuration: how committees get corrupted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Adversary {
     /// Number of actively malicious roles per committee.
     pub malicious_per_committee: usize,

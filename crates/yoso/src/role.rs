@@ -3,7 +3,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 use crate::adversary::Behavior;
 
@@ -14,7 +13,7 @@ use crate::adversary::Behavior;
 /// bump, not a string allocation. Every role a [`Committee`] hands out
 /// shares the committee's own label allocation, which is what lets the
 /// board's run-length log recognise same-committee postings by pointer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RoleId {
     /// The committee this role belongs to (e.g. `"off-1"`, `"on-3"`).
     pub committee: Arc<str>,

@@ -11,10 +11,9 @@
 //! Monte Carlo in experiment E6).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of sampling one committee from the global pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampledCommittee {
     /// Actual committee size `c` (random, expectation `C`).
     pub size: usize,

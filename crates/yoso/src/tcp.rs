@@ -66,7 +66,7 @@
 //! TCP and in-process; the transport-parity suite in `yoso-core`
 //! asserts exactly that. Message
 //! payloads cross the wire via the deterministic [`WireMessage`]
-//! codec, never a `Debug` or serde format.
+//! codec, never a `Debug` format.
 //!
 //! A logical batch whose encoding exceeds [`TcpOptions::max_post_frame_bytes`]
 //! is split client-side into several consecutive post frames sent

@@ -774,9 +774,8 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
 
 /// A value with a canonical byte encoding for the TCP board wire.
 ///
-/// The workspace's `serde` is an offline marker-trait shim (no wire
-/// format), so board messages that cross process boundaries implement
-/// this hand-rolled codec instead. Encodings must be deterministic:
+/// The one codec of the workspace: board messages that cross process
+/// boundaries implement it by hand. Encodings must be deterministic:
 /// the transcript-parity guarantee compares re-decoded postings
 /// byte-for-byte.
 pub trait WireMessage: Sized {

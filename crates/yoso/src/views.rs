@@ -13,12 +13,11 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 
 use crate::role::RoleId;
 
 /// One exposure: a corrupted role revealed its piece of a secret object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeakEntry {
     /// The corrupted (malicious or leaky) role.
     pub role: RoleId,
