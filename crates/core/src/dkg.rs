@@ -125,7 +125,7 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
         }
     }
     let h = summed[0];
-    let vks: Vec<F> = table.eval_all(&summed).collect();
+    let vks = table.eval_all(&summed);
     let shares: Vec<Option<KeyShare<F>>> = (0..n)
         .map(|j| {
             let value: F = qualified
@@ -271,6 +271,7 @@ mod tests {
         let commitments: Vec<F61> = coeffs.iter().map(|&a| a * g).collect();
         let (enc, rands): (Vec<_>, Vec<_>) = table
             .eval_all(&coeffs)
+            .into_iter()
             .zip(&recipient_pks)
             .map(|(sub, rpk)| LinearPke::encrypt(&mut r, rpk, sub))
             .unzip();

@@ -167,6 +167,9 @@ pub struct TskChain<F: PrimeField> {
     /// Custody epoch (increments at each handover; used to label which
     /// sharing of `tsk` a corrupted member exposes).
     epoch: u64,
+    /// The committee's points at degree `t`: `n` and `t` are the
+    /// chain's for life, so every handover deals through this one.
+    table: PowerTable<F>,
     /// Adversarial-view recorder (empty by default).
     leak: LeakLog,
 }
@@ -180,12 +183,7 @@ impl<F: PrimeField> TskChain<F> {
     /// Propagates key-generation errors.
     pub fn keygen<R: Rng + ?Sized>(rng: &mut R, n: usize, t: usize) -> Result<Self, ProtocolError> {
         let (pk, shares) = MockTe::keygen(rng, n, t)?;
-        Ok(TskChain {
-            pk,
-            shares: shares.into_iter().map(Some).collect(),
-            epoch: 0,
-            leak: LeakLog::new(),
-        })
+        Self::from_parts(pk, shares.into_iter().map(Some).collect())
     }
 
     /// Builds a chain from an externally generated key (e.g. the
@@ -205,7 +203,8 @@ impl<F: PrimeField> TskChain<F> {
                 pk.n
             )));
         }
-        Ok(TskChain { pk, shares, epoch: 0, leak: LeakLog::new() })
+        let table = PowerTable::new(pk.n, pk.t);
+        Ok(TskChain { pk, shares, epoch: 0, table, leak: LeakLog::new() })
     }
 
     /// Attaches an adversarial-view recorder: corrupted (malicious or
@@ -518,9 +517,9 @@ impl<F: PrimeField> TskChain<F> {
             )));
         }
         let recipient_pks: Vec<PkePublicKey<F>> = next_keys.iter().map(|kp| kp.public).collect();
-        let table = PowerTable::new(n, t);
+        let table = &self.table;
         // One map per handover, shared by its dealers.
-        let map = cfg.produce_proofs.then(|| DealMap::new(self.pk.g, &recipient_pks, &table));
+        let map = cfg.produce_proofs.then(|| DealMap::new(self.pk.g, &recipient_pks, table));
 
         let mut msgs: Vec<PostedReshare<F>> = Vec::new();
         let mut posts = PostBuffer::new();
@@ -537,7 +536,7 @@ impl<F: PrimeField> TskChain<F> {
                 };
                 map.verify_reshare(&self.pk, from, targets, &proof)
             };
-            msgs.push(deal(turn, self.pk.g, |_| share.value, &table, &recipient_pks, relation));
+            msgs.push(deal(turn, self.pk.g, |_| share.value, table, &recipient_pks, relation));
         });
         sb.flush_buffer(posts)?;
 
@@ -570,7 +569,7 @@ impl<F: PrimeField> TskChain<F> {
         let vks = MockTe::next_verification_keys(
             &weights,
             providers.iter().map(|m| m.commitments.as_slice()),
-            &table,
+            table,
         );
         self.pk.vks = vks;
         self.shares = new_shares;
@@ -615,7 +614,7 @@ pub(crate) fn deal<F: PrimeField>(
         let commitments = coeffs.iter().map(|&a| a * g).collect();
         let mut enc_subshares = Vec::with_capacity(recipient_pks.len());
         let mut rands = Vec::with_capacity(recipient_pks.len());
-        for (sub, rpk) in table.eval_all(&coeffs).zip(recipient_pks) {
+        for (sub, rpk) in table.eval_all(&coeffs).into_iter().zip(recipient_pks) {
             let (ct, r) = LinearPke::encrypt(rng, rpk, sub);
             enc_subshares.push(ct);
             rands.push(r);
@@ -1094,6 +1093,31 @@ mod tests {
         let (pk, shares) = MockTe::<F61>::keygen(&mut r, 5, 1).unwrap();
         let slots = shares.into_iter().take(4).map(Some).collect();
         assert!(matches!(TskChain::from_parts(pk, slots), Err(ProtocolError::BadParameters(_))));
+    }
+
+    /// Fifty handovers at (n, t) = (64, 15) with proofs off: the final
+    /// key shares and verification keys, pinned at the commit before
+    /// dealing moved from per-point dots to differences.
+    #[test]
+    fn fifty_handovers_end_in_the_pinned_key_shares() {
+        let mut r = rand::rngs::StdRng::seed_from_u64(20261005);
+        let (n, t) = (64usize, 15usize);
+        let board = BulletinBoard::new();
+        let cfg = ExecutionConfig { produce_proofs: false, ..ExecutionConfig::default() };
+        let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+        for epoch in 0..50 {
+            let outgoing = Committee::honest(format!("h{epoch}"), n);
+            let next_keys: Vec<PkeKeyPair<F61>> =
+                (0..n).map(|_| LinearPke::keygen(&mut r)).collect();
+            chain.handover(&mut r, &board, &outgoing, &cfg, "x", &next_keys).unwrap();
+        }
+        let mut hasher = yoso_crypto::sha256::Sha256::new();
+        for j in 0..n {
+            hasher.update(&chain.share_of(j).unwrap().value.to_bytes());
+            hasher.update(&chain.pk.vks[j].to_bytes());
+        }
+        let got: String = hasher.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, "d4f02e038719cc984e7651d442c99fac83dd09a300facdbcbe149b13ce1ff2a8");
     }
 
     #[test]

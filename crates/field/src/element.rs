@@ -133,6 +133,25 @@ pub trait PrimeField:
         debug_assert_eq!(a.len(), b.len(), "dot of unequal lengths");
         a.iter().zip(b).fold(Self::ZERO, |acc, (&x, &y)| acc + x * y)
     }
+
+    /// Extends a polynomial along consecutive points from its forward
+    /// differences: given `diffs[j] = Δ^j f(x₀)` for `j = 0..=deg f`,
+    /// writes `f(x₀), f(x₀ + 1), …` into `out`. Each further point
+    /// costs `deg f` additions, `d_j ← d_j + d_{j+1}`, and no
+    /// multiplication.
+    ///
+    /// Like [`Self::dot`], an override may delay reductions ([`F61`]
+    /// does) and still writes the elements this fold writes.
+    fn extend_differences(diffs: &[Self], out: &mut [Self]) {
+        let mut d = diffs.to_vec();
+        for y in out {
+            *y = d.first().copied().unwrap_or(Self::ZERO);
+            for j in 1..d.len() {
+                let next = d[j];
+                d[j - 1] += next;
+            }
+        }
+    }
 }
 
 /// The Mersenne prime `p = 2^61 − 1`.
@@ -168,7 +187,21 @@ impl F61 {
         F61(v)
     }
 
-    /// Reduces an arbitrary `u128` modulo `p = 2^61 − 1`.
+    /// Reduces the product of two canonical residues: it is below
+    /// `2^122`, so two 61-bit chunks whose sum is below `2p`.
+    #[inline]
+    fn reduce_product(v: u128) -> u64 {
+        debug_assert!(v >> 122 == 0);
+        let s = (v as u64 & P61) + (v >> 61) as u64;
+        if s >= P61 {
+            s - P61
+        } else {
+            s
+        }
+    }
+
+    /// Reduces an arbitrary `u128` modulo `p = 2^61 − 1` ([`Self::dot`]'s
+    /// 32-term sums).
     #[inline]
     fn reduce128(v: u128) -> u64 {
         // Split into 61-bit chunks and add: since p = 2^61 - 1,
@@ -221,6 +254,35 @@ impl PrimeField for F61 {
             acc = F61::reduce128(wide);
         }
         F61(acc)
+    }
+
+    /// Raw residues in two ping-pong buffers, two steps a pass: one
+    /// plain, `d_j + d_{j+1}`, and one folded by `(v & p) + (v >> 61)`,
+    /// together `fold(d_j + 2·d_{j+1} + d_{j+2})`. A folded entry is at
+    /// most `p + 7`, so the plain step leaves at most `2(p + 7)` and
+    /// the sum at most `4(p + 7) < 2^64`. Only the values written out
+    /// are made canonical. The last `diffs.len() − 1` points no longer
+    /// need the high differences, so the live prefix shrinks with the
+    /// points left.
+    fn extend_differences(diffs: &[F61], out: &mut [F61]) {
+        // The top difference is constant and the one above it zero:
+        // they sit in both buffers and are never written.
+        let mut a: Vec<u64> = diffs.iter().map(|d| d.0).chain([0, 0]).collect();
+        let mut b = a.clone();
+        let mut left = out.len();
+        for pair in out.chunks_mut(2) {
+            pair[0] = F61::from_u64(a[0]);
+            if let Some(second) = pair.get_mut(1) {
+                *second = F61::from_u64(a[0] + a[1]);
+                left -= 2;
+                let live = left.min(diffs.len().saturating_sub(1));
+                for (d, w) in b[..live].iter_mut().zip(a[..live + 2].windows(3)) {
+                    let v = w[0] + 2 * w[1] + w[2];
+                    *d = (v & P61) + (v >> 61);
+                }
+                std::mem::swap(&mut a, &mut b);
+            }
+        }
     }
 }
 
@@ -275,7 +337,7 @@ impl Mul for F61 {
     type Output = F61;
     #[inline]
     fn mul(self, rhs: F61) -> F61 {
-        F61(F61::reduce128(self.0 as u128 * rhs.0 as u128))
+        F61(F61::reduce_product(self.0 as u128 * rhs.0 as u128))
     }
 }
 
@@ -362,6 +424,18 @@ mod tests {
             let b = rng.gen::<u64>() % P61;
             let expect = ((a as u128 * b as u128) % P61 as u128) as u64;
             assert_eq!((F61(a) * F61(b)).as_u64(), expect);
+        }
+    }
+
+    #[test]
+    fn mul_reduction_at_the_corners() {
+        let corners =
+            [0, 1, 2, P61 - 2, P61 - 1, 1 << 60, (1 << 32) - 1, (1 << 32) + 1];
+        for a in corners {
+            for b in corners {
+                let expect = ((a as u128 * b as u128) % P61 as u128) as u64;
+                assert_eq!((F61(a) * F61(b)).as_u64(), expect, "{a} · {b}");
+            }
         }
     }
 

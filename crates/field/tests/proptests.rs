@@ -137,6 +137,72 @@ fn f61_dot_of_maximal_residues_at_chunk_edges() {
     }
 }
 
+/// The reduce-per-addition fold every `PrimeField::extend_differences`
+/// must equal: `out.len()` values, `d_j ← d_j + d_{j+1}` between them.
+fn naive_extend<F: PrimeField>(diffs: &[F], len: usize) -> Vec<F> {
+    let mut d = diffs.to_vec();
+    (0..len)
+        .map(|_| {
+            let y = d.first().copied().unwrap_or(F::ZERO);
+            for j in 1..d.len() {
+                let next = d[j];
+                d[j - 1] += next;
+            }
+            y
+        })
+        .collect()
+}
+
+fn extended<F: PrimeField>(diffs: &[F], len: usize) -> Vec<F> {
+    let mut out = vec![F::ONE; len];
+    F::extend_differences(diffs, &mut out);
+    out
+}
+
+// `F61::extend_differences` keeps raw residues and folds every other
+// step; no differences (the zero polynomial), a constant, fewer points
+// than differences and odd point counts are its corners.
+proptest! {
+    #[test]
+    fn f61_extension_equals_the_naive_fold(
+        diffs in prop::collection::vec(felt(), 0..=40),
+        len in 0usize..=90,
+    ) {
+        prop_assert_eq!(extended(&diffs, len), naive_extend(&diffs, len));
+    }
+
+    #[test]
+    fn small_field_extension_uses_the_default_fold(
+        diffs in prop::collection::vec(any::<u64>(), 0..=40),
+        len in 0usize..=90,
+    ) {
+        type F97 = yoso_field::Fp<97>;
+        let diffs: Vec<F97> = diffs.into_iter().map(F97::from_u64).collect();
+        prop_assert_eq!(extended(&diffs, len), naive_extend(&diffs, len));
+    }
+}
+
+/// The bound the lazy reduction rests on — two steps of entries
+/// `≤ p + 7` stay below `2^64` — attacked with the largest residues
+/// through a whole (n, t) = (2048, 511) sweep. Debug builds and the
+/// `test-debug-assertions` job check every addition for overflow.
+#[test]
+fn f61_extension_of_maximal_differences_does_not_overflow() {
+    use rand::SeedableRng;
+    let (n, t) = (2048usize, 511usize);
+    let top = -F61::ONE;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+    let cases: [(&str, Vec<F61>); 4] = [
+        ("all p − 1", vec![top; t + 1]),
+        ("p − 1 at even j", (0..=t).map(|j| if j % 2 == 0 { top } else { F61::ZERO }).collect()),
+        ("p − 1 at odd j", (0..=t).map(|j| if j % 2 == 1 { top } else { F61::ZERO }).collect()),
+        ("random", (0..=t).map(|_| F61::random(&mut rng)).collect()),
+    ];
+    for (name, diffs) in &cases {
+        assert_eq!(extended(diffs, n), naive_extend(diffs, n), "{name}");
+    }
+}
+
 /// Pairwise-distinct evaluation points (1 ≤ n < 24).
 fn distinct_points() -> impl Strategy<Value = Vec<F61>> {
     prop::collection::vec(felt(), 1..24).prop_map(|mut xs| {

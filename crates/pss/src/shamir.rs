@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use rand::Rng;
 
-use yoso_field::{lagrange, EvalDomain, NttDomain, Poly, PrimeField};
+use yoso_field::{lagrange, EvalDomain, NttDomain, PrimeField};
 
 use crate::{PssError, Share};
 
@@ -36,10 +36,8 @@ pub fn share<F: PrimeField, R: Rng + ?Sized>(
     for _ in 0..t {
         coeffs.push(F::random(rng));
     }
-    let poly = Poly::new(coeffs);
-    Ok((0..n)
-        .map(|i| Share { party: i, value: poly.eval(F::from_u64(i as u64 + 1)) })
-        .collect())
+    let values = PowerTable::new(n, t).eval_all(&coeffs);
+    Ok(values.into_iter().enumerate().map(|(party, value)| Share { party, value }).collect())
 }
 
 /// Reconstructs the secret from at least `t + 1` shares, checking any
@@ -221,35 +219,49 @@ impl<F: PrimeField> ZeroWeights<F> {
     }
 }
 
-/// The powers `(i + 1)^c`, `c ≤ degree`, of every party's evaluation
-/// point: a polynomial of that degree is evaluated at all `n` points by
-/// one [`PrimeField::dot`] per party instead of a serially dependent
-/// Horner chain.
+/// The parties' evaluation points `1, 2, …, n`, for polynomials of one
+/// degree: evaluates a polynomial at all of them
+/// ([`PowerTable::eval_all`]) and tabulates their powers
+/// ([`PowerTable::rows`]).
 ///
-/// Building it costs `n · degree` multiplications, as much as one
-/// dealing, so a committee of dealers shares one table.
+/// The points are consecutive, so evaluation goes by forward
+/// differences: the table holds `D[j][c] = Δ^j[X^c](1)`, upper
+/// triangular, which sends coefficients to the differences `Δ^j f(1)`,
+/// and [`PrimeField::extend_differences`] walks those along `1 … n` by
+/// additions. Building it costs about `degree²` multiplications — a
+/// dealing costs half that — whatever `n` is.
 #[derive(Debug, Clone)]
 pub struct PowerTable<F: PrimeField> {
+    n: usize,
     width: usize,
-    powers: Vec<F>,
+    /// Row `j` is `D[j][j..=degree]`; rows follow each other.
+    diffs: Vec<F>,
 }
 
 impl<F: PrimeField> PowerTable<F> {
-    /// Tabulates the powers `0..=degree` for parties `0..n`.
+    /// The table for parties `0..n` and polynomials of degree `degree`.
     pub fn new(n: usize, degree: usize) -> Self {
         let width = degree + 1;
-        let mut powers = vec![F::ONE; n * width];
-        for (i, row) in powers.chunks_exact_mut(width).enumerate() {
-            if let Some(x) = row.get_mut(1) {
-                *x = F::from_u64(i as u64 + 1);
+        // Δ^j(X·g)(x) = (x + j)·Δ^j g(x) + j·Δ^(j−1) g(x), at x = 1 and
+        // g = X^c: D[j][c + 1] = (j + 1)·D[j][c] + j·D[j − 1][c], from
+        // D[0][c] = 1 and D[j][c] = 0 below the diagonal.
+        let mut diffs = Vec::with_capacity(width * (width + 1) / 2);
+        diffs.resize(width, F::ONE);
+        let mut above = 0;
+        for j in 1..width {
+            let row = diffs.len();
+            let (j0, j1) = (F::from_u64(j as u64), F::from_u64(j as u64 + 1));
+            // Entry k of row j is column j + k; one column to its left
+            // are D[j][j + k − 1], zero when left of the diagonal, and
+            // entry k of the row above.
+            let mut entry = F::ZERO;
+            for k in 0..width - j {
+                entry = j1 * entry + j0 * diffs[above + k];
+                diffs.push(entry);
             }
-            // x^c = x^⌊c/2⌋ · x^⌈c/2⌉: both factors lie far behind c,
-            // so consecutive entries do not wait on each other.
-            for c in 2..width {
-                row[c] = row[c / 2] * row[c - c / 2];
-            }
+            above = row;
         }
-        PowerTable { width, powers }
+        PowerTable { n, width, diffs }
     }
 
     /// The polynomial degree tabulated.
@@ -258,15 +270,42 @@ impl<F: PrimeField> PowerTable<F> {
     }
 
     /// Every party's powers `(i + 1)^0 … (i + 1)^degree`, in party
-    /// order.
-    pub fn rows(&self) -> std::slice::ChunksExact<'_, F> {
-        self.powers.chunks_exact(self.width)
+    /// order, computed as asked for: `degree` multiplications a party.
+    pub fn rows(&self) -> impl Iterator<Item = Vec<F>> + '_ {
+        (1..=self.n as u64).map(|x| {
+            let mut row = vec![F::ONE; self.width];
+            if let Some(first) = row.get_mut(1) {
+                *first = F::from_u64(x);
+            }
+            // x^c = x^⌊c/2⌋ · x^⌈c/2⌉: both factors lie far behind c,
+            // so consecutive entries do not wait on each other.
+            for c in 2..self.width {
+                row[c] = row[c / 2] * row[c - c / 2];
+            }
+            row
+        })
+    }
+
+    /// The rows of `D` right of the diagonal: `D[j][j..=degree]` for
+    /// `j = 0..=degree`.
+    fn difference_rows(&self) -> impl Iterator<Item = &[F]> {
+        let mut rows = &self.diffs[..];
+        (0..self.width).map(move |j| {
+            let (row, below) = rows.split_at(self.width - j);
+            rows = below;
+            row
+        })
     }
 
     /// Evaluates `Σ coeffs[c] · X^c` at every party's point, in party
     /// order. `coeffs` must hold exactly `degree + 1` coefficients.
-    pub fn eval_all<'a>(&'a self, coeffs: &'a [F]) -> impl Iterator<Item = F> + 'a {
-        self.rows().map(move |row| F::dot(coeffs, row))
+    pub fn eval_all(&self, coeffs: &[F]) -> Vec<F> {
+        debug_assert_eq!(coeffs.len(), self.width, "one coefficient per tabulated power");
+        let differences: Vec<F> =
+            self.difference_rows().enumerate().map(|(j, row)| F::dot(row, &coeffs[j..])).collect();
+        let mut values = vec![F::ZERO; self.n];
+        F::extend_differences(&differences, &mut values);
+        values
     }
 }
 
@@ -315,7 +354,7 @@ pub fn recombine_subshares<F: PrimeField>(
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use yoso_field::F61;
+    use yoso_field::{Poly, F61};
 
     fn f(v: u64) -> F61 {
         F61::from(v)
@@ -436,6 +475,26 @@ mod tests {
             NttDomain::from_points(&pts).is_ok(),
             "test premise: {{3, −3}} must be transform-friendly"
         );
+    }
+
+    /// `D[j][c] = Δ^j[X^c](1)`, against differences taken numerically
+    /// down each column of the power rows; degrees around one
+    /// `DOT_CHUNK` and the benchmark's.
+    #[test]
+    fn difference_matrix_matches_numerical_differences_of_the_powers() {
+        for t in [0usize, 1, 2, 31, 32, 33, 127] {
+            let table = PowerTable::<F61>::new(t + 1, t);
+            let powers: Vec<Vec<F61>> = table.rows().collect();
+            let mut columns: Vec<Vec<F61>> =
+                (0..=t).map(|c| powers.iter().map(|row| row[c]).collect()).collect();
+            for (j, row) in table.difference_rows().enumerate() {
+                for (c, column) in columns.iter_mut().enumerate() {
+                    let expect = if c < j { F61::ZERO } else { row[c - j] };
+                    assert_eq!(column[0], expect, "t = {t}, D[{j}][{c}]");
+                    *column = column.windows(2).map(|w| w[1] - w[0]).collect();
+                }
+            }
+        }
     }
 
     #[test]

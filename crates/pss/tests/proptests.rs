@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use yoso_field::{F61, PrimeField};
+use yoso_pss_sharing::shamir::PowerTable;
 use yoso_pss_sharing::{shamir, PackedSharing, PointLayout};
 
 fn felt() -> impl Strategy<Value = F61> {
@@ -145,5 +146,53 @@ proptest! {
             prop_assert_eq!(got[i], shamir::reconstruct(shares, t).unwrap());
             prop_assert_eq!(got[i], secret + F61::from_u64(i as u64));
         }
+    }
+}
+
+/// Per-point Horner at `i + 1`: what every dealing must equal, bit for
+/// bit.
+fn horner_at_every_party<F: PrimeField>(coeffs: &[F], n: usize) -> Vec<F> {
+    (1..=n as u64)
+        .map(|x| coeffs.iter().rev().fold(F::ZERO, |acc, &c| acc * F::from_u64(x) + c))
+        .collect()
+}
+
+fn dealing_equals_horner<F: PrimeField>(n: usize, t: usize, seed: u64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let coeffs: Vec<F> = (0..=t).map(|_| F::random(&mut rng)).collect();
+    let dealt = PowerTable::<F>::new(n, t).eval_all(&coeffs);
+    assert_eq!(dealt, horner_at_every_party(&coeffs, n), "n = {n}, t = {t}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // n below, at and above t + 1, odd and even, and (over F_97) past
+    // the modulus, where the points wrap.
+    #[test]
+    fn dealing_by_differences_equals_horner(n in 1usize..=130, t in 0usize..=48, seed in any::<u64>()) {
+        dealing_equals_horner::<F61>(n, t, seed);
+        dealing_equals_horner::<yoso_field::Fp<97>>(n, t, seed);
+    }
+
+    #[test]
+    fn shamir_shares_are_horner_of_the_draws(secret in felt(), seed in any::<u64>(), n in 1usize..40) {
+        let t = (n - 1) / 2;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let shares = shamir::share(&mut rng, secret, n, t).unwrap();
+        let mut replay = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut coeffs = vec![secret];
+        coeffs.extend((0..t).map(|_| F61::random(&mut replay)));
+        let values: Vec<F61> = shares.iter().map(|s| s.value).collect();
+        prop_assert_eq!(values, horner_at_every_party(&coeffs, n));
+        prop_assert!(shares.iter().enumerate().all(|(i, s)| s.party == i));
+    }
+}
+
+#[test]
+fn dealing_by_differences_at_the_corners() {
+    for (n, t) in [(1, 0), (1, 7), (2, 7), (8, 7), (9, 7), (7, 0), (33, 1), (512, 127), (97, 96)] {
+        dealing_equals_horner::<F61>(n, t, 24);
+        dealing_equals_horner::<yoso_field::Fp<97>>(n, t, 24);
     }
 }

@@ -330,7 +330,7 @@ impl<F: PrimeField> MockTe<F> {
             coeffs.push(F::random(rng));
         }
         let commitments = coeffs.iter().map(|&a| a * pk.g).collect();
-        let subshares = table.eval_all(&coeffs).collect();
+        let subshares = table.eval_all(&coeffs);
         (ReshareMsg { from: share.party, commitments, subshares }, coeffs)
     }
 
@@ -346,10 +346,8 @@ impl<F: PrimeField> MockTe<F> {
             return false;
         }
         // Committed evaluation: Σ_j x^j C_j should equal sub · g.
-        PowerTable::new(pk.n, pk.t)
-            .eval_all(&msg.commitments)
-            .zip(&msg.subshares)
-            .all(|(committed, &sub)| committed == sub * pk.g)
+        let committed = PowerTable::new(pk.n, pk.t).eval_all(&msg.commitments);
+        committed.iter().zip(&msg.subshares).all(|(&committed, &sub)| committed == sub * pk.g)
     }
 
     /// `TKRec`: recipient `j` combines the subshares addressed to it
@@ -415,7 +413,7 @@ impl<F: PrimeField> MockTe<F> {
                 *acc += w * c;
             }
         }
-        table.eval_all(&collapsed).collect()
+        table.eval_all(&collapsed)
     }
 
     /// `SimTPDec`: given a ciphertext, a target plaintext `m`, and at

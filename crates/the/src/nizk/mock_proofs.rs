@@ -223,17 +223,17 @@ impl<F: PrimeField> DealMap<F> {
         // One row shape for all three kinds: a run of low columns, then
         // one column of the row's own.
         fn row<F: PrimeField>(
-            powers: &[F],
+            powers: Vec<F>,
             last: (usize, F),
-        ) -> impl Iterator<Item = (usize, F)> + '_ {
-            powers.iter().copied().enumerate().chain(std::iter::once(last))
+        ) -> impl Iterator<Item = (usize, F)> {
+            powers.into_iter().enumerate().chain(std::iter::once(last))
         }
         // Commitments: C_j = a_j · g.
-        let commitments = (0..t1).map(|j| row(&[], (j, g)));
+        let commitments = (0..t1).map(|j| row(Vec::new(), (j, g)));
         // Subshare ciphertexts to recipient m (point x = m + 1):
         //   u_m = r_m · g_m;   v_m = Σ_j x^j a_j + r_m · h_m.
         let ciphertexts = recipient_pks.iter().zip(table.rows()).enumerate().flat_map(
-            |(m, (rpk, powers))| [row(&[], (t1 + m, rpk.g)), row(powers, (t1 + m, rpk.h))],
+            |(m, (rpk, powers))| [row(Vec::new(), (t1 + m, rpk.g)), row(powers, (t1 + m, rpk.h))],
         );
         // Witness (a_0 … a_t, r_1 … r_n).
         let witness_len = t1 + recipient_pks.len();
