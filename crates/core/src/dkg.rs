@@ -137,7 +137,7 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
         .collect();
 
     let pk = PublicKey { n, t, g, h, vks };
-    TskChain::from_parts(pk, shares)
+    TskChain::with_table(pk, shares, table)
 }
 
 /// Derives the public base `g ≠ 0` from the DKG domain separator.

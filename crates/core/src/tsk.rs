@@ -22,7 +22,7 @@
 //! guaranteed output delivery comes from.
 
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,24 +41,14 @@ use crate::parallel::PostBuffer;
 use crate::step::{Step, Turn};
 use crate::{ExecutionConfig, ProtocolError};
 
-/// One provider's encrypted partial decryption for a re-encrypted
-/// value.
-#[derive(Debug, Clone)]
-pub struct ProviderPost<F: PrimeField> {
-    /// 0-based index of the providing committee member.
-    pub provider: usize,
-    /// The partial decryption, encrypted under the target's key.
-    pub ct: Ciphertext<F>,
-    /// Whether the provider's NIZK verified.
-    pub valid: bool,
-}
-
-/// A value re-encrypted from `tpk` to a target public key: the
-/// collection of encrypted partial decryptions posted on the board.
+/// A value re-encrypted from `tpk` to a target public key, folded to
+/// its public opening when its `Re-encrypt` step ends.
 ///
 /// The target opens it with its secret key; *anyone* can compute the
-/// public opening coefficients `(a, b)` with `value = a − sk·b`, which
-/// is what the online μ-share NIZK binds against.
+/// public opening coefficients `(a, b)` with `value = a − sk·b` from the
+/// board, which is what the online μ-share NIZK binds against. That
+/// pair is all a value keeps of its providers' postings, so its size
+/// does not grow with the committee.
 #[derive(Debug, Clone)]
 pub struct ReencryptedValue<F: PrimeField> {
     /// The target public key the partials are encrypted under.
@@ -66,63 +56,35 @@ pub struct ReencryptedValue<F: PrimeField> {
     /// The `v` component of the source ciphertext (public on the
     /// board): the opened value is `source_v − s·u_source`.
     pub source_v: F,
-    /// Provider posts (all of them; consumers filter by `valid`).
-    pub posts: Vec<ProviderPost<F>>,
     /// Threshold: `t + 1` valid posts are needed to open.
     pub t: usize,
-    /// Recombination weights of the canonical subset, shared by every
-    /// value of the batch opened by the same providers (`None` when
-    /// fewer than `t + 1` posts are valid).
-    weights: Option<Arc<ZeroWeights<F>>>,
+    /// The folded `(a, b)`, or how many posts verified when fewer than
+    /// `t + 1` did.
+    opening: Result<(F, F), usize>,
 }
 
 impl<F: PrimeField> ReencryptedValue<F> {
-    /// The canonical opening subset: the first `t + 1` valid posts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError::NotEnoughContributions`] if fewer than
-    /// `t + 1` posts are valid.
-    pub fn canonical_subset(&self) -> Result<Vec<&ProviderPost<F>>, ProtocolError> {
-        let subset: Vec<&ProviderPost<F>> =
-            self.posts.iter().filter(|p| p.valid).take(self.t + 1).collect();
-        if subset.len() < self.t + 1 {
-            return Err(ProtocolError::NotEnoughContributions {
-                step: "re-encrypt opening",
-                got: subset.len(),
-                need: self.t + 1,
-            });
-        }
-        Ok(subset)
-    }
-
     /// The public opening coefficients `(a, b)` such that the
     /// underlying value equals `a − sk·b` for the target's secret
     /// key `sk`.
     ///
-    /// The Lagrange recombination of the partial decryptions happens
+    /// They are folded from the first `t + 1` verified posts. The
+    /// Lagrange recombination of the partial decryptions happens
     /// *inside* the ciphertexts: combining `(u_j, v_j)` with
     /// coefficients `w_j` yields an encryption of the combined partial
     /// `s·u_ct`, so `value = v_ct − (a_v − sk·a_u)` … folded into
-    /// `(a, b)` below.
+    /// `(a, b)` when the item's step ends.
     ///
     /// # Errors
     ///
-    /// Propagates [`Self::canonical_subset`] errors.
+    /// Returns [`ProtocolError::NotEnoughContributions`] if fewer than
+    /// `t + 1` posts verified.
     pub fn opening_coefficients(&self) -> Result<(F, F), ProtocolError> {
-        let subset = self.canonical_subset()?;
-        let w = self
-            .weights
-            .as_deref()
-            .filter(|w| w.parties().iter().copied().eq(subset.iter().map(|p| p.provider)))
-            .ok_or(ProtocolError::Invariant("opening weights do not match the canonical subset"))?;
-        // Combined encrypted partial: Σ w_j (u_j, v_j) encrypts s·u_ct.
-        let us: Vec<F> = subset.iter().map(|p| p.ct.u).collect();
-        let vs: Vec<F> = subset.iter().map(|p| p.ct.v).collect();
-        let (a_u, a_v) = (w.combine(&us), w.combine(&vs));
-        // s·u_ct = a_v − sk·a_u; value = source_v − s·u_ct
-        //        = (source_v − a_v) + sk·a_u  =  a − sk·b
-        Ok((self.source_v - a_v, -a_u))
+        self.opening.map_err(|got| ProtocolError::NotEnoughContributions {
+            step: "re-encrypt opening",
+            got,
+            need: self.t + 1,
+        })
     }
 
     /// Opens the value with the target's secret key.
@@ -153,6 +115,64 @@ pub struct PostedReshare<F: PrimeField> {
 /// entry unless some member's posts verify on only some of its items.
 type WeightCache<F> = BTreeMap<Vec<usize>, Arc<ZeroWeights<F>>>;
 
+/// The first `t + 1` verified `Re-encrypt` postings of one item, in
+/// posting order: all that its opening needs of them.
+#[derive(Debug)]
+struct FirstValid<F: PrimeField> {
+    need: usize,
+    providers: Vec<usize>,
+    /// The posted encryptions' `u` and `v` components.
+    us: Vec<F>,
+    vs: Vec<F>,
+}
+
+impl<F: PrimeField> FirstValid<F> {
+    fn new(t: usize) -> Self {
+        let need = t + 1;
+        let providers = Vec::with_capacity(need);
+        FirstValid { need, providers, us: Vec::with_capacity(need), vs: Vec::with_capacity(need) }
+    }
+
+    /// Keeps `provider`'s posting if it verified and `t + 1` are not
+    /// kept yet.
+    fn offer(&mut self, provider: usize, enc: &Ciphertext<F>, valid: bool) {
+        if valid && self.providers.len() < self.need {
+            self.providers.push(provider);
+            self.us.push(enc.u);
+            self.vs.push(enc.v);
+        }
+    }
+
+    /// Folds the kept postings into the value's public opening
+    /// `(source_v − Σ w_j v_j, −Σ w_j u_j)`. The weights are looked up
+    /// in `cache`, shared by every worker of one `Re-encrypt` call: they
+    /// depend only on the provider list, so the result does not depend
+    /// on which worker fills an entry. A starved item keeps its count;
+    /// the shortage is reported when (and only if) somebody opens it.
+    fn fold(
+        self,
+        chain: &TskChain<F>,
+        cache: &Mutex<WeightCache<F>>,
+        target: PkePublicKey<F>,
+        source_v: F,
+    ) -> Result<ReencryptedValue<F>, ProtocolError> {
+        let opening = if self.providers.len() < self.need {
+            Err(self.providers.len())
+        } else {
+            let w = {
+                let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+                Arc::clone(chain.shared_weights(&mut cache, self.providers)?)
+            };
+            // Combined encrypted partial: Σ w_j (u_j, v_j) encrypts s·u_ct.
+            let (a_u, a_v) = (w.combine(&self.us), w.combine(&self.vs));
+            // s·u_ct = a_v − sk·a_u; value = source_v − s·u_ct
+            //        = (source_v − a_v) + sk·a_u  =  a − sk·b
+            Ok((source_v - a_v, -a_u))
+        };
+        Ok(ReencryptedValue { target, source_v, t: self.need - 1, opening })
+    }
+}
+
 /// The threshold key's custody state: the public key (with the current
 /// committee's verification keys) plus each current member's share.
 // lint:redact: the derived Debug delegates to KeyShare's redacted impl
@@ -182,12 +202,11 @@ impl<F: PrimeField> TskChain<F> {
     ///
     /// Propagates key-generation errors.
     pub fn keygen<R: Rng + ?Sized>(rng: &mut R, n: usize, t: usize) -> Result<Self, ProtocolError> {
-        let (pk, shares) = MockTe::keygen(rng, n, t)?;
-        Self::from_parts(pk, shares.into_iter().map(Some).collect())
+        let (pk, shares, table) = MockTe::keygen_with_table(rng, n, t)?;
+        Self::with_table(pk, shares.into_iter().map(Some).collect(), table)
     }
 
-    /// Builds a chain from an externally generated key (e.g. the
-    /// dealer-free DKG of [`crate::dkg`]).
+    /// Builds a chain from an externally generated key.
     ///
     /// # Errors
     ///
@@ -197,13 +216,32 @@ impl<F: PrimeField> TskChain<F> {
         pk: PublicKey<F>,
         shares: Vec<Option<KeyShare<F>>>,
     ) -> Result<Self, ProtocolError> {
+        let table = PowerTable::new(pk.n, pk.t);
+        Self::with_table(pk, shares, table)
+    }
+
+    /// [`Self::from_parts`] keeping the caller's power table for the
+    /// committee's points at degree `t` (the key's generator dealt
+    /// through it, e.g. the dealer-free DKG of [`crate::dkg`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::from_parts`]; [`ProtocolError::Invariant`] if `table`
+    /// is not the one for `(pk.n, pk.t)`.
+    pub(crate) fn with_table(
+        pk: PublicKey<F>,
+        shares: Vec<Option<KeyShare<F>>>,
+        table: PowerTable<F>,
+    ) -> Result<Self, ProtocolError> {
         if shares.len() != pk.n {
             return Err(ProtocolError::BadParameters(format!(
                 "a committee of {} needs exactly that many share slots",
                 pk.n
             )));
         }
-        let table = PowerTable::new(pk.n, pk.t);
+        if (table.parties(), table.degree()) != (pk.n, pk.t) {
+            return Err(ProtocolError::Invariant("a key's power table is for another (n, t)"));
+        }
         Ok(TskChain { pk, shares, epoch: 0, table, leak: LeakLog::new() })
     }
 
@@ -395,7 +433,7 @@ impl<F: PrimeField> TskChain<F> {
 
     /// [`Self::reencrypt`] posting through an existing sharded board:
     /// per item, one [`Step`] over the share holders from the item's
-    /// own RNG.
+    /// own RNG, folded to its public opening when the step ends.
     pub(crate) fn reencrypt_in<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -409,6 +447,7 @@ impl<F: PrimeField> TskChain<F> {
         let elements = CT_ELEMENTS + ENC_PDEC_PROOF_ELEMENTS;
         let step = Step::new(committee, cfg, phase, Post::EncryptedPartial, elements);
         let seeds: Vec<u64> = items.iter().map(|_| rng.next_u64()).collect();
+        let weights = Mutex::new(WeightCache::new());
         let worker_out = crate::parallel::par_map(cfg.num_threads, &seeds, |item_idx, &seed| {
             let mut irng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut posts = PostBuffer::new();
@@ -418,13 +457,7 @@ impl<F: PrimeField> TskChain<F> {
                 .produce_proofs
                 .then(|| EncryptedPartialMap::new(&self.pk, target))
                 .transpose()?;
-            let mut val = ReencryptedValue {
-                target: *target,
-                source_v: ct.v,
-                posts: Vec::new(),
-                t: self.pk.t,
-                weights: None,
-            };
+            let mut kept = FirstValid::new(self.pk.t);
             let holders = self.holders(committee);
             step.run(&mut irng, &mut posts, map.as_ref(), holders, |mut turn, share| {
                 let vk = self.pk.vks[turn.index];
@@ -443,36 +476,17 @@ impl<F: PrimeField> TskChain<F> {
                         map.verify(vk, ct, &enc, &nizk::LinearProof::garbage(rng, 3, 2))
                     }),
                 };
-                val.posts.push(ProviderPost { provider: turn.index, ct: enc, valid });
+                kept.offer(turn.index, &enc, valid);
             });
-            Ok::<_, ProtocolError>((val, posts))
+            Ok::<_, ProtocolError>((kept.fold(self, &weights, *target, ct.v)?, posts))
         });
-        let mut weights = WeightCache::new();
         let mut out = Vec::with_capacity(items.len());
         for item in worker_out {
-            let (mut val, posts) = item?;
+            let (val, posts) = item?;
             sb.flush_buffer(posts)?;
-            self.attach_opening_weights(&mut weights, &mut val)?;
             out.push(val);
         }
         Ok(out)
-    }
-
-    /// Gives `val` the weights of its canonical subset. A starved value
-    /// keeps `None`: the shortage is reported when (and only if)
-    /// somebody opens it.
-    fn attach_opening_weights(
-        &self,
-        cache: &mut WeightCache<F>,
-        val: &mut ReencryptedValue<F>,
-    ) -> Result<(), ProtocolError> {
-        let need = val.t + 1;
-        let parties: Vec<usize> =
-            val.posts.iter().filter(|p| p.valid).take(need).map(|p| p.provider).collect();
-        if parties.len() == need {
-            val.weights = Some(Arc::clone(self.shared_weights(cache, parties)?));
-        }
-        Ok(())
     }
 
     /// Hands the key over to `next` (whose members' role key pairs are
@@ -965,16 +979,44 @@ mod tests {
                 })
                 .collect();
             let pairs: Vec<_> = items.iter().map(|(kp, _, ct)| (kp.public, *ct)).collect();
+
+            // Replay the postings: one child seed an item, one a
+            // speaking member, whose encryption comes first from it.
+            let mut replay = r.clone();
+            let phase = crate::engine::phase_index("x");
+            let expected: Vec<(F61, F61)> = pairs
+                .iter()
+                .map(|(target, ct)| {
+                    let mut irng = rand::rngs::StdRng::seed_from_u64(replay.next_u64());
+                    let (mut parties, mut us, mut vs) = (Vec::new(), Vec::new(), Vec::new());
+                    for i in 0..n {
+                        let behavior = *committee.behavior(i);
+                        if !behavior.participates_at(phase) {
+                            continue;
+                        }
+                        let mut mrng = rand::rngs::StdRng::seed_from_u64(irng.next_u64());
+                        let honest = behavior == Behavior::Honest;
+                        let d = if honest {
+                            chain.share_of(i).unwrap().value * ct.u
+                        } else {
+                            F61::random(&mut mrng)
+                        };
+                        let (enc, _) = LinearPke::encrypt(&mut mrng, target, d);
+                        if honest && parties.len() <= t {
+                            parties.push(i);
+                            us.push(enc.u);
+                            vs.push(enc.v);
+                        }
+                    }
+                    (
+                        ct.v - interpolated_at_zero(&parties, &vs),
+                        -interpolated_at_zero(&parties, &us),
+                    )
+                })
+                .collect();
+
             let vals = chain.reencrypt(&mut r, &board, &committee, &cfg(), "x", &pairs).unwrap();
-            for (val, (kp, m, _)) in vals.iter().zip(&items) {
-                let subset = val.canonical_subset().unwrap();
-                let parties: Vec<usize> = subset.iter().map(|p| p.provider).collect();
-                let us: Vec<F61> = subset.iter().map(|p| p.ct.u).collect();
-                let vs: Vec<F61> = subset.iter().map(|p| p.ct.v).collect();
-                let expect = (
-                    val.source_v - interpolated_at_zero(&parties, &vs),
-                    -interpolated_at_zero(&parties, &us),
-                );
+            for ((val, (kp, m, _)), expect) in vals.iter().zip(&items).zip(expected) {
                 assert_eq!(val.opening_coefficients().unwrap(), expect, "seed {seed}");
                 assert_eq!(val.open(kp.secret.scalar).unwrap(), *m, "seed {seed}");
             }
@@ -984,29 +1026,62 @@ mod tests {
     #[test]
     fn values_of_one_batch_with_differing_subsets_open() {
         let mut r = rng();
-        let board = BulletinBoard::new();
         let chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
-        let committee = Committee::honest("r", 7);
         let target = LinearPke::<F61>::keygen(&mut r);
-        let ms = [F61::from(11u64), F61::from(22u64), F61::from(33u64)];
-        let pairs: Vec<_> =
-            ms.iter().map(|&m| (target.public, MockTe::encrypt(&mut r, &chain.pk, m).0)).collect();
-        let mut vals = chain.reencrypt(&mut r, &board, &committee, &cfg(), "x", &pairs).unwrap();
-        let shared = vals[0].weights.clone().unwrap();
-        assert!(vals.iter().all(|v| Arc::ptr_eq(v.weights.as_ref().unwrap(), &shared)));
+        let cache = Mutex::new(WeightCache::new());
+        // Provider 0's posting on the middle value does not verify: its
+        // subset is {1, 2, 3}, the others' {0, 1, 2}.
+        for (item, m) in [11u64, 22, 33].into_iter().map(F61::from).enumerate() {
+            let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
+            let mut kept = FirstValid::new(chain.t());
+            for i in 0..7 {
+                let valid = !(item == 1 && i == 0);
+                let d = if valid { chain.share_of(i).unwrap().value * ct.u } else { F61::random(&mut r) };
+                kept.offer(i, &LinearPke::encrypt(&mut r, &target.public, d).0, valid);
+            }
+            let val = kept.fold(&chain, &cache, target.public, ct.v).unwrap();
+            assert_eq!(val.open(target.secret.scalar).unwrap(), m, "item {item}");
+        }
+        let cache = cache.into_inner().unwrap();
+        assert_eq!(cache.keys().collect::<Vec<_>>(), [&vec![0, 1, 2], &vec![1, 2, 3]]);
+    }
 
-        // Provider 0's post on the middle value turns out invalid: the
-        // stale weights are refused, fresh ones open all three.
-        vals[1].posts[0].valid = false;
-        assert!(matches!(vals[1].open(target.secret.scalar), Err(ProtocolError::Invariant(_))));
-        let mut cache = WeightCache::new();
-        for val in &mut vals {
-            chain.attach_opening_weights(&mut cache, val).unwrap();
-        }
-        assert_eq!(cache.len(), 2);
-        for (val, m) in vals.iter().zip(ms) {
-            assert_eq!(val.open(target.secret.scalar).unwrap(), m);
-        }
+    #[test]
+    fn openings_are_identical_at_any_thread_count() {
+        let mut r = rng();
+        let (n, t) = (7, 3);
+        let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+        let committee = Adversary::active(t, ActiveAttack::WrongValue).sample_committee(
+            &mut r,
+            "r",
+            n,
+        );
+        // Enough items for 8 workers of `MIN_ITEMS_PER_THREAD` each.
+        let pairs: Vec<_> = (0..8 * crate::parallel::MIN_ITEMS_PER_THREAD)
+            .map(|_| {
+                let target = LinearPke::<F61>::keygen(&mut r).public;
+                let m = F61::random(&mut r);
+                (target, MockTe::encrypt(&mut r, &chain.pk, m).0)
+            })
+            .collect();
+        let openings = |threads: usize| -> Vec<(F61, F61)> {
+            let mut r = rand::rngs::StdRng::seed_from_u64(7);
+            let cfg = cfg().with_threads(threads);
+            let vals = chain
+                .reencrypt(&mut r, &BulletinBoard::new(), &committee, &cfg, "x", &pairs)
+                .unwrap();
+            vals.iter().map(|v| v.opening_coefficients().unwrap()).collect()
+        };
+        let solo = openings(1);
+        assert_eq!(openings(2), solo);
+        assert_eq!(openings(8), solo);
+    }
+
+    /// A re-encrypted value holds its target, `source_v`, `t` and the
+    /// folded pair, whatever the committee's size.
+    #[test]
+    fn a_reencrypted_value_is_a_few_words() {
+        assert!(std::mem::size_of::<ReencryptedValue<F61>>() <= 64);
     }
 
     #[test]

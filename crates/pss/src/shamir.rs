@@ -28,16 +28,40 @@ pub fn share<F: PrimeField, R: Rng + ?Sized>(
     n: usize,
     t: usize,
 ) -> Result<Vec<Share<F>>, PssError> {
+    // Refused before the table is built: `t` sizes it.
+    check_dealing::<F>(n, t)?;
+    share_with(rng, secret, &PowerTable::new(n, t))
+}
+
+/// [`share`] through the caller's table: a degree-`table.degree()`
+/// sharing of `secret` to `table.parties()` parties. One table serves
+/// every dealing of its `(n, t)`.
+///
+/// # Errors
+///
+/// Same conditions as [`share`].
+pub fn share_with<F: PrimeField, R: Rng + ?Sized>(
+    rng: &mut R,
+    secret: F,
+    table: &PowerTable<F>,
+) -> Result<Vec<Share<F>>, PssError> {
+    check_dealing::<F>(table.parties(), table.degree())?;
+    let mut coeffs = Vec::with_capacity(table.degree() + 1);
+    coeffs.push(secret);
+    for _ in 0..table.degree() {
+        coeffs.push(F::random(rng));
+    }
+    let values = table.eval_all(&coeffs);
+    Ok(values.into_iter().enumerate().map(|(party, value)| Share { party, value }).collect())
+}
+
+/// Refuses a dealing of degree `t` to `n` parties unless `t < n` and the
+/// points `1 … n` are distinct field elements.
+fn check_dealing<F: PrimeField>(n: usize, t: usize) -> Result<(), PssError> {
     if n == 0 || t >= n || (n as u64) >= F::MODULUS - 1 {
         return Err(PssError::BadParameters { n, k: t });
     }
-    let mut coeffs = Vec::with_capacity(t + 1);
-    coeffs.push(secret);
-    for _ in 0..t {
-        coeffs.push(F::random(rng));
-    }
-    let values = PowerTable::new(n, t).eval_all(&coeffs);
-    Ok(values.into_iter().enumerate().map(|(party, value)| Share { party, value }).collect())
+    Ok(())
 }
 
 /// Reconstructs the secret from at least `t + 1` shares, checking any
@@ -269,6 +293,11 @@ impl<F: PrimeField> PowerTable<F> {
         self.width - 1
     }
 
+    /// The number of parties, whose points are `1 … n`.
+    pub fn parties(&self) -> usize {
+        self.n
+    }
+
     /// Every party's powers `(i + 1)^0 … (i + 1)^degree`, in party
     /// order, computed as asked for: `degree` multiplications a party.
     pub fn rows(&self) -> impl Iterator<Item = Vec<F>> + '_ {
@@ -398,6 +427,19 @@ mod tests {
         let mut rng = rng();
         assert!(share(&mut rng, f(1), 3, 3).is_err());
         assert!(share(&mut rng, f(1), 0, 0).is_err());
+        assert!(share_with(&mut rng, f(1), &PowerTable::new(3, 3)).is_err());
+    }
+
+    /// One table serves every dealing of its `(n, t)`, with the draws and
+    /// shares of a dealing that builds its own.
+    #[test]
+    fn a_reused_table_deals_as_a_fresh_one() {
+        let table = PowerTable::new(9, 4);
+        let (mut fresh, mut reused) = (rng(), rng());
+        for secret in [f(3), f(5), f(8)] {
+            let want = share(&mut fresh, secret, 9, 4).unwrap();
+            assert_eq!(share_with(&mut reused, secret, &table).unwrap(), want);
+        }
     }
 
     #[test]

@@ -157,6 +157,22 @@ impl<F: PrimeField> MockTe<F> {
         n: usize,
         t: usize,
     ) -> Result<(PublicKey<F>, Vec<KeyShare<F>>), TeError> {
+        Self::keygen_with_table(rng, n, t).map(|(pk, shares, _)| (pk, shares))
+    }
+
+    /// [`Self::keygen`], also returning the committee's power table at
+    /// degree `t` that the secret was dealt through, for a caller that
+    /// deals again over the same points.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Self::keygen`].
+    #[allow(clippy::type_complexity)]
+    pub fn keygen_with_table<R: Rng + ?Sized>(
+        rng: &mut R,
+        n: usize,
+        t: usize,
+    ) -> Result<(PublicKey<F>, Vec<KeyShare<F>>, PowerTable<F>), TeError> {
         if n == 0 || t >= n {
             return Err(TeError::BadParameters { n, t });
         }
@@ -165,14 +181,15 @@ impl<F: PrimeField> MockTe<F> {
             g = F::random(rng);
         }
         let s = F::random(rng);
+        let table = PowerTable::new(n, t);
         let shares =
-            shamir::share(rng, s, n, t).map_err(|_| TeError::BadParameters { n, t })?;
+            shamir::share_with(rng, s, &table).map_err(|_| TeError::BadParameters { n, t })?;
         let vks = shares.iter().map(|sh| sh.value * g).collect();
         let key_shares = shares
             .iter()
             .map(|sh| KeyShare { party: sh.party, value: sh.value })
             .collect();
-        Ok((PublicKey { n, t, g, h: s * g, vks }, key_shares))
+        Ok((PublicKey { n, t, g, h: s * g, vks }, key_shares, table))
     }
 
     /// `TEnc`: encrypts `m`, returning the ciphertext and the
