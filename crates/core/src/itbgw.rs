@@ -298,7 +298,7 @@ impl ItEngine {
         }
         let n = self.params.n;
         let d = self.params.packing_degree();
-        let scheme = PackedSharing::<F>::with_layout(n, self.params.k, self.params.layout)?;
+        let scheme = PackedSharing::<F>::new(n, self.params.k)?;
         let tables = ReshareTables::new(&scheme, n, self.params.k)?;
         let board: BulletinBoard<Post> = BulletinBoard::metered_only();
 
@@ -589,27 +589,6 @@ mod tests {
         let run = engine.run(&mut rng(2), &program, &inputs).unwrap();
         // <(1,2,3), (4,5,6)> = 32 in every lane.
         assert_eq!(run.outputs[0][0], vec![f(32), f(32), f(32)]);
-    }
-
-    #[test]
-    fn subgroup_layout_matches_sequential_run() {
-        // Same program, same seed, both point layouts: the share values
-        // differ (different evaluation points) but every reconstructed
-        // output must equal the cleartext evaluation.
-        use yoso_pss_sharing::PointLayout;
-        let program = simd_workload(4, 2);
-        let inputs = vec![
-            vec![vec![f(1), f(2), f(3), f(4)], vec![f(5), f(6), f(7), f(8)]],
-            vec![vec![f(9), f(10), f(11), f(12)], vec![f(13), f(14), f(15), f(16)]],
-        ];
-        let expected = program.evaluate(&inputs).unwrap();
-        let seq = ItEngine::new(ProtocolParams::new(14, 2, 4).unwrap()).unwrap();
-        let sub = ItEngine::new(
-            ProtocolParams::new(14, 2, 4).unwrap().with_layout(PointLayout::Subgroup),
-        )
-        .unwrap();
-        assert_eq!(seq.run(&mut rng(11), &program, &inputs).unwrap().outputs, expected);
-        assert_eq!(sub.run(&mut rng(11), &program, &inputs).unwrap().outputs, expected);
     }
 
     #[test]

@@ -79,7 +79,6 @@ pub mod workitem;
 pub use engine::{crash_phases, BoardBackend, Engine, ExecutionConfig, RunResult};
 pub use params::ProtocolParams;
 pub use workitem::{RolePartition, ShardedBoard, WorkItem};
-pub use yoso_pss_sharing::PointLayout;
 
 use yoso_circuit::CircuitError;
 use yoso_pss_sharing::PssError;

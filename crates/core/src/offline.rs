@@ -29,8 +29,6 @@
 //! Total communication: `O(n)` ring elements per gate (measured, not
 //! estimated — see experiment E3).
 
-use std::collections::BTreeMap;
-
 use rand::{Rng, SeedableRng};
 
 use yoso_circuit::{BatchedCircuit, Gate, MulBatch};
@@ -358,23 +356,24 @@ impl<F: PrimeField> BeaverBMap<F> {
 
 /// Step 4 packing: given the `k_b` per-wire mask ciphertexts of a
 /// batch and `t` summed helper-randomness ciphertexts, computes the
-/// `n` packed-share ciphertexts by homomorphic Lagrange evaluation.
+/// `n` packed-share ciphertexts by homomorphic evaluation.
 ///
 /// The implied polynomial has the batch secrets at the scheme's `k_b`
 /// secret points and the helpers at its first `t` party points —
-/// degree `t + k_b − 1`, exactly the paper's construction. Using the
-/// scheme's own dealing rows ([`PackedSharing::dealing_basis_rows`])
-/// keeps the homomorphic packing on whatever [`PointLayout`] the
-/// protocol runs, so the online roles can open these ciphertexts with
-/// the same scheme (and its transform fast paths) they use everywhere
-/// else.
-///
-/// [`PointLayout`]: yoso_pss_sharing::PointLayout
+/// degree `t + k_b − 1`, exactly the paper's construction. A mock
+/// ciphertext is two field elements and `MockTe::eval` is linear in
+/// each, so the packing is the scheme's own dealing evaluator
+/// ([`PackedSharing::extend_into`]) run once over the inputs' `u`s and
+/// once over their `v`s: the same values as evaluating every party's
+/// Lagrange row homomorphically, by additions alone. `shares` holds
+/// one component's shares in turn; a caller packing many batches passes
+/// the same buffer, so it grows once.
 pub fn pack_ciphertexts<F: PrimeField>(
     scheme: &PackedSharing<F>,
     t: usize,
     wire_cts: &[Ciphertext<F>],
     helper_cts: &[Ciphertext<F>],
+    shares: &mut Vec<F>,
 ) -> Result<Vec<Ciphertext<F>>, ProtocolError> {
     if helper_cts.len() != t {
         return Err(ProtocolError::Invariant("need exactly t helper ciphertexts for packing"));
@@ -383,15 +382,18 @@ pub fn pack_ciphertexts<F: PrimeField>(
     if scheme.k() != k_b {
         return Err(ProtocolError::Invariant("packing scheme width does not match the wire count"));
     }
-    let rows = scheme.dealing_basis_rows(t + k_b - 1)?;
-    // Transform work for the ledger: every row is a ciphertext dot
-    // product, 2·(k_b + t) field multiplications.
-    yoso_field::transformstats::bump_slice_muls((rows.len() * 2 * (k_b + t)) as u64);
-    let mut all_cts: Vec<Ciphertext<F>> = wire_cts.to_vec();
-    all_cts.extend_from_slice(helper_cts);
-    rows.into_iter()
-        .map(|row| Ok(MockTe::eval(&all_cts, &row)?))
-        .collect()
+    let inputs = || wire_cts.iter().chain(helper_cts);
+    let mut nodes: Vec<F> = inputs().map(|ct| ct.u).collect();
+    scheme.extend_into(&mut nodes, shares)?;
+    let mut packed: Vec<Ciphertext<F>> = shares.iter().map(|&u| Ciphertext { u, v: F::ZERO }).collect();
+    for (node, ct) in nodes.iter_mut().zip(inputs()) {
+        *node = ct.v;
+    }
+    scheme.extend_into(&mut nodes, shares)?;
+    for (ct, &v) in packed.iter_mut().zip(shares.iter()) {
+        ct.v = v;
+    }
+    Ok(packed)
 }
 
 /// Runs the full offline phase.
@@ -556,18 +558,9 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
     let phase4 = "offline/4-pack";
     type PackedTriple<F> = (Vec<Ciphertext<F>>, Vec<Ciphertext<F>>, Vec<Ciphertext<F>>);
     let mut packed: Vec<PackedTriple<F>> = Vec::with_capacity(bc.mul_batches.len());
-    // One packing scheme per batch width, on the protocol's point
-    // layout; the dealing-row cache inside makes repeated batches of
-    // the same width reuse one basis matrix.
-    let mut pack_schemes: BTreeMap<usize, PackedSharing<F>> = BTreeMap::new();
+    let mut pack_shares: Vec<F> = Vec::new();
     for batch in &bc.mul_batches {
-        let k_b = batch.gates.len();
-        let scheme = match pack_schemes.entry(k_b) {
-            std::collections::btree_map::Entry::Occupied(e) => &*e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(v) => {
-                &*v.insert(PackedSharing::with_layout(n, k_b, params.layout)?)
-            }
-        };
+        let scheme = PackedSharing::new(n, batch.gates.len())?;
         let alpha_wires = batch.left_wires(circuit);
         let beta_wires = batch.right_wires(circuit);
         let alpha_cts: Vec<Ciphertext<F>> =
@@ -598,7 +591,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
                         &mut contrib,
                     )?);
                 }
-                pack_ciphertexts(scheme, t, wires_cts, &helpers)
+                pack_ciphertexts(&scheme, t, wires_cts, &helpers, &mut pack_shares)
             };
         let alpha = pack_one(rng, &alpha_cts)?;
         let beta = pack_one(rng, &beta_cts)?;
@@ -667,7 +660,7 @@ pub fn debug_open_batch_lambda<F: PrimeField>(
     shares: &[ReencryptedValue<F>],
     k_b: usize,
 ) -> Result<Vec<F>, ProtocolError> {
-    let scheme = PackedSharing::<F>::with_layout(params.n, k_b, params.layout)?;
+    let scheme = PackedSharing::<F>::new(params.n, k_b)?;
     let mut opened = Vec::with_capacity(params.n);
     for (i, rv) in shares.iter().enumerate() {
         let sk = setup.kff_pairs[batch.layer][i].secret.scalar;
@@ -793,7 +786,7 @@ mod tests {
             })
             .collect();
         let scheme = PackedSharing::<F61>::new(n, k_b).unwrap();
-        let packed = pack_ciphertexts(&scheme, t, &wire_cts, &helper_cts).unwrap();
+        let packed = pack_ciphertexts(&scheme, t, &wire_cts, &helper_cts, &mut Vec::new()).unwrap();
         assert_eq!(packed.len(), n);
         // Decrypt the share ciphertexts and reconstruct via packed Shamir.
         let share_vals =
@@ -818,41 +811,8 @@ mod tests {
         let ct = MockTe::encrypt(&mut r, &chain.pk, F61::from(1u64)).0;
         let scheme = PackedSharing::<F61>::new(5, 1).unwrap();
         assert!(matches!(
-            pack_ciphertexts::<F61>(&scheme, 2, &[ct], &[ct]),
+            pack_ciphertexts::<F61>(&scheme, 2, &[ct], &[ct], &mut Vec::new()),
             Err(ProtocolError::Invariant(_))
         ));
-    }
-
-    #[test]
-    fn packing_on_subgroup_layout_reconstructs() {
-        // Same flow as above but with every point on the subgroup
-        // layout — the ciphertext rows and the reconstructing scheme
-        // must agree on the geometry.
-        use yoso_pss_sharing::PointLayout;
-        let mut r = rng();
-        let board = BulletinBoard::new();
-        let (n, t, k_b) = (9, 2, 3);
-        let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
-        let committee = RtCommittee::honest("c", n);
-        let values = [F61::from(7u64), F61::from(8u64), F61::from(9u64)];
-        let wire_cts: Vec<Ciphertext<F61>> =
-            values.iter().map(|&v| MockTe::encrypt(&mut r, &chain.pk, v).0).collect();
-        let helper_cts: Vec<Ciphertext<F61>> = (0..t)
-            .map(|_| {
-                let h: F61 = yoso_field::PrimeField::random(&mut r);
-                MockTe::encrypt(&mut r, &chain.pk, h).0
-            })
-            .collect();
-        let scheme = PackedSharing::<F61>::with_layout(n, k_b, PointLayout::Subgroup).unwrap();
-        let packed = pack_ciphertexts(&scheme, t, &wire_cts, &helper_cts).unwrap();
-        let share_vals =
-            chain.decrypt(&mut r, &board, &committee, &cfg(), "t", &packed).unwrap();
-        let shares: Vec<yoso_pss_sharing::Share<F61>> = share_vals
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| yoso_pss_sharing::Share { party: i, value: v })
-            .collect();
-        let degree = t + k_b - 1;
-        assert_eq!(scheme.reconstruct(&shares, degree).unwrap(), values.to_vec());
     }
 }

@@ -32,7 +32,7 @@ use rand::Rng;
 
 use yoso_circuit::{BatchedCircuit, Gate};
 use yoso_field::PrimeField;
-use yoso_pss_sharing::{PackedSharing, ScratchPool, Share};
+use yoso_pss_sharing::{PackedSharing, PssScratch, Share};
 use yoso_runtime::{ActiveAttack, Adversary, Behavior, BulletinBoard, LeakLog, RoleId};
 use yoso_the::mock::{LinearPke, PkeKeyPair, PkePublicKey};
 use yoso_the::nizk::{ShareMap, ShareProof};
@@ -217,12 +217,12 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
     };
 
     // One sharing scheme per batch width, shared across layers: the
-    // evaluation-domain caches inside `PackedSharing` make repeated
-    // `share_public`/`reconstruct` calls O(n) dot products. The share
-    // buffers below are the per-batch hot path — they keep their
+    // reconstruction-domain cache inside `PackedSharing` makes a
+    // repeated `reconstruct` k dot products. The share buffers and the
+    // scratch below are the per-batch hot path — they keep their
     // capacity across every batch and layer.
     let mut schemes: BTreeMap<usize, PackedSharing<F>> = BTreeMap::new();
-    let pool = ScratchPool::new();
+    let mut scratch = PssScratch::new();
     let mut mu_alpha_vals: Vec<F> = Vec::new();
     let mut mu_beta_vals: Vec<F> = Vec::new();
     let mut mu_gamma: Vec<F> = Vec::new();
@@ -235,7 +235,7 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
             let k_b = batch.gates.len();
             let scheme = match schemes.entry(k_b) {
                 Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(v) => v.insert(PackedSharing::<F>::with_layout(n, k_b, params.layout)?),
+                Entry::Vacant(v) => v.insert(PackedSharing::<F>::new(n, k_b)?),
             };
             let rec_degree = params.t + 2 * (k_b - 1);
 
@@ -258,8 +258,8 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     ))
                 })
                 .collect::<Result<_, _>>()?;
-            scheme.share_public_into(&mu_alpha, &mut mu_alpha_vals)?;
-            scheme.share_public_into(&mu_beta, &mut mu_beta_vals)?;
+            scheme.share_public_into(&mu_alpha, &mut mu_alpha_vals, &mut scratch)?;
+            scheme.share_public_into(&mu_beta, &mut mu_beta_vals, &mut scratch)?;
 
             // Per-member share computation is independent: fan out on
             // child RNGs seeded sequentially. This step draws a seed
@@ -365,9 +365,7 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     need: rec_degree + 1,
                 });
             }
-            pool.with(|scratch| {
-                scheme.reconstruct_into(&posted[..rec_degree + 1], rec_degree, &mut mu_gamma, scratch)
-            })?;
+            scheme.reconstruct_into(&posted[..rec_degree + 1], rec_degree, &mut mu_gamma, &mut scratch)?;
             for (j, gw) in batch.gates.iter().enumerate() {
                 mu[gw.0] = Some(mu_gamma[j]);
             }

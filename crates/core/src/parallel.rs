@@ -124,7 +124,7 @@ pub(crate) const MIN_ITEMS_PER_THREAD: usize = 32;
 /// randomness comes from a per-item seed inside `item`). Runs inline
 /// on the caller's thread when `num_threads <= 1` or when the batch is
 /// too small to amortize thread fan-out (fewer than
-/// [`MIN_ITEMS_PER_THREAD`] items per worker after clamping to the
+/// `MIN_ITEMS_PER_THREAD` items per worker after clamping to the
 /// host's available parallelism). The results are identical either
 /// way — the threshold is a pure wall-clock guard.
 pub fn par_map<T, U, F>(num_threads: usize, items: &[T], f: F) -> Vec<U>

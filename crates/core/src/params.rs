@@ -29,11 +29,9 @@ pub struct ProtocolParams {
     pub k: usize,
     /// Number of fail-stop (crash) roles tolerated per committee.
     pub failstops: usize,
-    /// Where the sharing schemes place their evaluation points. A
-    /// protocol-wide parameter: every role derives its points from it.
-    /// [`PointLayout::Subgroup`] unlocks `O(n log n)` transform dealing
-    /// and reconstruction with bit-identical outputs; the default
-    /// [`PointLayout::Sequential`] is the paper's presentation.
+    /// The sharing schemes' point layout, which has one value. It stays
+    /// only because the frozen benchmark package reads it, and goes when
+    /// that package is repaired.
     pub layout: PointLayout,
 }
 
@@ -118,15 +116,6 @@ impl ProtocolParams {
         let k = ((n as f64) * epsilon / 2.0).floor() as usize + 1;
         let failstops = ((n as f64) * epsilon).floor() as usize;
         Self::with_failstops(n, t, k, failstops)
-    }
-
-    /// Selects the [`PointLayout`] for every sharing scheme the
-    /// protocol builds. Validity is unaffected — both layouts use
-    /// pairwise-distinct points — so this is a plain builder.
-    #[must_use]
-    pub fn with_layout(mut self, layout: PointLayout) -> Self {
-        self.layout = layout;
-        self
     }
 
     /// Number of verified μ-shares needed to reconstruct a packed

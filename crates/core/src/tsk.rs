@@ -410,7 +410,7 @@ impl<F: PrimeField> TskChain<F> {
     /// (seeds drawn sequentially from `rng`, one per item) on up to
     /// `cfg.num_threads` workers — the same buffer-and-replay shape as
     /// Beaver triple generation. Each worker owns a
-    /// [`crate::parallel::PostBuffer`]; buffers are flushed in item
+    /// `parallel::PostBuffer`; buffers are flushed in item
     /// order, so the board transcript is byte-identical at any thread
     /// count.
     ///

@@ -329,7 +329,7 @@ impl<'a> ShardedBoard<'a> {
         Ok(())
     }
 
-    /// Accounts a whole [`PostBuffer`] (the parallel engine's replay
+    /// Accounts a whole `PostBuffer` (the parallel engine's replay
     /// path), run by run, according to each run's ownership flag and
     /// preserving recording order. Solo mode replays the buffer onto
     /// the board as **one** transport call: the write lock (or TCP

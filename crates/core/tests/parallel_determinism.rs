@@ -159,27 +159,6 @@ fn every_phase_transcript_identical_across_thread_counts() {
 }
 
 #[test]
-fn transcript_identical_across_thread_counts_subgroup_layout() {
-    // The NTT fast paths (subgroup point layout) must stay a pure
-    // wall-clock optimization too: with the transform plan active in
-    // every scheme the pipeline builds, the complete posting log,
-    // outputs and μ values must be byte-identical at 1, 2 and 8
-    // threads — and identical to each other per phase slice.
-    let adv = Adversary::none();
-    let params = ProtocolParams::new(14, 2, 4)
-        .unwrap()
-        .with_layout(yoso_core::PointLayout::Subgroup);
-    let (t1, out1, mu1, _) = run_transcript_phases(params, 1, &adv);
-    assert!(!t1.is_empty());
-    for threads in [2, 8] {
-        let (tn, outn, mun, _) = run_transcript_phases(params, threads, &adv);
-        assert_eq!(t1, tn, "subgroup-layout log must not depend on num_threads={threads}");
-        assert_eq!(out1, outn);
-        assert_eq!(mu1, mun);
-    }
-}
-
-#[test]
 fn transcript_identical_across_thread_counts_adversarial() {
     // Malicious and leaky members exercise the buffered leak-record
     // and garbage-proof paths.

@@ -1,58 +1,39 @@
-//! Precomputed evaluation domains for fast repeated interpolation.
+//! Precomputed evaluation domains for repeated recombination.
 //!
-//! The protocol interpolates and recombines over the *same* node sets
-//! thousands of times: every share dealt, every μ-reconstruction and
-//! every homomorphic packing step reuses one of a handful of point
-//! sets (secret slots ∪ party points). [`EvalDomain`] does the
-//! node-dependent work once —
+//! The protocol opens packed and standard sharings from whichever
+//! parties' shares arrive, and the same party subsets recur across
+//! batches and epochs. [`EvalDomain`] does the node-dependent work once
+//! —
 //!
 //! - barycentric weights `w_j = 1 / Π_{m≠j}(x_j − x_m)`,
-//! - the master polynomial `N(x) = Π_j (x − x_j)`,
 //! - a cache of recombination (Lagrange basis) vectors keyed by
 //!   target point
 //!
 //! — after which [`basis_at`](EvalDomain::basis_at) costs `O(n)` per
-//! fresh target (one batch inversion) and `O(1)` per repeated target,
-//! and [`interpolate`](EvalDomain::interpolate) costs `O(n²)` instead
-//! of the naive `O(n³)`. Construction itself ([`EvalDomain::new`])
-//! remains `O(n²)`: this is the *cold* cost paid once per node set.
-//!
-//! For node sets that happen to form a multiplicative subgroup coset,
-//! [`NttDomain`](crate::NttDomain) drops both the cold construction
-//! and interpolation to `O(n log n)`. Note that `F_{2^61−1}` has
-//! 2-adicity 1 (`p − 1 = 2·(2^60 − 1)` with `2^60 − 1` odd), so no
-//! power-of-two subgroup beyond order 2 exists there; the transform
-//! domains are *mixed-radix* over the smooth divisors of `p − 1` (see
-//! [`ntt`](crate::ntt)). Arbitrary node sets — e.g. the sequential
-//! party points `1..=n` — are not subgroup cosets, and `EvalDomain`
-//! remains the general-purpose (and fallback) path for them.
+//! fresh target (one batch inversion) and `O(1)` per repeated target.
+//! Construction itself ([`EvalDomain::new`]) remains `O(n²)`: this is
+//! the *cold* cost paid once per node set.
 //!
 //! All arithmetic is exact field arithmetic over canonical
-//! representations, so every fast path returns *bit-identical* results
-//! to the reference implementations in [`lagrange`](crate::lagrange),
-//! and the transform path returns bit-identical results to this one;
-//! property tests in `tests/proptests.rs` pin this down.
+//! representations, so every row is *bit-identical* to
+//! [`lagrange::basis_at`](crate::lagrange::basis_at); property tests in
+//! `tests/proptests.rs` pin this down.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use crate::{lagrange, FieldError, Poly, PrimeField};
+use crate::{lagrange, FieldError, PrimeField};
 
 /// A fixed set of pairwise-distinct evaluation points with
-/// precomputed barycentric data and a recombination-vector cache.
+/// precomputed barycentric weights and a recombination-vector cache.
 #[derive(Debug)]
 pub struct EvalDomain<F: PrimeField> {
     points: Vec<F>,
     /// Barycentric weights `w_j = 1 / Π_{m≠j}(x_j − x_m)`.
     weights: Vec<F>,
-    /// Master polynomial `N(x) = Π_j (x − x_j)` (monic, degree `n`).
-    master: Poly<F>,
     /// Recombination vectors keyed by the canonical `u64` of the
     /// target point.
     basis_cache: RwLock<HashMap<u64, Arc<Vec<F>>>>,
-    /// Lazily-built quotient polynomials `N(x)/(x − x_j)`, shared by
-    /// batched interpolation.
-    quotients: RwLock<Option<Arc<Vec<Vec<F>>>>>,
 }
 
 impl<F: PrimeField> Clone for EvalDomain<F> {
@@ -60,13 +41,10 @@ impl<F: PrimeField> Clone for EvalDomain<F> {
         // Clones share nothing mutable; warmed cache entries are
         // carried over as cheap `Arc` copies.
         let basis = read_lock(&self.basis_cache).clone();
-        let quotients = read_lock(&self.quotients).clone();
         EvalDomain {
             points: self.points.clone(),
             weights: self.weights.clone(),
-            master: self.master.clone(),
             basis_cache: RwLock::new(basis),
-            quotients: RwLock::new(quotients),
         }
     }
 }
@@ -82,8 +60,8 @@ fn write_lock<T>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 impl<F: PrimeField> EvalDomain<F> {
     /// Builds a domain over `points`.
     ///
-    /// Costs `O(n²)` multiplications (weights + master polynomial);
-    /// intended to be done once per node set and reused.
+    /// Costs `O(n²)` multiplications (the weights); intended to be done
+    /// once per node set and reused.
     ///
     /// # Errors
     ///
@@ -95,7 +73,6 @@ impl<F: PrimeField> EvalDomain<F> {
         if keys.windows(2).any(|w| w[0] == w[1]) {
             return Err(FieldError::DuplicatePoint);
         }
-        let master = Poly::from_roots(&points);
         let mut denoms = Vec::with_capacity(points.len());
         for (j, &xj) in points.iter().enumerate() {
             let mut d = F::ONE;
@@ -109,13 +86,7 @@ impl<F: PrimeField> EvalDomain<F> {
         // Denominators are products of differences of distinct points,
         // hence non-zero; inversion cannot fail.
         let weights = lagrange::batch_invert(&denoms)?;
-        Ok(EvalDomain {
-            points,
-            weights,
-            master,
-            basis_cache: RwLock::new(HashMap::new()),
-            quotients: RwLock::new(None),
-        })
+        Ok(EvalDomain { points, weights, basis_cache: RwLock::new(HashMap::new()) })
     }
 
     /// The domain's evaluation points, in construction order.
@@ -155,7 +126,8 @@ impl<F: PrimeField> EvalDomain<F> {
             out[pos] = F::ONE;
             return out;
         }
-        // First barycentric form: l_j(x) = N(x) · w_j / (x − x_j).
+        // First barycentric form: l_j(x) = N(x) · w_j / (x − x_j), with
+        // N(x) = Π_j (x − x_j).
         let diffs: Vec<F> = self.points.iter().map(|&xj| x - xj).collect();
         let n_at_x: F = diffs.iter().copied().product();
         let inv = lagrange::batch_invert(&diffs)
@@ -166,144 +138,12 @@ impl<F: PrimeField> EvalDomain<F> {
             .map(|(&w, d)| n_at_x * w * d)
             .collect()
     }
-
-    /// Recombination vectors for many targets (cache-backed rows).
-    pub fn basis_rows(&self, targets: &[F]) -> Vec<Arc<Vec<F>>> {
-        targets.iter().map(|&t| self.basis_at(t)).collect()
-    }
-
-    /// Evaluates the interpolating polynomial through
-    /// `(points[j], ys[j])` at every target, without constructing the
-    /// polynomial: one cached recombination vector and an `O(n)` dot
-    /// product per target.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FieldError::LengthMismatch`] if `ys` does not match
-    /// the domain size.
-    pub fn eval_many(&self, ys: &[F], targets: &[F]) -> Result<Vec<F>, FieldError> {
-        self.check_len(ys)?;
-        Ok(targets
-            .iter()
-            .map(|&t| {
-                let row = self.basis_at(t);
-                row.iter().zip(ys).map(|(&b, &y)| b * y).sum()
-            })
-            .collect())
-    }
-
-    /// Interpolates the unique polynomial of degree `< n` through
-    /// `(points[j], ys[j])` in `O(n²)` via synthetic division of the
-    /// master polynomial, instead of the naive `O(n³)`.
-    ///
-    /// Bit-identical to [`lagrange::interpolate`] on the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FieldError::LengthMismatch`] if `ys` does not match
-    /// the domain size.
-    pub fn interpolate(&self, ys: &[F]) -> Result<Poly<F>, FieldError> {
-        self.check_len(ys)?;
-        let n = self.points.len();
-        if n == 0 {
-            return Ok(Poly::zero());
-        }
-        let master = self.master.coeffs();
-        let mut acc = vec![F::ZERO; n];
-        let mut quotient = vec![F::ZERO; n];
-        for (j, (&xj, &yj)) in self.points.iter().zip(ys).enumerate() {
-            let c = yj * self.weights[j];
-            if c.is_zero() {
-                continue;
-            }
-            synthetic_quotient(master, xj, &mut quotient);
-            for (a, &q) in acc.iter_mut().zip(&quotient) {
-                *a += c * q;
-            }
-        }
-        Ok(Poly::new(acc))
-    }
-
-    /// Interpolates one polynomial per row of `batches`, sharing the
-    /// per-node quotient polynomials `N(x)/(x − x_j)` across the whole
-    /// batch (they are computed once per domain and memoised).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FieldError::LengthMismatch`] if any row does not
-    /// match the domain size.
-    pub fn interpolate_many(&self, batches: &[Vec<F>]) -> Result<Vec<Poly<F>>, FieldError> {
-        for ys in batches {
-            self.check_len(ys)?;
-        }
-        let n = self.points.len();
-        if n == 0 {
-            return Ok(batches.iter().map(|_| Poly::zero()).collect());
-        }
-        let quotients = self.quotient_polys();
-        Ok(batches
-            .iter()
-            .map(|ys| {
-                let mut acc = vec![F::ZERO; n];
-                for (j, &yj) in ys.iter().enumerate() {
-                    let c = yj * self.weights[j];
-                    if c.is_zero() {
-                        continue;
-                    }
-                    for (a, &q) in acc.iter_mut().zip(&quotients[j]) {
-                        *a += c * q;
-                    }
-                }
-                Poly::new(acc)
-            })
-            .collect())
-    }
-
-    fn quotient_polys(&self) -> Arc<Vec<Vec<F>>> {
-        if let Some(q) = read_lock(&self.quotients).as_ref() {
-            return Arc::clone(q);
-        }
-        let n = self.points.len();
-        let master = self.master.coeffs();
-        let mut all = Vec::with_capacity(n);
-        let mut quotient = vec![F::ZERO; n];
-        for &xj in &self.points {
-            synthetic_quotient(master, xj, &mut quotient);
-            all.push(quotient.clone());
-        }
-        let arc = Arc::new(all);
-        let mut slot = write_lock(&self.quotients);
-        if let Some(existing) = slot.as_ref() {
-            return Arc::clone(existing);
-        }
-        *slot = Some(Arc::clone(&arc));
-        arc
-    }
-
-    fn check_len(&self, ys: &[F]) -> Result<(), FieldError> {
-        if ys.len() != self.points.len() {
-            return Err(FieldError::LengthMismatch { xs: self.points.len(), ys: ys.len() });
-        }
-        Ok(())
-    }
-}
-
-/// Writes the coefficients of `master / (x − root)` into `out`
-/// (`out.len() == deg(master)`); exact since `root` is a root of the
-/// monic master polynomial.
-fn synthetic_quotient<F: PrimeField>(master: &[F], root: F, out: &mut [F]) {
-    let n = out.len();
-    debug_assert_eq!(master.len(), n + 1);
-    out[n - 1] = master[n];
-    for i in (0..n - 1).rev() {
-        out[i] = master[i + 1] + root * out[i + 1];
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::F61;
+    use crate::{Poly, F61};
     use rand::SeedableRng;
 
     fn f(v: u64) -> F61 {
@@ -312,6 +152,11 @@ mod tests {
 
     fn domain(points: &[u64]) -> EvalDomain<F61> {
         EvalDomain::new(points.iter().copied().map(f).collect()).unwrap()
+    }
+
+    /// `f(x)` recombined from the domain's values of `f`.
+    fn recombine(d: &EvalDomain<F61>, p: &Poly<F61>, x: F61) -> F61 {
+        F61::dot(&d.basis_at(x), &p.eval_many(d.points()))
     }
 
     #[test]
@@ -334,86 +179,35 @@ mod tests {
     }
 
     #[test]
-    fn interpolate_matches_reference() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let d = domain(&[1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        let p = Poly::<F61>::random(&mut rng, 8);
-        let ys = p.eval_many(d.points());
-        let fast = d.interpolate(&ys).unwrap();
-        let slow = lagrange::interpolate(d.points(), &ys).unwrap();
-        assert_eq!(fast, slow);
-        assert_eq!(fast, p);
-    }
-
-    #[test]
-    fn interpolate_many_matches_single() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-        let d = domain(&[3, 1, 4, 15, 9, 2, 6]);
-        let batches: Vec<Vec<F61>> = (0..5)
-            .map(|_| Poly::<F61>::random(&mut rng, 6).eval_many(d.points()))
-            .collect();
-        let many = d.interpolate_many(&batches).unwrap();
-        for (ys, got) in batches.iter().zip(&many) {
-            assert_eq!(got, &d.interpolate(ys).unwrap());
-        }
-    }
-
-    #[test]
-    fn eval_many_transports_values() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        let d = domain(&[1, 2, 3, 4, 5]);
-        let p = Poly::<F61>::random(&mut rng, 4);
-        let ys = p.eval_many(d.points());
-        let targets = [f(0), f(7), F61::from_i64(-2), f(3)];
-        let got = d.eval_many(&ys, &targets).unwrap();
-        for (&t, &g) in targets.iter().zip(&got) {
-            assert_eq!(g, p.eval(t));
-        }
-    }
-
-    #[test]
-    fn length_mismatch_is_reported() {
-        let d = domain(&[1, 2, 3]);
-        assert_eq!(
-            d.interpolate(&[f(1)]).unwrap_err(),
-            FieldError::LengthMismatch { xs: 3, ys: 1 }
-        );
-        assert_eq!(
-            d.eval_many(&[f(1), f(2)], &[f(0)]).unwrap_err(),
-            FieldError::LengthMismatch { xs: 3, ys: 2 }
-        );
-    }
-
-    #[test]
     fn empty_domain_behaves() {
         let d = EvalDomain::<F61>::new(Vec::new()).unwrap();
         assert!(d.is_empty());
-        assert!(d.interpolate(&[]).unwrap().is_zero());
-        assert_eq!(d.eval_many(&[], &[f(5)]).unwrap(), vec![F61::ZERO]);
+        assert!(d.basis_at(f(5)).is_empty());
     }
 
     #[test]
     fn single_point_domain_roundtrips() {
         let d = domain(&[42]);
         assert_eq!(d.len(), 1);
-        let p = d.interpolate(&[f(7)]).unwrap();
-        assert_eq!(p, Poly::constant(f(7)));
-        assert_eq!(d.eval_many(&[f(7)], &[f(0), f(99)]).unwrap(), vec![f(7), f(7)]);
+        // A constant is carried to every target.
         assert_eq!(*d.basis_at(f(42)), vec![F61::ONE]);
+        assert_eq!(*d.basis_at(f(0)), vec![F61::ONE]);
+        assert_eq!(*d.basis_at(f(99)), vec![F61::ONE]);
     }
 
     #[test]
     fn degree_boundary_roundtrip() {
         // Degree exactly n − 1 (leading coefficient pinned nonzero) and
-        // degree 0 both survive an interpolate/eval round-trip.
+        // degree 0 are both carried exactly to points off the domain.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
         let d = domain(&[2, 4, 6, 8, 10]);
-        let mut coeffs = vec![f(9), f(0), f(0), f(0), f(123)];
-        let full = Poly::new(coeffs.clone());
+        let full = Poly::new(vec![f(9), f(0), f(0), f(0), f(123)]);
         assert_eq!(full.degree(), Some(4));
-        assert_eq!(d.interpolate(&full.eval_many(d.points())).unwrap(), full);
-        coeffs.truncate(1);
-        let constant = Poly::new(coeffs);
-        assert_eq!(d.interpolate(&constant.eval_many(d.points())).unwrap(), constant);
+        let constant = Poly::constant(f(9));
+        for x in [f(0), f(7), F61::random(&mut rng)] {
+            assert_eq!(recombine(&d, &full, x), full.eval(x));
+            assert_eq!(recombine(&d, &constant, x), f(9));
+        }
     }
 
     #[test]

@@ -15,12 +15,14 @@
 //! - [`lagrange`]: interpolation, Lagrange-basis coefficient vectors
 //!   (the recombination vectors used to pack and to reconstruct packed
 //!   sharings) and batch inversion.
-//! - [`ntt`]: mixed-radix number-theoretic transforms ([`NttDomain`])
-//!   over smooth subgroup sizes dividing `p − 1`, giving `O(n log n)`
-//!   evaluation and interpolation when the point set is a subgroup
-//!   coset. `p = 2^61 − 1` has 2-adicity 1, so the radices are the odd
-//!   prime factors of `2^60 − 1` (plus a single factor of 2), not
-//!   powers of two.
+//! - [`EvalDomain`]: a node set's barycentric weights and cached
+//!   recombination vectors, for repeated openings from one subset.
+//! - [`PrimeField::extend_differences`]: a polynomial's values along
+//!   consecutive points from its forward differences, by additions —
+//!   how every sharing is dealt.
+//! - [`ntt`]: a mixed-radix forward transform ([`NttDomain`]) over
+//!   smooth subgroup sizes dividing `p − 1`, which no protocol path
+//!   runs any more.
 //!
 //! # Example
 //!
@@ -49,7 +51,7 @@ pub mod transformstats;
 
 pub use domain::EvalDomain;
 pub use element::{F61, PrimeField};
-pub use ntt::{NttDomain, NttScratch};
+pub use ntt::NttDomain;
 pub use poly::Poly;
 pub use smallfp::Fp;
 
@@ -70,8 +72,7 @@ pub enum FieldError {
     /// A byte string did not decode to a canonical field element.
     NonCanonicalBytes,
     /// A transform domain size is not realisable in this field: zero,
-    /// not a divisor of `p − 1`, not [`ntt::MAX_RADIX`]-smooth, or (for
-    /// point-set detection) the points are not a subgroup coset.
+    /// not a divisor of `p − 1`, or not [`ntt::MAX_RADIX`]-smooth.
     UnsupportedDomainSize {
         /// The requested domain size.
         size: usize,

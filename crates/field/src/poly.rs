@@ -104,15 +104,6 @@ impl<F: PrimeField> Poly<F> {
         Poly::new(self.coeffs.iter().map(|&c| c * s).collect())
     }
 
-    /// The monic polynomial `∏ (x − r)` over the given roots.
-    pub fn from_roots(roots: &[F]) -> Self {
-        let mut acc = Poly::constant(F::ONE);
-        for &r in roots {
-            acc = &acc * &Poly::new(vec![-r, F::ONE]);
-        }
-        acc
-    }
-
     /// Euclidean division: returns `(quotient, remainder)`.
     ///
     /// # Panics
@@ -249,17 +240,6 @@ mod tests {
         // (1+2x)(3+4x+5x^2) = 3 + 10x + 13x^2 + 10x^3
         assert_eq!(&a * &b, poly(&[3, 10, 13, 10]));
         assert_eq!(&a * &Poly::zero(), Poly::zero());
-    }
-
-    #[test]
-    fn from_roots_vanishes_exactly_there() {
-        let roots = [f(1), f(5), f(9)];
-        let p = Poly::from_roots(&roots);
-        assert_eq!(p.degree(), Some(3));
-        for r in roots {
-            assert_eq!(p.eval(r), F61::ZERO);
-        }
-        assert_ne!(p.eval(f(2)), F61::ZERO);
     }
 
     #[test]

@@ -212,11 +212,10 @@ fn distinct_points() -> impl Strategy<Value = Vec<F61>> {
     })
 }
 
-// Bit-identity of the EvalDomain fast paths against the naive
-// reference implementations: exact field arithmetic over canonical
-// representations means the cached/barycentric code must agree with
-// `lagrange::{basis_at, interpolate}` on every bit, not just up to
-// rounding.
+// Bit-identity of the EvalDomain rows against the naive reference:
+// exact field arithmetic over canonical representations means the
+// cached/barycentric code must agree with `lagrange::basis_at` on every
+// bit, not just up to rounding.
 proptest! {
     #[test]
     fn domain_basis_bit_identical_to_naive(xs in distinct_points(), x in felt()) {
@@ -236,37 +235,6 @@ proptest! {
     }
 
     #[test]
-    fn domain_interpolate_bit_identical_to_naive(xs in distinct_points(), seed in any::<u64>()) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ys: Vec<F61> = xs.iter().map(|_| F61::random(&mut rng)).collect();
-        let domain = EvalDomain::new(xs.clone()).unwrap();
-        let naive = lagrange::interpolate(&xs, &ys).unwrap();
-        prop_assert_eq!(domain.interpolate(&ys).unwrap(), naive.clone());
-        // Batched interpolation shares quotient polynomials; still
-        // bit-identical.
-        let many = domain.interpolate_many(&[ys.clone(), ys]).unwrap();
-        prop_assert_eq!(&many[0], &naive);
-        prop_assert_eq!(&many[1], &naive);
-    }
-
-    #[test]
-    fn domain_eval_many_bit_identical_to_naive(
-        xs in distinct_points(),
-        targets in prop::collection::vec(felt(), 1..8),
-        seed in any::<u64>(),
-    ) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ys: Vec<F61> = xs.iter().map(|_| F61::random(&mut rng)).collect();
-        let domain = EvalDomain::new(xs.clone()).unwrap();
-        let got = domain.eval_many(&ys, &targets).unwrap();
-        for (&t, &g) in targets.iter().zip(&got) {
-            prop_assert_eq!(g, lagrange::eval_at(&xs, &ys, t).unwrap());
-        }
-    }
-
-    #[test]
     fn domain_duplicate_points_rejected_like_naive(xs in distinct_points(), dup in any::<prop::sample::Index>()) {
         // Inject a duplicate node; both paths must report it.
         let mut bad = xs.clone();
@@ -275,16 +243,6 @@ proptest! {
         prop_assert_eq!(
             EvalDomain::new(bad.clone()).unwrap_err(),
             lagrange::interpolate(&bad, &ys).unwrap_err()
-        );
-    }
-
-    #[test]
-    fn domain_length_mismatch_rejected(xs in distinct_points(), extra in 1usize..4) {
-        let domain = EvalDomain::new(xs.clone()).unwrap();
-        let ys = vec![F61::ZERO; xs.len() + extra];
-        prop_assert_eq!(
-            domain.interpolate(&ys).unwrap_err(),
-            lagrange::interpolate(&xs, &ys).unwrap_err()
         );
     }
 
@@ -303,79 +261,29 @@ proptest! {
 }
 
 /// Smooth divisors of `p − 1 = 2·3²·5²·7·11·13·31·41·61·…` small
-/// enough for exhaustive cross-checking against the Lagrange path.
-const NTT_SIZES: [usize; 10] = [1, 2, 3, 6, 9, 14, 15, 18, 33, 45];
+/// enough for exhaustive cross-checking against Horner.
+const NTT_SIZES: [usize; 9] = [2, 3, 6, 9, 14, 15, 18, 33, 45];
 
-fn nonzero_felt() -> impl Strategy<Value = F61> {
-    any::<u64>().prop_map(|v| F61::from_u64(v.max(1) % (F61::MODULUS - 1) + 1))
-}
-
-// Bit-identity of the mixed-radix transform paths against the Lagrange
-// reference: the NttDomain evaluates/interpolates the same unique
-// polynomial with exact field arithmetic, so forward/inverse must agree
-// with Poly::eval_many / lagrange::interpolate / EvalDomain on every
-// bit, across subgroup and coset domains.
+// The forward transform evaluates with exact field arithmetic, so it
+// must agree with `Poly::eval_many` at the domain points on every bit.
 proptest! {
     #[test]
-    fn ntt_forward_bit_identical_to_horner(
-        pick in any::<prop::sample::Index>(),
-        shift in nonzero_felt(),
-        seed in any::<u64>(),
-    ) {
+    fn ntt_forward_bit_identical_to_horner(pick in any::<prop::sample::Index>(), seed in any::<u64>()) {
         use rand::SeedableRng;
         let size = NTT_SIZES[pick.index(NTT_SIZES.len())];
-        let domain = NttDomain::<F61>::coset(size, shift).unwrap();
+        let domain = NttDomain::<F61>::new(size).unwrap();
+        // The transform of the polynomial X lists the points: the
+        // powers 1, ω, ω², … of one root of order `size`.
+        let mut x = vec![F61::ZERO; size];
+        x[1] = F61::ONE;
+        let points = domain.forward(&x).unwrap();
+        let omega = points[1];
+        prop_assert_eq!(omega.pow(size as u64), F61::ONE);
+        for (i, &pt) in points.iter().enumerate() {
+            prop_assert_eq!(pt, omega.pow(i as u64));
+        }
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let p = Poly::<F61>::random(&mut rng, size - 1);
-        prop_assert_eq!(domain.forward(p.coeffs()).unwrap(), p.eval_many(domain.points()));
-    }
-
-    #[test]
-    fn ntt_interpolate_bit_identical_to_lagrange(
-        pick in any::<prop::sample::Index>(),
-        shift in nonzero_felt(),
-        seed in any::<u64>(),
-    ) {
-        use rand::SeedableRng;
-        let size = NTT_SIZES[pick.index(NTT_SIZES.len())];
-        let domain = NttDomain::<F61>::coset(size, shift).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ys: Vec<F61> = (0..size).map(|_| F61::random(&mut rng)).collect();
-        let fast = domain.interpolate(&ys).unwrap();
-        let slow = lagrange::interpolate(domain.points(), &ys).unwrap();
-        let cached = EvalDomain::new(domain.points().to_vec()).unwrap();
-        prop_assert_eq!(&fast, &slow);
-        prop_assert_eq!(&fast, &cached.interpolate(&ys).unwrap());
-    }
-
-    #[test]
-    fn ntt_roundtrip_recovers_padded_coefficients(
-        pick in any::<prop::sample::Index>(),
-        shift in nonzero_felt(),
-        seed in any::<u64>(),
-        deg_frac in 0.0f64..1.0,
-    ) {
-        use rand::SeedableRng;
-        let size = NTT_SIZES[pick.index(NTT_SIZES.len())];
-        let domain = NttDomain::<F61>::coset(size, shift).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // Degrees below the boundary exercise the zero-padded path.
-        let deg = ((size as f64 - 1.0) * deg_frac) as usize;
-        let p = Poly::<F61>::random(&mut rng, deg);
-        let evals = domain.evaluate(p.coeffs()).unwrap();
-        prop_assert_eq!(domain.interpolate(&evals).unwrap(), p);
-    }
-
-    #[test]
-    fn ntt_from_points_rederives_the_domain(
-        pick in any::<prop::sample::Index>(),
-        shift in nonzero_felt(),
-    ) {
-        let size = NTT_SIZES[pick.index(NTT_SIZES.len())];
-        let domain = NttDomain::<F61>::coset(size, shift).unwrap();
-        let again = NttDomain::from_points(domain.points()).unwrap();
-        prop_assert_eq!(again.root(), domain.root());
-        prop_assert_eq!(again.shift(), domain.shift());
-        prop_assert_eq!(again.points(), domain.points());
+        prop_assert_eq!(domain.forward(p.coeffs()).unwrap(), p.eval_many(&points));
     }
 }

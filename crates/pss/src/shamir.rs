@@ -5,11 +5,9 @@
 //! committees (`TKRes`/`TKRec`). The secret lives at point `0`; party
 //! `i` (0-based) holds the evaluation at `i + 1`.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
-use yoso_field::{lagrange, EvalDomain, NttDomain, PrimeField};
+use yoso_field::{lagrange, EvalDomain, PrimeField};
 
 use crate::{PssError, Share};
 
@@ -76,75 +74,6 @@ fn check_dealing<F: PrimeField>(n: usize, t: usize) -> Result<(), PssError> {
 pub fn reconstruct<F: PrimeField>(shares: &[Share<F>], t: usize) -> Result<F, PssError> {
     let domain = check_and_domain(shares, t)?;
     reconstruct_on(&domain, shares, t)
-}
-
-/// Reconstructs many sharings opened by (possibly) the same parties —
-/// e.g. a committee's partial decryptions across an epoch. Items with
-/// identical provider subsets share one evaluation domain, so the
-/// per-item cost after the first is a single `O(t)` dot product.
-///
-/// Each fresh provider subset is first tested for
-/// transform-friendliness ([`NttDomain::from_points`], an `O(t)`
-/// check): a subset whose points form a subgroup coset of `F*` skips
-/// the `O(t²)` Lagrange domain construction for an `O(t log t)`
-/// transform, with bit-identical results (both paths evaluate the same
-/// unique polynomial exactly).
-///
-/// # Errors
-///
-/// Same conditions as [`reconstruct`], checked per item.
-pub fn reconstruct_batch<F: PrimeField>(
-    batch: &[Vec<Share<F>>],
-    t: usize,
-) -> Result<Vec<F>, PssError> {
-    let mut domains: HashMap<Vec<usize>, BatchDomain<F>> = HashMap::new();
-    batch
-        .iter()
-        .map(|shares| {
-            let key: Vec<usize> = shares.iter().map(|s| s.party).collect();
-            if let Some(domain) = domains.get(&key) {
-                return reconstruct_on_batch(domain, shares, t);
-            }
-            check_shares(shares, t)?;
-            let xs = provider_points(shares, t);
-            let domain = match NttDomain::from_points(&xs) {
-                Ok(d) => BatchDomain::Ntt(d),
-                Err(_) => BatchDomain::Lagrange(EvalDomain::new(xs)?),
-            };
-            let out = reconstruct_on_batch(&domain, shares, t);
-            domains.insert(key, domain);
-            out
-        })
-        .collect()
-}
-
-/// A batch reconstruction domain: Lagrange for arbitrary provider
-/// subsets, transform for subgroup-coset subsets.
-enum BatchDomain<F: PrimeField> {
-    Lagrange(EvalDomain<F>),
-    Ntt(NttDomain<F>),
-}
-
-fn reconstruct_on_batch<F: PrimeField>(
-    domain: &BatchDomain<F>,
-    shares: &[Share<F>],
-    t: usize,
-) -> Result<F, PssError> {
-    match domain {
-        BatchDomain::Lagrange(d) => reconstruct_on(d, shares, t),
-        BatchDomain::Ntt(d) => {
-            let ys: Vec<F> = shares[..t + 1].iter().map(|s| s.value).collect();
-            let poly = d.interpolate(&ys)?;
-            for s in &shares[t + 1..] {
-                if poly.eval(F::from_u64(s.party as u64 + 1)) != s.value {
-                    return Err(PssError::Inconsistent);
-                }
-            }
-            // The secret is f(0), i.e. the constant coefficient —
-            // bit-identical to the basis-row dot product at zero.
-            Ok(poly.coeff(0))
-        }
-    }
 }
 
 /// The evaluation points of the first `t + 1` providers.
@@ -383,7 +312,7 @@ pub fn recombine_subshares<F: PrimeField>(
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use yoso_field::{Poly, F61};
+    use yoso_field::F61;
 
     fn f(v: u64) -> F61 {
         F61::from(v)
@@ -479,44 +408,6 @@ mod tests {
             recombine_subshares::<F61>(&[0, 1], &[f(1), f(2)], 3),
             Err(PssError::NotEnoughShares { .. })
         ));
-    }
-
-    #[test]
-    fn batch_matches_single_reconstruct() {
-        let mut rng = rng();
-        let shares = share(&mut rng, f(2024), 9, 3).unwrap();
-        let batch = vec![shares[..4].to_vec(), shares[2..7].to_vec(), shares.clone()];
-        let got = reconstruct_batch(&batch, 3).unwrap();
-        for (item, &g) in batch.iter().zip(&got) {
-            assert_eq!(g, reconstruct(item, 3).unwrap());
-            assert_eq!(g, f(2024));
-        }
-    }
-
-    #[test]
-    fn batch_takes_transform_path_on_coset_subsets() {
-        // Craft a provider subset whose points form a multiplicative
-        // coset: {3, −3} = 3·⟨−1⟩ (−1 has order 2 since the 2-adicity
-        // of F61 is exactly 1). Party indices are point − 1, so the
-        // "party" holding point −3 = p − 3 has the huge-but-legal index
-        // p − 4; the Shamir module puts no committee bound on indices.
-        let secret = f(5);
-        let poly = Poly::new(vec![secret, f(2)]); // 5 + 2x, degree t = 1
-        let x1 = f(3);
-        let x2 = -f(3);
-        let shares = vec![
-            Share { party: 2, value: poly.eval(x1) },
-            Share { party: (x2.as_u64() - 1) as usize, value: poly.eval(x2) },
-        ];
-        let got = reconstruct_batch(std::slice::from_ref(&shares), 1).unwrap();
-        assert_eq!(got, vec![secret]);
-        // The single-item (always-Lagrange) path agrees bit-for-bit.
-        assert_eq!(got[0], reconstruct(&shares, 1).unwrap());
-        let pts = [x1, x2];
-        assert!(
-            NttDomain::from_points(&pts).is_ok(),
-            "test premise: {{3, −3}} must be transform-friendly"
-        );
     }
 
     /// `D[j][c] = Δ^j[X^c](1)`, against differences taken numerically

@@ -2,9 +2,9 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use yoso_field::{F61, PrimeField};
+use yoso_field::{lagrange, Fp, F61, PrimeField};
 use yoso_pss_sharing::shamir::PowerTable;
-use yoso_pss_sharing::{shamir, PackedSharing, PointLayout};
+use yoso_pss_sharing::{shamir, PackedSharing};
 
 fn felt() -> impl Strategy<Value = F61> {
     any::<u64>().prop_map(F61::from_u64)
@@ -109,44 +109,6 @@ proptest! {
         }
         prop_assert_eq!(shamir::reconstruct(&shares[..t + 1], t).unwrap(), secret);
     }
-
-    #[test]
-    fn subgroup_layout_is_bit_identical_to_lagrange((n, k, d) in params(), seed in any::<u64>()) {
-        // Two independently built schemes over the same subgroup
-        // points: one keeps the transform plan, the other is forced
-        // onto the Lagrange path. Same RNG stream → every dealt share
-        // and every reconstruction must agree bit for bit, whichever
-        // internal path each scheme takes for this (n, k, d).
-        let fast = PackedSharing::<F61>::with_layout(n, k, PointLayout::Subgroup).unwrap();
-        let mut slow = PackedSharing::<F61>::with_layout(n, k, PointLayout::Subgroup).unwrap();
-        slow.disable_ntt();
-        let mut srng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5a5a);
-        let secrets: Vec<F61> = (0..k).map(|_| F61::random(&mut srng)).collect();
-        let mut rng_a = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rng_b = rand::rngs::StdRng::seed_from_u64(seed);
-        let a = fast.share(&mut rng_a, &secrets, d).unwrap();
-        let b = slow.share(&mut rng_b, &secrets, d).unwrap();
-        prop_assert_eq!(a.values(), b.values());
-        let subset: Vec<usize> = (0..=d).collect();
-        let ga = fast.reconstruct(&a.select(&subset), d).unwrap();
-        let gb = slow.reconstruct(&b.select(&subset), d).unwrap();
-        prop_assert_eq!(&ga, &gb);
-        prop_assert_eq!(ga, secrets);
-    }
-
-    #[test]
-    fn shamir_reconstruct_batch_matches_single(secret in felt(), seed in any::<u64>(), n in 2usize..16, rows in 1usize..5) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let t = (n - 1) / 2;
-        let batch: Vec<Vec<_>> = (0..rows)
-            .map(|i| shamir::share(&mut rng, secret + F61::from_u64(i as u64), n, t).unwrap())
-            .collect();
-        let got = shamir::reconstruct_batch(&batch, t).unwrap();
-        for (i, shares) in batch.iter().enumerate() {
-            prop_assert_eq!(got[i], shamir::reconstruct(shares, t).unwrap());
-            prop_assert_eq!(got[i], secret + F61::from_u64(i as u64));
-        }
-    }
 }
 
 /// Per-point Horner at `i + 1`: what every dealing must equal, bit for
@@ -194,5 +156,66 @@ fn dealing_by_differences_at_the_corners() {
     for (n, t) in [(1, 0), (1, 7), (2, 7), (8, 7), (9, 7), (7, 0), (33, 1), (512, 127), (97, 96)] {
         dealing_equals_horner::<F61>(n, t, 24);
         dealing_equals_horner::<yoso_field::Fp<97>>(n, t, 24);
+    }
+}
+
+/// A packed deal and a public sharing against their definition: replay
+/// the draws (the secrets, then `d + 1 − k` tail values), interpolate
+/// through the nodes with [`lagrange::interpolate`] and evaluate that
+/// polynomial at every party point by Horner.
+fn packed_sharing_equals_interpolation<F: PrimeField>(
+    n: usize,
+    k: usize,
+    d: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let scheme = PackedSharing::<F>::new(n, k).unwrap();
+    let mut srng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5a5a);
+    let secrets: Vec<F> = (0..k).map(|_| F::random(&mut srng)).collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let dealt = scheme.share(&mut rng, &secrets, d).unwrap();
+    let mut replay = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut xs: Vec<F> = (0..k).map(|j| scheme.secret_point(j)).collect();
+    let mut ys = secrets.clone();
+    for i in 0..d + 1 - k {
+        xs.push(scheme.party_point(i));
+        ys.push(F::random(&mut replay));
+    }
+    let horner = |xs: &[F], ys: &[F]| -> Vec<F> {
+        let poly = lagrange::interpolate(xs, ys).unwrap();
+        (0..n).map(|i| poly.eval(scheme.party_point(i))).collect()
+    };
+    prop_assert_eq!(dealt.values(), &horner(&xs, &ys)[..], "deal, (n, k, d) = ({}, {}, {})", n, k, d);
+    let public = scheme.share_public(&secrets).unwrap();
+    prop_assert_eq!(public.values(), &horner(&xs[..k], &secrets)[..], "public, (n, k) = ({}, {})", n, k);
+    Ok(())
+}
+
+/// (n, k, degree) over `F_97`: `n + k` up to 96, the most points the
+/// field holds apart.
+fn small_field_params() -> impl Strategy<Value = (usize, usize, usize)> {
+    (1usize..=48).prop_flat_map(|k| {
+        (k..=96 - k).prop_flat_map(move |n| ((k - 1)..n).prop_map(move |d| (n, k, d)))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn packed_sharing_by_differences_equals_interpolation(
+        (n, k, d) in params(), (sn, sk, sd) in small_field_params(), seed in any::<u64>()
+    ) {
+        packed_sharing_equals_interpolation::<F61>(n, k, d, seed)?;
+        packed_sharing_equals_interpolation::<Fp<97>>(sn, sk, sd, seed)?;
+    }
+}
+
+#[test]
+fn packed_sharing_by_differences_at_the_corners() {
+    // Over F_97 the last three fill the field: n + k = 96.
+    for (n, k, d) in [(1, 1, 0), (9, 9, 8), (64, 16, 47), (64, 16, 63), (90, 6, 89), (48, 48, 47), (95, 1, 94)] {
+        packed_sharing_equals_interpolation::<Fp<97>>(n, k, d, 3).unwrap();
+        packed_sharing_equals_interpolation::<F61>(n, k, d, 3).unwrap();
     }
 }

@@ -276,7 +276,7 @@ impl ThresholdPaillier {
     /// `TEval`: homomorphic linear combination `Σ coeffs_i · m_i`
     /// computed as `Π c_i^{coeff_i} mod N²` — one Straus/Pippenger
     /// multi-exponentiation sharing a single squaring chain across all
-    /// terms ([`multi_exp`]), instead of one full ladder per term.
+    /// terms ([`multi_exp()`]), instead of one full ladder per term.
     ///
     /// # Errors
     ///

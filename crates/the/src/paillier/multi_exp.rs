@@ -47,7 +47,7 @@ const STRAUS_MAX_BASES: usize = 32;
 /// Hard cap on window size (table/bucket space is `2^w − 1` entries).
 pub const MAX_WINDOW: usize = 8;
 
-/// Picks the window size for [`multi_exp`] from the batch length (and,
+/// Picks the window size for [`multi_exp()`] from the batch length (and,
 /// for small batches, the exponent length).
 ///
 /// - Straus regime (`≤ 32` bases): the per-base table of `2^w − 2`
@@ -133,7 +133,7 @@ pub fn multi_exp(ctx: &MontgomeryCtx, bases: &[Nat], exps: &[Int]) -> Result<Nat
     multi_exp_nat(ctx, &adj_bases, &mags)
 }
 
-/// [`multi_exp`] for unsigned exponents.
+/// [`multi_exp()`] for unsigned exponents.
 ///
 /// # Errors
 ///

@@ -177,7 +177,7 @@ pub fn verify_pdec(pk: &PublicKey, ct: &Ciphertext, pd: &PartialDec, proof: &Pde
 /// ```
 ///
 /// each as a single Straus/Pippenger multi-exponentiation sharing one
-/// squaring chain ([`multi_exp`]). Negative `z_i` terms move to the
+/// squaring chain ([`multi_exp()`]). Negative `z_i` terms move to the
 /// other side of their equality instead of inverting bases. A batch
 /// with any invalid proof passes with probability ≤ `2^{-64}` (the
 /// chance the ρ-combination cancels); an empty batch verifies.

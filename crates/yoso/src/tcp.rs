@@ -57,7 +57,7 @@
 //! The server appends each post frame **atomically** in frame-arrival
 //! order, tagging records with the current round — the same
 //! total-order contract as the in-process backend's single write lock.
-//! Storage is a [`ShardedRoundLog`]: a small round-clock lock plus one
+//! Storage is a `ShardedRoundLog`: a small round-clock lock plus one
 //! append lock per round, so concurrent worker connections contend
 //! only when writing the same round, and history reads never block
 //! writers. A driver posting from one logical thread (the engine's
