@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use yoso_runtime::PostRun;
+use yoso_runtime::{PostRun, Speakers};
 
 use crate::messages::{self, Post};
 
@@ -36,9 +36,8 @@ struct BufferedRun {
     post: Post,
     phase: &'static str,
     elements: u64,
-    /// Where the run's member indices start in [`PostBuffer::members`];
-    /// they end where the next run's start.
-    start: usize,
+    /// The run's member indices, as spans.
+    members: Speakers,
 }
 
 /// An append-only, run-length buffer of board posts produced away from
@@ -51,13 +50,12 @@ struct BufferedRun {
 /// replays the buffers in item-index order
 /// ([`crate::workitem::ShardedBoard::flush_buffer`]), keeping
 /// transcripts byte-identical at any thread count. A committee step's
-/// members differ only in who they are, so a post costs the buffer one
-/// member index; what the step shares is stored once per run.
+/// members differ only in who they are, so what the step shares is
+/// stored once per run and its members as [`Speakers`] spans: a step
+/// `0, 1, …, n − 1` costs the buffer one span.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PostBuffer {
     runs: Vec<BufferedRun>,
-    /// Member index of every recorded post, in recording order.
-    members: Vec<usize>,
 }
 
 impl PostBuffer {
@@ -78,33 +76,33 @@ impl PostBuffer {
         phase: &'static str,
         elements: u64,
     ) {
-        let continues = self.runs.last().is_some_and(|run| {
+        let open = self.runs.last_mut().filter(|run| {
             run.owned == owned
                 && run.elements == elements
                 && run.post == post
                 && run.phase == phase
                 && (Arc::ptr_eq(&run.committee, committee) || run.committee == *committee)
         });
-        if !continues {
-            let committee = Arc::clone(committee);
-            let start = self.members.len();
-            self.runs.push(BufferedRun { owned, committee, post, phase, elements, start });
+        match open {
+            Some(run) => run.members.push(member),
+            None => {
+                let (committee, members) = (Arc::clone(committee), Speakers::from(&[member][..]));
+                self.runs.push(BufferedRun { owned, committee, post, phase, elements, members });
+            }
         }
-        self.members.push(member);
     }
 
     /// The buffered runs in recording order, each with the recorder's
     /// ownership flag.
     pub(crate) fn runs(&self) -> impl Iterator<Item = (bool, PostRun<'_, Post>)> + '_ {
-        self.runs.iter().enumerate().map(|(k, run)| {
-            let end = self.runs.get(k + 1).map_or(self.members.len(), |next| next.start);
+        self.runs.iter().map(|run| {
             let posted = PostRun {
                 committee: &run.committee,
                 phase: run.phase,
                 message: &run.post,
                 elements: run.elements,
                 bytes: messages::to_bytes(run.elements),
-                members: &self.members[run.start..end],
+                members: &run.members,
             };
             (run.owned, posted)
         })

@@ -244,7 +244,7 @@ mod tests {
         assert_eq!((proved_solo, proved_first), (vec![0, 3], vec![0]));
         // Both speakers are recorded; only the owned one is appended.
         let owned: Vec<(bool, Vec<usize>)> =
-            posts.runs().map(|(owned, run)| (owned, run.members.to_vec())).collect();
+            posts.runs().map(|(owned, run)| (owned, run.members.iter().collect())).collect();
         assert_eq!(owned, [(true, vec![0]), (false, vec![3])]);
     }
 
@@ -284,6 +284,8 @@ mod tests {
         assert!(owned);
         assert_eq!((&**run.committee, run.phase, *run.message), ("c", PHASE, Post::PartialDec));
         assert_eq!((run.elements, run.bytes), (4, 32));
-        assert_eq!(run.members, [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+        assert_eq!(run.members.iter().collect::<Vec<_>>(), [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+        // A member posting twice in a row is one span: at most n.
+        assert!(run.members.span_count() <= 5);
     }
 }

@@ -37,7 +37,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use yoso_runtime::{BulletinBoard, CommMeter, PostRun, RoleId};
+use yoso_runtime::{BulletinBoard, CommMeter, PostRun, RoleId, Speakers};
 
 use crate::messages::{self, Post};
 use crate::parallel::PostBuffer;
@@ -155,7 +155,7 @@ struct PendingRun {
     phase: Arc<str>,
     message: Post,
     elements: u64,
-    members: Vec<usize>,
+    members: Speakers,
 }
 
 impl PendingRun {
@@ -200,7 +200,7 @@ impl ShardState {
                 phase: meter.intern(run.phase),
                 message: *run.message,
                 elements: run.elements,
-                members: run.members.to_vec(),
+                members: run.members.clone(),
             });
         }
     }
@@ -323,7 +323,7 @@ impl<'a> ShardedBoard<'a> {
             message: &message,
             elements,
             bytes: messages::to_bytes(elements),
-            members: &[from.index],
+            members: &Speakers::from(&[from.index][..]),
         };
         self.lock().account(owned, &run, self.board.meter());
         Ok(())
@@ -334,7 +334,7 @@ impl<'a> ShardedBoard<'a> {
     /// preserving recording order. Solo mode replays the buffer onto
     /// the board as **one** transport call: the write lock (or TCP
     /// connection) is taken once per buffer, and each run costs one
-    /// meter update and one bulk copy of its member indices.
+    /// meter update and one copy of its member spans.
     ///
     /// # Errors
     ///
@@ -576,10 +576,12 @@ mod tests {
             let st = sb.lock();
             assert_eq!(st.pos, 20);
             let lo = sb.partition().lo();
-            let pending: Vec<(u64, &[usize])> =
-                st.pending.iter().map(|run| (run.start, run.members.as_slice())).collect();
+            let pending: Vec<(u64, Vec<usize>)> =
+                st.pending.iter().map(|run| (run.start, run.members.iter().collect())).collect();
             let owned: Vec<usize> = (lo..sb.partition().hi()).collect();
-            assert_eq!(pending, vec![(lo as u64, &owned[..]), (10 + lo as u64, &owned[..])]);
+            assert_eq!(pending, vec![(lo as u64, owned.clone()), (10 + lo as u64, owned)]);
+            // Each pending run is one span.
+            assert!(st.pending.iter().all(|run| run.members.span_count() == 1));
         }
         std::thread::scope(|s| {
             // Spawned last-range first: each waits for the positions below.

@@ -231,13 +231,14 @@ impl<M> BulletinBoard<M> {
         self.transport.post_slice(&from, &shared, messages, elements_each, bytes_each)
     }
 
-    /// Posts whole committee steps: for each run, every member index
-    /// posts the run's message under its phase at its per-posting size.
-    /// All runs of one call land in **one** transport call (one lock
-    /// acquisition, or one TCP flush), and each run costs one meter
-    /// update however many members it has — the replay path of the
-    /// parallel engine's post buffers. A run with no members meters
-    /// and posts nothing.
+    /// Posts whole committee steps: for each run, every member of its
+    /// [`crate::Speakers`] posts the run's message under its phase at
+    /// its per-posting size. All runs of one call land in **one**
+    /// transport call (one lock acquisition, or one TCP flush), and each
+    /// run costs one meter update however many members it has — the
+    /// replay path of the parallel engine's post buffers; the in-process
+    /// log copies its member spans, not one index per member. A run with
+    /// no members meters and posts nothing.
     ///
     /// # Errors
     ///
@@ -594,6 +595,7 @@ impl<M> BoardCursor<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Speakers;
 
     #[test]
     fn post_and_read_back() {
@@ -670,9 +672,11 @@ mod tests {
                 a.post(committee.role(i), message, phase, elements, 8 * elements).unwrap();
             }
         }
+        let speakers: Vec<Speakers> = steps.iter().map(|step| Speakers::from(step.3)).collect();
         let runs: Vec<PostRun<'_, u64>> = steps
             .iter()
-            .map(|(phase, message, elements, members)| PostRun {
+            .zip(&speakers)
+            .map(|((phase, message, elements, _), members)| PostRun {
                 committee: &committee.name,
                 phase,
                 message,
@@ -701,12 +705,13 @@ mod tests {
             members,
         };
         board.post_batch(RoleId::new("c", 0), "ghost/batch", &[], 1, 8).unwrap();
-        board.post_run(&[run("ghost/run", &[])]).unwrap();
+        let (none, two) = (Speakers::new(), Speakers::from(&[0, 1][..]));
+        board.post_run(&[run("ghost/run", &none)]).unwrap();
         board.post_run(&[]).unwrap();
         assert!(board.meter().phases().is_empty());
         assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
         // An empty run beside a real one changes nothing about the real one.
-        board.post_run(&[run("ghost/run", &[]), run("real", &[0, 1])]).unwrap();
+        board.post_run(&[run("ghost/run", &none), run("real", &two)]).unwrap();
         assert_eq!(board.len().unwrap(), 2);
         assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
         assert_eq!(board.meter().phases().len(), 1);
@@ -790,7 +795,8 @@ mod tests {
                         // Two runs per call: arbitrary members (repeats
                         // and the empty list included), then a step.
                         let members: Vec<usize> = (0..draw(5)).map(|_| draw(6) as usize).collect();
-                        let step: Vec<usize> = (0..6).collect();
+                        let members = Speakers::from(&members[..]);
+                        let step = Speakers::from(&[0, 1, 2, 3, 4, 5][..]);
                         let run = |members| PostRun {
                             committee: &c.name,
                             phase,

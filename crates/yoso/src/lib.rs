@@ -47,6 +47,6 @@ pub use metrics::{CommMeter, PhaseStats};
 pub use role::{Committee, RoleId, SpeakOnce, SpokeError};
 pub use tcp::{BoardServer, ServerHandle, ServerWireStats, TcpOptions, TcpTransport, WireStats};
 pub use transport::{
-    BoardError, BoardTransport, InProcessTransport, PostRecord, PostRun, WireMessage,
+    BoardError, BoardTransport, InProcessTransport, PostRecord, PostRun, Speakers, WireMessage,
 };
 pub use views::{LeakEntry, LeakLog};

@@ -1082,9 +1082,13 @@ impl RunFrames<'_> {
     /// shared part is byte-equal, else they open the next run. A frame
     /// that reaches the chunk cap is staged and the run goes on in the
     /// next one, so a long run splits at a member boundary.
-    fn push(&mut self, shared: &[u8], members: &[usize]) -> Result<(), BoardError> {
-        let mut rest = members;
-        while !rest.is_empty() {
+    fn push(
+        &mut self,
+        shared: &[u8],
+        members: impl IntoIterator<Item = usize>,
+    ) -> Result<(), BoardError> {
+        let mut rest = members.into_iter().peekable();
+        while rest.peek().is_some() {
             let mut continues =
                 self.open.is_some_and(|(at, count_at)| self.body[at..count_at] == *shared);
             // What the next member takes: its index, preceded by a
@@ -1114,8 +1118,7 @@ impl RunFrames<'_> {
             // As many members as the frame has room for — at least
             // one, so a cap below one run's size still makes progress.
             let room = (self.chunk_cap.saturating_sub(self.body.len()) / 4).max(1);
-            let (now, later) = rest.split_at(room.min(rest.len()));
-            for &index in now {
+            for index in rest.by_ref().take(room) {
                 let index = u32::try_from(index).map_err(|_| {
                     BoardError::Protocol(format!(
                         "member index {index} exceeds the u32 wire index"
@@ -1123,7 +1126,6 @@ impl RunFrames<'_> {
                 })?;
                 put_u32(self.body, index);
             }
-            rest = later;
         }
         Ok(())
     }
@@ -1291,7 +1293,7 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
             for r in records {
                 let (from, phase) = (&r.from, &r.phase);
                 encode_shared(shared, payload, &from.committee, phase, r.elements, r.bytes, &r.message)?;
-                frames.push(shared, &[from.index])?;
+                frames.push(shared, [from.index])?;
                 total += 1;
             }
             Ok(total)
@@ -1310,7 +1312,7 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
                     run.bytes,
                     run.message,
                 )?;
-                frames.push(shared, run.members)?;
+                frames.push(shared, run.members.iter())?;
             }
             Ok(())
         })
@@ -1378,6 +1380,7 @@ pub fn loopback<M: WireMessage + Clone + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Speakers;
     use std::io::{Read, Write};
 
     #[test]
@@ -1624,13 +1627,14 @@ mod tests {
         let (mut handle, _board) = loopback::<u64>().unwrap();
         let committee = crate::Committee::honest("c", 64);
         let members: Vec<usize> = (0..64).collect();
+        let speakers = Speakers::from(&members[..]);
         let run = PostRun {
             committee: &committee.name,
             phase: "offline/1-beaver",
             message: &7,
             elements: 2,
             bytes: 16,
-            members: &members,
+            members: &speakers,
         };
         let header = FRAME_PREFIX + u64_shared_len(16) + 4;
         // One byte less than the step needs and it takes a second frame.
@@ -1676,13 +1680,14 @@ mod tests {
         let k = 5usize;
         let committee: Arc<str> = Arc::from("c");
         let members: Vec<usize> = (0..3 * k).collect();
+        let speakers = Speakers::from(&members[..]);
         let long_run = PostRun {
             committee: &committee,
             phase: "x",
             message: &9,
             elements: 1,
             bytes: 8,
-            members: &members,
+            members: &speakers,
         };
         let records_cap = FRAME_PREFIX + k * u64_run_len(1, 1);
         let members_cap = FRAME_PREFIX + u64_run_len(1, k);
@@ -1741,6 +1746,7 @@ mod tests {
             let committees = [crate::Committee::honest("a", 40), crate::Committee::honest("b", 40)];
             let step: Vec<usize> = (0..40).collect();
             let twice: Vec<usize> = (0..40).flat_map(|i| [i, i]).collect();
+            let (none, step) = (Speakers::new(), Speakers::from(&step[..]));
             for round in 0..3u64 {
                 for (c, committee) in committees.iter().enumerate() {
                     let run = |phase, message, members| PostRun {
@@ -1754,9 +1760,9 @@ mod tests {
                     board
                         .post_run(&[
                             run("offline/1", &round, &step),
-                            run("offline/1", &round, &[]),
-                            run("offline/1", &(round + 1), &twice[..7 + c]),
-                            run("offline/2", &(round + 1), &twice),
+                            run("offline/1", &round, &none),
+                            run("offline/1", &(round + 1), &Speakers::from(&twice[..7 + c])),
+                            run("offline/2", &(round + 1), &Speakers::from(&twice[..])),
                         ])
                         .unwrap();
                     board.post(committee.role(c), 99, "offline/2", 1, 8).unwrap();

@@ -10,7 +10,8 @@
 //!
 //! - [`InProcessTransport`]: the in-memory backend, a **run-length**
 //!   posting log (what consecutive postings share is stored once per
-//!   run, a posting itself costs one member index) with a
+//!   run, and the member indices as arithmetic [`Speakers`] spans, so a
+//!   committee step `0, 1, …, n − 1` costs one span) with a
 //!   `round_starts` index mapping each round to its range of sequence
 //!   numbers, so round-scoped reads are `O(round size)` and iteration
 //!   never clones history;
@@ -79,12 +80,132 @@ pub struct PostRecord<M> {
     pub bytes: u64,
 }
 
+/// One arithmetic span of a [`Speakers`] sequence: the indices
+/// `first, first + step, first + 2·step, …` at positions `at ..` up to
+/// the next span's `at` (or the sequence end). `step` is 0 (one member
+/// posting again) or 1 (consecutive members); a span of one index
+/// keeps `step` 0 until its second index settles it.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    at: usize,
+    first: usize,
+    step: usize,
+}
+
+/// An append-only sequence of member indices stored as arithmetic
+/// spans. A committee step `0, 1, …, n − 1` is one span, and so is a
+/// member posting `p` times in a row, so appending a posting's index
+/// costs a counter increment, not a stored index.
+#[derive(Debug, Clone, Default)]
+pub struct Speakers {
+    spans: Vec<Span>,
+    len: usize,
+}
+
+impl Speakers {
+    /// An empty sequence.
+    pub fn new() -> Self {
+        Speakers::default()
+    }
+
+    /// Number of indices.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the sequence holds no index.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of spans the indices occupy.
+    pub fn span_count(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Appends `index`, extending the last span when it continues it.
+    pub fn push(&mut self, index: usize) {
+        let len = self.len;
+        self.len += 1;
+        if let Some(last) = self.spans.last_mut() {
+            let (count, offset) = (len - last.at, index.wrapping_sub(last.first));
+            if count == 1 && offset <= 1 {
+                // The second index settles the step.
+                last.step = offset;
+                return;
+            }
+            if count > 1 && offset == last.step * count {
+                return;
+            }
+        }
+        self.spans.push(Span { at: len, first: index, step: 0 });
+    }
+
+    /// Appends every index of `other`, span by span: the first two
+    /// indices of a span go through [`Speakers::push`] (so a span that
+    /// continues the last one merges at the seam), the rest are
+    /// counted on.
+    pub fn extend(&mut self, other: &Speakers) {
+        for (k, span) in other.spans.iter().enumerate() {
+            let count = other.span_end(k) - span.at;
+            for i in 0..count.min(2) {
+                self.push(span.first.wrapping_add(span.step * i));
+            }
+            if count > 2 {
+                // The last span ends with this span's second index, and
+                // it either has this span's step or holds that index
+                // alone.
+                if let Some(last) = self.spans.last_mut() {
+                    last.step = span.step;
+                }
+                self.len += count - 2;
+            }
+        }
+    }
+
+    /// Where span `k` ends.
+    fn span_end(&self, k: usize) -> usize {
+        self.spans.get(k + 1).map_or(self.len, |next| next.at)
+    }
+
+    /// Every index, in order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.range(0..self.len)
+    }
+
+    /// The indices at positions `range` (clamped to the sequence), in
+    /// order; the range may start or end mid-span.
+    pub fn range(&self, range: std::ops::Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let (lo, hi) = (range.start, range.end.min(self.len));
+        // The span holding `lo` is the last one starting at or before it.
+        let first = self.spans.partition_point(|span| span.at <= lo).saturating_sub(1);
+        let spans = self.spans.get(first..).unwrap_or_default();
+        spans.iter().enumerate().take_while(move |(_, span)| span.at < hi).flat_map(
+            move |(k, span)| {
+                let (a, b) = (span.at.max(lo), self.span_end(first + k).min(hi));
+                (a..b).map(move |pos| span.first.wrapping_add(span.step * (pos - span.at)))
+            },
+        )
+    }
+}
+
+impl From<&[usize]> for Speakers {
+    fn from(indices: &[usize]) -> Self {
+        let mut speakers = Speakers::new();
+        for &index in indices {
+            speakers.push(index);
+        }
+        speakers
+    }
+}
+
 /// A committee step as submitted by a client: `members` of one
 /// committee each posting `message` under `phase` at one metered size.
 /// This is the protocol's own unit of communication (a committee speaks
-/// once per round), so every layer takes it whole — a posting costs the
-/// layers one member index, and everything else once per run. Indices
-/// may repeat (a member posting the same message several times).
+/// once per round), so every layer takes it whole — the members travel
+/// as [`Speakers`] spans (a step `0, 1, …, n − 1` is one span), and
+/// everything else once per run. Indices may repeat (a member posting
+/// the same message several times).
 #[derive(Debug)]
 pub struct PostRun<'a, M> {
     /// The committee label shared by the posting roles.
@@ -98,7 +219,7 @@ pub struct PostRun<'a, M> {
     /// Metered size of each posting, in bytes.
     pub bytes: u64,
     /// The posting members' indices, in posting order.
-    pub members: &'a [usize],
+    pub members: &'a Speakers,
 }
 
 /// The transport behind a [`crate::BulletinBoard`]: append-only posting
@@ -170,10 +291,11 @@ pub trait BoardTransport<M>: Send + Sync {
     /// per member index of every run, in order, under the same
     /// atomicity contract as [`BoardTransport::post_stream`] (the whole
     /// call lands under one lock acquisition / in one flush). A run
-    /// with no members appends nothing. The default expands the runs
-    /// into a record stream, so a backend (or wrapper) that implements
-    /// only the record-level methods still sees every posting; backends
-    /// override it to do the per-run work once per run.
+    /// with no members appends nothing. The default expands the runs'
+    /// member spans into a record stream, so a backend (or wrapper)
+    /// that implements only the record-level methods still sees every
+    /// posting; backends override it to do the per-run work once per
+    /// run.
     ///
     /// # Errors
     ///
@@ -184,7 +306,7 @@ pub trait BoardTransport<M>: Send + Sync {
     {
         self.post_stream(&mut runs.iter().flat_map(|run| {
             let phase: Arc<str> = Arc::from(run.phase);
-            run.members.iter().map(move |&index| PostRecord {
+            run.members.iter().map(move |index| PostRecord {
                 from: RoleId { committee: Arc::clone(run.committee), index },
                 phase: Arc::clone(&phase),
                 message: run.message.clone(),
@@ -300,8 +422,10 @@ impl<M: Clone> Run<M> {
 /// Run-length in-memory posting storage of the in-process transport.
 ///
 /// A committee step posts `n` messages that differ only in who sent
-/// them, so the log stores the shared part once per [`Run`] and one
-/// member index per posting in the flat `members` column. A posting
+/// them, so the log stores the shared part once per [`Run`] and the
+/// member indices as one [`Speakers`] column, each span recording the
+/// sequence number it starts at (a span may go on across a run
+/// boundary; readers cut it by sequence range). A posting
 /// extends the last run when its round, committee, phase, message and
 /// metered size all equal the run's; anything else starts a new run.
 /// Runs never span a round tick, so `round_starts` — `round_starts[r]`
@@ -311,15 +435,16 @@ impl<M: Clone> Run<M> {
 #[derive(Debug)]
 struct RunLog<M> {
     runs: Vec<Run<M>>,
-    /// Member index of every posting, by sequence number.
-    members: Vec<usize>,
+    /// Member index of every posting, by sequence number; its length
+    /// is the posting counter.
+    members: Speakers,
     round_starts: Vec<usize>,
     round: u64,
 }
 
 impl<M> Default for RunLog<M> {
     fn default() -> Self {
-        RunLog { runs: Vec::new(), members: Vec::new(), round_starts: vec![0], round: 0 }
+        RunLog { runs: Vec::new(), members: Speakers::new(), round_starts: vec![0], round: 0 }
     }
 }
 
@@ -387,7 +512,8 @@ impl<M> RunLog<M> {
     }
 
     /// Appends a whole submitted run in the current round: one
-    /// comparison against the last run, one bulk copy of the indices.
+    /// comparison against the last run, one span-wise copy of the
+    /// indices.
     /// A run opened here shares the previous run's phase label when the
     /// phase has not changed, so a phase still costs one allocation.
     fn push_run(&mut self, run: &PostRun<'_, M>)
@@ -410,13 +536,17 @@ impl<M> RunLog<M> {
                 run.bytes,
             );
         }
-        self.members.extend_from_slice(run.members);
+        self.members.extend(run.members);
     }
 
-    /// Calls `f(run, members)` for every run overlapping the range, in
-    /// log order, with the member indices of the overlap — the range
-    /// may start or end mid-run.
-    fn walk(&self, range: std::ops::Range<usize>, mut f: impl FnMut(&Run<M>, &[usize])) {
+    /// Calls `f(run, seqs)` for every run overlapping the range, in log
+    /// order, with the sequence numbers of the overlap — the range may
+    /// start or end mid-run.
+    fn walk(
+        &self,
+        range: std::ops::Range<usize>,
+        mut f: impl FnMut(&Run<M>, std::ops::Range<usize>),
+    ) {
         let (lo, hi) = (range.start, range.end.min(self.len()));
         if lo >= hi {
             return;
@@ -429,10 +559,7 @@ impl<M> RunLog<M> {
                 break;
             }
             let run_end = runs.peek().map_or(self.len(), |next| next.start);
-            let (a, b) = (run.start.max(lo), run_end.min(hi));
-            if let Some(members) = self.members.get(a..b) {
-                f(run, members);
-            }
+            f(run, run.start.max(lo)..run_end.min(hi));
         }
     }
 
@@ -442,22 +569,22 @@ impl<M> RunLog<M> {
         M: Clone,
     {
         let mut out = Vec::with_capacity(range.end.saturating_sub(range.start));
-        self.walk(range, |run, members| {
-            out.extend(members.iter().map(|&index| run.posting(index)));
+        self.walk(range, |run, seqs| {
+            out.extend(self.members.range(seqs).map(|index| run.posting(index)));
         });
         out
     }
 
     /// Applies `f` to every posting in the range without cloning per
     /// posting: one scratch [`Posting`] per run, whose member index is
-    /// rewritten in place.
+    /// rewritten in place as the run's spans expand.
     fn visit(&self, range: std::ops::Range<usize>, f: &mut dyn FnMut(&Posting<M>))
     where
         M: Clone,
     {
-        self.walk(range, |run, members| {
+        self.walk(range, |run, seqs| {
             let mut scratch = run.posting(0);
-            for &index in members {
+            for index in self.members.range(seqs) {
                 scratch.from.index = index;
                 f(&scratch);
             }
@@ -688,12 +815,11 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         records: &mut dyn Iterator<Item = PostRecord<M>>,
     ) -> Result<u64, BoardError> {
         let mut g = self.log.write();
-        let before = g.members.len();
-        g.members.reserve(records.size_hint().0);
+        let before = g.len();
         for r in records {
             g.push(r);
         }
-        Ok((g.members.len() - before) as u64)
+        Ok((g.len() - before) as u64)
     }
 
     fn post_slice(
@@ -705,7 +831,6 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         bytes: u64,
     ) -> Result<(), BoardError> {
         let mut g = self.log.write();
-        g.members.reserve(messages.len());
         for message in messages {
             if !g.extends(&from.committee, phase, message, elements, bytes) {
                 g.start_run(
@@ -1055,6 +1180,106 @@ mod tests {
         // Only the member index differing does not.
         t.post_batch(vec![PostRecord { message: 1, ..rec(9, "a") }]).unwrap();
         assert_eq!(t.run_count(), 2);
+    }
+
+    /// Indices made of segments `(first, len, step, descending)`, so
+    /// that long spans, short ones and seams that may merge all occur.
+    fn segments() -> impl proptest::strategy::Strategy<Value = Vec<usize>> {
+        use proptest::prelude::*;
+        prop::collection::vec((0..8usize, 1..9usize, 0..2usize, any::<bool>()), 0..8).prop_map(
+            |segments| {
+                segments
+                    .into_iter()
+                    .flat_map(|(first, len, step, descending)| {
+                        (0..len).map(move |k| {
+                            if descending {
+                                first + len - k
+                            } else {
+                                first + step * k
+                            }
+                        })
+                    })
+                    .collect()
+            },
+        )
+    }
+
+    /// Every sub-range of `speakers` against the same range of `want`.
+    fn same_indices(speakers: &Speakers, want: &[usize]) -> Result<(), String> {
+        if speakers.len() != want.len() {
+            return Err(format!("len {} != {}", speakers.len(), want.len()));
+        }
+        for a in 0..=want.len() + 1 {
+            for b in a..=want.len() + 2 {
+                let got: Vec<usize> = speakers.range(a..b).collect();
+                let hi = b.min(want.len());
+                if got != want.get(a.min(hi)..hi).unwrap_or_default() {
+                    return Err(format!("range {a}..{b}: got {got:?}"));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn speakers_iterate_back_what_was_appended(
+            indices in segments(),
+            chunks in proptest::collection::vec(0..7usize, 0..12),
+        ) {
+            let pushed = Speakers::from(&indices[..]);
+            proptest::prop_assert!(pushed.span_count() <= indices.len());
+            if let Err(e) = same_indices(&pushed, &indices) {
+                proptest::prop_assert!(false, "pushed: {e}");
+            }
+            // The same indices, span-wise in chunks of the drawn sizes.
+            let (mut extended, mut rest) = (Speakers::new(), &indices[..]);
+            for size in chunks.into_iter().chain([usize::MAX]) {
+                let (chunk, later) = rest.split_at(size.min(rest.len()));
+                extended.extend(&Speakers::from(chunk));
+                rest = later;
+            }
+            if let Err(e) = same_indices(&extended, &indices) {
+                proptest::prop_assert!(false, "extended: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_committee_step_is_one_span_and_a_member_major_run_one_per_member() {
+        let step: Vec<usize> = (0..512).collect();
+        assert_eq!(Speakers::from(&step[..]).span_count(), 1);
+        let member_major: Vec<usize> = (0..512).flat_map(|i| [i; 258]).collect();
+        let speakers = Speakers::from(&member_major[..]);
+        assert!(speakers.span_count() <= 512);
+        assert_eq!(speakers.len(), 512 * 258);
+        assert!(speakers.range(258 * 7 - 1..258 * 7 + 1).eq([6, 7]));
+        // A step repeated is one span per repetition.
+        let mut repeated = Speakers::new();
+        for _ in 0..3 {
+            repeated.extend(&Speakers::from(&step[..]));
+        }
+        assert_eq!((repeated.len(), repeated.span_count()), (3 * 512, 3));
+    }
+
+    #[test]
+    fn a_span_continued_across_extend_calls_merges() {
+        let mut speakers = Speakers::new();
+        for chunk in [&[0, 1, 2][..], &[3, 4], &[5], &[6, 7, 8, 9]] {
+            speakers.extend(&Speakers::from(chunk));
+        }
+        assert_eq!(speakers.span_count(), 1);
+        assert!(speakers.iter().eq(0..10));
+        // A repeat after a single index settles the step at 0 and goes on.
+        let mut repeats = Speakers::from(&[4][..]);
+        repeats.extend(&Speakers::from(&[4, 4, 4][..]));
+        assert_eq!((repeats.len(), repeats.span_count()), (4, 1));
+        // A break does not merge.
+        repeats.extend(&Speakers::from(&[5, 6][..]));
+        assert_eq!(repeats.span_count(), 2);
+        assert!(repeats.iter().eq([4, 4, 4, 4, 5, 6]));
     }
 
     #[test]

@@ -2,19 +2,24 @@
 //! interleavings of every posting entry point and round ticks, checked
 //! after each step against a naive log that keeps one `Posting` per
 //! post. Every reader must return exactly what the naive log holds,
-//! from any cursor (mid-run included).
+//! from any cursor (mid-run included). Member lists include the shapes
+//! that start, extend and break the log's index spans: whole steps,
+//! member-major repeats, gaps, descending pairs, and a span continued
+//! by a later call.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use yoso_runtime::{
     BoardError, BoardTransport, BulletinBoard, Committee, InProcessTransport, PostRun, Posting,
-    RoleId,
+    RoleId, Speakers,
 };
 
 const COMMITTEES: [&str; 2] = ["off-1", "on-2"];
 const PHASES: [&str; 3] = ["offline/1-beaver", "offline/2-wire-rand", "online/3-mult"];
 const MEMBERS: usize = 5;
+/// Committee size: room for the longest span-shaped member list.
+const COMMITTEE: usize = 40;
 
 /// The fields shared by consecutive posts; drawn from small alphabets
 /// so that equal neighbours (runs) are common.
@@ -35,6 +40,10 @@ enum Op {
     PostBatch(Shape, usize, Vec<u64>),
     /// One `post_run` call: each run a shape and its member list.
     PostRun(Vec<(Shape, Vec<usize>)>),
+    /// One member list under one shape, cut at `split`: the head in one
+    /// `post_run` call, the tail in a second one or, when `posts`, one
+    /// `post` per member.
+    Continued { shape: Shape, members: Vec<usize>, split: usize, posts: bool },
     AdvanceRound,
 }
 
@@ -50,6 +59,24 @@ fn shape() -> impl Strategy<Value = Shape> {
     )
 }
 
+/// Member lists shaped like the protocol's steps and their neighbours.
+fn span_members() -> impl Strategy<Value = Vec<usize>> {
+    prop_oneof![
+        // A whole step, `0..n`.
+        (0..=COMMITTEE).prop_map(|n| (0..n).collect()),
+        // Member-major repeats, `[0; p], [1; p], …`.
+        (1..8usize, 1..5usize)
+            .prop_map(|(n, p)| (0..n).flat_map(|i| std::iter::repeat_n(i, p)).collect()),
+        // Two ascending runs with a gap between them.
+        (0..10usize, 1..12usize, 2..6usize, 1..12usize).prop_map(|(a, l1, gap, l2)| {
+            let b = a + l1 + gap;
+            (a..a + l1).chain(b..(b + l2).min(COMMITTEE)).collect()
+        }),
+        // Descending pairs, `1, 0, 3, 2, …`.
+        (1..20usize).prop_map(|n| (0..n).flat_map(|i| [2 * i + 1, 2 * i]).collect()),
+    ]
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (shape(), 0..MEMBERS).prop_map(|(s, i)| Op::Post(s, i)),
@@ -61,6 +88,14 @@ fn op() -> impl Strategy<Value = Op> {
         // the empty list.
         prop::collection::vec((shape(), prop::collection::vec(0..MEMBERS, 0..7)), 0..4)
             .prop_map(Op::PostRun),
+        // One or two span-shaped runs in one call.
+        prop::collection::vec((shape(), span_members()), 1..3).prop_map(Op::PostRun),
+        (shape(), span_members(), 0..=2 * COMMITTEE, any::<bool>()).prop_map(
+            |(shape, members, split, posts)| {
+                let split = split.min(members.len());
+                Op::Continued { shape, members, split, posts }
+            }
+        ),
         Just(Op::AdvanceRound),
         Just(Op::AdvanceRound),
     ]
@@ -162,7 +197,7 @@ proptest! {
     #[test]
     fn run_length_log_matches_a_posting_per_post_log(ops in prop::collection::vec(op(), 1..28)) {
         let committees: Vec<Committee> =
-            COMMITTEES.iter().map(|name| Committee::honest(*name, MEMBERS)).collect();
+            COMMITTEES.iter().map(|name| Committee::honest(*name, COMMITTEE)).collect();
         let role = |s: &Shape, i: usize| {
             if s.shared_label {
                 committees[s.committee].role(i)
@@ -190,10 +225,13 @@ proptest! {
                     // of it, by the shape's coin.
                     let labels: Vec<Arc<str>> =
                         runs.iter().map(|(s, _)| role(s, 0).committee).collect();
+                    let speakers: Vec<Speakers> =
+                        runs.iter().map(|(_, members)| Speakers::from(&members[..])).collect();
                     let runs: Vec<PostRun<'_, u64>> = runs
                         .iter()
                         .zip(&labels)
-                        .map(|((s, members), committee)| PostRun {
+                        .zip(&speakers)
+                        .map(|(((s, _), committee), members)| PostRun {
                             committee,
                             phase: PHASES[s.phase],
                             message: &s.message,
@@ -203,12 +241,36 @@ proptest! {
                         })
                         .collect();
                     for run in &runs {
-                        for &i in run.members {
+                        for i in run.members.iter() {
                             let from = RoleId { committee: Arc::clone(run.committee), index: i };
                             model.push(from, run.phase, *run.message, run.elements);
                         }
                     }
                     board.post_run(&runs).unwrap();
+                }
+                Op::Continued { shape: s, members, split, posts } => {
+                    let (head, tail) = members.split_at(*split);
+                    let speakers = [Speakers::from(head), Speakers::from(tail)];
+                    let committee = role(s, 0).committee;
+                    let run = |members| PostRun {
+                        committee: &committee,
+                        phase: PHASES[s.phase],
+                        message: &s.message,
+                        elements: s.elements,
+                        bytes: 8 * s.elements,
+                        members,
+                    };
+                    board.post_run(&[run(&speakers[0])]).unwrap();
+                    if *posts {
+                        for &i in tail {
+                            board.post(role(s, i), s.message, PHASES[s.phase], s.elements, 8 * s.elements).unwrap();
+                        }
+                    } else {
+                        board.post_run(&[run(&speakers[1])]).unwrap();
+                    }
+                    for &i in members {
+                        model.push(role(s, i), PHASES[s.phase], s.message, s.elements);
+                    }
                 }
                 Op::AdvanceRound => {
                     board.advance_round().unwrap();
