@@ -343,12 +343,10 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
             );
             // One buffer, one flush for the whole batch.
             let mut posts = crate::parallel::PostBuffer::new();
+            step.record_speakers(&mut posts, 0..n);
             let mut posted: Vec<Share<F>> = Vec::new();
-            for (i, result) in member_results.into_iter().enumerate() {
+            for result in member_results {
                 let out = result?;
-                if step.speaks(i) {
-                    step.record(&mut posts, i);
-                }
                 for (role, object, piece) in out.leaks {
                     leak.record(role, object, piece);
                 }

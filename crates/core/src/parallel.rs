@@ -63,31 +63,39 @@ impl PostBuffer {
         PostBuffer::default()
     }
 
-    /// Records one post by `member` of `committee` for later replay.
-    /// `owned` says whether the current worker's role partition owns
-    /// the posting member (always true in solo runs). The post joins
-    /// the open run unless anything but the member differs from it.
-    pub(crate) fn record(
+    /// Opens the run a committee step's postings go into, for later
+    /// replay: the postings [`Self::push`] appends from here on are
+    /// posts by members of `committee`, each a `post` of `elements`
+    /// under `phase`. `owned` says whether the current worker's role
+    /// partition owns those members (always true in solo runs). The
+    /// open run is continued unless anything but its members differs.
+    pub(crate) fn open_run(
         &mut self,
         owned: bool,
         committee: &Arc<str>,
-        member: usize,
         post: Post,
         phase: &'static str,
         elements: u64,
     ) {
-        let open = self.runs.last_mut().filter(|run| {
+        let continues = self.runs.last().is_some_and(|run| {
             run.owned == owned
                 && run.elements == elements
                 && run.post == post
                 && run.phase == phase
                 && (Arc::ptr_eq(&run.committee, committee) || run.committee == *committee)
         });
-        match open {
-            Some(run) => run.members.push(member),
-            None => {
-                let (committee, members) = (Arc::clone(committee), Speakers::from(&[member][..]));
-                self.runs.push(BufferedRun { owned, committee, post, phase, elements, members });
+        if !continues {
+            let (committee, members) = (Arc::clone(committee), Speakers::new());
+            self.runs.push(BufferedRun { owned, committee, post, phase, elements, members });
+        }
+    }
+
+    /// Appends `times` postings by `member` to the run last opened
+    /// ([`Self::open_run`]).
+    pub(crate) fn push(&mut self, member: usize, times: usize) {
+        if let Some(run) = self.runs.last_mut() {
+            for _ in 0..times {
+                run.members.push(member);
             }
         }
     }

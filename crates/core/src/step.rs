@@ -102,16 +102,28 @@ impl<'a> Step<'a> {
         Turn { index, behavior, rng: StdRng::seed_from_u64(seed), prover: prover.filter(|_| owned) }
     }
 
-    /// Rule 5: `member`'s posting(s), buffered for the board.
-    pub(crate) fn record(&self, posts: &mut PostBuffer, member: usize) {
-        self.record_as(posts, member, self.cfg.partition.owns(member));
+    /// Rule 5 for a caller that runs its own member loop: the postings
+    /// of every speaker of `members`, in order.
+    pub(crate) fn record_speakers(
+        &self,
+        posts: &mut PostBuffer,
+        members: impl IntoIterator<Item = usize>,
+    ) {
+        let mut open = None;
+        for member in members.into_iter().filter(|&member| self.speaks(member)) {
+            self.record(posts, &mut open, member, self.cfg.partition.owns(member));
+        }
     }
 
-    /// Rule 5 with the ownership flag already decided.
-    fn record_as(&self, posts: &mut PostBuffer, member: usize, owned: bool) {
-        for _ in 0..self.postings {
-            posts.record(owned, &self.committee.name, member, self.post, self.phase, self.elements);
+    /// Rule 5: `member`'s postings, buffered for the board. They join
+    /// the run `open` names the ownership of: the step opens one on its
+    /// first speaker and again only when ownership flips.
+    fn record(&self, posts: &mut PostBuffer, open: &mut Option<bool>, member: usize, owned: bool) {
+        if *open != Some(owned) {
+            posts.open_run(owned, &self.committee.name, self.post, self.phase, self.elements);
+            *open = Some(owned);
         }
+        posts.push(member, self.postings);
     }
 
     /// Runs the step: each speaking candidate of `members` (`(index,
@@ -125,11 +137,12 @@ impl<'a> Step<'a> {
         members: impl IntoIterator<Item = (usize, T)>,
         mut act: impl FnMut(Turn<'_, M>, T),
     ) {
+        let mut open = None;
         for (member, held) in members {
             let Some(behavior) = self.speaker(member) else { continue };
             let owned = self.cfg.partition.owns(member);
             act(Self::turn_of(member, behavior, owned, rng.next_u64(), prover), held);
-            self.record_as(posts, member, owned);
+            self.record(posts, &mut open, member, owned);
         }
     }
 }

@@ -21,7 +21,7 @@
 //! contributions, which under `t < n/2` always suffice — this is where
 //! guaranteed output delivery comes from.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
@@ -115,61 +115,108 @@ pub struct PostedReshare<F: PrimeField> {
 /// entry unless some member's posts verify on only some of its items.
 type WeightCache<F> = BTreeMap<Vec<usize>, Arc<ZeroWeights<F>>>;
 
-/// The first `t + 1` verified `Re-encrypt` postings of one item, in
-/// posting order: all that its opening needs of them.
+/// The first `t + 1` verified contributions to one threshold opening, in
+/// posting order: all that its recombination reads of a step's postings.
+/// Every step that opens from `t + 1` keeps one as it runs — a
+/// `Decrypt` ciphertext, a `Re-encrypt` item, a handover — and drops
+/// each later contribution as soon as it is posted.
+///
+/// A contribution is `width` field elements. Value `k` of the `p`-th
+/// kept contribution sits at `columns[k·(t + 1) + p]`, so column `k` is
+/// the vector the recombination weights apply to.
 #[derive(Debug)]
 struct FirstValid<F: PrimeField> {
     need: usize,
-    providers: Vec<usize>,
-    /// The posted encryptions' `u` and `v` components.
-    us: Vec<F>,
-    vs: Vec<F>,
+    parties: Vec<usize>,
+    columns: Vec<F>,
 }
 
 impl<F: PrimeField> FirstValid<F> {
-    fn new(t: usize) -> Self {
+    fn new(t: usize, width: usize) -> Self {
         let need = t + 1;
-        let providers = Vec::with_capacity(need);
-        FirstValid { need, providers, us: Vec::with_capacity(need), vs: Vec::with_capacity(need) }
+        FirstValid { need, parties: Vec::with_capacity(need), columns: vec![F::ZERO; width * need] }
     }
 
-    /// Keeps `provider`'s posting if it verified and `t + 1` are not
-    /// kept yet.
-    fn offer(&mut self, provider: usize, enc: &Ciphertext<F>, valid: bool) {
-        if valid && self.providers.len() < self.need {
-            self.providers.push(provider);
-            self.us.push(enc.u);
-            self.vs.push(enc.v);
+    /// How many contributions are kept.
+    fn kept(&self) -> usize {
+        self.parties.len()
+    }
+
+    /// Keeps `party`'s contribution if it verified and `t + 1` are not
+    /// kept yet; only then are its `values` computed.
+    fn offer<I: IntoIterator<Item = F>>(
+        &mut self,
+        party: usize,
+        valid: bool,
+        values: impl FnOnce() -> I,
+    ) {
+        let p = self.kept();
+        if !valid || p == self.need {
+            return;
+        }
+        self.parties.push(party);
+        for (slot, value) in self.columns.iter_mut().skip(p).step_by(self.need).zip(values()) {
+            *slot = value;
         }
     }
 
-    /// Folds the kept postings into the value's public opening
-    /// `(source_v − Σ w_j v_j, −Σ w_j u_j)`. The weights are looked up
-    /// in `cache`, shared by every worker of one `Re-encrypt` call: they
-    /// depend only on the provider list, so the result does not depend
-    /// on which worker fills an entry. A starved item keeps its count;
+    /// Column `k`: value `k` of every kept contribution, in posting
+    /// order.
+    fn column(&self, k: usize) -> &[F] {
+        self.columns.chunks_exact(self.need).nth(k).unwrap_or_default()
+    }
+
+    /// The kept parties' recombination weights, looked up in `cache`
+    /// (built on the set's first appearance; they depend only on the
+    /// parties, so they do not depend on who fills an entry).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::NotEnoughContributions`], named after `step`,
+    /// when fewer than `t + 1` contributions verified.
+    fn weights(
+        &self,
+        step: &'static str,
+        chain: &TskChain<F>,
+        cache: &mut WeightCache<F>,
+    ) -> Result<Arc<ZeroWeights<F>>, ProtocolError> {
+        if self.kept() < self.need {
+            return Err(ProtocolError::NotEnoughContributions {
+                step,
+                got: self.kept(),
+                need: self.need,
+            });
+        }
+        chain.shared_weights(cache, &self.parties)
+    }
+}
+
+impl<F: PrimeField> ReencryptedValue<F> {
+    /// Folds an item's kept postings (the encryptions' `u` and `v`
+    /// components) into its public opening
+    /// `(source_v − Σ w_j v_j, −Σ w_j u_j)`. `cache` is shared by every
+    /// worker of one `Re-encrypt` call. A starved item keeps its count;
     /// the shortage is reported when (and only if) somebody opens it.
     fn fold(
-        self,
+        kept: &FirstValid<F>,
         chain: &TskChain<F>,
         cache: &Mutex<WeightCache<F>>,
         target: PkePublicKey<F>,
         source_v: F,
-    ) -> Result<ReencryptedValue<F>, ProtocolError> {
-        let opening = if self.providers.len() < self.need {
-            Err(self.providers.len())
+    ) -> Result<Self, ProtocolError> {
+        let opening = if kept.kept() < kept.need {
+            Err(kept.kept())
         } else {
-            let w = {
-                let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
-                Arc::clone(chain.shared_weights(&mut cache, self.providers)?)
-            };
+            let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
+            let w = kept.weights("re-encrypt opening", chain, &mut cache)?;
+            drop(cache);
             // Combined encrypted partial: Σ w_j (u_j, v_j) encrypts s·u_ct.
-            let (a_u, a_v) = (w.combine(&self.us), w.combine(&self.vs));
+            let (a_u, a_v) = (w.combine(kept.column(0)), w.combine(kept.column(1)));
             // s·u_ct = a_v − sk·a_u; value = source_v − s·u_ct
             //        = (source_v − a_v) + sk·a_u  =  a − sk·b
             Ok((source_v - a_v, -a_u))
         };
-        Ok(ReencryptedValue { target, source_v, t: self.need - 1, opening })
+        Ok(ReencryptedValue { target, source_v, t: kept.need - 1, opening })
     }
 }
 
@@ -286,18 +333,17 @@ impl<F: PrimeField> TskChain<F> {
 
     /// The recombination weights of a batch item's canonical subset,
     /// computed on the subset's first appearance in the batch.
-    fn shared_weights<'c>(
+    fn shared_weights(
         &self,
-        cache: &'c mut WeightCache<F>,
-        parties: Vec<usize>,
-    ) -> Result<&'c Arc<ZeroWeights<F>>, ProtocolError> {
-        Ok(match cache.entry(parties) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                let w = Arc::new(MockTe::zero_weights(&self.pk, e.key())?);
-                e.insert(w)
-            }
-        })
+        cache: &mut WeightCache<F>,
+        parties: &[usize],
+    ) -> Result<Arc<ZeroWeights<F>>, ProtocolError> {
+        if let Some(w) = cache.get(parties) {
+            return Ok(Arc::clone(w));
+        }
+        let w = Arc::new(MockTe::zero_weights(&self.pk, parties)?);
+        cache.insert(parties.to_vec(), Arc::clone(&w));
+        Ok(w)
     }
 
     /// Public `Decrypt` of a batch of ciphertexts by `committee`
@@ -321,8 +367,7 @@ impl<F: PrimeField> TskChain<F> {
         self.decrypt_in(rng, &sb, committee, cfg, phase, cts)
     }
 
-    /// [`Self::decrypt`] posting through an existing sharded board:
-    /// one [`Step`] over the share holders, one posting per ciphertext.
+    /// [`Self::decrypt`] posting through an existing sharded board.
     pub(crate) fn decrypt_in<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -332,19 +377,36 @@ impl<F: PrimeField> TskChain<F> {
         phase: &'static str,
         cts: &[Ciphertext<F>],
     ) -> Result<Vec<F>, ProtocolError> {
+        let kept = self.partials_in(rng, sb, committee, cfg, phase, cts)?;
+        self.combine_partials(cts, &kept)
+    }
+
+    /// The postings of a `Decrypt`: one [`Step`] over the share holders,
+    /// one posting per ciphertext, each ciphertext keeping its first
+    /// `t + 1` verified partials as the step runs.
+    fn partials_in<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        sb: &crate::workitem::ShardedBoard<'_>,
+        committee: &Committee,
+        cfg: &ExecutionConfig,
+        phase: &'static str,
+        cts: &[Ciphertext<F>],
+    ) -> Result<Vec<FirstValid<F>>, ProtocolError> {
         self.record_leaks(committee);
         // One map per ciphertext, shared by the committee's partials.
         let maps: Option<Vec<PdecMap<F>>> = cfg
             .produce_proofs
             .then(|| cts.iter().map(|ct| PdecMap::new(&self.pk, ct)).collect());
-        let mut partials: Vec<Vec<(usize, F, bool)>> = vec![Vec::new(); cts.len()];
+        let mut kept: Vec<FirstValid<F>> =
+            cts.iter().map(|_| FirstValid::new(self.pk.t, 1)).collect();
         let mut posts = PostBuffer::new();
         let elements = PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS;
         let step =
             Step::new(committee, cfg, phase, Post::PartialDec, elements).with_postings(cts.len());
         step.run(rng, &mut posts, maps.as_ref(), self.holders(committee), |mut turn, share| {
             let vk = self.pk.vks[turn.index];
-            for (c_idx, ct) in cts.iter().enumerate() {
+            for ((c_idx, ct), kept) in cts.iter().enumerate().zip(&mut kept) {
                 let (value, valid) = match turn.attack() {
                     None => {
                         let pd = MockTe::partial_decrypt(share, ct).value;
@@ -365,40 +427,25 @@ impl<F: PrimeField> TskChain<F> {
                         (wrong, ok)
                     }
                 };
-                partials[c_idx].push((turn.index, value, valid));
+                kept.offer(turn.index, valid, || [value]);
             }
         });
         sb.flush_buffer(posts)?;
-
-        self.combine_partials(cts, &partials)
+        Ok(kept)
     }
 
-    /// Recombines each ciphertext's first `t + 1` verified partials
-    /// (`(party, value, verified)`, in posting order).
+    /// Recombines each ciphertext's kept partials.
     fn combine_partials(
         &self,
         cts: &[Ciphertext<F>],
-        partials: &[Vec<(usize, F, bool)>],
+        kept: &[FirstValid<F>],
     ) -> Result<Vec<F>, ProtocolError> {
-        let need = self.pk.t + 1;
         let mut weights = WeightCache::new();
         cts.iter()
-            .zip(partials)
-            .map(|(ct, posts)| {
-                let (parties, values): (Vec<usize>, Vec<F>) = posts
-                    .iter()
-                    .filter(|(_, _, ok)| *ok)
-                    .take(need)
-                    .map(|&(party, value, _)| (party, value))
-                    .unzip();
-                if parties.len() < need {
-                    return Err(ProtocolError::NotEnoughContributions {
-                        step: "threshold decrypt",
-                        got: parties.len(),
-                        need,
-                    });
-                }
-                Ok(ct.v - self.shared_weights(&mut weights, parties)?.combine(&values))
+            .zip(kept)
+            .map(|(ct, kept)| {
+                let w = kept.weights("threshold decrypt", self, &mut weights)?;
+                Ok(ct.v - w.combine(kept.column(0)))
             })
             .collect()
     }
@@ -457,7 +504,7 @@ impl<F: PrimeField> TskChain<F> {
                 .produce_proofs
                 .then(|| EncryptedPartialMap::new(&self.pk, target))
                 .transpose()?;
-            let mut kept = FirstValid::new(self.pk.t);
+            let mut kept = FirstValid::new(self.pk.t, 2);
             let holders = self.holders(committee);
             step.run(&mut irng, &mut posts, map.as_ref(), holders, |mut turn, share| {
                 let vk = self.pk.vks[turn.index];
@@ -476,9 +523,10 @@ impl<F: PrimeField> TskChain<F> {
                         map.verify(vk, ct, &enc, &nizk::LinearProof::garbage(rng, 3, 2))
                     }),
                 };
-                kept.offer(turn.index, &enc, valid);
+                kept.offer(turn.index, valid, || [enc.u, enc.v]);
             });
-            Ok::<_, ProtocolError>((kept.fold(self, &weights, *target, ct.v)?, posts))
+            let value = ReencryptedValue::fold(&kept, self, &weights, *target, ct.v)?;
+            Ok::<_, ProtocolError>((value, posts))
         });
         let mut out = Vec::with_capacity(items.len());
         for item in worker_out {
@@ -512,7 +560,10 @@ impl<F: PrimeField> TskChain<F> {
 
     /// [`Self::handover`] posting through an existing sharded board:
     /// one [`Step`] over the share holders, each dealing its share
-    /// ([`deal`]).
+    /// ([`deal`]). The first `t + 1` valid dealings are kept as the
+    /// step runs — their commitments and, decrypted, their subshares,
+    /// recipient by recipient — and every other dealing is dropped as
+    /// soon as it is posted.
     pub(crate) fn handover_in<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -535,7 +586,9 @@ impl<F: PrimeField> TskChain<F> {
         // One map per handover, shared by its dealers.
         let map = cfg.produce_proofs.then(|| DealMap::new(self.pk.g, &recipient_pks, table));
 
-        let mut msgs: Vec<PostedReshare<F>> = Vec::new();
+        // A dealing kept is its t + 1 commitments, then the subshare
+        // each next-committee member decrypts.
+        let mut kept = FirstValid::new(t, t + 1 + n);
         let mut posts = PostBuffer::new();
         let elements = messages::reshare_elements(n as u64, t as u64);
         let step = Step::new(outgoing, cfg, phase, Post::TskReshare, elements);
@@ -550,43 +603,25 @@ impl<F: PrimeField> TskChain<F> {
                 };
                 map.verify_reshare(&self.pk, from, targets, &proof)
             };
-            msgs.push(deal(turn, self.pk.g, |_| share.value, table, &recipient_pks, relation));
+            let dealt = deal(turn, self.pk.g, |_| share.value, table, &recipient_pks, relation);
+            kept.offer(from, dealt.valid, || {
+                let subshares = (dealt.enc_subshares.iter().zip(next_keys))
+                    .map(|(enc, kp)| LinearPke::decrypt(&kp.secret, enc));
+                dealt.commitments.iter().copied().chain(subshares)
+            });
         });
         sb.flush_buffer(posts)?;
 
-        let providers: Vec<&PostedReshare<F>> =
-            msgs.iter().filter(|m| m.valid).take(t + 1).collect();
-        if providers.len() < t + 1 {
-            return Err(ProtocolError::NotEnoughContributions {
-                step: "tsk handover",
-                got: providers.len(),
-                need: t + 1,
-            });
-        }
-        let provider_indices: Vec<usize> = providers.iter().map(|m| m.from).collect();
-        let weights = MockTe::zero_weights(&self.pk, &provider_indices)?;
-
-        // Each next-committee member decrypts its subshares and
-        // recombines.
-        let mut new_shares = Vec::with_capacity(n);
-        let mut subs = Vec::with_capacity(t + 1);
-        for (j, kp) in next_keys.iter().enumerate() {
-            subs.clear();
-            subs.extend(
-                providers.iter().map(|m| LinearPke::decrypt(&kp.secret, &m.enc_subshares[j])),
-            );
-            new_shares.push(Some(KeyShare { party: j, value: weights.combine(&subs) }));
-        }
-
-        // Public derivation of the next verification keys from the
-        // Feldman commitments.
-        let vks = MockTe::next_verification_keys(
-            &weights,
-            providers.iter().map(|m| m.commitments.as_slice()),
-            table,
-        );
-        self.pk.vks = vks;
-        self.shares = new_shares;
+        let weights = kept.weights("tsk handover", self, &mut WeightCache::new())?;
+        // Public derivation of the next verification keys: the kept
+        // commitments collapsed to Σ w_p·C_p(X), evaluated once per
+        // recipient.
+        let collapsed: Vec<F> = (0..=t).map(|l| weights.combine(kept.column(l))).collect();
+        self.pk.vks = table.eval_all(&collapsed);
+        // Each next-committee member recombines its decrypted subshares.
+        self.shares = (0..n)
+            .map(|j| Some(KeyShare { party: j, value: weights.combine(kept.column(t + 1 + j)) }))
+            .collect();
         self.epoch += 1;
         Ok(())
     }
@@ -942,7 +977,18 @@ mod tests {
                     .collect()
             })
             .collect();
-        let got = chain.combine_partials(&cts, &partials).unwrap();
+        // What a `Decrypt` keeps of the postings: each ciphertext's first
+        // t + 1 verified partials.
+        let kept = |partials: &[Vec<(usize, F61, bool)>]| -> Vec<FirstValid<F61>> {
+            let mut kept: Vec<_> = partials.iter().map(|_| FirstValid::new(t, 1)).collect();
+            for (kept, posts) in kept.iter_mut().zip(partials) {
+                for &(i, y, ok) in posts {
+                    kept.offer(i, ok, || [y]);
+                }
+            }
+            kept
+        };
+        let got = chain.combine_partials(&cts, &kept(&partials)).unwrap();
         assert_eq!(got, ms);
         for ((ct, posts), &value) in cts.iter().zip(&partials).zip(&got) {
             let (parties, ys): (Vec<usize>, Vec<F61>) =
@@ -955,7 +1001,7 @@ mod tests {
             post.2 = false;
         }
         assert!(matches!(
-            chain.combine_partials(&cts, &starved),
+            chain.combine_partials(&cts, &kept(&starved)),
             Err(ProtocolError::NotEnoughContributions {
                 step: "threshold decrypt",
                 got: 2,
@@ -1033,13 +1079,14 @@ mod tests {
         // subset is {1, 2, 3}, the others' {0, 1, 2}.
         for (item, m) in [11u64, 22, 33].into_iter().map(F61::from).enumerate() {
             let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
-            let mut kept = FirstValid::new(chain.t());
+            let mut kept = FirstValid::new(chain.t(), 2);
             for i in 0..7 {
                 let valid = !(item == 1 && i == 0);
                 let d = if valid { chain.share_of(i).unwrap().value * ct.u } else { F61::random(&mut r) };
-                kept.offer(i, &LinearPke::encrypt(&mut r, &target.public, d).0, valid);
+                let enc = LinearPke::encrypt(&mut r, &target.public, d).0;
+                kept.offer(i, valid, || [enc.u, enc.v]);
             }
-            let val = kept.fold(&chain, &cache, target.public, ct.v).unwrap();
+            let val = ReencryptedValue::fold(&kept, &chain, &cache, target.public, ct.v).unwrap();
             assert_eq!(val.open(target.secret.scalar).unwrap(), m, "item {item}");
         }
         let cache = cache.into_inner().unwrap();
@@ -1109,46 +1156,140 @@ mod tests {
         ));
     }
 
+    /// Hands `chain` over from `outgoing` and checks every new share and
+    /// verification key against Horner evaluation and per-item
+    /// interpolation of the first `t + 1` honest dealers' polynomials;
+    /// returns those dealers.
+    fn handover_against_the_oracle(
+        r: &mut rand::rngs::StdRng,
+        chain: &mut TskChain<F61>,
+        outgoing: &Committee,
+        cfg: &ExecutionConfig,
+    ) -> Vec<usize> {
+        let (n, t) = (chain.pk.n, chain.t());
+        let board = BulletinBoard::new();
+        let next_keys: Vec<PkeKeyPair<F61>> = (0..n).map(|_| LinearPke::keygen(r)).collect();
+
+        // Replay the dealers' draws: one child seed per posting member,
+        // `t` coefficients from the child.
+        let mut replay = r.clone();
+        let mut polys: Vec<(usize, Vec<F61>)> = Vec::new();
+        for i in 0..n {
+            if !outgoing.behavior(i).participates_at(crate::engine::phase_index("x")) {
+                continue;
+            }
+            let mut mrng = rand::rngs::StdRng::seed_from_u64(replay.next_u64());
+            if *outgoing.behavior(i) == Behavior::Honest && polys.len() <= t {
+                let mut coeffs = vec![chain.share_of(i).unwrap().value];
+                coeffs.extend((0..t).map(|_| F61::random(&mut mrng)));
+                polys.push((i, coeffs));
+            }
+        }
+        let providers: Vec<usize> = polys.iter().map(|(i, _)| *i).collect();
+        let g = chain.pk.g;
+
+        chain.handover(r, &board, outgoing, cfg, "x", &next_keys).unwrap();
+        for j in 0..n {
+            let x = F61::from_u64(j as u64 + 1);
+            let subs: Vec<F61> = polys.iter().map(|(_, c)| horner(c, x)).collect();
+            let share = interpolated_at_zero(&providers, &subs);
+            assert_eq!(chain.share_of(j).unwrap().value, share, "share {j}");
+            let committed: Vec<F61> = subs.iter().map(|&s| s * g).collect();
+            assert_eq!(chain.pk.vks[j], interpolated_at_zero(&providers, &committed), "vk {j}");
+        }
+        providers
+    }
+
     #[test]
     fn handover_agrees_with_horner_and_per_item_interpolation() {
         for seed in 0..24 {
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             let (n, t, outgoing) = random_committee(&mut r);
-            let board = BulletinBoard::new();
             let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
-            let next_keys: Vec<PkeKeyPair<F61>> =
-                (0..n).map(|_| LinearPke::keygen(&mut r)).collect();
+            let providers = handover_against_the_oracle(&mut r, &mut chain, &outgoing, &cfg());
+            assert_eq!(providers.len(), t + 1, "seed {seed}");
+        }
+    }
 
-            // Replay the dealers' draws: one child seed per posting
-            // member, `t` coefficients from the child.
-            let mut replay = r.clone();
-            let mut polys: Vec<(usize, Vec<F61>)> = Vec::new();
-            for i in 0..n {
-                if !outgoing.behavior(i).participates_at(crate::engine::phase_index("x")) {
-                    continue;
-                }
-                let mut mrng = rand::rngs::StdRng::seed_from_u64(replay.next_u64());
-                if *outgoing.behavior(i) == Behavior::Honest && polys.len() <= t {
-                    let mut coeffs = vec![chain.share_of(i).unwrap().value];
-                    coeffs.extend((0..t).map(|_| F61::random(&mut mrng)));
-                    polys.push((i, coeffs));
+    /// A committee of `n` whose first `t` members mount `attack`.
+    fn first_t_hostile(n: usize, t: usize, attack: ActiveAttack) -> Committee {
+        let mut behaviors = vec![Behavior::Honest; n];
+        behaviors[..t].fill(Behavior::Malicious(attack));
+        Committee::with_behaviors("c", behaviors)
+    }
+
+    /// The configurations the first-`t + 1` rule must hold under:
+    /// contributions verified, and predicted.
+    fn proofs_on_and_off() -> [ExecutionConfig; 2] {
+        [cfg(), ExecutionConfig { produce_proofs: false, ..cfg() }]
+    }
+
+    #[test]
+    fn decrypt_opens_from_members_t_to_2t_when_the_first_t_fail() {
+        let (n, t) = (9, 4);
+        let providers: Vec<usize> = (t..=2 * t).collect();
+        for attack in [ActiveAttack::Silent, ActiveAttack::WrongValue, ActiveAttack::BadProof] {
+            for cfg in proofs_on_and_off() {
+                let mut r = rng();
+                let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+                let ms: Vec<F61> = (0..3).map(|_| F61::random(&mut r)).collect();
+                let cts: Vec<_> =
+                    ms.iter().map(|&m| MockTe::encrypt(&mut r, &chain.pk, m).0).collect();
+                let board = BulletinBoard::new();
+                let sb = crate::workitem::ShardedBoard::new(&board, cfg.partition).unwrap();
+                let committee = first_t_hostile(n, t, attack);
+                let kept = chain.partials_in(&mut r, &sb, &committee, &cfg, "x", &cts).unwrap();
+                let got = chain.combine_partials(&cts, &kept).unwrap();
+                assert_eq!(got, ms, "{attack:?}");
+                for ((ct, kept), value) in cts.iter().zip(&kept).zip(got) {
+                    assert_eq!(kept.parties, providers, "{attack:?}");
+                    let honest: Vec<F61> = providers
+                        .iter()
+                        .map(|&i| MockTe::partial_decrypt(chain.share_of(i).unwrap(), ct).value)
+                        .collect();
+                    assert_eq!(kept.column(0), honest, "{attack:?}");
+                    assert_eq!(value, ct.v - interpolated_at_zero(&providers, &honest));
                 }
             }
-            let providers: Vec<usize> = polys.iter().map(|(i, _)| *i).collect();
-            let g = chain.pk.g;
+        }
+    }
 
-            chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys).unwrap();
-            for j in 0..n {
-                let x = F61::from_u64(j as u64 + 1);
-                let subs: Vec<F61> = polys.iter().map(|(_, c)| horner(c, x)).collect();
-                let share = interpolated_at_zero(&providers, &subs);
-                assert_eq!(chain.share_of(j).unwrap().value, share, "seed {seed}, share {j}");
-                let committed: Vec<F61> = subs.iter().map(|&s| s * g).collect();
-                assert_eq!(
-                    chain.pk.vks[j],
-                    interpolated_at_zero(&providers, &committed),
-                    "seed {seed}, vk {j}"
-                );
+    #[test]
+    fn handover_deals_from_members_t_to_2t_when_the_first_t_fail() {
+        let (n, t) = (9, 4);
+        for attack in [ActiveAttack::Silent, ActiveAttack::WrongValue] {
+            for cfg in proofs_on_and_off() {
+                let mut r = rng();
+                let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+                let outgoing = first_t_hostile(n, t, attack);
+                let providers = handover_against_the_oracle(&mut r, &mut chain, &outgoing, &cfg);
+                assert_eq!(providers, (t..=2 * t).collect::<Vec<_>>(), "{attack:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_handover_with_t_valid_dealers_is_starved_and_keeps_the_key() {
+        let (n, t) = (9, 4);
+        for cfg in proofs_on_and_off() {
+            let mut r = rng();
+            let board = BulletinBoard::new();
+            let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+            let before = chain.clone();
+            // Members t…n − 1 mount the attack: t valid dealers are left.
+            let mut behaviors = vec![Behavior::Malicious(ActiveAttack::WrongValue); n];
+            behaviors[..t].fill(Behavior::Honest);
+            let outgoing = Committee::with_behaviors("starved", behaviors);
+            let next_keys: Vec<PkeKeyPair<F61>> =
+                (0..n).map(|_| LinearPke::keygen(&mut r)).collect();
+            assert!(matches!(
+                chain.handover(&mut r, &board, &outgoing, &cfg, "x", &next_keys),
+                Err(ProtocolError::NotEnoughContributions { step: "tsk handover", got, need })
+                    if (got, need) == (t, t + 1)
+            ));
+            assert_eq!(chain.pk.vks, before.pk.vks);
+            for i in 0..n {
+                assert_eq!(chain.share_of(i).unwrap().value, before.share_of(i).unwrap().value);
             }
         }
     }

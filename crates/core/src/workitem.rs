@@ -565,12 +565,11 @@ mod tests {
             .map(|&(lo, hi)| ShardedBoard::new(&board, RolePartition::range(lo, hi)).unwrap())
             .collect();
         for sb in &workers {
+            let cfg = crate::ExecutionConfig::default().with_partition(sb.partition());
+            let step = crate::step::Step::new(&committee, &cfg, "x", Post::MulShare, 1);
             for _step in 0..2 {
                 let mut posts = PostBuffer::new();
-                for i in 0..10 {
-                    let owned = sb.partition().owns(i);
-                    posts.record(owned, &committee.name, i, Post::MulShare, "x", 1);
-                }
+                step.record_speakers(&mut posts, 0..10);
                 sb.flush_buffer(posts).unwrap();
             }
             let st = sb.lock();

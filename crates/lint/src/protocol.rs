@@ -4,7 +4,7 @@
 //! across worker counts; this pass checks each intraprocedurally:
 //!
 //! 1. **Owner-only posting** (`unguarded-post`): the ownership flag of a
-//!    `ShardedBoard::post`/`PostBuffer::record` call — or of a run-level
+//!    `ShardedBoard::post`/`PostBuffer::open_run` call — or of a run-level
 //!    `post_run` on either — must be derived from
 //!    `RolePartition::owns(..)`/`is_leader()`/`is_solo()` — directly in
 //!    the argument, through a local binding whose initializer contains the
@@ -163,7 +163,8 @@ fn check_posts(tokens: &[Token], f: &FnItem, emit: &mut dyn FnMut(RuleId, usize,
             i += 1;
             continue;
         }
-        let is_post = matches!(t.text.as_str(), "post" | "post_batch" | "post_run" | "record");
+        let is_post =
+            matches!(t.text.as_str(), "post" | "post_batch" | "post_run" | "record" | "open_run");
         if !is_post {
             i += 1;
             continue;
@@ -172,10 +173,10 @@ fn check_posts(tokens: &[Token], f: &FnItem, emit: &mut dyn FnMut(RuleId, usize,
         let close = match_delim(tokens, i + 1);
         match recv {
             Receiver::Sharded => {
-                // The first argument of `record`, `post` and the run-level
-                // `post_run` is the ownership flag; `post_batch` is a flush
-                // path with no flag of its own.
-                if matches!(t.text.as_str(), "post" | "post_run" | "record") {
+                // The first argument of `record`, `post`, `open_run` and
+                // the run-level `post_run` is the ownership flag;
+                // `post_batch` is a flush path with no flag of its own.
+                if matches!(t.text.as_str(), "post" | "post_run" | "record" | "open_run") {
                     let args = split_args(tokens, (i + 2, close));
                     let guarded = match args.first() {
                         Some(&first) => {
@@ -449,6 +450,18 @@ mod tests {
         let f = run("fn f(sb: &ShardedBoard) { sb.post_run(true, c, m, p, 1, members); }");
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].2.contains("`.post_run(..)` ownership flag"), "{f:?}");
+    }
+
+    #[test]
+    fn a_buffered_run_is_opened_under_an_ownership_flag() {
+        let f = run(
+            "fn f(cfg: &Cfg, posts: &mut PostBuffer) { \
+             posts.open_run(cfg.partition.owns(i), c, m, p, 1); posts.push(i, 1); }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        let f = run("fn f(posts: &mut PostBuffer) { posts.open_run(true, c, m, p, 1); }");
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].2.contains("`.open_run(..)` ownership flag"), "{f:?}");
     }
 
     #[test]

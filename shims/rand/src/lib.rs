@@ -73,17 +73,22 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(mut state: u64) -> Self {
         let mut seed = Self::Seed::default();
         for chunk in seed.as_mut().chunks_mut(8) {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let bytes = z.to_le_bytes();
+            let bytes = splitmix64(&mut state).to_le_bytes();
             let n = chunk.len();
             chunk.copy_from_slice(&bytes[..n]);
         }
         Self::from_seed(seed)
     }
+}
+
+/// One SplitMix64 step: advances `state` and returns the next word.
+#[inline]
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Types samplable from raw generator output via [`Rng::gen`]
@@ -175,7 +180,7 @@ fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
 
 /// Named generators.
 pub mod rngs {
-    use super::{CryptoRng, RngCore, SeedableRng};
+    use super::{splitmix64, CryptoRng, RngCore, SeedableRng};
 
     /// The workspace's standard deterministic generator:
     /// xoshiro256++ behind `rand::rngs::StdRng`'s API surface.
@@ -189,6 +194,18 @@ pub mod rngs {
         fn rotl(x: u64, k: u32) -> u64 {
             x.rotate_left(k)
         }
+
+        /// The generator whose state is `s`; xoshiro must not start
+        /// from the all-zero state, so that one is replaced.
+        #[inline]
+        fn from_state(s: [u64; 4]) -> Self {
+            if s == [0, 0, 0, 0] {
+                return StdRng {
+                    s: [0x9E37_79B9_7F4A_7C15, 0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB, 1],
+                };
+            }
+            StdRng { s }
+        }
     }
 
     impl SeedableRng for StdRng {
@@ -201,11 +218,15 @@ pub mod rngs {
                 b.copy_from_slice(chunk);
                 s[i] = u64::from_le_bytes(b);
             }
-            // xoshiro must not start from the all-zero state.
-            if s == [0, 0, 0, 0] {
-                s = [0x9E37_79B9_7F4A_7C15, 0xBF58_476D_1CE4_E5B9, 0x94D0_49BB_1331_11EB, 1];
-            }
-            StdRng { s }
+            Self::from_state(s)
+        }
+
+        /// The trait's SplitMix64 expansion, its words written straight
+        /// into the state: the little-endian byte seed read back as
+        /// words is the words themselves.
+        #[inline]
+        fn seed_from_u64(mut state: u64) -> Self {
+            Self::from_state(std::array::from_fn(|_| splitmix64(&mut state)))
         }
     }
 
@@ -312,6 +333,27 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn seeding_from_a_u64_is_the_byte_wise_expansion() {
+        /// The trait's default: SplitMix64 words through a byte seed.
+        fn byte_wise(state: u64) -> StdRng {
+            struct Bytes([u8; 32]);
+            impl SeedableRng for Bytes {
+                type Seed = [u8; 32];
+                fn from_seed(seed: [u8; 32]) -> Self {
+                    Bytes(seed)
+                }
+            }
+            StdRng::from_seed(Bytes::seed_from_u64(state).0)
+        }
+        let random = StdRng::seed_from_u64(20261017).next_u64();
+        for seed in [0, 1, 5, u64::MAX, random] {
+            let (mut direct, mut bytes) = (StdRng::seed_from_u64(seed), byte_wise(seed));
+            let draws = |r: &mut StdRng| (0..8).map(|_| r.next_u64()).collect::<Vec<_>>();
+            assert_eq!(draws(&mut direct), draws(&mut bytes), "seed {seed}");
+        }
     }
 
     #[test]
