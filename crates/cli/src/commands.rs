@@ -122,10 +122,6 @@ fn prepare_run(opts: &Opts) -> Result<PreparedRun, String> {
     let mut config = ExecutionConfig::default().with_threads(threads);
     if opts.contains_key("no-proofs") {
         config.produce_proofs = false;
-        // A shared board keeps its log — it is what the fleet
-        // synchronizes on and what `board-stats` audits; a private
-        // in-process board needs only the meter.
-        config.audit_board = opts.contains_key("board") || opts.contains_key("spawn-workers");
     }
     if let Some(board) = opts.get("board") {
         config = config.with_board(BoardBackend::Tcp(parse_board_addr(board)?));

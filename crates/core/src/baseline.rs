@@ -107,11 +107,7 @@ impl BaselineEngine {
     ) -> Result<BaselineResult<F>, ProtocolError> {
         let n = self.params.n;
         let cfg = &self.config;
-        let board: BulletinBoard<Post> = if cfg.audit_board {
-            BulletinBoard::new()
-        } else {
-            BulletinBoard::metered_only()
-        };
+        let board: BulletinBoard<Post> = BulletinBoard::new();
         let mut tsk = TskChain::<F>::keygen(rng, n, self.params.t)?;
         let tpk = tsk.pk.clone();
 

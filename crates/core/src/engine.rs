@@ -29,19 +29,15 @@ pub enum BoardBackend {
 }
 
 impl BoardBackend {
-    /// Builds a board for this backend, honoring `audit`.
+    /// Builds a board for this backend.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Transport`] if the TCP backend cannot connect.
-    pub fn make_board(&self, audit: bool) -> Result<BulletinBoard<Post>, ProtocolError> {
+    pub fn make_board(&self) -> Result<BulletinBoard<Post>, ProtocolError> {
         match self {
-            BoardBackend::InProcess => Ok(if audit {
-                BulletinBoard::new()
-            } else {
-                BulletinBoard::metered_only()
-            }),
-            BoardBackend::Tcp(addr) => Ok(BulletinBoard::connect_tcp(*addr)?.with_audit(audit)),
+            BoardBackend::InProcess => Ok(BulletinBoard::new()),
+            BoardBackend::Tcp(addr) => Ok(BulletinBoard::connect_tcp(*addr)?),
         }
     }
 }
@@ -54,9 +50,6 @@ pub struct ExecutionConfig {
     /// metered identically (the nominal proof sizes are charged either
     /// way) and validity is decided by the behavior tags.
     pub produce_proofs: bool,
-    /// Retain the full posting audit log on the board (default). For
-    /// huge runs, disable to keep only the meter.
-    pub audit_board: bool,
     /// Generate the threshold key with the dealer-free DKG
     /// ([`crate::dkg`]) instead of the paper's trusted setup.
     pub dealerless_setup: bool,
@@ -87,7 +80,6 @@ impl Default for ExecutionConfig {
     fn default() -> Self {
         ExecutionConfig {
             produce_proofs: true,
-            audit_board: true,
             dealerless_setup: false,
             num_threads: 1,
             board: BoardBackend::InProcess,
@@ -97,10 +89,9 @@ impl Default for ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// A configuration tuned for large parameter sweeps: metering only.
+    /// A configuration tuned for large parameter sweeps: no proofs.
     pub fn sweep() -> Self {
         ExecutionConfig {
-            audit_board: false,
             produce_proofs: false,
             ..ExecutionConfig::default()
         }
@@ -126,9 +117,8 @@ impl ExecutionConfig {
     }
 
     /// Restricts this process to the given role partition (worker
-    /// mode). Non-solo partitions require `audit_board` — the round
-    /// clock and transcript positions are the only synchronization
-    /// between workers.
+    /// mode): the round clock and transcript positions are the only
+    /// synchronization between workers.
     pub fn with_partition(mut self, partition: RolePartition) -> Self {
         self.partition = partition;
         self
@@ -249,7 +239,7 @@ impl Engine {
         inputs: &[Vec<F>],
         adversary: &Adversary,
     ) -> Result<RunResult<F>, ProtocolError> {
-        let board: BulletinBoard<Post> = self.config.board.make_board(self.config.audit_board)?;
+        let board: BulletinBoard<Post> = self.config.board.make_board()?;
         self.run_with_board(rng, circuit, inputs, adversary, &board)
     }
 
@@ -262,10 +252,8 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadParameters`] if a non-solo partition is
-    /// combined with `audit_board = false` (worker synchronization
-    /// reads transcript positions, which a metering-only board does
-    /// not keep) or does not fit inside `[0, n)`.
+    /// [`ProtocolError::BadParameters`] if a non-solo partition does
+    /// not fit inside `[0, n)`.
     pub fn run_with_board<F: PrimeField, R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -275,22 +263,13 @@ impl Engine {
         board: &BulletinBoard<Post>,
     ) -> Result<RunResult<F>, ProtocolError> {
         let partition = self.config.partition;
-        if !partition.is_solo() {
-            if !self.config.audit_board {
-                return Err(ProtocolError::BadParameters(
-                    "role-sharded execution needs audit_board: workers synchronize on \
-                     transcript positions, which a metering-only board does not keep"
-                        .into(),
-                ));
-            }
-            if partition.hi() > self.params.n {
-                return Err(ProtocolError::BadParameters(format!(
-                    "role partition [{}, {}) exceeds the committee size n = {}",
-                    partition.lo(),
-                    partition.hi(),
-                    self.params.n
-                )));
-            }
+        if !partition.is_solo() && partition.hi() > self.params.n {
+            return Err(ProtocolError::BadParameters(format!(
+                "role partition [{}, {}) exceeds the committee size n = {}",
+                partition.lo(),
+                partition.hi(),
+                self.params.n
+            )));
         }
         let sb = ShardedBoard::new(board, partition)?;
         let bc = circuit.batched(self.params.k);

@@ -300,7 +300,7 @@ impl ItEngine {
         let d = self.params.packing_degree();
         let scheme = PackedSharing::<F>::new(n, self.params.k)?;
         let tables = ReshareTables::new(&scheme, n, self.params.k)?;
-        let board: BulletinBoard<Post> = BulletinBoard::metered_only();
+        let board: BulletinBoard<Post> = BulletinBoard::new();
 
         // Last use of each value (to know what must survive a handover).
         let mut last_use = vec![0usize; program.ops.len()];

@@ -1,13 +1,13 @@
-//! Role-sharded execution: work items, role partitions, and the
-//! sharded board façade that keeps an N-worker run's transcript
-//! byte-identical to a single-process run.
+//! Role-sharded execution: role partitions and the sharded board
+//! façade that keeps an N-worker run's transcript byte-identical to a
+//! single-process run.
 //!
 //! # Model
 //!
 //! Every phase loop in the pipeline enumerates per-role work — "member
-//! `i` of committee `c` contributes to step `s` in round `r`" — as a
-//! [`WorkItem`]. A [`RolePartition`] assigns each worker process a
-//! contiguous range of committee indices; the worker *replicates* all
+//! `i` of committee `c` contributes to step `s` in round `r`". A
+//! [`RolePartition`] assigns each worker process a contiguous range of
+//! committee indices; the worker *replicates* all
 //! cheap value computation (field arithmetic, encryptions — required
 //! so every worker holds the full protocol state) but produces and
 //! verifies NIZK proofs, the dominant cost, only for the members it
@@ -47,30 +47,6 @@ use crate::ProtocolError;
 /// tick before declaring the run dead. Generous: covers a slow peer
 /// doing a full phase of proof work, not ordinary scheduling jitter.
 const WAIT_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
-
-/// One enumerable unit of per-role phase work: "role `role` acts in
-/// `phase` during board round `round`".
-///
-/// The pipeline's member loops are schedulable from these alone — a
-/// worker executes an item's value computation always, and its proof
-/// work only when its [`RolePartition`] owns the role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkItem {
-    /// The phase label the item's posts are metered under.
-    pub phase: &'static str,
-    /// The board round the item posts in.
-    pub round: u64,
-    /// The committee-member index doing the work.
-    pub role: usize,
-}
-
-impl WorkItem {
-    /// Enumerates the items of one committee-wide step: every role in
-    /// `0..n` acting under `phase` in `round`.
-    pub fn for_committee(phase: &'static str, round: u64, n: usize) -> Vec<WorkItem> {
-        (0..n).map(|role| WorkItem { phase, round, role }).collect()
-    }
-}
 
 /// A contiguous range of committee-member indices owned by one worker.
 ///
@@ -286,8 +262,7 @@ impl<'a> ShardedBoard<'a> {
         self.partition.is_leader()
     }
 
-    /// The round this worker is currently posting in (for building
-    /// [`WorkItem`]s).
+    /// The round this worker is currently posting in.
     pub fn round(&self) -> u64 {
         self.lock().round
     }
@@ -492,15 +467,6 @@ mod tests {
         let leader = RolePartition::of_workers(1, 12, 10);
         assert_eq!((leader.lo(), leader.hi()), (0, 1));
         assert!(leader.is_leader());
-    }
-
-    #[test]
-    fn work_item_enumeration_covers_committee() {
-        let items = WorkItem::for_committee("offline/1", 3, 5);
-        assert_eq!(items.len(), 5);
-        for (i, item) in items.iter().enumerate() {
-            assert_eq!(*item, WorkItem { phase: "offline/1", round: 3, role: i });
-        }
     }
 
     #[test]

@@ -480,19 +480,6 @@ fn sharded_parity_under_active_attack() {
 }
 
 #[test]
-fn sharded_run_requires_audit_board() {
-    let params = ProtocolParams::new(10, 2, 3).unwrap();
-    let (circuit, inputs) = workload(params);
-    let board: BulletinBoard<Post> = BulletinBoard::new();
-    let cfg = ExecutionConfig::sweep().with_partition(RolePartition::range(0, 5));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
-    let err = Engine::new(params, cfg)
-        .run_with_board(&mut rng, &circuit, &inputs, &Adversary::none(), &board)
-        .unwrap_err();
-    assert!(matches!(err, ProtocolError::BadParameters(_)), "{err}");
-}
-
-#[test]
 fn sharded_run_rejects_partition_beyond_committee() {
     let params = ProtocolParams::new(10, 2, 3).unwrap();
     let (circuit, inputs) = workload(params);

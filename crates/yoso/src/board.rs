@@ -53,14 +53,12 @@ pub struct Posting<M> {
 pub struct BulletinBoard<M> {
     transport: Arc<dyn BoardTransport<M>>,
     meter: CommMeter,
-    audit: bool,
 }
 
 impl<M> std::fmt::Debug for BulletinBoard<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BulletinBoard")
             .field("backend", &self.transport.backend_name())
-            .field("audit", &self.audit)
             .finish_non_exhaustive()
     }
 }
@@ -70,7 +68,6 @@ impl<M> Clone for BulletinBoard<M> {
         BulletinBoard {
             transport: Arc::clone(&self.transport),
             meter: self.meter.clone(),
-            audit: self.audit,
         }
     }
 }
@@ -86,29 +83,12 @@ impl<M: Clone + PartialEq + Send + Sync + 'static> BulletinBoard<M> {
     pub fn new() -> Self {
         Self::with_transport(Arc::new(InProcessTransport::new()))
     }
-
-    /// Creates a board that meters traffic but does not retain posting
-    /// payloads — used by large-scale experiments where the audit log
-    /// would dominate memory.
-    pub fn metered_only() -> Self {
-        let mut b = Self::new();
-        b.audit = false;
-        b
-    }
 }
 
 impl<M: Clone + Send + Sync + 'static> BulletinBoard<M> {
     /// Creates a board over an explicit transport backend.
     pub fn with_transport(transport: Arc<dyn BoardTransport<M>>) -> Self {
-        BulletinBoard { transport, meter: CommMeter::new(), audit: true }
-    }
-
-    /// Disables (or re-enables) payload retention: with `audit` off the
-    /// board meters traffic but forwards nothing to the transport.
-    #[must_use]
-    pub fn with_audit(mut self, audit: bool) -> Self {
-        self.audit = audit;
-        self
+        BulletinBoard { transport, meter: CommMeter::new() }
     }
 }
 
@@ -185,9 +165,6 @@ impl<M> BulletinBoard<M> {
         bytes: u64,
     ) -> Result<(), BoardError> {
         let phase = self.meter.record_many(phase, elements, bytes, 1);
-        if !self.audit {
-            return Ok(());
-        }
         let record = PostRecord { from, phase, message, elements, bytes };
         self.transport.post_stream(&mut std::iter::once(record)).map(|_| ())
     }
@@ -225,9 +202,6 @@ impl<M> BulletinBoard<M> {
             bytes_each * count,
             count,
         );
-        if !self.audit {
-            return Ok(());
-        }
         self.transport.post_slice(&from, &shared, messages, elements_each, bytes_each)
     }
 
@@ -255,7 +229,7 @@ impl<M> BulletinBoard<M> {
                 posts += count;
             }
         }
-        if !self.audit || posts == 0 {
+        if posts == 0 {
             return Ok(());
         }
         self.transport.post_run(runs)
@@ -854,16 +828,6 @@ mod tests {
         same_acc.finish(&same).unwrap();
         assert_eq!(other_acc.transcript_hash(), same_acc.transcript_hash());
         assert_ne!(other_acc.transcript_hash(), acc.transcript_hash());
-    }
-
-    #[test]
-    fn metered_only_skips_storage_but_counts() {
-        let board: BulletinBoard<u64> = BulletinBoard::metered_only();
-        board.post(RoleId::new("c", 0), 1, "x", 4, 32).unwrap();
-        board.post_batch(RoleId::new("c", 1), "x", &[0, 1, 2], 1, 8).unwrap();
-        assert_eq!(board.len().unwrap(), 0);
-        assert_eq!(board.meter().phase("x").messages, 4);
-        assert_eq!(board.meter().phase("x").elements, 7);
     }
 
     #[test]

@@ -50,23 +50,23 @@
 //! server replies `RESP_ERR` naming the offending frame's index within
 //! the unacknowledged run and **closes the connection**, so no later
 //! buffered frame can append after a hole (silent transcript
-//! divergence is impossible).
+//! divergence is impossible). It shuts its write half first and drains
+//! the client's unread input, so the close reaches the client as the
+//! error frame and then EOF, never as a reset.
 //!
 //! # Sequencing = determinism
 //!
 //! The server appends each post frame **atomically** in frame-arrival
 //! order, tagging records with the current round — the same
-//! total-order contract as the in-process backend's single write lock.
-//! Storage is a `ShardedRoundLog`: a small round-clock lock plus one
-//! append lock per round, so concurrent worker connections contend
-//! only when writing the same round, and history reads never block
-//! writers. A driver posting from one logical thread (the engine's
-//! coordinator, which already serializes the parallel workers' buffers
-//! in item order) therefore produces a byte-identical posting log over
-//! TCP and in-process; the transport-parity suite in `yoso-core`
-//! asserts exactly that. Message
-//! payloads cross the wire via the deterministic [`WireMessage`]
-//! codec, never a `Debug` format.
+//! total-order contract as the in-process backend's single write lock,
+//! because the server's log **is** an in-process backend: an
+//! [`InProcessTransport`] whose messages are opaque payload bytes. A
+//! driver posting from one logical thread (the engine's coordinator,
+//! which already serializes the parallel workers' buffers in item
+//! order) therefore produces a byte-identical posting log over TCP and
+//! in-process; the transport-parity suite in `yoso-core` asserts
+//! exactly that. Message payloads cross the wire via the deterministic
+//! [`WireMessage`] codec, never a `Debug` format.
 //!
 //! A logical batch whose encoding exceeds [`TcpOptions::max_post_frame_bytes`]
 //! is split client-side into several consecutive post frames sent
@@ -78,15 +78,17 @@
 //! whole-batch atomicity is relaxed to per-frame for oversized batches.
 //!
 //! The server validates a whole frame before it appends any of it,
-//! then expands each run into one stored posting per member. Payloads
-//! are stored as opaque byte slices borrowed from a per-frame arena
-//! (one copy of the frame body, shared by all of its postings), so one
-//! `board-server` binary serves any protocol with no per-posting
-//! payload allocation. Clients retry connects (the server
-//! may still be starting) and idempotent reads; posts and round
-//! advances are never retried blindly, so a hard failure surfaces as
-//! [`BoardError::Io`] instead of a duplicated posting.
+//! then appends its runs as they came: each run's payload is copied
+//! once and its members are stored as index spans, so the server's
+//! log, like the in-process one, grows with runs and spans, not with
+//! postings — a committee step posted in halves by two workers is one
+//! run and one span. The server never decodes a payload, so one
+//! `board-server` binary serves any protocol. Clients retry connects
+//! (the server may still be starting) and idempotent reads; posts and
+//! round advances are never retried blindly, so a hard failure
+//! surfaces as [`BoardError::Io`] instead of a duplicated posting.
 
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -104,8 +106,8 @@ use crate::frame::{
 };
 use crate::role::RoleId;
 use crate::transport::{
-    put_bytes, put_str, put_u32, put_u64, BoardError, BoardTransport, PostRecord, PostRun,
-    ShardedRoundLog, WireCursor, WireMessage,
+    put_bytes, put_str, put_u32, put_u64, BoardError, BoardTransport, InProcessTransport,
+    PostRecord, PostRun, Speakers, WireCursor, WireMessage,
 };
 
 /// Post frames kept in flight between `PostSync` barriers: a flush
@@ -118,43 +120,19 @@ const PIPELINE_WINDOW: u64 = 32;
 /// (or at a sync point), so many small frames share one `write`.
 const WIRE_COALESCE_BYTES: usize = 128 * 1024;
 
-/// One posting as the server stores it: all board metadata plus the
-/// message payload as an opaque slice of the frame arena.
-#[derive(Debug, Clone)]
-struct RawPosting {
-    round: u64,
-    committee: Arc<str>,
-    index: u64,
-    phase: Arc<str>,
-    elements: u64,
-    bytes: u64,
-    payload: PayloadSlice,
-}
+/// A run's message as the server stores it: the run's payload bytes,
+/// copied out of the frame once per run and never decoded, so one
+/// `board-server` binary serves any protocol.
+type Payload = Arc<[u8]>;
 
-/// A payload borrowed from a frame arena: the whole post frame's body
-/// is copied **once** into a shared `Arc<[u8]>` and every record's
-/// payload is an offset/length view into it — no per-record copy.
-#[derive(Debug, Clone)]
-struct PayloadSlice {
-    arena: Arc<[u8]>,
-    off: u32,
-    len: u32,
-}
-
-impl PayloadSlice {
-    fn as_slice(&self) -> &[u8] {
-        &self.arena[self.off as usize..(self.off + self.len) as usize]
-    }
-}
-
-fn encode_raw_posting(out: &mut Vec<u8>, p: &RawPosting) -> Result<(), BoardError> {
+fn encode_posting(out: &mut Vec<u8>, p: &Posting<Payload>) -> Result<(), BoardError> {
     put_u64(out, p.round);
-    put_str(out, &p.committee)?;
-    put_u64(out, p.index);
+    put_str(out, &p.from.committee)?;
+    put_u64(out, p.from.index as u64);
     put_str(out, &p.phase)?;
     put_u64(out, p.elements);
     put_u64(out, p.bytes);
-    put_bytes(out, p.payload.as_slice())
+    put_bytes(out, &p.message)
 }
 
 /// Rebuilds a `RESP_ERR` body carrying `msg` in a reusable buffer.
@@ -173,60 +151,27 @@ fn write_err(out: &mut Vec<u8>, msg: &str) {
 // Server
 // ---------------------------------------------------------------------------
 
-/// A per-connection cache of committee/phase labels: post frames
-/// repeat a handful of labels thousands of times, so interning turns
-/// per-record string allocation into a refcount bump. Most-recently
-/// used first; bounded so a hostile client cannot grow it unboundedly.
-#[derive(Debug, Default)]
-struct Interner {
-    cache: Vec<Arc<str>>,
-}
-
-impl Interner {
-    const CAP: usize = 64;
-
-    fn intern(&mut self, s: &str) -> Arc<str> {
-        if let Some(i) = self.cache.iter().position(|a| &**a == s) {
-            if i != 0 {
-                self.cache.swap(0, i);
-            }
-            return Arc::clone(&self.cache[0]);
-        }
-        let a: Arc<str> = Arc::from(s);
-        if self.cache.len() >= Self::CAP {
-            self.cache.pop();
-        }
-        self.cache.insert(0, Arc::clone(&a));
-        a
-    }
-}
-
-/// Decoded-but-not-yet-appended run of a post frame: label `Arc`s plus
-/// where the payload and the member indices sit in the frame body. Kept
-/// in a reusable per-connection scratch so validation allocates nothing
-/// per frame.
-#[derive(Debug)]
-struct RunHeader {
+/// One run of a post frame, decoded but not yet appended.
+struct DecodedRun<'a> {
     committee: Arc<str>,
-    phase: Arc<str>,
+    phase: &'a str,
     elements: u64,
     bytes: u64,
-    payload: std::ops::Range<usize>,
-    /// The run's `u32` member indices, as a byte range of the body.
-    members: std::ops::Range<usize>,
+    payload: Payload,
+    members: Speakers,
 }
 
 /// Per-connection server state: the reusable response buffer, the
-/// pipelined-frame ack counter, label interners and the run
-/// scratch. Nothing here is shared — each connection handler owns one.
+/// pipelined-frame ack counter and the last committee label. Nothing
+/// here is shared — each connection handler owns one.
 #[derive(Debug, Default)]
 struct Conn {
     resp: Vec<u8>,
     /// `PostPipe` frames appended since the last `PostSync`.
     pending: u64,
-    committees: Interner,
-    phases: Interner,
-    runs: Vec<RunHeader>,
+    /// The committee label of the last run decoded: frames repeat a
+    /// committee for many runs, so it is allocated once per change.
+    committee: Option<Arc<str>>,
 }
 
 /// What the connection loop should do with the dispatch result.
@@ -288,7 +233,7 @@ pub struct ServerWireStats {
 /// State shared between the accept loop and connection handlers.
 #[derive(Debug)]
 struct ServerShared {
-    log: ShardedRoundLog<RawPosting>,
+    log: InProcessTransport<Payload>,
     shutdown: AtomicBool,
     /// Registered connections (clone of each accepted stream), used to
     /// wake handlers parked in blocking reads when the server stops.
@@ -303,7 +248,7 @@ struct ServerShared {
 impl ServerShared {
     fn new(response_cap: usize) -> Self {
         ServerShared {
-            log: ShardedRoundLog::default(),
+            log: InProcessTransport::new(),
             shutdown: AtomicBool::new(false),
             conns: Mutex::default(),
             next_conn: AtomicU64::new(0),
@@ -363,16 +308,12 @@ impl ServerShared {
                 put_u64(&mut conn.resp, acked);
                 Action::Reply
             }
-            op::ADVANCE_ROUND => self.value_reply(conn, self.log.advance()),
+            op::ADVANCE_ROUND => self.value_reply(conn, self.log.advance_round()),
             op::GET_ROUND => self.value_reply(conn, self.log.round()),
-            op::GET_LEN => self.value_reply(conn, self.log.len() as u64),
+            op::GET_LEN => self.value_reply(conn, self.log.len().map(|n| n as u64)),
             op::READ_ROUND | op::READ_FROM => {
                 self.stats.reads.fetch_add(1, Ordering::Relaxed);
-                let encoded = if opcode == op::READ_ROUND {
-                    self.encode_round(conn, body)
-                } else {
-                    self.encode_from(conn, body)
-                };
+                let encoded = self.encode_read(&mut conn.resp, body);
                 if let Err(e) = encoded.and_then(|()| self.check_response_size(conn)) {
                     write_err(&mut conn.resp, &e.to_string());
                 }
@@ -410,45 +351,45 @@ impl ServerShared {
         }
     }
 
-    fn value_reply(&self, conn: &mut Conn, v: u64) -> Action {
-        conn.resp.clear();
-        conn.resp.push(op::RESP_VALUE);
-        put_u64(&mut conn.resp, v);
+    fn value_reply(&self, conn: &mut Conn, v: Result<u64, BoardError>) -> Action {
+        match v {
+            Ok(v) => {
+                conn.resp.clear();
+                conn.resp.push(op::RESP_VALUE);
+                put_u64(&mut conn.resp, v);
+            }
+            Err(e) => write_err(&mut conn.resp, &e.to_string()),
+        }
         Action::Reply
     }
 
     /// Validates and appends one `PostPipe` frame. The whole frame is
-    /// decoded into the connection's scratch **before** the log is
-    /// touched — a malformed run rejects the frame without appending a
-    /// prefix of it, and a member count is checked against the bytes
-    /// actually present before anything is sized by it — then the frame
-    /// body is copied once into a shared arena and every run is
-    /// expanded into one posting per member, appended atomically, their
-    /// payloads borrowing from the arena.
+    /// decoded **before** the log is touched — a malformed run rejects
+    /// the frame without appending a prefix of it, and a member count
+    /// is checked against the bytes actually present before anything is
+    /// sized by it — then all of its runs are appended in one
+    /// [`BoardTransport::post_run`] call, atomically. Each run's payload
+    /// is copied once and its members become [`Speakers`] spans.
     fn append_post_frame(&self, conn: &mut Conn, body: &[u8]) -> Result<(), BoardError> {
         let mut cur = WireCursor::new(body);
         let _opcode = cur.u8()?;
         let run_count = cur.u32()?;
-        let runs = &mut conn.runs;
-        runs.clear();
-        let (mut postings, mut payload_bytes) = (0usize, 0u64);
+        let mut decoded = Vec::new();
         for _ in 0..run_count {
-            let committee = conn.committees.intern(cur.str()?);
-            let phase = conn.phases.intern(cur.str()?);
+            let committee = intern_cached(&mut conn.committee, cur.str()?);
+            let phase = cur.str()?;
             let elements = cur.u64()?;
             let bytes = cur.u64()?;
-            // Where the `len` bytes just read sit in the body.
-            let just_read = |cur: &WireCursor<'_>, len: usize| cur.position() - len..cur.position();
-            let payload_len = cur.bytes()?.len();
-            let payload = just_read(&cur, payload_len);
+            let payload = Payload::from(cur.bytes()?);
             // Checked against the bytes present, so a lying count
             // fails here before it sizes anything.
             let member_count = cur.u32()? as usize;
-            let members_len = cur.take(member_count.saturating_mul(4))?.len();
-            let members = just_read(&cur, members_len);
-            postings += member_count;
-            payload_bytes += payload_len as u64;
-            runs.push(RunHeader { committee, phase, elements, bytes, payload, members });
+            let members = cur
+                .take(member_count.saturating_mul(4))?
+                .chunks_exact(4)
+                .map(|i| u32::from_le_bytes([i[0], i[1], i[2], i[3]]) as usize)
+                .collect();
+            decoded.push(DecodedRun { committee, phase, elements, bytes, payload, members });
         }
         if cur.remaining() > 0 {
             return Err(BoardError::Protocol(format!(
@@ -456,37 +397,23 @@ impl ServerShared {
                 cur.remaining()
             )));
         }
-        if postings > 0 {
-            let arena: Arc<[u8]> = Arc::from(body);
-            self.log.append_with(|round, out| {
-                out.reserve(postings);
-                for r in runs.drain(..) {
-                    // A frame is at most `MAX_FRAME` < 4GiB long, so
-                    // offsets into it fit `u32`.
-                    let payload = PayloadSlice {
-                        arena: Arc::clone(&arena),
-                        off: r.payload.start as u32,
-                        len: r.payload.len() as u32,
-                    };
-                    for index in arena[r.members].chunks_exact(4) {
-                        out.push(RawPosting {
-                            round,
-                            committee: Arc::clone(&r.committee),
-                            index: u64::from(u32::from_le_bytes([
-                                index[0], index[1], index[2], index[3],
-                            ])),
-                            phase: Arc::clone(&r.phase),
-                            elements: r.elements,
-                            bytes: r.bytes,
-                            payload: payload.clone(),
-                        });
-                    }
-                }
-            });
-        }
+        let runs: Vec<PostRun<'_, Payload>> = decoded
+            .iter()
+            .map(|r| PostRun {
+                committee: &r.committee,
+                phase: r.phase,
+                message: &r.payload,
+                elements: r.elements,
+                bytes: r.bytes,
+                members: &r.members,
+            })
+            .collect();
+        self.log.post_run(&runs)?;
+        let postings: usize = decoded.iter().map(|r| r.members.len()).sum();
+        let payload_bytes: usize = decoded.iter().map(|r| r.payload.len()).sum();
         self.stats.post_frames.fetch_add(1, Ordering::Relaxed);
         self.stats.postings.fetch_add(postings as u64, Ordering::Relaxed);
-        self.stats.payload_bytes.fetch_add(payload_bytes, Ordering::Relaxed);
+        self.stats.payload_bytes.fetch_add(payload_bytes as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -506,44 +433,30 @@ impl ServerShared {
         )))
     }
 
-    fn encode_round(&self, conn: &mut Conn, body: &[u8]) -> Result<(), BoardError> {
+    /// Encodes the answer to a `ReadRound` (that round's postings) or
+    /// a `ReadFrom` (every posting from the cursor on) into `resp`.
+    fn encode_read(&self, resp: &mut Vec<u8>, body: &[u8]) -> Result<(), BoardError> {
         let mut cur = WireCursor::new(body);
-        let _opcode = cur.u8()?;
-        let round = cur.u64()?;
-        let resp = &mut conn.resp;
-        resp.clear();
-        resp.push(op::RESP_POSTINGS);
-        self.log.with_round(round, |ps| {
-            let count = u32::try_from(ps.len()).map_err(|_| {
-                BoardError::Protocol(format!(
-                    "{} postings exceed the u32 count prefix",
-                    ps.len()
-                ))
-            })?;
-            put_u32(resp, count);
-            for p in ps {
-                encode_raw_posting(resp, p)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn encode_from(&self, conn: &mut Conn, body: &[u8]) -> Result<(), BoardError> {
-        let mut cur = WireCursor::new(body);
-        let _opcode = cur.u8()?;
-        let cursor = cur.u64()? as usize;
-        let resp = &mut conn.resp;
+        let opcode = cur.u8()?;
+        let at = cur.u64()?;
         resp.clear();
         resp.push(op::RESP_POSTINGS);
         put_u32(resp, 0); // patched below
-        let mut n: u64 = 0;
-        self.log.try_for_each_from(cursor, &mut |p| {
+        let (mut n, mut encoded) = (0u64, Ok(()));
+        let mut encode = |p: &Posting<Payload>| {
             n += 1;
-            encode_raw_posting(resp, p)
-        })?;
-        let count = u32::try_from(n).map_err(|_| {
-            BoardError::Protocol(format!("{n} postings exceed the u32 count prefix"))
-        })?;
+            if encoded.is_ok() {
+                encoded = encode_posting(resp, p);
+            }
+        };
+        if opcode == op::READ_ROUND {
+            self.log.for_each_in_round(at, &mut encode)?;
+        } else {
+            self.log.visit_from(usize::try_from(at).unwrap_or(usize::MAX), &mut encode);
+        }
+        encoded?;
+        let count = u32::try_from(n)
+            .map_err(|_| BoardError::Protocol(format!("{n} postings exceed the u32 count prefix")))?;
         resp[1..5].copy_from_slice(&count.to_le_bytes());
         Ok(())
     }
@@ -572,6 +485,7 @@ fn handle_connection(shared: &ServerShared, mut stream: TcpStream, conn_id: u64)
                 Action::NoReply => {}
                 Action::ReplyClose => {
                     let _ = write_frame(&mut stream, &conn.resp);
+                    close_draining(&mut stream);
                     break;
                 }
                 Action::ReplyShutdown => {
@@ -593,11 +507,43 @@ fn handle_connection(shared: &ServerShared, mut stream: TcpStream, conn_id: u64)
                 // instead of a generic "server closed the connection".
                 write_err(&mut conn.resp, &e.to_string());
                 let _ = write_frame(&mut stream, &conn.resp);
+                close_draining(&mut stream);
                 break;
             }
         }
     }
     shared.conns.lock().retain(|(id, _)| *id != conn_id);
+}
+
+/// Quiet period that ends a drain: a read waits this long for more
+/// input before the socket is dropped.
+const DRAIN_TICK: Duration = Duration::from_millis(50);
+
+/// Reads a drain makes at most: each waits at most one tick, so a
+/// drain ends within 3.2 s.
+const DRAIN_READS: usize = 64;
+
+/// Bytes one drain read takes at most, so a drain drops at most 16 MiB.
+const DRAIN_CHUNK: usize = 256 * 1024;
+
+/// Closes a connection the server gives up on, after the error frame
+/// was written. Closing a socket with unread input makes the kernel
+/// send a reset, which can destroy the error frame before the client
+/// reads it; so the write half is shut first (the client sees the
+/// error, then EOF), and input already on its way is read and dropped
+/// until the client closes, a quiet tick passes or the budget is spent.
+fn close_draining(stream: &mut TcpStream) {
+    if stream.shutdown(std::net::Shutdown::Write).is_err()
+        || stream.set_read_timeout(Some(DRAIN_TICK)).is_err()
+    {
+        return;
+    }
+    let mut sink = vec![0u8; DRAIN_CHUNK];
+    for _ in 0..DRAIN_READS {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// A board server bound to a TCP address, serving any number of
@@ -1380,8 +1326,7 @@ pub fn loopback<M: WireMessage + Clone + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Speakers;
-    use std::io::{Read, Write};
+    use std::io::Write;
 
     #[test]
     fn loopback_post_and_read_roundtrip() {
@@ -1795,6 +1740,81 @@ mod tests {
         handle.shutdown();
     }
 
+    #[test]
+    fn a_step_posted_in_halves_by_two_workers_is_one_run_and_one_span() {
+        // Two workers each post half of an n = 512 committee step, one
+        // frame each: the server stores it as the in-process log does.
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let committee = crate::Committee::honest("c", 512);
+        let members: Vec<usize> = (0..512).collect();
+        for half in members.chunks(256) {
+            let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
+            let speakers = Speakers::from(half);
+            let run = PostRun {
+                committee: &committee.name,
+                phase: "offline/1-beaver",
+                message: &7,
+                elements: 2,
+                bytes: 16,
+                members: &speakers,
+            };
+            t.post_run(std::slice::from_ref(&run)).unwrap();
+            assert_eq!(t.wire_stats().post_frames, 1);
+        }
+        let log = &handle.shared.log;
+        assert_eq!((log.len().unwrap(), log.run_count(), log.span_count()), (512, 1, 1));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn concurrent_posts_and_round_ticks_lose_nothing() {
+        // Four connections post while a fifth ticks the round clock:
+        // every posting is read back exactly once, and the rounds along
+        // the log never go back.
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let addr = handle.addr();
+        let connect = || TcpTransport::<u64>::connect(addr, TcpOptions::default()).unwrap();
+        let (writers, per, ticks) = (4u64, 250u64, 20u64);
+        std::thread::scope(|s| {
+            for w in 0..writers {
+                s.spawn(move || {
+                    let t = connect();
+                    let phase: Arc<str> = Arc::from("x");
+                    for i in 0..per {
+                        let record = PostRecord {
+                            from: RoleId::new("c", w as usize),
+                            phase: Arc::clone(&phase),
+                            message: w * per + i,
+                            elements: 1,
+                            bytes: 8,
+                        };
+                        t.post_stream(&mut std::iter::once(record)).unwrap();
+                    }
+                });
+            }
+            s.spawn(move || {
+                let t = connect();
+                for _ in 0..ticks {
+                    t.advance_round().unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+        });
+        let t = connect();
+        assert_eq!((t.len().unwrap() as u64, t.round().unwrap()), (writers * per, ticks));
+        let back = t.read_from(0).unwrap();
+        assert!(back.windows(2).all(|w| w[0].round <= w[1].round), "rounds went back");
+        assert!(back.iter().all(|p| p.from.index as u64 == p.message / per));
+        let mut values: Vec<u64> = back.iter().map(|p| p.message).collect();
+        values.sort_unstable();
+        assert!(values.into_iter().eq(0..writers * per), "a posting was lost or doubled");
+        let by_round: usize = (0..=ticks).map(|r| t.read_round(r).unwrap().len()).sum();
+        assert_eq!(by_round as u64, writers * per);
+        handle.shutdown();
+    }
+
     /// One raw post frame body under `opcode`: `count` valid runs of one
     /// `u64` posting each (or with the tail ripped off the last one).
     fn raw_post_body(opcode: u8, count: u32, malformed: bool) -> Vec<u8> {
@@ -1851,6 +1871,36 @@ mod tests {
         // not — no silent divergence.
         let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
         assert_eq!(t.len().unwrap(), 4);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_rejection_with_input_queued_behind_it_reads_as_the_error_then_eof() {
+        // The server rejects frame 0 while megabytes the client already
+        // sent sit unread behind it. Closing over unread input would
+        // reset the connection; the client must still read the named
+        // error and then a clean EOF.
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        let mut writer = s.try_clone().unwrap();
+        // A 1 MiB frame rejected for its trailing bytes, and 4 MiB
+        // behind it in the same write: by the time the server has read
+        // the frame, more is queued than it will ever read.
+        let mut rejected = raw_post_body(op::POST_PIPE, 1, false);
+        rejected.resize(1 << 20, 0);
+        let mut wire = u32::try_from(rejected.len()).unwrap().to_le_bytes().to_vec();
+        wire.extend_from_slice(&rejected);
+        wire.resize(wire.len() + (4 << 20), 0);
+        let sender = std::thread::spawn(move || {
+            // The server may stop reading before the write completes.
+            let _ = writer.write_all(&wire);
+        });
+        let msg = read_err(&mut s);
+        assert!(msg.contains("pipelined frame 0 rejected"), "{msg}");
+        let mut probe = [0u8; 1];
+        assert_eq!(s.read(&mut probe).unwrap(), 0);
+        sender.join().unwrap();
         handle.shutdown();
     }
 

@@ -25,10 +25,9 @@
 //! thread therefore observes byte-identical transcripts over any
 //! backend — the transport-parity suite in `yoso-core` pins this.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::board::Posting;
 use crate::role::RoleId;
@@ -189,13 +188,19 @@ impl Speakers {
     }
 }
 
-impl From<&[usize]> for Speakers {
-    fn from(indices: &[usize]) -> Self {
+impl FromIterator<usize> for Speakers {
+    fn from_iter<I: IntoIterator<Item = usize>>(indices: I) -> Self {
         let mut speakers = Speakers::new();
-        for &index in indices {
+        for index in indices {
             speakers.push(index);
         }
         speakers
+    }
+}
+
+impl From<&[usize]> for Speakers {
+    fn from(indices: &[usize]) -> Self {
+        indices.iter().copied().collect()
     }
 }
 
@@ -600,183 +605,6 @@ impl<M> RunLog<M> {
     }
 }
 
-/// The lock-sharded round-indexed log: a small **round-clock lock**
-/// (current round, the per-round cumulative start index, and the list
-/// of round shards) plus one append lock **per round**, so writers in
-/// different rounds — and readers of sealed history — never contend on
-/// a single global mutex. The TCP board server appends every
-/// connection's frames through this structure.
-///
-/// # Ordering contract
-///
-/// The same observable semantics as the in-process [`RunLog`] (total
-/// order, round ranges, sequence numbers): each
-/// `append_with` call lands atomically in the current round's shard
-/// (appends within a round are serialized by that round's lock, in
-/// lock-acquisition order — which for the board server is frame
-/// arrival order), and `advance` seals the current shard so no append
-/// can slip into a finished round. Rounds only grow at the tail;
-/// sealed shards are immutable, which is what lets cursor reads walk
-/// history without blocking writers.
-#[derive(Debug)]
-pub(crate) struct ShardedRoundLog<P> {
-    clock: Mutex<LogClock<P>>,
-    /// Total postings across all shards; kept outside the locks so the
-    /// `GetLen` poll path (worker position gates spin on it) is one
-    /// atomic load.
-    total: AtomicUsize,
-}
-
-#[derive(Debug)]
-struct LogClock<P> {
-    round: u64,
-    /// `round_starts[r]` = global index of round `r`'s first posting;
-    /// one entry per started round (`round_starts.len() == shards.len()`).
-    round_starts: Vec<usize>,
-    /// One shard per round; `shards[r]` holds round `r`'s postings.
-    shards: Vec<Arc<RoundShard<P>>>,
-}
-
-#[derive(Debug)]
-struct RoundShard<P> {
-    cells: Mutex<ShardCells<P>>,
-}
-
-#[derive(Debug)]
-struct ShardCells<P> {
-    postings: Vec<P>,
-    /// Set (under both the clock and this shard's lock) when the round
-    /// advances past this shard; appenders that raced the tick re-check
-    /// and retry against the new live shard.
-    sealed: bool,
-}
-
-impl<P> RoundShard<P> {
-    fn new() -> Self {
-        RoundShard { cells: Mutex::new(ShardCells { postings: Vec::new(), sealed: false }) }
-    }
-}
-
-impl<P> Default for ShardedRoundLog<P> {
-    fn default() -> Self {
-        ShardedRoundLog {
-            clock: Mutex::new(LogClock {
-                round: 0,
-                round_starts: vec![0],
-                shards: vec![Arc::new(RoundShard::new())],
-            }),
-            total: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<P> ShardedRoundLog<P> {
-    /// The current round.
-    pub(crate) fn round(&self) -> u64 {
-        self.clock.lock().round
-    }
-
-    /// Total postings appended so far (one atomic load — the hot poll
-    /// of worker position gates).
-    pub(crate) fn len(&self) -> usize {
-        self.total.load(Ordering::Acquire)
-    }
-
-    /// Appends into the current round's shard: `fill(round, out)` pushes
-    /// any number of postings (already tagged with `round`) onto `out`.
-    /// The whole call is atomic with respect to other appends and round
-    /// ticks. Returns how many postings were appended.
-    ///
-    /// Lock order is strictly clock → shard, and the clock is released
-    /// before the shard is taken (so a long append never blocks the
-    /// round clock); the `sealed` re-check closes the race with a
-    /// concurrent `advance`.
-    pub(crate) fn append_with(&self, fill: impl FnOnce(u64, &mut Vec<P>)) -> usize {
-        let mut fill = Some(fill);
-        loop {
-            let (round, shard) = {
-                let g = self.clock.lock();
-                // `shards` is never empty (one live shard always exists).
-                let last = g.shards.len() - 1;
-                (g.round, Arc::clone(&g.shards[last]))
-            };
-            let mut cells = shard.cells.lock();
-            if cells.sealed {
-                continue; // the round ticked underneath us; retry on the new shard
-            }
-            let before = cells.postings.len();
-            if let Some(f) = fill.take() {
-                f(round, &mut cells.postings);
-            }
-            let added = cells.postings.len() - before;
-            self.total.fetch_add(added, Ordering::Release);
-            return added;
-        }
-    }
-
-    /// Ticks the round clock: seals the current shard (no append can
-    /// land in it afterwards) and opens a fresh one. Returns the new
-    /// round.
-    pub(crate) fn advance(&self) -> u64 {
-        let mut g = self.clock.lock();
-        {
-            let last = g.shards.len() - 1;
-            let mut cells = g.shards[last].cells.lock();
-            cells.sealed = true;
-            let start = g.round_starts[last] + cells.postings.len();
-            drop(cells);
-            g.round_starts.push(start);
-        }
-        g.shards.push(Arc::new(RoundShard::new()));
-        g.round += 1;
-        g.round
-    }
-
-    /// Runs `f` over round `round`'s postings (the empty slice for
-    /// rounds not started yet). Holds only that round's shard lock
-    /// while `f` runs.
-    pub(crate) fn with_round<R>(&self, round: u64, f: impl FnOnce(&[P]) -> R) -> R {
-        let shard = {
-            let g = self.clock.lock();
-            usize::try_from(round).ok().and_then(|r| g.shards.get(r).map(Arc::clone))
-        };
-        match shard {
-            Some(shard) => f(&shard.cells.lock().postings),
-            None => f(&[]),
-        }
-    }
-
-    /// Applies `f` to every posting with global sequence number
-    /// `>= cursor`, in order, until the log end or `f` errors. Sealed
-    /// rounds entirely below the cursor are skipped without taking
-    /// their shard lock.
-    pub(crate) fn try_for_each_from(
-        &self,
-        cursor: usize,
-        f: &mut dyn FnMut(&P) -> Result<(), BoardError>,
-    ) -> Result<(), BoardError> {
-        let (starts, shards) = {
-            let g = self.clock.lock();
-            (g.round_starts.clone(), g.shards.clone())
-        };
-        for (r, shard) in shards.iter().enumerate() {
-            let base = starts[r];
-            // A sealed round's extent is known from the index alone.
-            if let Some(&next) = starts.get(r + 1) {
-                if next <= cursor {
-                    continue;
-                }
-            }
-            let cells = shard.cells.lock();
-            let skip = cursor.saturating_sub(base).min(cells.postings.len());
-            for p in &cells.postings[skip..] {
-                f(p)?;
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The in-process backend: postings live in this process behind one
 /// `RwLock`, in a run-length log (`RunLog`) whose round index makes
 /// round reads `O(round size)` and whose `for_each*` overrides build
@@ -798,10 +626,27 @@ impl<M> InProcessTransport<M> {
         InProcessTransport { log: RwLock::new(RunLog::default()) }
     }
 
+    /// Applies `f` to every posting with sequence number `>= cursor`,
+    /// in order, without cloning per posting (the board server's
+    /// `ReadFrom`).
+    pub(crate) fn visit_from(&self, cursor: usize, f: &mut dyn FnMut(&Posting<M>))
+    where
+        M: Clone,
+    {
+        let g = self.log.read();
+        g.visit(cursor.min(g.len())..g.len(), f);
+    }
+
     /// Number of runs the postings occupy.
     #[cfg(test)]
     pub(crate) fn run_count(&self) -> usize {
         self.log.read().runs.len()
+    }
+
+    /// Number of spans the postings' member indices occupy.
+    #[cfg(test)]
+    pub(crate) fn span_count(&self) -> usize {
+        self.log.read().members.span_count()
     }
 }
 
@@ -877,8 +722,7 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
     }
 
     fn for_each(&self, f: &mut dyn FnMut(&Posting<M>)) -> Result<(), BoardError> {
-        let g = self.log.read();
-        g.visit(0..g.len(), f);
+        self.visit_from(0, f);
         Ok(())
     }
 
@@ -936,14 +780,6 @@ impl<'a> WireCursor<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
-    }
-
-    /// Bytes consumed so far (the cursor's offset into the buffer) —
-    /// lets a decoder record where a just-read field lives inside the
-    /// original frame, e.g. to borrow payloads from a shared arena
-    /// instead of copying them out.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 
     /// Reads the next `n` raw bytes.
@@ -1280,82 +1116,6 @@ mod tests {
         repeats.extend(&Speakers::from(&[5, 6][..]));
         assert_eq!(repeats.span_count(), 2);
         assert!(repeats.iter().eq([4, 4, 4, 4, 5, 6]));
-    }
-
-    #[test]
-    fn sharded_log_matches_round_log_semantics() {
-        let log = ShardedRoundLog::<u64>::default();
-        assert_eq!(log.len(), 0);
-        assert_eq!(log.round(), 0);
-        log.append_with(|round, out| {
-            assert_eq!(round, 0);
-            out.extend([10, 11]);
-        });
-        assert_eq!(log.advance(), 1);
-        log.append_with(|round, out| {
-            assert_eq!(round, 1);
-            out.push(12);
-        });
-        assert_eq!(log.len(), 3);
-        log.with_round(0, |ps| assert_eq!(ps, &[10, 11]));
-        log.with_round(1, |ps| assert_eq!(ps, &[12]));
-        log.with_round(7, |ps| assert!(ps.is_empty()));
-        let mut seen = Vec::new();
-        log.try_for_each_from(1, &mut |p| {
-            seen.push(*p);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(seen, vec![11, 12]);
-        let mut none = Vec::new();
-        log.try_for_each_from(99, &mut |p| {
-            none.push(*p);
-            Ok(())
-        })
-        .unwrap();
-        assert!(none.is_empty());
-    }
-
-    #[test]
-    fn sharded_log_concurrent_appends_and_ticks_lose_nothing() {
-        // Appenders racing the round clock must never drop a posting
-        // into a sealed round or lose one entirely: every appended
-        // value appears exactly once, tagged with a round that was
-        // live when its shard lock was held.
-        let log = Arc::new(ShardedRoundLog::<(u64, u64)>::default());
-        let writers = 4u64;
-        let per = 500u64;
-        std::thread::scope(|s| {
-            for w in 0..writers {
-                let log = Arc::clone(&log);
-                s.spawn(move || {
-                    for i in 0..per {
-                        log.append_with(|round, out| out.push((round, w * per + i)));
-                    }
-                });
-            }
-            let log = Arc::clone(&log);
-            s.spawn(move || {
-                for _ in 0..20 {
-                    log.advance();
-                    std::thread::yield_now();
-                }
-            });
-        });
-        assert_eq!(log.len(), (writers * per) as usize);
-        let mut values = Vec::new();
-        let mut last_round = 0;
-        log.try_for_each_from(0, &mut |&(round, v)| {
-            // Global order is non-decreasing in round.
-            assert!(round >= last_round);
-            last_round = round;
-            values.push(v);
-            Ok(())
-        })
-        .unwrap();
-        values.sort_unstable();
-        let expect: Vec<u64> = (0..writers * per).collect();
-        assert_eq!(values, expect);
     }
 
     #[test]

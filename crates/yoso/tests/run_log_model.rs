@@ -1,15 +1,18 @@
-//! Model-based test of the in-process board's run-length log: random
-//! interleavings of every posting entry point and round ticks, checked
-//! after each step against a naive log that keeps one `Posting` per
-//! post. Every reader must return exactly what the naive log holds,
-//! from any cursor (mid-run included). Member lists include the shapes
-//! that start, extend and break the log's index spans: whole steps,
+//! Model-based test of the board's run-length log, in process and
+//! behind a loopback TCP server: random interleavings of every posting
+//! entry point and round ticks, checked after each step against a
+//! naive log that keeps one `Posting` per post. Every reader of either
+//! backend must return exactly what the naive log holds, from any
+//! cursor (mid-run included). Member lists include the shapes that
+//! start, extend and break the log's index spans: whole steps,
 //! member-major repeats, gaps, descending pairs, and a span continued
 //! by a later call.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use yoso_runtime::tcp::{BoardServer, TcpOptions, TcpTransport};
 use yoso_runtime::{
     BoardError, BoardTransport, BulletinBoard, Committee, InProcessTransport, PostRun, Posting,
     RoleId, Speakers,
@@ -160,7 +163,7 @@ fn same_read(
 
 fn check(
     board: &BulletinBoard<u64>,
-    log: &InProcessTransport<u64>,
+    log: &dyn BoardTransport<u64>,
     model: &Model,
 ) -> Result<(), String> {
     let len = model.log.len();
@@ -191,6 +194,83 @@ fn check(
     Ok(())
 }
 
+/// Applies `op` to `board`, posting as `role` says.
+fn drive(board: &BulletinBoard<u64>, op: &Op, role: &dyn Fn(&Shape, usize) -> RoleId) {
+    match op {
+        Op::Post(s, i) => {
+            let (phase, bytes) = (PHASES[s.phase], 8 * s.elements);
+            board.post(role(s, *i), s.message, phase, s.elements, bytes).unwrap();
+        }
+        Op::PostBatch(s, i, messages) => {
+            let (phase, bytes) = (PHASES[s.phase], 8 * s.elements);
+            board.post_batch(role(s, *i), phase, messages, s.elements, bytes).unwrap();
+        }
+        Op::PostRun(runs) => {
+            // The committee's own label or a fresh allocation of it, by
+            // the shape's coin.
+            let labels: Vec<Arc<str>> = runs.iter().map(|(s, _)| role(s, 0).committee).collect();
+            let speakers: Vec<Speakers> =
+                runs.iter().map(|(_, members)| Speakers::from(&members[..])).collect();
+            let runs: Vec<PostRun<'_, u64>> = runs
+                .iter()
+                .zip(&labels)
+                .zip(&speakers)
+                .map(|(((s, _), committee), members)| PostRun {
+                    committee,
+                    phase: PHASES[s.phase],
+                    message: &s.message,
+                    elements: s.elements,
+                    bytes: 8 * s.elements,
+                    members,
+                })
+                .collect();
+            board.post_run(&runs).unwrap();
+        }
+        Op::Continued { shape: s, members, split, posts } => {
+            let (head, tail) = members.split_at(*split);
+            let speakers = [Speakers::from(head), Speakers::from(tail)];
+            let committee = role(s, 0).committee;
+            let run = |members| PostRun {
+                committee: &committee,
+                phase: PHASES[s.phase],
+                message: &s.message,
+                elements: s.elements,
+                bytes: 8 * s.elements,
+                members,
+            };
+            board.post_run(&[run(&speakers[0])]).unwrap();
+            if *posts {
+                for &i in tail {
+                    let (phase, bytes) = (PHASES[s.phase], 8 * s.elements);
+                    board.post(role(s, i), s.message, phase, s.elements, bytes).unwrap();
+                }
+            } else {
+                board.post_run(&[run(&speakers[1])]).unwrap();
+            }
+        }
+        Op::AdvanceRound => {
+            board.advance_round().unwrap();
+        }
+    }
+}
+
+/// What `op` posts, in order: the shape, member and message of each
+/// posting.
+fn postings(op: &Op) -> Vec<(&Shape, usize, u64)> {
+    match op {
+        Op::Post(s, i) => vec![(s, *i, s.message)],
+        Op::PostBatch(s, i, messages) => messages.iter().map(|&m| (s, *i, m)).collect(),
+        Op::PostRun(runs) => runs
+            .iter()
+            .flat_map(|(s, members)| members.iter().map(move |&i| (s, i, s.message)))
+            .collect(),
+        Op::Continued { shape: s, members, .. } => {
+            members.iter().map(|&i| (s, i, s.message)).collect()
+        }
+        Op::AdvanceRound => Vec::new(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -205,85 +285,36 @@ proptest! {
                 RoleId::new(COMMITTEES[s.committee], i)
             }
         };
-        let log = Arc::new(InProcessTransport::<u64>::new());
-        let board: BulletinBoard<u64> = BulletinBoard::with_transport(log.clone());
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let handle = server.spawn().unwrap();
+        let in_process = Arc::new(InProcessTransport::<u64>::new());
+        let tcp = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
+        let backends: [(&str, Arc<dyn BoardTransport<u64>>); 2] =
+            [("in-process", in_process), ("tcp", Arc::new(tcp))];
+        let boards: Vec<BulletinBoard<u64>> = backends
+            .iter()
+            .map(|(_, log)| BulletinBoard::with_transport(Arc::clone(log)))
+            .collect();
         let mut model = Model { log: Vec::new(), round_starts: vec![0] };
         for (step, op) in ops.iter().enumerate() {
-            match op {
-                Op::Post(s, i) => {
-                    board.post(role(s, *i), s.message, PHASES[s.phase], s.elements, 8 * s.elements).unwrap();
-                    model.push(role(s, *i), PHASES[s.phase], s.message, s.elements);
-                }
-                Op::PostBatch(s, i, messages) => {
-                    board.post_batch(role(s, *i), PHASES[s.phase], messages, s.elements, 8 * s.elements).unwrap();
-                    for m in messages {
-                        model.push(role(s, *i), PHASES[s.phase], *m, s.elements);
-                    }
-                }
-                Op::PostRun(runs) => {
-                    // The committee's own label or a fresh allocation
-                    // of it, by the shape's coin.
-                    let labels: Vec<Arc<str>> =
-                        runs.iter().map(|(s, _)| role(s, 0).committee).collect();
-                    let speakers: Vec<Speakers> =
-                        runs.iter().map(|(_, members)| Speakers::from(&members[..])).collect();
-                    let runs: Vec<PostRun<'_, u64>> = runs
-                        .iter()
-                        .zip(&labels)
-                        .zip(&speakers)
-                        .map(|(((s, _), committee), members)| PostRun {
-                            committee,
-                            phase: PHASES[s.phase],
-                            message: &s.message,
-                            elements: s.elements,
-                            bytes: 8 * s.elements,
-                            members,
-                        })
-                        .collect();
-                    for run in &runs {
-                        for i in run.members.iter() {
-                            let from = RoleId { committee: Arc::clone(run.committee), index: i };
-                            model.push(from, run.phase, *run.message, run.elements);
-                        }
-                    }
-                    board.post_run(&runs).unwrap();
-                }
-                Op::Continued { shape: s, members, split, posts } => {
-                    let (head, tail) = members.split_at(*split);
-                    let speakers = [Speakers::from(head), Speakers::from(tail)];
-                    let committee = role(s, 0).committee;
-                    let run = |members| PostRun {
-                        committee: &committee,
-                        phase: PHASES[s.phase],
-                        message: &s.message,
-                        elements: s.elements,
-                        bytes: 8 * s.elements,
-                        members,
-                    };
-                    board.post_run(&[run(&speakers[0])]).unwrap();
-                    if *posts {
-                        for &i in tail {
-                            board.post(role(s, i), s.message, PHASES[s.phase], s.elements, 8 * s.elements).unwrap();
-                        }
-                    } else {
-                        board.post_run(&[run(&speakers[1])]).unwrap();
-                    }
-                    for &i in members {
-                        model.push(role(s, i), PHASES[s.phase], s.message, s.elements);
-                    }
-                }
-                Op::AdvanceRound => {
-                    board.advance_round().unwrap();
-                    model.round_starts.push(model.log.len());
-                }
+            for (s, i, message) in postings(op) {
+                model.push(role(s, i), PHASES[s.phase], message, s.elements);
             }
-            if let Err(e) = check(&board, &log, &model) {
-                prop_assert!(false, "after step {step} ({op:?}): {e}");
+            if matches!(op, Op::AdvanceRound) {
+                model.round_starts.push(model.log.len());
+            }
+            for ((name, log), board) in backends.iter().zip(&boards) {
+                drive(board, op, &role);
+                if let Err(e) = check(board, log.as_ref(), &model) {
+                    prop_assert!(false, "{name}, after step {step} ({op:?}): {e}");
+                }
             }
         }
-        // The meter saw every post exactly once, whatever the log did,
-        // and lists no phase the transcript does not.
-        prop_assert_eq!(board.meter().total().messages, model.log.len() as u64);
-        prop_assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
+        for board in &boards {
+            // The meter saw every post exactly once, whatever the log
+            // did, and lists no phase the transcript does not.
+            prop_assert_eq!(board.meter().total().messages, model.log.len() as u64);
+            prop_assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
+        }
     }
 }

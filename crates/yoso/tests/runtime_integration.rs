@@ -25,17 +25,6 @@ fn rounds_partition_postings() {
 }
 
 #[test]
-fn metered_only_board_counts_but_stores_nothing() {
-    let board: BulletinBoard<u32> = BulletinBoard::metered_only();
-    for i in 0..100 {
-        board.post(RoleId::new("c", i), i as u32, "phase", 3, 24).unwrap();
-    }
-    assert_eq!(board.len().unwrap(), 0, "no audit log retained");
-    assert_eq!(board.meter().phase("phase").elements, 300);
-    assert_eq!(board.meter().phase("phase").messages, 100);
-}
-
-#[test]
 fn committee_tokens_enforce_speak_once_per_role() {
     let committee = Committee::honest("c1", 5);
     let mut tokens = committee.tokens();
