@@ -303,62 +303,43 @@ fn spawn_workers(opts: &Opts, workers: usize) -> Result<(), String> {
 }
 
 /// `yoso board-stats` — remote board auditor: connects to a
-/// `board-server`, reads the posting log, and rebuilds the per-phase
-/// communication table from the posting metadata (every posting
-/// carries its element and byte counts, so an auditor process needs no
-/// access to any driver's in-process meter). This is also how a
-/// role-sharded worker run is metered: each worker's own meter saw
-/// only the posts it appended, but the board holds the interleaved
-/// full transcript, so the table here aggregates all workers. With
-/// `--dump FILE` the raw posting log is written one line per post
-/// (`round|author|phase|message`) for byte-level transcript diffing.
+/// `board-server` and prints the per-phase communication table the
+/// server folds over its own log (every posting carries its element
+/// and byte counts, so an auditor process needs nothing from the
+/// processes that posted). This is also how a role-sharded worker run
+/// is metered: the board holds the interleaved full transcript, so the
+/// table aggregates all workers. With `--dump FILE` the raw posting log
+/// is written one line per post (`round|author|phase|message`) for
+/// byte-level transcript diffing.
 pub fn board_stats(opts: &Opts) -> Result<(), String> {
     use yoso_core::messages::Post;
-    use yoso_runtime::BulletinBoard;
+    use yoso_runtime::{BoardTransport, TcpOptions, TcpTransport};
 
     let addr = parse_board_addr(
         opts.get("board").ok_or("board-stats requires --board tcp://HOST:PORT")?,
     )?;
-    let board: BulletinBoard<Post> =
-        BulletinBoard::connect_tcp(addr).map_err(|e| e.to_string())?;
+    let board = TcpTransport::<Post>::connect(addr, TcpOptions::default())
+        .map_err(|e| e.to_string())?;
     let rounds = board.round().map_err(|e| e.to_string())?;
-
-    // One round at a time via the per-round index, so the auditor's
-    // memory stays bounded by the largest round instead of the whole
-    // posting history (a paper-scale log dwarfs this process).
-    let mut by_phase = std::collections::BTreeMap::<String, (u64, u64, u64)>::new();
-    let mut posting_count = 0u64;
-    for r in 0..=rounds {
-        board
-            .for_each_in_round(r, |p| {
-                let e = by_phase.entry(p.phase.to_string()).or_default();
-                e.0 += p.elements;
-                e.1 += p.bytes;
-                e.2 += 1;
-                posting_count += 1;
-            })
-            .map_err(|e| e.to_string())?;
+    let phases = board.phases().map_err(|e| e.to_string())?;
+    let mut total = yoso_runtime::PhaseStats::default();
+    for (_, stats) in &phases {
+        total.merge(stats);
     }
-    println!("board {addr}: {posting_count} postings over {rounds} round(s)\n");
+    println!("board {addr}: {} postings over {rounds} round(s)\n", total.messages);
     println!("{:<28} {:>12} {:>12} {:>10}", "phase", "elements", "bytes", "messages");
-    let mut total = (0u64, 0u64, 0u64);
-    for (phase, (elements, bytes, messages)) in &by_phase {
-        println!("{phase:<28} {elements:>12} {bytes:>12} {messages:>10}");
-        total.0 += elements;
-        total.1 += bytes;
-        total.2 += messages;
+    for (phase, s) in &phases {
+        println!("{phase:<28} {:>12} {:>12} {:>10}", s.elements, s.bytes, s.messages);
     }
-    println!("{:<28} {:>12} {:>12} {:>10}", "total", total.0, total.1, total.2);
+    println!(
+        "{:<28} {:>12} {:>12} {:>10}",
+        "total", total.elements, total.bytes, total.messages
+    );
 
     // The server's own wire counters: posting throughput shape (frames,
     // coalesced acks, largest pipeline window) as the server saw it
     // across every client that ever connected.
-    let stats_conn = yoso_runtime::TcpTransport::<Post>::connect(
-        addr,
-        yoso_runtime::TcpOptions::default(),
-    )
-    .map_err(|e| e.to_string())?;
-    let w = stats_conn.server_stats().map_err(|e| e.to_string())?;
+    let w = board.server_stats().map_err(|e| e.to_string())?;
     println!("\nserver wire counters:");
     println!("  request frames       {:>12}", w.frames);
     println!("  post frames          {:>12}", w.post_frames);
@@ -381,7 +362,7 @@ pub fn board_stats(opts: &Opts) -> Result<(), String> {
         let mut write_err: Option<std::io::Error> = None;
         for r in 0..=rounds {
             board
-                .for_each_in_round(r, |p| {
+                .for_each_in_round(r, &mut |p| {
                     if write_err.is_some() {
                         return;
                     }
@@ -400,7 +381,7 @@ pub fn board_stats(opts: &Opts) -> Result<(), String> {
     }
 
     if opts.contains_key("shutdown") {
-        stats_conn.shutdown_server().map_err(|e| e.to_string())?;
+        board.shutdown_server().map_err(|e| e.to_string())?;
         println!("\nserver shut down");
     }
     Ok(())

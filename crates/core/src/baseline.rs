@@ -242,7 +242,7 @@ impl BaselineEngine {
 
         Ok(BaselineResult {
             outputs,
-            phases: board.meter().phases(),
+            phases: board.phases()?,
             mul_gates: circuit.mul_count(),
         })
     }

@@ -186,7 +186,9 @@ mod tests {
             assert_eq!(chain.pk.vks[j], chain.share_of(j).unwrap().value * chain.pk.g);
         }
         // DKG traffic was metered.
-        assert!(board.meter().phase("setup/dkg").messages == n as u64);
+        let phases = board.phases().unwrap();
+        let dkg = phases.iter().find(|(k, _)| k == "setup/dkg").map(|(_, s)| s.messages);
+        assert_eq!(dkg, Some(n as u64));
     }
 
     #[test]
@@ -251,7 +253,9 @@ mod tests {
             }
             // One deal a member, malicious ones included, each metered
             // as a re-share message.
-            let stats = board.meter().phase("setup/dkg");
+            let phases = board.phases().unwrap();
+            let [(phase, stats)] = &phases[..] else { panic!("{phases:?}") };
+            assert_eq!(phase, "setup/dkg");
             assert_eq!(stats.messages, n as u64);
             assert_eq!(stats.elements, n as u64 * messages::reshare_elements(n as u64, t as u64));
             assert_eq!(board.len().unwrap(), n);
@@ -352,6 +356,6 @@ mod tests {
             let err = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap_err();
             assert!(matches!(err, ProtocolError::BadParameters(_)), "{err}");
         }
-        assert_eq!(board.meter().phase("setup/dkg").messages, 0);
+        assert!(board.phases().unwrap().is_empty());
     }
 }

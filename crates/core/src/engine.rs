@@ -250,6 +250,11 @@ impl Engine {
     /// own `config.partition`, and the interleaved transcript is
     /// byte-identical to a solo run.
     ///
+    /// The result's `phases` is [`BulletinBoard::phases`] after the
+    /// last posting has landed: it covers the **whole board** it was
+    /// given, every worker's postings and anything posted before the
+    /// call, so a caller metering one run passes a fresh board.
+    ///
     /// # Errors
     ///
     /// [`ProtocolError::BadParameters`] if a non-solo partition does
@@ -326,17 +331,9 @@ impl Engine {
         )?;
         note_stage("online", &mut stage_start);
         sb.finish()?;
-        // A sharded worker's own meter saw only the posts it appended;
-        // rebuild the per-phase statistics from the shared transcript,
-        // one round per read, so every worker reports the full run.
-        let phases = if partition.is_solo() {
-            board.meter().phases()
-        } else {
-            board.transcript_phases()?
-        };
         Ok(RunResult {
             outputs: online.outputs,
-            phases,
+            phases: board.phases()?,
             mul_gates: circuit.mul_count(),
             wires: circuit.wire_count(),
             mu: online.mu,

@@ -397,7 +397,7 @@ impl ItEngine {
 
         Ok(ItRunResult {
             outputs,
-            phases: board.meter().phases(),
+            phases: board.phases()?,
             mul_lane_gates: program.mul_lane_gates(),
         })
     }

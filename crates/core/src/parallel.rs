@@ -10,9 +10,10 @@
 //! board posts in item-index order. Transcripts are byte-identical
 //! whether `num_threads` is 1 or 16.
 //!
-//! Compiled without the `parallel` feature, [`par_map`] degrades to a
-//! sequential loop over the same per-item seeds — results are still
-//! identical, only wall-clock changes.
+//! With `num_threads <= 1`, or too few items per thread to pay for
+//! the fan-out, [`par_map`] runs inline as a sequential loop over the
+//! same per-item seeds — results are still identical, only wall-clock
+//! changes.
 
 use std::sync::Arc;
 

@@ -205,6 +205,8 @@ mod tests {
             .unwrap();
         assert_eq!(got[0], s.kff_pairs[1][3].secret.scalar);
         // Setup posted (3·6 + 2) KFF records.
-        assert_eq!(board.meter().phase("setup").messages, 20);
+        let phases = board.phases().unwrap();
+        let setup = phases.iter().find(|(k, _)| k == "setup").map(|(_, s)| s.messages);
+        assert_eq!(setup, Some(20));
     }
 }

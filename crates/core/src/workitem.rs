@@ -37,7 +37,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use yoso_runtime::{BulletinBoard, CommMeter, PostRun, RoleId, Speakers};
+use yoso_runtime::{BulletinBoard, PostRun, RoleId, Speakers};
 
 use crate::messages::{self, Post};
 use crate::parallel::PostBuffer;
@@ -164,16 +164,15 @@ struct ShardState {
 impl ShardState {
     /// Accounts one run at the current position: whoever owns it, the
     /// position moves past all of its posts in one step; a run this
-    /// worker owns is queued for the next barrier, labelled with the
-    /// meter's shared phase allocation.
-    fn account(&mut self, owned: bool, run: &PostRun<'_, Post>, meter: &CommMeter) {
+    /// worker owns is queued for the next barrier.
+    fn account(&mut self, owned: bool, run: &PostRun<'_, Post>) {
         let start = self.pos;
         self.pos += run.members.len() as u64;
         if owned {
             self.pending.push(PendingRun {
                 start,
                 committee: Arc::clone(run.committee),
-                phase: meter.intern(run.phase),
+                phase: Arc::from(run.phase),
                 message: *run.message,
                 elements: run.elements,
                 members: run.members.clone(),
@@ -300,7 +299,7 @@ impl<'a> ShardedBoard<'a> {
             bytes: messages::to_bytes(elements),
             members: &Speakers::from(&[from.index][..]),
         };
-        self.lock().account(owned, &run, self.board.meter());
+        self.lock().account(owned, &run);
         Ok(())
     }
 
@@ -309,7 +308,7 @@ impl<'a> ShardedBoard<'a> {
     /// preserving recording order. Solo mode replays the buffer onto
     /// the board as **one** transport call: the write lock (or TCP
     /// connection) is taken once per buffer, and each run costs one
-    /// meter update and one copy of its member spans.
+    /// copy of its member spans.
     ///
     /// # Errors
     ///
@@ -322,7 +321,7 @@ impl<'a> ShardedBoard<'a> {
         }
         let mut st = self.lock();
         for (owned, run) in buffer.runs() {
-            st.account(owned, &run, self.board.meter());
+            st.account(owned, &run);
         }
         Ok(())
     }
@@ -394,8 +393,8 @@ impl<'a> ShardedBoard<'a> {
 
     /// Final drain: flushes pending posts and waits until the whole
     /// canonical post sequence is on the board (the pipeline's last
-    /// phase has no trailing round tick, and every worker rebuilds its
-    /// metering from the complete log).
+    /// phase has no trailing round tick, and every worker then reads
+    /// the per-phase table of the complete log).
     ///
     /// # Errors
     ///
@@ -559,7 +558,12 @@ mod tests {
         let members: Vec<usize> =
             board.postings().unwrap().iter().map(|p| p.from.index).collect();
         assert_eq!(members, (0..10).chain(0..10).collect::<Vec<_>>());
-        assert_eq!(board.meter().phase("x").messages, 20);
+        let x = yoso_runtime::PhaseStats {
+            elements: 20,
+            bytes: 20 * messages::to_bytes(1),
+            messages: 20,
+        };
+        assert_eq!(board.phases().unwrap(), vec![("x".to_string(), x)]);
     }
 
     #[test]

@@ -23,26 +23,26 @@ fn run_transcript(
     adversary: &Adversary,
 ) -> (String, Vec<Vec<F61>>, Vec<F61>) {
     let params = ProtocolParams::new(10, 2, 3).unwrap();
-    let (transcript, outputs, mu, _) = run_transcript_phases(params, num_threads, adversary);
+    let (transcript, outputs, mu, _) = run_sliced_by_phase(params, num_threads, adversary);
     (transcript, outputs, mu)
 }
 
 /// Like [`run_transcript`] but additionally returns the posting log
 /// sliced by phase label, so individual pipeline steps can be checked
 /// for thread-count independence in isolation.
-fn run_transcript_phases(
+fn run_sliced_by_phase(
     params: ProtocolParams,
     num_threads: usize,
     adversary: &Adversary,
 ) -> (String, Vec<Vec<F61>>, Vec<F61>, std::collections::BTreeMap<String, String>) {
     let board: BulletinBoard<Post> = BulletinBoard::new();
-    run_transcript_phases_on(params, num_threads, adversary, &board)
+    run_sliced_by_phase_on(params, num_threads, adversary, &board)
 }
 
-/// Like [`run_transcript_phases`] but over a caller-supplied (possibly
+/// Like [`run_sliced_by_phase`] but over a caller-supplied (possibly
 /// remote) board, so the same pipeline can be driven over any
 /// transport backend.
-fn run_transcript_phases_on(
+fn run_sliced_by_phase_on(
     params: ProtocolParams,
     num_threads: usize,
     adversary: &Adversary,
@@ -101,14 +101,14 @@ fn reenc_shares_phase_transcript_identical_across_thread_counts() {
     const PHASE: &str = "offline/6-reenc-shares";
     let adv = Adversary::none();
     let params = ProtocolParams::new(10, 2, 3).unwrap();
-    let (_, _, _, phases1) = run_transcript_phases(params, 1, &adv);
+    let (_, _, _, phases1) = run_sliced_by_phase(params, 1, &adv);
     let slice1 = phases1.get(PHASE).expect("phase must appear in the posting log");
     assert!(
         slice1.lines().count() > 1,
         "{PHASE} must carry real fan-out traffic, got:\n{slice1}"
     );
     for threads in [2, 8] {
-        let (_, _, _, phasesn) = run_transcript_phases(params, threads, &adv);
+        let (_, _, _, phasesn) = run_sliced_by_phase(params, threads, &adv);
         let slicen = phasesn.get(PHASE).expect("phase must appear in the posting log");
         assert_eq!(
             slice1, slicen,
@@ -133,7 +133,7 @@ fn every_phase_transcript_identical_across_thread_counts() {
     ];
     let adv = Adversary::none();
     let params = ProtocolParams::new(10, 2, 3).unwrap();
-    let (_, _, _, phases1) = run_transcript_phases(params, 1, &adv);
+    let (_, _, _, phases1) = run_sliced_by_phase(params, 1, &adv);
     for phase in REENC_PHASES {
         let slice = phases1.get(phase).expect("re-encryption phase must appear in the log");
         assert!(
@@ -142,7 +142,7 @@ fn every_phase_transcript_identical_across_thread_counts() {
         );
     }
     for threads in [2, 8] {
-        let (_, _, _, phasesn) = run_transcript_phases(params, threads, &adv);
+        let (_, _, _, phasesn) = run_sliced_by_phase(params, threads, &adv);
         assert_eq!(
             phases1.keys().collect::<Vec<_>>(),
             phasesn.keys().collect::<Vec<_>>(),
@@ -222,14 +222,14 @@ fn transport_parity_tcp_transcript_byte_identical() {
     // outputs, not μ values.
     let adv = Adversary::none();
     let params = ProtocolParams::new(10, 2, 3).unwrap();
-    let (local, out_local, mu_local, phases_local) = run_transcript_phases(params, 1, &adv);
+    let (local, out_local, mu_local, phases_local) = run_sliced_by_phase(params, 1, &adv);
     assert!(!local.is_empty());
     for threads in [1usize, 2, 8] {
         let (mut handle, board) =
             yoso_runtime::tcp::loopback::<Post>().expect("loopback server");
         assert_eq!(board.backend_name(), "loopback-tcp");
         let (remote, out_remote, mu_remote, phases_remote) =
-            run_transcript_phases_on(params, threads, &adv, &board);
+            run_sliced_by_phase_on(params, threads, &adv, &board);
         handle.shutdown();
         assert_eq!(
             local, remote,

@@ -215,10 +215,11 @@ impl BoardTransport<Post> for CountingTransport {
 
 #[test]
 fn workers_rebuild_phase_stats_round_by_round() {
-    // A worker's meter saw only its own posts, so its `phases` come
-    // from the shared transcript — read one round at a time, never as
-    // one whole-log snapshot (over TCP that snapshot is a single frame
-    // that outgrows the frame cap at large n).
+    // Every worker's `phases` covers the shared transcript, not only
+    // its own posts. Through a wrapper that does not forward `phases`
+    // it is the trait's posting fold — one round per read, never one
+    // whole-log snapshot (over TCP that snapshot is a single frame that
+    // outgrows the frame cap at large n).
     let params = ProtocolParams::new(10, 2, 3).unwrap();
     let adv = Adversary::none();
     let (_, solo) = solo_run(params, &adv);

@@ -15,8 +15,9 @@
 //! 2. **Round-barrier ordering** (`round-discipline`): raw-board
 //!    `advance_round()` only on leader/solo-guarded paths (the round tick
 //!    is the YOSO handoff — two workers advancing double-ticks the
-//!    clock), and no `postings*()` reads before the first barrier call in
-//!    functions that synchronize on one.
+//!    clock), and no log reads — `postings*()`, or a `phases()` fold —
+//!    before the first barrier call in functions that synchronize on
+//!    one.
 //! 3. **Per-item child-seed hygiene** (`seed-hygiene`): inside an
 //!    ownership-guarded branch (`if owns(i) { .. }`) the phase RNG may
 //!    only be used to draw child seeds (`rng.next_u64()`); any other draw
@@ -258,9 +259,14 @@ fn check_rounds(tokens: &[Token], f: &FnItem, emit: &mut dyn FnMut(RuleId, usize
                     );
                 }
             }
-        } else if matches!(t.text.as_str(), "postings" | "postings_in_round") {
+        } else if matches!(t.text.as_str(), "postings" | "postings_in_round")
+            || (t.text == "phases" && tokens.get(i + 1).is_some_and(|x| x.is_punct('(')))
+        {
             // Only meaningful in functions that synchronize on a barrier
-            // at all; pure observers (stats, dumps) are exempt.
+            // at all; pure observers (stats, dumps) are exempt. A
+            // `phases()` fold reads the whole log: before the barrier a
+            // worker would count a partial one. (`.phases` without a
+            // call is a field access, not a read.)
             if let Some(b) = first_barrier {
                 if i < b {
                     emit(
@@ -498,6 +504,26 @@ mod tests {
         assert!(f.is_empty(), "{f:?}");
         // Pure observers never synchronize; exempt.
         let f = run("fn stats(board: &B) { let all = board.postings(); }");
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn phases_fold_before_barrier_flagged() {
+        let f = run(
+            "fn f(sb: &S, board: &B) { let phases = board.phases()?; \
+             sb.finish()?; }",
+        );
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].0, RuleId::RoundDiscipline);
+        assert!(f[0].2.contains("`.phases()` read before"), "{f:?}");
+        // After the final barrier the log is complete.
+        let f = run(
+            "fn f(sb: &S, board: &B) { sb.finish()?; \
+             let phases = board.phases()?; }",
+        );
+        assert!(f.is_empty(), "{f:?}");
+        // A field access is no read.
+        let f = run("fn f(sb: &S, r: &R) { let p = r.phases.len(); sb.finish()?; }");
         assert!(f.is_empty(), "{f:?}");
     }
 

@@ -1,21 +1,23 @@
-//! The bulletin board: authenticated broadcast with metering.
+//! The bulletin board: authenticated broadcast whose log is the meter.
 //!
 //! In the YOSO model every message — point-to-point included — is
 //! posted to a public board (encrypted to its recipient when private),
 //! so broadcast and P2P cost the same (§3.3). The board is therefore
-//! the *single* communication channel of the protocol, and metering
-//! postings measures the protocol's entire communication.
+//! the *single* communication channel of the protocol, and its posting
+//! log measures the protocol's entire communication: every posting
+//! carries its metered size, and [`BulletinBoard::phases`] folds the
+//! log into per-phase stats.
 //!
 //! The board itself is a thin façade over a pluggable
 //! [`BoardTransport`]: the default [`InProcessTransport`] keeps
 //! postings in this process in a run-length, round-indexed log; the
 //! [`crate::tcp`] backend talks to a `board-server` process so
 //! committee drivers and auditors can run as separate OS processes.
-//! Metering stays local to the posting process either way.
+//! Either way the stats come from the one log every process shares.
 
 use std::sync::Arc;
 
-use crate::metrics::CommMeter;
+use crate::metrics::PhaseStats;
 use crate::role::RoleId;
 use crate::transport::{
     BoardError, BoardTransport, InProcessTransport, PostRecord, PostRun, WireMessage,
@@ -29,14 +31,13 @@ pub struct Posting<M> {
     /// The author role.
     pub from: RoleId,
     /// The protocol phase the post was metered under. Shared, not
-    /// owned: every posting of a phase aliases one allocation, so
-    /// cloning a posting (or a whole round slice) never copies the
-    /// label.
+    /// owned: the postings of a run alias one allocation, so cloning a
+    /// posting (or a whole round slice) never copies the label.
     pub phase: Arc<str>,
     /// The message payload.
     pub message: M,
-    /// Metered size in ring elements (travels with the posting so
-    /// remote auditor processes can rebuild the communication meter).
+    /// Metered size in ring elements (travels with the posting, so any
+    /// reader of the log can fold it into per-phase stats).
     pub elements: u64,
     /// Metered size in bytes.
     pub bytes: u64,
@@ -45,14 +46,13 @@ pub struct Posting<M> {
 /// An append-only bulletin board carrying messages of type `M`,
 /// shared between the simulated roles.
 ///
-/// Every post records its size with the [`CommMeter`] under the
-/// supplied phase label; experiments read the meter, tests read the
-/// postings. Posting and round methods are fallible because the
-/// backing [`BoardTransport`] may be remote; the in-process backend
-/// never fails.
+/// Every post carries its size under the supplied phase label;
+/// experiments read the per-phase fold ([`BulletinBoard::phases`]),
+/// tests read the postings. Posting and round methods are fallible
+/// because the backing [`BoardTransport`] may be remote; the
+/// in-process backend never fails.
 pub struct BulletinBoard<M> {
     transport: Arc<dyn BoardTransport<M>>,
-    meter: CommMeter,
 }
 
 impl<M> std::fmt::Debug for BulletinBoard<M> {
@@ -65,10 +65,7 @@ impl<M> std::fmt::Debug for BulletinBoard<M> {
 
 impl<M> Clone for BulletinBoard<M> {
     fn clone(&self) -> Self {
-        BulletinBoard {
-            transport: Arc::clone(&self.transport),
-            meter: self.meter.clone(),
-        }
+        BulletinBoard { transport: Arc::clone(&self.transport) }
     }
 }
 
@@ -79,7 +76,7 @@ impl<M: Clone + PartialEq + Send + Sync + 'static> Default for BulletinBoard<M> 
 }
 
 impl<M: Clone + PartialEq + Send + Sync + 'static> BulletinBoard<M> {
-    /// Creates an empty in-process board with a fresh meter.
+    /// Creates an empty in-process board.
     pub fn new() -> Self {
         Self::with_transport(Arc::new(InProcessTransport::new()))
     }
@@ -88,7 +85,7 @@ impl<M: Clone + PartialEq + Send + Sync + 'static> BulletinBoard<M> {
 impl<M: Clone + Send + Sync + 'static> BulletinBoard<M> {
     /// Creates a board over an explicit transport backend.
     pub fn with_transport(transport: Arc<dyn BoardTransport<M>>) -> Self {
-        BulletinBoard { transport, meter: CommMeter::new() }
+        BulletinBoard { transport }
     }
 }
 
@@ -122,11 +119,6 @@ impl<M: WireMessage + Clone + Send + Sync + 'static> BulletinBoard<M> {
 }
 
 impl<M> BulletinBoard<M> {
-    /// The communication meter recording all posts.
-    pub fn meter(&self) -> &CommMeter {
-        &self.meter
-    }
-
     /// A short label naming the transport backend (diagnostics).
     pub fn backend_name(&self) -> &'static str {
         self.transport.backend_name()
@@ -164,17 +156,15 @@ impl<M> BulletinBoard<M> {
         elements: u64,
         bytes: u64,
     ) -> Result<(), BoardError> {
-        let phase = self.meter.record_many(phase, elements, bytes, 1);
-        let record = PostRecord { from, phase, message, elements, bytes };
+        let record = PostRecord { from, phase: Arc::from(phase), message, elements, bytes };
         self.transport.post_stream(&mut std::iter::once(record)).map(|_| ())
     }
 
     /// Posts a batch of same-sized messages from one role under one
     /// phase, taking the transport's write lock (or sending one TCP
-    /// frame) **once** for the whole batch. The phase label is the
-    /// meter's interned one, shared by every posting of the phase, and
-    /// in-process appends are a monomorphic slice loop — no
-    /// per-message allocation or dispatch.
+    /// frame) **once** for the whole batch. The phase label is
+    /// allocated once for the batch, and in-process appends are a
+    /// monomorphic slice loop — no per-message allocation or dispatch.
     ///
     /// # Errors
     ///
@@ -190,29 +180,21 @@ impl<M> BulletinBoard<M> {
     where
         M: Clone,
     {
-        // An empty batch meters nothing: registering its phase would
-        // list a phase no posting carries.
         if messages.is_empty() {
             return Ok(());
         }
-        let count = messages.len() as u64;
-        let shared = self.meter.record_many(
-            phase,
-            elements_each * count,
-            bytes_each * count,
-            count,
-        );
-        self.transport.post_slice(&from, &shared, messages, elements_each, bytes_each)
+        let phase = Arc::from(phase);
+        self.transport.post_slice(&from, &phase, messages, elements_each, bytes_each)
     }
 
     /// Posts whole committee steps: for each run, every member of its
     /// [`crate::Speakers`] posts the run's message under its phase at
     /// its per-posting size. All runs of one call land in **one**
-    /// transport call (one lock acquisition, or one TCP flush), and each
-    /// run costs one meter update however many members it has — the
+    /// transport call (one lock acquisition, or one TCP flush) — the
     /// replay path of the parallel engine's post buffers; the in-process
     /// log copies its member spans, not one index per member. A run with
-    /// no members meters and posts nothing.
+    /// no members posts nothing, and a call whose runs are all empty
+    /// makes no transport call.
     ///
     /// # Errors
     ///
@@ -221,15 +203,7 @@ impl<M> BulletinBoard<M> {
     where
         M: Clone,
     {
-        let mut posts = 0;
-        for run in runs {
-            let count = run.members.len() as u64;
-            if count > 0 {
-                self.meter.record_many(run.phase, run.elements * count, run.bytes * count, count);
-                posts += count;
-            }
-        }
-        if posts == 0 {
+        if runs.iter().all(|run| run.members.is_empty()) {
             return Ok(());
         }
         self.transport.post_run(runs)
@@ -296,35 +270,18 @@ impl<M> BulletinBoard<M> {
         self.transport.for_each_in_round(round, &mut f)
     }
 
-    /// Per-phase communication stats rebuilt from the transcript, in
-    /// label order — the cross-worker metering aggregation path. Every
-    /// posting carries its metered `elements`/`bytes`, so a worker
-    /// whose local [`CommMeter`] saw only its own share of the posts
-    /// reconstructs exactly what a single-process
-    /// [`CommMeter::phases`] would report. Folded one round at a time
-    /// so the log is never materialized whole (in process nothing is
-    /// cloned; a remote backend ships one round per read instead of one
-    /// frame holding the entire history). The caller must know the
-    /// transcript is complete: rounds `0..=round()` are read once each.
+    /// Per-phase communication stats of every posting on the board, in
+    /// label order: the transport's fold over its own log
+    /// ([`BoardTransport::phases`]). Every posting carries its metered
+    /// `elements`/`bytes`, so the table covers the whole board —
+    /// whichever process or worker appended each posting — and a
+    /// caller reading it mid-run sees only what has landed so far.
     ///
     /// # Errors
     ///
     /// Propagates transport failures (remote backends only).
-    pub fn transcript_phases(
-        &self,
-    ) -> Result<Vec<(String, crate::metrics::PhaseStats)>, BoardError> {
-        let mut by_phase = PhaseTable::new();
-        for round in 0..=self.round()? {
-            self.for_each_in_round(round, |p| tally(&mut by_phase, p))?;
-        }
-        Ok(by_phase.into_iter().collect())
-    }
-
-    /// Opens a cursor-based subscription: each [`BoardCursor::poll`]
-    /// returns only the postings appended since the previous poll, so
-    /// a long-lived reader never re-clones history.
-    pub fn subscribe(&self) -> BoardCursor<M> {
-        BoardCursor { transport: Arc::clone(&self.transport), pos: 0 }
+    pub fn phases(&self) -> Result<Vec<(String, PhaseStats)>, BoardError> {
+        self.transport.phases()
     }
 
     /// Blocks until the board holds at least `target` postings and
@@ -433,21 +390,6 @@ fn wait_until<T>(
     }
 }
 
-type PhaseTable = std::collections::BTreeMap<String, crate::metrics::PhaseStats>;
-
-/// Adds one posting to its phase's stats, allocating the key only the
-/// first time a label is seen.
-fn tally<M>(by_phase: &mut PhaseTable, p: &Posting<M>) {
-    let one =
-        crate::metrics::PhaseStats { elements: p.elements, bytes: p.bytes, messages: 1 };
-    match by_phase.get_mut(&*p.phase) {
-        Some(s) => s.merge(&one),
-        None => {
-            by_phase.insert(p.phase.to_string(), one);
-        }
-    }
-}
-
 /// The seed of the 64-bit FNV-1a hash over transcript lines.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// The 64-bit FNV-1a multiplier.
@@ -456,16 +398,13 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// The transcript-hash folder: one pass over a finished board, round
 /// by round and clone-free, folding every posting into a 64-bit FNV-1a
 /// hash of its canonical transcript line (`round|from|phase|message`,
-/// the `board-stats --dump` format) and into per-phase communication
-/// stats. Two boards with equal hashes hold byte-identical transcripts;
-/// the tests, the scale profile and the benchmark's fleet-vs-solo gate
-/// compare runs this way, outside any timed region. The engine itself
-/// never hashes — it reports stats from the meter or from
-/// [`BulletinBoard::transcript_phases`].
+/// the `board-stats --dump` format). Two boards with equal hashes hold
+/// byte-identical transcripts; the tests, the scale profile and the
+/// benchmark's fleet-vs-solo gate compare runs this way, outside any
+/// timed region. The engine itself never hashes — its per-phase stats
+/// are [`BulletinBoard::phases`].
 #[derive(Debug, Clone)]
 pub struct PhaseAccumulator {
-    by_phase: PhaseTable,
-    postings: u64,
     hash: u64,
     line: String,
 }
@@ -479,24 +418,17 @@ impl Default for PhaseAccumulator {
 impl PhaseAccumulator {
     /// An empty accumulator.
     pub fn new() -> Self {
-        PhaseAccumulator {
-            by_phase: PhaseTable::new(),
-            postings: 0,
-            hash: FNV_OFFSET,
-            line: String::new(),
-        }
+        PhaseAccumulator { hash: FNV_OFFSET, line: String::new() }
     }
 
-    /// Folds one posting into the stats and the transcript hash.
+    /// Folds one posting into the transcript hash.
     fn absorb<M: std::fmt::Debug>(&mut self, p: &Posting<M>) {
         use std::fmt::Write as _;
-        tally(&mut self.by_phase, p);
         self.line.clear();
         let _ = writeln!(self.line, "{}|{}|{}|{:?}", p.round, p.from, p.phase, p.message);
         for &b in self.line.as_bytes() {
             self.hash = (self.hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
         }
-        self.postings += 1;
     }
 
     /// Absorbs the whole transcript of `board`: every sealed round and
@@ -515,54 +447,9 @@ impl PhaseAccumulator {
         Ok(())
     }
 
-    /// Number of postings absorbed so far.
-    pub fn postings(&self) -> u64 {
-        self.postings
-    }
-
     /// The FNV-1a 64 hash of every absorbed transcript line.
     pub fn transcript_hash(&self) -> u64 {
         self.hash
-    }
-
-    /// Per-phase stats in label order — the same shape
-    /// [`BulletinBoard::transcript_phases`] returns.
-    pub fn phases(&self) -> Vec<(String, crate::metrics::PhaseStats)> {
-        self.by_phase.iter().map(|(k, v)| (k.clone(), *v)).collect()
-    }
-}
-
-/// A stateful reader over a board transport: remembers how far it has
-/// read and fetches only the suffix on each poll.
-pub struct BoardCursor<M> {
-    transport: Arc<dyn BoardTransport<M>>,
-    pos: usize,
-}
-
-impl<M> std::fmt::Debug for BoardCursor<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BoardCursor")
-            .field("backend", &self.transport.backend_name())
-            .field("pos", &self.pos)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<M> BoardCursor<M> {
-    /// Postings appended since the last poll (empty if none).
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (remote backends only).
-    pub fn poll(&mut self) -> Result<Vec<Posting<M>>, BoardError> {
-        let batch = self.transport.read_from(self.pos)?;
-        self.pos += batch.len();
-        Ok(batch)
-    }
-
-    /// Number of postings consumed so far.
-    pub fn position(&self) -> usize {
-        self.pos
     }
 }
 
@@ -570,6 +457,21 @@ impl<M> BoardCursor<M> {
 mod tests {
     use super::*;
     use crate::transport::Speakers;
+
+    /// `phase`'s row of the board's per-phase table (zero if absent).
+    fn phase<M>(board: &BulletinBoard<M>, phase: &str) -> PhaseStats {
+        let phases = board.phases().unwrap();
+        phases.into_iter().find(|(k, _)| k == phase).map(|(_, s)| s).unwrap_or_default()
+    }
+
+    /// The sum of every row of the board's per-phase table.
+    fn total<M>(board: &BulletinBoard<M>) -> PhaseStats {
+        let mut acc = PhaseStats::default();
+        for (_, s) in board.phases().unwrap() {
+            acc.merge(&s);
+        }
+        acc
+    }
 
     #[test]
     fn post_and_read_back() {
@@ -594,12 +496,13 @@ mod tests {
         board.post(RoleId::new("c", 0), 1, "offline", 3, 24).unwrap();
         board.post(RoleId::new("c", 1), 2, "offline", 5, 40).unwrap();
         board.post(RoleId::new("c", 2), 3, "online", 1, 8).unwrap();
-        let stats = board.meter().phase("offline");
+        let stats = phase(&board, "offline");
         assert_eq!(stats.elements, 8);
         assert_eq!(stats.bytes, 64);
         assert_eq!(stats.messages, 2);
-        assert_eq!(board.meter().phase("online").elements, 1);
-        assert_eq!(board.meter().total().elements, 9);
+        assert_eq!(phase(&board, "online").elements, 1);
+        assert_eq!(phase(&board, "nonexistent"), PhaseStats::default());
+        assert_eq!(total(&board).elements, 9);
     }
 
     #[test]
@@ -608,7 +511,7 @@ mod tests {
         let board2 = board.clone();
         board.post(RoleId::new("c", 0), 7, "x", 1, 8).unwrap();
         assert_eq!(board2.len().unwrap(), 1);
-        assert_eq!(board2.meter().total().elements, 1);
+        assert_eq!(total(&board2).elements, 1);
     }
 
     #[test]
@@ -620,7 +523,8 @@ mod tests {
             a.post(from.clone(), m, "offline/x", 2, 16).unwrap();
         }
         b.post_batch(from, "offline/x", &[0, 1, 2, 3, 4], 2, 16).unwrap();
-        assert_eq!(a.meter().phase("offline/x"), b.meter().phase("offline/x"));
+        assert_eq!(a.phases().unwrap(), b.phases().unwrap());
+        assert_eq!(phase(&b, "offline/x"), PhaseStats { elements: 10, bytes: 80, messages: 5 });
         let (pa, pb) = (a.postings().unwrap(), b.postings().unwrap());
         assert_eq!(pa.len(), pb.len());
         for (x, y) in pa.iter().zip(pb.iter()) {
@@ -660,8 +564,8 @@ mod tests {
             })
             .collect();
         b.post_run(&runs).unwrap();
-        assert_eq!(a.meter().phases(), b.meter().phases());
-        assert_eq!(b.meter().phase("offline/x").messages, 5);
+        assert_eq!(a.phases().unwrap(), b.phases().unwrap());
+        assert_eq!(phase(&b, "offline/x").messages, 5);
         let (pa, pb) = (a.postings().unwrap(), b.postings().unwrap());
         assert_eq!(pa.iter().map(line).collect::<Vec<_>>(), pb.iter().map(line).collect::<Vec<_>>());
     }
@@ -682,43 +586,24 @@ mod tests {
         let (none, two) = (Speakers::new(), Speakers::from(&[0, 1][..]));
         board.post_run(&[run("ghost/run", &none)]).unwrap();
         board.post_run(&[]).unwrap();
-        assert!(board.meter().phases().is_empty());
-        assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
+        assert!(board.phases().unwrap().is_empty());
         // An empty run beside a real one changes nothing about the real one.
         board.post_run(&[run("ghost/run", &none), run("real", &two)]).unwrap();
         assert_eq!(board.len().unwrap(), 2);
-        assert_eq!(board.meter().phases(), board.transcript_phases().unwrap());
-        assert_eq!(board.meter().phases().len(), 1);
+        let real = PhaseStats { elements: 2, bytes: 16, messages: 2 };
+        assert_eq!(board.phases().unwrap(), vec![("real".to_string(), real)]);
     }
 
-    /// A transport that implements the record-level posting methods and
-    /// nothing newer, like a wrapper written before `post_run` existed:
-    /// runs reach it through the trait's default adapter.
+    /// A transport that forwards the trait's required methods and
+    /// nothing else, like a wrapper written before `post_run` and the
+    /// log fold existed: runs reach it through the trait's default
+    /// adapter, and its per-phase table is the default posting fold.
     #[derive(Default)]
     struct RecordLevelOnly(InProcessTransport<u64>);
 
     impl BoardTransport<u64> for RecordLevelOnly {
         fn post_batch(&self, records: Vec<PostRecord<u64>>) -> Result<(), BoardError> {
             self.0.post_batch(records)
-        }
-        fn post_stream(
-            &self,
-            records: &mut dyn Iterator<Item = PostRecord<u64>>,
-        ) -> Result<u64, BoardError> {
-            self.0.post_stream(records)
-        }
-        fn post_slice(
-            &self,
-            from: &RoleId,
-            phase: &Arc<str>,
-            messages: &[u64],
-            elements: u64,
-            bytes: u64,
-        ) -> Result<(), BoardError> {
-            self.0.post_slice(from, phase, messages, elements, bytes)
-        }
-        fn retain_rounds_from(&self, round: u64) -> Result<(), BoardError> {
-            self.0.retain_rounds_from(round)
         }
         fn advance_round(&self) -> Result<u64, BoardError> {
             self.0.advance_round()
@@ -744,7 +629,8 @@ mod tests {
     fn adapted_runs_equal_native_runs() {
         // One scripted mix of every posting entry point and round
         // ticks, through the native `post_run` and through the default
-        // adapter: same postings, same run structure, same meter.
+        // adapter: same postings, same run structure, and the same
+        // per-phase table from the run fold and the posting fold.
         fn drive(board: &BulletinBoard<u64>) {
             let committees = [crate::Committee::honest("a", 6), crate::Committee::honest("b", 6)];
             let phases = ["offline/1", "offline/2", "online/3"];
@@ -794,8 +680,8 @@ mod tests {
         assert!(pa.len() > 400);
         assert_eq!(pa.iter().map(line).collect::<Vec<_>>(), pb.iter().map(line).collect::<Vec<_>>());
         assert_eq!(native.run_count(), adapted.0.run_count());
-        assert_eq!(a.meter().phases(), b.meter().phases());
-        assert_eq!(a.meter().phases(), a.transcript_phases().unwrap());
+        assert_eq!(a.phases().unwrap(), b.phases().unwrap());
+        assert_eq!(total(&a).messages, pa.len() as u64);
     }
 
     #[test]
@@ -813,9 +699,10 @@ mod tests {
         let mut acc = PhaseAccumulator::new();
         acc.finish(&board).unwrap();
 
-        assert_eq!(acc.phases(), board.transcript_phases().unwrap());
-        assert_eq!(acc.phases(), board.meter().phases());
-        assert_eq!(acc.postings(), 13);
+        let x = PhaseStats { elements: 24, bytes: 192, messages: 12 };
+        let y = PhaseStats { elements: 1, bytes: 8, messages: 1 };
+        let want = vec![("offline/x".to_string(), x), ("online/y".to_string(), y)];
+        assert_eq!(board.phases().unwrap(), want);
 
         // The hash covers payloads: one changed message diverges.
         let other: BulletinBoard<u64> = BulletinBoard::new();
@@ -865,23 +752,24 @@ mod tests {
 
     #[test]
     fn phases_from_postings_matches_meter() {
-        let board: BulletinBoard<u64> = BulletinBoard::new();
-        board.post(RoleId::new("c", 0), 1, "b/phase", 3, 24).unwrap();
-        board.post(RoleId::new("c", 1), 2, "a/phase", 2, 16).unwrap();
-        board.post(RoleId::new("c", 2), 3, "a/phase", 5, 40).unwrap();
-        assert_eq!(board.transcript_phases().unwrap(), board.meter().phases());
-    }
-
-    #[test]
-    fn cursor_subscription_sees_only_new_posts() {
-        let board: BulletinBoard<u64> = BulletinBoard::new();
-        let mut cur = board.subscribe();
-        board.post(RoleId::new("c", 0), 1, "x", 1, 8).unwrap();
-        assert_eq!(cur.poll().unwrap().len(), 1);
-        assert!(cur.poll().unwrap().is_empty());
-        board.post_batch(RoleId::new("c", 1), "x", &[0, 1, 2, 3], 1, 8).unwrap();
-        let batch = cur.poll().unwrap();
-        assert_eq!(batch.len(), 4);
-        assert_eq!(cur.position(), 5);
+        // The posting fold (the trait default, through a wrapper that
+        // forwards only record-level reads) and the run fold agree, in
+        // label order, with a phase that recurs across a round tick.
+        let runs = BulletinBoard::<u64>::new();
+        let postings = BulletinBoard::with_transport(
+            Arc::new(RecordLevelOnly::default()) as Arc<dyn BoardTransport<u64>>
+        );
+        for board in [&runs, &postings] {
+            board.post(RoleId::new("c", 0), 1, "b/phase", 3, 24).unwrap();
+            board.post(RoleId::new("c", 1), 2, "a/phase", 2, 16).unwrap();
+            board.advance_round().unwrap();
+            board.post(RoleId::new("c", 2), 3, "a/phase", 5, 40).unwrap();
+            board.post(RoleId::new("c", 3), 1, "b/phase", 3, 24).unwrap();
+        }
+        let a = PhaseStats { elements: 7, bytes: 56, messages: 2 };
+        let b = PhaseStats { elements: 6, bytes: 48, messages: 2 };
+        let want = vec![("a/phase".to_string(), a), ("b/phase".to_string(), b)];
+        assert_eq!(runs.phases().unwrap(), want);
+        assert_eq!(postings.phases().unwrap(), want);
     }
 }

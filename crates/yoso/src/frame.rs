@@ -68,6 +68,9 @@ pub(crate) mod op {
     /// Read the server's wire/throughput counters; replies
     /// [`RESP_STATS`].
     pub const GET_STATS: u8 = 0x0A;
+    /// Read the per-phase communication table folded over the log;
+    /// the body is the opcode alone. Replies [`RESP_PHASES`].
+    pub const GET_PHASES: u8 = 0x0C;
 
     /// Bare success.
     pub const RESP_OK: u8 = 0x80;
@@ -79,6 +82,9 @@ pub(crate) mod op {
     pub const RESP_OK_N: u8 = 0x83;
     /// Server counters: `u32` field count, then that many `u64`s.
     pub const RESP_STATS: u8 = 0x84;
+    /// Per-phase stats: `u32` row count, then per row the phase str and
+    /// elements, bytes, messages (`u64` each), in label order.
+    pub const RESP_PHASES: u8 = 0x85;
     /// An error string.
     pub const RESP_ERR: u8 = 0xEE;
 }

@@ -20,10 +20,9 @@
 //!   active strategies, fail-stop crash schedules).
 //! - [`BulletinBoard`]: the authenticated broadcast channel, recording
 //!   every posting with its size so experiments can *measure* (not
-//!   estimate) communication in ring elements and bytes.
-//! - [`metrics::CommMeter`]: aggregation of posted traffic by protocol
-//!   phase and category, with per-gate normalization used by the
-//!   experiment harness.
+//!   estimate) communication in ring elements and bytes: the log is the
+//!   meter, and [`BoardTransport::phases`] folds it into
+//!   [`PhaseStats`] per protocol phase, wherever the log lives.
 //! - [`sortition`]: the committee-sampling simulator (each of `N`
 //!   parties joins a committee with probability `C/N`; corrupt parties
 //!   are a random `f` fraction), matching the model analyzed in §6.
@@ -42,8 +41,8 @@ pub mod transport;
 pub mod views;
 
 pub use adversary::{ActiveAttack, Adversary, Behavior};
-pub use board::{BoardCursor, BulletinBoard, PhaseAccumulator, Posting};
-pub use metrics::{CommMeter, PhaseStats};
+pub use board::{BulletinBoard, PhaseAccumulator, Posting};
+pub use metrics::PhaseStats;
 pub use role::{Committee, RoleId, SpeakOnce, SpokeError};
 pub use tcp::{BoardServer, ServerHandle, ServerWireStats, TcpOptions, TcpTransport, WireStats};
 pub use transport::{

@@ -18,12 +18,15 @@
 //! | 0x09 | `PostSync`    | — (collects one coalesced ack for the window) |
 //! | 0x0A | `GetStats`    | —                                           |
 //! | 0x0B | `PostPipe`    | `u32` run count, then per run: committee str, phase str, elements `u64`, bytes `u64`, payload bytes, `u32` member count, that many `u32` member indices; **no** per-frame ack |
+//! | 0x0C | `GetPhases`   | — (anything after the opcode draws `RESP_ERR`) |
 //!
 //! Responses: `0x80` ok, `0x81` value (`u64`), `0x82` postings
 //! (`u32` count, then per posting: round `u64`, committee str, index
 //! `u64`, phase str, elements `u64`, bytes `u64`, payload bytes),
 //! `0x83` coalesced ack (`u64` frames acknowledged), `0x84` stats
-//! (`u32` field count, then `u64` fields), `0xEE` error (str).
+//! (`u32` field count, then `u64` fields), `0x85` phases (`u32` row
+//! count, then per row: phase str, elements `u64`, bytes `u64`,
+//! messages `u64`, in label order), `0xEE` error (str).
 //! Strings and byte strings are `u32`-length prefixed. Opcodes `0x01`
 //! (the retired per-frame-acknowledged `PostBatch`) and `0x08` (the
 //! retired `PostPipe` body, one full record per posting) are unassigned
@@ -66,7 +69,9 @@
 //! order) therefore produces a byte-identical posting log over TCP and
 //! in-process; the transport-parity suite in `yoso-core` asserts
 //! exactly that. Message payloads cross the wire via the deterministic
-//! [`WireMessage`] codec, never a `Debug` format.
+//! [`WireMessage`] codec, never a `Debug` format. `GetPhases` answers
+//! from that same log's run fold, so a client's per-phase table costs
+//! one round trip, not a read of the whole history.
 //!
 //! A logical batch whose encoding exceeds [`TcpOptions::max_post_frame_bytes`]
 //! is split client-side into several consecutive post frames sent
@@ -104,6 +109,7 @@ use crate::frame::{
     append_frame, flush_wire, io_err, op, read_frame_into, write_frame, FrameRead, FrameReader,
     MAX_FRAME,
 };
+use crate::metrics::PhaseStats;
 use crate::role::RoleId;
 use crate::transport::{
     put_bytes, put_str, put_u32, put_u64, BoardError, BoardTransport, InProcessTransport,
@@ -339,6 +345,12 @@ impl ServerShared {
                 }
                 Action::Reply
             }
+            op::GET_PHASES => {
+                if let Err(e) = self.encode_phases(&mut conn.resp, body) {
+                    write_err(&mut conn.resp, &e.to_string());
+                }
+                Action::Reply
+            }
             op::SHUTDOWN => {
                 conn.resp.clear();
                 conn.resp.push(op::RESP_OK);
@@ -349,6 +361,29 @@ impl ServerShared {
                 Action::Reply
             }
         }
+    }
+
+    /// Encodes the answer to a `GetPhases` — the log's per-phase table
+    /// — into `resp`. The request is the opcode alone.
+    fn encode_phases(&self, resp: &mut Vec<u8>, body: &[u8]) -> Result<(), BoardError> {
+        if body.len() > 1 {
+            return Err(BoardError::Protocol(format!(
+                "GetPhases (opcode {:#x}) takes no body, got {} trailing bytes",
+                op::GET_PHASES,
+                body.len() - 1
+            )));
+        }
+        let phases = self.log.phases()?;
+        resp.clear();
+        resp.push(op::RESP_PHASES);
+        put_u32(resp, phases.len() as u32);
+        for (phase, s) in &phases {
+            put_str(resp, phase)?;
+            put_u64(resp, s.elements);
+            put_u64(resp, s.bytes);
+            put_u64(resp, s.messages);
+        }
+        Ok(())
     }
 
     fn value_reply(&self, conn: &mut Conn, v: Result<u64, BoardError>) -> Action {
@@ -934,6 +969,19 @@ fn expect_stats(resp: &[u8]) -> Result<ServerWireStats, BoardError> {
     })
 }
 
+fn expect_phases(resp: &[u8]) -> Result<Vec<(String, PhaseStats)>, BoardError> {
+    let mut cur = WireCursor::new(resp);
+    if cur.u8()? != op::RESP_PHASES {
+        return Err(BoardError::Protocol("expected phases response".into()));
+    }
+    (0..cur.u32()?)
+        .map(|_| {
+            let phase = cur.str()?.to_string();
+            Ok((phase, PhaseStats { elements: cur.u64()?, bytes: cur.u64()?, messages: cur.u64()? }))
+        })
+        .collect()
+}
+
 fn expect_postings<M: WireMessage>(resp: &[u8]) -> Result<Vec<Posting<M>>, BoardError> {
     let mut cur = WireCursor::new(resp);
     if cur.u8()? != op::RESP_POSTINGS {
@@ -1303,6 +1351,13 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
         expect_postings(&c.resp)
     }
 
+    fn phases(&self) -> Result<Vec<(String, PhaseStats)>, BoardError> {
+        let mut g = self.conn.lock();
+        let c = &mut *g;
+        request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &[op::GET_PHASES], true)?;
+        expect_phases(&c.resp)
+    }
+
     fn backend_name(&self) -> &'static str {
         self.label
     }
@@ -1351,18 +1406,16 @@ mod tests {
     }
 
     #[test]
-    fn loopback_cursor_and_meter_rebuild() {
+    fn loopback_meter_rebuild() {
         let (mut handle, board) = loopback::<u64>().unwrap();
-        let mut cur = board.subscribe();
         let msgs: Vec<u64> = (0..10).collect();
         board.post_batch(RoleId::new("c", 0), "offline/x", &msgs, 3, 24).unwrap();
-        let batch = cur.poll().unwrap();
-        assert_eq!(batch.len(), 10);
-        // A remote auditor rebuilds the meter from posting metadata.
+        // The server's fold equals what the posting metadata adds up to.
+        let batch = board.postings().unwrap();
         let total: u64 = batch.iter().map(|p| p.elements).sum();
         assert_eq!(total, 30);
-        assert_eq!(board.meter().phase("offline/x").elements, 30);
-        assert!(cur.poll().unwrap().is_empty());
+        let x = PhaseStats { elements: 30, bytes: 240, messages: 10 };
+        assert_eq!(board.phases().unwrap(), vec![("offline/x".to_string(), x)]);
         handle.shutdown();
     }
 
@@ -1735,8 +1788,10 @@ mod tests {
                 remote.postings_in_round(round).unwrap().len()
             );
         }
-        assert_eq!(local.meter().phases(), remote.meter().phases());
-        assert_eq!(remote.transcript_phases().unwrap(), remote.meter().phases());
+        // The in-process run fold and the server's `GetPhases` agree.
+        let phases = local.phases().unwrap();
+        assert_eq!(phases.len(), 2);
+        assert_eq!(remote.phases().unwrap(), phases);
         handle.shutdown();
     }
 
@@ -2055,6 +2110,33 @@ mod tests {
         let phase: Arc<str> = Arc::from("x");
         assert_eq!(t.post_stream(&mut u64_records(3, &phase)).unwrap(), 3);
         assert_eq!(t.len().unwrap(), 3);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn get_phases_with_a_body_draws_a_typed_error_and_the_connection_serves_on() {
+        let server = BoardServer::bind(SocketAddr::from(([127, 0, 0, 1], 0))).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let mut s = TcpStream::connect(handle.addr()).unwrap();
+        send_raw_frame(&mut s, &[op::GET_PHASES, 0]);
+        let msg = read_err(&mut s);
+        assert!(msg.contains("GetPhases (opcode 0xc)"), "{msg}");
+        assert!(msg.contains("1 trailing bytes"), "{msg}");
+        // The same connection goes on: an empty board answers with an
+        // empty table.
+        send_raw_frame(&mut s, &[op::GET_PHASES]);
+        let resp = read_raw_frame(&mut s);
+        assert_eq!(expect_phases(&resp).unwrap(), Vec::new());
+        send_raw_frame(&mut s, &[op::GET_LEN]);
+        assert_eq!(expect_value(&read_raw_frame(&mut s)).unwrap(), 0);
+        // And a client sees the postings that land after it.
+        let t = TcpTransport::<u64>::connect(handle.addr(), TcpOptions::default()).unwrap();
+        assert!(t.phases().unwrap().is_empty());
+        let phase: Arc<str> = Arc::from("x");
+        t.post_stream(&mut u64_records(3, &phase)).unwrap();
+        send_raw_frame(&mut s, &[op::GET_PHASES]);
+        let x = PhaseStats { elements: 3, bytes: 24, messages: 3 };
+        assert_eq!(expect_phases(&read_raw_frame(&mut s)).unwrap(), vec![("x".to_string(), x)]);
         handle.shutdown();
     }
 

@@ -5,8 +5,9 @@
 //! board's storage and delivery mechanism is the natural seam for
 //! scaling the simulation beyond one process. [`BoardTransport`]
 //! abstracts that seam: the [`crate::BulletinBoard`] façade keeps its
-//! metering and audit semantics while the transport decides *where*
-//! postings live —
+//! posting and audit semantics while the transport decides *where*
+//! postings live, and folds its own log into the per-phase
+//! communication stats ([`BoardTransport::phases`]) —
 //!
 //! - [`InProcessTransport`]: the in-memory backend, a **run-length**
 //!   posting log (what consecutive postings share is stored once per
@@ -30,6 +31,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::board::Posting;
+use crate::metrics::{tally, PhaseStats, PhaseTable};
 use crate::role::RoleId;
 
 /// Errors surfaced by a board transport.
@@ -63,8 +65,8 @@ impl std::error::Error for BoardError {}
 /// time (server-side sequencing keeps multi-process runs deterministic).
 ///
 /// `elements`/`bytes` are the metered size of the post; they travel
-/// with the posting so remote readers (auditor processes) can rebuild
-/// the communication meter without access to the poster's.
+/// with the posting, so the per-phase stats are a fold over the log
+/// wherever it lives ([`BoardTransport::phases`]).
 #[derive(Debug, Clone)]
 pub struct PostRecord<M> {
     /// The author role.
@@ -371,6 +373,27 @@ pub trait BoardTransport<M>: Send + Sync {
         Ok(())
     }
 
+    /// Per-phase communication stats over every posting on the board,
+    /// in label order: each posting adds its metered size to its
+    /// phase. The default folds the postings one round per read
+    /// (rounds `0..=round()`), so a wrapper that forwards only the
+    /// record-level reads still reports the whole log; backends that
+    /// hold the log, or talk to one, override it to fold run by run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures (remote backends only).
+    fn phases(&self) -> Result<Vec<(String, PhaseStats)>, BoardError> {
+        let mut table = PhaseTable::new();
+        for round in 0..=self.round()? {
+            self.for_each_in_round(round, &mut |p| {
+                let one = PhaseStats { elements: p.elements, bytes: p.bytes, messages: 1 };
+                tally(&mut table, &p.phase, one);
+            })?;
+        }
+        Ok(table.into_iter().collect())
+    }
+
     /// Retired: no backend drops postings any more and nothing in the
     /// workspace calls this. The defaulted no-op stays only because the
     /// frozen benchmark package's tracing transport forwards it; it
@@ -388,9 +411,10 @@ pub trait BoardTransport<M>: Send + Sync {
 }
 
 /// Whether two labels are the same string. Labels handed out by one
-/// [`crate::Committee`] or one [`crate::CommMeter`] alias one
-/// allocation, so the pointer test settles the hot path; labels that
-/// were allocated separately still compare by value.
+/// [`crate::Committee`] alias one allocation, and so do the phase
+/// labels of consecutive runs appended by `RunLog::push_run`, so the
+/// pointer test settles the hot path; labels that were allocated
+/// separately still compare by value.
 fn same_label(a: &str, b: &str) -> bool {
     std::ptr::eq(a, b) || a == b
 }
@@ -596,6 +620,22 @@ impl<M> RunLog<M> {
         });
     }
 
+    /// Per-phase stats of the whole log, one step per run: a run adds
+    /// its posting count times its per-posting size.
+    fn phases(&self) -> PhaseTable {
+        let mut table = PhaseTable::new();
+        self.walk(0..self.len(), |run, seqs| {
+            let count = seqs.len() as u64;
+            let stats = PhaseStats {
+                elements: run.elements * count,
+                bytes: run.bytes * count,
+                messages: count,
+            };
+            tally(&mut table, &run.phase, stats);
+        });
+        table
+    }
+
     /// Ticks the round clock, sealing the current round's range (and
     /// with it the last run: `extends` never matches an older round).
     fn advance(&mut self) -> u64 {
@@ -734,6 +774,10 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         let g = self.log.read();
         g.visit(g.round_range(round), f);
         Ok(())
+    }
+
+    fn phases(&self) -> Result<Vec<(String, PhaseStats)>, BoardError> {
+        Ok(self.log.read().phases().into_iter().collect())
     }
 
     fn backend_name(&self) -> &'static str {

@@ -3,7 +3,8 @@
 
 use rand::SeedableRng;
 use yoso_runtime::{
-    sortition, ActiveAttack, Adversary, Behavior, BulletinBoard, Committee, RoleId, SpeakOnce,
+    sortition, ActiveAttack, Adversary, Behavior, BulletinBoard, Committee, PhaseStats, RoleId,
+    SpeakOnce,
 };
 
 #[test]
@@ -108,8 +109,17 @@ fn meter_phase_prefixes_aggregate() {
     board.post(RoleId::new("a", 0), (), "online/1-keydist", 5, 40).unwrap();
     board.post(RoleId::new("a", 1), (), "online/3-mult", 7, 56).unwrap();
     board.post(RoleId::new("a", 2), (), "offline/1-beaver", 11, 88).unwrap();
-    assert_eq!(board.meter().phase_prefix("online").elements, 12);
-    assert_eq!(board.meter().phase_prefix("offline").elements, 11);
-    assert_eq!(board.meter().total().elements, 23);
-    assert_eq!(board.meter().total().bytes, 184);
+    let phases = board.phases().unwrap();
+    let prefix = |prefix: &str| {
+        let mut acc = PhaseStats::default();
+        for (_, s) in phases.iter().filter(|(k, _)| k.starts_with(prefix)) {
+            acc.merge(s);
+        }
+        acc
+    };
+    assert_eq!(prefix("online").elements, 12);
+    assert_eq!(prefix("offline").elements, 11);
+    assert_eq!(prefix("").elements, 23);
+    assert_eq!(prefix("").bytes, 184);
+    assert_eq!(prefix("").messages, 3);
 }
