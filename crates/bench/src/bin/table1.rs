@@ -7,25 +7,10 @@
 
 #![forbid(unsafe_code)]
 
-use yoso_sortition::table1;
-
 fn main() {
     println!("Table 1 — sample parameters (k1 = 64, k2 = k3 = 128)");
-    println!(
-        "{:>7} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "C", "f", "t", "c", "c'", "eps", "k"
-    );
-    for r in table1() {
-        match r.analysis {
-            Some(a) => println!(
-                "{:>7} {:>6.2} {:>8} {:>8} {:>8} {:>8.2} {:>8}",
-                r.c_param as u64, r.f, a.t, a.c, a.c_prime, a.eps, a.k
-            ),
-            None => println!(
-                "{:>7} {:>6.2} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                r.c_param as u64, r.f, "⊥", "⊥", "⊥", "⊥", "⊥"
-            ),
-        }
+    for line in yoso_bench::table1_lines() {
+        println!("{line}");
     }
     println!(
         "\nLegend: t = corruption bound (w.h.p.), c = committee lower bound with gap,\n\

@@ -107,6 +107,27 @@ pub fn measure_baseline(
     run.elements("online/mult") as f64 / run.mul_gates as f64
 }
 
+/// The paper's Table 1 (§6) as the `table1` experiment and `yoso
+/// table1` both print it: the header, then one row per sample
+/// parameter set (`⊥` where there is no positive gap).
+pub fn table1_lines() -> Vec<String> {
+    let mut lines = vec![format!(
+        "{:>7} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "C", "f", "t", "c", "c'", "eps", "k"
+    )];
+    for r in yoso_sortition::table1() {
+        let (c, f) = (r.c_param as u64, r.f);
+        lines.push(match r.analysis {
+            Some(a) => format!(
+                "{c:>7} {f:>6.2} {:>8} {:>8} {:>8} {:>8.2} {:>8}",
+                a.t, a.c, a.c_prime, a.eps, a.k
+            ),
+            None => format!("{c:>7} {f:>6.2} {0:>8} {0:>8} {0:>8} {0:>8} {0:>8}", "⊥"),
+        });
+    }
+    lines
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -433,18 +433,8 @@ pub fn plan(opts: &Opts) -> Result<(), String> {
 
 /// `yoso table1` — the paper's Table 1.
 pub fn table1() -> Result<(), String> {
-    println!("{:>7} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8}", "C", "f", "t", "c", "c'", "eps", "k");
-    for r in yoso_sortition::table1() {
-        match r.analysis {
-            Some(a) => println!(
-                "{:>7} {:>6.2} {:>8} {:>8} {:>8} {:>8.2} {:>8}",
-                r.c_param as u64, r.f, a.t, a.c, a.c_prime, a.eps, a.k
-            ),
-            None => println!(
-                "{:>7} {:>6.2} {:>8} {:>8} {:>8} {:>8} {:>8}",
-                r.c_param as u64, r.f, "-", "-", "-", "-", "-"
-            ),
-        }
+    for line in yoso_bench::table1_lines() {
+        println!("{line}");
     }
     Ok(())
 }
@@ -494,28 +484,10 @@ pub fn experiments() -> Result<(), String> {
     println!("{:>6} {:>14} {:>14}", "n", "packed", "baseline");
     for n in [8usize, 16, 32, 64] {
         let params = ProtocolParams::from_gap(n, 0.25).map_err(|e| e.to_string())?;
-        let circuit =
-            generators::wide_layered::<F61>(params.k * 2, 2, 2).map_err(|e| e.to_string())?;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let inputs: Vec<Vec<F61>> = circuit
-            .inputs_per_client()
-            .iter()
-            .map(|ws| ws.iter().map(|_| F61::random(&mut rng)).collect())
-            .collect();
-        let packed = Engine::new(params, ExecutionConfig::sweep())
-            .run(&mut rng, &circuit, &inputs, &Adversary::none())
-            .map_err(|e| e.to_string())?;
         let base_params = ProtocolParams::new(n, params.t, 1).map_err(|e| e.to_string())?;
-        let baseline =
-            yoso_core::baseline::BaselineEngine::new(base_params, ExecutionConfig::sweep())
-                .run(&mut rng, &circuit, &inputs, &Adversary::none())
-                .map_err(|e| e.to_string())?;
-        println!(
-            "{:>6} {:>14.1} {:>14.1}",
-            n,
-            packed.online_elements_per_gate(),
-            baseline.elements("online/mult") as f64 / baseline.mul_gates as f64
-        );
+        let (packed, _) = yoso_bench::measure_packed(42, params, 2, 2);
+        let baseline = yoso_bench::measure_baseline(42, base_params, params.k, 2, 2);
+        println!("{n:>6} {packed:>14.1} {baseline:>14.1}");
     }
 
     println!("\n== E7 (quick): GOD under every attack (n = 12, t = 3) ==\n");

@@ -20,17 +20,21 @@
 //! exactly the paper's contribution: packed offline masks + `O(1)`
 //! online multiplication.
 
+use std::sync::Arc;
+
 use rand::Rng;
 
 use yoso_circuit::{Circuit, Gate};
 use yoso_field::PrimeField;
-use yoso_runtime::{Adversary, BulletinBoard, PhaseStats, RoleId};
+use yoso_runtime::{Adversary, BulletinBoard, PhaseStats};
 use yoso_the::mock::{Ciphertext, LinearPke, MockTe, PkeKeyPair, PkePublicKey};
 use yoso_the::nizk::EncMap;
 
-use crate::messages::{self, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
+use crate::messages::{Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
 use crate::offline::{beaver_triples, EncryptedTriple};
+use crate::parallel::PostBuffer;
 use crate::tsk::TskChain;
+use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ExecutionConfig, ProtocolError, ProtocolParams};
 
 /// The outcome of a baseline run.
@@ -108,6 +112,7 @@ impl BaselineEngine {
         let n = self.params.n;
         let cfg = &self.config;
         let board: BulletinBoard<Post> = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let mut tsk = TskChain::<F>::keygen(rng, n, self.params.t)?;
         let tpk = tsk.pk.clone();
 
@@ -120,7 +125,7 @@ impl BaselineEngine {
             .flat_map(|l| l.iter().map(|w| w.0))
             .collect();
         let triples: Vec<EncryptedTriple<F>> =
-            beaver_triples(rng, &board, &c1, &c2, cfg, &tpk, mul_wires.len())?;
+            beaver_triples(rng, &sb, &c1, &c2, cfg, &tpk, mul_wires.len())?;
         let mut triple_of = vec![usize::MAX; circuit.wire_count()];
         for (idx, &w) in mul_wires.iter().enumerate() {
             triple_of[w] = idx;
@@ -131,6 +136,7 @@ impl BaselineEngine {
         let enc_map = cfg.produce_proofs.then(|| EncMap::new(&tpk));
         let mut cts: Vec<Option<Ciphertext<F>>> = vec![None; circuit.wire_count()];
         let mut next_input = vec![0usize; circuit.clients()];
+        let (client_committee, mut posts) = (Arc::from("client"), PostBuffer::new());
         for (w, gate) in circuit.gates().iter().enumerate() {
             if let Gate::Input { client } = *gate {
                 let v = inputs[client][next_input[client]];
@@ -140,16 +146,14 @@ impl BaselineEngine {
                     let proof = map.prove(rng, &ct, v, r);
                     debug_assert!(map.verify(&ct, &proof));
                 }
-                board.post(
-                    RoleId::new("client", client),
-                    Post::BaselineInput,
-                    phase_in,
-                    CT_ELEMENTS + ENC_PROOF_ELEMENTS,
-                    messages::to_bytes(CT_ELEMENTS + ENC_PROOF_ELEMENTS),
-                )?;
+                let elements = CT_ELEMENTS + ENC_PROOF_ELEMENTS;
+                let post = Post::BaselineInput;
+                posts.open_run(sb.is_leader(), &client_committee, post, phase_in, elements);
+                posts.push(client, 1);
                 cts[w] = Some(ct);
             }
         }
+        sb.flush_buffer(posts)?;
 
         // ---- Online: evaluate gate by gate; one committee per layer.
         let phase_mul = "online/mult";
@@ -191,7 +195,7 @@ impl BaselineEngine {
                                 (0..n).map(|_| LinearPke::keygen(rng)).collect();
                             tsk.handover(
                                 rng,
-                                &board,
+                                &sb,
                                 &layer_committee,
                                 cfg,
                                 "online/handover",
@@ -206,14 +210,8 @@ impl BaselineEngine {
                         MockTe::eval(&[wire_ct(&cts, a.0)?, tr.a], &[F::ONE, F::ONE])?;
                     let c_del =
                         MockTe::eval(&[wire_ct(&cts, b.0)?, tr.b], &[F::ONE, F::ONE])?;
-                    let opened = tsk.decrypt(
-                        rng,
-                        &board,
-                        &layer_committee,
-                        cfg,
-                        phase_mul,
-                        &[c_eps, c_del],
-                    )?;
+                    let opened =
+                        tsk.decrypt(rng, &sb, &layer_committee, cfg, phase_mul, &[c_eps, c_del])?;
                     let (eps, del) = (opened[0], opened[1]);
                     // x·y = (ε−a)(δ−b) = εδ − ε·b − δ·a + ab.
                     let mut out = MockTe::eval(&[tr.b, tr.a, tr.c], &[-eps, -del, F::ONE])?;
@@ -234,7 +232,7 @@ impl BaselineEngine {
             .iter()
             .map(|&(w, client)| Ok((client_keys[client].public, wire_ct(&cts, w.0)?)))
             .collect::<Result<_, ProtocolError>>()?;
-        let out_vals = tsk.reencrypt(rng, &board, &out_committee, cfg, phase_out, &out_items)?;
+        let out_vals = tsk.reencrypt(rng, &sb, &out_committee, cfg, phase_out, &out_items)?;
         let mut outputs: Vec<Vec<F>> = vec![Vec::new(); circuit.clients()];
         for (&(_, client), rv) in circuit.outputs().iter().zip(&out_vals) {
             outputs[client].push(rv.open(client_keys[client].secret.scalar)?);

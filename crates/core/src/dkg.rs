@@ -26,13 +26,14 @@ use rand::Rng;
 use yoso_crypto::Domain;
 use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::PowerTable;
-use yoso_runtime::{BulletinBoard, Committee};
+use yoso_runtime::Committee;
 use yoso_the::mock::{KeyShare, LinearPke, PkeKeyPair, PkePublicKey, PublicKey};
 use yoso_the::nizk::{self, DealMap};
 
 use crate::messages::{self, Post};
 use crate::step::Step;
 use crate::tsk::{deal, Dealt, PostedReshare, TskChain};
+use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
 /// The deal proof is the tsk re-share relation ([`DealMap`]) with the
@@ -42,7 +43,9 @@ static DOMAIN_DKG: Domain = Domain::new(b"yoso-pss/nizk/dkg-deal/v3");
 
 /// Runs the DKG among `committee` (whose members hold `role_keys`),
 /// producing a threshold key custody chain equivalent to `TKGen`'s —
-/// with no dealer.
+/// with no dealer: one committee step over the committee, each member
+/// dealing a random constant term (the `deal` of `tsk` — the handover's dealing,
+/// with no held share and no prior key to bind to).
 ///
 /// # Errors
 ///
@@ -50,23 +53,7 @@ static DOMAIN_DKG: Domain = Domain::new(b"yoso-pss/nizk/dkg-deal/v3");
 /// `t + 1` deals verify (impossible under the corruption model).
 pub fn run_dkg<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
-    board: &BulletinBoard<Post>,
-    committee: &Committee,
-    role_keys: &[PkeKeyPair<F>],
-    t: usize,
-    cfg: &ExecutionConfig,
-) -> Result<TskChain<F>, ProtocolError> {
-    let sb = crate::workitem::ShardedBoard::new(board, cfg.partition)?;
-    run_dkg_in(rng, &sb, committee, role_keys, t, cfg)
-}
-
-/// [`run_dkg`] posting through an existing sharded board: one
-/// [`Step`] over the committee, each member dealing a random constant
-/// term ([`deal`] — the handover's dealing, with no held share and no
-/// prior key to bind to).
-pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    sb: &crate::workitem::ShardedBoard<'_>,
+    sb: &ShardedBoard<'_>,
     committee: &Committee,
     role_keys: &[PkeKeyPair<F>],
     t: usize,
@@ -90,7 +77,7 @@ pub(crate) fn run_dkg_in<F: PrimeField, R: Rng + ?Sized>(
     let mut deals: Vec<PostedReshare<F>> = Vec::new();
     let mut posts = crate::parallel::PostBuffer::new();
     let elements = messages::reshare_elements(n as u64, t as u64);
-    let step = Step::new(committee, cfg, "setup/dkg", Post::TskReshare, elements);
+    let step = Step::new(committee, sb, "setup/dkg", Post::TskReshare, elements);
     step.run(rng, &mut posts, deal_map.as_ref(), step.everyone(), |turn, ()| {
         let relation = |map: &DealMap<F>, rng: &mut _, targets: &[F], witness: Dealt<'_, F>| {
             let map = map.map();
@@ -154,6 +141,8 @@ fn derive_base<F: PrimeField>() -> F {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RolePartition;
+    use yoso_runtime::BulletinBoard;
     use rand::SeedableRng;
     use yoso_field::F61;
     use yoso_runtime::{ActiveAttack, Adversary, Behavior};
@@ -172,15 +161,16 @@ mod tests {
         let mut r = rng();
         let (n, t) = (7usize, 3usize);
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let committee = Committee::honest("dkg", n);
         let keys = role_keys(&mut r, n);
         let cfg = ExecutionConfig::default();
-        let chain = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap();
+        let chain = run_dkg::<F61, _>(&mut r, &sb, &committee, &keys, t, &cfg).unwrap();
 
         let m = F61::from(31_337u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
         let dec = Committee::honest("d", n);
-        assert_eq!(chain.decrypt(&mut r, &board, &dec, &cfg, "x", &[ct]).unwrap(), vec![m]);
+        assert_eq!(chain.decrypt(&mut r, &sb, &dec, &cfg, "x", &[ct]).unwrap(), vec![m]);
         // Feldman consistency: vk_j = share_j · g.
         for j in 0..n {
             assert_eq!(chain.pk.vks[j], chain.share_of(j).unwrap().value * chain.pk.g);
@@ -196,15 +186,16 @@ mod tests {
         let mut r = rng();
         let (n, t) = (9usize, 3usize);
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let adv = Adversary::active(t, ActiveAttack::WrongValue);
         let committee = adv.sample_committee(&mut r, "dkg", n);
         let keys = role_keys(&mut r, n);
         let cfg = ExecutionConfig::default();
-        let chain = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap();
+        let chain = run_dkg::<F61, _>(&mut r, &sb, &committee, &keys, t, &cfg).unwrap();
         let m = F61::from(5u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
         let dec = Committee::honest("d", n);
-        assert_eq!(chain.decrypt(&mut r, &board, &dec, &cfg, "x", &[ct]).unwrap(), vec![m]);
+        assert_eq!(chain.decrypt(&mut r, &sb, &dec, &cfg, "x", &[ct]).unwrap(), vec![m]);
     }
 
     /// The key, the shares and the postings, against the
@@ -238,7 +229,9 @@ mod tests {
             assert_eq!(polys.len(), n - t);
 
             let board = BulletinBoard::new();
-            let chain = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap();
+
+            let sb = ShardedBoard::new(&board, RolePartition::solo());
+            let chain = run_dkg::<F61, _>(&mut r, &sb, &committee, &keys, t, &cfg).unwrap();
             let g = chain.pk.g;
             assert_eq!(chain.pk.h, polys.iter().map(|p| p[0] * g).sum::<F61>());
             for j in 0..n {
@@ -306,20 +299,21 @@ mod tests {
         let mut r = rng();
         let (n, t) = (6usize, 2usize);
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let committee = Committee::honest("dkg", n);
         let keys = role_keys(&mut r, n);
         let cfg = ExecutionConfig::default();
-        let mut chain = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap();
+        let mut chain = run_dkg::<F61, _>(&mut r, &sb, &committee, &keys, t, &cfg).unwrap();
 
         let m = F61::from(777u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
         // Handover to a fresh committee, then re-encrypt to a target.
         let next = role_keys(&mut r, n);
-        chain.handover(&mut r, &board, &committee, &cfg, "offline/handover", &next).unwrap();
+        chain.handover(&mut r, &sb, &committee, &cfg, "offline/handover", &next).unwrap();
         let target = LinearPke::<F61>::keygen(&mut r);
         let vals = chain.reencrypt(
             &mut r,
-            &board,
+            &sb,
             &Committee::honest("c2", n),
             &cfg,
             "x",
@@ -334,13 +328,14 @@ mod tests {
         let mut r = rng();
         let (n, t) = (5usize, 2usize);
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let committee = Committee::with_behaviors(
             "dkg",
             vec![Behavior::Malicious(ActiveAttack::Silent); n],
         );
         let keys = role_keys(&mut r, n);
         let cfg = ExecutionConfig::default();
-        let err = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap_err();
+        let err = run_dkg::<F61, _>(&mut r, &sb, &committee, &keys, t, &cfg).unwrap_err();
         assert!(matches!(err, ProtocolError::NotEnoughContributions { .. }));
     }
 
@@ -349,11 +344,12 @@ mod tests {
         let mut r = rng();
         let (n, t) = (5usize, 2usize);
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let committee = Committee::honest("dkg", n);
         let cfg = ExecutionConfig::default();
         for count in [n - 1, n + 1] {
             let keys = role_keys(&mut r, count);
-            let err = run_dkg::<F61, _>(&mut r, &board, &committee, &keys, t, &cfg).unwrap_err();
+            let err = run_dkg::<F61, _>(&mut r, &sb, &committee, &keys, t, &cfg).unwrap_err();
             assert!(matches!(err, ProtocolError::BadParameters(_)), "{err}");
         }
         assert!(board.phases().unwrap().is_empty());

@@ -8,9 +8,9 @@ use yoso_field::PrimeField;
 use yoso_runtime::{Adversary, BulletinBoard, LeakLog, PhaseStats};
 
 use crate::messages::Post;
-use crate::offline::run_offline_in;
-use crate::online::run_online_in;
-use crate::setup::{rekey_setup_in, run_setup_in};
+use crate::offline::run_offline;
+use crate::online::run_online;
+use crate::setup::{rekey_setup, run_setup_in};
 use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ProtocolError, ProtocolParams};
 
@@ -72,7 +72,9 @@ pub struct ExecutionConfig {
     /// so streams agree across workers) but produces and verifies
     /// NIZK proofs only for owned members, and appends only owned
     /// members' posts to the shared board. The interleaved transcript
-    /// across workers is byte-identical to a solo run.
+    /// across workers is byte-identical to a solo run. Read once, where
+    /// [`Engine::run_with_board`] builds the run's [`ShardedBoard`]; the
+    /// steps take ownership from that view.
     pub partition: RolePartition,
 }
 
@@ -276,7 +278,7 @@ impl Engine {
                 self.params.n
             )));
         }
-        let sb = ShardedBoard::new(board, partition)?;
+        let sb = ShardedBoard::new(board, partition);
         let bc = circuit.batched(self.params.k);
         let leak = LeakLog::new();
         // Stage timing is diagnostics only (worker wall-clock reports);
@@ -302,22 +304,15 @@ impl Engine {
             let role_keys: Vec<yoso_the::mock::PkeKeyPair<F>> = (0..self.params.n)
                 .map(|_| yoso_the::mock::LinearPke::keygen(rng))
                 .collect();
-            let chain = crate::dkg::run_dkg_in(
-                rng,
-                &sb,
-                &committee,
-                &role_keys,
-                self.params.t,
-                &self.config,
-            )?;
-            setup = rekey_setup_in(rng, &self.params, &sb, setup, chain)?;
+            let chain =
+                crate::dkg::run_dkg(rng, &sb, &committee, &role_keys, self.params.t, &self.config)?;
+            setup = rekey_setup(rng, &sb, setup, chain)?;
             note_stage("dkg", &mut stage_start);
         }
         setup.tsk.set_leak_log(leak.clone());
-        let offline =
-            run_offline_in(rng, &self.params, &sb, adversary, &self.config, &bc, &setup)?;
+        let offline = run_offline(rng, &self.params, &sb, adversary, &self.config, &bc, &setup)?;
         note_stage("offline", &mut stage_start);
-        let online = run_online_in(
+        let online = run_online(
             rng,
             &self.params,
             &sb,

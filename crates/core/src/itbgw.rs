@@ -28,22 +28,27 @@
 //!   factor `k`, but the online cost still grows with `n`, which is
 //!   precisely why the paper moves to the computational setting.
 //!
-//! The member loops follow the same per-role work-item discipline as
-//! the main protocol (each member's dealing draws from a child RNG
-//! seeded from the parent stream, so the per-member work is
-//! order-independent), but **cross-process role sharding stops at this
-//! module's boundary**: the IT engine meters against its own internal
-//! board, so there is no shared transcript for a [`crate::
-//! RolePartition`] to synchronize on. Sharding it would first require
-//! threading an external board through [`ItEngine::run`].
+//! The engine posts as the main protocol does: every dealing, client
+//! input and output opening is recorded into a post buffer and lands
+//! through one solo [`crate::ShardedBoard`] over the run's own board.
+//! A committee has one member loop for both of its rounds — the
+//! re-share and the cross-lane sum differ only in the vector each
+//! member deals — and each dealing draws from a child RNG seeded off
+//! the parent stream, so the per-member work is order-independent.
+//! The run owns its board, so it is always solo: there is no shared
+//! transcript for a [`crate::RolePartition`] to split.
+
+use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 
 use yoso_field::PrimeField;
 use yoso_pss_sharing::{PackedSharing, PackedShares};
-use yoso_runtime::{BulletinBoard, RoleId};
+use yoso_runtime::BulletinBoard;
 
-use crate::messages::{self, Post};
+use crate::messages::{ContributionStep, Post};
+use crate::parallel::PostBuffer;
+use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ProtocolError, ProtocolParams};
 
 /// A lanewise (SIMD) operation over `k`-vectors. Each op defines value
@@ -232,25 +237,114 @@ fn live<F: PrimeField>(
     ))
 }
 
-/// Per-run re-sharing tables, computed once: the `k` recombination
-/// vectors over all `n` nodes (row `j` recovers secret `j`) and their
-/// per-member column sums (the cross-lane-sum coefficients `c_i`).
-/// Every committee shares one evaluation-point layout, so these are
-/// committee-independent — hoisting them out of the member loops turns
-/// `n·k` interpolations per re-share into `k` per run.
-struct ReshareTables<F: PrimeField> {
+/// The run's packed sharing and its re-sharing tables, computed once:
+/// the `k` recombination vectors over all `n` nodes (row `j` recovers
+/// secret `j`) and their per-member column sums (the cross-lane-sum
+/// coefficients `c_i`). Every committee shares one evaluation-point
+/// layout, so these are committee-independent — hoisting them out of
+/// the member loop turns `n·k` interpolations per re-share into `k`
+/// per run.
+struct Resharing<F: PrimeField> {
+    scheme: PackedSharing<F>,
+    /// The degree of every dealt sharing, `t + k − 1`.
+    degree: usize,
     recomb: Vec<Vec<F>>,
     lane_sum: Vec<F>,
 }
 
-impl<F: PrimeField> ReshareTables<F> {
-    fn new(scheme: &PackedSharing<F>, n: usize, k: usize) -> Result<Self, ProtocolError> {
-        let parties: Vec<usize> = (0..n).collect();
-        let recomb: Vec<Vec<F>> = (0..k)
+impl<F: PrimeField> Resharing<F> {
+    fn new(params: &ProtocolParams) -> Result<Self, ProtocolError> {
+        let scheme = PackedSharing::<F>::new(params.n, params.k)?;
+        let parties: Vec<usize> = (0..params.n).collect();
+        let recomb: Vec<Vec<F>> = (0..params.k)
             .map(|j| scheme.recombination_vector(&parties, j))
             .collect::<Result<_, _>>()?;
-        let lane_sum = (0..n).map(|i| recomb.iter().map(|w| w[i]).sum()).collect();
-        Ok(ReshareTables { recomb, lane_sum })
+        let lane_sum = (0..params.n).map(|i| recomb.iter().map(|w| w[i]).sum()).collect();
+        Ok(Resharing { scheme, degree: params.packing_degree(), recomb, lane_sum })
+    }
+
+    /// What member `i` holding share `s` deals to move the secrets on:
+    /// `(l_i(e_1)·s, …, l_i(e_k)·s)`, with `l_i` the Lagrange basis
+    /// over all `n` nodes. The dealt sharings sum to a fresh degree-`d`
+    /// sharing of the original secrets from any source degree `< n`,
+    /// so this is both the handover re-share (source degree `d`) and
+    /// the multiplication degree reduction (source degree `2d`).
+    fn lanes(&self, i: usize, s: F) -> Vec<F> {
+        self.recomb.iter().map(|w| w[i] * s).collect()
+    }
+
+    /// What member `i` holding share `s` deals for the cross-lane sum:
+    /// `c_i·s` in every lane, `c_i = Σ_j l_i(e_j)`; the dealt sharings
+    /// sum to `Σ_j v[j]` in every lane.
+    fn lane_sum(&self, i: usize, s: F) -> Vec<F> {
+        vec![self.lane_sum[i] * s; self.recomb.len()]
+    }
+
+    /// The committee's one member loop: each member `i` deals a fresh
+    /// degree-`d` packed sharing of `deals(self, i, s_i)`, `s_i` its
+    /// share of `source`, and posts it; the result is the sum of the
+    /// dealings. Each dealing draws from a child RNG seeded off the
+    /// parent stream, so the per-member work is independent of loop
+    /// position (the discipline of the main protocol's steps).
+    fn reshare<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        sb: &ShardedBoard<'_>,
+        posts: &mut PostBuffer,
+        committee: &Arc<str>,
+        source: &PackedShares<F>,
+        deals: fn(&Self, usize, F) -> Vec<F>,
+    ) -> Result<PackedShares<F>, ProtocolError> {
+        let mut acc: Option<PackedShares<F>> = None;
+        for i in 0..self.scheme.n() {
+            let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
+            let vector = deals(self, i, source.share_of(i).value);
+            let dealt = self.scheme.share(&mut mrng, &vector, self.degree)?;
+            self.record(posts, sb.partition().owns(i), committee, "it/reshare", i);
+            acc = Some(match acc {
+                None => dealt,
+                Some(a) => a.add(&dealt),
+            });
+        }
+        acc.ok_or(ProtocolError::Invariant("committee size n is zero"))
+    }
+
+    /// Re-shares every still-live vector to the next committee and
+    /// erases the dead ones (YOSO state hygiene).
+    fn handover_live<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        sb: &ShardedBoard<'_>,
+        posts: &mut PostBuffer,
+        committee: &Arc<str>,
+        state: &mut [Option<PackedShares<F>>],
+        live_after: impl Fn(usize) -> bool,
+    ) -> Result<(), ProtocolError> {
+        for (slot, held) in state.iter_mut().enumerate() {
+            *held = match held.take() {
+                Some(shares) if live_after(slot) => {
+                    Some(self.reshare(rng, sb, posts, committee, &shares, Self::lanes)?)
+                }
+                _ => None,
+            };
+        }
+        Ok(())
+    }
+
+    /// Records `member` of `committee` posting `n` shares under `phase`
+    /// — a dealing, or the shares a committee opens to a client.
+    fn record(
+        &self,
+        posts: &mut PostBuffer,
+        owned: bool,
+        committee: &Arc<str>,
+        phase: &'static str,
+        member: usize,
+    ) {
+        let n = self.scheme.n();
+        let post = Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: n as u32 };
+        posts.open_run(owned, committee, post, phase, n as u64);
+        posts.push(member, 1);
     }
 }
 
@@ -296,11 +390,10 @@ impl ItEngine {
                 program.k, self.params.k
             )));
         }
-        let n = self.params.n;
-        let d = self.params.packing_degree();
-        let scheme = PackedSharing::<F>::new(n, self.params.k)?;
-        let tables = ReshareTables::new(&scheme, n, self.params.k)?;
+        let resharing = Resharing::<F>::new(&self.params)?;
         let board: BulletinBoard<Post> = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
+        let mut posts = PostBuffer::new();
 
         // Last use of each value (to know what must survive a handover).
         let mut last_use = vec![0usize; program.ops.len()];
@@ -319,7 +412,9 @@ impl ItEngine {
         let mut state: Vec<Option<PackedShares<F>>> = Vec::with_capacity(program.ops.len());
         let mut next_input = vec![0usize; program.clients()];
         let mut outputs = vec![Vec::new(); program.clients()];
+        let clients: Arc<str> = Arc::from("it-client");
         let mut committee_idx = 0usize;
+        let mut committee: Arc<str> = Arc::from("it-committee-0");
 
         for (pos, op) in program.ops.iter().enumerate() {
             let result: Option<PackedShares<F>> = match *op {
@@ -334,190 +429,52 @@ impl ItEngine {
                             "input vector length != k".into(),
                         ));
                     }
-                    let shares = scheme.share(rng, v, d)?;
-                    board.post(
-                        RoleId::new("it-client", client),
-                        Post::Contribution {
-                            step: crate::messages::ContributionStep::WireRandom,
-                            ciphertexts: n as u32,
-                        },
-                        "it/input",
-                        n as u64,
-                        messages::to_bytes(n as u64),
-                    )?;
+                    let shares = resharing.scheme.share(rng, v, resharing.degree)?;
+                    resharing.record(&mut posts, sb.is_leader(), &clients, "it/input", client);
                     Some(shares)
                 }
                 LaneOp::Add(a, b) => Some(live(&state, a)?.add(live(&state, b)?)),
                 LaneOp::Sub(a, b) => Some(live(&state, a)?.sub(live(&state, b)?)),
                 LaneOp::Mul(a, b) => {
                     // Share-wise product (degree 2d), then re-share /
-                    // degree-reduce to the next committee, carrying all
-                    // still-live vectors along.
+                    // degree-reduce to the next committee.
                     let product = live(&state, a)?.mul_elementwise(live(&state, b)?);
-                    let reduced =
-                        self.reshare_vector(rng, &board, &scheme, &tables, &product, committee_idx)?;
-                    self.handover_live(
-                        rng, &board, &scheme, &tables, &mut state, &last_use, pos, committee_idx,
-                    )?;
-                    committee_idx += 1;
-                    Some(reduced)
+                    let deals = Resharing::lanes;
+                    Some(resharing.reshare(rng, &sb, &mut posts, &committee, &product, deals)?)
                 }
                 LaneOp::SumLanes(a) => {
                     let shares = live(&state, a)?;
-                    let summed =
-                        self.sum_lanes_vector(rng, &board, &scheme, &tables, shares, committee_idx)?;
-                    self.handover_live(
-                        rng, &board, &scheme, &tables, &mut state, &last_use, pos, committee_idx,
-                    )?;
-                    committee_idx += 1;
-                    Some(summed)
+                    let deals = Resharing::lane_sum;
+                    Some(resharing.reshare(rng, &sb, &mut posts, &committee, shares, deals)?)
                 }
                 LaneOp::Output(a, client) => {
                     // Members post their shares (encrypted to the
                     // client): n elements.
                     let shares = live(&state, a)?;
-                    board.post(
-                        RoleId::new(format!("it-committee-{committee_idx}"), 0),
-                        Post::Contribution {
-                            step: crate::messages::ContributionStep::WireRandom,
-                            ciphertexts: n as u32,
-                        },
-                        "it/output",
-                        n as u64,
-                        messages::to_bytes(n as u64),
-                    )?;
-                    let all: Vec<usize> = (0..n).collect();
-                    let v = scheme.reconstruct(&shares.select(&all), shares.degree())?;
+                    resharing.record(&mut posts, sb.is_leader(), &committee, "it/output", 0);
+                    let all: Vec<usize> = (0..self.params.n).collect();
+                    let v = resharing.scheme.reconstruct(&shares.select(&all), shares.degree())?;
                     outputs[client].push(v);
                     Some(shares.clone())
                 }
             };
+            if matches!(op, LaneOp::Mul(..) | LaneOp::SumLanes(_)) {
+                // The committee that took the round hands every
+                // still-live vector to the next one.
+                let live_after = |slot: usize| last_use[slot] > pos;
+                resharing.handover_live(rng, &sb, &mut posts, &committee, &mut state, live_after)?;
+                committee_idx += 1;
+                committee = Arc::from(format!("it-committee-{committee_idx}"));
+            }
             state.push(result);
         }
+        sb.flush_buffer(posts)?;
 
         Ok(ItRunResult {
             outputs,
             phases: board.phases()?,
             mul_lane_gates: program.mul_lane_gates(),
         })
-    }
-
-    /// The core IT re-sharing step: each member `i` deals a fresh
-    /// degree-`d` packed sharing of the vector
-    /// `(l_i(e_1)·s_i, …, l_i(e_k)·s_i)` (where `s_i` is its share and
-    /// `l_i` the Lagrange basis over all `n` nodes); the sum of the
-    /// dealt sharings is a fresh degree-`d` sharing of the original
-    /// secrets. Works for any source degree `< n`, so it is both the
-    /// handover re-share (source degree `d`) and the multiplication
-    /// degree reduction (source degree `2d`).
-    ///
-    /// Each member's dealing is one work item: its randomness comes
-    /// from a child RNG seeded off the parent stream, so the item is
-    /// independent of loop position (same discipline as the sharded
-    /// phases, even though this board is process-internal).
-    #[allow(clippy::too_many_arguments)]
-    fn reshare_vector<F: PrimeField, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        board: &BulletinBoard<Post>,
-        scheme: &PackedSharing<F>,
-        tables: &ReshareTables<F>,
-        source: &PackedShares<F>,
-        committee_idx: usize,
-    ) -> Result<PackedShares<F>, ProtocolError> {
-        let n = self.params.n;
-        let d = self.params.packing_degree();
-        let mut acc: Option<PackedShares<F>> = None;
-        for i in 0..n {
-            let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
-            let s_i = source.share_of(i).value;
-            let vector: Vec<F> =
-                tables.recomb.iter().map(|w| w[i] * s_i).collect();
-            let dealt = scheme.share(&mut mrng, &vector, d)?;
-            board.post(
-                RoleId::new(format!("it-committee-{committee_idx}"), i),
-                Post::Contribution {
-                    step: crate::messages::ContributionStep::WireRandom,
-                    ciphertexts: n as u32,
-                },
-                "it/reshare",
-                n as u64,
-                messages::to_bytes(n as u64),
-            )?;
-            acc = Some(match acc {
-                None => dealt,
-                Some(a) => a.add(&dealt),
-            });
-        }
-        acc.ok_or(ProtocolError::Invariant("committee size n is zero"))
-    }
-
-    /// Cross-lane sum re-share: member `i` deals a sharing of the
-    /// constant vector `(c_i·s_i, …, c_i·s_i)` with
-    /// `c_i = Σ_j l_i(e_j)`; the sum of dealt sharings holds
-    /// `Σ_j v[j]` in every lane. Same per-member work-item shape as
-    /// [`Self::reshare_vector`].
-    #[allow(clippy::too_many_arguments)]
-    fn sum_lanes_vector<F: PrimeField, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        board: &BulletinBoard<Post>,
-        scheme: &PackedSharing<F>,
-        tables: &ReshareTables<F>,
-        source: &PackedShares<F>,
-        committee_idx: usize,
-    ) -> Result<PackedShares<F>, ProtocolError> {
-        let n = self.params.n;
-        let d = self.params.packing_degree();
-        let mut acc: Option<PackedShares<F>> = None;
-        for i in 0..n {
-            let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
-            let s_i = source.share_of(i).value;
-            let vector = vec![tables.lane_sum[i] * s_i; self.params.k];
-            let dealt = scheme.share(&mut mrng, &vector, d)?;
-            board.post(
-                RoleId::new(format!("it-committee-{committee_idx}"), i),
-                Post::Contribution {
-                    step: crate::messages::ContributionStep::WireRandom,
-                    ciphertexts: n as u32,
-                },
-                "it/reshare",
-                n as u64,
-                messages::to_bytes(n as u64),
-            )?;
-            acc = Some(match acc {
-                None => dealt,
-                Some(a) => a.add(&dealt),
-            });
-        }
-        acc.ok_or(ProtocolError::Invariant("committee size n is zero"))
-    }
-
-    /// Re-shares every still-live vector to the next committee.
-    #[allow(clippy::too_many_arguments)]
-    fn handover_live<F: PrimeField, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        board: &BulletinBoard<Post>,
-        scheme: &PackedSharing<F>,
-        tables: &ReshareTables<F>,
-        state: &mut [Option<PackedShares<F>>],
-        last_use: &[usize],
-        pos: usize,
-        committee_idx: usize,
-    ) -> Result<(), ProtocolError> {
-        for i in 0..state.len() {
-            if last_use[i] > pos {
-                if let Some(shares) = state[i].take() {
-                    state[i] = Some(
-                        self.reshare_vector(rng, board, scheme, tables, &shares, committee_idx)?,
-                    );
-                }
-            } else {
-                state[i] = None; // dead value: erase (YOSO state hygiene)
-            }
-        }
-        Ok(())
     }
 }
 

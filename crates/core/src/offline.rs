@@ -35,7 +35,7 @@ use yoso_circuit::{BatchedCircuit, Gate, MulBatch};
 use yoso_crypto::Domain;
 use yoso_field::{allocstats, PrimeField};
 use yoso_pss_sharing::PackedSharing;
-use yoso_runtime::{Adversary, BulletinBoard, Committee};
+use yoso_runtime::{Adversary, Committee};
 use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey, PublicKey};
 use yoso_the::nizk::{self, EncMap, EncProof, LinearMap};
 
@@ -127,8 +127,8 @@ impl<'a, F: PrimeField> ContributionKey<'a, F> {
 fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     posts: &mut PostBuffer,
+    sb: &ShardedBoard<'_>,
     committee: &Committee,
-    cfg: &ExecutionConfig,
     key: &ContributionKey<'_, F>,
     phase: &'static str,
     kind: ContributionStep,
@@ -137,7 +137,7 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
     let tpk = key.tpk;
     bufs.reset(committee.n());
     let post = Post::Contribution { step: kind, ciphertexts: 1 };
-    let step = Step::new(committee, cfg, phase, post, CT_ELEMENTS + ENC_PROOF_ELEMENTS);
+    let step = Step::new(committee, sb, phase, post, CT_ELEMENTS + ENC_PROOF_ELEMENTS);
     step.run(rng, posts, key.enc.as_ref(), step.everyone(), |mut turn, ()| {
         let m = F::random(&mut turn.rng);
         let (ct, r) = MockTe::encrypt(&mut turn.rng, tpk, m);
@@ -164,20 +164,17 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
 }
 
 /// [`summed_contribution_into`] posting through the sharded board.
-#[allow(clippy::too_many_arguments)]
 fn summed_contribution<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     sb: &ShardedBoard<'_>,
     committee: &Committee,
-    cfg: &ExecutionConfig,
     key: &ContributionKey<'_, F>,
     phase: &'static str,
     kind: ContributionStep,
     bufs: &mut ContribBufs<F>,
 ) -> Result<Ciphertext<F>, ProtocolError> {
     let mut posts = PostBuffer::new();
-    let result =
-        summed_contribution_into(rng, &mut posts, committee, cfg, key, phase, kind, bufs);
+    let result = summed_contribution_into(rng, &mut posts, sb, committee, key, phase, kind, bufs);
     sb.flush_buffer(posts)?;
     result
 }
@@ -194,9 +191,11 @@ pub struct EncryptedTriple<F: PrimeField> {
 }
 
 /// Produces one encrypted Beaver triple, buffering its board posts.
+#[allow(clippy::too_many_arguments)]
 fn one_triple<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     posts: &mut PostBuffer,
+    sb: &ShardedBoard<'_>,
     c1: &Committee,
     c2: &Committee,
     cfg: &ExecutionConfig,
@@ -207,16 +206,8 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
     // a-side contributions from C1. Triples are produced in parallel
     // (one child RNG each), so the buffers stay per-call here.
     let mut bufs = ContribBufs::new();
-    let c_a = summed_contribution_into(
-        rng,
-        posts,
-        c1,
-        cfg,
-        key,
-        phase,
-        ContributionStep::Beaver,
-        &mut bufs,
-    )?;
+    let kind = ContributionStep::Beaver;
+    let c_a = summed_contribution_into(rng, posts, sb, c1, key, phase, kind, &mut bufs)?;
     // One b-side map per triple, shared by C2's postings.
     let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a)).transpose()?;
 
@@ -226,7 +217,7 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
     let mut c_parts: Vec<Ciphertext<F>> = Vec::new();
     let post = Post::Contribution { step: ContributionStep::Beaver, ciphertexts: 2 };
     let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
-    let step = Step::new(c2, cfg, phase, post, elements);
+    let step = Step::new(c2, sb, phase, post, elements);
     step.run(rng, posts, b_map.as_ref(), step.everyone(), |mut turn, ()| {
         let (cb, cc, valid) = match turn.attack() {
             None => {
@@ -275,36 +266,27 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
 /// (seeds drawn sequentially from `rng`) on up to `cfg.num_threads`
 /// workers; posts are replayed in triple order, making the transcript
 /// independent of the thread count.
+///
+/// # Errors
+///
+/// Returns [`ProtocolError::NotEnoughContributions`] if a side of a
+/// triple has no valid contribution, and propagates transport errors.
 pub fn beaver_triples<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
-    board: &BulletinBoard<Post>,
+    sb: &ShardedBoard<'_>,
     c1: &Committee,
     c2: &Committee,
     cfg: &ExecutionConfig,
     tpk: &PublicKey<F>,
     count: usize,
 ) -> Result<Vec<EncryptedTriple<F>>, ProtocolError> {
-    let sb = ShardedBoard::new(board, cfg.partition)?;
-    beaver_triples_in(rng, &sb, c1, c2, cfg, &ContributionKey::new(tpk, cfg), count)
-}
-
-/// [`beaver_triples`] posting through an existing sharded board, so an
-/// engine-level caller can keep one position accounting across phases.
-pub(crate) fn beaver_triples_in<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    sb: &ShardedBoard<'_>,
-    c1: &Committee,
-    c2: &Committee,
-    cfg: &ExecutionConfig,
-    key: &ContributionKey<'_, F>,
-    count: usize,
-) -> Result<Vec<EncryptedTriple<F>>, ProtocolError> {
+    let key = &ContributionKey::new(tpk, cfg);
     let phase = "offline/1-beaver";
     let seeds: Vec<u64> = (0..count).map(|_| rng.next_u64()).collect();
     let results = crate::parallel::par_map(cfg.num_threads, &seeds, |_, &seed| {
         let mut trng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut posts = PostBuffer::new();
-        let triple = one_triple(&mut trng, &mut posts, c1, c2, cfg, key, phase);
+        let triple = one_triple(&mut trng, &mut posts, sb, c1, c2, cfg, key, phase);
         (triple, posts)
     });
     let mut triples = Vec::with_capacity(count);
@@ -405,24 +387,8 @@ pub fn pack_ciphertexts<F: PrimeField>(
 ///
 /// Propagates sub-step errors; under the declared corruption model
 /// none should occur (GOD).
+#[allow(clippy::too_many_lines, clippy::needless_range_loop)]
 pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    params: &crate::ProtocolParams,
-    board: &BulletinBoard<Post>,
-    adversary: &Adversary,
-    cfg: &ExecutionConfig,
-    bc: &BatchedCircuit<F>,
-    setup: &SetupArtifacts<F>,
-) -> Result<OfflineArtifacts<F>, ProtocolError> {
-    let sb = ShardedBoard::new(board, cfg.partition)?;
-    run_offline_in(rng, params, &sb, adversary, cfg, bc, setup)
-}
-
-/// [`run_offline`] posting through an existing sharded board (the
-/// engine keeps one accounting across setup/offline/online so worker
-/// processes agree on every canonical board position).
-#[allow(clippy::too_many_lines, clippy::too_many_arguments, clippy::needless_range_loop)]
-pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     params: &crate::ProtocolParams,
     sb: &ShardedBoard<'_>,
@@ -449,7 +415,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
         .iter()
         .flat_map(|layer| layer.iter().map(|w| w.0))
         .collect();
-    let triples = beaver_triples_in(rng, sb, &c1, &c2, cfg, &key, mul_wires.len())?;
+    let triples = beaver_triples(rng, sb, &c1, &c2, cfg, &tpk, mul_wires.len())?;
     sb.advance_round()?;
     // triple_of[wire] = index into `triples`.
     let mut triple_of = vec![usize::MAX; circuit.wire_count()];
@@ -468,7 +434,6 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
                 rng,
                 sb,
                 &c3,
-                cfg,
                 &key,
                 phase2,
                 ContributionStep::WireRandom,
@@ -526,7 +491,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
             eps_delta.push(MockTe::eval(&[lambda_cts[a.0], tr.a], &[F::ONE, F::ONE])?);
             eps_delta.push(MockTe::eval(&[lambda_cts[b.0], tr.b], &[F::ONE, F::ONE])?);
         }
-        let opened = tsk.decrypt_in(rng, sb, &committee, cfg, phase, &eps_delta)?;
+        let opened = tsk.decrypt(rng, sb, &committee, cfg, phase, &eps_delta)?;
         for (j, &gw) in layer.iter().enumerate() {
             let (_, b) = match circuit.gates()[gw.0] {
                 Gate::Mul(a, b) => (a, b),
@@ -549,7 +514,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
         // Hand tsk to the next committee in the chain.
         let next_keys: Vec<yoso_the::mock::PkeKeyPair<F>> =
             (0..n).map(|_| yoso_the::mock::LinearPke::keygen(rng)).collect();
-        tsk.handover_in(rng, sb, &committee, cfg, "offline/handover", &next_keys)?;
+        tsk.handover(rng, sb, &committee, cfg, "offline/handover", &next_keys)?;
         sb.advance_round()?;
     }
 
@@ -584,7 +549,6 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
                         rng,
                         sb,
                         &c3,
-                        cfg,
                         &key,
                         phase4,
                         ContributionStep::PackHelper,
@@ -610,7 +574,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
             input_meta.push((w.0, client));
         }
     }
-    let input_vals = tsk.reencrypt_in(rng, sb, &c5, cfg, phase5, &input_items)?;
+    let input_vals = tsk.reencrypt(rng, sb, &c5, cfg, phase5, &input_items)?;
     let input_reenc = input_meta
         .into_iter()
         .zip(input_vals)
@@ -619,7 +583,7 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
     sb.advance_round()?;
     let next_keys: Vec<yoso_the::mock::PkeKeyPair<F>> =
         (0..n).map(|_| yoso_the::mock::LinearPke::keygen(rng)).collect();
-    tsk.handover_in(rng, sb, &c5, cfg, "offline/handover", &next_keys)?;
+    tsk.handover(rng, sb, &c5, cfg, "offline/handover", &next_keys)?;
 
     // ---- Step 6: re-encrypt packed shares to the online roles' KFFs.
     let c6 = adversary.sample_committee(rng, "off-reenc-shares", n);
@@ -637,14 +601,14 @@ pub(crate) fn run_offline_in<F: PrimeField, R: Rng + ?Sized>(
         for i in 0..n {
             items.push((setup.kff_pairs[layer][i].public, gamma[i]));
         }
-        let mut vals = tsk.reencrypt_in(rng, sb, &c6, cfg, phase6, &items)?;
+        let mut vals = tsk.reencrypt(rng, sb, &c6, cfg, phase6, &items)?;
         let gamma_v: Vec<ReencryptedValue<F>> = vals.split_off(2 * n);
         let beta_v: Vec<ReencryptedValue<F>> = vals.split_off(n);
         batch_shares.push(BatchShares { alpha: vals, beta: beta_v, gamma: gamma_v });
     }
     let next_keys: Vec<yoso_the::mock::PkeKeyPair<F>> =
         (0..n).map(|_| yoso_the::mock::LinearPke::keygen(rng)).collect();
-    tsk.handover_in(rng, sb, &c6, cfg, "offline/handover", &next_keys)?;
+    tsk.handover(rng, sb, &c6, cfg, "offline/handover", &next_keys)?;
     sb.advance_round()?;
 
     Ok(OfflineArtifacts { lambda_cts, batch_shares, input_reenc, tsk })
@@ -672,6 +636,8 @@ pub fn debug_open_batch_lambda<F: PrimeField>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RolePartition;
+    use yoso_runtime::BulletinBoard;
     use rand::SeedableRng;
     use yoso_field::F61;
     use yoso_runtime::{ActiveAttack, Committee as RtCommittee};
@@ -688,15 +654,16 @@ mod tests {
     fn beaver_triples_multiply_correctly() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let chain = TskChain::<F61>::keygen(&mut r, 6, 2).unwrap();
         let c1 = RtCommittee::honest("c1", 6);
         let c2 = RtCommittee::honest("c2", 6);
         let triples =
-            beaver_triples(&mut r, &board, &c1, &c2, &cfg(), &chain.pk, 3).unwrap();
+            beaver_triples(&mut r, &sb, &c1, &c2, &cfg(), &chain.pk, 3).unwrap();
         let dec = RtCommittee::honest("d", 6);
         for tr in &triples {
             let opened = chain
-                .decrypt(&mut r, &board, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c])
+                .decrypt(&mut r, &sb, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c])
                 .unwrap();
             assert_eq!(opened[0] * opened[1], opened[2]);
         }
@@ -706,16 +673,17 @@ mod tests {
     fn beaver_triples_with_malicious_contributors() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
         let adv = Adversary::active(2, ActiveAttack::WrongValue);
         let c1 = adv.sample_committee(&mut r, "c1", 7);
         let c2 = adv.sample_committee(&mut r, "c2", 7);
         let triples =
-            beaver_triples(&mut r, &board, &c1, &c2, &cfg(), &chain.pk, 2).unwrap();
+            beaver_triples(&mut r, &sb, &c1, &c2, &cfg(), &chain.pk, 2).unwrap();
         let dec = RtCommittee::honest("d", 7);
         for tr in &triples {
             let opened = chain
-                .decrypt(&mut r, &board, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c])
+                .decrypt(&mut r, &sb, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c])
                 .unwrap();
             assert_eq!(opened[0] * opened[1], opened[2], "a·b must equal c despite attackers");
         }
@@ -771,6 +739,7 @@ mod tests {
         // Encrypt known values, pack, decrypt all shares, interpolate.
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let n = 9;
         let t = 2;
         let k_b = 3;
@@ -790,7 +759,7 @@ mod tests {
         assert_eq!(packed.len(), n);
         // Decrypt the share ciphertexts and reconstruct via packed Shamir.
         let share_vals =
-            chain.decrypt(&mut r, &board, &committee, &cfg(), "t", &packed).unwrap();
+            chain.decrypt(&mut r, &sb, &committee, &cfg(), "t", &packed).unwrap();
         let shares: Vec<yoso_pss_sharing::Share<F61>> = share_vals
             .iter()
             .enumerate()

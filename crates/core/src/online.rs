@@ -27,21 +27,24 @@
 // byte-identical transcripts for every `--threads` value.
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::Rng;
 
 use yoso_circuit::{BatchedCircuit, Gate};
 use yoso_field::PrimeField;
 use yoso_pss_sharing::{PackedSharing, PssScratch, Share};
-use yoso_runtime::{ActiveAttack, Adversary, Behavior, BulletinBoard, LeakLog, RoleId};
+use yoso_runtime::{ActiveAttack, Adversary, Behavior, LeakLog, RoleId};
 use yoso_the::mock::{LinearPke, PkeKeyPair, PkePublicKey};
 use yoso_the::nizk::{ShareMap, ShareProof};
 
 use crate::messages::{Post, MULSHARE_PROOF_ELEMENTS};
 use crate::offline::OfflineArtifacts;
+use crate::parallel::PostBuffer;
 use crate::setup::SetupArtifacts;
 use crate::step::Step;
 use crate::tsk::ReencryptedValue;
+use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
 /// The result of the online phase.
@@ -60,30 +63,11 @@ pub struct OnlineResult<F: PrimeField> {
 /// # Errors
 ///
 /// Propagates sub-step errors; within the corruption model none occur.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_lines, clippy::too_many_arguments, clippy::needless_range_loop)]
 pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     params: &crate::ProtocolParams,
-    board: &BulletinBoard<Post>,
-    adversary: &Adversary,
-    cfg: &ExecutionConfig,
-    bc: &BatchedCircuit<F>,
-    setup: &SetupArtifacts<F>,
-    offline: OfflineArtifacts<F>,
-    inputs: &[Vec<F>],
-    leak: &LeakLog,
-) -> Result<OnlineResult<F>, ProtocolError> {
-    let sb = crate::workitem::ShardedBoard::new(board, cfg.partition)?;
-    run_online_in(rng, params, &sb, adversary, cfg, bc, setup, offline, inputs, leak)
-}
-
-/// [`run_online`] posting through an existing sharded board (the
-/// engine-level entry point for role-sharded workers).
-#[allow(clippy::too_many_lines, clippy::too_many_arguments, clippy::needless_range_loop)]
-pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    params: &crate::ProtocolParams,
-    sb: &crate::workitem::ShardedBoard<'_>,
+    sb: &ShardedBoard<'_>,
     adversary: &Adversary,
     cfg: &ExecutionConfig,
     bc: &BatchedCircuit<F>,
@@ -118,14 +102,14 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
     for c in 0..clients {
         items.push((client_role_keys[c].public, setup.client_kff_cts[c]));
     }
-    let mut kff_prime = tsk.reencrypt_in(rng, sb, &kd, cfg, phase_kd, &items)?;
+    let mut kff_prime = tsk.reencrypt(rng, sb, &kd, cfg, phase_kd, &items)?;
     let client_kff_prime: Vec<ReencryptedValue<F>> = kff_prime.split_off(layers * n);
     // kff_prime[l*n + i] targets role (l, i).
 
     // Hand tsk to the output committee (the last holder; Re-encrypt*
     // afterwards performs no further resharing).
     let output_keys: Vec<PkeKeyPair<F>> = (0..n).map(|_| LinearPke::keygen(rng)).collect();
-    tsk.handover_in(rng, sb, &kd, cfg, "online/handover", &output_keys)?;
+    tsk.handover(rng, sb, &kd, cfg, "online/handover", &output_keys)?;
     sb.advance_round()?;
 
     // Clients recover their KFF secrets through the protocol path.
@@ -133,8 +117,11 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
         .map(|c| client_kff_prime[c].open(client_role_keys[c].secret.scalar))
         .collect::<Result<_, _>>()?;
 
-    // ---- Input: clients publish μ = v − λ per input wire.
+    // ---- Input: clients publish μ = v − λ per input wire. Client
+    // postings are not member-indexed: the leader worker appends them.
     let phase_in = "online/2-input";
+    let client_committee: Arc<str> = Arc::from("client");
+    let mut posts = PostBuffer::new();
     let mut mu: Vec<Option<F>> = vec![None; circuit.wire_count()];
     let mut input_reenc_by_wire: BTreeMap<usize, &ReencryptedValue<F>> = BTreeMap::new();
     for (w, _client, rv) in &offline.input_reenc {
@@ -152,19 +139,13 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
             mu[w.0] = Some(v - lambda);
         }
         if !wires.is_empty() {
+            let post = Post::InputMu { wires: wires.len() as u32 };
             let elements = wires.len() as u64;
-            // Client posts are not member-indexed: the leader worker
-            // appends them.
-            sb.post(
-                sb.is_leader(),
-                yoso_runtime::RoleId::new("client", client),
-                Post::InputMu { wires: wires.len() as u32 },
-                phase_in,
-                elements,
-            )?;
+            posts.open_run(sb.is_leader(), &client_committee, post, phase_in, elements);
+            posts.push(client, 1);
         }
     }
-
+    sb.flush_buffer(posts)?;
     sb.advance_round()?;
 
     // ---- Gate-by-gate μ propagation; multiplications per batch.
@@ -273,7 +254,7 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                 leaks: Vec<(RoleId, String, usize)>,
             }
             let step =
-                Step::new(&committee, cfg, phase_mul, Post::MulShare, 1 + MULSHARE_PROOF_ELEMENTS);
+                Step::new(&committee, sb, phase_mul, Post::MulShare, 1 + MULSHARE_PROOF_ELEMENTS);
             let seeds: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
             let member_results = crate::parallel::par_map(
                 cfg.num_threads,
@@ -295,7 +276,7 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                     let slope = ma * b_be + mb * b_al + b_ga;
                     // Key and slope are this member's alone: one map
                     // per posting, built only where it will be used.
-                    let map = (cfg.produce_proofs && cfg.partition.owns(i))
+                    let map = (cfg.produce_proofs && sb.partition().owns(i))
                         .then(|| ShareMap::new(&kff_pk, slope));
                     let mut turn = step.turn(i, seed, map.as_ref());
 
@@ -342,7 +323,7 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
                 },
             );
             // One buffer, one flush for the whole batch.
-            let mut posts = crate::parallel::PostBuffer::new();
+            let mut posts = PostBuffer::new();
             step.record_speakers(&mut posts, 0..n);
             let mut posted: Vec<Share<F>> = Vec::new();
             for result in member_results {
@@ -380,7 +361,7 @@ pub(crate) fn run_online_in<F: PrimeField, R: Rng + ?Sized>(
         .iter()
         .map(|&(w, client)| (client_role_keys[client].public, offline.lambda_cts[w.0]))
         .collect();
-    let out_vals = tsk.reencrypt_in(rng, sb, &out_committee, cfg, phase_out, &out_items)?;
+    let out_vals = tsk.reencrypt(rng, sb, &out_committee, cfg, phase_out, &out_items)?;
 
     let mut outputs: Vec<Vec<F>> = vec![Vec::new(); clients];
     for ((&(w, client), rv), _) in circuit.outputs().iter().zip(&out_vals).zip(0..) {

@@ -20,11 +20,15 @@
 use rand::Rng;
 
 use yoso_field::PrimeField;
-use yoso_runtime::{BulletinBoard, RoleId};
+use std::sync::Arc;
+
+use yoso_runtime::BulletinBoard;
 use yoso_the::mock::{Ciphertext, LinearPke, MockTe, PkeKeyPair};
 
 use crate::messages::{ContributionStep, Post, CT_ELEMENTS};
+use crate::parallel::PostBuffer;
 use crate::tsk::TskChain;
+use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ProtocolError, ProtocolParams};
 
 /// Everything the setup phase produces.
@@ -49,11 +53,11 @@ pub struct SetupArtifacts<F: PrimeField> {
 }
 
 /// Runs `Π_YOSO-Setup` for a circuit with `layers` multiplication
-/// layers and `clients` clients.
+/// layers and `clients` clients, alone on `board`.
 ///
 /// # Errors
 ///
-/// Propagates key-generation errors.
+/// Propagates key-generation and transport errors.
 pub fn run_setup<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     params: &ProtocolParams,
@@ -61,121 +65,71 @@ pub fn run_setup<F: PrimeField, R: Rng + ?Sized>(
     layers: usize,
     clients: usize,
 ) -> Result<SetupArtifacts<F>, ProtocolError> {
-    let sb = crate::workitem::ShardedBoard::solo(board);
+    let sb = ShardedBoard::new(board, RolePartition::solo());
     run_setup_in(rng, params, &sb, layers, clients)
 }
 
-/// [`run_setup`] posting through an existing sharded board. The
-/// dealer's posts are not member-indexed, so the leader worker appends
-/// all of them; every worker still replicates the key generation (the
+/// [`run_setup`] on the run's board view. The dealer's postings are
+/// not member-indexed, so the leader worker appends all of them, as
+/// one buffer; every worker still replicates the key generation (the
 /// artifacts are the shared protocol state).
 pub(crate) fn run_setup_in<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     params: &ProtocolParams,
-    sb: &crate::workitem::ShardedBoard<'_>,
+    sb: &ShardedBoard<'_>,
     layers: usize,
     clients: usize,
 ) -> Result<SetupArtifacts<F>, ProtocolError> {
     let tsk = TskChain::keygen(rng, params.n, params.t)?;
-    let dealer = RoleId::new("setup", 0);
-    let leader = sb.is_leader();
-
-    let mut kff_pairs = Vec::with_capacity(layers);
-    let mut kff_cts = Vec::with_capacity(layers);
-    for _ in 0..layers {
-        let mut pairs = Vec::with_capacity(params.n);
-        let mut cts = Vec::with_capacity(params.n);
-        for _ in 0..params.n {
-            let kp = LinearPke::keygen(rng);
-            let (ct, _) = MockTe::encrypt(rng, &tsk.pk, kp.secret.scalar);
-            // Public key (2 elements) + encrypted secret (2 elements).
-            sb.post(
-                leader,
-                dealer.clone(),
-                Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: 1 },
-                "setup",
-                2 * CT_ELEMENTS,
-            )?;
-            pairs.push(kp);
-            cts.push(ct);
-        }
-        kff_pairs.push(pairs);
-        kff_cts.push(cts);
-    }
-
-    let mut client_kff_pairs = Vec::with_capacity(clients);
-    let mut client_kff_cts = Vec::with_capacity(clients);
-    for _ in 0..clients {
+    // Every KFF record is a public key (2 elements) and the encrypted
+    // secret (2 elements).
+    let mut posts = dealer_postings(sb, "setup", 2 * CT_ELEMENTS);
+    let mut kff_pair = || {
         let kp = LinearPke::keygen(rng);
         let (ct, _) = MockTe::encrypt(rng, &tsk.pk, kp.secret.scalar);
-        sb.post(
-            leader,
-            dealer.clone(),
-            Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: 1 },
-            "setup",
-            2 * CT_ELEMENTS,
-        )?;
-        client_kff_pairs.push(kp);
-        client_kff_cts.push(ct);
-    }
-
+        posts.push(0, 1);
+        (kp, ct)
+    };
+    let (kff_pairs, kff_cts) =
+        (0..layers).map(|_| (0..params.n).map(|_| kff_pair()).unzip()).unzip();
+    let (client_kff_pairs, client_kff_cts) = (0..clients).map(|_| kff_pair()).unzip();
+    sb.flush_buffer(posts)?;
     Ok(SetupArtifacts { tsk, kff_pairs, kff_cts, client_kff_pairs, client_kff_cts })
+}
+
+/// A buffer with the run of a setup dealer's postings open: each a
+/// contribution of `elements` under the `setup` phase, appended by the
+/// leader worker.
+fn dealer_postings(sb: &ShardedBoard<'_>, dealer: &str, elements: u64) -> PostBuffer {
+    let post = Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: 1 };
+    let mut posts = PostBuffer::new();
+    posts.open_run(sb.is_leader(), &Arc::from(dealer), post, "setup", elements);
+    posts
 }
 
 /// Re-keys a setup onto a different threshold key: re-encrypts every
 /// KFF secret under the new chain's `tpk` (used when the dealer's key
 /// is replaced by the DKG one — the KFF secrets themselves are
-/// unchanged, only their threshold-encrypted copies move).
+/// unchanged, only their threshold-encrypted copies move). The
+/// leader appends the dealer's postings, as [`run_setup`] does.
 ///
 /// # Errors
 ///
-/// Propagates encryption errors (none occur).
+/// Propagates transport errors.
 pub fn rekey_setup<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
-    params: &ProtocolParams,
-    board: &BulletinBoard<Post>,
-    setup: SetupArtifacts<F>,
-    chain: TskChain<F>,
-) -> Result<SetupArtifacts<F>, ProtocolError> {
-    let sb = crate::workitem::ShardedBoard::solo(board);
-    rekey_setup_in(rng, params, &sb, setup, chain)
-}
-
-/// [`rekey_setup`] posting through an existing sharded board
-/// (leader-owned dealer posts, same contract as [`run_setup_in`]).
-pub(crate) fn rekey_setup_in<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    _params: &ProtocolParams,
-    sb: &crate::workitem::ShardedBoard<'_>,
+    sb: &ShardedBoard<'_>,
     mut setup: SetupArtifacts<F>,
     chain: TskChain<F>,
 ) -> Result<SetupArtifacts<F>, ProtocolError> {
-    let dealer = RoleId::new("setup-rekey", 0);
-    let leader = sb.is_leader();
-    for (layer, pairs) in setup.kff_pairs.iter().enumerate() {
-        for (i, kp) in pairs.iter().enumerate() {
-            let (ct, _) = MockTe::encrypt(rng, &chain.pk, kp.secret.scalar);
-            setup.kff_cts[layer][i] = ct;
-            sb.post(
-                leader,
-                dealer.clone(),
-                Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: 1 },
-                "setup",
-                CT_ELEMENTS,
-            )?;
-        }
+    let mut posts = dealer_postings(sb, "setup-rekey", CT_ELEMENTS);
+    let pairs = setup.kff_pairs.iter().flatten().chain(&setup.client_kff_pairs);
+    let cts = setup.kff_cts.iter_mut().flatten().chain(&mut setup.client_kff_cts);
+    for (kp, ct) in pairs.zip(cts) {
+        *ct = MockTe::encrypt(rng, &chain.pk, kp.secret.scalar).0;
+        posts.push(0, 1);
     }
-    for (c, kp) in setup.client_kff_pairs.iter().enumerate() {
-        let (ct, _) = MockTe::encrypt(rng, &chain.pk, kp.secret.scalar);
-        setup.client_kff_cts[c] = ct;
-        sb.post(
-            leader,
-            dealer.clone(),
-            Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: 1 },
-            "setup",
-            CT_ELEMENTS,
-        )?;
-    }
+    sb.flush_buffer(posts)?;
     setup.tsk = chain;
     Ok(setup)
 }
@@ -199,10 +153,9 @@ mod tests {
         // The encrypted KFF secrets decrypt (via tsk) to the real secrets.
         let committee = Committee::honest("d", 6);
         let cfg = crate::ExecutionConfig::default();
-        let got = s
-            .tsk
-            .decrypt(&mut rng, &board, &committee, &cfg, "test", &[s.kff_cts[1][3]])
-            .unwrap();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
+        let got =
+            s.tsk.decrypt(&mut rng, &sb, &committee, &cfg, "test", &[s.kff_cts[1][3]]).unwrap();
         assert_eq!(got[0], s.kff_pairs[1][3].secret.scalar);
         // Setup posted (3·6 + 2) KFF records.
         let phases = board.phases().unwrap();

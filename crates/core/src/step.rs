@@ -23,12 +23,13 @@ use yoso_runtime::{ActiveAttack, Behavior, Committee};
 
 use crate::messages::Post;
 use crate::parallel::PostBuffer;
-use crate::ExecutionConfig;
+use crate::workitem::{RolePartition, ShardedBoard};
 
 /// One committee posting one kind of message in one phase.
 pub(crate) struct Step<'a> {
     committee: &'a Committee,
-    cfg: &'a ExecutionConfig,
+    /// The members this worker owns: its board view's partition.
+    partition: RolePartition,
     phase: &'static str,
     /// `phase_index(phase)`, evaluated once per step.
     phase_index: u64,
@@ -40,16 +41,18 @@ pub(crate) struct Step<'a> {
 
 impl<'a> Step<'a> {
     /// A step in which every speaker posts one `post` of `elements`
-    /// ring elements.
+    /// ring elements, onto the board view `sb` (which says who this
+    /// worker owns).
     pub(crate) fn new(
         committee: &'a Committee,
-        cfg: &'a ExecutionConfig,
+        sb: &ShardedBoard<'_>,
         phase: &'static str,
         post: Post,
         elements: u64,
     ) -> Self {
         let phase_index = crate::engine::phase_index(phase);
-        Step { committee, cfg, phase, phase_index, post, elements, postings: 1 }
+        let partition = sb.partition();
+        Step { committee, partition, phase, phase_index, post, elements, postings: 1 }
     }
 
     /// The same step over a batch: `postings` posts per speaker.
@@ -87,7 +90,7 @@ impl<'a> Step<'a> {
         seed: u64,
         prover: Option<&'t M>,
     ) -> Turn<'t, M> {
-        let owned = self.cfg.partition.owns(member);
+        let owned = self.partition.owns(member);
         Self::turn_of(member, *self.committee.behavior(member), owned, seed, prover)
     }
 
@@ -111,7 +114,7 @@ impl<'a> Step<'a> {
     ) {
         let mut open = None;
         for member in members.into_iter().filter(|&member| self.speaks(member)) {
-            self.record(posts, &mut open, member, self.cfg.partition.owns(member));
+            self.record(posts, &mut open, member, self.partition.owns(member));
         }
     }
 
@@ -140,7 +143,7 @@ impl<'a> Step<'a> {
         let mut open = None;
         for (member, held) in members {
             let Some(behavior) = self.speaker(member) else { continue };
-            let owned = self.cfg.partition.owns(member);
+            let owned = self.partition.owns(member);
             act(Self::turn_of(member, behavior, owned, rng.next_u64(), prover), held);
             self.record(posts, &mut open, member, owned);
         }
@@ -189,8 +192,8 @@ impl<M> Turn<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RolePartition;
     use rand::RngCore;
+    use yoso_runtime::BulletinBoard;
 
     const PHASE: &str = "offline/x";
 
@@ -205,16 +208,22 @@ mod tests {
         Committee::with_behaviors("c", behaviors)
     }
 
-    fn step<'a>(committee: &'a Committee, cfg: &'a ExecutionConfig) -> Step<'a> {
-        Step::new(committee, cfg, PHASE, Post::MulShare, 7)
+    /// The step as a worker owning `partition` takes it.
+    fn step(committee: &Committee, partition: RolePartition) -> Step<'_> {
+        let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, partition);
+        Step::new(committee, &sb, PHASE, Post::MulShare, 7)
     }
 
     /// Runs the step with `()` as the prover: each speaker's value is
     /// its first draw, and `proved` collects who ran a proof closure.
-    fn values(cfg: &ExecutionConfig, proved: &mut Vec<usize>) -> (Vec<(usize, u64)>, PostBuffer) {
+    fn values(
+        partition: RolePartition,
+        proved: &mut Vec<usize>,
+    ) -> (Vec<(usize, u64)>, PostBuffer) {
         let (committee, mut rng) = (committee(), StdRng::seed_from_u64(5));
         let (mut out, mut posts) = (Vec::new(), PostBuffer::new());
-        let step = step(&committee, cfg);
+        let step = step(&committee, partition);
         step.run(&mut rng, &mut posts, Some(&()), step.everyone(), |mut turn, ()| {
             out.push((turn.index, turn.rng.next_u64()));
             let index = turn.index;
@@ -228,11 +237,11 @@ mod tests {
 
     #[test]
     fn a_member_that_does_not_speak_draws_no_seed() {
-        let (committee, cfg) = (committee(), ExecutionConfig::default());
+        let committee = committee();
         let mut rng = StdRng::seed_from_u64(5);
         let mut seeds = rng.clone();
         let mut spoke = Vec::new();
-        let step = step(&committee, &cfg);
+        let step = step(&committee, RolePartition::solo());
         assert_eq!((0..4).filter(|&i| step.speaks(i)).collect::<Vec<_>>(), [0, 3]);
         // Member 2 is a candidate that does not speak; member 1 is not
         // even a candidate.
@@ -248,11 +257,9 @@ mod tests {
 
     #[test]
     fn a_member_this_worker_does_not_own_has_the_same_value_and_no_proof() {
-        let solo = ExecutionConfig::default();
-        let first_only = solo.with_partition(RolePartition::range(0, 1));
         let (mut proved_solo, mut proved_first) = (Vec::new(), Vec::new());
-        let (all, _) = values(&solo, &mut proved_solo);
-        let (sharded, posts) = values(&first_only, &mut proved_first);
+        let (all, _) = values(RolePartition::solo(), &mut proved_solo);
+        let (sharded, posts) = values(RolePartition::range(0, 1), &mut proved_first);
         assert_eq!(all, sharded);
         assert_eq!((proved_solo, proved_first), (vec![0, 3], vec![0]));
         // Both speakers are recorded; only the owned one is appended.
@@ -264,32 +271,33 @@ mod tests {
     #[test]
     fn validity_is_checked_where_proved_and_predicted_elsewhere() {
         let committee = committee();
-        let solo = ExecutionConfig::default();
-        let elsewhere = solo.with_partition(RolePartition::range(1, 4));
-        // (config, prover) → does member 0's turn carry the prover?
-        for (cfg, prover, proves) in [
-            (&solo, Some(&()), true),
-            (&solo, None, false),
-            (&elsewhere, Some(&()), false),
-            (&elsewhere, None, false),
+        let (solo, elsewhere) = (RolePartition::solo(), RolePartition::range(1, 4));
+        // (partition, prover) → does member 0's turn carry the prover?
+        for (partition, prover, proves) in [
+            (solo, Some(&()), true),
+            (solo, None, false),
+            (elsewhere, Some(&()), false),
+            (elsewhere, None, false),
         ] {
             for verdict in [true, false] {
-                let mut turn = step(&committee, cfg).turn(0, 9, prover);
+                let mut turn = step(&committee, partition).turn(0, 9, prover);
                 assert_eq!(turn.honest(|(), _| verdict), if proves { verdict } else { true });
                 assert_eq!(turn.forged(|(), _| verdict), if proves { verdict } else { false });
             }
         }
-        let step = step(&committee, &solo);
+        let step = step(&committee, solo);
         assert_eq!(step.turn(0, 9, None::<&()>).attack(), None);
         assert_eq!(step.turn(3, 9, None::<&()>).attack(), Some(ActiveAttack::WrongValue));
     }
 
     #[test]
     fn postings_land_in_member_order_with_the_steps_descriptor() {
-        let (committee, cfg) = (Committee::honest("c", 5), ExecutionConfig::default());
+        let committee = Committee::honest("c", 5);
         let mut rng = StdRng::seed_from_u64(5);
         let mut posts = PostBuffer::new();
-        let step = Step::new(&committee, &cfg, PHASE, Post::PartialDec, 4).with_postings(2);
+        let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
+        let step = Step::new(&committee, &sb, PHASE, Post::PartialDec, 4).with_postings(2);
         step.run(&mut rng, &mut posts, None::<&()>, step.everyone(), |_, ()| {});
         let runs: Vec<_> = posts.runs().collect();
         assert_eq!(runs.len(), 1, "a step is one run");

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use yoso_crypto::Domain;
 use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::{PowerTable, ZeroWeights};
-use yoso_runtime::{ActiveAttack, Behavior, BulletinBoard, Committee, LeakLog};
+use yoso_runtime::{ActiveAttack, Behavior, Committee, LeakLog};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, MockTe, PkeKeyPair, PkePublicKey, PublicKey};
 use yoso_the::nizk::{self, DealMap, LinearMap, PdecMap, PdecProof, ReshareProof};
 
@@ -39,6 +39,7 @@ use crate::messages::{
 };
 use crate::parallel::PostBuffer;
 use crate::step::{Step, Turn};
+use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
 /// A value re-encrypted from `tpk` to a target public key, folded to
@@ -357,37 +358,23 @@ impl<F: PrimeField> TskChain<F> {
     pub fn decrypt<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        board: &BulletinBoard<Post>,
+        sb: &ShardedBoard<'_>,
         committee: &Committee,
         cfg: &ExecutionConfig,
         phase: &'static str,
         cts: &[Ciphertext<F>],
     ) -> Result<Vec<F>, ProtocolError> {
-        let sb = crate::workitem::ShardedBoard::new(board, cfg.partition)?;
-        self.decrypt_in(rng, &sb, committee, cfg, phase, cts)
-    }
-
-    /// [`Self::decrypt`] posting through an existing sharded board.
-    pub(crate) fn decrypt_in<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sb: &crate::workitem::ShardedBoard<'_>,
-        committee: &Committee,
-        cfg: &ExecutionConfig,
-        phase: &'static str,
-        cts: &[Ciphertext<F>],
-    ) -> Result<Vec<F>, ProtocolError> {
-        let kept = self.partials_in(rng, sb, committee, cfg, phase, cts)?;
+        let kept = self.partials(rng, sb, committee, cfg, phase, cts)?;
         self.combine_partials(cts, &kept)
     }
 
     /// The postings of a `Decrypt`: one [`Step`] over the share holders,
     /// one posting per ciphertext, each ciphertext keeping its first
     /// `t + 1` verified partials as the step runs.
-    fn partials_in<R: Rng + ?Sized>(
+    fn partials<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        sb: &crate::workitem::ShardedBoard<'_>,
+        sb: &ShardedBoard<'_>,
         committee: &Committee,
         cfg: &ExecutionConfig,
         phase: &'static str,
@@ -403,7 +390,7 @@ impl<F: PrimeField> TskChain<F> {
         let mut posts = PostBuffer::new();
         let elements = PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS;
         let step =
-            Step::new(committee, cfg, phase, Post::PartialDec, elements).with_postings(cts.len());
+            Step::new(committee, sb, phase, Post::PartialDec, elements).with_postings(cts.len());
         step.run(rng, &mut posts, maps.as_ref(), self.holders(committee), |mut turn, share| {
             let vk = self.pk.vks[turn.index];
             for ((c_idx, ct), kept) in cts.iter().enumerate().zip(&mut kept) {
@@ -451,7 +438,9 @@ impl<F: PrimeField> TskChain<F> {
     }
 
     /// `Re-encrypt` of a batch of `(target, ciphertext)` pairs by
-    /// `committee` (paper Protocol 1, minus the handover).
+    /// `committee` (paper Protocol 1, minus the handover): per item, one
+    /// committee step over the share holders, folded to its public opening
+    /// when the step ends.
     ///
     /// Items are independent, so each one runs from its own child RNG
     /// (seeds drawn sequentially from `rng`, one per item) on up to
@@ -468,23 +457,7 @@ impl<F: PrimeField> TskChain<F> {
     pub fn reencrypt<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        board: &BulletinBoard<Post>,
-        committee: &Committee,
-        cfg: &ExecutionConfig,
-        phase: &'static str,
-        items: &[(PkePublicKey<F>, Ciphertext<F>)],
-    ) -> Result<Vec<ReencryptedValue<F>>, ProtocolError> {
-        let sb = crate::workitem::ShardedBoard::new(board, cfg.partition)?;
-        self.reencrypt_in(rng, &sb, committee, cfg, phase, items)
-    }
-
-    /// [`Self::reencrypt`] posting through an existing sharded board:
-    /// per item, one [`Step`] over the share holders from the item's
-    /// own RNG, folded to its public opening when the step ends.
-    pub(crate) fn reencrypt_in<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sb: &crate::workitem::ShardedBoard<'_>,
+        sb: &ShardedBoard<'_>,
         committee: &Committee,
         cfg: &ExecutionConfig,
         phase: &'static str,
@@ -492,7 +465,7 @@ impl<F: PrimeField> TskChain<F> {
     ) -> Result<Vec<ReencryptedValue<F>>, ProtocolError> {
         self.record_leaks(committee);
         let elements = CT_ELEMENTS + ENC_PDEC_PROOF_ELEMENTS;
-        let step = Step::new(committee, cfg, phase, Post::EncryptedPartial, elements);
+        let step = Step::new(committee, sb, phase, Post::EncryptedPartial, elements);
         let seeds: Vec<u64> = items.iter().map(|_| rng.next_u64()).collect();
         let weights = Mutex::new(WeightCache::new());
         let worker_out = crate::parallel::par_map(cfg.num_threads, &seeds, |item_idx, &seed| {
@@ -541,6 +514,12 @@ impl<F: PrimeField> TskChain<F> {
     /// `next_keys`): `TKRes` + `TKRec` + public derivation of the next
     /// verification keys.
     ///
+    /// One committee step over the share holders, each dealing its share
+    /// (`deal`). The first `t + 1` valid dealings are kept as the
+    /// step runs — their commitments and, decrypted, their subshares,
+    /// recipient by recipient — and every other dealing is dropped as
+    /// soon as it is posted.
+    ///
     /// # Errors
     ///
     /// Returns [`ProtocolError::NotEnoughContributions`] if fewer than
@@ -548,26 +527,7 @@ impl<F: PrimeField> TskChain<F> {
     pub fn handover<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
-        board: &BulletinBoard<Post>,
-        outgoing: &Committee,
-        cfg: &ExecutionConfig,
-        phase: &'static str,
-        next_keys: &[PkeKeyPair<F>],
-    ) -> Result<(), ProtocolError> {
-        let sb = crate::workitem::ShardedBoard::new(board, cfg.partition)?;
-        self.handover_in(rng, &sb, outgoing, cfg, phase, next_keys)
-    }
-
-    /// [`Self::handover`] posting through an existing sharded board:
-    /// one [`Step`] over the share holders, each dealing its share
-    /// ([`deal`]). The first `t + 1` valid dealings are kept as the
-    /// step runs — their commitments and, decrypted, their subshares,
-    /// recipient by recipient — and every other dealing is dropped as
-    /// soon as it is posted.
-    pub(crate) fn handover_in<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        sb: &crate::workitem::ShardedBoard<'_>,
+        sb: &ShardedBoard<'_>,
         outgoing: &Committee,
         cfg: &ExecutionConfig,
         phase: &'static str,
@@ -591,7 +551,7 @@ impl<F: PrimeField> TskChain<F> {
         let mut kept = FirstValid::new(t, t + 1 + n);
         let mut posts = PostBuffer::new();
         let elements = messages::reshare_elements(n as u64, t as u64);
-        let step = Step::new(outgoing, cfg, phase, Post::TskReshare, elements);
+        let step = Step::new(outgoing, sb, phase, Post::TskReshare, elements);
         step.run(rng, &mut posts, map.as_ref(), self.holders(outgoing), |turn, share| {
             let from = turn.index;
             // The re-share relation binds C_0 to the dealer's
@@ -739,6 +699,8 @@ impl<F: PrimeField> EncryptedPartialMap<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RolePartition;
+    use yoso_runtime::BulletinBoard;
     use rand::RngCore;
     use yoso_field::F61;
     use yoso_runtime::Adversary;
@@ -755,11 +717,12 @@ mod tests {
     fn decrypt_honest_committee() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
         let committee = Committee::honest("d1", 7);
         let m = F61::from(777u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
-        let got = chain.decrypt(&mut r, &board, &committee, &cfg(), "offline/dep", &[ct]).unwrap();
+        let got = chain.decrypt(&mut r, &sb, &committee, &cfg(), "offline/dep", &[ct]).unwrap();
         assert_eq!(got, vec![m]);
         // All 7 members posted one partial each.
         assert_eq!(board.len().unwrap(), 7);
@@ -769,12 +732,13 @@ mod tests {
     fn decrypt_with_malicious_members() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
         let adv = Adversary::active(2, ActiveAttack::WrongValue);
         let committee = adv.sample_committee(&mut r, "d1", 7);
         let m = F61::from(31337u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
-        let got = chain.decrypt(&mut r, &board, &committee, &cfg(), "offline/dep", &[ct]).unwrap();
+        let got = chain.decrypt(&mut r, &sb, &committee, &cfg(), "offline/dep", &[ct]).unwrap();
         assert_eq!(got, vec![m], "bad partials must be filtered by proofs");
     }
 
@@ -782,6 +746,7 @@ mod tests {
     fn reencrypt_and_open() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
         let committee = Committee::honest("r1", 7);
         let target = LinearPke::<F61>::keygen(&mut r);
@@ -789,7 +754,7 @@ mod tests {
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
         let vals = chain.reencrypt(
             &mut r,
-            &board,
+            &sb,
             &committee,
             &cfg(),
             "offline/reenc",
@@ -807,6 +772,7 @@ mod tests {
     fn reencrypt_survives_malicious_providers() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let chain = TskChain::<F61>::keygen(&mut r, 7, 3).unwrap();
         let adv = Adversary::active(3, ActiveAttack::WrongValue);
         let committee = adv.sample_committee(&mut r, "r1", 7);
@@ -814,7 +780,7 @@ mod tests {
         let m = F61::from(5u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
         let vals = chain
-            .reencrypt(&mut r, &board, &committee, &cfg(), "x", &[(target.public, ct)])
+            .reencrypt(&mut r, &sb, &committee, &cfg(), "x", &[(target.public, ct)])
             .unwrap();
         assert_eq!(vals[0].open(target.secret.scalar).unwrap(), m);
     }
@@ -893,6 +859,7 @@ mod tests {
     fn handover_chain_preserves_key() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let mut chain = TskChain::<F61>::keygen(&mut r, 6, 2).unwrap();
         let m = F61::from(123u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
@@ -902,11 +869,11 @@ mod tests {
             let next_keys: Vec<PkeKeyPair<F61>> =
                 (0..6).map(|_| LinearPke::keygen(&mut r)).collect();
             chain
-                .handover(&mut r, &board, &outgoing, &cfg(), "offline/handover", &next_keys)
+                .handover(&mut r, &sb, &outgoing, &cfg(), "offline/handover", &next_keys)
                 .unwrap();
         }
         let committee = Committee::honest("final", 6);
-        let got = chain.decrypt(&mut r, &board, &committee, &cfg(), "x", &[ct]).unwrap();
+        let got = chain.decrypt(&mut r, &sb, &committee, &cfg(), "x", &[ct]).unwrap();
         assert_eq!(got, vec![m]);
     }
 
@@ -914,15 +881,16 @@ mod tests {
     fn handover_with_malicious_outgoing_members() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let mut chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
         let m = F61::from(4242u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
         let adv = Adversary::active(2, ActiveAttack::WrongValue);
         let outgoing = adv.sample_committee(&mut r, "h0", 7);
         let next_keys: Vec<PkeKeyPair<F61>> = (0..7).map(|_| LinearPke::keygen(&mut r)).collect();
-        chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys).unwrap();
+        chain.handover(&mut r, &sb, &outgoing, &cfg(), "x", &next_keys).unwrap();
         let committee = Committee::honest("final", 7);
-        assert_eq!(chain.decrypt(&mut r, &board, &committee, &cfg(), "x", &[ct]).unwrap(), vec![m]);
+        assert_eq!(chain.decrypt(&mut r, &sb, &committee, &cfg(), "x", &[ct]).unwrap(), vec![m]);
     }
 
     // -----------------------------------------------------------------
@@ -1016,6 +984,7 @@ mod tests {
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             let (n, t, committee) = random_committee(&mut r);
             let board = BulletinBoard::new();
+            let sb = ShardedBoard::new(&board, RolePartition::solo());
             let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
             let items: Vec<_> = (0..3)
                 .map(|_| {
@@ -1061,7 +1030,7 @@ mod tests {
                 })
                 .collect();
 
-            let vals = chain.reencrypt(&mut r, &board, &committee, &cfg(), "x", &pairs).unwrap();
+            let vals = chain.reencrypt(&mut r, &sb, &committee, &cfg(), "x", &pairs).unwrap();
             for ((val, (kp, m, _)), expect) in vals.iter().zip(&items).zip(expected) {
                 assert_eq!(val.opening_coefficients().unwrap(), expect, "seed {seed}");
                 assert_eq!(val.open(kp.secret.scalar).unwrap(), *m, "seed {seed}");
@@ -1114,9 +1083,9 @@ mod tests {
         let openings = |threads: usize| -> Vec<(F61, F61)> {
             let mut r = rand::rngs::StdRng::seed_from_u64(7);
             let cfg = cfg().with_threads(threads);
-            let vals = chain
-                .reencrypt(&mut r, &BulletinBoard::new(), &committee, &cfg, "x", &pairs)
-                .unwrap();
+            let board = BulletinBoard::new();
+            let sb = ShardedBoard::new(&board, RolePartition::solo());
+            let vals = chain.reencrypt(&mut r, &sb, &committee, &cfg, "x", &pairs).unwrap();
             vals.iter().map(|v| v.opening_coefficients().unwrap()).collect()
         };
         let solo = openings(1);
@@ -1135,6 +1104,7 @@ mod tests {
     fn starved_reencryption_fails_at_open_not_at_reencrypt() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let (n, t) = (5, 2);
         let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
         let mut behaviors = vec![Behavior::Malicious(ActiveAttack::WrongValue); n];
@@ -1144,7 +1114,7 @@ mod tests {
         let target = LinearPke::<F61>::keygen(&mut r);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, F61::ONE);
         let vals = chain
-            .reencrypt(&mut r, &board, &committee, &cfg(), "x", &[(target.public, ct)])
+            .reencrypt(&mut r, &sb, &committee, &cfg(), "x", &[(target.public, ct)])
             .unwrap();
         assert!(matches!(
             vals[0].opening_coefficients(),
@@ -1168,6 +1138,7 @@ mod tests {
     ) -> Vec<usize> {
         let (n, t) = (chain.pk.n, chain.t());
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let next_keys: Vec<PkeKeyPair<F61>> = (0..n).map(|_| LinearPke::keygen(r)).collect();
 
         // Replay the dealers' draws: one child seed per posting member,
@@ -1188,7 +1159,7 @@ mod tests {
         let providers: Vec<usize> = polys.iter().map(|(i, _)| *i).collect();
         let g = chain.pk.g;
 
-        chain.handover(r, &board, outgoing, cfg, "x", &next_keys).unwrap();
+        chain.handover(r, &sb, outgoing, cfg, "x", &next_keys).unwrap();
         for j in 0..n {
             let x = F61::from_u64(j as u64 + 1);
             let subs: Vec<F61> = polys.iter().map(|(_, c)| horner(c, x)).collect();
@@ -1236,9 +1207,9 @@ mod tests {
                 let cts: Vec<_> =
                     ms.iter().map(|&m| MockTe::encrypt(&mut r, &chain.pk, m).0).collect();
                 let board = BulletinBoard::new();
-                let sb = crate::workitem::ShardedBoard::new(&board, cfg.partition).unwrap();
-                let committee = first_t_hostile(n, t, attack);
-                let kept = chain.partials_in(&mut r, &sb, &committee, &cfg, "x", &cts).unwrap();
+                let sb = ShardedBoard::new(&board, RolePartition::solo());
+                                let committee = first_t_hostile(n, t, attack);
+                let kept = chain.partials(&mut r, &sb, &committee, &cfg, "x", &cts).unwrap();
                 let got = chain.combine_partials(&cts, &kept).unwrap();
                 assert_eq!(got, ms, "{attack:?}");
                 for ((ct, kept), value) in cts.iter().zip(&kept).zip(got) {
@@ -1274,6 +1245,7 @@ mod tests {
         for cfg in proofs_on_and_off() {
             let mut r = rng();
             let board = BulletinBoard::new();
+            let sb = ShardedBoard::new(&board, RolePartition::solo());
             let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
             let before = chain.clone();
             // Members t…n − 1 mount the attack: t valid dealers are left.
@@ -1283,7 +1255,7 @@ mod tests {
             let next_keys: Vec<PkeKeyPair<F61>> =
                 (0..n).map(|_| LinearPke::keygen(&mut r)).collect();
             assert!(matches!(
-                chain.handover(&mut r, &board, &outgoing, &cfg, "x", &next_keys),
+                chain.handover(&mut r, &sb, &outgoing, &cfg, "x", &next_keys),
                 Err(ProtocolError::NotEnoughContributions { step: "tsk handover", got, need })
                     if (got, need) == (t, t + 1)
             ));
@@ -1298,11 +1270,12 @@ mod tests {
     fn mismatched_committee_sizes_are_typed_errors() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let mut chain = TskChain::<F61>::keygen(&mut r, 5, 1).unwrap();
         let next_keys: Vec<PkeKeyPair<F61>> = (0..4).map(|_| LinearPke::keygen(&mut r)).collect();
         let outgoing = Committee::honest("h0", 5);
         assert!(matches!(
-            chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys),
+            chain.handover(&mut r, &sb, &outgoing, &cfg(), "x", &next_keys),
             Err(ProtocolError::BadParameters(_))
         ));
         assert_eq!(board.len().unwrap(), 0, "refused before anything is posted");
@@ -1319,13 +1292,14 @@ mod tests {
         let mut r = rand::rngs::StdRng::seed_from_u64(20261005);
         let (n, t) = (64usize, 15usize);
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let cfg = ExecutionConfig { produce_proofs: false, ..ExecutionConfig::default() };
         let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
         for epoch in 0..50 {
             let outgoing = Committee::honest(format!("h{epoch}"), n);
             let next_keys: Vec<PkeKeyPair<F61>> =
                 (0..n).map(|_| LinearPke::keygen(&mut r)).collect();
-            chain.handover(&mut r, &board, &outgoing, &cfg, "x", &next_keys).unwrap();
+            chain.handover(&mut r, &sb, &outgoing, &cfg, "x", &next_keys).unwrap();
         }
         let mut hasher = yoso_crypto::sha256::Sha256::new();
         for j in 0..n {
@@ -1340,10 +1314,11 @@ mod tests {
     fn vks_stay_consistent_after_handover() {
         let mut r = rng();
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let mut chain = TskChain::<F61>::keygen(&mut r, 5, 1).unwrap();
         let outgoing = Committee::honest("h0", 5);
         let next_keys: Vec<PkeKeyPair<F61>> = (0..5).map(|_| LinearPke::keygen(&mut r)).collect();
-        chain.handover(&mut r, &board, &outgoing, &cfg(), "x", &next_keys).unwrap();
+        chain.handover(&mut r, &sb, &outgoing, &cfg(), "x", &next_keys).unwrap();
         for j in 0..5 {
             let share = chain.share_of(j).unwrap();
             assert_eq!(chain.pk.vks[j], share.value * chain.pk.g);

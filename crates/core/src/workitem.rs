@@ -13,6 +13,16 @@
 //! verifies NIZK proofs, the dominant cost, only for the members it
 //! owns, and appends only its owned members' posts to the board.
 //!
+//! # One posting path
+//!
+//! Core posts one way. Every protocol step — a committee's members,
+//! the setup dealer, the online clients — records its postings into a
+//! `PostBuffer`, one run per stretch of postings that share a
+//! descriptor and an ownership flag, and hands the buffer to the run's
+//! one [`ShardedBoard`]. Every protocol entry point takes that board
+//! view, so a caller running several steps by hand owns the view and
+//! calls [`ShardedBoard::finish`] at the end.
+//!
 //! # Determinism invariant
 //!
 //! Board messages carry only structural data (post kind + element
@@ -37,7 +47,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use yoso_runtime::{BulletinBoard, PostRun, RoleId, Speakers};
+use yoso_runtime::{BulletinBoard, PostRun, Speakers};
 
 use crate::messages::{self, Post};
 use crate::parallel::PostBuffer;
@@ -181,10 +191,11 @@ impl ShardState {
     }
 }
 
-/// A bulletin-board façade for one role-sharded worker.
+/// A run's one view of the bulletin board, for the worker owning
+/// `partition` — every protocol step posts through it.
 ///
-/// In solo mode every call passes straight through to the underlying
-/// board — byte-for-byte the pre-sharding behavior. In sharded mode
+/// In solo mode each flushed buffer lands on the board at once, as one
+/// transport call, and the barrier only ticks the clock. In sharded mode
 /// the worker accounts a global position for every post, buffers the
 /// posts it owns, and appends them in position order at the next
 /// round barrier, waiting on the board length until lower positions
@@ -206,16 +217,6 @@ impl std::fmt::Debug for ShardedBoard<'_> {
 }
 
 impl<'a> ShardedBoard<'a> {
-    /// Wraps `board` for the single-process mode: every post passes
-    /// straight through.
-    pub fn solo(board: &'a BulletinBoard<Post>) -> Self {
-        ShardedBoard {
-            board,
-            partition: RolePartition::solo(),
-            state: Mutex::new(ShardState::default()),
-        }
-    }
-
     /// Wraps `board` for one worker of a sharded run.
     ///
     /// A sharded run must start from a **fresh board** (empty, round
@@ -224,31 +225,10 @@ impl<'a> ShardedBoard<'a> {
     /// regardless of when it joins. That makes joining race-free — a
     /// worker connecting after the leader has already posted its first
     /// setup records still accounts those records at their true
-    /// positions. Solo wrappers instead pick up the board's current
-    /// clock so sequential phase calls chain.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures reading the board's clock.
-    pub fn new(
-        board: &'a BulletinBoard<Post>,
-        partition: RolePartition,
-    ) -> Result<Self, ProtocolError> {
-        let (round, pos) = if partition.is_solo() {
-            (board.round()?, board.len()? as u64)
-        } else {
-            (0, 0)
-        };
-        Ok(ShardedBoard {
-            board,
-            partition,
-            state: Mutex::new(ShardState { pending: Vec::new(), pos, round }),
-        })
-    }
-
-    /// The underlying board.
-    pub fn board(&self) -> &'a BulletinBoard<Post> {
-        self.board
+    /// positions. A solo view ([`RolePartition::solo`]) accounts
+    /// nothing, so any number of them may post to one board in turn.
+    pub fn new(board: &'a BulletinBoard<Post>, partition: RolePartition) -> Self {
+        ShardedBoard { board, partition, state: Mutex::new(ShardState::default()) }
     }
 
     /// This worker's role partition.
@@ -261,46 +241,8 @@ impl<'a> ShardedBoard<'a> {
         self.partition.is_leader()
     }
 
-    /// The round this worker is currently posting in.
-    pub fn round(&self) -> u64 {
-        self.lock().round
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, ShardState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Accounts one post. `owned` says whether this worker is the one
-    /// that appends it (member posts: the partition owns the member;
-    /// dealer/client posts: this worker is leader). Owned posts are
-    /// buffered until the next barrier; non-owned posts only advance
-    /// the position counter — this never blocks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures (solo mode posts immediately).
-    pub fn post(
-        &self,
-        owned: bool,
-        from: RoleId,
-        message: Post,
-        phase: &'static str,
-        elements: u64,
-    ) -> Result<(), ProtocolError> {
-        if self.partition.is_solo() {
-            self.board.post(from, message, phase, elements, messages::to_bytes(elements))?;
-            return Ok(());
-        }
-        let run = PostRun {
-            committee: &from.committee,
-            phase,
-            message: &message,
-            elements,
-            bytes: messages::to_bytes(elements),
-            members: &Speakers::from(&[from.index][..]),
-        };
-        self.lock().account(owned, &run);
-        Ok(())
     }
 
     /// Accounts a whole `PostBuffer` (the parallel engine's replay
@@ -367,8 +309,6 @@ impl<'a> ShardedBoard<'a> {
     pub fn advance_round(&self) -> Result<(), ProtocolError> {
         if self.partition.is_solo() {
             self.board.advance_round()?;
-            let mut st = self.lock();
-            st.round += 1;
             return Ok(());
         }
         self.drain_pending()?;
@@ -419,6 +359,19 @@ impl<'a> ShardedBoard<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
+
+    /// One posting per member of `members` under one descriptor, each
+    /// run flagged with whether `partition` owns its members.
+    fn postings(partition: RolePartition, members: Range<usize>, elements: u64) -> PostBuffer {
+        let committee: Arc<str> = Arc::from("committee");
+        let mut posts = PostBuffer::new();
+        for member in members {
+            posts.open_run(partition.owns(member), &committee, Post::MulShare, "x", elements);
+            posts.push(member, 1);
+        }
+        posts
+    }
 
     #[test]
     fn solo_partition_owns_everything_and_leads() {
@@ -471,12 +424,11 @@ mod tests {
     #[test]
     fn solo_sharded_board_posts_through() {
         let board: BulletinBoard<Post> = BulletinBoard::new();
-        let sb = ShardedBoard::solo(&board);
-        sb.post(true, RoleId::new("c", 0), Post::MulShare, "x", 2).unwrap();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
+        sb.flush_buffer(postings(sb.partition(), 0..1, 2)).unwrap();
         assert_eq!(board.len().unwrap(), 1);
         sb.advance_round().unwrap();
         assert_eq!(board.round().unwrap(), 1);
-        assert_eq!(sb.round(), 1);
         sb.finish().unwrap();
     }
 
@@ -487,19 +439,10 @@ mod tests {
         // member order regardless of which worker flushes first.
         let board: BulletinBoard<Post> = BulletinBoard::new();
         let post_all = |sb: &ShardedBoard<'_>| {
-            for i in 0..4usize {
-                sb.post(
-                    sb.partition().owns(i),
-                    RoleId::new("committee", i),
-                    Post::MulShare,
-                    "x",
-                    1,
-                )
-                .unwrap();
-            }
+            sb.flush_buffer(postings(sb.partition(), 0..4, 1)).unwrap();
         };
-        let a = ShardedBoard::new(&board, RolePartition::range(0, 2)).unwrap();
-        let b = ShardedBoard::new(&board, RolePartition::range(2, 4)).unwrap();
+        let a = ShardedBoard::new(&board, RolePartition::range(0, 2));
+        let b = ShardedBoard::new(&board, RolePartition::range(2, 4));
         post_all(&a);
         post_all(&b);
         std::thread::scope(|s| {
@@ -512,7 +455,7 @@ mod tests {
         let postings = board.postings().unwrap();
         assert_eq!(postings.len(), 4);
         for (i, p) in postings.iter().enumerate() {
-            assert_eq!(p.from, RoleId::new("committee", i));
+            assert_eq!(p.from, yoso_runtime::RoleId::new("committee", i));
         }
         assert_eq!(board.round().unwrap(), 1);
     }
@@ -527,11 +470,10 @@ mod tests {
         let committee = yoso_runtime::Committee::honest("c", 10);
         let workers: Vec<ShardedBoard<'_>> = [(0, 3), (3, 7), (7, 10)]
             .iter()
-            .map(|&(lo, hi)| ShardedBoard::new(&board, RolePartition::range(lo, hi)).unwrap())
+            .map(|&(lo, hi)| ShardedBoard::new(&board, RolePartition::range(lo, hi)))
             .collect();
         for sb in &workers {
-            let cfg = crate::ExecutionConfig::default().with_partition(sb.partition());
-            let step = crate::step::Step::new(&committee, &cfg, "x", Post::MulShare, 1);
+            let step = crate::step::Step::new(&committee, sb, "x", Post::MulShare, 1);
             for _step in 0..2 {
                 let mut posts = PostBuffer::new();
                 step.record_speakers(&mut posts, 0..10);
@@ -572,10 +514,10 @@ mod tests {
         // board length past a worker's expected position: the drain
         // must fail loudly instead of posting at the wrong offset.
         let board: BulletinBoard<Post> = BulletinBoard::new();
-        let a = ShardedBoard::new(&board, RolePartition::range(0, 1)).unwrap();
-        a.post(true, RoleId::new("committee", 0), Post::MulShare, "x", 1).unwrap();
+        let a = ShardedBoard::new(&board, RolePartition::range(0, 1));
+        a.flush_buffer(postings(a.partition(), 0..1, 1)).unwrap();
         board
-            .post(RoleId::new("rogue", 9), Post::MulShare, "x", 1, 8)
+            .post(yoso_runtime::RoleId::new("rogue", 9), Post::MulShare, "x", 1, 8)
             .unwrap();
         let err = a.finish().unwrap_err();
         assert!(matches!(err, ProtocolError::Transport(_)), "{err}");

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use yoso_circuit::{generators, Gate};
 use yoso_core::offline::{debug_open_batch_lambda, run_offline};
 use yoso_core::setup::run_setup;
-use yoso_core::{ExecutionConfig, ProtocolParams};
+use yoso_core::{ExecutionConfig, ProtocolParams, RolePartition, ShardedBoard};
 use yoso_field::{F61, PrimeField};
 use yoso_runtime::{Adversary, BulletinBoard, Committee};
 
@@ -18,18 +18,19 @@ fn offline_correlations_are_exact() {
     let circuit = generators::poly_eval::<F61>(3).unwrap();
     let bc = circuit.batched(params.k);
     let board = BulletinBoard::new();
+    let sb = ShardedBoard::new(&board, RolePartition::solo());
 
     let setup =
         run_setup::<F61, _>(&mut rng, &params, &board, circuit.mul_depth(), circuit.clients())
             .unwrap();
     let offline =
-        run_offline(&mut rng, &params, &board, &Adversary::none(), &cfg, &bc, &setup).unwrap();
+        run_offline(&mut rng, &params, &sb, &Adversary::none(), &cfg, &bc, &setup).unwrap();
 
     // Oracle: decrypt every wire mask with the post-offline chain.
     let oracle = Committee::honest("oracle", params.n);
     let lambdas = offline
         .tsk
-        .decrypt(&mut rng, &board, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
+        .decrypt(&mut rng, &sb, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
         .unwrap();
 
     // (1) λ propagates linearly through linear gates.
@@ -82,18 +83,19 @@ fn offline_correlations_survive_active_adversary() {
     let circuit = generators::inner_product::<F61>(4).unwrap();
     let bc = circuit.batched(params.k);
     let board = BulletinBoard::new();
+    let sb = ShardedBoard::new(&board, RolePartition::solo());
     let adversary =
         Adversary::active(3, yoso_runtime::ActiveAttack::WrongValue);
 
     let setup =
         run_setup::<F61, _>(&mut rng, &params, &board, circuit.mul_depth(), circuit.clients())
             .unwrap();
-    let offline = run_offline(&mut rng, &params, &board, &adversary, &cfg, &bc, &setup).unwrap();
+    let offline = run_offline(&mut rng, &params, &sb, &adversary, &cfg, &bc, &setup).unwrap();
 
     let oracle = Committee::honest("oracle", params.n);
     let lambdas = offline
         .tsk
-        .decrypt(&mut rng, &board, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
+        .decrypt(&mut rng, &sb, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
         .unwrap();
     for (batch, shares) in bc.mul_batches.iter().zip(&offline.batch_shares) {
         let k_b = batch.gates.len();
@@ -121,6 +123,7 @@ fn masks_differ_between_runs() {
     let masks = |seed: u64| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
         let setup = run_setup::<F61, _>(
             &mut rng,
             &params,
@@ -130,12 +133,12 @@ fn masks_differ_between_runs() {
         )
         .unwrap();
         let offline =
-            run_offline(&mut rng, &params, &board, &Adversary::none(), &cfg, &bc, &setup)
+            run_offline(&mut rng, &params, &sb, &Adversary::none(), &cfg, &bc, &setup)
                 .unwrap();
         let oracle = Committee::honest("oracle", params.n);
         offline
             .tsk
-            .decrypt(&mut rng, &board, &oracle, &cfg, "t", &offline.lambda_cts)
+            .decrypt(&mut rng, &sb, &oracle, &cfg, "t", &offline.lambda_cts)
             .unwrap()
     };
     assert_ne!(masks(1), masks(2));

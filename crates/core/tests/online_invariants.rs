@@ -8,7 +8,7 @@ use yoso_core::offline::run_offline;
 use yoso_core::online::run_online;
 use yoso_core::setup::run_setup;
 use yoso_core::messages::Post;
-use yoso_core::{crash_phases, Engine, ExecutionConfig, ProtocolParams};
+use yoso_core::{crash_phases, Engine, ExecutionConfig, ProtocolParams, RolePartition, ShardedBoard};
 use yoso_field::{F61, PrimeField};
 use yoso_runtime::{ActiveAttack, Adversary, BulletinBoard, Committee, LeakLog};
 use yoso_the::mock::{LinearPke, MockTe};
@@ -21,6 +21,7 @@ fn v_equals_mu_plus_lambda_on_every_wire() {
     let circuit = generators::federated_stats::<F61>(2, 3).unwrap();
     let bc = circuit.batched(params.k);
     let board = BulletinBoard::new();
+    let sb = ShardedBoard::new(&board, RolePartition::solo());
 
     let inputs: Vec<Vec<F61>> = circuit
         .inputs_per_client()
@@ -33,20 +34,20 @@ fn v_equals_mu_plus_lambda_on_every_wire() {
         run_setup::<F61, _>(&mut rng, &params, &board, circuit.mul_depth(), circuit.clients())
             .unwrap();
     let offline =
-        run_offline(&mut rng, &params, &board, &Adversary::none(), &cfg, &bc, &setup).unwrap();
+        run_offline(&mut rng, &params, &sb, &Adversary::none(), &cfg, &bc, &setup).unwrap();
 
     // Oracle-decrypt the λ masks before the online phase consumes the
     // artifacts (the chain is cloned; decrypting does not disturb it).
     let oracle = Committee::honest("oracle", params.n);
     let lambdas = offline
         .tsk
-        .decrypt(&mut rng, &board, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
+        .decrypt(&mut rng, &sb, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
         .unwrap();
 
     let online = run_online(
         &mut rng,
         &params,
-        &board,
+        &sb,
         &Adversary::none(),
         &cfg,
         &bc,
@@ -78,6 +79,7 @@ fn v_equals_mu_plus_lambda_under_attack() {
     let circuit = generators::poly_eval::<F61>(3).unwrap();
     let bc = circuit.batched(params.k);
     let board = BulletinBoard::new();
+    let sb = ShardedBoard::new(&board, RolePartition::solo());
 
     let inputs: Vec<Vec<F61>> = circuit
         .inputs_per_client()
@@ -89,14 +91,14 @@ fn v_equals_mu_plus_lambda_under_attack() {
     let setup =
         run_setup::<F61, _>(&mut rng, &params, &board, circuit.mul_depth(), circuit.clients())
             .unwrap();
-    let offline = run_offline(&mut rng, &params, &board, &adversary, &cfg, &bc, &setup).unwrap();
+    let offline = run_offline(&mut rng, &params, &sb, &adversary, &cfg, &bc, &setup).unwrap();
     let oracle = Committee::honest("oracle", params.n);
     let lambdas = offline
         .tsk
-        .decrypt(&mut rng, &board, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
+        .decrypt(&mut rng, &sb, &oracle, &cfg, "test-oracle", &offline.lambda_cts)
         .unwrap();
     let online = run_online(
-        &mut rng, &params, &board, &adversary, &cfg, &bc, &setup, offline, &inputs,
+        &mut rng, &params, &sb, &adversary, &cfg, &bc, &setup, offline, &inputs,
         &LeakLog::new(),
     )
     .unwrap();

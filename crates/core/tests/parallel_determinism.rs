@@ -8,7 +8,7 @@ use yoso_core::messages::Post;
 use yoso_core::offline::run_offline;
 use yoso_core::online::run_online;
 use yoso_core::setup::run_setup;
-use yoso_core::{Engine, ExecutionConfig, ProtocolParams};
+use yoso_core::{Engine, ExecutionConfig, ProtocolParams, RolePartition, ShardedBoard};
 use yoso_field::F61;
 use yoso_runtime::{ActiveAttack, Adversary, BulletinBoard, LeakLog};
 
@@ -62,10 +62,10 @@ fn run_sliced_by_phase_on(
         run_setup::<F61, _>(&mut rng, &params, board, circuit.mul_depth(), circuit.clients())
             .unwrap();
     setup.tsk.set_leak_log(leak.clone());
-    let offline =
-        run_offline(&mut rng, &params, board, adversary, &cfg, &bc, &setup).unwrap();
+    let sb = ShardedBoard::new(board, RolePartition::solo());
+    let offline = run_offline(&mut rng, &params, &sb, adversary, &cfg, &bc, &setup).unwrap();
     let online = run_online(
-        &mut rng, &params, board, adversary, &cfg, &bc, &setup, offline, &inputs, &leak,
+        &mut rng, &params, &sb, adversary, &cfg, &bc, &setup, offline, &inputs, &leak,
     )
     .unwrap();
     let mut transcript = String::new();

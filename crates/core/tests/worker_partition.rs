@@ -115,8 +115,9 @@ fn sharded_run_on_with(
 }
 
 /// The in-process transport with its calls counted: whole-log reads
-/// (`read_from(0)`, `for_each`) apart from round-scoped ones, and
-/// record-level posting calls apart from run-level ones.
+/// (`read_from(0)`, `for_each`) apart from round-scoped ones,
+/// record-level posting calls apart from run-level ones, and per phase
+/// the run-level calls that carry it.
 #[derive(Default)]
 struct CountingTransport {
     inner: InProcessTransport<Post>,
@@ -127,6 +128,7 @@ struct CountingTransport {
     run_calls: std::sync::atomic::AtomicUsize,
     /// Postings that arrived through `post_run`.
     run_posts: std::sync::atomic::AtomicUsize,
+    phase_calls: std::sync::Mutex<std::collections::BTreeMap<String, usize>>,
 }
 
 impl CountingTransport {
@@ -164,6 +166,11 @@ impl BoardTransport<Post> for CountingTransport {
         Self::bump(&self.run_calls);
         let posts = runs.iter().map(|run| run.members.len()).sum();
         self.run_posts.fetch_add(posts, std::sync::atomic::Ordering::Relaxed);
+        let phases: std::collections::BTreeSet<&str> = runs.iter().map(|run| run.phase).collect();
+        let mut calls = self.phase_calls.lock().unwrap();
+        for phase in phases {
+            *calls.entry(phase.to_string()).or_default() += 1;
+        }
         self.inner.post_run(runs)
     }
     fn post_slice(
@@ -236,9 +243,9 @@ fn workers_rebuild_phase_stats_round_by_round() {
 
 #[test]
 fn member_posts_reach_the_transport_as_whole_committee_steps() {
-    // A solo execution speaks to the transport in runs: the only
-    // record-level calls left are the dealer's and the clients' single
-    // posts, and no run call carries less than one committee step.
+    // A solo execution speaks to the transport in runs only. The
+    // setup dealer's postings land in one call, and so do the clients'
+    // inputs; no other run call carries less than one committee step.
     let params = ProtocolParams::new(10, 2, 3).unwrap();
     let (circuit, inputs) = workload(params);
     let (board, transport) = CountingTransport::board();
@@ -250,17 +257,17 @@ fn member_posts_reach_the_transport_as_whole_committee_steps() {
     assert_eq!(render(&board), reference);
 
     let postings = board.postings().unwrap();
-    let single = |p: &&Posting<Post>| matches!(&*p.from.committee, "setup" | "client");
-    let singles = postings.iter().filter(single).count();
-    assert!(singles > 0);
-    assert_eq!(load(&transport.record_calls), singles);
-    assert_eq!(load(&transport.run_posts), postings.len() - singles);
-    let run_calls = load(&transport.run_calls);
-    assert!(run_calls > 0);
+    assert_eq!(load(&transport.record_calls), 0);
+    assert_eq!(load(&transport.run_posts), postings.len());
+    let phase_calls = transport.phase_calls.lock().unwrap().clone();
+    assert_eq!((phase_calls["setup"], phase_calls["online/2-input"]), (1, 1));
+    let leader = |p: &&Posting<Post>| matches!(&*p.from.committee, "setup" | "client");
+    let member_posts = postings.len() - postings.iter().filter(leader).count();
+    let member_calls = load(&transport.run_calls) - 2;
+    assert!(member_calls > 0);
     assert!(
-        load(&transport.run_posts) >= params.n * run_calls,
-        "{run_calls} run calls for {} member posts",
-        load(&transport.run_posts)
+        member_posts >= params.n * member_calls,
+        "{member_calls} run calls for {member_posts} member posts"
     );
 }
 

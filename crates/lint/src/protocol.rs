@@ -3,9 +3,10 @@
 //! PR 6 made three conventions load-bearing for transcript byte-identity
 //! across worker counts; this pass checks each intraprocedurally:
 //!
-//! 1. **Owner-only posting** (`unguarded-post`): the ownership flag of a
-//!    `ShardedBoard::post`/`PostBuffer::open_run` call — or of a run-level
-//!    `post_run` on either — must be derived from
+//! 1. **Owner-only posting** (`unguarded-post`): core posts one way, by
+//!    opening runs on a `PostBuffer` that the run's `ShardedBoard`
+//!    flushes. The ownership flag of a `PostBuffer::open_run` call — or
+//!    of a `post`/`post_run` on a buffer or board view — must be derived from
 //!    `RolePartition::owns(..)`/`is_leader()`/`is_solo()` — directly in
 //!    the argument, through a local binding whose initializer contains the
 //!    test, or through a parameter (the caller's site is checked at the
