@@ -28,18 +28,18 @@ use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::PowerTable;
 use yoso_runtime::Committee;
 use yoso_the::mock::{KeyShare, LinearPke, PkeKeyPair, PkePublicKey, PublicKey};
-use yoso_the::nizk::{self, DealMap};
+use yoso_the::nizk::DealMap;
 
 use crate::messages::{self, Post};
 use crate::step::Step;
-use crate::tsk::{deal, Dealt, PostedReshare, TskChain};
+use crate::tsk::{deal, PostedReshare, TskChain};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
 /// The deal proof is the tsk re-share relation ([`DealMap`]) with the
 /// base `g` fixed by the DKG domain instead of an existing threshold
 /// key.
-static DOMAIN_DKG: Domain = Domain::new(b"yoso-pss/nizk/dkg-deal/v3");
+static DOMAIN_DKG: Domain = Domain::new(b"yoso-pss/nizk/dkg-deal/v4");
 
 /// Runs the DKG among `committee` (whose members hold `role_keys`),
 /// producing a threshold key custody chain equivalent to `TKGen`'s —
@@ -72,28 +72,22 @@ pub fn run_dkg<F: PrimeField, R: Rng + ?Sized>(
     // polynomial (and, below, the summed commitments) at all n points,
     // and one deal map serves the committee's n proofs.
     let table = PowerTable::new(n, t);
-    let deal_map = cfg.produce_proofs.then(|| DealMap::new(g, &recipient_pks, &table));
+    let deal_map = cfg.produce_proofs.then(|| DealMap::new(&DOMAIN_DKG, g, &recipient_pks, &table));
 
-    let mut deals: Vec<PostedReshare<F>> = Vec::new();
+    let mut deals: Vec<PostedReshare<'_, F>> = Vec::new();
     let mut posts = crate::parallel::PostBuffer::new();
     let elements = messages::reshare_elements(n as u64, t as u64);
     let step = Step::new(committee, sb, "setup/dkg", Post::TskReshare, elements);
     step.run(rng, &mut posts, deal_map.as_ref(), step.everyone(), |turn, ()| {
-        let relation = |map: &DealMap<F>, rng: &mut _, targets: &[F], witness: Dealt<'_, F>| {
-            let map = map.map();
-            let proof = match witness {
-                Some((coeffs, rands)) => {
-                    nizk::prove_linear(rng, &DOMAIN_DKG, map, targets, &[coeffs, rands].concat())
-                }
-                None => nizk::LinearProof::garbage(rng, map.row_count(), map.witness_len()),
-            };
-            nizk::verify_linear(&DOMAIN_DKG, map, targets, &proof)
-        };
-        deals.push(deal(turn, g, F::random, &table, &recipient_pks, relation));
+        deals.push(deal(turn, g, F::random, &table, &recipient_pks));
     });
     sb.flush_buffer(posts)?;
 
-    let qualified: Vec<&PostedReshare<F>> = deals.iter().filter(|d| d.valid).collect();
+    // Every reader sums every qualified deal, so every deal is verified.
+    let qualified: Vec<&PostedReshare<'_, F>> = deals
+        .iter()
+        .filter(|d| d.verify(|map, targets, proof| map.verify(targets, proof)))
+        .collect();
     if qualified.len() < t + 1 {
         return Err(ProtocolError::NotEnoughContributions {
             step: "dkg qualified set",
@@ -147,6 +141,7 @@ mod tests {
     use yoso_field::F61;
     use yoso_runtime::{ActiveAttack, Adversary, Behavior};
     use yoso_the::mock::MockTe;
+    use yoso_the::nizk;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(888)
@@ -263,7 +258,7 @@ mod tests {
         let recipient_pks: Vec<_> = keys.iter().map(|kp| kp.public).collect();
         let g = derive_base::<F61>();
         let table = PowerTable::new(n, t);
-        let map = DealMap::new(g, &recipient_pks, &table);
+        let map = DealMap::new(&DOMAIN_DKG, g, &recipient_pks, &table);
         let coeffs: Vec<F61> = (0..=t).map(|_| F61::random(&mut r)).collect();
         let commitments: Vec<F61> = coeffs.iter().map(|&a| a * g).collect();
         let (enc, rands): (Vec<_>, Vec<_>) = table
@@ -273,25 +268,25 @@ mod tests {
             .map(|(sub, rpk)| LinearPke::encrypt(&mut r, rpk, sub))
             .unzip();
         let targets = map.targets(&commitments, &enc).unwrap();
-        let witness = [&coeffs[..], &rands[..]].concat();
-        let proof = nizk::prove_linear(&mut r, &DOMAIN_DKG, map.map(), &targets, &witness);
-        assert!(nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &proof));
+        let proof = map.prove(&mut r, &targets, &coeffs, &rands);
+        assert!(map.verify(&targets, &proof));
 
         // The retired separators, and the handover's: the same relation
         // under another name is another proof.
-        for label in ["dkg-deal/v1", "dkg-deal/v2", "reshare/v3"] {
+        for label in ["dkg-deal/v1", "dkg-deal/v2", "dkg-deal/v3", "reshare/v4"] {
             let other = Domain::new(format!("yoso-pss/nizk/{label}").as_bytes());
-            let old = nizk::prove_linear(&mut r, &other, map.map(), &targets, &witness);
-            assert!(nizk::verify_linear(&other, map.map(), &targets, &old));
-            assert!(!nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &old), "{label}");
+            let other = DealMap::new(&other, g, &recipient_pks, &table);
+            let old = other.prove(&mut r, &targets, &coeffs, &rands);
+            assert!(other.verify(&targets, &old));
+            assert!(!map.verify(&targets, &old), "{label}");
         }
 
-        // What a malicious dealer posts: verified, and rejected.
-        let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
-        let (rows, witness_len) = (map.map().row_count(), map.map().witness_len());
-        let garbage = nizk::LinearProof::<F61>::garbage(&mut r, rows, witness_len);
-        assert_ne!(garbage.commitment[0], garbage.commitment[1]);
-        assert!(!nizk::verify_linear(&DOMAIN_DKG, map.map(), &targets, &garbage));
+        // What a malicious dealer posts: the map's shape, drawn like a
+        // re-share's garbage, and rejected.
+        let seeded = || rand::rngs::StdRng::seed_from_u64(20261003);
+        let garbage = map.garbage(&mut seeded());
+        assert_eq!(garbage, nizk::ReshareProof::garbage(&mut seeded(), n, t));
+        assert!(!map.verify(&targets, &garbage));
     }
 
     #[test]

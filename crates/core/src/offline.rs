@@ -141,14 +141,16 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
     step.run(rng, posts, key.enc.as_ref(), step.everyone(), |mut turn, ()| {
         let m = F::random(&mut turn.rng);
         let (ct, r) = MockTe::encrypt(&mut turn.rng, tpk, m);
-        let valid = match turn.attack() {
-            None => turn.honest(|map, rng| {
-                let proof = map.prove(rng, &ct, m, r);
-                map.verify(&ct, &proof)
-            }),
-            Some(_) => turn.forged(|map, rng| map.verify(&ct, &EncProof::garbage(rng))),
-        };
-        if valid {
+        let follows = turn.attack().is_none();
+        let proof = turn.prove(|map, rng| {
+            if follows {
+                map.prove(rng, &ct, m, r)
+            } else {
+                EncProof::garbage(rng)
+            }
+        });
+        // Every valid contribution is summed, so every one is verified.
+        if proof.verify(|map, proof| map.verify(&ct, proof)) {
             bufs.valid.push(ct);
         }
     });
@@ -209,7 +211,7 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
     let kind = ContributionStep::Beaver;
     let c_a = summed_contribution_into(rng, posts, sb, c1, key, phase, kind, &mut bufs)?;
     // One b-side map per triple, shared by C2's postings.
-    let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a)).transpose()?;
+    let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a));
 
     // b-side: each C2 member posts (c_b_i, c_c_i = b_i·c^a) with a
     // proof of the joint relation.
@@ -219,29 +221,23 @@ fn one_triple<F: PrimeField, R: Rng + ?Sized>(
     let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
     let step = Step::new(c2, sb, phase, post, elements);
     step.run(rng, posts, b_map.as_ref(), step.everyone(), |mut turn, ()| {
-        let (cb, cc, valid) = match turn.attack() {
+        let (cb, cc, proof) = match turn.attack() {
             None => {
                 let b_i = F::random(&mut turn.rng);
                 let (cb, r) = MockTe::encrypt(&mut turn.rng, tpk, b_i);
                 let cc = Ciphertext { u: b_i * c_a.u, v: b_i * c_a.v };
-                let ok = turn.honest(|map, rng| {
-                    let proof = map.prove(rng, &cb, &cc, b_i, r);
-                    map.verify(&cb, &cc, &proof)
-                });
-                (cb, cc, ok)
+                (cb, cc, turn.prove(|map, rng| map.prove(rng, &cb, &cc, b_i, r)))
             }
             Some(_) => {
                 let junk = F::random(&mut turn.rng);
                 let (cb, _) = MockTe::encrypt(&mut turn.rng, tpk, junk);
                 let fake = F::random(&mut turn.rng);
                 let cc = Ciphertext { u: fake * c_a.u, v: fake * c_a.v + F::ONE };
-                let ok = turn.forged(|map, rng| {
-                    map.verify(&cb, &cc, &nizk::LinearProof::garbage(rng, 4, 2))
-                });
-                (cb, cc, ok)
+                (cb, cc, turn.prove(|map, rng| map.garbage(rng)))
             }
         };
-        if valid {
+        // Every valid part is summed, so every one is verified.
+        if proof.verify(|map, proof| map.verify(&cb, &cc, proof)) {
             b_parts.push(cb);
             c_parts.push(cc);
         }
@@ -297,7 +293,7 @@ pub fn beaver_triples<F: PrimeField, R: Rng + ?Sized>(
     Ok(triples)
 }
 
-static DOMAIN_BEAVER_B: Domain = Domain::new(b"yoso-pss/nizk/beaver-b/v3");
+static DOMAIN_BEAVER_B: Domain = Domain::new(b"yoso-pss/nizk/beaver-b/v4");
 
 /// The b-side Beaver relation of one triple: witness `(b, r)` with
 /// `c_b = TEnc(b; r)` and `c_c = b · c_a`. The map holds the key and
@@ -305,13 +301,13 @@ static DOMAIN_BEAVER_B: Domain = Domain::new(b"yoso-pss/nizk/beaver-b/v3");
 struct BeaverBMap<F: PrimeField>(LinearMap<F>);
 
 impl<F: PrimeField> BeaverBMap<F> {
-    /// The map's shape is fixed, so the error arm is never taken.
-    fn new(tpk: &PublicKey<F>, c_a: &Ciphertext<F>) -> Result<Self, ProtocolError> {
+    fn new(tpk: &PublicKey<F>, c_a: &Ciphertext<F>) -> Self {
         let rows: [&[(usize, F)]; 4] =
             [&[(1, tpk.g)], &[(0, F::ONE), (1, tpk.h)], &[(0, c_a.u)], &[(0, c_a.v)]];
-        LinearMap::new(2, rows)
-            .map(BeaverBMap)
-            .map_err(|_| ProtocolError::Invariant("the fixed-shape beaver-b map was refused"))
+        // lint:allow(panic): infallible — the columns above are fixed,
+        // below the witness length and increasing; only coefficients
+        // come from outside.
+        BeaverBMap(LinearMap::new(&DOMAIN_BEAVER_B, 2, rows).expect("a fixed-shape map"))
     }
 
     fn prove<R: Rng + ?Sized>(
@@ -323,7 +319,12 @@ impl<F: PrimeField> BeaverBMap<F> {
         r: F,
     ) -> nizk::LinearProof<F> {
         let targets = [c_b.u, c_b.v, c_c.u, c_c.v];
-        nizk::prove_linear(rng, &DOMAIN_BEAVER_B, &self.0, &targets, &[b, r])
+        nizk::prove_linear(rng, &self.0, &targets, &[b, r])
+    }
+
+    /// What a malicious member posts: a random proof of the map's shape.
+    fn garbage<R: Rng + ?Sized>(&self, rng: &mut R) -> nizk::LinearProof<F> {
+        self.0.garbage(rng)
     }
 
     fn verify(
@@ -332,7 +333,7 @@ impl<F: PrimeField> BeaverBMap<F> {
         c_c: &Ciphertext<F>,
         proof: &nizk::LinearProof<F>,
     ) -> bool {
-        nizk::verify_linear(&DOMAIN_BEAVER_B, &self.0, &[c_b.u, c_b.v, c_c.u, c_c.v], proof)
+        nizk::verify_linear(&self.0, &[c_b.u, c_b.v, c_c.u, c_c.v], proof)
     }
 }
 
@@ -698,32 +699,36 @@ mod tests {
         let b = F61::from(5u64);
         let (c_b, b_r) = MockTe::encrypt(&mut r, tpk, b);
         let c_c = Ciphertext { u: b * c_a.u, v: b * c_a.v };
-        let map = BeaverBMap::new(tpk, &c_a).unwrap();
+        let map = BeaverBMap::new(tpk, &c_a);
         let proof = map.prove(&mut r, &c_b, &c_c, b, b_r);
         assert!(map.verify(&c_b, &c_c, &proof));
         // Another product, another a-side.
         let off = Ciphertext { u: c_c.u, v: c_c.v + F61::ONE };
         assert!(!map.verify(&c_b, &off, &proof));
         let (other_a, _) = MockTe::encrypt(&mut r, tpk, F61::from(3u64));
-        assert!(!BeaverBMap::new(tpk, &other_a).unwrap().verify(&c_b, &c_c, &proof));
+        assert!(!BeaverBMap::new(tpk, &other_a).verify(&c_b, &c_c, &proof));
 
         // The retired separators: right map, right targets, right
         // witness, rejected.
         let targets = [c_b.u, c_b.v, c_c.u, c_c.v];
-        for v in ["v1", "v2"] {
+        for v in ["v1", "v2", "v3"] {
             let retired = Domain::new(format!("yoso-pss/nizk/beaver-b/{v}").as_bytes());
-            let old = nizk::prove_linear(&mut r, &retired, &map.0, &targets, &[b, b_r]);
-            assert!(nizk::verify_linear(&retired, &map.0, &targets, &old));
+            let retired = nizk::LinearMap::new(&retired, 2, map.0.rows()).unwrap();
+            let old = nizk::prove_linear(&mut r, &retired, &targets, &[b, b_r]);
+            assert!(nizk::verify_linear(&retired, &targets, &old));
             assert!(!map.verify(&c_b, &c_c, &old), "beaver-b/{v}");
         }
 
-        // What a malicious b-side member posts: verified, and rejected.
+        // What a malicious b-side member posts: the map's shape,
+        // rejected.
         let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
-        let garbage = nizk::LinearProof::<F61>::garbage(&mut r, 4, 2);
+        let garbage = map.garbage(&mut r);
+        assert_eq!((garbage.commitment.len(), garbage.response.len()), (4, 2));
         assert_ne!(garbage.commitment[0], garbage.commitment[1]);
         assert!(!map.verify(&c_b, &c_c, &garbage));
 
-        // Exact and host-independent: two SHA-256 blocks a challenge.
+        // Exact and host-independent: two SHA-256 blocks a challenge of
+        // four rows (⌈(9 + 16·4) / 64⌉).
         #[cfg(debug_assertions)]
         {
             let (_, blocks) = yoso_crypto::sha256::compressions_of(|| {

@@ -42,7 +42,7 @@ use crate::messages::{Post, MULSHARE_PROOF_ELEMENTS};
 use crate::offline::OfflineArtifacts;
 use crate::parallel::PostBuffer;
 use crate::setup::SetupArtifacts;
-use crate::step::Step;
+use crate::step::{Proved, Step};
 use crate::tsk::ReencryptedValue;
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
@@ -54,6 +54,29 @@ pub struct OnlineResult<F: PrimeField> {
     pub outputs: Vec<Vec<F>>,
     /// The public `μ` value of every wire (diagnostics / tests).
     pub mu: Vec<F>,
+}
+
+/// A member's posted μ-share, with the offset and the proof its reader
+/// checks it against.
+type PostedShare<F> = (Share<F>, F, Proved<Arc<ShareMap<F>>, ShareProof<F>>);
+
+/// The shares a batch's reconstruction reads: the first `need` valid
+/// ones, in member order. The reader verifies a posting only while it
+/// has fewer, and not one posting more.
+fn first_valid_shares<F: PrimeField>(
+    posted: impl IntoIterator<Item = PostedShare<F>>,
+    need: usize,
+) -> Vec<Share<F>> {
+    let mut kept = Vec::with_capacity(need);
+    for (share, offset, proof) in posted {
+        if kept.len() == need {
+            break;
+        }
+        if proof.verify(|map, proof| map.verify(offset, share.value, proof)) {
+            kept.push(share);
+        }
+    }
+    kept
 }
 
 /// Runs the full online phase.
@@ -246,11 +269,10 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
             // child RNGs seeded sequentially. This step draws a seed
             // for *every* member, speaking or not, so it keeps its own
             // fan-out over the pre-drawn seeds and takes the rest of
-            // the member's turn from [`Step`]; posts and leak records
-            // follow in member order.
+            // the member's turn from [`Step`]; posts, leak records and
+            // verification follow in member order.
             struct MemberOut<F: PrimeField> {
-                /// The member's share, if it posted one that verifies.
-                share: Option<Share<F>>,
+                posted: Option<PostedShare<F>>,
                 leaks: Vec<(RoleId, String, usize)>,
             }
             let step =
@@ -260,7 +282,7 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
                 cfg.num_threads,
                 &seeds,
                 |i, &seed| -> Result<MemberOut<F>, ProtocolError> {
-                    let mut out = MemberOut { share: None, leaks: Vec::new() };
+                    let mut out = MemberOut { posted: None, leaks: Vec::new() };
                     if !step.speaks(i) {
                         return Ok(out);
                     }
@@ -275,10 +297,11 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
                     let offset = ma * mb + ma * a_be + mb * a_al + a_ga;
                     let slope = ma * b_be + mb * b_al + b_ga;
                     // Key and slope are this member's alone: one map
-                    // per posting, built only where it will be used.
+                    // per posting, built only where it is proved, and
+                    // handed on with the proof to its reader.
                     let map = (cfg.produce_proofs && sb.partition().owns(i))
-                        .then(|| ShareMap::new(&kff_pk, slope));
-                    let mut turn = step.turn(i, seed, map.as_ref());
+                        .then(|| Arc::new(ShareMap::new(&kff_pk, slope)));
+                    let mut turn = step.turn(i, seed, map);
 
                     if matches!(turn.behavior, Behavior::Malicious(_) | Behavior::Leaky) {
                         // The corrupted role's KFF opens all three of
@@ -296,55 +319,44 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
                     let kff_sk =
                         kff_prime[layer_idx * n + i].open(role_keys[layer_idx][i].secret.scalar)?;
                     let honest = offset - kff_sk * slope;
-                    let (value, valid) = match turn.attack() {
-                        None => {
-                            let ok = turn.honest(|map, rng| {
-                                let proof = map.prove(rng, offset, honest, kff_sk);
-                                map.verify(offset, honest, &proof)
-                            });
-                            (honest, ok)
-                        }
-                        Some(attack) => {
-                            let value = match attack {
-                                ActiveAttack::BadProof => honest,
-                                ActiveAttack::AdditiveOffset => honest + F::ONE,
-                                _ => F::random(&mut turn.rng),
-                            };
-                            let ok = turn.forged(|map, rng| {
-                                map.verify(offset, value, &ShareProof::garbage(rng))
-                            });
-                            (value, ok)
-                        }
+                    let attack = turn.attack();
+                    let value = match attack {
+                        None | Some(ActiveAttack::BadProof) => honest,
+                        Some(ActiveAttack::AdditiveOffset) => honest + F::ONE,
+                        Some(_) => F::random(&mut turn.rng),
                     };
-                    if valid {
-                        out.share = Some(Share { party: i, value });
-                    }
+                    let proof = turn.prove(|map, rng| match attack {
+                        None => map.prove(rng, offset, honest, kff_sk),
+                        Some(_) => ShareProof::garbage(rng),
+                    });
+                    out.posted = Some((Share { party: i, value }, offset, proof));
                     Ok(out)
                 },
             );
             // One buffer, one flush for the whole batch.
             let mut posts = PostBuffer::new();
             step.record_speakers(&mut posts, 0..n);
-            let mut posted: Vec<Share<F>> = Vec::new();
+            let mut posted = Vec::with_capacity(n);
             for result in member_results {
                 let out = result?;
                 for (role, object, piece) in out.leaks {
                     leak.record(role, object, piece);
                 }
-                if let Some(share) = out.share {
-                    posted.push(share);
-                }
+                posted.extend(out.posted);
             }
             sb.flush_buffer(posts)?;
 
-            if posted.len() < rec_degree + 1 {
+            let need = rec_degree + 1;
+            let kept = first_valid_shares(posted, need);
+
+            if kept.len() < need {
                 return Err(ProtocolError::NotEnoughContributions {
                     step: "mul-share reconstruction",
-                    got: posted.len(),
-                    need: rec_degree + 1,
+                    got: kept.len(),
+                    need,
                 });
             }
-            scheme.reconstruct_into(&posted[..rec_degree + 1], rec_degree, &mut mu_gamma, &mut scratch)?;
+            scheme.reconstruct_into(&kept, rec_degree, &mut mu_gamma, &mut scratch)?;
             for (j, gw) in batch.gates.iter().enumerate() {
                 mu[gw.0] = Some(mu_gamma[j]);
             }
@@ -377,4 +389,70 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
         .map(|m| m.unwrap_or(F::ZERO))
         .collect();
     Ok(OnlineResult { outputs, mu: mu_final })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use yoso_field::F61;
+
+    /// `n` members' μ-share postings of one batch, the first `forged` of
+    /// them a wrong value under a garbage proof, as the worker that
+    /// proves them all posts them (`proofs`) or as one that predicts
+    /// them.
+    fn postings(n: usize, forged: usize, proofs: bool) -> Vec<PostedShare<F61>> {
+        let mut r = rand::rngs::StdRng::seed_from_u64(20261035);
+        (0..n)
+            .map(|i| {
+                let kp = LinearPke::<F61>::keygen(&mut r);
+                let (offset, slope) = (F61::random(&mut r), F61::random(&mut r));
+                let honest = offset - kp.secret.scalar * slope;
+                let value = if i < forged { F61::random(&mut r) } else { honest };
+                let proof = if !proofs {
+                    Proved::Predicted(i >= forged)
+                } else {
+                    let map = ShareMap::new(&kp.public, slope);
+                    let proof = if i < forged {
+                        ShareProof::garbage(&mut r)
+                    } else {
+                        map.prove(&mut r, offset, honest, kp.secret.scalar)
+                    };
+                    Proved::Made(Arc::new(map), proof)
+                };
+                (Share { party: i, value }, offset, proof)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_reconstructs_from_the_first_valid_shares_when_early_members_lie() {
+        let (n, need) = (12, 5);
+        for forged in [0, 3, need] {
+            for proofs in [true, false] {
+                let kept = first_valid_shares(postings(n, forged, proofs), need);
+                let parties: Vec<usize> = kept.iter().map(|s| s.party).collect();
+                assert_eq!(parties, (forged..forged + need).collect::<Vec<_>>(), "{forged}");
+            }
+        }
+        // Too few valid ones: every valid one, for the caller to refuse.
+        let kept = first_valid_shares(postings(n, n - need + 1, true), need);
+        assert_eq!(kept.len(), need - 1);
+    }
+
+    /// Exact and host-independent: the reader of a `3-mult` batch
+    /// verifies `rec_degree + 1` postings, one block each, and as many
+    /// more as there are forgeries among them.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_batch_verifies_rec_degree_plus_one_postings() {
+        use yoso_crypto::sha256::compressions_of;
+        let (n, need) = (12, 5);
+        for forged in [0, 3] {
+            let posted = postings(n, forged, true);
+            let (kept, blocks) = compressions_of(|| first_valid_shares(posted, need));
+            assert_eq!(kept.len(), need);
+            assert_eq!(blocks, (need + forged) as u64, "{forged} forged");
+        }
+    }
 }

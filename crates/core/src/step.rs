@@ -10,9 +10,12 @@
 //!    in index order — the others are skipped before anything is drawn;
 //! 2. one child seed per speaker from the caller's RNG; the member
 //!    draws from the child only, values before proofs;
-//! 3. who proves: this worker, for the members it owns, if anyone does;
-//! 4. validity where this worker does not prove is predicted from the
-//!    behavior ([`Turn::honest`], [`Turn::forged`]);
+//! 3. who proves: this worker, for the members it owns, if anyone does
+//!    ([`Turn::prove`]);
+//! 4. who verifies: the reader, when it reads the posting
+//!    ([`Proved::verify`]) — a step that keeps its first valid postings
+//!    reads, and so verifies, only until it has them. Where this worker
+//!    does not prove, validity is predicted from the behavior;
 //! 5. every speaker's posting is recorded, owned or not, under the
 //!    step's `(Post, phase, elements)`.
 
@@ -81,15 +84,11 @@ impl<'a> Step<'a> {
         self.speaker(member).is_some()
     }
 
-    /// Rules 2 and 3: `member`'s turn from its child seed. `prover` is
-    /// what proves and verifies the step's postings (`None` when proofs
-    /// are off); the turn keeps it only if this worker owns the member.
-    pub(crate) fn turn<'t, M>(
-        &self,
-        member: usize,
-        seed: u64,
-        prover: Option<&'t M>,
-    ) -> Turn<'t, M> {
+    /// Rules 2 and 3: `member`'s turn from its child seed. `prover`
+    /// holds the map the member's postings are proved over (`None` when
+    /// proofs are off); the turn keeps it only if this worker owns the
+    /// member.
+    pub(crate) fn turn<M>(&self, member: usize, seed: u64, prover: Option<M>) -> Turn<M> {
         let owned = self.partition.owns(member);
         Self::turn_of(member, *self.committee.behavior(member), owned, seed, prover)
     }
@@ -100,8 +99,8 @@ impl<'a> Step<'a> {
         behavior: Behavior,
         owned: bool,
         seed: u64,
-        prover: Option<&M>,
-    ) -> Turn<'_, M> {
+        prover: Option<M>,
+    ) -> Turn<M> {
         Turn { index, behavior, rng: StdRng::seed_from_u64(seed), prover: prover.filter(|_| owned) }
     }
 
@@ -132,13 +131,13 @@ impl<'a> Step<'a> {
     /// Runs the step: each speaking candidate of `members` (`(index,
     /// what it holds)`, in index order) gets one seed from `rng` and
     /// its [`Turn`] is handed to `act` with what it holds.
-    pub(crate) fn run<R: Rng + ?Sized, M, T>(
+    pub(crate) fn run<'m, R: Rng + ?Sized, M, T>(
         &self,
         rng: &mut R,
         posts: &mut PostBuffer,
-        prover: Option<&M>,
+        prover: Option<&'m M>,
         members: impl IntoIterator<Item = (usize, T)>,
-        mut act: impl FnMut(Turn<'_, M>, T),
+        mut act: impl FnMut(Turn<&'m M>, T),
     ) {
         let mut open = None;
         for (member, held) in members {
@@ -150,19 +149,21 @@ impl<'a> Step<'a> {
     }
 }
 
-/// One member's turn in a [`Step`].
-pub(crate) struct Turn<'t, M> {
+/// One member's turn in a [`Step`]. `M` holds the map its postings are
+/// proved over and is cloned into each proof: a reference to the step's
+/// shared map, or an `Arc` of a map of the member's own.
+pub(crate) struct Turn<M> {
     /// The member's index in its committee.
     pub(crate) index: usize,
     /// How the adversary has the member behave.
     pub(crate) behavior: Behavior,
     /// The member's own randomness: values first, proofs after.
     pub(crate) rng: StdRng,
-    /// Present where this worker proves and verifies the posting.
-    prover: Option<&'t M>,
+    /// Present where this worker proves the posting.
+    prover: Option<M>,
 }
 
-impl<M> Turn<'_, M> {
+impl<M> Turn<M> {
     /// The attack the member mounts; `None` if it follows the protocol
     /// (honest, leaky, or fail-stop and not yet crashed).
     pub(crate) fn attack(&self) -> Option<ActiveAttack> {
@@ -172,20 +173,42 @@ impl<M> Turn<'_, M> {
         }
     }
 
-    /// Validity of an honest posting: `prove_then_verify` decides where
-    /// this worker proves; elsewhere the posting is predicted valid.
-    pub(crate) fn honest(
-        &mut self,
-        prove_then_verify: impl FnOnce(&M, &mut StdRng) -> bool,
-    ) -> bool {
-        self.prover.is_none_or(|prover| prove_then_verify(prover, &mut self.rng))
+    /// Rule 3: the member's proof, the last thing its turn draws. Where
+    /// this worker proves, `prove` makes it over the map — from the
+    /// witness if the member follows the protocol, a forgery otherwise —
+    /// for the reader to check; elsewhere nothing is drawn and the
+    /// posting is predicted valid exactly when the member follows the
+    /// protocol. A batch's turn proves once per posting.
+    pub(crate) fn prove<P>(&mut self, prove: impl FnOnce(&M, &mut StdRng) -> P) -> Proved<M, P>
+    where
+        M: Clone,
+    {
+        match &self.prover {
+            Some(map) => Proved::Made(map.clone(), prove(map, &mut self.rng)),
+            None => Proved::Predicted(self.attack().is_none()),
+        }
     }
+}
 
-    /// Validity of a posting whose proof is forged: `verify_garbage`
-    /// decides where this worker proves; elsewhere the posting is
-    /// predicted invalid.
-    pub(crate) fn forged(&mut self, verify_garbage: impl FnOnce(&M, &mut StdRng) -> bool) -> bool {
-        self.prover.is_some_and(|prover| verify_garbage(prover, &mut self.rng))
+/// A posting's proof as its reader holds it, with the map it is over.
+pub(crate) enum Proved<M, P> {
+    /// Made by this worker over the map: the reader checks it.
+    Made(M, P),
+    /// Made by another worker, or proofs are off: the validity the
+    /// member's behavior predicts.
+    Predicted(bool),
+}
+
+impl<M, P> Proved<M, P> {
+    /// Rule 4: whether the posting is valid — `check` run on the map and
+    /// the proof where this worker made it, the prediction elsewhere.
+    /// Draws nothing, so a reader that stops verifying once it has what
+    /// it keeps changes no value.
+    pub(crate) fn verify(&self, check: impl FnOnce(&M, &P) -> bool) -> bool {
+        match self {
+            Proved::Made(map, proof) => check(map, proof),
+            Proved::Predicted(valid) => *valid,
+        }
     }
 }
 
@@ -227,9 +250,9 @@ mod tests {
         step.run(&mut rng, &mut posts, Some(&()), step.everyone(), |mut turn, ()| {
             out.push((turn.index, turn.rng.next_u64()));
             let index = turn.index;
-            turn.honest(|(), rng| {
+            turn.prove(|(), rng| {
                 proved.push(index);
-                rng.next_u64() > 0
+                rng.next_u64()
             });
         });
         (out, posts)
@@ -272,17 +295,30 @@ mod tests {
     fn validity_is_checked_where_proved_and_predicted_elsewhere() {
         let committee = committee();
         let (solo, elsewhere) = (RolePartition::solo(), RolePartition::range(1, 4));
-        // (partition, prover) → does member 0's turn carry the prover?
-        for (partition, prover, proves) in [
-            (solo, Some(&()), true),
-            (solo, None, false),
-            (elsewhere, Some(&()), false),
-            (elsewhere, None, false),
-        ] {
-            for verdict in [true, false] {
-                let mut turn = step(&committee, partition).turn(0, 9, prover);
-                assert_eq!(turn.honest(|(), _| verdict), if proves { verdict } else { true });
-                assert_eq!(turn.forged(|(), _| verdict), if proves { verdict } else { false });
+        // The turn carries the prover where there is one and the
+        // partition owns the member. Member 0 follows the protocol,
+        // member 3 does not.
+        for partition in [solo, elsewhere] {
+            for (prover, (member, follows)) in
+                [Some(&()), None].into_iter().flat_map(|p| [(p, (0, true)), (p, (3, false))])
+            {
+                let proves = prover.is_some() && partition.owns(member);
+                let mut turn = step(&committee, partition).turn(member, 9, prover);
+                let mut replay = turn.rng.clone();
+                let proof = turn.prove(|(), rng| rng.next_u64());
+                // A proof made here is the turn's next draw; none is
+                // made, and nothing drawn, elsewhere.
+                let next = replay.next_u64();
+                assert_eq!(turn.rng.next_u64(), if proves { replay.next_u64() } else { next });
+                for verdict in [true, false] {
+                    let mut checked = None;
+                    let valid = proof.verify(|(), &p| {
+                        checked = Some(p);
+                        verdict
+                    });
+                    assert_eq!(valid, if proves { verdict } else { follows });
+                    assert_eq!(checked, proves.then_some(next));
+                }
             }
         }
         let step = step(&committee, solo);

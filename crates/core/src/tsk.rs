@@ -38,7 +38,7 @@ use crate::messages::{
     self, Post, CT_ELEMENTS, ENC_PDEC_PROOF_ELEMENTS, PDEC_ELEMENTS, PDEC_PROOF_ELEMENTS,
 };
 use crate::parallel::PostBuffer;
-use crate::step::{Step, Turn};
+use crate::step::{Proved, Step, Turn};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
@@ -99,17 +99,29 @@ impl<F: PrimeField> ReencryptedValue<F> {
     }
 }
 
-/// One committee's posted `tsk` re-share (handover) message.
-#[derive(Debug, Clone)]
-pub struct PostedReshare<F: PrimeField> {
-    /// The providing member of the outgoing committee.
-    pub from: usize,
+/// One dealer's posted dealing: a handover's `tsk` re-share, or a DKG
+/// deal.
+pub(crate) struct PostedReshare<'t, F: PrimeField> {
     /// Feldman commitments to the sub-sharing polynomial.
-    pub commitments: Vec<F>,
-    /// Subshares encrypted to the next committee's role keys.
-    pub enc_subshares: Vec<Ciphertext<F>>,
-    /// Whether the re-share NIZK verified.
-    pub valid: bool,
+    pub(crate) commitments: Vec<F>,
+    /// Subshares encrypted to the recipients' role keys.
+    pub(crate) enc_subshares: Vec<Ciphertext<F>>,
+    /// The deal proof, for the reader to check.
+    proof: Proved<&'t DealMap<F>, ReshareProof<F>>,
+}
+
+impl<F: PrimeField> PostedReshare<'_, F> {
+    /// Whether the dealing is valid: `check(map, targets, proof)` where
+    /// this worker proved it, the prediction elsewhere.
+    pub(crate) fn verify(
+        &self,
+        check: impl FnOnce(&DealMap<F>, &[F], &ReshareProof<F>) -> bool,
+    ) -> bool {
+        self.proof.verify(|map, proof| {
+            map.targets(&self.commitments, &self.enc_subshares)
+                .is_some_and(|targets| check(map, &targets, proof))
+        })
+    }
 }
 
 /// Recombination weights by canonical provider subset. A batch has one
@@ -120,7 +132,7 @@ type WeightCache<F> = BTreeMap<Vec<usize>, Arc<ZeroWeights<F>>>;
 /// posting order: all that its recombination reads of a step's postings.
 /// Every step that opens from `t + 1` keeps one as it runs — a
 /// `Decrypt` ciphertext, a `Re-encrypt` item, a handover — and drops
-/// each later contribution as soon as it is posted.
+/// each later contribution as soon as it is posted, unverified.
 ///
 /// A contribution is `width` field elements. Value `k` of the `p`-th
 /// kept contribution sits at `columns[k·(t + 1) + p]`, so column `k` is
@@ -143,16 +155,17 @@ impl<F: PrimeField> FirstValid<F> {
         self.parties.len()
     }
 
-    /// Keeps `party`'s contribution if it verified and `t + 1` are not
-    /// kept yet; only then are its `values` computed.
+    /// Keeps `party`'s contribution if `t + 1` are not kept yet and it
+    /// verifies; only then is `valid` asked, and only then are its
+    /// `values` computed.
     fn offer<I: IntoIterator<Item = F>>(
         &mut self,
         party: usize,
-        valid: bool,
+        valid: impl FnOnce() -> bool,
         values: impl FnOnce() -> I,
     ) {
         let p = self.kept();
-        if !valid || p == self.need {
+        if p == self.need || !valid() {
             return;
         }
         self.parties.push(party);
@@ -393,28 +406,18 @@ impl<F: PrimeField> TskChain<F> {
             Step::new(committee, sb, phase, Post::PartialDec, elements).with_postings(cts.len());
         step.run(rng, &mut posts, maps.as_ref(), self.holders(committee), |mut turn, share| {
             let vk = self.pk.vks[turn.index];
+            let attack = turn.attack();
             for ((c_idx, ct), kept) in cts.iter().enumerate().zip(&mut kept) {
-                let (value, valid) = match turn.attack() {
-                    None => {
-                        let pd = MockTe::partial_decrypt(share, ct).value;
-                        let ok = turn.honest(|maps, rng| {
-                            let proof = maps[c_idx].prove(rng, vk, share.value, pd);
-                            maps[c_idx].verify(vk, pd, &proof)
-                        });
-                        (pd, ok)
-                    }
-                    Some(attack) => {
-                        let wrong = match attack {
-                            ActiveAttack::BadProof => MockTe::partial_decrypt(share, ct).value,
-                            _ => F::random(&mut turn.rng),
-                        };
-                        let ok = turn.forged(|maps, rng| {
-                            maps[c_idx].verify(vk, wrong, &PdecProof::garbage(rng))
-                        });
-                        (wrong, ok)
-                    }
+                let d = match attack {
+                    None | Some(ActiveAttack::BadProof) => MockTe::partial_decrypt(share, ct).value,
+                    Some(_) => F::random(&mut turn.rng),
                 };
-                kept.offer(turn.index, valid, || [value]);
+                let proof = turn.prove(|maps, rng| match attack {
+                    None => maps[c_idx].prove(rng, vk, share.value, d),
+                    Some(_) => PdecProof::garbage(rng),
+                });
+                let valid = || proof.verify(|maps, proof| maps[c_idx].verify(vk, d, proof));
+                kept.offer(turn.index, valid, || [d]);
             }
         });
         sb.flush_buffer(posts)?;
@@ -473,10 +476,7 @@ impl<F: PrimeField> TskChain<F> {
             let mut posts = PostBuffer::new();
             let (target, ct) = &items[item_idx];
             // One map per item, shared by the committee's postings.
-            let map = cfg
-                .produce_proofs
-                .then(|| EncryptedPartialMap::new(&self.pk, target))
-                .transpose()?;
+            let map = cfg.produce_proofs.then(|| EncryptedPartialMap::new(&self.pk, target));
             let mut kept = FirstValid::new(self.pk.t, 2);
             let holders = self.holders(committee);
             step.run(&mut irng, &mut posts, map.as_ref(), holders, |mut turn, share| {
@@ -487,15 +487,11 @@ impl<F: PrimeField> TskChain<F> {
                     Some(_) => F::random(&mut turn.rng),
                 };
                 let (enc, r) = LinearPke::encrypt(&mut turn.rng, target, d);
-                let valid = match attack {
-                    None => turn.honest(|map, rng| {
-                        let proof = map.prove(rng, vk, ct, &enc, d, r);
-                        map.verify(vk, ct, &enc, &proof)
-                    }),
-                    Some(_) => turn.forged(|map, rng| {
-                        map.verify(vk, ct, &enc, &nizk::LinearProof::garbage(rng, 3, 2))
-                    }),
-                };
+                let proof = turn.prove(|map, rng| match attack {
+                    None => map.prove(rng, vk, ct, &enc, d, r),
+                    Some(_) => map.garbage(rng),
+                });
+                let valid = || proof.verify(|map, proof| map.verify(vk, ct, &enc, proof));
                 kept.offer(turn.index, valid, || [enc.u, enc.v]);
             });
             let value = ReencryptedValue::fold(&kept, self, &weights, *target, ct.v)?;
@@ -544,7 +540,7 @@ impl<F: PrimeField> TskChain<F> {
         let recipient_pks: Vec<PkePublicKey<F>> = next_keys.iter().map(|kp| kp.public).collect();
         let table = &self.table;
         // One map per handover, shared by its dealers.
-        let map = cfg.produce_proofs.then(|| DealMap::new(self.pk.g, &recipient_pks, table));
+        let map = cfg.produce_proofs.then(|| DealMap::reshare(self.pk.g, &recipient_pks, table));
 
         // A dealing kept is its t + 1 commitments, then the subshare
         // each next-committee member decrypts.
@@ -554,17 +550,12 @@ impl<F: PrimeField> TskChain<F> {
         let step = Step::new(outgoing, sb, phase, Post::TskReshare, elements);
         step.run(rng, &mut posts, map.as_ref(), self.holders(outgoing), |turn, share| {
             let from = turn.index;
+            let dealt = deal(turn, self.pk.g, |_| share.value, table, &recipient_pks);
             // The re-share relation binds C_0 to the dealer's
             // verification key.
-            let relation = |map: &DealMap<F>, rng: &mut _, targets: &[F], witness: Dealt<'_, F>| {
-                let proof = match witness {
-                    Some((coeffs, rands)) => map.prove_reshare(rng, targets, coeffs, rands),
-                    None => ReshareProof::garbage(rng, n, t),
-                };
-                map.verify_reshare(&self.pk, from, targets, &proof)
-            };
-            let dealt = deal(turn, self.pk.g, |_| share.value, table, &recipient_pks, relation);
-            kept.offer(from, dealt.valid, || {
+            let valid =
+                || dealt.verify(|map, targets, proof| map.verify_reshare(&self.pk, from, targets, proof));
+            kept.offer(from, valid, || {
                 let subshares = (dealt.enc_subshares.iter().zip(next_keys))
                     .map(|(enc, kp)| LinearPke::decrypt(&kp.secret, enc));
                 dealt.commitments.iter().copied().chain(subshares)
@@ -587,26 +578,19 @@ impl<F: PrimeField> TskChain<F> {
     }
 }
 
-/// An honest dealer's witness, `(coefficients, encryption randomness)`;
-/// a malicious dealer has none.
-pub(crate) type Dealt<'a, F> = Option<(&'a [F], &'a [F])>;
-
 /// One dealer's turn, for the handover and the DKG alike. An honest
 /// dealer posts the Feldman commitments under `g` of the polynomial
-/// (`constant`, then `table.degree()` coefficients from its RNG) and the
-/// polynomial's value for each recipient encrypted to that recipient; a
-/// malicious one posts random commitments and encryptions of junk.
-/// `verified(map, rng, targets, witness)` is the caller's relation: it
-/// makes the proof the dealer posts — from the witness, or garbage when
-/// there is none — and verifies it.
-pub(crate) fn deal<F: PrimeField>(
-    mut turn: Turn<'_, DealMap<F>>,
+/// (`constant`, then `table.degree()` coefficients from its RNG), the
+/// polynomial's value for each recipient encrypted to that recipient,
+/// and a deal proof over the turn's map; a malicious one posts random
+/// commitments, encryptions of junk and a garbage proof.
+pub(crate) fn deal<'t, F: PrimeField>(
+    mut turn: Turn<&'t DealMap<F>>,
     g: F,
     constant: impl FnOnce(&mut StdRng) -> F,
     table: &PowerTable<F>,
     recipient_pks: &[PkePublicKey<F>],
-    verified: impl FnOnce(&DealMap<F>, &mut StdRng, &[F], Dealt<'_, F>) -> bool,
-) -> PostedReshare<F> {
+) -> PostedReshare<'t, F> {
     let malicious = turn.attack().is_some();
     let rng = &mut turn.rng;
     let (commitments, enc_subshares, witness): (Vec<F>, Vec<Ciphertext<F>>, _) = if malicious {
@@ -630,16 +614,16 @@ pub(crate) fn deal<F: PrimeField>(
         }
         (commitments, enc_subshares, Some((coeffs, rands)))
     };
-    let check = |map: &DealMap<F>, rng: &mut StdRng| {
-        let witness = witness.as_ref().map(|(coeffs, rands)| (&coeffs[..], &rands[..]));
-        map.targets(&commitments, &enc_subshares)
-            .is_some_and(|targets| verified(map, rng, &targets, witness))
-    };
-    let valid = if malicious { turn.forged(check) } else { turn.honest(check) };
-    PostedReshare { from: turn.index, commitments, enc_subshares, valid }
+    let proof = turn.prove(|map, rng| {
+        match (&witness, map.targets(&commitments, &enc_subshares)) {
+            (Some((coeffs, rands)), Some(targets)) => map.prove(rng, &targets, coeffs, rands),
+            _ => map.garbage(rng),
+        }
+    });
+    PostedReshare { commitments, enc_subshares, proof }
 }
 
-static DOMAIN_ENC_PDEC: Domain = Domain::new(b"yoso-pss/nizk/enc-pdec/v3");
+static DOMAIN_ENC_PDEC: Domain = Domain::new(b"yoso-pss/nizk/enc-pdec/v4");
 
 /// The `Re-encrypt` posting relation of one item: the published
 /// ciphertext encrypts the *correct* partial decryption of the source
@@ -654,15 +638,12 @@ pub struct EncryptedPartialMap<F: PrimeField>(LinearMap<F>);
 
 impl<F: PrimeField> EncryptedPartialMap<F> {
     /// The map for re-encryptions from `tpk` to `target`.
-    ///
-    /// # Errors
-    ///
-    /// None in practice: the map's shape is fixed, so its construction
-    /// cannot fail.
-    pub fn new(tpk: &PublicKey<F>, target: &PkePublicKey<F>) -> Result<Self, ProtocolError> {
-        LinearMap::new(2, [&[(0, tpk.g)][..], &[(1, target.g)], &[(0, F::ONE), (1, target.h)]])
-            .map(EncryptedPartialMap)
-            .map_err(|_| ProtocolError::Invariant("the fixed-shape enc-pdec map was refused"))
+    pub fn new(tpk: &PublicKey<F>, target: &PkePublicKey<F>) -> Self {
+        let rows = [&[(0, tpk.g)][..], &[(1, target.g)], &[(0, F::ONE), (1, target.h)]];
+        // lint:allow(panic): infallible — the columns above are fixed,
+        // below the witness length and increasing; only coefficients
+        // come from outside.
+        EncryptedPartialMap(LinearMap::new(&DOMAIN_ENC_PDEC, 2, rows).expect("a fixed-shape map"))
     }
 
     fn targets(vk: F, ct: &Ciphertext<F>, enc: &Ciphertext<F>) -> [F; 3] {
@@ -680,7 +661,13 @@ impl<F: PrimeField> EncryptedPartialMap<F> {
         d: F,
         r: F,
     ) -> nizk::LinearProof<F> {
-        nizk::prove_linear(rng, &DOMAIN_ENC_PDEC, &self.0, &Self::targets(vk, ct, enc), &[d, r])
+        nizk::prove_linear(rng, &self.0, &Self::targets(vk, ct, enc), &[d, r])
+    }
+
+    /// What a malicious provider posts: a random proof of the map's
+    /// shape.
+    pub fn garbage<R: Rng + ?Sized>(&self, rng: &mut R) -> nizk::LinearProof<F> {
+        self.0.garbage(rng)
     }
 
     /// Verifies a `Re-encrypt` posting proof against the provider's
@@ -692,7 +679,7 @@ impl<F: PrimeField> EncryptedPartialMap<F> {
         enc: &Ciphertext<F>,
         proof: &nizk::LinearProof<F>,
     ) -> bool {
-        nizk::verify_linear(&DOMAIN_ENC_PDEC, &self.0, &Self::targets(vk, ct, enc), proof)
+        nizk::verify_linear(&self.0, &Self::targets(vk, ct, enc), proof)
     }
 }
 
@@ -802,7 +789,7 @@ mod tests {
     fn an_enc_pdec_proof_binds_provider_ciphertexts_and_domain() {
         let mut r = rng();
         let (chain, target, ct, enc, d, enc_r) = posting(&mut r);
-        let map = EncryptedPartialMap::new(&chain.pk, &target).unwrap();
+        let map = EncryptedPartialMap::new(&chain.pk, &target);
         let vk = chain.pk.vks[1];
         let proof = map.prove(&mut r, vk, &ct, &enc, d, enc_r);
         assert!(map.verify(vk, &ct, &enc, &proof));
@@ -812,38 +799,40 @@ mod tests {
         assert!(!map.verify(vk, &other, &enc, &proof));
         assert!(!map.verify(vk, &ct, &other, &proof));
         let elsewhere = LinearPke::<F61>::keygen(&mut r).public;
-        let other_map = EncryptedPartialMap::new(&chain.pk, &elsewhere).unwrap();
+        let other_map = EncryptedPartialMap::new(&chain.pk, &elsewhere);
         assert!(!other_map.verify(vk, &ct, &enc, &proof));
 
         // The retired separators: right map, right targets, right
         // witness, rejected.
         let targets = EncryptedPartialMap::targets(vk, &ct, &enc);
-        for v in ["v1", "v2"] {
+        for v in ["v1", "v2", "v3"] {
             let retired = Domain::new(format!("yoso-pss/nizk/enc-pdec/{v}").as_bytes());
-            let old = nizk::prove_linear(&mut r, &retired, &map.0, &targets, &[d, enc_r]);
-            assert!(nizk::verify_linear(&retired, &map.0, &targets, &old));
+            let retired = LinearMap::new(&retired, 2, map.0.rows()).unwrap();
+            let old = nizk::prove_linear(&mut r, &retired, &targets, &[d, enc_r]);
+            assert!(nizk::verify_linear(&retired, &targets, &old));
             assert!(!map.verify(vk, &ct, &enc, &old), "enc-pdec/{v}");
         }
 
-        // What a malicious provider posts: verified, and rejected.
+        // What a malicious provider posts: the map's shape, rejected.
         let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
-        let garbage = nizk::LinearProof::<F61>::garbage(&mut r, 3, 2);
+        let garbage = map.garbage(&mut r);
+        assert_eq!((garbage.commitment.len(), garbage.response.len()), (3, 2));
         assert_ne!(garbage.commitment[0], garbage.commitment[1]);
         assert!(!map.verify(vk, &ct, &enc, &garbage));
     }
 
-    /// Exact and host-independent: two SHA-256 blocks to derive a
+    /// Exact and host-independent: one SHA-256 block to derive a
     /// `Re-encrypt` posting's challenge, and a committee's `n` postings
-    /// of an item digest their map once.
+    /// of an item build their map (two blocks of digest, one of prefix)
+    /// once.
     #[cfg(debug_assertions)]
     #[test]
     fn an_item_digests_its_enc_pdec_map_once_and_each_challenge_costs_two_blocks() {
         use yoso_crypto::sha256::compressions_of;
         let mut r = rng();
         let (chain, target, ct, ..) = posting(&mut r);
-        let (map, digesting) =
-            compressions_of(|| EncryptedPartialMap::new(&chain.pk, &target).unwrap());
-        assert_eq!(digesting, 2);
+        let (map, building) = compressions_of(|| EncryptedPartialMap::new(&chain.pk, &target));
+        assert_eq!(building, 3);
         let (_, committee) = compressions_of(|| {
             for i in 0..5 {
                 let d = chain.share_of(i).unwrap().value * ct.u;
@@ -852,7 +841,7 @@ mod tests {
                 assert!(map.verify(chain.pk.vks[i], &ct, &enc, &proof));
             }
         });
-        assert_eq!(committee, 5 * (2 + 2));
+        assert_eq!(committee, 5 * (1 + 1));
     }
 
     #[test]
@@ -951,7 +940,7 @@ mod tests {
             let mut kept: Vec<_> = partials.iter().map(|_| FirstValid::new(t, 1)).collect();
             for (kept, posts) in kept.iter_mut().zip(partials) {
                 for &(i, y, ok) in posts {
-                    kept.offer(i, ok, || [y]);
+                    kept.offer(i, || ok, || [y]);
                 }
             }
             kept
@@ -978,6 +967,70 @@ mod tests {
         ));
     }
 
+    /// What a `Re-encrypt` of `pairs` by `committee`, run from `r`,
+    /// opens each item to, replayed from its draws: one child seed an
+    /// item, one a speaking member, whose encryption comes first from
+    /// it; the first `t + 1` honest members provide. Returns the
+    /// openings and the providers.
+    #[allow(clippy::type_complexity)]
+    fn replayed_openings(
+        mut r: rand::rngs::StdRng,
+        chain: &TskChain<F61>,
+        committee: &Committee,
+        pairs: &[(PkePublicKey<F61>, Ciphertext<F61>)],
+    ) -> (Vec<(F61, F61)>, Vec<Vec<usize>>) {
+        let phase = crate::engine::phase_index("x");
+        pairs
+            .iter()
+            .map(|(target, ct)| {
+                let mut irng = rand::rngs::StdRng::seed_from_u64(r.next_u64());
+                let (mut parties, mut us, mut vs) = (Vec::new(), Vec::new(), Vec::new());
+                for i in 0..committee.n() {
+                    let behavior = *committee.behavior(i);
+                    if !behavior.participates_at(phase) {
+                        continue;
+                    }
+                    let mut mrng = rand::rngs::StdRng::seed_from_u64(irng.next_u64());
+                    let honest = behavior == Behavior::Honest;
+                    let d = if honest {
+                        chain.share_of(i).unwrap().value * ct.u
+                    } else {
+                        F61::random(&mut mrng)
+                    };
+                    let (enc, _) = LinearPke::encrypt(&mut mrng, target, d);
+                    if honest && parties.len() <= chain.t() {
+                        parties.push(i);
+                        us.push(enc.u);
+                        vs.push(enc.v);
+                    }
+                }
+                let opening =
+                    (ct.v - interpolated_at_zero(&parties, &vs), -interpolated_at_zero(&parties, &us));
+                (opening, parties)
+            })
+            .unzip()
+    }
+
+    /// `count` values encrypted under `chain`'s key, each to a fresh
+    /// target: the target key pairs, the values, and the `Re-encrypt`
+    /// items.
+    #[allow(clippy::type_complexity)]
+    fn reencrypt_items(
+        r: &mut rand::rngs::StdRng,
+        chain: &TskChain<F61>,
+        count: usize,
+    ) -> (Vec<PkeKeyPair<F61>>, Vec<F61>, Vec<(PkePublicKey<F61>, Ciphertext<F61>)>) {
+        let mut out = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..count {
+            let target = LinearPke::<F61>::keygen(r);
+            let m = F61::random(r);
+            out.2.push((target.public, MockTe::encrypt(r, &chain.pk, m).0));
+            out.0.push(target);
+            out.1.push(m);
+        }
+        out
+    }
+
     #[test]
     fn openings_agree_with_per_item_interpolation() {
         for seed in 0..24 {
@@ -986,52 +1039,10 @@ mod tests {
             let board = BulletinBoard::new();
             let sb = ShardedBoard::new(&board, RolePartition::solo());
             let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
-            let items: Vec<_> = (0..3)
-                .map(|_| {
-                    let target = LinearPke::<F61>::keygen(&mut r);
-                    let m = F61::random(&mut r);
-                    (target, m, MockTe::encrypt(&mut r, &chain.pk, m).0)
-                })
-                .collect();
-            let pairs: Vec<_> = items.iter().map(|(kp, _, ct)| (kp.public, *ct)).collect();
-
-            // Replay the postings: one child seed an item, one a
-            // speaking member, whose encryption comes first from it.
-            let mut replay = r.clone();
-            let phase = crate::engine::phase_index("x");
-            let expected: Vec<(F61, F61)> = pairs
-                .iter()
-                .map(|(target, ct)| {
-                    let mut irng = rand::rngs::StdRng::seed_from_u64(replay.next_u64());
-                    let (mut parties, mut us, mut vs) = (Vec::new(), Vec::new(), Vec::new());
-                    for i in 0..n {
-                        let behavior = *committee.behavior(i);
-                        if !behavior.participates_at(phase) {
-                            continue;
-                        }
-                        let mut mrng = rand::rngs::StdRng::seed_from_u64(irng.next_u64());
-                        let honest = behavior == Behavior::Honest;
-                        let d = if honest {
-                            chain.share_of(i).unwrap().value * ct.u
-                        } else {
-                            F61::random(&mut mrng)
-                        };
-                        let (enc, _) = LinearPke::encrypt(&mut mrng, target, d);
-                        if honest && parties.len() <= t {
-                            parties.push(i);
-                            us.push(enc.u);
-                            vs.push(enc.v);
-                        }
-                    }
-                    (
-                        ct.v - interpolated_at_zero(&parties, &vs),
-                        -interpolated_at_zero(&parties, &us),
-                    )
-                })
-                .collect();
-
+            let (targets, ms, pairs) = reencrypt_items(&mut r, &chain, 3);
+            let (expected, _) = replayed_openings(r.clone(), &chain, &committee, &pairs);
             let vals = chain.reencrypt(&mut r, &sb, &committee, &cfg(), "x", &pairs).unwrap();
-            for ((val, (kp, m, _)), expect) in vals.iter().zip(&items).zip(expected) {
+            for (((val, kp), m), expect) in vals.iter().zip(&targets).zip(&ms).zip(expected) {
                 assert_eq!(val.opening_coefficients().unwrap(), expect, "seed {seed}");
                 assert_eq!(val.open(kp.secret.scalar).unwrap(), *m, "seed {seed}");
             }
@@ -1053,7 +1064,7 @@ mod tests {
                 let valid = !(item == 1 && i == 0);
                 let d = if valid { chain.share_of(i).unwrap().value * ct.u } else { F61::random(&mut r) };
                 let enc = LinearPke::encrypt(&mut r, &target.public, d).0;
-                kept.offer(i, valid, || [enc.u, enc.v]);
+                kept.offer(i, || valid, || [enc.u, enc.v]);
             }
             let val = ReencryptedValue::fold(&kept, &chain, &cache, target.public, ct.v).unwrap();
             assert_eq!(val.open(target.secret.scalar).unwrap(), m, "item {item}");
@@ -1222,6 +1233,82 @@ mod tests {
                     assert_eq!(value, ct.v - interpolated_at_zero(&providers, &honest));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn reencrypt_opens_from_members_t_to_2t_when_the_first_t_fail() {
+        let (n, t) = (9, 4);
+        let providers: Vec<usize> = (t..=2 * t).collect();
+        for attack in [ActiveAttack::Silent, ActiveAttack::WrongValue, ActiveAttack::BadProof] {
+            for cfg in proofs_on_and_off() {
+                let mut r = rng();
+                let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+                let (targets, ms, pairs) = reencrypt_items(&mut r, &chain, 3);
+                let board = BulletinBoard::new();
+                let sb = ShardedBoard::new(&board, RolePartition::solo());
+                let committee = first_t_hostile(n, t, attack);
+                let (expected, parties) = replayed_openings(r.clone(), &chain, &committee, &pairs);
+                let vals = chain.reencrypt(&mut r, &sb, &committee, &cfg, "x", &pairs).unwrap();
+                for (((val, kp), m), (expect, parties)) in
+                    vals.iter().zip(&targets).zip(&ms).zip(expected.into_iter().zip(parties))
+                {
+                    assert_eq!(parties, providers, "{attack:?}");
+                    assert_eq!(val.opening_coefficients().unwrap(), expect, "{attack:?}");
+                    assert_eq!(val.open(kp.secret.scalar).unwrap(), *m, "{attack:?}");
+                }
+            }
+        }
+    }
+
+    /// Exact and host-independent: each of a threshold step's `n`
+    /// postings is proved, and its reader verifies postings only until
+    /// it keeps `t + 1` — `2t + 1` verifications when the first `t` are
+    /// forged (a forgery costs its maker no hash and its reader one
+    /// verification). A `Decrypt` ciphertext and a `Re-encrypt` item
+    /// pay one block a proof or a verification, a handover
+    /// ⌈(9 + 16·(t + 1 + 2n)) / 64⌉; each step builds its one map. A
+    /// forged dealing's random `C_0` fails its binding to the dealer's
+    /// key before any hash.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_threshold_step_proves_every_posting_and_verifies_its_first_t_plus_1_valid_ones() {
+        use yoso_crypto::sha256::compressions_of;
+        let (n, t) = (9usize, 4usize);
+        for (forged, verified) in [(0, t + 1), (t, 2 * t + 1)] {
+            let committee = first_t_hostile(n, forged, ActiveAttack::WrongValue);
+            let (proved, verified) = ((n - forged) as u64, verified as u64);
+            let mut r = rng();
+            let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+            let (_, _, pairs) = reencrypt_items(&mut r, &chain, 1);
+            let [(target, ct)] = pairs[..] else { unreachable!() };
+            let board = BulletinBoard::new();
+            let sb = ShardedBoard::new(&board, RolePartition::solo());
+
+            let building = compressions_of(|| PdecMap::new(&chain.pk, &ct)).1;
+            let (kept, blocks) = compressions_of(|| {
+                chain.partials(&mut r, &sb, &committee, &cfg(), "x", &[ct]).unwrap()
+            });
+            assert_eq!(kept[0].parties, (forged..=forged + t).collect::<Vec<_>>());
+            assert_eq!(blocks, building + proved + verified, "decrypt, {forged} forged");
+
+            let building = compressions_of(|| EncryptedPartialMap::new(&chain.pk, &target)).1;
+            let (vals, blocks) = compressions_of(|| {
+                chain.reencrypt(&mut r, &sb, &committee, &cfg(), "x", &pairs).unwrap()
+            });
+            assert!(vals[0].opening_coefficients().is_ok());
+            assert_eq!(blocks, building + proved + verified, "re-encrypt, {forged} forged");
+
+            let next_keys: Vec<PkeKeyPair<F61>> =
+                (0..n).map(|_| LinearPke::keygen(&mut r)).collect();
+            let rpks: Vec<_> = next_keys.iter().map(|kp| kp.public).collect();
+            let building = compressions_of(|| DealMap::reshare(chain.pk.g, &rpks, &chain.table)).1;
+            let per_challenge = (9 + 16 * (t + 1 + 2 * n) as u64).div_ceil(64);
+            let (_, blocks) = compressions_of(|| {
+                chain.handover(&mut r, &sb, &committee, &cfg(), "x", &next_keys).unwrap()
+            });
+            let expected = building + per_challenge * (proved + t as u64 + 1);
+            assert_eq!(blocks, expected, "handover, {forged} forged");
         }
     }
 

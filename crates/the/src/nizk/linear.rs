@@ -14,13 +14,15 @@
 //! `a = M·z − e·x`), hence a NIZKAoK in the random-oracle model.
 //!
 //! **The map is the unit of hashing.** A [`LinearMap`] is built — shape
-//! checked, put in canonical sparse form, digested — once, where the
-//! public data it is made of becomes known, and every proof over it
-//! (all `n` members of a committee step, prover and verifier alike)
-//! borrows it. A challenge is then one SHA-256 call from the domain's
-//! pre-hashed state ([`yoso_crypto::Domain`]) over the map's 32-byte
-//! digest and the proof's own targets and commitment: two compressions
-//! for a proof of up to four rows, whatever the size of `M`.
+//! checked, put in canonical sparse form, digested, bound to its proof
+//! type's [`yoso_crypto::Domain`] — once, where the public data it is
+//! made of becomes known, and every proof over it (all `n` members of a
+//! committee step, prover and verifier alike) borrows it. The map keeps
+//! the SHA-256 state after the challenge's fixed prefix, so a challenge
+//! hashes only the proof's own targets and commitment:
+//! ⌈(9 + 16·rows) / 64⌉ compressions — one for a proof of up to three
+//! rows — whatever the size of `M`. A map carries its domain, so a
+//! proof is checked under the domain it was made for or not at all.
 //!
 //! Every relation the mock-world YOSO protocol proves on the bulletin
 //! board — correct encryption, correct partial decryption, correct
@@ -31,9 +33,8 @@
 use std::borrow::Borrow;
 use std::fmt;
 
-
 use rand::Rng;
-use yoso_crypto::Domain;
+use yoso_crypto::{Domain, Sha256};
 use yoso_field::PrimeField;
 
 /// Why a [`LinearMap`] could not be built.
@@ -75,15 +76,15 @@ impl std::error::Error for MapError {}
 /// is never mistaken for a challenge's input or the reverse.
 static MAP_DIGEST: Domain = Domain::new(b"yoso-pss/nizk/linear-map/v3");
 
-/// A public linear map `M`: row `i` sends a witness `w` to
-/// `Σ_(col, coeff) ∈ row i coeff · w_col`.
+/// A public linear map `M`, bound to the domain of the proofs over it:
+/// row `i` sends a witness `w` to `Σ_(col, coeff) ∈ row i coeff · w_col`.
 ///
 /// The rows are held flat in one canonical sparse form — `(col, coeff)`
 /// pairs with `col < witness_len`, columns strictly increasing, no
-/// stored zero — so equal maps are equal values with equal digests.
-/// The digest commits to the shape and every entry; it is computed in
-/// [`LinearMap::new`] and nowhere else.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// stored zero — so equal maps have equal digests. The digest commits
+/// to the shape and every entry; it and the challenge prefix are
+/// computed in [`LinearMap::new`] and nowhere else.
+#[derive(Debug, Clone)]
 pub struct LinearMap<F: PrimeField> {
     witness_len: usize,
     /// Row `i` is `entries[row_ends[i − 1]..row_ends[i]]` (from 0 for
@@ -91,18 +92,21 @@ pub struct LinearMap<F: PrimeField> {
     row_ends: Vec<usize>,
     entries: Vec<(usize, F)>,
     digest: [u8; 32],
+    /// The hasher after `block(D) ‖ H′(M) ‖ u64(rows) ‖ 0^24`, at a
+    /// block boundary: what every challenge over the map starts from.
+    prefix: Sha256,
 }
 
 impl<F: PrimeField> LinearMap<F> {
     /// Creates a map over `witness_len` variables from sparse rows, each
-    /// a sequence of `(col, coeff)`. Explicit zero coefficients are
-    /// dropped.
+    /// a sequence of `(col, coeff)`, for proofs under `domain`. Explicit
+    /// zero coefficients are dropped.
     ///
     /// # Errors
     ///
     /// Rejects a column `≥ witness_len` and columns that are not
     /// strictly increasing.
-    pub fn new<R>(witness_len: usize, rows: R) -> Result<Self, MapError>
+    pub fn new<R>(domain: &Domain, witness_len: usize, rows: R) -> Result<Self, MapError>
     where
         R: IntoIterator,
         R::Item: IntoIterator,
@@ -127,8 +131,16 @@ impl<F: PrimeField> LinearMap<F> {
             }
             row_ends.push(entries.len());
         }
-        let mut map = LinearMap { witness_len, row_ends, entries, digest: [0; 32] };
+        let mut map =
+            LinearMap { witness_len, row_ends, entries, digest: [0; 32], prefix: Sha256::new() };
         map.digest = map.encoding_digest();
+        // 32 + 8 + 24 bytes: the prefix is exactly one block past the
+        // domain's.
+        let mut prefix = domain.hasher();
+        prefix.update(&map.digest);
+        prefix.update(&(map.row_count() as u64).to_le_bytes());
+        prefix.update(&[0; 24]);
+        map.prefix = prefix;
         Ok(map)
     }
 
@@ -183,6 +195,12 @@ impl<F: PrimeField> LinearMap<F> {
         self.digest
     }
 
+    /// What a malicious role posts in place of a proof over this map:
+    /// [`Proof::garbage`] of the map's shape.
+    pub fn garbage<R: Rng + ?Sized>(&self, rng: &mut R) -> Proof<F> {
+        Proof::garbage(rng, self.row_count(), self.witness_len)
+    }
+
     /// Applies the map to a vector of `witness_len` elements, in
     /// `O(nnz)`.
     fn apply(&self, w: &[F]) -> Vec<F> {
@@ -196,22 +214,20 @@ impl<F: PrimeField> LinearMap<F> {
         witness.len() == self.witness_len && self.apply(witness) == targets
     }
 
-    /// Derives the challenge with one hash from the domain's pre-hashed
-    /// state:
+    /// Derives the challenge with one hash from the map's pre-hashed
+    /// prefix:
     ///
     /// ```text
-    /// e = le64(SHA-256(domain block(s) ‖ H′(M) ‖ u64(rows) ‖ targets ‖ commitment)[..8])
+    /// e = le64(SHA-256(domain block(s) ‖ H′(M) ‖ u64(rows) ‖ 0^24 ‖ targets ‖ commitment)[..8])
     /// ```
     ///
-    /// The digest has a fixed width and the two runs the stated one, so
-    /// the input parses back to exactly one (domain, digest, targets,
-    /// commitment).
-    fn challenge(&self, domain: &Domain, targets: &[F], commitment: &[F]) -> F {
+    /// The prefix is a whole block and the two runs have the stated
+    /// length, so the input parses back to exactly one (domain, digest,
+    /// targets, commitment).
+    fn challenge(&self, targets: &[F], commitment: &[F]) -> F {
         debug_assert_eq!(targets.len(), self.row_count());
         debug_assert_eq!(commitment.len(), self.row_count());
-        let mut h = domain.hasher();
-        h.update(&self.digest);
-        h.update(&(self.row_count() as u64).to_le_bytes());
+        let mut h = self.prefix.clone();
         for v in targets.iter().chain(commitment) {
             h.update(&v.to_bytes());
         }
@@ -245,7 +261,7 @@ impl<F: PrimeField> Proof<F> {
 }
 
 /// Proves knowledge of a `witness` that `map` sends to `targets`, under
-/// the given domain. The `witness_len` masks are the first thing drawn
+/// the map's domain. The `witness_len` masks are the first thing drawn
 /// from `rng`.
 ///
 /// # Panics
@@ -254,7 +270,6 @@ impl<F: PrimeField> Proof<F> {
 /// statement — proving a false statement is always a caller bug.
 pub fn prove<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
-    domain: &Domain,
     map: &LinearMap<F>,
     targets: &[F],
     witness: &[F],
@@ -262,15 +277,14 @@ pub fn prove<F: PrimeField, R: Rng + ?Sized>(
     debug_assert!(map.is_satisfied_by(targets, witness), "witness does not satisfy statement");
     let rho: Vec<F> = (0..map.witness_len()).map(|_| F::random(rng)).collect();
     let commitment = map.apply(&rho);
-    let e = map.challenge(domain, targets, &commitment);
+    let e = map.challenge(targets, &commitment);
     let response = rho.iter().zip(witness).map(|(&r, &w)| r + e * w).collect();
     Proof { commitment, response }
 }
 
-/// Verifies a proof that the prover knows a preimage of `targets` under
-/// `map`.
+/// Verifies a proof, under the map's domain, that the prover knows a
+/// preimage of `targets` under `map`.
 pub fn verify<F: PrimeField>(
-    domain: &Domain,
     map: &LinearMap<F>,
     targets: &[F],
     proof: &Proof<F>,
@@ -281,7 +295,7 @@ pub fn verify<F: PrimeField>(
     {
         return false;
     }
-    let e = map.challenge(domain, targets, &proof.commitment);
+    let e = map.challenge(targets, &proof.commitment);
     let lhs = map.apply(&proof.response);
     lhs.iter().zip(proof.commitment.iter().zip(targets)).all(|(&l, (&a, &x))| l == a + e * x)
 }
@@ -307,7 +321,7 @@ mod tests {
         let w = vec![f(3), f(4)];
         let rows = vec![vec![(0, f(1)), (1, f(2))], vec![(0, f(5)), (1, f(6))], vec![(1, f(1))]];
         let targets = vec![f(11), f(39), f(4)];
-        (LinearMap::new(2, rows).unwrap(), targets, w)
+        (LinearMap::new(&TEST, 2, rows).unwrap(), targets, w)
     }
 
     #[test]
@@ -315,63 +329,66 @@ mod tests {
         let mut r = rng();
         let (map, x, w) = example();
         assert!(map.is_satisfied_by(&x, &w));
-        let proof = prove(&mut r, &TEST, &map, &x, &w);
-        assert!(verify(&TEST, &map, &x, &proof));
+        let proof = prove(&mut r, &map, &x, &w);
+        assert!(verify(&map, &x, &proof));
     }
 
     #[test]
     fn wrong_domain_rejected() {
         let mut r = rng();
         let (map, x, w) = example();
-        let proof = prove(&mut r, &TEST, &map, &x, &w);
-        assert!(!verify(&Domain::new(b"other"), &map, &x, &proof));
+        let proof = prove(&mut r, &map, &x, &w);
+        let rows: Vec<&[(usize, F61)]> = map.rows().collect();
+        let other = LinearMap::new(&Domain::new(b"other"), 2, rows).unwrap();
+        assert_eq!(other.digest(), map.digest());
+        assert!(!verify(&other, &x, &proof));
     }
 
     #[test]
     fn tampered_statement_rejected() {
         let mut r = rng();
         let (map, x, w) = example();
-        let proof = prove(&mut r, &TEST, &map, &x, &w);
+        let proof = prove(&mut r, &map, &x, &w);
         let mut x2 = x.clone();
         x2[0] += F61::ONE;
-        assert!(!verify(&TEST, &map, &x2, &proof));
+        assert!(!verify(&map, &x2, &proof));
         let rows = vec![vec![(0, f(1)), (1, f(3))], vec![(0, f(5)), (1, f(6))], vec![(1, f(1))]];
-        assert!(!verify(&TEST, &LinearMap::new(2, rows).unwrap(), &x, &proof));
+        assert!(!verify(&LinearMap::new(&TEST, 2, rows).unwrap(), &x, &proof));
     }
 
     #[test]
     fn tampered_proof_rejected() {
         let mut r = rng();
         let (map, x, w) = example();
-        let mut proof = prove(&mut r, &TEST, &map, &x, &w);
+        let mut proof = prove(&mut r, &map, &x, &w);
         proof.response[0] += F61::ONE;
-        assert!(!verify(&TEST, &map, &x, &proof));
-        let mut proof2 = prove(&mut r, &TEST, &map, &x, &w);
+        assert!(!verify(&map, &x, &proof));
+        let mut proof2 = prove(&mut r, &map, &x, &w);
         proof2.commitment[1] += F61::ONE;
-        assert!(!verify(&TEST, &map, &x, &proof2));
+        assert!(!verify(&map, &x, &proof2));
     }
 
     #[test]
     fn shape_mismatch_rejected() {
         let mut r = rng();
         let (map, x, w) = example();
-        let proof = prove(&mut r, &TEST, &map, &x, &w);
+        let proof = prove(&mut r, &map, &x, &w);
         let mut short = proof.clone();
         short.response.pop();
-        assert!(!verify(&TEST, &map, &x, &short));
+        assert!(!verify(&map, &x, &short));
         // Targets are per proof now: a count that is not the map's row
         // count is a rejection, not an index out of range.
-        assert!(!verify(&TEST, &map, &x[..2], &proof));
-        assert!(!verify(&TEST, &map, &[&x[..], &[F61::ZERO]].concat(), &proof));
+        assert!(!verify(&map, &x[..2], &proof));
+        assert!(!verify(&map, &[&x[..], &[F61::ZERO]].concat(), &proof));
     }
 
     #[test]
     fn empty_witness_statement() {
         // Degenerate: no witness variables, rows must target zero.
-        let map = LinearMap::<F61>::new(0, Vec::<Vec<(usize, F61)>>::new()).unwrap();
+        let map = LinearMap::<F61>::new(&TEST, 0, Vec::<Vec<(usize, F61)>>::new()).unwrap();
         let mut r = rng();
-        let proof = prove(&mut r, &TEST, &map, &[], &[]);
-        assert!(verify(&TEST, &map, &[], &proof));
+        let proof = prove(&mut r, &map, &[], &[]);
+        assert!(verify(&map, &[], &proof));
     }
 
     #[test]
@@ -409,47 +426,50 @@ mod tests {
     #[test]
     fn malformed_rows_are_typed_errors() {
         let one = F61::ONE;
-        let new = |w, rows: Vec<Vec<(usize, F61)>>| LinearMap::<F61>::new(w, rows);
+        let new = |w, rows: Vec<Vec<(usize, F61)>>| LinearMap::<F61>::new(&TEST, w, rows).err();
         assert_eq!(
             new(2, vec![vec![(0, one), (2, one)]]),
-            Err(MapError::ColumnOutOfRange { row: 0, col: 2, witness_len: 2 })
+            Some(MapError::ColumnOutOfRange { row: 0, col: 2, witness_len: 2 })
         );
         assert_eq!(
             new(0, vec![vec![(0, one)]]),
-            Err(MapError::ColumnOutOfRange { row: 0, col: 0, witness_len: 0 })
+            Some(MapError::ColumnOutOfRange { row: 0, col: 0, witness_len: 0 })
         );
         // A stored zero is checked like any other entry before it is
         // dropped.
         assert_eq!(
             new(2, vec![vec![(5, F61::ZERO)]]),
-            Err(MapError::ColumnOutOfRange { row: 0, col: 5, witness_len: 2 })
+            Some(MapError::ColumnOutOfRange { row: 0, col: 5, witness_len: 2 })
         );
         for bad in [vec![(1, one), (0, one)], vec![(1, one), (1, one)]] {
-            assert_eq!(new(2, vec![vec![], bad]), Err(MapError::ColumnsNotIncreasing { row: 1 }));
+            assert_eq!(new(2, vec![vec![], bad]), Some(MapError::ColumnsNotIncreasing { row: 1 }));
         }
         // Dimensions are hashed as integers, not as field elements: a
         // field smaller than the map is no obstacle.
         type F5 = yoso_field::Fp<5>;
-        let tall = LinearMap::<F5>::new(7, vec![vec![(6, F5::ONE)]; 9]).unwrap();
+        let tall = LinearMap::<F5>::new(&TEST, 7, vec![vec![(6, F5::ONE)]; 9]).unwrap();
         assert_eq!((tall.row_count(), tall.witness_len()), (9, 7));
     }
 
     #[test]
     fn rows_come_back_flat_and_canonical() {
         let rows = vec![vec![(0, f(1)), (2, F61::ZERO), (3, f(2))], vec![], vec![(1, f(5))]];
-        let map = LinearMap::new(4, &rows).unwrap();
+        let map = LinearMap::new(&TEST, 4, &rows).unwrap();
         let got: Vec<&[(usize, F61)]> = map.rows().collect();
-        assert_eq!(got, [&[(0, f(1)), (3, f(2))][..], &[], &[(1, f(5))]]);
+        let canonical = [&[(0, f(1)), (3, f(2))][..], &[], &[(1, f(5))]];
+        assert_eq!(got, canonical);
         assert_eq!(map.row_count(), 3);
         // Borrowed rows, owned rows and slices of slices are one map.
-        let slices = [&[(0, f(1)), (3, f(2))][..], &[], &[(1, f(5))]];
-        assert_eq!(LinearMap::new(4, slices).unwrap(), map);
-        assert_eq!(LinearMap::new(4, rows).unwrap().digest(), map.digest());
+        let from_slices = LinearMap::new(&TEST, 4, canonical).unwrap();
+        assert!(from_slices.rows().eq(map.rows()));
+        assert_eq!(from_slices.digest(), map.digest());
+        assert_eq!(LinearMap::new(&TEST, 4, rows).unwrap().digest(), map.digest());
     }
 
     #[test]
     fn garbage_entries_are_drawn_independently() {
-        let proof = Proof::<F61>::garbage(&mut rng(), 3, 2);
+        let (map, x, _) = example();
+        let proof = map.garbage(&mut rng());
         assert_eq!((proof.commitment.len(), proof.response.len()), (3, 2));
         assert_ne!(proof.commitment[0], proof.commitment[1]);
         assert_ne!(proof.commitment[1], proof.commitment[2]);
@@ -458,14 +478,13 @@ mod tests {
         let mut replay = rng();
         let drawn: Vec<F61> = (0..5).map(|_| F61::random(&mut replay)).collect();
         assert_eq!([&proof.commitment[..], &proof.response[..]].concat(), drawn);
-        let (map, x, _) = example();
-        assert!(!verify(&TEST, &map, &x, &proof));
+        assert!(!verify(&map, &x, &proof));
     }
 
-    /// Exact and host-independent: past the domain's pre-hashed state a
-    /// challenge costs ⌈(49 + 16·rows) / 64⌉ blocks — digest, row count,
-    /// targets, commitment, padding — whatever the map holds, and a map
-    /// is digested when it is built and never again.
+    /// Exact and host-independent: a map is digested, and its prefix
+    /// hashed (one block past the domain's), when it is built and never
+    /// again; a challenge then costs ⌈(9 + 16·rows) / 64⌉ blocks —
+    /// targets, commitment, padding — whatever the map holds.
     #[cfg(debug_assertions)]
     #[test]
     fn a_challenge_costs_its_tail_and_a_shared_map_is_digested_once() {
@@ -476,18 +495,21 @@ mod tests {
             let dense: Vec<Vec<(usize, F61)>> = (0..rows)
                 .map(|_| (0..witness_len).map(|col| (col, F61::random(&mut r))).collect())
                 .collect();
-            let (map, digesting) = compressions_of(|| LinearMap::new(witness_len, &dense).unwrap());
-            // 16 bytes of shape, 8 + 16·witness_len a row, 9 of padding.
-            assert_eq!(digesting, (16 + rows * (8 + 16 * witness_len) + 9).div_ceil(64) as u64);
+            let (map, building) =
+                compressions_of(|| LinearMap::new(&TEST, witness_len, &dense).unwrap());
+            // 16 bytes of shape, 8 + 16·witness_len a row, 9 of padding;
+            // then the prefix block.
+            let digesting = (16 + rows * (8 + 16 * witness_len) + 9).div_ceil(64) as u64;
+            assert_eq!(building, digesting + 1);
             let x = map.apply(&w);
 
-            let per_challenge = (49 + 16 * rows).div_ceil(64) as u64;
-            assert_eq!(per_challenge == 2, rows <= 4);
+            let per_challenge = (9 + 16 * rows).div_ceil(64) as u64;
+            assert_eq!(per_challenge == 1, rows <= 3);
             let members = 7;
             let (_, proving) = compressions_of(|| {
                 for _ in 0..members {
-                    let proof = prove(&mut r, &TEST, &map, &x, &w);
-                    assert!(verify(&TEST, &map, &x, &proof));
+                    let proof = prove(&mut r, &map, &x, &w);
+                    assert!(verify(&map, &x, &proof));
                 }
             });
             assert_eq!(proving, 2 * members * per_challenge, "{rows} rows");

@@ -8,10 +8,11 @@
 //! per-proof function pair (`enc_proof` / `verify_enc_proof`, …) that
 //! builds the map for one call.
 //!
-//! Domain separators keep the proof types mutually unforgeable. They are
-//! at `/v3`: how the challenge is derived changed again (see
-//! [`super::linear`]), and a proof hashed the `/v1` or `/v2` way must
-//! not verify.
+//! Domain separators keep the proof types mutually unforgeable. A map
+//! is bound to its type's separator when it is built, so its proofs
+//! are made and checked under that one. They are at `/v4`: how the
+//! challenge is derived changed again (see [`super::linear`]), and a
+//! proof hashed the `/v1`, `/v2` or `/v3` way must not verify.
 
 use rand::Rng;
 
@@ -22,10 +23,10 @@ use yoso_pss_sharing::shamir::PowerTable;
 use super::linear::{self, LinearMap};
 use crate::mock::{Ciphertext, PkePublicKey, PublicKey};
 
-static DOMAIN_ENC: Domain = Domain::new(b"yoso-pss/nizk/enc/v3");
-static DOMAIN_PDEC: Domain = Domain::new(b"yoso-pss/nizk/pdec/v3");
-static DOMAIN_RESHARE: Domain = Domain::new(b"yoso-pss/nizk/reshare/v3");
-static DOMAIN_SHARE: Domain = Domain::new(b"yoso-pss/nizk/share/v3");
+static DOMAIN_ENC: Domain = Domain::new(b"yoso-pss/nizk/enc/v4");
+static DOMAIN_PDEC: Domain = Domain::new(b"yoso-pss/nizk/pdec/v4");
+static DOMAIN_RESHARE: Domain = Domain::new(b"yoso-pss/nizk/reshare/v4");
+static DOMAIN_SHARE: Domain = Domain::new(b"yoso-pss/nizk/share/v4");
 
 /// Unwraps a map whose rows this module laid out itself.
 fn laid_out<F: PrimeField>(map: Result<LinearMap<F>, linear::MapError>) -> LinearMap<F> {
@@ -64,7 +65,8 @@ pub struct EncMap<F: PrimeField>(LinearMap<F>);
 impl<F: PrimeField> EncMap<F> {
     /// The map for ciphertexts under `pk`.
     pub fn new(pk: &PublicKey<F>) -> Self {
-        EncMap(laid_out(LinearMap::new(2, [&[(1, pk.g)][..], &[(0, F::ONE), (1, pk.h)]])))
+        let rows = [&[(1, pk.g)][..], &[(0, F::ONE), (1, pk.h)]];
+        EncMap(laid_out(LinearMap::new(&DOMAIN_ENC, 2, rows)))
     }
 
     /// Proves that `ct` encrypts `m` with randomness `r`.
@@ -75,12 +77,12 @@ impl<F: PrimeField> EncMap<F> {
         m: F,
         r: F,
     ) -> EncProof<F> {
-        EncProof { inner: linear::prove(rng, &DOMAIN_ENC, &self.0, &[ct.u, ct.v], &[m, r]) }
+        EncProof { inner: linear::prove(rng, &self.0, &[ct.u, ct.v], &[m, r]) }
     }
 
     /// Verifies an encryption proof for `ct`.
     pub fn verify(&self, ct: &Ciphertext<F>, proof: &EncProof<F>) -> bool {
-        linear::verify(&DOMAIN_ENC, &self.0, &[ct.u, ct.v], &proof.inner)
+        linear::verify(&self.0, &[ct.u, ct.v], &proof.inner)
     }
 }
 
@@ -132,19 +134,19 @@ pub struct PdecMap<F: PrimeField>(LinearMap<F>);
 impl<F: PrimeField> PdecMap<F> {
     /// The map for partial decryptions of `ct` under `pk`.
     pub fn new(pk: &PublicKey<F>, ct: &Ciphertext<F>) -> Self {
-        PdecMap(laid_out(LinearMap::new(1, [[(0, pk.g)], [(0, ct.u)]])))
+        PdecMap(laid_out(LinearMap::new(&DOMAIN_PDEC, 1, [[(0, pk.g)], [(0, ct.u)]])))
     }
 
     /// Proves that `d` is the partial decryption under the key share
     /// `share_value` behind the verification key `vk`.
     pub fn prove<R: Rng + ?Sized>(&self, rng: &mut R, vk: F, share_value: F, d: F) -> PdecProof<F> {
-        PdecProof { inner: linear::prove(rng, &DOMAIN_PDEC, &self.0, &[vk, d], &[share_value]) }
+        PdecProof { inner: linear::prove(rng, &self.0, &[vk, d], &[share_value]) }
     }
 
     /// Verifies a partial-decryption proof against the prover's
     /// verification key.
     pub fn verify(&self, vk: F, d: F, proof: &PdecProof<F>) -> bool {
-        linear::verify(&DOMAIN_PDEC, &self.0, &[vk, d], &proof.inner)
+        linear::verify(&self.0, &[vk, d], &proof.inner)
     }
 }
 
@@ -171,13 +173,14 @@ pub fn verify_pdec_proof<F: PrimeField>(
     pk.vks.get(party).is_some_and(|&vk| PdecMap::new(pk, ct).verify(vk, d, proof))
 }
 
-/// Proof of correct key re-sharing with encrypted subshares: knowledge
-/// of the sub-sharing polynomial coefficients `(a_0 … a_t)` and the
-/// encryption randomness `(r_1 … r_n)` consistent with the published
-/// Feldman commitments and the recipients' subshare ciphertexts.
+/// Proof of a correct deal with encrypted subshares: knowledge of the
+/// sub-sharing polynomial coefficients `(a_0 … a_t)` and the encryption
+/// randomness `(r_1 … r_n)` consistent with the published Feldman
+/// commitments and the recipients' subshare ciphertexts.
 ///
-/// The verifier additionally checks `C_0 = vk_from` (the constant term
-/// really is the sender's key share) outside the sigma protocol.
+/// As a key re-share proof, the verifier additionally checks
+/// `C_0 = vk_from` (the constant term really is the sender's key share)
+/// outside the sigma protocol ([`DealMap::verify_reshare`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReshareProof<F: PrimeField> {
     inner: linear::Proof<F>,
@@ -197,13 +200,13 @@ impl<F: PrimeField> ReshareProof<F> {
 }
 
 /// The relation of a Feldman deal with encrypted evaluations, for one
-/// base `g` and one committee of recipients: witness
+/// base `g`, one committee of recipients and one domain: witness
 /// `(a_0 … a_t, r_1 … r_n)` with `C_j = a_j·g` and
 /// `ct_m = Enc(pk_m, f(m + 1); r_m)`. Both the tsk re-share proof
-/// (`g` = the threshold key's base) and the DKG deal proof are this
-/// relation, and all `n` dealers of a handover or a DKG share one map:
-/// what differs between them — commitments and ciphertexts — is the
-/// targets ([`DealMap::targets`]).
+/// ([`DealMap::reshare`]: `g` = the threshold key's base) and the DKG
+/// deal proof (its own domain) are this relation, and all `n` dealers
+/// of a handover or a DKG share one map: what differs between them —
+/// commitments and ciphertexts — is the targets ([`DealMap::targets`]).
 ///
 /// `t + 3` non-zeros per recipient and one per commitment, instead of
 /// a dense `(t + 1 + 2n) × (t + 1 + n)` matrix.
@@ -216,9 +219,14 @@ pub struct DealMap<F: PrimeField> {
 
 impl<F: PrimeField> DealMap<F> {
     /// The map for deals of degree `table.degree()` to `recipient_pks`,
-    /// recipient `m` holding the evaluation at `m + 1`. `table` must
-    /// tabulate (at least) that many parties.
-    pub fn new(g: F, recipient_pks: &[PkePublicKey<F>], table: &PowerTable<F>) -> Self {
+    /// recipient `m` holding the evaluation at `m + 1`, proved under
+    /// `domain`. `table` must tabulate (at least) that many parties.
+    pub fn new(
+        domain: &Domain,
+        g: F,
+        recipient_pks: &[PkePublicKey<F>],
+        table: &PowerTable<F>,
+    ) -> Self {
         let t1 = table.degree() + 1;
         // One row shape for all three kinds: a run of low columns, then
         // one column of the row's own.
@@ -237,14 +245,14 @@ impl<F: PrimeField> DealMap<F> {
         );
         // Witness (a_0 … a_t, r_1 … r_n).
         let witness_len = t1 + recipient_pks.len();
-        let map = laid_out(LinearMap::new(witness_len, commitments.chain(ciphertexts)));
+        let map = laid_out(LinearMap::new(domain, witness_len, commitments.chain(ciphertexts)));
         DealMap { map, coeffs: t1 }
     }
 
-    /// The underlying map, for a deal proved under another domain (the
-    /// DKG's).
-    pub fn map(&self) -> &LinearMap<F> {
-        &self.map
+    /// [`DealMap::new`] under the key re-share domain: the map of a
+    /// handover of the threshold key with base `g`.
+    pub fn reshare(g: F, recipient_pks: &[PkePublicKey<F>], table: &PowerTable<F>) -> Self {
+        Self::new(&DOMAIN_RESHARE, g, recipient_pks, table)
     }
 
     /// The targets of one dealer's message — `C_0 … C_t`, then
@@ -256,11 +264,11 @@ impl<F: PrimeField> DealMap<F> {
         .then(|| deal_targets(commitments, enc_subshares))
     }
 
-    /// Proves a re-share message (given as its [`DealMap::targets`])
-    /// correct: `coeffs` are the sub-sharing polynomial coefficients
-    /// (`a_0 = s_i`), `enc_randomness[m]` the randomness used to encrypt
-    /// subshare `m`.
-    pub fn prove_reshare<R: Rng + ?Sized>(
+    /// Proves a deal (given as its [`DealMap::targets`]) correct:
+    /// `coeffs` are the sub-sharing polynomial coefficients (`a_0 = s_i`
+    /// in a re-share), `enc_randomness[m]` the randomness used to
+    /// encrypt subshare `m`.
+    pub fn prove<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         targets: &[F],
@@ -268,7 +276,18 @@ impl<F: PrimeField> DealMap<F> {
         enc_randomness: &[F],
     ) -> ReshareProof<F> {
         let witness = [coeffs, enc_randomness].concat();
-        ReshareProof { inner: linear::prove(rng, &DOMAIN_RESHARE, &self.map, targets, &witness) }
+        ReshareProof { inner: linear::prove(rng, &self.map, targets, &witness) }
+    }
+
+    /// What a malicious dealer posts: a random proof of the map's shape.
+    pub fn garbage<R: Rng + ?Sized>(&self, rng: &mut R) -> ReshareProof<F> {
+        ReshareProof { inner: self.map.garbage(rng) }
+    }
+
+    /// Verifies a deal proof: the relation alone, with no key to bind
+    /// its constant term to (the DKG's).
+    pub fn verify(&self, targets: &[F], proof: &ReshareProof<F>) -> bool {
+        linear::verify(&self.map, targets, &proof.inner)
     }
 
     /// Verifies a re-share proof by member `from` of the committee
@@ -282,7 +301,7 @@ impl<F: PrimeField> DealMap<F> {
     ) -> bool {
         self.coeffs == pk.t + 1
             && pk.vks.get(from).is_some_and(|vk| targets.first() == Some(vk))
-            && linear::verify(&DOMAIN_RESHARE, &self.map, targets, &proof.inner)
+            && self.verify(targets, proof)
     }
 }
 
@@ -309,7 +328,7 @@ pub fn reshare_proof<F: PrimeField, R: Rng + ?Sized>(
 ) -> ReshareProof<F> {
     let degree = msg_commitments.len().saturating_sub(1);
     let table = PowerTable::new(recipient_pks.len(), degree);
-    DealMap::new(pk.g, recipient_pks, &table).prove_reshare(
+    DealMap::reshare(pk.g, recipient_pks, &table).prove(
         rng,
         &deal_targets(msg_commitments, encrypted_subshares),
         coeffs,
@@ -326,7 +345,7 @@ pub fn verify_reshare_proof<F: PrimeField>(
     encrypted_subshares: &[Ciphertext<F>],
     proof: &ReshareProof<F>,
 ) -> bool {
-    let deal = DealMap::new(pk.g, recipient_pks, &PowerTable::new(recipient_pks.len(), pk.t));
+    let deal = DealMap::reshare(pk.g, recipient_pks, &PowerTable::new(recipient_pks.len(), pk.t));
     deal.targets(msg_commitments, encrypted_subshares)
         .is_some_and(|targets| deal.verify_reshare(pk, from, &targets, proof))
 }
@@ -366,7 +385,7 @@ pub struct ShareMap<F: PrimeField> {
 impl<F: PrimeField> ShareMap<F> {
     /// The map for a share published under `kff_pk` with this `slope`.
     pub fn new(kff_pk: &PkePublicKey<F>, slope: F) -> Self {
-        let map = laid_out(LinearMap::new(1, [[(0, kff_pk.g)], [(0, -slope)]]));
+        let map = laid_out(LinearMap::new(&DOMAIN_SHARE, 1, [[(0, kff_pk.g)], [(0, -slope)]]));
         ShareMap { map, h: kff_pk.h }
     }
 
@@ -380,12 +399,12 @@ impl<F: PrimeField> ShareMap<F> {
         kff_sk: F,
     ) -> ShareProof<F> {
         let targets = [self.h, published - offset];
-        ShareProof { inner: linear::prove(rng, &DOMAIN_SHARE, &self.map, &targets, &[kff_sk]) }
+        ShareProof { inner: linear::prove(rng, &self.map, &targets, &[kff_sk]) }
     }
 
     /// Verifies a μ-share publication proof.
     pub fn verify(&self, offset: F, published: F, proof: &ShareProof<F>) -> bool {
-        linear::verify(&DOMAIN_SHARE, &self.map, &[self.h, published - offset], &proof.inner)
+        linear::verify(&self.map, &[self.h, published - offset], &proof.inner)
     }
 }
 
@@ -546,11 +565,16 @@ mod tests {
         (commitments, rpks, cts, coeffs, rands)
     }
 
+    /// `map`'s rows under another domain.
+    fn under(domain: &Domain, map: &LinearMap<F61>) -> LinearMap<F61> {
+        LinearMap::new(domain, map.witness_len(), map.rows()).unwrap()
+    }
+
     #[test]
     fn v1_domain_proofs_do_not_verify() {
-        // The same sigma protocol run under the retired `/v1` and `/v2`
-        // separators: correct map, correct targets, correct witness,
-        // wrong domain.
+        // The same sigma protocol run under the retired `/v1`, `/v2` and
+        // `/v3` separators: correct map, correct targets, correct
+        // witness, wrong domain.
         let mut r = rng();
         let (pk, shares) = Te::keygen(&mut r, 5, 2).unwrap();
         let (ct, enc_r) = Te::encrypt(&mut r, &pk, f(7));
@@ -559,47 +583,42 @@ mod tests {
         let published = f(1000) - kp.secret.scalar * f(17);
         let (commitments, rpks, cts, coeffs, rands) = deal(&mut r, &pk, shares[0].value);
         let table = PowerTable::new(5, 2);
-        let deal_map = DealMap::new(pk.g, &rpks, &table);
+        let deal_map = DealMap::reshare(pk.g, &rpks, &table);
         let deal_targets = deal_map.targets(&commitments, &cts).unwrap();
         let deal_witness = [&coeffs[..], &rands[..]].concat();
 
-        for v in ["v1", "v2"] {
+        for v in ["v1", "v2", "v3"] {
             let retired = |kind: &str| Domain::new(format!("yoso-pss/nizk/{kind}/{v}").as_bytes());
 
             let map = EncMap::new(&pk);
-            let inner =
-                linear::prove(&mut r, &retired("enc"), &map.0, &[ct.u, ct.v], &[f(7), enc_r]);
-            assert!(linear::verify(&retired("enc"), &map.0, &[ct.u, ct.v], &inner));
+            let old = under(&retired("enc"), &map.0);
+            let inner = linear::prove(&mut r, &old, &[ct.u, ct.v], &[f(7), enc_r]);
+            assert!(linear::verify(&old, &[ct.u, ct.v], &inner));
             let proof = EncProof { inner };
             assert!(!map.verify(&ct, &proof) && !verify_enc_proof(&pk, &ct, &proof), "enc/{v}");
 
             let map = PdecMap::new(&pk, &ct);
-            let inner =
-                linear::prove(&mut r, &retired("pdec"), &map.0, &[pk.vks[1], d], &[shares[1].value]);
+            let old = under(&retired("pdec"), &map.0);
+            let inner = linear::prove(&mut r, &old, &[pk.vks[1], d], &[shares[1].value]);
             let proof = PdecProof { inner };
             assert!(!map.verify(pk.vks[1], d, &proof), "pdec/{v}");
             assert!(!verify_pdec_proof(&pk, &ct, 1, d, &proof), "pdec/{v}");
 
             let map = ShareMap::new(&kp.public, f(17));
             let targets = [kp.public.h, published - f(1000)];
-            let inner =
-                linear::prove(&mut r, &retired("share"), &map.map, &targets, &[kp.secret.scalar]);
+            let old = under(&retired("share"), &map.map);
+            let inner = linear::prove(&mut r, &old, &targets, &[kp.secret.scalar]);
             let proof = ShareProof { inner };
             assert!(!map.verify(f(1000), published, &proof), "share/{v}");
             assert!(!verify_share_proof(&kp.public, f(17), f(1000), published, &proof), "share/{v}");
 
-            let inner = linear::prove(
-                &mut r,
-                &retired("reshare"),
-                &deal_map.map,
-                &deal_targets,
-                &deal_witness,
-            );
+            let old = under(&retired("reshare"), &deal_map.map);
+            let inner = linear::prove(&mut r, &old, &deal_targets, &deal_witness);
             let proof = ReshareProof { inner };
             assert!(!deal_map.verify_reshare(&pk, 0, &deal_targets, &proof), "reshare/{v}");
             assert!(!verify_reshare_proof(&pk, 0, &commitments, &rpks, &cts, &proof), "reshare/{v}");
         }
-        let proof = deal_map.prove_reshare(&mut r, &deal_targets, &coeffs, &rands);
+        let proof = deal_map.prove(&mut r, &deal_targets, &coeffs, &rands);
         assert!(deal_map.verify_reshare(&pk, 0, &deal_targets, &proof));
         assert!(verify_reshare_proof(&pk, 0, &commitments, &rpks, &cts, &proof));
     }
@@ -684,6 +703,53 @@ mod tests {
         }
     }
 
+    /// The `/v3` engine's challenge, hand-rolled as DESIGN §8 documented
+    /// it: the domain's pre-hashed block(s), then `H′(M)`, the row count,
+    /// the targets and the commitment, all hashed per challenge.
+    fn v3_challenge(domain: &[u8], map: &LinearMap<F61>, targets: &[F61], commitment: &[F61]) -> F61 {
+        let mut h = Domain::new(domain).hasher();
+        h.update(&map.digest());
+        h.update(&(map.row_count() as u64).to_le_bytes());
+        for v in targets.iter().chain(commitment) {
+            h.update(&v.to_bytes());
+        }
+        F61::from_u64(u64::from_le_bytes(h.finalize()[..8].try_into().unwrap()))
+    }
+
+    #[test]
+    fn a_proof_hashed_by_the_v3_engine_does_not_verify() {
+        let pk = PublicKey { n: 1, t: 0, g: f(5), h: f(7), vks: vec![f(0)] };
+        let (m, r) = (f(42), f(9));
+        let ct = Te::encrypt_with(&pk, m, r);
+        let map = EncMap::new(&pk);
+        // The layout above is the retired engine's: these are the
+        // challenges the parent commit derives for this statement under
+        // an all-zero commitment.
+        let zeros = [F61::ZERO; 2];
+        for (label, known) in [
+            (&b"yoso-pss/nizk/enc/v3"[..], 0x698de4a5a7aaa2e),
+            (b"yoso-pss/nizk/enc/v4", 0x1bbfc90d69de2a17),
+        ] {
+            assert_eq!(v3_challenge(label, &map.0, &[ct.u, ct.v], &zeros).as_u64(), known);
+        }
+
+        let mut rng = rng();
+        for label in [&b"yoso-pss/nizk/enc/v3"[..], b"yoso-pss/nizk/enc/v4"] {
+            let rho = [F61::random(&mut rng), F61::random(&mut rng)];
+            let a = [pk.g * rho[1], rho[0] + pk.h * rho[1]];
+            let e = v3_challenge(label, &map.0, &[ct.u, ct.v], &a);
+            let z = [rho[0] + e * m, rho[1] + e * r];
+            // A sound transcript of the sigma protocol for that `e` …
+            assert_eq!(pk.g * z[1], a[0] + e * ct.u);
+            assert_eq!(z[0] + pk.h * z[1], a[1] + e * ct.v);
+            // … that today's verifier, deriving `e` its own way, refuses.
+            let proof =
+                EncProof { inner: linear::Proof { commitment: a.to_vec(), response: z.to_vec() } };
+            assert!(!map.verify(&ct, &proof));
+            assert!(!verify_enc_proof(&pk, &ct, &proof));
+        }
+    }
+
     #[test]
     fn typed_garbage_is_rejected_with_independent_entries() {
         let mut r = rng();
@@ -714,8 +780,8 @@ mod tests {
         let mut r = rng();
         let (pk, shares) = Te::keygen(&mut r, 5, 2).unwrap();
         let (commitments, rpks, cts, coeffs, rands) = deal(&mut r, &pk, shares[0].value);
-        let deal_map = DealMap::new(pk.g, &rpks, &PowerTable::new(5, 2));
-        assert_eq!((deal_map.map().row_count(), deal_map.map().witness_len()), (3 + 10, 3 + 5));
+        let deal_map = DealMap::reshare(pk.g, &rpks, &PowerTable::new(5, 2));
+        assert_eq!((deal_map.map.row_count(), deal_map.map.witness_len()), (3 + 10, 3 + 5));
         assert!(deal_map.targets(&commitments[..2], &cts).is_none());
         assert!(deal_map.targets(&commitments, &cts[..4]).is_none());
         // One commitment too many and a ciphertext short is the right
@@ -725,7 +791,7 @@ mod tests {
         assert!(deal_map.targets(&shifted, &cts[1..]).is_none());
 
         let targets = deal_map.targets(&commitments, &cts).unwrap();
-        let proof = deal_map.prove_reshare(&mut r, &targets, &coeffs, &rands);
+        let proof = deal_map.prove(&mut r, &targets, &coeffs, &rands);
         assert!(deal_map.verify_reshare(&pk, 0, &targets, &proof));
         // Wrong sender, unknown sender, a key of another threshold.
         assert!(!deal_map.verify_reshare(&pk, 1, &targets, &proof));
@@ -735,12 +801,12 @@ mod tests {
         assert!(!verify_reshare_proof(&other_t, 0, &commitments, &rpks, &cts, &proof));
     }
 
-    /// Exact and host-independent: every small proof is two blocks to
-    /// prove and two to verify over a map somebody already built, four
-    /// through the per-proof functions (which digest a map of their own,
-    /// two blocks more); a deal proof is its targets and commitment,
-    /// ⌈(49 + 16·(t + 1 + 2n)) / 64⌉ blocks, and the committee's `n`
-    /// proofs digest their one map once.
+    /// Exact and host-independent: every small proof is one block to
+    /// prove and one to verify over a map somebody already built, four
+    /// through the per-proof functions (which build a map of their own:
+    /// two blocks of digest, one of prefix); a deal proof is its targets
+    /// and commitment, ⌈(9 + 16·(t + 1 + 2n)) / 64⌉ blocks, and the
+    /// committee's `n` proofs build their one map once.
     #[cfg(debug_assertions)]
     #[test]
     fn small_proofs_cost_two_blocks_and_a_committee_digests_its_deal_map_once() {
@@ -751,10 +817,10 @@ mod tests {
         let (ct, enc_r) = Te::encrypt(&mut r, &pk, f(7));
 
         let (map, building) = compressions_of(|| EncMap::new(&pk));
-        assert_eq!(building, 2);
+        assert_eq!(building, 3);
         let (proof, proving) = compressions_of(|| map.prove(&mut r, &ct, f(7), enc_r));
         let (ok, verifying) = compressions_of(|| map.verify(&ct, &proof));
-        assert_eq!((ok, proving, verifying), (true, 2, 2), "enc");
+        assert_eq!((ok, proving, verifying), (true, 1, 1), "enc");
         assert_eq!(compressions_of(|| enc_proof(&mut r, &pk, &ct, f(7), enc_r)).1, 4);
         assert_eq!(compressions_of(|| verify_enc_proof(&pk, &ct, &proof)).1, 4);
 
@@ -763,7 +829,7 @@ mod tests {
         let (proof, proving) =
             compressions_of(|| map.prove(&mut r, pk.vks[2], shares[2].value, d));
         let (ok, verifying) = compressions_of(|| map.verify(pk.vks[2], d, &proof));
-        assert_eq!((ok, proving, verifying), (true, 2, 2), "pdec");
+        assert_eq!((ok, proving, verifying), (true, 1, 1), "pdec");
         assert_eq!(compressions_of(|| verify_pdec_proof(&pk, &ct, 2, d, &proof)).1, 4);
 
         let kp = LinearPke::<F61>::keygen(&mut r);
@@ -772,17 +838,19 @@ mod tests {
         let (proof, proving) =
             compressions_of(|| map.prove(&mut r, f(1000), published, kp.secret.scalar));
         let (ok, verifying) = compressions_of(|| map.verify(f(1000), published, &proof));
-        assert_eq!((ok, proving, verifying), (true, 2, 2), "share");
+        assert_eq!((ok, proving, verifying), (true, 1, 1), "share");
 
         // A handover: n dealers, one map.
-        let per_challenge = (49 + 16 * (t + 1 + 2 * n) as u64).div_ceil(64);
+        let per_challenge = (9 + 16 * (t + 1 + 2 * n) as u64).div_ceil(64);
         assert_eq!(per_challenge, 11);
         let rpks: Vec<_> = (0..n).map(|_| LinearPke::<F61>::keygen(&mut r).public).collect();
         let table = PowerTable::new(n, t);
-        let (deal_map, digesting) = compressions_of(|| DealMap::new(pk.g, &rpks, &table));
-        // 16 bytes of shape, 8 a row, 16 a non-zero, 9 of padding.
+        let (deal_map, building) = compressions_of(|| DealMap::reshare(pk.g, &rpks, &table));
+        // 16 bytes of shape, 8 a row, 16 a non-zero, 9 of padding; then
+        // the prefix block.
         let nnz = (t + 1) + n + n * (t + 2);
-        assert_eq!(digesting, (16 + 8 * (t + 1 + 2 * n) as u64 + 16 * nnz as u64 + 9).div_ceil(64));
+        let digesting = (16 + 8 * (t + 1 + 2 * n) as u64 + 16 * nnz as u64 + 9).div_ceil(64);
+        assert_eq!(building, digesting + 1);
         let (_, handover) = compressions_of(|| {
             for share in &shares {
                 let (msg, coeffs) = Te::reshare_with(&mut r, &pk, share, &table);
@@ -793,7 +861,7 @@ mod tests {
                     .map(|(&sub, rpk)| LinearPke::encrypt(&mut r, rpk, sub))
                     .unzip();
                 let targets = deal_map.targets(&msg.commitments, &cts).unwrap();
-                let proof = deal_map.prove_reshare(&mut r, &targets, &coeffs, &rands);
+                let proof = deal_map.prove(&mut r, &targets, &coeffs, &rands);
                 assert!(deal_map.verify_reshare(&pk, share.party, &targets, &proof));
             }
         });

@@ -6,10 +6,11 @@
 //! - [`linear`]: a generic proof of knowledge of a preimage under a
 //!   public (sparse) linear map over a prime field. Every mock-world
 //!   relation in the protocol is linear, so this single protocol covers
-//!   them all. A [`LinearMap`] is digested once, when it is built; a
-//!   challenge is then one hash, from the pre-hashed state of the
-//!   proof type's [`yoso_crypto::Domain`], of that digest and the
-//!   proof's own targets and commitment.
+//!   them all. A [`LinearMap`] is bound to its proof type's
+//!   [`yoso_crypto::Domain`] and digested once, when it is built, and
+//!   keeps the hash state after that fixed prefix; a challenge then
+//!   hashes only the proof's own targets and commitment — one SHA-256
+//!   block for a proof of up to three rows.
 //! - [`EncMap`] ([`enc_proof`] / [`verify_enc_proof`]): correct
 //!   encryption under [`crate::mock::MockTe`] (knowledge of `(m, r)`
 //!   for a ciphertext). One map per threshold key.
@@ -21,7 +22,8 @@
 //!   correct key re-sharing (knowledge of the sub-sharing polynomial
 //!   behind the Feldman commitments, consistent with the published
 //!   subshare encryptions under the recipients' keys). One map per
-//!   handover, shared by its dealers; it is also the DKG's deal map.
+//!   handover, shared by its dealers ([`DealMap::reshare`]); under the
+//!   DKG's domain ([`DealMap::new`]) it is also the DKG's deal map.
 //! - [`ShareMap`] ([`share_proof`] / [`verify_share_proof`]): knowledge
 //!   of the value and randomness inside a published μ-share
 //!   contribution (the online phase's "proof of correctness" attached
@@ -29,7 +31,10 @@
 //!
 //! The function pairs in brackets build their map for the one call;
 //! protocol code that proves many statements over the same public data
-//! builds the map once and calls its `prove` / `verify`.
+//! builds the map once and calls its `prove` / `verify`. The two have
+//! different owners in the protocol: the role that posts proves, and
+//! each reader verifies what it reads — a threshold step only until it
+//! has the `t + 1` valid postings it opens from.
 //!
 //! The Paillier-world proofs live in [`crate::paillier::nizk`], over
 //! the [`yoso_crypto::Transcript`] oracle.

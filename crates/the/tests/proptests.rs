@@ -286,18 +286,19 @@ fn mat_vec(m: &Dense, w: &[F61]) -> Vec<F61> {
     m.iter().map(|row| row.iter().zip(w).map(|(&a, &b)| a * b).sum()).collect()
 }
 
-fn from_dense(witness_len: usize, m: &Dense) -> LinearMap<F61> {
-    LinearMap::new(witness_len, to_sparse(m)).unwrap()
+fn from_dense(domain: &Domain, witness_len: usize, m: &Dense) -> LinearMap<F61> {
+    LinearMap::new(domain, witness_len, to_sparse(m)).unwrap()
 }
 
 fn has_two_nonzero(xs: &[F61]) -> bool {
     xs.iter().filter(|x| !x.is_zero()).count() >= 2
 }
 
-/// Tampers with the statement `(map, targets)` in every way the
-/// challenge must bind — each non-zero changed, moved along its row and
-/// moved along its column, then `witness_len`, the row count, each
-/// target, each commitment entry and the domain, and content moved
+/// Tampers with the statement `(map, targets)` of a map built under
+/// `domain` in every way the challenge must bind — each non-zero
+/// changed, moved along its row and moved along its column, then
+/// `witness_len`, the row count, each target, each commitment entry and
+/// the domain, and content moved
 /// *between* the map (which enters the challenge through its digest)
 /// and the targets (which enter it directly) — and returns the
 /// tamperings `proof` still verifies under. Where the verifier's
@@ -320,10 +321,10 @@ fn accepted_tamperings(
     let m = to_dense(map);
     let rows: Vec<Vec<(usize, F61)>> = map.rows().map(<[_]>::to_vec).collect();
     assert!(has_two_nonzero(targets));
-    let here = Domain::new(domain);
+    let here = &Domain::new(domain);
     let mut accepted = Vec::new();
     let mut case = |what: String, map: &LinearMap<F61>, targets: &[F61], proof: &LinearProof<F61>| {
-        if nizk::verify_linear(&here, map, targets, proof) {
+        if nizk::verify_linear(map, targets, proof) {
             accepted.push(what);
         }
     };
@@ -332,17 +333,17 @@ fn accepted_tamperings(
         for (j, _) in row.iter().enumerate().filter(|(_, c)| !c.is_zero()) {
             let mut changed = m.clone();
             changed[i][j] += F61::ONE;
-            case(format!("({i},{j}) changed"), &from_dense(w, &changed), targets, proof);
+            case(format!("({i},{j}) changed"), &from_dense(here, w, &changed), targets, proof);
             for j2 in (0..w).filter(|&j2| m[i][j2].is_zero()) {
                 let mut moved = m.clone();
                 moved[i].swap(j, j2);
-                case(format!("({i},{j}) moved to column {j2}"), &from_dense(w, &moved), targets, proof);
+                case(format!("({i},{j}) moved to column {j2}"), &from_dense(here, w, &moved), targets, proof);
             }
             for i2 in (0..m.len()).filter(|&i2| m[i2][j].is_zero()) {
                 let mut moved = m.clone();
                 moved[i2][j] = moved[i][j];
                 moved[i][j] = F61::ZERO;
-                case(format!("({i},{j}) moved to row {i2}"), &from_dense(w, &moved), targets, proof);
+                case(format!("({i},{j}) moved to row {i2}"), &from_dense(here, w, &moved), targets, proof);
             }
 
             // Between map and targets. A change of the coefficient that
@@ -350,13 +351,13 @@ fn accepted_tamperings(
             // witness — and with zero masks it passes the equations.
             let mut made_up = targets.to_vec();
             made_up[i] += witness[j];
-            case(format!("({i},{j}) changed, target {i} compensating"), &from_dense(w, &changed), &made_up, proof);
+            case(format!("({i},{j}) changed, target {i} compensating"), &from_dense(here, w, &changed), &made_up, proof);
             // The coefficient and its row's target trade places.
             if m[i][j] != targets[i] {
                 let mut traded = m.clone();
                 let mut traded_targets = targets.to_vec();
                 std::mem::swap(&mut traded[i][j], &mut traded_targets[i]);
-                case(format!("({i},{j}) swapped with target {i}"), &from_dense(w, &traded), &traded_targets, proof);
+                case(format!("({i},{j}) swapped with target {i}"), &from_dense(here, w, &traded), &traded_targets, proof);
             }
         }
     }
@@ -369,11 +370,11 @@ fn accepted_tamperings(
             rows.swap(i, k);
             targets.swap(i, k);
             proof.commitment.swap(i, k);
-            case(format!("rows {i} and {k} exchanged"), &from_dense(w, &rows), &targets, &proof);
+            case(format!("rows {i} and {k} exchanged"), &from_dense(here, w, &rows), &targets, &proof);
         }
     }
 
-    let wider = LinearMap::new(w + 1, &rows).unwrap();
+    let wider = LinearMap::new(here, w + 1, &rows).unwrap();
     case("witness_len + 1".into(), &wider, targets, proof);
     let mut padded = proof.clone();
     padded.response.push(F61::ZERO);
@@ -385,11 +386,11 @@ fn accepted_tamperings(
     taller.push(Vec::new());
     longer_targets.push(F61::ZERO);
     longer.commitment.push(F61::ZERO);
-    case("an empty row appended".into(), &LinearMap::new(w, taller).unwrap(), &longer_targets, &longer);
+    case("an empty row appended".into(), &LinearMap::new(here, w, taller).unwrap(), &longer_targets, &longer);
     if let Some((_, kept)) = targets.split_last() {
         let mut shorter = proof.clone();
         shorter.commitment.pop();
-        let dropped = LinearMap::new(w, &rows[..kept.len()]).unwrap();
+        let dropped = LinearMap::new(here, w, &rows[..kept.len()]).unwrap();
         case("last row dropped".into(), &dropped, kept, &shorter);
         // The same map, one target short: a count mismatch.
         case("last target dropped".into(), map, kept, proof);
@@ -404,10 +405,8 @@ fn accepted_tamperings(
         case(format!("commitment {i} changed"), map, targets, &forged);
     }
 
-    let other = Domain::new(&[domain, b"!"].concat());
-    if nizk::verify_linear(&other, map, targets, proof) {
-        accepted.push("domain changed".into());
-    }
+    let other = LinearMap::new(&Domain::new(&[domain, b"!"].concat()), w, &rows).unwrap();
+    case("domain changed".into(), &other, targets, proof);
     accepted
 }
 
@@ -448,10 +447,9 @@ proptest! {
     ) {
         let targets = mat_vec(&m, &witness);
         prop_assume!(has_two_nonzero(&targets));
-        let map = from_dense(witness.len(), &m);
-        let binding = Domain::new(b"binding");
-        let proof = nizk::prove_linear(&mut rng(seed), &binding, &map, &targets, &witness);
-        prop_assert!(nizk::verify_linear(&binding, &map, &targets, &proof));
+        let map = from_dense(&Domain::new(b"binding"), witness.len(), &m);
+        let proof = nizk::prove_linear(&mut rng(seed), &map, &targets, &witness);
+        prop_assert!(nizk::verify_linear(&map, &targets, &proof));
         prop_assert_eq!(
             accepted_tamperings(b"binding", &map, &targets, &witness, &proof),
             Vec::<String>::new()
@@ -472,11 +470,10 @@ proptest! {
         witness[1..].fill(F61::ZERO);
         let targets = mat_vec(&m, &witness);
         prop_assume!(has_two_nonzero(&targets));
-        let map = from_dense(witness.len(), &m);
-        let binding = Domain::new(b"binding");
-        let proof = nizk::prove_linear(&mut ZeroRng, &binding, &map, &targets, &witness);
+        let map = from_dense(&Domain::new(b"binding"), witness.len(), &m);
+        let proof = nizk::prove_linear(&mut ZeroRng, &map, &targets, &witness);
         prop_assert!(proof.commitment.iter().all(|a| a.is_zero()));
-        prop_assert!(nizk::verify_linear(&binding, &map, &targets, &proof));
+        prop_assert!(nizk::verify_linear(&map, &targets, &proof));
         prop_assert_eq!(
             accepted_tamperings(b"binding", &map, &targets, &witness, &proof),
             Vec::<String>::new()
@@ -486,7 +483,7 @@ proptest! {
     #[test]
     fn sparse_apply_equals_the_dense_mat_vec(seed in any::<u64>(), (m, witness) in small_system()) {
         let targets = mat_vec(&m, &witness);
-        let map = from_dense(witness.len(), &m);
+        let map = from_dense(&Domain::new(b"apply"), witness.len(), &m);
         prop_assert!(map.is_satisfied_by(&targets, &witness));
         let mut off = witness.clone();
         off[0] += F61::ONE;
@@ -495,7 +492,7 @@ proptest! {
         // draws first.
         let mut r = rng(seed);
         let mut replay = r.clone();
-        let proof = nizk::prove_linear(&mut r, &Domain::new(b"apply"), &map, &targets, &witness);
+        let proof = nizk::prove_linear(&mut r, &map, &targets, &witness);
         let masks: Vec<F61> = witness.iter().map(|_| F61::random(&mut replay)).collect();
         prop_assert_eq!(proof.commitment, mat_vec(&m, &masks));
     }
@@ -508,13 +505,14 @@ proptest! {
         let targets = mat_vec(&m, &witness);
         let with_zeros: Vec<Vec<(usize, F61)>> =
             m.iter().map(|row| row.iter().copied().enumerate().collect()).collect();
-        let dense = LinearMap::new(witness.len(), with_zeros).unwrap();
-        let sparse = from_dense(witness.len(), &m);
-        prop_assert_eq!(&dense, &sparse);
         let canonical = Domain::new(b"canonical");
+        let dense = LinearMap::new(&canonical, witness.len(), with_zeros).unwrap();
+        let sparse = from_dense(&canonical, witness.len(), &m);
+        prop_assert!(dense.rows().eq(sparse.rows()));
+        prop_assert_eq!(dense.digest(), sparse.digest());
         prop_assert_eq!(
-            nizk::prove_linear(&mut rng(seed), &canonical, &dense, &targets, &witness),
-            nizk::prove_linear(&mut rng(seed), &canonical, &sparse, &targets, &witness)
+            nizk::prove_linear(&mut rng(seed), &dense, &targets, &witness),
+            nizk::prove_linear(&mut rng(seed), &sparse, &targets, &witness)
         );
     }
 
@@ -527,18 +525,18 @@ proptest! {
         (m, witness) in small_system(),
     ) {
         let targets = mat_vec(&m, &witness);
-        let shared = from_dense(witness.len(), &m);
         let domain = Domain::new(b"sharing");
+        let shared = from_dense(&domain, witness.len(), &m);
         for member in 0..4 {
-            let fresh = from_dense(witness.len(), &m);
+            let fresh = from_dense(&domain, witness.len(), &m);
             prop_assert_eq!(fresh.digest(), shared.digest());
             let over_shared =
-                nizk::prove_linear(&mut rng(seed ^ member), &domain, &shared, &targets, &witness);
+                nizk::prove_linear(&mut rng(seed ^ member), &shared, &targets, &witness);
             let over_fresh =
-                nizk::prove_linear(&mut rng(seed ^ member), &domain, &fresh, &targets, &witness);
+                nizk::prove_linear(&mut rng(seed ^ member), &fresh, &targets, &witness);
             prop_assert_eq!(&over_shared, &over_fresh);
-            prop_assert!(nizk::verify_linear(&domain, &shared, &targets, &over_fresh));
-            prop_assert!(nizk::verify_linear(&domain, &fresh, &targets, &over_shared));
+            prop_assert!(nizk::verify_linear(&shared, &targets, &over_fresh));
+            prop_assert!(nizk::verify_linear(&fresh, &targets, &over_shared));
         }
     }
 
@@ -548,25 +546,26 @@ proptest! {
         delta in 1u64..F61::MODULUS,
     ) {
         let w = m[0].len();
-        let map = from_dense(w, &m);
+        let here = &Domain::new(b"digests");
+        let map = from_dense(here, w, &m);
         // witness_len alone.
-        prop_assert_ne!(LinearMap::new(w + 1, to_sparse(&m)).unwrap().digest(), map.digest());
+        prop_assert_ne!(LinearMap::new(here, w + 1, to_sparse(&m)).unwrap().digest(), map.digest());
         // An empty row more.
         let mut taller = to_sparse(&m);
         taller.push(Vec::new());
-        prop_assert_ne!(LinearMap::new(w, taller).unwrap().digest(), map.digest());
+        prop_assert_ne!(LinearMap::new(here, w, taller).unwrap().digest(), map.digest());
         for (i, row) in m.iter().enumerate() {
             for j in 0..w {
                 // One coefficient (a stored one changed or dropped, or an
                 // absent one added).
                 let mut changed = m.clone();
                 changed[i][j] += F61::from_u64(delta);
-                prop_assert_ne!(from_dense(w, &changed).digest(), map.digest());
+                prop_assert_ne!(from_dense(here, w, &changed).digest(), map.digest());
                 // One column: the entry moves along its row.
                 for j2 in (0..w).filter(|&j2| row[j2] != row[j]) {
                     let mut moved = m.clone();
                     moved[i].swap(j, j2);
-                    prop_assert_ne!(from_dense(w, &moved).digest(), map.digest());
+                    prop_assert_ne!(from_dense(here, w, &moved).digest(), map.digest());
                 }
             }
         }
@@ -588,18 +587,31 @@ fn challenge_binds_every_part_of_a_real_reshare_statement() {
         .map(|(m, rpk)| LinearPke::encrypt(&mut r, rpk, horner(&coeffs, F61::from_u64(m as u64 + 1))))
         .unzip();
 
-    let deal = DealMap::new(pk.g, &recipient_pks, &PowerTable::new(n, t));
-    let map = deal.map();
+    // The deal relation's rows, as `DealMap` lays them out: `C_j = a_j·g`,
+    // then per recipient `u = r·g_m` and `v = Σ_j x^j a_j + r·h_m`.
+    let t1 = t + 1;
+    let mut rows: Vec<Vec<(usize, F61)>> = (0..t1).map(|j| vec![(j, pk.g)]).collect();
+    for (m, rpk) in recipient_pks.iter().enumerate() {
+        let x = F61::from_u64(m as u64 + 1);
+        rows.push(vec![(t1 + m, rpk.g)]);
+        let powers = (0..t1).scan(F61::ONE, |p, j| {
+            let here = (j, *p);
+            *p *= x;
+            Some(here)
+        });
+        rows.push(powers.chain([(t1 + m, rpk.h)]).collect());
+    }
+    let map = &LinearMap::new(&Domain::new(b"reshare-binding"), t1 + n, rows).unwrap();
     assert_eq!((map.row_count(), map.witness_len()), (t + 1 + 2 * n, t + 1 + n));
     let nnz: usize = map.rows().map(<[_]>::len).sum();
     assert_eq!(nnz, (t + 1) + n + n * (t + 2));
+    let deal = DealMap::reshare(pk.g, &recipient_pks, &PowerTable::new(n, t));
     let targets = deal.targets(&commitments, &cts).unwrap();
     let witness = [coeffs.clone(), rands.clone()].concat();
     assert!(map.is_satisfied_by(&targets, &witness));
 
-    let domain = Domain::new(b"reshare-binding");
-    let proof = nizk::prove_linear(&mut r, &domain, map, &targets, &witness);
-    assert!(nizk::verify_linear(&domain, map, &targets, &proof));
+    let proof = nizk::prove_linear(&mut r, map, &targets, &witness);
+    assert!(nizk::verify_linear(map, &targets, &proof));
     assert_eq!(
         accepted_tamperings(b"reshare-binding", map, &targets, &witness, &proof),
         Vec::<String>::new()
@@ -610,6 +622,6 @@ fn challenge_binds_every_part_of_a_real_reshare_statement() {
     let proof = nizk::reshare_proof(&mut r, &pk, &commitments, &recipient_pks, &cts, &coeffs, &rands);
     assert!(nizk::verify_reshare_proof(&pk, 3, &commitments, &recipient_pks, &cts, &proof));
     assert!(deal.verify_reshare(&pk, 3, &targets, &proof));
-    let proof = deal.prove_reshare(&mut r, &targets, &coeffs, &rands);
+    let proof = deal.prove(&mut r, &targets, &coeffs, &rands);
     assert!(nizk::verify_reshare_proof(&pk, 3, &commitments, &recipient_pks, &cts, &proof));
 }
