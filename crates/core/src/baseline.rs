@@ -32,7 +32,7 @@ use yoso_the::nizk::EncMap;
 
 use crate::messages::{Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
 use crate::offline::{beaver_triples, EncryptedTriple};
-use crate::parallel::PostBuffer;
+use crate::parallel::{Author, PostBuffer};
 use crate::tsk::TskChain;
 use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ExecutionConfig, ProtocolError, ProtocolParams};
@@ -148,8 +148,9 @@ impl BaselineEngine {
                 }
                 let elements = CT_ELEMENTS + ENC_PROOF_ELEMENTS;
                 let post = Post::BaselineInput;
-                posts.open_run(sb.is_leader(), &client_committee, post, phase_in, elements);
-                posts.push(client, 1);
+                let run =
+                    posts.open_run(Author::Leader, &client_committee, post, phase_in, elements);
+                run.push(client);
                 cts[w] = Some(ct);
             }
         }
@@ -238,11 +239,7 @@ impl BaselineEngine {
             outputs[client].push(rv.open(client_keys[client].secret.scalar)?);
         }
 
-        Ok(BaselineResult {
-            outputs,
-            phases: board.phases()?,
-            mul_gates: circuit.mul_count(),
-        })
+        Ok(BaselineResult { outputs, phases: sb.finish()?.phases, mul_gates: circuit.mul_count() })
     }
 }
 

@@ -325,14 +325,14 @@ impl Engine {
             &leak,
         )?;
         note_stage("online", &mut stage_start);
-        sb.finish()?;
+        let tally = sb.finish()?;
         Ok(RunResult {
             outputs: online.outputs,
-            phases: board.phases()?,
+            phases: tally.phases,
             mul_gates: circuit.mul_count(),
             wires: circuit.wire_count(),
             mu: online.mu,
-            rounds: board.round()?,
+            rounds: tally.rounds,
             leaks: leak,
             stage_wall_secs,
         })

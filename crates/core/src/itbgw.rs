@@ -44,10 +44,10 @@ use rand::{Rng, SeedableRng};
 
 use yoso_field::PrimeField;
 use yoso_pss_sharing::{PackedSharing, PackedShares};
-use yoso_runtime::BulletinBoard;
+use yoso_runtime::{BulletinBoard, Speakers};
 
 use crate::messages::{ContributionStep, Post};
-use crate::parallel::PostBuffer;
+use crate::parallel::{Author, PostBuffer};
 use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ProtocolError, ProtocolParams};
 
@@ -289,18 +289,18 @@ impl<F: PrimeField> Resharing<F> {
     fn reshare<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        sb: &ShardedBoard<'_>,
         posts: &mut PostBuffer,
         committee: &Arc<str>,
         source: &PackedShares<F>,
         deals: fn(&Self, usize, F) -> Vec<F>,
     ) -> Result<PackedShares<F>, ProtocolError> {
         let mut acc: Option<PackedShares<F>> = None;
+        let dealings = self.shares_run(posts, Author::Members, committee, "it/reshare");
         for i in 0..self.scheme.n() {
             let mut mrng = rand::rngs::StdRng::seed_from_u64(rng.next_u64());
             let vector = deals(self, i, source.share_of(i).value);
             let dealt = self.scheme.share(&mut mrng, &vector, self.degree)?;
-            self.record(posts, sb.partition().owns(i), committee, "it/reshare", i);
+            dealings.push(i);
             acc = Some(match acc {
                 None => dealt,
                 Some(a) => a.add(&dealt),
@@ -314,7 +314,6 @@ impl<F: PrimeField> Resharing<F> {
     fn handover_live<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        sb: &ShardedBoard<'_>,
         posts: &mut PostBuffer,
         committee: &Arc<str>,
         state: &mut [Option<PackedShares<F>>],
@@ -323,7 +322,7 @@ impl<F: PrimeField> Resharing<F> {
         for (slot, held) in state.iter_mut().enumerate() {
             *held = match held.take() {
                 Some(shares) if live_after(slot) => {
-                    Some(self.reshare(rng, sb, posts, committee, &shares, Self::lanes)?)
+                    Some(self.reshare(rng, posts, committee, &shares, Self::lanes)?)
                 }
                 _ => None,
             };
@@ -331,20 +330,18 @@ impl<F: PrimeField> Resharing<F> {
         Ok(())
     }
 
-    /// Records `member` of `committee` posting `n` shares under `phase`
-    /// — a dealing, or the shares a committee opens to a client.
-    fn record(
+    /// The run of `author`'s postings of `n` shares each under `phase`
+    /// — dealings, or the shares a committee opens to a client.
+    fn shares_run<'p>(
         &self,
-        posts: &mut PostBuffer,
-        owned: bool,
+        posts: &'p mut PostBuffer,
+        author: Author,
         committee: &Arc<str>,
         phase: &'static str,
-        member: usize,
-    ) {
+    ) -> &'p mut Speakers {
         let n = self.scheme.n();
         let post = Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: n as u32 };
-        posts.open_run(owned, committee, post, phase, n as u64);
-        posts.push(member, 1);
+        posts.open_run(author, committee, post, phase, n as u64)
     }
 }
 
@@ -430,7 +427,9 @@ impl ItEngine {
                         ));
                     }
                     let shares = resharing.scheme.share(rng, v, resharing.degree)?;
-                    resharing.record(&mut posts, sb.is_leader(), &clients, "it/input", client);
+                    let run =
+                        resharing.shares_run(&mut posts, Author::Leader, &clients, "it/input");
+                    run.push(client);
                     Some(shares)
                 }
                 LaneOp::Add(a, b) => Some(live(&state, a)?.add(live(&state, b)?)),
@@ -440,18 +439,20 @@ impl ItEngine {
                     // degree-reduce to the next committee.
                     let product = live(&state, a)?.mul_elementwise(live(&state, b)?);
                     let deals = Resharing::lanes;
-                    Some(resharing.reshare(rng, &sb, &mut posts, &committee, &product, deals)?)
+                    Some(resharing.reshare(rng, &mut posts, &committee, &product, deals)?)
                 }
                 LaneOp::SumLanes(a) => {
                     let shares = live(&state, a)?;
                     let deals = Resharing::lane_sum;
-                    Some(resharing.reshare(rng, &sb, &mut posts, &committee, shares, deals)?)
+                    Some(resharing.reshare(rng, &mut posts, &committee, shares, deals)?)
                 }
                 LaneOp::Output(a, client) => {
                     // Members post their shares (encrypted to the
                     // client): n elements.
                     let shares = live(&state, a)?;
-                    resharing.record(&mut posts, sb.is_leader(), &committee, "it/output", 0);
+                    let run =
+                        resharing.shares_run(&mut posts, Author::Leader, &committee, "it/output");
+                    run.push(0);
                     let all: Vec<usize> = (0..self.params.n).collect();
                     let v = resharing.scheme.reconstruct(&shares.select(&all), shares.degree())?;
                     outputs[client].push(v);
@@ -462,7 +463,7 @@ impl ItEngine {
                 // The committee that took the round hands every
                 // still-live vector to the next one.
                 let live_after = |slot: usize| last_use[slot] > pos;
-                resharing.handover_live(rng, &sb, &mut posts, &committee, &mut state, live_after)?;
+                resharing.handover_live(rng, &mut posts, &committee, &mut state, live_after)?;
                 committee_idx += 1;
                 committee = Arc::from(format!("it-committee-{committee_idx}"));
             }
@@ -472,7 +473,7 @@ impl ItEngine {
 
         Ok(ItRunResult {
             outputs,
-            phases: board.phases()?,
+            phases: sb.finish()?.phases,
             mul_lane_gates: program.mul_lane_gates(),
         })
     }

@@ -78,7 +78,7 @@ pub mod workitem;
 
 pub use engine::{crash_phases, BoardBackend, Engine, ExecutionConfig, RunResult};
 pub use params::ProtocolParams;
-pub use workitem::{RolePartition, ShardedBoard};
+pub use workitem::{RolePartition, RunTally, ShardedBoard};
 
 use yoso_circuit::CircuitError;
 use yoso_pss_sharing::PssError;

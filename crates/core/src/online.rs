@@ -40,7 +40,7 @@ use yoso_the::nizk::{ShareMap, ShareProof};
 
 use crate::messages::{Post, MULSHARE_PROOF_ELEMENTS};
 use crate::offline::OfflineArtifacts;
-use crate::parallel::PostBuffer;
+use crate::parallel::{Author, PostBuffer};
 use crate::setup::SetupArtifacts;
 use crate::step::{Proved, Step};
 use crate::tsk::ReencryptedValue;
@@ -164,8 +164,8 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
         if !wires.is_empty() {
             let post = Post::InputMu { wires: wires.len() as u32 };
             let elements = wires.len() as u64;
-            posts.open_run(sb.is_leader(), &client_committee, post, phase_in, elements);
-            posts.push(client, 1);
+            let run = posts.open_run(Author::Leader, &client_committee, post, phase_in, elements);
+            run.push(client);
         }
     }
     sb.flush_buffer(posts)?;

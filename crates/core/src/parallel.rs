@@ -21,18 +21,27 @@ use yoso_runtime::{PostRun, Speakers};
 
 use crate::messages::{self, Post};
 
+/// Who authored a buffered run, which decides the worker that appends
+/// it ([`crate::workitem::ShardedBoard`]'s flush).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Author {
+    /// A committee's members: each posting is appended by the worker
+    /// whose role partition owns its member index.
+    Members,
+    /// The leader — a setup dealer, the clients, a committee's opened
+    /// output: the whole run is appended by the leader worker, whatever
+    /// its indices.
+    Leader,
+}
+
 /// What the consecutive posts of one buffered run share. Holds only
-/// public accounting data — the committee, the post kind, the phase
-/// label and the element count. Message *payloads* never enter the
-/// buffer (the board model tracks sizes, not bytes), so the derived
-/// `Debug` cannot leak secrets.
+/// public accounting data — the author, the committee, the post kind,
+/// the phase label and the element count. Message *payloads* never
+/// enter the buffer (the board model tracks sizes, not bytes), so the
+/// derived `Debug` cannot leak secrets.
 #[derive(Debug, Clone)]
 struct BufferedRun {
-    /// Whether the recording worker's [`crate::workitem::RolePartition`]
-    /// owns the members this run belongs to. Solo runs own everything;
-    /// a role-sharded worker buffers *every* post for position
-    /// accounting but appends only the owned ones to the board.
-    owned: bool,
+    author: Author,
     committee: Arc<str>,
     post: Post,
     phase: &'static str,
@@ -64,22 +73,21 @@ impl PostBuffer {
         PostBuffer::default()
     }
 
-    /// Opens the run a committee step's postings go into, for later
-    /// replay: the postings [`Self::push`] appends from here on are
-    /// posts by members of `committee`, each a `post` of `elements`
-    /// under `phase`. `owned` says whether the current worker's role
-    /// partition owns those members (always true in solo runs). The
-    /// open run is continued unless anything but its members differs.
+    /// Opens the run `author`'s postings go into, for later replay, and
+    /// returns its members: each index pushed onto them is one posting
+    /// by that member of `committee`, a `post` of `elements` under
+    /// `phase`. The last run is continued unless anything but its
+    /// members differs.
     pub(crate) fn open_run(
         &mut self,
-        owned: bool,
+        author: Author,
         committee: &Arc<str>,
         post: Post,
         phase: &'static str,
         elements: u64,
-    ) {
+    ) -> &mut Speakers {
         let continues = self.runs.last().is_some_and(|run| {
-            run.owned == owned
+            run.author == author
                 && run.elements == elements
                 && run.post == post
                 && run.phase == phase
@@ -87,24 +95,16 @@ impl PostBuffer {
         });
         if !continues {
             let (committee, members) = (Arc::clone(committee), Speakers::new());
-            self.runs.push(BufferedRun { owned, committee, post, phase, elements, members });
+            self.runs.push(BufferedRun { author, committee, post, phase, elements, members });
         }
+        let open = self.runs.len() - 1;
+        &mut self.runs[open].members
     }
 
-    /// Appends `times` postings by `member` to the run last opened
-    /// ([`Self::open_run`]).
-    pub(crate) fn push(&mut self, member: usize, times: usize) {
-        if let Some(run) = self.runs.last_mut() {
-            for _ in 0..times {
-                run.members.push(member);
-            }
-        }
-    }
-
-    /// The buffered runs in recording order, each with the recorder's
-    /// ownership flag.
-    pub(crate) fn runs(&self) -> impl Iterator<Item = (bool, PostRun<'_, Post>)> + '_ {
-        self.runs.iter().map(|run| {
+    /// The buffered runs that hold a posting, in recording order, each
+    /// with its author.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (Author, PostRun<'_, Post>)> + '_ {
+        self.runs.iter().filter(|run| !run.members.is_empty()).map(|run| {
             let posted = PostRun {
                 committee: &run.committee,
                 phase: run.phase,
@@ -113,7 +113,7 @@ impl PostBuffer {
                 bytes: messages::to_bytes(run.elements),
                 members: &run.members,
             };
-            (run.owned, posted)
+            (run.author, posted)
         })
     }
 }

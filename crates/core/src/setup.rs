@@ -22,11 +22,11 @@ use rand::Rng;
 use yoso_field::PrimeField;
 use std::sync::Arc;
 
-use yoso_runtime::BulletinBoard;
+use yoso_runtime::{BulletinBoard, Speakers};
 use yoso_the::mock::{Ciphertext, LinearPke, MockTe, PkeKeyPair};
 
 use crate::messages::{ContributionStep, Post, CT_ELEMENTS};
-use crate::parallel::PostBuffer;
+use crate::parallel::{Author, PostBuffer};
 use crate::tsk::TskChain;
 use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ProtocolError, ProtocolParams};
@@ -83,11 +83,12 @@ pub(crate) fn run_setup_in<F: PrimeField, R: Rng + ?Sized>(
     let tsk = TskChain::keygen(rng, params.n, params.t)?;
     // Every KFF record is a public key (2 elements) and the encrypted
     // secret (2 elements).
-    let mut posts = dealer_postings(sb, "setup", 2 * CT_ELEMENTS);
+    let mut posts = PostBuffer::new();
+    let dealer = dealer_run(&mut posts, "setup", 2 * CT_ELEMENTS);
     let mut kff_pair = || {
         let kp = LinearPke::keygen(rng);
         let (ct, _) = MockTe::encrypt(rng, &tsk.pk, kp.secret.scalar);
-        posts.push(0, 1);
+        dealer.push(0);
         (kp, ct)
     };
     let (kff_pairs, kff_cts) =
@@ -97,14 +98,12 @@ pub(crate) fn run_setup_in<F: PrimeField, R: Rng + ?Sized>(
     Ok(SetupArtifacts { tsk, kff_pairs, kff_cts, client_kff_pairs, client_kff_cts })
 }
 
-/// A buffer with the run of a setup dealer's postings open: each a
+/// The run of a setup dealer's postings, opened on `posts`: each a
 /// contribution of `elements` under the `setup` phase, appended by the
 /// leader worker.
-fn dealer_postings(sb: &ShardedBoard<'_>, dealer: &str, elements: u64) -> PostBuffer {
+fn dealer_run<'p>(posts: &'p mut PostBuffer, dealer: &str, elements: u64) -> &'p mut Speakers {
     let post = Post::Contribution { step: ContributionStep::WireRandom, ciphertexts: 1 };
-    let mut posts = PostBuffer::new();
-    posts.open_run(sb.is_leader(), &Arc::from(dealer), post, "setup", elements);
-    posts
+    posts.open_run(Author::Leader, &Arc::from(dealer), post, "setup", elements)
 }
 
 /// Re-keys a setup onto a different threshold key: re-encrypts every
@@ -122,12 +121,13 @@ pub fn rekey_setup<F: PrimeField, R: Rng + ?Sized>(
     mut setup: SetupArtifacts<F>,
     chain: TskChain<F>,
 ) -> Result<SetupArtifacts<F>, ProtocolError> {
-    let mut posts = dealer_postings(sb, "setup-rekey", CT_ELEMENTS);
+    let mut posts = PostBuffer::new();
+    let dealer = dealer_run(&mut posts, "setup-rekey", CT_ELEMENTS);
     let pairs = setup.kff_pairs.iter().flatten().chain(&setup.client_kff_pairs);
     let cts = setup.kff_cts.iter_mut().flatten().chain(&mut setup.client_kff_cts);
     for (kp, ct) in pairs.zip(cts) {
         *ct = MockTe::encrypt(rng, &chain.pk, kp.secret.scalar).0;
-        posts.push(0, 1);
+        dealer.push(0);
     }
     sb.flush_buffer(posts)?;
     setup.tsk = chain;

@@ -17,15 +17,16 @@
 //!    reads, and so verifies, only until it has them. Where this worker
 //!    does not prove, validity is predicted from the behavior;
 //! 5. every speaker's posting is recorded, owned or not, under the
-//!    step's `(Post, phase, elements)`.
+//!    step's `(Post, phase, elements)`, in one members' run: the board
+//!    view decides which of them this worker appends.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use yoso_runtime::{ActiveAttack, Behavior, Committee};
+use yoso_runtime::{ActiveAttack, Behavior, Committee, Speakers};
 
 use crate::messages::Post;
-use crate::parallel::PostBuffer;
+use crate::parallel::{Author, PostBuffer};
 use crate::workitem::{RolePartition, ShardedBoard};
 
 /// One committee posting one kind of message in one phase.
@@ -111,21 +112,22 @@ impl<'a> Step<'a> {
         posts: &mut PostBuffer,
         members: impl IntoIterator<Item = usize>,
     ) {
-        let mut open = None;
+        let run = self.open_run(posts);
         for member in members.into_iter().filter(|&member| self.speaks(member)) {
-            self.record(posts, &mut open, member, self.partition.owns(member));
+            self.record(run, member);
         }
     }
 
-    /// Rule 5: `member`'s postings, buffered for the board. They join
-    /// the run `open` names the ownership of: the step opens one on its
-    /// first speaker and again only when ownership flips.
-    fn record(&self, posts: &mut PostBuffer, open: &mut Option<bool>, member: usize, owned: bool) {
-        if *open != Some(owned) {
-            posts.open_run(owned, &self.committee.name, self.post, self.phase, self.elements);
-            *open = Some(owned);
+    /// The step's one run, opened on `posts`.
+    fn open_run<'p>(&self, posts: &'p mut PostBuffer) -> &'p mut Speakers {
+        posts.open_run(Author::Members, &self.committee.name, self.post, self.phase, self.elements)
+    }
+
+    /// Rule 5: `member`'s postings, onto the step's run.
+    fn record(&self, run: &mut Speakers, member: usize) {
+        for _ in 0..self.postings {
+            run.push(member);
         }
-        posts.push(member, self.postings);
     }
 
     /// Runs the step: each speaking candidate of `members` (`(index,
@@ -139,12 +141,12 @@ impl<'a> Step<'a> {
         members: impl IntoIterator<Item = (usize, T)>,
         mut act: impl FnMut(Turn<&'m M>, T),
     ) {
-        let mut open = None;
+        let run = self.open_run(posts);
         for (member, held) in members {
             let Some(behavior) = self.speaker(member) else { continue };
             let owned = self.partition.owns(member);
             act(Self::turn_of(member, behavior, owned, rng.next_u64(), prover), held);
-            self.record(posts, &mut open, member, owned);
+            self.record(run, member);
         }
     }
 }
@@ -285,10 +287,11 @@ mod tests {
         let (sharded, posts) = values(RolePartition::range(0, 1), &mut proved_first);
         assert_eq!(all, sharded);
         assert_eq!((proved_solo, proved_first), (vec![0, 3], vec![0]));
-        // Both speakers are recorded; only the owned one is appended.
-        let owned: Vec<(bool, Vec<usize>)> =
-            posts.runs().map(|(owned, run)| (owned, run.members.iter().collect())).collect();
-        assert_eq!(owned, [(true, vec![0]), (false, vec![3])]);
+        // Both speakers are recorded, in the step's one run; the board
+        // view appends only the owned one.
+        let runs: Vec<(Author, Vec<usize>)> =
+            posts.runs().map(|(author, run)| (author, run.members.iter().collect())).collect();
+        assert_eq!(runs, [(Author::Members, vec![0, 3])]);
     }
 
     #[test]
@@ -337,8 +340,8 @@ mod tests {
         step.run(&mut rng, &mut posts, None::<&()>, step.everyone(), |_, ()| {});
         let runs: Vec<_> = posts.runs().collect();
         assert_eq!(runs.len(), 1, "a step is one run");
-        let (owned, run) = &runs[0];
-        assert!(owned);
+        let (author, run) = &runs[0];
+        assert_eq!(*author, Author::Members);
         assert_eq!((&**run.committee, run.phase, *run.message), ("c", PHASE, Post::PartialDec));
         assert_eq!((run.elements, run.bytes), (4, 32));
         assert_eq!(run.members.iter().collect::<Vec<_>>(), [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);

@@ -18,10 +18,13 @@
 //! Core posts one way. Every protocol step — a committee's members,
 //! the setup dealer, the online clients — records its postings into a
 //! `PostBuffer`, one run per stretch of postings that share a
-//! descriptor and an ownership flag, and hands the buffer to the run's
-//! one [`ShardedBoard`]. Every protocol entry point takes that board
-//! view, so a caller running several steps by hand owns the view and
-//! calls [`ShardedBoard::finish`] at the end.
+//! descriptor and an author, and hands the buffer to the run's one
+//! [`ShardedBoard`]. Who appends what is decided there and nowhere
+//! else: a members' run is split at the worker's role range, a leader's
+//! run goes whole to the leader. Every protocol entry point takes that
+//! board view, so a caller running several steps by hand owns the view
+//! and ends the run with [`ShardedBoard::finish`], which hands back the
+//! run's reads: the per-phase fold of the log and the round count.
 //!
 //! # Determinism invariant
 //!
@@ -47,10 +50,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use yoso_runtime::{BulletinBoard, PostRun, Speakers};
+use yoso_runtime::{BulletinBoard, PhaseStats, PostRun, Speakers};
 
 use crate::messages::{self, Post};
-use crate::parallel::PostBuffer;
+use crate::parallel::{Author, PostBuffer};
 use crate::ProtocolError;
 
 /// How long a worker waits on a peer's posts or the leader's round
@@ -172,23 +175,29 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Accounts one run at the current position: whoever owns it, the
-    /// position moves past all of its posts in one step; a run this
-    /// worker owns is queued for the next barrier.
-    fn account(&mut self, owned: bool, run: &PostRun<'_, Post>) {
-        let start = self.pos;
-        self.pos += run.members.len() as u64;
-        if owned {
-            self.pending.push(PendingRun {
-                start,
-                committee: Arc::clone(run.committee),
-                phase: Arc::from(run.phase),
-                message: *run.message,
-                elements: run.elements,
-                members: run.members.clone(),
-            });
-        }
+    /// Queues `members`, the postings of `run` from position `start` on
+    /// that this worker appends, for the next barrier.
+    fn queue(&mut self, start: u64, run: &PostRun<'_, Post>, members: Speakers) {
+        self.pending.push(PendingRun {
+            start,
+            committee: Arc::clone(run.committee),
+            phase: Arc::from(run.phase),
+            message: *run.message,
+            elements: run.elements,
+            members,
+        });
     }
+}
+
+/// What a run's board view hands back when the run ends
+/// ([`ShardedBoard::finish`]): the reads of the complete log.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunTally {
+    /// Per-phase communication of the whole board, every worker's
+    /// postings included.
+    pub phases: Vec<(String, PhaseStats)>,
+    /// The board's round count.
+    pub rounds: u64,
 }
 
 /// A run's one view of the bulletin board, for the worker owning
@@ -236,19 +245,16 @@ impl<'a> ShardedBoard<'a> {
         self.partition
     }
 
-    /// Whether this worker drives leader-only posts and round ticks.
-    pub fn is_leader(&self) -> bool {
-        self.partition.is_leader()
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, ShardState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Accounts a whole `PostBuffer` (the parallel engine's replay
-    /// path), run by run, according to each run's ownership flag and
-    /// preserving recording order. Solo mode replays the buffer onto
-    /// the board as **one** transport call: the write lock (or TCP
+    /// path), run by run in recording order, and decides which of its
+    /// postings this worker appends: those of a members' run whose
+    /// member index is in the role range, worked out span by span, and
+    /// all of a leader's run on the leader. Solo mode replays the buffer
+    /// onto the board as **one** transport call: the write lock (or TCP
     /// connection) is taken once per buffer, and each run costs one
     /// copy of its member spans.
     ///
@@ -261,9 +267,21 @@ impl<'a> ShardedBoard<'a> {
             self.board.post_run(&runs)?;
             return Ok(());
         }
+        let (range, leader) = (self.partition.lo..self.partition.hi, self.partition.is_leader());
         let mut st = self.lock();
-        for (owned, run) in buffer.runs() {
-            st.account(owned, &run);
+        for (author, run) in buffer.runs() {
+            // Whoever appends it, the position moves past the whole run.
+            let start = st.pos;
+            st.pos += run.members.len() as u64;
+            match author {
+                Author::Members => {
+                    for (at, members) in run.members.within(range.clone()) {
+                        st.queue(start + at as u64, &run, members);
+                    }
+                }
+                Author::Leader if leader => st.queue(start, &run, run.members.clone()),
+                Author::Leader => {}
+            }
         }
         Ok(())
     }
@@ -316,7 +334,7 @@ impl<'a> ShardedBoard<'a> {
             let st = self.lock();
             (st.pos, st.round + 1)
         };
-        if self.is_leader() {
+        if self.partition.is_leader() {
             let len = self.board.wait_len_at_least(total as usize, WAIT_TIMEOUT)?;
             if len as u64 != total {
                 return Err(ProtocolError::Transport(format!(
@@ -331,28 +349,51 @@ impl<'a> ShardedBoard<'a> {
         Ok(())
     }
 
-    /// Final drain: flushes pending posts and waits until the whole
+    /// Ends the run: flushes pending posts, waits until the whole
     /// canonical post sequence is on the board (the pipeline's last
-    /// phase has no trailing round tick, and every worker then reads
-    /// the per-phase table of the complete log).
+    /// phase has no trailing round tick), and hands back the reads of
+    /// the complete log. The view is consumed, so nothing posts or ticks
+    /// the clock through it afterwards:
+    ///
+    /// ```compile_fail
+    /// use yoso_core::{RolePartition, ShardedBoard};
+    /// let board = yoso_runtime::BulletinBoard::new();
+    /// let sb = ShardedBoard::new(&board, RolePartition::solo());
+    /// sb.advance_round()?;
+    /// let tally = sb.finish()?;
+    /// sb.advance_round()?;
+    /// # Ok::<(), yoso_core::ProtocolError>(())
+    /// ```
+    ///
+    /// The same run, reading its tally where the line above ticked the
+    /// clock:
+    ///
+    /// ```
+    /// use yoso_core::{RolePartition, ShardedBoard};
+    /// let board = yoso_runtime::BulletinBoard::new();
+    /// let sb = ShardedBoard::new(&board, RolePartition::solo());
+    /// sb.advance_round()?;
+    /// let tally = sb.finish()?;
+    /// assert_eq!(tally.rounds, 1);
+    /// # Ok::<(), yoso_core::ProtocolError>(())
+    /// ```
     ///
     /// # Errors
     ///
     /// Propagates transport failures and wait timeouts.
-    pub fn finish(&self) -> Result<(), ProtocolError> {
-        if self.partition.is_solo() {
-            return Ok(());
+    pub fn finish(self) -> Result<RunTally, ProtocolError> {
+        if !self.partition.is_solo() {
+            self.drain_pending()?;
+            let total = self.lock().pos;
+            let len = self.board.wait_len_at_least(total as usize, WAIT_TIMEOUT)?;
+            if len as u64 != total {
+                return Err(ProtocolError::Transport(format!(
+                    "board desync at finish: expected {total} total posts, board \
+                     holds {len}"
+                )));
+            }
         }
-        self.drain_pending()?;
-        let total = self.lock().pos;
-        let len = self.board.wait_len_at_least(total as usize, WAIT_TIMEOUT)?;
-        if len as u64 != total {
-            return Err(ProtocolError::Transport(format!(
-                "board desync at finish: expected {total} total posts, board \
-                 holds {len}"
-            )));
-        }
-        Ok(())
+        Ok(RunTally { phases: self.board.phases()?, rounds: self.board.round()? })
     }
 }
 
@@ -361,14 +402,13 @@ mod tests {
     use super::*;
     use std::ops::Range;
 
-    /// One posting per member of `members` under one descriptor, each
-    /// run flagged with whether `partition` owns its members.
-    fn postings(partition: RolePartition, members: Range<usize>, elements: u64) -> PostBuffer {
+    /// One posting per member of `members` under one descriptor.
+    fn postings(members: Range<usize>, elements: u64) -> PostBuffer {
         let committee: Arc<str> = Arc::from("committee");
         let mut posts = PostBuffer::new();
+        let run = posts.open_run(Author::Members, &committee, Post::MulShare, "x", elements);
         for member in members {
-            posts.open_run(partition.owns(member), &committee, Post::MulShare, "x", elements);
-            posts.push(member, 1);
+            run.push(member);
         }
         posts
     }
@@ -425,7 +465,7 @@ mod tests {
     fn solo_sharded_board_posts_through() {
         let board: BulletinBoard<Post> = BulletinBoard::new();
         let sb = ShardedBoard::new(&board, RolePartition::solo());
-        sb.flush_buffer(postings(sb.partition(), 0..1, 2)).unwrap();
+        sb.flush_buffer(postings(0..1, 2)).unwrap();
         assert_eq!(board.len().unwrap(), 1);
         sb.advance_round().unwrap();
         assert_eq!(board.round().unwrap(), 1);
@@ -439,7 +479,7 @@ mod tests {
         // member order regardless of which worker flushes first.
         let board: BulletinBoard<Post> = BulletinBoard::new();
         let post_all = |sb: &ShardedBoard<'_>| {
-            sb.flush_buffer(postings(sb.partition(), 0..4, 1)).unwrap();
+            sb.flush_buffer(postings(0..4, 1)).unwrap();
         };
         let a = ShardedBoard::new(&board, RolePartition::range(0, 2));
         let b = ShardedBoard::new(&board, RolePartition::range(2, 4));
@@ -508,6 +548,68 @@ mod tests {
         assert_eq!(board.phases().unwrap(), vec![("x".to_string(), x)]);
     }
 
+    /// A buffer with members' runs (a step, a step repeated with a
+    /// member posting twice) and leader runs (a dealer, clients indexed
+    /// past the committee, a committee's opened output at member 0).
+    fn mixed_postings(n: usize) -> PostBuffer {
+        let (c, dealer, clients): (Arc<str>, Arc<str>, Arc<str>) =
+            (Arc::from("c"), Arc::from("dealer"), Arc::from("client"));
+        let contribution = Post::Contribution {
+            step: messages::ContributionStep::WireRandom,
+            ciphertexts: 1,
+        };
+        let mut posts = PostBuffer::new();
+        let run = posts.open_run(Author::Leader, &dealer, contribution, "setup", 4);
+        (0..3).for_each(|_| run.push(0));
+        let run = posts.open_run(Author::Members, &c, Post::MulShare, "x", 1);
+        (0..n).chain(0..n).for_each(|i| run.push(i));
+        let run = posts.open_run(Author::Members, &c, Post::PartialDec, "y", 2);
+        (0..n).flat_map(|i| [i; 2]).for_each(|i| run.push(i));
+        let run = posts.open_run(Author::Leader, &clients, Post::InputMu { wires: 1 }, "in", 1);
+        (0..n + 3).for_each(|i| run.push(i));
+        let run = posts.open_run(Author::Leader, &c, Post::MulShare, "out", 1);
+        run.push(0);
+        posts
+    }
+
+    #[test]
+    fn every_partition_flushes_what_the_solo_view_flushes() {
+        let n = 5;
+        // The buffer, a barrier, the buffer again; then the tally and
+        // the transcript hash of the board.
+        let land = |sb: ShardedBoard<'_>| -> Result<RunTally, ProtocolError> {
+            sb.flush_buffer(mixed_postings(n))?;
+            sb.advance_round()?;
+            sb.flush_buffer(mixed_postings(n))?;
+            sb.finish()
+        };
+        let hash = |board: &BulletinBoard<Post>| {
+            let mut acc = yoso_runtime::PhaseAccumulator::new();
+            acc.finish(board).unwrap();
+            acc.transcript_hash()
+        };
+        let board = BulletinBoard::new();
+        let solo = land(ShardedBoard::new(&board, RolePartition::solo())).unwrap();
+        let solo_hash = hash(&board);
+        assert_eq!(solo.rounds, 1);
+        for workers in [1, 2, 3, n + 1] {
+            let board = BulletinBoard::new();
+            let tallies: Vec<RunTally> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .rev()
+                    .map(|w| {
+                        let partition = RolePartition::of_workers(w, workers, n);
+                        let sb = ShardedBoard::new(&board, partition);
+                        s.spawn(move || land(sb))
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+            });
+            assert!(tallies.iter().all(|tally| *tally == solo), "W = {workers}");
+            assert_eq!(hash(&board), solo_hash, "W = {workers}");
+        }
+    }
+
     #[test]
     fn desync_is_detected_not_deadlocked() {
         // A rogue post outside the partition accounting shifts the
@@ -515,7 +617,7 @@ mod tests {
         // must fail loudly instead of posting at the wrong offset.
         let board: BulletinBoard<Post> = BulletinBoard::new();
         let a = ShardedBoard::new(&board, RolePartition::range(0, 1));
-        a.flush_buffer(postings(a.partition(), 0..1, 1)).unwrap();
+        a.flush_buffer(postings(0..1, 1)).unwrap();
         board
             .post(yoso_runtime::RoleId::new("rogue", 9), Post::MulShare, "x", 1, 8)
             .unwrap();

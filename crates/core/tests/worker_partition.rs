@@ -94,13 +94,24 @@ fn sharded_run_on_with(
     cfg: ExecutionConfig,
 ) -> Vec<RunResult<F61>> {
     let (circuit, inputs) = workload(params);
+    workers_run(board, params, partitions, adversary, cfg, &circuit, &inputs)
+}
+
+/// One worker thread per partition evaluating `circuit` on `inputs`.
+fn workers_run(
+    board: &BulletinBoard<Post>,
+    params: ProtocolParams,
+    partitions: &[RolePartition],
+    adversary: &Adversary,
+    cfg: ExecutionConfig,
+    circuit: &yoso_circuit::Circuit<F61>,
+    inputs: &[Vec<F61>],
+) -> Vec<RunResult<F61>> {
     std::thread::scope(|s| {
         let handles: Vec<_> = partitions
             .iter()
             .map(|&partition| {
                 let board = board.clone();
-                let circuit = &circuit;
-                let inputs = &inputs;
                 s.spawn(move || {
                     let cfg = cfg.with_partition(partition);
                     let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
@@ -340,6 +351,35 @@ fn uneven_role_ranges_still_agree() {
     let (solo_log, _) = solo_run(params, &adv);
     let (log, _) = sharded_run(params, 4, &adv);
     assert_eq!(solo_log, log);
+}
+
+/// Clients outnumber the committee: 24 parties over n = 16. A client's
+/// input run is the leader's to append, whatever the client's index, so
+/// every split lands the solo transcript; handed to the owner of the
+/// index instead, clients 16..24 would be posted by no worker.
+#[test]
+fn leader_runs_land_whole_when_clients_outnumber_the_committee() {
+    let params = ProtocolParams::new(16, 3, 3).unwrap();
+    let parties = 24;
+    let circuit = generators::weighted_average::<F61>(parties).unwrap();
+    let inputs: Vec<Vec<F61>> = (1..=parties as u64).map(|c| vec![f(c), f(2 * c + 1)]).collect();
+    let (adv, cfg) = (Adversary::none(), ExecutionConfig::sweep());
+    let solo_board: BulletinBoard<Post> = BulletinBoard::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(SEED);
+    let solo = Engine::new(params, cfg)
+        .run_with_board(&mut rng, &circuit, &inputs, &adv, &solo_board)
+        .unwrap();
+    assert_eq!(solo.outputs, circuit.evaluate(&inputs).unwrap());
+    for workers in [2, 3, params.n + 1] {
+        let board: BulletinBoard<Post> = BulletinBoard::new();
+        let partitions: Vec<RolePartition> =
+            (0..workers).map(|w| params.worker_role_range(w, workers)).collect();
+        let runs = workers_run(&board, params, &partitions, &adv, cfg, &circuit, &inputs);
+        assert_eq!(render(&solo_board), render(&board), "{workers} workers");
+        for run in &runs {
+            assert_eq!((&solo.outputs, &solo.phases), (&run.outputs, &run.phases));
+        }
+    }
 }
 
 #[test]

@@ -26,13 +26,6 @@ pub enum RuleId {
     /// a sanctioned sanitizer (`encrypt*`/`share*`/`commit*` or a
     /// `lint:sanitize`-marked function).
     TaintFlow,
-    /// A sharded-board posting whose ownership flag is not derived from
-    /// a `RolePartition::owns`/`is_leader` guard, or a raw-board post
-    /// bypassing the `ShardedBoard` position accounting in `core`.
-    UnguardedPost,
-    /// Round-barrier misuse: `advance_round` on a raw board outside a
-    /// leader/solo guard, or a transcript read before a barrier.
-    RoundDiscipline,
     /// The phase RNG is drawn directly inside an ownership-conditional
     /// item loop instead of through a per-item child seed.
     SeedHygiene,
@@ -59,15 +52,13 @@ pub enum Level {
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 10] = [
         RuleId::Panic,
         RuleId::SecretDebug,
         RuleId::SecretFormat,
         RuleId::Determinism,
         RuleId::UnsafePolicy,
         RuleId::TaintFlow,
-        RuleId::UnguardedPost,
-        RuleId::RoundDiscipline,
         RuleId::SeedHygiene,
         RuleId::FsDomain,
         RuleId::BadAllow,
@@ -83,8 +74,6 @@ impl RuleId {
             RuleId::Determinism => "determinism",
             RuleId::UnsafePolicy => "unsafe-policy",
             RuleId::TaintFlow => "taint-flow",
-            RuleId::UnguardedPost => "unguarded-post",
-            RuleId::RoundDiscipline => "round-discipline",
             RuleId::SeedHygiene => "seed-hygiene",
             RuleId::FsDomain => "fs-domain",
             RuleId::BadAllow => "bad-allow",
@@ -97,12 +86,10 @@ impl RuleId {
         RuleId::ALL.iter().copied().find(|r| r.name() == s)
     }
 
-    /// Severity the rule runs at unless overridden on the command line.
+    /// Severity the rule runs at unless overridden on the command line:
+    /// every rule denies, so a clean run is one with no finding at all.
     pub fn default_level(self) -> Level {
-        match self {
-            RuleId::UnusedAllow => Level::Warn,
-            _ => Level::Deny,
-        }
+        Level::Deny
     }
 
     /// One-line description for `--list-rules`.
@@ -126,12 +113,6 @@ impl RuleId {
             }
             RuleId::TaintFlow => {
                 "secret-tainted value reaching a sink without a sanctioned sanitizer"
-            }
-            RuleId::UnguardedPost => {
-                "board posting whose ownership is not derived from owns()/is_leader()"
-            }
-            RuleId::RoundDiscipline => {
-                "advance_round outside a leader/solo guard, or a read before a barrier"
             }
             RuleId::SeedHygiene => {
                 "phase RNG drawn inside an ownership-conditional item loop"
@@ -297,9 +278,9 @@ mod tests {
     fn default_levels() {
         let cfg = LintConfig::default();
         assert_eq!(cfg.level(RuleId::Panic), Level::Deny);
-        assert_eq!(cfg.level(RuleId::UnusedAllow), Level::Warn);
-        let mut cfg = cfg;
-        cfg.set_level(RuleId::UnusedAllow, Level::Deny);
         assert_eq!(cfg.level(RuleId::UnusedAllow), Level::Deny);
+        let mut cfg = cfg;
+        cfg.set_level(RuleId::UnusedAllow, Level::Warn);
+        assert_eq!(cfg.level(RuleId::UnusedAllow), Level::Warn);
     }
 }

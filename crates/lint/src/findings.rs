@@ -1,4 +1,4 @@
-//! Finding type, stable fingerprints, and report aggregation.
+//! Finding type and report aggregation.
 
 use crate::config::{Level, LintConfig, RuleId};
 
@@ -13,32 +13,17 @@ pub struct Finding {
     pub rule: RuleId,
     /// Human-readable explanation.
     pub message: String,
-    /// Stable fingerprint (`rule|file|message|occurrence` FNV-1a hex),
-    /// assigned once per run by [`Report::assign_ids`]. Line numbers are
-    /// deliberately excluded so unrelated edits above a finding don't
-    /// churn the baseline.
-    pub id: String,
-    /// True if the finding matched a baseline entry: still reported, but
-    /// it no longer fails the run.
-    pub baselined: bool,
 }
 
 impl Finding {
-    /// Construct a finding; the fingerprint is assigned later, report-wide.
+    /// Construct a finding.
     pub fn new(
         file: impl Into<String>,
         line: usize,
         rule: RuleId,
         message: impl Into<String>,
     ) -> Finding {
-        Finding {
-            file: file.into(),
-            line,
-            rule,
-            message: message.into(),
-            id: String::new(),
-            baselined: false,
-        }
+        Finding { file: file.into(), line, rule, message: message.into() }
     }
 
     /// Render as `level: file:line: [rule] message`.
@@ -48,25 +33,8 @@ impl Finding {
             Level::Warn => "warning",
             Level::Allow => "allowed",
         };
-        let suffix = if self.baselined { " (baselined)" } else { "" };
-        format!(
-            "{level}: {}:{}: [{}] {}{suffix}",
-            self.file,
-            self.line,
-            self.rule.name(),
-            self.message
-        )
+        format!("{level}: {}:{}: [{}] {}", self.file, self.line, self.rule.name(), self.message)
     }
-}
-
-/// FNV-1a 64-bit hash, the workhorse of the stable finding fingerprints.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// All findings from one run.
@@ -79,77 +47,14 @@ pub struct Report {
 }
 
 impl Report {
-    /// Assign stable fingerprints: FNV-1a over `rule|file|message|k` where
-    /// `k` is the occurrence index among findings sharing the same
-    /// rule/file/message (in line order), so duplicated sites stay
-    /// distinguishable without depending on line numbers.
-    pub fn assign_ids(&mut self) {
-        use std::collections::BTreeMap;
-        let mut seen: BTreeMap<(RuleId, String, String), usize> = BTreeMap::new();
-        // `findings` is sorted by (file, line, rule) before this is called,
-        // so occurrence indices are deterministic.
-        for f in &mut self.findings {
-            let key = (f.rule, f.file.clone(), f.message.clone());
-            let k = seen.entry(key).or_insert(0);
-            let raw = format!("{}|{}|{}|{}", f.rule.name(), f.file, f.message, *k);
-            f.id = format!("{:016x}", fnv1a(raw.as_bytes()));
-            *k += 1;
-        }
-    }
-
-    /// True if any non-baselined finding's rule is at `Deny` level — the
-    /// run should fail.
+    /// True if any finding's rule is at `Deny` level — the run should
+    /// fail.
     pub fn has_denials(&self, cfg: &LintConfig) -> bool {
-        self.findings
-            .iter()
-            .any(|f| !f.baselined && cfg.level(f.rule) == Level::Deny)
+        self.findings.iter().any(|f| cfg.level(f.rule) == Level::Deny)
     }
 
-    /// Count non-baselined findings at the given level.
+    /// Count findings at the given level.
     pub fn count_at(&self, cfg: &LintConfig, level: Level) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| !f.baselined && cfg.level(f.rule) == level)
-            .count()
-    }
-
-    /// Count findings suppressed by the baseline.
-    pub fn count_baselined(&self) -> usize {
-        self.findings.iter().filter(|f| f.baselined).count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ids_are_stable_and_disambiguate_duplicates() {
-        let mut r = Report::default();
-        r.findings.push(Finding::new("a.rs", 3, RuleId::Panic, "same msg"));
-        r.findings.push(Finding::new("a.rs", 9, RuleId::Panic, "same msg"));
-        r.assign_ids();
-        assert_ne!(r.findings[0].id, r.findings[1].id);
-        let first = r.findings[0].id.clone();
-        // Re-assigning yields the same ids: pure function of content.
-        r.assign_ids();
-        assert_eq!(r.findings[0].id, first);
-        // Line numbers do not participate.
-        let mut moved = Report::default();
-        moved.findings.push(Finding::new("a.rs", 100, RuleId::Panic, "same msg"));
-        moved.assign_ids();
-        assert_eq!(moved.findings[0].id, first);
-    }
-
-    #[test]
-    fn baselined_findings_do_not_deny() {
-        let cfg = LintConfig::default();
-        let mut r = Report::default();
-        r.findings.push(Finding::new("a.rs", 1, RuleId::Panic, "m"));
-        assert!(r.has_denials(&cfg));
-        r.findings[0].baselined = true;
-        assert!(!r.has_denials(&cfg));
-        assert_eq!(r.count_at(&cfg, Level::Deny), 0);
-        assert_eq!(r.count_baselined(), 1);
+        self.findings.iter().filter(|f| cfg.level(f.rule) == level).count()
     }
 }

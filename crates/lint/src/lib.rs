@@ -30,10 +30,11 @@
 //!    (format macros, posting payloads, serialization, raw-byte
 //!    returns), cleared only by sanitizers (`encrypt*`/`share*`/
 //!    `commit*` or `lint:sanitize`-marked fns).
-//! 6. **board-protocol discipline** (`unguarded-post`,
-//!    `round-discipline`, `seed-hygiene`) — owner-only posting, leader
-//!    -only round ticks, barrier-before-read ordering, and per-item
-//!    child-seed hygiene in `core`'s sharded-board call sites.
+//! 6. **seed hygiene** (`seed-hygiene`) — per-item child-seed hygiene
+//!    in `core`: the phase RNG is not drawn inside an ownership-guarded
+//!    branch. Who appends a posting and when the log may be read are
+//!    not lint rules: `core`'s board view decides the first at its flush
+//!    and hands out the second only when the run ends.
 //!
 //! **One cross-file pass** ([`domains`]):
 //!
@@ -42,10 +43,7 @@
 //!    collected workspace-wide; one that appears at two sites, or that
 //!    has no `/vN` suffix, is a finding.
 //!
-//! Findings carry stable fingerprints; a checked-in `lint-baseline.json`
-//! at the lint root marks accepted pre-existing findings so only *new*
-//! findings fail CI ([`baseline`]). Reports render as text, plain JSON,
-//! or SARIF 2.1.0 ([`emit`]).
+//! Findings render as text, one per line; the exit code is the gate.
 //!
 //! Escape hatches: `// lint:allow(<rule>): <justification>` (justification
 //! mandatory), `// lint:redact: <why>` for redacted secret impls,
@@ -56,10 +54,8 @@
 #![warn(missing_docs)]
 
 pub mod allow;
-pub mod baseline;
 pub mod config;
 pub mod domains;
-pub mod emit;
 pub mod findings;
 pub mod lexer;
 pub mod parse;
@@ -77,8 +73,7 @@ use std::io;
 use std::path::Path;
 
 /// Lint every workspace `.rs` file under `root` with `cfg`. Findings come
-/// back sorted with stable ids assigned; baseline application is the
-/// caller's choice (see [`baseline::Baseline::apply`]).
+/// back sorted by file, line and rule.
 pub fn lint_root(root: &Path, cfg: &LintConfig) -> io::Result<Report> {
     let mut report = Report::default();
     let mut separators = Vec::new();
@@ -94,6 +89,5 @@ pub fn lint_root(root: &Path, cfg: &LintConfig) -> io::Result<Report> {
     report
         .findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    report.assign_ids();
     Ok(report)
 }

@@ -2,23 +2,19 @@
 //!
 //! ```text
 //! yoso-lint [--root <dir>] [--deny <rule>] [--warn <rule>] [--allow <rule>]
-//!           [--format text|json|sarif] [--baseline <file>] [--no-baseline]
-//!           [--write-baseline <file>] [--quiet] [--list-rules]
+//!           [--quiet] [--list-rules]
 //! ```
 //!
-//! A `lint-baseline.json` at the root is loaded automatically unless
-//! `--no-baseline`; baselined findings are reported but do not fail the
-//! run. Exit codes: `0` clean (warnings and baselined findings allowed),
-//! `1` at least one non-baselined deny-level finding, `2` usage or I/O
-//! error.
+//! Findings print as text, one per line on stdout, and a summary line
+//! goes to stderr. Exit codes: `0` clean (warnings allowed), `1` at
+//! least one deny-level finding, `2` usage or I/O error.
 
 #![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use yoso_lint::baseline::Baseline;
-use yoso_lint::{emit, Level, LintConfig, RuleId};
+use yoso_lint::{Level, LintConfig, RuleId};
 
 const HELP: &str = "\
 yoso-lint — dependency-free static analysis for the yoso-pss workspace
@@ -31,13 +27,7 @@ OPTIONS:
     --deny <rule>            escalate a rule to deny (fails the run)
     --warn <rule>            demote a rule to warn (reported, non-fatal)
     --allow <rule>           disable a rule
-    --format <fmt>           output format: text (default), json, sarif
-    --baseline <file>        load accepted findings from <file>
-                             (default: <root>/lint-baseline.json when present)
-    --no-baseline            ignore any baseline file
-    --write-baseline <file>  record current deny-level findings as the
-                             accepted baseline and exit
-    --quiet, -q              suppress per-finding output (text format)
+    --quiet, -q              suppress per-finding output
     --list-rules             print every rule with its default level
     --help, -h               show this help
 
@@ -48,8 +38,9 @@ ANALYSES:
                      secret-typed/-named bindings (and lint:taint(source)
                      markers) to format/posting/serialize/raw-byte sinks,
                      cleared by encrypt*/share*/commit* or lint:sanitize
-    board discipline unguarded-post, round-discipline, seed-hygiene over
-                     core's sharded-board call sites
+    seed hygiene     seed-hygiene: no phase-RNG draw inside an
+                     ownership-guarded branch in core
+    domains          fs-domain: Fiat-Shamir separators unique and versioned
 
 MARKERS (inside any comment; justification mandatory):
     lint:allow(<rule>[, <rule>]): <why>   suppress findings on the line
@@ -58,26 +49,15 @@ MARKERS (inside any comment; justification mandatory):
     lint:sanitize: <why>                  declare a fn a sanitizer
 
 EXIT CODES:
-    0  clean (warnings and baselined findings allowed)
-    1  at least one new deny-level finding
+    0  clean (warnings allowed)
+    1  at least one deny-level finding
     2  usage or I/O error";
-
-#[derive(PartialEq, Clone, Copy)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
 
 struct Args {
     root: PathBuf,
     cfg: LintConfig,
     quiet: bool,
     list_rules: bool,
-    format: Format,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -86,10 +66,6 @@ fn parse_args() -> Result<Args, String> {
         cfg: LintConfig::default(),
         quiet: false,
         list_rules: false,
-        format: Format::Text,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -108,24 +84,6 @@ fn parse_args() -> Result<Args, String> {
                     _ => Level::Allow,
                 };
                 args.cfg.set_level(rule, level);
-            }
-            "--format" => {
-                let v = it.next().ok_or("--format requires text|json|sarif")?;
-                args.format = match v.as_str() {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "sarif" => Format::Sarif,
-                    other => return Err(format!("unknown format `{other}`")),
-                };
-            }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline requires a path")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--no-baseline" => args.no_baseline = true,
-            "--write-baseline" => {
-                let v = it.next().ok_or("--write-baseline requires a path")?;
-                args.write_baseline = Some(PathBuf::from(v));
             }
             "--quiet" | "-q" => args.quiet = true,
             "--list-rules" => args.list_rules = true,
@@ -155,7 +113,7 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let mut report = match yoso_lint::lint_root(&args.root, &args.cfg) {
+    let report = match yoso_lint::lint_root(&args.root, &args.cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("yoso-lint: {}: {e}", args.root.display());
@@ -163,79 +121,18 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &args.write_baseline {
-        let text = yoso_lint::baseline::render(&report, &args.cfg);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("yoso-lint: {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        let n = report.count_at(&args.cfg, Level::Deny);
-        eprintln!("yoso-lint: wrote {n} baseline finding(s) to {}", path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    // Baseline: explicit flag wins; otherwise auto-detect at the root.
-    let mut stale_count = 0usize;
-    if !args.no_baseline {
-        let path = args
-            .baseline
-            .clone()
-            .or_else(|| {
-                let auto = args.root.join("lint-baseline.json");
-                auto.exists().then_some(auto)
-            });
-        if let Some(path) = path {
-            let text = match std::fs::read_to_string(&path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("yoso-lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let bl = match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("yoso-lint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let stale = bl.apply(&mut report);
-            stale_count = stale.len();
-            if !args.quiet && args.format == Format::Text {
-                for entry in stale {
-                    eprintln!(
-                        "note: stale baseline entry {} ([{}] {}) matched nothing; prune it",
-                        entry.id, entry.rule, entry.file
-                    );
-                }
-            }
+    if !args.quiet {
+        for f in &report.findings {
+            println!("{}", f.render(&args.cfg));
         }
     }
-
-    match args.format {
-        Format::Json => print!("{}", emit::to_json(&report, &args.cfg)),
-        Format::Sarif => print!("{}", emit::to_sarif(&report, &args.cfg)),
-        Format::Text => {
-            if !args.quiet {
-                for f in &report.findings {
-                    println!("{}", f.render(&args.cfg));
-                }
-            }
-            let denied = report.count_at(&args.cfg, Level::Deny);
-            let warned = report.count_at(&args.cfg, Level::Warn);
-            let baselined = report.count_baselined();
-            if !args.quiet || denied > 0 {
-                let extra = if baselined > 0 || stale_count > 0 {
-                    format!(", {baselined} baselined, {stale_count} stale baseline entr(y/ies)")
-                } else {
-                    String::new()
-                };
-                eprintln!(
-                    "yoso-lint: {} files checked, {denied} error(s), {warned} warning(s){extra}",
-                    report.files_checked
-                );
-            }
-        }
+    let denied = report.count_at(&args.cfg, Level::Deny);
+    let warned = report.count_at(&args.cfg, Level::Warn);
+    if !args.quiet || denied > 0 {
+        eprintln!(
+            "yoso-lint: {} files checked, {denied} error(s), {warned} warning(s)",
+            report.files_checked
+        );
     }
     if report.has_denials(&args.cfg) {
         ExitCode::FAILURE

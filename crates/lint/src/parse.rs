@@ -111,36 +111,12 @@ pub struct FnItem {
 
 impl FnItem {
     /// The initializer span of the *last* `let` binding of `name`
-    /// declared at or before token index `before` (shadowing-aware
-    /// lookup used by receiver/type resolution).
+    /// declared at or before token index `before` (shadowing-aware).
     pub fn binding_init(&self, name: &str, before: usize) -> Option<Span> {
         self.lets
             .iter()
             .rfind(|l| l.name == name && l.pos < before)
             .map(|l| l.init)
-    }
-
-    /// Declared type identifiers for `name`: the parameter type, or
-    /// the last `let` annotation before `before`.
-    pub fn binding_type(&self, name: &str, before: usize) -> Vec<String> {
-        if let Some(l) = self
-            .lets
-            .iter()
-            .rfind(|l| l.name == name && l.pos < before && !l.ty.is_empty())
-        {
-            return l.ty.clone();
-        }
-        self.params
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.ty.clone())
-            .unwrap_or_default()
-    }
-
-    /// True if token index `idx` lies inside the body of a guard whose
-    /// condition satisfies `pred`.
-    pub fn guarded_by(&self, idx: usize, pred: impl Fn(Span) -> bool) -> bool {
-        self.guards.iter().any(|g| g.body.0 <= idx && idx < g.body.1 && pred(g.cond))
     }
 }
 
@@ -716,11 +692,15 @@ mod tests {
         let f = &fns[0];
         let inner_idx = lexed.tokens.iter().position(|t| t.is_ident("inner")).unwrap();
         let outer_idx = lexed.tokens.iter().position(|t| t.is_ident("outer")).unwrap();
-        let has_owns = |cond: Span| {
-            lexed.tokens[cond.0..cond.1].iter().any(|t| t.is_ident("owns"))
+        let guarded_by_owns = |idx: usize| {
+            f.guards.iter().any(|g| {
+                g.body.0 <= idx
+                    && idx < g.body.1
+                    && lexed.tokens[g.cond.0..g.cond.1].iter().any(|t| t.is_ident("owns"))
+            })
         };
-        assert!(f.guarded_by(inner_idx, has_owns));
-        assert!(!f.guarded_by(outer_idx, has_owns));
+        assert!(guarded_by_owns(inner_idx));
+        assert!(!guarded_by_owns(outer_idx));
     }
 
     #[test]

@@ -164,6 +164,37 @@ impl Speakers {
         }
     }
 
+    /// The stretches of positions whose indices lie in `members`, each
+    /// as its first position and its indices, in order. Worked out span
+    /// by span: a span's indices inside `members` sit at one stretch of
+    /// positions, and stretches at consecutive positions join.
+    pub fn within(&self, members: std::ops::Range<usize>) -> Vec<(usize, Speakers)> {
+        let mut out: Vec<(usize, Speakers)> = Vec::new();
+        for (k, span) in self.spans.iter().enumerate() {
+            let count = self.span_end(k) - span.at;
+            // Offsets `lo..hi` of the span whose index is in `members`.
+            let (lo, hi) = match span.step {
+                0 if members.contains(&span.first) => (0, count),
+                0 => (0, 0),
+                _ => (
+                    members.start.saturating_sub(span.first).min(count),
+                    members.end.saturating_sub(span.first).min(count),
+                ),
+            };
+            if lo >= hi {
+                continue;
+            }
+            let step = if hi - lo > 1 { span.step } else { 0 };
+            let first = span.first.wrapping_add(span.step * lo);
+            let piece = Speakers { spans: vec![Span { at: 0, first, step }], len: hi - lo };
+            match out.last_mut() {
+                Some((start, run)) if *start + run.len == span.at + lo => run.extend(&piece),
+                _ => out.push((span.at + lo, piece)),
+            }
+        }
+        out
+    }
+
     /// Where span `k` ends.
     fn span_end(&self, k: usize) -> usize {
         self.spans.get(k + 1).map_or(self.len, |next| next.at)
@@ -1123,6 +1154,35 @@ mod tests {
             }
             if let Err(e) = same_indices(&extended, &indices) {
                 proptest::prop_assert!(false, "extended: {e}");
+            }
+        }
+
+        #[test]
+        fn within_keeps_the_positions_whose_index_is_in_range(
+            indices in segments(),
+            lo in 0..12usize,
+            len in 0..8usize,
+        ) {
+            // Posting by posting: the maximal stretches of positions
+            // whose index lies in `lo..lo + len`.
+            let members = lo..lo + len;
+            let mut want: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (pos, &index) in indices.iter().enumerate() {
+                if !members.contains(&index) {
+                    continue;
+                }
+                match want.last_mut() {
+                    Some((start, run)) if *start + run.len() == pos => run.push(index),
+                    _ => want.push((pos, vec![index])),
+                }
+            }
+            let got = Speakers::from(&indices[..]).within(members);
+            proptest::prop_assert_eq!(got.len(), want.len());
+            for ((start, run), (want_start, want_run)) in got.iter().zip(&want) {
+                proptest::prop_assert_eq!(start, want_start);
+                if let Err(e) = same_indices(run, want_run) {
+                    proptest::prop_assert!(false, "stretch at {start}: {e}");
+                }
             }
         }
     }
