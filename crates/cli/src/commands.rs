@@ -115,11 +115,12 @@ fn prepare_run(opts: &Opts) -> Result<PreparedRun, String> {
         adversary = adversary.with_failstops(crashes, crash_phases::ONLINE_MULT);
     }
 
-    let threads: usize = get(opts, "threads", 1)?;
+    let mut config = ExecutionConfig::default();
+    let threads: usize = get(opts, "threads", config.num_threads)?;
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let mut config = ExecutionConfig::default().with_threads(threads);
+    config = config.with_threads(threads);
     if opts.contains_key("no-proofs") {
         config.produce_proofs = false;
     }
@@ -239,7 +240,9 @@ const FORWARDED_OPTS: [&str; 10] = [
 ];
 
 /// `yoso run --spawn-workers N`: in-tree board server + N local worker
-/// processes (this process is worker 0, the leader).
+/// processes (this process is worker 0, the leader). Without
+/// `--threads`, each worker computes on `max(1, cores / N)` threads, so
+/// the fleet does not oversubscribe the host.
 fn spawn_workers(opts: &Opts, workers: usize) -> Result<(), String> {
     if workers == 0 {
         return Err("--spawn-workers must be at least 1".into());
@@ -247,6 +250,12 @@ fn spawn_workers(opts: &Opts, workers: usize) -> Result<(), String> {
     if opts.contains_key("board") {
         return Err("--spawn-workers starts its own board server; drop --board".into());
     }
+    let mut opts = opts.clone();
+    if !opts.contains_key("threads") {
+        let cores = ExecutionConfig::default().num_threads;
+        opts.insert("threads".into(), (cores / workers).max(1).to_string());
+    }
+    let opts = &opts;
     let mut prepared = prepare_run(opts)?;
     let n = prepared.params.n;
 

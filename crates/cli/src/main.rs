@@ -141,8 +141,9 @@ RUN OPTIONS:
   --t-mal N         malicious roles per committee (≤ t)                  [t]
   --crashes N       fail-stop roles per committee (online mult phase)    [0]
   --seed N          RNG seed                                             [7]
-  --threads N       worker threads for triple/gate fan-out
-                    (any value yields a byte-identical transcript)       [1]
+  --threads N       threads each committee step's members fan out over
+                    (any value yields a byte-identical transcript; a
+                    --spawn-workers fleet gives each worker cores / N)   [cores]
   --no-proofs       skip NIZK computation (metering unchanged)
   --board ADDR      post to a shared board-server (tcp://HOST:PORT)
                     instead of the in-process board

@@ -74,48 +74,40 @@ pub fn run_dkg<F: PrimeField, R: Rng + ?Sized>(
     let table = PowerTable::new(n, t);
     let deal_map = cfg.produce_proofs.then(|| DealMap::new(&DOMAIN_DKG, g, &recipient_pks, &table));
 
-    let mut deals: Vec<PostedReshare<'_, F>> = Vec::new();
+    // Every reader sums every qualified deal, so every deal is verified
+    // as it is read. tpk: h = Σ C_{i,0}; vk_j = Σ_i Σ_l (j+1)^l C_{i,l}
+    // — summed over the dealers first, Σ_i C_i(X), then evaluated once
+    // per recipient; share_j = Σ_i f_i(j+1).
+    let (mut qualified, mut summed, mut shares) = (0, vec![F::ZERO; t + 1], vec![F::ZERO; n]);
     let mut posts = crate::parallel::PostBuffer::new();
     let elements = messages::reshare_elements(n as u64, t as u64);
     let step = Step::new(committee, sb, "setup/dkg", Post::TskReshare, elements);
-    step.run(rng, &mut posts, deal_map.as_ref(), step.everyone(), |turn, ()| {
-        deals.push(deal(turn, g, F::random, &table, &recipient_pks));
-    });
+    let work = |turn, ()| deal(turn, g, F::random, &table, &recipient_pks);
+    let fold = |_, dealt: PostedReshare<'_, F>| {
+        if dealt.verify(|map, targets, proof| map.verify(targets, proof)) {
+            qualified += 1;
+            for (acc, &c) in summed.iter_mut().zip(&dealt.commitments) {
+                *acc += c;
+            }
+            for ((acc, enc), kp) in shares.iter_mut().zip(&dealt.enc_subshares).zip(role_keys) {
+                *acc += LinearPke::decrypt(&kp.secret, enc);
+            }
+        }
+        Ok(())
+    };
+    step.run(rng, &mut posts, deal_map.as_ref(), step.everyone(), work, fold)?;
     sb.flush_buffer(posts)?;
-
-    // Every reader sums every qualified deal, so every deal is verified.
-    let qualified: Vec<&PostedReshare<'_, F>> = deals
-        .iter()
-        .filter(|d| d.verify(|map, targets, proof| map.verify(targets, proof)))
-        .collect();
-    if qualified.len() < t + 1 {
+    if qualified < t + 1 {
         return Err(ProtocolError::NotEnoughContributions {
             step: "dkg qualified set",
-            got: qualified.len(),
+            got: qualified,
             need: t + 1,
         });
     }
-
-    // tpk: h = Σ C_{i,0}; vk_j = Σ_i Σ_l (j+1)^l C_{i,l} — summed over
-    // the dealers first, Σ_i C_i(X), then evaluated once per recipient;
-    // share_j = Σ_i f_i(j+1).
-    let mut summed = vec![F::ZERO; t + 1];
-    for d in &qualified {
-        for (acc, &c) in summed.iter_mut().zip(&d.commitments) {
-            *acc += c;
-        }
-    }
     let h = summed[0];
     let vks = table.eval_all(&summed);
-    let shares: Vec<Option<KeyShare<F>>> = (0..n)
-        .map(|j| {
-            let value: F = qualified
-                .iter()
-                .map(|d| LinearPke::decrypt(&role_keys[j].secret, &d.enc_subshares[j]))
-                .sum();
-            Some(KeyShare { party: j, value })
-        })
-        .collect();
+    let shares = shares.into_iter().enumerate();
+    let shares = shares.map(|(party, value)| Some(KeyShare { party, value })).collect();
 
     let pk = PublicKey { n, t, g, h, vks };
     TskChain::with_table(pk, shares, table)

@@ -53,14 +53,18 @@ pub struct ExecutionConfig {
     /// Generate the threshold key with the dealer-free DKG
     /// ([`crate::dkg`]) instead of the paper's trusted setup.
     pub dealerless_setup: bool,
-    /// Worker threads for the data-parallel protocol steps (Beaver
-    /// triple generation, per-item re-encryption in the offline
-    /// packing, KFF key-distribution and output phases, per-member
-    /// online share computation). `1`
-    /// (the default) runs everything inline. Any value produces
-    /// byte-identical transcripts: per-item randomness is derived from
-    /// sequentially drawn child seeds and board posts are replayed in
-    /// item order — see [`crate::parallel`].
+    /// Threads a committee step's members fan out over, the caller's
+    /// included: every `Step` (the handover, the DKG, `Decrypt`, the
+    /// contributions, `3-mult`), the loops of light steps (wire
+    /// randomness, packing helpers), and the `Re-encrypt` items and
+    /// Beaver triples. The default is the host's cores;
+    /// [`Self::with_threads`]`(1)` runs everything inline. Helpers come
+    /// from one process-wide budget, so the compute threads of all runs
+    /// in a process, callers included, never exceed the host's cores.
+    /// Any value produces byte-identical transcripts: every member's
+    /// child seed is drawn before any member works, and outputs are
+    /// folded and postings recorded in member order — see
+    /// [`crate::parallel`].
     pub num_threads: usize,
     /// Which board transport the run posts to. The protocol logic is
     /// transport-agnostic: any backend yields the same transcript.
@@ -83,7 +87,7 @@ impl Default for ExecutionConfig {
         ExecutionConfig {
             produce_proofs: true,
             dealerless_setup: false,
-            num_threads: 1,
+            num_threads: crate::parallel::host_threads(),
             board: BoardBackend::InProcess,
             partition: RolePartition::solo(),
         }
@@ -105,8 +109,8 @@ impl ExecutionConfig {
         self
     }
 
-    /// Sets the worker-thread count for the data-parallel steps
-    /// (`0` is treated as `1`).
+    /// Sets the thread count of the data-parallel steps (`0` is treated
+    /// as `1`; `1` runs them inline).
     pub fn with_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads.max(1);
         self
@@ -278,7 +282,10 @@ impl Engine {
                 self.params.n
             )));
         }
-        let sb = ShardedBoard::new(board, partition);
+        // The run counts as one compute thread of the process-wide
+        // budget for as long as it lasts.
+        let _caller = crate::parallel::Caller::enter();
+        let sb = ShardedBoard::new(board, partition).with_threads(self.config.num_threads);
         let bc = circuit.batched(self.params.k);
         let leak = LeakLog::new();
         // Stage timing is diagnostics only (worker wall-clock reports);

@@ -29,20 +29,23 @@
 //! Total communication: `O(n)` ring elements per gate (measured, not
 //! estimated — see experiment E3).
 
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use yoso_circuit::{BatchedCircuit, Gate, MulBatch};
 use yoso_crypto::Domain;
-use yoso_field::{allocstats, PrimeField};
+use yoso_field::PrimeField;
 use yoso_pss_sharing::PackedSharing;
 use yoso_runtime::{Adversary, Committee};
 use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey, PublicKey};
 use yoso_the::nizk::{self, EncMap, EncProof, LinearMap};
 
 use crate::messages::{self, ContributionStep, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
-use crate::parallel::PostBuffer;
+use crate::parallel::{
+    par_map, par_windows, would_fan_out, PostBuffer, MIN_LIGHT_TURNS_PER_THREAD,
+};
 use crate::setup::SetupArtifacts;
-use crate::step::Step;
+use crate::step::{Proved, Step, Turn};
 use crate::tsk::{ReencryptedValue, TskChain};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
@@ -74,31 +77,6 @@ pub struct OfflineArtifacts<F: PrimeField> {
     pub tsk: TskChain<F>,
 }
 
-/// Reusable buffers for [`summed_contribution_into`]. The offline
-/// phase calls it once per maskable wire (Step 2) and `3t` times per
-/// batch (Step 4 helpers), each call collecting up to `n` ciphertexts
-/// — fresh per-call vectors are an allocation cliff at Table-1
-/// committee sizes, so the buffers persist across calls.
-struct ContribBufs<F: PrimeField> {
-    valid: Vec<Ciphertext<F>>,
-    ones: Vec<F>,
-}
-
-impl<F: PrimeField> ContribBufs<F> {
-    fn new() -> Self {
-        ContribBufs { valid: Vec::new(), ones: Vec::new() }
-    }
-
-    /// Prepares the buffers for one call.
-    fn reset(&mut self, capacity: usize) {
-        self.valid.clear();
-        if self.valid.capacity() < capacity {
-            allocstats::bump();
-            self.valid.reserve(capacity);
-        }
-    }
-}
-
 /// The threshold key as the contribution steps use it: the key and —
 /// when proofs are produced at all — the one `enc` map over its
 /// `(g, h)`, which no handover changes, shared by every member's proof
@@ -114,31 +92,29 @@ impl<'a, F: PrimeField> ContributionKey<'a, F> {
     }
 }
 
-/// Collects one encrypted-randomness contribution per participating
-/// member ([`Step`]) and returns the homomorphic sum of the *valid*
-/// ones. Posts are appended to `posts` rather than sent, so the caller
-/// can run many of these concurrently and replay the posts in order.
-///
-/// A malicious member's plaintext is as random as an honest one's; what
-/// it cannot produce is the proof, so its contribution is filtered —
-/// which is safe: sums of any subset of valid contributions that
-/// includes at least one honest one are uniform.
-#[allow(clippy::too_many_arguments)]
-fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    posts: &mut PostBuffer,
+/// The step in which each member of `committee` posts one encrypted
+/// random contribution of `kind`: a light step, run side by side with
+/// others (a loop of them, or the triples).
+fn contribution_step<'c>(
+    committee: &'c Committee,
     sb: &ShardedBoard<'_>,
-    committee: &Committee,
-    key: &ContributionKey<'_, F>,
     phase: &'static str,
     kind: ContributionStep,
-    bufs: &mut ContribBufs<F>,
-) -> Result<Ciphertext<F>, ProtocolError> {
-    let tpk = key.tpk;
-    bufs.reset(committee.n());
+) -> Step<'c> {
     let post = Post::Contribution { step: kind, ciphertexts: 1 };
-    let step = Step::new(committee, sb, phase, post, CT_ELEMENTS + ENC_PROOF_ELEMENTS);
-    step.run(rng, posts, key.enc.as_ref(), step.everyone(), |mut turn, ()| {
+    Step::new(committee, sb, phase, post, CT_ELEMENTS + ENC_PROOF_ELEMENTS).inline()
+}
+
+/// A member's contribution as its reader holds it.
+type Contribution<'k, F> = (Ciphertext<F>, Proved<&'k EncMap<F>, EncProof<F>>);
+
+/// A member's turn in a contribution step: a fresh random value
+/// encrypted under the key, proved where this worker proves.
+fn contribute<'k, F: PrimeField>(
+    key: &'k ContributionKey<'_, F>,
+) -> impl Fn(Turn<&'k EncMap<F>>, ()) -> Contribution<'k, F> + Sync + 'k {
+    let tpk = key.tpk;
+    move |mut turn, ()| {
         let m = F::random(&mut turn.rng);
         let (ct, r) = MockTe::encrypt(&mut turn.rng, tpk, m);
         let follows = turn.attack().is_none();
@@ -149,36 +125,104 @@ fn summed_contribution_into<F: PrimeField, R: Rng + ?Sized>(
                 EncProof::garbage(rng)
             }
         });
-        // Every valid contribution is summed, so every one is verified.
-        if proof.verify(|map, proof| map.verify(&ct, proof)) {
-            bufs.valid.push(ct);
-        }
-    });
-    if bufs.valid.is_empty() {
-        return Err(ProtocolError::NotEnoughContributions {
-            step: "summed contribution",
-            got: 0,
-            need: 1,
-        });
+        (ct, proof)
     }
-    allocstats::ensure_filled(&mut bufs.ones, bufs.valid.len(), F::ONE);
-    Ok(MockTe::eval(&bufs.valid, &bufs.ones)?)
 }
 
-/// [`summed_contribution_into`] posting through the sharded board.
-fn summed_contribution<F: PrimeField, R: Rng + ?Sized>(
+/// The homomorphic sum of a contribution step's *valid* contributions,
+/// read in member order.
+///
+/// A malicious member's plaintext is as random as an honest one's; what
+/// it cannot produce is the proof, so its contribution is filtered —
+/// which is safe: sums of any subset of valid contributions that
+/// includes at least one honest one are uniform.
+struct ValidSum<F: PrimeField> {
+    sum: Ciphertext<F>,
+    valid: usize,
+}
+
+impl<F: PrimeField> ValidSum<F> {
+    fn new() -> Self {
+        ValidSum { sum: Ciphertext { u: F::ZERO, v: F::ZERO }, valid: 0 }
+    }
+
+    /// Every valid contribution is summed, so every one is verified.
+    fn add(&mut self, (ct, proof): Contribution<'_, F>) -> Result<(), ProtocolError> {
+        if proof.verify(|map, proof| map.verify(&ct, proof)) {
+            self.sum = Ciphertext { u: self.sum.u + ct.u, v: self.sum.v + ct.v };
+            self.valid += 1;
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> Result<Ciphertext<F>, ProtocolError> {
+        if self.valid == 0 {
+            return Err(ProtocolError::NotEnoughContributions {
+                step: "summed contribution",
+                got: 0,
+                need: 1,
+            });
+        }
+        Ok(self.sum)
+    }
+}
+
+/// `count` contribution steps of `committee` in a row — a loop of light
+/// steps — and their sums, in order. Every step's seeds are drawn from
+/// `rng` in step order; the steps run side by side on the board view's
+/// threads, each one's members inline, so no light step pays a thread
+/// spawn; and this thread records them in step order. A thread takes
+/// steps worth `MIN_LIGHT_TURNS_PER_THREAD` member turns, and only
+/// `threads` times that many are drawn at once.
+fn summed_contributions<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     sb: &ShardedBoard<'_>,
     committee: &Committee,
     key: &ContributionKey<'_, F>,
     phase: &'static str,
     kind: ContributionStep,
-    bufs: &mut ContribBufs<F>,
-) -> Result<Ciphertext<F>, ProtocolError> {
-    let mut posts = PostBuffer::new();
-    let result = summed_contribution_into(rng, &mut posts, sb, committee, key, phase, kind, bufs);
+    count: usize,
+) -> Result<Vec<Ciphertext<F>>, ProtocolError> {
+    let step = contribution_step(committee, sb, phase, kind);
+    let per_thread = MIN_LIGHT_TURNS_PER_THREAD.div_ceil(committee.n().max(1));
+    let window = sb.threads() * per_thread;
+    let (mut sums, mut posts) = (Vec::with_capacity(count), PostBuffer::new());
+    let turns = count * committee.n();
+    if !would_fan_out(sb.threads(), turns) {
+        // Inline, nothing is drawn ahead: each step streams.
+        for _ in 0..count {
+            let mut sum = ValidSum::new();
+            let (prover, everyone) = (key.enc.as_ref(), step.everyone());
+            step.run(rng, &mut posts, prover, everyone, contribute(key), |_, c| sum.add(c))?;
+            sums.push(sum.finish()?);
+        }
+        sb.flush_buffer(posts)?;
+        return Ok(sums);
+    }
+    let mut left = count;
+    par_windows(
+        sb.threads(),
+        turns,
+        || {
+            let steps = window.min(left);
+            left -= steps;
+            (0..steps).map(|_| step.draw(rng, step.everyone())).collect::<Vec<_>>()
+        },
+        |speakers| {
+            let mut sum = ValidSum::new();
+            step.fan_out(speakers, key.enc.as_ref(), contribute(key), |_, c| sum.add(c))?;
+            sum.finish()
+        },
+        |drawn, window_sums| {
+            for (speakers, sum) in drawn.iter().zip(window_sums) {
+                step.record(&mut posts, speakers);
+                sums.push(sum?);
+            }
+            Ok::<(), ProtocolError>(())
+        },
+    )?;
     sb.flush_buffer(posts)?;
-    result
+    Ok(sums)
 }
 
 /// An encrypted Beaver triple.
@@ -192,76 +236,95 @@ pub struct EncryptedTriple<F: PrimeField> {
     pub c: Ciphertext<F>,
 }
 
-/// Produces one encrypted Beaver triple, buffering its board posts.
-#[allow(clippy::too_many_arguments)]
-fn one_triple<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    posts: &mut PostBuffer,
-    sb: &ShardedBoard<'_>,
-    c1: &Committee,
-    c2: &Committee,
-    cfg: &ExecutionConfig,
-    key: &ContributionKey<'_, F>,
-    phase: &'static str,
-) -> Result<EncryptedTriple<F>, ProtocolError> {
-    let tpk = key.tpk;
-    // a-side contributions from C1. Triples are produced in parallel
-    // (one child RNG each), so the buffers stay per-call here.
-    let mut bufs = ContribBufs::new();
-    let kind = ContributionStep::Beaver;
-    let c_a = summed_contribution_into(rng, posts, sb, c1, key, phase, kind, &mut bufs)?;
-    // One b-side map per triple, shared by C2's postings.
-    let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a));
+/// The two steps of one Beaver triple: `C1`'s a-side contributions and
+/// `C2`'s b-side postings.
+struct TripleSteps<'c> {
+    a_side: Step<'c>,
+    b_side: Step<'c>,
+}
 
-    // b-side: each C2 member posts (c_b_i, c_c_i = b_i·c^a) with a
-    // proof of the joint relation.
-    let mut b_parts: Vec<Ciphertext<F>> = Vec::new();
-    let mut c_parts: Vec<Ciphertext<F>> = Vec::new();
-    let post = Post::Contribution { step: ContributionStep::Beaver, ciphertexts: 2 };
-    let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
-    let step = Step::new(c2, sb, phase, post, elements);
-    step.run(rng, posts, b_map.as_ref(), step.everyone(), |mut turn, ()| {
-        let (cb, cc, proof) = match turn.attack() {
+impl<'c> TripleSteps<'c> {
+    fn new(sb: &ShardedBoard<'_>, c1: &'c Committee, c2: &'c Committee) -> Self {
+        let phase = "offline/1-beaver";
+        let a_side = contribution_step(c1, sb, phase, ContributionStep::Beaver);
+        let post = Post::Contribution { step: ContributionStep::Beaver, ciphertexts: 2 };
+        let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
+        TripleSteps { a_side, b_side: Step::new(c2, sb, phase, post, elements).inline() }
+    }
+
+    /// Produces one encrypted Beaver triple from its child RNG.
+    fn triple<F: PrimeField, R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        cfg: &ExecutionConfig,
+        key: &ContributionKey<'_, F>,
+    ) -> Result<EncryptedTriple<F>, ProtocolError> {
+        let tpk = key.tpk;
+        let mut a_sum = ValidSum::new();
+        let (a_side, everyone) = (&self.a_side, self.a_side.everyone());
+        a_side.act(rng, key.enc.as_ref(), everyone, contribute(key), |_, c| a_sum.add(c))?;
+        let c_a = a_sum.finish()?;
+        // One b-side map per triple, shared by C2's postings.
+        let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a));
+
+        // b-side: each C2 member posts (c_b_i, c_c_i = b_i·c^a) with a
+        // proof of the joint relation.
+        let work = |mut turn: Turn<_>, ()| match turn.attack() {
             None => {
                 let b_i = F::random(&mut turn.rng);
                 let (cb, r) = MockTe::encrypt(&mut turn.rng, tpk, b_i);
                 let cc = Ciphertext { u: b_i * c_a.u, v: b_i * c_a.v };
-                (cb, cc, turn.prove(|map, rng| map.prove(rng, &cb, &cc, b_i, r)))
+                (cb, cc, turn.prove(|map: &&BeaverBMap<F>, rng| map.prove(rng, &cb, &cc, b_i, r)))
             }
             Some(_) => {
                 let junk = F::random(&mut turn.rng);
                 let (cb, _) = MockTe::encrypt(&mut turn.rng, tpk, junk);
                 let fake = F::random(&mut turn.rng);
                 let cc = Ciphertext { u: fake * c_a.u, v: fake * c_a.v + F::ONE };
-                (cb, cc, turn.prove(|map, rng| map.garbage(rng)))
+                (cb, cc, turn.prove(|map: &&BeaverBMap<F>, rng| map.garbage(rng)))
             }
         };
         // Every valid part is summed, so every one is verified.
-        if proof.verify(|map, proof| map.verify(&cb, &cc, proof)) {
-            b_parts.push(cb);
-            c_parts.push(cc);
+        let zero = Ciphertext { u: F::ZERO, v: F::ZERO };
+        let (mut c_b, mut c_c, mut valid) = (zero, zero, 0);
+        let fold = |_, (cb, cc, proof): (_, _, Proved<&BeaverBMap<F>, nizk::LinearProof<F>>)| {
+            if proof.verify(|map, proof| map.verify(&cb, &cc, proof)) {
+                c_b = Ciphertext { u: c_b.u + cb.u, v: c_b.v + cb.v };
+                c_c = Ciphertext { u: c_c.u + cc.u, v: c_c.v + cc.v };
+                valid += 1;
+            }
+            Ok(())
+        };
+        self.b_side.act(rng, b_map.as_ref(), self.b_side.everyone(), work, fold)?;
+        if valid == 0 {
+            return Err(ProtocolError::NotEnoughContributions {
+                step: "beaver b-side",
+                got: 0,
+                need: 1,
+            });
         }
-    });
-    if b_parts.is_empty() {
-        return Err(ProtocolError::NotEnoughContributions {
-            step: "beaver b-side",
-            got: 0,
-            need: 1,
-        });
+        Ok(EncryptedTriple { a: c_a, b: c_b, c: c_c })
     }
-    let ones = vec![F::ONE; b_parts.len()];
-    let c_b = MockTe::eval(&b_parts, &ones)?;
-    let c_c = MockTe::eval(&c_parts, &ones)?;
-    Ok(EncryptedTriple { a: c_a, b: c_b, c: c_c })
+
+    /// Rule 5 for `count` triples drawn on other threads.
+    fn record(&self, posts: &mut PostBuffer, count: usize) {
+        let everyone = |step: &Step<'_>| step.speakers(step.everyone().map(|(member, ())| member));
+        let (a_side, b_side) = (everyone(&self.a_side), everyone(&self.b_side));
+        for _ in 0..count {
+            self.a_side.record_speakers(posts, &a_side);
+            self.b_side.record_speakers(posts, &b_side);
+        }
+    }
 }
 
 /// Step 1: two committees produce one encrypted Beaver triple per
 /// multiplication gate (`Beaver-Triple` in the paper).
 ///
 /// Triples are independent, so each one runs from its own child RNG
-/// (seeds drawn sequentially from `rng`) on up to `cfg.num_threads`
-/// workers; posts are replayed in triple order, making the transcript
-/// independent of the thread count.
+/// (seeds drawn sequentially from `rng`) on the board view's threads
+/// and returns its values alone; this thread records every triple's
+/// speakers in triple order, making the transcript independent of the
+/// thread count.
 ///
 /// # Errors
 ///
@@ -277,20 +340,15 @@ pub fn beaver_triples<F: PrimeField, R: Rng + ?Sized>(
     count: usize,
 ) -> Result<Vec<EncryptedTriple<F>>, ProtocolError> {
     let key = &ContributionKey::new(tpk, cfg);
-    let phase = "offline/1-beaver";
+    let steps = TripleSteps::new(sb, c1, c2);
     let seeds: Vec<u64> = (0..count).map(|_| rng.next_u64()).collect();
-    let results = crate::parallel::par_map(cfg.num_threads, &seeds, |_, &seed| {
-        let mut trng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut posts = PostBuffer::new();
-        let triple = one_triple(&mut trng, &mut posts, sb, c1, c2, cfg, key, phase);
-        (triple, posts)
+    let triples = par_map(sb.threads(), c1.n() + c2.n(), &seeds, |_, &seed| {
+        steps.triple(&mut StdRng::seed_from_u64(seed), cfg, key)
     });
-    let mut triples = Vec::with_capacity(count);
-    for (triple, posts) in results {
-        sb.flush_buffer(posts)?;
-        triples.push(triple?);
-    }
-    Ok(triples)
+    let mut posts = PostBuffer::new();
+    steps.record(&mut posts, count);
+    sb.flush_buffer(posts)?;
+    triples.into_iter().collect()
 }
 
 static DOMAIN_BEAVER_B: Domain = Domain::new(b"yoso-pss/nizk/beaver-b/v4");
@@ -400,9 +458,6 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
 ) -> Result<OfflineArtifacts<F>, ProtocolError> {
     let n = params.n;
     let t = params.t;
-    // One contribution arena for the whole phase: Step 2 runs once per
-    // maskable wire, Step 4 `3t` times per batch — all sequential.
-    let mut contrib = ContribBufs::new();
     let mut tsk = setup.tsk.clone();
     let tpk = tsk.pk.clone();
     let key = ContributionKey::new(&tpk, cfg);
@@ -429,18 +484,14 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
     let phase2 = "offline/2-wire-rand";
     let zero_ct = Ciphertext { u: F::ZERO, v: F::ZERO };
     let mut lambda_cts: Vec<Ciphertext<F>> = vec![zero_ct; circuit.wire_count()];
-    for (w, gate) in circuit.gates().iter().enumerate() {
-        if matches!(gate, Gate::Input { .. } | Gate::Mul(_, _)) {
-            lambda_cts[w] = summed_contribution(
-                rng,
-                sb,
-                &c3,
-                &key,
-                phase2,
-                ContributionStep::WireRandom,
-                &mut contrib,
-            )?;
-        }
+    let maskable: Vec<usize> = (circuit.gates().iter().enumerate())
+        .filter(|(_, gate)| matches!(gate, Gate::Input { .. } | Gate::Mul(_, _)))
+        .map(|(w, _)| w)
+        .collect();
+    let kind = ContributionStep::WireRandom;
+    let masks = summed_contributions(rng, sb, &c3, &key, phase2, kind, maskable.len())?;
+    for (w, mask) in maskable.into_iter().zip(masks) {
+        lambda_cts[w] = mask;
     }
 
     sb.advance_round()?;
@@ -542,25 +593,15 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
                 ))
             })
             .collect::<Result<_, _>>()?;
-        let mut pack_one =
-            |rng: &mut R, wires_cts: &[Ciphertext<F>]| -> Result<Vec<Ciphertext<F>>, ProtocolError> {
-                let mut helpers = Vec::with_capacity(t);
-                for _ in 0..t {
-                    helpers.push(summed_contribution(
-                        rng,
-                        sb,
-                        &c3,
-                        &key,
-                        phase4,
-                        ContributionStep::PackHelper,
-                        &mut contrib,
-                    )?);
-                }
-                pack_ciphertexts(&scheme, t, wires_cts, &helpers, &mut pack_shares)
-            };
-        let alpha = pack_one(rng, &alpha_cts)?;
-        let beta = pack_one(rng, &beta_cts)?;
-        let gamma = pack_one(rng, &gamma_in)?;
+        // The helpers of λ_α, λ_β and Γ, t each, in that order.
+        let kind = ContributionStep::PackHelper;
+        let helpers = summed_contributions(rng, sb, &c3, &key, phase4, kind, 3 * t)?;
+        let mut helpers = helpers.chunks_exact(t.max(1));
+        let mut pack = |wires_cts: &[Ciphertext<F>]| {
+            let helpers = helpers.next().unwrap_or_default();
+            pack_ciphertexts(&scheme, t, wires_cts, helpers, &mut pack_shares)
+        };
+        let (alpha, beta, gamma) = (pack(&alpha_cts)?, pack(&beta_cts)?, pack(&gamma_in)?);
         packed.push((alpha, beta, gamma));
     }
 

@@ -34,7 +34,7 @@ use rand::Rng;
 use yoso_circuit::{BatchedCircuit, Gate};
 use yoso_field::PrimeField;
 use yoso_pss_sharing::{PackedSharing, PssScratch, Share};
-use yoso_runtime::{ActiveAttack, Adversary, Behavior, LeakLog, RoleId};
+use yoso_runtime::{ActiveAttack, Adversary, Behavior, LeakLog};
 use yoso_the::mock::{LinearPke, PkeKeyPair, PkePublicKey};
 use yoso_the::nizk::{ShareMap, ShareProof};
 
@@ -42,7 +42,7 @@ use crate::messages::{Post, MULSHARE_PROOF_ELEMENTS};
 use crate::offline::OfflineArtifacts;
 use crate::parallel::{Author, PostBuffer};
 use crate::setup::SetupArtifacts;
-use crate::step::{Proved, Step};
+use crate::step::{Proved, Step, Turn};
 use crate::tsk::ReencryptedValue;
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
@@ -60,23 +60,14 @@ pub struct OnlineResult<F: PrimeField> {
 /// checks it against.
 type PostedShare<F> = (Share<F>, F, Proved<Arc<ShareMap<F>>, ShareProof<F>>);
 
-/// The shares a batch's reconstruction reads: the first `need` valid
-/// ones, in member order. The reader verifies a posting only while it
-/// has fewer, and not one posting more.
-fn first_valid_shares<F: PrimeField>(
-    posted: impl IntoIterator<Item = PostedShare<F>>,
-    need: usize,
-) -> Vec<Share<F>> {
-    let mut kept = Vec::with_capacity(need);
-    for (share, offset, proof) in posted {
-        if kept.len() == need {
-            break;
-        }
-        if proof.verify(|map, proof| map.verify(offset, share.value, proof)) {
-            kept.push(share);
-        }
+/// The reader of a batch's shares: keeps `posted` if fewer than `need`
+/// are kept and it verifies. It verifies a posting only while it has
+/// fewer, and not one posting more.
+fn keep_valid<F: PrimeField>(kept: &mut Vec<Share<F>>, need: usize, posted: PostedShare<F>) {
+    let (share, offset, proof) = posted;
+    if kept.len() < need && proof.verify(|map, proof| map.verify(offset, share.value, proof)) {
+        kept.push(share);
     }
-    kept
 }
 
 /// Runs the full online phase.
@@ -265,90 +256,67 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
             scheme.share_public_into(&mu_alpha, &mut mu_alpha_vals, &mut scratch)?;
             scheme.share_public_into(&mu_beta, &mut mu_beta_vals, &mut scratch)?;
 
-            // Per-member share computation is independent: fan out on
-            // child RNGs seeded sequentially. This step draws a seed
-            // for *every* member, speaking or not, so it keeps its own
-            // fan-out over the pre-drawn seeds and takes the rest of
-            // the member's turn from [`Step`]; posts, leak records and
-            // verification follow in member order.
-            struct MemberOut<F: PrimeField> {
-                posted: Option<PostedShare<F>>,
-                leaks: Vec<(RoleId, String, usize)>,
-            }
+            // Per-member share computation is independent: the step
+            // fans it out and folds in member order. This step draws a
+            // seed for *every* member, speaking or not; leak records and
+            // the first `need` valid shares, verified only until there
+            // are that many, follow in member order.
             let step =
                 Step::new(&committee, sb, phase_mul, Post::MulShare, 1 + MULSHARE_PROOF_ELEMENTS);
-            let seeds: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-            let member_results = crate::parallel::par_map(
-                cfg.num_threads,
-                &seeds,
-                |i, &seed| -> Result<MemberOut<F>, ProtocolError> {
-                    let mut out = MemberOut { posted: None, leaks: Vec::new() };
-                    if !step.speaks(i) {
-                        return Ok(out);
-                    }
-                    let kff_pk = setup.kff_pairs[layer_idx][i].public;
-                    let ma = mu_alpha_vals[i];
-                    let mb = mu_beta_vals[i];
-                    // Public opening coefficients of the three
-                    // re-encrypted packed shares (value = a − sk·b).
-                    let (a_al, b_al) = shares.alpha[i].opening_coefficients()?;
-                    let (a_be, b_be) = shares.beta[i].opening_coefficients()?;
-                    let (a_ga, b_ga) = shares.gamma[i].opening_coefficients()?;
-                    let offset = ma * mb + ma * a_be + mb * a_al + a_ga;
-                    let slope = ma * b_be + mb * b_al + b_ga;
-                    // Key and slope are this member's alone: one map
-                    // per posting, built only where it is proved, and
-                    // handed on with the proof to its reader.
-                    let map = (cfg.produce_proofs && sb.partition().owns(i))
-                        .then(|| Arc::new(ShareMap::new(&kff_pk, slope)));
-                    let mut turn = step.turn(i, seed, map);
-
-                    if matches!(turn.behavior, Behavior::Malicious(_) | Behavior::Leaky) {
-                        // The corrupted role's KFF opens all three of
-                        // its packed shares — record the exposure.
-                        for which in ["alpha", "beta", "gamma"] {
-                            out.leaks.push((
-                                committee.role(i),
-                                format!("batch{b_idx}/{which}"),
-                                i,
-                            ));
-                        }
-                    }
-                    // Recover the KFF secret via the role key; the
-                    // honest share follows from it.
-                    let kff_sk =
-                        kff_prime[layer_idx * n + i].open(role_keys[layer_idx][i].secret.scalar)?;
-                    let honest = offset - kff_sk * slope;
-                    let attack = turn.attack();
-                    let value = match attack {
-                        None | Some(ActiveAttack::BadProof) => honest,
-                        Some(ActiveAttack::AdditiveOffset) => honest + F::ONE,
-                        Some(_) => F::random(&mut turn.rng),
-                    };
-                    let proof = turn.prove(|map, rng| match attack {
-                        None => map.prove(rng, offset, honest, kff_sk),
-                        Some(_) => ShareProof::garbage(rng),
-                    });
-                    out.posted = Some((Share { party: i, value }, offset, proof));
-                    Ok(out)
-                },
-            );
-            // One buffer, one flush for the whole batch.
+            // A share is a few multiplications; only its proof is worth
+            // a thread.
+            let step = if cfg.produce_proofs { step } else { step.inline() };
+            let drawn = step.draw_every(rng, step.everyone());
             let mut posts = PostBuffer::new();
-            step.record_speakers(&mut posts, 0..n);
-            let mut posted = Vec::with_capacity(n);
-            for result in member_results {
-                let out = result?;
-                for (role, object, piece) in out.leaks {
-                    leak.record(role, object, piece);
-                }
-                posted.extend(out.posted);
-            }
-            sb.flush_buffer(posts)?;
-
+            step.record(&mut posts, &drawn);
             let need = rec_degree + 1;
-            let kept = first_valid_shares(posted, need);
-
+            let mut kept: Vec<Share<F>> = Vec::with_capacity(need);
+            let work = |turn: Turn<&()>, ()| {
+                let i = turn.index;
+                let kff_pk = setup.kff_pairs[layer_idx][i].public;
+                let ma = mu_alpha_vals[i];
+                let mb = mu_beta_vals[i];
+                // Public opening coefficients of the three re-encrypted
+                // packed shares (value = a − sk·b).
+                let (a_al, b_al) = shares.alpha[i].opening_coefficients()?;
+                let (a_be, b_be) = shares.beta[i].opening_coefficients()?;
+                let (a_ga, b_ga) = shares.gamma[i].opening_coefficients()?;
+                let offset = ma * mb + ma * a_be + mb * a_al + a_ga;
+                let slope = ma * b_be + mb * b_al + b_ga;
+                // Key and slope are this member's alone: one map per
+                // posting, built only where it is proved, and handed on
+                // with the proof to its reader.
+                let mut turn = turn
+                    .with_own_map(cfg.produce_proofs, || Arc::new(ShareMap::new(&kff_pk, slope)));
+                // Recover the KFF secret via the role key; the honest
+                // share follows from it.
+                let kff_sk =
+                    kff_prime[layer_idx * n + i].open(role_keys[layer_idx][i].secret.scalar)?;
+                let honest = offset - kff_sk * slope;
+                let attack = turn.attack();
+                let value = match attack {
+                    None | Some(ActiveAttack::BadProof) => honest,
+                    Some(ActiveAttack::AdditiveOffset) => honest + F::ONE,
+                    Some(_) => F::random(&mut turn.rng),
+                };
+                let proof = turn.prove(|map, rng| match attack {
+                    None => map.prove(rng, offset, honest, kff_sk),
+                    Some(_) => ShareProof::garbage(rng),
+                });
+                Ok((Share { party: i, value }, offset, proof))
+            };
+            step.fan_out(&drawn, None, work, |i, posted: Result<_, ProtocolError>| {
+                if matches!(committee.behavior(i), Behavior::Malicious(_) | Behavior::Leaky) {
+                    // The corrupted role's KFF opens all three of its
+                    // packed shares — record the exposure.
+                    for which in ["alpha", "beta", "gamma"] {
+                        leak.record(committee.role(i), format!("batch{b_idx}/{which}"), i);
+                    }
+                }
+                keep_valid(&mut kept, need, posted?);
+                Ok(())
+            })?;
+            sb.flush_buffer(posts)?;
             if kept.len() < need {
                 return Err(ProtocolError::NotEnoughContributions {
                     step: "mul-share reconstruction",
@@ -396,6 +364,15 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use yoso_field::F61;
+
+    /// The first `need` valid shares of `posted`, read in order.
+    fn first_valid_shares(posted: Vec<PostedShare<F61>>, need: usize) -> Vec<Share<F61>> {
+        let mut kept = Vec::with_capacity(need);
+        for posted in posted {
+            keep_valid(&mut kept, need, posted);
+        }
+        kept
+    }
 
     /// `n` members' μ-share postings of one batch, the first `forged` of
     /// them a wrong value under a garbage proof, as the worker that

@@ -1,21 +1,25 @@
 //! Deterministic fan-out of independent protocol work.
 //!
-//! The engine's hot loops — one Beaver triple per multiplication gate
-//! offline, one share computation per committee member online — are
-//! data-parallel, but the naive loop threads a single RNG through every
-//! iteration, serializing them. The engine instead derives one child
+//! The protocol's hot loops are data-parallel: a committee step is `n`
+//! members computing their postings from their own state, then one
+//! ordered fold over what they posted. The engine derives one child
 //! seed per work item *sequentially* from the caller's RNG (so the seed
 //! sequence, and therefore every result, is independent of thread
-//! count), runs the items on a scoped thread pool, and replays their
-//! board posts in item-index order. Transcripts are byte-identical
-//! whether `num_threads` is 1 or 16.
+//! count), computes the items on scoped threads with [`par_map`], and
+//! folds and records them in item order on the caller. Transcripts are
+//! byte-identical whether `num_threads` is 1 or 16.
 //!
-//! With `num_threads <= 1`, or too few items per thread to pay for
-//! the fan-out, [`par_map`] runs inline as a sequential loop over the
-//! same per-item seeds — results are still identical, only wall-clock
-//! changes.
+//! Threads come from one process-wide budget: compute threads, callers
+//! included, never exceed the host's cores, and a `par_map` nested in
+//! another's items runs inline. Below that, or with too few items per
+//! thread to pay for the fan-out, [`par_map`] runs inline as a
+//! sequential loop over the same items — results are still identical,
+//! only wall-clock changes.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 
 use yoso_runtime::{PostRun, Speakers};
 
@@ -50,16 +54,15 @@ struct BufferedRun {
     members: Speakers,
 }
 
-/// An append-only, run-length buffer of board posts produced away from
-/// the board (e.g. on a worker thread), replayed later in deterministic
-/// item order.
+/// An append-only, run-length buffer of board posts, recorded by the
+/// thread that runs a step and flushed in one piece
+/// ([`crate::workitem::ShardedBoard::flush_buffer`]).
 ///
-/// Workers must not touch the shared [`BulletinBoard`] directly — the
-/// transcript order would then depend on thread scheduling. Instead
-/// each worker records into its own `PostBuffer` and the coordinator
-/// replays the buffers in item-index order
-/// ([`crate::workitem::ShardedBoard::flush_buffer`]), keeping
-/// transcripts byte-identical at any thread count. A committee step's
+/// Fanned-out work never touches it: a step's postings depend on who
+/// speaks, never on what they compute, so the caller records every
+/// speaker in order while the members' values are computed on other
+/// threads, keeping transcripts byte-identical at any thread count. A
+/// committee step's
 /// members differ only in who they are, so what the step shares is
 /// stored once per run and its members as [`Speakers`] spans: a step
 /// `0, 1, …, n − 1` costs the buffer one span.
@@ -118,70 +121,364 @@ impl PostBuffer {
     }
 }
 
-/// Below this many items per prospective worker thread, [`par_map`]
-/// runs inline: thread spawn + synchronization overhead exceeds the
-/// work itself at small batches (measured as `reenc_speedup` 0.80 at
-/// n = 32 before the threshold existed).
-pub(crate) const MIN_ITEMS_PER_THREAD: usize = 32;
+/// The work a thread must get before a map fans out, in light member
+/// turns (one committee member's contribution or re-encrypted item with
+/// proofs off: tens of nanoseconds). A helper's first window costs a
+/// thread spawn and its first touches of memory — a millisecond or more
+/// on a 2-vCPU VM — so a map fans out only with milliseconds of work a
+/// thread: a large committee's handover, `Re-encrypt` batch or loop of
+/// contributions, not a small committee's.
+pub(crate) const MIN_TURNS_PER_THREAD: usize = 65_536;
 
-/// Maps `f` over `items`, preserving order, using up to `num_threads`
-/// worker threads.
+/// The members of a heavy step (a handover or DKG dealing, a proved
+/// `Decrypt` or `3-mult` posting) a thread takes per window of the
+/// step's fan-out: windows stay small, so few outputs are held at once,
+/// and the threads live for the whole step, so a window costs a
+/// hand-off, not a spawn.
+pub(crate) const MEMBERS_PER_THREAD: usize = 8;
+
+/// The member turns of light steps (a contribution: tens of
+/// nanoseconds with proofs off) a thread takes per window of a loop of
+/// such steps: a window's hand-off costs tens of microseconds, and its
+/// seeds are drawn before it runs, so windows are sized by work, not
+/// by steps.
+pub(crate) const MIN_LIGHT_TURNS_PER_THREAD: usize = 2048;
+
+/// Compute threads at work across the process: registered callers
+/// ([`Caller`]) plus the helpers of every running [`par_map`]. Helpers
+/// are granted only while this is below the host's cores.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether this thread is already counted in [`BUSY`] as a caller.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+    /// Whether this thread is running a threaded [`par_map`]'s items
+    /// (as a helper, or as the caller working beside them): a nested
+    /// `par_map` then runs inline.
+    static FANNED_OUT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The host's cores, read once: the default thread count of a run.
+pub(crate) fn host_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |v| v.get()))
+}
+
+/// One compute caller counted against the process-wide thread budget
+/// while it lives: a protocol run ([`crate::Engine::run_with_board`])
+/// holds one for its whole length, a [`par_map`] called from an
+/// uncounted thread for its own. A thread already counted counts once.
+/// Callers are never refused; helpers are drawn only from the cores
+/// they leave, so two runs in one process on a 2-core host get no
+/// helpers at all.
+pub(crate) struct Caller {
+    counted: bool,
+}
+
+impl Caller {
+    /// Counts the calling thread, unless it already is — as a caller,
+    /// or as a helper running a map's items.
+    pub(crate) fn enter() -> Self {
+        let counted = !FANNED_OUT.with(Cell::get) && !COUNTED.with(|c| c.replace(true));
+        if counted {
+            BUSY.fetch_add(1, Ordering::AcqRel);
+        }
+        Caller { counted }
+    }
+}
+
+impl Drop for Caller {
+    fn drop(&mut self) {
+        if self.counted {
+            COUNTED.with(|c| c.set(false));
+            BUSY.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+}
+
+/// Helpers reserved from the budget, returned when dropped.
+struct Helpers(usize);
+
+impl Helpers {
+    /// Reserves up to `wanted` helpers from the cores no counted thread
+    /// uses.
+    fn reserve(wanted: usize) -> Self {
+        let mut busy = BUSY.load(Ordering::Acquire);
+        loop {
+            let take = wanted.min(host_threads().saturating_sub(busy));
+            if take == 0 {
+                return Helpers(0);
+            }
+            match BUSY.compare_exchange_weak(busy, busy + take, Ordering::AcqRel, Ordering::Acquire)
+            {
+                Ok(_) => return Helpers(take),
+                Err(now) => busy = now,
+            }
+        }
+    }
+}
+
+impl Drop for Helpers {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(self.0, Ordering::AcqRel);
+    }
+}
+
+/// Marks the current thread as running a threaded map's items for as
+/// long as it lives.
+struct FannedOut(bool);
+
+impl FannedOut {
+    fn enter() -> Self {
+        FannedOut(FANNED_OUT.with(|f| f.replace(true)))
+    }
+}
+
+impl Drop for FannedOut {
+    fn drop(&mut self) {
+        FANNED_OUT.with(|f| f.set(self.0));
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: the worker count this thread's outermost `par_map`
+    /// runs with, whatever the budget and the batch size.
+    static FORCED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with every outermost [`par_map`] on this thread forced onto
+/// `workers` threads (`1` = inline), so the threaded path runs on any
+/// host.
+#[cfg(test)]
+pub(crate) fn with_forced_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    let before = FORCED.with(|c| c.replace(Some(workers)));
+    let out = f();
+    FORCED.with(|c| c.set(before));
+    out
+}
+
+/// Maps `f` over `items`, preserving order, on up to `num_threads`
+/// threads, the caller's included, each item being about `item_turns`
+/// light member turns of work.
 ///
 /// `f` receives `(index, &item)` and must be pure per item (any
-/// randomness comes from a per-item seed inside `item`). Runs inline
-/// on the caller's thread when `num_threads <= 1` or when the batch is
-/// too small to amortize thread fan-out (fewer than
-/// `MIN_ITEMS_PER_THREAD` items per worker after clamping to the
-/// host's available parallelism). The results are identical either
-/// way — the threshold is a pure wall-clock guard.
-pub fn par_map<T, U, F>(num_threads: usize, items: &[T], f: F) -> Vec<U>
+/// randomness comes from a per-item seed inside `item`). Runs inline on
+/// the caller's thread when `num_threads <= 1`, when the items are too
+/// little work to amortize a helper (less than `MIN_TURNS_PER_THREAD`
+/// a thread), when it is nested inside another `par_map`'s items, or
+/// when the process-wide budget has no core left for a helper. The
+/// results are identical either way — the thread count is a pure
+/// wall-clock choice.
+pub fn par_map<T, U, F>(num_threads: usize, item_turns: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let hw = std::thread::available_parallelism().map(|v| v.get()).unwrap_or(1);
-    let workers = num_threads.min(hw).min(items.len() / MIN_ITEMS_PER_THREAD);
-    if workers > 1 {
-        return par_map_threaded(workers, items, &f);
+    let _caller = Caller::enter();
+    let turns = item_turns.saturating_mul(items.len());
+    let (helpers, _reserved) = helpers_for(num_threads, turns);
+    if helpers > 0 {
+        return par_map_threaded(helpers + 1, items, &f);
     }
     items.iter().enumerate().map(|(i, item)| f(i, item)).collect()
 }
 
+/// Runs `work` over a stream of windows on up to `num_threads` threads,
+/// the caller's included, that live for the whole stream: `next` makes
+/// each window's items on the calling thread (an empty one ends the
+/// stream), the threads share out its items, and `done` takes the
+/// window's items and their outputs, in item order, on the calling
+/// thread before `next` is asked again. A stream of many small windows
+/// thus pays for its helpers once, and holds one window's outputs at a
+/// time.
+///
+/// Threads are decided once, as [`par_map`] decides them, from `turns`,
+/// the stream's whole work in light member turns; with none to spare
+/// every window runs inline. Results are identical either way.
+///
+/// # Errors
+///
+/// The first error `done` returns; no later window is made.
+pub(crate) fn par_windows<T, U, E>(
+    num_threads: usize,
+    turns: usize,
+    mut next: impl FnMut() -> Vec<T>,
+    work: impl Fn(&T) -> U + Sync,
+    mut done: impl FnMut(&[T], Vec<U>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    T: Send + Sync,
+    U: Send,
+{
+    let mut items = next();
+    let _caller = Caller::enter();
+    let (helpers, _reserved) = helpers_for(num_threads, turns);
+    if helpers == 0 {
+        while !items.is_empty() {
+            let outputs = items.iter().map(&work).collect();
+            done(&items, outputs)?;
+            items = next();
+        }
+        return Ok(());
+    }
+    let cursor = AtomicUsize::new(0);
+    let claim = |window: &[T]| {
+        let _fanned = FannedOut::enter();
+        let mut claimed = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = window.get(i) else { return claimed };
+            claimed.push((i, work(item)));
+        }
+    };
+    std::thread::scope(|scope| {
+        let (results, claimed) = mpsc::channel::<std::thread::Result<(Vec<(usize, U)>, u64)>>();
+        let windows: Vec<_> = (0..helpers)
+            .map(|_| {
+                let (window_tx, window_rx) = mpsc::channel::<Arc<Vec<T>>>();
+                let (results, claim) = (results.clone(), &claim);
+                scope.spawn(move || {
+                    for window in window_rx {
+                        let mine =
+                            panic::catch_unwind(AssertUnwindSafe(|| counted(|| claim(&window))));
+                        drop(window);
+                        if results.send(mine).is_err() {
+                            return;
+                        }
+                    }
+                });
+                window_tx
+            })
+            .collect();
+        while !items.is_empty() {
+            let window = Arc::new(items);
+            cursor.store(0, Ordering::Relaxed);
+            let sent = windows.iter().filter(|tx| tx.send(Arc::clone(&window)).is_ok()).count();
+            let mut slots: Vec<Option<U>> = window.iter().map(|_| None).collect();
+            let mut place = |claimed: Vec<(usize, U)>| {
+                for (i, output) in claimed {
+                    slots[i] = Some(output);
+                }
+            };
+            place(claim(&window));
+            for _ in 0..sent {
+                match claimed.recv() {
+                    Ok(Ok((mine, blocks))) => {
+                        credit(blocks);
+                        place(mine);
+                    }
+                    Ok(Err(payload)) => panic::resume_unwind(payload),
+                    Err(_) => break,
+                }
+            }
+            // lint:allow(panic): provable — every helper's claims were
+            // received above and each index < len was claimed once by a
+            // thread that ran to completion, so each slot is Some here.
+            let outputs = slots.into_iter().map(|slot| slot.expect("every item ran")).collect();
+            done(&window, outputs)?;
+            drop(window);
+            items = next();
+        }
+        Ok(())
+    })
+}
+
+/// Whether a map of `turns` light member turns at `num_threads` threads
+/// would get a helper now: for a caller that prepares its items
+/// differently when they run inline. The budget can move before the map
+/// starts; either answer gives the same results.
+pub(crate) fn would_fan_out(num_threads: usize, turns: usize) -> bool {
+    #[cfg(test)]
+    if FORCED.with(Cell::get).is_some() {
+        return !FANNED_OUT.with(Cell::get);
+    }
+    let wanted = num_threads.min(turns / MIN_TURNS_PER_THREAD);
+    wanted > 1 && !FANNED_OUT.with(Cell::get) && BUSY.load(Ordering::Acquire) < host_threads()
+}
+
+/// Runs a helper's share of a map and returns it with the SHA-256
+/// compressions it made (counted in debug builds only), for the caller
+/// to [`credit`].
+fn counted<T>(share: impl FnOnce() -> T) -> (T, u64) {
+    #[cfg(debug_assertions)]
+    return yoso_crypto::sha256::compressions_of(share);
+    #[cfg(not(debug_assertions))]
+    (share(), 0)
+}
+
+/// Credits a helper's compressions to the caller's count, so
+/// `compressions_of` around a run covers the work wherever it ran.
+fn credit(blocks: u64) {
+    #[cfg(debug_assertions)]
+    yoso_crypto::sha256::credit_compressions(blocks);
+    #[cfg(not(debug_assertions))]
+    let _ = blocks;
+}
+
+/// How many helpers a map of `turns` light member turns at
+/// `num_threads` threads runs with, and their reservation: none when
+/// nested in another map's items or when the budget has no core to
+/// spare.
+fn helpers_for(num_threads: usize, turns: usize) -> (usize, Option<Helpers>) {
+    let fanned = FANNED_OUT.with(Cell::get);
+    #[cfg(test)]
+    if let Some(workers) = FORCED.with(Cell::get).filter(|_| !fanned) {
+        return (workers.saturating_sub(1), None);
+    }
+    let wanted = num_threads.min(turns / MIN_TURNS_PER_THREAD);
+    if wanted <= 1 || fanned {
+        return (0, None);
+    }
+    let reserved = Helpers::reserve(wanted - 1);
+    (reserved.0, Some(reserved))
+}
+
+/// [`par_map`] on exactly `workers` threads: `workers − 1` scoped
+/// helpers and the caller claim items one at a time, and every helper
+/// is joined before this returns.
 fn par_map_threaded<T, U, F>(workers: usize, items: &[T], f: &F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
     let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let claim = || {
+        let _fanned = FannedOut::enter();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { return done };
+            done.push((i, f(i, item)));
+        }
+    };
+    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(|| counted(claim))).collect();
+        let mut place = |done: Vec<(usize, U)>| {
+            for (i, out) in done {
+                slots[i] = Some(out);
+            }
+        };
+        place(claim());
+        for helper in helpers {
+            match helper.join() {
+                Ok((done, blocks)) => {
+                    credit(blocks);
+                    place(done);
                 }
-                let out = f(i, &items[i]);
-                *results[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
-            });
+                Err(payload) => panic::resume_unwind(payload),
+            }
         }
     });
-    results
+    slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                // lint:allow(panic): provable — the scope above joins all
-                // workers before returning, every index < len is claimed
-                // exactly once, and a worker panic propagates at scope
-                // exit, so each slot is Some here.
-                .expect("every work item produced a result")
-        })
+        // lint:allow(panic): provable — every helper was joined above
+        // and every index < len was claimed exactly once by a thread
+        // that ran to completion, so each slot is Some here.
+        .map(|slot| slot.expect("every work item produced a result"))
         .collect()
 }
 
@@ -194,14 +491,14 @@ mod tests {
         let items: Vec<u64> = (0..100).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * x).collect();
         for threads in [0, 1, 2, 7, 64] {
-            assert_eq!(par_map(threads, &items, |_, &x| x * x), expect, "threads={threads}");
+            assert_eq!(par_map(threads, 1, &items, |_, &x| x * x), expect, "threads={threads}");
         }
     }
 
     #[test]
     fn index_matches_item_position() {
         let items: Vec<usize> = (0..50).collect();
-        let got = par_map(4, &items, |i, &x| (i, x));
+        let got = par_map(4, MIN_TURNS_PER_THREAD, &items, |i, &x| (i, x));
         for (i, &(gi, gx)) in got.iter().enumerate() {
             assert_eq!((gi, gx), (i, i));
         }
@@ -209,8 +506,8 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(par_map(8, &[] as &[u32], |_, &x| x), Vec::<u32>::new());
-        assert_eq!(par_map(8, &[5u32], |_, &x| x + 1), vec![6]);
+        assert_eq!(par_map(8, MIN_TURNS_PER_THREAD, &[] as &[u32], |_, &x| x), Vec::<u32>::new());
+        assert_eq!(par_map(8, MIN_TURNS_PER_THREAD, &[5u32], |_, &x| x + 1), vec![6]);
     }
 
     /// The hw/threshold clamp in [`par_map`] can make the threaded path
@@ -229,12 +526,63 @@ mod tests {
         }
     }
 
-    /// Small batches must not fan out: below the per-thread minimum the
-    /// map runs inline regardless of the requested thread count.
+    /// Two callers at once — two runs in one process — hold the host's
+    /// cores between them: helpers are granted only from the cores no
+    /// counted thread uses. Callers themselves are never refused, so a
+    /// 1-core host still runs both.
+    #[test]
+    fn concurrent_callers_never_run_more_closures_than_the_host_has_cores() {
+        let (running, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let items: Vec<u64> = (0..512).collect();
+        let work = |_, &x: &u64| {
+            high.fetch_max(running.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            let mut acc = x;
+            for _ in 0..20_000 {
+                acc = std::hint::black_box(acc.wrapping_mul(6_364_136_223_846_793_005) + 1);
+            }
+            running.fetch_sub(1, Ordering::SeqCst);
+            acc
+        };
+        let expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| work(i, x)).collect();
+        high.store(0, Ordering::SeqCst);
+        let both = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let _caller = Caller::enter();
+                    both.wait();
+                    assert_eq!(par_map(64, MIN_TURNS_PER_THREAD, &items, work), expect);
+                });
+            }
+        });
+        let high = high.load(Ordering::SeqCst);
+        assert!(high <= host_threads().max(2), "{high} closures at once");
+    }
+
+    /// Inside a threaded map's items, a nested `par_map` runs on the
+    /// thread that called it.
+    #[test]
+    fn a_nested_par_map_runs_inline() {
+        let outer: Vec<usize> = (0..4).collect();
+        let inner: Vec<usize> = (0..2048).collect();
+        let inline = par_map_threaded(4, &outer, &|_, _: &usize| {
+            let me = std::thread::current().id();
+            let ids = par_map(64, MIN_TURNS_PER_THREAD, &inner, |_, _| std::thread::current().id());
+            ids.iter().all(|&id| id == me)
+        });
+        assert_eq!(inline, [true; 4]);
+    }
+
+    /// Too little work must not fan out: below `MIN_TURNS_PER_THREAD` a
+    /// thread the map runs inline regardless of the requested thread
+    /// count.
     #[test]
     fn small_batches_stay_inline() {
         let items: Vec<u64> = (0..31).collect();
-        let expect: Vec<u64> = items.iter().map(|&x| x + 7).collect();
-        assert_eq!(par_map(64, &items, |_, &x| x + 7), expect);
+        let me = std::thread::current().id();
+        let out = par_map(64, MIN_TURNS_PER_THREAD / 16, &items, |_, &x| {
+            (x + 7, std::thread::current().id() == me)
+        });
+        assert_eq!(out, items.iter().map(|&x| (x + 7, true)).collect::<Vec<_>>());
     }
 }

@@ -8,17 +8,21 @@
 //!
 //! 1. who speaks: the candidates that participate at the step's phase,
 //!    in index order — the others are skipped before anything is drawn;
-//! 2. one child seed per speaker from the caller's RNG; the member
-//!    draws from the child only, values before proofs;
+//! 2. one child seed per speaker from the caller's RNG, every speaker's
+//!    drawn before any member works; the member draws from the child
+//!    only, values before proofs, in work that sees nothing but its
+//!    [`Turn`] — so the members run on any number of threads;
 //! 3. who proves: this worker, for the members it owns, if anyone does
 //!    ([`Turn::prove`]);
-//! 4. who verifies: the reader, when it reads the posting
-//!    ([`Proved::verify`]) — a step that keeps its first valid postings
-//!    reads, and so verifies, only until it has them. Where this worker
-//!    does not prove, validity is predicted from the behavior;
+//! 4. who verifies: the reader, when it folds the members' outputs in
+//!    member order ([`Proved::verify`]) — a step that keeps its first
+//!    valid postings reads, and so verifies, only until it has them.
+//!    Where this worker does not prove, validity is predicted from the
+//!    behavior;
 //! 5. every speaker's posting is recorded, owned or not, under the
-//!    step's `(Post, phase, elements)`, in one members' run: the board
-//!    view decides which of them this worker appends.
+//!    step's `(Post, phase, elements)`, in one members' run, by the
+//!    thread that runs the step: the board view decides which of them
+//!    this worker appends.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,14 +30,17 @@ use rand::{Rng, SeedableRng};
 use yoso_runtime::{ActiveAttack, Behavior, Committee, Speakers};
 
 use crate::messages::Post;
-use crate::parallel::{Author, PostBuffer};
+use crate::parallel::{par_windows, Author, PostBuffer, MEMBERS_PER_THREAD};
 use crate::workitem::{RolePartition, ShardedBoard};
+use crate::ProtocolError;
 
 /// One committee posting one kind of message in one phase.
 pub(crate) struct Step<'a> {
     committee: &'a Committee,
     /// The members this worker owns: its board view's partition.
     partition: RolePartition,
+    /// The threads the members' work may fan out over: its board view's.
+    threads: usize,
     phase: &'static str,
     /// `phase_index(phase)`, evaluated once per step.
     phase_index: u64,
@@ -43,10 +50,21 @@ pub(crate) struct Step<'a> {
     postings: usize,
 }
 
+/// A speaker with its child seed and what it holds.
+struct Speaker<T> {
+    index: usize,
+    seed: u64,
+    held: T,
+}
+
+/// A step's speakers with their child seeds, in member order: rules 1
+/// and 2, decided before any member works.
+pub(crate) struct Drawn<T>(Vec<Speaker<T>>);
+
 impl<'a> Step<'a> {
     /// A step in which every speaker posts one `post` of `elements`
     /// ring elements, onto the board view `sb` (which says who this
-    /// worker owns).
+    /// worker owns and how many threads it computes with).
     pub(crate) fn new(
         committee: &'a Committee,
         sb: &ShardedBoard<'_>,
@@ -55,8 +73,18 @@ impl<'a> Step<'a> {
         elements: u64,
     ) -> Self {
         let phase_index = crate::engine::phase_index(phase);
-        let partition = sb.partition();
-        Step { committee, partition, phase, phase_index, post, elements, postings: 1 }
+        let (partition, threads) = (sb.partition(), sb.threads());
+        Step { committee, partition, threads, phase, phase_index, post, elements, postings: 1 }
+    }
+
+    /// The same step with its members run on the calling thread: a light
+    /// step — a contribution, a re-encrypted item, an unproved
+    /// `Decrypt` or `3-mult` posting — whose members cost less than
+    /// handing them to another thread; where many run side by side, the
+    /// loop over them is what fans out.
+    pub(crate) fn inline(mut self) -> Self {
+        self.threads = 1;
+        self
     }
 
     /// The same step over a batch: `postings` posts per speaker.
@@ -71,51 +99,67 @@ impl<'a> Step<'a> {
     }
 
     /// Rule 1: how `member` behaves, if it posts in this step at all.
-    /// The lookups below are made once a member and handed on ([`run`]
-    /// is the per-posting hot path of every proofs-off execution).
-    ///
-    /// [`run`]: Step::run
     fn speaker(&self, member: usize) -> Option<Behavior> {
         let behavior = *self.committee.behavior(member);
         behavior.participates_at(self.phase_index).then_some(behavior)
     }
 
-    /// Rule 1, for a caller that runs its own member loop.
-    pub(crate) fn speaks(&self, member: usize) -> bool {
-        self.speaker(member).is_some()
-    }
-
-    /// Rules 2 and 3: `member`'s turn from its child seed. `prover`
-    /// holds the map the member's postings are proved over (`None` when
-    /// proofs are off); the turn keeps it only if this worker owns the
-    /// member.
-    pub(crate) fn turn<M>(&self, member: usize, seed: u64, prover: Option<M>) -> Turn<M> {
-        let owned = self.partition.owns(member);
-        Self::turn_of(member, *self.committee.behavior(member), owned, seed, prover)
-    }
-
-    /// Rules 2 and 3 from what [`Step::run`] has already looked up.
-    fn turn_of<M>(
-        index: usize,
-        behavior: Behavior,
-        owned: bool,
-        seed: u64,
-        prover: Option<M>,
-    ) -> Turn<M> {
-        Turn { index, behavior, rng: StdRng::seed_from_u64(seed), prover: prover.filter(|_| owned) }
-    }
-
-    /// Rule 5 for a caller that runs its own member loop: the postings
-    /// of every speaker of `members`, in order.
-    pub(crate) fn record_speakers(
+    /// Rules 1 and 2: each speaking candidate of `members` (`(index,
+    /// what it holds)`, in index order) with one child seed from `rng`.
+    pub(crate) fn draw<R: Rng + ?Sized, T>(
         &self,
-        posts: &mut PostBuffer,
-        members: impl IntoIterator<Item = usize>,
-    ) {
-        let run = self.open_run(posts);
-        for member in members.into_iter().filter(|&member| self.speaks(member)) {
-            self.record(run, member);
+        rng: &mut R,
+        members: impl IntoIterator<Item = (usize, T)>,
+    ) -> Drawn<T> {
+        let mut speakers = Vec::with_capacity(self.committee.n());
+        for (index, held) in members {
+            if self.speaker(index).is_some() {
+                speakers.push(Speaker { index, seed: rng.next_u64(), held });
+            }
         }
+        Drawn(speakers)
+    }
+
+    /// Rules 1 and 2 for the one step that draws a seed for every
+    /// candidate, speaking or not (`3-mult`, whose draws are pinned).
+    pub(crate) fn draw_every<R: Rng + ?Sized, T>(
+        &self,
+        rng: &mut R,
+        members: impl IntoIterator<Item = (usize, T)>,
+    ) -> Drawn<T> {
+        let mut speakers = Vec::with_capacity(self.committee.n());
+        for (index, held) in members {
+            let seed = rng.next_u64();
+            if self.speaker(index).is_some() {
+                speakers.push(Speaker { index, seed, held });
+            }
+        }
+        Drawn(speakers)
+    }
+
+    /// Rule 5: the postings of every speaker drawn, in order.
+    pub(crate) fn record<T>(&self, posts: &mut PostBuffer, drawn: &Drawn<T>) {
+        let run = self.open_run(posts);
+        for speaker in &drawn.0 {
+            self.push(run, speaker.index);
+        }
+    }
+
+    /// Rule 5 for a step drawn on another thread: the postings of every
+    /// speaker of `members`, in order — what [`Step::record_speakers`]
+    /// records. A step's postings depend on who speaks, never on what
+    /// they compute, so items of one step share them.
+    pub(crate) fn speakers(&self, members: impl IntoIterator<Item = usize>) -> Speakers {
+        let mut speakers = Speakers::new();
+        for member in members.into_iter().filter(|&member| self.speaker(member).is_some()) {
+            self.push(&mut speakers, member);
+        }
+        speakers
+    }
+
+    /// Records `speakers` ([`Step::speakers`]) onto the step's run.
+    pub(crate) fn record_speakers(&self, posts: &mut PostBuffer, speakers: &Speakers) {
+        self.open_run(posts).extend(speakers);
     }
 
     /// The step's one run, opened on `posts`.
@@ -124,30 +168,152 @@ impl<'a> Step<'a> {
     }
 
     /// Rule 5: `member`'s postings, onto the step's run.
-    fn record(&self, run: &mut Speakers, member: usize) {
+    fn push(&self, run: &mut Speakers, member: usize) {
         for _ in 0..self.postings {
             run.push(member);
         }
     }
 
-    /// Runs the step: each speaking candidate of `members` (`(index,
-    /// what it holds)`, in index order) gets one seed from `rng` and
-    /// its [`Turn`] is handed to `act` with what it holds.
-    pub(crate) fn run<'m, R: Rng + ?Sized, M, T>(
+    /// Rules 2 and 3: `index`'s turn from its child seed; it keeps the
+    /// `prover` only if this worker owns the member.
+    fn turn<M>(&self, index: usize, seed: u64, prover: Option<M>) -> Turn<M> {
+        let owned = self.partition.owns(index);
+        let behavior = *self.committee.behavior(index);
+        let (rng, prover) = (StdRng::seed_from_u64(seed), prover.filter(|_| owned));
+        Turn { index, behavior, owned, rng, prover }
+    }
+
+    /// Runs the speakers drawn: each one's `work` on its [`Turn`] and
+    /// what it holds, on the step's threads, and `fold` over the outputs
+    /// in member order. The speakers go in windows of
+    /// `threads × MEMBERS_PER_THREAD` ([`par_windows`]), so no more
+    /// outputs than that are held at once; on one thread each output is
+    /// folded as soon as it is made. `prover` holds the map the members'
+    /// postings are proved over (`None` when proofs are off); a turn
+    /// keeps it only if this worker owns the member.
+    ///
+    /// # Errors
+    ///
+    /// The first error `fold` returns; no later output is folded.
+    pub(crate) fn fan_out<'m, M, T, O>(
+        &self,
+        drawn: &Drawn<T>,
+        prover: Option<&'m M>,
+        work: impl Fn(Turn<&'m M>, T) -> O + Sync,
+        mut fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
+    ) -> Result<(), ProtocolError>
+    where
+        M: Sync,
+        T: Copy + Sync,
+        O: Send,
+    {
+        let turn = |speaker: &Speaker<T>| self.turn(speaker.index, speaker.seed, prover);
+        if self.threads <= 1 {
+            for speaker in &drawn.0 {
+                fold(speaker.index, work(turn(speaker), speaker.held))?;
+            }
+            return Ok(());
+        }
+        let mut speakers = drawn.0.iter();
+        // A member's work grows with what it posts: a dealing's `O(n)`
+        // elements, a batch's postings.
+        let turns = drawn.0.len() * self.postings * self.elements as usize;
+        let window = self.threads * MEMBERS_PER_THREAD;
+        par_windows(
+            self.threads,
+            turns,
+            || speakers.by_ref().take(window).collect::<Vec<_>>(),
+            |speaker| work(turn(speaker), speaker.held),
+            |speakers, outputs| {
+                for (speaker, output) in speakers.iter().zip(outputs) {
+                    fold(speaker.index, output)?;
+                }
+                Ok(())
+            },
+        )
+    }
+
+    /// The whole step on the caller's RNG: rules 1 and 2 ([`Step::draw`]),
+    /// rule 5 onto `posts` ([`Step::record`]), then the members' work
+    /// and the fold ([`Step::fan_out`]). On one thread nothing is drawn
+    /// ahead: each speaker's seed is drawn, its posting recorded and its
+    /// output folded in turn.
+    ///
+    /// # Errors
+    ///
+    /// As [`Step::fan_out`].
+    pub(crate) fn run<'m, R: Rng + ?Sized, M, T, O>(
         &self,
         rng: &mut R,
         posts: &mut PostBuffer,
         prover: Option<&'m M>,
         members: impl IntoIterator<Item = (usize, T)>,
-        mut act: impl FnMut(Turn<&'m M>, T),
-    ) {
-        let run = self.open_run(posts);
-        for (member, held) in members {
-            let Some(behavior) = self.speaker(member) else { continue };
-            let owned = self.partition.owns(member);
-            act(Self::turn_of(member, behavior, owned, rng.next_u64(), prover), held);
-            self.record(run, member);
+        work: impl Fn(Turn<&'m M>, T) -> O + Sync,
+        fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
+    ) -> Result<(), ProtocolError>
+    where
+        M: Sync,
+        T: Copy + Sync,
+        O: Send,
+    {
+        if self.threads <= 1 {
+            let run = self.open_run(posts);
+            return self.stream(rng, Some(run), prover, members, work, fold);
         }
+        let drawn = self.draw(rng, members);
+        self.record(posts, &drawn);
+        self.fan_out(&drawn, prover, work, fold)
+    }
+
+    /// [`Step::run`] for a step whose postings its caller records
+    /// ([`Step::record_speakers`]): one of many items run side by side.
+    ///
+    /// # Errors
+    ///
+    /// As [`Step::fan_out`].
+    pub(crate) fn act<'m, R: Rng + ?Sized, M, T, O>(
+        &self,
+        rng: &mut R,
+        prover: Option<&'m M>,
+        members: impl IntoIterator<Item = (usize, T)>,
+        work: impl Fn(Turn<&'m M>, T) -> O + Sync,
+        fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
+    ) -> Result<(), ProtocolError>
+    where
+        M: Sync,
+        T: Copy + Sync,
+        O: Send,
+    {
+        if self.threads <= 1 {
+            return self.stream(rng, None, prover, members, work, fold);
+        }
+        let drawn = self.draw(rng, members);
+        self.fan_out(&drawn, prover, work, fold)
+    }
+
+    /// The one-thread step: each speaker's seed drawn, its posting
+    /// recorded onto `run` (if the step records here) and its output
+    /// folded, one speaker after another.
+    fn stream<'m, R: Rng + ?Sized, M, T, O>(
+        &self,
+        rng: &mut R,
+        mut run: Option<&mut Speakers>,
+        prover: Option<&'m M>,
+        members: impl IntoIterator<Item = (usize, T)>,
+        work: impl Fn(Turn<&'m M>, T) -> O,
+        mut fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
+    ) -> Result<(), ProtocolError> {
+        for (index, held) in members {
+            if self.speaker(index).is_none() {
+                continue;
+            }
+            let seed = rng.next_u64();
+            if let Some(run) = run.as_deref_mut() {
+                self.push(run, index);
+            }
+            fold(index, work(self.turn(index, seed, prover), held))?;
+        }
+        Ok(())
     }
 }
 
@@ -159,6 +325,8 @@ pub(crate) struct Turn<M> {
     pub(crate) index: usize,
     /// How the adversary has the member behave.
     pub(crate) behavior: Behavior,
+    /// Whether this worker owns the member.
+    owned: bool,
     /// The member's own randomness: values first, proofs after.
     pub(crate) rng: StdRng,
     /// Present where this worker proves the posting.
@@ -173,6 +341,14 @@ impl<M> Turn<M> {
             Behavior::Malicious(attack) => Some(attack),
             Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => None,
         }
+    }
+
+    /// The same turn proving over a map of the member's own, which
+    /// `map` builds only where this worker proves it: proofs are on
+    /// (`proofs`) and the member is owned.
+    pub(crate) fn with_own_map<N>(self, proofs: bool, map: impl FnOnce() -> N) -> Turn<N> {
+        let Turn { index, behavior, owned, rng, .. } = self;
+        Turn { index, behavior, owned, rng, prover: (proofs && owned).then(map) }
     }
 
     /// Rule 3: the member's proof, the last thing its turn draws. Where
@@ -217,6 +393,7 @@ impl<M, P> Proved<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::with_forced_workers;
     use rand::RngCore;
     use yoso_runtime::BulletinBoard;
 
@@ -240,23 +417,31 @@ mod tests {
         Step::new(committee, &sb, PHASE, Post::MulShare, 7)
     }
 
+    /// The runs recorded on `posts`, with their members.
+    fn runs(posts: &PostBuffer) -> Vec<(Author, Vec<usize>)> {
+        posts.runs().map(|(author, run)| (author, run.members.iter().collect())).collect()
+    }
+
     /// Runs the step with `()` as the prover: each speaker's value is
-    /// its first draw, and `proved` collects who ran a proof closure.
-    fn values(
-        partition: RolePartition,
-        proved: &mut Vec<usize>,
-    ) -> (Vec<(usize, u64)>, PostBuffer) {
+    /// its first draw, and the second says whether it ran a proof.
+    fn values(partition: RolePartition) -> (Vec<(usize, u64, bool)>, PostBuffer) {
         let (committee, mut rng) = (committee(), StdRng::seed_from_u64(5));
         let (mut out, mut posts) = (Vec::new(), PostBuffer::new());
         let step = step(&committee, partition);
-        step.run(&mut rng, &mut posts, Some(&()), step.everyone(), |mut turn, ()| {
-            out.push((turn.index, turn.rng.next_u64()));
-            let index = turn.index;
+        let work = |mut turn: Turn<&()>, ()| {
+            let value = turn.rng.next_u64();
+            let mut proved = false;
             turn.prove(|(), rng| {
-                proved.push(index);
+                proved = true;
                 rng.next_u64()
             });
-        });
+            (turn.index, value, proved)
+        };
+        let fold = |_, output| {
+            out.push(output);
+            Ok(())
+        };
+        step.run(&mut rng, &mut posts, Some(&()), step.everyone(), work, fold).unwrap();
         (out, posts)
     }
 
@@ -267,31 +452,49 @@ mod tests {
         let mut seeds = rng.clone();
         let mut spoke = Vec::new();
         let step = step(&committee, RolePartition::solo());
-        assert_eq!((0..4).filter(|&i| step.speaks(i)).collect::<Vec<_>>(), [0, 3]);
+        assert_eq!((0..4).filter(|&i| step.speaker(i).is_some()).collect::<Vec<_>>(), [0, 3]);
         // Member 2 is a candidate that does not speak; member 1 is not
         // even a candidate.
         let candidates = [(0, 'a'), (2, 'b'), (3, 'c')];
-        step.run(&mut rng, &mut PostBuffer::new(), None::<&()>, candidates, |mut turn, held| {
-            let mut child = StdRng::seed_from_u64(seeds.next_u64());
-            assert_eq!(turn.rng.next_u64(), child.next_u64());
-            spoke.push((turn.index, held));
-        });
-        assert_eq!(spoke, [(0, 'a'), (3, 'c')]);
+        let work = |mut turn: Turn<&()>, held| (turn.index, held, turn.rng.next_u64());
+        let fold = |_, output| {
+            spoke.push(output);
+            Ok(())
+        };
+        step.run(&mut rng, &mut PostBuffer::new(), None, candidates, work, fold).unwrap();
+        let expect: Vec<_> = [(0, 'a'), (3, 'c')]
+            .into_iter()
+            .map(|(i, held)| (i, held, StdRng::seed_from_u64(seeds.next_u64()).next_u64()))
+            .collect();
+        assert_eq!(spoke, expect);
         assert_eq!(rng.next_u64(), seeds.next_u64(), "one draw per speaker, no more");
     }
 
     #[test]
+    fn draw_every_draws_for_silent_candidates_too() {
+        let committee = committee();
+        let step = step(&committee, RolePartition::solo());
+        let (mut rng, mut seeds) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
+        let drawn = step.draw_every(&mut rng, step.everyone());
+        let all: Vec<u64> = (0..4).map(|_| seeds.next_u64()).collect();
+        let got: Vec<(usize, u64)> = drawn.0.iter().map(|s| (s.index, s.seed)).collect();
+        assert_eq!(got, [(0, all[0]), (3, all[3])]);
+        assert_eq!(rng.next_u64(), seeds.next_u64());
+    }
+
+    #[test]
     fn a_member_this_worker_does_not_own_has_the_same_value_and_no_proof() {
-        let (mut proved_solo, mut proved_first) = (Vec::new(), Vec::new());
-        let (all, _) = values(RolePartition::solo(), &mut proved_solo);
-        let (sharded, posts) = values(RolePartition::range(0, 1), &mut proved_first);
-        assert_eq!(all, sharded);
-        assert_eq!((proved_solo, proved_first), (vec![0, 3], vec![0]));
+        let (all, _) = values(RolePartition::solo());
+        let (sharded, posts) = values(RolePartition::range(0, 1));
+        let strip =
+            |v: &[(usize, u64, bool)]| v.iter().map(|&(i, x, _)| (i, x)).collect::<Vec<_>>();
+        assert_eq!(strip(&all), strip(&sharded));
+        let proved =
+            |v: &[(usize, u64, bool)]| v.iter().filter(|o| o.2).map(|o| o.0).collect::<Vec<_>>();
+        assert_eq!((proved(&all), proved(&sharded)), (vec![0, 3], vec![0]));
         // Both speakers are recorded, in the step's one run; the board
         // view appends only the owned one.
-        let runs: Vec<(Author, Vec<usize>)> =
-            posts.runs().map(|(author, run)| (author, run.members.iter().collect())).collect();
-        assert_eq!(runs, [(Author::Members, vec![0, 3])]);
+        assert_eq!(runs(&posts), [(Author::Members, vec![0, 3])]);
     }
 
     #[test]
@@ -306,13 +509,27 @@ mod tests {
                 [Some(&()), None].into_iter().flat_map(|p| [(p, (0, true)), (p, (3, false))])
             {
                 let proves = prover.is_some() && partition.owns(member);
-                let mut turn = step(&committee, partition).turn(member, 9, prover);
-                let mut replay = turn.rng.clone();
-                let proof = turn.prove(|(), rng| rng.next_u64());
-                // A proof made here is the turn's next draw; none is
-                // made, and nothing drawn, elsewhere.
-                let next = replay.next_u64();
-                assert_eq!(turn.rng.next_u64(), if proves { replay.next_u64() } else { next });
+                let step = step(&committee, partition);
+                let mut out = None;
+                let work = |mut turn: Turn<_>, ()| {
+                    let mut replay = turn.rng.clone();
+                    let proof = turn.prove(|(): &&(), rng| rng.next_u64());
+                    // A proof made here is the turn's next draw; none
+                    // is made, and nothing drawn, elsewhere.
+                    let next = replay.next_u64();
+                    let after = if proves { replay.next_u64() } else { next };
+                    assert_eq!(turn.rng.next_u64(), after);
+                    (turn.attack(), next, proof)
+                };
+                let fold = |_, output| {
+                    out = Some(output);
+                    Ok(())
+                };
+                let mut rng = StdRng::seed_from_u64(9);
+                step.run(&mut rng, &mut PostBuffer::new(), prover, [(member, ())], work, fold)
+                    .unwrap();
+                let (attack, next, proof) = out.unwrap();
+                assert_eq!(attack.is_none(), follows);
                 for verdict in [true, false] {
                     let mut checked = None;
                     let valid = proof.verify(|(), &p| {
@@ -324,9 +541,6 @@ mod tests {
                 }
             }
         }
-        let step = step(&committee, solo);
-        assert_eq!(step.turn(0, 9, None::<&()>).attack(), None);
-        assert_eq!(step.turn(3, 9, None::<&()>).attack(), Some(ActiveAttack::WrongValue));
     }
 
     #[test]
@@ -337,7 +551,8 @@ mod tests {
         let board = BulletinBoard::new();
         let sb = ShardedBoard::new(&board, RolePartition::solo());
         let step = Step::new(&committee, &sb, PHASE, Post::PartialDec, 4).with_postings(2);
-        step.run(&mut rng, &mut posts, None::<&()>, step.everyone(), |_, ()| {});
+        step.run(&mut rng, &mut posts, None::<&()>, step.everyone(), |_, ()| {}, |_, ()| Ok(()))
+            .unwrap();
         let runs: Vec<_> = posts.runs().collect();
         assert_eq!(runs.len(), 1, "a step is one run");
         let (author, run) = &runs[0];
@@ -347,5 +562,52 @@ mod tests {
         assert_eq!(run.members.iter().collect::<Vec<_>>(), [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
         // A member posting twice in a row is one span: at most n.
         assert!(run.members.span_count() <= 5);
+    }
+
+    /// What a 200-member threshold step reads: every speaker's value in
+    /// member order, the first `t + 1` valid postings it keeps, and the
+    /// runs it records. A member's posting is its first draw; an honest
+    /// proof is the value masked by the map, a malicious one a draw.
+    fn threshold_step(threads: usize, proofs: bool) -> (Vec<u64>, Vec<usize>, PostBuffer) {
+        let (n, t) = (200, 66);
+        let mut behaviors = vec![Behavior::Honest; n];
+        behaviors[..t].fill(Behavior::Malicious(ActiveAttack::BadProof));
+        let committee = Committee::with_behaviors("c", behaviors);
+        let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo()).with_threads(threads);
+        let step = Step::new(&committee, &sb, PHASE, Post::MulShare, 3);
+        let key = 0x5eed_u64;
+        let (mut values, mut kept, mut posts) = (Vec::new(), Vec::new(), PostBuffer::new());
+        let work = |mut turn: Turn<_>, ()| {
+            let value = turn.rng.next_u64();
+            let honest = turn.attack().is_none();
+            let proof =
+                turn.prove(|&&key: &&u64, rng| if honest { value ^ key } else { rng.next_u64() });
+            (value, proof)
+        };
+        let fold = |member, (value, proof): (u64, Proved<&u64, u64>)| {
+            values.push(value);
+            if kept.len() <= t && proof.verify(|&&key, &p| p == value ^ key) {
+                kept.push(member);
+            }
+            Ok(())
+        };
+        let mut rng = StdRng::seed_from_u64(20);
+        let prover = proofs.then_some(&key);
+        step.run(&mut rng, &mut posts, prover, step.everyone(), work, fold).unwrap();
+        (values, kept, posts)
+    }
+
+    #[test]
+    fn a_step_reads_the_same_at_any_worker_count() {
+        for proofs in [true, false] {
+            let (values, kept, posts) = threshold_step(1, proofs);
+            assert_eq!(kept, (66..133).collect::<Vec<_>>(), "the first t fail, t + 1 are kept");
+            for workers in [1, 2, 4] {
+                let forced = with_forced_workers(workers, || threshold_step(workers, proofs));
+                assert_eq!((&forced.0, &forced.1), (&values, &kept), "{workers} workers");
+                assert_eq!(runs(&forced.2), runs(&posts), "{workers} workers");
+            }
+        }
     }
 }

@@ -404,22 +404,37 @@ impl<F: PrimeField> TskChain<F> {
         let elements = PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS;
         let step =
             Step::new(committee, sb, phase, Post::PartialDec, elements).with_postings(cts.len());
-        step.run(rng, &mut posts, maps.as_ref(), self.holders(committee), |mut turn, share| {
+        // A partial is one multiplication; only its proof is worth a
+        // thread.
+        let step = if cfg.produce_proofs { step } else { step.inline() };
+        let holders = self.holders(committee);
+        let work = |mut turn: Turn<_>, share: &KeyShare<F>| {
             let vk = self.pk.vks[turn.index];
             let attack = turn.attack();
-            for ((c_idx, ct), kept) in cts.iter().enumerate().zip(&mut kept) {
-                let d = match attack {
-                    None | Some(ActiveAttack::BadProof) => MockTe::partial_decrypt(share, ct).value,
-                    Some(_) => F::random(&mut turn.rng),
-                };
-                let proof = turn.prove(|maps, rng| match attack {
-                    None => maps[c_idx].prove(rng, vk, share.value, d),
-                    Some(_) => PdecProof::garbage(rng),
-                });
+            let partials: Vec<_> = (cts.iter().enumerate())
+                .map(|(c_idx, ct)| {
+                    let d = match attack {
+                        None | Some(ActiveAttack::BadProof) => {
+                            MockTe::partial_decrypt(share, ct).value
+                        }
+                        Some(_) => F::random(&mut turn.rng),
+                    };
+                    let proof = turn.prove(|maps: &&Vec<PdecMap<F>>, rng| match attack {
+                        None => maps[c_idx].prove(rng, vk, share.value, d),
+                        Some(_) => PdecProof::garbage(rng),
+                    });
+                    (d, proof)
+                })
+                .collect();
+            (vk, partials)
+        };
+        step.run(rng, &mut posts, maps.as_ref(), holders, work, |member, (vk, partials)| {
+            for (c_idx, ((d, proof), kept)) in partials.into_iter().zip(&mut kept).enumerate() {
                 let valid = || proof.verify(|maps, proof| maps[c_idx].verify(vk, d, proof));
-                kept.offer(turn.index, valid, || [d]);
+                kept.offer(member, valid, || [d]);
             }
-        });
+            Ok(())
+        })?;
         sb.flush_buffer(posts)?;
         Ok(kept)
     }
@@ -446,17 +461,16 @@ impl<F: PrimeField> TskChain<F> {
     /// when the step ends.
     ///
     /// Items are independent, so each one runs from its own child RNG
-    /// (seeds drawn sequentially from `rng`, one per item) on up to
-    /// `cfg.num_threads` workers — the same buffer-and-replay shape as
-    /// Beaver triple generation. Each worker owns a
-    /// `parallel::PostBuffer`; buffers are flushed in item
-    /// order, so the board transcript is byte-identical at any thread
-    /// count.
+    /// (seeds drawn sequentially from `rng`, one per item) on the board
+    /// view's threads, and returns its value alone. Which members post
+    /// depends on who speaks, never on what they compute, so this thread
+    /// records every item's speakers in item order and flushes them
+    /// once: the board transcript is byte-identical at any thread count.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::Transport`] if replaying the buffered
-    /// posts onto the board fails (remote backends only).
+    /// Returns [`ProtocolError::Transport`] if posting the step onto the
+    /// board fails (remote backends only).
     pub fn reencrypt<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -468,18 +482,17 @@ impl<F: PrimeField> TskChain<F> {
     ) -> Result<Vec<ReencryptedValue<F>>, ProtocolError> {
         self.record_leaks(committee);
         let elements = CT_ELEMENTS + ENC_PDEC_PROOF_ELEMENTS;
-        let step = Step::new(committee, sb, phase, Post::EncryptedPartial, elements);
+        // Items are the parallel axis; each item's step is light.
+        let step = Step::new(committee, sb, phase, Post::EncryptedPartial, elements).inline();
         let seeds: Vec<u64> = items.iter().map(|_| rng.next_u64()).collect();
         let weights = Mutex::new(WeightCache::new());
-        let worker_out = crate::parallel::par_map(cfg.num_threads, &seeds, |item_idx, &seed| {
-            let mut irng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut posts = PostBuffer::new();
+        let item_turns = committee.n();
+        let values = crate::parallel::par_map(sb.threads(), item_turns, &seeds, |item_idx, &seed| {
             let (target, ct) = &items[item_idx];
             // One map per item, shared by the committee's postings.
             let map = cfg.produce_proofs.then(|| EncryptedPartialMap::new(&self.pk, target));
             let mut kept = FirstValid::new(self.pk.t, 2);
-            let holders = self.holders(committee);
-            step.run(&mut irng, &mut posts, map.as_ref(), holders, |mut turn, share| {
+            let work = |mut turn: Turn<_>, share: &KeyShare<F>| {
                 let vk = self.pk.vks[turn.index];
                 let attack = turn.attack();
                 let d = match attack {
@@ -487,23 +500,28 @@ impl<F: PrimeField> TskChain<F> {
                     Some(_) => F::random(&mut turn.rng),
                 };
                 let (enc, r) = LinearPke::encrypt(&mut turn.rng, target, d);
-                let proof = turn.prove(|map, rng| match attack {
+                let proof = turn.prove(|map: &&EncryptedPartialMap<F>, rng| match attack {
                     None => map.prove(rng, vk, ct, &enc, d, r),
                     Some(_) => map.garbage(rng),
                 });
+                (vk, enc, proof)
+            };
+            let fold = |member, (vk, enc, proof): (F, _, Proved<&EncryptedPartialMap<F>, _>)| {
                 let valid = || proof.verify(|map, proof| map.verify(vk, ct, &enc, proof));
-                kept.offer(turn.index, valid, || [enc.u, enc.v]);
-            });
-            let value = ReencryptedValue::fold(&kept, self, &weights, *target, ct.v)?;
-            Ok::<_, ProtocolError>((value, posts))
+                kept.offer(member, valid, || [enc.u, enc.v]);
+                Ok(())
+            };
+            let mut irng = StdRng::seed_from_u64(seed);
+            step.act(&mut irng, map.as_ref(), self.holders(committee), work, fold)?;
+            ReencryptedValue::fold(&kept, self, &weights, *target, ct.v)
         });
-        let mut out = Vec::with_capacity(items.len());
-        for item in worker_out {
-            let (val, posts) = item?;
-            sb.flush_buffer(posts)?;
-            out.push(val);
+        let (mut posts, speakers) =
+            (PostBuffer::new(), step.speakers(self.holders(committee).map(|(member, _)| member)));
+        for _ in items {
+            step.record_speakers(&mut posts, &speakers);
         }
-        Ok(out)
+        sb.flush_buffer(posts)?;
+        values.into_iter().collect()
     }
 
     /// Hands the key over to `next` (whose members' role key pairs are
@@ -548,9 +566,9 @@ impl<F: PrimeField> TskChain<F> {
         let mut posts = PostBuffer::new();
         let elements = messages::reshare_elements(n as u64, t as u64);
         let step = Step::new(outgoing, sb, phase, Post::TskReshare, elements);
-        step.run(rng, &mut posts, map.as_ref(), self.holders(outgoing), |turn, share| {
-            let from = turn.index;
-            let dealt = deal(turn, self.pk.g, |_| share.value, table, &recipient_pks);
+        let (g, pks) = (self.pk.g, &recipient_pks);
+        let work = |turn, share: &KeyShare<F>| deal(turn, g, |_| share.value, table, pks);
+        let fold = |from, dealt: PostedReshare<'_, F>| {
             // The re-share relation binds C_0 to the dealer's
             // verification key.
             let valid =
@@ -560,7 +578,9 @@ impl<F: PrimeField> TskChain<F> {
                     .map(|(enc, kp)| LinearPke::decrypt(&kp.secret, enc));
                 dealt.commitments.iter().copied().chain(subshares)
             });
-        });
+            Ok(())
+        };
+        step.run(rng, &mut posts, map.as_ref(), self.holders(outgoing), work, fold)?;
         sb.flush_buffer(posts)?;
 
         let weights = kept.weights("tsk handover", self, &mut WeightCache::new())?;
@@ -1083,8 +1103,8 @@ mod tests {
             "r",
             n,
         );
-        // Enough items for 8 workers of `MIN_ITEMS_PER_THREAD` each.
-        let pairs: Vec<_> = (0..8 * crate::parallel::MIN_ITEMS_PER_THREAD)
+        // Forced onto 2 and 8 workers below: 256 items give each work.
+        let pairs: Vec<_> = (0..256)
             .map(|_| {
                 let target = LinearPke::<F61>::keygen(&mut r).public;
                 let m = F61::random(&mut r);
@@ -1093,10 +1113,11 @@ mod tests {
             .collect();
         let openings = |threads: usize| -> Vec<(F61, F61)> {
             let mut r = rand::rngs::StdRng::seed_from_u64(7);
-            let cfg = cfg().with_threads(threads);
             let board = BulletinBoard::new();
-            let sb = ShardedBoard::new(&board, RolePartition::solo());
-            let vals = chain.reencrypt(&mut r, &sb, &committee, &cfg, "x", &pairs).unwrap();
+            let sb = ShardedBoard::new(&board, RolePartition::solo()).with_threads(threads);
+            let vals = crate::parallel::with_forced_workers(threads, || {
+                chain.reencrypt(&mut r, &sb, &committee, &cfg(), "x", &pairs).unwrap()
+            });
             vals.iter().map(|v| v.opening_coefficients().unwrap()).collect()
         };
         let solo = openings(1);

@@ -160,12 +160,25 @@ impl PendingRun {
     }
 }
 
+/// A run accounted in the current round, whoever appends it: what an
+/// expired wait names as the postings it was waiting for.
+#[derive(Debug)]
+struct AccountedRun {
+    start: u64,
+    committee: Arc<str>,
+    phase: Arc<str>,
+    members: Speakers,
+}
+
 /// Mutable position/round accounting of one worker's board view.
 #[derive(Debug, Default)]
 struct ShardState {
     /// Owned runs not yet appended. Always sorted: positions are
     /// assigned in call order.
     pending: Vec<PendingRun>,
+    /// Every run accounted since the last round barrier, in position
+    /// order.
+    accounted: Vec<AccountedRun>,
     /// Canonical number of posts accounted so far across *all*
     /// workers (every worker replicates the full post sequence, so
     /// local accounting equals the global count).
@@ -214,6 +227,7 @@ pub struct RunTally {
 pub struct ShardedBoard<'a> {
     board: &'a BulletinBoard<Post>,
     partition: RolePartition,
+    threads: usize,
     state: Mutex<ShardState>,
 }
 
@@ -221,6 +235,7 @@ impl std::fmt::Debug for ShardedBoard<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedBoard")
             .field("partition", &self.partition)
+            .field("threads", &self.threads)
             .finish_non_exhaustive()
     }
 }
@@ -236,13 +251,28 @@ impl<'a> ShardedBoard<'a> {
     /// setup records still accounts those records at their true
     /// positions. A solo view ([`RolePartition::solo`]) accounts
     /// nothing, so any number of them may post to one board in turn.
+    ///
+    /// The view computes on the host's cores ([`Self::with_threads`]).
     pub fn new(board: &'a BulletinBoard<Post>, partition: RolePartition) -> Self {
-        ShardedBoard { board, partition, state: Mutex::new(ShardState::default()) }
+        let (threads, state) = (crate::parallel::host_threads(), Mutex::new(ShardState::default()));
+        ShardedBoard { board, partition, threads, state }
+    }
+
+    /// The same view with the committee steps' work fanned out over up
+    /// to `threads` threads (`0` is treated as `1`).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
     }
 
     /// This worker's role partition.
     pub fn partition(&self) -> RolePartition {
         self.partition
+    }
+
+    /// The threads this worker's steps may fan out over.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ShardState> {
@@ -273,6 +303,12 @@ impl<'a> ShardedBoard<'a> {
             // Whoever appends it, the position moves past the whole run.
             let start = st.pos;
             st.pos += run.members.len() as u64;
+            st.accounted.push(AccountedRun {
+                start,
+                committee: Arc::clone(run.committee),
+                phase: Arc::from(run.phase),
+                members: run.members.clone(),
+            });
             match author {
                 Author::Members => {
                     for (at, members) in run.members.within(range.clone()) {
@@ -284,6 +320,17 @@ impl<'a> ShardedBoard<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Waits until the board holds `target` postings. An expired wait
+    /// says what this worker was doing (`doing`), the round, the
+    /// position awaited and whose postings are missing.
+    fn wait_len(&self, doing: &str, target: u64) -> Result<usize, ProtocolError> {
+        self.board.wait_len_at_least(target as usize, WAIT_TIMEOUT).map_err(|e| {
+            let held = self.board.len().map_or(0, |len| len as u64);
+            let st = self.lock();
+            ProtocolError::Transport(expiry(doing, st.round, target, held, &st.accounted, &e))
+        })
     }
 
     /// Appends every pending owned run to the board, in position
@@ -301,7 +348,8 @@ impl<'a> ShardedBoard<'a> {
                 count += 1;
             }
             let (block, later) = rest.split_at(count);
-            let len = self.board.wait_len_at_least(start as usize, WAIT_TIMEOUT)?;
+            let flushing = format!("flushing `{}`", first.phase);
+            let len = self.wait_len(&flushing, start)?;
             if len as u64 != start {
                 return Err(ProtocolError::Transport(format!(
                     "board desync: worker expected to post at position {start} \
@@ -335,7 +383,7 @@ impl<'a> ShardedBoard<'a> {
             (st.pos, st.round + 1)
         };
         if self.partition.is_leader() {
-            let len = self.board.wait_len_at_least(total as usize, WAIT_TIMEOUT)?;
+            let len = self.wait_len("at the round barrier", total)?;
             if len as u64 != total {
                 return Err(ProtocolError::Transport(format!(
                     "board desync at round barrier: expected {total} total \
@@ -344,8 +392,17 @@ impl<'a> ShardedBoard<'a> {
             }
             self.board.advance_round()?;
         }
-        self.board.wait_round_at_least(target, WAIT_TIMEOUT)?;
-        self.lock().round = target;
+        if let Err(e) = self.board.wait_round_at_least(target, WAIT_TIMEOUT) {
+            return Err(ProtocolError::Transport(format!(
+                "board wait expired in round {}: round {target} awaited from the \
+                 leader worker, which ticks the clock once the round's postings \
+                 have landed ({e})",
+                target - 1
+            )));
+        }
+        let mut st = self.lock();
+        st.round = target;
+        st.accounted.clear();
         Ok(())
     }
 
@@ -385,7 +442,7 @@ impl<'a> ShardedBoard<'a> {
         if !self.partition.is_solo() {
             self.drain_pending()?;
             let total = self.lock().pos;
-            let len = self.board.wait_len_at_least(total as usize, WAIT_TIMEOUT)?;
+            let len = self.wait_len("at the run's end", total)?;
             if len as u64 != total {
                 return Err(ProtocolError::Transport(format!(
                     "board desync at finish: expected {total} total posts, board \
@@ -395,6 +452,41 @@ impl<'a> ShardedBoard<'a> {
         }
         Ok(RunTally { phases: self.board.phases()?, rounds: self.board.round()? })
     }
+}
+
+/// The message of a wait for board position `awaited` that expired
+/// `doing` something in `round` with `held` postings on the board:
+/// which of the round's `runs` the first missing posting belongs to,
+/// and the member indices of the missing postings of that run — the
+/// roles of the worker that did not post.
+fn expiry(
+    doing: &str,
+    round: u64,
+    awaited: u64,
+    held: u64,
+    runs: &[AccountedRun],
+    cause: &dyn std::fmt::Display,
+) -> String {
+    let head = format!(
+        "board wait expired {doing} in round {round}: position {awaited} awaited, the board \
+         holds {held}"
+    );
+    let at = runs.partition_point(|run| run.start <= held).checked_sub(1).map(|i| &runs[i]);
+    let missing = at.and_then(|run| {
+        let from = usize::try_from(held - run.start).ok()?;
+        let to = usize::try_from(awaited.saturating_sub(run.start)).ok()?.min(run.members.len());
+        let (lo, hi) = run.members.range(from..to).fold(None, |acc, m| match acc {
+            None => Some((m, m)),
+            Some((lo, hi)) => Some((m.min(lo), m.max(hi))),
+        })?;
+        Some(format!(
+            "; the missing postings are `{}` by members {lo}..{} of committee `{}`",
+            run.phase,
+            hi + 1,
+            run.committee
+        ))
+    });
+    format!("{head}{} ({cause})", missing.unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -411,6 +503,31 @@ mod tests {
             run.push(member);
         }
         posts
+    }
+
+    #[test]
+    fn an_expired_wait_names_the_phase_round_position_and_roles() {
+        let run = |start: u64, phase: &str, members: Range<usize>| AccountedRun {
+            start,
+            committee: Arc::from("off-dep-0"),
+            phase: Arc::from(phase),
+            members: members.collect(),
+        };
+        let runs = [run(10, "offline/3-dependent", 0..8), run(18, "offline/handover", 0..8)];
+        let message = expiry("flushing `offline/handover`", 3, 22, 13, &runs, &"timed out");
+        assert_eq!(
+            message,
+            "board wait expired flushing `offline/handover` in round 3: position 22 awaited, \
+             the board holds 13; the missing postings are `offline/3-dependent` by members \
+             3..8 of committee `off-dep-0` (timed out)"
+        );
+        // Nothing accounted at the position: the bare facts.
+        let message = expiry("at the run's end", 0, 4, 2, &[], &"timed out");
+        assert_eq!(
+            message,
+            "board wait expired at the run's end in round 0: position 4 awaited, the board \
+             holds 2 (timed out)"
+        );
     }
 
     #[test]
@@ -516,7 +633,7 @@ mod tests {
             let step = crate::step::Step::new(&committee, sb, "x", Post::MulShare, 1);
             for _step in 0..2 {
                 let mut posts = PostBuffer::new();
-                step.record_speakers(&mut posts, 0..10);
+                step.record_speakers(&mut posts, &step.speakers(0..10));
                 sb.flush_buffer(posts).unwrap();
             }
             let st = sb.lock();

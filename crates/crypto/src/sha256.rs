@@ -206,6 +206,16 @@ pub fn compressions_of<T>(work: impl FnOnce() -> T) -> (T, u64) {
     (out, COMPRESSIONS.with(std::cell::Cell::get) - before)
 }
 
+/// Adds `blocks` to this thread's tally: the blocks another thread
+/// compressed doing this thread's work, as [`compressions_of`] counted
+/// them there. A thread that fans its work out credits its helpers'
+/// counts, so a count covers the work wherever it ran. Debug builds
+/// only.
+#[cfg(debug_assertions)]
+pub fn credit_compressions(blocks: u64) {
+    COMPRESSIONS.with(|c| c.set(c.get() + blocks));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -26,9 +26,6 @@ pub enum RuleId {
     /// a sanctioned sanitizer (`encrypt*`/`share*`/`commit*` or a
     /// `lint:sanitize`-marked function).
     TaintFlow,
-    /// The phase RNG is drawn directly inside an ownership-conditional
-    /// item loop instead of through a per-item child seed.
-    SeedHygiene,
     /// A Fiat–Shamir domain-separator literal that appears at two sites
     /// of the workspace, or that carries no `/vN` version suffix.
     FsDomain,
@@ -52,14 +49,13 @@ pub enum Level {
 
 impl RuleId {
     /// All rules, in reporting order.
-    pub const ALL: [RuleId; 10] = [
+    pub const ALL: [RuleId; 9] = [
         RuleId::Panic,
         RuleId::SecretDebug,
         RuleId::SecretFormat,
         RuleId::Determinism,
         RuleId::UnsafePolicy,
         RuleId::TaintFlow,
-        RuleId::SeedHygiene,
         RuleId::FsDomain,
         RuleId::BadAllow,
         RuleId::UnusedAllow,
@@ -74,7 +70,6 @@ impl RuleId {
             RuleId::Determinism => "determinism",
             RuleId::UnsafePolicy => "unsafe-policy",
             RuleId::TaintFlow => "taint-flow",
-            RuleId::SeedHygiene => "seed-hygiene",
             RuleId::FsDomain => "fs-domain",
             RuleId::BadAllow => "bad-allow",
             RuleId::UnusedAllow => "unused-allow",
@@ -113,9 +108,6 @@ impl RuleId {
             }
             RuleId::TaintFlow => {
                 "secret-tainted value reaching a sink without a sanctioned sanitizer"
-            }
-            RuleId::SeedHygiene => {
-                "phase RNG drawn inside an ownership-conditional item loop"
             }
             RuleId::FsDomain => {
                 "Fiat-Shamir domain separator used twice workspace-wide, or without a /vN suffix"

@@ -30,15 +30,15 @@
 //!    (format macros, posting payloads, serialization, raw-byte
 //!    returns), cleared only by sanitizers (`encrypt*`/`share*`/
 //!    `commit*` or `lint:sanitize`-marked fns).
-//! 6. **seed hygiene** (`seed-hygiene`) — per-item child-seed hygiene
-//!    in `core`: the phase RNG is not drawn inside an ownership-guarded
-//!    branch. Who appends a posting and when the log may be read are
-//!    not lint rules: `core`'s board view decides the first at its flush
-//!    and hands out the second only when the run ends.
+//!
+//! Who appends a posting, when the log may be read and which RNG a
+//! member draws from are not lint rules: `core`'s board view decides
+//! the first at its flush and hands out the second only when the run
+//! ends, and a member's work is a closure that sees only its own turn.
 //!
 //! **One cross-file pass** ([`domains`]):
 //!
-//! 7. **domain-separator hygiene** (`fs-domain`) — every literal passed
+//! 6. **domain-separator hygiene** (`fs-domain`) — every literal passed
 //!    to `Domain::new` or bound to a `DOMAIN_*` item in non-test code is
 //!    collected workspace-wide; one that appears at two sites, or that
 //!    has no `/vN` suffix, is a finding.
@@ -59,7 +59,6 @@ pub mod domains;
 pub mod findings;
 pub mod lexer;
 pub mod parse;
-pub mod protocol;
 pub mod rules;
 pub mod taint;
 pub mod walk;

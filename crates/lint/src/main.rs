@@ -38,8 +38,6 @@ ANALYSES:
                      secret-typed/-named bindings (and lint:taint(source)
                      markers) to format/posting/serialize/raw-byte sinks,
                      cleared by encrypt*/share*/commit* or lint:sanitize
-    seed hygiene     seed-hygiene: no phase-RNG draw inside an
-                     ownership-guarded branch in core
     domains          fs-domain: Fiat-Shamir separators unique and versioned
 
 MARKERS (inside any comment; justification mandatory):

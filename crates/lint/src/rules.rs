@@ -66,18 +66,11 @@ pub fn lint_source(meta: &FileMeta, source: &str, cfg: &LintConfig) -> Vec<Findi
 
     // Dataflow passes over the shape parse.
     let mut directives = Directives::build(&meta.rel_path, &lexed);
-    if meta.is_protocol || meta.crate_name.as_deref() == Some("core") {
+    if meta.is_protocol {
         let fns = crate::parse::parse(&lexed.tokens);
-        if meta.is_protocol {
-            crate::taint::taint_pass(&lexed.tokens, &fns, &test_mask, &directives, &mut |r, l, m| {
-                push(&mut out, &mut allows, r, l, m)
-            });
-        }
-        if meta.crate_name.as_deref() == Some("core") {
-            crate::protocol::protocol_pass(&lexed.tokens, &fns, &test_mask, &mut |r, l, m| {
-                push(&mut out, &mut allows, r, l, m)
-            });
-        }
+        crate::taint::taint_pass(&lexed.tokens, &fns, &test_mask, &directives, &mut |r, l, m| {
+            push(&mut out, &mut allows, r, l, m)
+        });
     }
 
     out.append(&mut allows.parse_findings);

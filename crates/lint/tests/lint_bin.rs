@@ -159,13 +159,6 @@ fn taint_clone_fixture_fails_where_token_rules_are_blind() {
 }
 
 #[test]
-fn protocol_fixtures_fail_with_their_rules() {
-    let out = run_on_fixture("protocol_rng_reuse", &[]);
-    assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
-    assert!(stdout(&out).contains("[seed-hygiene]"), "{}", stdout(&out));
-}
-
-#[test]
 fn fs_domain_fixtures_pass_and_fail() {
     // Unique, versioned separators in two crates: clean.
     let out = run_on_fixture("fs_domain_clean", &[]);
@@ -209,12 +202,11 @@ fn list_rules_names_all_families() {
         "determinism",
         "unsafe-policy",
         "taint-flow",
-        "seed-hygiene",
         "fs-domain",
         "bad-allow",
         "unused-allow",
     ] {
         assert!(text.contains(rule), "missing {rule} in:\n{text}");
     }
-    assert_eq!(text.lines().count(), 10, "{text}");
+    assert_eq!(text.lines().count(), 9, "{text}");
 }

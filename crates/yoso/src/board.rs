@@ -291,9 +291,9 @@ impl<M> BulletinBoard<M> {
     /// before appending, so the global posting order is identical to a
     /// single-process run.
     ///
-    /// Polls with a short spin-then-sleep backoff (the in-process
-    /// backend resolves in the spin window; TCP backends settle into
-    /// millisecond sleeps).
+    /// The in-process backend wakes the waiter when a posting or a
+    /// round tick lands; other backends are polled with a short
+    /// spin-then-sleep backoff (TCP settles into millisecond sleeps).
     ///
     /// # Errors
     ///
@@ -306,7 +306,7 @@ impl<M> BulletinBoard<M> {
         // wall-clock value is read into the posting log.
         timeout: std::time::Duration,
     ) -> Result<usize, BoardError> {
-        wait_until(timeout, || {
+        self.wait_until(timeout, || {
             let len = self.len()?;
             Ok(if len >= target { Some(len) } else { None })
         })
@@ -336,7 +336,7 @@ impl<M> BulletinBoard<M> {
         // wall-clock value is read into the posting log.
         timeout: std::time::Duration,
     ) -> Result<u64, BoardError> {
-        wait_until(timeout, || {
+        self.wait_until(timeout, || {
             let r = self.round()?;
             Ok(if r >= round { Some(r) } else { None })
         })
@@ -355,32 +355,39 @@ enum WaitError {
     Board(BoardError),
 }
 
-/// Polls `probe` with spin-then-sleep backoff until it yields a value
-/// or `timeout` elapses. First ~64 probes yield the CPU only (the
-/// in-process fast path), then sleeps escalate 1ms → 20ms.
-fn wait_until<T>(
-    // lint:allow(determinism): timing here decides only *when* we give
-    // up waiting, never *what* gets posted — a run that doesn't time
-    // out produces the same transcript regardless of poll timing.
-    timeout: std::time::Duration,
-    mut probe: impl FnMut() -> Result<Option<T>, BoardError>,
-) -> Result<T, WaitError> {
-    // lint:allow(determinism): see the `timeout` parameter — timeout
-    // bookkeeping only, nothing time-derived reaches the board.
-    use std::time::{Duration, Instant};
-    let start = Instant::now();
-    let mut spins = 0u32;
-    loop {
-        match probe().map_err(WaitError::Board)? {
-            Some(v) => return Ok(v),
-            None => {
-                if start.elapsed() >= timeout {
-                    return Err(WaitError::TimedOut);
-                }
-                if spins < 64 {
+impl<M> BulletinBoard<M> {
+    /// Probes the board until `probe` yields a value or `timeout`
+    /// elapses. Between probes it sleeps on the transport's change
+    /// counter where the backend wakes waiters; elsewhere the first ~64
+    /// probes yield the CPU only, then sleeps escalate 1ms → 20ms.
+    fn wait_until<T>(
+        &self,
+        // lint:allow(determinism): timing here decides only *when* we
+        // give up waiting, never *what* gets posted — a run that doesn't
+        // time out produces the same transcript regardless of wake-ups.
+        timeout: std::time::Duration,
+        mut probe: impl FnMut() -> Result<Option<T>, BoardError>,
+    ) -> Result<T, WaitError> {
+        // lint:allow(determinism): see the `timeout` parameter — timeout
+        // bookkeeping only, nothing time-derived reaches the board.
+        use std::time::{Duration, Instant};
+        let start = Instant::now();
+        let mut spins = 0u32;
+        loop {
+            let seen = self.transport.changes();
+            if let Some(v) = probe().map_err(WaitError::Board)? {
+                return Ok(v);
+            }
+            let Some(left) = timeout.checked_sub(start.elapsed()).filter(|d| !d.is_zero()) else {
+                return Err(WaitError::TimedOut);
+            };
+            match seen {
+                Some(seen) => self.transport.wait_changed(seen, left),
+                None if spins < 64 => {
                     spins += 1;
                     std::thread::yield_now();
-                } else {
+                }
+                None => {
                     let ms = (u64::from(spins) / 64).min(20);
                     spins = spins.saturating_add(64);
                     std::thread::sleep(Duration::from_millis(ms.max(1)));

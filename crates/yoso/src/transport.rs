@@ -26,7 +26,11 @@
 //! thread therefore observes byte-identical transcripts over any
 //! backend — the transport-parity suite in `yoso-core` pins this.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+// lint:allow(determinism): a waiter's timeout bounds only how long it
+// sleeps on the board; no wall-clock value is read into the log.
+use std::time::Duration;
 
 use parking_lot::RwLock;
 
@@ -437,6 +441,20 @@ pub trait BoardTransport<M>: Send + Sync {
         Ok(())
     }
 
+    /// A counter that moves on every posting and round tick, read by a
+    /// waiter before it looks at the board ([`BoardTransport::wait_changed`]);
+    /// `None` (the default) where the backend cannot wake waiters, who
+    /// then poll.
+    fn changes(&self) -> Option<u64> {
+        None
+    }
+
+    /// Blocks until [`BoardTransport::changes`] has moved past `seen` or
+    /// `timeout` elapses. The default returns at once.
+    fn wait_changed(&self, seen: u64, timeout: Duration) {
+        let _ = (seen, timeout);
+    }
+
     /// A short human-readable backend label (diagnostics, bench tables).
     fn backend_name(&self) -> &'static str;
 }
@@ -683,6 +701,40 @@ impl<M> RunLog<M> {
 #[derive(Debug)]
 pub struct InProcessTransport<M> {
     log: RwLock<RunLog<M>>,
+    wake: Wake,
+}
+
+/// Wakes the threads waiting on an in-process board when it changes:
+/// a counter every posting and round tick moves, and a condition
+/// variable notified only while someone waits on it.
+#[derive(Debug, Default)]
+struct Wake {
+    changes: AtomicU64,
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    moved: Condvar,
+}
+
+impl Wake {
+    /// Moves the counter, waking any waiter.
+    fn notify(&self) {
+        self.changes.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            // Taken so no waiter is between its check and its wait.
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            self.moved.notify_all();
+        }
+    }
+
+    /// Blocks until the counter is past `seen` or `timeout` elapses.
+    fn wait(&self, seen: u64, timeout: Duration) {
+        let guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let unmoved = |_: &mut ()| self.changes.load(Ordering::SeqCst) == seen;
+        let waited = self.moved.wait_timeout_while(guard, timeout, unmoved);
+        drop(waited.unwrap_or_else(PoisonError::into_inner));
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl<M> Default for InProcessTransport<M> {
@@ -694,7 +746,7 @@ impl<M> Default for InProcessTransport<M> {
 impl<M> InProcessTransport<M> {
     /// Creates an empty in-process board store.
     pub fn new() -> Self {
-        InProcessTransport { log: RwLock::new(RunLog::default()) }
+        InProcessTransport { log: RwLock::new(RunLog::default()), wake: Wake::default() }
     }
 
     /// Applies `f` to every posting with sequence number `>= cursor`,
@@ -735,7 +787,10 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         for r in records {
             g.push(r);
         }
-        Ok((g.len() - before) as u64)
+        let appended = (g.len() - before) as u64;
+        drop(g);
+        self.wake.notify();
+        Ok(appended)
     }
 
     fn post_slice(
@@ -759,6 +814,8 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
             }
             g.members.push(from.index);
         }
+        drop(g);
+        self.wake.notify();
         Ok(())
     }
 
@@ -767,11 +824,15 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         for run in runs {
             g.push_run(run);
         }
+        drop(g);
+        self.wake.notify();
         Ok(())
     }
 
     fn advance_round(&self) -> Result<u64, BoardError> {
-        Ok(self.log.write().advance())
+        let round = self.log.write().advance();
+        self.wake.notify();
+        Ok(round)
     }
 
     fn round(&self) -> Result<u64, BoardError> {
@@ -809,6 +870,14 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
 
     fn phases(&self) -> Result<Vec<(String, PhaseStats)>, BoardError> {
         Ok(self.log.read().phases().into_iter().collect())
+    }
+
+    fn changes(&self) -> Option<u64> {
+        Some(self.wake.changes.load(Ordering::SeqCst))
+    }
+
+    fn wait_changed(&self, seen: u64, timeout: Duration) {
+        self.wake.wait(seen, timeout);
     }
 
     fn backend_name(&self) -> &'static str {
