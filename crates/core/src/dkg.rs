@@ -341,4 +341,51 @@ mod tests {
         }
         assert!(board.phases().unwrap().is_empty());
     }
+
+    /// The DKG and a chain of handovers at `workers` forced workers
+    /// (`1` = inline), proofs on or off, the first `t` members of every
+    /// committee dealing garbage: the board's postings, the verification
+    /// keys and the last committee's shares.
+    fn dkg_and_handovers(workers: usize, proofs: bool) -> (Vec<String>, Vec<F61>, Vec<F61>) {
+        let (n, t) = (48, 15);
+        let mut r = rng();
+        let cfg = ExecutionConfig { produce_proofs: proofs, ..ExecutionConfig::default() };
+        let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo()).with_threads(workers);
+        let committee = |name: String| {
+            let mut behaviors = vec![Behavior::Honest; n];
+            behaviors[..t].fill(Behavior::Malicious(ActiveAttack::BadProof));
+            Committee::with_behaviors(name, behaviors)
+        };
+        let mut outgoing = committee("dkg".into());
+        let keys = role_keys(&mut r, n);
+        let chain = crate::parallel::with_forced_workers(workers, || {
+            let mut chain = run_dkg::<F61, _>(&mut r, &sb, &outgoing, &keys, t, &cfg).unwrap();
+            for epoch in 0..3 {
+                let next_keys = role_keys(&mut r, n);
+                chain.handover(&mut r, &sb, &outgoing, &cfg, "offline/handover", &next_keys).unwrap();
+                sb.advance_round().unwrap();
+                outgoing = committee(format!("epoch-{epoch}"));
+            }
+            chain
+        });
+        sb.finish().unwrap();
+        let postings = (board.postings().unwrap().iter())
+            .map(|p| format!("{}|{}|{}|{:?}", p.round, p.from, p.phase, p.message))
+            .collect();
+        let shares = (0..n).map(|i| chain.share_of(i).unwrap().value).collect();
+        (postings, chain.pk.vks.clone(), shares)
+    }
+
+    /// The DKG and the handover fan their members out: what they post
+    /// and what they hand on is the same on 1, 2 and 8 workers.
+    #[test]
+    fn dkg_and_a_handover_chain_read_the_same_at_any_worker_count() {
+        for proofs in [true, false] {
+            let one = dkg_and_handovers(1, proofs);
+            for workers in [2, 8] {
+                assert_eq!(dkg_and_handovers(workers, proofs), one, "{workers} workers, {proofs}");
+            }
+        }
+    }
 }

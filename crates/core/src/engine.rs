@@ -54,16 +54,16 @@ pub struct ExecutionConfig {
     /// ([`crate::dkg`]) instead of the paper's trusted setup.
     pub dealerless_setup: bool,
     /// Threads a committee step's members fan out over, the caller's
-    /// included: every `Step` (the handover, the DKG, `Decrypt`, the
-    /// contributions, `3-mult`), the loops of light steps (wire
-    /// randomness, packing helpers), and the `Re-encrypt` items and
-    /// Beaver triples. The default is the host's cores;
+    /// included: the heavy steps (the handover, the DKG, proved
+    /// `Decrypt` and `3-mult`), and the `Re-encrypt` items and Beaver
+    /// triples. The default is the host's cores;
     /// [`Self::with_threads`]`(1)` runs everything inline. Helpers come
     /// from one process-wide budget, so the compute threads of all runs
-    /// in a process, callers included, never exceed the host's cores.
+    /// in a process, callers included, never exceed the host's cores,
+    /// and a step takes a helper only with enough work to pay for it.
     /// Any value produces byte-identical transcripts: every member's
-    /// child seed is drawn before any member works, and outputs are
-    /// folded and postings recorded in member order — see
+    /// child seed is drawn and its posting recorded in member order on
+    /// the calling thread, and outputs are folded in member order — see
     /// [`crate::parallel`].
     pub num_threads: usize,
     /// Which board transport the run posts to. The protocol logic is

@@ -41,9 +41,7 @@ use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey, PublicKey};
 use yoso_the::nizk::{self, EncMap, EncProof, LinearMap};
 
 use crate::messages::{self, ContributionStep, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
-use crate::parallel::{
-    par_map, par_windows, would_fan_out, PostBuffer, MIN_LIGHT_TURNS_PER_THREAD,
-};
+use crate::parallel::{par_map, PostBuffer};
 use crate::setup::SetupArtifacts;
 use crate::step::{Proved, Step, Turn};
 use crate::tsk::{ReencryptedValue, TskChain};
@@ -93,8 +91,8 @@ impl<'a, F: PrimeField> ContributionKey<'a, F> {
 }
 
 /// The step in which each member of `committee` posts one encrypted
-/// random contribution of `kind`: a light step, run side by side with
-/// others (a loop of them, or the triples).
+/// random contribution of `kind`: a light step, whose members run
+/// inline (a loop of them, or the triples, which fan out by triple).
 fn contribution_step<'c>(
     committee: &'c Committee,
     sb: &ShardedBoard<'_>,
@@ -168,12 +166,7 @@ impl<F: PrimeField> ValidSum<F> {
 }
 
 /// `count` contribution steps of `committee` in a row — a loop of light
-/// steps — and their sums, in order. Every step's seeds are drawn from
-/// `rng` in step order; the steps run side by side on the board view's
-/// threads, each one's members inline, so no light step pays a thread
-/// spawn; and this thread records them in step order. A thread takes
-/// steps worth `MIN_LIGHT_TURNS_PER_THREAD` member turns, and only
-/// `threads` times that many are drawn at once.
+/// steps, each one's members run inline — and their sums, in order.
 fn summed_contributions<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     sb: &ShardedBoard<'_>,
@@ -184,45 +177,17 @@ fn summed_contributions<F: PrimeField, R: Rng + ?Sized>(
     count: usize,
 ) -> Result<Vec<Ciphertext<F>>, ProtocolError> {
     let step = contribution_step(committee, sb, phase, kind);
-    let per_thread = MIN_LIGHT_TURNS_PER_THREAD.div_ceil(committee.n().max(1));
-    let window = sb.threads() * per_thread;
-    let (mut sums, mut posts) = (Vec::with_capacity(count), PostBuffer::new());
-    let turns = count * committee.n();
-    if !would_fan_out(sb.threads(), turns) {
-        // Inline, nothing is drawn ahead: each step streams.
-        for _ in 0..count {
+    let mut posts = PostBuffer::new();
+    let sums = (0..count)
+        .map(|_| {
             let mut sum = ValidSum::new();
             let (prover, everyone) = (key.enc.as_ref(), step.everyone());
             step.run(rng, &mut posts, prover, everyone, contribute(key), |_, c| sum.add(c))?;
-            sums.push(sum.finish()?);
-        }
-        sb.flush_buffer(posts)?;
-        return Ok(sums);
-    }
-    let mut left = count;
-    par_windows(
-        sb.threads(),
-        turns,
-        || {
-            let steps = window.min(left);
-            left -= steps;
-            (0..steps).map(|_| step.draw(rng, step.everyone())).collect::<Vec<_>>()
-        },
-        |speakers| {
-            let mut sum = ValidSum::new();
-            step.fan_out(speakers, key.enc.as_ref(), contribute(key), |_, c| sum.add(c))?;
             sum.finish()
-        },
-        |drawn, window_sums| {
-            for (speakers, sum) in drawn.iter().zip(window_sums) {
-                step.record(&mut posts, speakers);
-                sums.push(sum?);
-            }
-            Ok::<(), ProtocolError>(())
-        },
-    )?;
+        })
+        .collect();
     sb.flush_buffer(posts)?;
-    Ok(sums)
+    sums
 }
 
 /// An encrypted Beaver triple.

@@ -266,9 +266,8 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
             // A share is a few multiplications; only its proof is worth
             // a thread.
             let step = if cfg.produce_proofs { step } else { step.inline() };
-            let drawn = step.draw_every(rng, step.everyone());
+            let step = step.drawing_for_everyone();
             let mut posts = PostBuffer::new();
-            step.record(&mut posts, &drawn);
             let need = rec_degree + 1;
             let mut kept: Vec<Share<F>> = Vec::with_capacity(need);
             let work = |turn: Turn<&()>, ()| {
@@ -305,7 +304,8 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
                 });
                 Ok((Share { party: i, value }, offset, proof))
             };
-            step.fan_out(&drawn, None, work, |i, posted: Result<_, ProtocolError>| {
+            let everyone = step.everyone();
+            step.run(rng, &mut posts, None, everyone, work, |i, posted: Result<_, ProtocolError>| {
                 if matches!(committee.behavior(i), Behavior::Malicious(_) | Behavior::Leaky) {
                     // The corrupted role's KFF opens all three of its
                     // packed shares — record the exposure.

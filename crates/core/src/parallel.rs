@@ -5,18 +5,20 @@
 //! ordered fold over what they posted. The engine derives one child
 //! seed per work item *sequentially* from the caller's RNG (so the seed
 //! sequence, and therefore every result, is independent of thread
-//! count), computes the items on scoped threads with [`par_map`], and
-//! folds and records them in item order on the caller. Transcripts are
+//! count), computes the items on scoped threads with [`par_windows`] —
+//! the one work queue; [`par_map`] is its one-window case — and folds
+//! and records them in item order on the caller. Transcripts are
 //! byte-identical whether `num_threads` is 1 or 16.
 //!
 //! Threads come from one process-wide budget: compute threads, callers
-//! included, never exceed the host's cores, and a `par_map` nested in
-//! another's items runs inline. Below that, or with too few items per
-//! thread to pay for the fan-out, [`par_map`] runs inline as a
-//! sequential loop over the same items — results are still identical,
-//! only wall-clock changes.
+//! included, never exceed the host's cores, and a map nested in
+//! another's items runs inline. Without a helper, or with too little
+//! work per thread to pay for one, the caller runs the same items in
+//! the same order — results are still identical, only wall-clock
+//! changes.
 
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -123,38 +125,33 @@ impl PostBuffer {
 
 /// The work a thread must get before a map fans out, in light member
 /// turns (one committee member's contribution or re-encrypted item with
-/// proofs off: tens of nanoseconds). A helper's first window costs a
-/// thread spawn and its first touches of memory — a millisecond or more
-/// on a 2-vCPU VM — so a map fans out only with milliseconds of work a
-/// thread: a large committee's handover, `Re-encrypt` batch or loop of
-/// contributions, not a small committee's.
-pub(crate) const MIN_TURNS_PER_THREAD: usize = 65_536;
+/// proofs off: tens of nanoseconds). A helper costs a thread spawn and
+/// its first touches of memory — about a millisecond on a 2-vCPU VM —
+/// so a map fans out only with a millisecond or so of work a thread: a
+/// large committee's handover or `Re-encrypt` batch, not a small
+/// committee's. Set from a sweep of 16 Ki–256 Ki (EXPERIMENTS P21).
+pub(crate) const MIN_TURNS_PER_THREAD: usize = 32_768;
 
 /// The members of a heavy step (a handover or DKG dealing, a proved
 /// `Decrypt` or `3-mult` posting) a thread takes per window of the
 /// step's fan-out: windows stay small, so few outputs are held at once,
 /// and the threads live for the whole step, so a window costs a
-/// hand-off, not a spawn.
-pub(crate) const MEMBERS_PER_THREAD: usize = 8;
-
-/// The member turns of light steps (a contribution: tens of
-/// nanoseconds with proofs off) a thread takes per window of a loop of
-/// such steps: a window's hand-off costs tens of microseconds, and its
-/// seeds are drawn before it runs, so windows are sized by work, not
-/// by steps.
-pub(crate) const MIN_LIGHT_TURNS_PER_THREAD: usize = 2048;
+/// hand-off, not a spawn. Set from a sweep of 2–64 (EXPERIMENTS P21):
+/// smaller windows pay the hand-off too often, larger ones hold more
+/// outputs (peak RSS +48 % at 64).
+pub(crate) const MEMBERS_PER_THREAD: usize = 16;
 
 /// Compute threads at work across the process: registered callers
-/// ([`Caller`]) plus the helpers of every running [`par_map`]. Helpers
+/// ([`Caller`]) plus the helpers of every running [`par_windows`]. Helpers
 /// are granted only while this is below the host's cores.
 static BUSY: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Whether this thread is already counted in [`BUSY`] as a caller.
     static COUNTED: Cell<bool> = const { Cell::new(false) };
-    /// Whether this thread is running a threaded [`par_map`]'s items
+    /// Whether this thread is running a threaded [`par_windows`]'s items
     /// (as a helper, or as the caller working beside them): a nested
-    /// `par_map` then runs inline.
+    /// map then runs inline.
     static FANNED_OUT: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -166,7 +163,7 @@ pub(crate) fn host_threads() -> usize {
 
 /// One compute caller counted against the process-wide thread budget
 /// while it lives: a protocol run ([`crate::Engine::run_with_board`])
-/// holds one for its whole length, a [`par_map`] called from an
+/// holds one for its whole length, a [`par_windows`] called from an
 /// uncounted thread for its own. A thread already counted counts once.
 /// Callers are never refused; helpers are drawn only from the cores
 /// they leave, so two runs in one process on a 2-core host get no
@@ -242,14 +239,14 @@ impl Drop for FannedOut {
 
 #[cfg(test)]
 thread_local! {
-    /// Test hook: the worker count this thread's outermost `par_map`
-    /// runs with, whatever the budget and the batch size.
+    /// Test hook: the worker count this thread's outermost
+    /// `par_windows` runs with, whatever the budget and the work.
     static FORCED: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with every outermost [`par_map`] on this thread forced onto
-/// `workers` threads (`1` = inline), so the threaded path runs on any
-/// host.
+/// Runs `f` with every outermost [`par_windows`] (and so [`par_map`])
+/// on this thread forced onto `workers` threads (`1` = inline), so the
+/// threaded path runs on any host.
 #[cfg(test)]
 pub(crate) fn with_forced_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
     let before = FORCED.with(|c| c.replace(Some(workers)));
@@ -260,15 +257,12 @@ pub(crate) fn with_forced_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R
 
 /// Maps `f` over `items`, preserving order, on up to `num_threads`
 /// threads, the caller's included, each item being about `item_turns`
-/// light member turns of work.
+/// light member turns of work: [`par_windows`] over one window, the
+/// whole of `items`.
 ///
 /// `f` receives `(index, &item)` and must be pure per item (any
-/// randomness comes from a per-item seed inside `item`). Runs inline on
-/// the caller's thread when `num_threads <= 1`, when the items are too
-/// little work to amortize a helper (less than `MIN_TURNS_PER_THREAD`
-/// a thread), when it is nested inside another `par_map`'s items, or
-/// when the process-wide budget has no core left for a helper. The
-/// results are identical either way — the thread count is a pure
+/// randomness comes from a per-item seed inside `item`). The results
+/// are identical on any number of threads — the thread count is a pure
 /// wall-clock choice.
 pub fn par_map<T, U, F>(num_threads: usize, item_turns: usize, items: &[T], f: F) -> Vec<U>
 where
@@ -276,50 +270,59 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
-    let _caller = Caller::enter();
     let turns = item_turns.saturating_mul(items.len());
-    let (helpers, _reserved) = helpers_for(num_threads, turns);
-    if helpers > 0 {
-        return par_map_threaded(helpers + 1, items, &f);
+    let (mut next, window) = (items.iter().enumerate(), items.len().max(1));
+    let mut mapped = Vec::with_capacity(items.len());
+    let done = |_: &_, output| {
+        mapped.push(output);
+        Ok::<(), Infallible>(())
+    };
+    match par_windows(num_threads, turns, window, || next.next(), |&(i, item)| f(i, item), done) {
+        Ok(()) => mapped,
+        Err(never) => match never {},
     }
-    items.iter().enumerate().map(|(i, item)| f(i, item)).collect()
 }
 
-/// Runs `work` over a stream of windows on up to `num_threads` threads,
-/// the caller's included, that live for the whole stream: `next` makes
-/// each window's items on the calling thread (an empty one ends the
-/// stream), the threads share out its items, and `done` takes the
-/// window's items and their outputs, in item order, on the calling
-/// thread before `next` is asked again. A stream of many small windows
-/// thus pays for its helpers once, and holds one window's outputs at a
-/// time.
+/// Runs `work` over the items `next` makes on the calling thread, in
+/// order, and hands each item with its output to `done` on the calling
+/// thread, in the same order, until `next` makes none.
 ///
-/// Threads are decided once, as [`par_map`] decides them, from `turns`,
-/// the stream's whole work in light member turns; with none to spare
-/// every window runs inline. Results are identical either way.
+/// With helpers, up to `num_threads` threads, the caller's included,
+/// live for the whole stream: the caller makes `window` items, the
+/// threads claim them one at a time, and `done` takes them all before
+/// the next window is made — so a stream of many windows pays for its
+/// helpers once and holds one window's outputs at a time. Without a
+/// helper each item goes from `next` through `work` to `done` in turn,
+/// and nothing is held.
+///
+/// Helpers are decided once, from `turns`, the stream's whole work in
+/// light member turns: none when `num_threads <= 1`, when the work is
+/// less than `MIN_TURNS_PER_THREAD` a thread, when the stream runs
+/// inside another's items, or when the process-wide budget has no core
+/// left. Every helper is joined before this returns. Results are
+/// identical either way.
 ///
 /// # Errors
 ///
-/// The first error `done` returns; no later window is made.
+/// The first error `done` returns; no later item is made.
 pub(crate) fn par_windows<T, U, E>(
     num_threads: usize,
     turns: usize,
-    mut next: impl FnMut() -> Vec<T>,
+    window: usize,
+    mut next: impl FnMut() -> Option<T>,
     work: impl Fn(&T) -> U + Sync,
-    mut done: impl FnMut(&[T], Vec<U>) -> Result<(), E>,
+    mut done: impl FnMut(&T, U) -> Result<(), E>,
 ) -> Result<(), E>
 where
     T: Send + Sync,
     U: Send,
 {
-    let mut items = next();
     let _caller = Caller::enter();
     let (helpers, _reserved) = helpers_for(num_threads, turns);
     if helpers == 0 {
-        while !items.is_empty() {
-            let outputs = items.iter().map(&work).collect();
-            done(&items, outputs)?;
-            items = next();
+        while let Some(item) = next() {
+            let output = work(&item);
+            done(&item, output)?;
         }
         return Ok(());
     }
@@ -352,7 +355,11 @@ where
                 window_tx
             })
             .collect();
-        while !items.is_empty() {
+        loop {
+            let items: Vec<T> = std::iter::from_fn(&mut next).take(window.max(1)).collect();
+            if items.is_empty() {
+                return Ok(());
+            }
             let window = Arc::new(items);
             cursor.store(0, Ordering::Relaxed);
             let sent = windows.iter().filter(|tx| tx.send(Arc::clone(&window)).is_ok()).count();
@@ -373,29 +380,14 @@ where
                     Err(_) => break,
                 }
             }
-            // lint:allow(panic): provable — every helper's claims were
-            // received above and each index < len was claimed once by a
-            // thread that ran to completion, so each slot is Some here.
-            let outputs = slots.into_iter().map(|slot| slot.expect("every item ran")).collect();
-            done(&window, outputs)?;
-            drop(window);
-            items = next();
+            for (item, slot) in window.iter().zip(slots) {
+                // lint:allow(panic): provable — every helper's claims were
+                // received above and each index < len was claimed once by
+                // a thread that ran to completion, so each slot is Some.
+                done(item, slot.expect("every item ran"))?;
+            }
         }
-        Ok(())
     })
-}
-
-/// Whether a map of `turns` light member turns at `num_threads` threads
-/// would get a helper now: for a caller that prepares its items
-/// differently when they run inline. The budget can move before the map
-/// starts; either answer gives the same results.
-pub(crate) fn would_fan_out(num_threads: usize, turns: usize) -> bool {
-    #[cfg(test)]
-    if FORCED.with(Cell::get).is_some() {
-        return !FANNED_OUT.with(Cell::get);
-    }
-    let wanted = num_threads.min(turns / MIN_TURNS_PER_THREAD);
-    wanted > 1 && !FANNED_OUT.with(Cell::get) && BUSY.load(Ordering::Acquire) < host_threads()
 }
 
 /// Runs a helper's share of a map and returns it with the SHA-256
@@ -435,53 +427,6 @@ fn helpers_for(num_threads: usize, turns: usize) -> (usize, Option<Helpers>) {
     (reserved.0, Some(reserved))
 }
 
-/// [`par_map`] on exactly `workers` threads: `workers − 1` scoped
-/// helpers and the caller claim items one at a time, and every helper
-/// is joined before this returns.
-fn par_map_threaded<T, U, F>(workers: usize, items: &[T], f: &F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let _fanned = FannedOut::enter();
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else { return done };
-            done.push((i, f(i, item)));
-        }
-    };
-    let mut slots: Vec<Option<U>> = items.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(|| counted(claim))).collect();
-        let mut place = |done: Vec<(usize, U)>| {
-            for (i, out) in done {
-                slots[i] = Some(out);
-            }
-        };
-        place(claim());
-        for helper in helpers {
-            match helper.join() {
-                Ok((done, blocks)) => {
-                    credit(blocks);
-                    place(done);
-                }
-                Err(payload) => panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        // lint:allow(panic): provable — every helper was joined above
-        // and every index < len was claimed exactly once by a thread
-        // that ran to completion, so each slot is Some here.
-        .map(|slot| slot.expect("every work item produced a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,19 +455,38 @@ mod tests {
         assert_eq!(par_map(8, MIN_TURNS_PER_THREAD, &[5u32], |_, &x| x + 1), vec![6]);
     }
 
-    /// The hw/threshold clamp in [`par_map`] can make the threaded path
+    /// The budget and the work gate can make the threaded path
     /// unreachable on small hosts (1 hardware thread ⇒ always inline),
-    /// so the thread pool itself is exercised directly here.
+    /// so the worker count is forced here.
     #[test]
     fn threaded_path_preserves_order_and_values() {
         let items: Vec<u64> = (0..200).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
         for workers in [2, 4, 8] {
-            assert_eq!(
-                par_map_threaded(workers, &items, &|_, &x: &u64| x * 3 + 1),
-                expect,
-                "workers={workers}"
-            );
+            let got =
+                with_forced_workers(workers, || par_map(workers, 1, &items, |_, &x| x * 3 + 1));
+            assert_eq!(got, expect, "workers={workers}");
+        }
+    }
+
+    /// A stream reads the same at any worker count: each item's output
+    /// reaches `done` in item order, and an error from `done` ends the
+    /// stream.
+    #[test]
+    fn a_stream_arrives_in_order_and_an_error_ends_it() {
+        for workers in [1, 2, 4] {
+            let (mut left, mut seen) = (0..100u64, Vec::new());
+            let done = |&x: &u64, output: u64| {
+                assert_eq!(output, x * x);
+                seen.push(output);
+                if seen.len() >= 50 {
+                    return Err(seen.len());
+                }
+                Ok(())
+            };
+            let stream = || par_windows(workers, 1, 7, || left.next(), |x| x * x, done);
+            assert_eq!(with_forced_workers(workers, stream), Err(50), "workers={workers}");
+            assert_eq!(seen, (0..50).map(|x| x * x).collect::<Vec<_>>(), "workers={workers}");
         }
     }
 
@@ -565,10 +529,13 @@ mod tests {
     fn a_nested_par_map_runs_inline() {
         let outer: Vec<usize> = (0..4).collect();
         let inner: Vec<usize> = (0..2048).collect();
-        let inline = par_map_threaded(4, &outer, &|_, _: &usize| {
-            let me = std::thread::current().id();
-            let ids = par_map(64, MIN_TURNS_PER_THREAD, &inner, |_, _| std::thread::current().id());
-            ids.iter().all(|&id| id == me)
+        let inline = with_forced_workers(4, || {
+            par_map(4, 1, &outer, |_, _| {
+                let me = std::thread::current().id();
+                let ids =
+                    par_map(64, MIN_TURNS_PER_THREAD, &inner, |_, _| std::thread::current().id());
+                ids.iter().all(|&id| id == me)
+            })
         });
         assert_eq!(inline, [true; 4]);
     }

@@ -8,10 +8,10 @@
 //!
 //! 1. who speaks: the candidates that participate at the step's phase,
 //!    in index order — the others are skipped before anything is drawn;
-//! 2. one child seed per speaker from the caller's RNG, every speaker's
-//!    drawn before any member works; the member draws from the child
-//!    only, values before proofs, in work that sees nothing but its
-//!    [`Turn`] — so the members run on any number of threads;
+//! 2. one child seed per speaker from the caller's RNG, drawn in member
+//!    order on the thread that runs the step; the member draws from the
+//!    child only, values before proofs, in work that sees nothing but
+//!    its [`Turn`] — so the members run on any number of threads;
 //! 3. who proves: this worker, for the members it owns, if anyone does
 //!    ([`Turn::prove`]);
 //! 4. who verifies: the reader, when it folds the members' outputs in
@@ -48,6 +48,8 @@ pub(crate) struct Step<'a> {
     elements: u64,
     /// Postings per speaker (one, unless the step covers a batch).
     postings: usize,
+    /// Whether a seed is drawn for every candidate, speaking or not.
+    every: bool,
 }
 
 /// A speaker with its child seed and what it holds.
@@ -56,10 +58,6 @@ struct Speaker<T> {
     seed: u64,
     held: T,
 }
-
-/// A step's speakers with their child seeds, in member order: rules 1
-/// and 2, decided before any member works.
-pub(crate) struct Drawn<T>(Vec<Speaker<T>>);
 
 impl<'a> Step<'a> {
     /// A step in which every speaker posts one `post` of `elements`
@@ -74,14 +72,15 @@ impl<'a> Step<'a> {
     ) -> Self {
         let phase_index = crate::engine::phase_index(phase);
         let (partition, threads) = (sb.partition(), sb.threads());
-        Step { committee, partition, threads, phase, phase_index, post, elements, postings: 1 }
+        let (postings, every) = (1, false);
+        Step { committee, partition, threads, phase, phase_index, post, elements, postings, every }
     }
 
     /// The same step with its members run on the calling thread: a light
     /// step — a contribution, a re-encrypted item, an unproved
     /// `Decrypt` or `3-mult` posting — whose members cost less than
-    /// handing them to another thread; where many run side by side, the
-    /// loop over them is what fans out.
+    /// handing them to another thread; where many run side by side as
+    /// items (`Re-encrypt`, Beaver triples), the items fan out.
     pub(crate) fn inline(mut self) -> Self {
         self.threads = 1;
         self
@@ -104,48 +103,14 @@ impl<'a> Step<'a> {
         behavior.participates_at(self.phase_index).then_some(behavior)
     }
 
-    /// Rules 1 and 2: each speaking candidate of `members` (`(index,
-    /// what it holds)`, in index order) with one child seed from `rng`.
-    pub(crate) fn draw<R: Rng + ?Sized, T>(
-        &self,
-        rng: &mut R,
-        members: impl IntoIterator<Item = (usize, T)>,
-    ) -> Drawn<T> {
-        let mut speakers = Vec::with_capacity(self.committee.n());
-        for (index, held) in members {
-            if self.speaker(index).is_some() {
-                speakers.push(Speaker { index, seed: rng.next_u64(), held });
-            }
-        }
-        Drawn(speakers)
+    /// The same step drawing a seed for every candidate, speaking or
+    /// not (`3-mult`, whose draws are pinned).
+    pub(crate) fn drawing_for_everyone(mut self) -> Self {
+        self.every = true;
+        self
     }
 
-    /// Rules 1 and 2 for the one step that draws a seed for every
-    /// candidate, speaking or not (`3-mult`, whose draws are pinned).
-    pub(crate) fn draw_every<R: Rng + ?Sized, T>(
-        &self,
-        rng: &mut R,
-        members: impl IntoIterator<Item = (usize, T)>,
-    ) -> Drawn<T> {
-        let mut speakers = Vec::with_capacity(self.committee.n());
-        for (index, held) in members {
-            let seed = rng.next_u64();
-            if self.speaker(index).is_some() {
-                speakers.push(Speaker { index, seed, held });
-            }
-        }
-        Drawn(speakers)
-    }
-
-    /// Rule 5: the postings of every speaker drawn, in order.
-    pub(crate) fn record<T>(&self, posts: &mut PostBuffer, drawn: &Drawn<T>) {
-        let run = self.open_run(posts);
-        for speaker in &drawn.0 {
-            self.push(run, speaker.index);
-        }
-    }
-
-    /// Rule 5 for a step drawn on another thread: the postings of every
+    /// Rule 5 for a step run on another thread: the postings of every
     /// speaker of `members`, in order — what [`Step::record_speakers`]
     /// records. A step's postings depend on who speaks, never on what
     /// they compute, so items of one step share them.
@@ -183,65 +148,12 @@ impl<'a> Step<'a> {
         Turn { index, behavior, owned, rng, prover }
     }
 
-    /// Runs the speakers drawn: each one's `work` on its [`Turn`] and
-    /// what it holds, on the step's threads, and `fold` over the outputs
-    /// in member order. The speakers go in windows of
-    /// `threads × MEMBERS_PER_THREAD` ([`par_windows`]), so no more
-    /// outputs than that are held at once; on one thread each output is
-    /// folded as soon as it is made. `prover` holds the map the members'
-    /// postings are proved over (`None` when proofs are off); a turn
-    /// keeps it only if this worker owns the member.
+    /// The whole step on the caller's RNG, and its postings recorded
+    /// onto `posts`: see [`Step::stream`].
     ///
     /// # Errors
     ///
-    /// The first error `fold` returns; no later output is folded.
-    pub(crate) fn fan_out<'m, M, T, O>(
-        &self,
-        drawn: &Drawn<T>,
-        prover: Option<&'m M>,
-        work: impl Fn(Turn<&'m M>, T) -> O + Sync,
-        mut fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
-    ) -> Result<(), ProtocolError>
-    where
-        M: Sync,
-        T: Copy + Sync,
-        O: Send,
-    {
-        let turn = |speaker: &Speaker<T>| self.turn(speaker.index, speaker.seed, prover);
-        if self.threads <= 1 {
-            for speaker in &drawn.0 {
-                fold(speaker.index, work(turn(speaker), speaker.held))?;
-            }
-            return Ok(());
-        }
-        let mut speakers = drawn.0.iter();
-        // A member's work grows with what it posts: a dealing's `O(n)`
-        // elements, a batch's postings.
-        let turns = drawn.0.len() * self.postings * self.elements as usize;
-        let window = self.threads * MEMBERS_PER_THREAD;
-        par_windows(
-            self.threads,
-            turns,
-            || speakers.by_ref().take(window).collect::<Vec<_>>(),
-            |speaker| work(turn(speaker), speaker.held),
-            |speakers, outputs| {
-                for (speaker, output) in speakers.iter().zip(outputs) {
-                    fold(speaker.index, output)?;
-                }
-                Ok(())
-            },
-        )
-    }
-
-    /// The whole step on the caller's RNG: rules 1 and 2 ([`Step::draw`]),
-    /// rule 5 onto `posts` ([`Step::record`]), then the members' work
-    /// and the fold ([`Step::fan_out`]). On one thread nothing is drawn
-    /// ahead: each speaker's seed is drawn, its posting recorded and its
-    /// output folded in turn.
-    ///
-    /// # Errors
-    ///
-    /// As [`Step::fan_out`].
+    /// The first error `fold` returns; no later speaker is drawn.
     pub(crate) fn run<'m, R: Rng + ?Sized, M, T, O>(
         &self,
         rng: &mut R,
@@ -253,16 +165,11 @@ impl<'a> Step<'a> {
     ) -> Result<(), ProtocolError>
     where
         M: Sync,
-        T: Copy + Sync,
+        T: Copy + Send + Sync,
         O: Send,
     {
-        if self.threads <= 1 {
-            let run = self.open_run(posts);
-            return self.stream(rng, Some(run), prover, members, work, fold);
-        }
-        let drawn = self.draw(rng, members);
-        self.record(posts, &drawn);
-        self.fan_out(&drawn, prover, work, fold)
+        let run = self.open_run(posts);
+        self.stream(rng, Some(run), prover, members, work, fold)
     }
 
     /// [`Step::run`] for a step whose postings its caller records
@@ -270,7 +177,7 @@ impl<'a> Step<'a> {
     ///
     /// # Errors
     ///
-    /// As [`Step::fan_out`].
+    /// As [`Step::run`].
     pub(crate) fn act<'m, R: Rng + ?Sized, M, T, O>(
         &self,
         rng: &mut R,
@@ -281,39 +188,63 @@ impl<'a> Step<'a> {
     ) -> Result<(), ProtocolError>
     where
         M: Sync,
-        T: Copy + Sync,
+        T: Copy + Send + Sync,
         O: Send,
     {
-        if self.threads <= 1 {
-            return self.stream(rng, None, prover, members, work, fold);
-        }
-        let drawn = self.draw(rng, members);
-        self.fan_out(&drawn, prover, work, fold)
+        self.stream(rng, None, prover, members, work, fold)
     }
 
-    /// The one-thread step: each speaker's seed drawn, its posting
-    /// recorded onto `run` (if the step records here) and its output
-    /// folded, one speaker after another.
+    /// The step: each speaking candidate of `members` (`(index, what it
+    /// holds)`, in index order) gets its child seed from `rng` and its
+    /// posting recorded onto `run` (rules 1, 2 and 5), its `work` runs on
+    /// its [`Turn`] and what it holds, and `fold` takes the outputs in
+    /// member order. The members go through [`par_windows`] on the
+    /// step's threads: with helpers, in windows of
+    /// `threads × MEMBERS_PER_THREAD` whose seeds are all drawn before
+    /// any of them works, so no more outputs than that are held at once;
+    /// without, one after another. `prover` holds the map the members'
+    /// postings are proved over (`None` when proofs are off); a turn
+    /// keeps it only if this worker owns the member.
     fn stream<'m, R: Rng + ?Sized, M, T, O>(
         &self,
         rng: &mut R,
         mut run: Option<&mut Speakers>,
         prover: Option<&'m M>,
         members: impl IntoIterator<Item = (usize, T)>,
-        work: impl Fn(Turn<&'m M>, T) -> O,
+        work: impl Fn(Turn<&'m M>, T) -> O + Sync,
         mut fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
-    ) -> Result<(), ProtocolError> {
-        for (index, held) in members {
-            if self.speaker(index).is_none() {
-                continue;
+    ) -> Result<(), ProtocolError>
+    where
+        M: Sync,
+        T: Copy + Send + Sync,
+        O: Send,
+    {
+        let mut members = members.into_iter();
+        let next = || {
+            for (index, held) in members.by_ref() {
+                let drawn = self.every.then(|| rng.next_u64());
+                if self.speaker(index).is_none() {
+                    continue;
+                }
+                let seed = drawn.unwrap_or_else(|| rng.next_u64());
+                if let Some(run) = run.as_deref_mut() {
+                    self.push(run, index);
+                }
+                return Some(Speaker { index, seed, held });
             }
-            let seed = rng.next_u64();
-            if let Some(run) = run.as_deref_mut() {
-                self.push(run, index);
-            }
-            fold(index, work(self.turn(index, seed, prover), held))?;
-        }
-        Ok(())
+            None
+        };
+        // A member's work grows with what it posts: a dealing's `O(n)`
+        // elements, a batch's postings.
+        let turns = self.committee.n() * self.postings * self.elements as usize;
+        par_windows(
+            self.threads,
+            turns,
+            self.threads * MEMBERS_PER_THREAD,
+            next,
+            |speaker| work(self.turn(speaker.index, speaker.seed, prover), speaker.held),
+            |speaker, output| fold(speaker.index, output),
+        )
     }
 }
 
@@ -471,14 +402,20 @@ mod tests {
     }
 
     #[test]
-    fn draw_every_draws_for_silent_candidates_too() {
+    fn drawing_for_everyone_draws_for_silent_candidates_too() {
         let committee = committee();
-        let step = step(&committee, RolePartition::solo());
+        let step = step(&committee, RolePartition::solo()).drawing_for_everyone();
         let (mut rng, mut seeds) = (StdRng::seed_from_u64(8), StdRng::seed_from_u64(8));
-        let drawn = step.draw_every(&mut rng, step.everyone());
-        let all: Vec<u64> = (0..4).map(|_| seeds.next_u64()).collect();
-        let got: Vec<(usize, u64)> = drawn.0.iter().map(|s| (s.index, s.seed)).collect();
-        assert_eq!(got, [(0, all[0]), (3, all[3])]);
+        let mut spoke = Vec::new();
+        let work = |mut turn: Turn<&()>, ()| (turn.index, turn.rng.next_u64());
+        let fold = |_, output| {
+            spoke.push(output);
+            Ok(())
+        };
+        step.run(&mut rng, &mut PostBuffer::new(), None, step.everyone(), work, fold).unwrap();
+        let all: Vec<u64> =
+            (0..4).map(|_| StdRng::seed_from_u64(seeds.next_u64()).next_u64()).collect();
+        assert_eq!(spoke, [(0, all[0]), (3, all[3])]);
         assert_eq!(rng.next_u64(), seeds.next_u64());
     }
 

@@ -42,6 +42,24 @@ use crate::step::{Proved, Step, Turn};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
+/// A `Decrypt` partial's proof, over its ciphertexts' maps.
+type PdecProved<'m, F> = Proved<&'m Vec<PdecMap<F>>, PdecProof<F>>;
+
+/// Offers member `member`'s (verification key `vk`) partial `d` of
+/// ciphertext `c_idx` to the ciphertext's kept set: its first `t + 1`
+/// valid partials, verified only until it has them.
+fn keep_partial<F: PrimeField>(
+    kept: &mut FirstValid<F>,
+    member: usize,
+    vk: F,
+    c_idx: usize,
+    d: F,
+    proof: &PdecProved<'_, F>,
+) {
+    let valid = || proof.verify(|maps, proof| maps[c_idx].verify(vk, d, proof));
+    kept.offer(member, valid, || [d]);
+}
+
 /// A value re-encrypted from `tpk` to a target public key, folded to
 /// its public opening when its `Re-encrypt` step ends.
 ///
@@ -404,39 +422,61 @@ impl<F: PrimeField> TskChain<F> {
         let elements = PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS;
         let step =
             Step::new(committee, sb, phase, Post::PartialDec, elements).with_postings(cts.len());
-        // A partial is one multiplication; only its proof is worth a
-        // thread.
-        let step = if cfg.produce_proofs { step } else { step.inline() };
         let holders = self.holders(committee);
-        let work = |mut turn: Turn<_>, share: &KeyShare<F>| {
-            let vk = self.pk.vks[turn.index];
-            let attack = turn.attack();
-            let partials: Vec<_> = (cts.iter().enumerate())
-                .map(|(c_idx, ct)| {
-                    let d = match attack {
-                        None | Some(ActiveAttack::BadProof) => {
-                            MockTe::partial_decrypt(share, ct).value
-                        }
-                        Some(_) => F::random(&mut turn.rng),
-                    };
-                    let proof = turn.prove(|maps: &&Vec<PdecMap<F>>, rng| match attack {
-                        None => maps[c_idx].prove(rng, vk, share.value, d),
-                        Some(_) => PdecProof::garbage(rng),
-                    });
-                    (d, proof)
-                })
-                .collect();
-            (vk, partials)
-        };
-        step.run(rng, &mut posts, maps.as_ref(), holders, work, |member, (vk, partials)| {
-            for (c_idx, ((d, proof), kept)) in partials.into_iter().zip(&mut kept).enumerate() {
-                let valid = || proof.verify(|maps, proof| maps[c_idx].verify(vk, d, proof));
-                kept.offer(member, valid, || [d]);
-            }
-            Ok(())
-        })?;
+        if cfg.produce_proofs {
+            // Proofs are worth a thread: the members fan out, and each
+            // hands its partials to the fold.
+            let work = |mut turn: Turn<_>, share| {
+                let (vk, attack) = (self.pk.vks[turn.index], turn.attack());
+                (cts.iter().enumerate())
+                    .map(|(c_idx, ct)| self.partial(&mut turn, share, vk, attack, c_idx, ct))
+                    .collect::<Vec<_>>()
+            };
+            step.run(rng, &mut posts, maps.as_ref(), holders, work, |member, made| {
+                let vk = self.pk.vks[member];
+                for ((c_idx, (d, proof)), kept) in made.into_iter().enumerate().zip(&mut kept) {
+                    keep_partial(kept, member, vk, c_idx, d, &proof);
+                }
+                Ok(())
+            })?;
+        } else {
+            // A partial is one multiplication: the fold makes each one
+            // and offers it in place.
+            let work = |turn: Turn<_>, share| (turn, share);
+            let fold = |member, (mut turn, share): (Turn<_>, _)| {
+                let (vk, attack) = (self.pk.vks[member], turn.attack());
+                for ((c_idx, ct), kept) in cts.iter().enumerate().zip(&mut kept) {
+                    let (d, proof) = self.partial(&mut turn, share, vk, attack, c_idx, ct);
+                    keep_partial(kept, member, vk, c_idx, d, &proof);
+                }
+                Ok(())
+            };
+            step.inline().run(rng, &mut posts, maps.as_ref(), holders, work, fold)?;
+        }
         sb.flush_buffer(posts)?;
         Ok(kept)
+    }
+
+    /// A member's `Decrypt` posting for ciphertext `c_idx`: its partial
+    /// and the partial's proof. `vk` and `attack` are the member's.
+    fn partial<'m>(
+        &self,
+        turn: &mut Turn<&'m Vec<PdecMap<F>>>,
+        share: &KeyShare<F>,
+        vk: F,
+        attack: Option<ActiveAttack>,
+        c_idx: usize,
+        ct: &Ciphertext<F>,
+    ) -> (F, PdecProved<'m, F>) {
+        let d = match attack {
+            None | Some(ActiveAttack::BadProof) => MockTe::partial_decrypt(share, ct).value,
+            Some(_) => F::random(&mut turn.rng),
+        };
+        let proof = turn.prove(|maps, rng| match attack {
+            None => maps[c_idx].prove(rng, vk, share.value, d),
+            Some(_) => PdecProof::garbage(rng),
+        });
+        (d, proof)
     }
 
     /// Recombines each ciphertext's kept partials.

@@ -7,12 +7,10 @@ use yoso_circuit::generators;
 use yoso_core::messages::Post;
 use yoso_core::offline::run_offline;
 use yoso_core::online::run_online;
-use yoso_core::dkg::run_dkg;
 use yoso_core::setup::run_setup;
 use yoso_core::{Engine, ExecutionConfig, ProtocolParams, RolePartition, ShardedBoard};
 use yoso_field::F61;
 use yoso_runtime::{ActiveAttack, Adversary, BulletinBoard, LeakLog};
-use yoso_the::mock::LinearPke;
 
 fn f(v: u64) -> F61 {
     F61::from(v)
@@ -272,49 +270,4 @@ fn transport_parity_engine_over_tcp_backend() {
     assert_eq!(local.mu, remote.mu);
     assert_eq!(local.rounds, remote.rounds);
     assert_eq!(local.phases, remote.phases);
-}
-
-/// The dealer-free DKG and a chain of handovers, each one committee
-/// step whose members may fan out over the board view's threads (the
-/// engine's budget decides; `step.rs` forces the threaded path). The
-/// first `t` members of every committee deal garbage.
-fn dkg_and_handovers(threads: usize, proofs: bool) -> (String, Vec<F61>, Vec<Option<F61>>) {
-    let (n, t) = (96, 30);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(20261018);
-    let cfg = ExecutionConfig { produce_proofs: proofs, ..ExecutionConfig::default() };
-    let board: BulletinBoard<Post> = BulletinBoard::new();
-    let sb = ShardedBoard::new(&board, RolePartition::solo()).with_threads(threads);
-    let adversary = Adversary::active(t, ActiveAttack::BadProof);
-    let committee = |rng: &mut rand::rngs::StdRng, name: &str| {
-        adversary.sample_committee(rng, name.to_string(), n)
-    };
-    let keys = |rng: &mut rand::rngs::StdRng| -> Vec<_> {
-        (0..n).map(|_| LinearPke::<F61>::keygen(rng)).collect()
-    };
-    let (dkg_committee, role_keys) = (committee(&mut rng, "dkg"), keys(&mut rng));
-    let mut chain = run_dkg(&mut rng, &sb, &dkg_committee, &role_keys, t, &cfg).unwrap();
-    let mut outgoing = dkg_committee;
-    for epoch in 0..3 {
-        let next_keys = keys(&mut rng);
-        chain.handover(&mut rng, &sb, &outgoing, &cfg, "offline/handover", &next_keys).unwrap();
-        sb.advance_round().unwrap();
-        outgoing = committee(&mut rng, &format!("epoch-{epoch}"));
-    }
-    sb.finish().unwrap();
-    let transcript: String = (board.postings().unwrap().iter())
-        .map(|p| format!("{}|{}|{}|{:?}\n", p.round, p.from, p.phase, p.message))
-        .collect();
-    let shares = (0..n).map(|i| chain.share_of(i).map(|s| s.value)).collect();
-    (transcript, chain.pk.vks.clone(), shares)
-}
-
-#[test]
-fn dkg_and_a_handover_chain_are_identical_across_thread_counts() {
-    for proofs in [true, false] {
-        let one = dkg_and_handovers(1, proofs);
-        assert!(one.2.iter().all(Option::is_some));
-        for threads in [2, 8] {
-            assert_eq!(dkg_and_handovers(threads, proofs), one, "{threads} threads, {proofs}");
-        }
-    }
 }
