@@ -104,7 +104,7 @@ pub fn measure_baseline(
     let run = engine
         .run(&mut r, &circuit, &inputs, &Adversary::none())
         .expect("baseline run succeeds");
-    run.elements("online/mult") as f64 / run.mul_gates as f64
+    run.online_elements_per_gate()
 }
 
 /// The paper's Table 1 (§6) as the `table1` experiment and `yoso

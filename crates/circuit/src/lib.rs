@@ -275,36 +275,6 @@ impl<F: PrimeField> Circuit<F> {
         Ok(values)
     }
 
-    /// Renders the circuit as a Graphviz `dot` digraph (for debugging
-    /// and documentation).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph circuit {\n  rankdir=TB;\n");
-        for (i, gate) in self.gates.iter().enumerate() {
-            let (label, shape) = match gate {
-                Gate::Input { client } => (format!("in c{client}"), "invhouse"),
-                Gate::Const(c) => (format!("const {c}"), "box"),
-                Gate::Add(_, _) => ("+".to_string(), "circle"),
-                Gate::Sub(_, _) => ("−".to_string(), "circle"),
-                Gate::MulConst(_, c) => (format!("×{c}"), "circle"),
-                Gate::Mul(_, _) => ("×".to_string(), "doublecircle"),
-                Gate::Output(_, client) => (format!("out c{client}"), "house"),
-            };
-            let _ = writeln!(out, "  w{i} [label=\"{label}\", shape={shape}];");
-            match gate {
-                Gate::Add(a, b) | Gate::Sub(a, b) | Gate::Mul(a, b) => {
-                    let _ = writeln!(out, "  w{} -> w{i};\n  w{} -> w{i};", a.0, b.0);
-                }
-                Gate::MulConst(a, _) | Gate::Output(a, _) => {
-                    let _ = writeln!(out, "  w{} -> w{i};", a.0);
-                }
-                Gate::Input { .. } | Gate::Const(_) => {}
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Batches the circuit for packing factor `k`: multiplication gates
     /// are grouped per layer into chunks of at most `k`, and each
     /// client's input wires into chunks of at most `k`.
@@ -716,24 +686,6 @@ mod tests {
             assert_eq!(covered, expected, "k={k}: every mul exactly once");
             assert!(batched.mul_batches.iter().all(|b| !b.gates.is_empty() && b.gates.len() <= k));
         }
-    }
-
-    #[test]
-    fn dot_export_mentions_every_wire() {
-        let mut b = CircuitBuilder::<F61>::new();
-        let x = b.input(0);
-        let c = b.constant(f(3));
-        let s = b.add(x, c);
-        let m = b.mul(s, x);
-        b.output(m, 0);
-        let circ = b.build().unwrap();
-        let dot = circ.to_dot();
-        assert!(dot.starts_with("digraph circuit {"));
-        for i in 0..circ.wire_count() {
-            assert!(dot.contains(&format!("w{i} ")), "wire {i} missing");
-        }
-        assert!(dot.contains("doublecircle"), "mul gate styled");
-        assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]

@@ -30,11 +30,11 @@ use yoso_runtime::{Adversary, BulletinBoard, PhaseStats};
 use yoso_the::mock::{Ciphertext, LinearPke, MockTe, PkeKeyPair, PkePublicKey};
 use yoso_the::nizk::EncMap;
 
+use crate::engine::{elements_under, per_gate};
 use crate::messages::{Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
 use crate::offline::{beaver_triples, EncryptedTriple};
 use crate::parallel::{Author, PostBuffer};
 use crate::tsk::TskChain;
-use crate::workitem::{RolePartition, ShardedBoard};
 use crate::{ExecutionConfig, ProtocolError, ProtocolParams};
 
 /// The outcome of a baseline run.
@@ -51,21 +51,20 @@ pub struct BaselineResult<F: PrimeField> {
 impl<F: PrimeField> BaselineResult<F> {
     /// Total elements under phases starting with `prefix`.
     pub fn elements(&self, prefix: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, s)| s.elements)
-            .sum()
+        elements_under(&self.phases, prefix)
     }
 
-    /// Online elements per multiplication gate.
+    /// Online elements per multiplication gate: the `mult` phase only,
+    /// the same step [`crate::RunResult::online_elements_per_gate`]
+    /// counts for the packed protocol (inputs, handovers and outputs
+    /// are left out on both sides).
     pub fn online_elements_per_gate(&self) -> f64 {
-        self.elements("online") as f64 / self.mul_gates.max(1) as f64
+        per_gate(self.elements("online/mult"), self.mul_gates)
     }
 
     /// Offline elements per multiplication gate.
     pub fn offline_elements_per_gate(&self) -> f64 {
-        self.elements("offline") as f64 / self.mul_gates.max(1) as f64
+        per_gate(self.elements("offline"), self.mul_gates)
     }
 }
 
@@ -100,8 +99,8 @@ impl BaselineEngine {
     /// # Errors
     ///
     /// Propagates protocol errors (none occur within the corruption
-    /// model).
-    #[allow(clippy::too_many_lines)]
+    /// model); [`ProtocolError::BadParameters`] if the configured
+    /// partition does not fit inside `[0, n)`.
     pub fn run<F: PrimeField, R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -109,10 +108,25 @@ impl BaselineEngine {
         inputs: &[Vec<F>],
         adversary: &Adversary,
     ) -> Result<BaselineResult<F>, ProtocolError> {
+        self.run_on(rng, circuit, inputs, adversary, &BulletinBoard::new())
+    }
+
+    /// [`Self::run`] on the given (fresh) board.
+    #[allow(clippy::too_many_lines)]
+    fn run_on<F: PrimeField, R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        circuit: &Circuit<F>,
+        inputs: &[Vec<F>],
+        adversary: &Adversary,
+        board: &BulletinBoard<Post>,
+    ) -> Result<BaselineResult<F>, ProtocolError> {
         let n = self.params.n;
         let cfg = &self.config;
-        let board: BulletinBoard<Post> = BulletinBoard::new();
-        let sb = ShardedBoard::new(&board, RolePartition::solo());
+        let sb = cfg.board_view(board, n)?;
+        // The run counts as one compute thread of the process-wide
+        // budget for as long as it lasts.
+        let _caller = crate::parallel::Caller::enter();
         let mut tsk = TskChain::<F>::keygen(rng, n, self.params.t)?;
         let tpk = tsk.pk.clone();
 
@@ -285,6 +299,45 @@ mod tests {
         assert_eq!(run.outputs, expect);
     }
 
+    /// The run's view computes on the configured threads, and the
+    /// workers its steps fan out over change nothing: outputs and every
+    /// posting are the same at 1, 2 and 8, proofs on and off, honest and
+    /// under attack.
+    #[test]
+    fn baseline_is_identical_at_any_worker_count() {
+        let one = ExecutionConfig::default().with_threads(1);
+        assert_eq!(one.board_view(&BulletinBoard::new(), 7).unwrap().threads(), 1);
+        let circuit = generators::inner_product::<F61>(3).unwrap();
+        let inputs = [(1..=3u64).map(f).collect(), (4..=6u64).map(f).collect::<Vec<_>>()];
+        let expect = circuit.evaluate(&inputs).unwrap();
+        let params = ProtocolParams::new(7, 2, 1).unwrap();
+        for cfg in [one, ExecutionConfig::sweep()] {
+            for adv in [Adversary::none(), Adversary::active(2, ActiveAttack::WrongValue)] {
+                let run = |workers| {
+                    let board = BulletinBoard::new();
+                    let mut r = rand::rngs::StdRng::seed_from_u64(14);
+                    let engine = BaselineEngine::new(params, cfg);
+                    let result = crate::parallel::with_forced_workers(workers, || {
+                        engine.run_on(&mut r, &circuit, &inputs, &adv, &board)
+                    })
+                    .unwrap();
+                    let postings: Vec<String> = board
+                        .postings()
+                        .unwrap()
+                        .iter()
+                        .map(|p| format!("{}|{}|{}|{:?}", p.round, p.from, p.phase, p.message))
+                        .collect();
+                    (result.outputs, result.phases, postings)
+                };
+                let inline = run(1);
+                assert_eq!(inline.0, expect);
+                for workers in [2, 8] {
+                    assert_eq!(run(workers), inline, "{workers} workers, {cfg:?}, {adv:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn baseline_online_cost_scales_linearly_with_n() {
         let circuit = generators::inner_product::<F61>(4).unwrap();
@@ -301,7 +354,7 @@ mod tests {
             let run = engine
                 .run(&mut r, &circuit, &[x.clone(), y.clone()], &Adversary::none())
                 .unwrap();
-            per_gate.push(run.elements("online/mult") as f64 / run.mul_gates as f64);
+            per_gate.push(run.online_elements_per_gate());
         }
         // Doubling n should roughly double online per-gate cost.
         assert!(per_gate[1] / per_gate[0] > 1.7, "{per_gate:?}");

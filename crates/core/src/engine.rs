@@ -129,6 +129,41 @@ impl ExecutionConfig {
         self.partition = partition;
         self
     }
+
+    /// This process's view of `board` for committees of `n`: its
+    /// [`Self::partition`], computing on [`Self::num_threads`]. Every
+    /// engine builds its view here, so none drops a setting.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::BadParameters`] if a non-solo partition does
+    /// not fit inside `[0, n)`.
+    pub(crate) fn board_view<'a>(
+        &self,
+        board: &'a BulletinBoard<Post>,
+        n: usize,
+    ) -> Result<ShardedBoard<'a>, ProtocolError> {
+        let partition = self.partition;
+        if !partition.is_solo() && partition.hi() > n {
+            return Err(ProtocolError::BadParameters(format!(
+                "role partition [{}, {}) exceeds the committee size n = {n}",
+                partition.lo(),
+                partition.hi(),
+            )));
+        }
+        Ok(ShardedBoard::new(board, partition).with_threads(self.num_threads))
+    }
+}
+
+/// Ring elements posted under the phases whose label starts with
+/// `prefix`: the one fold every run result meters with.
+pub(crate) fn elements_under(phases: &[(String, PhaseStats)], prefix: &str) -> u64 {
+    phases.iter().filter(|(k, _)| k.starts_with(prefix)).map(|(_, s)| s.elements).sum()
+}
+
+/// `elements` per gate of `gates` (a gate-free run counts as one).
+pub(crate) fn per_gate(elements: u64, gates: usize) -> f64 {
+    elements as f64 / gates.max(1) as f64
 }
 
 /// Maps a phase label to the coarse phase index used by fail-stop
@@ -194,22 +229,18 @@ pub struct RunResult<F: PrimeField> {
 impl<F: PrimeField> RunResult<F> {
     /// Total elements posted under phases starting with `prefix`.
     pub fn elements(&self, prefix: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, s)| s.elements)
-            .sum()
+        elements_under(&self.phases, prefix)
     }
 
     /// Online elements per multiplication gate (the paper's headline
-    /// metric).
+    /// metric): the `3-mult` step only.
     pub fn online_elements_per_gate(&self) -> f64 {
-        self.elements("online/3-mult") as f64 / self.mul_gates.max(1) as f64
+        per_gate(self.elements("online/3-mult"), self.mul_gates)
     }
 
     /// Offline elements per multiplication gate.
     pub fn offline_elements_per_gate(&self) -> f64 {
-        self.elements("offline") as f64 / self.mul_gates.max(1) as f64
+        per_gate(self.elements("offline"), self.mul_gates)
     }
 }
 
@@ -273,19 +304,10 @@ impl Engine {
         adversary: &Adversary,
         board: &BulletinBoard<Post>,
     ) -> Result<RunResult<F>, ProtocolError> {
-        let partition = self.config.partition;
-        if !partition.is_solo() && partition.hi() > self.params.n {
-            return Err(ProtocolError::BadParameters(format!(
-                "role partition [{}, {}) exceeds the committee size n = {}",
-                partition.lo(),
-                partition.hi(),
-                self.params.n
-            )));
-        }
+        let sb = self.config.board_view(board, self.params.n)?;
         // The run counts as one compute thread of the process-wide
         // budget for as long as it lasts.
         let _caller = crate::parallel::Caller::enter();
-        let sb = ShardedBoard::new(board, partition).with_threads(self.config.num_threads);
         let bc = circuit.batched(self.params.k);
         let leak = LeakLog::new();
         // Stage timing is diagnostics only (worker wall-clock reports);
@@ -469,6 +491,43 @@ mod tests {
         }
         assert!(run.online_elements_per_gate() > 0.0);
         assert!(run.offline_elements_per_gate() > run.online_elements_per_gate());
+    }
+
+    /// The whole run, setup to outputs, is the same at 1, 2 and 8
+    /// workers: every posting, output and `μ`, proofs on and off, honest
+    /// and under attack. Forced workers fan out every step, however
+    /// little work it holds.
+    #[test]
+    fn run_is_identical_at_any_worker_count() {
+        let params = ProtocolParams::new(10, 2, 3).unwrap();
+        let circuit = generators::inner_product::<F61>(2 * params.k).unwrap();
+        let inputs = [(1..=6u64).map(f).collect(), (10..16u64).map(f).collect::<Vec<_>>()];
+        let expect = circuit.evaluate(&inputs).unwrap();
+        for cfg in [ExecutionConfig::default(), ExecutionConfig::sweep()] {
+            for adv in [Adversary::none(), Adversary::active(2, ActiveAttack::WrongValue)] {
+                let run = |workers| {
+                    let board = BulletinBoard::new();
+                    let mut r = rng(4242);
+                    let engine = Engine::new(params, cfg);
+                    let result = crate::parallel::with_forced_workers(workers, || {
+                        engine.run_with_board(&mut r, &circuit, &inputs, &adv, &board)
+                    })
+                    .unwrap();
+                    let postings: Vec<String> = board
+                        .postings()
+                        .unwrap()
+                        .iter()
+                        .map(|p| format!("{}|{}|{}|{:?}", p.round, p.from, p.phase, p.message))
+                        .collect();
+                    (result.outputs, result.mu, postings)
+                };
+                let inline = run(1);
+                assert_eq!(inline.0, expect);
+                for workers in [2, 8] {
+                    assert_eq!(run(workers), inline, "{workers} workers, {cfg:?}, {adv:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,6 +46,7 @@ use yoso_field::PrimeField;
 use yoso_pss_sharing::{PackedSharing, PackedShares};
 use yoso_runtime::{BulletinBoard, Speakers};
 
+use crate::engine::{elements_under, per_gate};
 use crate::messages::{ContributionStep, Post};
 use crate::parallel::{Author, PostBuffer};
 use crate::workitem::{RolePartition, ShardedBoard};
@@ -212,16 +213,12 @@ pub struct ItRunResult<F: PrimeField> {
 impl<F: PrimeField> ItRunResult<F> {
     /// Elements posted under phases starting with `prefix`.
     pub fn elements(&self, prefix: &str) -> u64 {
-        self.phases
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, s)| s.elements)
-            .sum()
+        elements_under(&self.phases, prefix)
     }
 
     /// Online elements per lane-gate.
     pub fn elements_per_gate(&self) -> f64 {
-        self.elements("it/") as f64 / self.mul_lane_gates.max(1) as f64
+        per_gate(self.elements("it/"), self.mul_lane_gates)
     }
 }
 

@@ -5,7 +5,7 @@
 //! ordered fold over what they posted. The engine derives one child
 //! seed per work item *sequentially* from the caller's RNG (so the seed
 //! sequence, and therefore every result, is independent of thread
-//! count), computes the items on scoped threads with [`par_windows`] —
+//! count), computes the items on scoped threads with `par_windows` —
 //! the one work queue; [`par_map`] is its one-window case — and folds
 //! and records them in item order on the caller. Transcripts are
 //! byte-identical whether `num_threads` is 1 or 16.
@@ -257,7 +257,7 @@ pub(crate) fn with_forced_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R
 
 /// Maps `f` over `items`, preserving order, on up to `num_threads`
 /// threads, the caller's included, each item being about `item_turns`
-/// light member turns of work: [`par_windows`] over one window, the
+/// light member turns of work: `par_windows` over one window, the
 /// whole of `items`.
 ///
 /// `f` receives `(index, &item)` and must be pure per item (any

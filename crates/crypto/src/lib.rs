@@ -14,19 +14,15 @@
 //! - [`HashPrg`]: a deterministic expandable pseudorandom generator
 //!   (SHA-256 in counter mode) implementing [`rand::RngCore`], used to
 //!   derive per-role randomness reproducibly from seeds.
-//! - [`pke`]: a public-key encryption abstraction with a hybrid
-//!   Diffie–Hellman instantiation over `F_p^*` (`p = 2^61 − 1`). This is
-//!   **simulation-grade** crypto: structurally faithful (real key pairs,
-//!   real ephemeral ciphertexts, correct sizes for metering) but with a
-//!   toy security level, as documented in DESIGN.md.
-//! - [`commit`]: hash-based commitments.
+//!
+//! Role keys and keys-for-future are not here: the protocol encrypts
+//! to them with the threshold scheme's own linear PKE
+//! (`yoso_the::mock::LinearPke`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod commit;
 mod domain;
-pub mod pke;
 mod prg;
 pub mod sha256;
 mod transcript;
@@ -35,23 +31,3 @@ pub use domain::Domain;
 pub use prg::HashPrg;
 pub use sha256::Sha256;
 pub use transcript::Transcript;
-
-/// Errors produced by cryptographic operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CryptoError {
-    /// A ciphertext failed to decrypt (wrong key or corrupted bytes).
-    DecryptionFailed,
-    /// A ciphertext or key had an invalid encoding.
-    Malformed(&'static str),
-}
-
-impl std::fmt::Display for CryptoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CryptoError::DecryptionFailed => write!(f, "decryption failed"),
-            CryptoError::Malformed(what) => write!(f, "malformed {what}"),
-        }
-    }
-}
-
-impl std::error::Error for CryptoError {}

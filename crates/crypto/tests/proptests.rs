@@ -1,10 +1,10 @@
 //! Property tests for the crypto substrate: hash determinism and
 //! streaming equivalence, transcript injectivity surfaces, PRG stream
-//! consistency, PKE round trips and commitment binding.
+//! consistency.
 
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
-use yoso_crypto::{commit, pke, HashPrg, Sha256, Transcript};
+use yoso_crypto::{HashPrg, Sha256, Transcript};
 
 proptest! {
     #[test]
@@ -94,39 +94,5 @@ proptest! {
             chunked.extend_from_slice(&buf);
         }
         prop_assert_eq!(chunked, whole);
-    }
-
-    #[test]
-    fn pke_roundtrip_and_size(seed in any::<u64>(), msg in prop::collection::vec(any::<u8>(), 0..200)) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let kp = pke::keygen(&mut rng);
-        let ct = pke::encrypt(&mut rng, &kp.public, &msg);
-        prop_assert_eq!(pke::decrypt(&kp.secret, &ct).unwrap(), msg.clone());
-        prop_assert_eq!(ct.size_bytes(), 24 + msg.len());
-    }
-
-    #[test]
-    fn pke_wrong_recipient_always_fails(seed in any::<u64>(), msg in prop::collection::vec(any::<u8>(), 1..100)) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let kp1 = pke::keygen(&mut rng);
-        let kp2 = pke::keygen(&mut rng);
-        prop_assume!(kp1.public != kp2.public);
-        let ct = pke::encrypt(&mut rng, &kp1.public, &msg);
-        prop_assert!(pke::decrypt(&kp2.secret, &ct).is_err());
-    }
-
-    #[test]
-    fn commitments_bind(
-        seed in any::<u64>(),
-        msg in prop::collection::vec(any::<u8>(), 0..100),
-        other in prop::collection::vec(any::<u8>(), 0..100),
-    ) {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (c, o) = commit::commit(&mut rng, &msg);
-        prop_assert!(commit::verify(&c, &o));
-        if other != msg {
-            let forged = commit::Opening { randomness: o.randomness, message: other };
-            prop_assert!(!commit::verify(&c, &forged));
-        }
     }
 }

@@ -81,17 +81,6 @@ pub fn interpolate<F: PrimeField>(xs: &[F], ys: &[F]) -> Result<Poly<F>, FieldEr
     Ok(acc)
 }
 
-/// Evaluates the interpolating polynomial through `(xs, ys)` at the
-/// single point `x` without constructing the polynomial.
-///
-/// # Errors
-///
-/// Same conditions as [`interpolate`].
-pub fn eval_at<F: PrimeField>(xs: &[F], ys: &[F], x: F) -> Result<F, FieldError> {
-    let basis = basis_at(xs, x)?;
-    Ok(basis.iter().zip(ys).map(|(&b, &y)| b * y).sum())
-}
-
 /// Computes the Lagrange basis vector `(l_1(x), …, l_m(x))` for the
 /// node set `xs`, i.e. coefficients such that
 /// `f(x) = Σ_j l_j(x) · f(xs[j])` for every polynomial `f` of degree
@@ -127,17 +116,6 @@ pub fn basis_at<F: PrimeField>(xs: &[F], x: F) -> Result<Vec<F>, FieldError> {
     }
     let inv = batch_invert(&denoms)?;
     Ok(inv.into_iter().map(|i| prod * i).collect())
-}
-
-/// Computes the full Lagrange basis matrix `L[i][j] = l_j(targets[i])`
-/// for node set `xs`: row `i` is the recombination vector taking values
-/// at `xs` to the value at `targets[i]`.
-///
-/// # Errors
-///
-/// Same conditions as [`basis_at`].
-pub fn basis_matrix<F: PrimeField>(xs: &[F], targets: &[F]) -> Result<Vec<Vec<F>>, FieldError> {
-    targets.iter().map(|&t| basis_at(xs, t)).collect()
 }
 
 #[cfg(test)]
@@ -187,17 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_at_matches_interpolate() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let p = crate::Poly::<F61>::random(&mut rng, 6);
-        let xs: Vec<F61> = (1..=7u64).map(f).collect();
-        let ys = p.eval_many(&xs);
-        for x in [f(0), f(100), F61::from_i64(-3)] {
-            assert_eq!(eval_at(&xs, &ys, x).unwrap(), p.eval(x));
-        }
-    }
-
-    #[test]
     fn basis_at_node_is_indicator() {
         let xs: Vec<F61> = (1..=5u64).map(f).collect();
         let b = basis_at(&xs, f(3)).unwrap();
@@ -215,16 +182,14 @@ mod tests {
     }
 
     #[test]
-    fn basis_matrix_transports_evaluations() {
+    fn basis_at_transports_evaluations() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let p = crate::Poly::<F61>::random(&mut rng, 4);
         let xs: Vec<F61> = (1..=5u64).map(f).collect();
-        let targets: Vec<F61> = [0i64, -1, -2, 7].iter().map(|&v| F61::from_i64(v)).collect();
-        let m = basis_matrix(&xs, &targets).unwrap();
         let ys = p.eval_many(&xs);
-        for (row, &t) in m.iter().zip(&targets) {
-            let got: F61 = row.iter().zip(&ys).map(|(&c, &y)| c * y).sum();
-            assert_eq!(got, p.eval(t));
+        for t in [0i64, -1, -2, -3, 7, 100].map(F61::from_i64) {
+            let row = basis_at(&xs, t).unwrap();
+            assert_eq!(F61::dot(&row, &ys), p.eval(t));
         }
     }
 

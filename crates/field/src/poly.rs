@@ -85,20 +85,6 @@ impl<F: PrimeField> Poly<F> {
         Poly::new((0..=degree).map(|_| F::random(rng)).collect())
     }
 
-    /// A uniformly random polynomial of degree at most `degree` with
-    /// the prescribed value at `x = point`.
-    pub fn random_with_value<R: Rng + ?Sized>(rng: &mut R, degree: usize, point: F, value: F) -> Self {
-        let mut p = Self::random(rng, degree);
-        let delta = value - p.eval(point);
-        // Adjust the constant term is wrong if point-dependence matters;
-        // instead add delta * basis where basis(point) = 1: use constant shift
-        // only when it keeps the prescribed value exact — a constant shift
-        // changes the value at every point equally, so it is exact.
-        p = &p + &Poly::constant(delta);
-        debug_assert_eq!(p.eval(point), value);
-        p
-    }
-
     /// Multiplies by a scalar.
     pub fn scale(&self, s: F) -> Self {
         Poly::new(self.coeffs.iter().map(|&c| c * s).collect())
@@ -254,16 +240,6 @@ mod tests {
             let (q, r) = a.div_rem(&b);
             assert!(r.degree().unwrap_or(0) < b.degree().unwrap() || r.is_zero());
             assert_eq!(&(&q * &b) + &r, a);
-        }
-    }
-
-    #[test]
-    fn random_with_value_hits_target() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-        for d in 0..8 {
-            let p = Poly::<F61>::random_with_value(&mut rng, d, f(7), f(42));
-            assert_eq!(p.eval(f(7)), f(42));
-            assert!(p.degree().unwrap_or(0) <= d);
         }
     }
 

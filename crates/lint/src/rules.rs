@@ -1,5 +1,5 @@
 //! The token-stream rule families, plus dispatch into the dataflow
-//! passes ([`crate::taint`], [`crate::protocol`]).
+//! pass ([`crate::taint`]).
 
 use crate::allow::{AllowTable, Directives};
 use crate::config::{

@@ -1,9 +1,11 @@
 //! Standard (non-packed) Shamir secret sharing of a single secret.
 //!
 //! Used for the threshold-encryption key sharing (`tsk` split among a
-//! committee with threshold `t`) and for re-sharing shares between
-//! committees (`TKRes`/`TKRec`). The secret lives at point `0`; party
-//! `i` (0-based) holds the evaluation at `i + 1`.
+//! committee with threshold `t`). The key's re-share between committees
+//! (`TKRes`/`TKRec`) deals through a [`PowerTable`] and recombines
+//! through [`ZeroWeights`]; it lives with the threshold key, in
+//! `yoso_the::mock` and `yoso_core::tsk`. The secret lives at point
+//! `0`; party `i` (0-based) holds the evaluation at `i + 1`.
 
 use rand::Rng;
 
@@ -267,47 +269,6 @@ impl<F: PrimeField> PowerTable<F> {
     }
 }
 
-/// Re-shares a share: party `i` deals a degree-`t` sub-sharing of its
-/// own share `s_i` to the next committee (the `TKRes` operation). The
-/// next committee member `j` reconstructs its new share of the original
-/// secret by Lagrange-combining the subshares it received at point 0
-/// ([`recombine_subshares`], the `TKRec` operation).
-///
-/// # Errors
-///
-/// Same conditions as [`share`].
-pub fn reshare<F: PrimeField, R: Rng + ?Sized>(
-    rng: &mut R,
-    own_share: Share<F>,
-    n: usize,
-    t: usize,
-) -> Result<Vec<Share<F>>, PssError> {
-    share(rng, own_share.value, n, t)
-}
-
-/// Combines subshares received from the previous committee into a new
-/// share of the original secret.
-///
-/// `subshares[j]` must be the subshare produced for *this* party by
-/// previous-committee member `providers[j]` (0-based indices into the
-/// previous committee). Requires at least `t + 1` providers.
-///
-/// # Errors
-///
-/// - [`PssError::NotEnoughShares`] with fewer than `t + 1` providers.
-/// - [`PssError::DuplicateParty`] on repeated provider indices.
-pub fn recombine_subshares<F: PrimeField>(
-    providers: &[usize],
-    subshares: &[F],
-    t: usize,
-) -> Result<F, PssError> {
-    if providers.len() != subshares.len() || providers.len() < t + 1 {
-        return Err(PssError::NotEnoughShares { got: providers.len().min(subshares.len()), need: t + 1 });
-    }
-    check_distinct(providers.iter().copied())?;
-    Ok(ZeroWeights::new(&providers[..t + 1])?.combine(&subshares[..t + 1]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,43 +332,30 @@ mod tests {
         }
     }
 
+    /// The key's re-share (`TKRes`/`TKRec`): every old member deals a
+    /// sharing of its own share, and new member `j` recombines the
+    /// subshares addressed to it through one provider set's weights.
     #[test]
     fn reshare_preserves_secret() {
         let mut rng = rng();
-        let n = 7;
-        let t = 3;
-        let secret = f(424_242);
+        let (n, t, secret) = (7, 3, f(424_242));
         let shares = share(&mut rng, secret, n, t).unwrap();
-
-        // Every old member re-shares its share to the new committee.
-        let all_subshares: Vec<Vec<Share<F61>>> =
-            shares.iter().map(|s| reshare(&mut rng, *s, n, t).unwrap()).collect();
-
-        // New member j combines the subshares addressed to it, using
-        // any t+1 providers.
-        let providers: Vec<usize> = vec![0, 2, 4, 6];
+        let subshares: Vec<Vec<Share<F61>>> =
+            shares.iter().map(|s| share(&mut rng, s.value, n, t).unwrap()).collect();
+        let weights = ZeroWeights::new(&[0, 2, 4, 6]).unwrap();
         let new_shares: Vec<Share<F61>> = (0..n)
             .map(|j| {
-                let subs: Vec<F61> = providers.iter().map(|&p| all_subshares[p][j].value).collect();
-                Share { party: j, value: recombine_subshares(&providers, &subs, t).unwrap() }
+                let subs: Vec<F61> =
+                    weights.parties().iter().map(|&p| subshares[p][j].value).collect();
+                Share { party: j, value: weights.combine(&subs) }
             })
             .collect();
-
-        // The new shares form a valid sharing of the same secret.
-        let got = reconstruct(&new_shares[1..t + 2], t).unwrap();
-        assert_eq!(got, secret);
+        assert_eq!(reconstruct(&new_shares[1..t + 2], t).unwrap(), secret);
     }
 
     #[test]
-    fn recombine_rejects_duplicates_and_shortage() {
-        assert!(matches!(
-            recombine_subshares::<F61>(&[0, 0, 1, 2], &[f(1), f(1), f(2), f(3)], 3),
-            Err(PssError::NotEnoughShares { .. }) | Err(PssError::DuplicateParty(_))
-        ));
-        assert!(matches!(
-            recombine_subshares::<F61>(&[0, 1], &[f(1), f(2)], 3),
-            Err(PssError::NotEnoughShares { .. })
-        ));
+    fn zero_weights_reject_a_repeated_party() {
+        assert_eq!(ZeroWeights::<F61>::new(&[0, 2, 0]).unwrap_err(), PssError::DuplicateParty(0));
     }
 
     /// `D[j][c] = Δ^j[X^c](1)`, against differences taken numerically

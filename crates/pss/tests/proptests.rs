@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use yoso_field::{lagrange, Fp, F61, PrimeField};
-use yoso_pss_sharing::shamir::PowerTable;
+use yoso_pss_sharing::shamir::{PowerTable, ZeroWeights};
 use yoso_pss_sharing::{shamir, PackedSharing};
 
 fn felt() -> impl Strategy<Value = F61> {
@@ -87,23 +87,22 @@ proptest! {
         prop_assert_eq!(shamir::reconstruct(&shares[n - t - 1..], t).unwrap(), secret);
     }
 
+    /// Three handovers of the key's re-share: deal each share, recombine
+    /// the first `t + 1` providers' subshares at zero.
     #[test]
     fn shamir_reshare_chain_preserves_secret(secret in felt(), seed in any::<u64>()) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (n, t) = (7usize, 2usize);
         let mut shares = shamir::share(&mut rng, secret, n, t).unwrap();
-        // Three committee handovers.
+        let providers: Vec<usize> = (0..t + 1).collect();
+        let weights = ZeroWeights::<F61>::new(&providers).unwrap();
         for _ in 0..3 {
             let subs: Vec<Vec<_>> =
-                shares.iter().map(|s| shamir::reshare(&mut rng, *s, n, t).unwrap()).collect();
-            let providers: Vec<usize> = (0..t + 1).collect();
+                shares.iter().map(|s| shamir::share(&mut rng, s.value, n, t).unwrap()).collect();
             shares = (0..n)
                 .map(|j| {
                     let vals: Vec<F61> = providers.iter().map(|&p| subs[p][j].value).collect();
-                    yoso_pss_sharing::Share {
-                        party: j,
-                        value: shamir::recombine_subshares(&providers, &vals, t).unwrap(),
-                    }
+                    yoso_pss_sharing::Share { party: j, value: weights.combine(&vals) }
                 })
                 .collect();
         }

@@ -12,9 +12,9 @@
 //!
 //! This crate simulates that model in-process:
 //!
-//! - [`RoleId`] / [`SpeakOnce`]: role identities and the
-//!   speak-once discipline (a role's token is consumed by its single
-//!   broadcast; the type system enforces the `Spoke` semantics).
+//! - [`RoleId`]: role identities. The speak-once discipline is kept
+//!   where members act, in `yoso_core`'s committee step: one committee
+//!   posts one message per step.
 //! - [`Committee`]: a committee of `n` roles with per-role
 //!   [`Behavior`] assigned by the [`adversary`] module (honest, leaky,
 //!   active strategies, fail-stop crash schedules).
@@ -43,7 +43,7 @@ pub mod views;
 pub use adversary::{ActiveAttack, Adversary, Behavior};
 pub use board::{BulletinBoard, PhaseAccumulator, Posting};
 pub use metrics::PhaseStats;
-pub use role::{Committee, RoleId, SpeakOnce, SpokeError};
+pub use role::{Committee, RoleId};
 pub use tcp::{BoardServer, ServerHandle, ServerWireStats, TcpOptions, TcpTransport, WireStats};
 pub use transport::{
     BoardError, BoardTransport, InProcessTransport, PostRecord, PostRun, Speakers, WireMessage,

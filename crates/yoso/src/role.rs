@@ -1,8 +1,12 @@
-//! Roles, committees and the speak-once discipline.
+//! Roles and committees.
+//!
+//! A role speaks once (§2). The protocol keeps that discipline in
+//! `yoso_core`'s committee step — rule 1 picks who speaks, rule 5 posts
+//! every speaker's message in one members' run — so no per-role token
+//! is issued here.
 
 use std::fmt;
 use std::sync::Arc;
-
 
 use crate::adversary::Behavior;
 
@@ -31,63 +35,6 @@ impl RoleId {
 impl fmt::Display for RoleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}[{}]", self.committee, self.index)
-    }
-}
-
-/// Error returned when a role tries to speak twice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpokeError {
-    /// The role that violated the discipline.
-    pub role: RoleId,
-}
-
-impl fmt::Display for SpokeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "role {} has already spoken", self.role)
-    }
-}
-
-impl std::error::Error for SpokeError {}
-
-/// The speak-once token of a role: consumed by the role's single
-/// broadcast ("Spoke" in the YOSO wrapper). After speaking, the role's
-/// state must be erased; [`SpeakOnce::speak`] consumes the token so the
-/// compiler enforces the discipline, and the runtime records the event
-/// so violations by hand-rolled adversarial code are caught at runtime
-/// too.
-#[derive(Debug)]
-pub struct SpeakOnce {
-    role: RoleId,
-    spoken: bool,
-}
-
-impl SpeakOnce {
-    /// Issues the token for a role.
-    pub fn new(role: RoleId) -> Self {
-        SpeakOnce { role, spoken: false }
-    }
-
-    /// The role this token belongs to.
-    pub fn role(&self) -> &RoleId {
-        &self.role
-    }
-
-    /// Whether the role has already spoken.
-    pub fn has_spoken(&self) -> bool {
-        self.spoken
-    }
-
-    /// Consumes the single permission to speak.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpokeError`] if the role already spoke.
-    pub fn speak(&mut self) -> Result<RoleId, SpokeError> {
-        if self.spoken {
-            return Err(SpokeError { role: self.role.clone() });
-        }
-        self.spoken = true;
-        Ok(self.role.clone())
     }
 }
 
@@ -156,11 +103,6 @@ impl Committee {
     pub fn corruption_count(&self) -> usize {
         self.malicious().len()
     }
-
-    /// Issues speak-once tokens for all members.
-    pub fn tokens(&self) -> Vec<SpeakOnce> {
-        (0..self.n()).map(|i| SpeakOnce::new(self.role(i))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -172,16 +114,6 @@ mod tests {
     fn role_id_display() {
         let r = RoleId::new("off-1", 3);
         assert_eq!(r.to_string(), "off-1[3]");
-    }
-
-    #[test]
-    fn speak_once_enforced() {
-        let mut token = SpeakOnce::new(RoleId::new("c", 0));
-        assert!(!token.has_spoken());
-        assert!(token.speak().is_ok());
-        assert!(token.has_spoken());
-        let err = token.speak().unwrap_err();
-        assert_eq!(err.role, RoleId::new("c", 0));
     }
 
     #[test]
@@ -216,6 +148,5 @@ mod tests {
     fn honest_committee_has_no_corruption() {
         let c = Committee::honest("c1", 10);
         assert_eq!(c.corruption_count(), 0);
-        assert_eq!(c.tokens().len(), 10);
     }
 }

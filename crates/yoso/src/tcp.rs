@@ -96,13 +96,11 @@
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 // lint:allow(determinism): `Duration` is used only for socket
 // timeouts and retry backoff — no wall-clock value is ever read or
 // enters the posting log, so the transcript stays time-independent.
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::board::Posting;
 use crate::frame::{
@@ -547,7 +545,7 @@ fn handle_connection(shared: &ServerShared, mut stream: TcpStream, conn_id: u64)
             }
         }
     }
-    shared.conns.lock().retain(|(id, _)| *id != conn_id);
+    lock(&shared.conns).retain(|(id, _)| *id != conn_id);
 }
 
 /// Quiet period that ends a drain: a read waits this long for more
@@ -647,7 +645,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 idle_sleep = Duration::from_millis(1);
                 let conn_id = shared.next_conn.fetch_add(1, Ordering::Relaxed);
                 if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().push((conn_id, clone));
+                    lock(&shared.conns).push((conn_id, clone));
                 }
                 let shared = Arc::clone(shared);
                 let _ = std::thread::Builder::new()
@@ -665,7 +663,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
     // return immediately once the socket is shut down, they observe
     // the flag and exit. Without this an idle connection could sit in
     // a parked read forever.
-    for (_, s) in shared.conns.lock().iter() {
+    for (_, s) in lock(&shared.conns).iter() {
         let _ = s.shutdown(std::net::Shutdown::Both);
     }
 }
@@ -833,7 +831,7 @@ impl<M> TcpTransport<M> {
     ///
     /// Propagates I/O failures reaching the server.
     pub fn server_stats(&self) -> Result<ServerWireStats, BoardError> {
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &[op::GET_STATS], true)?;
         expect_stats(&c.resp)
@@ -847,7 +845,7 @@ impl<M> TcpTransport<M> {
     ///
     /// Propagates I/O failures reaching the server.
     pub fn shutdown_server(&self) -> Result<(), BoardError> {
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &[op::SHUTDOWN], false)?;
         if c.resp.first() != Some(&op::RESP_OK) {
@@ -1233,7 +1231,7 @@ impl<M: WireMessage + Clone + Send + Sync> TcpTransport<M> {
         &self,
         feed: impl FnOnce(&mut RunFrames<'_>, &mut Vec<u8>, &mut Vec<u8>) -> Result<R, BoardError>,
     ) -> Result<R, BoardError> {
-        let mut guard = self.conn.lock();
+        let mut guard = lock(&self.conn);
         let c = &mut *guard;
         let mut stream = match c.stream.take() {
             Some(s) => s,
@@ -1313,21 +1311,21 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
     }
 
     fn advance_round(&self) -> Result<u64, BoardError> {
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &[op::ADVANCE_ROUND], false)?;
         expect_value(&c.resp)
     }
 
     fn round(&self) -> Result<u64, BoardError> {
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &[op::GET_ROUND], true)?;
         expect_value(&c.resp)
     }
 
     fn len(&self) -> Result<usize, BoardError> {
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &[op::GET_LEN], true)?;
         Ok(expect_value(&c.resp)? as usize)
@@ -1336,7 +1334,7 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
     fn read_round(&self, round: u64) -> Result<Vec<Posting<M>>, BoardError> {
         let mut body = vec![op::READ_ROUND];
         put_u64(&mut body, round);
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &body, true)?;
         expect_postings(&c.resp)
@@ -1345,14 +1343,14 @@ impl<M: WireMessage + Clone + Send + Sync> BoardTransport<M> for TcpTransport<M>
     fn read_from(&self, cursor: usize) -> Result<Vec<Posting<M>>, BoardError> {
         let mut body = vec![op::READ_FROM];
         put_u64(&mut body, cursor as u64);
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &body, true)?;
         expect_postings(&c.resp)
     }
 
     fn phases(&self) -> Result<Vec<(String, PhaseStats)>, BoardError> {
-        let mut g = self.conn.lock();
+        let mut g = lock(&self.conn);
         let c = &mut *g;
         request(self.addr, &self.opts, &mut c.stream, &mut c.resp, &[op::GET_PHASES], true)?;
         expect_phases(&c.resp)
@@ -1376,6 +1374,11 @@ pub fn loopback<M: WireMessage + Clone + Send + Sync + 'static>(
     let handle = server.spawn()?;
     let board = crate::BulletinBoard::connect_tcp(handle.addr())?;
     Ok((handle, board))
+}
+
+/// Locks `mutex`, recovering it if a holder panicked.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -27,12 +27,10 @@
 //! backend — the transport-parity suite in `yoso-core` pins this.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 // lint:allow(determinism): a waiter's timeout bounds only how long it
 // sleeps on the board; no wall-clock value is read into the log.
 use std::time::Duration;
-
-use parking_lot::RwLock;
 
 use crate::board::Posting;
 use crate::metrics::{tally, PhaseStats, PhaseTable};
@@ -749,6 +747,14 @@ impl<M> InProcessTransport<M> {
         InProcessTransport { log: RwLock::new(RunLog::default()), wake: Wake::default() }
     }
 
+    fn read_log(&self) -> RwLockReadGuard<'_, RunLog<M>> {
+        self.log.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_log(&self) -> RwLockWriteGuard<'_, RunLog<M>> {
+        self.log.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Applies `f` to every posting with sequence number `>= cursor`,
     /// in order, without cloning per posting (the board server's
     /// `ReadFrom`).
@@ -756,20 +762,20 @@ impl<M> InProcessTransport<M> {
     where
         M: Clone,
     {
-        let g = self.log.read();
+        let g = self.read_log();
         g.visit(cursor.min(g.len())..g.len(), f);
     }
 
     /// Number of runs the postings occupy.
     #[cfg(test)]
     pub(crate) fn run_count(&self) -> usize {
-        self.log.read().runs.len()
+        self.read_log().runs.len()
     }
 
     /// Number of spans the postings' member indices occupy.
     #[cfg(test)]
     pub(crate) fn span_count(&self) -> usize {
-        self.log.read().members.span_count()
+        self.read_log().members.span_count()
     }
 }
 
@@ -782,7 +788,7 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         &self,
         records: &mut dyn Iterator<Item = PostRecord<M>>,
     ) -> Result<u64, BoardError> {
-        let mut g = self.log.write();
+        let mut g = self.write_log();
         let before = g.len();
         for r in records {
             g.push(r);
@@ -801,7 +807,7 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         elements: u64,
         bytes: u64,
     ) -> Result<(), BoardError> {
-        let mut g = self.log.write();
+        let mut g = self.write_log();
         for message in messages {
             if !g.extends(&from.committee, phase, message, elements, bytes) {
                 g.start_run(
@@ -820,7 +826,7 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
     }
 
     fn post_run(&self, runs: &[PostRun<'_, M>]) -> Result<(), BoardError> {
-        let mut g = self.log.write();
+        let mut g = self.write_log();
         for run in runs {
             g.push_run(run);
         }
@@ -830,26 +836,26 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
     }
 
     fn advance_round(&self) -> Result<u64, BoardError> {
-        let round = self.log.write().advance();
+        let round = self.write_log().advance();
         self.wake.notify();
         Ok(round)
     }
 
     fn round(&self) -> Result<u64, BoardError> {
-        Ok(self.log.read().round)
+        Ok(self.read_log().round)
     }
 
     fn len(&self) -> Result<usize, BoardError> {
-        Ok(self.log.read().len())
+        Ok(self.read_log().len())
     }
 
     fn read_round(&self, round: u64) -> Result<Vec<Posting<M>>, BoardError> {
-        let g = self.log.read();
+        let g = self.read_log();
         Ok(g.read(g.round_range(round)))
     }
 
     fn read_from(&self, cursor: usize) -> Result<Vec<Posting<M>>, BoardError> {
-        let g = self.log.read();
+        let g = self.read_log();
         Ok(g.read(cursor.min(g.len())..g.len()))
     }
 
@@ -863,13 +869,13 @@ impl<M: Clone + PartialEq + Send + Sync> BoardTransport<M> for InProcessTranspor
         round: u64,
         f: &mut dyn FnMut(&Posting<M>),
     ) -> Result<(), BoardError> {
-        let g = self.log.read();
+        let g = self.read_log();
         g.visit(g.round_range(round), f);
         Ok(())
     }
 
     fn phases(&self) -> Result<Vec<(String, PhaseStats)>, BoardError> {
-        Ok(self.log.read().phases().into_iter().collect())
+        Ok(self.read_log().phases().into_iter().collect())
     }
 
     fn changes(&self) -> Option<u64> {

@@ -9,9 +9,8 @@
 //! information-theoretically hidden as long as the adversary sees at
 //! most `d − k + 1` of its shares.
 
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 
 use crate::role::RoleId;
@@ -41,18 +40,19 @@ impl LeakLog {
 
     /// Records an exposure.
     pub fn record(&self, role: RoleId, object: impl Into<String>, piece: usize) {
-        self.inner.write().push(LeakEntry { role, object: object.into(), piece });
+        let entry = LeakEntry { role, object: object.into(), piece };
+        self.inner.write().unwrap_or_else(PoisonError::into_inner).push(entry);
     }
 
     /// All entries (clones).
     pub fn entries(&self) -> Vec<LeakEntry> {
-        self.inner.read().clone()
+        self.read().clone()
     }
 
     /// Number of *distinct* pieces exposed per object.
     pub fn pieces_per_object(&self) -> BTreeMap<String, usize> {
         let mut sets: BTreeMap<String, std::collections::BTreeSet<usize>> = BTreeMap::new();
-        for e in self.inner.read().iter() {
+        for e in self.read().iter() {
             sets.entry(e.object.clone()).or_default().insert(e.piece);
         }
         sets.into_iter().map(|(k, v)| (k, v.len())).collect()
@@ -64,14 +64,18 @@ impl LeakLog {
         self.pieces_per_object().values().copied().max().unwrap_or(0)
     }
 
+    fn read(&self) -> RwLockReadGuard<'_, Vec<LeakEntry>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Total entries recorded.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.read().len()
     }
 
     /// Whether nothing leaked.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        self.read().is_empty()
     }
 }
 

@@ -1,10 +1,9 @@
-//! Runtime integration tests: board round semantics, speak-once
-//! discipline under committee workflows, and adversary statistics.
+//! Runtime integration tests: board round semantics, committee
+//! workflows and adversary statistics.
 
 use rand::SeedableRng;
 use yoso_runtime::{
     sortition, ActiveAttack, Adversary, Behavior, BulletinBoard, Committee, PhaseStats, RoleId,
-    SpeakOnce,
 };
 
 #[test]
@@ -23,31 +22,6 @@ fn rounds_partition_postings() {
         assert!(posts.iter().all(|p| p.round == round));
     }
     assert_eq!(board.len().unwrap(), 12);
-}
-
-#[test]
-fn committee_tokens_enforce_speak_once_per_role() {
-    let committee = Committee::honest("c1", 5);
-    let mut tokens = committee.tokens();
-    let board: BulletinBoard<&str> = BulletinBoard::new();
-    // Every role speaks exactly once.
-    for token in &mut tokens {
-        let role = token.speak().expect("first message allowed");
-        board.post(role, "msg", "p", 1, 8).unwrap();
-    }
-    // No role can speak again.
-    for token in &mut tokens {
-        assert!(token.speak().is_err(), "second message must be rejected");
-    }
-    assert_eq!(board.len().unwrap(), 5);
-}
-
-#[test]
-fn speak_once_is_per_role_not_per_committee() {
-    let mut a = SpeakOnce::new(RoleId::new("c", 0));
-    let mut b = SpeakOnce::new(RoleId::new("c", 1));
-    assert!(a.speak().is_ok());
-    assert!(b.speak().is_ok(), "other roles unaffected");
 }
 
 #[test]

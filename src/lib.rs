@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | [`bignum`] | `yoso-bignum` | Arbitrary-precision integers (threshold Paillier substrate) |
 //! | [`field`] | `yoso-field` | `F_p` (`p = 2^61 − 1`), polynomials, Lagrange interpolation |
-//! | [`crypto`] | `yoso-crypto` | SHA-256, Fiat–Shamir transcripts, PRG, hybrid PKE, commitments |
+//! | [`crypto`] | `yoso-crypto` | SHA-256, Fiat–Shamir transcripts, NIZK challenge domains, PRG |
 //! | [`the`] | `yoso-the` | Threshold encryption (mock field TE + threshold Paillier) and NIZKs |
 //! | [`pss`] | `yoso-pss-sharing` | Packed Shamir secret sharing |
 //! | [`circuit`] | `yoso-circuit` | Arithmetic circuit IR, batching, generators |

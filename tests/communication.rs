@@ -66,7 +66,7 @@ fn baseline_online_cost_is_linear_in_committee_size() {
         let run = BaselineEngine::new(params, ExecutionConfig::sweep())
             .run(&mut rng(4), &circuit, &inputs, &Adversary::none())
             .unwrap();
-        run.elements("online/mult") as f64 / run.mul_gates as f64
+        run.online_elements_per_gate()
     };
     let small = per_gate(16);
     let large = per_gate(64);
@@ -107,8 +107,7 @@ fn improvement_ratio_tracks_twice_packing_factor() {
     let baseline = BaselineEngine::new(base_params, ExecutionConfig::sweep())
         .run(&mut rng(8), &circuit, &inputs, &Adversary::none())
         .unwrap();
-    let ratio = (baseline.elements("online/mult") as f64 / baseline.mul_gates as f64)
-        / packed.online_elements_per_gate();
+    let ratio = baseline.online_elements_per_gate() / packed.online_elements_per_gate();
     let predicted = 2.0 * params.k as f64;
     assert!(
         (ratio - predicted).abs() / predicted < 0.2,
