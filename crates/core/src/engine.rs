@@ -493,40 +493,179 @@ mod tests {
         assert!(run.offline_elements_per_gate() > run.online_elements_per_gate());
     }
 
-    /// The whole run, setup to outputs, is the same at 1, 2 and 8
-    /// workers: every posting, output and `μ`, proofs on and off, honest
-    /// and under attack. Forced workers fan out every step, however
-    /// little work it holds.
-    #[test]
-    fn run_is_identical_at_any_worker_count() {
+    /// Runs `circuit` on its own board with every step fanned out over
+    /// `workers` forced workers, however little work it holds: the
+    /// result and the posting log as `(phase, round|from|phase|message)`.
+    fn forced_run(
+        workers: usize,
+        params: ProtocolParams,
+        cfg: ExecutionConfig,
+        adv: &Adversary,
+        seed: u64,
+        circuit: &Circuit<F61>,
+        inputs: &[Vec<F61>],
+    ) -> (RunResult<F61>, Vec<(String, String)>) {
+        let board = BulletinBoard::new();
+        let mut r = rng(seed);
+        let engine = Engine::new(params, cfg);
+        let result = crate::parallel::with_forced_workers(workers, || {
+            engine.run_with_board(&mut r, circuit, inputs, adv, &board)
+        })
+        .unwrap();
+        let postings = board
+            .postings()
+            .unwrap()
+            .iter()
+            .map(|p| {
+                let line = format!("{}|{}|{}|{:?}", p.round, p.from, p.phase, p.message);
+                (p.phase.to_string(), line)
+            })
+            .collect();
+        (result, postings)
+    }
+
+    /// The (10, 2, 3) inner product of width `2k` the transcript tests
+    /// share, at `workers` forced workers.
+    fn wide_run(
+        workers: usize,
+        cfg: ExecutionConfig,
+        adv: &Adversary,
+    ) -> (RunResult<F61>, Vec<(String, String)>) {
         let params = ProtocolParams::new(10, 2, 3).unwrap();
         let circuit = generators::inner_product::<F61>(2 * params.k).unwrap();
         let inputs = [(1..=6u64).map(f).collect(), (10..16u64).map(f).collect::<Vec<_>>()];
-        let expect = circuit.evaluate(&inputs).unwrap();
+        forced_run(workers, params, cfg, adv, 4242, &circuit, &inputs)
+    }
+
+    /// The posting log grouped by phase label, lines in posting order.
+    fn by_phase(postings: &[(String, String)]) -> std::collections::BTreeMap<&str, Vec<&str>> {
+        let mut map = std::collections::BTreeMap::<&str, Vec<&str>>::new();
+        for (phase, line) in postings {
+            map.entry(phase.as_str()).or_default().push(line.as_str());
+        }
+        map
+    }
+
+    /// Every posting, output and `μ` of the honest run is the same at
+    /// 1, 2 and 8 workers, proofs on and off.
+    #[test]
+    fn transcript_identical_across_thread_counts_honest() {
         for cfg in [ExecutionConfig::default(), ExecutionConfig::sweep()] {
-            for adv in [Adversary::none(), Adversary::active(2, ActiveAttack::WrongValue)] {
-                let run = |workers| {
-                    let board = BulletinBoard::new();
-                    let mut r = rng(4242);
-                    let engine = Engine::new(params, cfg);
-                    let result = crate::parallel::with_forced_workers(workers, || {
-                        engine.run_with_board(&mut r, &circuit, &inputs, &adv, &board)
-                    })
-                    .unwrap();
-                    let postings: Vec<String> = board
-                        .postings()
-                        .unwrap()
-                        .iter()
-                        .map(|p| format!("{}|{}|{}|{:?}", p.round, p.from, p.phase, p.message))
-                        .collect();
-                    (result.outputs, result.mu, postings)
-                };
-                let inline = run(1);
-                assert_eq!(inline.0, expect);
-                for workers in [2, 8] {
-                    assert_eq!(run(workers), inline, "{workers} workers, {cfg:?}, {adv:?}");
-                }
+            let (r1, t1) = wide_run(1, cfg, &Adversary::none());
+            assert!(!t1.is_empty());
+            for workers in [2, 8] {
+                let (rn, tn) = wide_run(workers, cfg, &Adversary::none());
+                assert_eq!(t1, tn, "posting log at {workers} workers, {cfg:?}");
+                assert_eq!(r1.outputs, rn.outputs);
+                assert_eq!(r1.mu, rn.mu);
             }
+        }
+    }
+
+    /// Malicious members exercise the leak-record and garbage-proof
+    /// paths; the run is still the same at 1, 2 and 8 workers, proofs on
+    /// and off, and still outputs the cleartext result.
+    #[test]
+    fn transcript_identical_across_thread_counts_adversarial() {
+        let adv = Adversary::active(2, ActiveAttack::WrongValue);
+        let expect = generators::inner_product::<F61>(6)
+            .unwrap()
+            .evaluate(&[(1..=6u64).map(f).collect(), (10..16u64).map(f).collect()])
+            .unwrap();
+        for cfg in [ExecutionConfig::default(), ExecutionConfig::sweep()] {
+            let (r1, t1) = wide_run(1, cfg, &adv);
+            assert_eq!(r1.outputs, expect);
+            for workers in [2, 8] {
+                let (rn, tn) = wide_run(workers, cfg, &adv);
+                assert_eq!(t1, tn, "posting log at {workers} workers, {cfg:?}");
+                assert_eq!(r1.outputs, rn.outputs);
+                assert_eq!(r1.mu, rn.mu);
+            }
+        }
+    }
+
+    /// `offline/6-reenc-shares` is the widest re-encryption fan-out (one
+    /// item per mul-gate share vector), the phase most likely to expose
+    /// scheduling-dependent posting order: its slice of the log is the
+    /// same at 1, 2 and 8 workers.
+    #[test]
+    fn reenc_shares_phase_transcript_identical_across_thread_counts() {
+        const PHASE: &str = "offline/6-reenc-shares";
+        let cfg = ExecutionConfig::default();
+        let (_, t1) = wide_run(1, cfg, &Adversary::none());
+        let slice1 = by_phase(&t1).remove(PHASE).expect("phase must appear in the posting log");
+        assert!(slice1.len() > 1, "{PHASE} must carry real fan-out traffic");
+        for workers in [2, 8] {
+            let (_, tn) = wide_run(workers, cfg, &Adversary::none());
+            let slicen = by_phase(&tn).remove(PHASE).expect("phase must appear in the posting log");
+            assert_eq!(slice1, slicen, "{PHASE} posting log at {workers} workers");
+        }
+    }
+
+    /// Sliced per phase label, the log is the same at 1, 2 and 8
+    /// workers: the phase set and every slice, the four re-encryption
+    /// phases carrying real traffic.
+    #[test]
+    fn every_phase_transcript_identical_across_thread_counts() {
+        const REENC_PHASES: [&str; 4] = [
+            "offline/5-reenc-inputs",
+            "offline/6-reenc-shares",
+            "online/1-keydist",
+            "online/4-output",
+        ];
+        let cfg = ExecutionConfig::default();
+        let (_, t1) = wide_run(1, cfg, &Adversary::none());
+        let phases1 = by_phase(&t1);
+        for phase in REENC_PHASES {
+            let slice = phases1.get(phase).expect("re-encryption phase must appear in the log");
+            assert!(slice.len() > 1, "{phase} must carry real re-encryption traffic");
+        }
+        for workers in [2, 8] {
+            let (_, tn) = wide_run(workers, cfg, &Adversary::none());
+            let phasesn = by_phase(&tn);
+            assert_eq!(
+                phases1.keys().collect::<Vec<_>>(),
+                phasesn.keys().collect::<Vec<_>>(),
+                "phase set at {workers} workers"
+            );
+            for (phase, slice1) in &phases1 {
+                assert_eq!(slice1, &phasesn[phase], "{phase} posting log at {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_engine_matches_cleartext_evaluation() {
+        let circuit = generators::inner_product::<F61>(5).unwrap();
+        let inputs = [(1..=5u64).map(f).collect(), (7..12u64).map(f).collect::<Vec<_>>()];
+        let expect = circuit.evaluate(&inputs).unwrap();
+        let params = ProtocolParams::new(10, 2, 3).unwrap();
+        for workers in [2, 8] {
+            let (run, _) = forced_run(
+                workers, params, ExecutionConfig::default(), &Adversary::none(), 7, &circuit,
+                &inputs,
+            );
+            assert_eq!(run.outputs, expect, "{workers} workers");
+        }
+    }
+
+    /// Outputs, `μ`, rounds and the per-phase metering are the same at
+    /// 1, 3 and 8 workers.
+    #[test]
+    fn engine_results_identical_across_thread_counts() {
+        let circuit = generators::inner_product::<F61>(4).unwrap();
+        let inputs = [(1..=4u64).map(f).collect(), (5..=8u64).map(f).collect::<Vec<_>>()];
+        let params = ProtocolParams::new(8, 1, 2).unwrap();
+        let run = |workers| {
+            let (run, _) = forced_run(
+                workers, params, ExecutionConfig::default(), &Adversary::none(), 99, &circuit,
+                &inputs,
+            );
+            (run.outputs, run.mu, run.rounds, run.phases)
+        };
+        let inline = run(1);
+        for workers in [3, 8] {
+            assert_eq!(run(workers), inline, "{workers} workers");
         }
     }
 
