@@ -27,6 +27,7 @@ fn main() {
         ActiveAttack::BadProof,
         ActiveAttack::Silent,
         ActiveAttack::AdditiveOffset,
+        ActiveAttack::OneLie,
     ];
     let mut circuits = vec![
         ("inner_product(6)", generators::inner_product::<F61>(6).unwrap()),

@@ -56,6 +56,7 @@ fn parse_attack(opts: &Opts) -> Result<Option<ActiveAttack>, String> {
         Some("bad-proof") => Ok(Some(ActiveAttack::BadProof)),
         Some("silent") => Ok(Some(ActiveAttack::Silent)),
         Some("additive") => Ok(Some(ActiveAttack::AdditiveOffset)),
+        Some("one-lie") => Ok(Some(ActiveAttack::OneLie)),
         Some(other) => Err(format!("unknown attack {other:?}")),
     }
 }
@@ -507,6 +508,7 @@ pub fn experiments() -> Result<(), String> {
         ActiveAttack::BadProof,
         ActiveAttack::Silent,
         ActiveAttack::AdditiveOffset,
+        ActiveAttack::OneLie,
     ] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let inputs: Vec<Vec<F61>> = circuit

@@ -137,7 +137,7 @@ RUN OPTIONS:
   --clients N       clients (stats/average circuits)                     [2]
   --n N             committee size                                       [16]
   --eps F           corruption gap ε in (0, 0.5)                         [0.2]
-  --attack NAME     none | wrong-value | bad-proof | silent | additive   [none]
+  --attack NAME     none | wrong-value | bad-proof | silent | additive | one-lie   [none]
   --t-mal N         malicious roles per committee (≤ t)                  [t]
   --crashes N       fail-stop roles per committee (online mult phase)    [0]
   --seed N          RNG seed                                             [7]

@@ -94,13 +94,16 @@ impl BaselineEngine {
         BaselineEngine { params, config }
     }
 
-    /// Runs the baseline protocol.
+    /// Runs the baseline protocol on a fresh board of the configured
+    /// backend ([`ExecutionConfig::board`]), as [`crate::Engine::run`]
+    /// does.
     ///
     /// # Errors
     ///
     /// Propagates protocol errors (none occur within the corruption
     /// model); [`ProtocolError::BadParameters`] if the configured
-    /// partition does not fit inside `[0, n)`.
+    /// partition does not fit inside `[0, n)`;
+    /// [`ProtocolError::Transport`] if the board cannot be reached.
     pub fn run<F: PrimeField, R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -108,7 +111,7 @@ impl BaselineEngine {
         inputs: &[Vec<F>],
         adversary: &Adversary,
     ) -> Result<BaselineResult<F>, ProtocolError> {
-        self.run_on(rng, circuit, inputs, adversary, &BulletinBoard::new())
+        self.run_on(rng, circuit, inputs, adversary, &self.config.board.make_board()?)
     }
 
     /// [`Self::run`] on the given (fresh) board.
@@ -336,6 +339,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The configured board is the one the baseline posts to: over a
+    /// loopback `board-server` it delivers the same outputs and the same
+    /// per-phase table as in process, and the server holds the postings.
+    #[test]
+    fn baseline_posts_to_the_configured_board() {
+        let circuit = generators::inner_product::<F61>(3).unwrap();
+        let inputs = [(1..=3u64).map(f).collect(), (4..=6u64).map(f).collect::<Vec<_>>()];
+        let params = ProtocolParams::new(7, 2, 1).unwrap();
+        let run = |cfg| {
+            let mut r = rand::rngs::StdRng::seed_from_u64(15);
+            BaselineEngine::new(params, cfg).run(&mut r, &circuit, &inputs, &Adversary::none())
+        };
+        let local = run(ExecutionConfig::default()).unwrap();
+        assert_eq!(local.outputs, circuit.evaluate(&inputs).unwrap());
+
+        let server = yoso_runtime::BoardServer::bind(([127, 0, 0, 1], 0).into()).unwrap();
+        let mut handle = server.spawn().unwrap();
+        let backend = crate::BoardBackend::Tcp(handle.addr());
+        let remote = run(ExecutionConfig::default().with_board(backend)).unwrap();
+        let posted = backend.make_board().unwrap().len().unwrap();
+        handle.shutdown();
+        assert_eq!((&remote.outputs, &remote.phases), (&local.outputs, &local.phases));
+        let messages: u64 = local.phases.iter().map(|(_, s)| s.messages).sum();
+        assert_eq!(posted as u64, messages, "the server holds every posting");
     }
 
     #[test]

@@ -55,8 +55,7 @@ pub struct ExecutionConfig {
     pub dealerless_setup: bool,
     /// Threads a committee step's members fan out over, the caller's
     /// included: the heavy steps (the handover, the DKG, proved
-    /// `Decrypt` and `3-mult`), and the `Re-encrypt` items and Beaver
-    /// triples. The default is the host's cores;
+    /// `Decrypt`, `Re-encrypt` and `3-mult`), and the Beaver triples. The default is the host's cores;
     /// [`Self::with_threads`]`(1)` runs everything inline. Helpers come
     /// from one process-wide budget, so the compute threads of all runs
     /// in a process, callers included, never exceed the host's cores,
@@ -448,6 +447,7 @@ mod tests {
             ActiveAttack::BadProof,
             ActiveAttack::Silent,
             ActiveAttack::AdditiveOffset,
+            ActiveAttack::OneLie,
         ] {
             let engine =
                 Engine::new(ProtocolParams::new(10, 2, 2).unwrap(), ExecutionConfig::default());
@@ -581,6 +581,27 @@ mod tests {
                 assert_eq!(r1.outputs, rn.outputs);
                 assert_eq!(r1.mu, rn.mu);
             }
+        }
+    }
+
+    /// Members that post an honest message under its honest proof and
+    /// then change one value — in `Decrypt`, `Re-encrypt` and `3-mult`
+    /// alike, whose messages carry one proof each — are dropped: the run
+    /// still outputs the cleartext result, the same at 1, 2 and 8
+    /// workers.
+    #[test]
+    fn one_lie_in_a_message_is_dropped_at_any_worker_count() {
+        let adv = Adversary::active(2, ActiveAttack::OneLie);
+        let expect = generators::inner_product::<F61>(6)
+            .unwrap()
+            .evaluate(&[(1..=6u64).map(f).collect(), (10..16u64).map(f).collect()])
+            .unwrap();
+        let (r1, t1) = wide_run(1, ExecutionConfig::default(), &adv);
+        assert_eq!(r1.outputs, expect);
+        for workers in [2, 8] {
+            let (rn, tn) = wide_run(workers, ExecutionConfig::default(), &adv);
+            assert_eq!(t1, tn, "posting log at {workers} workers");
+            assert_eq!((&r1.outputs, &r1.mu), (&rn.outputs, &rn.mu), "{workers} workers");
         }
     }
 

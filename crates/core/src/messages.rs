@@ -9,6 +9,14 @@
 //! element of `F_p` = 8 bytes in the mock instantiation). A mock-TE or
 //! PKE ciphertext is 2 elements; a sigma-protocol proof is
 //! `rows + witness` elements.
+//!
+//! A role speaks once, so each posting is a role's whole message in its
+//! step, with one proof: a `Decrypt` holder's partials of every
+//! ciphertext, a `Re-encrypt` holder's every re-encrypted item, a
+//! `3-mult` member's share of every batch of its layer. Where the
+//! postings of a message share one witness their statements are proved
+//! as one random combination; a re-encrypted item keeps its own
+//! randomness rows (`yoso_the::nizk::combine`).
 
 use yoso_runtime::transport::{BoardError, WireCursor, WireMessage};
 
@@ -27,11 +35,13 @@ pub enum Post {
         /// Number of ciphertexts in the contribution.
         ciphertexts: u32,
     },
-    /// A partial decryption with its correctness proof
-    /// (offline Step 3 `Decrypt`).
+    /// A holder's `Decrypt` message (offline Step 3, the baseline's
+    /// multiplications): its partial decryption of each of the step's
+    /// ciphertexts and one proof for all of them.
     PartialDec,
-    /// An encrypted partial decryption (a `Re-encrypt` posting:
-    /// offline Steps 5–6, online key distribution and output).
+    /// A holder's `Re-encrypt` message (offline Steps 5–6, online key
+    /// distribution and output): each of the call's items re-encrypted
+    /// to its target, and one proof for all of them.
     EncryptedPartial,
     /// A `tsk` re-share message (commitments + `n` encrypted
     /// subshares + proof), once per committee handover.
@@ -41,8 +51,8 @@ pub enum Post {
         /// Number of input wires covered.
         wires: u32,
     },
-    /// One committee member's μ-share for a multiplication batch,
-    /// with its proof.
+    /// One committee member's `3-mult` message: its μ-share of each
+    /// multiplication batch of its layer, and one proof for all of them.
     MulShare,
     /// Baseline protocol: a client's encrypted input.
     BaselineInput,
@@ -137,12 +147,29 @@ pub const ENC_PROOF_ELEMENTS: u64 = proof_elements(2, 2);
 /// Elements in a partial-decryption proof (2 rows, 1 witness).
 pub const PDEC_PROOF_ELEMENTS: u64 = proof_elements(2, 1);
 
-/// Elements in an encrypted-partial proof (3 rows, 2 witness: the
-/// partial value and the encryption randomness).
-pub const ENC_PDEC_PROOF_ELEMENTS: u64 = proof_elements(3, 2);
-
 /// Elements in a μ-share proof (2 rows, 1 witness).
 pub const MULSHARE_PROOF_ELEMENTS: u64 = proof_elements(2, 1);
+
+/// Elements in a `Decrypt` message over `m` ciphertexts: `m` partials
+/// and one partial-decryption proof of their combination, `m + 3`.
+pub const fn decrypt_elements(m: u64) -> u64 {
+    m * PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS
+}
+
+/// Elements in a `Re-encrypt` message over `m` items: `m` ciphertexts
+/// and one proof with a key-share row and two rows per item
+/// (`2m + 1` rows, `m + 1` witness variables: the key share and each
+/// item's randomness), `5m + 2`.
+pub const fn reencrypt_elements(m: u64) -> u64 {
+    m * CT_ELEMENTS + proof_elements(2 * m + 1, m + 1)
+}
+
+/// Elements in a `3-mult` message over a layer of `batches` batches:
+/// one share per batch and one μ-share proof of their combination,
+/// `B + 3`.
+pub const fn mulshare_elements(batches: u64) -> u64 {
+    batches + MULSHARE_PROOF_ELEMENTS
+}
 
 /// Elements in a `tsk` re-share message for committee size `n`,
 /// threshold `t`: `t+1` commitments, `n` encrypted subshares, and the
@@ -168,6 +195,10 @@ mod tests {
         assert_eq!(CT_ELEMENTS, 2);
         assert_eq!(ENC_PROOF_ELEMENTS, 4);
         assert_eq!(PDEC_PROOF_ELEMENTS, 3);
+        // One proof per role message: m + 3, 5m + 2, B + 3.
+        assert_eq!((decrypt_elements(1), decrypt_elements(52)), (4, 55));
+        assert_eq!((reencrypt_elements(1), reencrypt_elements(144)), (7, 722));
+        assert_eq!((mulshare_elements(1), mulshare_elements(2)), (4, 5));
         // n = 10, t = 2: 3 + 20 + (3 + 20 + 3 + 10) = 59.
         assert_eq!(reshare_elements(10, 2), 3 + 20 + 23 + 13);
         assert_eq!(to_bytes(5), 40);

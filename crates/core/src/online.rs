@@ -11,14 +11,15 @@
 //!   wire.
 //! - **Addition** (and all linear gates): `μ` propagates locally, zero
 //!   communication.
-//! - **Multiplication**: for a batch of `k` gates, member `i` of the
-//!   layer committee opens its three packed shares
-//!   (`λ_α`, `λ_β`, `Γ`), computes
-//!   `μᵢ^γ = μᵢ^α·μᵢ^β + μᵢ^α·λᵢ^β + μᵢ^β·λᵢ^α + Γᵢ`
-//!   and publishes it with a NIZK binding it to the on-board
-//!   ciphertexts through its KFF public key. Any `t + 2(k−1) + 1`
-//!   verified shares reconstruct `μ^γ` — `n/k = O(1/ε)` elements per
-//!   gate, **independent of `n`**.
+//! - **Multiplication**: for each batch of `k` gates of its layer,
+//!   member `i` of the layer committee opens its three packed shares
+//!   (`λ_α`, `λ_β`, `Γ`) and computes
+//!   `μᵢ^γ = μᵢ^α·μᵢ^β + μᵢ^α·λᵢ^β + μᵢ^β·λᵢ^α + Γᵢ`. It publishes its
+//!   shares of all `B` batches as one message with one NIZK binding
+//!   them to the on-board ciphertexts through its KFF public key. Any
+//!   `t + 2(k−1) + 1` valid members' shares reconstruct a batch's
+//!   `μ^γ` — `n/k·(1 + 3/B) = O(1/ε)` elements per gate,
+//!   **independent of `n`**.
 //! - **Output**: the output committee `Re-encrypt*`s each output-wire
 //!   mask to the receiving client, who computes `v = μ + λ`.
 
@@ -36,14 +37,14 @@ use yoso_field::PrimeField;
 use yoso_pss_sharing::{PackedSharing, PssScratch, Share};
 use yoso_runtime::{ActiveAttack, Adversary, Behavior, LeakLog};
 use yoso_the::mock::{LinearPke, PkeKeyPair, PkePublicKey};
-use yoso_the::nizk::{ShareMap, ShareProof};
+use yoso_the::nizk::{ShareBatch, SharePosting, ShareProof};
 
-use crate::messages::{Post, MULSHARE_PROOF_ELEMENTS};
+use crate::messages::{self, Post};
 use crate::offline::OfflineArtifacts;
 use crate::parallel::{Author, PostBuffer};
 use crate::setup::SetupArtifacts;
 use crate::step::{Proved, Step, Turn};
-use crate::tsk::ReencryptedValue;
+use crate::tsk::{lie_once, proves_honestly, ReencryptedValue};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
@@ -56,17 +57,23 @@ pub struct OnlineResult<F: PrimeField> {
     pub mu: Vec<F>,
 }
 
-/// A member's posted μ-share, with the offset and the proof its reader
-/// checks it against.
-type PostedShare<F> = (Share<F>, F, Proved<Arc<ShareMap<F>>, ShareProof<F>>);
+/// A member's `3-mult` message: its posting of each batch of the layer
+/// (the share with the public offset and slope it is checked against),
+/// and the one proof for all of them.
+type LayerMessage<'b, F> = (Vec<SharePosting<F>>, Proved<&'b ShareBatch, ShareProof<F>>);
 
-/// The reader of a batch's shares: keeps `posted` if fewer than `need`
-/// are kept and it verifies. It verifies a posting only while it has
-/// fewer, and not one posting more.
-fn keep_valid<F: PrimeField>(kept: &mut Vec<Share<F>>, need: usize, posted: PostedShare<F>) {
-    let (share, offset, proof) = posted;
-    if kept.len() < need && proof.verify(|map, proof| map.verify(offset, share.value, proof)) {
-        kept.push(share);
+/// The reader of a layer's messages: keeps member `i`'s (KFF key
+/// `kff_pk`) if fewer than `need` are kept and it verifies. It verifies
+/// a message only while it has fewer, and not one message more.
+fn keep_valid<F: PrimeField>(
+    kept: &mut Vec<(usize, Vec<SharePosting<F>>)>,
+    need: usize,
+    i: usize,
+    kff_pk: &PkePublicKey<F>,
+    (postings, proof): LayerMessage<'_, F>,
+) {
+    if kept.len() < need && proof.verify(|batch, proof| batch.verify(kff_pk, &postings, proof)) {
+        kept.push((i, postings));
     }
 }
 
@@ -162,7 +169,7 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
     sb.flush_buffer(posts)?;
     sb.advance_round()?;
 
-    // ---- Gate-by-gate μ propagation; multiplications per batch.
+    // ---- Gate-by-gate μ propagation; multiplications one layer at a time.
     // Pre-index batches by layer for the committee loop.
     let phase_mul = "online/3-mult";
     let mut batches_by_layer: Vec<Vec<usize>> = vec![Vec::new(); layers];
@@ -213,68 +220,70 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
 
     // One sharing scheme per batch width, shared across layers: the
     // reconstruction-domain cache inside `PackedSharing` makes a
-    // repeated `reconstruct` k dot products. The share buffers and the
-    // scratch below are the per-batch hot path — they keep their
-    // capacity across every batch and layer.
+    // repeated `reconstruct` k dot products. The scratch and the output
+    // buffer below keep their capacity across every batch and layer.
     let mut schemes: BTreeMap<usize, PackedSharing<F>> = BTreeMap::new();
     let mut scratch = PssScratch::new();
-    let mut mu_alpha_vals: Vec<F> = Vec::new();
-    let mut mu_beta_vals: Vec<F> = Vec::new();
     let mut mu_gamma: Vec<F> = Vec::new();
+    let combination = ShareBatch::new::<F>();
     for (layer_idx, layer_batches) in batches_by_layer.iter().enumerate() {
         propagate_stage(&mut mu, layer_idx)?;
         let committee = adversary.sample_committee(rng, format!("on-mult-{layer_idx}"), n);
+        // Per batch: the shares a reconstruction needs, and the public
+        // degree-(k_b − 1) packed sharings of the μ vectors.
+        let mut needs = Vec::with_capacity(layer_batches.len());
+        let mut public = Vec::with_capacity(layer_batches.len());
         for &b_idx in layer_batches {
             let batch = &bc.mul_batches[b_idx];
-            let shares = &offline.batch_shares[b_idx];
             let k_b = batch.gates.len();
             let scheme = match schemes.entry(k_b) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(v) => v.insert(PackedSharing::<F>::new(n, k_b)?),
             };
-            let rec_degree = params.t + 2 * (k_b - 1);
-
-            // Public degree-(k_b − 1) packed sharings of the μ vectors.
-            let mu_alpha: Vec<F> = batch
-                .left_wires(circuit)
-                .iter()
-                .map(|w| {
-                    mu[w.0].ok_or(ProtocolError::Invariant(
-                        "mul-gate left input μ not propagated before its layer",
-                    ))
-                })
+            needs.push(params.t + 2 * (k_b - 1) + 1);
+            let mu_of = |w: &yoso_circuit::WireId, missing| {
+                mu[w.0].ok_or(ProtocolError::Invariant(missing))
+            };
+            let mu_alpha: Vec<F> = (batch.left_wires(circuit).iter())
+                .map(|w| mu_of(w, "mul-gate left input μ not propagated before its layer"))
                 .collect::<Result<_, _>>()?;
-            let mu_beta: Vec<F> = batch
-                .right_wires(circuit)
-                .iter()
-                .map(|w| {
-                    mu[w.0].ok_or(ProtocolError::Invariant(
-                        "mul-gate right input μ not propagated before its layer",
-                    ))
-                })
+            let mu_beta: Vec<F> = (batch.right_wires(circuit).iter())
+                .map(|w| mu_of(w, "mul-gate right input μ not propagated before its layer"))
                 .collect::<Result<_, _>>()?;
-            scheme.share_public_into(&mu_alpha, &mut mu_alpha_vals, &mut scratch)?;
-            scheme.share_public_into(&mu_beta, &mut mu_beta_vals, &mut scratch)?;
+            let (mut alpha_vals, mut beta_vals) = (Vec::new(), Vec::new());
+            scheme.share_public_into(&mu_alpha, &mut alpha_vals, &mut scratch)?;
+            scheme.share_public_into(&mu_beta, &mut beta_vals, &mut scratch)?;
+            public.push((alpha_vals, beta_vals));
+        }
 
-            // Per-member share computation is independent: the step
-            // fans it out and folds in member order. This step draws a
-            // seed for *every* member, speaking or not; leak records and
-            // the first `need` valid shares, verified only until there
-            // are that many, follow in member order.
-            let step =
-                Step::new(&committee, sb, phase_mul, Post::MulShare, 1 + MULSHARE_PROOF_ELEMENTS);
-            // A share is a few multiplications; only its proof is worth
-            // a thread.
-            let step = if cfg.produce_proofs { step } else { step.inline() };
-            let step = step.drawing_for_everyone();
-            let mut posts = PostBuffer::new();
-            let need = rec_degree + 1;
-            let mut kept: Vec<Share<F>> = Vec::with_capacity(need);
-            let work = |turn: Turn<&()>, ()| {
-                let i = turn.index;
-                let kff_pk = setup.kff_pairs[layer_idx][i].public;
-                let ma = mu_alpha_vals[i];
-                let mb = mu_beta_vals[i];
+        // One step per layer: a member's message is its share of every
+        // batch and one proof of their combination. Members are
+        // independent: the step fans them out and folds in member
+        // order. It draws a seed for *every* member, speaking or not;
+        // leak records and the first `need` valid messages, verified
+        // only until there are that many, follow in member order. A
+        // batch opens from the first of them it needs.
+        let elements = messages::mulshare_elements(layer_batches.len() as u64);
+        let step = Step::new(&committee, sb, phase_mul, Post::MulShare, elements);
+        // A share is a few multiplications; only the proof is worth a
+        // thread.
+        let step = if cfg.produce_proofs { step } else { step.inline() };
+        let step = step.drawing_for_everyone();
+        let mut posts = PostBuffer::new();
+        let need = needs.iter().copied().max().unwrap_or(0);
+        let mut kept: Vec<(usize, Vec<SharePosting<F>>)> = Vec::with_capacity(need);
+        let work = |mut turn: Turn<_>, ()| {
+            let i = turn.index;
+            let kff_pk = setup.kff_pairs[layer_idx][i].public;
+            // Recover the KFF secret via the role key; the honest shares
+            // follow from it.
+            let kff_sk =
+                kff_prime[layer_idx * n + i].open(role_keys[layer_idx][i].secret.scalar)?;
+            let attack = turn.attack();
+            let mut postings = Vec::with_capacity(layer_batches.len());
+            for (&b_idx, (alpha_vals, beta_vals)) in layer_batches.iter().zip(&public) {
+                let shares = &offline.batch_shares[b_idx];
+                let (ma, mb) = (alpha_vals[i], beta_vals[i]);
                 // Public opening coefficients of the three re-encrypted
                 // packed shares (value = a − sk·b).
                 let (a_al, b_al) = shares.alpha[i].opening_coefficients()?;
@@ -282,41 +291,48 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
                 let (a_ga, b_ga) = shares.gamma[i].opening_coefficients()?;
                 let offset = ma * mb + ma * a_be + mb * a_al + a_ga;
                 let slope = ma * b_be + mb * b_al + b_ga;
-                // Key and slope are this member's alone: one map per
-                // posting, built only where it is proved, and handed on
-                // with the proof to its reader.
-                let mut turn = turn
-                    .with_own_map(cfg.produce_proofs, || Arc::new(ShareMap::new(&kff_pk, slope)));
-                // Recover the KFF secret via the role key; the honest
-                // share follows from it.
-                let kff_sk =
-                    kff_prime[layer_idx * n + i].open(role_keys[layer_idx][i].secret.scalar)?;
                 let honest = offset - kff_sk * slope;
-                let attack = turn.attack();
-                let value = match attack {
-                    None | Some(ActiveAttack::BadProof) => honest,
+                let published = match attack {
+                    None | Some(ActiveAttack::BadProof | ActiveAttack::OneLie) => honest,
                     Some(ActiveAttack::AdditiveOffset) => honest + F::ONE,
                     Some(_) => F::random(&mut turn.rng),
                 };
-                let proof = turn.prove(|map, rng| match attack {
-                    None => map.prove(rng, offset, honest, kff_sk),
-                    Some(_) => ShareProof::garbage(rng),
-                });
-                Ok((Share { party: i, value }, offset, proof))
-            };
-            let everyone = step.everyone();
-            step.run(rng, &mut posts, None, everyone, work, |i, posted: Result<_, ProtocolError>| {
+                postings.push(SharePosting { offset, slope, published });
+            }
+            let proof = turn.prove(|combination: &&ShareBatch, rng| {
+                if proves_honestly(attack) {
+                    combination.prove(rng, &kff_pk, &postings, kff_sk)
+                } else {
+                    ShareProof::garbage(rng)
+                }
+            });
+            lie_once(attack, postings.last_mut().map(|posting| &mut posting.published));
+            Ok((postings, proof))
+        };
+        let everyone = step.everyone();
+        let prover = cfg.produce_proofs.then_some(&combination);
+        step.run(
+            rng,
+            &mut posts,
+            prover,
+            everyone,
+            work,
+            |i, message: Result<_, ProtocolError>| {
                 if matches!(committee.behavior(i), Behavior::Malicious(_) | Behavior::Leaky) {
-                    // The corrupted role's KFF opens all three of its
-                    // packed shares — record the exposure.
-                    for which in ["alpha", "beta", "gamma"] {
-                        leak.record(committee.role(i), format!("batch{b_idx}/{which}"), i);
+                    // The corrupted role's KFF opens all three of its packed
+                    // shares of every batch — record the exposure.
+                    for &b_idx in layer_batches {
+                        for which in ["alpha", "beta", "gamma"] {
+                            leak.record(committee.role(i), format!("batch{b_idx}/{which}"), i);
+                        }
                     }
                 }
-                keep_valid(&mut kept, need, posted?);
+                keep_valid(&mut kept, need, i, &setup.kff_pairs[layer_idx][i].public, message?);
                 Ok(())
-            })?;
-            sb.flush_buffer(posts)?;
+            },
+        )?;
+        sb.flush_buffer(posts)?;
+        for ((b, &b_idx), need) in layer_batches.iter().enumerate().zip(needs) {
             if kept.len() < need {
                 return Err(ProtocolError::NotEnoughContributions {
                     step: "mul-share reconstruction",
@@ -324,7 +340,14 @@ pub fn run_online<F: PrimeField, R: Rng + ?Sized>(
                     need,
                 });
             }
-            scheme.reconstruct_into(&kept, rec_degree, &mut mu_gamma, &mut scratch)?;
+            let batch = &bc.mul_batches[b_idx];
+            let shares: Vec<Share<F>> = (kept[..need].iter())
+                .map(|(party, postings)| Share { party: *party, value: postings[b].published })
+                .collect();
+            let scheme = schemes
+                .get(&batch.gates.len())
+                .ok_or(ProtocolError::Invariant("no sharing scheme for a batch's width"))?;
+            scheme.reconstruct_into(&shares, need - 1, &mut mu_gamma, &mut scratch)?;
             for (j, gw) in batch.gates.iter().enumerate() {
                 mu[gw.0] = Some(mu_gamma[j]);
             }
@@ -365,71 +388,107 @@ mod tests {
     use rand::SeedableRng;
     use yoso_field::F61;
 
-    /// The first `need` valid shares of `posted`, read in order.
-    fn first_valid_shares(posted: Vec<PostedShare<F61>>, need: usize) -> Vec<Share<F61>> {
+    type Kept = Vec<(usize, Vec<SharePosting<F61>>)>;
+
+    /// The first `need` valid messages of `posted`, read in order.
+    fn first_valid(posted: Vec<(PkePublicKey<F61>, LayerMessage<'_, F61>)>, need: usize) -> Kept {
         let mut kept = Vec::with_capacity(need);
-        for posted in posted {
-            keep_valid(&mut kept, need, posted);
+        for (i, (kff_pk, message)) in posted.into_iter().enumerate() {
+            keep_valid(&mut kept, need, i, &kff_pk, message);
         }
         kept
     }
 
-    /// `n` members' μ-share postings of one batch, the first `forged` of
-    /// them a wrong value under a garbage proof, as the worker that
-    /// proves them all posts them (`proofs`) or as one that predicts
-    /// them.
-    fn postings(n: usize, forged: usize, proofs: bool) -> Vec<PostedShare<F61>> {
+    /// `n` members' `3-mult` messages over `batches` batches, as the
+    /// worker that proves them all posts them (`proofs`) or as one that
+    /// predicts them: the first `forged` post a wrong share of every
+    /// batch under a garbage proof, and each member in `liars` posts its
+    /// honest shares under its honest proof, then adds one to its last.
+    fn messages<'b>(
+        combination: &'b ShareBatch,
+        n: usize,
+        batches: usize,
+        forged: usize,
+        liars: &[usize],
+        proofs: bool,
+    ) -> Vec<(PkePublicKey<F61>, LayerMessage<'b, F61>)> {
         let mut r = rand::rngs::StdRng::seed_from_u64(20261035);
         (0..n)
             .map(|i| {
                 let kp = LinearPke::<F61>::keygen(&mut r);
-                let (offset, slope) = (F61::random(&mut r), F61::random(&mut r));
-                let honest = offset - kp.secret.scalar * slope;
-                let value = if i < forged { F61::random(&mut r) } else { honest };
+                let mut postings: Vec<SharePosting<F61>> = (0..batches)
+                    .map(|_| {
+                        let (offset, slope) = (F61::random(&mut r), F61::random(&mut r));
+                        let published = offset - kp.secret.scalar * slope;
+                        SharePosting { offset, slope, published }
+                    })
+                    .collect();
+                let lies = liars.contains(&i);
+                let valid = i >= forged && !lies;
+                if i < forged {
+                    postings.iter_mut().for_each(|p| p.published = F61::random(&mut r));
+                }
                 let proof = if !proofs {
-                    Proved::Predicted(i >= forged)
+                    Proved::Predicted(valid)
+                } else if i < forged {
+                    Proved::Made(combination, ShareProof::garbage(&mut r))
                 } else {
-                    let map = ShareMap::new(&kp.public, slope);
-                    let proof = if i < forged {
-                        ShareProof::garbage(&mut r)
-                    } else {
-                        map.prove(&mut r, offset, honest, kp.secret.scalar)
-                    };
-                    Proved::Made(Arc::new(map), proof)
+                    let proof = combination.prove(&mut r, &kp.public, &postings, kp.secret.scalar);
+                    Proved::Made(combination, proof)
                 };
-                (Share { party: i, value }, offset, proof)
+                if lies {
+                    postings.last_mut().unwrap().published += F61::ONE;
+                }
+                (kp.public, (postings, proof))
             })
             .collect()
     }
 
-    #[test]
-    fn a_batch_reconstructs_from_the_first_valid_shares_when_early_members_lie() {
-        let (n, need) = (12, 5);
-        for forged in [0, 3, need] {
-            for proofs in [true, false] {
-                let kept = first_valid_shares(postings(n, forged, proofs), need);
-                let parties: Vec<usize> = kept.iter().map(|s| s.party).collect();
-                assert_eq!(parties, (forged..forged + need).collect::<Vec<_>>(), "{forged}");
-            }
-        }
-        // Too few valid ones: every valid one, for the caller to refuse.
-        let kept = first_valid_shares(postings(n, n - need + 1, true), need);
-        assert_eq!(kept.len(), need - 1);
+    fn parties(kept: &Kept) -> Vec<usize> {
+        kept.iter().map(|(i, _)| *i).collect()
     }
 
-    /// Exact and host-independent: the reader of a `3-mult` batch
-    /// verifies `rec_degree + 1` postings, one block each, and as many
-    /// more as there are forgeries among them.
+    #[test]
+    fn a_batch_reconstructs_from_the_first_valid_shares_when_early_members_lie() {
+        let combination = ShareBatch::new::<F61>();
+        let (n, need) = (12, 5);
+        for batches in [1, 3] {
+            for forged in [0, 3, need] {
+                for proofs in [true, false] {
+                    let posted = messages(&combination, n, batches, forged, &[], proofs);
+                    let kept = first_valid(posted, need);
+                    assert_eq!(parties(&kept), (forged..forged + need).collect::<Vec<_>>());
+                }
+            }
+            // One lie in a message under its honest proof drops the
+            // member from every batch.
+            let posted = messages(&combination, n, batches, 0, &[1, 2], true);
+            assert_eq!(parties(&first_valid(posted, need)), [0, 3, 4, 5, 6]);
+        }
+        // Too few valid ones: every valid one, for the caller to refuse.
+        let posted = messages(&combination, n, 2, n - need + 1, &[], true);
+        assert_eq!(first_valid(posted, need).len(), need - 1);
+    }
+
+    /// Exact and host-independent: the reader of a `3-mult` layer
+    /// verifies `need` messages, and as many more as there are forgeries
+    /// among them; a message costs its `ρ` — key and `3B` values,
+    /// ⌈(16 + 24·B + 9) / 64⌉ blocks — its member's map (two of digest,
+    /// one of prefix) and its challenge (one).
     #[cfg(debug_assertions)]
     #[test]
     fn a_batch_verifies_rec_degree_plus_one_postings() {
         use yoso_crypto::sha256::compressions_of;
+        let combination = ShareBatch::new::<F61>();
         let (n, need) = (12, 5);
-        for forged in [0, 3] {
-            let posted = postings(n, forged, true);
-            let (kept, blocks) = compressions_of(|| first_valid_shares(posted, need));
-            assert_eq!(kept.len(), need);
-            assert_eq!(blocks, (need + forged) as u64, "{forged} forged");
+        for batches in [1usize, 2, 4] {
+            let per_message = (16 + 24 * batches as u64 + 9).div_ceil(64) + 3 + 1;
+            for forged in [0, 3] {
+                let posted = messages(&combination, n, batches, forged, &[], true);
+                let (kept, blocks) = compressions_of(|| first_valid(posted, need));
+                assert_eq!(kept.len(), need);
+                assert_eq!(blocks, per_message * (need + forged) as u64, "{batches}, {forged}");
+            }
         }
     }
 }

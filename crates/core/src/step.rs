@@ -46,8 +46,6 @@ pub(crate) struct Step<'a> {
     phase_index: u64,
     post: Post,
     elements: u64,
-    /// Postings per speaker (one, unless the step covers a batch).
-    postings: usize,
     /// Whether a seed is drawn for every candidate, speaking or not.
     every: bool,
 }
@@ -61,8 +59,9 @@ struct Speaker<T> {
 
 impl<'a> Step<'a> {
     /// A step in which every speaker posts one `post` of `elements`
-    /// ring elements, onto the board view `sb` (which says who this
-    /// worker owns and how many threads it computes with).
+    /// ring elements — its whole message — onto the board view `sb`
+    /// (which says who this worker owns and how many threads it
+    /// computes with).
     pub(crate) fn new(
         committee: &'a Committee,
         sb: &ShardedBoard<'_>,
@@ -72,23 +71,16 @@ impl<'a> Step<'a> {
     ) -> Self {
         let phase_index = crate::engine::phase_index(phase);
         let (partition, threads) = (sb.partition(), sb.threads());
-        let (postings, every) = (1, false);
-        Step { committee, partition, threads, phase, phase_index, post, elements, postings, every }
+        Step { committee, partition, threads, phase, phase_index, post, elements, every: false }
     }
 
     /// The same step with its members run on the calling thread: a light
-    /// step — a contribution, a re-encrypted item, an unproved
-    /// `Decrypt` or `3-mult` posting — whose members cost less than
-    /// handing them to another thread; where many run side by side as
-    /// items (`Re-encrypt`, Beaver triples), the items fan out.
+    /// step — a contribution, an unproved `Decrypt`, `Re-encrypt` or
+    /// `3-mult` message — whose members cost less than handing them to
+    /// another thread; where many run side by side as items (Beaver
+    /// triples), the items fan out.
     pub(crate) fn inline(mut self) -> Self {
         self.threads = 1;
-        self
-    }
-
-    /// The same step over a batch: `postings` posts per speaker.
-    pub(crate) fn with_postings(mut self, postings: usize) -> Self {
-        self.postings = postings;
         self
     }
 
@@ -101,6 +93,19 @@ impl<'a> Step<'a> {
     fn speaker(&self, member: usize) -> Option<Behavior> {
         let behavior = *self.committee.behavior(member);
         behavior.participates_at(self.phase_index).then_some(behavior)
+    }
+
+    /// Rule 4 where nobody proves, ahead of the step: the first `need`
+    /// speakers of `members` whose postings the behavior predicts valid
+    /// — the roles a threshold step keeps, known before any of them
+    /// computes.
+    pub(crate) fn predicted_valid(
+        &self,
+        members: impl IntoIterator<Item = usize>,
+        need: usize,
+    ) -> Vec<usize> {
+        let follows = |member: &usize| self.speaker(*member).is_some_and(|b| attack(b).is_none());
+        members.into_iter().filter(follows).take(need).collect()
     }
 
     /// The same step drawing a seed for every candidate, speaking or
@@ -117,7 +122,7 @@ impl<'a> Step<'a> {
     pub(crate) fn speakers(&self, members: impl IntoIterator<Item = usize>) -> Speakers {
         let mut speakers = Speakers::new();
         for member in members.into_iter().filter(|&member| self.speaker(member).is_some()) {
-            self.push(&mut speakers, member);
+            speakers.push(member);
         }
         speakers
     }
@@ -132,20 +137,12 @@ impl<'a> Step<'a> {
         posts.open_run(Author::Members, &self.committee.name, self.post, self.phase, self.elements)
     }
 
-    /// Rule 5: `member`'s postings, onto the step's run.
-    fn push(&self, run: &mut Speakers, member: usize) {
-        for _ in 0..self.postings {
-            run.push(member);
-        }
-    }
-
     /// Rules 2 and 3: `index`'s turn from its child seed; it keeps the
     /// `prover` only if this worker owns the member.
     fn turn<M>(&self, index: usize, seed: u64, prover: Option<M>) -> Turn<M> {
-        let owned = self.partition.owns(index);
         let behavior = *self.committee.behavior(index);
-        let (rng, prover) = (StdRng::seed_from_u64(seed), prover.filter(|_| owned));
-        Turn { index, behavior, owned, rng, prover }
+        let prover = prover.filter(|_| self.partition.owns(index));
+        Turn { index, behavior, rng: StdRng::seed_from_u64(seed), prover }
     }
 
     /// The whole step on the caller's RNG, and its postings recorded
@@ -228,15 +225,15 @@ impl<'a> Step<'a> {
                 }
                 let seed = drawn.unwrap_or_else(|| rng.next_u64());
                 if let Some(run) = run.as_deref_mut() {
-                    self.push(run, index);
+                    run.push(index);
                 }
                 return Some(Speaker { index, seed, held });
             }
             None
         };
         // A member's work grows with what it posts: a dealing's `O(n)`
-        // elements, a batch's postings.
-        let turns = self.committee.n() * self.postings * self.elements as usize;
+        // elements, a message's values.
+        let turns = self.committee.n() * self.elements as usize;
         par_windows(
             self.threads,
             turns,
@@ -248,38 +245,33 @@ impl<'a> Step<'a> {
     }
 }
 
-/// One member's turn in a [`Step`]. `M` holds the map its postings are
-/// proved over and is cloned into each proof: a reference to the step's
-/// shared map, or an `Arc` of a map of the member's own.
+/// One member's turn in a [`Step`]. `M` holds what its message is
+/// proved over — a reference to the step's shared map — and is cloned
+/// into the proof.
 pub(crate) struct Turn<M> {
     /// The member's index in its committee.
     pub(crate) index: usize,
     /// How the adversary has the member behave.
     pub(crate) behavior: Behavior,
-    /// Whether this worker owns the member.
-    owned: bool,
     /// The member's own randomness: values first, proofs after.
     pub(crate) rng: StdRng,
     /// Present where this worker proves the posting.
     prover: Option<M>,
 }
 
-impl<M> Turn<M> {
-    /// The attack the member mounts; `None` if it follows the protocol
-    /// (honest, leaky, or fail-stop and not yet crashed).
-    pub(crate) fn attack(&self) -> Option<ActiveAttack> {
-        match self.behavior {
-            Behavior::Malicious(attack) => Some(attack),
-            Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => None,
-        }
+/// The attack a member that behaves so mounts; `None` if it follows the
+/// protocol (honest, leaky, or fail-stop and not yet crashed).
+fn attack(behavior: Behavior) -> Option<ActiveAttack> {
+    match behavior {
+        Behavior::Malicious(attack) => Some(attack),
+        Behavior::Honest | Behavior::Leaky | Behavior::FailStop { .. } => None,
     }
+}
 
-    /// The same turn proving over a map of the member's own, which
-    /// `map` builds only where this worker proves it: proofs are on
-    /// (`proofs`) and the member is owned.
-    pub(crate) fn with_own_map<N>(self, proofs: bool, map: impl FnOnce() -> N) -> Turn<N> {
-        let Turn { index, behavior, owned, rng, .. } = self;
-        Turn { index, behavior, owned, rng, prover: (proofs && owned).then(map) }
+impl<M> Turn<M> {
+    /// The attack the member mounts; `None` if it follows the protocol.
+    pub(crate) fn attack(&self) -> Option<ActiveAttack> {
+        attack(self.behavior)
     }
 
     /// Rule 3: the member's proof, the last thing its turn draws. Where
@@ -287,7 +279,7 @@ impl<M> Turn<M> {
     /// witness if the member follows the protocol, a forgery otherwise —
     /// for the reader to check; elsewhere nothing is drawn and the
     /// posting is predicted valid exactly when the member follows the
-    /// protocol. A batch's turn proves once per posting.
+    /// protocol. A turn proves its whole message once.
     pub(crate) fn prove<P>(&mut self, prove: impl FnOnce(&M, &mut StdRng) -> P) -> Proved<M, P>
     where
         M: Clone,
@@ -487,7 +479,7 @@ mod tests {
         let mut posts = PostBuffer::new();
         let board = BulletinBoard::new();
         let sb = ShardedBoard::new(&board, RolePartition::solo());
-        let step = Step::new(&committee, &sb, PHASE, Post::PartialDec, 4).with_postings(2);
+        let step = Step::new(&committee, &sb, PHASE, Post::PartialDec, 4);
         step.run(&mut rng, &mut posts, None::<&()>, step.everyone(), |_, ()| {}, |_, ()| Ok(()))
             .unwrap();
         let runs: Vec<_> = posts.runs().collect();
@@ -496,9 +488,10 @@ mod tests {
         assert_eq!(*author, Author::Members);
         assert_eq!((&**run.committee, run.phase, *run.message), ("c", PHASE, Post::PartialDec));
         assert_eq!((run.elements, run.bytes), (4, 32));
-        assert_eq!(run.members.iter().collect::<Vec<_>>(), [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
-        // A member posting twice in a row is one span: at most n.
-        assert!(run.members.span_count() <= 5);
+        // A member's whole message is one posting; consecutive members
+        // are one span.
+        assert_eq!(run.members.iter().collect::<Vec<_>>(), [0, 1, 2, 3, 4]);
+        assert_eq!(run.members.span_count(), 1);
     }
 
     /// What a 200-member threshold step reads: every speaker's value in

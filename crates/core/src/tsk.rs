@@ -4,12 +4,12 @@
 //! committee. A committee holding it can, each role speaking once:
 //!
 //! - **decrypt** ciphertexts publicly ([`TskChain::decrypt`], the
-//!   paper's `Decrypt` / Protocol 2): each role posts cleartext
-//!   partial decryptions with correctness NIZKs;
+//!   paper's `Decrypt` / Protocol 2): each role posts its cleartext
+//!   partial decryptions with one correctness NIZK for all of them;
 //! - **re-encrypt** ciphertexts to a target public key
 //!   ([`TskChain::reencrypt`], the paper's `Re-encrypt` / Protocol 1):
 //!   each role posts its partial decryptions *encrypted* under the
-//!   target key, again with NIZKs — only the target learns the value;
+//!   target keys, again with one NIZK — only a target learns its value;
 //! - **hand over** the key to the next committee
 //!   ([`TskChain::handover`], `TKRes`/`TKRec`): each role posts
 //!   Feldman commitments plus subshares encrypted to the next
@@ -18,46 +18,66 @@
 //!
 //! Malicious roles post garbage (their proofs fail), silent/crashed
 //! roles post nothing; all consumers filter to proof-verified
-//! contributions, which under `t < n/2` always suffice — this is where
-//! guaranteed output delivery comes from.
-
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, PoisonError};
+//! messages, which under `t < n/2` always suffice — this is where
+//! guaranteed output delivery comes from. A role's message is kept or
+//! dropped whole, so every value of a step opens from the same roles.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use yoso_crypto::Domain;
 use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::{PowerTable, ZeroWeights};
 use yoso_runtime::{ActiveAttack, Behavior, Committee, LeakLog};
 use yoso_the::mock::{Ciphertext, KeyShare, LinearPke, MockTe, PkeKeyPair, PkePublicKey, PublicKey};
-use yoso_the::nizk::{self, DealMap, LinearMap, PdecMap, PdecProof, ReshareProof};
+use yoso_the::nizk::{self, DealMap, LinearMap, PdecBatch, PdecProof, ReshareProof};
 
-use crate::messages::{
-    self, Post, CT_ELEMENTS, ENC_PDEC_PROOF_ELEMENTS, PDEC_ELEMENTS, PDEC_PROOF_ELEMENTS,
-};
+use crate::messages::{self, Post};
 use crate::parallel::PostBuffer;
 use crate::step::{Proved, Step, Turn};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
-/// A `Decrypt` partial's proof, over its ciphertexts' maps.
-type PdecProved<'m, F> = Proved<&'m Vec<PdecMap<F>>, PdecProof<F>>;
+/// A holder's partial decryption of `ct`, as its `attack` has it.
+fn partial<F: PrimeField>(
+    rng: &mut StdRng,
+    share: &KeyShare<F>,
+    attack: Option<ActiveAttack>,
+    ct: &Ciphertext<F>,
+) -> F {
+    match attack {
+        None | Some(ActiveAttack::BadProof | ActiveAttack::OneLie) => {
+            MockTe::partial_decrypt(share, ct).value
+        }
+        Some(_) => F::random(rng),
+    }
+}
 
-/// Offers member `member`'s (verification key `vk`) partial `d` of
-/// ciphertext `c_idx` to the ciphertext's kept set: its first `t + 1`
-/// valid partials, verified only until it has them.
-fn keep_partial<F: PrimeField>(
-    kept: &mut FirstValid<F>,
-    member: usize,
-    vk: F,
-    c_idx: usize,
-    d: F,
-    proof: &PdecProved<'_, F>,
-) {
-    let valid = || proof.verify(|maps, proof| maps[c_idx].verify(vk, d, proof));
-    kept.offer(member, valid, || [d]);
+/// Whether a member mounting `attack` proves its message from its
+/// honest witness.
+pub(crate) fn proves_honestly(attack: Option<ActiveAttack>) -> bool {
+    matches!(attack, None | Some(ActiveAttack::OneLie))
+}
+
+/// What a member mounting `attack` does to one value of its message
+/// after proving it ([`ActiveAttack::OneLie`]: adds one).
+pub(crate) fn lie_once<F: PrimeField>(attack: Option<ActiveAttack>, value: Option<&mut F>) {
+    if let (Some(ActiveAttack::OneLie), Some(value)) = (attack, value) {
+        *value += F::ONE;
+    }
+}
+
+/// A holder's `Re-encrypt` of one item: its partial decryption of the
+/// source ciphertext `ct`, as its `attack` has it, encrypted to
+/// `target`, with the encryption randomness.
+fn reencrypted<F: PrimeField>(
+    rng: &mut StdRng,
+    share: &KeyShare<F>,
+    attack: Option<ActiveAttack>,
+    (target, ct): &(PkePublicKey<F>, Ciphertext<F>),
+) -> (Ciphertext<F>, F) {
+    let d = partial(rng, share, attack, ct);
+    LinearPke::encrypt(rng, target, d)
 }
 
 /// A value re-encrypted from `tpk` to a target public key, folded to
@@ -87,12 +107,12 @@ impl<F: PrimeField> ReencryptedValue<F> {
     /// underlying value equals `a − sk·b` for the target's secret
     /// key `sk`.
     ///
-    /// They are folded from the first `t + 1` verified posts. The
-    /// Lagrange recombination of the partial decryptions happens
+    /// They are folded from the step's first `t + 1` valid messages.
+    /// The Lagrange recombination of the partial decryptions happens
     /// *inside* the ciphertexts: combining `(u_j, v_j)` with
     /// coefficients `w_j` yields an encryption of the combined partial
     /// `s·u_ct`, so `value = v_ct − (a_v − sk·a_u)` … folded into
-    /// `(a, b)` when the item's step ends.
+    /// `(a, b)` when the step ends.
     ///
     /// # Errors
     ///
@@ -142,113 +162,113 @@ impl<F: PrimeField> PostedReshare<'_, F> {
     }
 }
 
-/// Recombination weights by canonical provider subset. A batch has one
-/// entry unless some member's posts verify on only some of its items.
-type WeightCache<F> = BTreeMap<Vec<usize>, Arc<ZeroWeights<F>>>;
-
-/// The first `t + 1` verified contributions to one threshold opening, in
-/// posting order: all that its recombination reads of a step's postings.
-/// Every step that opens from `t + 1` keeps one as it runs — a
-/// `Decrypt` ciphertext, a `Re-encrypt` item, a handover — and drops
-/// each later contribution as soon as it is posted, unverified.
+/// What a threshold step — a `Decrypt`, a `Re-encrypt`, a handover —
+/// reads of its role messages: the first `t + 1` valid ones, recombined
+/// value by value into one running sum per value, `Σ_p w_p·x_(p, c)`
+/// under the kept roles' weights at zero. A role is kept or dropped
+/// whole, so every value of the step opens from the same roles
+/// (DESIGN.md §8 "The t + 1 rule").
 ///
-/// A contribution is `width` field elements. Value `k` of the `p`-th
-/// kept contribution sits at `columns[k·(t + 1) + p]`, so column `k` is
-/// the vector the recombination weights apply to.
-#[derive(Debug)]
-struct FirstValid<F: PrimeField> {
+/// Where validity is predicted (proofs off), the kept roles are known
+/// before any member computes: each kept message is folded as it comes
+/// and every other one is never computed, so the step holds its sums
+/// and nothing else. Where proofs are checked, the kept roles are known
+/// only once `t + 1` have verified: their messages are held until the
+/// step ends, and every later one is dropped unverified.
+struct Recombination<F: PrimeField> {
     need: usize,
+    /// The kept roles, in posting order.
     parties: Vec<usize>,
-    columns: Vec<F>,
+    fold: Fold<F>,
+    sums: Vec<F>,
 }
 
-impl<F: PrimeField> FirstValid<F> {
-    fn new(t: usize, width: usize) -> Self {
-        let need = t + 1;
-        FirstValid { need, parties: Vec::with_capacity(need), columns: vec![F::ZERO; width * need] }
+enum Fold<F: PrimeField> {
+    /// The kept roles were predicted; their weights, unless fewer than
+    /// `t + 1` were (the step is starved).
+    Running(Option<ZeroWeights<F>>),
+    /// The kept roles' messages, held until their weights are known.
+    Held(Vec<Vec<F>>),
+}
+
+impl<F: PrimeField> Recombination<F> {
+    /// A step whose kept roles are `predicted` (the first `t + 1`
+    /// predicted-valid speakers), over messages of `width` values.
+    ///
+    /// # Errors
+    ///
+    /// A weight error for an out-of-range or repeated role.
+    fn predicted(
+        pk: &PublicKey<F>,
+        predicted: Vec<usize>,
+        width: usize,
+    ) -> Result<Self, ProtocolError> {
+        let need = pk.t + 1;
+        let weights = if predicted.len() == need {
+            Some(MockTe::zero_weights(pk, &predicted)?)
+        } else {
+            None
+        };
+        let (fold, sums) = (Fold::Running(weights), vec![F::ZERO; width]);
+        Ok(Recombination { need, parties: predicted, fold, sums })
     }
 
-    /// How many contributions are kept.
-    fn kept(&self) -> usize {
-        self.parties.len()
+    /// A step whose messages of `width` values are kept as they verify.
+    fn verified(pk: &PublicKey<F>, width: usize) -> Self {
+        let need = pk.t + 1;
+        let (fold, sums) = (Fold::Held(Vec::with_capacity(need)), vec![F::ZERO; width]);
+        Recombination { need, parties: Vec::with_capacity(need), fold, sums }
     }
 
-    /// Keeps `party`'s contribution if `t + 1` are not kept yet and it
-    /// verifies; only then is `valid` asked, and only then are its
-    /// `values` computed.
+    /// Offers `party`'s message. Where the kept roles were predicted it
+    /// is folded if `party` is one of them; otherwise it is kept if
+    /// `t + 1` are not kept yet and it verifies. `valid` is asked, and
+    /// `values` computed, only for a message that may be kept.
     fn offer<I: IntoIterator<Item = F>>(
         &mut self,
         party: usize,
         valid: impl FnOnce() -> bool,
         values: impl FnOnce() -> I,
     ) {
-        let p = self.kept();
-        if p == self.need || !valid() {
-            return;
-        }
-        self.parties.push(party);
-        for (slot, value) in self.columns.iter_mut().skip(p).step_by(self.need).zip(values()) {
-            *slot = value;
+        match &mut self.fold {
+            Fold::Running(weights) => {
+                let Some(weights) = weights else { return };
+                let Ok(p) = self.parties.binary_search(&party) else { return };
+                debug_assert!(valid(), "a predicted-valid role posts a valid message");
+                let w = weights.weights()[p];
+                for (sum, value) in self.sums.iter_mut().zip(values()) {
+                    *sum += w * value;
+                }
+            }
+            Fold::Held(held) => {
+                if self.parties.len() < self.need && valid() {
+                    self.parties.push(party);
+                    held.push(values().into_iter().collect());
+                }
+            }
         }
     }
 
-    /// Column `k`: value `k` of every kept contribution, in posting
-    /// order.
-    fn column(&self, k: usize) -> &[F] {
-        self.columns.chunks_exact(self.need).nth(k).unwrap_or_default()
-    }
-
-    /// The kept parties' recombination weights, looked up in `cache`
-    /// (built on the set's first appearance; they depend only on the
-    /// parties, so they do not depend on who fills an entry).
+    /// The sums, one per value.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::NotEnoughContributions`], named after `step`,
-    /// when fewer than `t + 1` contributions verified.
-    fn weights(
-        &self,
-        step: &'static str,
-        chain: &TskChain<F>,
-        cache: &mut WeightCache<F>,
-    ) -> Result<Arc<ZeroWeights<F>>, ProtocolError> {
-        if self.kept() < self.need {
-            return Err(ProtocolError::NotEnoughContributions {
-                step,
-                got: self.kept(),
-                need: self.need,
-            });
+    /// when fewer than `t + 1` roles were kept.
+    fn finish(mut self, pk: &PublicKey<F>, step: &'static str) -> Result<Vec<F>, ProtocolError> {
+        let got = self.parties.len();
+        if got < self.need {
+            return Err(ProtocolError::NotEnoughContributions { step, got, need: self.need });
         }
-        chain.shared_weights(cache, &self.parties)
-    }
-}
-
-impl<F: PrimeField> ReencryptedValue<F> {
-    /// Folds an item's kept postings (the encryptions' `u` and `v`
-    /// components) into its public opening
-    /// `(source_v − Σ w_j v_j, −Σ w_j u_j)`. `cache` is shared by every
-    /// worker of one `Re-encrypt` call. A starved item keeps its count;
-    /// the shortage is reported when (and only if) somebody opens it.
-    fn fold(
-        kept: &FirstValid<F>,
-        chain: &TskChain<F>,
-        cache: &Mutex<WeightCache<F>>,
-        target: PkePublicKey<F>,
-        source_v: F,
-    ) -> Result<Self, ProtocolError> {
-        let opening = if kept.kept() < kept.need {
-            Err(kept.kept())
-        } else {
-            let mut cache = cache.lock().unwrap_or_else(PoisonError::into_inner);
-            let w = kept.weights("re-encrypt opening", chain, &mut cache)?;
-            drop(cache);
-            // Combined encrypted partial: Σ w_j (u_j, v_j) encrypts s·u_ct.
-            let (a_u, a_v) = (w.combine(kept.column(0)), w.combine(kept.column(1)));
-            // s·u_ct = a_v − sk·a_u; value = source_v − s·u_ct
-            //        = (source_v − a_v) + sk·a_u  =  a − sk·b
-            Ok((source_v - a_v, -a_u))
-        };
-        Ok(ReencryptedValue { target, source_v, t: kept.need - 1, opening })
+        if let Fold::Held(held) = &self.fold {
+            let weights = MockTe::zero_weights(pk, &self.parties)?;
+            for (message, &w) in held.iter().zip(weights.weights()) {
+                for (sum, &value) in self.sums.iter_mut().zip(message) {
+                    *sum += w * value;
+                }
+            }
+        }
+        Ok(self.sums)
     }
 }
 
@@ -363,21 +383,6 @@ impl<F: PrimeField> TskChain<F> {
         shares.filter_map(|(i, share)| Some((i, share.as_ref()?)))
     }
 
-    /// The recombination weights of a batch item's canonical subset,
-    /// computed on the subset's first appearance in the batch.
-    fn shared_weights(
-        &self,
-        cache: &mut WeightCache<F>,
-        parties: &[usize],
-    ) -> Result<Arc<ZeroWeights<F>>, ProtocolError> {
-        if let Some(w) = cache.get(parties) {
-            return Ok(Arc::clone(w));
-        }
-        let w = Arc::new(MockTe::zero_weights(&self.pk, parties)?);
-        cache.insert(parties.to_vec(), Arc::clone(&w));
-        Ok(w)
-    }
-
     /// Public `Decrypt` of a batch of ciphertexts by `committee`
     /// (paper Protocol 2, minus the handover — call
     /// [`Self::handover`] separately once per committee).
@@ -385,7 +390,7 @@ impl<F: PrimeField> TskChain<F> {
     /// # Errors
     ///
     /// Returns [`ProtocolError::NotEnoughContributions`] if fewer than
-    /// `t + 1` partials verify for some ciphertext.
+    /// `t + 1` holders' messages verify.
     pub fn decrypt<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -395,13 +400,17 @@ impl<F: PrimeField> TskChain<F> {
         phase: &'static str,
         cts: &[Ciphertext<F>],
     ) -> Result<Vec<F>, ProtocolError> {
-        let kept = self.partials(rng, sb, committee, cfg, phase, cts)?;
-        self.combine_partials(cts, &kept)
+        if cts.is_empty() {
+            return Ok(Vec::new());
+        }
+        let sums = self.partials(rng, sb, committee, cfg, phase, cts)?;
+        let sums = sums.finish(&self.pk, "threshold decrypt")?;
+        Ok(cts.iter().zip(sums).map(|(ct, combined)| ct.v - combined).collect())
     }
 
     /// The postings of a `Decrypt`: one [`Step`] over the share holders,
-    /// one posting per ciphertext, each ciphertext keeping its first
-    /// `t + 1` verified partials as the step runs.
+    /// each posting one message — its partial of every ciphertext and
+    /// one proof ([`PdecBatch`]) — recombined as the step runs.
     fn partials<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -410,102 +419,84 @@ impl<F: PrimeField> TskChain<F> {
         cfg: &ExecutionConfig,
         phase: &'static str,
         cts: &[Ciphertext<F>],
-    ) -> Result<Vec<FirstValid<F>>, ProtocolError> {
+    ) -> Result<Recombination<F>, ProtocolError> {
         self.record_leaks(committee);
-        // One map per ciphertext, shared by the committee's partials.
-        let maps: Option<Vec<PdecMap<F>>> = cfg
-            .produce_proofs
-            .then(|| cts.iter().map(|ct| PdecMap::new(&self.pk, ct)).collect());
-        let mut kept: Vec<FirstValid<F>> =
-            cts.iter().map(|_| FirstValid::new(self.pk.t, 1)).collect();
         let mut posts = PostBuffer::new();
-        let elements = PDEC_ELEMENTS + PDEC_PROOF_ELEMENTS;
-        let step =
-            Step::new(committee, sb, phase, Post::PartialDec, elements).with_postings(cts.len());
-        let holders = self.holders(committee);
-        if cfg.produce_proofs {
+        let elements = messages::decrypt_elements(cts.len() as u64);
+        let step = Step::new(committee, sb, phase, Post::PartialDec, elements);
+        let kept = if cfg.produce_proofs {
             // Proofs are worth a thread: the members fan out, and each
-            // hands its partials to the fold.
-            let work = |mut turn: Turn<_>, share| {
+            // hands its message to the fold.
+            let batch = PdecBatch::new(&self.pk, cts);
+            let mut kept = Recombination::verified(&self.pk, cts.len());
+            let work = |mut turn: Turn<_>, share: &KeyShare<F>| {
                 let (vk, attack) = (self.pk.vks[turn.index], turn.attack());
-                (cts.iter().enumerate())
-                    .map(|(c_idx, ct)| self.partial(&mut turn, share, vk, attack, c_idx, ct))
-                    .collect::<Vec<_>>()
+                let mut partials: Vec<F> =
+                    cts.iter().map(|ct| partial(&mut turn.rng, share, attack, ct)).collect();
+                let proof = turn.prove(|batch: &&PdecBatch<F>, rng| {
+                    if proves_honestly(attack) {
+                        batch.prove(rng, vk, share.value, &partials)
+                    } else {
+                        PdecProof::garbage(rng)
+                    }
+                });
+                lie_once(attack, partials.last_mut());
+                (partials, proof)
             };
-            step.run(rng, &mut posts, maps.as_ref(), holders, work, |member, made| {
+            let holders = self.holders(committee);
+            step.run(rng, &mut posts, Some(&batch), holders, work, |member, (partials, proof)| {
                 let vk = self.pk.vks[member];
-                for ((c_idx, (d, proof)), kept) in made.into_iter().enumerate().zip(&mut kept) {
-                    keep_partial(kept, member, vk, c_idx, d, &proof);
-                }
+                let valid = || proof.verify(|batch, proof| batch.verify(vk, &partials, proof));
+                kept.offer(member, valid, || partials.iter().copied());
                 Ok(())
             })?;
+            kept
         } else {
-            // A partial is one multiplication: the fold makes each one
-            // and offers it in place.
-            let work = |turn: Turn<_>, share| (turn, share);
-            let fold = |member, (mut turn, share): (Turn<_>, _)| {
-                let (vk, attack) = (self.pk.vks[member], turn.attack());
-                for ((c_idx, ct), kept) in cts.iter().enumerate().zip(&mut kept) {
-                    let (d, proof) = self.partial(&mut turn, share, vk, attack, c_idx, ct);
-                    keep_partial(kept, member, vk, c_idx, d, &proof);
-                }
-                Ok(())
+            let honest = |_: &mut StdRng, share: &KeyShare<F>| {
+                cts.iter().map(|ct| MockTe::partial_decrypt(share, ct).value).collect()
             };
-            step.inline().run(rng, &mut posts, maps.as_ref(), holders, work, fold)?;
-        }
+            self.predicted(rng, &mut posts, &step.inline(), committee, cts.len(), honest)?
+        };
         sb.flush_buffer(posts)?;
         Ok(kept)
     }
 
-    /// A member's `Decrypt` posting for ciphertext `c_idx`: its partial
-    /// and the partial's proof. `vk` and `attack` are the member's.
-    fn partial<'m>(
+    /// A threshold step nobody proves: the kept holders — the first
+    /// `t + 1` predicted valid — are known before any computes, so the
+    /// fold makes their messages' `width` values in place (`honest`,
+    /// from the holder's RNG and share), folds each as it comes, and
+    /// nobody else computes.
+    fn predicted<R: Rng + ?Sized>(
         &self,
-        turn: &mut Turn<&'m Vec<PdecMap<F>>>,
-        share: &KeyShare<F>,
-        vk: F,
-        attack: Option<ActiveAttack>,
-        c_idx: usize,
-        ct: &Ciphertext<F>,
-    ) -> (F, PdecProved<'m, F>) {
-        let d = match attack {
-            None | Some(ActiveAttack::BadProof) => MockTe::partial_decrypt(share, ct).value,
-            Some(_) => F::random(&mut turn.rng),
+        rng: &mut R,
+        posts: &mut PostBuffer,
+        step: &Step<'_>,
+        committee: &Committee,
+        width: usize,
+        honest: impl Fn(&mut StdRng, &KeyShare<F>) -> Vec<F>,
+    ) -> Result<Recombination<F>, ProtocolError> {
+        let predicted = step.predicted_valid(self.holders(committee).map(|(i, _)| i), self.pk.t + 1);
+        let mut kept = Recombination::predicted(&self.pk, predicted, width)?;
+        let work = |turn: Turn<_>, share| (turn, share);
+        let fold = |member, (mut turn, share): (Turn<_>, &KeyShare<F>)| {
+            let follows = turn.attack().is_none();
+            kept.offer(member, || follows, || honest(&mut turn.rng, share));
+            Ok(())
         };
-        let proof = turn.prove(|maps, rng| match attack {
-            None => maps[c_idx].prove(rng, vk, share.value, d),
-            Some(_) => PdecProof::garbage(rng),
-        });
-        (d, proof)
-    }
-
-    /// Recombines each ciphertext's kept partials.
-    fn combine_partials(
-        &self,
-        cts: &[Ciphertext<F>],
-        kept: &[FirstValid<F>],
-    ) -> Result<Vec<F>, ProtocolError> {
-        let mut weights = WeightCache::new();
-        cts.iter()
-            .zip(kept)
-            .map(|(ct, kept)| {
-                let w = kept.weights("threshold decrypt", self, &mut weights)?;
-                Ok(ct.v - w.combine(kept.column(0)))
-            })
-            .collect()
+        step.run(rng, posts, None::<&()>, self.holders(committee), work, fold)?;
+        Ok(kept)
     }
 
     /// `Re-encrypt` of a batch of `(target, ciphertext)` pairs by
-    /// `committee` (paper Protocol 1, minus the handover): per item, one
-    /// committee step over the share holders, folded to its public opening
-    /// when the step ends.
+    /// `committee` (paper Protocol 1, minus the handover): one committee
+    /// step over the share holders, each posting one message — every
+    /// item re-encrypted, and one proof over the call's
+    /// [`ReencryptMap`] — folded to each item's public opening when the
+    /// step ends.
     ///
-    /// Items are independent, so each one runs from its own child RNG
-    /// (seeds drawn sequentially from `rng`, one per item) on the board
-    /// view's threads, and returns its value alone. Which members post
-    /// depends on who speaks, never on what they compute, so this thread
-    /// records every item's speakers in item order and flushes them
-    /// once: the board transcript is byte-identical at any thread count.
+    /// A holder's turn re-encrypts the items in order from its child
+    /// RNG; the members fan out where proofs are made, and only the
+    /// kept holders compute where they are predicted.
     ///
     /// # Errors
     ///
@@ -521,47 +512,63 @@ impl<F: PrimeField> TskChain<F> {
         items: &[(PkePublicKey<F>, Ciphertext<F>)],
     ) -> Result<Vec<ReencryptedValue<F>>, ProtocolError> {
         self.record_leaks(committee);
-        let elements = CT_ELEMENTS + ENC_PDEC_PROOF_ELEMENTS;
-        // Items are the parallel axis; each item's step is light.
-        let step = Step::new(committee, sb, phase, Post::EncryptedPartial, elements).inline();
-        let seeds: Vec<u64> = items.iter().map(|_| rng.next_u64()).collect();
-        let weights = Mutex::new(WeightCache::new());
-        let item_turns = committee.n();
-        let values = crate::parallel::par_map(sb.threads(), item_turns, &seeds, |item_idx, &seed| {
-            let (target, ct) = &items[item_idx];
-            // One map per item, shared by the committee's postings.
-            let map = cfg.produce_proofs.then(|| EncryptedPartialMap::new(&self.pk, target));
-            let mut kept = FirstValid::new(self.pk.t, 2);
-            let work = |mut turn: Turn<_>, share: &KeyShare<F>| {
-                let vk = self.pk.vks[turn.index];
-                let attack = turn.attack();
-                let d = match attack {
-                    None | Some(ActiveAttack::BadProof) => share.value * ct.u,
-                    Some(_) => F::random(&mut turn.rng),
-                };
-                let (enc, r) = LinearPke::encrypt(&mut turn.rng, target, d);
-                let proof = turn.prove(|map: &&EncryptedPartialMap<F>, rng| match attack {
-                    None => map.prove(rng, vk, ct, &enc, d, r),
-                    Some(_) => map.garbage(rng),
-                });
-                (vk, enc, proof)
-            };
-            let fold = |member, (vk, enc, proof): (F, _, Proved<&EncryptedPartialMap<F>, _>)| {
-                let valid = || proof.verify(|map, proof| map.verify(vk, ct, &enc, proof));
-                kept.offer(member, valid, || [enc.u, enc.v]);
-                Ok(())
-            };
-            let mut irng = StdRng::seed_from_u64(seed);
-            step.act(&mut irng, map.as_ref(), self.holders(committee), work, fold)?;
-            ReencryptedValue::fold(&kept, self, &weights, *target, ct.v)
-        });
-        let (mut posts, speakers) =
-            (PostBuffer::new(), step.speakers(self.holders(committee).map(|(member, _)| member)));
-        for _ in items {
-            step.record_speakers(&mut posts, &speakers);
+        if items.is_empty() {
+            return Ok(Vec::new());
         }
+        let mut posts = PostBuffer::new();
+        let elements = messages::reencrypt_elements(items.len() as u64);
+        let step = Step::new(committee, sb, phase, Post::EncryptedPartial, elements);
+        let width = 2 * items.len();
+        let kept = if cfg.produce_proofs {
+            let map = ReencryptMap::new(&self.pk, items);
+            let mut kept = Recombination::verified(&self.pk, width);
+            let work = |mut turn: Turn<_>, share: &KeyShare<F>| {
+                let (vk, attack) = (self.pk.vks[turn.index], turn.attack());
+                let (mut encs, rands): (Vec<_>, Vec<_>) = items
+                    .iter()
+                    .map(|item| reencrypted(&mut turn.rng, share, attack, item))
+                    .unzip();
+                let proof = turn.prove(|map: &&ReencryptMap<F>, rng| {
+                    if proves_honestly(attack) {
+                        map.prove(rng, vk, share.value, &encs, &rands)
+                    } else {
+                        map.garbage(rng)
+                    }
+                });
+                lie_once(attack, encs.last_mut().map(|enc| &mut enc.v));
+                (encs, proof)
+            };
+            let holders = self.holders(committee);
+            step.run(rng, &mut posts, Some(&map), holders, work, |member, (encs, proof)| {
+                let vk = self.pk.vks[member];
+                let valid = || proof.verify(|map, proof| map.verify(vk, &encs, proof));
+                kept.offer(member, valid, || encs.iter().flat_map(|enc| [enc.u, enc.v]));
+                Ok(())
+            })?;
+            kept
+        } else {
+            let honest = |rng: &mut StdRng, share: &KeyShare<F>| {
+                let encs = items.iter().map(|item| reencrypted(rng, share, None, item).0);
+                encs.flat_map(|enc| [enc.u, enc.v]).collect()
+            };
+            self.predicted(rng, &mut posts, &step.inline(), committee, width, honest)?
+        };
         sb.flush_buffer(posts)?;
-        values.into_iter().collect()
+        // A starved step keeps its count: the shortage is reported when
+        // (and only if) somebody opens one of its values.
+        let sums = match kept.finish(&self.pk, "re-encrypt opening") {
+            Ok(sums) => Ok(sums),
+            Err(ProtocolError::NotEnoughContributions { got, .. }) => Err(got),
+            Err(other) => return Err(other),
+        };
+        let opened = items.iter().enumerate().map(|(i, &(target, ct))| {
+            // Σ w_j (u_j, v_j) encrypts s·u_ct = a_v − sk·a_u, so
+            // value = ct.v − s·u_ct = (ct.v − a_v) + sk·a_u = a − sk·b.
+            let opening =
+                sums.as_ref().map(|s| (ct.v - s[2 * i + 1], -s[2 * i])).map_err(|&got| got);
+            ReencryptedValue { target, source_v: ct.v, t: self.pk.t, opening }
+        });
+        Ok(opened.collect())
     }
 
     /// Hands the key over to `next` (whose members' role key pairs are
@@ -600,19 +607,34 @@ impl<F: PrimeField> TskChain<F> {
         // One map per handover, shared by its dealers.
         let map = cfg.produce_proofs.then(|| DealMap::reshare(self.pk.g, &recipient_pks, table));
 
-        // A dealing kept is its t + 1 commitments, then the subshare
-        // each next-committee member decrypts.
-        let mut kept = FirstValid::new(t, t + 1 + n);
         let mut posts = PostBuffer::new();
         let elements = messages::reshare_elements(n as u64, t as u64);
         let step = Step::new(outgoing, sb, phase, Post::TskReshare, elements);
+        // A dealing kept is its t + 1 commitments, then the subshare
+        // each next-committee member decrypts. Where nobody proves, the
+        // kept dealers are known before any deals, and nobody else
+        // deals.
+        let width = t + 1 + n;
+        let predicted = (!cfg.produce_proofs)
+            .then(|| step.predicted_valid(self.holders(outgoing).map(|(i, _)| i), t + 1));
+        let mut kept = match &predicted {
+            Some(dealers) => Recombination::predicted(&self.pk, dealers.clone(), width)?,
+            None => Recombination::verified(&self.pk, width),
+        };
         let (g, pks) = (self.pk.g, &recipient_pks);
-        let work = |turn, share: &KeyShare<F>| deal(turn, g, |_| share.value, table, pks);
-        let fold = |from, dealt: PostedReshare<'_, F>| {
+        let work = |turn: Turn<_>, share: &KeyShare<F>| {
+            let deals = predicted.as_ref().is_none_or(|p| p.binary_search(&turn.index).is_ok());
+            deals.then(|| deal(turn, g, |_| share.value, table, pks))
+        };
+        let fold = |from, dealt: Option<PostedReshare<'_, F>>| {
+            let Some(dealt) = dealt else { return Ok(()) };
             // The re-share relation binds C_0 to the dealer's
             // verification key.
-            let valid =
-                || dealt.verify(|map, targets, proof| map.verify_reshare(&self.pk, from, targets, proof));
+            let valid = || {
+                dealt.verify(|map, targets, proof| {
+                    map.verify_reshare(&self.pk, from, targets, proof)
+                })
+            };
             kept.offer(from, valid, || {
                 let subshares = (dealt.enc_subshares.iter().zip(next_keys))
                     .map(|(enc, kp)| LinearPke::decrypt(&kp.secret, enc));
@@ -623,16 +645,15 @@ impl<F: PrimeField> TskChain<F> {
         step.run(rng, &mut posts, map.as_ref(), self.holders(outgoing), work, fold)?;
         sb.flush_buffer(posts)?;
 
-        let weights = kept.weights("tsk handover", self, &mut WeightCache::new())?;
-        // Public derivation of the next verification keys: the kept
-        // commitments collapsed to Σ w_p·C_p(X), evaluated once per
-        // recipient.
-        let collapsed: Vec<F> = (0..=t).map(|l| weights.combine(kept.column(l))).collect();
-        self.pk.vks = table.eval_all(&collapsed);
-        // Each next-committee member recombines its decrypted subshares.
-        self.shares = (0..n)
-            .map(|j| Some(KeyShare { party: j, value: weights.combine(kept.column(t + 1 + j)) }))
-            .collect();
+        // The kept commitments collapsed to Σ w_p·C_p(X), then each
+        // next-committee member's recombined subshares.
+        let sums = kept.finish(&self.pk, "tsk handover")?;
+        let (collapsed, shares) = sums.split_at(t + 1);
+        // Public derivation of the next verification keys: the collapsed
+        // polynomial evaluated once per recipient.
+        self.pk.vks = table.eval_all(collapsed);
+        self.shares =
+            shares.iter().enumerate().map(|(j, &value)| Some(KeyShare { party: j, value })).collect();
         self.epoch += 1;
         Ok(())
     }
@@ -674,72 +695,73 @@ pub(crate) fn deal<'t, F: PrimeField>(
         }
         (commitments, enc_subshares, Some((coeffs, rands)))
     };
-    let proof = turn.prove(|map, rng| {
-        match (&witness, map.targets(&commitments, &enc_subshares)) {
+    let proof =
+        turn.prove(|map, rng| match (&witness, map.targets(&commitments, &enc_subshares)) {
             (Some((coeffs, rands)), Some(targets)) => map.prove(rng, &targets, coeffs, rands),
             _ => map.garbage(rng),
-        }
-    });
+        });
     PostedReshare { commitments, enc_subshares, proof }
 }
 
-static DOMAIN_ENC_PDEC: Domain = Domain::new(b"yoso-pss/nizk/enc-pdec/v4");
+static DOMAIN_REENCRYPT: Domain = Domain::new(b"yoso-pss/nizk/reencrypt/v1");
 
-/// The `Re-encrypt` posting relation of one item: the published
-/// ciphertext encrypts the *correct* partial decryption of the source
-/// ciphertext (bound to the provider's Feldman verification key).
+/// The `Re-encrypt` message relation of one call: each ciphertext a
+/// holder posts encrypts, under its item's target key, the holder's
+/// correct partial decryption of the item's source ciphertext, bound to
+/// the holder's Feldman verification key.
 ///
-/// Witness `(d, r)`; rows: `d·g = vk_i·u_ct`, `enc.u = r·g_T`,
-/// `enc.v = d + r·h_T`. The map holds only the threshold key's base and
-/// the target key, so one serves all `n` providers of an item; provider
-/// and ciphertexts enter through the targets.
+/// Witness `(s, r_1 … r_m)`; rows `s·g = vk`, then for item `i` (target
+/// `(g_i, h_i)`, source `u_i`) `r_i·g_i = enc_i.u` and
+/// `s·u_i + r_i·h_i = enc_i.v`. The key-share row is shared by every
+/// item; each item's randomness keeps its own two rows — combined, an
+/// `r_i` would be free and any ciphertext would pass. The map holds the
+/// call's public data only, so one serves every holder; who proves
+/// enters through `vk`, what it posted through the other targets.
 #[derive(Debug, Clone)]
-pub struct EncryptedPartialMap<F: PrimeField>(LinearMap<F>);
+pub struct ReencryptMap<F: PrimeField>(LinearMap<F>);
 
-impl<F: PrimeField> EncryptedPartialMap<F> {
-    /// The map for re-encryptions from `tpk` to `target`.
-    pub fn new(tpk: &PublicKey<F>, target: &PkePublicKey<F>) -> Self {
-        let rows = [&[(0, tpk.g)][..], &[(1, target.g)], &[(0, F::ONE), (1, target.h)]];
-        // lint:allow(panic): infallible — the columns above are fixed,
-        // below the witness length and increasing; only coefficients
-        // come from outside.
-        EncryptedPartialMap(LinearMap::new(&DOMAIN_ENC_PDEC, 2, rows).expect("a fixed-shape map"))
+impl<F: PrimeField> ReencryptMap<F> {
+    /// The map for re-encryptions of `items` from `tpk`.
+    pub fn new(tpk: &PublicKey<F>, items: &[(PkePublicKey<F>, Ciphertext<F>)]) -> Self {
+        let key_row = std::iter::once(vec![(0, tpk.g)]);
+        let item_rows = items.iter().zip(1..).flat_map(|((target, ct), col)| {
+            [vec![(col, target.g)], vec![(0, ct.u), (col, target.h)]]
+        });
+        // lint:allow(panic): infallible — column 0 and then each item's
+        // own column, in increasing order and below `1 + m`; only
+        // coefficients come from outside.
+        let map = LinearMap::new(&DOMAIN_REENCRYPT, 1 + items.len(), key_row.chain(item_rows));
+        ReencryptMap(map.expect("columns in range and increasing by construction"))
     }
 
-    fn targets(vk: F, ct: &Ciphertext<F>, enc: &Ciphertext<F>) -> [F; 3] {
-        [vk * ct.u, enc.u, enc.v]
+    fn targets(vk: F, encs: &[Ciphertext<F>]) -> Vec<F> {
+        std::iter::once(vk).chain(encs.iter().flat_map(|enc| [enc.u, enc.v])).collect()
     }
 
-    /// Proves that `enc` encrypts, with randomness `r`, the partial
-    /// decryption `d` of `ct` under the key share behind `vk`.
+    /// Proves that `encs` encrypt, with randomness `rands`, the partial
+    /// decryptions of the call's items under the key share
+    /// `share_value` behind `vk`.
     pub fn prove<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         vk: F,
-        ct: &Ciphertext<F>,
-        enc: &Ciphertext<F>,
-        d: F,
-        r: F,
+        share_value: F,
+        encs: &[Ciphertext<F>],
+        rands: &[F],
     ) -> nizk::LinearProof<F> {
-        nizk::prove_linear(rng, &self.0, &Self::targets(vk, ct, enc), &[d, r])
+        let witness: Vec<F> = std::iter::once(share_value).chain(rands.iter().copied()).collect();
+        nizk::prove_linear(rng, &self.0, &Self::targets(vk, encs), &witness)
     }
 
-    /// What a malicious provider posts: a random proof of the map's
-    /// shape.
+    /// What a malicious holder posts: a random proof of the map's shape.
     pub fn garbage<R: Rng + ?Sized>(&self, rng: &mut R) -> nizk::LinearProof<F> {
         self.0.garbage(rng)
     }
 
-    /// Verifies a `Re-encrypt` posting proof against the provider's
+    /// Verifies a holder's `Re-encrypt` message against its
     /// verification key.
-    pub fn verify(
-        &self,
-        vk: F,
-        ct: &Ciphertext<F>,
-        enc: &Ciphertext<F>,
-        proof: &nizk::LinearProof<F>,
-    ) -> bool {
-        nizk::verify_linear(&self.0, &Self::targets(vk, ct, enc), proof)
+    pub fn verify(&self, vk: F, encs: &[Ciphertext<F>], proof: &nizk::LinearProof<F>) -> bool {
+        nizk::verify_linear(&self.0, &Self::targets(vk, encs), proof)
     }
 }
 
@@ -747,10 +769,11 @@ impl<F: PrimeField> EncryptedPartialMap<F> {
 mod tests {
     use super::*;
     use crate::RolePartition;
-    use yoso_runtime::BulletinBoard;
     use rand::RngCore;
+    use rand::SeedableRng;
     use yoso_field::F61;
     use yoso_runtime::Adversary;
+    use yoso_runtime::BulletinBoard;
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(4242)
@@ -799,15 +822,9 @@ mod tests {
         let target = LinearPke::<F61>::keygen(&mut r);
         let m = F61::from(99u64);
         let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
-        let vals = chain.reencrypt(
-            &mut r,
-            &sb,
-            &committee,
-            &cfg(),
-            "offline/reenc",
-            &[(target.public, ct)],
-        )
-        .unwrap();
+        let vals = chain
+            .reencrypt(&mut r, &sb, &committee, &cfg(), "offline/reenc", &[(target.public, ct)])
+            .unwrap();
         let got = vals[0].open(target.secret.scalar).unwrap();
         assert_eq!(got, m);
         // Opening coefficients satisfy value = a − sk·b.
@@ -832,76 +849,116 @@ mod tests {
         assert_eq!(vals[0].open(target.secret.scalar).unwrap(), m);
     }
 
-    /// One honest `Re-encrypt` posting by member 1 of a committee of 5.
+    /// One honest `Re-encrypt` message by member 1 of a committee of 5
+    /// over `m` items: the chain, the items, and the member's ciphertexts
+    /// with their randomness.
     #[allow(clippy::type_complexity)]
-    fn posting(
+    fn message(
         r: &mut rand::rngs::StdRng,
-    ) -> (TskChain<F61>, PkePublicKey<F61>, Ciphertext<F61>, Ciphertext<F61>, F61, F61) {
+        m: usize,
+    ) -> (TskChain<F61>, Vec<(PkePublicKey<F61>, Ciphertext<F61>)>, Vec<Ciphertext<F61>>, Vec<F61>)
+    {
         let chain = TskChain::<F61>::keygen(r, 5, 2).unwrap();
-        let target = LinearPke::<F61>::keygen(r).public;
-        let (ct, _) = MockTe::encrypt(r, &chain.pk, F61::from(9u64));
-        let d = chain.share_of(1).unwrap().value * ct.u;
-        let (enc, enc_r) = LinearPke::encrypt(r, &target, d);
-        (chain, target, ct, enc, d, enc_r)
+        let (_, _, items) = reencrypt_items(r, &chain, m);
+        let s = chain.share_of(1).unwrap().value;
+        let (encs, rands) =
+            items.iter().map(|(target, ct)| LinearPke::encrypt(r, target, s * ct.u)).unzip();
+        (chain, items, encs, rands)
     }
 
     #[test]
     fn an_enc_pdec_proof_binds_provider_ciphertexts_and_domain() {
         let mut r = rng();
-        let (chain, target, ct, enc, d, enc_r) = posting(&mut r);
-        let map = EncryptedPartialMap::new(&chain.pk, &target);
-        let vk = chain.pk.vks[1];
-        let proof = map.prove(&mut r, vk, &ct, &enc, d, enc_r);
-        assert!(map.verify(vk, &ct, &enc, &proof));
-        // One map serves the whole committee: the provider is a target.
-        assert!(!map.verify(chain.pk.vks[2], &ct, &enc, &proof));
-        let (other, _) = MockTe::encrypt(&mut r, &chain.pk, F61::from(9u64));
-        assert!(!map.verify(vk, &other, &enc, &proof));
-        assert!(!map.verify(vk, &ct, &other, &proof));
-        let elsewhere = LinearPke::<F61>::keygen(&mut r).public;
-        let other_map = EncryptedPartialMap::new(&chain.pk, &elsewhere);
-        assert!(!other_map.verify(vk, &ct, &enc, &proof));
+        let (chain, items, encs, rands) = message(&mut r, 3);
+        let map = ReencryptMap::new(&chain.pk, &items);
+        let (vk, s) = (chain.pk.vks[1], chain.share_of(1).unwrap().value);
+        let proof = map.prove(&mut r, vk, s, &encs, &rands);
+        assert!(map.verify(vk, &encs, &proof));
+        // One map serves the whole committee: the holder is a target.
+        assert!(!map.verify(chain.pk.vks[2], &encs, &proof));
+        // One lie anywhere in the message, in either component.
+        for i in 0..encs.len() {
+            for lie in
+                [Ciphertext { u: F61::ONE, v: F61::ZERO }, Ciphertext { u: F61::ZERO, v: F61::ONE }]
+            {
+                let mut lied = encs.clone();
+                lied[i] = Ciphertext { u: lied[i].u + lie.u, v: lied[i].v + lie.v };
+                assert!(!map.verify(vk, &lied, &proof), "item {i}");
+            }
+        }
+        // A message short of an item, and other items.
+        assert!(!map.verify(vk, &encs[..2], &proof));
+        let (_, _, others) = reencrypt_items(&mut r, &chain, 3);
+        assert!(!ReencryptMap::new(&chain.pk, &others).verify(vk, &encs, &proof));
 
-        // The retired separators: right map, right targets, right
-        // witness, rejected.
-        let targets = EncryptedPartialMap::targets(vk, &ct, &enc);
-        for v in ["v1", "v2", "v3"] {
-            let retired = Domain::new(format!("yoso-pss/nizk/enc-pdec/{v}").as_bytes());
-            let retired = LinearMap::new(&retired, 2, map.0.rows()).unwrap();
-            let old = nizk::prove_linear(&mut r, &retired, &targets, &[d, enc_r]);
-            assert!(nizk::verify_linear(&retired, &targets, &old));
-            assert!(!map.verify(vk, &ct, &enc, &old), "enc-pdec/{v}");
+        // The retired per-item separator and a version never used: right rows,
+        // right targets, right witness, rejected.
+        let targets = ReencryptMap::targets(vk, &encs);
+        let witness: Vec<F61> = std::iter::once(s).chain(rands).collect();
+        for label in ["yoso-pss/nizk/enc-pdec/v4", "yoso-pss/nizk/reencrypt/v0"] {
+            let other = LinearMap::new(&Domain::new(label.as_bytes()), 4, map.0.rows()).unwrap();
+            let old = nizk::prove_linear(&mut r, &other, &targets, &witness);
+            assert!(nizk::verify_linear(&other, &targets, &old));
+            assert!(!map.verify(vk, &encs, &old), "{label}");
         }
 
-        // What a malicious provider posts: the map's shape, rejected.
-        let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
-        let garbage = map.garbage(&mut r);
-        assert_eq!((garbage.commitment.len(), garbage.response.len()), (3, 2));
+        // What a malicious holder posts: the map's shape, rejected.
+        let garbage = map.garbage(&mut rand::rngs::StdRng::seed_from_u64(20261003));
+        assert_eq!((garbage.commitment.len(), garbage.response.len()), (7, 4));
         assert_ne!(garbage.commitment[0], garbage.commitment[1]);
-        assert!(!map.verify(vk, &ct, &enc, &garbage));
+        assert!(!map.verify(vk, &encs, &garbage));
     }
 
-    /// Exact and host-independent: one SHA-256 block to derive a
-    /// `Re-encrypt` posting's challenge, and a committee's `n` postings
-    /// of an item build their map (two blocks of digest, one of prefix)
-    /// once.
+    /// Why each item keeps its own randomness rows. Folded by a `ρ` into
+    /// one row, `ρ·u + v = r·(ρ·g_T + h_T) + s·u_ct`, an item's `r` is
+    /// free: for any ciphertext whatever, the holder solves for an `r`
+    /// and proves the folded statement from a true witness.
+    #[test]
+    fn a_folded_randomness_row_would_pass_any_ciphertext() {
+        let mut r = rng();
+        let (chain, items, _, _) = message(&mut r, 1);
+        let (target, ct) = items[0];
+        let (vk, s) = (chain.pk.vks[1], chain.share_of(1).unwrap().value);
+        let forged = LinearPke::encrypt(&mut r, &target, s * ct.u + F61::ONE).0;
+        let rho = F61::random(&mut r);
+        let base = rho * target.g + target.h;
+        let rows = [vec![(0, chain.pk.g)], vec![(0, ct.u), (1, base)]];
+        let folded = LinearMap::new(&Domain::new(b"folded/v1"), 2, rows).unwrap();
+        let targets = [vk, rho * forged.u + forged.v];
+        let free_r = (targets[1] - s * ct.u) * base.inv().unwrap();
+        let proof = nizk::prove_linear(&mut r, &folded, &targets, &[s, free_r]);
+        assert!(nizk::verify_linear(&folded, &targets, &proof));
+    }
+
+    /// Exact and host-independent: a call builds its one map — the
+    /// digest of `2m + 1` rows with `3m + 1` non-zeros, then the prefix
+    /// block — and each holder's challenge hashes its targets and
+    /// commitment, ⌈(9 + 16·(2m + 1)) / 64⌉ blocks, to prove and again
+    /// to verify.
     #[cfg(debug_assertions)]
     #[test]
-    fn an_item_digests_its_enc_pdec_map_once_and_each_challenge_costs_two_blocks() {
+    fn a_call_digests_its_reencrypt_map_once_and_a_challenge_costs_its_tail() {
         use yoso_crypto::sha256::compressions_of;
-        let mut r = rng();
-        let (chain, target, ct, ..) = posting(&mut r);
-        let (map, building) = compressions_of(|| EncryptedPartialMap::new(&chain.pk, &target));
-        assert_eq!(building, 3);
-        let (_, committee) = compressions_of(|| {
-            for i in 0..5 {
-                let d = chain.share_of(i).unwrap().value * ct.u;
-                let (enc, enc_r) = LinearPke::encrypt(&mut r, &target, d);
-                let proof = map.prove(&mut r, chain.pk.vks[i], &ct, &enc, d, enc_r);
-                assert!(map.verify(chain.pk.vks[i], &ct, &enc, &proof));
-            }
-        });
-        assert_eq!(committee, 5 * (1 + 1));
+        for m in [1usize, 3, 52, 144] {
+            let mut r = rng();
+            let (chain, items, ..) = message(&mut r, m);
+            let (map, building) = compressions_of(|| ReencryptMap::new(&chain.pk, &items));
+            let rows = 2 * m + 1;
+            let digesting = (16 + 8 * rows + 16 * (3 * m + 1) + 9).div_ceil(64) as u64;
+            assert_eq!(building, digesting + 1, "{m} items");
+            let per_challenge = (9 + 16 * rows as u64).div_ceil(64);
+            let (_, committee) = compressions_of(|| {
+                for i in 0..5 {
+                    let s = chain.share_of(i).unwrap().value;
+                    let (encs, rands): (Vec<_>, Vec<_>) = (items.iter())
+                        .map(|(target, ct)| LinearPke::encrypt(&mut r, target, s * ct.u))
+                        .unzip();
+                    let proof = map.prove(&mut r, chain.pk.vks[i], s, &encs, &rands);
+                    assert!(map.verify(chain.pk.vks[i], &encs, &proof));
+                }
+            });
+            assert_eq!(committee, 5 * 2 * per_challenge, "{m} items");
+        }
     }
 
     #[test]
@@ -972,103 +1029,92 @@ mod tests {
         (n as usize, t as usize, Committee::with_behaviors("c", behaviors))
     }
 
+    /// Both ways a step recombines — predicted roles folded as they
+    /// come, verified ones held until the step ends — open every value
+    /// to the interpolation at zero through the same kept roles' values.
     #[test]
-    fn batch_with_differing_canonical_subsets_decrypts() {
+    fn a_recombination_opens_every_value_from_the_same_first_valid_roles() {
         let mut r = rng();
-        let (n, t) = (7, 2);
+        let (n, t, width) = (9, 3, 5);
         let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
-        let ms: Vec<F61> = (0..6).map(|_| F61::random(&mut r)).collect();
-        let cts: Vec<_> = ms.iter().map(|&m| MockTe::encrypt(&mut r, &chain.pk, m).0).collect();
-        // Member 1 fails verification on even items, member 0 on item 3:
-        // the canonical subsets are {0,2,3}, {0,1,2} and {1,2,3}.
-        let partials: Vec<Vec<(usize, F61, bool)>> = cts
-            .iter()
-            .enumerate()
-            .map(|(c, ct)| {
-                (0..n)
-                    .map(|i| {
-                        let ok = !((i == 1 && c % 2 == 0) || (i == 0 && c == 3));
-                        let good = MockTe::partial_decrypt(chain.share_of(i).unwrap(), ct).value;
-                        (i, if ok { good } else { F61::random(&mut r) }, ok)
-                    })
-                    .collect()
+        let messages: Vec<Vec<F61>> =
+            (0..n).map(|_| (0..width).map(|_| F61::random(&mut r)).collect()).collect();
+        // Members 0 and 2 post invalid messages: 1, 3, 4 and 5 are kept.
+        let valid = |i: usize| i != 0 && i != 2;
+        let parties = vec![1, 3, 4, 5];
+        let expect: Vec<F61> = (0..width)
+            .map(|c| {
+                let ys: Vec<F61> = parties.iter().map(|&p| messages[p][c]).collect();
+                interpolated_at_zero(&parties, &ys)
             })
             .collect();
-        // What a `Decrypt` keeps of the postings: each ciphertext's first
-        // t + 1 verified partials.
-        let kept = |partials: &[Vec<(usize, F61, bool)>]| -> Vec<FirstValid<F61>> {
-            let mut kept: Vec<_> = partials.iter().map(|_| FirstValid::new(t, 1)).collect();
-            for (kept, posts) in kept.iter_mut().zip(partials) {
-                for &(i, y, ok) in posts {
-                    kept.offer(i, || ok, || [y]);
-                }
-            }
-            kept
-        };
-        let got = chain.combine_partials(&cts, &kept(&partials)).unwrap();
-        assert_eq!(got, ms);
-        for ((ct, posts), &value) in cts.iter().zip(&partials).zip(&got) {
-            let (parties, ys): (Vec<usize>, Vec<F61>) =
-                posts.iter().filter(|p| p.2).take(t + 1).map(|&(i, y, _)| (i, y)).unzip();
-            assert_eq!(value, ct.v - interpolated_at_zero(&parties, &ys));
+        let mut held = Recombination::verified(&chain.pk, width);
+        let mut predicted = Recombination::predicted(&chain.pk, parties.clone(), width).unwrap();
+        let mut asked = Vec::new();
+        for (i, message) in messages.iter().enumerate() {
+            let ask = || {
+                asked.push(i);
+                valid(i)
+            };
+            held.offer(i, ask, || message.iter().copied());
+            predicted.offer(i, || valid(i), || message.iter().copied());
         }
-        // A starved item fails the batch with the typed shortage.
-        let mut starved = partials;
-        for post in &mut starved[4][..n - t] {
-            post.2 = false;
+        // The held fold asks only until it has t + 1.
+        assert_eq!(asked, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(held.parties, parties);
+        assert_eq!(held.finish(&chain.pk, "x").unwrap(), expect);
+        assert_eq!(predicted.finish(&chain.pk, "x").unwrap(), expect);
+
+        // Starved either way: the typed shortage, by name.
+        let mut held = Recombination::verified(&chain.pk, width);
+        for (i, message) in messages.iter().enumerate() {
+            held.offer(i, || i < t, || message.iter().copied());
         }
-        assert!(matches!(
-            chain.combine_partials(&cts, &kept(&starved)),
-            Err(ProtocolError::NotEnoughContributions {
-                step: "threshold decrypt",
-                got: 2,
-                need: 3
-            })
-        ));
+        let predicted = Recombination::predicted(&chain.pk, vec![1, 3], width).unwrap();
+        for (starved, got) in [(held, t), (predicted, 2)] {
+            assert!(matches!(
+                starved.finish(&chain.pk, "x"),
+                Err(ProtocolError::NotEnoughContributions { step: "x", got: g, need: 4 }) if g == got
+            ));
+        }
     }
 
     /// What a `Re-encrypt` of `pairs` by `committee`, run from `r`,
-    /// opens each item to, replayed from its draws: one child seed an
-    /// item, one a speaking member, whose encryption comes first from
-    /// it; the first `t + 1` honest members provide. Returns the
-    /// openings and the providers.
-    #[allow(clippy::type_complexity)]
+    /// opens each item to, replayed from its draws: one child seed a
+    /// speaking holder, from which it re-encrypts the items in order;
+    /// the first `t + 1` honest holders provide. Returns the openings and
+    /// the providers.
     fn replayed_openings(
         mut r: rand::rngs::StdRng,
         chain: &TskChain<F61>,
         committee: &Committee,
         pairs: &[(PkePublicKey<F61>, Ciphertext<F61>)],
-    ) -> (Vec<(F61, F61)>, Vec<Vec<usize>>) {
+    ) -> (Vec<(F61, F61)>, Vec<usize>) {
         let phase = crate::engine::phase_index("x");
-        pairs
-            .iter()
-            .map(|(target, ct)| {
-                let mut irng = rand::rngs::StdRng::seed_from_u64(r.next_u64());
-                let (mut parties, mut us, mut vs) = (Vec::new(), Vec::new(), Vec::new());
-                for i in 0..committee.n() {
-                    let behavior = *committee.behavior(i);
-                    if !behavior.participates_at(phase) {
-                        continue;
-                    }
-                    let mut mrng = rand::rngs::StdRng::seed_from_u64(irng.next_u64());
-                    let honest = behavior == Behavior::Honest;
-                    let d = if honest {
-                        chain.share_of(i).unwrap().value * ct.u
-                    } else {
-                        F61::random(&mut mrng)
-                    };
-                    let (enc, _) = LinearPke::encrypt(&mut mrng, target, d);
-                    if honest && parties.len() <= chain.t() {
-                        parties.push(i);
-                        us.push(enc.u);
-                        vs.push(enc.v);
-                    }
-                }
-                let opening =
-                    (ct.v - interpolated_at_zero(&parties, &vs), -interpolated_at_zero(&parties, &us));
-                (opening, parties)
+        let (mut parties, mut encs) = (Vec::new(), Vec::<Vec<Ciphertext<F61>>>::new());
+        for i in 0..committee.n() {
+            let behavior = *committee.behavior(i);
+            if !behavior.participates_at(phase) {
+                continue;
+            }
+            let mut mrng = rand::rngs::StdRng::seed_from_u64(r.next_u64());
+            if behavior == Behavior::Honest && parties.len() <= chain.t() {
+                let s = chain.share_of(i).unwrap().value;
+                parties.push(i);
+                let reencrypt = |(target, ct): &(PkePublicKey<F61>, Ciphertext<F61>)| {
+                    LinearPke::encrypt(&mut mrng, target, s * ct.u).0
+                };
+                encs.push(pairs.iter().map(reencrypt).collect());
+            }
+        }
+        let openings = (pairs.iter().enumerate())
+            .map(|(item, (_, ct))| {
+                let us: Vec<F61> = encs.iter().map(|e| e[item].u).collect();
+                let vs: Vec<F61> = encs.iter().map(|e| e[item].v).collect();
+                (ct.v - interpolated_at_zero(&parties, &vs), -interpolated_at_zero(&parties, &us))
             })
-            .unzip()
+            .collect();
+        (openings, parties)
     }
 
     /// `count` values encrypted under `chain`'s key, each to a fresh
@@ -1110,39 +1156,12 @@ mod tests {
     }
 
     #[test]
-    fn values_of_one_batch_with_differing_subsets_open() {
-        let mut r = rng();
-        let chain = TskChain::<F61>::keygen(&mut r, 7, 2).unwrap();
-        let target = LinearPke::<F61>::keygen(&mut r);
-        let cache = Mutex::new(WeightCache::new());
-        // Provider 0's posting on the middle value does not verify: its
-        // subset is {1, 2, 3}, the others' {0, 1, 2}.
-        for (item, m) in [11u64, 22, 33].into_iter().map(F61::from).enumerate() {
-            let (ct, _) = MockTe::encrypt(&mut r, &chain.pk, m);
-            let mut kept = FirstValid::new(chain.t(), 2);
-            for i in 0..7 {
-                let valid = !(item == 1 && i == 0);
-                let d = if valid { chain.share_of(i).unwrap().value * ct.u } else { F61::random(&mut r) };
-                let enc = LinearPke::encrypt(&mut r, &target.public, d).0;
-                kept.offer(i, || valid, || [enc.u, enc.v]);
-            }
-            let val = ReencryptedValue::fold(&kept, &chain, &cache, target.public, ct.v).unwrap();
-            assert_eq!(val.open(target.secret.scalar).unwrap(), m, "item {item}");
-        }
-        let cache = cache.into_inner().unwrap();
-        assert_eq!(cache.keys().collect::<Vec<_>>(), [&vec![0, 1, 2], &vec![1, 2, 3]]);
-    }
-
-    #[test]
     fn openings_are_identical_at_any_thread_count() {
         let mut r = rng();
         let (n, t) = (7, 3);
         let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
-        let committee = Adversary::active(t, ActiveAttack::WrongValue).sample_committee(
-            &mut r,
-            "r",
-            n,
-        );
+        let committee =
+            Adversary::active(t, ActiveAttack::WrongValue).sample_committee(&mut r, "r", n);
         // Forced onto 2 and 8 workers below: 256 items give each work.
         let pairs: Vec<_> = (0..256)
             .map(|_| {
@@ -1267,11 +1286,20 @@ mod tests {
         [cfg(), ExecutionConfig { produce_proofs: false, ..cfg() }]
     }
 
+    /// Every attack a holder can mount on a `Decrypt` or `Re-encrypt`
+    /// message.
+    const MESSAGE_ATTACKS: [ActiveAttack; 4] = [
+        ActiveAttack::Silent,
+        ActiveAttack::WrongValue,
+        ActiveAttack::BadProof,
+        ActiveAttack::OneLie,
+    ];
+
     #[test]
     fn decrypt_opens_from_members_t_to_2t_when_the_first_t_fail() {
         let (n, t) = (9, 4);
         let providers: Vec<usize> = (t..=2 * t).collect();
-        for attack in [ActiveAttack::Silent, ActiveAttack::WrongValue, ActiveAttack::BadProof] {
+        for attack in MESSAGE_ATTACKS {
             for cfg in proofs_on_and_off() {
                 let mut r = rng();
                 let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
@@ -1282,16 +1310,15 @@ mod tests {
                 let sb = ShardedBoard::new(&board, RolePartition::solo());
                                 let committee = first_t_hostile(n, t, attack);
                 let kept = chain.partials(&mut r, &sb, &committee, &cfg, "x", &cts).unwrap();
-                let got = chain.combine_partials(&cts, &kept).unwrap();
-                assert_eq!(got, ms, "{attack:?}");
-                for ((ct, kept), value) in cts.iter().zip(&kept).zip(got) {
-                    assert_eq!(kept.parties, providers, "{attack:?}");
+                assert_eq!(kept.parties, providers, "{attack:?}");
+                let combined = kept.finish(&chain.pk, "x").unwrap();
+                for ((ct, m), combined) in cts.iter().zip(&ms).zip(combined) {
                     let honest: Vec<F61> = providers
                         .iter()
                         .map(|&i| MockTe::partial_decrypt(chain.share_of(i).unwrap(), ct).value)
                         .collect();
-                    assert_eq!(kept.column(0), honest, "{attack:?}");
-                    assert_eq!(value, ct.v - interpolated_at_zero(&providers, &honest));
+                    assert_eq!(combined, interpolated_at_zero(&providers, &honest), "{attack:?}");
+                    assert_eq!(ct.v - combined, *m, "{attack:?}");
                 }
             }
         }
@@ -1301,7 +1328,7 @@ mod tests {
     fn reencrypt_opens_from_members_t_to_2t_when_the_first_t_fail() {
         let (n, t) = (9, 4);
         let providers: Vec<usize> = (t..=2 * t).collect();
-        for attack in [ActiveAttack::Silent, ActiveAttack::WrongValue, ActiveAttack::BadProof] {
+        for attack in MESSAGE_ATTACKS {
             for cfg in proofs_on_and_off() {
                 let mut r = rng();
                 let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
@@ -1310,11 +1337,9 @@ mod tests {
                 let sb = ShardedBoard::new(&board, RolePartition::solo());
                 let committee = first_t_hostile(n, t, attack);
                 let (expected, parties) = replayed_openings(r.clone(), &chain, &committee, &pairs);
+                assert_eq!(parties, providers, "{attack:?}");
                 let vals = chain.reencrypt(&mut r, &sb, &committee, &cfg, "x", &pairs).unwrap();
-                for (((val, kp), m), (expect, parties)) in
-                    vals.iter().zip(&targets).zip(&ms).zip(expected.into_iter().zip(parties))
-                {
-                    assert_eq!(parties, providers, "{attack:?}");
+                for (((val, kp), m), expect) in vals.iter().zip(&targets).zip(&ms).zip(expected) {
                     assert_eq!(val.opening_coefficients().unwrap(), expect, "{attack:?}");
                     assert_eq!(val.open(kp.secret.scalar).unwrap(), *m, "{attack:?}");
                 }
@@ -1322,43 +1347,87 @@ mod tests {
         }
     }
 
+    /// A holder that posts its honest message under its honest proof and
+    /// then changes one value is dropped from every value of the step:
+    /// `Decrypt` and `Re-encrypt` open from the next valid holders, the
+    /// same at 1, 2 and 8 workers.
+    #[test]
+    fn one_lie_drops_its_holder_from_every_value_at_any_worker_count() {
+        let (n, t) = (9, 4);
+        let mut r = rng();
+        let chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
+        let (targets, ms, pairs) = reencrypt_items(&mut r, &chain, 40);
+        let cts: Vec<_> = pairs.iter().map(|&(_, ct)| ct).collect();
+        let mut behaviors = vec![Behavior::Honest; n];
+        for liar in [1, 3] {
+            behaviors[liar] = Behavior::Malicious(ActiveAttack::OneLie);
+        }
+        let committee = Committee::with_behaviors("c", behaviors);
+        let providers = vec![0, 2, 4, 5, 6];
+        let (expected, parties) = replayed_openings(r.clone(), &chain, &committee, &pairs);
+        assert_eq!(parties, providers);
+        for workers in [1, 2, 8] {
+            crate::parallel::with_forced_workers(workers, || {
+                let board = BulletinBoard::new();
+                let sb = ShardedBoard::new(&board, RolePartition::solo()).with_threads(workers);
+                let kept = chain.partials(&mut rng(), &sb, &committee, &cfg(), "x", &cts).unwrap();
+                assert_eq!(kept.parties, providers, "{workers} workers");
+                let opened = chain.decrypt(&mut rng(), &sb, &committee, &cfg(), "x", &cts);
+                assert_eq!(opened.unwrap(), ms, "{workers} workers");
+                let vals =
+                    chain.reencrypt(&mut r.clone(), &sb, &committee, &cfg(), "x", &pairs).unwrap();
+                for (((val, kp), m), expect) in vals.iter().zip(&targets).zip(&ms).zip(&expected) {
+                    assert_eq!(val.opening_coefficients().unwrap(), *expect, "{workers} workers");
+                    assert_eq!(val.open(kp.secret.scalar).unwrap(), *m, "{workers} workers");
+                }
+            });
+        }
+    }
+
     /// Exact and host-independent: each of a threshold step's `n`
-    /// postings is proved, and its reader verifies postings only until
-    /// it keeps `t + 1` — `2t + 1` verifications when the first `t` are
-    /// forged (a forgery costs its maker no hash and its reader one
-    /// verification). A `Decrypt` ciphertext and a `Re-encrypt` item
-    /// pay one block a proof or a verification, a handover
-    /// ⌈(9 + 16·(t + 1 + 2n)) / 64⌉; each step builds its one map. A
-    /// forged dealing's random `C_0` fails its binding to the dealer's
+    /// holders proves its message once, and the reader verifies messages
+    /// only until it keeps `t + 1` — `2t + 1` when the first `t` are
+    /// forged (a forgery costs its maker no hash and its reader a whole
+    /// verification). A `Decrypt` of `m` ciphertexts absorbs their `u`s
+    /// once; a message then costs its `ρ`, ⌈(8·(m + 1) + 9) / 64⌉
+    /// blocks, its holder's map (two of digest, one of prefix) and its
+    /// challenge (one), to prove and again to verify. A `Re-encrypt` of
+    /// `m` items builds its one map, and a message's challenge costs
+    /// ⌈(9 + 16·(2m + 1)) / 64⌉; a handover's ⌈(9 + 16·(t + 1 + 2n)) / 64⌉.
+    /// A forged dealing's random `C_0` fails its binding to the dealer's
     /// key before any hash.
     #[cfg(debug_assertions)]
     #[test]
     fn a_threshold_step_proves_every_posting_and_verifies_its_first_t_plus_1_valid_ones() {
         use yoso_crypto::sha256::compressions_of;
-        let (n, t) = (9usize, 4usize);
+        let (n, t, m) = (9usize, 4usize, 3usize);
         for (forged, verified) in [(0, t + 1), (t, 2 * t + 1)] {
             let committee = first_t_hostile(n, forged, ActiveAttack::WrongValue);
             let (proved, verified) = ((n - forged) as u64, verified as u64);
             let mut r = rng();
             let mut chain = TskChain::<F61>::keygen(&mut r, n, t).unwrap();
-            let (_, _, pairs) = reencrypt_items(&mut r, &chain, 1);
-            let [(target, ct)] = pairs[..] else { unreachable!() };
+            let (_, _, pairs) = reencrypt_items(&mut r, &chain, m);
+            let cts: Vec<_> = pairs.iter().map(|&(_, ct)| ct).collect();
             let board = BulletinBoard::new();
             let sb = ShardedBoard::new(&board, RolePartition::solo());
 
-            let building = compressions_of(|| PdecMap::new(&chain.pk, &ct)).1;
+            let building = compressions_of(|| PdecBatch::new(&chain.pk, &cts)).1;
+            assert_eq!(building, (8 * (2 + m) as u64).div_ceil(64));
+            let per_message = (8 * (m + 1) as u64 + 9).div_ceil(64) + 3 + 1;
             let (kept, blocks) = compressions_of(|| {
-                chain.partials(&mut r, &sb, &committee, &cfg(), "x", &[ct]).unwrap()
+                chain.partials(&mut r, &sb, &committee, &cfg(), "x", &cts).unwrap()
             });
-            assert_eq!(kept[0].parties, (forged..=forged + t).collect::<Vec<_>>());
-            assert_eq!(blocks, building + proved + verified, "decrypt, {forged} forged");
+            assert_eq!(kept.parties, (forged..=forged + t).collect::<Vec<_>>());
+            assert_eq!(blocks, building + per_message * (proved + verified), "decrypt, {forged}");
 
-            let building = compressions_of(|| EncryptedPartialMap::new(&chain.pk, &target)).1;
+            let building = compressions_of(|| ReencryptMap::new(&chain.pk, &pairs)).1;
+            let per_challenge = (9 + 16 * (2 * m + 1) as u64).div_ceil(64);
             let (vals, blocks) = compressions_of(|| {
                 chain.reencrypt(&mut r, &sb, &committee, &cfg(), "x", &pairs).unwrap()
             });
             assert!(vals[0].opening_coefficients().is_ok());
-            assert_eq!(blocks, building + proved + verified, "re-encrypt, {forged} forged");
+            let expected = building + per_challenge * (proved + verified);
+            assert_eq!(blocks, expected, "re-encrypt, {forged} forged");
 
             let next_keys: Vec<PkeKeyPair<F61>> =
                 (0..n).map(|_| LinearPke::keygen(&mut r)).collect();

@@ -6,7 +6,10 @@
 //! proofs share (a key, a ciphertext, a committee's recipient keys) and
 //! then borrowed by every prover and verifier over it, and as a
 //! per-proof function pair (`enc_proof` / `verify_enc_proof`, …) that
-//! builds the map for one call.
+//! builds the map for one call. A role whose message is many partial
+//! decryptions or many μ-shares over one witness proves them as one
+//! combined statement ([`PdecBatch`], [`ShareBatch`]; see
+//! [`super::combine`]).
 //!
 //! Domain separators keep the proof types mutually unforgeable. A map
 //! is bound to its type's separator when it is built, so its proofs
@@ -20,6 +23,7 @@ use yoso_crypto::Domain;
 use yoso_field::PrimeField;
 use yoso_pss_sharing::shamir::PowerTable;
 
+use super::combine::{combine, Combiner};
 use super::linear::{self, LinearMap};
 use crate::mock::{Ciphertext, PkePublicKey, PublicKey};
 
@@ -27,6 +31,10 @@ static DOMAIN_ENC: Domain = Domain::new(b"yoso-pss/nizk/enc/v4");
 static DOMAIN_PDEC: Domain = Domain::new(b"yoso-pss/nizk/pdec/v4");
 static DOMAIN_RESHARE: Domain = Domain::new(b"yoso-pss/nizk/reshare/v4");
 static DOMAIN_SHARE: Domain = Domain::new(b"yoso-pss/nizk/share/v4");
+/// The combination coefficients of a `Decrypt` and of a `3-mult`
+/// message: hashes of their own, so a `ρ` is never a challenge.
+static DOMAIN_PDEC_RHO: Domain = Domain::new(b"yoso-pss/nizk/pdec-rho/v1");
+static DOMAIN_SHARE_RHO: Domain = Domain::new(b"yoso-pss/nizk/share-rho/v1");
 
 /// Unwraps a map whose rows this module laid out itself.
 fn laid_out<F: PrimeField>(map: Result<LinearMap<F>, linear::MapError>) -> LinearMap<F> {
@@ -134,7 +142,12 @@ pub struct PdecMap<F: PrimeField>(LinearMap<F>);
 impl<F: PrimeField> PdecMap<F> {
     /// The map for partial decryptions of `ct` under `pk`.
     pub fn new(pk: &PublicKey<F>, ct: &Ciphertext<F>) -> Self {
-        PdecMap(laid_out(LinearMap::new(&DOMAIN_PDEC, 1, [[(0, pk.g)], [(0, ct.u)]])))
+        Self::over(pk.g, ct.u)
+    }
+
+    /// The map for partial decryptions of a `u` component under base `g`.
+    fn over(g: F, u: F) -> Self {
+        PdecMap(laid_out(LinearMap::new(&DOMAIN_PDEC, 1, [[(0, g)], [(0, u)]])))
     }
 
     /// Proves that `d` is the partial decryption under the key share
@@ -147,6 +160,59 @@ impl<F: PrimeField> PdecMap<F> {
     /// verification key.
     pub fn verify(&self, vk: F, d: F, proof: &PdecProof<F>) -> bool {
         linear::verify(&self.0, &[vk, d], &proof.inner)
+    }
+}
+
+/// The ciphertexts of one `Decrypt` step, as a holder's one proof over
+/// all of them reads them. The holder posts its partial `d_c = s·u_c`
+/// of each ciphertext and one proof, over a [`PdecMap`] of its own, of
+/// `Σ ρ^c·d_c = s·Σ ρ^c·u_c` beside `vk = s·g`, with `ρ` hashed from
+/// the ciphertexts, `vk` and the partials (see [`super::combine`]): a
+/// message with one wrong partial passes with probability at most
+/// `m/p` for `m` ciphertexts.
+#[derive(Debug, Clone)]
+pub struct PdecBatch<F: PrimeField> {
+    g: F,
+    us: Vec<F>,
+    combiner: Combiner,
+}
+
+impl<F: PrimeField> PdecBatch<F> {
+    /// The step that decrypts `cts` under `pk`.
+    pub fn new(pk: &PublicKey<F>, cts: &[Ciphertext<F>]) -> Self {
+        let us: Vec<F> = cts.iter().map(|ct| ct.u).collect();
+        let public: Vec<F> = std::iter::once(pk.g).chain(us.iter().copied()).collect();
+        PdecBatch { g: pk.g, us, combiner: Combiner::new(&DOMAIN_PDEC_RHO, &public) }
+    }
+
+    /// The combined statement of `vk`'s `partials`: its map and its
+    /// combined partial `D`.
+    fn combined(&self, vk: F, partials: &[F]) -> (PdecMap<F>, F) {
+        let rho = self.combiner.rho(std::iter::once(vk).chain(partials.iter().copied()));
+        let u = combine(rho, self.us.iter().copied());
+        (PdecMap::over(self.g, u), combine(rho, partials.iter().copied()))
+    }
+
+    /// Proves that `partials` are the partial decryptions of the step's
+    /// ciphertexts under the key share `share_value` behind `vk`.
+    pub fn prove<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        vk: F,
+        share_value: F,
+        partials: &[F],
+    ) -> PdecProof<F> {
+        let (map, d) = self.combined(vk, partials);
+        map.prove(rng, vk, share_value, d)
+    }
+
+    /// Verifies a holder's message — one partial per ciphertext, and
+    /// the proof — against its verification key.
+    pub fn verify(&self, vk: F, partials: &[F], proof: &PdecProof<F>) -> bool {
+        partials.len() == self.us.len() && {
+            let (map, d) = self.combined(vk, partials);
+            map.verify(vk, d, proof)
+        }
     }
 }
 
@@ -372,10 +438,11 @@ impl<F: PrimeField> ShareProof<F> {
     }
 }
 
-/// The μ-share relation of one member and one batch: witness `(k)`,
-/// `h = g·k`, `published − offset = −slope·k`. Key and slope are the
-/// member's own, so there is nobody to share the map with — one is
-/// built per posting, for its prover and its verifier.
+/// The μ-share relation of one member and one batch — or of the
+/// `ρ`-combination of a member's batches ([`ShareBatch`]): witness
+/// `(k)`, `h = g·k`, `published − offset = −slope·k`. Key and slope are
+/// the member's own, so there is nobody to share the map with — one is
+/// built per message, for its prover and its verifier.
 #[derive(Debug, Clone)]
 pub struct ShareMap<F: PrimeField> {
     map: LinearMap<F>,
@@ -405,6 +472,77 @@ impl<F: PrimeField> ShareMap<F> {
     /// Verifies a μ-share publication proof.
     pub fn verify(&self, offset: F, published: F, proof: &ShareProof<F>) -> bool {
         linear::verify(&self.map, &[self.h, published - offset], &proof.inner)
+    }
+}
+
+/// One batch's μ-share as its member posts it: `published` should be
+/// `offset − k·slope` for the member's KFF secret `k`, where `offset`
+/// and `slope` are public.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SharePosting<F: PrimeField> {
+    /// The public offset.
+    pub offset: F,
+    /// The public slope.
+    pub slope: F,
+    /// The posted share.
+    pub published: F,
+}
+
+/// A `3-mult` layer's μ-shares, as a member's one proof over all of its
+/// batches reads them. The member posts one share per batch and one
+/// proof, over a [`ShareMap`] of its own, of the `ρ`-combination of its
+/// postings' statements, `ρ` hashed from its key and its postings (see
+/// [`super::combine`]).
+#[derive(Debug, Clone)]
+pub struct ShareBatch {
+    combiner: Combiner,
+}
+
+impl ShareBatch {
+    /// A layer's combination: its public data are the postings, so one
+    /// hash prefix serves every layer.
+    pub fn new<F: PrimeField>() -> Self {
+        ShareBatch { combiner: Combiner::new::<F>(&DOMAIN_SHARE_RHO, &[]) }
+    }
+
+    /// The combined statement of `postings` under `kff_pk`: its map,
+    /// its offset and its published value.
+    fn combined<F: PrimeField>(
+        &self,
+        kff_pk: &PkePublicKey<F>,
+        postings: &[SharePosting<F>],
+    ) -> (ShareMap<F>, F, F) {
+        let rho = self.combiner.rho(
+            [kff_pk.g, kff_pk.h]
+                .into_iter()
+                .chain(postings.iter().flat_map(|p| [p.offset, p.slope, p.published])),
+        );
+        let sum = |part: fn(&SharePosting<F>) -> F| combine(rho, postings.iter().map(part));
+        (ShareMap::new(kff_pk, sum(|p| p.slope)), sum(|p| p.offset), sum(|p| p.published))
+    }
+
+    /// Proves that every posting's share was computed with the KFF
+    /// secret `kff_sk` behind `kff_pk`.
+    pub fn prove<F: PrimeField, R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        kff_pk: &PkePublicKey<F>,
+        postings: &[SharePosting<F>],
+        kff_sk: F,
+    ) -> ShareProof<F> {
+        let (map, offset, published) = self.combined(kff_pk, postings);
+        map.prove(rng, offset, published, kff_sk)
+    }
+
+    /// Verifies a member's postings under one proof.
+    pub fn verify<F: PrimeField>(
+        &self,
+        kff_pk: &PkePublicKey<F>,
+        postings: &[SharePosting<F>],
+        proof: &ShareProof<F>,
+    ) -> bool {
+        let (map, offset, published) = self.combined(kff_pk, postings);
+        map.verify(offset, published, proof)
     }
 }
 
@@ -525,6 +663,113 @@ mod tests {
         let proof = share_proof(&mut r, &kp.public, slope, offset, published, kp.secret.scalar);
         assert!(verify_share_proof(&kp.public, slope, offset, published, &proof));
         assert!(!verify_share_proof(&kp.public, slope, offset, published + F61::ONE, &proof));
+    }
+
+    /// `m` ciphertexts under `pk` and party 2's honest partials of them.
+    fn partials(
+        r: &mut rand::rngs::StdRng,
+        m: usize,
+    ) -> (PublicKey<F61>, F61, Vec<Ciphertext<F61>>, Vec<F61>) {
+        let (pk, shares) = Te::keygen(r, 5, 2).unwrap();
+        let cts: Vec<_> = (0..m)
+            .map(|_| {
+                let value = F61::random(r);
+                Te::encrypt(r, &pk, value).0
+            })
+            .collect();
+        let ds = cts.iter().map(|ct| Te::partial_decrypt(&shares[2], ct).value).collect();
+        (pk, shares[2].value, cts, ds)
+    }
+
+    #[test]
+    fn a_pdec_batch_proof_rejects_one_wrong_partial_anywhere() {
+        let mut r = rng();
+        let (pk, s, cts, ds) = partials(&mut r, 6);
+        let batch = PdecBatch::new(&pk, &cts);
+        let proof = batch.prove(&mut r, pk.vks[2], s, &ds);
+        assert!(batch.verify(pk.vks[2], &ds, &proof));
+        assert!(!batch.verify(pk.vks[3], &ds, &proof));
+        for c in 0..ds.len() {
+            let mut lie = ds.clone();
+            lie[c] += F61::ONE;
+            assert!(!batch.verify(pk.vks[2], &lie, &proof), "partial {c}");
+        }
+        // Another step's ciphertexts, a partial short, and a swap.
+        let other = PdecBatch::new(&pk, &[&cts[1..], &cts[..1]].concat());
+        assert!(!other.verify(pk.vks[2], &ds, &proof));
+        assert!(!batch.verify(pk.vks[2], &ds[..5], &proof));
+        let mut swapped = ds.clone();
+        swapped.swap(0, 1);
+        assert!(!batch.verify(pk.vks[2], &swapped, &proof));
+        // One ciphertext: the combined statement is the per-ciphertext one.
+        let one = PdecBatch::new(&pk, &cts[..1]);
+        let proof = one.prove(&mut r, pk.vks[2], s, &ds[..1]);
+        assert!(one.verify(pk.vks[2], &ds[..1], &proof));
+        assert!(!one.verify(pk.vks[2], &[ds[0] + F61::ONE], &proof));
+    }
+
+    #[test]
+    fn a_share_batch_proof_rejects_one_wrong_share_anywhere() {
+        let mut r = rng();
+        let kp = LinearPke::<F61>::keygen(&mut r);
+        let postings: Vec<SharePosting<F61>> = (0..4)
+            .map(|_| {
+                let (offset, slope) = (F61::random(&mut r), F61::random(&mut r));
+                SharePosting { offset, slope, published: offset - kp.secret.scalar * slope }
+            })
+            .collect();
+        let batch = ShareBatch::new::<F61>();
+        let proof = batch.prove(&mut r, &kp.public, &postings, kp.secret.scalar);
+        assert!(batch.verify(&kp.public, &postings, &proof));
+        for b in 0..postings.len() {
+            let mut lie = postings.clone();
+            lie[b].published += F61::ONE;
+            assert!(!batch.verify(&kp.public, &lie, &proof), "batch {b}");
+        }
+        let other = LinearPke::<F61>::keygen(&mut r).public;
+        assert!(!batch.verify(&other, &postings, &proof));
+        assert!(!batch.verify(&kp.public, &postings[..3], &proof));
+    }
+
+    /// Exact and host-independent: a step absorbs its public data once;
+    /// a combined proof then costs its `ρ` — the message and the padding
+    /// — the member's own map (two blocks of digest, one of prefix) and
+    /// its challenge (one), to prove and again to verify.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_combined_proof_costs_its_rho_its_map_and_one_challenge() {
+        use yoso_crypto::sha256::compressions_of;
+        let mut r = rng();
+        for m in [1usize, 7, 52] {
+            let (pk, s, cts, ds) = partials(&mut r, m);
+            let (batch, building) = compressions_of(|| PdecBatch::new(&pk, &cts));
+            assert_eq!(building, (8 * (2 + m) as u64).div_ceil(64));
+            let per_message = (8 * (m + 1) as u64 + 9).div_ceil(64) + 3 + 1;
+            let (proof, proving) = compressions_of(|| batch.prove(&mut r, pk.vks[2], s, &ds));
+            let (ok, verifying) = compressions_of(|| batch.verify(pk.vks[2], &ds, &proof));
+            assert_eq!((ok, proving, verifying), (true, per_message, per_message), "pdec, {m}");
+        }
+        let kp = LinearPke::<F61>::keygen(&mut r);
+        let (batch, building) = compressions_of(ShareBatch::new::<F61>);
+        assert_eq!(building, 1);
+        for batches in [1usize, 2, 4] {
+            let postings: Vec<_> = (0..batches)
+                .map(|_| SharePosting {
+                    offset: f(9),
+                    slope: f(4),
+                    published: f(9) - kp.secret.scalar * f(4),
+                })
+                .collect();
+            let per_message = (16 + 24 * batches as u64 + 9).div_ceil(64) + 3 + 1;
+            let (proof, proving) =
+                compressions_of(|| batch.prove(&mut r, &kp.public, &postings, kp.secret.scalar));
+            let (ok, verifying) = compressions_of(|| batch.verify(&kp.public, &postings, &proof));
+            assert_eq!(
+                (ok, proving, verifying),
+                (true, per_message, per_message),
+                "share, {batches}"
+            );
+        }
     }
 
     #[test]
@@ -706,7 +951,12 @@ mod tests {
     /// The `/v3` engine's challenge, hand-rolled as DESIGN §8 documented
     /// it: the domain's pre-hashed block(s), then `H′(M)`, the row count,
     /// the targets and the commitment, all hashed per challenge.
-    fn v3_challenge(domain: &[u8], map: &LinearMap<F61>, targets: &[F61], commitment: &[F61]) -> F61 {
+    fn v3_challenge(
+        domain: &[u8],
+        map: &LinearMap<F61>,
+        targets: &[F61],
+        commitment: &[F61],
+    ) -> F61 {
         let mut h = Domain::new(domain).hasher();
         h.update(&map.digest());
         h.update(&(map.row_count() as u64).to_le_bytes());

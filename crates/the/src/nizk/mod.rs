@@ -29,6 +29,11 @@
 //!   contribution (the online phase's "proof of correctness" attached
 //!   to every broadcast). One map per posting.
 //!
+//! - [`PdecBatch`] and [`ShareBatch`]: one proof for a
+//!   role's whole message where its postings share one witness — a key
+//!   share's partials of a step's ciphertexts, a KFF key's μ-shares of
+//!   a layer's batches — as the [`combine`] of their statements.
+//!
 //! The function pairs in brackets build their map for the one call;
 //! protocol code that proves many statements over the same public data
 //! builds the map once and calls its `prove` / `verify`. The two have
@@ -39,15 +44,14 @@
 //! The Paillier-world proofs live in [`crate::paillier::nizk`], over
 //! the [`yoso_crypto::Transcript`] oracle.
 
+pub mod combine;
 pub mod linear;
 
 mod mock_proofs;
 
-pub use linear::{
-    prove as prove_linear, verify as verify_linear, LinearMap, Proof as LinearProof,
-};
+pub use linear::{prove as prove_linear, verify as verify_linear, LinearMap, Proof as LinearProof};
 pub use mock_proofs::{
     enc_proof, pdec_proof, reshare_proof, share_proof, verify_enc_proof, verify_pdec_proof,
-    verify_reshare_proof, verify_share_proof, DealMap, EncMap, EncProof, PdecMap, PdecProof,
-    ReshareProof, ShareMap, ShareProof,
+    verify_reshare_proof, verify_share_proof, DealMap, EncMap, EncProof, PdecBatch, PdecMap,
+    PdecProof, ReshareProof, ShareBatch, ShareMap, SharePosting, ShareProof,
 };

@@ -23,6 +23,11 @@ pub enum ActiveAttack {
     /// Publish a value crafted to shift the reconstructed result by a
     /// fixed offset (tests additive-attack resilience).
     AdditiveOffset,
+    /// Publish an honest message under the proof its honest witness
+    /// makes, then change one of its values: the lie a single proof of a
+    /// whole message (`Decrypt`, `Re-encrypt`, `3-mult`) must catch. A
+    /// message of one statement is posted as under `WrongValue`.
+    OneLie,
 }
 
 /// The behavior of a single role.
