@@ -585,10 +585,10 @@ mod tests {
     }
 
     /// Members that post an honest message under its honest proof and
-    /// then change one value — in `Decrypt`, `Re-encrypt` and `3-mult`
-    /// alike, whose messages carry one proof each — are dropped: the run
-    /// still outputs the cleartext result, the same at 1, 2 and 8
-    /// workers.
+    /// then change one value — in `Decrypt`, `Re-encrypt`, `3-mult` and
+    /// the contribution steps alike, whose messages carry one proof each
+    /// — are dropped: the run still outputs the cleartext result, the
+    /// same at 1, 2 and 8 workers.
     #[test]
     fn one_lie_in_a_message_is_dropped_at_any_worker_count() {
         let adv = Adversary::active(2, ActiveAttack::OneLie);
@@ -687,6 +687,60 @@ mod tests {
         let inline = run(1);
         for workers in [3, 8] {
             assert_eq!(run(workers), inline, "{workers} workers");
+        }
+    }
+
+    /// The contribution committees' postings on `board`: per committee,
+    /// the log positions and member indices of its postings.
+    fn contribution_postings(board: &BulletinBoard<Post>) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let postings = board.postings().unwrap();
+        ["off-beaver-a", "off-beaver-b", "off-randomness", "off-pack"]
+            .into_iter()
+            .map(|committee| {
+                let (mut at, mut members) = (Vec::new(), Vec::new());
+                for (pos, p) in postings.iter().enumerate() {
+                    if &*p.from.committee == committee {
+                        at.push(pos);
+                        members.push(p.from.index);
+                        assert!(matches!(p.message, Post::Contribution { .. }), "{committee}");
+                    }
+                }
+                (at, members)
+            })
+            .collect()
+    }
+
+    /// Each of the four contribution committees speaks once: one
+    /// members' run per execution — consecutive log positions — with one
+    /// posting per speaking member, solo and on a fleet of three
+    /// role-sharded workers sharing one board.
+    #[test]
+    fn every_contribution_committee_posts_one_run_of_one_message_per_speaker() {
+        let params = ProtocolParams::new(10, 2, 3).unwrap();
+        let circuit = generators::inner_product::<F61>(2 * params.k).unwrap();
+        let inputs = [(1..=6u64).map(f).collect(), (10..16u64).map(f).collect::<Vec<_>>()];
+        let run = |partition, adv: &Adversary, board: &BulletinBoard<Post>| {
+            let engine = Engine::new(params, ExecutionConfig::default().with_partition(partition));
+            engine.run_with_board(&mut rng(4242), &circuit, &inputs, adv, board).unwrap()
+        };
+        for (adv, silent) in [(Adversary::none(), 0), (Adversary::active(2, ActiveAttack::Silent), 2)] {
+            let solo = BulletinBoard::new();
+            run(RolePartition::solo(), &adv, &solo);
+            let fleet = BulletinBoard::new();
+            std::thread::scope(|s| {
+                for w in 0..3 {
+                    let (partition, board, adv) = (params.worker_role_range(w, 3), fleet.clone(), &adv);
+                    s.spawn(move || run(partition, adv, &board));
+                }
+            });
+            for board in [&solo, &fleet] {
+                for (at, members) in contribution_postings(board) {
+                    assert_eq!(members.len(), params.n - silent, "one posting per speaker");
+                    assert!(members.windows(2).all(|m| m[0] < m[1]), "each member once, in order");
+                    assert!(at.windows(2).all(|p| p[1] == p[0] + 1), "one run");
+                }
+            }
+            assert_eq!(contribution_postings(&solo), contribution_postings(&fleet));
         }
     }
 

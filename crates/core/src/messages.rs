@@ -13,10 +13,14 @@
 //! A role speaks once, so each posting is a role's whole message in its
 //! step, with one proof: a `Decrypt` holder's partials of every
 //! ciphertext, a `Re-encrypt` holder's every re-encrypted item, a
-//! `3-mult` member's share of every batch of its layer. Where the
-//! postings of a message share one witness their statements are proved
-//! as one random combination; a re-encrypted item keeps its own
-//! randomness rows (`yoso_the::nizk::combine`).
+//! `3-mult` member's share of every batch of its layer, a contribution
+//! member's every encrypted random value (every triple's, every
+//! maskable wire's, every pack helper's). Where the postings of a
+//! message share one witness — or, for a contribution's encryptions,
+//! are each known to the member — their statements are proved as one
+//! random combination; a re-encrypted item keeps its own randomness
+//! rows, and a Beaver b-side triple its own four
+//! (`yoso_the::nizk::combine`).
 
 use yoso_runtime::transport::{BoardError, WireCursor, WireMessage};
 
@@ -27,12 +31,16 @@ use yoso_runtime::transport::{BoardError, WireCursor, WireMessage};
 /// `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Post {
-    /// A `TEnc` contribution with its encryption proof
-    /// (offline Steps 1, 2, 4).
+    /// A contribution member's message (offline Steps 1, 2, 4): its
+    /// `TEnc` encryptions of fresh random values and one proof for all
+    /// of them — [`contribution_elements`]`(m)` for `m` ciphertexts, or
+    /// a Beaver b-side member's [`beaver_b_elements`]`(T)`.
     Contribution {
         /// Which offline step.
         step: ContributionStep,
-        /// Number of ciphertexts in the contribution.
+        /// Number of ciphertexts in the message: one per item (`T`
+        /// triples, `M` maskable wires, `3t·B` pack helpers), two per
+        /// triple on the Beaver b-side.
         ciphertexts: u32,
     },
     /// A holder's `Decrypt` message (offline Step 3, the baseline's
@@ -56,16 +64,14 @@ pub enum Post {
     MulShare,
     /// Baseline protocol: a client's encrypted input.
     BaselineInput,
-    /// Baseline protocol: a partial decryption in the per-gate
-    /// multiplication.
-    BaselinePartialDec,
 }
 
 impl WireMessage for Post {
-    // Tag 8 is retired (it carried a payload-bearing variant) and must
-    // stay unassigned: an old `board-stats --dump` or a stale worker
-    // still using it has to fail to decode, not decode as something
-    // else. New variants start at 9.
+    // Tags 7 (the baseline's never-posted partial decryption) and 8 (a
+    // payload-bearing variant) are retired and must stay unassigned: an
+    // old `board-stats --dump` or a stale worker still using one has to
+    // fail to decode, not decode as something else. New variants start
+    // at 9.
     fn encode(&self, out: &mut Vec<u8>) -> Result<(), BoardError> {
         match self {
             Post::Contribution { step, ciphertexts } => {
@@ -86,7 +92,6 @@ impl WireMessage for Post {
             }
             Post::MulShare => out.push(5),
             Post::BaselineInput => out.push(6),
-            Post::BaselinePartialDec => out.push(7),
         }
         Ok(())
     }
@@ -112,7 +117,6 @@ impl WireMessage for Post {
             4 => Ok(Post::InputMu { wires: cur.u32()? }),
             5 => Ok(Post::MulShare),
             6 => Ok(Post::BaselineInput),
-            7 => Ok(Post::BaselinePartialDec),
             other => Err(BoardError::Protocol(format!("unknown post tag {other}"))),
         }
     }
@@ -149,6 +153,19 @@ pub const PDEC_PROOF_ELEMENTS: u64 = proof_elements(2, 1);
 
 /// Elements in a μ-share proof (2 rows, 1 witness).
 pub const MULSHARE_PROOF_ELEMENTS: u64 = proof_elements(2, 1);
+
+/// Elements in a contribution message of `m` ciphertexts: the
+/// ciphertexts and one encryption proof of their combination, `2m + 4`.
+pub const fn contribution_elements(m: u64) -> u64 {
+    m * CT_ELEMENTS + ENC_PROOF_ELEMENTS
+}
+
+/// Elements in a Beaver b-side message over `T` triples: per triple
+/// `c_b` and `c_c`, and one proof with four rows and two witness
+/// variables (`b`, `r`) per triple, `10T`.
+pub const fn beaver_b_elements(triples: u64) -> u64 {
+    2 * triples * CT_ELEMENTS + proof_elements(4 * triples, 2 * triples)
+}
 
 /// Elements in a `Decrypt` message over `m` ciphertexts: `m` partials
 /// and one partial-decryption proof of their combination, `m + 3`.
@@ -195,7 +212,9 @@ mod tests {
         assert_eq!(CT_ELEMENTS, 2);
         assert_eq!(ENC_PROOF_ELEMENTS, 4);
         assert_eq!(PDEC_PROOF_ELEMENTS, 3);
-        // One proof per role message: m + 3, 5m + 2, B + 3.
+        // One proof per role message: 2m + 4, 10T, m + 3, 5m + 2, B + 3.
+        assert_eq!((contribution_elements(1), contribution_elements(107)), (6, 218));
+        assert_eq!((beaver_b_elements(1), beaver_b_elements(52)), (10, 520));
         assert_eq!((decrypt_elements(1), decrypt_elements(52)), (4, 55));
         assert_eq!((reencrypt_elements(1), reencrypt_elements(144)), (7, 722));
         assert_eq!((mulshare_elements(1), mulshare_elements(2)), (4, 5));
@@ -216,7 +235,6 @@ mod tests {
             Post::InputMu { wires: 42 },
             Post::MulShare,
             Post::BaselineInput,
-            Post::BaselinePartialDec,
         ];
         for p in posts {
             let mut buf = Vec::new();
@@ -232,12 +250,14 @@ mod tests {
         assert!(Post::decode(&mut cur).is_err());
         let mut cur = WireCursor::new(&[0, 9, 0, 0, 0, 0]);
         assert!(Post::decode(&mut cur).is_err());
-        // The retired tag is a typed error whatever follows it.
-        for buf in [&[8u8][..], &[8, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3]] {
-            assert_eq!(
-                Post::decode(&mut WireCursor::new(buf)),
-                Err(BoardError::Protocol("unknown post tag 8".into()))
-            );
+        // A retired tag is a typed error whatever follows it.
+        for tag in [7u8, 8] {
+            for buf in [&[tag][..], &[tag, 0, 0, 0, 0, 2, 0, 0, 0, 1, 2, 3]] {
+                assert_eq!(
+                    Post::decode(&mut WireCursor::new(buf)),
+                    Err(BoardError::Protocol(format!("unknown post tag {tag}")))
+                );
+            }
         }
         // Truncated after the tag: an error, never a panic.
         for buf in [&[][..], &[0], &[0, 1], &[0, 1, 7, 0], &[4], &[4, 42, 0, 0]] {

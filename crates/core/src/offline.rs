@@ -4,19 +4,23 @@
 //!
 //! - **Step 1** — Beaver triples: two committees jointly produce, per
 //!   multiplication gate, an encrypted triple `(cᵃ, cᵇ, cᶜ)` with
-//!   `c = a·b`, each contribution carrying an encryption NIZK.
-//! - **Step 2** — random wire values: a committee sums per-member
-//!   encrypted randomness into a mask ciphertext `c^λ` for every
-//!   input-gate and multiplication output wire.
+//!   `c = a·b`. Each `C1` member posts its `a`-side contribution to
+//!   every triple under one proof; then each `C2` member posts its
+//!   `(cᵇ, cᶜ = b·cᵃ)` for every triple under one proof.
+//! - **Step 2** — random wire values: each member of a committee posts
+//!   one encrypted random value for every input-gate and
+//!   multiplication output wire, under one proof, and the valid ones
+//!   are summed into the mask ciphertexts `c^λ`.
 //! - **Step 3** — dependent wire values: addition-type masks follow
 //!   homomorphically; for each multiplication gate the current
 //!   tsk-holding committee `Decrypt`s `ε = λ_α + a` and `δ = λ_β + b`
 //!   and everyone computes `c^Γ = ε·c_β − δ·cᵃ + cᶜ − c_γ`
 //!   (encrypting `Γ = λ_α·λ_β − λ_γ`). One committee per
 //!   multiplication layer, handing `tsk` to the next.
-//! - **Step 4** — packing: per batch of `k` multiplication gates, the
-//!   helper committee's summed random encryptions extend the `k`
-//!   masks to a degree-`(t+k−1)` polynomial; everyone *locally*
+//! - **Step 4** — packing: the helper committee's members each post
+//!   `3t` encrypted random helpers per batch of `k` multiplication
+//!   gates, under one proof; per batch, `t` summed helpers extend the
+//!   `k` masks to a degree-`(t+k−1)` polynomial, and everyone *locally*
 //!   evaluates the `n` packed-share ciphertexts via `TEval` with
 //!   Lagrange coefficients. Done three times per batch (`λ_α`, `λ_β`
 //!   in batch order, and `Γ_γ`) — this is what solves Turbopack's
@@ -26,11 +30,14 @@
 //! - **Step 6** — per batch and member, `Re-encrypt` the three packed
 //!   shares to the KFF of the online role that will consume them.
 //!
+//! Steps 1, 2 and 4 are contribution steps: a member speaks once, its
+//! message proved by one random combination (DESIGN.md §8 "Contribution
+//! steps: one message per member").
+//!
 //! Total communication: `O(n)` ring elements per gate (measured, not
 //! estimated — see experiment E3).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use yoso_circuit::{BatchedCircuit, Gate, MulBatch};
 use yoso_crypto::Domain;
@@ -38,13 +45,13 @@ use yoso_field::PrimeField;
 use yoso_pss_sharing::PackedSharing;
 use yoso_runtime::{Adversary, Committee};
 use yoso_the::mock::{Ciphertext, MockTe, PkePublicKey, PublicKey};
-use yoso_the::nizk::{self, EncMap, EncProof, LinearMap};
+use yoso_the::nizk::{self, EncBatch, EncProof, LinearMap};
 
-use crate::messages::{self, ContributionStep, Post, CT_ELEMENTS, ENC_PROOF_ELEMENTS};
-use crate::parallel::{par_map, PostBuffer};
+use crate::messages::{self, ContributionStep, Post};
+use crate::parallel::PostBuffer;
 use crate::setup::SetupArtifacts;
 use crate::step::{Proved, Step, Turn};
-use crate::tsk::{ReencryptedValue, TskChain};
+use crate::tsk::{lie_once, proves_honestly, ReencryptedValue, TskChain};
 use crate::workitem::ShardedBoard;
 use crate::{ExecutionConfig, ProtocolError};
 
@@ -75,119 +82,156 @@ pub struct OfflineArtifacts<F: PrimeField> {
     pub tsk: TskChain<F>,
 }
 
-/// The threshold key as the contribution steps use it: the key and —
-/// when proofs are produced at all — the one `enc` map over its
-/// `(g, h)`, which no handover changes, shared by every member's proof
-/// of every contribution under the key.
-pub(crate) struct ContributionKey<'a, F: PrimeField> {
-    tpk: &'a PublicKey<F>,
-    enc: Option<EncMap<F>>,
+/// The combination coefficients of the three kinds of contribution
+/// message, each under a domain of its own: a message read as another
+/// kind's is read under another `ρ`.
+static DOMAIN_BEAVER_A_RHO: Domain = Domain::new(b"yoso-pss/nizk/beaver-a-rho/v1");
+static DOMAIN_WIRE_RHO: Domain = Domain::new(b"yoso-pss/nizk/wire-rho/v1");
+static DOMAIN_PACK_RHO: Domain = Domain::new(b"yoso-pss/nizk/pack-rho/v1");
+
+/// The combined encryption proofs of a contribution step of `kind` (the
+/// Beaver a-side for [`ContributionStep::Beaver`]) under `tpk`.
+fn enc_batch<F: PrimeField>(kind: ContributionStep, tpk: &PublicKey<F>) -> EncBatch<F> {
+    let domain = match kind {
+        ContributionStep::Beaver => &DOMAIN_BEAVER_A_RHO,
+        ContributionStep::WireRandom => &DOMAIN_WIRE_RHO,
+        ContributionStep::PackHelper => &DOMAIN_PACK_RHO,
+    };
+    EncBatch::new(domain, tpk)
 }
 
-impl<'a, F: PrimeField> ContributionKey<'a, F> {
-    pub(crate) fn new(tpk: &'a PublicKey<F>, cfg: &ExecutionConfig) -> Self {
-        ContributionKey { tpk, enc: cfg.produce_proofs.then(|| EncMap::new(tpk)) }
-    }
-}
-
-/// The step in which each member of `committee` posts one encrypted
-/// random contribution of `kind`: a light step, whose members run
-/// inline (a loop of them, or the triples, which fan out by triple).
+/// The step in which each member of `committee` posts its whole message
+/// of `kind` — `ciphertexts` ciphertexts and a proof, `elements` in all.
+/// Nobody proves: a light step, its members run inline. Proofs made: the
+/// members' elements weigh their turns, as in every step.
 fn contribution_step<'c>(
     committee: &'c Committee,
     sb: &ShardedBoard<'_>,
+    cfg: &ExecutionConfig,
     phase: &'static str,
     kind: ContributionStep,
-) -> Step<'c> {
-    let post = Post::Contribution { step: kind, ciphertexts: 1 };
-    Step::new(committee, sb, phase, post, CT_ELEMENTS + ENC_PROOF_ELEMENTS).inline()
+    ciphertexts: usize,
+    elements: u64,
+) -> Result<Step<'c>, ProtocolError> {
+    let ciphertexts = u32::try_from(ciphertexts).map_err(|_| {
+        ProtocolError::BadParameters(format!("{ciphertexts} ciphertexts in one message"))
+    })?;
+    let post = Post::Contribution { step: kind, ciphertexts };
+    let step = Step::new(committee, sb, phase, post, elements);
+    Ok(if cfg.produce_proofs { step } else { step.inline() })
 }
 
-/// A member's contribution as its reader holds it.
-type Contribution<'k, F> = (Ciphertext<F>, Proved<&'k EncMap<F>, EncProof<F>>);
+/// A member's contribution message as its reader holds it: its
+/// ciphertexts, one per item, and its one proof.
+type Contribution<'k, F> = (Vec<Ciphertext<F>>, Proved<&'k EncBatch<F>, EncProof<F>>);
 
-/// A member's turn in a contribution step: a fresh random value
-/// encrypted under the key, proved where this worker proves.
+/// A member's turn in a contribution step: `m` fresh random values
+/// encrypted under `tpk`, and one proof of their combination where this
+/// worker proves. A `one-lie` member changes its last ciphertext after
+/// proving; any other attacker posts a garbage proof.
 fn contribute<'k, F: PrimeField>(
-    key: &'k ContributionKey<'_, F>,
-) -> impl Fn(Turn<&'k EncMap<F>>, ()) -> Contribution<'k, F> + Sync + 'k {
-    let tpk = key.tpk;
+    tpk: &'k PublicKey<F>,
+    m: usize,
+) -> impl Fn(Turn<&'k EncBatch<F>>, ()) -> Contribution<'k, F> + Sync + 'k {
     move |mut turn, ()| {
-        let m = F::random(&mut turn.rng);
-        let (ct, r) = MockTe::encrypt(&mut turn.rng, tpk, m);
-        let follows = turn.attack().is_none();
-        let proof = turn.prove(|map, rng| {
-            if follows {
-                map.prove(rng, &ct, m, r)
+        let (index, attack) = (turn.index, turn.attack());
+        let (mut cts, mut values, mut rands) =
+            (Vec::with_capacity(m), Vec::with_capacity(m), Vec::with_capacity(m));
+        for _ in 0..m {
+            let value = F::random(&mut turn.rng);
+            let (ct, r) = MockTe::encrypt(&mut turn.rng, tpk, value);
+            cts.push(ct);
+            values.push(value);
+            rands.push(r);
+        }
+        let proof = turn.prove(|batch, rng| {
+            if proves_honestly(attack) {
+                batch.prove(rng, index, &cts, &values, &rands)
             } else {
                 EncProof::garbage(rng)
             }
         });
-        (ct, proof)
+        lie_once(attack, cts.last_mut().map(|ct| &mut ct.v));
+        (cts, proof)
     }
 }
 
-/// The homomorphic sum of a contribution step's *valid* contributions,
-/// read in member order.
+/// The running sums of a contribution step, one per item, over the
+/// members whose messages are valid, read in member order.
 ///
-/// A malicious member's plaintext is as random as an honest one's; what
-/// it cannot produce is the proof, so its contribution is filtered —
-/// which is safe: sums of any subset of valid contributions that
-/// includes at least one honest one are uniform.
-struct ValidSum<F: PrimeField> {
-    sum: Ciphertext<F>,
+/// A malicious member's plaintexts are as random as an honest one's;
+/// what it cannot produce is the proof, so its message is dropped from
+/// every sum — which is safe: sums of any set of valid messages that
+/// includes an honest one are uniform. Every valid message is summed,
+/// so every one is verified.
+struct ContributionSums<F: PrimeField> {
+    sums: Vec<Ciphertext<F>>,
     valid: usize,
 }
 
-impl<F: PrimeField> ValidSum<F> {
-    fn new() -> Self {
-        ValidSum { sum: Ciphertext { u: F::ZERO, v: F::ZERO }, valid: 0 }
+impl<F: PrimeField> ContributionSums<F> {
+    fn new(m: usize) -> Self {
+        ContributionSums { sums: vec![Ciphertext { u: F::ZERO, v: F::ZERO }; m], valid: 0 }
     }
 
-    /// Every valid contribution is summed, so every one is verified.
-    fn add(&mut self, (ct, proof): Contribution<'_, F>) -> Result<(), ProtocolError> {
-        if proof.verify(|map, proof| map.verify(&ct, proof)) {
-            self.sum = Ciphertext { u: self.sum.u + ct.u, v: self.sum.v + ct.v };
+    /// Adds `member`'s contribution message to every sum if it is
+    /// valid.
+    fn offer(&mut self, member: usize, (cts, proof): Contribution<'_, F>) {
+        self.add(&cts, || proof.verify(|batch, proof| batch.verify(member, &cts, proof)));
+    }
+
+    /// Adds `cts`, one per sum, to the sums if it is a whole message and
+    /// `valid`.
+    fn add(&mut self, cts: &[Ciphertext<F>], valid: impl FnOnce() -> bool) {
+        if cts.len() == self.sums.len() && valid() {
+            for (sum, ct) in self.sums.iter_mut().zip(cts) {
+                *sum = Ciphertext { u: sum.u + ct.u, v: sum.v + ct.v };
+            }
             self.valid += 1;
         }
-        Ok(())
     }
 
-    fn finish(self) -> Result<Ciphertext<F>, ProtocolError> {
+    fn finish(self, step: &'static str) -> Result<Vec<Ciphertext<F>>, ProtocolError> {
         if self.valid == 0 {
-            return Err(ProtocolError::NotEnoughContributions {
-                step: "summed contribution",
-                got: 0,
-                need: 1,
-            });
+            return Err(ProtocolError::NotEnoughContributions { step, got: 0, need: 1 });
         }
-        Ok(self.sum)
+        Ok(self.sums)
     }
 }
 
-/// `count` contribution steps of `committee` in a row — a loop of light
-/// steps, each one's members run inline — and their sums, in order.
+/// One contribution step of `committee`: each member posts `m` fresh
+/// random values encrypted under `tpk` and one proof of their
+/// combination ([`EncBatch`], `ρ` under `kind`'s domain), and the valid
+/// messages are summed item by item. No item, no step.
+///
+/// # Errors
+///
+/// Returns [`ProtocolError::NotEnoughContributions`] if no message is
+/// valid, and propagates transport errors.
+#[allow(clippy::too_many_arguments)]
 fn summed_contributions<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     sb: &ShardedBoard<'_>,
     committee: &Committee,
-    key: &ContributionKey<'_, F>,
+    cfg: &ExecutionConfig,
+    tpk: &PublicKey<F>,
     phase: &'static str,
     kind: ContributionStep,
-    count: usize,
+    m: usize,
 ) -> Result<Vec<Ciphertext<F>>, ProtocolError> {
-    let step = contribution_step(committee, sb, phase, kind);
-    let mut posts = PostBuffer::new();
-    let sums = (0..count)
-        .map(|_| {
-            let mut sum = ValidSum::new();
-            let (prover, everyone) = (key.enc.as_ref(), step.everyone());
-            step.run(rng, &mut posts, prover, everyone, contribute(key), |_, c| sum.add(c))?;
-            sum.finish()
-        })
-        .collect();
+    if m == 0 {
+        return Ok(Vec::new());
+    }
+    let elements = messages::contribution_elements(m as u64);
+    let step = contribution_step(committee, sb, cfg, phase, kind, m, elements)?;
+    let batch = cfg.produce_proofs.then(|| enc_batch(kind, tpk));
+    let (mut posts, mut sums) = (PostBuffer::new(), ContributionSums::new(m));
+    step.run(rng, &mut posts, batch.as_ref(), step.everyone(), contribute(tpk, m), |i, c| {
+        sums.offer(i, c);
+        Ok(())
+    })?;
     sb.flush_buffer(posts)?;
-    sums
+    sums.finish("summed contribution")
 }
 
 /// An encrypted Beaver triple.
@@ -201,100 +245,19 @@ pub struct EncryptedTriple<F: PrimeField> {
     pub c: Ciphertext<F>,
 }
 
-/// The two steps of one Beaver triple: `C1`'s a-side contributions and
-/// `C2`'s b-side postings.
-struct TripleSteps<'c> {
-    a_side: Step<'c>,
-    b_side: Step<'c>,
-}
-
-impl<'c> TripleSteps<'c> {
-    fn new(sb: &ShardedBoard<'_>, c1: &'c Committee, c2: &'c Committee) -> Self {
-        let phase = "offline/1-beaver";
-        let a_side = contribution_step(c1, sb, phase, ContributionStep::Beaver);
-        let post = Post::Contribution { step: ContributionStep::Beaver, ciphertexts: 2 };
-        let elements = 2 * CT_ELEMENTS + messages::proof_elements(4, 2);
-        TripleSteps { a_side, b_side: Step::new(c2, sb, phase, post, elements).inline() }
-    }
-
-    /// Produces one encrypted Beaver triple from its child RNG.
-    fn triple<F: PrimeField, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        cfg: &ExecutionConfig,
-        key: &ContributionKey<'_, F>,
-    ) -> Result<EncryptedTriple<F>, ProtocolError> {
-        let tpk = key.tpk;
-        let mut a_sum = ValidSum::new();
-        let (a_side, everyone) = (&self.a_side, self.a_side.everyone());
-        a_side.act(rng, key.enc.as_ref(), everyone, contribute(key), |_, c| a_sum.add(c))?;
-        let c_a = a_sum.finish()?;
-        // One b-side map per triple, shared by C2's postings.
-        let b_map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a));
-
-        // b-side: each C2 member posts (c_b_i, c_c_i = b_i·c^a) with a
-        // proof of the joint relation.
-        let work = |mut turn: Turn<_>, ()| match turn.attack() {
-            None => {
-                let b_i = F::random(&mut turn.rng);
-                let (cb, r) = MockTe::encrypt(&mut turn.rng, tpk, b_i);
-                let cc = Ciphertext { u: b_i * c_a.u, v: b_i * c_a.v };
-                (cb, cc, turn.prove(|map: &&BeaverBMap<F>, rng| map.prove(rng, &cb, &cc, b_i, r)))
-            }
-            Some(_) => {
-                let junk = F::random(&mut turn.rng);
-                let (cb, _) = MockTe::encrypt(&mut turn.rng, tpk, junk);
-                let fake = F::random(&mut turn.rng);
-                let cc = Ciphertext { u: fake * c_a.u, v: fake * c_a.v + F::ONE };
-                (cb, cc, turn.prove(|map: &&BeaverBMap<F>, rng| map.garbage(rng)))
-            }
-        };
-        // Every valid part is summed, so every one is verified.
-        let zero = Ciphertext { u: F::ZERO, v: F::ZERO };
-        let (mut c_b, mut c_c, mut valid) = (zero, zero, 0);
-        let fold = |_, (cb, cc, proof): (_, _, Proved<&BeaverBMap<F>, nizk::LinearProof<F>>)| {
-            if proof.verify(|map, proof| map.verify(&cb, &cc, proof)) {
-                c_b = Ciphertext { u: c_b.u + cb.u, v: c_b.v + cb.v };
-                c_c = Ciphertext { u: c_c.u + cc.u, v: c_c.v + cc.v };
-                valid += 1;
-            }
-            Ok(())
-        };
-        self.b_side.act(rng, b_map.as_ref(), self.b_side.everyone(), work, fold)?;
-        if valid == 0 {
-            return Err(ProtocolError::NotEnoughContributions {
-                step: "beaver b-side",
-                got: 0,
-                need: 1,
-            });
-        }
-        Ok(EncryptedTriple { a: c_a, b: c_b, c: c_c })
-    }
-
-    /// Rule 5 for `count` triples drawn on other threads.
-    fn record(&self, posts: &mut PostBuffer, count: usize) {
-        let everyone = |step: &Step<'_>| step.speakers(step.everyone().map(|(member, ())| member));
-        let (a_side, b_side) = (everyone(&self.a_side), everyone(&self.b_side));
-        for _ in 0..count {
-            self.a_side.record_speakers(posts, &a_side);
-            self.b_side.record_speakers(posts, &b_side);
-        }
-    }
-}
-
 /// Step 1: two committees produce one encrypted Beaver triple per
-/// multiplication gate (`Beaver-Triple` in the paper).
+/// multiplication gate (`Beaver-Triple` in the paper), in two steps.
 ///
-/// Triples are independent, so each one runs from its own child RNG
-/// (seeds drawn sequentially from `rng`) on the board view's threads
-/// and returns its values alone; this thread records every triple's
-/// speakers in triple order, making the transcript independent of the
-/// thread count.
+/// `C1` is a contribution step over every triple: the valid members'
+/// `a`-side messages sum to the `cᵃ_j`. Then each `C2` member posts, for
+/// every triple, `cᵇ_j = TEnc(b_j)` and `cᶜ_j = b_j·cᵃ_j` under one
+/// proof over the step's one `BeaverBMap`, and the valid messages sum
+/// to the `(cᵇ_j, cᶜ_j)`.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError::NotEnoughContributions`] if a side of a
-/// triple has no valid contribution, and propagates transport errors.
+/// Returns [`ProtocolError::NotEnoughContributions`] if a side has no
+/// valid message, and propagates transport errors.
 pub fn beaver_triples<F: PrimeField, R: Rng + ?Sized>(
     rng: &mut R,
     sb: &ShardedBoard<'_>,
@@ -304,45 +267,87 @@ pub fn beaver_triples<F: PrimeField, R: Rng + ?Sized>(
     tpk: &PublicKey<F>,
     count: usize,
 ) -> Result<Vec<EncryptedTriple<F>>, ProtocolError> {
-    let key = &ContributionKey::new(tpk, cfg);
-    let steps = TripleSteps::new(sb, c1, c2);
-    let seeds: Vec<u64> = (0..count).map(|_| rng.next_u64()).collect();
-    let triples = par_map(sb.threads(), c1.n() + c2.n(), &seeds, |_, &seed| {
-        steps.triple(&mut StdRng::seed_from_u64(seed), cfg, key)
-    });
-    let mut posts = PostBuffer::new();
-    steps.record(&mut posts, count);
+    let (phase, kind) = ("offline/1-beaver", ContributionStep::Beaver);
+    let c_a = summed_contributions(rng, sb, c1, cfg, tpk, phase, kind, count)?;
+    if count == 0 {
+        return Ok(Vec::new());
+    }
+    let elements = messages::beaver_b_elements(count as u64);
+    let step = contribution_step(c2, sb, cfg, phase, kind, 2 * count, elements)?;
+    // One map for the step, shared by every C2 member.
+    let map = cfg.produce_proofs.then(|| BeaverBMap::new(tpk, &c_a));
+    // A member's message: (cᵇ_j, cᶜ_j) for each triple, proved at once.
+    let work = |mut turn: Turn<_>, ()| {
+        let attack = turn.attack();
+        let honest = proves_honestly(attack);
+        let (mut cts, mut witness) = (Vec::with_capacity(2 * count), Vec::new());
+        for c_a in &c_a {
+            let b = F::random(&mut turn.rng);
+            let (c_b, r) = MockTe::encrypt(&mut turn.rng, tpk, b);
+            if honest {
+                cts.extend([c_b, Ciphertext { u: b * c_a.u, v: b * c_a.v }]);
+                witness.extend([b, r]);
+            } else {
+                let fake = F::random(&mut turn.rng);
+                cts.extend([c_b, Ciphertext { u: fake * c_a.u, v: fake * c_a.v + F::ONE }]);
+            }
+        }
+        let proof = turn.prove(|map: &&BeaverBMap<F>, rng| match honest {
+            true => map.prove(rng, &cts, &witness),
+            false => map.garbage(rng),
+        });
+        lie_once(attack, cts.last_mut().map(|ct| &mut ct.v));
+        (cts, proof)
+    };
+    let (mut posts, mut sums) = (PostBuffer::new(), ContributionSums::new(2 * count));
+    let fold = |_, (cts, proof): (Vec<_>, Proved<&BeaverBMap<F>, nizk::LinearProof<F>>)| {
+        sums.add(&cts, || proof.verify(|map, proof| map.verify(&cts, proof)));
+        Ok(())
+    };
+    step.run(rng, &mut posts, map.as_ref(), step.everyone(), work, fold)?;
     sb.flush_buffer(posts)?;
-    triples.into_iter().collect()
+    let b_c = sums.finish("beaver b-side")?;
+    let triples = c_a.into_iter().zip(b_c.chunks_exact(2));
+    Ok(triples.map(|(a, b_c)| EncryptedTriple { a, b: b_c[0], c: b_c[1] }).collect())
 }
 
 static DOMAIN_BEAVER_B: Domain = Domain::new(b"yoso-pss/nizk/beaver-b/v4");
 
-/// The b-side Beaver relation of one triple: witness `(b, r)` with
-/// `c_b = TEnc(b; r)` and `c_c = b · c_a`. The map holds the key and
-/// `c_a`, so one serves every b-side member of the triple.
+/// The b-side Beaver relation of a whole step: witness
+/// `(b_0, r_0, …, b_{T−1}, r_{T−1})` with `cᵇ_j = TEnc(b_j; r_j)` and
+/// `cᶜ_j = b_j·cᵃ_j`, four rows per triple. Each triple keeps its own
+/// rows: its witness is its own and `cᶜ_j`'s coefficients are `cᵃ_j`, so
+/// a `ρ`-combination would leave the `b_j` free (DESIGN.md §8). The map
+/// holds the key and every `cᵃ_j`, so one serves every b-side member of
+/// the step; a member's targets are its `(cᵇ_j, cᶜ_j)` in triple order.
 struct BeaverBMap<F: PrimeField>(LinearMap<F>);
 
 impl<F: PrimeField> BeaverBMap<F> {
-    fn new(tpk: &PublicKey<F>, c_a: &Ciphertext<F>) -> Self {
-        let rows: [&[(usize, F)]; 4] =
-            [&[(1, tpk.g)], &[(0, F::ONE), (1, tpk.h)], &[(0, c_a.u)], &[(0, c_a.v)]];
-        // lint:allow(panic): infallible — the columns above are fixed,
-        // below the witness length and increasing; only coefficients
-        // come from outside.
-        BeaverBMap(LinearMap::new(&DOMAIN_BEAVER_B, 2, rows).expect("a fixed-shape map"))
+    fn new(tpk: &PublicKey<F>, c_as: &[Ciphertext<F>]) -> Self {
+        let rows = c_as.iter().enumerate().flat_map(|(j, c_a)| {
+            let (b, r) = (2 * j, 2 * j + 1);
+            [vec![(r, tpk.g)], vec![(b, F::ONE), (r, tpk.h)], vec![(b, c_a.u)], vec![(b, c_a.v)]]
+        });
+        let map = LinearMap::new(&DOMAIN_BEAVER_B, 2 * c_as.len(), rows);
+        // lint:allow(panic): infallible — each triple's two columns, in
+        // increasing order and below the witness length; only
+        // coefficients come from outside.
+        BeaverBMap(map.expect("a fixed-shape map"))
     }
 
+    fn targets(cts: &[Ciphertext<F>]) -> Vec<F> {
+        cts.iter().flat_map(|ct| [ct.u, ct.v]).collect()
+    }
+
+    /// Proves a member's `(cᵇ_j, cᶜ_j)` pairs, `cts` in triple order,
+    /// from its `(b_j, r_j)` pairs, `witness` in the same order.
     fn prove<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        c_b: &Ciphertext<F>,
-        c_c: &Ciphertext<F>,
-        b: F,
-        r: F,
+        cts: &[Ciphertext<F>],
+        witness: &[F],
     ) -> nizk::LinearProof<F> {
-        let targets = [c_b.u, c_b.v, c_c.u, c_c.v];
-        nizk::prove_linear(rng, &self.0, &targets, &[b, r])
+        nizk::prove_linear(rng, &self.0, &Self::targets(cts), witness)
     }
 
     /// What a malicious member posts: a random proof of the map's shape.
@@ -350,13 +355,8 @@ impl<F: PrimeField> BeaverBMap<F> {
         self.0.garbage(rng)
     }
 
-    fn verify(
-        &self,
-        c_b: &Ciphertext<F>,
-        c_c: &Ciphertext<F>,
-        proof: &nizk::LinearProof<F>,
-    ) -> bool {
-        nizk::verify_linear(&self.0, &[c_b.u, c_b.v, c_c.u, c_c.v], proof)
+    fn verify(&self, cts: &[Ciphertext<F>], proof: &nizk::LinearProof<F>) -> bool {
+        nizk::verify_linear(&self.0, &Self::targets(cts), proof)
     }
 }
 
@@ -391,7 +391,8 @@ pub fn pack_ciphertexts<F: PrimeField>(
     let inputs = || wire_cts.iter().chain(helper_cts);
     let mut nodes: Vec<F> = inputs().map(|ct| ct.u).collect();
     scheme.extend_into(&mut nodes, shares)?;
-    let mut packed: Vec<Ciphertext<F>> = shares.iter().map(|&u| Ciphertext { u, v: F::ZERO }).collect();
+    let mut packed: Vec<Ciphertext<F>> =
+        shares.iter().map(|&u| Ciphertext { u, v: F::ZERO }).collect();
     for (node, ct) in nodes.iter_mut().zip(inputs()) {
         *node = ct.v;
     }
@@ -425,17 +426,13 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
     let t = params.t;
     let mut tsk = setup.tsk.clone();
     let tpk = tsk.pk.clone();
-    let key = ContributionKey::new(&tpk, cfg);
     let circuit = &bc.circuit;
 
     // ---- Step 1: Beaver triples, one per multiplication gate.
     let c1 = adversary.sample_committee(rng, "off-beaver-a", n);
     let c2 = adversary.sample_committee(rng, "off-beaver-b", n);
-    let mul_wires: Vec<usize> = circuit
-        .mul_layers()
-        .iter()
-        .flat_map(|layer| layer.iter().map(|w| w.0))
-        .collect();
+    let mul_wires: Vec<usize> =
+        circuit.mul_layers().iter().flat_map(|layer| layer.iter().map(|w| w.0)).collect();
     let triples = beaver_triples(rng, sb, &c1, &c2, cfg, &tpk, mul_wires.len())?;
     sb.advance_round()?;
     // triple_of[wire] = index into `triples`.
@@ -454,7 +451,7 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
         .map(|(w, _)| w)
         .collect();
     let kind = ContributionStep::WireRandom;
-    let masks = summed_contributions(rng, sb, &c3, &key, phase2, kind, maskable.len())?;
+    let masks = summed_contributions(rng, sb, &c3, cfg, &tpk, phase2, kind, maskable.len())?;
     for (w, mask) in maskable.into_iter().zip(masks) {
         lambda_cts[w] = mask;
     }
@@ -469,7 +466,8 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
     for (w, gate) in circuit.gates().iter().enumerate() {
         match *gate {
             Gate::Add(a, b) => {
-                lambda_cts[w] = MockTe::eval(&[lambda_cts[a.0], lambda_cts[b.0]], &[F::ONE, F::ONE])?;
+                lambda_cts[w] =
+                    MockTe::eval(&[lambda_cts[a.0], lambda_cts[b.0]], &[F::ONE, F::ONE])?;
             }
             Gate::Sub(a, b) => {
                 lambda_cts[w] =
@@ -498,11 +496,7 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
         for &gw in layer {
             let (a, b) = match circuit.gates()[gw.0] {
                 Gate::Mul(a, b) => (a, b),
-                _ => {
-                    return Err(ProtocolError::Invariant(
-                        "mul layer contains a non-mul gate",
-                    ))
-                }
+                _ => return Err(ProtocolError::Invariant("mul layer contains a non-mul gate")),
             };
             let tr = &triples[triple_of[gw.0]];
             eps_delta.push(MockTe::eval(&[lambda_cts[a.0], tr.a], &[F::ONE, F::ONE])?);
@@ -512,11 +506,7 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
         for (j, &gw) in layer.iter().enumerate() {
             let (_, b) = match circuit.gates()[gw.0] {
                 Gate::Mul(a, b) => (a, b),
-                _ => {
-                    return Err(ProtocolError::Invariant(
-                        "mul layer contains a non-mul gate",
-                    ))
-                }
+                _ => return Err(ProtocolError::Invariant("mul layer contains a non-mul gate")),
             };
             let tr = &triples[triple_of[gw.0]];
             let eps = opened[2 * j];
@@ -535,9 +525,14 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
         sb.advance_round()?;
     }
 
-    // ---- Step 4: packing per batch (helpers contributed by c3 as part
-    // of its single message; metered under the packing phase).
+    // ---- Step 4: packing per batch, the helpers contributed by a
+    // committee of their own in one message per member: t each for λ_α,
+    // λ_β and Γ of every batch, in batch order.
+    let c4 = adversary.sample_committee(rng, "off-pack", n);
     let phase4 = "offline/4-pack";
+    let (kind, helpers) = (ContributionStep::PackHelper, 3 * t * bc.mul_batches.len());
+    let helpers = summed_contributions(rng, sb, &c4, cfg, &tpk, phase4, kind, helpers)?;
+    let mut helpers = helpers.chunks_exact(t.max(1));
     type PackedTriple<F> = (Vec<Ciphertext<F>>, Vec<Ciphertext<F>>, Vec<Ciphertext<F>>);
     let mut packed: Vec<PackedTriple<F>> = Vec::with_capacity(bc.mul_batches.len());
     let mut pack_shares: Vec<F> = Vec::new();
@@ -545,10 +540,8 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
         let scheme = PackedSharing::new(n, batch.gates.len())?;
         let alpha_wires = batch.left_wires(circuit);
         let beta_wires = batch.right_wires(circuit);
-        let alpha_cts: Vec<Ciphertext<F>> =
-            alpha_wires.iter().map(|w| lambda_cts[w.0]).collect();
-        let beta_cts: Vec<Ciphertext<F>> =
-            beta_wires.iter().map(|w| lambda_cts[w.0]).collect();
+        let alpha_cts: Vec<Ciphertext<F>> = alpha_wires.iter().map(|w| lambda_cts[w.0]).collect();
+        let beta_cts: Vec<Ciphertext<F>> = beta_wires.iter().map(|w| lambda_cts[w.0]).collect();
         let gamma_in: Vec<Ciphertext<F>> = batch
             .gates
             .iter()
@@ -558,10 +551,6 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
                 ))
             })
             .collect::<Result<_, _>>()?;
-        // The helpers of λ_α, λ_β and Γ, t each, in that order.
-        let kind = ContributionStep::PackHelper;
-        let helpers = summed_contributions(rng, sb, &c3, &key, phase4, kind, 3 * t)?;
-        let mut helpers = helpers.chunks_exact(t.max(1));
         let mut pack = |wires_cts: &[Ciphertext<F>]| {
             let helpers = helpers.next().unwrap_or_default();
             pack_ciphertexts(&scheme, t, wires_cts, helpers, &mut pack_shares)
@@ -582,11 +571,8 @@ pub fn run_offline<F: PrimeField, R: Rng + ?Sized>(
         }
     }
     let input_vals = tsk.reencrypt(rng, sb, &c5, cfg, phase5, &input_items)?;
-    let input_reenc = input_meta
-        .into_iter()
-        .zip(input_vals)
-        .map(|((w, client), v)| (w, client, v))
-        .collect();
+    let input_reenc =
+        input_meta.into_iter().zip(input_vals).map(|((w, client), v)| (w, client, v)).collect();
     sb.advance_round()?;
     let next_keys: Vec<yoso_the::mock::PkeKeyPair<F>> =
         (0..n).map(|_| yoso_the::mock::LinearPke::keygen(rng)).collect();
@@ -643,11 +629,11 @@ pub fn debug_open_batch_lambda<F: PrimeField>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::with_forced_workers;
     use crate::RolePartition;
-    use yoso_runtime::BulletinBoard;
     use rand::SeedableRng;
     use yoso_field::F61;
-    use yoso_runtime::{ActiveAttack, Committee as RtCommittee};
+    use yoso_runtime::{ActiveAttack, Behavior, BulletinBoard, Committee as RtCommittee};
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(31415)
@@ -665,13 +651,11 @@ mod tests {
         let chain = TskChain::<F61>::keygen(&mut r, 6, 2).unwrap();
         let c1 = RtCommittee::honest("c1", 6);
         let c2 = RtCommittee::honest("c2", 6);
-        let triples =
-            beaver_triples(&mut r, &sb, &c1, &c2, &cfg(), &chain.pk, 3).unwrap();
+        let triples = beaver_triples(&mut r, &sb, &c1, &c2, &cfg(), &chain.pk, 3).unwrap();
         let dec = RtCommittee::honest("d", 6);
         for tr in &triples {
-            let opened = chain
-                .decrypt(&mut r, &sb, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c])
-                .unwrap();
+            let opened =
+                chain.decrypt(&mut r, &sb, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c]).unwrap();
             assert_eq!(opened[0] * opened[1], opened[2]);
         }
     }
@@ -685,13 +669,11 @@ mod tests {
         let adv = Adversary::active(2, ActiveAttack::WrongValue);
         let c1 = adv.sample_committee(&mut r, "c1", 7);
         let c2 = adv.sample_committee(&mut r, "c2", 7);
-        let triples =
-            beaver_triples(&mut r, &sb, &c1, &c2, &cfg(), &chain.pk, 2).unwrap();
+        let triples = beaver_triples(&mut r, &sb, &c1, &c2, &cfg(), &chain.pk, 2).unwrap();
         let dec = RtCommittee::honest("d", 7);
         for tr in &triples {
-            let opened = chain
-                .decrypt(&mut r, &sb, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c])
-                .unwrap();
+            let opened =
+                chain.decrypt(&mut r, &sb, &dec, &cfg(), "t", &[tr.a, tr.b, tr.c]).unwrap();
             assert_eq!(opened[0] * opened[1], opened[2], "a·b must equal c despite attackers");
         }
     }
@@ -701,47 +683,263 @@ mod tests {
         let mut r = rng();
         let chain = TskChain::<F61>::keygen(&mut r, 6, 2).unwrap();
         let tpk = &chain.pk;
-        let (c_a, _) = MockTe::encrypt(&mut r, tpk, F61::from(3u64));
-        let b = F61::from(5u64);
-        let (c_b, b_r) = MockTe::encrypt(&mut r, tpk, b);
-        let c_c = Ciphertext { u: b * c_a.u, v: b * c_a.v };
-        let map = BeaverBMap::new(tpk, &c_a);
-        let proof = map.prove(&mut r, &c_b, &c_c, b, b_r);
-        assert!(map.verify(&c_b, &c_c, &proof));
-        // Another product, another a-side.
-        let off = Ciphertext { u: c_c.u, v: c_c.v + F61::ONE };
-        assert!(!map.verify(&c_b, &off, &proof));
-        let (other_a, _) = MockTe::encrypt(&mut r, tpk, F61::from(3u64));
-        assert!(!BeaverBMap::new(tpk, &other_a).verify(&c_b, &c_c, &proof));
+        let c_as: Vec<_> =
+            (3..6u64).map(|a| MockTe::encrypt(&mut r, tpk, F61::from(a)).0).collect();
+        let (mut cts, mut witness) = (Vec::new(), Vec::new());
+        for (c_a, b) in c_as.iter().zip([5u64, 7, 11].map(F61::from)) {
+            let (c_b, b_r) = MockTe::encrypt(&mut r, tpk, b);
+            cts.extend([c_b, Ciphertext { u: b * c_a.u, v: b * c_a.v }]);
+            witness.extend([b, b_r]);
+        }
+        let map = BeaverBMap::new(tpk, &c_as);
+        assert_eq!((map.0.row_count(), map.0.witness_len()), (12, 6));
+        let proof = map.prove(&mut r, &cts, &witness);
+        assert!(map.verify(&cts, &proof));
+        // Another product in any triple, another a-side, a pair short.
+        for j in 0..cts.len() {
+            let mut off = cts.clone();
+            off[j].v += F61::ONE;
+            assert!(!map.verify(&off, &proof), "ciphertext {j}");
+        }
+        let mut other_as = c_as.clone();
+        other_as[1] = MockTe::encrypt(&mut r, tpk, F61::from(4u64)).0;
+        assert!(!BeaverBMap::new(tpk, &other_as).verify(&cts, &proof));
+        assert!(!map.verify(&cts[..4], &proof));
 
         // The retired separators: right map, right targets, right
         // witness, rejected.
-        let targets = [c_b.u, c_b.v, c_c.u, c_c.v];
+        let targets = BeaverBMap::targets(&cts);
         for v in ["v1", "v2", "v3"] {
             let retired = Domain::new(format!("yoso-pss/nizk/beaver-b/{v}").as_bytes());
-            let retired = nizk::LinearMap::new(&retired, 2, map.0.rows()).unwrap();
-            let old = nizk::prove_linear(&mut r, &retired, &targets, &[b, b_r]);
+            let retired = nizk::LinearMap::new(&retired, 6, map.0.rows()).unwrap();
+            let old = nizk::prove_linear(&mut r, &retired, &targets, &witness);
             assert!(nizk::verify_linear(&retired, &targets, &old));
-            assert!(!map.verify(&c_b, &c_c, &old), "beaver-b/{v}");
+            assert!(!map.verify(&cts, &old), "beaver-b/{v}");
         }
 
         // What a malicious b-side member posts: the map's shape,
         // rejected.
         let mut r = rand::rngs::StdRng::seed_from_u64(20261003);
         let garbage = map.garbage(&mut r);
-        assert_eq!((garbage.commitment.len(), garbage.response.len()), (4, 2));
+        assert_eq!((garbage.commitment.len(), garbage.response.len()), (12, 6));
         assert_ne!(garbage.commitment[0], garbage.commitment[1]);
-        assert!(!map.verify(&c_b, &c_c, &garbage));
+        assert!(!map.verify(&cts, &garbage));
+    }
 
-        // Exact and host-independent: two SHA-256 blocks a challenge of
-        // four rows (⌈(9 + 16·4) / 64⌉).
-        #[cfg(debug_assertions)]
-        {
-            let (_, blocks) = yoso_crypto::sha256::compressions_of(|| {
-                let proof = map.prove(&mut r, &c_b, &c_c, b, b_r);
-                assert!(map.verify(&c_b, &c_c, &proof));
+    /// Exact and host-independent: the step's one b-side map is
+    /// digested once; a member's message then costs one challenge over
+    /// its `4T` targets, ⌈(9 + 64·T) / 64⌉ = `T + 1` blocks, to prove
+    /// and again to verify.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_beaver_b_step_digests_its_map_once_and_a_member_hashes_one_challenge() {
+        use yoso_crypto::sha256::compressions_of;
+        let mut r = rng();
+        let chain = TskChain::<F61>::keygen(&mut r, 6, 2).unwrap();
+        let tpk = &chain.pk;
+        for triples in [1usize, 2, 52] {
+            let a: Vec<F61> = (0..triples).map(|_| F61::random(&mut r)).collect();
+            let c_as: Vec<_> = a.iter().map(|&a| MockTe::encrypt(&mut r, tpk, a).0).collect();
+            let (mut cts, mut witness) = (Vec::new(), Vec::new());
+            for c_a in &c_as {
+                let b = F61::random(&mut r);
+                let (c_b, b_r) = MockTe::encrypt(&mut r, tpk, b);
+                cts.extend([c_b, Ciphertext { u: b * c_a.u, v: b * c_a.v }]);
+                witness.extend([b, b_r]);
+            }
+            let (map, building) = compressions_of(|| BeaverBMap::new(tpk, &c_as));
+            // 16 bytes of shape, 8 a row and 16 a non-zero (five a
+            // triple), 9 of padding; then the prefix block.
+            let digest = (16 + 8 * 4 * triples as u64 + 16 * 5 * triples as u64 + 9).div_ceil(64);
+            assert_eq!(building, digest + 1, "{triples} triples");
+            let members = 4;
+            let (_, step) = compressions_of(|| {
+                for _ in 0..members {
+                    let proof = map.prove(&mut r, &cts, &witness);
+                    assert!(map.verify(&cts, &proof));
+                }
             });
-            assert_eq!(blocks, 2 + 2);
+            assert_eq!(step, 2 * members * (triples as u64 + 1), "{triples} triples");
+        }
+    }
+
+    /// An honest member's contribution message with its plaintexts and
+    /// randomness: ciphertexts, values, randomness, proof.
+    type Known = (Vec<Ciphertext<F61>>, Vec<F61>, Vec<F61>, EncProof<F61>);
+
+    /// Members 0 and 1 of a 3-member contribution step under `batch`,
+    /// honest, with their messages, plaintexts and randomness.
+    fn honest_messages(
+        r: &mut rand::rngs::StdRng,
+        tpk: &PublicKey<F61>,
+        batch: &EncBatch<F61>,
+        m: usize,
+    ) -> Vec<Known> {
+        (0..2)
+            .map(|member| {
+                let values: Vec<F61> = (0..m).map(|_| F61::random(r)).collect();
+                let (cts, rands): (Vec<_>, Vec<_>) =
+                    values.iter().map(|&v| MockTe::encrypt(r, tpk, v)).unzip();
+                let proof = batch.prove(r, member, &cts, &values, &rands);
+                (cts, values, rands, proof)
+            })
+            .collect()
+    }
+
+    /// The sums a reader of `kind` folds from members 0 and 1's honest
+    /// messages and member 2's `(cts, proof)`, and its count of valid
+    /// messages.
+    fn read_three(
+        batch: &EncBatch<F61>,
+        honest: &[Known],
+        third: (Vec<Ciphertext<F61>>, EncProof<F61>),
+    ) -> (Vec<Ciphertext<F61>>, usize) {
+        let mut sums = ContributionSums::new(third.0.len());
+        for (member, (cts, _, _, proof)) in honest.iter().enumerate() {
+            sums.offer(member, (cts.clone(), Proved::Made(batch, proof.clone())));
+        }
+        sums.offer(2, (third.0, Proved::Made(batch, third.1)));
+        (sums.sums, sums.valid)
+    }
+
+    /// The item-wise sums of members 0 and 1 alone.
+    fn honest_sums(honest: &[Known]) -> Vec<Ciphertext<F61>> {
+        let zero = Ciphertext { u: F61::ZERO, v: F61::ZERO };
+        (0..honest[0].0.len())
+            .map(|j| {
+                honest
+                    .iter()
+                    .fold(zero, |s, msg| Ciphertext { u: s.u + msg.0[j].u, v: s.v + msg.0[j].v })
+            })
+            .collect()
+    }
+
+    /// Member 2 posts member 0's item 1 negated plus `Enc(x)` — the
+    /// message that would cancel member 0's contribution and let member 2
+    /// choose the sum — and proves what it knows: its own items and `x`.
+    /// In every kind it is dropped from every sum.
+    #[test]
+    fn a_negated_honest_item_plus_a_chosen_value_is_dropped_from_every_sum() {
+        let mut r = rng();
+        let chain = TskChain::<F61>::keygen(&mut r, 3, 1).unwrap();
+        let tpk = &chain.pk;
+        for kind in
+            [ContributionStep::Beaver, ContributionStep::WireRandom, ContributionStep::PackHelper]
+        {
+            let batch = enc_batch(kind, tpk);
+            let honest = honest_messages(&mut r, tpk, &batch, 3);
+            let values: Vec<F61> = (0..3).map(|_| F61::random(&mut r)).collect();
+            let (mut cts, rands): (Vec<_>, Vec<_>) =
+                values.iter().map(|&v| MockTe::encrypt(&mut r, tpk, v)).unzip();
+            let proof = batch.prove(&mut r, 2, &cts, &values, &rands);
+            let theirs = honest[0].0[1];
+            cts[1] = Ciphertext { u: cts[1].u - theirs.u, v: cts[1].v - theirs.v };
+            let (sums, valid) = read_three(&batch, &honest, (cts, proof));
+            assert_eq!((sums, valid), (honest_sums(&honest), 2), "{kind:?}");
+        }
+    }
+
+    /// Member 2 replays member 0's whole message and proof, or member
+    /// 0's message of another kind: read under another `ρ`, dropped from
+    /// every sum.
+    #[test]
+    fn a_replayed_message_is_dropped_from_every_sum() {
+        let mut r = rng();
+        let chain = TskChain::<F61>::keygen(&mut r, 3, 1).unwrap();
+        let tpk = &chain.pk;
+        let kinds =
+            [ContributionStep::Beaver, ContributionStep::WireRandom, ContributionStep::PackHelper];
+        for kind in kinds {
+            let batch = enc_batch(kind, tpk);
+            let honest = honest_messages(&mut r, tpk, &batch, 4);
+            let replay = (honest[0].0.clone(), honest[0].3.clone());
+            let (sums, valid) = read_three(&batch, &honest, replay);
+            assert_eq!((sums, valid), (honest_sums(&honest), 2), "another role, {kind:?}");
+            // Member 2's own message, proved for another kind.
+            for other in kinds.into_iter().filter(|&other| other != kind) {
+                let (cts, values, rands, _) = &honest_messages(&mut r, tpk, &batch, 4)[0];
+                let proof = enc_batch(other, tpk).prove(&mut r, 2, cts, values, rands);
+                let (sums, valid) = read_three(&batch, &honest, (cts.clone(), proof));
+                assert_eq!((sums, valid), (honest_sums(&honest), 2), "{other:?} read as {kind:?}");
+            }
+        }
+    }
+
+    /// A committee of five whose member 3 mounts `attack`.
+    fn with_member_3(name: &str, attack: Option<ActiveAttack>) -> Committee {
+        let mut behaviors = vec![Behavior::Honest; 5];
+        if let Some(attack) = attack {
+            behaviors[3] = Behavior::Malicious(attack);
+        }
+        Committee::with_behaviors(name, behaviors)
+    }
+
+    /// `one-lie` in the wire-randomness and pack-helper steps — the
+    /// honest message under its honest proof, then one ciphertext
+    /// changed: the liar is dropped from every sum, as a member posting
+    /// a garbage proof is, at 1, 2 and 8 workers.
+    #[test]
+    fn one_lie_in_a_contribution_is_dropped_from_every_sum_at_any_worker_count() {
+        let mut r = rng();
+        let chain = TskChain::<F61>::keygen(&mut r, 5, 2).unwrap();
+        let sums = |kind, attack, workers| {
+            let board = BulletinBoard::new();
+            let sb = ShardedBoard::new(&board, RolePartition::solo()).with_threads(workers);
+            let committee = with_member_3("c", attack);
+            with_forced_workers(workers, || {
+                let mut r = rand::rngs::StdRng::seed_from_u64(77);
+                summed_contributions(&mut r, &sb, &committee, &cfg(), &chain.pk, "x", kind, 6)
+            })
+            .unwrap()
+        };
+        for kind in [ContributionStep::WireRandom, ContributionStep::PackHelper] {
+            let (honest, dropped) =
+                (sums(kind, None, 1), sums(kind, Some(ActiveAttack::BadProof), 1));
+            assert!(honest.iter().zip(&dropped).all(|(h, d)| h != d), "{kind:?}");
+            for workers in [1, 2, 8] {
+                let lied = sums(kind, Some(ActiveAttack::OneLie), workers);
+                assert_eq!(lied, dropped, "{kind:?}, {workers} workers");
+            }
+        }
+    }
+
+    /// `one-lie` on either side of the Beaver step: the liar is dropped
+    /// from every triple, as a member posting a garbage proof is, and
+    /// every triple still multiplies, at 1, 2 and 8 workers.
+    #[test]
+    fn one_lie_on_either_beaver_side_is_dropped_and_triples_multiply_at_any_worker_count() {
+        let mut r = rng();
+        let chain = TskChain::<F61>::keygen(&mut r, 5, 2).unwrap();
+        let triples = |a_side, b_side, workers| {
+            let board = BulletinBoard::new();
+            let sb = ShardedBoard::new(&board, RolePartition::solo()).with_threads(workers);
+            let (c1, c2) = (with_member_3("c1", a_side), with_member_3("c2", b_side));
+            let triples = with_forced_workers(workers, || {
+                let mut r = rand::rngs::StdRng::seed_from_u64(78);
+                beaver_triples(&mut r, &sb, &c1, &c2, &cfg(), &chain.pk, 4)
+            });
+            let cts = |tr: &EncryptedTriple<F61>| [tr.a, tr.b, tr.c];
+            triples.unwrap().iter().map(cts).collect::<Vec<_>>()
+        };
+        let (lie, garbage) = (Some(ActiveAttack::OneLie), Some(ActiveAttack::BadProof));
+        let honest = triples(None, None, 1);
+        let dec = RtCommittee::honest("d", 5);
+        let board = BulletinBoard::new();
+        let sb = ShardedBoard::new(&board, RolePartition::solo());
+        for (a_side, b_side) in [(lie, None), (None, lie), (lie, lie)] {
+            let dropped = triples(a_side.and(garbage), b_side.and(garbage), 1);
+            for (h, d) in honest.iter().zip(&dropped) {
+                let side = if a_side.is_some() { 0 } else { 1 };
+                assert_ne!(h[side], d[side], "{a_side:?}, {b_side:?}");
+            }
+            for workers in [1, 2, 8] {
+                let lied = triples(a_side, b_side, workers);
+                assert_eq!(lied, dropped, "{a_side:?}, {b_side:?}, {workers} workers");
+                for tr in &lied {
+                    let opened = chain.decrypt(&mut r, &sb, &dec, &cfg(), "t", tr).unwrap();
+                    assert_eq!(opened[0] * opened[1], opened[2]);
+                }
+            }
         }
     }
 
@@ -769,8 +967,7 @@ mod tests {
         let packed = pack_ciphertexts(&scheme, t, &wire_cts, &helper_cts, &mut Vec::new()).unwrap();
         assert_eq!(packed.len(), n);
         // Decrypt the share ciphertexts and reconstruct via packed Shamir.
-        let share_vals =
-            chain.decrypt(&mut r, &sb, &committee, &cfg(), "t", &packed).unwrap();
+        let share_vals = chain.decrypt(&mut r, &sb, &committee, &cfg(), "t", &packed).unwrap();
         let shares: Vec<yoso_pss_sharing::Share<F61>> = share_vals
             .iter()
             .enumerate()

@@ -6,9 +6,9 @@
 //! seed per work item *sequentially* from the caller's RNG (so the seed
 //! sequence, and therefore every result, is independent of thread
 //! count), computes the items on scoped threads with `par_windows` —
-//! the one work queue; [`par_map`] is its one-window case — and folds
-//! and records them in item order on the caller. Transcripts are
-//! byte-identical whether `num_threads` is 1 or 16.
+//! the one work queue — and folds and records them in item order on the
+//! caller. Transcripts are byte-identical whether `num_threads` is 1 or
+//! 16.
 //!
 //! Threads come from one process-wide budget: compute threads, callers
 //! included, never exceed the host's cores, and a map nested in
@@ -18,7 +18,6 @@
 //! changes.
 
 use std::cell::Cell;
-use std::convert::Infallible;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
@@ -124,12 +123,12 @@ impl PostBuffer {
 }
 
 /// The work a thread must get before a map fans out, in light member
-/// turns (one committee member's contribution or re-encrypted item with
-/// proofs off: tens of nanoseconds). A helper costs a thread spawn and
-/// its first touches of memory — about a millisecond on a 2-vCPU VM —
-/// so a map fans out only with a millisecond or so of work a thread: a
-/// large committee's handover or `Re-encrypt` batch, not a small
-/// committee's. Set from a sweep of 16 Ki–256 Ki (EXPERIMENTS P21).
+/// turns (one contributed or re-encrypted item with proofs off: tens of
+/// nanoseconds). A helper costs a thread spawn and its first touches of
+/// memory — about a millisecond on a 2-vCPU VM — so a map fans out only
+/// with a millisecond or so of work a thread: a large committee's
+/// handover or `Re-encrypt` batch, not a small committee's. Set from a
+/// sweep of 16 Ki–256 Ki (EXPERIMENTS P21).
 pub(crate) const MIN_TURNS_PER_THREAD: usize = 32_768;
 
 /// The members of a heavy step (a handover or DKG dealing, a proved
@@ -244,43 +243,15 @@ thread_local! {
     static FORCED: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Runs `f` with every outermost [`par_windows`] (and so [`par_map`])
-/// on this thread forced onto `workers` threads (`1` = inline), so the
-/// threaded path runs on any host.
+/// Runs `f` with every outermost [`par_windows`] on this thread forced
+/// onto `workers` threads (`1` = inline), so the threaded path runs on
+/// any host.
 #[cfg(test)]
 pub(crate) fn with_forced_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
     let before = FORCED.with(|c| c.replace(Some(workers)));
     let out = f();
     FORCED.with(|c| c.set(before));
     out
-}
-
-/// Maps `f` over `items`, preserving order, on up to `num_threads`
-/// threads, the caller's included, each item being about `item_turns`
-/// light member turns of work: `par_windows` over one window, the
-/// whole of `items`.
-///
-/// `f` receives `(index, &item)` and must be pure per item (any
-/// randomness comes from a per-item seed inside `item`). The results
-/// are identical on any number of threads — the thread count is a pure
-/// wall-clock choice.
-pub fn par_map<T, U, F>(num_threads: usize, item_turns: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let turns = item_turns.saturating_mul(items.len());
-    let (mut next, window) = (items.iter().enumerate(), items.len().max(1));
-    let mut mapped = Vec::with_capacity(items.len());
-    let done = |_: &_, output| {
-        mapped.push(output);
-        Ok::<(), Infallible>(())
-    };
-    match par_windows(num_threads, turns, window, || next.next(), |&(i, item)| f(i, item), done) {
-        Ok(()) => mapped,
-        Err(never) => match never {},
-    }
 }
 
 /// Runs `work` over the items `next` makes on the calling thread, in
@@ -430,6 +401,30 @@ fn helpers_for(num_threads: usize, turns: usize) -> (usize, Option<Helpers>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    /// `par_windows` over one window, the whole of `items`, on up to
+    /// `num_threads` threads, each item about `item_turns` light member
+    /// turns of work: `f(index, item)` for each item, in item order.
+    fn par_map<T, U, F>(num_threads: usize, item_turns: usize, items: &[T], f: F) -> Vec<U>
+    where
+        T: Sync,
+        U: Send,
+        F: Fn(usize, &T) -> U + Sync,
+    {
+        let turns = item_turns.saturating_mul(items.len());
+        let (mut next, window) = (items.iter().enumerate(), items.len().max(1));
+        let mut mapped = Vec::with_capacity(items.len());
+        let done = |_: &_, output| {
+            mapped.push(output);
+            Ok::<(), Infallible>(())
+        };
+        match par_windows(num_threads, turns, window, || next.next(), |&(i, item)| f(i, item), done)
+        {
+            Ok(()) => mapped,
+            Err(never) => match never {},
+        }
+    }
 
     #[test]
     fn preserves_order_and_values() {

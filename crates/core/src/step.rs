@@ -21,8 +21,8 @@
 //!    behavior;
 //! 5. every speaker's posting is recorded, owned or not, under the
 //!    step's `(Post, phase, elements)`, in one members' run, by the
-//!    thread that runs the step: the board view decides which of them
-//!    this worker appends.
+//!    thread that runs the step, as it draws the speaker's seed: the
+//!    board view decides which of them this worker appends.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,10 +75,9 @@ impl<'a> Step<'a> {
     }
 
     /// The same step with its members run on the calling thread: a light
-    /// step — a contribution, an unproved `Decrypt`, `Re-encrypt` or
+    /// step — an unproved contribution, `Decrypt`, `Re-encrypt` or
     /// `3-mult` message — whose members cost less than handing them to
-    /// another thread; where many run side by side as items (Beaver
-    /// triples), the items fan out.
+    /// another thread.
     pub(crate) fn inline(mut self) -> Self {
         self.threads = 1;
         self
@@ -115,23 +114,6 @@ impl<'a> Step<'a> {
         self
     }
 
-    /// Rule 5 for a step run on another thread: the postings of every
-    /// speaker of `members`, in order — what [`Step::record_speakers`]
-    /// records. A step's postings depend on who speaks, never on what
-    /// they compute, so items of one step share them.
-    pub(crate) fn speakers(&self, members: impl IntoIterator<Item = usize>) -> Speakers {
-        let mut speakers = Speakers::new();
-        for member in members.into_iter().filter(|&member| self.speaker(member).is_some()) {
-            speakers.push(member);
-        }
-        speakers
-    }
-
-    /// Records `speakers` ([`Step::speakers`]) onto the step's run.
-    pub(crate) fn record_speakers(&self, posts: &mut PostBuffer, speakers: &Speakers) {
-        self.open_run(posts).extend(speakers);
-    }
-
     /// The step's one run, opened on `posts`.
     fn open_run<'p>(&self, posts: &'p mut PostBuffer) -> &'p mut Speakers {
         posts.open_run(Author::Members, &self.committee.name, self.post, self.phase, self.elements)
@@ -145,8 +127,18 @@ impl<'a> Step<'a> {
         Turn { index, behavior, rng: StdRng::seed_from_u64(seed), prover }
     }
 
-    /// The whole step on the caller's RNG, and its postings recorded
-    /// onto `posts`: see [`Step::stream`].
+    /// The whole step on the caller's RNG, its postings recorded onto
+    /// `posts`: each speaking candidate of `members` (`(index, what it
+    /// holds)`, in index order) gets its child seed from `rng` and its
+    /// posting recorded onto the step's one run (rules 1, 2 and 5), its
+    /// `work` runs on its [`Turn`] and what it holds, and `fold` takes the
+    /// outputs in member order. The members go through [`par_windows`] on
+    /// the step's threads: with helpers, in windows of
+    /// `threads × MEMBERS_PER_THREAD` whose seeds are all drawn before any
+    /// of them works, so no more outputs than that are held at once;
+    /// without, one after another. `prover` holds the map the members'
+    /// postings are proved over (`None` when proofs are off); a turn
+    /// keeps it only if this worker owns the member.
     ///
     /// # Errors
     ///
@@ -158,57 +150,6 @@ impl<'a> Step<'a> {
         prover: Option<&'m M>,
         members: impl IntoIterator<Item = (usize, T)>,
         work: impl Fn(Turn<&'m M>, T) -> O + Sync,
-        fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
-    ) -> Result<(), ProtocolError>
-    where
-        M: Sync,
-        T: Copy + Send + Sync,
-        O: Send,
-    {
-        let run = self.open_run(posts);
-        self.stream(rng, Some(run), prover, members, work, fold)
-    }
-
-    /// [`Step::run`] for a step whose postings its caller records
-    /// ([`Step::record_speakers`]): one of many items run side by side.
-    ///
-    /// # Errors
-    ///
-    /// As [`Step::run`].
-    pub(crate) fn act<'m, R: Rng + ?Sized, M, T, O>(
-        &self,
-        rng: &mut R,
-        prover: Option<&'m M>,
-        members: impl IntoIterator<Item = (usize, T)>,
-        work: impl Fn(Turn<&'m M>, T) -> O + Sync,
-        fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
-    ) -> Result<(), ProtocolError>
-    where
-        M: Sync,
-        T: Copy + Send + Sync,
-        O: Send,
-    {
-        self.stream(rng, None, prover, members, work, fold)
-    }
-
-    /// The step: each speaking candidate of `members` (`(index, what it
-    /// holds)`, in index order) gets its child seed from `rng` and its
-    /// posting recorded onto `run` (rules 1, 2 and 5), its `work` runs on
-    /// its [`Turn`] and what it holds, and `fold` takes the outputs in
-    /// member order. The members go through [`par_windows`] on the
-    /// step's threads: with helpers, in windows of
-    /// `threads × MEMBERS_PER_THREAD` whose seeds are all drawn before
-    /// any of them works, so no more outputs than that are held at once;
-    /// without, one after another. `prover` holds the map the members'
-    /// postings are proved over (`None` when proofs are off); a turn
-    /// keeps it only if this worker owns the member.
-    fn stream<'m, R: Rng + ?Sized, M, T, O>(
-        &self,
-        rng: &mut R,
-        mut run: Option<&mut Speakers>,
-        prover: Option<&'m M>,
-        members: impl IntoIterator<Item = (usize, T)>,
-        work: impl Fn(Turn<&'m M>, T) -> O + Sync,
         mut fold: impl FnMut(usize, O) -> Result<(), ProtocolError>,
     ) -> Result<(), ProtocolError>
     where
@@ -216,6 +157,7 @@ impl<'a> Step<'a> {
         T: Copy + Send + Sync,
         O: Send,
     {
+        let run = self.open_run(posts);
         let mut members = members.into_iter();
         let next = || {
             for (index, held) in members.by_ref() {
@@ -224,9 +166,7 @@ impl<'a> Step<'a> {
                     continue;
                 }
                 let seed = drawn.unwrap_or_else(|| rng.next_u64());
-                if let Some(run) = run.as_deref_mut() {
-                    run.push(index);
-                }
+                run.push(index);
                 return Some(Speaker { index, seed, held });
             }
             None

@@ -493,6 +493,7 @@ fn expiry(
 mod tests {
     use super::*;
     use std::ops::Range;
+    use rand::SeedableRng;
 
     /// One posting per member of `members` under one descriptor.
     fn postings(members: Range<usize>, elements: u64) -> PostBuffer {
@@ -631,9 +632,11 @@ mod tests {
             .collect();
         for sb in &workers {
             let step = crate::step::Step::new(&committee, sb, "x", Post::MulShare, 1);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
             for _step in 0..2 {
                 let mut posts = PostBuffer::new();
-                step.record_speakers(&mut posts, &step.speakers(0..10));
+                let (work, fold) = (|_, ()| {}, |_, ()| Ok(()));
+                step.run(&mut rng, &mut posts, None::<&()>, step.everyone(), work, fold).unwrap();
                 sb.flush_buffer(posts).unwrap();
             }
             let st = sb.lock();

@@ -26,9 +26,9 @@ fn rng(seed: u64) -> rand::rngs::StdRng {
 fn baseline_phase_tables_are_pinned() {
     let circuit = generators::poly_eval::<F61>(3).unwrap();
     let inputs = vec![vec![F61::from(2u64)], (1..=4u64).map(F61::from).collect()];
-    let all_speak = "offline/1-beaver 432 3456 54, online/handover 1026 8208 18, \
+    let all_speak = "offline/1-beaver 360 2880 18, online/handover 1026 8208 18, \
         online/input 30 240 5, online/mult 135 1080 27, online/output 63 504 9";
-    let two_silent = "offline/1-beaver 336 2688 42, online/handover 798 6384 14, \
+    let two_silent = "offline/1-beaver 280 2240 14, online/handover 798 6384 14, \
         online/input 30 240 5, online/mult 105 840 21, online/output 49 392 7";
     let cases = [
         (ExecutionConfig::default(), Adversary::none(), all_speak),

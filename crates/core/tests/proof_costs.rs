@@ -34,5 +34,5 @@ fn a_wide_proved_execution_costs_the_pinned_compressions() {
         engine.run_with_board(&mut rng(100), &circuit, &inputs, &Adversary::none(), &board)
     });
     assert_eq!(run.unwrap().outputs, circuit.evaluate(&inputs).unwrap());
-    assert_eq!(compressions, 73_265);
+    assert_eq!(compressions, 48_100);
 }

@@ -406,9 +406,10 @@ fn zero_role_worker_participates_without_posting() {
 /// before the online multiplications, the full `t` + `⌊nε⌋` budget, and
 /// the dealer-free setup. `mu_sha256` is the SHA-256 of the run's
 /// `RunResult::mu` (each element's 8 canonical bytes, wire order), taken
-/// at the commit before the member loops moved into `core::step`:
-/// transcript hashes bind sizes and order only, `mu` depends on every
-/// mask drawn, so a reordered or skipped draw anywhere offline moves it.
+/// solo on one thread once the solo, 3-worker and 1/2/8-thread runs
+/// agreed: transcript hashes bind sizes and order only, `mu` depends on
+/// every mask drawn, so a reordered or skipped draw anywhere offline
+/// moves it.
 struct Case {
     name: &'static str,
     adversary: Adversary,
@@ -416,9 +417,7 @@ struct Case {
     mu_sha256: &'static str,
 }
 
-/// n = 24, ε = 0.25 in the §5.4 shape: t = 5, k = 4, 6 fail-stops. At
-/// this size `offline/6-reenc-shares` has 72 items a batch, enough for
-/// `par_map` to leave the caller's thread at 2 and 8 threads.
+/// n = 24, ε = 0.25 in the §5.4 shape: t = 5, k = 4, 6 fail-stops.
 fn case_params() -> ProtocolParams {
     ProtocolParams::from_gap_failstop(24, 0.25).unwrap()
 }
@@ -430,8 +429,8 @@ fn cases() -> Vec<Case> {
     let case = |name, adversary, cfg, mu_sha256| Case { name, adversary, cfg, mu_sha256 };
     // Rows whose members act alike throughout the offline phase share
     // a hash: a posting that is filtered contributes to no mask.
-    const ALL_VALID: &str = "e2cfd5a860a8474689b2265d762bac82adf8530b905c59564a5c84cfd9e76d39";
-    const T_FILTERED: &str = "a17dcd1fdd588f88425fb904ab902051d31682375fd4e99a4bce36206f1af7a0";
+    const ALL_VALID: &str = "0872cda65f1a14be91bd0089ab27d7ff86a9331b6285812ae5cf66dd52bf6930";
+    const T_FILTERED: &str = "e06cef92ac6168671016e6d6dd15da9468ab430a4fc29039456f7c0c2e067760";
     let active = |attack| Adversary::active(p.t, attack);
     vec![
         case("none", Adversary::none(), proved, ALL_VALID),
@@ -441,14 +440,14 @@ fn cases() -> Vec<Case> {
             "silent",
             active(ActiveAttack::Silent),
             proved,
-            "8f5dbb94b6543e02cefa6635c4f4fef5b472789091da3e10f4078e475e05b5f0",
+            "fdd73049e95caaae85c76369a495b063aef9f5bf7bd17efc401f844706695ee7",
         ),
         case("additive", active(ActiveAttack::AdditiveOffset), proved, T_FILTERED),
         case(
             "failstop-offline",
             Adversary::none().with_failstops(p.failstops, OFFLINE),
             proved,
-            "198cd45b90c0af42506d416bcbec0bec43abe9240be9aa9d7c7e6612079be69b",
+            "8e66e2e11d75efc738a13704674c2b6a1da398c4b620ba595fe38fa25d17564e",
         ),
         case(
             "failstop-mult",
@@ -466,7 +465,7 @@ fn cases() -> Vec<Case> {
             "dealerless",
             active(ActiveAttack::WrongValue),
             proved.dealerless(),
-            "f1b25398d8e2c7f47a17954c6177c3f5f85adba919e025852c5bdd95c14392b7",
+            "6e11d0a94ec393f3055ec6e24a934bd1f620783cfea6a9e80b0698b49a4afcdf",
         ),
     ]
 }

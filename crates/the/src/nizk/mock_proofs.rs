@@ -9,7 +9,8 @@
 //! builds the map for one call. A role whose message is many partial
 //! decryptions or many μ-shares over one witness proves them as one
 //! combined statement ([`PdecBatch`], [`ShareBatch`]; see
-//! [`super::combine`]).
+//! [`super::combine`]), and so does a contribution member its many
+//! encryptions ([`EncBatch`]).
 //!
 //! Domain separators keep the proof types mutually unforgeable. A map
 //! is bound to its type's separator when it is built, so its proofs
@@ -91,6 +92,61 @@ impl<F: PrimeField> EncMap<F> {
     /// Verifies an encryption proof for `ct`.
     pub fn verify(&self, ct: &Ciphertext<F>, proof: &EncProof<F>) -> bool {
         linear::verify(&self.0, &[ct.u, ct.v], &proof.inner)
+    }
+}
+
+/// A contribution step's encryptions, as a member's one proof over all
+/// of them reads them. Member `role` posts its `m` ciphertexts and one
+/// [`EncProof`] of `Σ ρ^j·ct_j`, with witness `(Σ ρ^j·m_j, Σ ρ^j·r_j)`;
+/// `ρ` is hashed under the step kind's `domain` from the key's `(g, h)`,
+/// the role's index and its ciphertexts (see [`super::combine`]). The
+/// index is in `ρ` because nothing else in the statement names the role:
+/// without it, a copy of another role's message and proof would verify.
+/// `m` forks on `ρ` give an invertible Vandermonde system, so the one
+/// proof shows knowledge of every `(m_j, r_j)` (DESIGN §8).
+#[derive(Debug, Clone)]
+pub struct EncBatch<F: PrimeField> {
+    map: EncMap<F>,
+    combiner: Combiner,
+}
+
+impl<F: PrimeField> EncBatch<F> {
+    /// The contributions of one step kind (its `ρ` under `domain`) under
+    /// `pk`.
+    pub fn new(domain: &Domain, pk: &PublicKey<F>) -> Self {
+        EncBatch { map: EncMap::new(pk), combiner: Combiner::new(domain, &[pk.g, pk.h]) }
+    }
+
+    /// `role`'s `ρ` over `cts`.
+    fn rho(&self, role: usize, cts: &[Ciphertext<F>]) -> F {
+        let message = cts.iter().flat_map(|ct| [ct.u, ct.v]);
+        self.combiner.rho(std::iter::once(F::from_u64(role as u64)).chain(message))
+    }
+
+    /// `Σ ρ^j·ct_j`.
+    fn combined(rho: F, cts: &[Ciphertext<F>]) -> Ciphertext<F> {
+        let part = |part: fn(&Ciphertext<F>) -> F| combine(rho, cts.iter().map(part));
+        Ciphertext { u: part(|ct| ct.u), v: part(|ct| ct.v) }
+    }
+
+    /// Proves that `role` knows the plaintext `ms[j]` and randomness
+    /// `rs[j]` of every `cts[j]`.
+    pub fn prove<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        role: usize,
+        cts: &[Ciphertext<F>],
+        ms: &[F],
+        rs: &[F],
+    ) -> EncProof<F> {
+        let rho = self.rho(role, cts);
+        let (m, r) = (combine(rho, ms.iter().copied()), combine(rho, rs.iter().copied()));
+        self.map.prove(rng, &Self::combined(rho, cts), m, r)
+    }
+
+    /// Verifies `role`'s message — its ciphertexts and the proof.
+    pub fn verify(&self, role: usize, cts: &[Ciphertext<F>], proof: &EncProof<F>) -> bool {
+        self.map.verify(&Self::combined(self.rho(role, cts), cts), proof)
     }
 }
 
@@ -731,10 +787,67 @@ mod tests {
         assert!(!batch.verify(&kp.public, &postings[..3], &proof));
     }
 
+    static WIRE: Domain = Domain::new(b"test/wire-rho");
+    static PACK: Domain = Domain::new(b"test/pack-rho");
+
+    /// `m` encryptions under `pk` with their plaintexts and randomness.
+    fn encryptions(
+        r: &mut rand::rngs::StdRng,
+        pk: &PublicKey<F61>,
+        m: usize,
+    ) -> (Vec<Ciphertext<F61>>, Vec<F61>, Vec<F61>) {
+        let ms: Vec<F61> = (0..m).map(|_| F61::random(r)).collect();
+        let (cts, rs) = ms.iter().map(|&v| Te::encrypt(r, pk, v)).unzip();
+        (cts, ms, rs)
+    }
+
+    #[test]
+    fn an_enc_batch_proof_rejects_a_changed_item_another_role_and_another_kind() {
+        let mut r = rng();
+        let (pk, _) = Te::keygen(&mut r, 5, 2).unwrap();
+        let (cts, ms, rs) = encryptions(&mut r, &pk, 6);
+        let wire = EncBatch::new(&WIRE, &pk);
+        let proof = wire.prove(&mut r, 3, &cts, &ms, &rs);
+        assert!(wire.verify(3, &cts, &proof));
+        // Another role posting the same message and proof.
+        assert!(!wire.verify(2, &cts, &proof));
+        // Another kind's step reading it.
+        assert!(!EncBatch::new(&PACK, &pk).verify(3, &cts, &proof));
+        for j in 0..cts.len() {
+            let mut lie = cts.clone();
+            lie[j].v += F61::ONE;
+            assert!(!wire.verify(3, &lie, &proof), "item {j}");
+        }
+        // A ciphertext short, and a swap.
+        assert!(!wire.verify(3, &cts[..5], &proof));
+        let mut swapped = cts.clone();
+        swapped.swap(0, 1);
+        assert!(!wire.verify(3, &swapped, &proof));
+        // One item: the combined statement is the item's own.
+        let proof = wire.prove(&mut r, 0, &cts[..1], &ms[..1], &rs[..1]);
+        assert!(wire.verify(0, &cts[..1], &proof));
+    }
+
+    /// A member that posts `−ct` of another's item plus `Enc(x)` does not
+    /// know that item's opening: the best it can prove is the message it
+    /// knows, which is not the one it posts.
+    #[test]
+    fn an_enc_batch_proof_does_not_cover_a_negated_item() {
+        let mut r = rng();
+        let (pk, _) = Te::keygen(&mut r, 5, 2).unwrap();
+        let batch = EncBatch::new(&WIRE, &pk);
+        let (honest, ..) = encryptions(&mut r, &pk, 3);
+        let (mut cts, ms, rs) = encryptions(&mut r, &pk, 3);
+        let proof = batch.prove(&mut r, 1, &cts, &ms, &rs);
+        cts[2] = Ciphertext { u: cts[2].u - honest[2].u, v: cts[2].v - honest[2].v };
+        assert!(!batch.verify(1, &cts, &proof));
+    }
+
     /// Exact and host-independent: a step absorbs its public data once;
     /// a combined proof then costs its `ρ` — the message and the padding
     /// — the member's own map (two blocks of digest, one of prefix) and
-    /// its challenge (one), to prove and again to verify.
+    /// its challenge (one), to prove and again to verify; a contribution
+    /// message's map is the step's, so it costs its `ρ` and its challenge.
     #[cfg(debug_assertions)]
     #[test]
     fn a_combined_proof_costs_its_rho_its_map_and_one_challenge() {
@@ -748,6 +861,19 @@ mod tests {
             let (proof, proving) = compressions_of(|| batch.prove(&mut r, pk.vks[2], s, &ds));
             let (ok, verifying) = compressions_of(|| batch.verify(pk.vks[2], &ds, &proof));
             assert_eq!((ok, proving, verifying), (true, per_message, per_message), "pdec, {m}");
+        }
+        // A contribution message: its map (three blocks) and its `ρ`
+        // prefix (one) once per step; then `ρ` over the index and `m`
+        // ciphertexts and one challenge, to prove and again to verify.
+        let (pk, _) = Te::keygen(&mut r, 5, 2).unwrap();
+        let (batch, building) = compressions_of(|| EncBatch::new(&WIRE, &pk));
+        assert_eq!(building, 3 + 1);
+        for m in [1usize, 3, 4, 107] {
+            let (cts, ms, rs) = encryptions(&mut r, &pk, m);
+            let per_message = (8 * (1 + 2 * m) as u64 + 9).div_ceil(64) + 1;
+            let (proof, proving) = compressions_of(|| batch.prove(&mut r, 7, &cts, &ms, &rs));
+            let (ok, verifying) = compressions_of(|| batch.verify(7, &cts, &proof));
+            assert_eq!((ok, proving, verifying), (true, per_message, per_message), "enc, {m}");
         }
         let kp = LinearPke::<F61>::keygen(&mut r);
         let (batch, building) = compressions_of(ShareBatch::new::<F61>);

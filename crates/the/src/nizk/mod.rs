@@ -33,6 +33,10 @@
 //!   role's whole message where its postings share one witness — a key
 //!   share's partials of a step's ciphertexts, a KFF key's μ-shares of
 //!   a layer's batches — as the [`combine`] of their statements.
+//! - [`EncBatch`]: one [`EncProof`] for a contribution member's whole
+//!   message — its encryptions of fresh random values — as the
+//!   [`combine`] of its ciphertexts, `ρ` bound to the role's index and
+//!   the step kind's domain.
 //!
 //! The function pairs in brackets build their map for the one call;
 //! protocol code that proves many statements over the same public data
@@ -52,6 +56,6 @@ mod mock_proofs;
 pub use linear::{prove as prove_linear, verify as verify_linear, LinearMap, Proof as LinearProof};
 pub use mock_proofs::{
     enc_proof, pdec_proof, reshare_proof, share_proof, verify_enc_proof, verify_pdec_proof,
-    verify_reshare_proof, verify_share_proof, DealMap, EncMap, EncProof, PdecBatch, PdecMap,
-    PdecProof, ReshareProof, ShareBatch, ShareMap, SharePosting, ShareProof,
+    verify_reshare_proof, verify_share_proof, DealMap, EncBatch, EncMap, EncProof, PdecBatch,
+    PdecMap, PdecProof, ReshareProof, ShareBatch, ShareMap, SharePosting, ShareProof,
 };

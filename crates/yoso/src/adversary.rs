@@ -25,8 +25,9 @@ pub enum ActiveAttack {
     AdditiveOffset,
     /// Publish an honest message under the proof its honest witness
     /// makes, then change one of its values: the lie a single proof of a
-    /// whole message (`Decrypt`, `Re-encrypt`, `3-mult`) must catch. A
-    /// message of one statement is posted as under `WrongValue`.
+    /// whole message (`Decrypt`, `Re-encrypt`, `3-mult`, the offline
+    /// contributions) must catch. A message of one statement is posted
+    /// as under `WrongValue`.
     OneLie,
 }
 
